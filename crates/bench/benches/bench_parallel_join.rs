@@ -1,7 +1,7 @@
 //! Criterion benchmarks for the morsel-parallel pipeline breakers
 //! (DESIGN.md §15): the partitioned hash join and the parallel
-//! pre-aggregation at 1/2/4/8 worker threads, plus both against their
-//! serial operators (`SINEW_PARALLEL_JOIN=0` / `SINEW_PARALLEL_AGG=0`).
+//! pre-aggregation at 2/4/8 worker threads against their serial operators
+//! (one thread).
 //!
 //! The canonical snapshot for these numbers is `results/BENCH_PR9.json`,
 //! written by `cargo run --release -p sinew-bench --bin pr9_parallel_join`
@@ -59,30 +59,27 @@ fn with_threads(db: &Database, threads: usize) {
     });
 }
 
-fn bench_breaker(c: &mut Criterion, name: &str, knob: &str, sql: &str) {
+fn bench_breaker(c: &mut Criterion, name: &str, sql: &str) {
     let db = build();
     let mut g = c.benchmark_group(name);
     g.sample_size(10);
-    std::env::set_var(knob, "0");
     with_threads(&db, 1);
     g.bench_function("serial", |b| b.iter(|| black_box(db.execute(sql).unwrap().rows.len())));
-    std::env::set_var(knob, "1");
-    for threads in [1usize, 2, 4, 8] {
+    for threads in [2usize, 4, 8] {
         g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
             with_threads(&db, t);
             b.iter(|| black_box(db.execute(sql).unwrap().rows.len()))
         });
     }
-    std::env::remove_var(knob);
     g.finish();
 }
 
 fn bench_parallel_join(c: &mut Criterion) {
-    bench_breaker(c, "parallel_hash_join", "SINEW_PARALLEL_JOIN", JOIN_Q);
+    bench_breaker(c, "parallel_hash_join", JOIN_Q);
 }
 
 fn bench_parallel_agg(c: &mut Criterion) {
-    bench_breaker(c, "parallel_hash_agg", "SINEW_PARALLEL_AGG", AGG_Q);
+    bench_breaker(c, "parallel_hash_agg", AGG_Q);
 }
 
 criterion_group!(benches, bench_parallel_join, bench_parallel_agg);

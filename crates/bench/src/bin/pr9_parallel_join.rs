@@ -4,8 +4,8 @@
 //! Drives the full SQL engine over a 1M-row fact table: a 1M x 100k
 //! equi-join with aggregates on both sides, and a 1M-row GROUP BY with
 //! 10k groups, at 1 / 2 / 4 worker threads. Every timed configuration is
-//! first checked byte-identical against the serial operators
-//! (`SINEW_PARALLEL_JOIN=0`, `SINEW_PARALLEL_AGG=0`, one thread), so the
+//! first checked byte-identical against the serial operators (one
+//! executor thread), so the
 //! snapshot can't record a fast-but-wrong breaker, and the partitioned
 //! build / pre-aggregation merge counters are asserted to have actually
 //! engaged.
@@ -75,12 +75,6 @@ fn limits(threads: usize) -> ExecLimits {
     ExecLimits { mode: ExecMode::Streaming, exec_threads: threads, ..ExecLimits::default() }
 }
 
-fn set_knobs(on: bool) {
-    let v = if on { "1" } else { "0" };
-    std::env::set_var("SINEW_PARALLEL_JOIN", v);
-    std::env::set_var("SINEW_PARALLEL_AGG", v);
-}
-
 /// Patch a string note into the snapshot file (record_snapshot itself
 /// only carries numbers).
 fn write_note(note: &str) {
@@ -102,8 +96,6 @@ fn main() {
     if std::env::var_os("SINEW_BENCH_SNAPSHOT").is_none() {
         std::env::set_var("SINEW_BENCH_SNAPSHOT", "results/BENCH_PR9.json");
     }
-    let prev_join = std::env::var("SINEW_PARALLEL_JOIN").ok();
-    let prev_agg = std::env::var("SINEW_PARALLEL_AGG").ok();
     let host_cores =
         std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
 
@@ -114,14 +106,12 @@ fn main() {
     let db = build();
 
     // Differential oracle before any timing: serial operators, one thread.
-    set_knobs(false);
     db.set_exec_limits(limits(1));
     let oracle_join = db.execute(JOIN_Q).unwrap().rows;
     let oracle_agg = db.execute(AGG_Q).unwrap().rows;
     assert_eq!(oracle_agg.len() as u64, GROUPS, "every group populated");
 
-    set_knobs(true);
-    for threads in [1usize, 2, 4, 8] {
+    for threads in [2usize, 4, 8] {
         db.set_exec_limits(limits(threads));
         assert_eq!(db.execute(JOIN_Q).unwrap().rows, oracle_join, "join diverged at {threads}");
         assert_eq!(db.execute(AGG_Q).unwrap().rows, oracle_agg, "agg diverged at {threads}");
@@ -200,13 +190,4 @@ fn main() {
          Results are checked byte-identical to the serial operators before timing.",
         cfg.reps
     ));
-
-    match prev_join {
-        Some(v) => std::env::set_var("SINEW_PARALLEL_JOIN", v),
-        None => std::env::remove_var("SINEW_PARALLEL_JOIN"),
-    }
-    match prev_agg {
-        Some(v) => std::env::set_var("SINEW_PARALLEL_AGG", v),
-        None => std::env::remove_var("SINEW_PARALLEL_AGG"),
-    }
 }

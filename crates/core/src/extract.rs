@@ -7,7 +7,7 @@
 //! other types." Untyped contexts downcast to text. Dotted paths descend
 //! through nested documents; each hop is a binary search (O(log n)).
 
-use crate::catalog::{AttrId, Catalog};
+use crate::catalog::{AttrId, Catalog, ColumnState};
 use crate::types::{array_to_datum, datum_to_array_bytes, decode_array, ArrayElem, AttrType};
 use sinew_json::Value;
 use sinew_rdbms::{Database, Datum, DbError, DbResult};
@@ -151,15 +151,20 @@ pub struct AttrSource {
     pub skip: usize,
 }
 
-/// Resolve the nearest materialized ancestor object of `path` in `table`.
-pub fn attr_source(cat: &Catalog, table: &str, path: &str) -> AttrSource {
+/// Resolve the nearest materialized ancestor object of `path`, looking key
+/// names up through `states_for_name` (the catalog, or a statement's view
+/// of it).
+pub fn attr_source<S: AsRef<[(AttrId, AttrType, ColumnState)]>>(
+    states_for_name: impl Fn(&str) -> S,
+    path: &str,
+) -> AttrSource {
     let segs: Vec<&str> = path.split('.').collect();
     for k in (1..segs.len()).rev() {
         let prefix = segs[..k].join(".");
-        for (_, ty, st) in cat.states_for_name(table, &prefix) {
-            if ty == AttrType::Object && st.materialized {
+        for (_, ty, st) in states_for_name(&prefix).as_ref() {
+            if *ty == AttrType::Object && st.materialized {
                 return AttrSource {
-                    parent_column: Some(st.column_name),
+                    parent_column: Some(st.column_name.clone()),
                     parent_path: Some(prefix),
                     parent_dirty: st.dirty,
                     skip: k,

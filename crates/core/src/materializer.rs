@@ -125,7 +125,7 @@ fn step_locked(
     let col_idx = live_names.iter().position(|n| *n == st.column_name);
     // Dotted attributes may live inside a materialized parent object's
     // column rather than the reservoir.
-    let source = extract::attr_source(cat, table, &name);
+    let source = extract::attr_source(|prefix| cat.states_for_name(table, prefix), &name);
     let parent_idx = source
         .parent_column
         .as_ref()

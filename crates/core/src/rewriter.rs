@@ -24,13 +24,15 @@
 //! return the value downcast to a string type" — unless the catalog knows
 //! the key under exactly one type, in which case that type is used.
 
-use crate::catalog::ColumnState;
+use crate::catalog::{AttrId, ColumnState};
 use crate::extract::Want;
 use crate::types::AttrType;
 use crate::Sinew;
 use sinew_rdbms::{DbError, DbResult};
 use sinew_sql::{BinaryOp, Delete, Expr, Literal, Select, SelectItem, Statement, Update};
-use std::collections::HashSet;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 
 /// Extraction context established by the surrounding expression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,13 +44,58 @@ enum Hint {
     Array,
 }
 
+type NameStates = Rc<[(AttrId, AttrType, ColumnState)]>;
+
 struct Ctx<'a> {
     sinew: &'a Sinew,
     /// (binding, table, is_collection) in FROM order.
     tables: Vec<(String, String, bool)>,
+    /// The statement's view of the catalog: each (table, key name) keeps the
+    /// states this statement first read for it, so the materializer flipping
+    /// a flag mid-rewrite cannot send two references to one column down
+    /// different physical layouts (`SELECT c ... GROUP BY coalesce(c, ...)`).
+    /// Filled on first reference: a collection can register thousands of
+    /// keys and a statement names a handful.
+    view: RefCell<HashMap<(String, String), NameStates>>,
+}
+
+#[cfg(test)]
+type ResolveHook = Box<dyn FnMut(&str)>;
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: called with the key name after every resolution against
+    /// the statement's view.
+    static AFTER_RESOLVE: RefCell<Option<ResolveHook>> = const { RefCell::new(None) };
 }
 
 impl<'a> Ctx<'a> {
+    fn new(sinew: &'a Sinew, tables: Vec<(String, String, bool)>) -> Ctx<'a> {
+        Ctx { sinew, tables, view: RefCell::default() }
+    }
+
+    /// Catalog states of a key name, as of this statement's first look.
+    fn states_for_name(&self, table: &str, name: &str) -> NameStates {
+        let states = self
+            .view
+            .borrow_mut()
+            .entry((table.to_string(), name.to_string()))
+            .or_insert_with(|| self.sinew.catalog().states_for_name(table, name).into())
+            .clone();
+        #[cfg(test)]
+        AFTER_RESOLVE.with(|h| {
+            if let Some(f) = h.borrow_mut().as_mut() {
+                f(name)
+            }
+        });
+        states
+    }
+
+    /// [`crate::extract::attr_source`] resolved against the statement's view.
+    fn attr_source(&self, table: &str, path: &str) -> crate::extract::AttrSource {
+        crate::extract::attr_source(|prefix| self.states_for_name(table, prefix), path)
+    }
+
     /// Resolve a column reference to its collection, or `None` when the
     /// reference targets a non-collection table (pass through).
     fn collection_of(&self, qualifier: Option<&str>, name: &str) -> DbResult<Option<(String, String)>> {
@@ -65,7 +112,7 @@ impl<'a> Ctx<'a> {
         let collections: Vec<&(String, String, bool)> =
             self.tables.iter().filter(|(_, _, c)| *c).collect();
         for (binding, table, _) in &collections {
-            if !self.sinew.catalog().states_for_name(table, name).is_empty() {
+            if !self.states_for_name(table, name).is_empty() {
                 return Ok(Some((binding.clone(), table.clone())));
             }
         }
@@ -116,7 +163,7 @@ fn rewrite_select(sinew: &Sinew, sel: &Select) -> DbResult<Select> {
         let is_coll = is_collection(sinew, &t.table);
         tables.push((t.binding().to_string(), t.table.clone(), is_coll));
     }
-    let ctx = Ctx { sinew, tables };
+    let ctx = Ctx::new(sinew, tables);
 
     let mut out = sel.clone();
 
@@ -371,7 +418,7 @@ fn column_vs_column_hint(ctx: &Ctx<'_>, a: &Expr, b: &Expr) -> DbResult<Hint> {
         let Expr::Column { table, column } = e else { return Ok(false) };
         match ctx.collection_of(table.as_deref(), column)? {
             Some((_, coll)) => {
-                let states = ctx.sinew.catalog().states_for_name(&coll, column);
+                let states = ctx.states_for_name(&coll, column);
                 Ok(!states.is_empty()
                     && states
                         .iter()
@@ -528,7 +575,7 @@ fn rewrite_column(
     if name == "data" || name == "_rowid" {
         return Ok(Expr::qcol(binding, name));
     }
-    let states = ctx.sinew.catalog().states_for_name(table, name);
+    let states = ctx.states_for_name(table, name);
 
     // Resolve the wanted types + extraction function from the hint.
     let (wanted, extract_fn): (Vec<AttrType>, &str) = match hint {
@@ -538,7 +585,7 @@ fn rewrite_column(
         Hint::Array => (vec![AttrType::Array], "extract_key_arr"),
         Hint::None => {
             // unique registered type → typed extraction; else text downcast
-            match states.as_slice() {
+            match &*states {
                 [(_, ty, _)] => (
                     vec![*ty],
                     match ty {
@@ -555,7 +602,7 @@ fn rewrite_column(
         }
     };
 
-    let relevant: Vec<&(crate::catalog::AttrId, AttrType, ColumnState)> = if wanted.is_empty() {
+    let relevant: Vec<&(AttrId, AttrType, ColumnState)> = if wanted.is_empty() {
         states.iter().collect() // AnyText: every typed variant
     } else {
         states.iter().filter(|(_, ty, _)| wanted.contains(ty)).collect()
@@ -564,7 +611,7 @@ fn rewrite_column(
     // Extraction source: the reservoir, unless a materialized ancestor
     // object holds this dotted path — then extract from its column (with a
     // reservoir fallback while the ancestor is dirty).
-    let source = crate::extract::attr_source(ctx.sinew.catalog(), table, name);
+    let source = ctx.attr_source(table, name);
     let source_expr = match &source.parent_column {
         None => Expr::qcol(binding, "data"),
         Some(col) if !source.parent_dirty => Expr::qcol(binding, col),
@@ -648,10 +695,7 @@ fn rewrite_update(sinew: &Sinew, upd: &Update) -> DbResult<Statement> {
     if !is_collection(sinew, &upd.table) {
         return Ok(Statement::Update(upd.clone()));
     }
-    let ctx = Ctx {
-        sinew,
-        tables: vec![(upd.table.clone(), upd.table.clone(), true)],
-    };
+    let ctx = Ctx::new(sinew, vec![(upd.table.clone(), upd.table.clone(), true)]);
     let mut assignments: Vec<(String, Expr)> = Vec::new();
     // Document edits compose per owner column:
     // data = set_key(set_key(data, ...), ...), parent = set_key(parent, ...)
@@ -659,7 +703,7 @@ fn rewrite_update(sinew: &Sinew, upd: &Update) -> DbResult<Statement> {
     for (col, value) in &upd.assignments {
         let mut value = value.clone();
         rewrite_expr(&ctx, &mut value, Hint::None)?;
-        let states = sinew.catalog().states_for_name(&upd.table, col);
+        let states = ctx.states_for_name(&upd.table, col);
         // include dematerializing columns: their physical column still
         // exists and holds the live value, so assignments must write it
         // (the stale document copy is removed below when dirty)
@@ -667,7 +711,7 @@ fn rewrite_update(sinew: &Sinew, upd: &Update) -> DbResult<Statement> {
             states.iter().filter(|(_, _, st)| st.materialized || st.dirty).collect();
         // Where does this key's document live? (reservoir or a
         // materialized ancestor object's column)
-        let source = crate::extract::attr_source(sinew.catalog(), &upd.table, col);
+        let source = ctx.attr_source(&upd.table, col);
         let (owner, skip) = match (&source.parent_column, source.parent_dirty) {
             (Some(c), false) => (c.clone(), source.skip),
             // dirty ancestor: the value may still be in the reservoir;
@@ -714,10 +758,7 @@ fn rewrite_delete(sinew: &Sinew, del: &Delete) -> DbResult<Statement> {
     if !is_collection(sinew, &del.table) {
         return Ok(Statement::Delete(del.clone()));
     }
-    let ctx = Ctx {
-        sinew,
-        tables: vec![(del.table.clone(), del.table.clone(), true)],
-    };
+    let ctx = Ctx::new(sinew, vec![(del.table.clone(), del.table.clone(), true)]);
     let mut filter = del.filter.clone();
     if let Some(f) = &mut filter {
         rewrite_predicate(&ctx, f)?;
@@ -725,3 +766,46 @@ fn rewrite_delete(sinew: &Sinew, del: &Delete) -> DbResult<Statement> {
     Ok(Statement::Delete(Delete { table: del.table.clone(), filter }))
 }
 
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::AnalyzerPolicy;
+    use std::sync::Arc;
+
+    /// sinewbench/README.md defect 2: the background materializer flips a
+    /// column's dirty flag between the rewrite of the SELECT item and of the
+    /// GROUP BY key. Both must come out in the same physical form.
+    #[test]
+    fn flag_flip_between_two_references_of_one_statement() {
+        let s = Arc::new(Sinew::in_memory());
+        s.create_collection("t").unwrap();
+        let docs: String = (0..300).map(|i| format!("{{\"k\": \"v{i}\"}}\n")).collect();
+        s.load_jsonl("t", &docs).unwrap();
+        let policy =
+            AnalyzerPolicy { density_threshold: 0.5, cardinality_threshold: 100, sample_rows: 1000 };
+        s.run_analyzer("t", &policy).unwrap();
+        s.materialize_until_clean("t").unwrap();
+        let (id, _) = s.catalog().ids_for_name("k")[0];
+
+        let (flipper, mut flipped) = (s.clone(), false);
+        AFTER_RESOLVE.with(|h| {
+            *h.borrow_mut() = Some(Box::new(move |name| {
+                if name == "k" && !flipped {
+                    flipped = true;
+                    flipper.catalog().set_flags("t", id, true, true).unwrap();
+                }
+            }))
+        });
+        let stmt = sinew_sql::parse_statement("SELECT k, COUNT(*) FROM t GROUP BY k").unwrap();
+        let rewritten = rewrite_statement(&s, &stmt);
+        AFTER_RESOLVE.with(|h| *h.borrow_mut() = None);
+
+        let Statement::Select(sel) = rewritten.unwrap() else { panic!("not a select") };
+        let SelectItem::Expr { expr, .. } = &sel.items[0] else { panic!("not an expr") };
+        assert_eq!(expr, &sel.group_by[0], "one column, two physical forms");
+        assert_eq!(expr, &Expr::qcol("t", "k"), "the statement saw the column clean");
+        // the flip did happen: the next statement sees the dirty column
+        assert!(s.rewrite("SELECT k FROM t").unwrap().contains("coalesce(t.k"));
+    }
+}

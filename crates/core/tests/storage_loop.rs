@@ -84,6 +84,7 @@ fn threshold_crossing_both_directions_with_live_reports() {
     assert_eq!(cursor.direction, MoveDirection::Materialize);
     assert!(cursor.position > 0 && cursor.position < cursor.high_water);
     assert_eq!(count_k(&sinew), N);
+    sinew.db().check_derived("c").unwrap();
 
     // Finish the pass: clean physical column, bytes moved out of the
     // reservoir, values intact.
@@ -100,6 +101,7 @@ fn threshold_crossing_both_directions_with_live_reports() {
     let ks = after.columnar.iter().find(|c| c.column == "k").expect("columnar store for k");
     assert!(ks.segments > 0 && ks.encoded_bytes > 0);
     assert!(after.metrics.materializer_columnar_built >= 1);
+    sinew.db().check_derived("c").unwrap();
 
     // Repeated extraction query → plan-cache hit rate is nonzero in the
     // report ("rare" is still virtual, so this goes through the UDFs).
@@ -130,6 +132,7 @@ fn threshold_crossing_both_directions_with_live_reports() {
     assert!(k.dirty && !k.materialized);
     assert_eq!(k.cursor.as_ref().unwrap().direction, MoveDirection::Dematerialize);
     assert_eq!(count_k(&sinew), N);
+    sinew.db().check_derived("c").unwrap();
 
     // Complete: column dropped, everything back in the reservoir.
     let done = sinew.materialize_until_clean("c").unwrap();
@@ -141,6 +144,7 @@ fn threshold_crossing_both_directions_with_live_reports() {
     assert!(after.metrics.materializer_values_dematerialized >= N as u64);
     // dropping the column dropped its segment store with it
     assert!(after.columnar.is_empty(), "stale columnar stores: {:?}", after.columnar);
+    sinew.db().check_derived("c").unwrap();
 }
 
 #[test]
@@ -158,6 +162,7 @@ fn stranded_values_block_column_drop_until_restored() {
     // Strand one value: null out the reservoir document of row 0, leaving
     // its "k" only in the physical column.
     sinew.db().update_row("c", 0, &[("data", Datum::Null)]).unwrap();
+    sinew.db().check_derived("c").unwrap();
 
     // Demote "k" and drive the materializer. The old behaviour dropped the
     // column wholesale, destroying v0; now the pass must refuse.
@@ -167,6 +172,7 @@ fn stranded_values_block_column_drop_until_restored() {
     assert!(report.columns_deferred.contains(&"k".to_string()));
     assert_eq!(report.values_stranded, 1);
     assert!(!report.columns_cleaned.contains(&"k".to_string()));
+    sinew.db().check_derived("c").unwrap();
 
     // Column kept and still dirty; the stranded value stays readable.
     let schema = sinew.logical_schema("c");
@@ -201,6 +207,7 @@ fn stranded_values_block_column_drop_until_restored() {
     let schema = sinew.logical_schema("c");
     let k = schema.iter().find(|c| c.name == "k").unwrap();
     assert!(!k.dirty && !k.materialized);
+    sinew.db().check_derived("c").unwrap();
 }
 
 #[test]
@@ -239,6 +246,7 @@ fn promotion_creates_secondary_index_and_demotion_drops_it() {
     assert!(ix.pages > 0 && ix.bytes > 0);
     assert!(rep.metrics.materializer_indexes_created >= 1);
     assert!(rep.exec.index_build_rows >= N as u64);
+    sinew.db().check_derived("c").unwrap();
 
     // the analyzer also fed sampled cardinality to the planner as an
     // extraction-selectivity hint
@@ -270,6 +278,7 @@ fn promotion_creates_secondary_index_and_demotion_drops_it() {
     sinew.materialize_until_clean("c").unwrap();
     assert!(sinew.storage_report("c").unwrap().indexes.is_empty());
     assert_eq!(count_k(&sinew), N);
+    sinew.db().check_derived("c").unwrap();
 
     if let Some(v) = prev_force {
         std::env::set_var("SINEW_FORCE_SCAN", v);
@@ -301,4 +310,38 @@ fn auto_index_respects_the_cardinality_bar() {
         Some(v) => std::env::set_var("SINEW_INDEX_MIN_CARDINALITY", v),
         None => std::env::remove_var("SINEW_INDEX_MIN_CARDINALITY"),
     }
+}
+
+/// NoBench at a size that seals a 4096-row columnar segment: seven
+/// promotion passes, each over every row, with the stores of the columns
+/// promoted earlier riding along. A pass costs what its own column costs —
+/// when every pass republished every store, this took minutes.
+#[test]
+fn promotion_until_clean_crosses_a_sealed_segment() {
+    use sinew_nobench::{generate_one, NoBenchConfig};
+    const DOCS: u64 = 6_000;
+    let cfg = NoBenchConfig::default();
+    let docs: Vec<_> = (0..DOCS).map(|i| generate_one(i, DOCS, &cfg)).collect();
+    let sinew = Sinew::in_memory();
+    sinew.create_collection("nobench").unwrap();
+    sinew.load_docs("nobench", &docs).unwrap();
+    let count = |sql: &str| sinew.query(sql).unwrap().rows[0][0].clone();
+    let virtual_count = count("SELECT COUNT(*) FROM nobench WHERE thousandth < 500");
+
+    sinew.run_analyzer("nobench", &AnalyzerPolicy::default()).unwrap();
+    let started = std::time::Instant::now();
+    let done = sinew.materialize_until_clean("nobench").unwrap();
+    let took = started.elapsed();
+    assert!(done.columns_cleaned.len() >= 5, "promoted only {:?}", done.columns_cleaned);
+    assert!(sinew.logical_schema("nobench").iter().all(|c| !c.dirty));
+    sinew.db().check_derived("nobench").unwrap();
+
+    let rep = sinew.storage_report("nobench").unwrap();
+    assert_eq!(rep.columnar.len(), done.columns_cleaned.len());
+    assert!(rep.columnar.iter().all(|c| c.segments == 2), "{:?}", rep.columnar);
+    assert_eq!(count("SELECT COUNT(*) FROM nobench WHERE thousandth < 500"), virtual_count);
+    assert_eq!(count("SELECT COUNT(*) FROM nobench WHERE thousandth IS NULL"), Datum::Int(0));
+    // Linear in the rows moved: generous for a debug build on a loaded
+    // machine, two orders of magnitude below the quadratic pass.
+    assert!(took.as_secs() < 60, "materialize_until_clean took {took:?}");
 }

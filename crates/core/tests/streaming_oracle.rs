@@ -126,13 +126,9 @@ fn epoch_bumps_between_statements_are_observed() {
 /// PR 9 crossing at the Sinew layer: joins and aggregates over *virtual*
 /// columns (extraction UDFs), then over *promoted* columns (after the
 /// analyzer materializes them), must be byte-identical between the serial
-/// operators (SINEW_PARALLEL_JOIN=0 / SINEW_PARALLEL_AGG=0) and the
-/// morsel-parallel breakers at every thread count.
+/// operators (`exec_threads = 1`) and the morsel-parallel breakers.
 #[test]
 fn parallel_breakers_match_serial_over_virtual_and_promoted_columns() {
-    let prev_join = std::env::var("SINEW_PARALLEL_JOIN").ok();
-    let prev_agg = std::env::var("SINEW_PARALLEL_AGG").ok();
-
     let sinew = build();
     sinew.create_collection("dims").unwrap();
     let mut jsonl = String::new();
@@ -185,13 +181,9 @@ fn parallel_breakers_match_serial_over_virtual_and_promoted_columns() {
             sinew.materialize_until_clean("dims").unwrap();
         }
         let phase = if promoted { "promoted" } else { "virtual" };
-        std::env::set_var("SINEW_PARALLEL_JOIN", "0");
-        std::env::set_var("SINEW_PARALLEL_AGG", "0");
         let serial = run(1);
         assert!(serial.iter().any(|r| !r.is_empty()), "{phase}: workload returned nothing");
-        std::env::set_var("SINEW_PARALLEL_JOIN", "1");
-        std::env::set_var("SINEW_PARALLEL_AGG", "1");
-        for threads in [1usize, 4] {
+        for threads in [2usize, 4] {
             let got = run(threads);
             for (i, (g, o)) in got.iter().zip(&serial).enumerate() {
                 assert_eq!(
@@ -205,13 +197,4 @@ fn parallel_breakers_match_serial_over_virtual_and_promoted_columns() {
     }
     // Promotion itself must not change results either.
     assert_eq!(phases[0].1, phases[1].1, "promotion changed query results");
-
-    match prev_join {
-        Some(v) => std::env::set_var("SINEW_PARALLEL_JOIN", v),
-        None => std::env::remove_var("SINEW_PARALLEL_JOIN"),
-    }
-    match prev_agg {
-        Some(v) => std::env::set_var("SINEW_PARALLEL_AGG", v),
-        None => std::env::remove_var("SINEW_PARALLEL_AGG"),
-    }
 }

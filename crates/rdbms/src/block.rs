@@ -31,9 +31,9 @@
 //! the moment a float sum appears, because float addition is not
 //! associative); sort runs per-chunk run sorts plus a k-way merge whose
 //! global-index tiebreak reproduces the serial stable sort exactly.
-//! `SINEW_PARALLEL_JOIN=0` / `SINEW_PARALLEL_AGG=0` restore the serial
-//! operators for differential testing (the AGG knob also covers the
-//! parallel sort). `EXPLAIN ANALYZE` wraps every operator in an
+//! With `exec_threads = 1` (and below [`MIN_PARALLEL_ROWS`] buffered rows)
+//! the serial operators run; differential tests take that as their
+//! reference. `EXPLAIN ANALYZE` wraps every operator in an
 //! [`AnalyzeOp`] that counts rows/blocks/wall time per plan node.
 //!
 //! Resource governance: `max_intermediate_rows` is charged wherever rows
@@ -445,21 +445,6 @@ fn chunk_from(buf: &mut [Row], pos: &mut usize, n: usize) -> Option<RowBlock> {
 
 // ---------------------------------------------------------------------------
 // Parallel-breaker infrastructure (DESIGN.md §15)
-
-fn env_knob(name: &str) -> bool {
-    std::env::var(name).map(|v| !v.is_empty() && v != "0").unwrap_or(true)
-}
-
-/// `SINEW_PARALLEL_JOIN=0` restores the serial hash-join build and probe.
-pub(crate) fn parallel_join_enabled() -> bool {
-    env_knob("SINEW_PARALLEL_JOIN")
-}
-
-/// `SINEW_PARALLEL_AGG=0` restores the serial hash aggregation *and* the
-/// serial sort (the sort breaker rides the aggregation knob).
-pub(crate) fn parallel_agg_enabled() -> bool {
-    env_knob("SINEW_PARALLEL_AGG")
-}
 
 /// Below this many buffered rows a breaker stays serial: thread spawn
 /// would cost more than the work saved.
@@ -1465,7 +1450,7 @@ impl SortOp<'_, '_> {
     /// exactly the serial *stable* sort at any thread count.
     fn sort_buffer(&self, rows: &mut Vec<Row>) -> DbResult<()> {
         let threads = self.exec.limits.exec_threads.max(1);
-        if !parallel_agg_enabled() || threads <= 1 || rows.len() < MIN_PARALLEL_ROWS {
+        if threads <= 1 || rows.len() < MIN_PARALLEL_ROWS {
             return sort_rows(rows, self.keys);
         }
         let keys = self.keys;
@@ -1628,10 +1613,10 @@ fn collapse_agg_parts(parts: Vec<AggPart>) -> AggTable {
 
 /// Hash aggregation: streams its input (only group state plus at most one
 /// wave of buffered rows is resident), then emits the finished groups in
-/// first-occurrence order. With threads and the `SINEW_PARALLEL_AGG` knob,
-/// buffered rows pre-aggregate thread-locally per chunk and merge
-/// partition-wise; the serial fold is byte-identical and handles DISTINCT
-/// and float sums (whose addition order must equal input order).
+/// first-occurrence order. With more than one executor thread, buffered
+/// rows pre-aggregate thread-locally per chunk and merge partition-wise;
+/// the serial fold is byte-identical and handles DISTINCT and float sums
+/// (whose addition order must equal input order).
 struct HashAggOp<'x, 'a> {
     exec: &'x Executor<'a>,
     child: Box<dyn BlockOperator + 'x>,
@@ -1645,7 +1630,7 @@ impl HashAggOp<'_, '_> {
     fn fold_input(&mut self) -> DbResult<Vec<(Row, Vec<Accumulator>)>> {
         let threads = self.exec.limits.exec_threads.max(1);
         let can_parallel =
-            parallel_agg_enabled() && threads > 1 && self.aggs.iter().all(|a| !a.distinct);
+            threads > 1 && self.aggs.iter().all(|a| !a.distinct);
         if can_parallel {
             self.fold_parallel(threads)
         } else {
@@ -2037,10 +2022,10 @@ fn probe_one(
 
 /// Hash join: the build (right) side is a pipeline breaker, the probe
 /// (left) side streams. Join output beyond a block is buffered briefly in
-/// `pending` and emitted in block-sized chunks. With threads and the
-/// `SINEW_PARALLEL_JOIN` knob the build is partitioned and probe rows are
-/// buffered into waves probed by scoped workers, with per-chunk outputs
-/// stitched back in chunk order — byte-identical to the serial probe.
+/// `pending` and emitted in block-sized chunks. With more than one executor
+/// thread the build is partitioned and probe rows are buffered into waves
+/// probed by scoped workers, with per-chunk outputs stitched back in chunk
+/// order — byte-identical to the serial probe.
 struct HashJoinOp<'x, 'a> {
     exec: &'x Executor<'a>,
     left: Box<dyn BlockOperator + 'x>,
@@ -2073,7 +2058,7 @@ impl HashJoinOp<'_, '_> {
             st.join_build_rows.fetch_add(right_rows.len() as u64, Ordering::Relaxed);
         }
         let threads = self.exec.limits.exec_threads.max(1);
-        if !parallel_join_enabled() || threads <= 1 {
+        if threads <= 1 {
             let mut table: HashMap<GroupKey, Vec<usize>> = HashMap::new();
             for (i, row) in right_rows.iter().enumerate() {
                 let k = self.right_key.eval(row)?;

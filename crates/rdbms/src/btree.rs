@@ -94,21 +94,23 @@ impl SecondaryIndex {
         self.pages_used() * PAGE_SIZE as u64
     }
 
-    /// Add one entry. NULL keys are skipped (comparison predicates are
-    /// null-rejecting, so no lookup ever wants them).
-    pub fn insert(&mut self, key: &Datum, rowid: RowId) -> DbResult<()> {
+    /// Add one entry; returns whether it was new. NULL keys are skipped
+    /// (comparison predicates are null-rejecting, so no lookup ever wants
+    /// them).
+    pub fn insert(&mut self, key: &Datum, rowid: RowId) -> DbResult<bool> {
         if key.is_null() {
-            return Ok(());
+            return Ok(false);
         }
         let mut kbytes = Vec::new();
         encode_key(key, &mut kbytes);
         if kbytes.len() > MAX_ENTRY_KEY {
             let entry = (key.clone(), rowid);
-            if let Err(pos) = self.overflow.binary_search_by(|e| cmp_entry(e, &entry)) {
-                self.overflow.insert(pos, entry);
-                self.entry_count += 1;
-            }
-            return Ok(());
+            let Err(pos) = self.overflow.binary_search_by(|e| cmp_entry(e, &entry)) else {
+                return Ok(false);
+            };
+            self.overflow.insert(pos, entry);
+            self.entry_count += 1;
+            return Ok(true);
         }
         if self.leaves.is_empty() {
             let page = self.pager.alloc_raw_unlogged()?;
@@ -120,13 +122,13 @@ impl SecondaryIndex {
                 count: 1,
             });
             self.entry_count += 1;
-            return Ok(());
+            return Ok(true);
         }
         let li = self.target_leaf(key, rowid);
         let mut entries = read_leaf(&self.pager, self.leaves[li].page)?;
         let entry = (key.clone(), rowid);
         let pos = match entries.binary_search_by(|e| cmp_entry(e, &entry)) {
-            Ok(_) => return Ok(()), // (key, rowid) already present
+            Ok(_) => return Ok(false), // (key, rowid) already present
             Err(pos) => pos,
         };
         entries.insert(pos, entry);
@@ -134,7 +136,7 @@ impl SecondaryIndex {
         if encoded_len(&entries) <= LEAF_CAP {
             write_leaf(&self.pager, self.leaves[li].page, &entries)?;
             self.refresh_meta(li, &entries);
-            return Ok(());
+            return Ok(true);
         }
         // Split: lower half stays, upper half moves to a fresh page.
         let mid = entries.len() / 2;
@@ -152,6 +154,15 @@ impl SecondaryIndex {
                 count: upper.len() as u32,
             },
         );
+        Ok(true)
+    }
+
+    /// Load entries one [`SecondaryIndex::insert`] at a time — the slow
+    /// build the bench harness compares [`SecondaryIndex::bulk_build`] with.
+    pub(crate) fn insert_each(&mut self, entries: Vec<(Datum, RowId)>) -> DbResult<()> {
+        for (key, rowid) in entries {
+            self.insert(&key, rowid)?;
+        }
         Ok(())
     }
 

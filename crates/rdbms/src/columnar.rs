@@ -203,12 +203,9 @@ impl Segment {
         debug_assert_eq!(plain.len(), self.n_slots);
         self.reseal_at = self.live_count() / 2;
         // Count runs (dead slots participate as their stored Null). Two
-        // values merge into one run only when they are the same variant
-        // AND the same bits: `==` alone would merge `-0.0` with `0.0`
-        // (losing the sign bit) but not catch `Null == Null`; `total_cmp`
-        // alone would merge `Int(5)` with `Float(5.0)` and gather would
-        // then resurrect the wrong variant.
-        let same = |a: &Datum, b: &Datum| a == b && a.total_cmp(b) == Ordering::Equal;
+        // values merge into one run only when gather would resurrect the
+        // same variant and bits from either.
+        let same = Datum::identical;
         let mut runs = 1usize;
         for w in plain.windows(2) {
             if !same(&w[0], &w[1]) {
@@ -767,6 +764,15 @@ impl ColumnStore {
         }
     }
 
+    /// A store over the given `(value, rowid)` pairs, rowids ascending.
+    pub(crate) fn build(column: &str, values: Vec<(Datum, RowId)>) -> ColumnStore {
+        let mut store = ColumnStore::new(column);
+        for (value, rowid) in values {
+            store.append(rowid, value);
+        }
+        store
+    }
+
     // ---- MVCC maintenance ----
 
     /// Stamp the store's visibility floor after a rebuild: the heap scan
@@ -843,8 +849,8 @@ impl ColumnStore {
             applied = apply.len() as u64;
             for p in apply {
                 match p.op {
-                    PendingKind::Set(v) => self.set(p.rowid, v),
-                    PendingKind::Delete => self.delete(p.rowid),
+                    PendingKind::Set(v) => self.put(p.rowid, v),
+                    PendingKind::Delete => self.kill(p.rowid),
                 }
             }
         }
@@ -909,30 +915,62 @@ impl ColumnStore {
         if self.coverage() == rowid {
             self.push_slot(value, true);
         } else {
-            // Re-insert into an already covered rowid (shouldn't happen
-            // with a dense heap, but stay correct): treat as update.
-            self.set(rowid, value);
+            // Re-insert into an already covered rowid (a store built while
+            // the row's transaction was still open): treat as update.
+            self.put(rowid, value);
         }
     }
 
-    /// Update the value of an existing row.
+    /// Eager update of an existing row: the writer runs with no snapshot
+    /// left to read what the pending ops preserve, so they are applied first
+    /// and commit order stays the only order.
     pub fn set(&mut self, rowid: RowId, value: Datum) {
+        self.vacuum(None);
+        self.put(rowid, value);
+    }
+
+    /// Eager delete; drains the pending ops like [`ColumnStore::set`].
+    pub fn delete(&mut self, rowid: RowId) {
+        self.vacuum(None);
+        self.kill(rowid);
+    }
+
+    /// Write one slot. An unchanged slot costs one lookup; the plain tail is
+    /// patched in place; an encoded segment is decoded and re-sealed once.
+    fn put(&mut self, rowid: RowId, value: Datum) {
         if rowid >= self.coverage() {
             self.append(rowid, value);
             return;
         }
-        let seg_no = rowid as usize / SEG_ROWS;
+        let seg = &mut self.segments[rowid as usize / SEG_ROWS];
         let slot = rowid as usize % SEG_ROWS;
-        let seg = &mut self.segments[seg_no];
-        let mut plain = seg.to_plain();
-        bm_set(&mut seg.live, slot, true);
-        bm_set(&mut seg.valid, slot, !value.is_null());
+        let mut cur = Vec::with_capacity(1);
+        seg.gather(&[slot as u32], &mut cur, &mut KernelStats::default());
+        let old = cur.pop().unwrap_or(Datum::Null);
+        if bm_get(&seg.live, slot) && old.identical(&value) {
+            return;
+        }
+        let mut plain = match std::mem::replace(&mut seg.enc, Enc::Plain(Vec::new())) {
+            Enc::Plain(vals) => vals,
+            enc => {
+                seg.enc = enc;
+                seg.to_plain()
+            }
+        };
         plain[slot] = value;
-        seg.recompute_zone(&plain);
-        let was_sealed = seg.sealed;
-        seg.sealed = false;
+        bm_set(&mut seg.live, slot, true);
+        bm_set(&mut seg.valid, slot, !plain[slot].is_null());
+        // Only a value leaving the zone's edge can shrink it.
+        let on_edge =
+            |edge: &Option<Datum>| edge.as_ref().is_some_and(|e| e.total_cmp(&old).is_eq());
+        if !old.is_null() && (on_edge(&seg.min) || on_edge(&seg.max)) {
+            seg.recompute_zone(&plain);
+        } else {
+            seg.widen_zone(&plain[slot]);
+        }
         seg.enc = Enc::Plain(plain);
-        if was_sealed {
+        if seg.sealed {
+            seg.sealed = false;
             seg.seal();
         }
     }
@@ -942,7 +980,7 @@ impl ColumnStore {
     /// halves, at which point the segment re-seals: the zone map is
     /// recomputed over the survivors (deletes only shrink the value set,
     /// so stale zones prune poorly) and the encoding re-picked.
-    pub fn delete(&mut self, rowid: RowId) {
+    fn kill(&mut self, rowid: RowId) {
         if rowid >= self.coverage() {
             return;
         }
@@ -1018,6 +1056,30 @@ impl ColumnStore {
             },
             _ => None,
         }
+    }
+
+    /// What the store will hold per rowid once every pending op has been
+    /// applied (`None` = no live row) — the side of the consistency audit
+    /// [`crate::Database::check_derived`] compares with the heap.
+    pub fn latest_values(&self) -> Vec<Option<Datum>> {
+        let mut out = Vec::with_capacity(self.coverage() as usize);
+        for seg in &self.segments {
+            for (i, d) in seg.to_plain().into_iter().enumerate() {
+                let value = if bm_get(&seg.valid, i) { d } else { Datum::Null };
+                out.push(bm_get(&seg.live, i).then_some(value));
+            }
+        }
+        let mut pending: Vec<&PendingOp> = self.pending.iter().collect();
+        pending.sort_by_key(|p| p.ts);
+        for p in pending {
+            if let Some(v) = out.get_mut(p.rowid as usize) {
+                *v = match &p.op {
+                    PendingKind::Set(d) => Some(d.clone()),
+                    PendingKind::Delete => None,
+                };
+            }
+        }
+        out
     }
 
     pub fn info(&self) -> ColumnarInfo {
@@ -1260,6 +1322,42 @@ mod tests {
         let mut live2 = Vec::new();
         store2.live_slots(0, &mut live2);
         assert_eq!(live2, vec![5]);
+    }
+
+    #[test]
+    fn eager_set_lands_after_an_older_pending_set() {
+        let mut store = ColumnStore::new("a");
+        store.append(0, Datum::Int(1));
+        store.pending_set(0, Datum::Null, 5);
+        store.set(0, Datum::Int(7));
+        store.vacuum(None);
+        assert_eq!(store.latest_values(), vec![Some(Datum::Int(7))]);
+    }
+
+    #[test]
+    fn set_patches_the_tail_in_place_and_keeps_the_zone_exact() {
+        let mut store = ColumnStore::new("a");
+        for i in 0..100 {
+            store.append(i, Datum::Int(i as i64));
+        }
+        // leaving the max shrinks the zone, so a probe above 98 prunes
+        store.set(99, Datum::Int(50));
+        assert!(store.zone_prunes(0, Some(&Datum::Int(99)), true, None, true));
+        // an interior change only widens it
+        store.set(10, Datum::Int(500));
+        assert!(!store.zone_prunes(0, Some(&Datum::Int(500)), true, None, true));
+        let fifty = Datum::Int(50);
+        assert_eq!(store_select(&store, Some(&fifty), true, Some(&fifty), true), vec![50, 99]);
+        // a sealed segment keeps its encoding when the value does not change
+        let mut sealed = ColumnStore::new("s");
+        for i in 0..(SEG_ROWS as u64 + 1) {
+            sealed.append(i, Datum::Int(i as i64 % 7));
+        }
+        let before = sealed.info().encodings;
+        sealed.set(3, Datum::Int(3));
+        sealed.set(4, Datum::Int(6));
+        assert_eq!(sealed.info().encodings, before);
+        assert_eq!(sealed.latest_values()[4], Some(Datum::Int(6)));
     }
 
     #[test]

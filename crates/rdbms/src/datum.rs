@@ -119,6 +119,17 @@ impl Datum {
         }
     }
 
+    /// Same variant and same bits. `==` alone equates `-0.0` with `0.0` and
+    /// no NaN with itself; `total_cmp` alone equates `Int(5)` with
+    /// `Float(5.0)`. Derived structures that must reproduce the heap's value
+    /// exactly compare with this.
+    pub fn identical(&self, other: &Datum) -> bool {
+        match (self, other) {
+            (Datum::Float(a), Datum::Float(b)) => a.to_bits() == b.to_bits(),
+            _ => self == other,
+        }
+    }
+
     /// Total order for sorting and grouping: NULLs sort first, cross-type
     /// values order by a fixed type rank. Needed because sort operators
     /// require totality even over heterogeneous (dynamically typed) columns.

@@ -22,7 +22,7 @@ use crate::planner::{CatalogView, Planner, PlannerConfig, TableMeta};
 use crate::schema::TableSchema;
 use crate::stats::{ColumnCollector, TableStats};
 use crate::tuple;
-use crate::txn::{TxnManager, Vis, WriteMode, NO_END, TXN_BASE};
+use crate::txn::{TxnManager, Vis, WriteMode, WriteTicket, NO_END, TXN_BASE};
 use crate::wal::{self, Wal, WalConfig};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
@@ -76,6 +76,203 @@ enum Garbage {
     Row(RowId),
     /// Remove a superseded index entry.
     IndexEntry { column: String, key: Datum, rowid: RowId },
+}
+
+/// How a committed row change reaches a table's derived structures; chosen
+/// by the snapshot registry through the statement's [`WriteTicket`].
+#[derive(Clone, Copy)]
+enum Publish {
+    /// No snapshot can still read the old image: replace it in place.
+    Eager,
+    /// Live snapshots may read the old image until the vacuum horizon passes
+    /// this commit timestamp: keep it reachable, queue its reclamation.
+    Retain(u64),
+}
+
+impl Table {
+    /// Physical slots a row given over `cols` fills (`None` = every live
+    /// column, in live order).
+    fn slots_of(&self, cols: Option<&[&str]>) -> DbResult<Vec<usize>> {
+        match cols {
+            None => Ok(self.schema.live_columns().map(|(i, _)| i).collect()),
+            Some(cols) => cols
+                .iter()
+                .map(|c| {
+                    self.schema
+                        .index_of(c)
+                        .ok_or_else(|| DbError::NotFound(format!("column {c}")))
+                })
+                .collect(),
+        }
+    }
+
+    /// Physical-slot bitmap of the columns some index or columnar store is
+    /// built over: all of a row image that [`Table::apply_change`] reads.
+    fn derived_slots(&self) -> Vec<bool> {
+        let mut wanted = vec![false; self.schema.arity()];
+        let columns = self.indexes.iter().map(|ix| ix.column());
+        for column in columns.chain(self.columnar.iter().map(|cs| cs.column())) {
+            if let Some(slot) = self.schema.index_of(column) {
+                wanted[slot] = true;
+            }
+        }
+        wanted
+    }
+
+    /// One live column's latest-committed values with their rowids, in
+    /// rowid order — what an index or a columnar store is built from.
+    fn column_values(&self, table: &str, column: &str) -> DbResult<Vec<(Datum, RowId)>> {
+        let slot = self
+            .schema
+            .live_columns()
+            .find(|(_, c)| c.name == column)
+            .map(|(i, _)| i)
+            .ok_or_else(|| DbError::NotFound(format!("column {column} in {table}")))?;
+        let mut wanted = vec![false; self.schema.arity()];
+        wanted[slot] = true;
+        let mut values = Vec::new();
+        self.heap.scan(|rowid, bytes| {
+            let mut full = tuple::decode_tuple_partial(&self.schema, &bytes, &wanted)?;
+            values.push((std::mem::replace(&mut full[slot], Datum::Null), rowid));
+            Ok(true)
+        })?;
+        Ok(values)
+    }
+
+    /// Column stores hold latest-committed data plus insert tags and a
+    /// rebuild floor. A reader older than the floor, or newer than a
+    /// not-yet-applied pending op, cannot use them; neither can a
+    /// transaction whose own heap writes are absent from the store.
+    fn columnar_usable(&self, vis: Vis) -> bool {
+        if vis.marker != 0 && self.heap.needs_vis() {
+            return false;
+        }
+        self.columnar.iter().all(|cs| cs.usable_for(vis.read_ts))
+    }
+
+    /// Build the full physical image of one inserted row (values coerced to
+    /// their column types, unnamed slots NULL) and place it in the heap.
+    fn place_row(&mut self, slots: &[usize], row: &[Datum]) -> DbResult<(RowId, Vec<Datum>)> {
+        if row.len() != slots.len() {
+            return Err(DbError::Schema(format!(
+                "expected {} values, got {}",
+                slots.len(),
+                row.len()
+            )));
+        }
+        let mut full = vec![Datum::Null; self.schema.arity()];
+        for (value, &slot) in row.iter().zip(slots) {
+            full[slot] = coerce_for_column(value, self.schema.columns[slot].ty)?;
+        }
+        let bytes = tuple::encode_tuple(&self.schema, &full)?;
+        Ok((self.heap.insert(&bytes)?, full))
+    }
+
+    /// The row-change primitive (DESIGN.md, "Row-change primitive"): the heap
+    /// already holds the committed change of `rowid` from physical image
+    /// `old` to `new` (`None` = the row does not exist on that side); bring
+    /// every index, every columnar store and the version garbage in line.
+    /// Insert is `(None, new)`, delete `(old, None)`, update `(old, new)`;
+    /// an index key or store value that did not change is not touched.
+    fn apply_change(
+        &mut self,
+        rowid: RowId,
+        old: Option<&[Datum]>,
+        new: Option<&[Datum]>,
+        publish: Publish,
+        stats: &ExecStats,
+    ) -> DbResult<()> {
+        // Heap versions this commit superseded: queued behind the horizon,
+        // or freed now when no snapshot can reach them.
+        match publish {
+            Publish::Retain(ts) => {
+                if self.heap.superseded_at(rowid, ts) {
+                    self.garbage.push(GarbageItem { ts, g: Garbage::Chain(rowid) });
+                }
+                if old.is_some() && new.is_none() {
+                    self.garbage.push(GarbageItem { ts, g: Garbage::Row(rowid) });
+                }
+            }
+            Publish::Eager => {
+                let mut freed = 0u64;
+                while self.heap.vacuum_chain_tail(rowid, u64::MAX)? {
+                    freed += 1;
+                }
+                if new.is_none() {
+                    self.heap.physical_delete_retained(rowid)?;
+                }
+                if freed > 0 {
+                    stats.versions_vacuumed.fetch_add(freed, Relaxed);
+                }
+            }
+        }
+
+        // Indexes hold non-NULL keys only, so a missing image is an all-NULL
+        // one here.
+        let mut ops = 0u64;
+        for ix in &mut self.indexes {
+            let Some(slot) = self.schema.index_of(ix.column()) else { continue };
+            let old_key = old.map_or(&Datum::Null, |r| &r[slot]);
+            let new_key = new.map_or(&Datum::Null, |r| &r[slot]);
+            if old_key.total_cmp(new_key).is_eq() {
+                continue;
+            }
+            if !old_key.is_null() {
+                match publish {
+                    // Snapshot readers may still probe the old key.
+                    Publish::Retain(ts) => self.garbage.push(GarbageItem {
+                        ts,
+                        g: Garbage::IndexEntry {
+                            column: ix.column().to_string(),
+                            key: old_key.clone(),
+                            rowid,
+                        },
+                    }),
+                    Publish::Eager => {
+                        ix.remove(old_key, rowid)?;
+                        ops += 1;
+                    }
+                }
+            }
+            if !new_key.is_null() {
+                if !ix.insert(new_key, rowid)? {
+                    // The entry is still there because an earlier commit
+                    // queued its removal: the row has that key again, so the
+                    // queued removal must not run.
+                    self.garbage.retain(|item| match &item.g {
+                        Garbage::IndexEntry { column, key, rowid: r } => {
+                            *r != rowid || column != ix.column() || key.total_cmp(new_key).is_ne()
+                        }
+                        _ => true,
+                    });
+                }
+                ops += 1;
+            }
+        }
+        if ops > 0 {
+            stats.index_maintenance_ops.fetch_add(ops, Relaxed);
+        }
+
+        for cs in &mut self.columnar {
+            let slot = self.schema.index_of(cs.column());
+            let value = |row: &[Datum]| slot.map_or(Datum::Null, |i| row[i].clone());
+            if let (Some(o), Some(n), Some(i)) = (old, new, slot) {
+                if o[i].identical(&n[i]) {
+                    continue;
+                }
+            }
+            match (old, new, publish) {
+                (None, Some(n), Publish::Eager) => cs.append(rowid, value(n)),
+                (None, Some(n), Publish::Retain(ts)) => cs.append_tagged(rowid, value(n), ts),
+                (Some(_), Some(n), Publish::Eager) => cs.set(rowid, value(n)),
+                (Some(_), Some(n), Publish::Retain(ts)) => cs.pending_set(rowid, value(n), ts),
+                (Some(_), None, Publish::Eager) => cs.delete(rowid),
+                (Some(_), None, Publish::Retain(ts)) => cs.pending_delete(rowid, ts),
+                (None, None, _) => {}
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Observability summary of one secondary index.
@@ -450,6 +647,16 @@ impl Database {
         (tk, TicketGuard { mgr: &self.manager, ts: tk.ts })
     }
 
+    /// How the holder of `tk` publishes its row changes. Without MVCC there
+    /// are no snapshots to retain anything for, whatever the ticket says
+    /// (two concurrent legacy writers see each other in flight).
+    fn publish(&self, tk: WriteTicket) -> Publish {
+        match tk.mode {
+            WriteMode::Retain if self.mvcc => Publish::Retain(tk.ts),
+            _ => Publish::Eager,
+        }
+    }
+
     fn wal_enabled(&self) -> bool {
         self.wal.is_some()
     }
@@ -774,40 +981,15 @@ impl Database {
         if t.indexes.iter().any(|ix| ix.name() == name) {
             return Err(DbError::Schema(format!("index {name} already exists")));
         }
-        let slot = t
-            .schema
-            .live_columns()
-            .find(|(_, c)| c.name == column)
-            .map(|(i, _)| i)
-            .ok_or_else(|| DbError::NotFound(format!("column {column} in {table}")))?;
-        let mut wanted = vec![false; t.schema.arity()];
-        wanted[slot] = true;
+        let entries = t.column_values(table, column)?;
+        let built = entries.len() as u64;
         let mut index = SecondaryIndex::new(self.pager.clone(), name, column);
-        let mut built = 0u64;
         if bulk {
-            let mut entries: Vec<(Datum, RowId)> = Vec::new();
-            t.heap.scan(|rowid, bytes| {
-                let mut full = tuple::decode_tuple_partial(&t.schema, &bytes, &wanted)?;
-                entries.push((std::mem::replace(&mut full[slot], Datum::Null), rowid));
-                built += 1;
-                Ok(true)
-            })?;
             index.bulk_build(entries)?;
         } else {
-            let mut pending: Vec<(Datum, RowId)> = Vec::new();
-            t.heap.scan(|rowid, bytes| {
-                let mut full = tuple::decode_tuple_partial(&t.schema, &bytes, &wanted)?;
-                pending.push((std::mem::replace(&mut full[slot], Datum::Null), rowid));
-                built += 1;
-                Ok(true)
-            })?;
-            for (key, rowid) in pending {
-                index.insert(&key, rowid)?;
-            }
+            index.insert_each(entries)?;
         }
-        self.exec_stats
-            .index_build_rows
-            .fetch_add(built, std::sync::atomic::Ordering::Relaxed);
+        self.exec_stats.index_build_rows.fetch_add(built, Relaxed);
         t.indexes.push(index);
         // Index pages are unlogged (rebuilt on recovery); the commit
         // records the index *definition* so recovery knows to rebuild it.
@@ -830,20 +1012,7 @@ impl Database {
         if t.columnar.iter().any(|cs| cs.column() == column) {
             return Ok(());
         }
-        let slot = t
-            .schema
-            .live_columns()
-            .find(|(_, c)| c.name == column)
-            .map(|(i, _)| i)
-            .ok_or_else(|| DbError::NotFound(format!("column {column} in {table}")))?;
-        let mut wanted = vec![false; t.schema.arity()];
-        wanted[slot] = true;
-        let mut store = ColumnStore::new(column);
-        t.heap.scan(|rowid, bytes| {
-            let mut full = tuple::decode_tuple_partial(&t.schema, &bytes, &wanted)?;
-            store.append(rowid, std::mem::replace(&mut full[slot], Datum::Null));
-            Ok(true)
-        })?;
+        let mut store = ColumnStore::build(column, t.column_values(table, column)?);
         // The scan above reflects the latest-committed state, which may be
         // younger than a registered snapshot: stamp a conservative floor so
         // older readers fall back to the heap instead of seeing the future.
@@ -949,45 +1118,7 @@ impl Database {
     /// Bulk insert. Rows are given over the table's **live** columns, in
     /// live-column order; values are coerced to column types when safe.
     pub fn insert_rows(&self, table: &str, rows: &[Vec<Datum>]) -> DbResult<u64> {
-        let _g = self.write_guard();
-        let t = self.table(table)?;
-        let mut t = t.write();
-        let live: Vec<usize> = t.schema.live_columns().map(|(i, _)| i).collect();
-        let arity = t.schema.arity();
-        let (tk, _tg) = self.begin_stmt_write();
-        let retain = tk.mode == WriteMode::Retain;
-        let mut count = 0;
-        let res = (|| -> DbResult<()> {
-            for row in rows {
-                if row.len() != live.len() {
-                    return Err(DbError::Schema(format!(
-                        "expected {} values, got {}",
-                        live.len(),
-                        row.len()
-                    )));
-                }
-                let mut full = vec![Datum::Null; arity];
-                for (value, &slot) in row.iter().zip(&live) {
-                    full[slot] = coerce_for_column(value, t.schema.columns[slot].ty)?;
-                }
-                let bytes = tuple::encode_tuple(&t.schema, &full)?;
-                let rowid = t.heap.insert(&bytes)?;
-                if retain {
-                    // Live snapshots must not see this row: stamp its birth.
-                    t.heap.mark_begin(rowid, tk.ts);
-                    columnar_append_tagged(&mut t, rowid, &full, tk.ts);
-                } else {
-                    columnar_append(&mut t, rowid, &full);
-                }
-                index_insert(&mut t, rowid, &full, &self.exec_stats)?;
-                count += 1;
-            }
-            Ok(())
-        })();
-        self.wal_finish_statement(table, &mut t, res, tk.ts)?;
-        drop(t);
-        self.wal_maybe_checkpoint()?;
-        Ok(count)
+        self.insert_statement(table, None, rows)
     }
 
     /// Bulk insert into a named subset of columns; unnamed columns are
@@ -1000,43 +1131,31 @@ impl Database {
         cols: &[&str],
         rows: &[Vec<Datum>],
     ) -> DbResult<u64> {
+        self.insert_statement(table, Some(cols), rows)
+    }
+
+    /// One autocommit INSERT statement: one commit timestamp, one WAL unit.
+    fn insert_statement(
+        &self,
+        table: &str,
+        cols: Option<&[&str]>,
+        rows: &[Vec<Datum>],
+    ) -> DbResult<u64> {
         let _g = self.write_guard();
         let t = self.table(table)?;
         let mut t = t.write();
-        let arity = t.schema.arity();
-        let slots: Vec<usize> = cols
-            .iter()
-            .map(|c| {
-                t.schema
-                    .index_of(c)
-                    .ok_or_else(|| DbError::NotFound(format!("column {c}")))
-            })
-            .collect::<DbResult<_>>()?;
+        let slots = t.slots_of(cols)?;
         let (tk, _tg) = self.begin_stmt_write();
-        let retain = tk.mode == WriteMode::Retain;
+        let publish = self.publish(tk);
         let mut count = 0;
         let res = (|| -> DbResult<()> {
             for row in rows {
-                if row.len() != slots.len() {
-                    return Err(DbError::Schema(format!(
-                        "expected {} values, got {}",
-                        slots.len(),
-                        row.len()
-                    )));
+                let (rowid, full) = t.place_row(&slots, row)?;
+                if let Publish::Retain(ts) = publish {
+                    // Live snapshots must not see this row: stamp its birth.
+                    t.heap.mark_begin(rowid, ts);
                 }
-                let mut full = vec![Datum::Null; arity];
-                for (value, &slot) in row.iter().zip(&slots) {
-                    full[slot] = coerce_for_column(value, t.schema.columns[slot].ty)?;
-                }
-                let bytes = tuple::encode_tuple(&t.schema, &full)?;
-                let rowid = t.heap.insert(&bytes)?;
-                if retain {
-                    t.heap.mark_begin(rowid, tk.ts);
-                    columnar_append_tagged(&mut t, rowid, &full, tk.ts);
-                } else {
-                    columnar_append(&mut t, rowid, &full);
-                }
-                index_insert(&mut t, rowid, &full, &self.exec_stats)?;
+                t.apply_change(rowid, None, Some(&full), publish, &self.exec_stats)?;
                 count += 1;
             }
             Ok(())
@@ -1069,8 +1188,7 @@ impl Database {
         {
             let mut t = t.write();
             let (tk, _tg) = self.begin_stmt_write();
-            let retain = (tk.mode == WriteMode::Retain).then_some(tk.ts);
-            let res = self.update_row_locked(&mut t, rowid, table, assignments, retain);
+            let res = self.update_row_locked(&mut t, rowid, table, assignments, self.publish(tk));
             self.wal_finish_statement(table, &mut t, res, tk.ts)?;
         }
         self.wal_maybe_checkpoint()
@@ -1102,102 +1220,34 @@ impl Database {
 
     /// The body of [`Database::update_row`], already holding the table
     /// write lock — shared with SQL UPDATE so a multi-row statement is
-    /// one WAL commit unit, not one per row. With `retain: Some(ts)` a
-    /// live snapshot exists, so the old version is chained (visible until
-    /// `ts`) and old index keys / columnar slots are queued as timestamped
-    /// garbage instead of being destroyed in place.
+    /// one WAL commit unit, not one per row. Under `Publish::Retain` a live
+    /// snapshot exists, so the old version is chained (visible until the
+    /// commit timestamp) rather than overwritten.
     fn update_row_locked(
         &self,
         t: &mut Table,
         rowid: RowId,
         table: &str,
         assignments: &[(&str, Datum)],
-        retain: Option<u64>,
+        publish: Publish,
     ) -> DbResult<()> {
-        if retain.is_some() {
+        if let Publish::Retain(_) = publish {
             self.check_conflict(&t.heap, rowid, 0, 0)?;
         }
         let Some(bytes) = t.heap.get(rowid)? else {
             return Err(DbError::NotFound(format!("row {rowid} in {table}")));
         };
-        let mut full = tuple::decode_tuple(&t.schema, &bytes)?;
-        // Snapshot indexed values before the assignments land: the heap
-        // keeps the rowid stable across updates (even jumbo relocation),
-        // so index maintenance is needed only where the key value changed.
-        let slots = indexed_slots(t);
-        let old_keys: Vec<Option<Datum>> =
-            slots.iter().map(|s| s.map(|i| full[i].clone())).collect();
-        for (name, value) in assignments {
-            let idx = t
-                .schema
-                .index_of(name)
-                .ok_or_else(|| DbError::NotFound(format!("column {name}")))?;
-            full[idx] = coerce_for_column(value, t.schema.columns[idx].ty)?;
-        }
-        let new_bytes = tuple::encode_tuple(&t.schema, &full)?;
-        if let Some(ts) = retain {
-            t.heap.update_versioned(rowid, &new_bytes, ts)?;
-            // Exactly one surviving chain entry was added for this row.
-            t.garbage.push(GarbageItem { ts, g: Garbage::Chain(rowid) });
-            self.exec_stats.versions_created.fetch_add(1, Relaxed);
-        } else {
-            t.heap.update(rowid, &new_bytes)?;
-        }
-        let mut ops = 0u64;
-        for (k, slot) in slots.into_iter().enumerate() {
-            let (Some(slot), Some(old)) = (slot, &old_keys[k]) else { continue };
-            let new = &full[slot];
-            if old.total_cmp(new) == std::cmp::Ordering::Equal {
-                continue;
+        let old = tuple::decode_tuple(&t.schema, &bytes)?;
+        let new = assign(&t.schema, old.clone(), assignments)?;
+        let new_bytes = tuple::encode_tuple(&t.schema, &new)?;
+        match publish {
+            Publish::Retain(ts) => {
+                t.heap.update_versioned(rowid, &new_bytes, ts)?;
+                self.exec_stats.versions_created.fetch_add(1, Relaxed);
             }
-            if !old.is_null() {
-                if let Some(ts) = retain {
-                    // Snapshot readers may still probe the old key; queue
-                    // its removal behind the vacuum horizon instead.
-                    let column = t.indexes[k].column().to_string();
-                    t.garbage.push(GarbageItem {
-                        ts,
-                        g: Garbage::IndexEntry { column, key: old.clone(), rowid },
-                    });
-                } else {
-                    t.indexes[k].remove(old, rowid)?;
-                    ops += 1;
-                }
-            }
-            if !new.is_null() {
-                t.indexes[k].insert(new, rowid)?;
-                ops += 1;
-            }
+            Publish::Eager => t.heap.update(rowid, &new_bytes)?,
         }
-        if ops > 0 {
-            self.exec_stats
-                .index_maintenance_ops
-                .fetch_add(ops, std::sync::atomic::Ordering::Relaxed);
-        }
-        // Columnar upkeep: only stores whose column was assigned re-encode.
-        if !t.columnar.is_empty() {
-            let assigned: Vec<&str> = assignments.iter().map(|(n, _)| *n).collect();
-            let slots: Vec<Option<usize>> = t
-                .columnar
-                .iter()
-                .map(|cs| {
-                    assigned
-                        .iter()
-                        .any(|a| *a == cs.column())
-                        .then(|| t.schema.index_of(cs.column()))
-                        .flatten()
-                })
-                .collect();
-            for (cs, slot) in t.columnar.iter_mut().zip(slots) {
-                let Some(slot) = slot else { continue };
-                if let Some(ts) = retain {
-                    cs.pending_set(rowid, full[slot].clone(), ts);
-                } else {
-                    cs.set(rowid, full[slot].clone());
-                }
-            }
-        }
-        Ok(())
+        t.apply_change(rowid, Some(&old), Some(&new), publish, &self.exec_stats)
     }
 
     /// Transaction-private single-row update: version the row under the
@@ -1213,22 +1263,14 @@ impl Database {
         assignments: &[(&str, Datum)],
     ) -> DbResult<()> {
         self.check_conflict(&t.heap, rowid, txn.marker, txn.read_ts)?;
-        let vis = Vis { read_ts: txn.read_ts, marker: txn.marker };
-        let Some(bytes) = t.heap.get_vis(rowid, vis)? else {
+        let Some(bytes) = t.heap.get_vis(rowid, txn.vis())? else {
             return Err(DbError::NotFound(format!("row {rowid} in {table}")));
         };
-        let mut full = tuple::decode_tuple(&t.schema, &bytes)?;
-        for (name, value) in assignments {
-            let idx = t
-                .schema
-                .index_of(name)
-                .ok_or_else(|| DbError::NotFound(format!("column {name}")))?;
-            full[idx] = coerce_for_column(value, t.schema.columns[idx].ty)?;
-        }
+        let full = assign(&t.schema, tuple::decode_tuple(&t.schema, &bytes)?, assignments)?;
         let new_bytes = tuple::encode_tuple(&t.schema, &full)?;
         t.heap.update_versioned(rowid, &new_bytes, txn.marker)?;
         txn.log.push((table.to_string(), rowid, TxnOp::Upd));
-        txn.touch(table, rowid).updated = true;
+        txn.touch(table, rowid);
         self.exec_stats.versions_created.fetch_add(1, Relaxed);
         Ok(())
     }
@@ -1253,8 +1295,7 @@ impl Database {
     pub fn txn_get_row(&self, txn: &Txn, table: &str, rowid: RowId) -> DbResult<Option<Row>> {
         let t = self.table(table)?;
         let t = t.read();
-        let vis = Vis { read_ts: txn.read_ts, marker: txn.marker };
-        let Some(bytes) = t.heap.get_vis(rowid, vis)? else { return Ok(None) };
+        let Some(bytes) = t.heap.get_vis(rowid, txn.vis())? else { return Ok(None) };
         let full = tuple::decode_tuple(&t.schema, &bytes)?;
         Ok(Some(t.schema.live_columns().map(|(i, _)| full[i].clone()).collect()))
     }
@@ -1271,29 +1312,14 @@ impl Database {
         self.txn_wal_enter(txn);
         let t = self.table(table)?;
         let mut t = t.write();
-        let live: Vec<usize> = t.schema.live_columns().map(|(i, _)| i).collect();
-        let arity = t.schema.arity();
-        let mut count = 0;
+        let slots = t.slots_of(None)?;
         for row in rows {
-            if row.len() != live.len() {
-                return Err(DbError::Schema(format!(
-                    "expected {} values, got {}",
-                    live.len(),
-                    row.len()
-                )));
-            }
-            let mut full = vec![Datum::Null; arity];
-            for (value, &slot) in row.iter().zip(&live) {
-                full[slot] = coerce_for_column(value, t.schema.columns[slot].ty)?;
-            }
-            let bytes = tuple::encode_tuple(&t.schema, &full)?;
-            let rowid = t.heap.insert(&bytes)?;
+            let (rowid, _) = t.place_row(&slots, row)?;
             t.heap.mark_begin(rowid, txn.marker);
             txn.log.push((table.to_string(), rowid, TxnOp::Ins));
             txn.touch(table, rowid).inserted = true;
-            count += 1;
         }
-        Ok(count)
+        Ok(rows.len() as u64)
     }
 
     /// Stream all rows (live columns + trailing rowid). Used by ANALYZE,
@@ -1388,9 +1414,7 @@ impl Database {
                 "transaction control cannot nest inside a statement".into(),
             )),
             Statement::Select(sel) => match txn {
-                Some(x) => {
-                    self.run_select_vis(sel, Vis { read_ts: x.read_ts, marker: x.marker })
-                }
+                Some(x) => self.run_select_vis(sel, x.vis()),
                 None => self.run_select(sel),
             },
             Statement::CreateTable(ct) => {
@@ -1424,8 +1448,9 @@ impl Database {
                         // instrument, so the mode knob is overridden.
                         let mut limits = *self.limits.read();
                         limits.mode = crate::exec::ExecMode::Streaming;
+                        let src = SnapSource { db: self, vis: Vis::LATEST };
                         let exec =
-                            Executor { source: self, limits, stats: Some(&self.exec_stats) };
+                            Executor { source: &src, limits, stats: Some(&self.exec_stats) };
                         let az = crate::block::AnalyzeCtx::new();
                         crate::block::run_streaming_with(&exec, &planned.plan, Some(&az))?;
                         planned.plan.explain_analyze(&az.take_nodes())
@@ -1459,11 +1484,7 @@ impl Database {
 
     fn run_select(&self, sel: &sinew_sql::Select) -> DbResult<QueryResult> {
         if !self.mvcc {
-            let planned = self.plan(sel)?;
-            let limits = *self.limits.read();
-            let exec = Executor { source: self, limits, stats: Some(&self.exec_stats) };
-            let rows = exec.run(&planned.plan)?;
-            return Ok(QueryResult { columns: planned.columns, rows, affected: 0 });
+            return self.run_select_vis(sel, Vis::LATEST);
         }
         // Register a snapshot so concurrent committers retain (rather
         // than destroy) the versions this query is reading — readers
@@ -1481,11 +1502,15 @@ impl Database {
     /// open transaction's — the latter sees its own uncommitted writes).
     fn run_select_vis(&self, sel: &sinew_sql::Select, vis: Vis) -> DbResult<QueryResult> {
         let planned = self.plan(sel)?;
+        let rows = self.run_plan(&planned.plan, vis)?;
+        Ok(QueryResult { columns: planned.columns, rows, affected: 0 })
+    }
+
+    /// Execute a plan at one visibility under the configured limits.
+    fn run_plan(&self, plan: &crate::plan::Plan, vis: Vis) -> DbResult<Vec<Row>> {
         let limits = *self.limits.read();
         let src = SnapSource { db: self, vis };
-        let exec = Executor { source: &src, limits, stats: Some(&self.exec_stats) };
-        let rows = exec.run(&planned.plan)?;
-        Ok(QueryResult { columns: planned.columns, rows, affected: 0 })
+        Executor { source: &src, limits, stats: Some(&self.exec_stats) }.run(plan)
     }
 
     fn run_insert(
@@ -1550,14 +1575,7 @@ impl Database {
         // Phase 1: evaluate new values against matching rows. A
         // transaction scans through its own visibility (it must see its
         // earlier uncommitted writes); autocommit reads latest-committed.
-        let limits = *self.limits.read();
-        let matched = match txn.as_deref() {
-            Some(x) => {
-                let src = SnapSource { db: self, vis: Vis { read_ts: x.read_ts, marker: x.marker } };
-                Executor { source: &src, limits, stats: Some(&self.exec_stats) }.run(&plan)?
-            }
-            None => Executor { source: self, limits, stats: Some(&self.exec_stats) }.run(&plan)?,
-        };
+        let matched = self.run_plan(&plan, txn.as_deref().map_or(Vis::LATEST, Txn::vis))?;
         let rowid_idx = scope.len() - 1;
         let mut updates: Vec<(RowId, Vec<(String, Datum)>)> = Vec::with_capacity(matched.len());
         for row in &matched {
@@ -1590,12 +1608,12 @@ impl Database {
             let t = self.table(&upd.table)?;
             let mut t = t.write();
             let (tk, _tg) = self.begin_stmt_write();
-            let retain = (tk.mode == WriteMode::Retain).then_some(tk.ts);
+            let publish = self.publish(tk);
             let res = (|| -> DbResult<()> {
                 for (rowid, vals) in updates {
                     let refs: Vec<(&str, Datum)> =
                         vals.iter().map(|(c, d)| (c.as_str(), d.clone())).collect();
-                    self.update_row_locked(&mut t, rowid, &upd.table, &refs, retain)?;
+                    self.update_row_locked(&mut t, rowid, &upd.table, &refs, publish)?;
                 }
                 Ok(())
             })();
@@ -1613,14 +1631,7 @@ impl Database {
         let planner =
             Planner::new(self, &self.funcs).with_config(self.planner_config.read().clone());
         let (plan, scope) = planner.plan_modify_scan(&del.table, del.filter.as_ref())?;
-        let limits = *self.limits.read();
-        let matched = match txn.as_deref() {
-            Some(x) => {
-                let src = SnapSource { db: self, vis: Vis { read_ts: x.read_ts, marker: x.marker } };
-                Executor { source: &src, limits, stats: Some(&self.exec_stats) }.run(&plan)?
-            }
-            None => Executor { source: self, limits, stats: Some(&self.exec_stats) }.run(&plan)?,
-        };
+        let matched = self.run_plan(&plan, txn.as_deref().map_or(Vis::LATEST, Txn::vis))?;
         let rowid_idx = scope.len() - 1;
         let mut n = 0;
         if let Some(x) = txn {
@@ -1647,69 +1658,35 @@ impl Database {
         let t = self.table(&del.table)?;
         let mut t = t.write();
         let (tk, _tg) = self.begin_stmt_write();
-        let retain = tk.mode == WriteMode::Retain;
-        // The matched rows are this table's live columns + rowid
-        // (plan_modify_scan decodes everything), so the old key of each
-        // index is right there at its live position.
-        let live_pos: Vec<Option<usize>> = {
-            let live: Vec<&str> =
-                t.schema.live_columns().map(|(_, c)| c.name.as_str()).collect();
-            t.indexes
-                .iter()
-                .map(|ix| live.iter().position(|n| *n == ix.column()))
-                .collect()
-        };
-        let mut ops = 0u64;
+        let publish = self.publish(tk);
+        let wanted = t.derived_slots();
         let res = (|| -> DbResult<()> {
             for row in &matched {
                 let Datum::Int(rowid) = row[rowid_idx] else {
                     return Err(DbError::Eval("scan did not produce a rowid".into()));
                 };
                 let rowid = rowid as RowId;
-                if retain {
-                    // Tombstone at ts; the slot, index keys, and columnar
-                    // entries stay readable for older snapshots and are
-                    // reclaimed by vacuum once the horizon passes ts.
+                if let Publish::Retain(_) = publish {
                     self.check_conflict(&t.heap, rowid, 0, 0)?;
-                    if t.heap.delete_mark(rowid, tk.ts)? {
-                        n += 1;
-                        for cs in &mut t.columnar {
-                            cs.pending_delete(rowid, tk.ts);
-                        }
-                        for (k, pos) in live_pos.iter().enumerate() {
-                            let Some(pos) = pos else { continue };
-                            let key = &row[*pos];
-                            if !key.is_null() {
-                                let column = t.indexes[k].column().to_string();
-                                t.garbage.push(GarbageItem {
-                                    ts: tk.ts,
-                                    g: Garbage::IndexEntry { column, key: key.clone(), rowid },
-                                });
-                            }
-                        }
-                        t.garbage.push(GarbageItem { ts: tk.ts, g: Garbage::Row(rowid) });
-                    }
-                } else if t.heap.delete(rowid)? {
+                }
+                // The image being deleted, read under the write lock (the
+                // scan above ran before it was taken); only the slots that
+                // an index or a store is built over are decoded.
+                let Some(bytes) = t.heap.get(rowid)? else { continue };
+                let old = tuple::decode_tuple_partial(&t.schema, &bytes, &wanted)?;
+                let deleted = match publish {
+                    // Tombstone at ts; the bytes stay readable for older
+                    // snapshots until vacuum.
+                    Publish::Retain(ts) => t.heap.delete_mark(rowid, ts)?,
+                    Publish::Eager => t.heap.delete(rowid)?,
+                };
+                if deleted {
                     n += 1;
-                    for cs in &mut t.columnar {
-                        cs.delete(rowid);
-                    }
-                    for (k, pos) in live_pos.iter().enumerate() {
-                        let Some(pos) = pos else { continue };
-                        let key = &row[*pos];
-                        if !key.is_null() && t.indexes[k].remove(key, rowid)? {
-                            ops += 1;
-                        }
-                    }
+                    t.apply_change(rowid, Some(&old), None, publish, &self.exec_stats)?;
                 }
             }
             Ok(())
         })();
-        if ops > 0 {
-            self.exec_stats
-                .index_maintenance_ops
-                .fetch_add(ops, std::sync::atomic::Ordering::Relaxed);
-        }
         self.wal_finish_statement(&del.table, &mut t, res, tk.ts)?;
         drop(t);
         self.wal_maybe_checkpoint()?;
@@ -1769,17 +1746,15 @@ impl Database {
         let advanced = self.manager.release_snapshot(txn.read_ts);
         let tk = self.manager.start_write();
         let ticket = TicketGuard { mgr: &self.manager, ts: tk.ts };
-        let retain = tk.mode == WriteMode::Retain;
         let mut names: Vec<&String> = rowmap.keys().collect();
         names.sort();
-        let mut reclaimed = 0u64;
         let res = (|| -> DbResult<()> {
             let mut ops = Vec::new();
             for name in &names {
                 let Ok(handle) = self.table(name) else { continue };
                 let mut t = handle.write();
                 for (&rowid, st) in &rowmap[name.as_str()] {
-                    self.commit_row(&mut t, rowid, st, txn.marker, tk.ts, retain, &mut reclaimed)?;
+                    self.commit_row(&mut t, rowid, st, txn.marker, tk)?;
                 }
                 if self.wal_enabled() {
                     Self::wal_table_op(&mut ops, name, &mut t);
@@ -1802,9 +1777,6 @@ impl Database {
         if txn.holds_wal_token {
             self.token_release(txn.marker);
         }
-        if reclaimed > 0 {
-            self.exec_stats.versions_vacuumed.fetch_add(reclaimed, Relaxed);
-        }
         self.exec_stats.txns_committed.fetch_add(1, Relaxed);
         if let Some(w) = &self.wal {
             if w.bytes() > w.config().checkpoint_bytes {
@@ -1816,144 +1788,36 @@ impl Database {
         res
     }
 
-    /// Publish one transaction-touched row at COMMIT: rewrite its marker
-    /// stamps to the commit timestamp and perform the index/columnar
-    /// maintenance that was deferred while the row was private.
-    #[allow(clippy::too_many_arguments)]
+    /// Publish one transaction-touched row at COMMIT: patch its marker
+    /// stamps to the commit timestamp, then hand the pre-transaction and
+    /// final images to [`Table::apply_change`] — the maintenance deferred
+    /// while the row was private.
     fn commit_row(
         &self,
         t: &mut Table,
         rowid: RowId,
         st: &RowState,
         marker: u64,
-        ts: u64,
-        retain: bool,
-        reclaimed: &mut u64,
+        tk: WriteTicket,
     ) -> DbResult<()> {
-        // Pre-transaction image (for old index keys) — must be taken
-        // before patch_commit rewrites the marker stamps.
-        let old_bytes =
-            if st.inserted { None } else { t.heap.pretxn_bytes(rowid, marker)? };
-        *reclaimed += t.heap.patch_commit(rowid, marker, ts)?;
-        if st.inserted {
-            if st.deleted {
-                // Born and died inside the transaction: the slot was
-                // never visible to anyone; reclaim it outright.
-                t.heap.physical_delete_retained(rowid)?;
-                return Ok(());
-            }
-            let Some(bytes) = t.heap.get(rowid)? else { return Ok(()) };
-            let full = tuple::decode_tuple(&t.schema, &bytes)?;
-            index_insert(t, rowid, &full, &self.exec_stats)?;
-            if retain {
-                columnar_append_tagged(t, rowid, &full, ts);
-            } else {
-                columnar_append(t, rowid, &full);
-            }
+        let image = |t: &Table, bytes: Option<Vec<u8>>| {
+            bytes.map(|b| tuple::decode_tuple(&t.schema, &b)).transpose()
+        };
+        // The pre-transaction image must be read before patch_commit
+        // rewrites the marker stamps it is found by.
+        let old = if st.inserted { None } else { image(t, t.heap.pretxn_bytes(rowid, marker)?)? };
+        let freed = t.heap.patch_commit(rowid, marker, tk.ts)?;
+        if freed > 0 {
+            self.exec_stats.versions_vacuumed.fetch_add(freed, Relaxed);
+        }
+        if st.inserted && st.deleted {
+            // Born and died inside the transaction: the slot was never
+            // visible to anyone; reclaim it outright.
+            t.heap.physical_delete_retained(rowid)?;
             return Ok(());
         }
-        if st.deleted {
-            if let Some(old) = &old_bytes {
-                let full = tuple::decode_tuple(&t.schema, old)?;
-                let slots = indexed_slots(t);
-                for (k, slot) in slots.into_iter().enumerate() {
-                    let Some(slot) = slot else { continue };
-                    let key = &full[slot];
-                    if key.is_null() {
-                        continue;
-                    }
-                    if retain {
-                        let column = t.indexes[k].column().to_string();
-                        t.garbage.push(GarbageItem {
-                            ts,
-                            g: Garbage::IndexEntry { column, key: key.clone(), rowid },
-                        });
-                    } else {
-                        t.indexes[k].remove(key, rowid)?;
-                    }
-                }
-            }
-            if retain {
-                for cs in &mut t.columnar {
-                    cs.pending_delete(rowid, ts);
-                }
-                t.garbage.push(GarbageItem { ts, g: Garbage::Row(rowid) });
-                if st.updated {
-                    // patch_commit left exactly one surviving chain entry
-                    // (the pre-transaction version, now ending at ts).
-                    t.garbage.push(GarbageItem { ts, g: Garbage::Chain(rowid) });
-                }
-            } else {
-                for cs in &mut t.columnar {
-                    cs.delete(rowid);
-                }
-                t.heap.physical_delete_retained(rowid)?;
-                while t.heap.vacuum_chain_tail(rowid)? {
-                    *reclaimed += 1;
-                }
-            }
-            return Ok(());
-        }
-        if st.updated {
-            let Some(new_bytes) = t.heap.get(rowid)? else { return Ok(()) };
-            let new_full = tuple::decode_tuple(&t.schema, &new_bytes)?;
-            let old_full = match &old_bytes {
-                Some(b) => Some(tuple::decode_tuple(&t.schema, b)?),
-                None => None,
-            };
-            let slots = indexed_slots(t);
-            let mut ops = 0u64;
-            for (k, slot) in slots.into_iter().enumerate() {
-                let Some(slot) = slot else { continue };
-                let new = &new_full[slot];
-                if let Some(old) = old_full.as_ref().map(|f| &f[slot]) {
-                    if old.total_cmp(new) == std::cmp::Ordering::Equal {
-                        continue;
-                    }
-                    if !old.is_null() {
-                        if retain {
-                            let column = t.indexes[k].column().to_string();
-                            t.garbage.push(GarbageItem {
-                                ts,
-                                g: Garbage::IndexEntry { column, key: old.clone(), rowid },
-                            });
-                        } else {
-                            t.indexes[k].remove(old, rowid)?;
-                            ops += 1;
-                        }
-                    }
-                }
-                if !new.is_null() {
-                    t.indexes[k].insert(new, rowid)?;
-                    ops += 1;
-                }
-            }
-            if ops > 0 {
-                self.exec_stats.index_maintenance_ops.fetch_add(ops, Relaxed);
-            }
-            // Columnar: we don't track which columns the transaction
-            // changed, so every store gets the final value.
-            let col_slots: Vec<Option<usize>> =
-                t.columnar.iter().map(|cs| t.schema.index_of(cs.column())).collect();
-            for (cs, slot) in t.columnar.iter_mut().zip(col_slots) {
-                let Some(slot) = slot else { continue };
-                if retain {
-                    cs.pending_set(rowid, new_full[slot].clone(), ts);
-                } else {
-                    cs.set(rowid, new_full[slot].clone());
-                }
-            }
-            if retain {
-                if old_bytes.is_some() {
-                    t.garbage.push(GarbageItem { ts, g: Garbage::Chain(rowid) });
-                }
-            } else {
-                while t.heap.vacuum_chain_tail(rowid)? {
-                    *reclaimed += 1;
-                }
-            }
-        }
-        Ok(())
+        let new = if st.deleted { None } else { image(t, t.heap.get(rowid)?)? };
+        t.apply_change(rowid, old.as_deref(), new.as_deref(), self.publish(tk), &self.exec_stats)
     }
 
     /// Roll back: undo the transaction's heap writes in reverse order and
@@ -2028,7 +1892,7 @@ impl Database {
                 touched = true;
                 match item.g {
                     Garbage::Chain(rowid) => {
-                        if t.heap.vacuum_chain_tail(rowid)? {
+                        if t.heap.vacuum_chain_tail(rowid, floor)? {
                             reclaimed += 1;
                         }
                     }
@@ -2061,6 +1925,70 @@ impl Database {
             self.exec_stats.versions_vacuumed.fetch_add(reclaimed, Relaxed);
         }
         Ok(reclaimed)
+    }
+
+    /// Consistency audit (tests call it after every phase): each index and
+    /// each columnar store of `table` must equal the projection of the
+    /// latest-committed heap, with queued index removals and pending
+    /// columnar ops taken as applied.
+    pub fn check_derived(&self, table: &str) -> DbResult<()> {
+        let t = self.table(table)?;
+        let t = t.read();
+        let mut rows: Vec<(RowId, Vec<Datum>)> = Vec::new();
+        t.heap.scan(|rowid, bytes| {
+            rows.push((rowid, tuple::decode_tuple(&t.schema, &bytes)?));
+            Ok(true)
+        })?;
+        let bad = |what: &str, column: &str, detail: String| {
+            Err(DbError::Eval(format!("check_derived({table}): {what} on {column}: {detail}")))
+        };
+        for ix in &t.indexes {
+            let Some(slot) = t.schema.index_of(ix.column()) else { continue };
+            let mut want: Vec<(Datum, RowId)> = rows
+                .iter()
+                .filter(|(_, full)| !full[slot].is_null())
+                .map(|(rowid, full)| (full[slot].clone(), *rowid))
+                .collect();
+            want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let mut have = ix.lookup_range_entries(None, false, None, false, None)?;
+            have.retain(|(k, r)| {
+                !t.garbage.iter().any(|item| match &item.g {
+                    Garbage::IndexEntry { column, key, rowid } => {
+                        rowid == r && column == ix.column() && key.total_cmp(k).is_eq()
+                    }
+                    _ => false,
+                })
+            });
+            if have.len() != want.len()
+                || have.iter().zip(&want).any(|(h, w)| h.1 != w.1 || !h.0.total_cmp(&w.0).is_eq())
+            {
+                let detail = format!("{} entries, heap has {} keys", have.len(), want.len());
+                return bad("index", ix.column(), detail);
+            }
+        }
+        for cs in &t.columnar {
+            let Some(slot) = t.schema.index_of(cs.column()) else { continue };
+            let have = cs.latest_values();
+            let mut want: Vec<Option<&Datum>> = vec![None; have.len().max(rows.len())];
+            for (rowid, full) in &rows {
+                if *rowid as usize >= want.len() {
+                    want.resize(*rowid as usize + 1, None);
+                }
+                want[*rowid as usize] = Some(&full[slot]);
+            }
+            for (rowid, w) in want.iter().enumerate() {
+                let h = have.get(rowid).and_then(Option::as_ref);
+                let same = match (h, w) {
+                    (Some(h), Some(w)) => h.identical(w),
+                    (None, None) => true,
+                    _ => false,
+                };
+                if !same {
+                    return bad("column store", cs.column(), format!("row {rowid}: {h:?}, heap {w:?}"));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Non-blocking [`Database::write_guard`]: `Err` means another writer
@@ -2118,12 +2046,12 @@ impl Drop for TicketGuard<'_> {
     }
 }
 
-/// Which operations a transaction performed on one row, accumulated
-/// across its statements; drives the deferred maintenance at COMMIT.
+/// Whether a transaction created and/or removed one row it touched,
+/// accumulated across its statements; tells COMMIT which side of the change
+/// has no image.
 #[derive(Default, Clone, Copy)]
 struct RowState {
     inserted: bool,
-    updated: bool,
     deleted: bool,
 }
 
@@ -2146,6 +2074,11 @@ pub struct Txn {
 }
 
 impl Txn {
+    /// What this transaction reads: its snapshot plus its own writes.
+    fn vis(&self) -> Vis {
+        Vis { read_ts: self.read_ts, marker: self.marker }
+    }
+
     fn touch(&mut self, table: &str, rowid: RowId) -> &mut RowState {
         self.rowmap.entry(table.to_string()).or_default().entry(rowid).or_default()
     }
@@ -2249,59 +2182,20 @@ fn wal_path_for(path: &Path) -> PathBuf {
     PathBuf::from(s)
 }
 
-/// Physical schema slot of each index's column, in index order (`None` only
-/// if an index outlived its column, which `drop_column` prevents).
-fn indexed_slots(t: &Table) -> Vec<Option<usize>> {
-    t.indexes.iter().map(|ix| t.schema.index_of(ix.column())).collect()
-}
-
-/// Add a freshly inserted row to every index on the table.
-fn index_insert(t: &mut Table, rowid: RowId, full: &[Datum], stats: &ExecStats) -> DbResult<()> {
-    if t.indexes.is_empty() {
-        return Ok(());
+/// Apply named assignments (coerced to their column types) to a row's full
+/// physical image.
+fn assign(
+    schema: &TableSchema,
+    mut full: Vec<Datum>,
+    assignments: &[(&str, Datum)],
+) -> DbResult<Vec<Datum>> {
+    for (name, value) in assignments {
+        let idx = schema
+            .index_of(name)
+            .ok_or_else(|| DbError::NotFound(format!("column {name}")))?;
+        full[idx] = coerce_for_column(value, schema.columns[idx].ty)?;
     }
-    let slots = indexed_slots(t);
-    let mut ops = 0u64;
-    for (ix, slot) in t.indexes.iter_mut().zip(slots) {
-        let Some(slot) = slot else { continue };
-        let key = &full[slot];
-        if key.is_null() {
-            continue;
-        }
-        ix.insert(key, rowid)?;
-        ops += 1;
-    }
-    if ops > 0 {
-        stats.index_maintenance_ops.fetch_add(ops, std::sync::atomic::Ordering::Relaxed);
-    }
-    Ok(())
-}
-
-/// Mirror a freshly inserted row into every columnar store on the table.
-fn columnar_append(t: &mut Table, rowid: RowId, full: &[Datum]) {
-    if t.columnar.is_empty() {
-        return;
-    }
-    let slots: Vec<Option<usize>> =
-        t.columnar.iter().map(|cs| t.schema.index_of(cs.column())).collect();
-    for (cs, slot) in t.columnar.iter_mut().zip(slots) {
-        let value = slot.map(|i| full[i].clone()).unwrap_or(Datum::Null);
-        cs.append(rowid, value);
-    }
-}
-
-/// Like [`columnar_append`], but tags the row with its birth timestamp so
-/// snapshots older than `ts` skip it ([`ColumnStore::filter_visible`]).
-fn columnar_append_tagged(t: &mut Table, rowid: RowId, full: &[Datum], ts: u64) {
-    if t.columnar.is_empty() {
-        return;
-    }
-    let slots: Vec<Option<usize>> =
-        t.columnar.iter().map(|cs| t.schema.index_of(cs.column())).collect();
-    for (cs, slot) in t.columnar.iter_mut().zip(slots) {
-        let value = slot.map(|i| full[i].clone()).unwrap_or(Datum::Null);
-        cs.append_tagged(rowid, value, ts);
-    }
+    Ok(full)
 }
 
 /// Coerce a datum for storage into a column of the given type; only safe,
@@ -2349,62 +2243,80 @@ impl CatalogView for Database {
     }
 }
 
-/// A table source pinned to one visibility: a registered snapshot's, or an
+/// A table source pinned to one visibility: a registered snapshot's, an
 /// open transaction's (which additionally sees its own marker-stamped
-/// writes). `Database` itself implements [`TableSource`] at latest-committed
-/// visibility; this wrapper is how SELECTs become non-blocking readers.
+/// writes), or [`Vis::LATEST`] for latest-committed reads. This wrapper is
+/// how SELECTs become non-blocking readers.
 pub(crate) struct SnapSource<'a> {
     pub(crate) db: &'a Database,
     pub(crate) vis: Vis,
 }
 
-impl Database {
-    fn scan_table_range_vis(
+/// Physical-slot bitmap of the columns a scan must actually decode.
+fn wanted_slots(schema: &TableSchema, needed: Option<&[String]>) -> Vec<bool> {
+    match needed {
+        None => vec![true; schema.arity()],
+        Some(names) => {
+            let mut w = vec![false; schema.arity()];
+            for n in names {
+                if let Some(i) = schema.index_of(n) {
+                    w[i] = true;
+                }
+            }
+            w
+        }
+    }
+}
+
+/// The row shape every scan emits: live columns in live order, then the
+/// rowid.
+fn scan_row(mut full: Vec<Datum>, live: &[usize], rowid: RowId) -> Row {
+    let mut row: Row = Vec::with_capacity(live.len() + 1);
+    for &i in live {
+        row.push(std::mem::replace(&mut full[i], Datum::Null));
+    }
+    row.push(Datum::Int(rowid as i64));
+    row
+}
+
+impl TableSource for SnapSource<'_> {
+    fn scan_table(
+        &self,
+        table: &str,
+        needed: Option<&[String]>,
+        f: &mut dyn FnMut(Row) -> DbResult<bool>,
+    ) -> DbResult<()> {
+        self.scan_table_range(table, needed, 0, u64::MAX, f)
+    }
+
+    fn high_water(&self, table: &str) -> DbResult<Option<u64>> {
+        Ok(Some(Database::high_water(self.db, table)?))
+    }
+
+    fn scan_table_range(
         &self,
         table: &str,
         needed: Option<&[String]>,
         start: u64,
         end: u64,
-        vis: Vis,
         f: &mut dyn FnMut(Row) -> DbResult<bool>,
     ) -> DbResult<()> {
-        let t = self.table(table)?;
+        let t = self.db.table(table)?;
         let t = t.read();
         let live: Vec<usize> = t.schema.live_columns().map(|(i, _)| i).collect();
-        // Physical-slot bitmap of columns to actually decode.
-        let wanted: Vec<bool> = match needed {
-            None => vec![true; t.schema.arity()],
-            Some(names) => {
-                let mut w = vec![false; t.schema.arity()];
-                for n in names {
-                    if let Some(i) = t.schema.index_of(n) {
-                        w[i] = true;
-                    }
-                }
-                w
-            }
-        };
+        let wanted = wanted_slots(&t.schema, needed);
         let mut fetched = 0u64;
-        let res = t.heap.scan_range_vis(start, end, vis, |rowid, bytes| {
+        let res = t.heap.scan_range_vis(start, end, self.vis, |rowid, bytes| {
             fetched += 1;
-            let mut full = tuple::decode_tuple_partial(&t.schema, &bytes, &wanted)?;
-            let mut row: Row = Vec::with_capacity(live.len() + 1);
-            for &i in &live {
-                row.push(std::mem::replace(&mut full[i], Datum::Null));
-            }
-            row.push(Datum::Int(rowid as i64));
-            f(row)
+            f(scan_row(tuple::decode_tuple_partial(&t.schema, &bytes, &wanted)?, &live, rowid))
         });
         if fetched > 0 {
-            self.exec_stats
-                .heap_fetches
-                .fetch_add(fetched, std::sync::atomic::Ordering::Relaxed);
+            self.db.exec_stats.heap_fetches.fetch_add(fetched, Relaxed);
         }
         res
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn index_lookup_vis(
+    fn index_lookup(
         &self,
         table: &str,
         column: &str,
@@ -2413,15 +2325,14 @@ impl Database {
         hi: Option<&Datum>,
         hi_inc: bool,
         cap: Option<u64>,
-        vis: Vis,
     ) -> DbResult<Option<Vec<u64>>> {
-        let t = self.table(table)?;
+        let t = self.db.table(table)?;
         let t = t.read();
         // Indexes cover only latest-committed rows and may still carry
         // queued-for-vacuum keys. Any version activity (or garbage) makes
         // them untrustworthy for this reader: fall back to the seq scan,
         // which resolves visibility per row.
-        if !t.heap.vis_quiet(vis) || !t.garbage.is_empty() {
+        if !t.heap.vis_quiet(self.vis) || !t.garbage.is_empty() {
             return Ok(None);
         }
         let Some(ix) = t.indexes.iter().find(|ix| ix.column() == column) else {
@@ -2430,75 +2341,44 @@ impl Database {
         ix.lookup_range(lo, lo_inc, hi, hi_inc, cap.map(|c| c as usize)).map(Some)
     }
 
-    fn fetch_rows_vis(
+    fn fetch_rows(
         &self,
         table: &str,
         needed: Option<&[String]>,
         rowids: &[u64],
-        vis: Vis,
         f: &mut dyn FnMut(Row) -> DbResult<bool>,
     ) -> DbResult<()> {
-        let t = self.table(table)?;
+        let t = self.db.table(table)?;
         let t = t.read();
         let live: Vec<usize> = t.schema.live_columns().map(|(i, _)| i).collect();
-        let wanted: Vec<bool> = match needed {
-            None => vec![true; t.schema.arity()],
-            Some(names) => {
-                let mut w = vec![false; t.schema.arity()];
-                for n in names {
-                    if let Some(i) = t.schema.index_of(n) {
-                        w[i] = true;
-                    }
-                }
-                w
-            }
-        };
+        let wanted = wanted_slots(&t.schema, needed);
         let mut fetched = 0u64;
         for &rowid in rowids {
-            let Some(bytes) = t.heap.get_vis(rowid, vis)? else { continue };
+            let Some(bytes) = t.heap.get_vis(rowid, self.vis)? else { continue };
             fetched += 1;
-            let mut full = tuple::decode_tuple_partial(&t.schema, &bytes, &wanted)?;
-            let mut row: Row = Vec::with_capacity(live.len() + 1);
-            for &i in &live {
-                row.push(std::mem::replace(&mut full[i], Datum::Null));
-            }
-            row.push(Datum::Int(rowid as i64));
-            if !f(row)? {
+            let full = tuple::decode_tuple_partial(&t.schema, &bytes, &wanted)?;
+            if !f(scan_row(full, &live, rowid))? {
                 break;
             }
         }
         if fetched > 0 {
-            self.exec_stats
-                .heap_fetches
-                .fetch_add(fetched, std::sync::atomic::Ordering::Relaxed);
+            self.db.exec_stats.heap_fetches.fetch_add(fetched, Relaxed);
         }
         Ok(())
     }
 
-    /// Column stores hold latest-committed data plus insert tags and a
-    /// rebuild floor. A reader older than the floor, or newer than a
-    /// not-yet-applied pending op, cannot use them; neither can a
-    /// transaction whose own heap writes are absent from the store.
-    fn columnar_usable(&self, t: &Table, vis: Vis) -> bool {
-        if self.mvcc && vis.marker != 0 && t.heap.needs_vis() {
-            return false;
-        }
-        t.columnar.iter().all(|cs| cs.usable_for(vis.read_ts))
-    }
-
-    fn columnar_meta_vis(
+    fn columnar_meta(
         &self,
         table: &str,
         needed: Option<&[String]>,
         bound_column: Option<&str>,
-        vis: Vis,
     ) -> DbResult<Option<ColumnarMeta>> {
-        let t = self.table(table)?;
+        let t = self.db.table(table)?;
         let t = t.read();
         if t.columnar.is_empty() {
             return Ok(None);
         }
-        if !self.columnar_usable(&t, vis) {
+        if !t.columnar_usable(self.vis) {
             return Ok(None);
         }
         // Wildcard scans can't be reconstructed from column stores.
@@ -2521,7 +2401,7 @@ impl Database {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn columnar_scan_segment_vis(
+    fn columnar_scan_segment(
         &self,
         table: &str,
         needed: Option<&[String]>,
@@ -2531,11 +2411,10 @@ impl Database {
         hi: Option<&Datum>,
         hi_inc: bool,
         segment: usize,
-        vis: Vis,
     ) -> DbResult<Option<SegScan>> {
-        let t = self.table(table)?;
+        let t = self.db.table(table)?;
         let t = t.read();
-        if !self.columnar_usable(&t, vis) {
+        if !t.columnar_usable(self.vis) {
             return Ok(None);
         }
         let Some(names) = needed else { return Ok(None) };
@@ -2595,7 +2474,7 @@ impl Database {
         }
         // Drop rows born after this reader's snapshot (tags are mirrored
         // across a table's stores, so any one store can filter).
-        any_store.filter_visible(seg, vis.read_ts, &mut offsets);
+        any_store.filter_visible(seg, self.vis.read_ts, &mut offsets);
         if offsets.is_empty() {
             return Ok(Some(scan));
         }
@@ -2623,8 +2502,7 @@ impl Database {
         Ok(Some(scan))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn index_only_probe_vis(
+    fn index_only_probe(
         &self,
         table: &str,
         column: &str,
@@ -2633,18 +2511,17 @@ impl Database {
         hi: Option<&Datum>,
         hi_inc: bool,
         cap: Option<u64>,
-        vis: Vis,
     ) -> DbResult<Option<IndexOnlyProbe>> {
         // An unbounded probe would miss NULL-key rows (never indexed);
         // the planner only emits bounded probes, but stay defensive.
         if lo.is_none() && hi.is_none() {
             return Ok(None);
         }
-        let t = self.table(table)?;
+        let t = self.db.table(table)?;
         let t = t.read();
         // Same trust rule as index_lookup_vis: any version activity or
         // queued index garbage disqualifies an index-only answer.
-        if !t.heap.vis_quiet(vis) || !t.garbage.is_empty() {
+        if !t.heap.vis_quiet(self.vis) || !t.garbage.is_empty() {
             return Ok(None);
         }
         let Some(ix) = t.indexes.iter().find(|ix| ix.column() == column) else {
@@ -2659,197 +2536,5 @@ impl Database {
             return Ok(None);
         };
         Ok(Some(IndexOnlyProbe { entries, n_live_cols: live.len(), key_slot }))
-    }
-}
-
-impl TableSource for Database {
-    fn scan_table(
-        &self,
-        table: &str,
-        needed: Option<&[String]>,
-        f: &mut dyn FnMut(Row) -> DbResult<bool>,
-    ) -> DbResult<()> {
-        self.scan_table_range_vis(table, needed, 0, u64::MAX, Vis::LATEST, f)
-    }
-
-    fn high_water(&self, table: &str) -> DbResult<Option<u64>> {
-        Ok(Some(Database::high_water(self, table)?))
-    }
-
-    fn scan_table_range(
-        &self,
-        table: &str,
-        needed: Option<&[String]>,
-        start: u64,
-        end: u64,
-        f: &mut dyn FnMut(Row) -> DbResult<bool>,
-    ) -> DbResult<()> {
-        self.scan_table_range_vis(table, needed, start, end, Vis::LATEST, f)
-    }
-
-    fn index_lookup(
-        &self,
-        table: &str,
-        column: &str,
-        lo: Option<&Datum>,
-        lo_inc: bool,
-        hi: Option<&Datum>,
-        hi_inc: bool,
-        cap: Option<u64>,
-    ) -> DbResult<Option<Vec<u64>>> {
-        self.index_lookup_vis(table, column, lo, lo_inc, hi, hi_inc, cap, Vis::LATEST)
-    }
-
-    fn fetch_rows(
-        &self,
-        table: &str,
-        needed: Option<&[String]>,
-        rowids: &[u64],
-        f: &mut dyn FnMut(Row) -> DbResult<bool>,
-    ) -> DbResult<()> {
-        self.fetch_rows_vis(table, needed, rowids, Vis::LATEST, f)
-    }
-
-    fn columnar_meta(
-        &self,
-        table: &str,
-        needed: Option<&[String]>,
-        bound_column: Option<&str>,
-    ) -> DbResult<Option<ColumnarMeta>> {
-        self.columnar_meta_vis(table, needed, bound_column, Vis::LATEST)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn columnar_scan_segment(
-        &self,
-        table: &str,
-        needed: Option<&[String]>,
-        bound_column: Option<&str>,
-        lo: Option<&Datum>,
-        lo_inc: bool,
-        hi: Option<&Datum>,
-        hi_inc: bool,
-        segment: usize,
-    ) -> DbResult<Option<SegScan>> {
-        self.columnar_scan_segment_vis(
-            table,
-            needed,
-            bound_column,
-            lo,
-            lo_inc,
-            hi,
-            hi_inc,
-            segment,
-            Vis::LATEST,
-        )
-    }
-
-    fn index_only_probe(
-        &self,
-        table: &str,
-        column: &str,
-        lo: Option<&Datum>,
-        lo_inc: bool,
-        hi: Option<&Datum>,
-        hi_inc: bool,
-        cap: Option<u64>,
-    ) -> DbResult<Option<IndexOnlyProbe>> {
-        self.index_only_probe_vis(table, column, lo, lo_inc, hi, hi_inc, cap, Vis::LATEST)
-    }
-}
-
-impl TableSource for SnapSource<'_> {
-    fn scan_table(
-        &self,
-        table: &str,
-        needed: Option<&[String]>,
-        f: &mut dyn FnMut(Row) -> DbResult<bool>,
-    ) -> DbResult<()> {
-        self.db.scan_table_range_vis(table, needed, 0, u64::MAX, self.vis, f)
-    }
-
-    fn high_water(&self, table: &str) -> DbResult<Option<u64>> {
-        Ok(Some(Database::high_water(self.db, table)?))
-    }
-
-    fn scan_table_range(
-        &self,
-        table: &str,
-        needed: Option<&[String]>,
-        start: u64,
-        end: u64,
-        f: &mut dyn FnMut(Row) -> DbResult<bool>,
-    ) -> DbResult<()> {
-        self.db.scan_table_range_vis(table, needed, start, end, self.vis, f)
-    }
-
-    fn index_lookup(
-        &self,
-        table: &str,
-        column: &str,
-        lo: Option<&Datum>,
-        lo_inc: bool,
-        hi: Option<&Datum>,
-        hi_inc: bool,
-        cap: Option<u64>,
-    ) -> DbResult<Option<Vec<u64>>> {
-        self.db.index_lookup_vis(table, column, lo, lo_inc, hi, hi_inc, cap, self.vis)
-    }
-
-    fn fetch_rows(
-        &self,
-        table: &str,
-        needed: Option<&[String]>,
-        rowids: &[u64],
-        f: &mut dyn FnMut(Row) -> DbResult<bool>,
-    ) -> DbResult<()> {
-        self.db.fetch_rows_vis(table, needed, rowids, self.vis, f)
-    }
-
-    fn columnar_meta(
-        &self,
-        table: &str,
-        needed: Option<&[String]>,
-        bound_column: Option<&str>,
-    ) -> DbResult<Option<ColumnarMeta>> {
-        self.db.columnar_meta_vis(table, needed, bound_column, self.vis)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn columnar_scan_segment(
-        &self,
-        table: &str,
-        needed: Option<&[String]>,
-        bound_column: Option<&str>,
-        lo: Option<&Datum>,
-        lo_inc: bool,
-        hi: Option<&Datum>,
-        hi_inc: bool,
-        segment: usize,
-    ) -> DbResult<Option<SegScan>> {
-        self.db.columnar_scan_segment_vis(
-            table,
-            needed,
-            bound_column,
-            lo,
-            lo_inc,
-            hi,
-            hi_inc,
-            segment,
-            self.vis,
-        )
-    }
-
-    fn index_only_probe(
-        &self,
-        table: &str,
-        column: &str,
-        lo: Option<&Datum>,
-        lo_inc: bool,
-        hi: Option<&Datum>,
-        hi_inc: bool,
-        cap: Option<u64>,
-    ) -> DbResult<Option<IndexOnlyProbe>> {
-        self.db.index_only_probe_vis(table, column, lo, lo_inc, hi, hi_inc, cap, self.vis)
     }
 }

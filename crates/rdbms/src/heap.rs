@@ -434,6 +434,12 @@ impl Heap {
         self.chains.get(&rowid).map_or(0, |c| c.len())
     }
 
+    /// Did the commit at `ts` supersede a version of `rowid` that is still
+    /// chained (so its reclamation must wait for the vacuum horizon)?
+    pub fn superseded_at(&self, rowid: RowId, ts: u64) -> bool {
+        self.chains.get(&rowid).and_then(|c| c.first()).is_some_and(|v| v.end == ts)
+    }
+
     /// Walk newest-version header then the chain for the version `vis` sees.
     fn resolve_vis(&self, rowid: usize, vis: Vis) -> Option<&Loc> {
         let loc = self.rows.get(rowid)?.as_ref()?;
@@ -652,12 +658,14 @@ impl Heap {
     }
 
     /// Vacuum: free the oldest retained version of `rowid` (chains are
-    /// newest-first, so the tail).
-    pub fn vacuum_chain_tail(&mut self, rowid: RowId) -> DbResult<bool> {
+    /// newest-first, so the tail) if it ended at or before `floor` — the
+    /// version itself says whether a snapshot can still read it, so a
+    /// reclamation request that outlived its version frees nothing else.
+    pub fn vacuum_chain_tail(&mut self, rowid: RowId, floor: u64) -> DbResult<bool> {
         let Some(chain) = self.chains.get_mut(&rowid) else {
             return Ok(false);
         };
-        let Some(old) = chain.pop() else {
+        let Some(old) = chain.pop_if(|v| v.end <= floor) else {
             return Ok(false);
         };
         if chain.is_empty() {

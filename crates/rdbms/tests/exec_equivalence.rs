@@ -125,6 +125,20 @@ const MUTATIONS: &[&str] = &[
     "DELETE FROM s WHERE k > 50",
 ];
 
+/// Every index and columnar store must still mirror the heap.
+fn check_derived(db: &Database) {
+    for table in db.table_names() {
+        db.check_derived(&table).unwrap();
+    }
+}
+
+fn mutate(db: &Database) {
+    for m in MUTATIONS {
+        db.execute(m).unwrap();
+    }
+    check_derived(db);
+}
+
 fn run_workload(limits: ExecLimits) -> Vec<Vec<Vec<Datum>>> {
     let db = build_db();
     db.set_exec_limits(limits);
@@ -132,9 +146,7 @@ fn run_workload(limits: ExecLimits) -> Vec<Vec<Vec<Datum>>> {
     for q in QUERIES {
         out.push(db.execute(q).unwrap_or_else(|e| panic!("{q}: {e}")).rows);
     }
-    for m in MUTATIONS {
-        db.execute(m).unwrap();
-    }
+    mutate(&db);
     for q in QUERIES {
         out.push(db.execute(q).unwrap_or_else(|e| panic!("{q} (post-DML): {e}")).rows);
     }
@@ -197,10 +209,9 @@ fn mvcc_and_legacy_lock_paths_match_byte_identically() {
                 s.execute(m).unwrap();
             }
             s.execute("COMMIT").unwrap();
+            check_derived(&db);
         } else {
-            for m in MUTATIONS {
-                db.execute(m).unwrap();
-            }
+            mutate(&db);
         }
         for q in QUERIES {
             out.push(db.execute(q).unwrap_or_else(|e| panic!("{q} (post-DML): {e}")).rows);
@@ -243,9 +254,7 @@ fn run_columnar_workload(limits: ExecLimits) -> Vec<Vec<Vec<Datum>>> {
     for q in QUERIES {
         out.push(db.execute(q).unwrap_or_else(|e| panic!("{q}: {e}")).rows);
     }
-    for m in MUTATIONS {
-        db.execute(m).unwrap();
-    }
+    mutate(&db);
     for q in QUERIES {
         out.push(db.execute(q).unwrap_or_else(|e| panic!("{q} (post-DML): {e}")).rows);
     }
@@ -253,6 +262,7 @@ fn run_columnar_workload(limits: ExecLimits) -> Vec<Vec<Vec<Datum>>> {
         assert!(db.drop_columnar("t", col).unwrap());
         db.build_columnar("t", col).unwrap();
     }
+    check_derived(&db);
     for q in QUERIES {
         out.push(db.execute(q).unwrap_or_else(|e| panic!("{q} (rebuilt): {e}")).rows);
     }
@@ -380,9 +390,7 @@ fn run_kernel_workload(limits: ExecLimits) -> Vec<Vec<Vec<Datum>>> {
     for q in QUERIES {
         out.push(db.execute(q).unwrap_or_else(|e| panic!("{q}: {e}")).rows);
     }
-    for m in MUTATIONS {
-        db.execute(m).unwrap();
-    }
+    mutate(&db);
     for q in QUERIES {
         out.push(db.execute(q).unwrap_or_else(|e| panic!("{q} (post-DML): {e}")).rows);
     }
@@ -637,10 +645,9 @@ fn run_join_workload(limits: ExecLimits) -> Vec<Vec<Vec<Datum>>> {
     for q in JOIN_AGG_QUERIES {
         out.push(db.execute(q).unwrap_or_else(|e| panic!("{q}: {e}")).rows);
     }
-    for m in MUTATIONS {
-        db.execute(m).unwrap();
-    }
+    mutate(&db);
     db.execute("DELETE FROM u WHERE g % 13 = 3").unwrap();
+    check_derived(&db);
     for q in JOIN_AGG_QUERIES {
         out.push(db.execute(q).unwrap_or_else(|e| panic!("{q} (post-DML): {e}")).rows);
     }
@@ -654,21 +661,16 @@ fn set_knob(name: &str, val: Option<&str>) {
     }
 }
 
-/// The crossing: serial oracle (both knobs off, materializing engine, one
-/// thread) against every combination of SINEW_PARALLEL_JOIN x
-/// SINEW_PARALLEL_AGG x threads x block_rows {1,1024}, with the
-/// fully-parallel corner swept at 1/2/4/8 threads. Byte-identical
-/// everywhere, pre- and post-DML, over promoted columns.
+/// The crossing: serial oracle (materializing engine, one thread — the
+/// serial breakers) against threads {1,2,4,8} x block_rows {1,1024} on the
+/// streaming engine. Byte-identical everywhere, pre- and post-DML, over
+/// promoted columns.
 #[test]
 fn parallel_breakers_match_serial_byte_identically() {
     let _g = COLUMNAR_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev_join = std::env::var("SINEW_PARALLEL_JOIN").ok();
-    let prev_agg = std::env::var("SINEW_PARALLEL_AGG").ok();
     let prev_col = std::env::var("SINEW_COLUMNAR").ok();
     std::env::set_var("SINEW_COLUMNAR", "1");
 
-    std::env::set_var("SINEW_PARALLEL_JOIN", "0");
-    std::env::set_var("SINEW_PARALLEL_AGG", "0");
     let oracle = run_join_workload(ExecLimits {
         mode: ExecMode::Materialize,
         exec_threads: 1,
@@ -676,64 +678,48 @@ fn parallel_breakers_match_serial_byte_identically() {
     });
     assert!(oracle.iter().any(|r| !r.is_empty()), "join workload returned nothing");
 
-    for join_knob in ["0", "1"] {
-        for agg_knob in ["0", "1"] {
-            std::env::set_var("SINEW_PARALLEL_JOIN", join_knob);
-            std::env::set_var("SINEW_PARALLEL_AGG", agg_knob);
-            // 2 and 8 threads ride only the fully-parallel corner — odd
-            // partition counts and thread > partition cases are covered
-            // without doubling the whole cross.
-            let threads_axis: &[usize] =
-                if join_knob == "1" && agg_knob == "1" { &[1, 2, 4, 8] } else { &[1, 4] };
-            for &threads in threads_axis {
-                for block_rows in [1usize, 1024] {
-                    let limits = ExecLimits {
-                        mode: ExecMode::Streaming,
-                        exec_threads: threads,
-                        block_rows,
-                        ..ExecLimits::default()
-                    };
-                    let got = run_join_workload(limits);
-                    assert_eq!(got.len(), oracle.len());
-                    for (i, (g, o)) in got.iter().zip(&oracle).enumerate() {
-                        let q = JOIN_AGG_QUERIES[i % JOIN_AGG_QUERIES.len()];
-                        let phase = if i < JOIN_AGG_QUERIES.len() { "pre" } else { "post" };
-                        assert_eq!(
-                            g, o,
-                            "query {q:?} ({phase}-DML) diverged under join={join_knob} \
-                             agg={agg_knob} block_rows={block_rows} threads={threads}"
-                        );
-                    }
-                }
+    // 2 and 8 threads cover odd partition counts and thread > partition.
+    for threads in [1usize, 2, 4, 8] {
+        for block_rows in [1usize, 1024] {
+            let limits = ExecLimits {
+                mode: ExecMode::Streaming,
+                exec_threads: threads,
+                block_rows,
+                ..ExecLimits::default()
+            };
+            let got = run_join_workload(limits);
+            assert_eq!(got.len(), oracle.len());
+            for (i, (g, o)) in got.iter().zip(&oracle).enumerate() {
+                let q = JOIN_AGG_QUERIES[i % JOIN_AGG_QUERIES.len()];
+                let phase = if i < JOIN_AGG_QUERIES.len() { "pre" } else { "post" };
+                assert_eq!(
+                    g, o,
+                    "query {q:?} ({phase}-DML) diverged under block_rows={block_rows} \
+                     threads={threads}"
+                );
             }
         }
     }
 
-    set_knob("SINEW_PARALLEL_JOIN", prev_join.as_deref());
-    set_knob("SINEW_PARALLEL_AGG", prev_agg.as_deref());
     set_knob("SINEW_COLUMNAR", prev_col.as_deref());
 }
 
-/// Guard against the crossing passing vacuously: with the knobs at their
-/// defaults and four worker threads, the partitioned build, the parallel
-/// pre-aggregation merge, and the parallel sort must all actually run (the
-/// workload tables clear the MIN_PARALLEL_ROWS floor); with the knobs off
-/// they must not.
+/// Guard against the crossing passing vacuously: with four worker threads
+/// the partitioned build, the parallel pre-aggregation merge, and the
+/// parallel sort must all actually run (the workload tables clear the
+/// MIN_PARALLEL_ROWS floor); with one thread they must not.
 #[test]
 fn parallel_breakers_actually_engage() {
     let _g = COLUMNAR_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev_join = std::env::var("SINEW_PARALLEL_JOIN").ok();
-    let prev_agg = std::env::var("SINEW_PARALLEL_AGG").ok();
-    std::env::remove_var("SINEW_PARALLEL_JOIN");
-    std::env::remove_var("SINEW_PARALLEL_AGG");
 
     let db = build_db();
-    db.set_exec_limits(ExecLimits {
+    let limits = |exec_threads| ExecLimits {
         mode: ExecMode::Streaming,
-        exec_threads: 4,
+        exec_threads,
         block_rows: 1024,
         ..ExecLimits::default()
-    });
+    };
+    db.set_exec_limits(limits(4));
 
     let before = db.exec_stats();
     db.execute("SELECT COUNT(*) FROM t JOIN s ON t.b = s.k").unwrap();
@@ -755,24 +741,20 @@ fn parallel_breakers_actually_engage() {
     assert!(after.parallel_sorts > before.parallel_sorts, "parallel sort never engaged");
     assert!(after.explain_runs > before.explain_runs, "explain run not counted");
 
-    // Knobs off: the same queries must stay on the serial operators.
-    std::env::set_var("SINEW_PARALLEL_JOIN", "0");
-    std::env::set_var("SINEW_PARALLEL_AGG", "0");
+    // One thread: the same queries must stay on the serial operators.
+    db.set_exec_limits(limits(1));
     let before = db.exec_stats();
     db.execute("SELECT COUNT(*) FROM t JOIN s ON t.b = s.k").unwrap();
     db.execute("SELECT c, COUNT(*), SUM(a) FROM t GROUP BY c ORDER BY c").unwrap();
     db.execute("SELECT a, b, c FROM t ORDER BY c, a DESC, d").unwrap();
     let after = db.exec_stats();
     assert!(after.join_build_rows > before.join_build_rows, "serial build still counts rows");
-    assert_eq!(after.join_partitions, before.join_partitions, "knob=0 still partitioned");
+    assert_eq!(after.join_partitions, before.join_partitions, "one thread still partitioned");
     assert_eq!(
         after.agg_partition_merges, before.agg_partition_merges,
-        "knob=0 still pre-aggregated in parallel"
+        "one thread still pre-aggregated in parallel"
     );
-    assert_eq!(after.parallel_sorts, before.parallel_sorts, "knob=0 still sorted in parallel");
-
-    set_knob("SINEW_PARALLEL_JOIN", prev_join.as_deref());
-    set_knob("SINEW_PARALLEL_AGG", prev_agg.as_deref());
+    assert_eq!(after.parallel_sorts, before.parallel_sorts, "one thread still sorted in parallel");
 }
 
 /// Equi-join and group keys must use exact Int/Float comparison: 2^53 + 1

@@ -164,6 +164,44 @@ fn snapshot_reader_sees_pre_delete_rows_and_vacuum_reclaims() {
     assert_eq!(r.rows[0][0], Datum::Int(2));
 }
 
+/// A vacuum pass that skips a busy table leaves that table's chain garbage
+/// queued; an eager update then frees the chain on its own. The leftover
+/// item must not reclaim a version that a later snapshot still reads.
+#[test]
+fn stale_chain_garbage_does_not_reclaim_a_version_in_use() {
+    let db = Database::in_memory_mvcc(true);
+    db.execute("CREATE TABLE t (v int)").unwrap();
+    db.execute("INSERT INTO t VALUES (10)").unwrap();
+    let read = |s: &mut sinew_rdbms::Session<'_>| s.execute("SELECT v FROM t").unwrap().rows;
+
+    let mut r1 = db.session();
+    r1.execute("BEGIN").unwrap();
+    assert_eq!(read(&mut r1), vec![vec![Datum::Int(10)]]);
+    db.execute("UPDATE t SET v = 11").unwrap(); // retained for r1
+    // r1 ends while a scan holds the table's read lock: the vacuum that its
+    // COMMIT triggers skips the table.
+    let mut committed = false;
+    db.scan_rows("t", &mut |_, _| {
+        if !std::mem::replace(&mut committed, true) {
+            r1.execute("COMMIT").unwrap();
+        }
+        Ok(true)
+    })
+    .unwrap();
+    db.execute("UPDATE t SET v = 12").unwrap(); // no snapshot: eager
+
+    let mut r2 = db.session();
+    r2.execute("BEGIN").unwrap();
+    assert_eq!(read(&mut r2), vec![vec![Datum::Int(12)]]);
+    db.execute("UPDATE t SET v = 13").unwrap(); // retained for r2
+    db.vacuum().unwrap();
+    assert_eq!(read(&mut r2), vec![vec![Datum::Int(12)]]);
+    r2.execute("COMMIT").unwrap();
+    db.vacuum().unwrap();
+    assert_eq!(db.execute("SELECT v FROM t").unwrap().rows, vec![vec![Datum::Int(13)]]);
+    db.check_derived("t").unwrap();
+}
+
 #[test]
 fn txn_requires_session_and_mvcc() {
     let db = mvcc_db();
@@ -190,7 +228,9 @@ fn indexes_and_columnar_consistent_after_txn_commit() {
     s.execute("UPDATE acct SET balance = 150 WHERE id = 1").unwrap();
     s.execute("DELETE FROM acct WHERE id = 3").unwrap();
     s.execute("COMMIT").unwrap();
+    db.check_derived("acct").unwrap();
     db.vacuum().unwrap();
+    db.check_derived("acct").unwrap();
     // Index probe and columnar scan agree with the committed state.
     let r = db.execute("SELECT id FROM acct WHERE balance >= 150 ORDER BY id").unwrap();
     let ids: Vec<i64> =
@@ -216,6 +256,11 @@ fn stress_readers_see_consistent_snapshots_under_write_load() {
         db.execute(&format!("INSERT INTO bank VALUES {}", values.join(", ")))
             .unwrap();
     }
+    // Derived structures the writer must keep right under Retain-mode
+    // commits: balances swing +-10, so index keys leave and come back
+    // between vacuum passes.
+    db.create_index("bank", "bank_balance", "balance", true).unwrap();
+    db.build_columnar("bank", "id").unwrap();
     let stop = Arc::new(AtomicBool::new(false));
 
     // Writer: transactional transfers; occasionally rolls back.
@@ -291,6 +336,8 @@ fn stress_readers_see_consistent_snapshots_under_write_load() {
     let (committed, rolled_back) = writer.join().unwrap();
     let builds = materializer.join().unwrap();
     let scans: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+    db.build_columnar("bank", "balance").unwrap();
+    db.check_derived("bank").unwrap();
 
     // Engagement guards: the machinery must actually have been exercised —
     // a vacuously green run (no commits, no scans, no retained versions)
@@ -310,6 +357,7 @@ fn stress_readers_see_consistent_snapshots_under_write_load() {
     // Final state must still balance, and vacuum must converge: with no
     // snapshot left alive everything ever retained is reclaimable.
     db.vacuum().unwrap();
+    db.check_derived("bank").unwrap();
     let stats = db.exec_stats();
     assert!(
         stats.versions_vacuumed > 0,
@@ -333,4 +381,5 @@ fn stress_readers_see_consistent_snapshots_under_write_load() {
     );
     s.execute("COMMIT").unwrap();
     assert_eq!(db.exec_stats().live_snapshots, 0);
+    db.check_derived("bank").unwrap();
 }
