@@ -6,7 +6,7 @@
 //! written by `cargo run --release -p sinew-bench --bin pr8_kernels`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sinew_rdbms::{ColumnStore, Datum};
+use sinew_rdbms::{ColumnStore, Datum, KeyRange};
 use std::hint::black_box;
 
 const N: u64 = 1 << 20;
@@ -31,11 +31,13 @@ fn build_store(name: &str, mk: impl Fn(u64) -> Datum) -> ColumnStore {
 }
 
 fn select_all(cs: &ColumnStore, lo: &Datum, hi: &Datum) -> usize {
+    let range =
+        KeyRange { lo: Some(lo.clone()), hi: Some(hi.clone()), ..KeyRange::default() };
     let mut total = 0usize;
     let mut offs = Vec::new();
     for seg in 0..cs.n_segments() {
         offs.clear();
-        cs.select_segment(seg, Some(lo), true, Some(hi), true, &mut offs);
+        cs.select_segment(seg, &range, &mut offs);
         total += offs.len();
     }
     total

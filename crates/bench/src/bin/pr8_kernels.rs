@@ -19,7 +19,7 @@
 //! scans that PR8's acceptance bar names.
 
 use sinew_bench::{ms, record_snapshot, time_avg, HarnessConfig, TablePrinter};
-use sinew_rdbms::{ColumnStore, Datum, KernelStats};
+use sinew_rdbms::{ColumnStore, Datum, KernelStats, KeyRange};
 use std::time::Duration;
 
 /// splitmix64 — deterministic data without depending on a rand crate.
@@ -53,10 +53,12 @@ fn select_all(
     out: &mut Vec<Vec<u32>>,
 ) -> KernelStats {
     out.clear();
+    let range =
+        KeyRange { lo: Some(lo.clone()), hi: Some(hi.clone()), ..KeyRange::default() };
     let mut stats = KernelStats::default();
     for seg in 0..cs.n_segments() {
         let mut offs = Vec::new();
-        stats.merge(&cs.select_segment(seg, Some(lo), true, Some(hi), true, &mut offs));
+        stats.merge(&cs.select_segment(seg, &range, &mut offs));
         out.push(offs);
     }
     stats

@@ -23,6 +23,14 @@
 //! `crates/core/tests/streaming_oracle.rs`) enforces this over a seeded
 //! random workload.
 //!
+//! Scans (DESIGN.md §18): every leaf reads through the executor's one
+//! table source. The heap scan is `SeqScanOp`, or the morsel-parallel
+//! `ParallelScanOp` when the scan→filter→project prefix, the pool and
+//! the table allow — the only parallel scan implementation there is (the
+//! oracle scans serially). The index, index-only and columnar paths are
+//! `AccessOp`s behind one `HeapFallback`, which continues any of them as
+//! the equivalent heap scan when its index or store is gone.
+//!
 //! Since PR 9 the pipeline *breakers* parallelize too (DESIGN.md §15):
 //! the hash-join build side is partitioned over P = next_pow2(threads)
 //! private hash tables and the probe runs wave-parallel over buffered
@@ -45,12 +53,12 @@
 use crate::datum::{Datum, GroupKey};
 use crate::error::{DbError, DbResult};
 use crate::exec::{
-    cmp_sort_keys, eval_sort_keys, feed_accs, finish_group, new_acc, panic_message, rows_equal,
-    sort_rows, ExecStats, Executor, Row, ScanPipeline,
+    cmp_sort_keys, eval_sort_keys, feed_accs, finish_group, new_acc, panic_message, passes,
+    rows_equal, sort_rows, ExecStats, Executor, Row, SegScan,
 };
 use crate::expr::{EvalCtx, PhysExpr};
 use crate::agg::Accumulator;
-use crate::plan::{AggSpec, NodeActuals, Plan, SortKey};
+use crate::plan::{AccessPath, AggSpec, NodeActuals, Plan, SortKey};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -170,15 +178,11 @@ pub(crate) fn run_streaming_with(
     let result = (|| -> DbResult<()> {
         op.open()?;
         while let Some(block) = op.next_block()? {
-            if let Some(st) = exec.stats {
-                st.record_block(block.len() as u64);
-            }
+            exec.stats.record_block(block.len() as u64);
             let mut rows = block.take_rows();
             out.append(&mut rows);
             exec.check_limit(out.len())?;
-            if let Some(st) = exec.stats {
-                st.note_resident(out.len() as u64 + op.resident_rows());
-            }
+            exec.stats.note_resident(out.len() as u64 + op.resident_rows());
         }
         Ok(())
     })();
@@ -204,14 +208,12 @@ pub(crate) fn build_node<'x, 'a: 'x>(
     az: Option<&'x AnalyzeCtx>,
 ) -> DbResult<Box<dyn BlockOperator + 'x>> {
     // The scan→filter→project prefix goes to the morsel-parallel operator
-    // when the pool and the table are big enough — same gating as the
-    // materializing engine's `try_parallel_pipeline`.
+    // when the pool and the table are big enough.
     if az.is_none() && exec.limits.exec_threads.max(1) > 1 {
-        if let Some(pipe) = Executor::scan_pipeline(plan) {
-            if let Some(high) = exec.source.high_water(pipe.table)? {
-                if let Some(op) = ParallelScanOp::try_new(exec, pipe, high) {
-                    return Ok(Box::new(op));
-                }
+        if let Some(pipe) = scan_pipeline(plan) {
+            let high = exec.source.db.high_water(pipe.table)?;
+            if let Some(op) = ParallelScanOp::try_new(exec, pipe, high) {
+                return Ok(Box::new(op));
             }
         }
     }
@@ -223,92 +225,46 @@ pub(crate) fn build_node<'x, 'a: 'x>(
             filter.as_ref(),
             needed.as_deref(),
         )),
-        Plan::IndexScan {
-            table,
-            binding: _,
-            column,
-            lo,
-            lo_inc,
-            hi,
-            hi_inc,
-            filter,
-            needed,
-            est_rows: _,
-            exact_bounds,
-        } => Box::new(IndexScanOp {
+        // A probe cap is only sound when the bounds *are* the whole
+        // predicate: then every row the index surfaces is an output row,
+        // and the `cap` smallest rowids are exactly the rows an uncapped
+        // scan would have produced first.
+        Plan::IndexScan(path) => HeapFallback::boxed(
             exec,
-            table,
-            column,
-            lo: lo.as_ref(),
-            lo_inc: *lo_inc,
-            hi: hi.as_ref(),
-            hi_inc: *hi_inc,
-            filter: filter.as_ref(),
-            needed: needed.as_deref(),
-            // A probe cap is only sound when the bounds *are* the whole
-            // predicate: then every row the index surfaces is an output
-            // row, and the `cap` smallest rowids are exactly the rows an
-            // uncapped scan would have produced first.
-            cap: if *exact_bounds { cap } else { None },
-            ctx: EvalCtx::new(),
-            state: IndexState::Init,
-        }),
-        Plan::ColumnarScan {
-            table,
-            column,
-            lo,
-            lo_inc,
-            hi,
-            hi_inc,
-            filter,
-            needed,
-            exact_bounds,
-            bounds_cover_filter,
-            ..
-        } => Box::new(ColumnarScanOp {
+            path,
+            IndexScanOp {
+                exec,
+                path,
+                cap: cap.filter(|_| path.exact_bounds),
+                ctx: EvalCtx::new(),
+                rowids: None,
+                pos: 0,
+            },
+        ),
+        Plan::IndexOnlyScan(path) => HeapFallback::boxed(
             exec,
-            table,
-            column: column.as_deref(),
-            lo: lo.as_ref(),
-            lo_inc: *lo_inc,
-            hi: hi.as_ref(),
-            hi_inc: *hi_inc,
-            filter: filter.as_ref(),
-            needed: needed.as_deref(),
-            exact_bounds: *exact_bounds,
-            bounds_cover: *bounds_cover_filter,
-            pending: VecDeque::new(),
-            emitted: 0,
-            skip: 0,
-            state: ColumnarState::Init,
-        }),
-        Plan::IndexOnlyScan {
-            table,
-            column,
-            lo,
-            lo_inc,
-            hi,
-            hi_inc,
-            filter,
-            needed,
-            exact_bounds,
-            ..
-        } => Box::new(IndexOnlyScanOp {
+            path,
+            IndexOnlyScanOp {
+                exec,
+                path,
+                cap: cap.filter(|_| path.exact_bounds),
+                ctx: EvalCtx::new(),
+                rows: None,
+            },
+        ),
+        Plan::ColumnarScan { path, bounds_cover_filter } => HeapFallback::boxed(
             exec,
-            table,
-            column,
-            lo: lo.as_ref(),
-            lo_inc: *lo_inc,
-            hi: hi.as_ref(),
-            hi_inc: *hi_inc,
-            filter: filter.as_ref(),
-            needed: needed.as_deref(),
-            // Same soundness rule as IndexScan's probe cap.
-            cap: if *exact_bounds { cap } else { None },
-            exact_bounds: *exact_bounds,
-            ctx: EvalCtx::new(),
-            state: IndexOnlyState::Init,
-        }),
+            path,
+            ColumnarScanOp {
+                exec,
+                path,
+                bounds_cover: *bounds_cover_filter,
+                n_segments: 0,
+                next_seg: 0,
+                wave: 1,
+                pending: VecDeque::new(),
+            },
+        ),
         Plan::Filter { input, predicate, .. } => Box::new(FilterOp {
             child: build_node(exec, input, None, az)?,
             predicate,
@@ -422,9 +378,7 @@ fn drain_child(
         let mut rows = block.take_rows();
         out.append(&mut rows);
         exec.check_limit(out.len())?;
-        if let Some(st) = exec.stats {
-            st.note_resident(out.len() as u64);
-        }
+        exec.stats.note_resident(out.len() as u64);
     }
     Ok(out)
 }
@@ -605,11 +559,9 @@ impl BlockOperator for AnalyzeOp<'_> {
 // ---------------------------------------------------------------------------
 // Scans
 
-/// Serial heap scan with an embedded filter. When the source supports
-/// range scans, each block resumes at the row id after the last one
-/// emitted, and the scan callback stops (early-stop into `Heap::scan`)
-/// the moment the block is full. Sources without range support fall back
-/// to a one-shot buffered scan.
+/// Serial heap scan with an embedded filter. Each block resumes at the row
+/// id after the last one emitted, and the scan callback stops (early-stop
+/// into `Heap::scan`) the moment the block is full.
 struct SeqScanOp<'x, 'a> {
     exec: &'x Executor<'a>,
     table: &'x str,
@@ -617,8 +569,6 @@ struct SeqScanOp<'x, 'a> {
     needed: Option<&'x [String]>,
     ctx: EvalCtx,
     next_rowid: u64,
-    ranged: bool,
-    buffered: Option<VecDeque<Row>>,
     done: bool,
 }
 
@@ -629,26 +579,13 @@ impl<'x, 'a> SeqScanOp<'x, 'a> {
         filter: Option<&'x PhysExpr>,
         needed: Option<&'x [String]>,
     ) -> SeqScanOp<'x, 'a> {
-        SeqScanOp {
-            exec,
-            table,
-            filter,
-            needed,
-            ctx: EvalCtx::new(),
-            next_rowid: 0,
-            ranged: false,
-            buffered: None,
-            done: false,
-        }
+        SeqScanOp { exec, table, filter, needed, ctx: EvalCtx::new(), next_rowid: 0, done: false }
     }
 }
 
 impl BlockOperator for SeqScanOp<'_, '_> {
     fn open(&mut self) -> DbResult<()> {
-        if let Some(st) = self.exec.stats {
-            st.serial_scans.fetch_add(1, Ordering::Relaxed);
-        }
-        self.ranged = self.exec.source.high_water(self.table)?.is_some();
+        self.exec.stats.serial_scans.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -657,45 +594,6 @@ impl BlockOperator for SeqScanOp<'_, '_> {
             return Ok(None);
         }
         let block_rows = self.exec.limits.block_rows.max(1);
-        if !self.ranged {
-            // One-shot path for sources without resumable range scans.
-            if self.buffered.is_none() {
-                let mut buf = VecDeque::new();
-                let ctx = &mut self.ctx;
-                let filter = self.filter;
-                let exec = self.exec;
-                if let Some(f) = filter {
-                    f.begin_block();
-                }
-                let res = exec.source.scan_table(self.table, self.needed, &mut |row| {
-                    let keep = match filter {
-                        Some(f) => {
-                            ctx.reset();
-                            f.eval_bool_ctx(&row, ctx)?
-                        }
-                        None => true,
-                    };
-                    if keep {
-                        buf.push_back(row);
-                        exec.check_limit(buf.len())?;
-                    }
-                    Ok(true)
-                });
-                if let Some(f) = filter {
-                    f.end_block();
-                }
-                res?;
-                self.buffered = Some(buf);
-            }
-            let buf = self.buffered.as_mut().unwrap();
-            if buf.is_empty() {
-                self.done = true;
-                return Ok(None);
-            }
-            let n = buf.len().min(block_rows);
-            let out: Vec<Row> = buf.drain(..n).collect();
-            return Ok(Some(RowBlock::from_rows(out)));
-        }
         let mut out: Vec<Row> = Vec::with_capacity(block_rows);
         let mut resume = self.next_rowid;
         {
@@ -721,14 +619,7 @@ impl BlockOperator for SeqScanOp<'_, '_> {
                         }
                     };
                     resume = rid + 1;
-                    let keep = match filter {
-                        Some(f) => {
-                            ctx.reset();
-                            f.eval_bool_ctx(&row, ctx)?
-                        }
-                        None => true,
-                    };
-                    if keep {
+                    if passes(filter, ctx, &row)? {
                         out.push(row);
                     }
                     Ok(out.len() < block_rows)
@@ -752,135 +643,180 @@ impl BlockOperator for SeqScanOp<'_, '_> {
     }
 }
 
-enum IndexState<'x, 'a> {
-    Init,
-    Fetching { rowids: Vec<u64>, pos: usize },
-    /// The index disappeared between planning and execution: degrade to a
-    /// sequential scan with the same filter (identical output).
-    Fallback(SeqScanOp<'x, 'a>),
-    Done,
+/// What an access path hands [`HeapFallback`] per pull.
+enum Pull {
+    Block(RowBlock),
+    End,
+    /// The index or column store is gone (dropped or demoted since
+    /// planning, or not trustworthy at this reader's visibility).
+    Gone,
 }
 
-/// Secondary-index access: probe once (optionally capped, satellite 1),
-/// sort rowids so output matches heap-scan order, then fetch in
-/// block-sized windows — rowids past an early-stop are never fetched.
-struct IndexScanOp<'x, 'a> {
-    exec: &'x Executor<'a>,
-    table: &'x str,
-    column: &'x str,
-    lo: Option<&'x Datum>,
-    lo_inc: bool,
-    hi: Option<&'x Datum>,
-    hi_inc: bool,
-    filter: Option<&'x PhysExpr>,
-    needed: Option<&'x [String]>,
-    cap: Option<u64>,
-    ctx: EvalCtx,
-    state: IndexState<'x, 'a>,
+/// A non-heap access path: everything an index / index-only / columnar
+/// scan does *except* surviving the loss of its index or store, which is
+/// [`HeapFallback`]'s one job.
+trait AccessOp {
+    /// Resolve the path at operator-open time; `false` means [`Pull::Gone`]
+    /// before the first pull.
+    fn open(&mut self) -> DbResult<bool> {
+        Ok(true)
+    }
+
+    fn pull(&mut self) -> DbResult<Pull>;
+
+    fn resident_rows(&self) -> u64 {
+        0
+    }
 }
 
-impl<'x, 'a> IndexScanOp<'x, 'a> {
-    fn probe(&mut self) -> DbResult<()> {
-        let rowids = self.exec.source.index_lookup(
-            self.table,
-            self.column,
-            self.lo,
-            self.lo_inc,
-            self.hi,
-            self.hi_inc,
-            self.cap,
-        )?;
-        match rowids {
-            Some(mut rowids) => {
-                if let Some(st) = self.exec.stats {
-                    st.index_scans.fetch_add(1, Ordering::Relaxed);
-                }
-                // Heap scans emit rows in rowid order; match it exactly.
-                rowids.sort_unstable();
-                self.state = IndexState::Fetching { rowids, pos: 0 };
-            }
-            None => {
-                let mut op = SeqScanOp::new(self.exec, self.table, self.filter, self.needed);
-                op.open()?;
-                self.state = IndexState::Fallback(op);
-            }
+/// The single heap-fallback rule (DESIGN.md §18): run `primary`; the
+/// moment it reports its index or store gone, continue as the sequential
+/// scan with the same filter and projection. The heap is authoritative and
+/// every access path emits the heap scan's exact row sequence, so the
+/// restart only has to drop the rows that already left this operator —
+/// no duplicate, no gap. (Only the columnar scan can lose its
+/// store after emitting; the index paths resolve on their first pull.)
+struct HeapFallback<'x, 'a> {
+    primary: Box<dyn AccessOp + 'x>,
+    /// The equivalent heap scan, opened only if `primary` is lost.
+    heap: SeqScanOp<'x, 'a>,
+    on_heap: bool,
+    /// Rows `primary` has handed downstream: what the heap scan must drop
+    /// before producing output, should it take over.
+    skip: u64,
+}
+
+impl<'x, 'a> HeapFallback<'x, 'a> {
+    fn boxed(
+        exec: &'x Executor<'a>,
+        path: &'x AccessPath,
+        primary: impl AccessOp + 'x,
+    ) -> Box<dyn BlockOperator + 'x> {
+        let AccessPath { table, filter, needed, .. } = path;
+        Box::new(HeapFallback {
+            primary: Box::new(primary),
+            heap: SeqScanOp::new(exec, table, filter.as_ref(), needed.as_deref()),
+            on_heap: false,
+            skip: 0,
+        })
+    }
+
+    fn fall_back(&mut self) -> DbResult<()> {
+        self.on_heap = true;
+        self.heap.open()
+    }
+}
+
+impl BlockOperator for HeapFallback<'_, '_> {
+    fn open(&mut self) -> DbResult<()> {
+        if !self.primary.open()? {
+            self.fall_back()?;
         }
         Ok(())
     }
-}
 
-impl BlockOperator for IndexScanOp<'_, '_> {
     fn next_block(&mut self) -> DbResult<Option<RowBlock>> {
-        if matches!(self.state, IndexState::Init) {
-            self.probe()?;
-        }
-        match &mut self.state {
-            IndexState::Fetching { rowids, pos } => {
-                let block_rows = self.exec.limits.block_rows.max(1);
-                let ctx = &mut self.ctx;
-                let filter = self.filter;
-                while *pos < rowids.len() {
-                    let end = (*pos + block_rows).min(rowids.len());
-                    let window = &rowids[*pos..end];
-                    *pos = end;
-                    let mut out: Vec<Row> = Vec::with_capacity(window.len());
-                    if let Some(f) = filter {
-                        f.begin_block();
-                    }
-                    let res = self.exec.source.fetch_rows(
-                        self.table,
-                        self.needed,
-                        window,
-                        &mut |row| {
-                            let keep = match filter {
-                                Some(f) => {
-                                    ctx.reset();
-                                    f.eval_bool_ctx(&row, ctx)?
-                                }
-                                None => true,
-                            };
-                            if keep {
-                                out.push(row);
-                            }
-                            Ok(true)
-                        },
-                    );
-                    if let Some(f) = filter {
-                        f.end_block();
-                    }
-                    res?;
-                    if !out.is_empty() {
-                        return Ok(Some(RowBlock::from_rows(out)));
-                    }
+        if !self.on_heap {
+            match self.primary.pull()? {
+                Pull::Block(block) => {
+                    self.skip += block.len() as u64;
+                    return Ok(Some(block));
                 }
-                self.state = IndexState::Done;
-                Ok(None)
+                Pull::End => return Ok(None),
+                Pull::Gone => self.fall_back()?,
             }
-            IndexState::Fallback(op) => op.next_block(),
-            IndexState::Done => Ok(None),
-            IndexState::Init => unreachable!("probe resolves Init"),
         }
+        while let Some(block) = self.heap.next_block()? {
+            let n = block.len() as u64;
+            if self.skip >= n {
+                self.skip -= n;
+                continue;
+            }
+            let mut rows = block.take_rows();
+            rows.drain(..std::mem::take(&mut self.skip) as usize);
+            return Ok(Some(RowBlock::from_rows(rows)));
+        }
+        Ok(None)
     }
 
-    fn close(&mut self) {
-        if let IndexState::Fallback(op) = &mut self.state {
-            op.close();
+    fn resident_rows(&self) -> u64 {
+        self.primary.resident_rows()
+    }
+}
+
+/// Keep the rows of `rows` that pass `filter` (all of them without one),
+/// bracketing the evaluation as one block.
+fn filter_rows(
+    filter: Option<&PhysExpr>,
+    ctx: &mut EvalCtx,
+    mut rows: Vec<Row>,
+) -> DbResult<Vec<Row>> {
+    let Some(f) = filter else { return Ok(rows) };
+    let keep = f.filter_block(&rows, None, ctx)?;
+    Ok(keep.iter().map(|&i| std::mem::take(&mut rows[i as usize])).collect())
+}
+
+/// Secondary-index access: probe once (optionally capped), sort rowids so
+/// output matches heap-scan order, then fetch in block-sized windows —
+/// rowids past an early-stop are never fetched.
+struct IndexScanOp<'x, 'a> {
+    exec: &'x Executor<'a>,
+    path: &'x AccessPath,
+    cap: Option<u64>,
+    ctx: EvalCtx,
+    /// Probe result, resolved on the first pull.
+    rowids: Option<Vec<u64>>,
+    pos: usize,
+}
+
+impl AccessOp for IndexScanOp<'_, '_> {
+    fn pull(&mut self) -> DbResult<Pull> {
+        if self.rowids.is_none() {
+            let Some(mut rowids) = self.exec.source.index_lookup(self.path, self.cap)? else {
+                return Ok(Pull::Gone);
+            };
+            self.exec.stats.index_scans.fetch_add(1, Ordering::Relaxed);
+            // Heap scans emit rows in rowid order; match it exactly.
+            rowids.sort_unstable();
+            self.rowids = Some(rowids);
         }
+        let rowids = self.rowids.as_deref().expect("probe resolved above");
+        let block_rows = self.exec.limits.block_rows.max(1);
+        let ctx = &mut self.ctx;
+        let filter = self.path.filter.as_ref();
+        while self.pos < rowids.len() {
+            let end = (self.pos + block_rows).min(rowids.len());
+            let window = &rowids[self.pos..end];
+            self.pos = end;
+            let mut out: Vec<Row> = Vec::with_capacity(window.len());
+            if let Some(f) = filter {
+                f.begin_block();
+            }
+            let res = self.exec.source.fetch_rows(
+                &self.path.table,
+                self.path.needed.as_deref(),
+                window,
+                &mut |row| {
+                    if passes(filter, ctx, &row)? {
+                        out.push(row);
+                    }
+                    Ok(true)
+                },
+            );
+            if let Some(f) = filter {
+                f.end_block();
+            }
+            res?;
+            if !out.is_empty() {
+                return Ok(Pull::Block(RowBlock::from_rows(out)));
+            }
+        }
+        Ok(Pull::End)
     }
 }
 
 // ---------------------------------------------------------------------------
 // Columnar scan
-
-enum ColumnarState<'x, 'a> {
-    Init,
-    Scanning { n_segments: usize, next_seg: usize, wave: usize, n_workers: usize },
-    /// Segments vanished (demotion) between planning and execution:
-    /// degrade to a sequential scan with the same filter (identical
-    /// output).
-    Fallback(SeqScanOp<'x, 'a>),
-    Done,
-}
 
 /// Columnar segment scan: fills blocks column-at-a-time from the table's
 /// column stores. Each segment runs the vectorized bound kernel (when the
@@ -891,56 +827,30 @@ enum ColumnarState<'x, 'a> {
 /// (ramping 1, 2, 4, … workers, stitched in segment order), so output is
 /// byte-identical to the heap scan at any thread count and a LIMIT skips
 /// the waves it never reaches.
-/// One segment's scan output with the residual filter already applied:
-/// surviving rows plus the segment's kernel/pruned/exact stats. `None`
-/// means the column store was demoted mid-scan.
-type SegScanResult = Result<Option<crate::exec::SegScan>, DbError>;
-
 struct ColumnarScanOp<'x, 'a> {
     exec: &'x Executor<'a>,
-    table: &'x str,
-    column: Option<&'x str>,
-    lo: Option<&'x Datum>,
-    lo_inc: bool,
-    hi: Option<&'x Datum>,
-    hi_inc: bool,
-    filter: Option<&'x PhysExpr>,
-    needed: Option<&'x [String]>,
-    exact_bounds: bool,
+    path: &'x AccessPath,
     /// Planner proof that the bound literals cover the whole predicate in
     /// one exactness class; combined with a segment's `exact` flag it
     /// skips the residual filter for that segment.
     bounds_cover: bool,
+    n_segments: usize,
+    next_seg: usize,
+    wave: usize,
     pending: VecDeque<Row>,
-    /// Rows already handed downstream — the resume point if a mid-scan
-    /// demotion forces a restart from the heap.
-    emitted: u64,
-    /// Rows the fallback scan must drop before producing output (set to
-    /// `emitted` when a mid-scan demotion triggers the restart).
-    skip: u64,
-    state: ColumnarState<'x, 'a>,
 }
 
 impl ColumnarScanOp<'_, '_> {
     /// Scan one segment and apply the residual filter, returning the
-    /// surviving rows plus the kernel / pruned stats.
-    fn scan_segment(&self, seg: usize) -> SegScanResult {
+    /// surviving rows plus the kernel / pruned stats. `None` means the
+    /// column store was demoted mid-scan.
+    fn scan_segment(&self, seg: usize) -> DbResult<Option<SegScan>> {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.exec.source.columnar_scan_segment(
-                self.table,
-                self.needed,
-                self.column,
-                self.lo,
-                self.lo_inc,
-                self.hi,
-                self.hi_inc,
-                seg,
-            )
+            self.exec.source.columnar_scan_segment(self.path, seg)
         }));
         let mut scan = match result {
             Ok(Ok(Some(s))) => s,
-            Ok(Ok(None)) => return Ok(None),
-            Ok(Err(e)) => return Err(e),
+            Ok(other) => return other,
             Err(payload) => {
                 return Err(DbError::Eval(format!(
                     "columnar scan worker panicked: {}",
@@ -948,150 +858,67 @@ impl ColumnarScanOp<'_, '_> {
                 )))
             }
         };
-        let skip_residual = self.exact_bounds || (self.bounds_cover && scan.exact);
-        if let Some(f) = self.filter {
-            if !skip_residual && !scan.rows.is_empty() {
-                let mut ctx = EvalCtx::new();
-                f.begin_block();
-                let keep = f.filter_block(&scan.rows, None, &mut ctx);
-                f.end_block();
-                let keep = keep?;
-                let mut rows = std::mem::take(&mut scan.rows);
-                scan.rows =
-                    keep.iter().map(|&i| std::mem::take(&mut rows[i as usize])).collect();
-            }
+        if !(self.path.exact_bounds || (self.bounds_cover && scan.exact)) {
+            let rows = std::mem::take(&mut scan.rows);
+            scan.rows = filter_rows(self.path.filter.as_ref(), &mut EvalCtx::new(), rows)?;
         }
         Ok(Some(scan))
     }
 
-    fn run_wave(&mut self) -> DbResult<()> {
-        let ColumnarState::Scanning { n_segments, next_seg, wave, n_workers } = self.state
-        else {
-            return Ok(());
-        };
-        let remaining = n_segments - next_seg;
-        let k = wave.min(remaining).min(n_workers);
-        let mut results: Vec<SegScanResult> = Vec::with_capacity(k);
-        if k <= 1 || n_workers <= 1 {
-            for i in 0..k {
-                results.push(self.scan_segment(next_seg + i));
-            }
+    /// Scan the next wave of segments into `pending`; `false` when a store
+    /// was demoted mid-scan.
+    fn run_wave(&mut self) -> DbResult<bool> {
+        let n_workers = self.exec.limits.exec_threads.max(1);
+        let first = self.next_seg;
+        let k = self.wave.min(self.n_segments - first).min(n_workers);
+        let results: Vec<DbResult<Option<SegScan>>> = if k <= 1 {
+            vec![self.scan_segment(first)]
         } else {
             let this = &*self;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..k)
-                    .map(|i| s.spawn(move || this.scan_segment(next_seg + i)))
-                    .collect();
-                for h in handles {
-                    results.push(match h.join() {
-                        Ok(r) => r,
-                        Err(payload) => Err(DbError::Eval(format!(
-                            "columnar scan worker panicked: {}",
-                            panic_message(payload.as_ref())
-                        ))),
-                    });
-                }
-            });
-        }
+            run_tasks(
+                (first..first + k)
+                    .map(|seg| Box::new(move || this.scan_segment(seg)) as Task<'_, Option<SegScan>>)
+                    .collect(),
+            )
+        };
         // Results are in segment order; the lowest failing segment wins.
         for r in results {
-            let Some(scan) = r? else {
-                // The store was demoted mid-scan. The heap is authoritative
-                // and produces the identical row sequence, so restart as a
-                // sequential scan and skip what already left this operator;
-                // buffered-but-unemitted rows are simply reproduced.
-                self.pending.clear();
-                self.skip = self.emitted;
-                let mut op =
-                    SeqScanOp::new(self.exec, self.table, self.filter, self.needed);
-                op.open()?;
-                self.state = ColumnarState::Fallback(op);
-                return Ok(());
-            };
-            if let Some(st) = self.exec.stats {
-                if scan.pruned {
-                    st.segments_pruned.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    st.record_decoded(scan.kernel.decoded);
-                    st.record_kernels(&scan.kernel);
-                }
-            }
+            let Some(scan) = r? else { return Ok(false) };
+            self.exec.stats.record_segment(&scan);
             self.pending.extend(scan.rows);
             self.exec.check_limit(self.pending.len())?;
         }
-        let done = next_seg + k >= n_segments;
-        self.state = if done {
-            ColumnarState::Done
-        } else {
-            ColumnarState::Scanning {
-                n_segments,
-                next_seg: next_seg + k,
-                wave: (wave * 2).min(n_workers),
-                n_workers,
-            }
-        };
-        Ok(())
+        self.next_seg += k;
+        self.wave = (self.wave * 2).min(n_workers);
+        Ok(true)
     }
 }
 
-impl BlockOperator for ColumnarScanOp<'_, '_> {
-    fn open(&mut self) -> DbResult<()> {
-        let meta = self.exec.source.columnar_meta(self.table, self.needed, self.column)?;
-        match meta {
-            Some(meta) => {
-                if let Some(st) = self.exec.stats {
-                    st.columnar_scans.fetch_add(1, Ordering::Relaxed);
-                }
-                self.state = ColumnarState::Scanning {
-                    n_segments: meta.n_segments,
-                    next_seg: 0,
-                    wave: 1,
-                    n_workers: self.exec.limits.exec_threads.max(1),
-                };
-            }
-            None => {
-                let mut op = SeqScanOp::new(self.exec, self.table, self.filter, self.needed);
-                op.open()?;
-                self.state = ColumnarState::Fallback(op);
-            }
-        }
-        Ok(())
+impl AccessOp for ColumnarScanOp<'_, '_> {
+    fn open(&mut self) -> DbResult<bool> {
+        let Some(n_segments) = self.exec.source.columnar_meta(self.path)? else {
+            return Ok(false);
+        };
+        self.exec.stats.columnar_scans.fetch_add(1, Ordering::Relaxed);
+        self.n_segments = n_segments;
+        Ok(true)
     }
 
-    fn next_block(&mut self) -> DbResult<Option<RowBlock>> {
+    fn pull(&mut self) -> DbResult<Pull> {
         let block_rows = self.exec.limits.block_rows.max(1);
-        loop {
-            if self.pending.len() >= block_rows {
-                break;
-            }
-            if matches!(self.state, ColumnarState::Scanning { .. }) {
-                self.run_wave()?;
-                continue;
-            }
-            let ColumnarState::Fallback(op) = &mut self.state else { break };
-            let Some(block) = op.next_block()? else { break };
-            for row in block.take_rows() {
-                if self.skip > 0 {
-                    self.skip -= 1;
-                } else {
-                    self.pending.push_back(row);
-                }
+        while self.pending.len() < block_rows && self.next_seg < self.n_segments {
+            if !self.run_wave()? {
+                // Buffered-but-unemitted rows are simply reproduced by
+                // the heap scan.
+                self.pending.clear();
+                return Ok(Pull::Gone);
             }
         }
         if self.pending.is_empty() {
-            return Ok(None);
+            return Ok(Pull::End);
         }
         let n = self.pending.len().min(block_rows);
-        self.emitted += n as u64;
-        let out: Vec<Row> = self.pending.drain(..n).collect();
-        Ok(Some(RowBlock::from_rows(out)))
-    }
-
-    fn close(&mut self) {
-        if let ColumnarState::Fallback(op) = &mut self.state {
-            op.close();
-        }
-        self.pending.clear();
+        Ok(Pull::Block(RowBlock::from_rows(self.pending.drain(..n).collect())))
     }
 
     fn resident_rows(&self) -> u64 {
@@ -1102,115 +929,40 @@ impl BlockOperator for ColumnarScanOp<'_, '_> {
 // ---------------------------------------------------------------------------
 // Covering index-only scan
 
-enum IndexOnlyState<'x, 'a> {
-    Init,
-    Emitting { entries: Vec<(Datum, u64)>, n_live_cols: usize, key_slot: usize, pos: usize },
-    /// The index disappeared between planning and execution.
-    Fallback(SeqScanOp<'x, 'a>),
-    Done,
-}
-
 /// Covering index access: one B-tree probe yields the (key, rowid)
 /// entries themselves — the scan output is synthesized from them with
 /// zero heap page reads. Entries arrive sorted by rowid, so output order
 /// matches the heap scan exactly.
 struct IndexOnlyScanOp<'x, 'a> {
     exec: &'x Executor<'a>,
-    table: &'x str,
-    column: &'x str,
-    lo: Option<&'x Datum>,
-    lo_inc: bool,
-    hi: Option<&'x Datum>,
-    hi_inc: bool,
-    filter: Option<&'x PhysExpr>,
-    needed: Option<&'x [String]>,
+    path: &'x AccessPath,
     cap: Option<u64>,
-    exact_bounds: bool,
     ctx: EvalCtx,
-    state: IndexOnlyState<'x, 'a>,
+    /// The probe's entries as scan-shaped rows, resolved on the first pull.
+    rows: Option<Box<dyn Iterator<Item = Row> + 'x>>,
 }
 
-impl IndexOnlyScanOp<'_, '_> {
-    fn probe(&mut self) -> DbResult<()> {
-        let probe = self.exec.source.index_only_probe(
-            self.table,
-            self.column,
-            self.lo,
-            self.lo_inc,
-            self.hi,
-            self.hi_inc,
-            self.cap,
-        )?;
-        match probe {
-            Some(p) => {
-                if let Some(st) = self.exec.stats {
-                    st.index_only_scans.fetch_add(1, Ordering::Relaxed);
-                }
-                self.state = IndexOnlyState::Emitting {
-                    entries: p.entries,
-                    n_live_cols: p.n_live_cols,
-                    key_slot: p.key_slot,
-                    pos: 0,
-                };
-            }
-            None => {
-                let mut op = SeqScanOp::new(self.exec, self.table, self.filter, self.needed);
-                op.open()?;
-                self.state = IndexOnlyState::Fallback(op);
-            }
+impl AccessOp for IndexOnlyScanOp<'_, '_> {
+    fn pull(&mut self) -> DbResult<Pull> {
+        if self.rows.is_none() {
+            let Some(probe) = self.exec.source.index_only_probe(self.path, self.cap)? else {
+                return Ok(Pull::Gone);
+            };
+            self.exec.stats.index_only_scans.fetch_add(1, Ordering::Relaxed);
+            self.rows = Some(Box::new(probe.into_rows()));
         }
-        Ok(())
-    }
-}
-
-impl BlockOperator for IndexOnlyScanOp<'_, '_> {
-    fn next_block(&mut self) -> DbResult<Option<RowBlock>> {
-        if matches!(self.state, IndexOnlyState::Init) {
-            self.probe()?;
-        }
-        match &mut self.state {
-            IndexOnlyState::Emitting { entries, n_live_cols, key_slot, pos } => {
-                let block_rows = self.exec.limits.block_rows.max(1);
-                let filter = self.filter;
-                let exact = self.exact_bounds;
-                while *pos < entries.len() {
-                    let end = (*pos + block_rows).min(entries.len());
-                    let mut rows: Vec<Row> = Vec::with_capacity(end - *pos);
-                    for (key, rowid) in &mut entries[*pos..end] {
-                        let mut row: Row = vec![Datum::Null; *n_live_cols + 1];
-                        row[*key_slot] = std::mem::replace(key, Datum::Null);
-                        row[*n_live_cols] = Datum::Int(*rowid as i64);
-                        rows.push(row);
-                    }
-                    *pos = end;
-                    let out: Vec<Row> = match filter {
-                        Some(f) if !exact => {
-                            f.begin_block();
-                            let keep = f.filter_block(&rows, None, &mut self.ctx);
-                            f.end_block();
-                            let keep = keep?;
-                            keep.iter()
-                                .map(|&i| std::mem::take(&mut rows[i as usize]))
-                                .collect()
-                        }
-                        _ => rows,
-                    };
-                    if !out.is_empty() {
-                        return Ok(Some(RowBlock::from_rows(out)));
-                    }
-                }
-                self.state = IndexOnlyState::Done;
-                Ok(None)
+        let rows = self.rows.as_mut().expect("probe resolved above");
+        let block_rows = self.exec.limits.block_rows.max(1);
+        let filter = self.path.filter.as_ref().filter(|_| !self.path.exact_bounds);
+        loop {
+            let block: Vec<Row> = rows.by_ref().take(block_rows).collect();
+            if block.is_empty() {
+                return Ok(Pull::End);
             }
-            IndexOnlyState::Fallback(op) => op.next_block(),
-            IndexOnlyState::Done => Ok(None),
-            IndexOnlyState::Init => unreachable!("probe resolves Init"),
-        }
-    }
-
-    fn close(&mut self) {
-        if let IndexOnlyState::Fallback(op) = &mut self.state {
-            op.close();
+            let out = filter_rows(filter, &mut self.ctx, block)?;
+            if !out.is_empty() {
+                return Ok(Pull::Block(RowBlock::from_rows(out)));
+            }
         }
     }
 }
@@ -1303,7 +1055,7 @@ impl BlockOperator for ProjectOp<'_> {
 struct LimitOp<'x> {
     child: Box<dyn BlockOperator + 'x>,
     remaining: u64,
-    stats: Option<&'x ExecStats>,
+    stats: &'x ExecStats,
 }
 
 impl BlockOperator for LimitOp<'_> {
@@ -1325,9 +1077,7 @@ impl BlockOperator for LimitOp<'_> {
             self.remaining = 0;
             // The stream ends here without exhausting the child: the
             // early-stop that makes LIMIT O(limit), not O(table).
-            if let Some(st) = self.stats {
-                st.early_stops.fetch_add(1, Ordering::Relaxed);
-            }
+            self.stats.early_stops.fetch_add(1, Ordering::Relaxed);
         } else {
             self.remaining -= n;
         }
@@ -1475,9 +1225,7 @@ impl SortOp<'_, '_> {
         for r in run_tasks(tasks) {
             runs.push(r?);
         }
-        if let Some(st) = self.exec.stats {
-            st.parallel_sorts.fetch_add(1, Ordering::Relaxed);
-        }
+        self.exec.stats.parallel_sorts.fetch_add(1, Ordering::Relaxed);
         // K-way merge: k ≤ threads is small, so a linear scan over the
         // run heads beats a heap.
         let mut cursors = vec![0usize; runs.len()];
@@ -1654,9 +1402,7 @@ impl HashAggOp<'_, '_> {
             let table_ref = &mut table;
             block.for_each_row(|row| table_ref.feed(groups, aggs, row))?;
             self.exec.check_limit(table.len())?;
-            if let Some(st) = self.exec.stats {
-                st.note_resident(table.len() as u64 + self.child.resident_rows());
-            }
+            self.exec.stats.note_resident(table.len() as u64 + self.child.resident_rows());
         }
         Ok(table.entries)
     }
@@ -1688,11 +1434,9 @@ impl HashAggOp<'_, '_> {
                 }
             }
             self.exec.check_limit(groups_held + buf.len())?;
-            if let Some(st) = self.exec.stats {
-                st.note_resident(
-                    (groups_held + buf.len()) as u64 + self.child.resident_rows(),
-                );
-            }
+            self.exec
+                .stats
+                .note_resident((groups_held + buf.len()) as u64 + self.child.resident_rows());
             if buf.len() < wave_target && !input_done {
                 continue;
             }
@@ -1796,9 +1540,7 @@ impl HashAggOp<'_, '_> {
             for r in run_tasks(merge_tasks) {
                 r?;
             }
-            if let Some(st) = self.exec.stats {
-                st.agg_partition_merges.fetch_add(p as u64, Ordering::Relaxed);
-            }
+            self.exec.stats.agg_partition_merges.fetch_add(p as u64, Ordering::Relaxed);
             chunk_seq += n_chunks as u64;
             groups_held = parts.iter().map(|part| part.entries.len()).sum();
             buf.clear();
@@ -2054,9 +1796,7 @@ impl HashJoinOp<'_, '_> {
     fn build_side(&mut self) -> DbResult<BuiltSide> {
         let right_rows = drain_child(self.exec, self.right.as_mut())?;
         let width = right_rows.first().map(Vec::len).unwrap_or(0);
-        if let Some(st) = self.exec.stats {
-            st.join_build_rows.fetch_add(right_rows.len() as u64, Ordering::Relaxed);
-        }
+        self.exec.stats.join_build_rows.fetch_add(right_rows.len() as u64, Ordering::Relaxed);
         let threads = self.exec.limits.exec_threads.max(1);
         if threads <= 1 {
             let mut table: HashMap<GroupKey, Vec<usize>> = HashMap::new();
@@ -2130,9 +1870,7 @@ impl HashJoinOp<'_, '_> {
         } else {
             buckets.into_iter().map(build_bucket).collect()
         };
-        if let Some(st) = self.exec.stats {
-            st.join_partitions.fetch_add(p as u64, Ordering::Relaxed);
-        }
+        self.exec.stats.join_partitions.fetch_add(p as u64, Ordering::Relaxed);
         Ok(BuiltSide::Partitioned { rows: right_rows, partitioner, tables, width })
     }
 
@@ -2466,6 +2204,39 @@ impl BlockOperator for ValuesOp<'_, '_> {
 // ---------------------------------------------------------------------------
 // Morsel-parallel scan
 
+/// A scan→filter→project plan prefix, the shape the parallel pipeline
+/// accepts. All expressions in the prefix bind against the same
+/// scan-output scope, so one [`EvalCtx`] serves the whole row.
+#[derive(Clone, Copy)]
+struct ScanPipeline<'p> {
+    table: &'p str,
+    needed: Option<&'p [String]>,
+    scan_filter: Option<&'p PhysExpr>,
+    post_filter: Option<&'p PhysExpr>,
+    project: Option<&'p [PhysExpr]>,
+}
+
+/// Decompose `SeqScan`, `Filter(SeqScan)`, `Project(SeqScan)` or
+/// `Project(Filter(SeqScan))`.
+fn scan_pipeline(plan: &Plan) -> Option<ScanPipeline<'_>> {
+    let (input, project) = match plan {
+        Plan::Project { input, exprs, .. } => (input.as_ref(), Some(exprs.as_slice())),
+        other => (other, None),
+    };
+    let (scan, post_filter) = match input {
+        Plan::Filter { input, predicate, .. } => (input.as_ref(), Some(predicate)),
+        other => (other, None),
+    };
+    let Plan::SeqScan { table, filter, needed, .. } = scan else { return None };
+    Some(ScanPipeline {
+        table,
+        needed: needed.as_deref(),
+        scan_filter: filter.as_ref(),
+        post_filter,
+        project,
+    })
+}
+
 /// The streaming version of the morsel-parallel scan→filter→project
 /// pipeline. Work proceeds in synchronous *waves*: wave `w` dispatches
 /// `min(2^w, workers)` consecutive morsels to scoped threads (morsel `i`
@@ -2483,14 +2254,14 @@ struct ParallelScanOp<'x, 'a> {
     n_workers: usize,
     next_morsel: u64,
     wave: usize,
+    /// Shared row budget: counts rows that pass the scan filter, exactly
+    /// what the serial scan charges against `max_intermediate_rows`.
     budget: AtomicU64,
     pending: VecDeque<Row>,
-    input_done: bool,
 }
 
 impl<'x, 'a> ParallelScanOp<'x, 'a> {
-    /// Same gating as the oracle's `try_parallel_pipeline`: enough
-    /// threads, a range-scannable source, and a table big enough to cut.
+    /// Gating: enough threads and a table big enough to cut.
     fn try_new(
         exec: &'x Executor<'a>,
         pipe: ScanPipeline<'x>,
@@ -2519,138 +2290,81 @@ impl<'x, 'a> ParallelScanOp<'x, 'a> {
             wave: 1,
             budget: AtomicU64::new(0),
             pending: VecDeque::new(),
-            input_done: false,
         })
+    }
+
+    /// Run the whole pipeline prefix over the rows with ids in
+    /// `start..end`: scan filter → row budget → post filter → project.
+    fn scan_morsel(&self, start: u64, end: u64) -> DbResult<Vec<Row>> {
+        let pipe = self.pipe;
+        let max_rows = self.exec.limits.max_intermediate_rows;
+        let exprs = (pipe.scan_filter.into_iter())
+            .chain(pipe.post_filter)
+            .chain(pipe.project.into_iter().flatten());
+        let mut ctx = EvalCtx::new();
+        let mut rows_seen = 0u64;
+        let mut out: Vec<Row> = Vec::new();
+        exprs.clone().for_each(PhysExpr::begin_block);
+        let result =
+            self.exec.source.scan_table_range(pipe.table, pipe.needed, start, end, &mut |row| {
+                rows_seen += 1;
+                ctx.reset();
+                let keep = match pipe.scan_filter {
+                    Some(f) => f.eval_bool_ctx(&row, &mut ctx)?,
+                    None => true,
+                };
+                if !keep {
+                    return Ok(true);
+                }
+                if self.budget.fetch_add(1, Ordering::Relaxed) + 1 > max_rows {
+                    return Err(DbError::ResourceExhausted(format!(
+                        "intermediate result exceeded {max_rows} rows"
+                    )));
+                }
+                if let Some(p) = pipe.post_filter {
+                    if !p.eval_bool_ctx(&row, &mut ctx)? {
+                        return Ok(true);
+                    }
+                }
+                match pipe.project {
+                    Some(exprs) => {
+                        let mut new_row = Vec::with_capacity(exprs.len());
+                        for e in exprs {
+                            new_row.push(e.eval_ctx(&row, &mut ctx)?);
+                        }
+                        out.push(new_row);
+                    }
+                    None => out.push(row),
+                }
+                Ok(true)
+            });
+        exprs.for_each(PhysExpr::end_block);
+        result?;
+        self.exec.stats.record_morsel(rows_seen);
+        Ok(out)
     }
 
     fn run_wave(&mut self) -> DbResult<()> {
         let remaining = self.n_morsels - self.next_morsel;
-        let k = (self.wave as u64).min(remaining).min(self.n_workers as u64) as usize;
-        let base = self.next_morsel;
-        let pipe = self.pipe;
-        let exec = self.exec;
-        let budget = &self.budget;
-        let morsel_size = self.morsel_size;
-        let high = self.high;
-        let max_rows = exec.limits.max_intermediate_rows;
-        let stats = exec.stats;
-
-        let mut results: Vec<Result<Vec<Row>, DbError>> = Vec::with_capacity(k);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..k)
-                .map(|i| {
-                    let m = base + i as u64;
-                    s.spawn(move || -> Result<Vec<Row>, DbError> {
-                        let mut ctx = EvalCtx::new();
-                        let start = m * morsel_size;
-                        let end = high.min(start + morsel_size);
-                        let mut rows_seen = 0u64;
-                        let mut out: Vec<Row> = Vec::new();
-                        if let Some(f) = pipe.scan_filter {
-                            f.begin_block();
-                        }
-                        if let Some(f) = pipe.post_filter {
-                            f.begin_block();
-                        }
-                        if let Some(exprs) = pipe.project {
-                            for e in exprs {
-                                e.begin_block();
-                            }
-                        }
-                        // Catch panics per morsel: an evaluator bug in one
-                        // worker must surface as a clean DbError.
-                        let result =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                exec.source.scan_table_range(
-                                    pipe.table,
-                                    pipe.needed,
-                                    start,
-                                    end,
-                                    &mut |row| {
-                                        rows_seen += 1;
-                                        ctx.reset();
-                                        let keep = match pipe.scan_filter {
-                                            Some(f) => f.eval_bool_ctx(&row, &mut ctx)?,
-                                            None => true,
-                                        };
-                                        if !keep {
-                                            return Ok(true);
-                                        }
-                                        if budget.fetch_add(1, Ordering::Relaxed) + 1 > max_rows
-                                        {
-                                            return Err(DbError::ResourceExhausted(format!(
-                                                "intermediate result exceeded {max_rows} rows"
-                                            )));
-                                        }
-                                        if let Some(p) = pipe.post_filter {
-                                            if !p.eval_bool_ctx(&row, &mut ctx)? {
-                                                return Ok(true);
-                                            }
-                                        }
-                                        match pipe.project {
-                                            Some(exprs) => {
-                                                let mut new_row =
-                                                    Vec::with_capacity(exprs.len());
-                                                for e in exprs {
-                                                    new_row.push(e.eval_ctx(&row, &mut ctx)?);
-                                                }
-                                                out.push(new_row);
-                                            }
-                                            None => out.push(row),
-                                        }
-                                        Ok(true)
-                                    },
-                                )
-                            }));
-                        if let Some(f) = pipe.scan_filter {
-                            f.end_block();
-                        }
-                        if let Some(f) = pipe.post_filter {
-                            f.end_block();
-                        }
-                        if let Some(exprs) = pipe.project {
-                            for e in exprs {
-                                e.end_block();
-                            }
-                        }
-                        match result {
-                            Ok(Ok(())) => {
-                                if let Some(st) = stats {
-                                    st.record_morsel(rows_seen);
-                                }
-                                Ok(out)
-                            }
-                            Ok(Err(e)) => Err(e),
-                            Err(payload) => Err(DbError::Eval(format!(
-                                "scan worker panicked: {}",
-                                panic_message(payload.as_ref())
-                            ))),
-                        }
-                    })
+        let k = (self.wave as u64).min(remaining).min(self.n_workers as u64);
+        let this = &*self;
+        // A panicking evaluator surfaces from `run_tasks` as a clean
+        // DbError, not a torn-down pool.
+        let results = run_tasks(
+            (this.next_morsel..this.next_morsel + k)
+                .map(|m| {
+                    let start = m * this.morsel_size;
+                    let end = this.high.min(start + this.morsel_size);
+                    Box::new(move || this.scan_morsel(start, end)) as Task<'_, Vec<Row>>
                 })
-                .collect();
-            for h in handles {
-                results.push(match h.join() {
-                    Ok(r) => r,
-                    Err(payload) => Err(DbError::Eval(format!(
-                        "scan worker panicked: {}",
-                        panic_message(payload.as_ref())
-                    ))),
-                });
-            }
-        });
-        if let Some(st) = stats {
-            st.morsels_dispatched.fetch_add(k as u64, Ordering::Relaxed);
-        }
-        // Results are in morsel order; the lowest failing morsel wins,
-        // matching the oracle's deterministic error choice.
+                .collect(),
+        );
+        self.exec.stats.morsels_dispatched.fetch_add(k, Ordering::Relaxed);
+        // Results are in morsel order; the lowest failing morsel wins.
         for r in results {
             self.pending.extend(r?);
         }
-        self.next_morsel += k as u64;
-        if self.next_morsel >= self.n_morsels {
-            self.input_done = true;
-        }
+        self.next_morsel += k;
         self.wave = (self.wave * 2).min(self.n_workers);
         Ok(())
     }
@@ -2658,16 +2372,14 @@ impl<'x, 'a> ParallelScanOp<'x, 'a> {
 
 impl BlockOperator for ParallelScanOp<'_, '_> {
     fn open(&mut self) -> DbResult<()> {
-        if let Some(st) = self.exec.stats {
-            st.parallel_scans.fetch_add(1, Ordering::Relaxed);
-            st.scan_workers.fetch_add(self.n_workers as u64, Ordering::Relaxed);
-        }
+        self.exec.stats.parallel_scans.fetch_add(1, Ordering::Relaxed);
+        self.exec.stats.scan_workers.fetch_add(self.n_workers as u64, Ordering::Relaxed);
         Ok(())
     }
 
     fn next_block(&mut self) -> DbResult<Option<RowBlock>> {
         let block_rows = self.exec.limits.block_rows.max(1);
-        while !self.input_done && self.pending.len() < block_rows {
+        while self.next_morsel < self.n_morsels && self.pending.len() < block_rows {
             self.run_wave()?;
         }
         if self.pending.is_empty() {
@@ -2684,5 +2396,164 @@ impl BlockOperator for ParallelScanOp<'_, '_> {
 
     fn resident_rows(&self) -> u64 {
         self.pending.len() as u64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::datum::KeyRange;
+    use crate::db::{Database, SnapSource};
+    use crate::exec::{ExecLimits, ExecMode, ExecSnapshot};
+    use crate::txn::Vis;
+    use sinew_sql::BinaryOp;
+
+    const ROWS: i64 = 10_000; // three column-store segments
+
+    fn db() -> Database {
+        let db = Database::in_memory();
+        db.execute("CREATE TABLE t (a int, b text)").unwrap();
+        let rows: Vec<Row> = (0..ROWS)
+            .map(|i| vec![Datum::Int((i * 7919) % ROWS), Datum::Text(format!("r{i}"))])
+            .collect();
+        db.insert_rows("t", &rows).unwrap();
+        db
+    }
+
+    /// `100 <= a < 9000` over the scan scope (a, b, _rowid), with the
+    /// conjuncts also consumed into the path's range — what the planner
+    /// emits, built by hand so `SINEW_FORCE_SCAN` / `SINEW_COLUMNAR` suites
+    /// cannot turn the access paths under test into plain seq scans.
+    fn path(needed: &[&str]) -> AccessPath {
+        let cmp = |op, v| PhysExpr::Binary {
+            op,
+            left: Box::new(PhysExpr::Column(0)),
+            right: Box::new(PhysExpr::Literal(Datum::Int(v))),
+        };
+        AccessPath {
+            table: "t".into(),
+            binding: "t".into(),
+            column: Some("a".into()),
+            range: KeyRange {
+                lo: Some(Datum::Int(100)),
+                lo_inc: true,
+                hi: Some(Datum::Int(9000)),
+                hi_inc: false,
+            },
+            filter: Some(PhysExpr::Binary {
+                op: BinaryOp::And,
+                left: Box::new(cmp(BinaryOp::GtEq, 100)),
+                right: Box::new(cmp(BinaryOp::Lt, 9000)),
+            }),
+            needed: Some(needed.iter().map(|n| n.to_string()).collect()),
+            est_rows: 1.0,
+            exact_bounds: false,
+        }
+    }
+
+    fn seq_scan_of(path: &AccessPath) -> Plan {
+        Plan::SeqScan {
+            table: path.table.clone(),
+            binding: path.binding.clone(),
+            filter: path.filter.clone(),
+            needed: path.needed.clone(),
+            est_rows: path.est_rows,
+        }
+    }
+
+    fn limits(mode: ExecMode) -> ExecLimits {
+        ExecLimits { mode, exec_threads: 1, block_rows: 64, ..ExecLimits::default() }
+    }
+
+    fn run(db: &Database, plan: &Plan, mode: ExecMode) -> (Vec<Row>, ExecSnapshot) {
+        let stats = ExecStats::default();
+        let source = SnapSource { db, vis: Vis::LATEST };
+        let rows = Executor { source: &source, limits: limits(mode), stats: &stats }
+            .run(plan)
+            .unwrap();
+        (rows, stats.snapshot())
+    }
+
+    /// Run `plan` with its index/store present, lose it via `lose`, run the
+    /// now-stale plan again: in both engines, both times, the rows are the
+    /// equivalent seq scan's, and the second run is counted as a heap scan.
+    fn check_stale_plan(
+        db: &Database,
+        plan: &Plan,
+        path: &AccessPath,
+        engaged: fn(&ExecSnapshot) -> u64,
+        lose: impl FnOnce(&Database),
+    ) {
+        let want = run(db, &seq_scan_of(path), ExecMode::Materialize).0;
+        assert!(!want.is_empty() && want.len() < ROWS as usize);
+        for mode in [ExecMode::Streaming, ExecMode::Materialize] {
+            let (rows, st) = run(db, plan, mode);
+            assert_eq!(rows, want, "{} fresh, {mode:?}", plan.node_name());
+            assert_eq!((engaged(&st), st.serial_scans), (1, 0), "{mode:?}");
+        }
+        lose(db);
+        for mode in [ExecMode::Streaming, ExecMode::Materialize] {
+            let (rows, st) = run(db, plan, mode);
+            assert_eq!(rows, want, "{} stale, {mode:?}", plan.node_name());
+            assert_eq!((engaged(&st), st.serial_scans), (0, 1), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn stale_index_scan_reruns_as_heap_scan() {
+        let db = db();
+        db.create_index("t", "t_a", "a", true).unwrap();
+        let path = path(&["a", "b"]);
+        check_stale_plan(&db, &Plan::IndexScan(path.clone()), &path, |s| s.index_scans, |db| {
+            db.drop_index("t", "t_a").unwrap()
+        });
+    }
+
+    #[test]
+    fn stale_index_only_scan_reruns_as_heap_scan() {
+        let db = db();
+        db.create_index("t", "t_a", "a", true).unwrap();
+        let path = path(&["a"]);
+        let plan = Plan::IndexOnlyScan(path.clone());
+        check_stale_plan(&db, &plan, &path, |s| s.index_only_scans, |db| {
+            db.drop_index("t", "t_a").unwrap()
+        });
+    }
+
+    #[test]
+    fn stale_columnar_scan_reruns_as_heap_scan() {
+        let db = db();
+        db.build_columnar("t", "a").unwrap();
+        let path = path(&["a"]);
+        let plan = Plan::ColumnarScan { path: path.clone(), bounds_cover_filter: false };
+        check_stale_plan(&db, &plan, &path, |s| s.columnar_scans, |db| {
+            assert!(db.drop_columnar("t", "a").unwrap())
+        });
+    }
+
+    #[test]
+    fn columnar_scan_losing_its_store_mid_scan_resumes_from_the_heap() {
+        let db = db();
+        db.build_columnar("t", "a").unwrap();
+        let path = path(&["a"]);
+        let want = run(&db, &seq_scan_of(&path), ExecMode::Materialize).0;
+        let plan = Plan::ColumnarScan { path, bounds_cover_filter: false };
+
+        let stats = ExecStats::default();
+        let source = SnapSource { db: &db, vis: Vis::LATEST };
+        let exec = Executor { source: &source, limits: limits(ExecMode::Streaming), stats: &stats };
+        let mut op = build_node(&exec, &plan, None, None).unwrap();
+        op.open().unwrap();
+        let mut got = op.next_block().unwrap().expect("first block").take_rows();
+        assert_eq!(got.len(), 64);
+        // Segment 0 is scanned and partly emitted; segments 1 and 2 are not.
+        assert!(db.drop_columnar("t", "a").unwrap());
+        while let Some(block) = op.next_block().unwrap() {
+            got.extend(block.take_rows());
+        }
+        op.close();
+        assert_eq!(got, want, "no duplicate, no gap");
+        let st = stats.snapshot();
+        assert_eq!((st.columnar_scans, st.serial_scans), (1, 1));
     }
 }

@@ -22,7 +22,7 @@
 //! columns hold scalars — and go to a small in-memory overflow list that
 //! every lookup merges in, so correctness never depends on key size.
 
-use crate::datum::Datum;
+use crate::datum::{Datum, KeyRange};
 use crate::error::{DbError, DbResult};
 use crate::heap::RowId;
 use crate::page::PAGE_SIZE;
@@ -58,6 +58,60 @@ pub struct SecondaryIndex {
 
 fn cmp_entry(a: &(Datum, RowId), b: &(Datum, RowId)) -> Ordering {
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// A [`KeyRange`] translated to the tree's `total_cmp` entry order.
+///
+/// SQL treats the zero family {Float(-0.0), Int(0), Float(0.0)} as a single
+/// value, but tree entries are ordered by `total_cmp`, which places -0.0
+/// strictly below 0.0 (with Int(0) tied to both). A zero endpoint must
+/// therefore be widened to the family edge matching its inclusivity, or
+/// the probe would split the family: an inclusive lo becomes -0.0 (admit
+/// every zero), an exclusive lo becomes 0.0 (reject every zero), and
+/// symmetrically for hi.
+struct Probe(KeyRange);
+
+impl Probe {
+    fn new(range: &KeyRange) -> Probe {
+        let zero = |d: &Datum| {
+            matches!(d, Datum::Int(0)) || matches!(d, Datum::Float(f) if *f == 0.0)
+        };
+        let mut r = range.clone();
+        if r.lo.as_ref().is_some_and(zero) {
+            r.lo = Some(Datum::Float(if r.lo_inc { -0.0 } else { 0.0 }));
+        }
+        if r.hi.as_ref().is_some_and(zero) {
+            r.hi = Some(Datum::Float(if r.hi_inc { 0.0 } else { -0.0 }));
+        }
+        Probe(r)
+    }
+
+    fn below_lo(&self, k: &Datum) -> bool {
+        self.0.lo.as_ref().is_some_and(|b| match k.total_cmp(b) {
+            Ordering::Less => true,
+            Ordering::Equal => !self.0.lo_inc,
+            Ordering::Greater => false,
+        })
+    }
+
+    fn above_hi(&self, k: &Datum) -> bool {
+        self.0.hi.as_ref().is_some_and(|b| match k.total_cmp(b) {
+            Ordering::Greater => true,
+            Ordering::Equal => !self.0.hi_inc,
+            Ordering::Less => false,
+        })
+    }
+
+    /// First leaf that can contain an in-range key: the last leaf whose
+    /// low bound is below the range start (its tail may still qualify).
+    fn first_leaf(&self, leaves: &[LeafMeta]) -> usize {
+        match &self.0.lo {
+            Some(b) => leaves
+                .partition_point(|leaf| leaf.lo_key.total_cmp(b) == Ordering::Less)
+                .saturating_sub(1),
+            None => 0,
+        }
+    }
 }
 
 impl SecondaryIndex {
@@ -246,9 +300,9 @@ impl SecondaryIndex {
         Ok(())
     }
 
-    /// All row ids whose key falls inside the given bounds (by
-    /// [`Datum::total_cmp`]; `None` = unbounded). Order is unspecified —
-    /// callers sort before fetching to preserve heap scan order.
+    /// All row ids whose key falls inside `range` (`total_cmp`
+    /// order with zero-family widening). Order is unspecified — callers
+    /// sort before fetching to preserve heap scan order.
     ///
     /// `cap`, when present, bounds the probe to the `cap` *smallest* row
     /// ids in range (LIMIT pushdown: the executor fetches rowids in
@@ -257,42 +311,8 @@ impl SecondaryIndex {
     /// memory at O(cap); an equality probe (`lo == hi`, both inclusive)
     /// additionally stops walking leaves early, because entries are sorted
     /// by `(key, rowid)` and therefore arrive in ascending rowid order.
-    pub fn lookup_range(
-        &self,
-        lo: Option<&Datum>,
-        lo_inc: bool,
-        hi: Option<&Datum>,
-        hi_inc: bool,
-        cap: Option<usize>,
-    ) -> DbResult<Vec<RowId>> {
-        // SQL treats the zero family {Float(-0.0), Int(0), Float(0.0)} as a
-        // single value, but tree entries are ordered by `total_cmp`, which
-        // places -0.0 strictly below 0.0 (with Int(0) tied to both). A zero
-        // endpoint must therefore be widened to the family edge matching its
-        // inclusivity, or the probe would split the family: an inclusive lo
-        // becomes -0.0 (admit every zero), an exclusive lo becomes 0.0
-        // (reject every zero), and symmetrically for hi.
-        let zero = |d: &&Datum| matches!(d, Datum::Int(0)) || matches!(d, Datum::Float(f) if *f == 0.0);
-        let lo_w = lo.filter(zero).map(|_| Datum::Float(if lo_inc { -0.0 } else { 0.0 }));
-        let lo = lo_w.as_ref().or(lo);
-        let hi_w = hi.filter(zero).map(|_| Datum::Float(if hi_inc { 0.0 } else { -0.0 }));
-        let hi = hi_w.as_ref().or(hi);
-        let below_lo = |k: &Datum| match lo {
-            Some(b) => match k.total_cmp(b) {
-                Ordering::Less => true,
-                Ordering::Equal => !lo_inc,
-                Ordering::Greater => false,
-            },
-            None => false,
-        };
-        let above_hi = |k: &Datum| match hi {
-            Some(b) => match k.total_cmp(b) {
-                Ordering::Greater => true,
-                Ordering::Equal => !hi_inc,
-                Ordering::Less => false,
-            },
-            None => false,
-        };
+    pub fn lookup_range(&self, range: &KeyRange, cap: Option<usize>) -> DbResult<Vec<RowId>> {
+        let probe = Probe::new(range);
         // Bounded collection: a max-heap of at most `cap` rowids, so the
         // heap top is the largest kept rowid and any larger candidate is
         // rejected without growing memory.
@@ -311,30 +331,21 @@ impl SecondaryIndex {
                 }
             }
         };
-        let equality = match (lo, hi) {
-            (Some(l), Some(h)) => lo_inc && hi_inc && l.total_cmp(h) == Ordering::Equal,
+        let equality = match (&probe.0.lo, &probe.0.hi) {
+            (Some(l), Some(h)) => {
+                probe.0.lo_inc && probe.0.hi_inc && l.total_cmp(h) == Ordering::Equal
+            }
             _ => false,
         };
-        // First leaf that can contain an in-range key: the last leaf whose
-        // low bound is below the range start (its tail may still qualify).
-        let start = match lo {
-            Some(b) => {
-                let i = self
-                    .leaves
-                    .partition_point(|leaf| leaf.lo_key.total_cmp(b) == Ordering::Less);
-                i.saturating_sub(1)
-            }
-            None => 0,
-        };
-        'leaves: for leaf in &self.leaves[start.min(self.leaves.len())..] {
-            if !below_lo(&leaf.lo_key) && above_hi(&leaf.lo_key) {
+        'leaves: for leaf in &self.leaves[probe.first_leaf(&self.leaves)..] {
+            if !probe.below_lo(&leaf.lo_key) && probe.above_hi(&leaf.lo_key) {
                 break; // every later entry is above the range too
             }
             for (k, rowid) in read_leaf(&self.pager, leaf.page)? {
-                if below_lo(&k) {
+                if probe.below_lo(&k) {
                     continue;
                 }
-                if above_hi(&k) {
+                if probe.above_hi(&k) {
                     break;
                 }
                 keep(rowid, &mut out, &mut heap);
@@ -346,7 +357,7 @@ impl SecondaryIndex {
             }
         }
         for (k, rowid) in &self.overflow {
-            if !below_lo(k) && !above_hi(k) {
+            if !probe.below_lo(k) && !probe.above_hi(k) {
                 keep(*rowid, &mut out, &mut heap);
             }
         }
@@ -364,60 +375,27 @@ impl SecondaryIndex {
     /// exact bounds; emission is in ascending rowid order).
     pub fn lookup_range_entries(
         &self,
-        lo: Option<&Datum>,
-        lo_inc: bool,
-        hi: Option<&Datum>,
-        hi_inc: bool,
+        range: &KeyRange,
         cap: Option<usize>,
     ) -> DbResult<Vec<(Datum, RowId)>> {
-        // Zero-family endpoint widening — see `lookup_range` for the proof.
-        let zero = |d: &&Datum| matches!(d, Datum::Int(0)) || matches!(d, Datum::Float(f) if *f == 0.0);
-        let lo_w = lo.filter(zero).map(|_| Datum::Float(if lo_inc { -0.0 } else { 0.0 }));
-        let lo = lo_w.as_ref().or(lo);
-        let hi_w = hi.filter(zero).map(|_| Datum::Float(if hi_inc { 0.0 } else { -0.0 }));
-        let hi = hi_w.as_ref().or(hi);
-        let below_lo = |k: &Datum| match lo {
-            Some(b) => match k.total_cmp(b) {
-                Ordering::Less => true,
-                Ordering::Equal => !lo_inc,
-                Ordering::Greater => false,
-            },
-            None => false,
-        };
-        let above_hi = |k: &Datum| match hi {
-            Some(b) => match k.total_cmp(b) {
-                Ordering::Greater => true,
-                Ordering::Equal => !hi_inc,
-                Ordering::Less => false,
-            },
-            None => false,
-        };
-        let start = match lo {
-            Some(b) => {
-                let i = self
-                    .leaves
-                    .partition_point(|leaf| leaf.lo_key.total_cmp(b) == Ordering::Less);
-                i.saturating_sub(1)
-            }
-            None => 0,
-        };
+        let probe = Probe::new(range);
         let mut out: Vec<(Datum, RowId)> = Vec::new();
-        for leaf in &self.leaves[start.min(self.leaves.len())..] {
-            if !below_lo(&leaf.lo_key) && above_hi(&leaf.lo_key) {
+        for leaf in &self.leaves[probe.first_leaf(&self.leaves)..] {
+            if !probe.below_lo(&leaf.lo_key) && probe.above_hi(&leaf.lo_key) {
                 break;
             }
             for (k, rowid) in read_leaf(&self.pager, leaf.page)? {
-                if below_lo(&k) {
+                if probe.below_lo(&k) {
                     continue;
                 }
-                if above_hi(&k) {
+                if probe.above_hi(&k) {
                     break;
                 }
                 out.push((k, rowid));
             }
         }
         for (k, rowid) in &self.overflow {
-            if !below_lo(k) && !above_hi(k) {
+            if !probe.below_lo(k) && !probe.above_hi(k) {
                 out.push((k.clone(), *rowid));
             }
         }
@@ -590,7 +568,7 @@ mod tests {
     }
 
     fn eq_lookup(ix: &SecondaryIndex, k: &Datum) -> Vec<RowId> {
-        let mut v = ix.lookup_range(Some(k), true, Some(k), true, None).unwrap();
+        let mut v = ix.lookup_range(&KeyRange::point(k.clone()), None).unwrap();
         v.sort_unstable();
         v
     }
@@ -626,16 +604,16 @@ mod tests {
             ix.insert(&Datum::Int(i), i as RowId).unwrap();
         }
         let both = ix
-            .lookup_range(Some(&Datum::Int(10)), true, Some(&Datum::Int(20)), true, None)
+            .lookup_range(&KeyRange { lo: Some(Datum::Int(10)), lo_inc: true, hi: Some(Datum::Int(20)), hi_inc: true }, None)
             .unwrap();
         assert_eq!(both.len(), 11);
         let open = ix
-            .lookup_range(Some(&Datum::Int(10)), false, Some(&Datum::Int(20)), false, None)
+            .lookup_range(&KeyRange { lo: Some(Datum::Int(10)), lo_inc: false, hi: Some(Datum::Int(20)), hi_inc: false }, None)
             .unwrap();
         assert_eq!(open.len(), 9);
-        let unbounded_lo = ix.lookup_range(None, true, Some(&Datum::Int(4)), true, None).unwrap();
+        let unbounded_lo = ix.lookup_range(&KeyRange { hi: Some(Datum::Int(4)), ..KeyRange::default() }, None).unwrap();
         assert_eq!(unbounded_lo.len(), 5);
-        let unbounded_hi = ix.lookup_range(Some(&Datum::Int(95)), false, None, true, None).unwrap();
+        let unbounded_hi = ix.lookup_range(&KeyRange { lo: Some(Datum::Int(95)), lo_inc: false, ..KeyRange::default() }, None).unwrap();
         assert_eq!(unbounded_hi.len(), 4);
     }
 
@@ -647,7 +625,7 @@ mod tests {
         ix.insert(&Datum::Float(4.5), 3).unwrap();
         assert_eq!(eq_lookup(&ix, &Datum::Int(5)), vec![1, 2]);
         let r = ix
-            .lookup_range(Some(&Datum::Float(4.4)), true, Some(&Datum::Int(5)), false, None)
+            .lookup_range(&KeyRange { lo: Some(Datum::Float(4.4)), lo_inc: true, hi: Some(Datum::Int(5)), hi_inc: false }, None)
             .unwrap();
         assert_eq!(r, vec![3]);
     }
@@ -663,12 +641,12 @@ mod tests {
         }
         assert_eq!(ix.key_count(), n as u64);
         assert!(ix.pages_used() > 10, "expected many leaves, got {}", ix.pages_used());
-        let mut all = ix.lookup_range(None, true, None, true, None).unwrap();
+        let mut all = ix.lookup_range(&KeyRange::default(), None).unwrap();
         all.sort_unstable();
         assert_eq!(all.len(), n as usize);
         assert_eq!(eq_lookup(&ix, &Datum::Int(12_345 % n)), vec![(12_345 % n) as RowId]);
         let r = ix
-            .lookup_range(Some(&Datum::Int(100)), true, Some(&Datum::Int(199)), true, None)
+            .lookup_range(&KeyRange { lo: Some(Datum::Int(100)), lo_inc: true, hi: Some(Datum::Int(199)), hi_inc: true }, None)
             .unwrap();
         assert_eq!(r.len(), 100);
     }
@@ -714,7 +692,7 @@ mod tests {
         ix.insert(&Datum::Text("a".into()), 3).unwrap();
         ix.insert(&Datum::Array(vec![Datum::Int(1)]), 4).unwrap();
         // range over all numbers only
-        let r = ix.lookup_range(Some(&Datum::Int(i64::MIN)), true, Some(&Datum::Float(f64::INFINITY)), true, None).unwrap();
+        let r = ix.lookup_range(&KeyRange { lo: Some(Datum::Int(i64::MIN)), lo_inc: true, hi: Some(Datum::Float(f64::INFINITY)), hi_inc: true }, None).unwrap();
         assert_eq!(r, vec![2]);
         assert_eq!(eq_lookup(&ix, &Datum::Array(vec![Datum::Int(1)])), vec![4]);
     }

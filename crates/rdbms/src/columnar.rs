@@ -26,7 +26,7 @@
 //! The word-parallel batch primitives live in [`crate::kernels`]; the
 //! scalar per-slot loops kept here double as the `SINEW_SIMD=0` oracle.
 
-use crate::datum::Datum;
+use crate::datum::{Datum, KeyRange};
 use crate::heap::RowId;
 use crate::kernels::{self, pack_get, pack_mask, pack_push, KernelStats, LANES};
 use std::cmp::Ordering;
@@ -301,28 +301,22 @@ impl Segment {
     /// range (`key_cmp` semantics — min/max are maintained in total_cmp
     /// order, which differs from key order only on `-0.0`/`0.0`/`Int(0)`
     /// ties; those are `key_cmp`-Equal, so the pruning test stays safe).
-    fn zone_prunes(
-        &self,
-        lo: Option<&Datum>,
-        lo_inc: bool,
-        hi: Option<&Datum>,
-        hi_inc: bool,
-    ) -> bool {
+    fn zone_prunes(&self, range: &KeyRange) -> bool {
         let (Some(min), Some(max)) = (&self.min, &self.max) else {
             // No live non-NULL values at all: a bounded kernel matches nothing.
-            return lo.is_some() || hi.is_some();
+            return !range.is_unbounded();
         };
-        if let Some(h) = hi {
+        if let Some(h) = &range.hi {
             match h.key_cmp(min) {
                 Ordering::Less => return true,
-                Ordering::Equal if !hi_inc => return true,
+                Ordering::Equal if !range.hi_inc => return true,
                 _ => {}
             }
         }
-        if let Some(l) = lo {
+        if let Some(l) = &range.lo {
             match l.key_cmp(max) {
                 Ordering::Greater => return true,
-                Ordering::Equal if !lo_inc => return true,
+                Ordering::Equal if !range.lo_inc => return true,
                 _ => {}
             }
         }
@@ -335,33 +329,10 @@ impl Segment {
     /// decode per slot. `SINEW_SIMD=0` routes to the scalar per-slot
     /// loops, which produce byte-identical output (the differential
     /// oracle).
-    fn select(
-        &self,
-        lo: Option<&Datum>,
-        lo_inc: bool,
-        hi: Option<&Datum>,
-        hi_inc: bool,
-        out: &mut Vec<u32>,
-        stats: &mut KernelStats,
-    ) {
+    fn select(&self, range: &KeyRange, out: &mut Vec<u32>, stats: &mut KernelStats) {
         let batched = kernels::batched_enabled();
-        let in_range = |d: &Datum| -> bool {
-            if let Some(l) = lo {
-                match d.key_cmp(l) {
-                    Ordering::Less => return false,
-                    Ordering::Equal if !lo_inc => return false,
-                    _ => {}
-                }
-            }
-            if let Some(h) = hi {
-                match d.key_cmp(h) {
-                    Ordering::Greater => return false,
-                    Ordering::Equal if !hi_inc => return false,
-                    _ => {}
-                }
-            }
-            true
-        };
+        let KeyRange { lo, lo_inc, hi, hi_inc } = range;
+        let (lo, lo_inc, hi, hi_inc) = (lo.as_ref(), *lo_inc, hi.as_ref(), *hi_inc);
         match &self.enc {
             Enc::Plain(vals) => {
                 if batched {
@@ -381,7 +352,7 @@ impl Segment {
                             let i = blk * LANES + lv.trailing_zeros() as usize;
                             lv &= lv - 1;
                             stats.decoded += 1;
-                            if in_range(&vals[i]) {
+                            if range.contains(&vals[i]) {
                                 out.push(i as u32);
                             }
                         }
@@ -390,7 +361,7 @@ impl Segment {
                     for (i, d) in vals.iter().enumerate() {
                         if bm_get(&self.live, i) && bm_get(&self.valid, i) {
                             stats.decoded += 1;
-                            if in_range(d) {
+                            if range.contains(d) {
                                 out.push(i as u32);
                             }
                         }
@@ -569,7 +540,7 @@ impl Segment {
                 for (d, n) in runs {
                     let end = start + *n as usize;
                     stats.decoded += 1;
-                    if d.is_null() || !in_range(d) {
+                    if d.is_null() || !range.contains(d) {
                         stats.rle_runs_skipped += 1;
                         start = end;
                         continue;
@@ -999,31 +970,16 @@ impl ColumnStore {
     }
 
     /// Zone-map test for one segment against a `key_cmp` bound range.
-    pub fn zone_prunes(
-        &self,
-        seg: u64,
-        lo: Option<&Datum>,
-        lo_inc: bool,
-        hi: Option<&Datum>,
-        hi_inc: bool,
-    ) -> bool {
-        self.segments[seg as usize].zone_prunes(lo, lo_inc, hi, hi_inc)
+    pub fn zone_prunes(&self, seg: u64, range: &KeyRange) -> bool {
+        self.segments[seg as usize].zone_prunes(range)
     }
 
     /// Vectorized bound kernel over one segment: ascending slot offsets of
     /// live non-NULL values inside the range (`key_cmp` semantics).
     /// Returns the kernel engagement counters for this call.
-    pub fn select_segment(
-        &self,
-        seg: u64,
-        lo: Option<&Datum>,
-        lo_inc: bool,
-        hi: Option<&Datum>,
-        hi_inc: bool,
-        out: &mut Vec<u32>,
-    ) -> KernelStats {
+    pub fn select_segment(&self, seg: u64, range: &KeyRange, out: &mut Vec<u32>) -> KernelStats {
         let mut stats = KernelStats::default();
-        self.segments[seg as usize].select(lo, lo_inc, hi, hi_inc, out, &mut stats);
+        self.segments[seg as usize].select(range, out, &mut stats);
         stats
     }
 
@@ -1136,13 +1092,8 @@ mod tests {
         r
     }
 
-    fn naive_select(
-        vals: &[(Datum, bool)], // (value, live)
-        lo: Option<&Datum>,
-        lo_inc: bool,
-        hi: Option<&Datum>,
-        hi_inc: bool,
-    ) -> Vec<u32> {
+    fn naive_select(vals: &[(Datum, bool)], range: &KeyRange) -> Vec<u32> {
+        let KeyRange { lo, lo_inc, hi, hi_inc } = range;
         let mut out = Vec::new();
         for (i, (d, live)) in vals.iter().enumerate() {
             if !*live || d.is_null() {
@@ -1170,18 +1121,12 @@ mod tests {
         out
     }
 
-    fn store_select_raw(
-        store: &ColumnStore,
-        lo: Option<&Datum>,
-        lo_inc: bool,
-        hi: Option<&Datum>,
-        hi_inc: bool,
-    ) -> Vec<u32> {
+    fn store_select_raw(store: &ColumnStore, range: &KeyRange) -> Vec<u32> {
         let mut out = Vec::new();
         for seg in 0..store.n_segments() {
             let mut offs = Vec::new();
-            if !store.zone_prunes(seg, lo, lo_inc, hi, hi_inc) {
-                store.select_segment(seg, lo, lo_inc, hi, hi_inc, &mut offs);
+            if !store.zone_prunes(seg, range) {
+                store.select_segment(seg, range, &mut offs);
             }
             out.extend(offs.iter().map(|&o| seg as u32 * SEG_ROWS as u32 + o));
         }
@@ -1190,15 +1135,9 @@ mod tests {
 
     /// Run the kernel under both SINEW_SIMD settings, assert they agree,
     /// and return the (shared) result.
-    fn store_select(
-        store: &ColumnStore,
-        lo: Option<&Datum>,
-        lo_inc: bool,
-        hi: Option<&Datum>,
-        hi_inc: bool,
-    ) -> Vec<u32> {
-        let scalar = with_simd("0", || store_select_raw(store, lo, lo_inc, hi, hi_inc));
-        let batched = with_simd("1", || store_select_raw(store, lo, lo_inc, hi, hi_inc));
+    fn store_select(store: &ColumnStore, range: &KeyRange) -> Vec<u32> {
+        let scalar = with_simd("0", || store_select_raw(store, range));
+        let batched = with_simd("1", || store_select_raw(store, range));
         assert_eq!(scalar, batched, "scalar and batched kernels diverged");
         batched
     }
@@ -1221,15 +1160,14 @@ mod tests {
         }
         // first two segments sealed as packed-int
         assert!(store.info().encodings.contains("packed-int"));
-        for (lo, li, hi, hi_i) in [
+        for (lo, lo_inc, hi, hi_inc) in [
             (Some(Datum::Int(700)), true, Some(Datum::Int(900)), true),
             (Some(Datum::Int(700)), false, None, true),
             (None, true, Some(Datum::Float(750.5)), true),
             (Some(Datum::Float(649.5)), true, Some(Datum::Int(651)), false),
         ] {
-            let got = store_select(&store, lo.as_ref(), li, hi.as_ref(), hi_i);
-            let want = naive_select(&vals, lo.as_ref(), li, hi.as_ref(), hi_i);
-            assert_eq!(got, want, "bounds {lo:?} {li} {hi:?} {hi_i}");
+            let range = KeyRange { lo, lo_inc, hi, hi_inc };
+            assert_eq!(store_select(&store, &range), naive_select(&vals, &range), "{range:?}");
         }
         // gather round-trips identically under both kernel modes
         let offs: Vec<u32> = (0..64).collect();
@@ -1258,10 +1196,8 @@ mod tests {
         }
         assert!(dict_store.info().encodings.contains("dict"));
         assert!(rle_store.info().encodings.contains("rle"));
-        let lo = Datum::Text("beta".into());
-        let got = store_select(&dict_store, Some(&lo), true, Some(&lo), true);
-        let want = naive_select(&dict_vals, Some(&lo), true, Some(&lo), true);
-        assert_eq!(got, want);
+        let range = KeyRange::point(Datum::Text("beta".into()));
+        assert_eq!(store_select(&dict_store, &range), naive_select(&dict_vals, &range));
         // RLE gather
         let offs: Vec<u32> = vec![0, 1, 2047, 2048, 4095];
         let mut out = Vec::new();
@@ -1284,10 +1220,11 @@ mod tests {
         for i in 0..(SEG_ROWS as u64 * 3) {
             store.append(i, Datum::Int(i as i64));
         }
-        let lo = Datum::Int(SEG_ROWS as i64 * 2 + 5);
+        let range =
+            KeyRange { lo: Some(Datum::Int(SEG_ROWS as i64 * 2 + 5)), ..KeyRange::default() };
         let mut pruned = 0;
         for seg in 0..store.n_segments() {
-            if store.zone_prunes(seg, Some(&lo), true, None, true) {
+            if store.zone_prunes(seg, &range) {
                 pruned += 1;
             }
         }
@@ -1302,15 +1239,16 @@ mod tests {
         }
         // update inside the sealed segment widens its zone map
         store.set(10, Datum::Int(100_000));
-        let hit = store_select(&store, Some(&Datum::Int(100_000)), true, None, true);
+        let outlier = KeyRange { lo: Some(Datum::Int(100_000)), ..KeyRange::default() };
+        let hit = store_select(&store, &outlier);
         assert_eq!(hit, vec![10]);
         // delete removes the row from kernels
         store.delete(10);
-        let hit = store_select(&store, Some(&Datum::Int(100_000)), true, None, true);
+        let hit = store_select(&store, &outlier);
         assert!(hit.is_empty());
         // NULL update: excluded from bounded kernels, present in live_slots
         store.set(20, Datum::Null);
-        let hit = store_select(&store, Some(&Datum::Int(20)), true, Some(&Datum::Int(20)), true);
+        let hit = store_select(&store, &KeyRange::point(Datum::Int(20)));
         assert!(!hit.contains(&20));
         let mut live = Vec::new();
         store.live_slots(0, &mut live);
@@ -1342,12 +1280,12 @@ mod tests {
         }
         // leaving the max shrinks the zone, so a probe above 98 prunes
         store.set(99, Datum::Int(50));
-        assert!(store.zone_prunes(0, Some(&Datum::Int(99)), true, None, true));
+        let at_least = |v| KeyRange { lo: Some(Datum::Int(v)), ..KeyRange::default() };
+        assert!(store.zone_prunes(0, &at_least(99)));
         // an interior change only widens it
         store.set(10, Datum::Int(500));
-        assert!(!store.zone_prunes(0, Some(&Datum::Int(500)), true, None, true));
-        let fifty = Datum::Int(50);
-        assert_eq!(store_select(&store, Some(&fifty), true, Some(&fifty), true), vec![50, 99]);
+        assert!(!store.zone_prunes(0, &at_least(500)));
+        assert_eq!(store_select(&store, &KeyRange::point(Datum::Int(50))), vec![50, 99]);
         // a sealed segment keeps its encoding when the value does not change
         let mut sealed = ColumnStore::new("s");
         for i in 0..(SEG_ROWS as u64 + 1) {
@@ -1374,11 +1312,13 @@ mod tests {
             store.append(i, d.clone());
             vals.push((d, true));
         }
-        let lo = Datum::Int(1000);
-        let hi = Datum::Text("s3".into());
-        let got = store_select(&store, Some(&lo), true, Some(&hi), false);
-        let want = naive_select(&vals, Some(&lo), true, Some(&hi), false);
-        assert_eq!(got, want);
+        let range = KeyRange {
+            lo: Some(Datum::Int(1000)),
+            lo_inc: true,
+            hi: Some(Datum::Text("s3".into())),
+            hi_inc: false,
+        };
+        assert_eq!(store_select(&store, &range), naive_select(&vals, &range));
     }
 
     #[test]
@@ -1389,14 +1329,14 @@ mod tests {
             let v = if i < 100 { 1_000_000 + i as i64 } else { i as i64 % 50 };
             store.append(i, Datum::Int(v));
         }
-        let probe = Datum::Int(500_000);
-        assert!(!store.zone_prunes(0, Some(&probe), true, None, true));
+        let probe = KeyRange { lo: Some(Datum::Int(500_000)), ..KeyRange::default() };
+        assert!(!store.zone_prunes(0, &probe));
         // Killing the outliers alone leaves the stale (superset) zone.
         for i in 0..100u64 {
             store.delete(i);
         }
         assert!(
-            !store.zone_prunes(0, Some(&probe), true, None, true),
+            !store.zone_prunes(0, &probe),
             "zone must stay a conservative superset before the re-seal threshold"
         );
         // Dropping below half the sealed live count triggers the re-seal:
@@ -1405,7 +1345,7 @@ mod tests {
             store.delete(i);
         }
         assert!(
-            store.zone_prunes(0, Some(&probe), true, None, true),
+            store.zone_prunes(0, &probe),
             "re-seal must tighten the zone map over the survivors"
         );
         // Survivors still select correctly after the re-encode.
@@ -1415,9 +1355,9 @@ mod tests {
                 (Datum::Int(v), i >= SEG_ROWS as u64 * 3 / 5)
             })
             .collect();
-        let got = store_select(&store, Some(&Datum::Int(10)), true, Some(&Datum::Int(20)), true);
-        let want = naive_select(&vals, Some(&Datum::Int(10)), true, Some(&Datum::Int(20)), true);
-        assert_eq!(got, want);
+        let range =
+            KeyRange { lo: Some(Datum::Int(10)), hi: Some(Datum::Int(20)), ..KeyRange::default() };
+        assert_eq!(store_select(&store, &range), naive_select(&vals, &range));
     }
 
     #[test]
@@ -1430,16 +1370,11 @@ mod tests {
         for i in 128..192u64 {
             packed.delete(i); // one fully dead bitmap word
         }
+        let range =
+            KeyRange { lo: Some(Datum::Int(100)), hi: Some(Datum::Int(900)), ..KeyRange::default() };
         with_simd("1", || {
             let mut offs = Vec::new();
-            let st = packed.select_segment(
-                0,
-                Some(&Datum::Int(100)),
-                true,
-                Some(&Datum::Int(900)),
-                true,
-                &mut offs,
-            );
+            let st = packed.select_segment(0, &range, &mut offs);
             assert!(st.batched > 0, "packed select must use the 64-wide path");
             assert!(st.fastpath_words > 0, "dead word must be skipped wholesale");
             let mut out = Vec::new();
@@ -1449,14 +1384,7 @@ mod tests {
         });
         with_simd("0", || {
             let mut offs = Vec::new();
-            let st = packed.select_segment(
-                0,
-                Some(&Datum::Int(100)),
-                true,
-                Some(&Datum::Int(900)),
-                true,
-                &mut offs,
-            );
+            let st = packed.select_segment(0, &range, &mut offs);
             assert_eq!(st.batched, 0, "SINEW_SIMD=0 must stay on the scalar path");
         });
         // Dict: predicate rewritten to a code range.
@@ -1465,9 +1393,8 @@ mod tests {
         for i in 0..(SEG_ROWS as u64 + 10) {
             dict.append(i, Datum::Text(cats[(mix(i) % 4) as usize].into()));
         }
-        let b = Datum::Text("beta".into());
         let mut offs = Vec::new();
-        let st = dict.select_segment(0, Some(&b), true, Some(&b), true, &mut offs);
+        let st = dict.select_segment(0, &KeyRange::point(Datum::Text("beta".into())), &mut offs);
         assert_eq!(st.dict_rewrites, 1);
         // Rle: non-matching runs skipped at run level.
         let mut rle = ColumnStore::new("r");
@@ -1475,8 +1402,7 @@ mod tests {
             rle.append(i, Datum::Int((i / 1024) as i64));
         }
         let mut offs = Vec::new();
-        let st =
-            rle.select_segment(0, Some(&Datum::Int(2)), true, Some(&Datum::Int(2)), true, &mut offs);
+        let st = rle.select_segment(0, &KeyRange::point(Datum::Int(2)), &mut offs);
         assert!(st.rle_runs_skipped >= 3, "rejected runs must skip without slot work");
         assert_eq!(offs.len(), 1024);
     }
@@ -1549,8 +1475,9 @@ mod tests {
             let lo = if lo_pick == 0 { None } else { Some(pool[lo_pick - 1].clone()) };
             let hi = if hi_pick == 0 { None } else { Some(pool[hi_pick - 1].clone()) };
             // store_select asserts scalar == batched internally.
-            let got = store_select(&store, lo.as_ref(), lo_inc, hi.as_ref(), hi_inc);
-            let want = naive_select(&vals, lo.as_ref(), lo_inc, hi.as_ref(), hi_inc);
+            let range = KeyRange { lo, lo_inc, hi, hi_inc };
+            let got = store_select(&store, &range);
+            let want = naive_select(&vals, &range);
             proptest::prop_assert_eq!(&got, &want);
             // Gather differential: selected offsets must round-trip the
             // stored value exactly (variant- and bit-faithful) both ways.

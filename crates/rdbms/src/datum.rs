@@ -313,6 +313,87 @@ fn total_cmp_int_f64(a: i64, b: f64) -> Ordering {
     }
 }
 
+/// A bound range over one column's keys: the single form the planner
+/// derives from sargable conjuncts and every access path (B-tree probe,
+/// zone map, segment kernel) and EXPLAIN consumes. `None` is unbounded on
+/// that side; `lo_inc`/`hi_inc` say whether the endpoint itself is in
+/// range and mean nothing while their bound is `None`.
+///
+/// Contract: a range is a *superset* filter (DESIGN.md §18). Membership is
+/// decided under [`Datum::key_cmp`] — SQL comparison inside one
+/// [`Datum::exactness_class`], type-rank order across classes — so every
+/// row SQL would accept is surfaced, and rows of another class may be too.
+/// The plan's residual filter rejects those unless the planner proved the
+/// range exact.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KeyRange {
+    pub lo: Option<Datum>,
+    pub lo_inc: bool,
+    pub hi: Option<Datum>,
+    pub hi_inc: bool,
+}
+
+impl Default for KeyRange {
+    /// The unbounded range.
+    fn default() -> KeyRange {
+        KeyRange { lo: None, lo_inc: true, hi: None, hi_inc: true }
+    }
+}
+
+impl KeyRange {
+    /// `column = d`.
+    pub fn point(d: Datum) -> KeyRange {
+        KeyRange { lo: Some(d.clone()), lo_inc: true, hi: Some(d), hi_inc: true }
+    }
+
+    pub fn is_unbounded(&self) -> bool {
+        self.lo.is_none() && self.hi.is_none()
+    }
+
+    /// Intersect with another clause's range. `key_cmp` picks the tighter
+    /// endpoint: within one exactness class it IS the SQL order, so the
+    /// merged range equals the clause intersection. Endpoints that compare
+    /// Equal AND their inclusivity, which makes `a >= 0 AND a > -0.0`
+    /// correctly exclusive — `total_cmp` would call those endpoints
+    /// distinct and keep the wrong flag.
+    pub fn tighten(&mut self, other: KeyRange) {
+        fn side(
+            cur: &mut Option<Datum>,
+            cur_inc: &mut bool,
+            new: Option<Datum>,
+            new_inc: bool,
+            tighter: Ordering,
+        ) {
+            let Some(new) = new else { return };
+            let ord = cur.as_ref().map_or(tighter, |c| new.key_cmp(c));
+            if ord == tighter {
+                *cur = Some(new);
+                *cur_inc = new_inc;
+            } else if ord == Ordering::Equal {
+                *cur_inc &= new_inc;
+            }
+        }
+        side(&mut self.lo, &mut self.lo_inc, other.lo, other.lo_inc, Ordering::Greater);
+        side(&mut self.hi, &mut self.hi_inc, other.hi, other.hi_inc, Ordering::Less);
+    }
+
+    /// Whether `d` lies inside the range under [`Datum::key_cmp`].
+    #[inline]
+    pub fn contains(&self, d: &Datum) -> bool {
+        let above_lo = self.lo.as_ref().is_none_or(|l| match d.key_cmp(l) {
+            Ordering::Less => false,
+            Ordering::Equal => self.lo_inc,
+            Ordering::Greater => true,
+        });
+        above_lo
+            && self.hi.as_ref().is_none_or(|h| match d.key_cmp(h) {
+                Ordering::Greater => false,
+                Ordering::Equal => self.hi_inc,
+                Ordering::Less => true,
+            })
+    }
+}
+
 /// Hashable, equality-correct key for hash aggregation / hash joins.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum GroupKey {
@@ -342,6 +423,39 @@ impl fmt::Display for Datum {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn key_range_tighten_intersects_clauses() {
+        let lo = |d, lo_inc| KeyRange { lo: Some(d), lo_inc, ..KeyRange::default() };
+        let hi = |d, hi_inc| KeyRange { hi: Some(d), hi_inc, ..KeyRange::default() };
+        // The first clause's flag replaces the default; the side no clause
+        // bounds stays open (and nominally inclusive).
+        let mut r = KeyRange::default();
+        r.tighten(lo(Datum::Int(5), false));
+        assert_eq!(r, lo(Datum::Int(5), false));
+        // A tighter endpoint replaces endpoint and flag; a looser one is ignored.
+        r.tighten(lo(Datum::Int(7), true));
+        r.tighten(lo(Datum::Int(6), false));
+        r.tighten(hi(Datum::Float(9.5), false));
+        r.tighten(hi(Datum::Int(20), true));
+        assert_eq!(
+            r,
+            KeyRange { lo: Some(Datum::Int(7)), lo_inc: true, hi: Some(Datum::Float(9.5)), hi_inc: false }
+        );
+        // Equal endpoints AND their inclusivity, whichever clause comes first.
+        for (first, second) in [(true, false), (false, true)] {
+            let mut r = hi(Datum::Int(3), first);
+            r.tighten(hi(Datum::Float(3.0), second));
+            assert!(!r.hi_inc);
+            assert!(r.contains(&Datum::Int(2)) && !r.contains(&Datum::Int(3)));
+        }
+        // `a >= 0 AND a > -0.0`: total_cmp orders -0.0 < Int(0), so it would
+        // keep the inclusive `>= 0`; key_cmp calls them Equal and ends exclusive.
+        let mut r = lo(Datum::Int(0), true);
+        r.tighten(lo(Datum::Float(-0.0), false));
+        assert!(!r.lo_inc);
+        assert!(!r.contains(&Datum::Float(0.0)) && r.contains(&Datum::Int(1)));
+    }
 
     #[test]
     fn null_propagates_in_comparisons() {

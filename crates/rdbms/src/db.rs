@@ -7,17 +7,16 @@
 
 use crate::btree::SecondaryIndex;
 use crate::columnar::{ColumnStore, ColumnarInfo, SEG_ROWS};
-use crate::datum::{ColType, Datum};
+use crate::datum::{ColType, Datum, KeyRange};
 use crate::error::{DbError, DbResult};
 use crate::exec::{
-    ColumnarMeta, ExecLimits, ExecSnapshot, ExecStats, Executor, IndexOnlyProbe, Row, SegScan,
-    TableSource,
+    ExecLimits, ExecSnapshot, ExecStats, Executor, IndexOnlyProbe, Row, SegScan,
 };
 use crate::expr::{bind, Scope};
 use crate::func::{FuncRegistry, ScalarFn};
 use crate::heap::{Heap, RowId};
 use crate::pager::{IoSnapshot, Pager};
-
+use crate::plan::AccessPath;
 use crate::planner::{CatalogView, Planner, PlannerConfig, TableMeta};
 use crate::schema::TableSchema;
 use crate::stats::{ColumnCollector, TableStats};
@@ -1449,8 +1448,7 @@ impl Database {
                         let mut limits = *self.limits.read();
                         limits.mode = crate::exec::ExecMode::Streaming;
                         let src = SnapSource { db: self, vis: Vis::LATEST };
-                        let exec =
-                            Executor { source: &src, limits, stats: Some(&self.exec_stats) };
+                        let exec = Executor { source: &src, limits, stats: &self.exec_stats };
                         let az = crate::block::AnalyzeCtx::new();
                         crate::block::run_streaming_with(&exec, &planned.plan, Some(&az))?;
                         planned.plan.explain_analyze(&az.take_nodes())
@@ -1510,7 +1508,7 @@ impl Database {
     fn run_plan(&self, plan: &crate::plan::Plan, vis: Vis) -> DbResult<Vec<Row>> {
         let limits = *self.limits.read();
         let src = SnapSource { db: self, vis };
-        Executor { source: &src, limits, stats: Some(&self.exec_stats) }.run(plan)
+        Executor { source: &src, limits, stats: &self.exec_stats }.run(plan)
     }
 
     fn run_insert(
@@ -1950,7 +1948,7 @@ impl Database {
                 .map(|(rowid, full)| (full[slot].clone(), *rowid))
                 .collect();
             want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let mut have = ix.lookup_range_entries(None, false, None, false, None)?;
+            let mut have = ix.lookup_range_entries(&KeyRange::default(), None)?;
             have.retain(|(k, r)| {
                 !t.garbage.iter().any(|item| match &item.g {
                     Garbage::IndexEntry { column, key, rowid } => {
@@ -2243,10 +2241,16 @@ impl CatalogView for Database {
     }
 }
 
-/// A table source pinned to one visibility: a registered snapshot's, an
-/// open transaction's (which additionally sees its own marker-stamped
-/// writes), or [`Vis::LATEST`] for latest-committed reads. This wrapper is
-/// how SELECTs become non-blocking readers.
+/// The executor's one table source (DESIGN.md §18): a `Database` pinned to
+/// one visibility — a registered snapshot's, an open transaction's (which
+/// additionally sees its own marker-stamped writes), or [`Vis::LATEST`] for
+/// latest-committed reads. This wrapper is how SELECTs become non-blocking
+/// readers. Every scan row it emits has one shape: live columns in live
+/// order (columns outside `needed` may come back NULL, undecoded), then
+/// the rowid. The index and columnar entry points answer `None` when the
+/// path cannot serve this reader — index or store dropped since planning,
+/// or untrustworthy at this visibility — and the executor then reruns the
+/// access path as a heap scan.
 pub(crate) struct SnapSource<'a> {
     pub(crate) db: &'a Database,
     pub(crate) vis: Vis,
@@ -2279,21 +2283,18 @@ fn scan_row(mut full: Vec<Datum>, live: &[usize], rowid: RowId) -> Row {
     row
 }
 
-impl TableSource for SnapSource<'_> {
-    fn scan_table(
-        &self,
-        table: &str,
-        needed: Option<&[String]>,
-        f: &mut dyn FnMut(Row) -> DbResult<bool>,
-    ) -> DbResult<()> {
-        self.scan_table_range(table, needed, 0, u64::MAX, f)
-    }
+/// Per live column, the store a columnar scan gathers from (`needed`
+/// columns only), plus the store of the bound column.
+struct ScanStores<'t> {
+    gather: Vec<Option<&'t ColumnStore>>,
+    bound: Option<&'t ColumnStore>,
+}
 
-    fn high_water(&self, table: &str) -> DbResult<Option<u64>> {
-        Ok(Some(Database::high_water(self.db, table)?))
-    }
-
-    fn scan_table_range(
+impl SnapSource<'_> {
+    /// Stream live rows with row ids in `start..end` (one morsel, or
+    /// `0..u64::MAX` for the whole table) in rowid order. The callback
+    /// returns `false` to stop the scan early.
+    pub(crate) fn scan_table_range(
         &self,
         table: &str,
         needed: Option<&[String]>,
@@ -2316,32 +2317,40 @@ impl TableSource for SnapSource<'_> {
         res
     }
 
-    fn index_lookup(
-        &self,
-        table: &str,
-        column: &str,
-        lo: Option<&Datum>,
-        lo_inc: bool,
-        hi: Option<&Datum>,
-        hi_inc: bool,
-        cap: Option<u64>,
-    ) -> DbResult<Option<Vec<u64>>> {
-        let t = self.db.table(table)?;
-        let t = t.read();
-        // Indexes cover only latest-committed rows and may still carry
-        // queued-for-vacuum keys. Any version activity (or garbage) makes
-        // them untrustworthy for this reader: fall back to the seq scan,
-        // which resolves visibility per row.
+    /// The secondary index on `path.column`, if this reader may trust it.
+    /// Indexes cover only latest-committed rows and may still carry
+    /// queued-for-vacuum keys, so any version activity (or garbage) sends
+    /// the reader to the seq scan, which resolves visibility per row.
+    fn trusted_index<'t>(&self, t: &'t Table, path: &AccessPath) -> Option<&'t SecondaryIndex> {
         if !t.heap.vis_quiet(self.vis) || !t.garbage.is_empty() {
-            return Ok(None);
+            return None;
         }
-        let Some(ix) = t.indexes.iter().find(|ix| ix.column() == column) else {
-            return Ok(None);
-        };
-        ix.lookup_range(lo, lo_inc, hi, hi_inc, cap.map(|c| c as usize)).map(Some)
+        t.indexes.iter().find(|ix| Some(ix.column()) == path.column.as_deref())
     }
 
-    fn fetch_rows(
+    /// Probe the secondary index on `path.column` for rowids whose key
+    /// falls in `path.range`.
+    ///
+    /// `cap`, when given, bounds the probe to the `cap` *smallest* rowids
+    /// in range (LIMIT pushdown): the executor fetches rowids in ascending
+    /// order, so the smallest `cap` reproduce exactly what an uncapped
+    /// probe would have surfaced first. Callers may only pass `Some` when
+    /// every matching row is known to survive the residual filter
+    /// (`path.exact_bounds`).
+    pub(crate) fn index_lookup(
+        &self,
+        path: &AccessPath,
+        cap: Option<u64>,
+    ) -> DbResult<Option<Vec<u64>>> {
+        let t = self.db.table(&path.table)?;
+        let t = t.read();
+        let Some(ix) = self.trusted_index(&t, path) else { return Ok(None) };
+        ix.lookup_range(&path.range, cap.map(|c| c as usize)).map(Some)
+    }
+
+    /// Fetch specific live rows by rowid, in the order given. Rowids that
+    /// are no longer live are skipped.
+    pub(crate) fn fetch_rows(
         &self,
         table: &str,
         needed: Option<&[String]>,
@@ -2367,78 +2376,59 @@ impl TableSource for SnapSource<'_> {
         Ok(())
     }
 
-    fn columnar_meta(
-        &self,
-        table: &str,
-        needed: Option<&[String]>,
-        bound_column: Option<&str>,
-    ) -> DbResult<Option<ColumnarMeta>> {
-        let t = self.db.table(table)?;
-        let t = t.read();
-        if t.columnar.is_empty() {
-            return Ok(None);
-        }
-        if !t.columnar_usable(self.vis) {
-            return Ok(None);
+    /// The stores a columnar scan of `path` reads, or `None` when the table
+    /// cannot answer the scan entirely from column-store segments at this
+    /// visibility.
+    fn columnar_stores<'t>(&self, t: &'t Table, path: &AccessPath) -> Option<ScanStores<'t>> {
+        if t.columnar.is_empty() || !t.columnar_usable(self.vis) {
+            return None;
         }
         // Wildcard scans can't be reconstructed from column stores.
-        let Some(names) = needed else { return Ok(None) };
-        for n in names {
-            if n != "_rowid" && !t.columnar.iter().any(|cs| cs.column() == n) {
-                return Ok(None);
-            }
+        let names = path.needed.as_deref()?;
+        let store = |name: &str| t.columnar.iter().find(|cs| cs.column() == name);
+        if names.iter().any(|n| n != "_rowid" && store(n).is_none()) {
+            return None;
         }
-        if let Some(bc) = bound_column {
-            if !t.columnar.iter().any(|cs| cs.column() == bc) {
-                return Ok(None);
-            }
+        let gather = t
+            .schema
+            .live_columns()
+            .map(|(_, c)| names.contains(&c.name).then(|| store(&c.name)).flatten())
+            .collect();
+        let bound = match path.column.as_deref() {
+            Some(bc) => Some(store(bc)?),
+            None => None,
+        };
+        Some(ScanStores { gather, bound })
+    }
+
+    /// How many segments a columnar scan of `path` must visit.
+    pub(crate) fn columnar_meta(&self, path: &AccessPath) -> DbResult<Option<usize>> {
+        let t = self.db.table(&path.table)?;
+        let t = t.read();
+        if self.columnar_stores(&t, path).is_none() {
+            return Ok(None);
         }
         // Stores advance in lockstep with the heap, so any one's segment
         // count covers every live rowid.
-        let n_segments =
-            t.columnar.iter().map(|cs| cs.n_segments()).max().unwrap_or(0) as usize;
-        Ok(Some(ColumnarMeta { n_segments, seg_rows: SEG_ROWS }))
+        Ok(t.columnar.iter().map(|cs| cs.n_segments() as usize).max())
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn columnar_scan_segment(
+    /// Scan one segment of `path.table`'s column stores: scan-shaped rows
+    /// in rowid order, restricted to live slots whose `path.column` value
+    /// falls in `path.range`.
+    pub(crate) fn columnar_scan_segment(
         &self,
-        table: &str,
-        needed: Option<&[String]>,
-        bound_column: Option<&str>,
-        lo: Option<&Datum>,
-        lo_inc: bool,
-        hi: Option<&Datum>,
-        hi_inc: bool,
+        path: &AccessPath,
         segment: usize,
     ) -> DbResult<Option<SegScan>> {
-        let t = self.db.table(table)?;
+        let t = self.db.table(&path.table)?;
         let t = t.read();
-        if !t.columnar_usable(self.vis) {
+        let Some(ScanStores { gather: stores, bound: bound_store }) =
+            self.columnar_stores(&t, path)
+        else {
             return Ok(None);
-        }
-        let Some(names) = needed else { return Ok(None) };
-        let seg = segment as u64;
-        // Per live column, the store to gather from (needed columns only).
-        let live: Vec<&str> = t.schema.live_columns().map(|(_, c)| c.name.as_str()).collect();
-        let mut stores: Vec<Option<&ColumnStore>> = Vec::with_capacity(live.len());
-        for cname in &live {
-            if names.iter().any(|n| n == cname) {
-                match t.columnar.iter().find(|cs| cs.column() == *cname) {
-                    Some(cs) => stores.push(Some(cs)),
-                    None => return Ok(None),
-                }
-            } else {
-                stores.push(None);
-            }
-        }
-        let bound_store = match bound_column {
-            Some(bc) => match t.columnar.iter().find(|cs| cs.column() == bc) {
-                Some(cs) => Some(cs),
-                None => return Ok(None),
-            },
-            None => None,
         };
+        let seg = segment as u64;
         // Liveness authority: every store carries the same live bitmap.
         let Some(any_store) = bound_store.or_else(|| t.columnar.first()) else {
             return Ok(None);
@@ -2447,30 +2437,29 @@ impl TableSource for SnapSource<'_> {
         if seg >= any_store.n_segments() {
             return Ok(Some(scan));
         }
-        let bounded = lo.is_some() || hi.is_some();
-        if let (Some(bs), true) = (bound_store, bounded) {
-            if bs.zone_prunes(seg, lo, lo_inc, hi, hi_inc) {
-                scan.pruned = true;
-                return Ok(Some(scan));
-            }
-        }
+        let range = &path.range;
         let mut offsets: Vec<u32> = Vec::new();
-        match (bound_store, bounded) {
-            (Some(bs), true) => {
-                scan.kernel.merge(&bs.select_segment(seg, lo, lo_inc, hi, hi_inc, &mut offsets));
+        match bound_store.filter(|_| !range.is_unbounded()) {
+            Some(bs) => {
+                if bs.zone_prunes(seg, range) {
+                    scan.pruned = true;
+                    return Ok(Some(scan));
+                }
+                scan.kernel.merge(&bs.select_segment(seg, range, &mut offsets));
                 // Per-segment exactness: the zone map proves every live
                 // value shares the class of every present bound, so kernel
                 // emission equals the SQL match set for this segment and
                 // the executor may skip the residual filter when the plan
                 // says the bounds cover the whole predicate.
                 scan.exact = match bs.segment_value_class(seg) {
-                    Some(cls) => [lo, hi].into_iter().flatten().all(|d| {
-                        d.exactness_class() == Some(cls)
-                    }),
+                    Some(cls) => [&range.lo, &range.hi]
+                        .into_iter()
+                        .flatten()
+                        .all(|d| d.exactness_class() == Some(cls)),
                     None => false,
                 };
             }
-            _ => any_store.live_slots(seg, &mut offsets),
+            None => any_store.live_slots(seg, &mut offsets),
         }
         // Drop rows born after this reader's snapshot (tags are mirrored
         // across a table's stores, so any one store can filter).
@@ -2478,7 +2467,7 @@ impl TableSource for SnapSource<'_> {
         if offsets.is_empty() {
             return Ok(Some(scan));
         }
-        let n_live = live.len();
+        let n_live = stores.len();
         let base = segment * SEG_ROWS;
         let mut rows: Vec<Row> = offsets
             .iter()
@@ -2502,37 +2491,29 @@ impl TableSource for SnapSource<'_> {
         Ok(Some(scan))
     }
 
-    fn index_only_probe(
+    /// Probe the secondary index on `path.column` and return the matching
+    /// (key, rowid) entries themselves — a covering probe that needs no
+    /// heap fetch. Entries are sorted by rowid (heap scan order). `cap`
+    /// has [`SnapSource::index_lookup`] semantics: only legal under
+    /// `exact_bounds`, keeps the entries of the `cap` smallest rowids.
+    pub(crate) fn index_only_probe(
         &self,
-        table: &str,
-        column: &str,
-        lo: Option<&Datum>,
-        lo_inc: bool,
-        hi: Option<&Datum>,
-        hi_inc: bool,
+        path: &AccessPath,
         cap: Option<u64>,
     ) -> DbResult<Option<IndexOnlyProbe>> {
         // An unbounded probe would miss NULL-key rows (never indexed);
         // the planner only emits bounded probes, but stay defensive.
-        if lo.is_none() && hi.is_none() {
+        if path.range.is_unbounded() {
             return Ok(None);
         }
-        let t = self.db.table(table)?;
+        let t = self.db.table(&path.table)?;
         let t = t.read();
-        // Same trust rule as index_lookup_vis: any version activity or
-        // queued index garbage disqualifies an index-only answer.
-        if !t.heap.vis_quiet(self.vis) || !t.garbage.is_empty() {
-            return Ok(None);
-        }
-        let Some(ix) = t.indexes.iter().find(|ix| ix.column() == column) else {
-            return Ok(None);
-        };
-        let mut entries =
-            ix.lookup_range_entries(lo, lo_inc, hi, hi_inc, cap.map(|c| c as usize))?;
+        let Some(ix) = self.trusted_index(&t, path) else { return Ok(None) };
+        let mut entries = ix.lookup_range_entries(&path.range, cap.map(|c| c as usize))?;
         // Heap scans emit in ascending rowid order; match it.
         entries.sort_unstable_by_key(|(_, r)| *r);
         let live: Vec<&str> = t.schema.live_columns().map(|(_, c)| c.name.as_str()).collect();
-        let Some(key_slot) = live.iter().position(|n| *n == column) else {
+        let Some(key_slot) = live.iter().position(|n| Some(*n) == path.column.as_deref()) else {
             return Ok(None);
         };
         Ok(Some(IndexOnlyProbe { entries, n_live_cols: live.len(), key_slot }))

@@ -4,182 +4,31 @@
 //! The streaming engine lives in [`crate::block`]: operators pull
 //! [`crate::block::RowBlock`]s of ~`SINEW_BLOCK_ROWS` rows from their child,
 //! so `LIMIT` propagates an early-stop all the way into `Heap::scan` and
-//! peak memory for scan-heavy plans is O(block), not O(table). The
-//! materializing engine below (`run_materialize`, reachable via
+//! peak memory for scan-heavy plans is O(block), not O(table). It also owns
+//! the morsel-parallel scan→filter→project prefix (`ParallelScanOp`,
+//! sized by `SINEW_EXEC_THREADS`).
+//!
+//! The materializing engine below (`run_materialize`, reachable via
 //! `SINEW_EXEC_MODE=materialize`) keeps the old semantics — every operator
 //! consumes fully materialized child output — and the two must produce
-//! byte-identical results; scans stream pages through the buffer pool (so
-//! I/O behaviour is real), and the CPU cost of tuple decoding and UDF
-//! extraction — the quantities Sinew's design targets — are paid per row
-//! exactly where Postgres would pay them.
-//!
-//! The scan→filter→project prefix of a plan — where Sinew burns nearly all
-//! its CPU, because that is where extraction UDFs run — additionally has a
-//! *morsel-driven parallel* implementation: the heap's row-id space is cut
-//! into contiguous morsels, a worker pool claims morsels from a shared
-//! atomic counter, each worker runs the whole pipeline prefix over its
-//! morsel, and finished morsels are stitched back in row-id order so the
-//! output is byte-identical to the serial executor. `SINEW_EXEC_THREADS`
-//! (default: available parallelism) sizes the pool; 1 disables it. The
-//! streaming engine runs the same prefix in synchronous morsel *waves*
-//! (sizes ramp 1, 2, 4, … workers) so an early-stop skips later waves.
+//! byte-identical results. It is the reference the equivalence suites
+//! compare against, so it is deliberately *serial* at any thread count: a
+//! reference with its own parallel implementation would be a second
+//! implementation to keep right (DESIGN.md §18). Its scans still stream
+//! pages through the buffer pool (so I/O behaviour is real), and the CPU
+//! cost of tuple decoding and UDF extraction — the quantities Sinew's
+//! design targets — is paid per row exactly where Postgres would pay it.
 
 use crate::datum::{Datum, GroupKey};
 use crate::error::{DbError, DbResult};
 use crate::expr::{EvalCtx, PhysExpr};
 use crate::agg::Accumulator;
-use crate::plan::{AggSpec, Plan, SortKey};
+use crate::db::SnapSource;
+use crate::plan::{AccessPath, AggSpec, Plan, SortKey};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 pub type Row = Vec<Datum>;
-
-/// Table access the executor needs, implemented by `Database`. `Sync` so a
-/// parallel scan's workers can share the source across threads.
-pub trait TableSource: Sync {
-    /// Stream all live rows of `table` as (live columns..., rowid); columns
-    /// not in `needed` (when given, by live-column name) may be returned as
-    /// NULL without being decoded. The callback returns `false` to stop
-    /// the scan early.
-    fn scan_table(
-        &self,
-        table: &str,
-        needed: Option<&[String]>,
-        f: &mut dyn FnMut(Row) -> DbResult<bool>,
-    ) -> DbResult<()>;
-
-    /// Upper bound on `table`'s row ids, if this source supports range
-    /// scans. `None` (the default) keeps every scan on the serial path.
-    fn high_water(&self, table: &str) -> DbResult<Option<u64>> {
-        let _ = table;
-        Ok(None)
-    }
-
-    /// Stream live rows with row ids in `start..end` (one morsel). Sources
-    /// that return `Some` from [`TableSource::high_water`] must override
-    /// this; the default ignores the range and delegates to a full scan.
-    fn scan_table_range(
-        &self,
-        table: &str,
-        needed: Option<&[String]>,
-        start: u64,
-        end: u64,
-        f: &mut dyn FnMut(Row) -> DbResult<bool>,
-    ) -> DbResult<()> {
-        let _ = (start, end);
-        self.scan_table(table, needed, f)
-    }
-
-    /// Probe a secondary index on `table`.`column` for rowids whose key
-    /// falls in the given bounds (by `Datum::total_cmp` order). `None` (the
-    /// default) means "no such index here" and sends the executor back to a
-    /// sequential scan — covering sources without indexes and the window
-    /// where an index was dropped between planning and execution.
-    ///
-    /// `cap`, when given, bounds the probe to the `cap` *smallest* rowids
-    /// in range (LIMIT pushdown): the executor fetches rowids in ascending
-    /// order, so the smallest `cap` reproduce exactly what an uncapped
-    /// probe would have surfaced first. Callers may only pass `Some` when
-    /// every matching row is known to survive the residual filter
-    /// (`Plan::IndexScan::exact_bounds`).
-    #[allow(clippy::too_many_arguments)]
-    fn index_lookup(
-        &self,
-        table: &str,
-        column: &str,
-        lo: Option<&Datum>,
-        lo_inc: bool,
-        hi: Option<&Datum>,
-        hi_inc: bool,
-        cap: Option<u64>,
-    ) -> DbResult<Option<Vec<u64>>> {
-        let _ = (table, column, lo, lo_inc, hi, hi_inc, cap);
-        Ok(None)
-    }
-
-    /// Fetch specific live rows by rowid, each shaped exactly like a
-    /// [`TableSource::scan_table`] row (live columns..., rowid). Rowids that
-    /// are no longer live are skipped. Sources returning `Some` from
-    /// [`TableSource::index_lookup`] must override this.
-    fn fetch_rows(
-        &self,
-        table: &str,
-        needed: Option<&[String]>,
-        rowids: &[u64],
-        f: &mut dyn FnMut(Row) -> DbResult<bool>,
-    ) -> DbResult<()> {
-        let _ = (table, needed, rowids, f);
-        Err(DbError::Eval("source does not support rowid fetch".into()))
-    }
-
-    /// Whether `table` can answer a scan entirely from column-store
-    /// segments: every column in `needed` (ignoring `_rowid`) has segments,
-    /// and `bound_column`, when given, does too. `None` (the default, and
-    /// the answer whenever coverage is incomplete) sends the executor back
-    /// to the heap — covering sources without segments and the window where
-    /// stores were dropped (demotion) between planning and execution.
-    fn columnar_meta(
-        &self,
-        table: &str,
-        needed: Option<&[String]>,
-        bound_column: Option<&str>,
-    ) -> DbResult<Option<ColumnarMeta>> {
-        let _ = (table, needed, bound_column);
-        Ok(None)
-    }
-
-    /// Scan one segment of `table`'s column stores: rows shaped exactly like
-    /// [`TableSource::scan_table`] rows (live columns..., rowid), in rowid
-    /// order, restricted to live slots whose `bound_column` value falls in
-    /// the given bounds (a `total_cmp` superset of SQL-comparison matches,
-    /// like [`TableSource::index_lookup`]). Sources returning `Some` from
-    /// [`TableSource::columnar_meta`] must override this.
-    #[allow(clippy::too_many_arguments)]
-    fn columnar_scan_segment(
-        &self,
-        table: &str,
-        needed: Option<&[String]>,
-        bound_column: Option<&str>,
-        lo: Option<&Datum>,
-        lo_inc: bool,
-        hi: Option<&Datum>,
-        hi_inc: bool,
-        segment: usize,
-    ) -> DbResult<Option<SegScan>> {
-        let _ = (table, needed, bound_column, lo, lo_inc, hi, hi_inc, segment);
-        Ok(None)
-    }
-
-    /// Probe a secondary index on `table`.`column` and return the matching
-    /// (key, rowid) entries themselves — a covering probe that needs no
-    /// heap fetch. Entries are sorted by rowid (heap scan order). `cap`
-    /// has [`TableSource::index_lookup`] semantics: only legal under
-    /// `exact_bounds`, keeps the entries of the `cap` smallest rowids.
-    #[allow(clippy::too_many_arguments)]
-    fn index_only_probe(
-        &self,
-        table: &str,
-        column: &str,
-        lo: Option<&Datum>,
-        lo_inc: bool,
-        hi: Option<&Datum>,
-        hi_inc: bool,
-        cap: Option<u64>,
-    ) -> DbResult<Option<IndexOnlyProbe>> {
-        let _ = (table, column, lo, lo_inc, hi, hi_inc, cap);
-        Ok(None)
-    }
-}
-
-/// Answer from [`TableSource::columnar_meta`]: how the executor should cut
-/// a columnar scan into segment-sized morsels.
-#[derive(Debug, Clone, Copy)]
-pub struct ColumnarMeta {
-    /// Number of segments covering the table's rowid space.
-    pub n_segments: usize,
-    /// Slots per segment (`columnar::SEG_ROWS` for the heap database).
-    pub seg_rows: usize,
-}
 
 /// One segment's worth of columnar scan output.
 #[derive(Debug, Default)]
@@ -198,7 +47,7 @@ pub struct SegScan {
     pub exact: bool,
 }
 
-/// Answer from [`TableSource::index_only_probe`].
+/// Answer from `SnapSource::index_only_probe`.
 #[derive(Debug)]
 pub struct IndexOnlyProbe {
     /// Matching (key, rowid) pairs, sorted by rowid.
@@ -207,6 +56,20 @@ pub struct IndexOnlyProbe {
     pub n_live_cols: usize,
     /// Scan-row slot of the indexed column.
     pub key_slot: usize,
+}
+
+impl IndexOnlyProbe {
+    /// The entries as scan-shaped rows: NULL everywhere but the key's slot
+    /// and the trailing rowid.
+    pub(crate) fn into_rows(self) -> impl Iterator<Item = Row> {
+        let IndexOnlyProbe { entries, n_live_cols, key_slot } = self;
+        entries.into_iter().map(move |(key, rowid)| {
+            let mut row: Row = vec![Datum::Null; n_live_cols + 1];
+            row[key_slot] = key;
+            row[n_live_cols] = Datum::Int(rowid as i64);
+            row
+        })
+    }
 }
 
 /// Which execution engine `Executor::run` drives.
@@ -373,16 +236,18 @@ impl ExecStats {
         self.peak_resident_rows.fetch_max(rows, Ordering::Relaxed);
     }
 
-    /// Record one columnar block/segment that decoded `values` values.
-    pub fn record_decoded(&self, values: u64) {
-        let b = (64 - values.leading_zeros()).min(16) as usize;
+    /// Fold one scanned segment into the counters: skipped outright by its
+    /// zone map, or the decode/kernel work it cost.
+    pub(crate) fn record_segment(&self, scan: &SegScan) {
+        if scan.pruned {
+            self.segments_pruned.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let k = &scan.kernel;
+        let b = (64 - k.decoded.leading_zeros()).min(16) as usize;
         self.decoded_per_block[b].fetch_add(1, Ordering::Relaxed);
         self.decoded_per_block_count.fetch_add(1, Ordering::Relaxed);
-        self.decoded_per_block_sum.fetch_add(values, Ordering::Relaxed);
-    }
-
-    /// Fold one segment's kernel engagement counters into the globals.
-    pub fn record_kernels(&self, k: &crate::kernels::KernelStats) {
+        self.decoded_per_block_sum.fetch_add(k.decoded, Ordering::Relaxed);
         self.values_decoded_batched.fetch_add(k.batched, Ordering::Relaxed);
         self.dict_code_rewrites.fetch_add(k.dict_rewrites, Ordering::Relaxed);
         self.rle_runs_skipped.fetch_add(k.rle_runs_skipped, Ordering::Relaxed);
@@ -513,33 +378,21 @@ pub struct ExecSnapshot {
     pub wal_bytes: u64,
 }
 
-/// A scan→filter→project plan prefix, decomposed for the parallel path
-/// (and reused by the streaming engine's parallel scan operator).
-#[derive(Clone, Copy)]
-pub(crate) struct ScanPipeline<'p> {
-    pub(crate) table: &'p str,
-    pub(crate) needed: Option<&'p [String]>,
-    pub(crate) scan_filter: Option<&'p PhysExpr>,
-    pub(crate) post_filter: Option<&'p PhysExpr>,
-    pub(crate) project: Option<&'p [PhysExpr]>,
+/// One statement's execution context: where rows come from (a table
+/// source pinned to one visibility), the limits in force, and the counters
+/// to feed.
+pub(crate) struct Executor<'a> {
+    pub(crate) source: &'a SnapSource<'a>,
+    pub(crate) limits: ExecLimits,
+    pub(crate) stats: &'a ExecStats,
 }
 
-pub struct Executor<'a> {
-    pub source: &'a dyn TableSource,
-    pub limits: ExecLimits,
-    pub stats: Option<&'a ExecStats>,
-}
-
-impl<'a> Executor<'a> {
-    pub fn new(source: &'a dyn TableSource) -> Executor<'a> {
-        Executor { source, limits: ExecLimits::default(), stats: None }
-    }
-
+impl Executor<'_> {
     /// Execute `plan` with the engine selected by `limits.mode`. Both
     /// engines produce byte-identical results (the streaming engine's
     /// equivalence tests enforce this across block sizes and thread
     /// counts); they differ in peak memory and early-stop behaviour.
-    pub fn run(&self, plan: &Plan) -> DbResult<Vec<Row>> {
+    pub(crate) fn run(&self, plan: &Plan) -> DbResult<Vec<Row>> {
         match self.limits.mode {
             ExecMode::Streaming => crate::block::run_streaming(self, plan),
             ExecMode::Materialize => self.run_materialize(plan),
@@ -551,232 +404,104 @@ impl<'a> Executor<'a> {
     /// peak-resident metric is comparable with the streaming engine.
     pub(crate) fn run_materialize(&self, plan: &Plan) -> DbResult<Vec<Row>> {
         let rows = self.run_materialize_inner(plan)?;
-        if let Some(st) = self.stats {
-            st.note_resident(rows.len() as u64);
-        }
+        self.stats.note_resident(rows.len() as u64);
         Ok(rows)
     }
 
-    fn run_materialize_inner(&self, plan: &Plan) -> DbResult<Vec<Row>> {
-        if let Some(rows) = self.try_parallel_pipeline(plan)? {
-            return Ok(rows);
+    /// Append `row` to `out` if it passes `filter`, charging the
+    /// intermediate-row cap — the tail every scan arm shares.
+    fn admit(
+        &self,
+        filter: Option<&PhysExpr>,
+        ctx: &mut EvalCtx,
+        out: &mut Vec<Row>,
+        row: Row,
+    ) -> DbResult<()> {
+        if passes(filter, ctx, &row)? {
+            out.push(row);
+            self.check_limit(out.len())?;
         }
+        Ok(())
+    }
+
+    fn seq_scan(
+        &self,
+        table: &str,
+        filter: Option<&PhysExpr>,
+        needed: Option<&[String]>,
+    ) -> DbResult<Vec<Row>> {
+        self.stats.serial_scans.fetch_add(1, Ordering::Relaxed);
+        let mut out = Vec::new();
+        let mut ctx = EvalCtx::new();
+        self.source.scan_table_range(table, needed, 0, u64::MAX, &mut |row| {
+            self.admit(filter, &mut ctx, &mut out, row)?;
+            Ok(true)
+        })?;
+        Ok(out)
+    }
+
+    /// The index or column store behind `path` is gone (dropped or demoted
+    /// since planning, or unusable at this visibility): run the equivalent
+    /// sequential scan — same filter, same projection, same output. Also
+    /// correct mid-scan, because nothing has escaped a materializing
+    /// operator before it returns.
+    fn heap_fallback(&self, path: &AccessPath) -> DbResult<Vec<Row>> {
+        self.seq_scan(&path.table, path.filter.as_ref(), path.needed.as_deref())
+    }
+
+    fn run_materialize_inner(&self, plan: &Plan) -> DbResult<Vec<Row>> {
         match plan {
             Plan::SeqScan { table, filter, needed, .. } => {
-                if let Some(st) = self.stats {
-                    st.serial_scans.fetch_add(1, Ordering::Relaxed);
-                }
-                let mut out = Vec::new();
-                let mut ctx = EvalCtx::new();
-                self.source.scan_table(table, needed.as_deref(), &mut |row| {
-                    let keep = match filter {
-                        Some(f) => {
-                            ctx.reset();
-                            f.eval_bool_ctx(&row, &mut ctx)?
-                        }
-                        None => true,
-                    };
-                    if keep {
-                        out.push(row);
-                        self.check_limit(out.len())?;
-                    }
-                    Ok(true)
-                })?;
-                Ok(out)
+                self.seq_scan(table, filter.as_ref(), needed.as_deref())
             }
-            Plan::IndexScan {
-                table,
-                binding,
-                column,
-                lo,
-                lo_inc,
-                hi,
-                hi_inc,
-                filter,
-                needed,
-                est_rows,
-                ..
-            } => {
-                let rowids = self.source.index_lookup(
-                    table,
-                    column,
-                    lo.as_ref(),
-                    *lo_inc,
-                    hi.as_ref(),
-                    *hi_inc,
-                    None, // the materializing engine never pushes LIMIT down
-                )?;
-                let Some(mut rowids) = rowids else {
-                    // Index vanished (or the source has none): degrade to
-                    // the equivalent sequential scan — same filter, same
-                    // projection, same output.
-                    let fallback = Plan::SeqScan {
-                        table: table.clone(),
-                        binding: binding.clone(),
-                        filter: filter.clone(),
-                        needed: needed.clone(),
-                        est_rows: *est_rows,
-                    };
-                    return self.run_materialize(&fallback);
+            Plan::IndexScan(path) => {
+                // The materializing engine never pushes LIMIT down.
+                let Some(mut rowids) = self.source.index_lookup(path, None)? else {
+                    return self.heap_fallback(path);
                 };
-                if let Some(st) = self.stats {
-                    st.index_scans.fetch_add(1, Ordering::Relaxed);
-                }
+                self.stats.index_scans.fetch_add(1, Ordering::Relaxed);
                 // Heap scans emit rows in rowid order; match it exactly.
                 rowids.sort_unstable();
                 let mut out = Vec::new();
                 let mut ctx = EvalCtx::new();
-                self.source.fetch_rows(table, needed.as_deref(), &rowids, &mut |row| {
-                    let keep = match filter {
-                        Some(f) => {
-                            ctx.reset();
-                            f.eval_bool_ctx(&row, &mut ctx)?
-                        }
-                        None => true,
-                    };
-                    if keep {
-                        out.push(row);
-                        self.check_limit(out.len())?;
-                    }
+                self.source.fetch_rows(&path.table, path.needed.as_deref(), &rowids, &mut |row| {
+                    self.admit(path.filter.as_ref(), &mut ctx, &mut out, row)?;
                     Ok(true)
                 })?;
                 Ok(out)
             }
-            Plan::ColumnarScan {
-                table,
-                binding,
-                column,
-                lo,
-                lo_inc,
-                hi,
-                hi_inc,
-                filter,
-                needed,
-                est_rows,
-                exact_bounds,
-                bounds_cover_filter,
-            } => {
-                let meta =
-                    self.source.columnar_meta(table, needed.as_deref(), column.as_deref())?;
-                let Some(meta) = meta else {
-                    // Segments vanished (demotion) or never existed here:
-                    // degrade to the equivalent sequential scan.
-                    let fallback = Plan::SeqScan {
-                        table: table.clone(),
-                        binding: binding.clone(),
-                        filter: filter.clone(),
-                        needed: needed.clone(),
-                        est_rows: *est_rows,
-                    };
-                    return self.run_materialize(&fallback);
+            Plan::ColumnarScan { path, bounds_cover_filter } => {
+                let Some(n_segments) = self.source.columnar_meta(path)? else {
+                    return self.heap_fallback(path);
                 };
-                if let Some(st) = self.stats {
-                    st.columnar_scans.fetch_add(1, Ordering::Relaxed);
-                }
+                self.stats.columnar_scans.fetch_add(1, Ordering::Relaxed);
                 let mut out = Vec::new();
                 let mut ctx = EvalCtx::new();
-                for seg in 0..meta.n_segments {
-                    let scan = self.source.columnar_scan_segment(
-                        table,
-                        needed.as_deref(),
-                        column.as_deref(),
-                        lo.as_ref(),
-                        *lo_inc,
-                        hi.as_ref(),
-                        *hi_inc,
-                        seg,
-                    )?;
-                    let Some(scan) = scan else {
-                        // Demoted mid-scan: nothing has escaped this
-                        // operator, so rerun as the equivalent sequential
-                        // scan (the heap is authoritative).
-                        let fallback = Plan::SeqScan {
-                            table: table.clone(),
-                            binding: binding.clone(),
-                            filter: filter.clone(),
-                            needed: needed.clone(),
-                            est_rows: *est_rows,
-                        };
-                        return self.run_materialize(&fallback);
+                for seg in 0..n_segments {
+                    let Some(scan) = self.source.columnar_scan_segment(path, seg)? else {
+                        return self.heap_fallback(path);
                     };
-                    if let Some(st) = self.stats {
-                        if scan.pruned {
-                            st.segments_pruned.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            st.record_decoded(scan.kernel.decoded);
-                            st.record_kernels(&scan.kernel);
-                        }
-                    }
+                    self.stats.record_segment(&scan);
                     let skip_residual =
-                        *exact_bounds || (*bounds_cover_filter && scan.exact);
+                        path.exact_bounds || (*bounds_cover_filter && scan.exact);
+                    let filter = path.filter.as_ref().filter(|_| !skip_residual);
                     for row in scan.rows {
-                        let keep = match filter {
-                            Some(f) if !skip_residual => {
-                                ctx.reset();
-                                f.eval_bool_ctx(&row, &mut ctx)?
-                            }
-                            _ => true,
-                        };
-                        if keep {
-                            out.push(row);
-                            self.check_limit(out.len())?;
-                        }
+                        self.admit(filter, &mut ctx, &mut out, row)?;
                     }
                 }
                 Ok(out)
             }
-            Plan::IndexOnlyScan {
-                table,
-                binding,
-                column,
-                lo,
-                lo_inc,
-                hi,
-                hi_inc,
-                filter,
-                needed,
-                est_rows,
-                exact_bounds,
-            } => {
-                let probe = self.source.index_only_probe(
-                    table,
-                    column,
-                    lo.as_ref(),
-                    *lo_inc,
-                    hi.as_ref(),
-                    *hi_inc,
-                    None, // the materializing engine never pushes LIMIT down
-                )?;
-                let Some(probe) = probe else {
-                    let fallback = Plan::SeqScan {
-                        table: table.clone(),
-                        binding: binding.clone(),
-                        filter: filter.clone(),
-                        needed: needed.clone(),
-                        est_rows: *est_rows,
-                    };
-                    return self.run_materialize(&fallback);
+            Plan::IndexOnlyScan(path) => {
+                // The materializing engine never pushes LIMIT down.
+                let Some(probe) = self.source.index_only_probe(path, None)? else {
+                    return self.heap_fallback(path);
                 };
-                if let Some(st) = self.stats {
-                    st.index_only_scans.fetch_add(1, Ordering::Relaxed);
-                }
+                self.stats.index_only_scans.fetch_add(1, Ordering::Relaxed);
+                let filter = path.filter.as_ref().filter(|_| !path.exact_bounds);
                 let mut out = Vec::new();
                 let mut ctx = EvalCtx::new();
-                for (key, rowid) in probe.entries {
-                    let mut row: Row = vec![Datum::Null; probe.n_live_cols + 1];
-                    row[probe.key_slot] = key;
-                    row[probe.n_live_cols] = Datum::Int(rowid as i64);
-                    let keep = match filter {
-                        Some(f) if !*exact_bounds => {
-                            ctx.reset();
-                            f.eval_bool_ctx(&row, &mut ctx)?
-                        }
-                        _ => true,
-                    };
-                    if keep {
-                        out.push(row);
-                        self.check_limit(out.len())?;
-                    }
+                for row in probe.into_rows() {
+                    self.admit(filter, &mut ctx, &mut out, row)?;
                 }
                 Ok(out)
             }
@@ -873,210 +598,6 @@ impl<'a> Executor<'a> {
             )));
         }
         Ok(())
-    }
-
-    /// Decompose a scan→filter→project plan prefix, the shape the parallel
-    /// pipeline accepts. All expressions in the prefix bind against the
-    /// same scan-output scope, so one [`EvalCtx`] serves the whole row.
-    pub(crate) fn scan_pipeline(plan: &Plan) -> Option<ScanPipeline<'_>> {
-        fn scan(p: &Plan) -> Option<ScanPipeline<'_>> {
-            match p {
-                Plan::SeqScan { table, filter, needed, .. } => Some(ScanPipeline {
-                    table,
-                    needed: needed.as_deref(),
-                    scan_filter: filter.as_ref(),
-                    post_filter: None,
-                    project: None,
-                }),
-                _ => None,
-            }
-        }
-        match plan {
-            Plan::SeqScan { .. } => scan(plan),
-            Plan::Filter { input, predicate, .. } => {
-                let mut p = scan(input)?;
-                p.post_filter = Some(predicate);
-                Some(p)
-            }
-            Plan::Project { input, exprs, .. } => {
-                let mut p = match input.as_ref() {
-                    Plan::Filter { input, predicate, .. } => {
-                        let mut p = scan(input)?;
-                        p.post_filter = Some(predicate);
-                        p
-                    }
-                    other => scan(other)?,
-                };
-                p.project = Some(exprs);
-                Some(p)
-            }
-            _ => None,
-        }
-    }
-
-    /// Run a scan-pipeline prefix on the worker pool, or return `Ok(None)`
-    /// to fall back to the serial operators (wrong plan shape, a source
-    /// without range scans, one thread, or a table too small to cut up).
-    fn try_parallel_pipeline(&self, plan: &Plan) -> DbResult<Option<Vec<Row>>> {
-        const MIN_MORSEL_ROWS: u64 = 256;
-        const MORSELS_PER_WORKER: u64 = 8;
-
-        let threads = self.limits.exec_threads.max(1);
-        if threads <= 1 {
-            return Ok(None);
-        }
-        let Some(pipe) = Self::scan_pipeline(plan) else { return Ok(None) };
-        let Some(high) = self.source.high_water(pipe.table)? else { return Ok(None) };
-        if high < MIN_MORSEL_ROWS * 2 {
-            return Ok(None); // tiny table: the serial path wins
-        }
-        let target_morsels = threads as u64 * MORSELS_PER_WORKER;
-        let morsel_size = (high / target_morsels).max(MIN_MORSEL_ROWS);
-        let n_morsels = high.div_ceil(morsel_size);
-        if n_morsels <= 1 {
-            return Ok(None);
-        }
-        let n_workers = threads.min(n_morsels as usize);
-
-        let next = AtomicUsize::new(0);
-        let cancel = AtomicBool::new(false);
-        // Shared row budget: counts rows that pass the scan filter, exactly
-        // what the serial SeqScan arm bounds with `check_limit(out.len())`.
-        let budget = AtomicU64::new(0);
-        let max_rows = self.limits.max_intermediate_rows;
-        let stats = self.stats;
-
-        // One worker's output: (morsel index, rows) chunks, or the failing
-        // morsel's index paired with its error (lowest-morsel-wins).
-        type WorkerResult = Result<Vec<(u64, Vec<Row>)>, (u64, DbError)>;
-        let worker = |_wid: usize| -> WorkerResult {
-            let mut ctx = EvalCtx::new();
-            let mut chunks: Vec<(u64, Vec<Row>)> = Vec::new();
-            loop {
-                if cancel.load(Ordering::Relaxed) {
-                    break;
-                }
-                let m = next.fetch_add(1, Ordering::Relaxed) as u64;
-                if m >= n_morsels {
-                    break;
-                }
-                let start = m * morsel_size;
-                let end = high.min(start + morsel_size);
-                let mut rows_seen = 0u64;
-                let mut out: Vec<Row> = Vec::new();
-                // Catch panics per morsel: an evaluator bug in one worker
-                // must surface as a clean DbError, not tear down the pool.
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.source.scan_table_range(
-                        pipe.table,
-                        pipe.needed,
-                        start,
-                        end,
-                        &mut |row| {
-                            if cancel.load(Ordering::Relaxed) {
-                                return Ok(false);
-                            }
-                            rows_seen += 1;
-                            ctx.reset();
-                            let keep = match pipe.scan_filter {
-                                Some(f) => f.eval_bool_ctx(&row, &mut ctx)?,
-                                None => true,
-                            };
-                            if !keep {
-                                return Ok(true);
-                            }
-                            if budget.fetch_add(1, Ordering::Relaxed) + 1 > max_rows {
-                                return Err(DbError::ResourceExhausted(format!(
-                                    "intermediate result exceeded {max_rows} rows"
-                                )));
-                            }
-                            if let Some(p) = pipe.post_filter {
-                                if !p.eval_bool_ctx(&row, &mut ctx)? {
-                                    return Ok(true);
-                                }
-                            }
-                            match pipe.project {
-                                Some(exprs) => {
-                                    let mut new_row = Vec::with_capacity(exprs.len());
-                                    for e in exprs {
-                                        new_row.push(e.eval_ctx(&row, &mut ctx)?);
-                                    }
-                                    out.push(new_row);
-                                }
-                                None => out.push(row),
-                            }
-                            Ok(true)
-                        },
-                    )
-                }));
-                match result {
-                    Ok(Ok(())) => {
-                        if let Some(st) = stats {
-                            st.record_morsel(rows_seen);
-                        }
-                        chunks.push((m, out));
-                    }
-                    Ok(Err(e)) => {
-                        cancel.store(true, Ordering::Relaxed);
-                        return Err((m, e));
-                    }
-                    Err(payload) => {
-                        cancel.store(true, Ordering::Relaxed);
-                        let msg = panic_message(payload.as_ref());
-                        return Err((m, DbError::Eval(format!("scan worker panicked: {msg}"))));
-                    }
-                }
-            }
-            Ok(chunks)
-        };
-
-        let mut chunk_sets: Vec<Vec<(u64, Vec<Row>)>> = Vec::with_capacity(n_workers);
-        // Deterministic pick among concurrent failures: lowest morsel wins.
-        let mut first_err: Option<(u64, DbError)> = None;
-        std::thread::scope(|s| {
-            let worker = &worker;
-            let handles: Vec<_> =
-                (0..n_workers).map(|w| s.spawn(move || worker(w))).collect();
-            for h in handles {
-                match h.join() {
-                    Ok(Ok(chunks)) => chunk_sets.push(chunks),
-                    Ok(Err((m, e))) => {
-                        if first_err.as_ref().is_none_or(|(fm, _)| m < *fm) {
-                            first_err = Some((m, e));
-                        }
-                    }
-                    Err(payload) => {
-                        // A panic escaping the per-morsel catch (thread
-                        // machinery itself) still yields a clean error.
-                        cancel.store(true, Ordering::Relaxed);
-                        let msg = panic_message(payload.as_ref());
-                        if first_err.is_none() {
-                            first_err = Some((
-                                u64::MAX,
-                                DbError::Eval(format!("scan worker panicked: {msg}")),
-                            ));
-                        }
-                    }
-                }
-            }
-        });
-        if let Some((_, e)) = first_err {
-            return Err(e);
-        }
-        if let Some(st) = stats {
-            st.parallel_scans.fetch_add(1, Ordering::Relaxed);
-            st.morsels_dispatched.fetch_add(n_morsels, Ordering::Relaxed);
-            st.scan_workers.fetch_add(n_workers as u64, Ordering::Relaxed);
-        }
-        // Stitch morsels back in row-id order: contiguous ranges sorted by
-        // morsel index reproduce the serial scan's row order exactly.
-        let mut chunks: Vec<(u64, Vec<Row>)> = chunk_sets.into_iter().flatten().collect();
-        chunks.sort_unstable_by_key(|(m, _)| *m);
-        let mut out = Vec::with_capacity(chunks.iter().map(|(_, r)| r.len()).sum());
-        for (_, mut rows) in chunks {
-            out.append(&mut rows);
-        }
-        Ok(Some(out))
     }
 
     fn hash_join(
@@ -1324,6 +845,18 @@ impl<'a> Executor<'a> {
             out.push(finish_group(Vec::new(), &accs));
         }
         Ok(out)
+    }
+}
+
+/// Whether `row` passes a scan's pushed-down filter (no filter passes
+/// everything), on a freshly reset per-row context.
+pub(crate) fn passes(filter: Option<&PhysExpr>, ctx: &mut EvalCtx, row: &Row) -> DbResult<bool> {
+    match filter {
+        Some(f) => {
+            ctx.reset();
+            f.eval_bool_ctx(row, ctx)
+        }
+        None => Ok(true),
     }
 }
 

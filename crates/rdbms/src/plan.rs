@@ -7,7 +7,7 @@
 //! exactly the way the paper does.
 
 use crate::agg::AggKind;
-use crate::datum::Datum;
+use crate::datum::KeyRange;
 use crate::expr::PhysExpr;
 use std::fmt::Write as _;
 
@@ -27,6 +27,34 @@ pub struct SortKey {
     pub desc: bool,
 }
 
+/// What the three non-heap access paths (`IndexScan`, `IndexOnlyScan`,
+/// `ColumnarScan`) share: where to look, which keys, and what the
+/// equivalent `SeqScan` would do. `filter` carries the FULL original
+/// predicate — including the conjuncts consumed into `range` — re-checked
+/// per surfaced row unless `exact_bounds`, so every path returns exactly
+/// the heap scan's rows, and the executor can rerun any of them as a heap
+/// scan when its index or store is gone (DESIGN.md §18).
+#[derive(Clone)]
+pub struct AccessPath {
+    pub table: String,
+    pub binding: String,
+    /// The indexed / bound column. Always `Some` on the two index paths.
+    pub column: Option<String>,
+    /// Key range on `column` (a superset of the SQL matches, see
+    /// [`KeyRange`]).
+    pub range: KeyRange,
+    pub filter: Option<PhysExpr>,
+    pub needed: Option<Vec<String>>,
+    pub est_rows: f64,
+    /// True when the key range *is* the whole predicate: every conjunct
+    /// was consumed as a bound on this column, and the bounds confine the
+    /// range to a single type class, so every row the path surfaces is
+    /// known to pass `filter`. Only then may the residual filter be
+    /// skipped, or a LIMIT cap an index probe (to the cap smallest rowids)
+    /// without changing results.
+    pub exact_bounds: bool,
+}
+
 /// Physical plan tree. Every node carries its estimated output rows, which
 /// is what EXPLAIN prints and what the Table 2 harness inspects.
 #[derive(Clone)]
@@ -42,52 +70,17 @@ pub enum Plan {
         needed: Option<Vec<String>>,
         est_rows: f64,
     },
-    /// Secondary-index range scan. `column` names the indexed physical
-    /// column; `lo`/`hi` bound the key range (by `Datum::total_cmp` order,
-    /// a superset of SQL-comparison matches). `filter` carries the FULL
-    /// original predicate — including the conjuncts consumed as bounds —
-    /// re-checked per fetched row, so results are byte-identical to the
-    /// equivalent `SeqScan`. Matching rowids are sorted before fetch, so
-    /// output order matches the heap scan too.
-    IndexScan {
-        table: String,
-        binding: String,
-        column: String,
-        lo: Option<Datum>,
-        lo_inc: bool,
-        hi: Option<Datum>,
-        hi_inc: bool,
-        filter: Option<PhysExpr>,
-        needed: Option<Vec<String>>,
-        est_rows: f64,
-        /// True when the key range *is* the whole predicate: every conjunct
-        /// was consumed as a bound on this column, and the bounds confine
-        /// the `total_cmp` range to a single type class, so every row the
-        /// probe surfaces is known to pass `filter`. Only then may a LIMIT
-        /// cap the B-tree probe (to the cap smallest rowids) without
-        /// changing results.
-        exact_bounds: bool,
-    },
+    /// Secondary-index range scan over `path.column`. Matching rowids are
+    /// sorted before fetch, so output order matches the heap scan.
+    IndexScan(AccessPath),
     /// Columnar segment scan over a table whose referenced columns all have
     /// column-store segments. Emits the same row shape as `SeqScan`
-    /// (non-`needed` columns as Null, trailing `_rowid`), in rowid order,
-    /// so results are byte-identical. `column` names the segment store whose
-    /// vectorized kernel pre-filters by `lo`/`hi` (`key_cmp` superset
-    /// bounds, like `IndexScan`); `None` means no sargable bound and the
-    /// scan only skips dead slots. `filter` is the FULL predicate,
-    /// re-applied per block unless `exact_bounds`.
+    /// (non-`needed` columns as Null, trailing `_rowid`), in rowid order.
+    /// `path.column` names the segment store whose vectorized kernel
+    /// pre-filters by `path.range`; `None` means no sargable bound and the
+    /// scan only skips dead slots.
     ColumnarScan {
-        table: String,
-        binding: String,
-        column: Option<String>,
-        lo: Option<Datum>,
-        lo_inc: bool,
-        hi: Option<Datum>,
-        hi_inc: bool,
-        filter: Option<PhysExpr>,
-        needed: Option<Vec<String>>,
-        est_rows: f64,
-        exact_bounds: bool,
+        path: AccessPath,
         /// Weaker cousin of `exact_bounds`: every conjunct was consumed as
         /// a bound on `column` and all bound literals share one exactness
         /// class, but the planner couldn't prove the *stored values* stay
@@ -98,20 +91,8 @@ pub enum Plan {
     },
     /// Covering index-only scan: the query touches only the indexed column
     /// (plus `_rowid`), so the B-tree probe alone answers it with zero heap
-    /// page reads. Same bound/filter semantics as `IndexScan`.
-    IndexOnlyScan {
-        table: String,
-        binding: String,
-        column: String,
-        lo: Option<Datum>,
-        lo_inc: bool,
-        hi: Option<Datum>,
-        hi_inc: bool,
-        filter: Option<PhysExpr>,
-        needed: Option<Vec<String>>,
-        est_rows: f64,
-        exact_bounds: bool,
-    },
+    /// page reads.
+    IndexOnlyScan(AccessPath),
     Filter {
         input: Box<Plan>,
         predicate: PhysExpr,
@@ -203,10 +184,10 @@ pub struct NodeActuals {
 impl Plan {
     pub fn est_rows(&self) -> f64 {
         match self {
+            Plan::IndexScan(path)
+            | Plan::IndexOnlyScan(path)
+            | Plan::ColumnarScan { path, .. } => path.est_rows,
             Plan::SeqScan { est_rows, .. }
-            | Plan::IndexScan { est_rows, .. }
-            | Plan::ColumnarScan { est_rows, .. }
-            | Plan::IndexOnlyScan { est_rows, .. }
             | Plan::Filter { est_rows, .. }
             | Plan::Project { est_rows, .. }
             | Plan::HashJoin { est_rows, .. }
@@ -226,9 +207,9 @@ impl Plan {
     pub fn node_name(&self) -> &'static str {
         match self {
             Plan::SeqScan { .. } => "Seq Scan",
-            Plan::IndexScan { .. } => "Index Scan",
+            Plan::IndexScan(_) => "Index Scan",
             Plan::ColumnarScan { .. } => "Columnar Scan",
-            Plan::IndexOnlyScan { .. } => "Index Only Scan",
+            Plan::IndexOnlyScan(_) => "Index Only Scan",
             Plan::Filter { .. } => "Filter",
             Plan::Project { .. } => "Project",
             Plan::HashJoin { .. } => "Hash Join",
@@ -287,57 +268,24 @@ impl Plan {
                     let _ = writeln!(out, "{pad}      Filter: {f:?}");
                 }
             }
-            Plan::IndexScan { table, binding, column, lo, lo_inc, hi, hi_inc, filter, est_rows, .. } => {
+            Plan::IndexScan(path) | Plan::IndexOnlyScan(path) | Plan::ColumnarScan { path, .. } => {
+                let AccessPath { table, binding, column, range, filter, est_rows, .. } = path;
                 let alias = if binding != table { format!(" {binding}") } else { String::new() };
+                let columnar = matches!(self, Plan::ColumnarScan { .. });
+                let using = match column {
+                    Some(c) if !columnar => format!(" using {table}_{c}"),
+                    _ => String::new(),
+                };
+                let cond_label = if columnar { "Segment Cond" } else { "Index Cond" };
                 let _ = writeln!(
                     out,
-                    "{pad}{arrow}Index Scan using {table}_{column} on {table}{alias}  (rows={}){act}",
+                    "{pad}{arrow}{}{using} on {table}{alias}  (rows={}){act}",
+                    self.node_name(),
                     fmt_rows(*est_rows)
                 );
-                let mut cond = String::new();
-                if let Some(l) = lo {
-                    let _ = write!(cond, "{column} {} {l:?}", if *lo_inc { ">=" } else { ">" });
-                }
-                if let Some(h) = hi {
-                    if !cond.is_empty() {
-                        cond.push_str(" AND ");
-                    }
-                    let _ = write!(cond, "{column} {} {h:?}", if *hi_inc { "<=" } else { "<" });
-                }
+                let cond = column.as_deref().map(|c| range_cond(c, range)).unwrap_or_default();
                 if !cond.is_empty() {
-                    let _ = writeln!(out, "{pad}      Index Cond: {cond}");
-                }
-                if let Some(f) = filter {
-                    let _ = writeln!(out, "{pad}      Filter: {f:?}");
-                }
-            }
-            Plan::ColumnarScan { table, binding, column, lo, lo_inc, hi, hi_inc, filter, est_rows, .. } => {
-                let alias = if binding != table { format!(" {binding}") } else { String::new() };
-                let _ = writeln!(
-                    out,
-                    "{pad}{arrow}Columnar Scan on {table}{alias}  (rows={}){act}",
-                    fmt_rows(*est_rows)
-                );
-                if let Some(c) = column {
-                    let cond = range_cond(c, lo, *lo_inc, hi, *hi_inc);
-                    if !cond.is_empty() {
-                        let _ = writeln!(out, "{pad}      Segment Cond: {cond}");
-                    }
-                }
-                if let Some(f) = filter {
-                    let _ = writeln!(out, "{pad}      Filter: {f:?}");
-                }
-            }
-            Plan::IndexOnlyScan { table, binding, column, lo, lo_inc, hi, hi_inc, filter, est_rows, .. } => {
-                let alias = if binding != table { format!(" {binding}") } else { String::new() };
-                let _ = writeln!(
-                    out,
-                    "{pad}{arrow}Index Only Scan using {table}_{column} on {table}{alias}  (rows={}){act}",
-                    fmt_rows(*est_rows)
-                );
-                let cond = range_cond(column, lo, *lo_inc, hi, *hi_inc);
-                if !cond.is_empty() {
-                    let _ = writeln!(out, "{pad}      Index Cond: {cond}");
+                    let _ = writeln!(out, "{pad}      {cond_label}: {cond}");
                 }
                 if let Some(f) = filter {
                     let _ = writeln!(out, "{pad}      Filter: {f:?}");
@@ -449,9 +397,9 @@ impl Plan {
             | Plan::HashDistinct { input, .. }
             | Plan::Limit { input, .. } => input.collect_joins(out),
             Plan::SeqScan { .. }
-            | Plan::IndexScan { .. }
+            | Plan::IndexScan(_)
             | Plan::ColumnarScan { .. }
-            | Plan::IndexOnlyScan { .. }
+            | Plan::IndexOnlyScan(_)
             | Plan::Values { .. } => {}
         }
     }
@@ -461,22 +409,16 @@ fn fmt_rows(r: f64) -> String {
     format!("{}", r.round().max(1.0) as u64)
 }
 
-fn range_cond(
-    column: &str,
-    lo: &Option<Datum>,
-    lo_inc: bool,
-    hi: &Option<Datum>,
-    hi_inc: bool,
-) -> String {
+fn range_cond(column: &str, range: &KeyRange) -> String {
     let mut cond = String::new();
-    if let Some(l) = lo {
-        let _ = write!(cond, "{column} {} {l:?}", if lo_inc { ">=" } else { ">" });
+    if let Some(l) = &range.lo {
+        let _ = write!(cond, "{column} {} {l:?}", if range.lo_inc { ">=" } else { ">" });
     }
-    if let Some(h) = hi {
+    if let Some(h) = &range.hi {
         if !cond.is_empty() {
             cond.push_str(" AND ");
         }
-        let _ = write!(cond, "{column} {} {h:?}", if hi_inc { "<=" } else { "<" });
+        let _ = write!(cond, "{column} {} {h:?}", if range.hi_inc { "<=" } else { "<" });
     }
     cond
 }

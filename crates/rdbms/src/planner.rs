@@ -17,12 +17,12 @@
 //! columns plan worse than physical ones.
 
 
-use crate::datum::Datum;
+use crate::datum::{Datum, KeyRange};
 use crate::error::{DbError, DbResult};
 use crate::expr::{bind, PhysExpr, Scope};
 use crate::func::FuncRegistry;
 use crate::agg::AggKind;
-use crate::plan::{AggSpec, Plan, SortKey};
+use crate::plan::{AccessPath, AggSpec, Plan, SortKey};
 use crate::schema::TableSchema;
 use crate::selectivity::{Defaults, SelContext};
 use crate::stats::TableStats;
@@ -421,6 +421,10 @@ impl<'a> Planner<'a> {
         filters: &[Expr],
         needed: Option<&std::collections::HashSet<String>>,
     ) -> DbResult<Candidate> {
+        // Both knobs are read fresh per plan (tests flip them at runtime),
+        // but once: each lookup takes the env lock and allocates.
+        let force_scan = force_scan();
+        let columnar_on = !force_scan && columnar_enabled();
         let meta = self.catalog.table_meta(table)?;
         let stats = self.catalog.table_stats(table);
         let mut scope = Scope::default();
@@ -490,22 +494,25 @@ impl<'a> Planner<'a> {
         // must never be marked exact.
         #[derive(Default)]
         struct ColSarg {
-            b: IdxBound,
+            b: KeyRange,
             clauses: Vec<PhysExpr>,
             class: Option<u8>,
             uniform: bool,
         }
         let mut per_col: HashMap<usize, ColSarg> = HashMap::new();
-        if !force_scan() {
+        if !force_scan {
             for f in &bound {
-                let Some((slot, lo, lo_inc, hi, hi_inc)) = sargable(f) else { continue };
+                let Some((slot, range)) = sargable(f) else { continue };
                 if !matches!(col_names.get(slot), Some(Some(_))) {
                     continue;
                 }
-                let cls = match (exactness_class(lo.as_ref()), exactness_class(hi.as_ref())) {
+                let cls = match (
+                    exactness_class(range.lo.as_ref()),
+                    exactness_class(range.hi.as_ref()),
+                ) {
                     (Some(a), Some(c)) if a == c => Some(a),
-                    (Some(a), None) if hi.is_none() => Some(a),
-                    (None, Some(c)) if lo.is_none() => Some(c),
+                    (Some(a), None) if range.hi.is_none() => Some(a),
+                    (None, Some(c)) if range.lo.is_none() => Some(c),
                     _ => None,
                 };
                 let e = per_col.entry(slot).or_default();
@@ -514,13 +521,13 @@ impl<'a> Planner<'a> {
                     e.uniform = true;
                 }
                 e.uniform = e.uniform && cls.is_some() && cls == e.class;
-                e.b.tighten(lo, lo_inc, hi, hi_inc);
+                e.b.tighten(range);
                 e.clauses.push(f.clone());
             }
         }
         // each column's match fraction is the joint selectivity of its own
         // sargable conjuncts (range pairs included)
-        let col_bounds: Vec<(usize, IdxBound, f64, usize, bool)> = per_col
+        let col_bounds: Vec<(usize, KeyRange, f64, usize, bool)> = per_col
             .into_iter()
             .map(|(slot, cs)| {
                 let n_clauses = cs.clauses.len();
@@ -534,7 +541,7 @@ impl<'a> Planner<'a> {
         // bounds land in that class: then the key range equals the SQL
         // match set and the residual filter can reject nothing, so a
         // LIMIT may cap the probe.
-        let exact_for = |b: &IdxBound, n_clauses: usize, uniform: bool| {
+        let exact_for = |b: &KeyRange, n_clauses: usize, uniform: bool| {
             uniform
                 && n_clauses == bound.len()
                 && match (exactness_class(b.lo.as_ref()), exactness_class(b.hi.as_ref())) {
@@ -549,8 +556,18 @@ impl<'a> Planner<'a> {
                 .min_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal))
         };
 
-        let indexed =
-            if force_scan() { Vec::new() } else { self.catalog.indexed_columns(table) };
+        let indexed = if force_scan { Vec::new() } else { self.catalog.indexed_columns(table) };
+        // What every non-heap path shares with the heap scan it replaces.
+        let access = |column: Option<String>, range: KeyRange, exact_bounds: bool| AccessPath {
+            table: table.to_string(),
+            binding: binding.to_string(),
+            column,
+            range,
+            filter: filter.clone(),
+            needed: needed_vec.clone(),
+            est_rows: rows,
+            exact_bounds,
+        };
         if let Some((slot, b, bound_sel, n_clauses, uniform)) =
             best_for(&|n| indexed.iter().any(|c| c == n))
         {
@@ -560,25 +577,14 @@ impl<'a> Planner<'a> {
                 + matched * CPU_TUPLE_COST
                 + matched * bound.len() as f64 * CPU_OPERATOR_COST;
             if index_cost < plan_cost {
-                let column = col_names[*slot].clone().unwrap();
-                plan = Plan::IndexScan {
-                    table: table.to_string(),
-                    binding: binding.to_string(),
-                    column,
-                    lo: b.lo.clone(),
-                    lo_inc: b.lo_inc,
-                    hi: b.hi.clone(),
-                    hi_inc: b.hi_inc,
-                    filter: filter.clone(),
-                    needed: needed_vec.clone(),
-                    est_rows: rows,
-                    exact_bounds: exact_for(b, *n_clauses, *uniform),
-                };
+                plan = Plan::IndexScan(access(
+                    col_names[*slot].clone(),
+                    b.clone(),
+                    exact_for(b, *n_clauses, *uniform),
+                ));
                 plan_cost = index_cost;
             }
         }
-
-        let columnar_on = !force_scan() && columnar_enabled();
 
         // ---- covering index-only scan: the B-tree's (key, rowid) entries
         // answer the query without any heap page fetch. Requires a sargable
@@ -591,7 +597,7 @@ impl<'a> Planner<'a> {
                     let Some(Some(name)) = col_names.get(*slot) else { continue };
                     if !indexed.iter().any(|c| c == name)
                         || !nv.iter().all(|n| n == name || n == "_rowid")
-                        || (b.lo.is_none() && b.hi.is_none())
+                        || b.is_unbounded()
                     {
                         continue;
                     }
@@ -602,19 +608,11 @@ impl<'a> Planner<'a> {
                         + matched * CPU_TUPLE_COST
                         + matched * bound.len() as f64 * CPU_OPERATOR_COST;
                     if io_cost < plan_cost {
-                        plan = Plan::IndexOnlyScan {
-                            table: table.to_string(),
-                            binding: binding.to_string(),
-                            column: name.clone(),
-                            lo: b.lo.clone(),
-                            lo_inc: b.lo_inc,
-                            hi: b.hi.clone(),
-                            hi_inc: b.hi_inc,
-                            filter: filter.clone(),
-                            needed: needed_vec.clone(),
-                            est_rows: rows,
-                            exact_bounds: exact_for(b, *n_clauses, *uniform),
-                        };
+                        plan = Plan::IndexOnlyScan(access(
+                            Some(name.clone()),
+                            b.clone(),
+                            exact_for(b, *n_clauses, *uniform),
+                        ));
                         plan_cost = io_cost;
                     }
                 }
@@ -659,28 +657,12 @@ impl<'a> Planner<'a> {
                             }
                             None => bound.is_empty(),
                         };
-                        let (column, lo, lo_inc, hi, hi_inc) = match best {
-                            Some((slot, b, _, _, _)) => (
-                                col_names[*slot].clone(),
-                                b.lo.clone(),
-                                b.lo_inc,
-                                b.hi.clone(),
-                                b.hi_inc,
-                            ),
-                            None => (None, None, true, None, true),
+                        let (column, range) = match best {
+                            Some((slot, b, _, _, _)) => (col_names[*slot].clone(), b.clone()),
+                            None => (None, KeyRange::default()),
                         };
                         plan = Plan::ColumnarScan {
-                            table: table.to_string(),
-                            binding: binding.to_string(),
-                            column,
-                            lo,
-                            lo_inc,
-                            hi,
-                            hi_inc,
-                            filter,
-                            needed: needed_vec,
-                            est_rows: rows,
-                            exact_bounds,
+                            path: access(column, range, exact_bounds),
                             bounds_cover_filter,
                         };
                         plan_cost = col_cost;
@@ -720,7 +702,7 @@ impl<'a> Planner<'a> {
     /// Join ordering over left-deep trees: exhaustive dynamic programming
     /// up to 10 relations, bounded beam search beyond (the DP is
     /// O(2^n · n), and pre-PR 9 anything wider simply errored out);
-    /// `join_beam_width: 1` selects the purely greedy fallback.
+    /// `join_beam_width: 1` makes the beam purely greedy.
     fn order_joins(
         &self,
         base: Vec<Candidate>,
@@ -731,11 +713,7 @@ impl<'a> Planner<'a> {
             return Ok(base.into_iter().next().unwrap());
         }
         if n > 10 {
-            return if self.config.join_beam_width <= 1 {
-                self.order_joins_greedy(base, multi)
-            } else {
-                self.order_joins_beam(base, multi)
-            };
+            return self.order_joins_beam(base, multi);
         }
         let full: u32 = (1 << n) - 1;
         let mut best: HashMap<u32, Candidate> = HashMap::new();
@@ -777,70 +755,16 @@ impl<'a> Planner<'a> {
             .ok_or_else(|| DbError::Eval("join ordering failed to cover all relations".into()))
     }
 
-    /// Greedy left-deep ordering for wide joins (> 10 relations): start
-    /// from the smallest base relation, then repeatedly extend with the
-    /// cheapest next join, preferring *connected* extensions (ones that
-    /// make at least one join conjunct evaluable) over cross joins, and
-    /// the lowest relation index on cost ties. O(n²) `make_join` calls —
-    /// no optimality guarantee, but an 11-to-31-table chain now plans
-    /// instead of erroring.
-    fn order_joins_greedy(
-        &self,
-        base: Vec<Candidate>,
-        multi: &[(u32, Expr)],
-    ) -> DbResult<Candidate> {
-        let n = base.len();
-        let start = (0..n)
-            .min_by(|&a, &b| {
-                base[a]
-                    .rows
-                    .total_cmp(&base[b].rows)
-                    .then(base[a].cost.total_cmp(&base[b].cost))
-            })
-            .expect("at least two relations");
-        let mut mask: u32 = 1 << start;
-        let full: u32 = (1 << n) - 1;
-        let mut current = base[start].clone();
-        while mask != full {
-            let mut pick: Option<(usize, Candidate, bool)> = None;
-            for (j, right) in base.iter().enumerate() {
-                let bit = 1u32 << j;
-                if mask & bit != 0 {
-                    continue;
-                }
-                let new_mask = mask | bit;
-                let now: Vec<&Expr> = multi
-                    .iter()
-                    .filter(|(m, _)| m & new_mask == *m && m & bit != 0)
-                    .map(|(_, e)| e)
-                    .collect();
-                let connected = !now.is_empty();
-                let cand = self.make_join(&current, right, &now)?;
-                let better = match &pick {
-                    None => true,
-                    Some((_, prev, prev_connected)) => {
-                        (connected && !prev_connected)
-                            || (connected == *prev_connected && cand.cost < prev.cost)
-                    }
-                };
-                if better {
-                    pick = Some((j, cand, connected));
-                }
-            }
-            let (j, cand, _) = pick.expect("some relation is still unjoined");
-            mask |= 1 << j;
-            current = cand;
-        }
-        Ok(current)
-    }
-
     /// Bounded beam search over left-deep trees for wide joins (> 10
-    /// relations): the greedy fallback generalized to carry the
-    /// `join_beam_width` cheapest partial orders per round instead of one,
-    /// so a join that looks cheap now but explodes the intermediate later
-    /// can be routed around. Extensions that make a join conjunct
-    /// evaluable are preferred per partial order (cross joins only when
-    /// nothing connects), matching the greedy policy. O(width · n²)
+    /// relations): start from the smallest base relations, then repeatedly
+    /// extend each partial order with every next join, keeping the
+    /// `join_beam_width` cheapest partial orders per round, so a join that
+    /// looks cheap now but explodes the intermediate later can be routed
+    /// around. Extensions that make a join conjunct evaluable are
+    /// preferred per partial order (cross joins only when nothing
+    /// connects). Width 1 is the greedy order: the stable sorts keep the
+    /// lowest relation index on ties. No optimality guarantee, but an
+    /// 11-to-31-table chain plans instead of erroring. O(width · n²)
     /// `make_join` calls.
     fn order_joins_beam(
         &self,
@@ -848,11 +772,10 @@ impl<'a> Planner<'a> {
         multi: &[(u32, Expr)],
     ) -> DbResult<Candidate> {
         let n = base.len();
-        let width = self.config.join_beam_width;
+        let width = self.config.join_beam_width.max(1);
         let full: u32 = (1 << n) - 1;
         // Seed with every relation as its own partial order; the first
-        // truncation keeps the `width` smallest starts (same criterion as
-        // the greedy start, kept plural).
+        // truncation keeps the `width` smallest starts.
         let mut beam: Vec<(u32, Candidate)> =
             base.iter().enumerate().map(|(i, c)| (1 << i, c.clone())).collect();
         beam.sort_by(|(_, a), (_, b)| {
@@ -1341,58 +1264,37 @@ fn memoize_scan_pipelines(plan: &mut Plan, funcs: &FuncRegistry) {
             memoize_scan_pipelines(right, funcs);
         }
         Plan::SeqScan { .. }
-        | Plan::IndexScan { .. }
+        | Plan::IndexScan(_)
         | Plan::ColumnarScan { .. }
-        | Plan::IndexOnlyScan { .. }
+        | Plan::IndexOnlyScan(_)
         | Plan::Values { .. } => {}
     }
 }
 
 /// Mutable references to every expression of the scan pipeline rooted at
 /// `plan`, or `None` if `plan` does not root one. The recognized shapes
-/// mirror the executor's parallel-pipeline detection: `SeqScan`,
-/// `Filter(SeqScan)`, `Project(SeqScan)`, `Project(Filter(SeqScan))`.
+/// are those of the executor's parallel-pipeline detection, over any scan
+/// kind: `Scan`, `Filter(Scan)`, `Project(Scan)`, `Project(Filter(Scan))`.
 fn pipeline_exprs_mut(plan: &mut Plan) -> Option<Vec<&mut PhysExpr>> {
-    match plan {
-        Plan::SeqScan { filter, .. }
-        | Plan::IndexScan { filter, .. }
-        | Plan::ColumnarScan { filter, .. }
-        | Plan::IndexOnlyScan { filter, .. } => Some(filter.iter_mut().collect()),
-        Plan::Filter { input, predicate, .. } => match input.as_mut() {
-            Plan::SeqScan { filter, .. }
-            | Plan::IndexScan { filter, .. }
-            | Plan::ColumnarScan { filter, .. }
-            | Plan::IndexOnlyScan { filter, .. } => {
-                let mut v: Vec<&mut PhysExpr> = filter.iter_mut().collect();
-                v.push(predicate);
-                Some(v)
-            }
-            _ => None,
-        },
-        Plan::Project { input, exprs, .. } => {
-            let mut v: Vec<&mut PhysExpr> = Vec::new();
-            match input.as_mut() {
-                Plan::SeqScan { filter, .. }
-                | Plan::IndexScan { filter, .. }
-                | Plan::ColumnarScan { filter, .. }
-                | Plan::IndexOnlyScan { filter, .. } => v.extend(filter.iter_mut()),
-                Plan::Filter { input: finput, predicate, .. } => match finput.as_mut() {
-                    Plan::SeqScan { filter, .. }
-                    | Plan::IndexScan { filter, .. }
-                    | Plan::ColumnarScan { filter, .. }
-                    | Plan::IndexOnlyScan { filter, .. } => {
-                        v.extend(filter.iter_mut());
-                        v.push(predicate);
-                    }
-                    _ => return None,
-                },
-                _ => return None,
-            }
-            v.extend(exprs.iter_mut());
-            Some(v)
+    let (input, exprs) = match plan {
+        Plan::Project { input, exprs, .. } => (input.as_mut(), exprs.as_mut_slice()),
+        other => (other, Default::default()),
+    };
+    let (scan, predicate) = match input {
+        Plan::Filter { input, predicate, .. } => (input.as_mut(), Some(predicate)),
+        other => (other, None),
+    };
+    let filter = match scan {
+        Plan::SeqScan { filter, .. } => filter,
+        Plan::IndexScan(path) | Plan::IndexOnlyScan(path) | Plan::ColumnarScan { path, .. } => {
+            &mut path.filter
         }
-        _ => None,
-    }
+        _ => return None,
+    };
+    let mut v: Vec<&mut PhysExpr> = filter.iter_mut().collect();
+    v.extend(predicate);
+    v.extend(exprs);
+    Some(v)
 }
 
 fn apply_cse(exprs: &mut [&mut PhysExpr], funcs: &FuncRegistry) {
@@ -1504,64 +1406,8 @@ fn force_scan() -> bool {
 /// default on; empty/`0` falls back to the heap paths (the oracle side of
 /// the columnar differential tests). Read fresh per plan so tests can
 /// toggle it at runtime.
-pub(crate) fn columnar_enabled() -> bool {
+fn columnar_enabled() -> bool {
     std::env::var("SINEW_COLUMNAR").map(|v| !v.is_empty() && v != "0").unwrap_or(true)
-}
-
-/// Accumulated key bounds for one indexed column, intersected across the
-/// sargable conjuncts that mention it.
-#[derive(Default, Clone)]
-struct IdxBound {
-    lo: Option<Datum>,
-    lo_inc: bool,
-    hi: Option<Datum>,
-    hi_inc: bool,
-}
-
-impl IdxBound {
-    /// Intersect with another clause's bounds. `key_cmp` picks the tighter
-    /// endpoint: within one exactness class it IS the SQL order, so the
-    /// merged range equals the clause intersection (the `Equal` arm makes
-    /// `a >= 0 AND a > -0.0` correctly exclusive — total_cmp would call
-    /// those endpoints distinct and keep the wrong inclusivity).
-    fn tighten(&mut self, lo: Option<Datum>, lo_inc: bool, hi: Option<Datum>, hi_inc: bool) {
-        if self.lo.is_none() && self.hi.is_none() {
-            self.lo_inc = true;
-            self.hi_inc = true;
-        }
-        if let Some(l) = lo {
-            match &self.lo {
-                None => {
-                    self.lo = Some(l);
-                    self.lo_inc = lo_inc;
-                }
-                Some(cur) => match l.key_cmp(cur) {
-                    std::cmp::Ordering::Greater => {
-                        self.lo = Some(l);
-                        self.lo_inc = lo_inc;
-                    }
-                    std::cmp::Ordering::Equal => self.lo_inc &= lo_inc,
-                    std::cmp::Ordering::Less => {}
-                },
-            }
-        }
-        if let Some(h) = hi {
-            match &self.hi {
-                None => {
-                    self.hi = Some(h);
-                    self.hi_inc = hi_inc;
-                }
-                Some(cur) => match h.key_cmp(cur) {
-                    std::cmp::Ordering::Less => {
-                        self.hi = Some(h);
-                        self.hi_inc = hi_inc;
-                    }
-                    std::cmp::Ordering::Equal => self.hi_inc &= hi_inc,
-                    std::cmp::Ordering::Greater => {}
-                },
-            }
-        }
-    }
 }
 
 /// Type class of a bound datum for `exact_bounds` purposes (see
@@ -1572,13 +1418,10 @@ fn exactness_class(d: Option<&Datum>) -> Option<u8> {
     d.and_then(Datum::exactness_class)
 }
 
-/// One sargable conjunct's contribution: `(scan slot, lo, lo_inc, hi, hi_inc)`.
-type SargBounds = (usize, Option<Datum>, bool, Option<Datum>, bool);
-
-/// Key bounds a conjunct contributes if it is a sargable comparison —
-/// `col <op> literal` (either side) or a non-negated BETWEEN with literal
-/// bounds.
-fn sargable(e: &PhysExpr) -> Option<SargBounds> {
+/// Key range a conjunct contributes on a scan slot if it is a sargable
+/// comparison — `col <op> literal` (either side) or a non-negated BETWEEN
+/// with literal bounds.
+fn sargable(e: &PhysExpr) -> Option<(usize, KeyRange)> {
     match e {
         PhysExpr::Binary { op, left, right } => {
             let (slot, d, op) = match (left.as_ref(), right.as_ref()) {
@@ -1589,21 +1432,25 @@ fn sargable(e: &PhysExpr) -> Option<SargBounds> {
             if d.is_null() {
                 return None;
             }
-            match op {
-                BinaryOp::Eq => Some((slot, Some(d.clone()), true, Some(d.clone()), true)),
-                BinaryOp::Gt => Some((slot, Some(d.clone()), false, None, true)),
-                BinaryOp::GtEq => Some((slot, Some(d.clone()), true, None, true)),
-                BinaryOp::Lt => Some((slot, None, true, Some(d.clone()), false)),
-                BinaryOp::LtEq => Some((slot, None, true, Some(d.clone()), true)),
-                _ => None,
-            }
+            let d = d.clone();
+            let all = KeyRange::default();
+            let range = match op {
+                BinaryOp::Eq => KeyRange::point(d),
+                BinaryOp::Gt => KeyRange { lo: Some(d), lo_inc: false, ..all },
+                BinaryOp::GtEq => KeyRange { lo: Some(d), ..all },
+                BinaryOp::Lt => KeyRange { hi: Some(d), hi_inc: false, ..all },
+                BinaryOp::LtEq => KeyRange { hi: Some(d), ..all },
+                _ => return None,
+            };
+            Some((slot, range))
         }
         PhysExpr::Between { expr, low, high, negated } if !negated => {
             match (expr.as_ref(), low.as_ref(), high.as_ref()) {
                 (PhysExpr::Column(i), PhysExpr::Literal(lo), PhysExpr::Literal(hi))
                     if !lo.is_null() && !hi.is_null() =>
                 {
-                    Some((*i, Some(lo.clone()), true, Some(hi.clone()), true))
+                    let (lo, hi) = (Some(lo.clone()), Some(hi.clone()));
+                    Some((*i, KeyRange { lo, hi, ..KeyRange::default() }))
                 }
                 _ => None,
             }

@@ -368,6 +368,15 @@ mod tests {
         // wanting everything equals the full decode
         let all = [true; 6];
         assert_eq!(decode_tuple_partial(&s, &bytes, &all).unwrap(), row());
+        // "Skipped" means never decoded: corrupt the text payload of `b`
+        // in place (same length, invalid UTF-8) and the same partial
+        // decode still succeeds — only asking for `b` trips over it.
+        let mut bytes = bytes;
+        let at = bytes.windows(6).position(|w| w == "héllo".as_bytes()).unwrap();
+        bytes[at..at + 6].fill(0xff);
+        assert!(decode_tuple(&s, &bytes).is_err());
+        assert_eq!(decode_tuple_partial(&s, &bytes, &wanted).unwrap(), partial);
+        assert!(decode_tuple_partial(&s, &bytes, &[false, true]).is_err());
     }
 
     #[test]

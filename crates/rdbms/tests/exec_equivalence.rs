@@ -160,11 +160,7 @@ fn streaming_matches_materialize_at_all_block_sizes_and_thread_counts() {
         exec_threads: 1,
         ..ExecLimits::default()
     });
-    let mut configs = vec![ExecLimits {
-        mode: ExecMode::Materialize,
-        exec_threads: 4,
-        ..ExecLimits::default()
-    }];
+    let mut configs = Vec::new();
     for threads in [1usize, 4] {
         for block_rows in [1usize, 3, 1024, 65_536] {
             configs.push(ExecLimits {

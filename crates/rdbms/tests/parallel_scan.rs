@@ -3,7 +3,7 @@
 //! enforce the intermediate-row limit across workers, and turn worker
 //! panics into clean errors (no partial results, no poisoned state).
 
-use sinew_rdbms::{Database, Datum, DbError, DbResult, ExecLimits};
+use sinew_rdbms::{Database, Datum, DbError, DbResult, ExecLimits, ExecMode};
 use std::sync::Arc;
 
 const ROWS: i64 = 3_000;
@@ -29,8 +29,15 @@ fn db_with_big_table() -> Database {
     db
 }
 
+/// Limits for this suite: the streaming engine pinned explicitly — the
+/// morsel-parallel scan lives only there (the materializing oracle is
+/// serial), so the engagement guards must not follow `SINEW_EXEC_MODE`.
+fn limits(threads: usize) -> ExecLimits {
+    ExecLimits { exec_threads: threads, mode: ExecMode::Streaming, ..ExecLimits::default() }
+}
+
 fn with_threads(db: &Database, threads: usize) {
-    db.set_exec_limits(ExecLimits { exec_threads: threads, ..ExecLimits::default() });
+    db.set_exec_limits(limits(threads));
 }
 
 /// Query shapes covering every pipeline prefix: bare scan, scan+filter,
@@ -79,14 +86,14 @@ fn parallel_scan_respects_deletes_and_updates() {
 #[test]
 fn intermediate_row_limit_enforced_across_workers() {
     let db = db_with_big_table();
-    db.set_exec_limits(ExecLimits { max_intermediate_rows: 100, exec_threads: 4, ..ExecLimits::default() });
+    db.set_exec_limits(ExecLimits { max_intermediate_rows: 100, ..limits(4) });
     let err = db.execute("SELECT * FROM big").unwrap_err();
     assert!(
         matches!(err, DbError::ResourceExhausted(_)),
         "expected ResourceExhausted, got {err:?}"
     );
     // The governor must not leave the database unusable afterwards.
-    db.set_exec_limits(ExecLimits { exec_threads: 4, ..ExecLimits::default() });
+    with_threads(&db, 4);
     let r = db.execute("SELECT COUNT(*) FROM big").unwrap();
     assert_eq!(r.rows[0][0], Datum::Int(ROWS));
 }
