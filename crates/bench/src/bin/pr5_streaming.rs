@@ -134,7 +134,7 @@ fn main() {
         "\nblocks emitted: {}, early stops: {}, mean rows/block: {:.0}",
         s.blocks_emitted,
         s.early_stops,
-        s.rows_per_block_sum as f64 / s.rows_per_block_count.max(1) as f64
+        s.rows_per_block.mean()
     );
     if cfg.run_large {
         assert!(

@@ -14,6 +14,7 @@
 
 use sinew_core::{AnalyzerPolicy, Sinew, StepBudget, StorageReport};
 use sinew_json::Value;
+use sinew_rdbms::counters::Sample;
 
 struct Args {
     docs: usize,
@@ -66,7 +67,7 @@ fn check_report(report: &StorageReport) -> Result<(), String> {
         return Err("report JSON is not an object".into());
     };
     let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-    for key in ["table", "rows", "physical_columns", "virtual_columns", "metrics"] {
+    for key in ["table", "rows", "physical_columns", "virtual_columns", "exec", "metrics"] {
         if get(key).is_none() {
             return Err(format!("report JSON lacks `{key}`"));
         }
@@ -74,11 +75,42 @@ fn check_report(report: &StorageReport) -> Result<(), String> {
     if report.physical_columns.is_empty() {
         return Err("no column materialized after the analyzer cycle".into());
     }
-    if report.metrics.plan_cache_hit_rate() <= 0.0 {
-        return Err("plan-cache hit rate is zero after repeated queries".into());
+    // Every counter of both tables must come back out of the JSON under
+    // its own name with its own value, and show up in the text report.
+    let same = |json: &Value, sample: &Sample| match (json, sample) {
+        (Value::Int(n), Sample::Int(m)) => *n as u64 == *m,
+        (Value::Float(x), Sample::Float(y)) => x == y,
+        (Value::Array(items), Sample::Buckets(b)) => {
+            items.len() == b.len() && items.iter().zip(b).all(|(i, n)| *i == Value::Int(*n as i64))
+        }
+        _ => false,
+    };
+    let text = report.render_text();
+    let mut positive = Vec::new();
+    for (obj, walk) in [("exec", report.exec.walk()), ("metrics", report.metrics.walk_with_rates())]
+    {
+        let Some(Value::Object(counters)) = get(obj) else {
+            return Err(format!("`{obj}` is not an object"));
+        };
+        for (_, name, value) in walk {
+            let in_json = counters.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+            if !in_json.is_some_and(|v| same(v, &value)) {
+                return Err(format!("{obj}.{name}: JSON has {in_json:?}, snapshot has {value}"));
+            }
+            if !text.contains(&format!(" {name}={value}")) {
+                return Err(format!("text report lacks `{name}={value}`"));
+            }
+            if matches!(value, Sample::Int(1..)) || matches!(value, Sample::Float(x) if x > 0.0) {
+                positive.push(name);
+            }
+        }
     }
-    if report.metrics.materializer_passes_completed == 0 {
-        return Err("no materializer pass completed".into());
+    // The analyzer → materializer → warm-query cycle above must have left
+    // its mark on these.
+    for name in ["plan_cache_hit_rate", "materializer_passes_completed", "blocks_emitted"] {
+        if !positive.contains(&name) {
+            return Err(format!("`{name}` is zero after the full cycle"));
+        }
     }
     Ok(())
 }

@@ -121,7 +121,7 @@ impl Sinew {
         catalog.bootstrap(&db).expect("catalog bootstrap");
         let rowid_sets: Arc<RwLock<HashMap<String, Arc<HashSet<i64>>>>> =
             Arc::new(RwLock::new(HashMap::new()));
-        let metrics = Arc::new(Metrics::new());
+        let metrics = Arc::new(Metrics::default());
         let plans = Arc::new(PlanCache::with_metrics(metrics.clone()));
         udfs::install(&db, &catalog, &plans, &rowid_sets, &metrics);
         // Version reclamation for quiescent periods; holds only a Weak on

@@ -5,14 +5,13 @@
 //! layout decisions continuously; this module makes those decisions — and
 //! the hot paths they steer — observable without perturbing them:
 //!
-//! * [`Counter`] / [`Histogram`] — relaxed-ordering atomics, no locks, no
-//!   allocation. A hot-path increment compiles to one `lock xadd`; readers
-//!   may see a slightly torn cross-counter view, which is fine for
-//!   monitoring (each individual counter is always exact).
-//! * [`Metrics`] — one instance per [`Sinew`], shared with the plan cache,
-//!   the extraction UDFs, the loader, the rewriter, the materializer, the
-//!   analyzer and the background worker. [`Metrics::snapshot`] captures
-//!   every counter into a plain [`MetricsSnapshot`].
+//! * [`Metrics`] — the Sinew layer's counter table (one row per counter,
+//!   see [`sinew_rdbms::counters`]; the engine's own table is
+//!   `sinew_rdbms::exec::ExecStats`). One instance per [`Sinew`], shared
+//!   with the plan cache, the extraction UDFs, the loader, the rewriter,
+//!   the materializer, the analyzer and the background worker.
+//!   [`Metrics::snapshot`] captures every counter into a plain
+//!   [`MetricsSnapshot`].
 //! * [`StorageReport`] — a structured per-table report mapping directly to
 //!   the paper's §3.1 components: physical vs virtual columns (the §3.1.1
 //!   hybrid split) with density and sampled cardinality (the §3.1.3
@@ -20,327 +19,127 @@
 //!   (§3.1.4 incremental movement), reservoir vs column byte footprints,
 //!   plan-cache and background-worker state. Built by
 //!   [`Sinew::storage_report`], rendered by [`StorageReport::render_text`]
-//!   and [`StorageReport::to_json`].
+//!   and [`StorageReport::to_json`], whose counter sections are the two
+//!   tables' walks — neither names a counter.
 
 use crate::analyzer;
 use crate::types::AttrType;
 use crate::Sinew;
 use sinew_json::Value;
+pub use sinew_rdbms::counters::{Counter, Histogram};
+use sinew_rdbms::counters::{Entry, Sample};
 use sinew_rdbms::{DbError, DbResult};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// A monotonically increasing (or, for gauges, inc/dec) event count.
-/// All operations are relaxed atomics: safe from any thread, never a lock.
-#[derive(Default)]
-pub struct Counter(AtomicU64);
+sinew_rdbms::counter_table! {
+    /// Every runtime counter of one `Sinew` instance. Incremented from the
+    /// hot paths listed per row; read via [`Metrics::snapshot`].
+    live Metrics;
+    /// A plain-data copy of [`Metrics`] at one point in time.
+    snapshot MetricsSnapshot;
 
-impl Counter {
-    pub const fn new() -> Counter {
-        Counter(AtomicU64::new(0))
-    }
-
-    #[inline]
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Relaxed);
-    }
-
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Relaxed);
-    }
-
-    /// Gauge-style decrement (e.g. active worker count).
-    #[inline]
-    pub fn dec(&self) {
-        self.0.fetch_sub(1, Relaxed);
-    }
-
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.load(Relaxed)
-    }
-}
-
-impl std::fmt::Debug for Counter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.get())
-    }
-}
-
-/// Power-of-two bucket count: bucket 0 holds value 0, bucket k holds
-/// values in `[2^(k-1), 2^k)`, the last bucket absorbs everything above.
-const HIST_BUCKETS: usize = 17;
-
-/// A lock-free log₂-bucketed histogram (batch sizes, step widths).
-pub struct Histogram {
-    buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Histogram {
-    pub fn new() -> Histogram {
-        Histogram::default()
-    }
-
-    #[inline]
-    fn bucket_of(v: u64) -> usize {
-        (64 - v.leading_zeros() as usize).min(HIST_BUCKETS - 1)
-    }
-
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.buckets[Self::bucket_of(v)].fetch_add(1, Relaxed);
-        self.count.fetch_add(1, Relaxed);
-        self.sum.fetch_add(v, Relaxed);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count.load(Relaxed)
-    }
-
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Relaxed)
-    }
-
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
-    /// Non-empty buckets as `(inclusive lower bound, count)`.
-    pub fn buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Relaxed);
-                (n > 0).then(|| (if i == 0 { 0 } else { 1u64 << (i - 1) }, n))
-            })
-            .collect()
-    }
-}
-
-impl std::fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Histogram(n={}, mean={:.1})", self.count(), self.mean())
-    }
-}
-
-/// Every runtime counter of one `Sinew` instance. Incremented from the
-/// hot paths listed per field; read via [`Metrics::snapshot`].
-#[derive(Debug, Default)]
-pub struct Metrics {
     // -- plan cache (plan.rs) --
     /// `PlanCache::get` returned a cached, epoch-current plan.
-    pub plan_cache_hits: Counter,
+    plan_cache plan_cache_hits: counter,
     /// `PlanCache::get` found no plan for `(path, want)` and built one.
-    pub plan_cache_misses: Counter,
+    plan_cache plan_cache_misses: counter,
     /// `PlanCache::get` found a plan invalidated by a catalog epoch bump
     /// (schema change) and rebuilt it.
-    pub plan_cache_stale_rebuilds: Counter,
+    plan_cache plan_cache_stale_rebuilds: counter,
     /// Stale plans evicted by `PlanCache::sweep`.
-    pub plan_cache_swept: Counter,
+    plan_cache plan_cache_swept: counter,
 
     // -- extraction UDFs (udfs.rs) --
     /// Per-tuple `extract_key_*` invocations (single-key path).
-    pub udf_extractions: Counter,
+    udf udf_extractions: counter,
     /// Per-tuple fused `extract_keys` invocations: each decodes the
     /// document once for all requested keys (vs one `udf_extractions`
     /// count per key on the unfused path).
-    pub udf_fused_extractions: Counter,
+    udf udf_fused_extractions: counter,
     /// Total keys served by fused invocations (`Σ k` over
     /// `udf_fused_extractions` calls): the single-key calls they replaced.
-    pub udf_fused_keys: Counter,
+    udf udf_fused_keys: counter,
     /// Per-tuple `exists_key` invocations.
-    pub udf_exists_probes: Counter,
+    udf udf_exists_probes: counter,
 
     // -- rewriter (rewriter.rs) --
     /// Logical statements rewritten to physical SQL.
-    pub queries_rewritten: Counter,
+    rewriter queries_rewritten: counter,
     /// Column references that passed through as clean physical columns.
-    pub rewritten_physical_refs: Counter,
+    rewriter rewritten_physical_refs: counter,
     /// Column references rewritten to pure extraction (virtual columns).
-    pub rewritten_virtual_refs: Counter,
+    rewriter rewritten_virtual_refs: counter,
     /// Column references rewritten to `COALESCE(col, extract…)` (dirty).
-    pub rewritten_coalesce_refs: Counter,
+    rewriter rewritten_coalesce_refs: counter,
     /// Bindings whose extraction calls were fused into one `extract_keys`
     /// (each covers ≥2 distinct virtual keys of one query).
-    pub rewritten_fused_bindings: Counter,
+    rewriter rewritten_fused_bindings: counter,
 
     // -- loader (loader.rs) --
     /// Bulk-load batches completed.
-    pub loader_batches: Counter,
+    loader loader_batches: counter,
     /// Batches that used the parallel encode phase.
-    pub loader_parallel_batches: Counter,
+    loader loader_parallel_batches: counter,
     /// Documents loaded.
-    pub loader_docs: Counter,
+    loader loader_docs: counter,
     /// Reservoir bytes produced by serialization.
-    pub loader_bytes: Counter,
+    loader loader_bytes: counter,
     /// Wall-clock nanoseconds spent in bulk loads (throughput denominator).
-    pub loader_nanos: Counter,
+    loader loader_nanos: counter,
     /// Distribution of batch sizes (documents per load call).
-    pub loader_batch_docs: Histogram,
+    loader loader_batch_docs: histogram,
 
     // -- materializer (materializer.rs) --
     /// Bounded steps executed.
-    pub materializer_steps: Counter,
+    materializer materializer_steps: counter,
     /// Rows examined across all steps.
-    pub materializer_rows_scanned: Counter,
+    materializer materializer_rows_scanned: counter,
     /// Values moved reservoir → physical column.
-    pub materializer_values_materialized: Counter,
+    materializer materializer_values_materialized: counter,
     /// Values moved physical column → reservoir (dematerialization).
-    pub materializer_values_dematerialized: Counter,
+    materializer materializer_values_dematerialized: counter,
     /// Full passes that completed and cleaned their column.
-    pub materializer_passes_completed: Counter,
+    materializer materializer_passes_completed: counter,
     /// Dematerialize passes that finished their scan but refused to drop
     /// the column because values could not be restored (owner document
     /// missing or not a document). The column stays dirty.
-    pub materializer_passes_deferred: Counter,
+    materializer materializer_passes_deferred: counter,
     /// Rows whose column value could not be restored during deferred
     /// dematerialize passes (each deferral adds its stranded-row count).
-    pub materializer_rows_stranded: Counter,
+    materializer materializer_rows_stranded: counter,
     /// Secondary indexes auto-created when a promotion pass completed on a
     /// column whose sampled cardinality cleared the
     /// `SINEW_INDEX_MIN_CARDINALITY` bar.
-    pub materializer_indexes_created: Counter,
+    materializer materializer_indexes_created: counter,
     /// Columnar segment stores built when a promotion pass completed
     /// (dematerialization drops them together with the column).
-    pub materializer_columnar_built: Counter,
+    materializer materializer_columnar_built: counter,
     /// Transactional steps aborted by a first-writer-wins conflict with a
     /// foreground writer (the batch rolled back and was retried from the
     /// saved cursor).
-    pub materializer_txn_conflicts: Counter,
+    materializer materializer_txn_conflicts: counter,
     /// Distribution of rows examined per step.
-    pub materializer_step_rows: Histogram,
+    materializer materializer_step_rows: histogram,
 
     // -- analyzer (analyzer.rs) --
     /// Analyzer passes run.
-    pub analyzer_runs: Counter,
+    analyzer analyzer_runs: counter,
     /// Rows sampled for cardinality estimation.
-    pub analyzer_rows_sampled: Counter,
+    analyzer analyzer_rows_sampled: counter,
     /// Materialize decisions taken.
-    pub analyzer_materialize_decisions: Counter,
+    analyzer analyzer_materialize_decisions: counter,
     /// Dematerialize decisions taken.
-    pub analyzer_dematerialize_decisions: Counter,
+    analyzer analyzer_dematerialize_decisions: counter,
 
     // -- background worker (background.rs) --
     /// Currently running background materializer threads (gauge).
-    pub background_workers_active: Counter,
+    background background_workers_active: counter,
     /// Materializer steps driven by background workers.
-    pub background_steps: Counter,
+    background background_steps: counter,
     /// Background step errors (table dropped, transient failures).
-    pub background_errors: Counter,
+    background background_errors: counter,
     /// Version-reclamation passes run by the background vacuum thread
     /// (`SINEW_VACUUM_INTERVAL_MS`).
-    pub background_vacuum_passes: Counter,
-}
-
-impl Metrics {
-    pub fn new() -> Metrics {
-        Metrics::default()
-    }
-
-    /// Capture every counter at one (relaxed) point in time.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            plan_cache_hits: self.plan_cache_hits.get(),
-            plan_cache_misses: self.plan_cache_misses.get(),
-            plan_cache_stale_rebuilds: self.plan_cache_stale_rebuilds.get(),
-            plan_cache_swept: self.plan_cache_swept.get(),
-            udf_extractions: self.udf_extractions.get(),
-            udf_fused_extractions: self.udf_fused_extractions.get(),
-            udf_fused_keys: self.udf_fused_keys.get(),
-            udf_exists_probes: self.udf_exists_probes.get(),
-            queries_rewritten: self.queries_rewritten.get(),
-            rewritten_physical_refs: self.rewritten_physical_refs.get(),
-            rewritten_virtual_refs: self.rewritten_virtual_refs.get(),
-            rewritten_coalesce_refs: self.rewritten_coalesce_refs.get(),
-            rewritten_fused_bindings: self.rewritten_fused_bindings.get(),
-            loader_batches: self.loader_batches.get(),
-            loader_parallel_batches: self.loader_parallel_batches.get(),
-            loader_docs: self.loader_docs.get(),
-            loader_bytes: self.loader_bytes.get(),
-            loader_nanos: self.loader_nanos.get(),
-            loader_batch_docs_mean: self.loader_batch_docs.mean(),
-            materializer_steps: self.materializer_steps.get(),
-            materializer_rows_scanned: self.materializer_rows_scanned.get(),
-            materializer_values_materialized: self.materializer_values_materialized.get(),
-            materializer_values_dematerialized: self.materializer_values_dematerialized.get(),
-            materializer_passes_completed: self.materializer_passes_completed.get(),
-            materializer_passes_deferred: self.materializer_passes_deferred.get(),
-            materializer_rows_stranded: self.materializer_rows_stranded.get(),
-            materializer_indexes_created: self.materializer_indexes_created.get(),
-            materializer_columnar_built: self.materializer_columnar_built.get(),
-            materializer_txn_conflicts: self.materializer_txn_conflicts.get(),
-            materializer_step_rows_mean: self.materializer_step_rows.mean(),
-            analyzer_runs: self.analyzer_runs.get(),
-            analyzer_rows_sampled: self.analyzer_rows_sampled.get(),
-            analyzer_materialize_decisions: self.analyzer_materialize_decisions.get(),
-            analyzer_dematerialize_decisions: self.analyzer_dematerialize_decisions.get(),
-            background_workers_active: self.background_workers_active.get(),
-            background_steps: self.background_steps.get(),
-            background_errors: self.background_errors.get(),
-            background_vacuum_passes: self.background_vacuum_passes.get(),
-        }
-    }
-}
-
-/// A plain-data copy of [`Metrics`] at one point in time.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    pub plan_cache_hits: u64,
-    pub plan_cache_misses: u64,
-    pub plan_cache_stale_rebuilds: u64,
-    pub plan_cache_swept: u64,
-    pub udf_extractions: u64,
-    pub udf_fused_extractions: u64,
-    pub udf_fused_keys: u64,
-    pub udf_exists_probes: u64,
-    pub queries_rewritten: u64,
-    pub rewritten_physical_refs: u64,
-    pub rewritten_virtual_refs: u64,
-    pub rewritten_coalesce_refs: u64,
-    pub rewritten_fused_bindings: u64,
-    pub loader_batches: u64,
-    pub loader_parallel_batches: u64,
-    pub loader_docs: u64,
-    pub loader_bytes: u64,
-    pub loader_nanos: u64,
-    pub loader_batch_docs_mean: f64,
-    pub materializer_steps: u64,
-    pub materializer_rows_scanned: u64,
-    pub materializer_values_materialized: u64,
-    pub materializer_values_dematerialized: u64,
-    pub materializer_passes_completed: u64,
-    pub materializer_passes_deferred: u64,
-    pub materializer_rows_stranded: u64,
-    pub materializer_indexes_created: u64,
-    pub materializer_columnar_built: u64,
-    pub materializer_txn_conflicts: u64,
-    pub materializer_step_rows_mean: f64,
-    pub analyzer_runs: u64,
-    pub analyzer_rows_sampled: u64,
-    pub analyzer_materialize_decisions: u64,
-    pub analyzer_dematerialize_decisions: u64,
-    pub background_workers_active: u64,
-    pub background_steps: u64,
-    pub background_errors: u64,
-    pub background_vacuum_passes: u64,
+    background background_vacuum_passes: counter,
 }
 
 impl MetricsSnapshot {
@@ -364,58 +163,30 @@ impl MetricsSnapshot {
         }
     }
 
-    fn json_fields(&self) -> Vec<(String, Value)> {
-        let i = |v: u64| Value::Int(v as i64);
-        vec![
-            ("plan_cache_hits".into(), i(self.plan_cache_hits)),
-            ("plan_cache_misses".into(), i(self.plan_cache_misses)),
-            ("plan_cache_stale_rebuilds".into(), i(self.plan_cache_stale_rebuilds)),
-            ("plan_cache_swept".into(), i(self.plan_cache_swept)),
-            ("plan_cache_hit_rate".into(), Value::Float(self.plan_cache_hit_rate())),
-            ("udf_extractions".into(), i(self.udf_extractions)),
-            ("udf_fused_extractions".into(), i(self.udf_fused_extractions)),
-            ("udf_fused_keys".into(), i(self.udf_fused_keys)),
-            ("udf_exists_probes".into(), i(self.udf_exists_probes)),
-            ("queries_rewritten".into(), i(self.queries_rewritten)),
-            ("rewritten_physical_refs".into(), i(self.rewritten_physical_refs)),
-            ("rewritten_virtual_refs".into(), i(self.rewritten_virtual_refs)),
-            ("rewritten_coalesce_refs".into(), i(self.rewritten_coalesce_refs)),
-            ("rewritten_fused_bindings".into(), i(self.rewritten_fused_bindings)),
-            ("loader_batches".into(), i(self.loader_batches)),
-            ("loader_parallel_batches".into(), i(self.loader_parallel_batches)),
-            ("loader_docs".into(), i(self.loader_docs)),
-            ("loader_bytes".into(), i(self.loader_bytes)),
-            ("loader_nanos".into(), i(self.loader_nanos)),
-            ("loader_docs_per_sec".into(), Value::Float(self.loader_docs_per_sec())),
-            ("materializer_steps".into(), i(self.materializer_steps)),
-            ("materializer_rows_scanned".into(), i(self.materializer_rows_scanned)),
-            (
-                "materializer_values_materialized".into(),
-                i(self.materializer_values_materialized),
-            ),
-            (
-                "materializer_values_dematerialized".into(),
-                i(self.materializer_values_dematerialized),
-            ),
-            ("materializer_passes_completed".into(), i(self.materializer_passes_completed)),
-            ("materializer_passes_deferred".into(), i(self.materializer_passes_deferred)),
-            ("materializer_rows_stranded".into(), i(self.materializer_rows_stranded)),
-            ("materializer_indexes_created".into(), i(self.materializer_indexes_created)),
-            ("materializer_columnar_built".into(), i(self.materializer_columnar_built)),
-            ("materializer_txn_conflicts".into(), i(self.materializer_txn_conflicts)),
-            ("analyzer_runs".into(), i(self.analyzer_runs)),
-            ("analyzer_rows_sampled".into(), i(self.analyzer_rows_sampled)),
-            ("analyzer_materialize_decisions".into(), i(self.analyzer_materialize_decisions)),
-            (
-                "analyzer_dematerialize_decisions".into(),
-                i(self.analyzer_dematerialize_decisions),
-            ),
-            ("background_workers_active".into(), i(self.background_workers_active)),
-            ("background_steps".into(), i(self.background_steps)),
-            ("background_errors".into(), i(self.background_errors)),
-            ("background_vacuum_passes".into(), i(self.background_vacuum_passes)),
-        ]
+    /// The table walk followed by the two derived rates.
+    pub fn walk_with_rates(&self) -> Vec<Entry> {
+        let mut out = self.walk();
+        out.push(("plan_cache", "plan_cache_hit_rate", Sample::Float(self.plan_cache_hit_rate())));
+        out.push(("loader", "loader_docs_per_sec", Sample::Float(self.loader_docs_per_sec())));
+        out
     }
+}
+
+/// A counter walk as a JSON object keyed by counter name.
+fn json_object(walk: Vec<Entry>) -> Value {
+    let int = |n: u64| Value::Int(n as i64);
+    Value::Object(
+        walk.into_iter()
+            .map(|(_, name, value)| {
+                let value = match value {
+                    Sample::Int(n) => int(n),
+                    Sample::Float(x) => Value::Float(x),
+                    Sample::Buckets(b) => Value::Array(b.into_iter().map(int).collect()),
+                };
+                (name.to_string(), value)
+            })
+            .collect(),
+    )
 }
 
 /// Which way the materializer is moving a dirty column (§3.1.4).
@@ -677,7 +448,6 @@ impl StorageReport {
     pub fn render_text(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        let m = &self.metrics;
         let _ = writeln!(out, "== storage report: {} ==", self.table);
         let _ = writeln!(
             out,
@@ -742,187 +512,20 @@ impl StorageReport {
                 cs.encodings
             );
         }
-        let _ = writeln!(
-            out,
-            "plan cache: {} entries; {} hits, {} misses, {} stale rebuilds (hit rate {:.1}%)",
-            self.plan_cache_entries,
-            m.plan_cache_hits,
-            m.plan_cache_misses,
-            m.plan_cache_stale_rebuilds,
-            m.plan_cache_hit_rate() * 100.0
-        );
-        let _ = writeln!(
-            out,
-            "materializer: {} steps, {} rows scanned; moved {} →col, {} →doc; \
-             passes {} completed, {} deferred ({} rows stranded); {} auto-indexes; \
-             {} txn conflicts",
-            m.materializer_steps,
-            m.materializer_rows_scanned,
-            m.materializer_values_materialized,
-            m.materializer_values_dematerialized,
-            m.materializer_passes_completed,
-            m.materializer_passes_deferred,
-            m.materializer_rows_stranded,
-            m.materializer_indexes_created,
-            m.materializer_txn_conflicts
-        );
-        let _ = writeln!(
-            out,
-            "analyzer: {} runs, {} rows sampled; {} materialize / {} dematerialize decisions",
-            m.analyzer_runs,
-            m.analyzer_rows_sampled,
-            m.analyzer_materialize_decisions,
-            m.analyzer_dematerialize_decisions
-        );
-        let _ = writeln!(
-            out,
-            "loader: {} batches ({} parallel), {} docs, {} B ({:.0} docs/s)",
-            m.loader_batches,
-            m.loader_parallel_batches,
-            m.loader_docs,
-            m.loader_bytes,
-            m.loader_docs_per_sec()
-        );
-        let _ = writeln!(
-            out,
-            "rewriter: {} statements; refs: {} physical, {} virtual, {} coalesce, \
-             {} fused bindings; udf calls: {} extract, {} fused ({} keys), {} exists",
-            m.queries_rewritten,
-            m.rewritten_physical_refs,
-            m.rewritten_virtual_refs,
-            m.rewritten_coalesce_refs,
-            m.rewritten_fused_bindings,
-            m.udf_extractions,
-            m.udf_fused_extractions,
-            m.udf_fused_keys,
-            m.udf_exists_probes
-        );
-        let e = &self.exec;
-        let mean_rows = if e.rows_per_morsel_count == 0 {
-            0.0
-        } else {
-            e.rows_per_morsel_sum as f64 / e.rows_per_morsel_count as f64
-        };
-        let buckets: Vec<String> = e
-            .rows_per_morsel
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| **n > 0)
-            .map(|(i, n)| format!("{}:{n}", if i == 0 { 0 } else { 1u64 << (i - 1) }))
-            .collect();
-        let _ = writeln!(
-            out,
-            "executor: {} parallel / {} serial scans; {} morsels ({:.0} rows/morsel mean), \
-             {} workers; rows/morsel log2 [{}]",
-            e.parallel_scans,
-            e.serial_scans,
-            e.morsels_dispatched,
-            mean_rows,
-            e.scan_workers,
-            buckets.join(" ")
-        );
-        let mean_block = if e.rows_per_block_count == 0 {
-            0.0
-        } else {
-            e.rows_per_block_sum as f64 / e.rows_per_block_count as f64
-        };
-        let block_buckets: Vec<String> = e
-            .rows_per_block
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| **n > 0)
-            .map(|(i, n)| format!("{}:{n}", if i == 0 { 0 } else { 1u64 << (i - 1) }))
-            .collect();
-        let _ = writeln!(
-            out,
-            "streaming: {} blocks ({:.0} rows/block mean), {} early stops, \
-             peak resident {} rows; rows/block log2 [{}]",
-            e.blocks_emitted,
-            mean_block,
-            e.early_stops,
-            e.peak_resident_rows,
-            block_buckets.join(" ")
-        );
-        let _ = writeln!(
-            out,
-            "index access: {} index scans; {} rows bulk-built, {} maintenance ops",
-            e.index_scans, e.index_build_rows, e.index_maintenance_ops
-        );
-        let mean_decoded = if e.decoded_per_block_count == 0 {
-            0.0
-        } else {
-            e.decoded_per_block_sum as f64 / e.decoded_per_block_count as f64
-        };
-        let decoded_buckets: Vec<String> = e
-            .decoded_per_block
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| **n > 0)
-            .map(|(i, n)| format!("{}:{n}", if i == 0 { 0 } else { 1u64 << (i - 1) }))
-            .collect();
-        let _ = writeln!(
-            out,
-            "columnar access: {} columnar scans, {} segments pruned, {} index-only scans, \
-             {} heap fetches; decoded/block {:.0} mean, log2 [{}]",
-            e.columnar_scans,
-            e.segments_pruned,
-            e.index_only_scans,
-            e.heap_fetches,
-            mean_decoded,
-            decoded_buckets.join(" ")
-        );
-        let _ = writeln!(
-            out,
-            "kernels: {} values decoded batched, {} dict code rewrites, \
-             {} rle runs skipped, {} selection fast-path words",
-            e.values_decoded_batched,
-            e.dict_code_rewrites,
-            e.rle_runs_skipped,
-            e.selection_fastpath_hits
-        );
-        let _ = writeln!(
-            out,
-            "parallel breakers: {} join build rows, {} join partitions, \
-             {} agg partition merges, {} parallel sorts; {} explain runs",
-            e.join_build_rows,
-            e.join_partitions,
-            e.agg_partition_merges,
-            e.parallel_sorts,
-            e.explain_runs
-        );
-        let _ = writeln!(
-            out,
-            "wal: {} appends, {} commits, {} fsyncs, {} checkpoints, {} B written; \
-             {} recoveries ({} pages replayed)",
-            e.wal_appends,
-            e.wal_commits,
-            e.wal_fsyncs,
-            e.wal_checkpoints,
-            e.wal_bytes,
-            e.wal_recoveries,
-            e.wal_recovered_pages
-        );
-        let _ = writeln!(
-            out,
-            "mvcc: txns {} begun / {} committed / {} aborted, {} write conflicts; \
-             versions {} created / {} vacuumed; {} live snapshots (oldest {} ms)",
-            e.txns_begun,
-            e.txns_committed,
-            e.txns_aborted,
-            e.write_conflicts,
-            e.versions_created,
-            e.versions_vacuumed,
-            e.live_snapshots,
-            e.oldest_snapshot_age_ms
-        );
-        let _ = writeln!(
-            out,
-            "background: {} active workers, {} steps, {} errors, {} vacuum passes",
-            m.background_workers_active,
-            m.background_steps,
-            m.background_errors,
-            m.background_vacuum_passes
-        );
+        let _ = writeln!(out, "plan cache: {} entries", self.plan_cache_entries);
+        // One line per counter group, groups and counters in table order.
+        let mut groups: Vec<(&str, String)> = Vec::new();
+        let walk = self.metrics.walk_with_rates().into_iter().chain(self.exec.walk());
+        for (group, name, value) in walk {
+            let at = groups.iter().position(|(g, _)| *g == group).unwrap_or_else(|| {
+                groups.push((group, String::new()));
+                groups.len() - 1
+            });
+            let _ = write!(groups[at].1, " {name}={value}");
+        }
+        for (group, line) in groups {
+            let _ = writeln!(out, "{group}:{line}");
+        }
         out
     }
 
@@ -1015,182 +618,8 @@ impl StorageReport {
             ("column_bytes".to_string(), Value::Int(self.column_bytes as i64)),
             ("sampled_rows".to_string(), Value::Int(self.sampled_rows as i64)),
             ("plan_cache_entries".to_string(), Value::Int(self.plan_cache_entries as i64)),
-            (
-                "exec".to_string(),
-                Value::Object(vec![
-                    (
-                        "parallel_scans".to_string(),
-                        Value::Int(self.exec.parallel_scans as i64),
-                    ),
-                    ("serial_scans".to_string(), Value::Int(self.exec.serial_scans as i64)),
-                    (
-                        "morsels_dispatched".to_string(),
-                        Value::Int(self.exec.morsels_dispatched as i64),
-                    ),
-                    ("scan_workers".to_string(), Value::Int(self.exec.scan_workers as i64)),
-                    (
-                        "rows_per_morsel_log2".to_string(),
-                        Value::Array(
-                            self.exec
-                                .rows_per_morsel
-                                .iter()
-                                .map(|n| Value::Int(*n as i64))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "rows_per_morsel_count".to_string(),
-                        Value::Int(self.exec.rows_per_morsel_count as i64),
-                    ),
-                    (
-                        "rows_per_morsel_sum".to_string(),
-                        Value::Int(self.exec.rows_per_morsel_sum as i64),
-                    ),
-                    ("index_scans".to_string(), Value::Int(self.exec.index_scans as i64)),
-                    (
-                        "index_build_rows".to_string(),
-                        Value::Int(self.exec.index_build_rows as i64),
-                    ),
-                    (
-                        "index_maintenance_ops".to_string(),
-                        Value::Int(self.exec.index_maintenance_ops as i64),
-                    ),
-                    (
-                        "blocks_emitted".to_string(),
-                        Value::Int(self.exec.blocks_emitted as i64),
-                    ),
-                    ("early_stops".to_string(), Value::Int(self.exec.early_stops as i64)),
-                    (
-                        "peak_resident_rows".to_string(),
-                        Value::Int(self.exec.peak_resident_rows as i64),
-                    ),
-                    (
-                        "rows_per_block_log2".to_string(),
-                        Value::Array(
-                            self.exec
-                                .rows_per_block
-                                .iter()
-                                .map(|n| Value::Int(*n as i64))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "rows_per_block_count".to_string(),
-                        Value::Int(self.exec.rows_per_block_count as i64),
-                    ),
-                    (
-                        "rows_per_block_sum".to_string(),
-                        Value::Int(self.exec.rows_per_block_sum as i64),
-                    ),
-                    (
-                        "columnar_scans".to_string(),
-                        Value::Int(self.exec.columnar_scans as i64),
-                    ),
-                    (
-                        "segments_pruned".to_string(),
-                        Value::Int(self.exec.segments_pruned as i64),
-                    ),
-                    (
-                        "index_only_scans".to_string(),
-                        Value::Int(self.exec.index_only_scans as i64),
-                    ),
-                    ("heap_fetches".to_string(), Value::Int(self.exec.heap_fetches as i64)),
-                    (
-                        "decoded_per_block_log2".to_string(),
-                        Value::Array(
-                            self.exec
-                                .decoded_per_block
-                                .iter()
-                                .map(|n| Value::Int(*n as i64))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "decoded_per_block_count".to_string(),
-                        Value::Int(self.exec.decoded_per_block_count as i64),
-                    ),
-                    (
-                        "decoded_per_block_sum".to_string(),
-                        Value::Int(self.exec.decoded_per_block_sum as i64),
-                    ),
-                    (
-                        "values_decoded_batched".to_string(),
-                        Value::Int(self.exec.values_decoded_batched as i64),
-                    ),
-                    (
-                        "dict_code_rewrites".to_string(),
-                        Value::Int(self.exec.dict_code_rewrites as i64),
-                    ),
-                    (
-                        "rle_runs_skipped".to_string(),
-                        Value::Int(self.exec.rle_runs_skipped as i64),
-                    ),
-                    (
-                        "selection_fastpath_hits".to_string(),
-                        Value::Int(self.exec.selection_fastpath_hits as i64),
-                    ),
-                    (
-                        "join_build_rows".to_string(),
-                        Value::Int(self.exec.join_build_rows as i64),
-                    ),
-                    (
-                        "join_partitions".to_string(),
-                        Value::Int(self.exec.join_partitions as i64),
-                    ),
-                    (
-                        "agg_partition_merges".to_string(),
-                        Value::Int(self.exec.agg_partition_merges as i64),
-                    ),
-                    (
-                        "parallel_sorts".to_string(),
-                        Value::Int(self.exec.parallel_sorts as i64),
-                    ),
-                    ("explain_runs".to_string(), Value::Int(self.exec.explain_runs as i64)),
-                    ("wal_appends".to_string(), Value::Int(self.exec.wal_appends as i64)),
-                    ("wal_commits".to_string(), Value::Int(self.exec.wal_commits as i64)),
-                    ("wal_fsyncs".to_string(), Value::Int(self.exec.wal_fsyncs as i64)),
-                    (
-                        "wal_checkpoints".to_string(),
-                        Value::Int(self.exec.wal_checkpoints as i64),
-                    ),
-                    (
-                        "wal_recoveries".to_string(),
-                        Value::Int(self.exec.wal_recoveries as i64),
-                    ),
-                    (
-                        "wal_recovered_pages".to_string(),
-                        Value::Int(self.exec.wal_recovered_pages as i64),
-                    ),
-                    ("wal_bytes".to_string(), Value::Int(self.exec.wal_bytes as i64)),
-                    ("txns_begun".to_string(), Value::Int(self.exec.txns_begun as i64)),
-                    (
-                        "txns_committed".to_string(),
-                        Value::Int(self.exec.txns_committed as i64),
-                    ),
-                    ("txns_aborted".to_string(), Value::Int(self.exec.txns_aborted as i64)),
-                    (
-                        "write_conflicts".to_string(),
-                        Value::Int(self.exec.write_conflicts as i64),
-                    ),
-                    (
-                        "versions_created".to_string(),
-                        Value::Int(self.exec.versions_created as i64),
-                    ),
-                    (
-                        "versions_vacuumed".to_string(),
-                        Value::Int(self.exec.versions_vacuumed as i64),
-                    ),
-                    (
-                        "oldest_snapshot_age_ms".to_string(),
-                        Value::Int(self.exec.oldest_snapshot_age_ms as i64),
-                    ),
-                    (
-                        "live_snapshots".to_string(),
-                        Value::Int(self.exec.live_snapshots as i64),
-                    ),
-                ]),
-            ),
-            ("metrics".to_string(), Value::Object(self.metrics.json_fields())),
+            ("exec".to_string(), json_object(self.exec.walk())),
+            ("metrics".to_string(), json_object(self.metrics.walk_with_rates())),
         ])
         .to_json()
     }
@@ -1201,36 +630,130 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_are_monotonic_and_cheap() {
-        let c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        c.dec();
-        assert_eq!(c.get(), 4);
-    }
-
-    #[test]
-    fn histogram_buckets_by_log2() {
-        let h = Histogram::new();
-        for v in [0, 1, 2, 3, 900, u64::MAX] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 6);
-        let buckets = h.buckets();
-        assert!(buckets.iter().any(|(lo, n)| *lo == 0 && *n == 1), "{buckets:?}");
-        assert!(buckets.iter().any(|(lo, n)| *lo == 2 && *n == 2), "{buckets:?}");
-        assert!(h.mean() > 0.0);
-    }
-
-    #[test]
     fn snapshot_copies_counters() {
-        let m = Metrics::new();
+        let m = Metrics::default();
         m.plan_cache_hits.add(9);
         m.plan_cache_misses.inc();
         let s = m.snapshot();
         assert_eq!(s.plan_cache_hits, 9);
         assert_eq!(s.plan_cache_misses, 1);
         assert!((s.plan_cache_hit_rate() - 0.9).abs() < 1e-9);
+    }
+
+    /// A report over a collection that has been loaded, analyzed,
+    /// materialized and queried, so most counter groups are non-zero.
+    fn busy_report() -> StorageReport {
+        let sinew = Sinew::in_memory();
+        sinew.create_collection("c").unwrap();
+        let docs: String =
+            (0..300).map(|i| format!("{{\"k\": {i}, \"tag\": \"t{}\"}}\n", i % 7)).collect();
+        sinew.load_jsonl("c", &docs).unwrap();
+        let policy = crate::AnalyzerPolicy {
+            density_threshold: 0.5,
+            cardinality_threshold: 50,
+            sample_rows: 300,
+        };
+        sinew.run_analyzer("c", &policy).unwrap();
+        sinew.materialize_until_clean("c").unwrap();
+        for _ in 0..2 {
+            sinew.query("SELECT COUNT(*) FROM c WHERE tag = 't3'").unwrap();
+        }
+        sinew.storage_report("c").unwrap()
+    }
+
+    fn object<'a>(v: &'a Value, key: &str) -> &'a [(String, Value)] {
+        let Value::Object(fields) = v else { panic!("not an object: {v:?}") };
+        match fields.iter().find(|(k, _)| k == key) {
+            Some((_, Value::Object(inner))) => inner,
+            other => panic!("`{key}` is not an object: {other:?}"),
+        }
+    }
+
+    /// Every key the hand-written `to_json` of PR 14 emitted under `exec`
+    /// and `metrics`. Keys may be added to the report, never renamed or
+    /// dropped.
+    const PR14_EXEC_KEYS: &[&str] = &[
+        "parallel_scans", "serial_scans", "morsels_dispatched", "scan_workers",
+        "rows_per_morsel_log2", "rows_per_morsel_count", "rows_per_morsel_sum", "index_scans",
+        "index_build_rows", "index_maintenance_ops", "blocks_emitted", "early_stops",
+        "peak_resident_rows", "rows_per_block_log2", "rows_per_block_count",
+        "rows_per_block_sum", "columnar_scans", "segments_pruned", "index_only_scans",
+        "heap_fetches", "decoded_per_block_log2", "decoded_per_block_count",
+        "decoded_per_block_sum", "values_decoded_batched", "dict_code_rewrites",
+        "rle_runs_skipped", "selection_fastpath_hits", "join_build_rows", "join_partitions",
+        "agg_partition_merges", "parallel_sorts", "explain_runs", "wal_appends", "wal_commits",
+        "wal_fsyncs", "wal_checkpoints", "wal_recoveries", "wal_recovered_pages", "wal_bytes",
+        "txns_begun", "txns_committed", "txns_aborted", "write_conflicts", "versions_created",
+        "versions_vacuumed", "oldest_snapshot_age_ms", "live_snapshots",
+    ];
+    const PR14_METRICS_KEYS: &[&str] = &[
+        "plan_cache_hits", "plan_cache_misses", "plan_cache_stale_rebuilds", "plan_cache_swept",
+        "plan_cache_hit_rate", "udf_extractions", "udf_fused_extractions", "udf_fused_keys",
+        "udf_exists_probes", "queries_rewritten", "rewritten_physical_refs",
+        "rewritten_virtual_refs", "rewritten_coalesce_refs", "rewritten_fused_bindings",
+        "loader_batches", "loader_parallel_batches", "loader_docs", "loader_bytes",
+        "loader_nanos", "loader_docs_per_sec", "materializer_steps",
+        "materializer_rows_scanned", "materializer_values_materialized",
+        "materializer_values_dematerialized", "materializer_passes_completed",
+        "materializer_passes_deferred", "materializer_rows_stranded",
+        "materializer_indexes_created", "materializer_columnar_built",
+        "materializer_txn_conflicts", "analyzer_runs", "analyzer_rows_sampled",
+        "analyzer_materialize_decisions", "analyzer_dematerialize_decisions",
+        "background_workers_active", "background_steps", "background_errors",
+        "background_vacuum_passes",
+    ];
+
+    #[test]
+    fn json_keeps_every_pr14_key_and_gains_the_drifted_ones() {
+        let json = sinew_json::parse(&busy_report().to_json()).unwrap();
+        let gained = ["loader_batch_docs_mean", "materializer_step_rows_mean"];
+        for (obj, keys) in [
+            ("exec", PR14_EXEC_KEYS),
+            ("metrics", PR14_METRICS_KEYS),
+            ("metrics", gained.as_slice()),
+        ] {
+            let fields = object(&json, obj);
+            for key in keys {
+                let value = fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+                let ok = match value {
+                    Some(Value::Array(b)) => key.ends_with("_log2") && b.len() == 17,
+                    Some(Value::Float(_)) => ["_rate", "_per_sec", "_mean"]
+                        .iter()
+                        .any(|suffix| key.ends_with(suffix)),
+                    Some(Value::Int(_)) => true,
+                    _ => false,
+                };
+                assert!(ok, "{obj}.{key}: {value:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_walk_entry_reaches_json_and_text() {
+        let report = busy_report();
+        let json = sinew_json::parse(&report.to_json()).unwrap();
+        let text = report.render_text();
+        let mut names = std::collections::HashSet::new();
+        for (obj, walk) in
+            [("exec", report.exec.walk()), ("metrics", report.metrics.walk_with_rates())]
+        {
+            let Value::Object(want) = json_object(walk.clone()) else { unreachable!() };
+            assert_eq!(object(&json, obj), want.as_slice(), "{obj} object is the walk, in order");
+            for (group, name, value) in walk {
+                assert!(names.insert(name), "{name} is declared twice");
+                let line = text
+                    .lines()
+                    .find(|l| l.starts_with(&format!("{group}:")))
+                    .unwrap_or_else(|| panic!("no `{group}:` line in\n{text}"));
+                assert!(
+                    format!("{line} ").contains(&format!(" {name}={value} ")),
+                    "{name}={value} missing from: {line}"
+                );
+            }
+        }
+        // The three counters the hand-written text report had lost.
+        for name in ["plan_cache_swept=", "loader_nanos=", "materializer_columnar_built="] {
+            assert!(text.contains(name), "{name} missing from\n{text}");
+        }
     }
 }

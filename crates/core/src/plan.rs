@@ -351,7 +351,7 @@ impl Default for PlanCache {
 
 impl PlanCache {
     pub fn new() -> PlanCache {
-        PlanCache::with_metrics(Arc::new(Metrics::new()))
+        PlanCache::with_metrics(Arc::new(Metrics::default()))
     }
 
     /// A cache feeding the given metrics sink (the owning `Sinew` shares

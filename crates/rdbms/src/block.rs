@@ -585,7 +585,7 @@ impl<'x, 'a> SeqScanOp<'x, 'a> {
 
 impl BlockOperator for SeqScanOp<'_, '_> {
     fn open(&mut self) -> DbResult<()> {
-        self.exec.stats.serial_scans.fetch_add(1, Ordering::Relaxed);
+        self.exec.stats.serial_scans.inc();
         Ok(())
     }
 
@@ -775,7 +775,7 @@ impl AccessOp for IndexScanOp<'_, '_> {
             let Some(mut rowids) = self.exec.source.index_lookup(self.path, self.cap)? else {
                 return Ok(Pull::Gone);
             };
-            self.exec.stats.index_scans.fetch_add(1, Ordering::Relaxed);
+            self.exec.stats.index_scans.inc();
             // Heap scans emit rows in rowid order; match it exactly.
             rowids.sort_unstable();
             self.rowids = Some(rowids);
@@ -899,7 +899,7 @@ impl AccessOp for ColumnarScanOp<'_, '_> {
         let Some(n_segments) = self.exec.source.columnar_meta(self.path)? else {
             return Ok(false);
         };
-        self.exec.stats.columnar_scans.fetch_add(1, Ordering::Relaxed);
+        self.exec.stats.columnar_scans.inc();
         self.n_segments = n_segments;
         Ok(true)
     }
@@ -948,7 +948,7 @@ impl AccessOp for IndexOnlyScanOp<'_, '_> {
             let Some(probe) = self.exec.source.index_only_probe(self.path, self.cap)? else {
                 return Ok(Pull::Gone);
             };
-            self.exec.stats.index_only_scans.fetch_add(1, Ordering::Relaxed);
+            self.exec.stats.index_only_scans.inc();
             self.rows = Some(Box::new(probe.into_rows()));
         }
         let rows = self.rows.as_mut().expect("probe resolved above");
@@ -1077,7 +1077,7 @@ impl BlockOperator for LimitOp<'_> {
             self.remaining = 0;
             // The stream ends here without exhausting the child: the
             // early-stop that makes LIMIT O(limit), not O(table).
-            self.stats.early_stops.fetch_add(1, Ordering::Relaxed);
+            self.stats.early_stops.inc();
         } else {
             self.remaining -= n;
         }
@@ -1225,7 +1225,7 @@ impl SortOp<'_, '_> {
         for r in run_tasks(tasks) {
             runs.push(r?);
         }
-        self.exec.stats.parallel_sorts.fetch_add(1, Ordering::Relaxed);
+        self.exec.stats.parallel_sorts.inc();
         // K-way merge: k ≤ threads is small, so a linear scan over the
         // run heads beats a heap.
         let mut cursors = vec![0usize; runs.len()];
@@ -1540,7 +1540,7 @@ impl HashAggOp<'_, '_> {
             for r in run_tasks(merge_tasks) {
                 r?;
             }
-            self.exec.stats.agg_partition_merges.fetch_add(p as u64, Ordering::Relaxed);
+            self.exec.stats.agg_partition_merges.add(p as u64);
             chunk_seq += n_chunks as u64;
             groups_held = parts.iter().map(|part| part.entries.len()).sum();
             buf.clear();
@@ -1796,7 +1796,7 @@ impl HashJoinOp<'_, '_> {
     fn build_side(&mut self) -> DbResult<BuiltSide> {
         let right_rows = drain_child(self.exec, self.right.as_mut())?;
         let width = right_rows.first().map(Vec::len).unwrap_or(0);
-        self.exec.stats.join_build_rows.fetch_add(right_rows.len() as u64, Ordering::Relaxed);
+        self.exec.stats.join_build_rows.add(right_rows.len() as u64);
         let threads = self.exec.limits.exec_threads.max(1);
         if threads <= 1 {
             let mut table: HashMap<GroupKey, Vec<usize>> = HashMap::new();
@@ -1870,7 +1870,7 @@ impl HashJoinOp<'_, '_> {
         } else {
             buckets.into_iter().map(build_bucket).collect()
         };
-        self.exec.stats.join_partitions.fetch_add(p as u64, Ordering::Relaxed);
+        self.exec.stats.join_partitions.add(p as u64);
         Ok(BuiltSide::Partitioned { rows: right_rows, partitioner, tables, width })
     }
 
@@ -2340,7 +2340,7 @@ impl<'x, 'a> ParallelScanOp<'x, 'a> {
             });
         exprs.for_each(PhysExpr::end_block);
         result?;
-        self.exec.stats.record_morsel(rows_seen);
+        self.exec.stats.rows_per_morsel.record(rows_seen);
         Ok(out)
     }
 
@@ -2359,7 +2359,7 @@ impl<'x, 'a> ParallelScanOp<'x, 'a> {
                 })
                 .collect(),
         );
-        self.exec.stats.morsels_dispatched.fetch_add(k, Ordering::Relaxed);
+        self.exec.stats.morsels_dispatched.add(k);
         // Results are in morsel order; the lowest failing morsel wins.
         for r in results {
             self.pending.extend(r?);
@@ -2372,8 +2372,8 @@ impl<'x, 'a> ParallelScanOp<'x, 'a> {
 
 impl BlockOperator for ParallelScanOp<'_, '_> {
     fn open(&mut self) -> DbResult<()> {
-        self.exec.stats.parallel_scans.fetch_add(1, Ordering::Relaxed);
-        self.exec.stats.scan_workers.fetch_add(self.n_workers as u64, Ordering::Relaxed);
+        self.exec.stats.parallel_scans.inc();
+        self.exec.stats.scan_workers.add(self.n_workers as u64);
         Ok(())
     }
 

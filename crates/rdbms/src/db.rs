@@ -201,7 +201,7 @@ impl Table {
                     self.heap.physical_delete_retained(rowid)?;
                 }
                 if freed > 0 {
-                    stats.versions_vacuumed.fetch_add(freed, Relaxed);
+                    stats.versions_vacuumed.add(freed);
                 }
             }
         }
@@ -249,7 +249,7 @@ impl Table {
             }
         }
         if ops > 0 {
-            stats.index_maintenance_ops.fetch_add(ops, Relaxed);
+            stats.index_maintenance_ops.add(ops);
         }
 
         for cs in &mut self.columnar {
@@ -292,7 +292,8 @@ pub struct Database {
     stats: RwLock<HashMap<String, TableStats>>,
     planner_config: RwLock<PlannerConfig>,
     limits: RwLock<ExecLimits>,
-    exec_stats: ExecStats,
+    /// Shared with the write-ahead log, which feeds the `wal` rows.
+    exec_stats: Arc<ExecStats>,
     /// Write-ahead log (file-backed databases with `SINEW_WAL` on).
     wal: Option<Arc<Wal>>,
     /// WAL write token: serializes mutating *commit units* when the WAL is
@@ -395,7 +396,8 @@ impl Database {
                 }
                 let mut db = Database::with_pager(pager);
                 let snapshot = db.wal_snapshot();
-                let wal = Arc::new(Wal::create(&wal_path, cfg, &snapshot)?);
+                let wal =
+                    Arc::new(Wal::create(&wal_path, cfg, &snapshot, db.exec_stats.clone())?);
                 db.pager.set_wal(wal.clone());
                 db.wal = Some(wal);
                 Ok(db)
@@ -412,7 +414,7 @@ impl Database {
             stats: RwLock::new(HashMap::new()),
             planner_config: RwLock::new(PlannerConfig::default()),
             limits: RwLock::new(ExecLimits::default()),
-            exec_stats: ExecStats::default(),
+            exec_stats: Arc::default(),
             wal: None,
             wal_owner: Mutex::new(None),
             wal_owner_cv: Condvar::new(),
@@ -583,13 +585,9 @@ impl Database {
         // intact and the next open simply recovers again — recovery
         // itself is re-runnable under kill -9.
         let snapshot = db.wal_snapshot();
-        let new_wal = Wal::create(wal_path, cfg, &snapshot)?;
-        new_wal.stats.recoveries.store(1, std::sync::atomic::Ordering::Relaxed);
-        new_wal
-            .stats
-            .recovered_pages
-            .store(recovered_pages, std::sync::atomic::Ordering::Relaxed);
-        let new_wal = Arc::new(new_wal);
+        let new_wal = Arc::new(Wal::create(wal_path, cfg, &snapshot, db.exec_stats.clone())?);
+        db.exec_stats.wal_recoveries.inc();
+        db.exec_stats.wal_recovered_pages.add(recovered_pages);
         db.pager.set_wal(new_wal.clone());
         db.wal = Some(new_wal);
         Ok(db)
@@ -665,15 +663,27 @@ impl Database {
     /// directory delta, snapshot the table's schema/index/columnar
     /// definitions, and append it all to the log as one commit unit.
     fn wal_commit_table(&self, name: &str, t: &mut Table, ts: u64) -> DbResult<()> {
+        if !self.wal_enabled() {
+            return Ok(());
+        }
+        let mut ops = Vec::new();
+        Self::wal_table_op(&mut ops, name, t);
+        self.wal_commit_record(ts, &ops)
+    }
+
+    /// The one producer of commit records: header (page count, commit
+    /// timestamp), then `ops`, logged together with every page image
+    /// dirtied since the previous record.
+    fn wal_commit_record(&self, ts: u64, ops: &[u8]) -> DbResult<()> {
         let Some(w) = &self.wal else { return Ok(()) };
-        let mut meta = Vec::new();
+        let mut meta = Vec::with_capacity(16 + ops.len());
         wal::put_u64(&mut meta, self.pager.n_pages());
         wal::put_u64(&mut meta, ts);
-        Self::wal_table_op(&mut meta, name, t);
+        meta.extend_from_slice(ops);
         let pages = self.pager.take_uncommitted_images();
         w.commit(&pages, &meta)?;
-        // A statement bigger than the pool overflowed it (no-steal pins);
-        // now that the images are logged, evict back down to capacity.
+        // A unit bigger than the pool overflowed it (no-steal pins); now
+        // that the images are logged, evict back down to capacity.
         self.pager.shrink_to_capacity()
     }
 
@@ -726,14 +736,9 @@ impl Database {
 
     /// Commit a DROP TABLE statement.
     fn wal_commit_drop(&self, name: &str, ts: u64) -> DbResult<()> {
-        let Some(w) = &self.wal else { return Ok(()) };
-        let mut meta = Vec::new();
-        wal::put_u64(&mut meta, self.pager.n_pages());
-        wal::put_u64(&mut meta, ts);
-        meta.push(WAL_OP_DROP);
-        wal::put_str(&mut meta, name);
-        let pages = self.pager.take_uncommitted_images();
-        w.commit(&pages, &meta)
+        let mut ops = vec![WAL_OP_DROP];
+        wal::put_str(&mut ops, name);
+        self.wal_commit_record(ts, &ops)
     }
 
     /// Full-metadata snapshot for checkpoint records: global page count
@@ -830,21 +835,12 @@ impl Database {
         self.funcs.register_pure(name, f);
     }
 
-    /// Scan-parallelism counters (morsels, workers, serial/parallel scans).
+    /// The engine's counter table at this instant, with the overlay rows
+    /// (owned by the transaction manager) filled in.
     pub fn exec_stats(&self) -> ExecSnapshot {
         let mut snap = self.exec_stats.snapshot();
         snap.oldest_snapshot_age_ms = self.manager.oldest_snapshot_age_ms();
         snap.live_snapshots = self.manager.live_snapshots();
-        if let Some(w) = &self.wal {
-            use std::sync::atomic::Ordering::Relaxed;
-            snap.wal_appends = w.stats.appends.load(Relaxed);
-            snap.wal_commits = w.stats.commits.load(Relaxed);
-            snap.wal_fsyncs = w.stats.fsyncs.load(Relaxed);
-            snap.wal_checkpoints = w.stats.checkpoints.load(Relaxed);
-            snap.wal_recoveries = w.stats.recoveries.load(Relaxed);
-            snap.wal_recovered_pages = w.stats.recovered_pages.load(Relaxed);
-            snap.wal_bytes = w.stats.bytes_written.load(Relaxed);
-        }
         snap
     }
 
@@ -988,7 +984,7 @@ impl Database {
         } else {
             index.insert_each(entries)?;
         }
-        self.exec_stats.index_build_rows.fetch_add(built, Relaxed);
+        self.exec_stats.index_build_rows.add(built);
         t.indexes.push(index);
         // Index pages are unlogged (rebuilt on recovery); the commit
         // records the index *definition* so recovery knows to rebuild it.
@@ -1211,7 +1207,7 @@ impl Database {
             && ((!is_marker(b) && b > read_ts)
                 || (!is_marker(e) && e != NO_END && e > read_ts));
         if foreign || stale {
-            self.exec_stats.write_conflicts.fetch_add(1, Relaxed);
+            self.exec_stats.write_conflicts.inc();
             return Err(DbError::Conflict(format!("row {rowid} was modified concurrently")));
         }
         Ok(())
@@ -1242,7 +1238,7 @@ impl Database {
         match publish {
             Publish::Retain(ts) => {
                 t.heap.update_versioned(rowid, &new_bytes, ts)?;
-                self.exec_stats.versions_created.fetch_add(1, Relaxed);
+                self.exec_stats.versions_created.inc();
             }
             Publish::Eager => t.heap.update(rowid, &new_bytes)?,
         }
@@ -1270,7 +1266,7 @@ impl Database {
         t.heap.update_versioned(rowid, &new_bytes, txn.marker)?;
         txn.log.push((table.to_string(), rowid, TxnOp::Upd));
         txn.touch(table, rowid);
-        self.exec_stats.versions_created.fetch_add(1, Relaxed);
+        self.exec_stats.versions_created.inc();
         Ok(())
     }
 
@@ -1435,9 +1431,7 @@ impl Database {
             Statement::Delete(del) => self.run_delete(del, txn),
             Statement::Explain { analyze, inner } => match &**inner {
                 Statement::Select(sel) => {
-                    self.exec_stats
-                        .explain_runs
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    self.exec_stats.explain_runs.inc();
                     let planned = self.plan(sel)?;
                     let text = if *analyze {
                         // EXPLAIN ANALYZE actually runs the query
@@ -1710,7 +1704,7 @@ impl Database {
         // yet. Plain reads keep the non-blocking stale-frontier snapshot.
         let read_ts = self.manager.begin_snapshot_fresh();
         let marker = self.manager.marker();
-        self.exec_stats.txns_begun.fetch_add(1, Relaxed);
+        self.exec_stats.txns_begun.inc();
         Ok(Txn {
             marker,
             read_ts,
@@ -1732,7 +1726,7 @@ impl Database {
                 self.token_release(txn.marker);
             }
             let advanced = self.manager.release_snapshot(txn.read_ts);
-            self.exec_stats.txns_committed.fetch_add(1, Relaxed);
+            self.exec_stats.txns_committed.inc();
             if advanced {
                 let _ = self.vacuum();
             }
@@ -1758,24 +1752,15 @@ impl Database {
                     Self::wal_table_op(&mut ops, name, &mut t);
                 }
             }
-            if let Some(w) = &self.wal {
-                // One record for the whole transaction: recovery either
-                // replays all of it or none of it.
-                let mut meta = Vec::new();
-                wal::put_u64(&mut meta, self.pager.n_pages());
-                wal::put_u64(&mut meta, tk.ts);
-                meta.extend_from_slice(&ops);
-                let pages = self.pager.take_uncommitted_images();
-                w.commit(&pages, &meta)?;
-                self.pager.shrink_to_capacity()?;
-            }
-            Ok(())
+            // One record for the whole transaction: recovery either
+            // replays all of it or none of it.
+            self.wal_commit_record(tk.ts, &ops)
         })();
         drop(ticket); // publish the commit timestamp
         if txn.holds_wal_token {
             self.token_release(txn.marker);
         }
-        self.exec_stats.txns_committed.fetch_add(1, Relaxed);
+        self.exec_stats.txns_committed.inc();
         if let Some(w) = &self.wal {
             if w.bytes() > w.config().checkpoint_bytes {
                 self.checkpoint()?;
@@ -1806,7 +1791,7 @@ impl Database {
         let old = if st.inserted { None } else { image(t, t.heap.pretxn_bytes(rowid, marker)?)? };
         let freed = t.heap.patch_commit(rowid, marker, tk.ts)?;
         if freed > 0 {
-            self.exec_stats.versions_vacuumed.fetch_add(freed, Relaxed);
+            self.exec_stats.versions_vacuumed.add(freed);
         }
         if st.inserted && st.deleted {
             // Born and died inside the transaction: the slot was never
@@ -1841,7 +1826,7 @@ impl Database {
             self.token_release(txn.marker);
         }
         let advanced = self.manager.release_snapshot(txn.read_ts);
-        self.exec_stats.txns_aborted.fetch_add(1, Relaxed);
+        self.exec_stats.txns_aborted.inc();
         if advanced {
             let _ = self.vacuum();
         }
@@ -1920,7 +1905,7 @@ impl Database {
             }
         }
         if reclaimed > 0 {
-            self.exec_stats.versions_vacuumed.fetch_add(reclaimed, Relaxed);
+            self.exec_stats.versions_vacuumed.add(reclaimed);
         }
         Ok(reclaimed)
     }
@@ -2312,7 +2297,7 @@ impl SnapSource<'_> {
             f(scan_row(tuple::decode_tuple_partial(&t.schema, &bytes, &wanted)?, &live, rowid))
         });
         if fetched > 0 {
-            self.db.exec_stats.heap_fetches.fetch_add(fetched, Relaxed);
+            self.db.exec_stats.heap_fetches.add(fetched);
         }
         res
     }
@@ -2371,7 +2356,7 @@ impl SnapSource<'_> {
             }
         }
         if fetched > 0 {
-            self.db.exec_stats.heap_fetches.fetch_add(fetched, Relaxed);
+            self.db.exec_stats.heap_fetches.add(fetched);
         }
         Ok(())
     }

@@ -26,7 +26,6 @@ use crate::agg::Accumulator;
 use crate::db::SnapSource;
 use crate::plan::{AccessPath, AggSpec, Plan, SortKey};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 pub type Row = Vec<Datum>;
 
@@ -136,246 +135,138 @@ fn default_exec_mode() -> ExecMode {
     }
 }
 
-/// Log₂ histogram bucket count (bucket = bits of the value, saturated).
-pub const EXEC_HIST_BUCKETS: usize = 17;
+crate::counter_table! {
+    /// Engine counters, owned by `Database` and folded into the storage
+    /// report. All updates are relaxed atomics — workers never lock.
+    live ExecStats;
+    /// A plain-data copy of [`ExecStats`] at one point in time.
+    snapshot ExecSnapshot;
 
-/// Scan-parallelism counters, owned by `Database` and folded into the
-/// storage report. All updates are relaxed atomics — workers never lock.
-#[derive(Debug, Default)]
-pub struct ExecStats {
-    pub parallel_scans: AtomicU64,
-    pub serial_scans: AtomicU64,
-    pub morsels_dispatched: AtomicU64,
-    pub scan_workers: AtomicU64,
-    /// Index-scan executions taken instead of a heap scan.
-    pub index_scans: AtomicU64,
-    /// Rows fed into index bulk builds (CREATE INDEX over existing data).
-    pub index_build_rows: AtomicU64,
-    /// Individual index entry insert/remove operations from DML maintenance.
-    pub index_maintenance_ops: AtomicU64,
-    rows_per_morsel: [AtomicU64; EXEC_HIST_BUCKETS],
-    rows_per_morsel_count: AtomicU64,
-    rows_per_morsel_sum: AtomicU64,
-    /// Columnar segment-scan executions taken instead of a heap scan.
-    pub columnar_scans: AtomicU64,
-    /// Segments skipped outright because their zone map excluded the bounds.
-    pub segments_pruned: AtomicU64,
-    /// Covering index-only scan executions (zero heap page reads).
-    pub index_only_scans: AtomicU64,
-    /// Rows materialized from heap pages (scans + rowid fetches) — the
-    /// quantity a covering scan avoids; benches assert it stays flat.
-    pub heap_fetches: AtomicU64,
-    decoded_per_block: [AtomicU64; EXEC_HIST_BUCKETS],
-    decoded_per_block_count: AtomicU64,
-    decoded_per_block_sum: AtomicU64,
+    /// Scans run through the morsel-parallel pipeline.
+    executor parallel_scans: counter,
+    /// Scans run on the calling thread.
+    executor serial_scans: counter,
+    /// Morsels handed to scan workers.
+    executor morsels_dispatched: counter,
+    /// Worker threads spawned across all parallel scans.
+    executor scan_workers: counter,
+    /// Live rows visited per finished morsel.
+    executor rows_per_morsel: histogram,
+
     /// Blocks delivered to the streaming engine's root accumulator.
-    pub blocks_emitted: AtomicU64,
+    streaming blocks_emitted: counter,
     /// Streams terminated before the child was exhausted (LIMIT satisfied).
-    pub early_stops: AtomicU64,
+    streaming early_stops: counter,
     /// High-water mark of rows resident in one statement's pipeline
     /// (root accumulator + operator buffers) — O(block) for streaming
     /// scans, O(table) for the materializing oracle.
-    pub peak_resident_rows: AtomicU64,
-    rows_per_block: [AtomicU64; EXEC_HIST_BUCKETS],
-    rows_per_block_count: AtomicU64,
-    rows_per_block_sum: AtomicU64,
+    streaming peak_resident_rows: max,
+    /// Rows per block reaching the streaming root.
+    streaming rows_per_block: histogram,
+
+    /// Index-scan executions taken instead of a heap scan.
+    index_access index_scans: counter,
+    /// Rows fed into index bulk builds (CREATE INDEX over existing data).
+    index_access index_build_rows: counter,
+    /// Individual index entry insert/remove operations from DML maintenance.
+    index_access index_maintenance_ops: counter,
+
+    /// Columnar segment-scan executions taken instead of a heap scan.
+    columnar_access columnar_scans: counter,
+    /// Segments skipped outright because their zone map excluded the bounds.
+    columnar_access segments_pruned: counter,
+    /// Covering index-only scan executions (zero heap page reads).
+    columnar_access index_only_scans: counter,
+    /// Rows materialized from heap pages (scans + rowid fetches) — the
+    /// quantity a covering scan avoids; benches assert it stays flat.
+    columnar_access heap_fetches: counter,
+    /// Value-level decodes/compares charged per scanned segment.
+    columnar_access decoded_per_block: histogram,
+
     /// Values decoded through the 64-wide batched kernel paths (vs the
     /// scalar per-slot loops `SINEW_SIMD=0` forces).
-    pub values_decoded_batched: AtomicU64,
+    kernels values_decoded_batched: counter,
     /// Predicates rewritten to packed dictionary-code ranges.
-    pub dict_code_rewrites: AtomicU64,
+    kernels dict_code_rewrites: counter,
     /// RLE runs rejected with a single run-level compare.
-    pub rle_runs_skipped: AtomicU64,
+    kernels rle_runs_skipped: counter,
     /// Whole 64-slot bitmap words handled by a selection fast path
     /// (all-dead skip, all-match emit) without per-slot work.
-    pub selection_fastpath_hits: AtomicU64,
+    kernels selection_fastpath_hits: counter,
+
     /// Rows hashed into partitioned hash-join build tables.
-    pub join_build_rows: AtomicU64,
+    parallel_breakers join_build_rows: counter,
     /// Partitions created across partitioned hash-join builds.
-    pub join_partitions: AtomicU64,
+    parallel_breakers join_partitions: counter,
     /// Partition-merge tasks run by parallel hash aggregation.
-    pub agg_partition_merges: AtomicU64,
+    parallel_breakers agg_partition_merges: counter,
     /// Sorts executed through the parallel run-sort + k-way-merge path.
-    pub parallel_sorts: AtomicU64,
+    parallel_breakers parallel_sorts: counter,
     /// EXPLAIN / EXPLAIN ANALYZE statements executed.
-    pub explain_runs: AtomicU64,
+    parallel_breakers explain_runs: counter,
+
+    /// Frames appended to the write-ahead log (page images + commit
+    /// markers + checkpoints). The `wal` rows stay zero without a log.
+    wal wal_appends: counter,
+    /// Commit markers appended (statement boundaries).
+    wal wal_commits: counter,
+    /// fdatasync calls on the log (group commit batches these).
+    wal wal_fsyncs: counter,
+    /// Checkpoint passes (log rewritten from a fresh snapshot).
+    wal wal_checkpoints: counter,
+    /// Crash recoveries performed on open.
+    wal wal_recoveries: counter,
+    /// Committed page images replayed into the data file by recovery.
+    wal wal_recovered_pages: counter,
+    /// Bytes appended to the log.
+    wal wal_bytes: counter,
+
     /// Explicit transactions opened with BEGIN (DESIGN.md §16).
-    pub txns_begun: AtomicU64,
+    mvcc txns_begun: counter,
     /// Explicit transactions that reached COMMIT successfully.
-    pub txns_committed: AtomicU64,
+    mvcc txns_committed: counter,
     /// Explicit transactions rolled back (user ROLLBACK or conflict abort).
-    pub txns_aborted: AtomicU64,
+    mvcc txns_aborted: counter,
     /// First-writer-wins write-write conflicts detected.
-    pub write_conflicts: AtomicU64,
+    mvcc write_conflicts: counter,
     /// Superseded row versions retained for concurrent snapshots.
-    pub versions_created: AtomicU64,
+    mvcc versions_created: counter,
     /// Retained versions / garbage items reclaimed by vacuum.
-    pub versions_vacuumed: AtomicU64,
+    mvcc versions_vacuumed: counter,
+    /// Read snapshots currently registered; `Database::exec_stats` fills
+    /// it in from the transaction manager.
+    mvcc live_snapshots: overlay,
+    /// Age of the oldest registered read snapshot (vacuum lag), filled in
+    /// like `live_snapshots`.
+    mvcc oldest_snapshot_age_ms: overlay,
 }
 
 impl ExecStats {
-    /// Record one finished morsel that visited `rows` live rows.
-    pub fn record_morsel(&self, rows: u64) {
-        let b = (64 - rows.leading_zeros()).min(16) as usize;
-        self.rows_per_morsel[b].fetch_add(1, Ordering::Relaxed);
-        self.rows_per_morsel_count.fetch_add(1, Ordering::Relaxed);
-        self.rows_per_morsel_sum.fetch_add(rows, Ordering::Relaxed);
-    }
-
     /// Record one block of `rows` rows reaching the streaming root.
     pub fn record_block(&self, rows: u64) {
-        let b = (64 - rows.leading_zeros()).min(16) as usize;
-        self.blocks_emitted.fetch_add(1, Ordering::Relaxed);
-        self.rows_per_block[b].fetch_add(1, Ordering::Relaxed);
-        self.rows_per_block_count.fetch_add(1, Ordering::Relaxed);
-        self.rows_per_block_sum.fetch_add(rows, Ordering::Relaxed);
+        self.blocks_emitted.inc();
+        self.rows_per_block.record(rows);
     }
 
     /// Raise the resident-row high-water mark to at least `rows`.
     pub fn note_resident(&self, rows: u64) {
-        self.peak_resident_rows.fetch_max(rows, Ordering::Relaxed);
+        self.peak_resident_rows.raise_to(rows);
     }
 
     /// Fold one scanned segment into the counters: skipped outright by its
     /// zone map, or the decode/kernel work it cost.
     pub(crate) fn record_segment(&self, scan: &SegScan) {
         if scan.pruned {
-            self.segments_pruned.fetch_add(1, Ordering::Relaxed);
+            self.segments_pruned.inc();
             return;
         }
         let k = &scan.kernel;
-        let b = (64 - k.decoded.leading_zeros()).min(16) as usize;
-        self.decoded_per_block[b].fetch_add(1, Ordering::Relaxed);
-        self.decoded_per_block_count.fetch_add(1, Ordering::Relaxed);
-        self.decoded_per_block_sum.fetch_add(k.decoded, Ordering::Relaxed);
-        self.values_decoded_batched.fetch_add(k.batched, Ordering::Relaxed);
-        self.dict_code_rewrites.fetch_add(k.dict_rewrites, Ordering::Relaxed);
-        self.rle_runs_skipped.fetch_add(k.rle_runs_skipped, Ordering::Relaxed);
-        self.selection_fastpath_hits.fetch_add(k.fastpath_words, Ordering::Relaxed);
+        self.decoded_per_block.record(k.decoded);
+        self.values_decoded_batched.add(k.batched);
+        self.dict_code_rewrites.add(k.dict_rewrites);
+        self.rle_runs_skipped.add(k.rle_runs_skipped);
+        self.selection_fastpath_hits.add(k.fastpath_words);
     }
-
-    pub fn snapshot(&self) -> ExecSnapshot {
-        let mut buckets = [0u64; EXEC_HIST_BUCKETS];
-        for (out, b) in buckets.iter_mut().zip(&self.rows_per_morsel) {
-            *out = b.load(Ordering::Relaxed);
-        }
-        let mut block_buckets = [0u64; EXEC_HIST_BUCKETS];
-        for (out, b) in block_buckets.iter_mut().zip(&self.rows_per_block) {
-            *out = b.load(Ordering::Relaxed);
-        }
-        let mut decoded_buckets = [0u64; EXEC_HIST_BUCKETS];
-        for (out, b) in decoded_buckets.iter_mut().zip(&self.decoded_per_block) {
-            *out = b.load(Ordering::Relaxed);
-        }
-        ExecSnapshot {
-            parallel_scans: self.parallel_scans.load(Ordering::Relaxed),
-            serial_scans: self.serial_scans.load(Ordering::Relaxed),
-            morsels_dispatched: self.morsels_dispatched.load(Ordering::Relaxed),
-            scan_workers: self.scan_workers.load(Ordering::Relaxed),
-            index_scans: self.index_scans.load(Ordering::Relaxed),
-            index_build_rows: self.index_build_rows.load(Ordering::Relaxed),
-            index_maintenance_ops: self.index_maintenance_ops.load(Ordering::Relaxed),
-            rows_per_morsel: buckets,
-            rows_per_morsel_count: self.rows_per_morsel_count.load(Ordering::Relaxed),
-            rows_per_morsel_sum: self.rows_per_morsel_sum.load(Ordering::Relaxed),
-            columnar_scans: self.columnar_scans.load(Ordering::Relaxed),
-            segments_pruned: self.segments_pruned.load(Ordering::Relaxed),
-            index_only_scans: self.index_only_scans.load(Ordering::Relaxed),
-            heap_fetches: self.heap_fetches.load(Ordering::Relaxed),
-            decoded_per_block: decoded_buckets,
-            decoded_per_block_count: self.decoded_per_block_count.load(Ordering::Relaxed),
-            decoded_per_block_sum: self.decoded_per_block_sum.load(Ordering::Relaxed),
-            blocks_emitted: self.blocks_emitted.load(Ordering::Relaxed),
-            early_stops: self.early_stops.load(Ordering::Relaxed),
-            peak_resident_rows: self.peak_resident_rows.load(Ordering::Relaxed),
-            rows_per_block: block_buckets,
-            rows_per_block_count: self.rows_per_block_count.load(Ordering::Relaxed),
-            rows_per_block_sum: self.rows_per_block_sum.load(Ordering::Relaxed),
-            values_decoded_batched: self.values_decoded_batched.load(Ordering::Relaxed),
-            dict_code_rewrites: self.dict_code_rewrites.load(Ordering::Relaxed),
-            rle_runs_skipped: self.rle_runs_skipped.load(Ordering::Relaxed),
-            selection_fastpath_hits: self.selection_fastpath_hits.load(Ordering::Relaxed),
-            join_build_rows: self.join_build_rows.load(Ordering::Relaxed),
-            join_partitions: self.join_partitions.load(Ordering::Relaxed),
-            agg_partition_merges: self.agg_partition_merges.load(Ordering::Relaxed),
-            parallel_sorts: self.parallel_sorts.load(Ordering::Relaxed),
-            explain_runs: self.explain_runs.load(Ordering::Relaxed),
-            txns_begun: self.txns_begun.load(Ordering::Relaxed),
-            txns_committed: self.txns_committed.load(Ordering::Relaxed),
-            txns_aborted: self.txns_aborted.load(Ordering::Relaxed),
-            write_conflicts: self.write_conflicts.load(Ordering::Relaxed),
-            versions_created: self.versions_created.load(Ordering::Relaxed),
-            versions_vacuumed: self.versions_vacuumed.load(Ordering::Relaxed),
-            oldest_snapshot_age_ms: 0,
-            live_snapshots: 0,
-            wal_appends: 0,
-            wal_commits: 0,
-            wal_fsyncs: 0,
-            wal_checkpoints: 0,
-            wal_recoveries: 0,
-            wal_recovered_pages: 0,
-            wal_bytes: 0,
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecSnapshot {
-    pub parallel_scans: u64,
-    pub serial_scans: u64,
-    pub morsels_dispatched: u64,
-    pub scan_workers: u64,
-    pub index_scans: u64,
-    pub index_build_rows: u64,
-    pub index_maintenance_ops: u64,
-    pub rows_per_morsel: [u64; EXEC_HIST_BUCKETS],
-    pub rows_per_morsel_count: u64,
-    pub rows_per_morsel_sum: u64,
-    pub columnar_scans: u64,
-    pub segments_pruned: u64,
-    pub index_only_scans: u64,
-    pub heap_fetches: u64,
-    pub decoded_per_block: [u64; EXEC_HIST_BUCKETS],
-    pub decoded_per_block_count: u64,
-    pub decoded_per_block_sum: u64,
-    pub blocks_emitted: u64,
-    pub early_stops: u64,
-    pub peak_resident_rows: u64,
-    pub rows_per_block: [u64; EXEC_HIST_BUCKETS],
-    pub rows_per_block_count: u64,
-    pub rows_per_block_sum: u64,
-    /// Kernel engagement counters (see [`crate::kernels::KernelStats`]).
-    pub values_decoded_batched: u64,
-    pub dict_code_rewrites: u64,
-    pub rle_runs_skipped: u64,
-    pub selection_fastpath_hits: u64,
-    /// Parallel join/aggregation engagement counters (DESIGN.md §15).
-    pub join_build_rows: u64,
-    pub join_partitions: u64,
-    pub agg_partition_merges: u64,
-    pub parallel_sorts: u64,
-    pub explain_runs: u64,
-    /// MVCC transaction counters (DESIGN.md §16).
-    pub txns_begun: u64,
-    pub txns_committed: u64,
-    pub txns_aborted: u64,
-    pub write_conflicts: u64,
-    pub versions_created: u64,
-    pub versions_vacuumed: u64,
-    /// Age of the oldest registered read snapshot (vacuum lag), overlaid
-    /// by `Database::exec_stats` from the transaction manager.
-    pub oldest_snapshot_age_ms: u64,
-    /// Read snapshots currently registered, overlaid like the age.
-    pub live_snapshots: u64,
-    /// WAL counters, overlaid by `Database::exec_stats` from the log's
-    /// own stats (zero when no WAL is attached).
-    pub wal_appends: u64,
-    pub wal_commits: u64,
-    pub wal_fsyncs: u64,
-    pub wal_checkpoints: u64,
-    pub wal_recoveries: u64,
-    pub wal_recovered_pages: u64,
-    pub wal_bytes: u64,
 }
 
 /// One statement's execution context: where rows come from (a table
@@ -430,7 +321,7 @@ impl Executor<'_> {
         filter: Option<&PhysExpr>,
         needed: Option<&[String]>,
     ) -> DbResult<Vec<Row>> {
-        self.stats.serial_scans.fetch_add(1, Ordering::Relaxed);
+        self.stats.serial_scans.inc();
         let mut out = Vec::new();
         let mut ctx = EvalCtx::new();
         self.source.scan_table_range(table, needed, 0, u64::MAX, &mut |row| {
@@ -459,7 +350,7 @@ impl Executor<'_> {
                 let Some(mut rowids) = self.source.index_lookup(path, None)? else {
                     return self.heap_fallback(path);
                 };
-                self.stats.index_scans.fetch_add(1, Ordering::Relaxed);
+                self.stats.index_scans.inc();
                 // Heap scans emit rows in rowid order; match it exactly.
                 rowids.sort_unstable();
                 let mut out = Vec::new();
@@ -474,7 +365,7 @@ impl Executor<'_> {
                 let Some(n_segments) = self.source.columnar_meta(path)? else {
                     return self.heap_fallback(path);
                 };
-                self.stats.columnar_scans.fetch_add(1, Ordering::Relaxed);
+                self.stats.columnar_scans.inc();
                 let mut out = Vec::new();
                 let mut ctx = EvalCtx::new();
                 for seg in 0..n_segments {
@@ -496,7 +387,7 @@ impl Executor<'_> {
                 let Some(probe) = self.source.index_only_probe(path, None)? else {
                     return self.heap_fallback(path);
                 };
-                self.stats.index_only_scans.fetch_add(1, Ordering::Relaxed);
+                self.stats.index_only_scans.inc();
                 let filter = path.filter.as_ref().filter(|_| !path.exact_bounds);
                 let mut out = Vec::new();
                 let mut ctx = EvalCtx::new();
@@ -936,4 +827,26 @@ pub fn sort_rows(rows: &mut [Row], keys: &[SortKey]) -> DbResult<()> {
         *slot = row;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `record_block` buckets by bit length, saturating at the last
+    /// bucket — the arithmetic the three hand-rolled histograms shared
+    /// before they became [`crate::counters::Histogram`]s.
+    #[test]
+    fn record_block_keeps_its_log2_buckets() {
+        for (rows, bucket) in [(0, 0), (1, 1), (2, 2), (3, 2), (1024, 11), (u64::MAX, 16)] {
+            let stats = ExecStats::default();
+            stats.record_block(rows);
+            let snap = stats.snapshot();
+            assert_eq!(snap.blocks_emitted, 1);
+            assert_eq!((snap.rows_per_block.count, snap.rows_per_block.sum), (1, rows));
+            let mut want = [0u64; crate::counters::HIST_BUCKETS];
+            want[bucket] = 1;
+            assert_eq!(snap.rows_per_block.buckets, want, "record_block({rows})");
+        }
+    }
 }

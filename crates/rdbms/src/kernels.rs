@@ -11,9 +11,8 @@
 //!   shifts and masks, no per-value bounds or offset arithmetic;
 //! * **range compare masks** ([`range_mask64`]) — 64 packed values against
 //!   an inclusive `[lo, hi]` code range in one pass, returning a bitmask
-//!   that ANDs directly with the segment's live/valid bitmap words. With
-//!   the `simd` cargo feature on an AVX2 machine the compare runs on
-//!   256-bit vectors; the scalar loop is the fallback and the oracle;
+//!   that ANDs directly with the segment's live/valid bitmap words (a
+//!   branch-free lane loop the compiler autovectorizes);
 //! * **selection-vector emission** ([`select_packed`]) — whole bitmap
 //!   words that are all-dead or all-matching skip per-slot work entirely
 //!   (counted as fastpath hits);
@@ -143,56 +142,14 @@ pub(crate) fn unpack64(words: &[u64], bits: u32, block: usize, out: &mut [u64; L
 }
 
 /// Lane-wise `lo <= v && v <= hi` over one 64-value batch, as a bitmask
-/// (bit i set ⇔ lane i in range). Scalar reference implementation.
+/// (bit i set ⇔ lane i in range).
 #[inline]
-fn range_mask64_scalar(vals: &[u64; LANES], lo: u64, hi: u64) -> u64 {
+pub(crate) fn range_mask64(vals: &[u64; LANES], lo: u64, hi: u64) -> u64 {
     let mut m = 0u64;
     for (i, &v) in vals.iter().enumerate() {
         m |= ((v >= lo && v <= hi) as u64) << i;
     }
     m
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod avx2 {
-    use super::LANES;
-    use std::arch::x86_64::*;
-
-    /// AVX2 range compare: 16 chunks of 4 × 64-bit lanes. AVX2 has no
-    /// unsigned 64-bit compare, so lanes and bounds are sign-biased
-    /// (XOR 2^63) first: that maps unsigned order onto signed order for
-    /// every input, including 64-bit pack widths whose values and bound
-    /// clamps reach above 2^63.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn range_mask64(vals: &[u64; LANES], lo: u64, hi: u64) -> u64 {
-        let bias = _mm256_set1_epi64x(i64::MIN);
-        let vlo = _mm256_set1_epi64x((lo ^ 1u64 << 63) as i64);
-        let vhi = _mm256_set1_epi64x((hi ^ 1u64 << 63) as i64);
-        let mut m = 0u64;
-        for c in 0..LANES / 4 {
-            let v = _mm256_loadu_si256(vals.as_ptr().add(c * 4) as *const __m256i);
-            let v = _mm256_xor_si256(v, bias);
-            let ge = _mm256_or_si256(_mm256_cmpgt_epi64(v, vlo), _mm256_cmpeq_epi64(v, vlo));
-            let le = _mm256_or_si256(_mm256_cmpgt_epi64(vhi, v), _mm256_cmpeq_epi64(vhi, v));
-            let hit = _mm256_and_si256(ge, le);
-            let bits = _mm256_movemask_pd(_mm256_castsi256_pd(hit)) as u64;
-            m |= bits << (c * 4);
-        }
-        m
-    }
-}
-
-/// Lane-wise inclusive range compare, dispatching to AVX2 when the `simd`
-/// feature is compiled in and the CPU supports it.
-#[inline]
-pub(crate) fn range_mask64(vals: &[u64; LANES], lo: u64, hi: u64) -> u64 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return unsafe { avx2::range_mask64(vals, lo, hi) };
-        }
-    }
-    range_mask64_scalar(vals, lo, hi)
 }
 
 /// Batched selection kernel over a packed array: emit ascending slot
@@ -308,17 +265,16 @@ mod tests {
     }
 
     #[test]
-    fn range_mask_matches_scalar() {
+    fn range_mask_sets_one_bit_per_lane_in_range() {
         let mut vals = [0u64; LANES];
         for (i, v) in vals.iter_mut().enumerate() {
             *v = mix(i as u64) % 1000;
         }
         for (lo, hi) in [(0, u64::MAX), (100, 900), (500, 500), (900, 100), (0, 0)] {
-            assert_eq!(
-                range_mask64(&vals, lo, hi),
-                range_mask64_scalar(&vals, lo, hi),
-                "dispatched kernel diverged from scalar at [{lo}, {hi}]"
-            );
+            let m = range_mask64(&vals, lo, hi);
+            for (i, &v) in vals.iter().enumerate() {
+                assert_eq!(m >> i & 1 == 1, lo <= v && v <= hi, "lane {i} at [{lo}, {hi}]");
+            }
         }
     }
 

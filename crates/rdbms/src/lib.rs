@@ -33,6 +33,7 @@ pub mod agg;
 pub mod block;
 pub mod btree;
 pub mod columnar;
+pub mod counters;
 pub mod datum;
 pub mod db;
 pub mod error;
@@ -58,7 +59,7 @@ pub use datum::{ColType, Datum, KeyRange};
 pub use db::{Database, QueryResult, Session, Txn};
 pub use error::{DbError, DbResult};
 pub use block::{BlockOperator, RowBlock};
-pub use exec::{ExecLimits, ExecMode, ExecSnapshot, EXEC_HIST_BUCKETS};
+pub use exec::{ExecLimits, ExecMode, ExecSnapshot};
 pub use func::ScalarFn;
 pub use heap::RowId;
 pub use kernels::KernelStats;

@@ -36,13 +36,14 @@
 //! test.
 
 use crate::error::{DbError, DbResult};
+use crate::exec::ExecStats;
 use crate::page::PAGE_SIZE;
 use crate::pager::PageId;
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 const KIND_CHECKPOINT: u8 = 1;
 const KIND_PAGE: u8 = 2;
@@ -151,7 +152,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-// ---- configuration & stats ----
+// ---- configuration ----
 
 /// WAL knobs, normally read from the environment (`SINEW_WAL`,
 /// `SINEW_WAL_GROUP_COMMIT`, `SINEW_WAL_CHECKPOINT_BYTES`,
@@ -205,26 +206,6 @@ impl WalConfig {
     }
 }
 
-/// Relaxed atomic counters surfaced through `ExecSnapshot` into
-/// `/metrics` and `storage_report`.
-#[derive(Debug, Default)]
-pub struct WalStats {
-    /// Frames appended (page images + commit markers + checkpoints).
-    pub appends: AtomicU64,
-    /// Commit markers appended (statement boundaries).
-    pub commits: AtomicU64,
-    /// fdatasync calls on the log (group commit batches these).
-    pub fsyncs: AtomicU64,
-    /// Checkpoint passes (log rewritten from a fresh snapshot).
-    pub checkpoints: AtomicU64,
-    /// Crash recoveries performed on open.
-    pub recoveries: AtomicU64,
-    /// Committed page images replayed into the data file by recovery.
-    pub recovered_pages: AtomicU64,
-    /// Bytes appended to the log.
-    pub bytes_written: AtomicU64,
-}
-
 // ---- the log itself ----
 
 struct WalInner {
@@ -243,7 +224,8 @@ pub struct Wal {
     path: PathBuf,
     cfg: WalConfig,
     inner: Mutex<WalInner>,
-    pub stats: WalStats,
+    /// The owning database's counter table; the log feeds its `wal` rows.
+    stats: Arc<ExecStats>,
 }
 
 /// One committed statement recovered from the log.
@@ -282,7 +264,12 @@ impl Wal {
     /// `path` and the directory fsync'd, so a crash at any instant
     /// leaves either the old log or a complete new one — never an
     /// empty/torn log next to a data file that still needs it.
-    pub fn create(path: &Path, cfg: WalConfig, snapshot: &[u8]) -> DbResult<Wal> {
+    pub fn create(
+        path: &Path,
+        cfg: WalConfig,
+        snapshot: &[u8],
+        stats: Arc<ExecStats>,
+    ) -> DbResult<Wal> {
         let tmp = path.with_extension("wal-tmp");
         let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&tmp)?;
@@ -290,7 +277,7 @@ impl Wal {
             path: path.to_path_buf(),
             cfg,
             inner: Mutex::new(WalInner { file, bytes: 0, unsynced_commits: 0, appends: 0 }),
-            stats: WalStats::default(),
+            stats,
         };
         {
             let mut inner = wal.inner.lock();
@@ -301,8 +288,8 @@ impl Wal {
             inner.file.sync_data()?;
             std::fs::rename(&tmp, path)?;
             sync_parent_dir(path)?;
-            wal.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-            wal.stats.bytes_written.fetch_add(buf.len() as u64, Ordering::Relaxed);
+            wal.stats.wal_fsyncs.inc();
+            wal.stats.wal_bytes.add(buf.len() as u64);
         }
         Ok(wal)
     }
@@ -334,13 +321,13 @@ impl Wal {
         self.compose_frame(&mut inner, &mut buf, KIND_COMMIT, meta);
         inner.file.write_all(&buf)?;
         inner.bytes += buf.len() as u64;
-        self.stats.bytes_written.fetch_add(buf.len() as u64, Ordering::Relaxed);
-        self.stats.commits.fetch_add(1, Ordering::Relaxed);
+        self.stats.wal_bytes.add(buf.len() as u64);
+        self.stats.wal_commits.inc();
         inner.unsynced_commits += 1;
         if inner.unsynced_commits >= self.cfg.group_commit {
             inner.file.sync_data()?;
             inner.unsynced_commits = 0;
-            self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
+            self.stats.wal_fsyncs.inc();
         }
         Ok(())
     }
@@ -351,7 +338,7 @@ impl Wal {
         if inner.unsynced_commits > 0 {
             inner.file.sync_data()?;
             inner.unsynced_commits = 0;
-            self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
+            self.stats.wal_fsyncs.inc();
         }
         Ok(())
     }
@@ -374,9 +361,9 @@ impl Wal {
         inner.file = file;
         inner.bytes = buf.len() as u64;
         inner.unsynced_commits = 0;
-        self.stats.bytes_written.fetch_add(buf.len() as u64, Ordering::Relaxed);
-        self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-        self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.stats.wal_bytes.add(buf.len() as u64);
+        self.stats.wal_fsyncs.inc();
+        self.stats.wal_checkpoints.inc();
         Ok(())
     }
 
@@ -385,7 +372,7 @@ impl Wal {
     /// out before the process aborts — a deterministic torn tail.
     fn compose_frame(&self, inner: &mut WalInner, buf: &mut Vec<u8>, kind: u8, payload: &[u8]) {
         inner.appends += 1;
-        self.stats.appends.fetch_add(1, Ordering::Relaxed);
+        self.stats.wal_appends.inc();
         let start = buf.len();
         put_u32(buf, payload.len() as u32);
         buf.push(kind);
@@ -477,7 +464,7 @@ mod tests {
     fn roundtrip_commits() {
         let dir = tmpdir("rt");
         let path = dir.join("t.wal");
-        let wal = Wal::create(&path, WalConfig::default(), b"snap0").unwrap();
+        let wal = Wal::create(&path, WalConfig::default(), b"snap0", Default::default()).unwrap();
         wal.commit(&[(3, image(7)), (9, image(8))], b"meta-a").unwrap();
         wal.commit(&[], b"meta-b").unwrap();
         let c = Wal::read(&path).unwrap().unwrap();
@@ -496,7 +483,7 @@ mod tests {
         let dir = tmpdir("torn");
         let path = dir.join("t.wal");
         {
-            let wal = Wal::create(&path, WalConfig::default(), b"s").unwrap();
+            let wal = Wal::create(&path, WalConfig::default(), b"s", Default::default()).unwrap();
             wal.commit(&[(1, image(1))], b"m1").unwrap();
             wal.commit(&[(2, image(2))], b"m2").unwrap();
         }
@@ -533,15 +520,15 @@ mod tests {
         let dir = tmpdir("gc");
         let path = dir.join("t.wal");
         let cfg = WalConfig { group_commit: 4, ..WalConfig::default() };
-        let wal = Wal::create(&path, cfg, b"s").unwrap();
-        let base = wal.stats.fsyncs.load(Ordering::Relaxed);
+        let wal = Wal::create(&path, cfg, b"s", Default::default()).unwrap();
+        let base = wal.stats.wal_fsyncs.get();
         for i in 0..8 {
             wal.commit(&[], format!("m{i}").as_bytes()).unwrap();
         }
-        assert_eq!(wal.stats.fsyncs.load(Ordering::Relaxed) - base, 2);
+        assert_eq!(wal.stats.wal_fsyncs.get() - base, 2);
         wal.commit(&[], b"tail").unwrap();
         wal.sync().unwrap();
-        assert_eq!(wal.stats.fsyncs.load(Ordering::Relaxed) - base, 3);
+        assert_eq!(wal.stats.wal_fsyncs.get() - base, 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -549,7 +536,7 @@ mod tests {
     fn reset_replaces_log_atomically() {
         let dir = tmpdir("reset");
         let path = dir.join("t.wal");
-        let wal = Wal::create(&path, WalConfig::default(), b"old").unwrap();
+        let wal = Wal::create(&path, WalConfig::default(), b"old", Default::default()).unwrap();
         // Creation goes through temp+rename; the temp must be gone and
         // the final path present.
         assert!(path.exists());
