@@ -133,7 +133,8 @@ pub fn run(sinew: &Sinew, table: &str, policy: &AnalyzerPolicy) -> DbResult<Vec<
             });
         }
     }
-    cat.sync_table(db, table)?;
+    // One commit for every flag this pass flipped.
+    cat.commit_with(db, table, &[])?;
     Ok(decisions)
 }
 

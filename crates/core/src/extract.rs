@@ -292,7 +292,9 @@ pub fn set_path(
 ) -> DbResult<Vec<u8>> {
     let ty = attr_type_of_datum(value)
         .ok_or_else(|| DbError::Eval("cannot store NULL via set_key; use remove_key".into()))?;
-    let id = cat.intern(db, path, ty)?;
+    // Inside a running UPDATE: no unit of ours can carry the dictionary
+    // row, so it is committed before the id is used.
+    let id = cat.intern_durable(db, path, ty)?;
     let raw = datum_to_raw(value)?;
     rebuild_with(cat, bytes, path, skip, Some((id, &raw)))
 }
@@ -491,8 +493,7 @@ mod tests {
 
     fn setup() -> (Database, Catalog) {
         let db = Database::in_memory();
-        let cat = Catalog::new();
-        cat.bootstrap(&db).unwrap();
+        let cat = Catalog::load(&db, Default::default()).unwrap();
         (db, cat)
     }
 

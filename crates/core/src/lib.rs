@@ -110,24 +110,36 @@ impl Sinew {
     }
 
     /// File-backed Sinew with a bounded buffer pool and optional simulated
-    /// I/O latency (see DESIGN.md on the I/O-bound regime).
+    /// I/O latency (see DESIGN.md on the I/O-bound regime). An existing
+    /// file comes back with its collections: documents and physical columns
+    /// from the database, the dictionary and every column's state from the
+    /// catalog mirror ([`Catalog::load`]). Materializer cursors restart at
+    /// row 0 (a pass is idempotent); text indexes and element tables are
+    /// not persisted and must be enabled again.
     pub fn open(path: &Path, pool_pages: usize, io_delay: Option<Duration>) -> DbResult<Sinew> {
-        Ok(Sinew::with_db(Database::open(path, pool_pages, io_delay)?))
+        Sinew::try_with_db(Database::open(path, pool_pages, io_delay)?)
     }
 
+    /// Sinew over `db`, new or recovered.
+    ///
+    /// # Panics
+    /// If `db` holds catalog mirror tables that cannot be read back.
     pub fn with_db(db: Database) -> Sinew {
+        Sinew::try_with_db(db).expect("catalog loads from its mirror tables")
+    }
+
+    fn try_with_db(db: Database) -> DbResult<Sinew> {
         let db = Arc::new(db);
-        let catalog = Arc::new(Catalog::new());
-        catalog.bootstrap(&db).expect("catalog bootstrap");
+        let metrics = Arc::new(Metrics::default());
+        let catalog = Arc::new(Catalog::load(&db, metrics.clone())?);
         let rowid_sets: Arc<RwLock<HashMap<String, Arc<HashSet<i64>>>>> =
             Arc::new(RwLock::new(HashMap::new()));
-        let metrics = Arc::new(Metrics::default());
         let plans = Arc::new(PlanCache::with_metrics(metrics.clone()));
         udfs::install(&db, &catalog, &plans, &rowid_sets, &metrics);
         // Version reclamation for quiescent periods; holds only a Weak on
         // the database, so it dies with the last strong reference.
         background::spawn_vacuum(&db, &metrics);
-        Sinew {
+        Ok(Sinew {
             db,
             catalog,
             plans,
@@ -138,7 +150,7 @@ impl Sinew {
             metrics,
             set_counter: Mutex::new(0),
             element_tables: Mutex::new(HashMap::new()),
-        }
+        })
     }
 
     /// The underlying RDBMS (benchmarks and tests reach through here).

@@ -3,8 +3,9 @@
 //!
 //! "A bulk load is completed in two steps, serialization and insertion."
 //! Serialization walks each (validated) document, inferring each value's
-//! type, interning `(key, type)` attributes into the global dictionary, and
-//! producing the custom binary format of §4.1. Insertion appends rows with
+//! type, interning `(key, type)` attributes into the global dictionary (in
+//! memory: ids only), and producing the custom binary format of §4.1.
+//! Insertion appends rows with
 //! **all data in the column reservoir**, "regardless of the current schema
 //! of the underlying physical relation" — materialized columns whose data
 //! just landed in the reservoir are simply marked dirty, and the column
@@ -31,9 +32,11 @@
 //!    the id-assignment order of the serial path;
 //! 2. **encode** (parallel): Sinew-serialize document chunks on
 //!    `std::thread::scope` workers. Every intern call now hits the
-//!    read-locked fast path — no write locks, no catalog-mirror inserts;
-//! 3. **insert** (sequential): one `insert_rows_cols` append, one batched
-//!    catalog count/dirty update, one mirror write-through.
+//!    read-locked fast path — no write locks;
+//! 3. **commit** (sequential): one batched count/dirty update of the catalog
+//!    cache, then one [`Catalog::commit_with`] — the documents, the
+//!    dictionary rows of the attributes they introduced and the catalog
+//!    mirror rows they changed, as one commit.
 //!
 //! `load_jsonl` additionally parallelizes JSON parsing (phase 0) over line
 //! chunks; a malformed line aborts the whole load before anything is
@@ -43,15 +46,17 @@ use crate::catalog::{AttrId, Catalog};
 use crate::metrics::Metrics;
 use crate::types::{encode_array, ArrayElem, AttrType};
 use sinew_json::Value;
-use sinew_rdbms::{Database, DbError, DbResult};
+use sinew_rdbms::{Database, Datum, DbError, DbResult, RowWrite};
 use sinew_serial::{sinew as sformat, Doc, SValue};
 
 /// Serialize one JSON document into reservoir bytes; returns the attribute
 /// ids present (for catalog counting and dirty marking). The id list
 /// contains *every* registered attribute the document touches, including
-/// nested dotted leaves.
+/// nested dotted leaves. New attributes are interned in memory; their
+/// dictionary rows are written by the load's commit, which is why `_db`
+/// goes unused (the parameter stays for the callers that pass it).
 pub fn serialize_doc(
-    db: &Database,
+    _db: &Database,
     cat: &Catalog,
     doc: &Value,
 ) -> DbResult<(Vec<u8>, Vec<AttrId>)> {
@@ -59,17 +64,16 @@ pub fn serialize_doc(
         return Err(DbError::Schema("document root must be a JSON object".into()));
     };
     let mut touched = Vec::new();
-    let bytes = serialize_object(db, cat, pairs, "", &mut touched)?;
+    let bytes = serialize_object(cat, pairs, "", &mut touched);
     Ok((bytes, touched))
 }
 
 fn serialize_object(
-    db: &Database,
     cat: &Catalog,
     pairs: &[(String, Value)],
     prefix: &str,
     touched: &mut Vec<AttrId>,
-) -> DbResult<Vec<u8>> {
+) -> Vec<u8> {
     // Test seam: a document carrying this marker key panics mid-encode,
     // letting tests prove a panicking parallel worker aborts the load
     // cleanly. Compiled out of release builds entirely.
@@ -83,18 +87,14 @@ fn serialize_object(
         let Some(ty) = AttrType::of_value(v) else {
             continue; // JSON null: key carries no typed value
         };
-        let id = cat.intern(db, &full, ty)?;
+        let id = cat.intern(&full, ty);
         let sval = match v {
             Value::Bool(b) => SValue::Bool(*b),
             Value::Int(i) => SValue::Int(*i),
             Value::Float(f) => SValue::Float(*f),
             Value::Str(s) => SValue::Text(s.clone()),
-            Value::Object(inner) => {
-                SValue::Bytes(serialize_object(db, cat, inner, &full, touched)?)
-            }
-            Value::Array(items) => {
-                SValue::Bytes(serialize_array(db, cat, items, &full, touched)?)
-            }
+            Value::Object(inner) => SValue::Bytes(serialize_object(cat, inner, &full, touched)),
+            Value::Array(items) => SValue::Bytes(serialize_array(cat, items, &full, touched)),
             Value::Null => unreachable!(),
         };
         // Duplicate keys in one document: last wins (JSON semantics).
@@ -105,16 +105,15 @@ fn serialize_object(
             touched.push(id);
         }
     }
-    Ok(sformat::encode(&Doc::new(attrs)))
+    sformat::encode(&Doc::new(attrs))
 }
 
 fn serialize_array(
-    db: &Database,
     cat: &Catalog,
     items: &[Value],
     path: &str,
     touched: &mut Vec<AttrId>,
-) -> DbResult<Vec<u8>> {
+) -> Vec<u8> {
     let mut elems = Vec::with_capacity(items.len());
     for item in items {
         elems.push(match item {
@@ -123,11 +122,9 @@ fn serialize_array(
             Value::Int(i) => ArrayElem::Int(*i),
             Value::Float(f) => ArrayElem::Float(*f),
             Value::Str(s) => ArrayElem::Text(s.clone()),
-            Value::Object(inner) => {
-                ArrayElem::Doc(serialize_object(db, cat, inner, path, touched)?)
-            }
+            Value::Object(inner) => ArrayElem::Doc(serialize_object(cat, inner, path, touched)),
             Value::Array(nested) => {
-                let bytes = serialize_array(db, cat, nested, path, touched)?;
+                let bytes = serialize_array(cat, nested, path, touched);
                 // store pre-encoded nested arrays as raw element lists
                 let decoded = crate::types::decode_array(&bytes)
                     .expect("just-encoded array decodes");
@@ -135,7 +132,7 @@ fn serialize_array(
             }
         });
     }
-    Ok(encode_array(&elems))
+    encode_array(&elems)
 }
 
 /// Load outcome of a batch.
@@ -193,41 +190,35 @@ const MIN_CHUNK: usize = 16;
 /// batch pins id assignment to the serial order, after which the actual
 /// serialization can run on any number of threads (all its intern calls
 /// hit the read-locked dictionary fast path).
-fn register_doc(db: &Database, cat: &Catalog, doc: &Value) -> DbResult<()> {
+fn register_doc(cat: &Catalog, doc: &Value) -> DbResult<()> {
     let Value::Object(pairs) = doc else {
         return Err(DbError::Schema("document root must be a JSON object".into()));
     };
-    register_object(db, cat, pairs, "")
+    register_object(cat, pairs, "");
+    Ok(())
 }
 
-fn register_object(
-    db: &Database,
-    cat: &Catalog,
-    pairs: &[(String, Value)],
-    prefix: &str,
-) -> DbResult<()> {
+fn register_object(cat: &Catalog, pairs: &[(String, Value)], prefix: &str) {
     for (k, v) in pairs {
         let Some(ty) = AttrType::of_value(v) else { continue };
         let full = if prefix.is_empty() { k.clone() } else { format!("{prefix}.{k}") };
-        cat.intern(db, &full, ty)?;
+        cat.intern(&full, ty);
         match v {
-            Value::Object(inner) => register_object(db, cat, inner, &full)?,
-            Value::Array(items) => register_array(db, cat, items, &full)?,
+            Value::Object(inner) => register_object(cat, inner, &full),
+            Value::Array(items) => register_array(cat, items, &full),
             _ => {}
         }
     }
-    Ok(())
 }
 
-fn register_array(db: &Database, cat: &Catalog, items: &[Value], path: &str) -> DbResult<()> {
+fn register_array(cat: &Catalog, items: &[Value], path: &str) {
     for item in items {
         match item {
-            Value::Object(inner) => register_object(db, cat, inner, path)?,
-            Value::Array(nested) => register_array(db, cat, nested, path)?,
+            Value::Object(inner) => register_object(cat, inner, path),
+            Value::Array(nested) => register_array(cat, nested, path),
             _ => {}
         }
     }
-    Ok(())
 }
 
 /// Apply `f` to every item on `threads` scoped workers over contiguous
@@ -309,31 +300,31 @@ pub fn load_docs_metered(
     } else {
         // Phase 1 (sequential): deterministic attribute-id assignment.
         for doc in docs {
-            register_doc(db, cat, doc)?;
+            register_doc(cat, doc)?;
         }
         // Phase 2 (parallel): encode; interning is now read-only.
         par_map_chunks(docs, threads, |d| serialize_doc(db, cat, d))?
     };
-    // Phase 3 (sequential): single insert + one batched catalog update.
+    // Phase 3 (sequential): one batched update of the catalog cache, then
+    // one commit carrying the documents and the catalog rows they changed.
     let mut rows = Vec::with_capacity(encoded.len());
     let mut counts: std::collections::HashMap<AttrId, u64> = std::collections::HashMap::new();
     let mut reservoir_bytes = 0u64;
     for (bytes, touched) in encoded {
         reservoir_bytes += bytes.len() as u64;
-        rows.push(vec![sinew_rdbms::Datum::Bytea(bytes)]);
+        rows.push(vec![Datum::Bytea(bytes)]);
         for id in touched {
             *counts.entry(id).or_insert(0) += 1;
         }
     }
     // one write-locked catalog pass per batch, not one per (doc, attr)
-    let deltas: Vec<(AttrId, u64)> = counts.iter().map(|(id, n)| (*id, *n)).collect();
+    let deltas: Vec<(AttrId, u64)> = counts.into_iter().collect();
     cat.bump_counts(table, &deltas);
-    db.insert_rows_cols(table, &["data"], &rows)?;
-    let mut all_touched: Vec<AttrId> = counts.into_keys().collect();
-    all_touched.sort_unstable();
-    // Materialized columns that just received reservoir data become dirty.
+    // Materialized columns that are about to receive reservoir data become
+    // dirty — in the cache before the rows exist, in the mirror with them.
+    let all_touched: Vec<AttrId> = deltas.iter().map(|&(id, _)| id).collect();
     cat.mark_loaded_dirty(table, &all_touched);
-    cat.sync_table(db, table)?;
+    cat.commit_with(db, table, &[RowWrite::Insert { table, cols: Some(&["data"]), rows: &rows }])?;
     if let Some(m) = metrics {
         m.loader_batches.inc();
         if threads > 1 {
@@ -419,8 +410,7 @@ mod tests {
 
     fn setup() -> (Database, Catalog) {
         let db = Database::in_memory();
-        let cat = Catalog::new();
-        cat.bootstrap(&db).unwrap();
+        let cat = Catalog::load(&db, Default::default()).unwrap();
         db.create_table("t", vec![("data".into(), ColType::Bytea)]).unwrap();
         cat.register_table(&db, "t").unwrap();
         (db, cat)

@@ -291,12 +291,16 @@ fn step_locked(
             // Full pass complete: the column is clean. (The latch
             // guarantees no load slipped new rows in during this step.)
             cat.set_flags(table, attr, materializing, false)?;
+            // The clean flag is committed after the last move and before
+            // the column goes: a crash between two of the three leaves a
+            // dirty column whose pass reruns, or a virtual attribute beside
+            // an all-NULL column — never a clean flag over unmoved values.
+            cat.commit_with(db, table, &[])?;
             if !materializing {
                 // dematerialized columns disappear from the physical schema
                 // (dropping the column also drops any secondary index on it)
                 db.drop_column(table, &st.column_name)?;
             }
-            cat.sync_table(db, table)?;
             sinew.cursors().lock().remove(&key);
             m.materializer_passes_completed.inc();
             if materializing {

@@ -81,6 +81,10 @@ sinew_rdbms::counter_table! {
     loader loader_parallel_batches: counter,
     /// Documents loaded.
     loader loader_docs: counter,
+    /// Catalog rows written (catalog.rs): dictionary rows plus inserted or
+    /// updated `_sinew_cols_<table>` rows. Over `loader_docs`: what a loaded
+    /// document costs the catalog mirror.
+    loader catalog_rows_written: counter,
     /// Reservoir bytes produced by serialization.
     loader loader_bytes: counter,
     /// Wall-clock nanoseconds spent in bulk loads (throughput denominator).

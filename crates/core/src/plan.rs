@@ -518,8 +518,7 @@ mod tests {
 
     fn setup() -> (Database, Catalog) {
         let db = Database::in_memory();
-        let cat = Catalog::new();
-        cat.bootstrap(&db).unwrap();
+        let cat = Catalog::load(&db, Default::default()).unwrap();
         (db, cat)
     }
 

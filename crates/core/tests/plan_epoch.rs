@@ -154,3 +154,28 @@ fn plan_built_before_attribute_exists_re_resolves_after_load() {
     let r = sinew.query("SELECT COUNT(*) FROM c WHERE fresh IS NOT NULL").unwrap();
     assert_eq!(r.rows[0][0], Datum::Int(1));
 }
+
+#[test]
+fn loads_that_change_no_path_resolution_keep_every_plan() {
+    let sinew = loaded();
+    sinew.query("SELECT COUNT(*) FROM c WHERE k = 'v7'").unwrap();
+    let held = sinew.plan_cache().get(sinew.catalog(), "k", Want::Text);
+    let epoch = sinew.catalog().epoch();
+    let stale = sinew.metrics().snapshot().plan_cache_stale_rebuilds;
+
+    // 100 one-document loads over a key the collection already has, all
+    // virtual (no dirty flag to flip): only counts move.
+    for i in 0..100 {
+        sinew.load_jsonl("c", &format!("{{\"k\": \"late{i}\"}}")).unwrap();
+        let r = sinew.query(&format!("SELECT COUNT(*) FROM c WHERE k = 'late{i}'")).unwrap();
+        assert_eq!(r.rows[0][0], Datum::Int(1));
+    }
+    assert_eq!(sinew.catalog().epoch(), epoch, "a count is not a schema change");
+    assert!(held.is_current(sinew.catalog()));
+    assert_eq!(sinew.metrics().snapshot().plan_cache_stale_rebuilds, stale);
+
+    // ... while a load that does bring a new key still invalidates
+    sinew.load_jsonl("c", "{\"k\": \"w\", \"brand_new\": 1}").unwrap();
+    assert!(sinew.catalog().epoch() > epoch);
+    assert!(!held.is_current(sinew.catalog()));
+}

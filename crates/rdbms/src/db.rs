@@ -46,6 +46,24 @@ impl QueryResult {
     }
 }
 
+/// One write of a [`Database::write_unit`].
+#[derive(Debug, Clone, Copy)]
+pub enum RowWrite<'a> {
+    /// Append `rows`, given over `cols` — `None` = every live column, in
+    /// live order; columns a subset leaves out are NULL.
+    Insert { table: &'a str, cols: Option<&'a [&'a str]>, rows: &'a [Vec<Datum>] },
+    /// Assign named columns of the row `rowid`.
+    Update { table: &'a str, rowid: RowId, assignments: &'a [(&'a str, Datum)] },
+}
+
+impl<'a> RowWrite<'a> {
+    fn table(&self) -> &'a str {
+        match *self {
+            RowWrite::Insert { table, .. } | RowWrite::Update { table, .. } => table,
+        }
+    }
+}
+
 struct Table {
     schema: TableSchema,
     heap: Heap,
@@ -658,17 +676,24 @@ impl Database {
         self.wal.is_some()
     }
 
-    /// Commit one statement against `table` (still holding its write
-    /// lock): drain the pager's uncommitted page images and the heap's
-    /// directory delta, snapshot the table's schema/index/columnar
-    /// definitions, and append it all to the log as one commit unit.
-    fn wal_commit_table(&self, name: &str, t: &mut Table, ts: u64) -> DbResult<()> {
+    /// Commit one unit against `tables` (still holding their write locks):
+    /// drain the pager's uncommitted page images and each heap's directory
+    /// delta, snapshot each table's schema/index/columnar definitions, and
+    /// append it all to the log as one commit record.
+    fn wal_commit_tables(&self, tables: &mut [(&str, &mut Table)], ts: u64) -> DbResult<()> {
         if !self.wal_enabled() {
             return Ok(());
         }
         let mut ops = Vec::new();
-        Self::wal_table_op(&mut ops, name, t);
+        for (name, t) in tables.iter_mut() {
+            Self::wal_table_op(&mut ops, name, t);
+        }
         self.wal_commit_record(ts, &ops)
+    }
+
+    /// [`Database::wal_commit_tables`] for a statement on one table (DDL).
+    fn wal_commit_table(&self, name: &str, t: &mut Table, ts: u64) -> DbResult<()> {
+        self.wal_commit_tables(&mut [(name, t)], ts)
     }
 
     /// The one producer of commit records: header (page count, commit
@@ -709,26 +734,28 @@ impl Database {
         wal::put_bytes(meta, &heap_bytes);
     }
 
-    /// Finish a mutating statement whose body may have errored mid-way.
-    /// A failed statement is *not* rolled back — the rows it already
-    /// touched are real in memory — so its page images and heap delta
-    /// must still reach the log as this statement's own commit unit.
+    /// Finish a mutating unit over `tables` whose body may have errored
+    /// mid-way. A failed unit is *not* rolled back — the rows it already
+    /// touched are real in memory — so its page images and heap deltas
+    /// must still reach the log as this unit's own commit record.
     /// Left uncommitted, they would be silently folded into the NEXT
-    /// statement's commit record (possibly for a different table) and
+    /// unit's commit record (possibly for a different table) and
     /// their no-steal pins would hold the pool over capacity until then.
-    /// A statement that failed before touching anything appends nothing.
-    /// The statement's own error wins over a commit error.
+    /// A unit that failed before touching anything appends nothing.
+    /// The unit's own error wins over a commit error.
     fn wal_finish_statement<R>(
         &self,
-        name: &str,
-        t: &mut Table,
+        tables: &mut [(&str, &mut Table)],
         res: DbResult<R>,
         ts: u64,
     ) -> DbResult<R> {
-        if res.is_err() && !self.pager.has_uncommitted() && !t.heap.wal_has_delta() {
+        if res.is_err()
+            && !self.pager.has_uncommitted()
+            && !tables.iter().any(|(_, t)| t.heap.wal_has_delta())
+        {
             return res;
         }
-        match self.wal_commit_table(name, t, ts) {
+        match self.wal_commit_tables(tables, ts) {
             Ok(()) => res,
             Err(commit_err) => res.and(Err(commit_err)),
         }
@@ -1110,55 +1137,77 @@ impl Database {
 
     // ---- programmatic row APIs ----
 
+    /// One autocommit unit of row writes against any number of tables: one
+    /// write guard, one commit timestamp and — whatever the number of
+    /// tables — one WAL commit record, so a crash surfaces all of the unit
+    /// or none of it. Tables are write-locked together, in name order. The
+    /// writes apply in the order given; a failing write stops the unit and
+    /// what was already applied commits (see
+    /// [`Database::wal_finish_statement`]). Returns the row ids of the
+    /// inserted rows, in order. Sinew hands a load's documents and the
+    /// catalog rows they changed to one such unit.
+    pub fn write_unit(&self, writes: &[RowWrite<'_>]) -> DbResult<Vec<RowId>> {
+        let _g = self.write_guard();
+        let mut names: Vec<&str> = writes.iter().map(RowWrite::table).collect();
+        names.sort_unstable();
+        names.dedup();
+        let handles: Vec<Arc<RwLock<Table>>> =
+            names.iter().map(|name| self.table(name)).collect::<DbResult<_>>()?;
+        let mut tables: Vec<_> = handles.iter().map(|h| h.write()).collect();
+        let (tk, _tg) = self.begin_stmt_write();
+        let publish = self.publish(tk);
+        let mut inserted = Vec::new();
+        let res = (|| -> DbResult<()> {
+            for w in writes {
+                let t = &mut *tables[names.binary_search(&w.table()).expect("locked above")];
+                match *w {
+                    RowWrite::Insert { cols, rows, .. } => {
+                        let slots = t.slots_of(cols)?;
+                        for row in rows {
+                            let (rowid, full) = t.place_row(&slots, row)?;
+                            if let Publish::Retain(ts) = publish {
+                                // Live snapshots must not see this row: stamp its birth.
+                                t.heap.mark_begin(rowid, ts);
+                            }
+                            t.apply_change(rowid, None, Some(&full), publish, &self.exec_stats)?;
+                            inserted.push(rowid);
+                        }
+                    }
+                    RowWrite::Update { table, rowid, assignments } => {
+                        self.update_row_locked(t, rowid, table, assignments, publish)?
+                    }
+                }
+            }
+            Ok(())
+        })();
+        let res = {
+            let mut locked: Vec<(&str, &mut Table)> =
+                names.iter().copied().zip(tables.iter_mut().map(|t| &mut **t)).collect();
+            self.wal_finish_statement(&mut locked, res, tk.ts)
+        };
+        drop(tables);
+        res?;
+        self.wal_maybe_checkpoint()?;
+        Ok(inserted)
+    }
+
     /// Bulk insert. Rows are given over the table's **live** columns, in
     /// live-column order; values are coerced to column types when safe.
     pub fn insert_rows(&self, table: &str, rows: &[Vec<Datum>]) -> DbResult<u64> {
-        self.insert_statement(table, None, rows)
+        let inserted = self.write_unit(&[RowWrite::Insert { table, cols: None, rows }])?;
+        Ok(inserted.len() as u64)
     }
 
     /// Bulk insert into a named subset of columns; unnamed columns are
-    /// NULL. This is the `INSERT INTO t (cols...)` path — Sinew's loader
-    /// uses it to stay ignorant of the physical schema (it only ever names
-    /// the reservoir column).
+    /// NULL. This is the `INSERT INTO t (cols...)` path.
     pub fn insert_rows_cols(
         &self,
         table: &str,
         cols: &[&str],
         rows: &[Vec<Datum>],
     ) -> DbResult<u64> {
-        self.insert_statement(table, Some(cols), rows)
-    }
-
-    /// One autocommit INSERT statement: one commit timestamp, one WAL unit.
-    fn insert_statement(
-        &self,
-        table: &str,
-        cols: Option<&[&str]>,
-        rows: &[Vec<Datum>],
-    ) -> DbResult<u64> {
-        let _g = self.write_guard();
-        let t = self.table(table)?;
-        let mut t = t.write();
-        let slots = t.slots_of(cols)?;
-        let (tk, _tg) = self.begin_stmt_write();
-        let publish = self.publish(tk);
-        let mut count = 0;
-        let res = (|| -> DbResult<()> {
-            for row in rows {
-                let (rowid, full) = t.place_row(&slots, row)?;
-                if let Publish::Retain(ts) = publish {
-                    // Live snapshots must not see this row: stamp its birth.
-                    t.heap.mark_begin(rowid, ts);
-                }
-                t.apply_change(rowid, None, Some(&full), publish, &self.exec_stats)?;
-                count += 1;
-            }
-            Ok(())
-        })();
-        self.wal_finish_statement(table, &mut t, res, tk.ts)?;
-        drop(t);
-        self.wal_maybe_checkpoint()?;
-        Ok(count)
+        let inserted = self.write_unit(&[RowWrite::Insert { table, cols: Some(cols), rows }])?;
+        Ok(inserted.len() as u64)
     }
 
     /// Read one row (live columns, in live order) by row id.
@@ -1178,15 +1227,7 @@ impl Database {
         rowid: RowId,
         assignments: &[(&str, Datum)],
     ) -> DbResult<()> {
-        let _g = self.write_guard();
-        let t = self.table(table)?;
-        {
-            let mut t = t.write();
-            let (tk, _tg) = self.begin_stmt_write();
-            let res = self.update_row_locked(&mut t, rowid, table, assignments, self.publish(tk));
-            self.wal_finish_statement(table, &mut t, res, tk.ts)?;
-        }
-        self.wal_maybe_checkpoint()
+        self.write_unit(&[RowWrite::Update { table, rowid, assignments }]).map(|_| ())
     }
 
     /// First-writer-wins conflict check for row `rowid` before a write by
@@ -1609,7 +1650,7 @@ impl Database {
                 }
                 Ok(())
             })();
-            self.wal_finish_statement(&upd.table, &mut t, res, tk.ts)?;
+            self.wal_finish_statement(&mut [(&upd.table, &mut t)], res, tk.ts)?;
         }
         self.wal_maybe_checkpoint()?;
         Ok(QueryResult { affected: n, ..Default::default() })
@@ -1679,7 +1720,7 @@ impl Database {
             }
             Ok(())
         })();
-        self.wal_finish_statement(&del.table, &mut t, res, tk.ts)?;
+        self.wal_finish_statement(&mut [(&del.table, &mut t)], res, tk.ts)?;
         drop(t);
         self.wal_maybe_checkpoint()?;
         Ok(QueryResult { affected: n, ..Default::default() })
@@ -1901,7 +1942,7 @@ impl Database {
             }
             if touched && self.wal_enabled() {
                 let ts = self.manager.last_visible();
-                self.wal_finish_statement(&name, &mut t, Ok(()), ts)?;
+                self.wal_finish_statement(&mut [(&name, &mut t)], Ok(()), ts)?;
             }
         }
         if reclaimed > 0 {

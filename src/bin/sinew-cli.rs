@@ -5,6 +5,10 @@
 //! cargo run --release --bin sinew-cli -- --db /tmp/mydata --pool-mb 64
 //! ```
 //!
+//! A `--db` file keeps its collections between sessions: documents and
+//! physical columns are recovered by the database, the catalog is read back
+//! from its mirror tables.
+//!
 //! Meta-commands (everything else is SQL):
 //!
 //! ```text
