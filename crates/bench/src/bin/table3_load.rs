@@ -17,7 +17,7 @@
 //! slower and ~2× larger than everything; Sinew is the most compact
 //! (dictionary encoding); BSON ≳ original.
 
-use sinew_bench::{human_bytes, ms, record_snapshot, time, HarnessConfig, TablePrinter};
+use sinew_bench::{human_bytes, ms, time, HarnessConfig, TablePrinter};
 use sinew_core::LoadOptions;
 use sinew_nobench::queries::{EavSut, MongoSut, PgJsonSut, SinewSut, SystemUnderTest};
 use sinew_nobench::{generate, NoBenchConfig};
@@ -114,17 +114,6 @@ fn main() {
             "\nShape checks: PG JSON loads fastest; EAV slowest+largest; \
              Sinew most compact; BSON >= original; Sinew (par) <= Sinew \
              with an identical reservoir."
-        );
-        record_snapshot(
-            &format!("table3_load_{scale}"),
-            &[
-                ("docs", n as f64),
-                ("mongodb_ms", dur.as_secs_f64() * 1e3),
-                ("sinew_serial_ms", dur_serial.as_secs_f64() * 1e3),
-                ("sinew_parallel_ms", dur_par.as_secs_f64() * 1e3),
-                ("eav_ms", dur_eav.as_secs_f64() * 1e3),
-                ("pgjson_ms", dur_pg.as_secs_f64() * 1e3),
-            ],
         );
     }
 }

@@ -15,7 +15,7 @@
 //! overhead *shrinks* as fixed query costs grow (projection worst,
 //! selection/sort better).
 
-use sinew_bench::{ms, record_snapshot, time_avg, HarnessConfig, TablePrinter};
+use sinew_bench::{ms, time_avg, HarnessConfig, TablePrinter};
 use sinew_core::{AnalyzerPolicy, Sinew};
 use sinew_nobench::twitter::{tweets, TwitterConfig};
 
@@ -57,7 +57,6 @@ fn main() {
         &["Query", "Virtual (ms)", "Physical (ms)", "Overhead"],
         &[12, 14, 14, 10],
     );
-    let mut snapshot: Vec<(String, f64)> = vec![("docs".into(), n as f64)];
     for (name, sql) in QUERIES {
         // correctness first
         let rv = virt.query(sql).unwrap().rows.len();
@@ -71,13 +70,7 @@ fn main() {
         });
         let overhead = (tv.as_secs_f64() / tp.as_secs_f64() - 1.0) * 100.0;
         t.row(&[name.to_string(), ms(tv), ms(tp), format!("{overhead:+.1}%")]);
-        let key = name.replace(' ', "_");
-        snapshot.push((format!("{key}_virtual_ms"), tv.as_secs_f64() * 1e3));
-        snapshot.push((format!("{key}_physical_ms"), tp.as_secs_f64() * 1e3));
-        snapshot.push((format!("{key}_overhead_pct"), overhead));
     }
-    let entries: Vec<(&str, f64)> = snapshot.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    record_snapshot("table5_virtual_overhead", &entries);
     println!(
         "\nShape checks: virtual-column overhead small; largest for the \
          bare projection, smaller once other query costs dominate. \

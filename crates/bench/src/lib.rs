@@ -113,41 +113,6 @@ impl HarnessConfig {
     }
 }
 
-/// Merge measurement rows into the PR benchmark snapshot —
-/// `results/BENCH_PR1.json`, or the path in `SINEW_BENCH_SNAPSHOT`. Each
-/// harness binary contributes its own section; re-running a binary
-/// overwrites that section's keys and leaves the others untouched, so the
-/// snapshot accumulates across `table3_load`, `table5_virtual_overhead`, …
-pub fn record_snapshot(section: &str, entries: &[(&str, f64)]) {
-    use sinew_json::Value;
-    let path = std::env::var("SINEW_BENCH_SNAPSHOT")
-        .unwrap_or_else(|_| "results/BENCH_PR1.json".to_string());
-    let mut root = match std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|s| sinew_json::parse(&s).ok())
-    {
-        Some(Value::Object(pairs)) => pairs,
-        _ => Vec::new(),
-    };
-    let mut sec = match root.iter().position(|(k, _)| k.as_str() == section) {
-        Some(i) => match root.remove(i).1 {
-            Value::Object(pairs) => pairs,
-            _ => Vec::new(),
-        },
-        None => Vec::new(),
-    };
-    for (k, v) in entries {
-        match sec.iter_mut().find(|(name, _)| name.as_str() == *k) {
-            Some(slot) => slot.1 = Value::Float(*v),
-            None => sec.push((k.to_string(), Value::Float(*v))),
-        }
-    }
-    root.push((section.to_string(), Value::Object(sec)));
-    if let Err(e) = std::fs::write(&path, Value::Object(root).to_json()) {
-        eprintln!("warning: could not write bench snapshot {path}: {e}");
-    }
-}
-
 /// Time one closure.
 pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     let start = Instant::now();

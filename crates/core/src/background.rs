@@ -16,44 +16,32 @@ use sinew_rdbms::{Database, DbError, DbResult};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-/// `SINEW_VACUUM_INTERVAL_MS` — period of the background vacuum thread
-/// that reclaims row versions older than the oldest live snapshot
-/// (default 100ms; `0` disables the thread). Commits already vacuum
-/// opportunistically; the thread covers quiescent periods where the last
-/// snapshot was released and no further write ever arrives to trigger
-/// reclamation.
-fn vacuum_interval() -> Option<Duration> {
-    let ms = std::env::var("SINEW_VACUUM_INTERVAL_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(100);
-    (ms > 0).then(|| Duration::from_millis(ms))
-}
+/// Period of the background vacuum thread that reclaims row versions older
+/// than the oldest live snapshot. Commits already vacuum opportunistically;
+/// the thread covers quiescent periods where the last snapshot was released
+/// and no further write ever arrives to trigger reclamation.
+const VACUUM_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Spawn the version-reclamation thread over `db`. The thread holds only a
-/// [`Weak`] reference: it wakes every `SINEW_VACUUM_INTERVAL_MS`, upgrades,
-/// runs one [`Database::vacuum`] pass, and exits on its own once the last
-/// strong reference is gone — no handle or explicit shutdown needed.
-/// Returns `false` (and spawns nothing) when MVCC is off or the knob is 0.
-pub(crate) fn spawn_vacuum(db: &Arc<Database>, metrics: &Arc<Metrics>) -> bool {
-    if !db.mvcc_enabled() {
-        return false;
-    }
-    let Some(interval) = vacuum_interval() else { return false };
+/// [`Weak`] reference: it wakes every [`VACUUM_INTERVAL`], upgrades, runs
+/// one [`Database::vacuum`] pass, and exits on its own once the last strong
+/// reference is gone — no handle or explicit shutdown needed.
+pub(crate) fn spawn_vacuum(db: &Arc<Database>, metrics: &Arc<Metrics>) {
     let weak: Weak<Database> = Arc::downgrade(db);
     let metrics = Arc::downgrade(metrics);
-    std::thread::Builder::new()
+    // A failed spawn costs only the quiescent-period passes: commits and
+    // finishing readers vacuum on their own.
+    let _detached = std::thread::Builder::new()
         .name("sinew-vacuum".into())
         .spawn(move || loop {
-            std::thread::sleep(interval);
+            std::thread::sleep(VACUUM_INTERVAL);
             let Some(db) = weak.upgrade() else { return };
             if db.vacuum().is_ok() {
                 if let Some(m) = metrics.upgrade() {
                     m.background_vacuum_passes.inc();
                 }
             }
-        })
-        .is_ok()
+        });
 }
 
 enum Command {
@@ -285,9 +273,6 @@ mod tests {
     #[test]
     fn vacuum_thread_runs_passes_on_its_own() {
         let sinew = Sinew::in_memory();
-        if !sinew.db().mvcc_enabled() {
-            return; // legacy lock path: no versions, no vacuum thread
-        }
         // No foreground traffic at all: the thread alone must drive passes.
         for _ in 0..100 {
             if sinew.metrics().snapshot().background_vacuum_passes > 0 {

@@ -25,7 +25,7 @@
 
 use crate::metrics::Metrics;
 use crate::types::AttrType;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use sinew_rdbms::{ColType, Database, Datum, DbError, DbResult, RowId, RowWrite};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,10 +83,6 @@ pub struct Catalog {
     /// re-resolve when it moves, so per-tuple extraction never takes the
     /// catalog lock. A lock-free read; see DESIGN.md "Hot paths".
     epoch: AtomicU64,
-    /// Held from taking a delta out of the cache until its unit has
-    /// committed: mirror writes reach the log in the order the cache
-    /// changed, and nobody mistakes an entry in flight for a durable one.
-    flush: Mutex<()>,
     /// Fed `catalog_rows_written`.
     metrics: Arc<Metrics>,
 }
@@ -176,7 +172,6 @@ impl Catalog {
         Ok(Catalog {
             inner: RwLock::new(inner),
             epoch: AtomicU64::new(0),
-            flush: Mutex::new(()),
             metrics,
         })
     }
@@ -400,7 +395,13 @@ impl Catalog {
     }
 
     fn flush(&self, db: &Database, table: Option<&str>, own: &[RowWrite<'_>]) -> DbResult<()> {
-        let _flushing = self.flush.lock();
+        // The database's write token, held from taking a delta out of the
+        // cache until its unit has committed: mirror writes reach the log
+        // in the order the cache changed, and nobody mistakes an entry in
+        // flight for a durable one. It is the lock the unit would take
+        // anyway; taking it first keeps one order for a load and for an
+        // UPDATE whose `set_key` flushes from inside the statement's token.
+        let _flushing = db.write_guard();
         let delta = self.take_delta(table);
         let mirror = table.map(cols_table).unwrap_or_default();
         let mut writes = own.to_vec();

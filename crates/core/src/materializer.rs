@@ -148,7 +148,7 @@ fn step_locked(
         materialized: u64,
         dematerialized: u64,
     }
-    let run_batch = |txn: &mut Option<Txn>| -> DbResult<Batch> {
+    let run_batch = |txn: &mut Txn| -> DbResult<Batch> {
         let mut b = Batch {
             cursor: start_pos,
             stranded: start_stranded,
@@ -160,11 +160,7 @@ fn step_locked(
             let rowid = b.cursor;
             b.cursor += 1;
             b.examined += 1;
-            let row = match txn.as_ref() {
-                Some(x) => db.txn_get_row(x, table, rowid)?,
-                None => db.get_row(table, rowid)?,
-            };
-            let Some(row) = row else { continue };
+            let Some(row) = db.txn_get_row(txn, table, rowid)? else { continue };
             // Owner document: the materialized parent's column when it
             // holds a value for this row, else the reservoir. `None` when
             // neither side holds usable document bytes.
@@ -197,10 +193,7 @@ fn step_locked(
                     // it only
                     vec![(owner_name, Datum::Bytea(cleaned))]
                 };
-                match txn.as_mut() {
-                    Some(x) => db.txn_update_row(x, table, rowid, &assigns)?,
-                    None => db.update_row(table, rowid, &assigns)?,
-                }
+                db.txn_update_row(txn, table, rowid, &assigns)?;
                 b.materialized += 1;
             } else {
                 // physical column → owner document (dematerialization)
@@ -220,17 +213,14 @@ fn step_locked(
                     (st.column_name.as_str(), Datum::Null),
                     (owner_name, Datum::Bytea(restored)),
                 ];
-                match txn.as_mut() {
-                    Some(x) => db.txn_update_row(x, table, rowid, &assigns)?,
-                    None => db.update_row(table, rowid, &assigns)?,
-                }
+                db.txn_update_row(txn, table, rowid, &assigns)?;
                 b.dematerialized += 1;
             }
         }
         Ok(b)
     };
 
-    // Under MVCC the step is an ordinary transaction racing foreground
+    // The step is an ordinary transaction racing foreground
     // writers under first-writer-wins: a conflict aborts *us*, never the
     // foreground statement. Roll back, keep the saved cursor (it only
     // advances after COMMIT), and retry the same batch — bounded here so a
@@ -239,16 +229,11 @@ fn step_locked(
     const CONFLICT_RETRIES: usize = 4;
     let mut attempts = 0;
     let b = loop {
-        let mut txn = if db.mvcc_enabled() { Some(db.begin_txn()?) } else { None };
+        let mut txn = db.begin_txn()?;
         let out = match run_batch(&mut txn) {
-            Ok(b) => match txn.take().map(|x| db.commit_txn(x)).transpose() {
-                Ok(_) => Ok(b),
-                Err(e) => Err(e),
-            },
+            Ok(b) => db.commit_txn(txn).map(|()| b),
             Err(e) => {
-                if let Some(x) = txn.take() {
-                    let _ = db.rollback_txn(x);
-                }
+                let _ = db.rollback_txn(txn);
                 Err(e)
             }
         };
@@ -324,16 +309,9 @@ fn step_locked(
 /// secondary index.
 const AUTO_INDEX_SAMPLE_ROWS: u64 = 10_000;
 
-/// `SINEW_INDEX_MIN_CARDINALITY` — sampled-distinct bar a freshly promoted
-/// column must clear before it gets a secondary index (default 200, the
-/// paper's materialization cardinality threshold). Unparsable values fall
-/// back to the default; a huge value effectively disables auto-indexing.
-fn index_min_cardinality() -> u64 {
-    std::env::var("SINEW_INDEX_MIN_CARDINALITY")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200)
-}
+/// Sampled-distinct bar a freshly promoted column must clear before it gets
+/// a secondary index: the paper's materialization cardinality threshold.
+const INDEX_MIN_CARDINALITY: u64 = 200;
 
 /// The promotion payoff loop: once a column is fully materialized, give it
 /// a secondary B-tree index when its sampled cardinality clears the bar —
@@ -348,7 +326,7 @@ fn maybe_create_auto_index(
 ) -> DbResult<()> {
     let (card, _) =
         crate::analyzer::estimate_cardinality(sinew, table, &[attr], AUTO_INDEX_SAMPLE_ROWS)?;
-    if card.get(&attr).copied().unwrap_or(0) < index_min_cardinality() {
+    if card.get(&attr).copied().unwrap_or(0) < INDEX_MIN_CARDINALITY {
         return Ok(());
     }
     let name = format!("idx_{table}_{column}");

@@ -111,8 +111,7 @@ sinew_rdbms::counter_table! {
     /// dematerialize passes (each deferral adds its stranded-row count).
     materializer materializer_rows_stranded: counter,
     /// Secondary indexes auto-created when a promotion pass completed on a
-    /// column whose sampled cardinality cleared the
-    /// `SINEW_INDEX_MIN_CARDINALITY` bar.
+    /// column whose sampled cardinality cleared the auto-index bar.
     materializer materializer_indexes_created: counter,
     /// Columnar segment stores built when a promotion pass completed
     /// (dematerialization drops them together with the column).
@@ -141,8 +140,7 @@ sinew_rdbms::counter_table! {
     background background_steps: counter,
     /// Background step errors (table dropped, transient failures).
     background background_errors: counter,
-    /// Version-reclamation passes run by the background vacuum thread
-    /// (`SINEW_VACUUM_INTERVAL_MS`).
+    /// Version-reclamation passes run by the background vacuum thread.
     background background_vacuum_passes: counter,
 }
 

@@ -8,8 +8,6 @@
 //! Every document has `thousandth`, so once no column is dirty no row may
 //! read NULL there, by columnar scan or by heap scan, and the derived
 //! structures must mirror the heap.
-//!
-//! One test only: it flips the process-global `SINEW_COLUMNAR`.
 
 use sinew_core::{AnalyzerPolicy, AttrId, BackgroundConfig, BackgroundMaterializer, Sinew};
 use sinew_nobench::{generate_one, NoBenchConfig};
@@ -62,18 +60,13 @@ fn race(seed: u64) {
         while let Err(e) = sinew.query(&update) {
             assert!(matches!(e, DbError::Conflict(_)), "seed {seed}: {e}");
         }
-        // (the SINEW_MVCC=0 oracle has no snapshots to hold)
         let mut reader = sinew.db().session();
-        if sinew.db().mvcc_enabled() {
-            reader.execute("BEGIN").unwrap();
-        }
+        reader.execute("BEGIN").unwrap();
         sinew.load_docs(T, &docs[BASE + 10 * k..BASE + 10 * (k + 1)]).unwrap();
         wait_until("waiting for the passes before thousandth", &|attrs| {
             attrs.iter().all(|a| *a == last)
         });
-        if reader.in_txn() {
-            reader.execute("COMMIT").unwrap();
-        }
+        reader.execute("COMMIT").unwrap();
         for sql in [NULL_ROWS, Q10] {
             sinew.query(sql).unwrap_or_else(|e| panic!("seed {seed}: {sql}: {e}"));
         }
@@ -82,21 +75,24 @@ fn race(seed: u64) {
     background.stop();
     sinew.db().vacuum().unwrap();
     sinew.db().check_derived(T).unwrap();
-    for columnar in ["1", "0"] {
-        std::env::set_var("SINEW_COLUMNAR", columnar);
+    // By columnar scan, then — the stores dropped — by heap scan.
+    let db = sinew.db();
+    for columnar in [true, false] {
+        if !columnar {
+            for store in db.columnar_infos(T).unwrap() {
+                db.drop_columnar(T, &store.column).unwrap();
+            }
+        }
+        let scans = db.exec_stats().columnar_scans;
         let nulls = sinew.query(NULL_ROWS).unwrap().scalar().cloned();
-        assert_eq!(nulls, Some(Datum::Int(0)), "seed {seed}, SINEW_COLUMNAR={columnar}");
+        assert_eq!(nulls, Some(Datum::Int(0)), "seed {seed}, columnar stores: {columnar}");
+        assert_eq!(db.exec_stats().columnar_scans > scans, columnar, "seed {seed}: wrong path");
     }
 }
 
 #[test]
 fn loads_racing_the_background_materializer_leave_no_null_rows() {
-    let prev = std::env::var("SINEW_COLUMNAR").ok();
     for seed in 1..=7 {
         race(seed);
-    }
-    match prev {
-        Some(v) => std::env::set_var("SINEW_COLUMNAR", v),
-        None => std::env::remove_var("SINEW_COLUMNAR"),
     }
 }

@@ -11,7 +11,7 @@
 //!    flight is entirely there, documents, counts and flags, or not at all.
 //!
 //! The crash sweep re-executes this test binary as a child (`crash_child`)
-//! that `SINEW_WAL_CRASH_AFTER` aborts mid-frame, as
+//! that `WalConfig::crash_after` aborts mid-frame, as
 //! `rdbms/tests/crash_recovery.rs` does.
 
 use rand::rngs::StdRng;
@@ -44,18 +44,9 @@ fn test_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// File-backed Sinew over `dir`, new or recovered. With the log on in the
-/// environment this is `Sinew::open`; CI also runs the suite under
-/// `SINEW_WAL=0`, where a plain open truncates the file, so there the log
-/// is forced on underneath `Sinew::with_db`.
+/// File-backed Sinew over `dir`, new or recovered.
 fn open(dir: &Path) -> Sinew {
-    let path = dir.join("db");
-    let cfg = WalConfig::from_env();
-    if cfg.enabled {
-        return Sinew::open(&path, 512, None).unwrap();
-    }
-    let cfg = WalConfig { enabled: true, ..cfg };
-    Sinew::with_db(Database::open_with_wal(&path, 512, None, cfg).unwrap())
+    Sinew::open(&dir.join("db"), 512, None).unwrap()
 }
 
 fn int(sinew: &Sinew, sql: &str) -> i64 {
@@ -297,8 +288,9 @@ fn extra_docs() -> Vec<Value> {
 /// Runs `scenario` to its end (or to the injected abort). `marks`, on a
 /// clean run, receives the log's append count before and after the swept
 /// operation.
-fn run_scenario(dir: &Path, scenario: Scenario, marks: Option<&Path>) {
-    let sinew = open(dir);
+fn run_scenario(dir: &Path, scenario: Scenario, crash_after: Option<u64>, marks: Option<&Path>) {
+    let cfg = WalConfig { crash_after, ..WalConfig::default() };
+    let sinew = Sinew::with_db(Database::open_with_wal(&dir.join("db"), 512, None, cfg).unwrap());
     sinew.create_collection(T).unwrap();
     sinew.load_docs(T, &docs(5, 0..BASE)).unwrap();
     sinew.run_analyzer(T, &policy()).unwrap();
@@ -334,8 +326,9 @@ fn crash_child() {
         Ok("load") => Scenario::Load,
         _ => Scenario::Completion,
     };
+    let crash_after = std::env::var("SINEW_CATALOG_CRASH_AFTER").ok().map(|n| n.parse().unwrap());
     let marks = std::env::var("SINEW_CATALOG_CRASH_MARKS").ok().map(PathBuf::from);
-    run_scenario(Path::new(&dir), scenario, marks.as_deref());
+    run_scenario(Path::new(&dir), scenario, crash_after, marks.as_deref());
 }
 
 fn run_child(dir: &Path, scenario: Scenario, extra_env: &[(&str, String)]) -> bool {
@@ -343,11 +336,6 @@ fn run_child(dir: &Path, scenario: Scenario, extra_env: &[(&str, String)]) -> bo
     cmd.args(["crash_child", "--exact", "--nocapture"])
         .env("SINEW_CATALOG_CRASH_DIR", dir)
         .env("SINEW_CATALOG_CRASH_SCENARIO", scenario.name())
-        // the log is what is under test; the vacuum thread would make the
-        // append count depend on timing
-        .env_remove("SINEW_WAL")
-        .env_remove("SINEW_WAL_GROUP_COMMIT")
-        .env("SINEW_VACUUM_INTERVAL_MS", "0")
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null());
     for (k, v) in extra_env {
@@ -475,7 +463,7 @@ fn a_crash_at_any_append_keeps_the_catalog_invariants() {
         // past it shows the completed operation surviving the next crash.
         for n in before + 1..=after + 1 {
             let dir = test_dir(&format!("sweep-{}-{n}", scenario.name()));
-            let finished = run_child(&dir, scenario, &[("SINEW_WAL_CRASH_AFTER", n.to_string())]);
+            let finished = run_child(&dir, scenario, &[("SINEW_CATALOG_CRASH_AFTER", n.to_string())]);
             assert_eq!(finished, n > after, "{scenario:?}: crash point {n} of {before}..{after}");
             check_recovered(&dir, scenario, &format!("{scenario:?}, crash at append {n}"));
             std::fs::remove_dir_all(&dir).ok();

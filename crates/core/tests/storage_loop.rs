@@ -216,25 +216,10 @@ fn storage_report_rejects_unknown_collection() {
     assert!(sinew.storage_report("nope").is_err());
 }
 
-/// Serializes the two auto-index tests: both read/write the process-global
-/// `SINEW_INDEX_MIN_CARDINALITY` / `SINEW_FORCE_SCAN` / `SINEW_COLUMNAR`
-/// variables.
-static INDEX_ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[test]
 fn promotion_creates_secondary_index_and_demotion_drops_it() {
-    let _g = INDEX_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev_force = std::env::var("SINEW_FORCE_SCAN").ok();
-    let prev_bar = std::env::var("SINEW_INDEX_MIN_CARDINALITY").ok();
-    let prev_columnar = std::env::var("SINEW_COLUMNAR").ok();
-    std::env::remove_var("SINEW_FORCE_SCAN");
-    std::env::remove_var("SINEW_INDEX_MIN_CARDINALITY");
-    // this test asserts the covering index-only path specifically, so pin
-    // the knob on even when the suite runs under SINEW_COLUMNAR=0
-    std::env::set_var("SINEW_COLUMNAR", "1");
-
     let sinew = loaded();
-    // "k" has ~N distinct values, clearing the default bar of 200: the
+    // "k" has ~N distinct values, clearing the auto-index bar of 200: the
     // completed promotion pass must leave a bulk-built index behind.
     sinew.run_analyzer("c", &policy()).unwrap();
     sinew.materialize_until_clean("c").unwrap();
@@ -279,37 +264,23 @@ fn promotion_creates_secondary_index_and_demotion_drops_it() {
     assert!(sinew.storage_report("c").unwrap().indexes.is_empty());
     assert_eq!(count_k(&sinew), N);
     sinew.db().check_derived("c").unwrap();
-
-    if let Some(v) = prev_force {
-        std::env::set_var("SINEW_FORCE_SCAN", v);
-    }
-    if let Some(v) = prev_bar {
-        std::env::set_var("SINEW_INDEX_MIN_CARDINALITY", v);
-    }
-    match prev_columnar {
-        Some(v) => std::env::set_var("SINEW_COLUMNAR", v),
-        None => std::env::remove_var("SINEW_COLUMNAR"),
-    }
 }
 
 #[test]
 fn auto_index_respects_the_cardinality_bar() {
-    let _g = INDEX_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev_bar = std::env::var("SINEW_INDEX_MIN_CARDINALITY").ok();
-    std::env::set_var("SINEW_INDEX_MIN_CARDINALITY", "100000");
-
-    let sinew = loaded();
+    // "k" is dense with 150 distinct values: enough for the policy to
+    // promote it (threshold 100), too few for an index (bar 200).
+    let sinew = Sinew::in_memory();
+    sinew.create_collection("c").unwrap();
+    let docs: String = (0..N).map(|i| format!("{{\"k\": \"v{}\"}}\n", i % 150)).collect();
+    sinew.load_jsonl("c", &docs).unwrap();
     sinew.run_analyzer("c", &policy()).unwrap();
-    sinew.materialize_until_clean("c").unwrap();
+    let done = sinew.materialize_until_clean("c").unwrap();
+    assert!(done.columns_cleaned.contains(&"k".to_string()));
     let rep = sinew.storage_report("c").unwrap();
     assert!(rep.indexes.is_empty(), "bar ignored: {:?}", rep.indexes);
     assert_eq!(rep.metrics.materializer_indexes_created, 0);
     assert_eq!(count_k(&sinew), N);
-
-    match prev_bar {
-        Some(v) => std::env::set_var("SINEW_INDEX_MIN_CARDINALITY", v),
-        None => std::env::remove_var("SINEW_INDEX_MIN_CARDINALITY"),
-    }
 }
 
 /// NoBench at a size that seals a 4096-row columnar segment: seven

@@ -14,7 +14,7 @@
 //! never reached.
 //!
 //! Output is byte-identical to the materializing oracle
-//! (`SINEW_EXEC_MODE=materialize`, `Executor::run_materialize`) at every
+//! (`ExecMode::Materialize`, `Executor::run_materialize`) at every
 //! block size and thread count: scans emit rows in row-id order, parallel
 //! waves are stitched in morsel order, float accumulation order equals
 //! input order, and hash aggregation emits groups in first-occurrence
@@ -2422,8 +2422,8 @@ mod tests {
 
     /// `100 <= a < 9000` over the scan scope (a, b, _rowid), with the
     /// conjuncts also consumed into the path's range — what the planner
-    /// emits, built by hand so `SINEW_FORCE_SCAN` / `SINEW_COLUMNAR` suites
-    /// cannot turn the access paths under test into plain seq scans.
+    /// emits, built by hand so the access path under test does not depend
+    /// on what the planner's costing would have picked.
     fn path(needed: &[&str]) -> AccessPath {
         let cmp = |op, v| PhysExpr::Binary {
             op,

@@ -24,7 +24,8 @@
 //! [`ColumnStore::segment_value_class`] holds).
 //!
 //! The word-parallel batch primitives live in [`crate::kernels`]; the
-//! scalar per-slot loops kept here double as the `SINEW_SIMD=0` oracle.
+//! scalar per-slot loops kept here are the reference this module's unit
+//! differentials compare the kernels against.
 
 use crate::datum::{Datum, KeyRange};
 use crate::heap::RowId;
@@ -326,11 +327,16 @@ impl Segment {
     /// Emit slot offsets of live, non-NULL values inside the bound range
     /// (ascending), under `key_cmp` semantics. Kernel engagement is
     /// charged to `stats`; the batched paths touch far fewer than one
-    /// decode per slot. `SINEW_SIMD=0` routes to the scalar per-slot
-    /// loops, which produce byte-identical output (the differential
-    /// oracle).
-    fn select(&self, range: &KeyRange, out: &mut Vec<u32>, stats: &mut KernelStats) {
-        let batched = kernels::batched_enabled();
+    /// decode per slot. `batched = false` runs the scalar per-slot loops
+    /// instead, which produce byte-identical output: the reference the
+    /// unit differentials below compare against, never a scan's path.
+    fn select(
+        &self,
+        range: &KeyRange,
+        out: &mut Vec<u32>,
+        stats: &mut KernelStats,
+        batched: bool,
+    ) {
         let KeyRange { lo, lo_inc, hi, hi_inc } = range;
         let (lo, lo_inc, hi, hi_inc) = (lo.as_ref(), *lo_inc, hi.as_ref(), *hi_inc);
         match &self.enc {
@@ -599,9 +605,15 @@ impl Segment {
 
     /// Materialize values at ascending `offsets` into `out` (Null for
     /// slots whose value is NULL). One pass regardless of encoding; packed
-    /// encodings decode dense offset runs a 64-block at a time.
-    fn gather(&self, offsets: &[u32], out: &mut Vec<Datum>, stats: &mut KernelStats) {
-        let batched = kernels::batched_enabled();
+    /// encodings decode dense offset runs a 64-block at a time
+    /// (`batched = false`: per value, the tests' reference).
+    fn gather(
+        &self,
+        offsets: &[u32],
+        out: &mut Vec<Datum>,
+        stats: &mut KernelStats,
+        batched: bool,
+    ) {
         match &self.enc {
             Enc::Plain(vals) => {
                 for &i in offsets {
@@ -916,7 +928,7 @@ impl ColumnStore {
         let seg = &mut self.segments[rowid as usize / SEG_ROWS];
         let slot = rowid as usize % SEG_ROWS;
         let mut cur = Vec::with_capacity(1);
-        seg.gather(&[slot as u32], &mut cur, &mut KernelStats::default());
+        seg.gather(&[slot as u32], &mut cur, &mut KernelStats::default(), true);
         let old = cur.pop().unwrap_or(Datum::Null);
         if bm_get(&seg.live, slot) && old.identical(&value) {
             return;
@@ -979,7 +991,7 @@ impl ColumnStore {
     /// Returns the kernel engagement counters for this call.
     pub fn select_segment(&self, seg: u64, range: &KeyRange, out: &mut Vec<u32>) -> KernelStats {
         let mut stats = KernelStats::default();
-        self.segments[seg as usize].select(range, out, &mut stats);
+        self.segments[seg as usize].select(range, out, &mut stats, true);
         stats
     }
 
@@ -990,7 +1002,7 @@ impl ColumnStore {
 
     /// Materialize this column's values at the given segment offsets.
     pub fn gather(&self, seg: u64, offsets: &[u32], out: &mut Vec<Datum>, stats: &mut KernelStats) {
-        self.segments[seg as usize].gather(offsets, out, stats);
+        self.segments[seg as usize].gather(offsets, out, stats, true);
     }
 
     /// Exactness class shared by every live non-NULL value of one segment,
@@ -1074,23 +1086,6 @@ impl ColumnStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Serializes SINEW_SIMD mutation within this module; the knob is
-    /// process-global and read fresh per kernel call.
-    static SIMD_ENV: Mutex<()> = Mutex::new(());
-
-    fn with_simd<R>(mode: &str, f: impl FnOnce() -> R) -> R {
-        let _g = SIMD_ENV.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = std::env::var("SINEW_SIMD").ok();
-        std::env::set_var("SINEW_SIMD", mode);
-        let r = f();
-        match prev {
-            Some(v) => std::env::set_var("SINEW_SIMD", v),
-            None => std::env::remove_var("SINEW_SIMD"),
-        }
-        r
-    }
 
     fn naive_select(vals: &[(Datum, bool)], range: &KeyRange) -> Vec<u32> {
         let KeyRange { lo, lo_inc, hi, hi_inc } = range;
@@ -1121,23 +1116,23 @@ mod tests {
         out
     }
 
-    fn store_select_raw(store: &ColumnStore, range: &KeyRange) -> Vec<u32> {
+    fn store_select_raw(store: &ColumnStore, range: &KeyRange, batched: bool) -> Vec<u32> {
         let mut out = Vec::new();
-        for seg in 0..store.n_segments() {
+        for (seg, segment) in store.segments.iter().enumerate() {
             let mut offs = Vec::new();
-            if !store.zone_prunes(seg, range) {
-                store.select_segment(seg, range, &mut offs);
+            if !segment.zone_prunes(range) {
+                segment.select(range, &mut offs, &mut KernelStats::default(), batched);
             }
-            out.extend(offs.iter().map(|&o| seg as u32 * SEG_ROWS as u32 + o));
+            out.extend(offs.iter().map(|&o| (seg * SEG_ROWS) as u32 + o));
         }
         out
     }
 
-    /// Run the kernel under both SINEW_SIMD settings, assert they agree,
-    /// and return the (shared) result.
+    /// Run the batched kernels and the scalar reference loops, assert they
+    /// agree, and return the (shared) result.
     fn store_select(store: &ColumnStore, range: &KeyRange) -> Vec<u32> {
-        let scalar = with_simd("0", || store_select_raw(store, range));
-        let batched = with_simd("1", || store_select_raw(store, range));
+        let scalar = store_select_raw(store, range, false);
+        let batched = store_select_raw(store, range, true);
         assert_eq!(scalar, batched, "scalar and batched kernels diverged");
         batched
     }
@@ -1169,16 +1164,16 @@ mod tests {
             let range = KeyRange { lo, lo_inc, hi, hi_inc };
             assert_eq!(store_select(&store, &range), naive_select(&vals, &range), "{range:?}");
         }
-        // gather round-trips identically under both kernel modes
+        // gather round-trips identically through the kernels and the reference
         let offs: Vec<u32> = (0..64).collect();
-        for mode in ["0", "1"] {
+        for batched in [false, true] {
             let mut out = Vec::new();
             let mut st = KernelStats::default();
-            with_simd(mode, || store.gather(0, &offs, &mut out, &mut st));
+            store.segments[0].gather(&offs, &mut out, &mut st, batched);
             for (o, d) in offs.iter().zip(&out) {
                 assert_eq!(*d, vals[*o as usize].0);
             }
-            assert_eq!(st.batched > 0, mode == "1", "dense gather should batch iff enabled");
+            assert_eq!(st.batched > 0, batched, "dense gather should batch iff asked to");
         }
     }
 
@@ -1372,21 +1367,17 @@ mod tests {
         }
         let range =
             KeyRange { lo: Some(Datum::Int(100)), hi: Some(Datum::Int(900)), ..KeyRange::default() };
-        with_simd("1", || {
-            let mut offs = Vec::new();
-            let st = packed.select_segment(0, &range, &mut offs);
-            assert!(st.batched > 0, "packed select must use the 64-wide path");
-            assert!(st.fastpath_words > 0, "dead word must be skipped wholesale");
-            let mut out = Vec::new();
-            let mut gst = KernelStats::default();
-            packed.gather(0, &offs, &mut out, &mut gst);
-            assert!(gst.batched > 0, "dense gather must decode whole blocks");
-        });
-        with_simd("0", || {
-            let mut offs = Vec::new();
-            let st = packed.select_segment(0, &range, &mut offs);
-            assert_eq!(st.batched, 0, "SINEW_SIMD=0 must stay on the scalar path");
-        });
+        let mut offs = Vec::new();
+        let st = packed.select_segment(0, &range, &mut offs);
+        assert!(st.batched > 0, "packed select must use the 64-wide path");
+        assert!(st.fastpath_words > 0, "dead word must be skipped wholesale");
+        let mut out = Vec::new();
+        let mut gst = KernelStats::default();
+        packed.gather(0, &offs, &mut out, &mut gst);
+        assert!(gst.batched > 0, "dense gather must decode whole blocks");
+        let mut scalar = KernelStats::default();
+        packed.segments[0].select(&range, &mut Vec::new(), &mut scalar, false);
+        assert_eq!(scalar.batched, 0, "the reference must stay on the scalar path");
         // Dict: predicate rewritten to a code range.
         let mut dict = ColumnStore::new("d");
         let cats = ["alpha", "beta", "gamma", "delta"];
@@ -1482,10 +1473,10 @@ mod tests {
             // Gather differential: selected offsets must round-trip the
             // stored value exactly (variant- and bit-faithful) both ways.
             let seg0: Vec<u32> = got.iter().copied().filter(|&o| (o as usize) < SEG_ROWS).collect();
-            for mode in ["0", "1"] {
+            for batched in [false, true] {
                 let mut out = Vec::new();
                 let mut st = KernelStats::default();
-                with_simd(mode, || store.gather(0, &seg0, &mut out, &mut st));
+                store.segments[0].gather(&seg0, &mut out, &mut st, batched);
                 for (o, d) in seg0.iter().zip(&out) {
                     proptest::prop_assert_eq!(d, &vals[*o as usize].0);
                 }

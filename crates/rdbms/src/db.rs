@@ -26,7 +26,6 @@ use crate::wal::{self, Wal, WalConfig};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -312,46 +311,38 @@ pub struct Database {
     limits: RwLock<ExecLimits>,
     /// Shared with the write-ahead log, which feeds the `wal` rows.
     exec_stats: Arc<ExecStats>,
-    /// Write-ahead log (file-backed databases with `SINEW_WAL` on).
+    /// Write-ahead log (file-backed databases opened with
+    /// [`WalConfig::enabled`]).
     wal: Option<Arc<Wal>>,
-    /// WAL write token: serializes mutating *commit units* when the WAL is
-    /// on, so each commit record's captured page images belong to exactly
-    /// one unit. Autocommit statements hold it for the statement; an open
-    /// transaction that has written holds it from its first write until
+    /// Statement write token: serializes mutating *commit units*. An
+    /// autocommit statement holds it from before it reads the rows it will
+    /// change until it has changed them, so no other writer's commit falls
+    /// between its read and its write, and so each WAL commit record's
+    /// captured page images belong to exactly one unit. A transaction holds
+    /// it for its COMMIT; on a logged database, whose page images must not
+    /// leak into another unit's record, from its first write until
     /// COMMIT/ROLLBACK (a plain scoped mutex cannot span statements, hence
-    /// an owner id + condvar). `None` = free.
-    wal_owner: Mutex<Option<u64>>,
-    wal_owner_cv: Condvar,
-    /// Distinct owner ids for statement-scoped token holders (transaction
-    /// holders use their marker, which is >= TXN_BASE and cannot collide).
-    stmt_ids: AtomicU64,
+    /// an owner + condvar). `None` = free.
+    write_owner: Mutex<Option<TokenOwner>>,
+    write_owner_cv: Condvar,
     /// MVCC transaction manager: commit timestamps + snapshot registry.
     manager: TxnManager,
-    /// Snapshot isolation on (`SINEW_MVCC`, default on). Off = the legacy
-    /// single-writer differential oracle: no snapshots, no version chains,
-    /// BEGIN/COMMIT/ROLLBACK rejected.
-    mvcc: bool,
+}
+
+/// Who holds the statement write token.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TokenOwner {
+    /// An autocommit unit (statement, DDL, checkpoint, vacuum pass) running
+    /// on this thread.
+    Stmt(std::thread::ThreadId),
+    /// The transaction with this marker.
+    Txn(u64),
 }
 
 impl Database {
-    /// Fully in-memory database (tests, small experiments). MVCC follows
-    /// `SINEW_MVCC` (default on).
+    /// Fully in-memory database (tests, small experiments).
     pub fn in_memory() -> Database {
         Database::with_pager(Pager::in_memory())
-    }
-
-    /// In-memory database with MVCC explicitly on/off, ignoring the
-    /// environment — the differential-oracle harnesses use this to pin
-    /// both sides of a comparison.
-    pub fn in_memory_mvcc(on: bool) -> Database {
-        let mut db = Database::with_pager(Pager::in_memory());
-        db.mvcc = on;
-        db
-    }
-
-    /// Is snapshot isolation active (vs the legacy single-writer oracle)?
-    pub fn mvcc_enabled(&self) -> bool {
-        self.mvcc
     }
 
     /// The transaction manager (tests / metrics overlays).
@@ -362,17 +353,16 @@ impl Database {
     /// File-backed database with an LRU buffer pool of `pool_pages` 8 KiB
     /// frames, optionally with simulated per-miss I/O latency.
     ///
-    /// With the WAL enabled (the default; `SINEW_WAL=0` opts out), an
-    /// existing log at `<path>.wal` is recovered — committed statements
+    /// An existing log at `<path>.wal` is recovered — committed statements
     /// are replayed, the torn tail is discarded — and a fresh log is
-    /// started. Without a log (or with the WAL off) the data file is
-    /// truncated, matching the pre-WAL behaviour.
+    /// started.
     pub fn open(path: &Path, pool_pages: usize, io_delay: Option<Duration>) -> DbResult<Database> {
-        Database::open_with_wal(path, pool_pages, io_delay, WalConfig::from_env())
+        Database::open_with_wal(path, pool_pages, io_delay, WalConfig::default())
     }
 
-    /// [`Database::open`] with an explicit WAL configuration (tests use
-    /// this to force recovery semantics regardless of the environment).
+    /// [`Database::open`] with an explicit WAL configuration. With
+    /// `enabled: false` there is no log and no recovery: the data file is
+    /// a scratch file, truncated on open.
     pub fn open_with_wal(
         path: &Path,
         pool_pages: usize,
@@ -397,13 +387,12 @@ impl Database {
                 // means the log was lost (deleted, torn at creation,
                 // never made durable): truncating the data file now
                 // would silently destroy fully-synced committed data.
-                // Fail loudly instead; `SINEW_WAL=0` keeps the legacy
-                // truncate-on-open behaviour for scratch files.
+                // Fail loudly instead.
                 if std::fs::metadata(path).map(|m| m.len() > 0).unwrap_or(false) {
                     return Err(DbError::Io(format!(
                         "wal: data file {} is non-empty but its log {} is missing or \
                          invalid; refusing to truncate (delete the data file to start \
-                         fresh, or open with SINEW_WAL=0)",
+                         fresh, or open it with `WalConfig {{ enabled: false, .. }}`)",
                         path.display(),
                         wal_path.display()
                     )));
@@ -424,7 +413,6 @@ impl Database {
     }
 
     fn with_pager(pager: Pager) -> Database {
-        let mvcc = std::env::var("SINEW_MVCC").map(|v| v != "0").unwrap_or(true);
         Database {
             pager: Arc::new(pager),
             tables: RwLock::new(HashMap::new()),
@@ -434,11 +422,9 @@ impl Database {
             limits: RwLock::new(ExecLimits::default()),
             exec_stats: Arc::default(),
             wal: None,
-            wal_owner: Mutex::new(None),
-            wal_owner_cv: Condvar::new(),
-            stmt_ids: AtomicU64::new(1),
+            write_owner: Mutex::new(None),
+            write_owner_cv: Condvar::new(),
             manager: TxnManager::new(),
-            mvcc,
         }
     }
 
@@ -571,7 +557,7 @@ impl Database {
             // The log encodes only the committed view: every recovered row
             // is committed, uncommitted versions are gone. Reset version
             // state accordingly (all rows committed at timestamp 0).
-            heap.set_mvcc(db.mvcc);
+            heap.reset_versions();
             heap.set_wal_track(true);
             db.tables.write().insert(
                 name.clone(),
@@ -614,43 +600,55 @@ impl Database {
 
     // ---- write-ahead log plumbing ----
 
-    /// Block until the WAL write token is free (or already ours), then
-    /// take it. Re-entrant per owner id.
-    fn token_acquire(&self, id: u64) {
-        let mut o = self.wal_owner.lock();
-        while o.is_some() && *o != Some(id) {
-            o = self.wal_owner_cv.wait(o);
+    /// Block until the write token is free, then take it for `owner`.
+    /// Returns `false`, taking nothing, when `owner` already holds it.
+    fn token_acquire(&self, owner: TokenOwner) -> bool {
+        let mut o = self.write_owner.lock();
+        if *o == Some(owner) {
+            return false;
         }
-        *o = Some(id);
+        while o.is_some() {
+            o = self.write_owner_cv.wait(o);
+        }
+        *o = Some(owner);
+        true
     }
 
-    fn token_release(&self, id: u64) {
-        let mut o = self.wal_owner.lock();
-        debug_assert_eq!(*o, Some(id));
+    fn token_release(&self, owner: TokenOwner) {
+        let mut o = self.write_owner.lock();
+        debug_assert_eq!(*o, Some(owner));
         *o = None;
         drop(o);
-        self.wal_owner_cv.notify_all();
+        self.write_owner_cv.notify_all();
     }
 
-    /// Statement-serialization guard: held across every mutating
-    /// statement when the WAL is on, so the pager's uncommitted-image set
-    /// belongs to exactly one commit unit at its commit point. No-op
-    /// (None) without a WAL — concurrency behaviour is then unchanged.
-    fn write_guard(&self) -> Option<WalToken<'_>> {
-        self.wal.as_ref()?;
-        let id = self.stmt_ids.fetch_add(1, Relaxed);
-        self.token_acquire(id);
-        Some(WalToken { db: self, id })
+    /// Statement-serialization guard, held across every mutating unit: no
+    /// other unit commits between what this one reads and what it writes,
+    /// and on a logged database the pager's uncommitted-image set belongs
+    /// to exactly one unit at its commit point. Re-entrant on the holding
+    /// thread — a UDF that writes catalog rows while its UPDATE evaluates
+    /// `SET` expressions runs its unit inside the statement's; the
+    /// outermost guard releases. Sinew's catalog takes it around a flush
+    /// ahead of its own latches, so the order is the token first everywhere.
+    pub fn write_guard(&self) -> WriteToken<'_> {
+        let owner = TokenOwner::Stmt(std::thread::current().id());
+        WriteToken { db: self, held: self.token_acquire(owner).then_some(owner) }
     }
 
-    /// A writing transaction takes the token at its *first* write and
-    /// keeps it until COMMIT/ROLLBACK (its page images must not leak into
-    /// another unit's commit record). Re-entrant across the transaction's
-    /// own statements.
+    /// A writing transaction on a logged database takes the token at its
+    /// *first* write and keeps it until COMMIT/ROLLBACK (its page images
+    /// must not leak into another unit's commit record). Re-entrant across
+    /// the transaction's own statements.
     fn txn_wal_enter(&self, txn: &mut Txn) {
-        if self.wal.is_some() && !txn.holds_wal_token {
-            self.token_acquire(txn.marker);
-            txn.holds_wal_token = true;
+        if self.wal.is_some() {
+            self.txn_token_enter(txn);
+        }
+    }
+
+    fn txn_token_enter(&self, txn: &mut Txn) {
+        if !txn.holds_token {
+            self.token_acquire(TokenOwner::Txn(txn.marker));
+            txn.holds_token = true;
         }
     }
 
@@ -662,13 +660,11 @@ impl Database {
         (tk, TicketGuard { mgr: &self.manager, ts: tk.ts })
     }
 
-    /// How the holder of `tk` publishes its row changes. Without MVCC there
-    /// are no snapshots to retain anything for, whatever the ticket says
-    /// (two concurrent legacy writers see each other in flight).
-    fn publish(&self, tk: WriteTicket) -> Publish {
+    /// How the holder of `tk` publishes its row changes.
+    fn publish(tk: WriteTicket) -> Publish {
         match tk.mode {
-            WriteMode::Retain if self.mvcc => Publish::Retain(tk.ts),
-            _ => Publish::Eager,
+            WriteMode::Retain => Publish::Retain(tk.ts),
+            WriteMode::Eager => Publish::Eager,
         }
     }
 
@@ -926,7 +922,6 @@ impl Database {
                 }
             }
             let mut heap = Heap::new(self.pager.clone());
-            heap.set_mvcc(self.mvcc);
             heap.set_wal_track(self.wal_enabled());
             let arc = Arc::new(RwLock::new(Table {
                 schema: TableSchema::new(cols),
@@ -1038,9 +1033,7 @@ impl Database {
         // The scan above reflects the latest-committed state, which may be
         // younger than a registered snapshot: stamp a conservative floor so
         // older readers fall back to the heap instead of seeing the future.
-        if self.mvcc {
-            store.set_floor(self.manager.current_floor());
-        }
+        store.set_floor(self.manager.current_floor());
         t.columnar.push(store);
         // Columnar stores live in memory (rebuilt on recovery); the
         // commit records which columns have one.
@@ -1155,7 +1148,7 @@ impl Database {
             names.iter().map(|name| self.table(name)).collect::<DbResult<_>>()?;
         let mut tables: Vec<_> = handles.iter().map(|h| h.write()).collect();
         let (tk, _tg) = self.begin_stmt_write();
-        let publish = self.publish(tk);
+        let publish = Self::publish(tk);
         let mut inserted = Vec::new();
         let res = (|| -> DbResult<()> {
             for w in writes {
@@ -1516,9 +1509,6 @@ impl Database {
     }
 
     fn run_select(&self, sel: &sinew_sql::Select) -> DbResult<QueryResult> {
-        if !self.mvcc {
-            return self.run_select_vis(sel, Vis::LATEST);
-        }
         // Register a snapshot so concurrent committers retain (rather
         // than destroy) the versions this query is reading — readers
         // never block writers and vice versa.
@@ -1597,6 +1587,11 @@ impl Database {
         upd: &sinew_sql::Update,
         txn: Option<&mut Txn>,
     ) -> DbResult<QueryResult> {
+        // Autocommit: the token is held from before the rows are read until
+        // they are written, so a concurrent writer's commit cannot fall
+        // between the value a `SET` expression saw and the value it replaces.
+        // A transaction instead detects that at the row (first-writer-wins).
+        let _g = txn.is_none().then(|| self.write_guard());
         let planner =
             Planner::new(self, &self.funcs).with_config(self.planner_config.read().clone());
         let (plan, scope) = planner.plan_modify_scan(&upd.table, upd.filter.as_ref())?;
@@ -1636,12 +1631,11 @@ impl Database {
         }
         // Phase 2 (autocommit): apply row-by-row; the whole statement is
         // one WAL commit unit.
-        let _g = self.write_guard();
         {
             let t = self.table(&upd.table)?;
             let mut t = t.write();
             let (tk, _tg) = self.begin_stmt_write();
-            let publish = self.publish(tk);
+            let publish = Self::publish(tk);
             let res = (|| -> DbResult<()> {
                 for (rowid, vals) in updates {
                     let refs: Vec<(&str, Datum)> =
@@ -1661,6 +1655,8 @@ impl Database {
         del: &sinew_sql::Delete,
         txn: Option<&mut Txn>,
     ) -> DbResult<QueryResult> {
+        // Held from the scan to the last tombstone, as in `run_update`.
+        let _g = txn.is_none().then(|| self.write_guard());
         let planner =
             Planner::new(self, &self.funcs).with_config(self.planner_config.read().clone());
         let (plan, scope) = planner.plan_modify_scan(&del.table, del.filter.as_ref())?;
@@ -1687,11 +1683,10 @@ impl Database {
             }
             return Ok(QueryResult { affected: n, ..Default::default() });
         }
-        let _g = self.write_guard();
         let t = self.table(&del.table)?;
         let mut t = t.write();
         let (tk, _tg) = self.begin_stmt_write();
-        let publish = self.publish(tk);
+        let publish = Self::publish(tk);
         let wanted = t.derived_slots();
         let res = (|| -> DbResult<()> {
             for row in &matched {
@@ -1702,9 +1697,8 @@ impl Database {
                 if let Publish::Retain(_) = publish {
                     self.check_conflict(&t.heap, rowid, 0, 0)?;
                 }
-                // The image being deleted, read under the write lock (the
-                // scan above ran before it was taken); only the slots that
-                // an index or a store is built over are decoded.
+                // The image being deleted; only the slots that an index or
+                // a store is built over are decoded.
                 let Some(bytes) = t.heap.get(rowid)? else { continue };
                 let old = tuple::decode_tuple_partial(&t.schema, &bytes, &wanted)?;
                 let deleted = match publish {
@@ -1734,11 +1728,6 @@ impl Database {
     /// callers should go through [`Database::session`], which guarantees
     /// resolution.
     pub fn begin_txn(&self) -> DbResult<Txn> {
-        if !self.mvcc {
-            return Err(DbError::Eval(
-                "transactions require MVCC (set SINEW_MVCC=1)".into(),
-            ));
-        }
         // A transaction's snapshot must include every commit that finished
         // before BEGIN: updating through a stale frontier would trip
         // first-writer-wins against writes the scan simply hadn't seen
@@ -1751,7 +1740,7 @@ impl Database {
             read_ts,
             log: Vec::new(),
             rowmap: HashMap::new(),
-            holds_wal_token: false,
+            holds_token: false,
         })
     }
 
@@ -1763,8 +1752,8 @@ impl Database {
         let rowmap = std::mem::take(&mut txn.rowmap);
         if rowmap.is_empty() {
             // Read-only (or never wrote): nothing to publish.
-            if txn.holds_wal_token {
-                self.token_release(txn.marker);
+            if txn.holds_token {
+                self.token_release(TokenOwner::Txn(txn.marker));
             }
             let advanced = self.manager.release_snapshot(txn.read_ts);
             self.exec_stats.txns_committed.inc();
@@ -1773,6 +1762,9 @@ impl Database {
             }
             return Ok(());
         }
+        // The commit is one unit like any autocommit statement's, published
+        // under the token (a logged database's writer holds it already).
+        self.txn_token_enter(&mut txn);
         // Release our own snapshot BEFORE taking the commit timestamp: a
         // transaction running with no other live snapshot then commits
         // Eager and leaves zero retained garbage behind.
@@ -1798,9 +1790,7 @@ impl Database {
             self.wal_commit_record(tk.ts, &ops)
         })();
         drop(ticket); // publish the commit timestamp
-        if txn.holds_wal_token {
-            self.token_release(txn.marker);
-        }
+        self.token_release(TokenOwner::Txn(txn.marker));
         self.exec_stats.txns_committed.inc();
         if let Some(w) = &self.wal {
             if w.bytes() > w.config().checkpoint_bytes {
@@ -1841,7 +1831,7 @@ impl Database {
             return Ok(());
         }
         let new = if st.deleted { None } else { image(t, t.heap.get(rowid)?)? };
-        t.apply_change(rowid, old.as_deref(), new.as_deref(), self.publish(tk), &self.exec_stats)
+        t.apply_change(rowid, old.as_deref(), new.as_deref(), Self::publish(tk), &self.exec_stats)
     }
 
     /// Roll back: undo the transaction's heap writes in reverse order and
@@ -1861,10 +1851,10 @@ impl Database {
             }
             Ok(())
         })();
-        if txn.holds_wal_token {
+        if txn.holds_token {
             let _ = self.pager.take_uncommitted_images();
             self.pager.shrink_to_capacity()?;
-            self.token_release(txn.marker);
+            self.token_release(TokenOwner::Txn(txn.marker));
         }
         let advanced = self.manager.release_snapshot(txn.read_ts);
         self.exec_stats.txns_aborted.inc();
@@ -1876,13 +1866,10 @@ impl Database {
 
     /// Reclaim retained versions, tombstoned rows, stale index keys, and
     /// columnar pendings whose timestamps have passed behind the oldest
-    /// live snapshot. Best-effort: if a writer holds the WAL token the
+    /// live snapshot. Best-effort: if a writer holds the write token the
     /// pass is skipped (garbage stays queued for the next opportunity).
     pub fn vacuum(&self) -> DbResult<u64> {
-        if !self.mvcc {
-            return Ok(0);
-        }
-        let Ok(_g) = self.try_write_guard() else { return Ok(0) };
+        let Some(_g) = self.try_write_guard() else { return Ok(0) };
         // Reclaim only behind BOTH the oldest live snapshot and the
         // published frontier: garbage stamped with a committed-but-not-yet
         // -published timestamp is still needed, because the next snapshot
@@ -2015,20 +2002,17 @@ impl Database {
         Ok(())
     }
 
-    /// Non-blocking [`Database::write_guard`]: `Err` means another writer
-    /// holds the WAL token right now.
-    fn try_write_guard(&self) -> Result<Option<WalToken<'_>>, ()> {
-        if self.wal.is_none() {
-            return Ok(None);
-        }
-        let id = self.stmt_ids.fetch_add(1, Relaxed);
-        let mut o = self.wal_owner.lock();
+    /// Non-blocking [`Database::write_guard`]: `None` means a writer holds
+    /// the token right now.
+    fn try_write_guard(&self) -> Option<WriteToken<'_>> {
+        let owner = TokenOwner::Stmt(std::thread::current().id());
+        let mut o = self.write_owner.lock();
         if o.is_some() {
-            return Err(());
+            return None;
         }
-        *o = Some(id);
+        *o = Some(owner);
         drop(o);
-        Ok(Some(WalToken { db: self, id }))
+        Some(WriteToken { db: self, held: Some(owner) })
     }
 
     /// Open a SQL session: the unit that owns an (optional) open
@@ -2044,16 +2028,19 @@ impl Database {
     }
 }
 
-/// RAII holder of the WAL serialization token (see
+/// RAII holder of the statement write token (see
 /// [`Database::write_guard`]).
-struct WalToken<'a> {
+pub struct WriteToken<'a> {
     db: &'a Database,
-    id: u64,
+    /// `None` for a guard nested inside the one that holds the token.
+    held: Option<TokenOwner>,
 }
 
-impl Drop for WalToken<'_> {
+impl Drop for WriteToken<'_> {
     fn drop(&mut self) {
-        self.db.token_release(self.id);
+        if let Some(owner) = self.held {
+            self.db.token_release(owner);
+        }
     }
 }
 
@@ -2094,7 +2081,7 @@ pub struct Txn {
     read_ts: u64,
     log: Vec<(String, RowId, TxnOp)>,
     rowmap: HashMap<String, BTreeMap<RowId, RowState>>,
-    holds_wal_token: bool,
+    holds_token: bool,
 }
 
 impl Txn {

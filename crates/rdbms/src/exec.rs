@@ -2,14 +2,14 @@
 //! original materializing operator-at-a-time engine as differential oracle.
 //!
 //! The streaming engine lives in [`crate::block`]: operators pull
-//! [`crate::block::RowBlock`]s of ~`SINEW_BLOCK_ROWS` rows from their child,
+//! [`crate::block::RowBlock`]s of ~[`ExecLimits::block_rows`] rows from their child,
 //! so `LIMIT` propagates an early-stop all the way into `Heap::scan` and
 //! peak memory for scan-heavy plans is O(block), not O(table). It also owns
 //! the morsel-parallel scan→filter→project prefix (`ParallelScanOp`,
-//! sized by `SINEW_EXEC_THREADS`).
+//! sized by [`ExecLimits::exec_threads`]).
 //!
 //! The materializing engine below (`run_materialize`, reachable via
-//! `SINEW_EXEC_MODE=materialize`) keeps the old semantics — every operator
+//! [`ExecMode::Materialize`]) keeps the old semantics — every operator
 //! consumes fully materialized child output — and the two must produce
 //! byte-identical results. It is the reference the equivalence suites
 //! compare against, so it is deliberately *serial* at any thread count: a
@@ -93,13 +93,11 @@ pub struct ExecLimits {
     /// engine (and may succeed where full materialization would not).
     pub max_intermediate_rows: u64,
     /// Worker threads for the parallel scan pipeline; 1 forces the serial
-    /// path. Defaults from `SINEW_EXEC_THREADS`, else available parallelism.
+    /// path. Defaults to the available parallelism.
     pub exec_threads: usize,
-    /// Target rows per streaming block. Defaults from `SINEW_BLOCK_ROWS`,
-    /// else 1024; clamped to ≥ 1.
+    /// Target rows per streaming block (default 1024; clamped to ≥ 1).
     pub block_rows: usize,
-    /// Engine selection. Defaults from `SINEW_EXEC_MODE`
-    /// (`streaming` | `materialize`), else streaming.
+    /// Engine selection (default streaming).
     pub mode: ExecMode,
 }
 
@@ -107,31 +105,10 @@ impl Default for ExecLimits {
     fn default() -> Self {
         ExecLimits {
             max_intermediate_rows: 50_000_000,
-            exec_threads: default_exec_threads(),
-            block_rows: default_block_rows(),
-            mode: default_exec_mode(),
+            exec_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+            block_rows: 1024,
+            mode: ExecMode::Streaming,
         }
-    }
-}
-
-fn default_exec_threads() -> usize {
-    match std::env::var("SINEW_EXEC_THREADS") {
-        Ok(v) => v.trim().parse().ok().filter(|&n| n >= 1).unwrap_or(1),
-        Err(_) => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-    }
-}
-
-fn default_block_rows() -> usize {
-    match std::env::var("SINEW_BLOCK_ROWS") {
-        Ok(v) => v.trim().parse().ok().filter(|&n| n >= 1).unwrap_or(1024),
-        Err(_) => 1024,
-    }
-}
-
-fn default_exec_mode() -> ExecMode {
-    match std::env::var("SINEW_EXEC_MODE") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("materialize") => ExecMode::Materialize,
-        _ => ExecMode::Streaming,
     }
 }
 
@@ -183,8 +160,7 @@ crate::counter_table! {
     /// Value-level decodes/compares charged per scanned segment.
     columnar_access decoded_per_block: histogram,
 
-    /// Values decoded through the 64-wide batched kernel paths (vs the
-    /// scalar per-slot loops `SINEW_SIMD=0` forces).
+    /// Values decoded through the 64-wide batched kernel paths.
     kernels values_decoded_batched: counter,
     /// Predicates rewritten to packed dictionary-code ranges.
     kernels dict_code_rewrites: counter,

@@ -39,13 +39,12 @@ struct OldVersion {
 pub struct Heap {
     pager: Arc<Pager>,
     rows: Vec<Option<Loc>>,
-    /// MVCC version headers, parallel to `rows` (empty when MVCC is off):
-    /// `(begin_ts, end_ts)` of the *newest* version of each row.
+    /// MVCC version headers, parallel to `rows`: `(begin_ts, end_ts)` of the
+    /// *newest* version of each row.
     vmeta: Vec<(u64, u64)>,
     /// Superseded versions per row id, newest-first. Only Retain-mode and
     /// in-transaction writes chain; eager writes stay destructive.
     chains: HashMap<RowId, Vec<OldVersion>>,
-    mvcc: bool,
     /// Row ids whose newest header carries an uncommitted marker.
     n_marker: u64,
     /// Row ids with a committed delete retained for old snapshots
@@ -84,7 +83,6 @@ impl Heap {
             rows: Vec::new(),
             vmeta: Vec::new(),
             chains: HashMap::new(),
-            mvcc: false,
             n_marker: 0,
             n_ended: 0,
             max_begin: 0,
@@ -155,11 +153,9 @@ impl Heap {
         let loc = self.place(bytes)?;
         let rowid = self.rows.len() as RowId;
         self.rows.push(Some(loc));
-        if self.mvcc {
-            // Born at timestamp 0 (visible to everyone) until the writer
-            // stamps it; eager writes never stamp — see `mark_begin`.
-            self.vmeta.push((0, NO_END));
-        }
+        // Born at timestamp 0 (visible to everyone) until the writer
+        // stamps it; eager writes never stamp — see `mark_begin`.
+        self.vmeta.push((0, NO_END));
         self.live_rows += 1;
         if self.wal_track {
             self.wal_touched.push(rowid);
@@ -385,17 +381,10 @@ impl Heap {
     // coexists with an eager statement). Only Retain-mode statements and
     // explicit transactions stamp timestamps and chain versions.
 
-    /// Enable/disable version tracking. Resets all version state: callers
-    /// do this at open/recovery time, never with versions outstanding.
-    pub fn set_mvcc(&mut self, on: bool) {
-        self.mvcc = on;
-        self.reset_versions();
-    }
-
     /// Drop all version state, treating every present row as committed at
     /// timestamp 0 (recovery replays only committed images).
     pub fn reset_versions(&mut self) {
-        self.vmeta = if self.mvcc { vec![(0, NO_END); self.rows.len()] } else { Vec::new() };
+        self.vmeta = vec![(0, NO_END); self.rows.len()];
         self.chains.clear();
         self.n_marker = 0;
         self.n_ended = 0;
@@ -404,7 +393,7 @@ impl Heap {
 
     /// Any state a plain latest-committed scan cannot ignore?
     pub fn needs_vis(&self) -> bool {
-        self.mvcc && (!self.chains.is_empty() || self.n_marker > 0 || self.n_ended > 0)
+        !self.chains.is_empty() || self.n_marker > 0 || self.n_ended > 0
     }
 
     /// Can `vis` scan the raw row directory without per-row checks?
@@ -680,9 +669,6 @@ impl Heap {
     /// records encode only this committed view: recovery must not
     /// resurrect retained-deleted rows or uncommitted versions.
     fn committed_visible(&self, rowid: usize) -> bool {
-        if !self.mvcc {
-            return true;
-        }
         let (b, e) = self.vmeta.get(rowid).copied().unwrap_or((0, NO_END));
         !Self::is_marker(b) && (e == NO_END || Self::is_marker(e))
     }

@@ -20,11 +20,10 @@
 //!   one 64-block decode the block once and index it, instead of paying
 //!   the per-value `pack_get` shift dance.
 //!
-//! `SINEW_SIMD=0` (read fresh per kernel call, like `SINEW_COLUMNAR`)
-//! routes every caller back to the PR 6 scalar per-slot loops, which the
-//! differential tests use as the oracle. The batched paths are exact — no
-//! tolerance, byte-identical output — so the knob is an oracle, not a
-//! accuracy trade.
+//! Every scan runs these kernels. The batched paths are exact — no
+//! tolerance, byte-identical output — and `columnar.rs` keeps the scalar
+//! per-slot loops they replaced only as the reference its unit
+//! differentials compare against (DESIGN.md §21).
 
 /// Values per batch: one bitmap word's worth, the unit both the unpack and
 /// the compare kernels operate on.
@@ -34,13 +33,6 @@ pub const LANES: usize = 64;
 /// block instead of per-value `pack_get`s. At 8+ hits the block decode
 /// (≤ 63 word reads) amortizes below the per-value shift/mask pairs.
 pub(crate) const GATHER_BATCH_MIN: usize = 8;
-
-/// Batched kernels enabled? `SINEW_SIMD=0` (or empty) falls back to the
-/// scalar per-slot paths. Read fresh on every segment call so tests and
-/// benches can flip it at runtime.
-pub fn batched_enabled() -> bool {
-    std::env::var("SINEW_SIMD").map(|v| !v.is_empty() && v != "0").unwrap_or(true)
-}
 
 /// Engagement counters for one kernel invocation, folded up into
 /// [`crate::exec::ExecStats`] by the executor.

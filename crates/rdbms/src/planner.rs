@@ -421,10 +421,6 @@ impl<'a> Planner<'a> {
         filters: &[Expr],
         needed: Option<&std::collections::HashSet<String>>,
     ) -> DbResult<Candidate> {
-        // Both knobs are read fresh per plan (tests flip them at runtime),
-        // but once: each lookup takes the env lock and allocates.
-        let force_scan = force_scan();
-        let columnar_on = !force_scan && columnar_enabled();
         let meta = self.catalog.table_meta(table)?;
         let stats = self.catalog.table_stats(table);
         let mut scope = Scope::default();
@@ -500,30 +496,28 @@ impl<'a> Planner<'a> {
             uniform: bool,
         }
         let mut per_col: HashMap<usize, ColSarg> = HashMap::new();
-        if !force_scan {
-            for f in &bound {
-                let Some((slot, range)) = sargable(f) else { continue };
-                if !matches!(col_names.get(slot), Some(Some(_))) {
-                    continue;
-                }
-                let cls = match (
-                    exactness_class(range.lo.as_ref()),
-                    exactness_class(range.hi.as_ref()),
-                ) {
-                    (Some(a), Some(c)) if a == c => Some(a),
-                    (Some(a), None) if range.hi.is_none() => Some(a),
-                    (None, Some(c)) if range.lo.is_none() => Some(c),
-                    _ => None,
-                };
-                let e = per_col.entry(slot).or_default();
-                if e.clauses.is_empty() {
-                    e.class = cls;
-                    e.uniform = true;
-                }
-                e.uniform = e.uniform && cls.is_some() && cls == e.class;
-                e.b.tighten(range);
-                e.clauses.push(f.clone());
+        for f in &bound {
+            let Some((slot, range)) = sargable(f) else { continue };
+            if !matches!(col_names.get(slot), Some(Some(_))) {
+                continue;
             }
+            let cls = match (
+                exactness_class(range.lo.as_ref()),
+                exactness_class(range.hi.as_ref()),
+            ) {
+                (Some(a), Some(c)) if a == c => Some(a),
+                (Some(a), None) if range.hi.is_none() => Some(a),
+                (None, Some(c)) if range.lo.is_none() => Some(c),
+                _ => None,
+            };
+            let e = per_col.entry(slot).or_default();
+            if e.clauses.is_empty() {
+                e.class = cls;
+                e.uniform = true;
+            }
+            e.uniform = e.uniform && cls.is_some() && cls == e.class;
+            e.b.tighten(range);
+            e.clauses.push(f.clone());
         }
         // each column's match fraction is the joint selectivity of its own
         // sargable conjuncts (range pairs included)
@@ -556,7 +550,7 @@ impl<'a> Planner<'a> {
                 .min_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal))
         };
 
-        let indexed = if force_scan { Vec::new() } else { self.catalog.indexed_columns(table) };
+        let indexed = self.catalog.indexed_columns(table);
         // What every non-heap path shares with the heap scan it replaces.
         let access = |column: Option<String>, range: KeyRange, exact_bounds: bool| AccessPath {
             table: table.to_string(),
@@ -591,30 +585,28 @@ impl<'a> Planner<'a> {
         // bound on the key: index entries omit NULL keys, and the bound
         // rejects those same rows on the heap path, keeping both paths
         // row-identical.
-        if columnar_on {
-            if let Some(nv) = &needed_vec {
-                for (slot, b, bound_sel, n_clauses, uniform) in &col_bounds {
-                    let Some(Some(name)) = col_names.get(*slot) else { continue };
-                    if !indexed.iter().any(|c| c == name)
-                        || !nv.iter().all(|n| n == name || n == "_rowid")
-                        || b.is_unbounded()
-                    {
-                        continue;
-                    }
-                    let matched = (meta.n_rows * bound_sel).max(1.0);
-                    // no RANDOM_PAGE_COST term: the probe never leaves the
-                    // B-tree
-                    let io_cost = meta.n_rows.max(2.0).log2() * CPU_OPERATOR_COST
-                        + matched * CPU_TUPLE_COST
-                        + matched * bound.len() as f64 * CPU_OPERATOR_COST;
-                    if io_cost < plan_cost {
-                        plan = Plan::IndexOnlyScan(access(
-                            Some(name.clone()),
-                            b.clone(),
-                            exact_for(b, *n_clauses, *uniform),
-                        ));
-                        plan_cost = io_cost;
-                    }
+        if let Some(nv) = &needed_vec {
+            for (slot, b, bound_sel, n_clauses, uniform) in &col_bounds {
+                let Some(Some(name)) = col_names.get(*slot) else { continue };
+                if !indexed.iter().any(|c| c == name)
+                    || !nv.iter().all(|n| n == name || n == "_rowid")
+                    || b.is_unbounded()
+                {
+                    continue;
+                }
+                let matched = (meta.n_rows * bound_sel).max(1.0);
+                // no RANDOM_PAGE_COST term: the probe never leaves the
+                // B-tree
+                let io_cost = meta.n_rows.max(2.0).log2() * CPU_OPERATOR_COST
+                    + matched * CPU_TUPLE_COST
+                    + matched * bound.len() as f64 * CPU_OPERATOR_COST;
+                if io_cost < plan_cost {
+                    plan = Plan::IndexOnlyScan(access(
+                        Some(name.clone()),
+                        b.clone(),
+                        exact_for(b, *n_clauses, *uniform),
+                    ));
+                    plan_cost = io_cost;
                 }
             }
         }
@@ -623,50 +615,48 @@ impl<'a> Planner<'a> {
         // so the scan decodes only those columns (a fraction of the heap's
         // page footprint) and pushes the best sargable bound into the
         // vectorized kernels, with zone maps skipping whole segments.
-        if columnar_on {
-            if let Some(nv) = &needed_vec {
-                let stored = self.catalog.columnar_columns(table);
-                if !stored.is_empty()
-                    && nv.iter().all(|n| n == "_rowid" || stored.iter().any(|c| c == n))
-                {
-                    let n_live = meta.schema.live_columns().count().max(1) as f64;
-                    let frac = (nv.len() as f64 / n_live).clamp(1.0 / n_live, 1.0);
-                    let best = best_for(&|n| stored.iter().any(|c| c == n));
-                    // zone-map pruning discounts the page term by the bound
-                    // selectivity, floored so a scan never looks free
-                    let prune = best.map(|(_, _, s, _, _)| s.max(0.1)).unwrap_or(1.0);
-                    let col_cost = meta.n_pages * SEQ_PAGE_COST * frac * 0.25 * prune
-                        + meta.n_rows * CPU_TUPLE_COST * 0.25
-                        + rows * CPU_TUPLE_COST
-                        + meta.n_rows * bound.len() as f64 * CPU_OPERATOR_COST * 0.25;
-                    if col_cost < plan_cost {
-                        let exact_bounds = match best {
-                            Some((_, b, _, n_clauses, uniform)) => {
-                                exact_for(b, *n_clauses, *uniform)
-                            }
-                            None => bound.is_empty(),
-                        };
-                        // The predicate is fully covered by same-class
-                        // bound literals even when the merged endpoints
-                        // couldn't prove exactness (one-sided ranges):
-                        // segments whose zone map pins the stored values
-                        // to that class may skip the residual per segment.
-                        let bounds_cover_filter = match best {
-                            Some((_, _, _, n_clauses, uniform)) => {
-                                *uniform && *n_clauses == bound.len()
-                            }
-                            None => bound.is_empty(),
-                        };
-                        let (column, range) = match best {
-                            Some((slot, b, _, _, _)) => (col_names[*slot].clone(), b.clone()),
-                            None => (None, KeyRange::default()),
-                        };
-                        plan = Plan::ColumnarScan {
-                            path: access(column, range, exact_bounds),
-                            bounds_cover_filter,
-                        };
-                        plan_cost = col_cost;
-                    }
+        if let Some(nv) = &needed_vec {
+            let stored = self.catalog.columnar_columns(table);
+            if !stored.is_empty()
+                && nv.iter().all(|n| n == "_rowid" || stored.iter().any(|c| c == n))
+            {
+                let n_live = meta.schema.live_columns().count().max(1) as f64;
+                let frac = (nv.len() as f64 / n_live).clamp(1.0 / n_live, 1.0);
+                let best = best_for(&|n| stored.iter().any(|c| c == n));
+                // zone-map pruning discounts the page term by the bound
+                // selectivity, floored so a scan never looks free
+                let prune = best.map(|(_, _, s, _, _)| s.max(0.1)).unwrap_or(1.0);
+                let col_cost = meta.n_pages * SEQ_PAGE_COST * frac * 0.25 * prune
+                    + meta.n_rows * CPU_TUPLE_COST * 0.25
+                    + rows * CPU_TUPLE_COST
+                    + meta.n_rows * bound.len() as f64 * CPU_OPERATOR_COST * 0.25;
+                if col_cost < plan_cost {
+                    let exact_bounds = match best {
+                        Some((_, b, _, n_clauses, uniform)) => {
+                            exact_for(b, *n_clauses, *uniform)
+                        }
+                        None => bound.is_empty(),
+                    };
+                    // The predicate is fully covered by same-class
+                    // bound literals even when the merged endpoints
+                    // couldn't prove exactness (one-sided ranges):
+                    // segments whose zone map pins the stored values
+                    // to that class may skip the residual per segment.
+                    let bounds_cover_filter = match best {
+                        Some((_, _, _, n_clauses, uniform)) => {
+                            *uniform && *n_clauses == bound.len()
+                        }
+                        None => bound.is_empty(),
+                    };
+                    let (column, range) = match best {
+                        Some((slot, b, _, _, _)) => (col_names[*slot].clone(), b.clone()),
+                        None => (None, KeyRange::default()),
+                    };
+                    plan = Plan::ColumnarScan {
+                        path: access(column, range, exact_bounds),
+                        bounds_cover_filter,
+                    };
+                    plan_cost = col_cost;
                 }
             }
         }
@@ -1393,21 +1383,6 @@ fn expr_children_mut(e: &mut PhysExpr) -> Vec<&mut PhysExpr> {
         PhysExpr::Cast { expr, .. } => vec![expr.as_mut()],
         PhysExpr::Memo { expr, .. } => vec![expr.as_mut()],
     }
-}
-
-/// `SINEW_FORCE_SCAN` (any value but empty/`0`) disables the index-scan
-/// access path — the oracle knob for equivalence tests and benches. Read
-/// fresh per plan so tests can toggle it at runtime.
-fn force_scan() -> bool {
-    std::env::var("SINEW_FORCE_SCAN").map(|v| !v.is_empty() && v != "0").unwrap_or(false)
-}
-
-/// `SINEW_COLUMNAR` gates the columnar and index-only access paths —
-/// default on; empty/`0` falls back to the heap paths (the oracle side of
-/// the columnar differential tests). Read fresh per plan so tests can
-/// toggle it at runtime.
-fn columnar_enabled() -> bool {
-    std::env::var("SINEW_COLUMNAR").map(|v| !v.is_empty() && v != "0").unwrap_or(true)
 }
 
 /// Type class of a bound datum for `exact_bounds` purposes (see

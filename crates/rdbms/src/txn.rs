@@ -13,10 +13,9 @@
 //! Two write modes fall out of the snapshot registry:
 //!
 //! - **Eager** — no snapshot is registered when the statement starts.
-//!   The writer mutates destructively exactly like the legacy
-//!   single-writer path (in-place heap updates, immediate index/columnar
-//!   maintenance), so serial workloads are byte- and structure-identical
-//!   to `SINEW_MVCC=0`. To keep that safe, [`TxnManager::begin_snapshot`]
+//!   The writer mutates destructively (in-place heap updates, immediate
+//!   index/columnar maintenance), so a serial workload leaves no version
+//!   behind it. To keep that safe, [`TxnManager::begin_snapshot`]
 //!   *waits* for in-flight eager statements (bounded by one statement's
 //!   duration — the same wait the table lock already imposed).
 //! - **Retain** — at least one snapshot is registered. The writer
@@ -97,7 +96,7 @@ impl Vis {
 /// superseded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteMode {
-    /// No snapshot registered: destructive legacy-path writes.
+    /// No snapshot registered: destructive in-place writes.
     Eager,
     /// Snapshots live: retain superseded versions for them.
     Retain,

@@ -29,11 +29,11 @@
 //! file, then atomically replaces the log (write temp + rename) with a
 //! fresh one whose CHECKPOINT reflects the current state.
 //!
-//! Group commit (`SINEW_WAL_GROUP_COMMIT=n`) batches n commit frames per
-//! `fdatasync`; 1 (the default) is classic synchronous commit. Fault
-//! injection (`SINEW_WAL_CRASH_AFTER=n`) aborts the process mid-frame on
-//! the nth appended frame, making torn-tail recovery deterministic to
-//! test.
+//! Group commit ([`WalConfig::group_commit`]` = n`) batches n commit frames
+//! per `fdatasync`; 1 (the default) is classic synchronous commit. Fault
+//! injection ([`WalConfig::crash_after`]` = Some(n)`) aborts the process
+//! mid-frame on the nth appended frame, making torn-tail recovery
+//! deterministic to test.
 
 use crate::error::{DbError, DbResult};
 use crate::exec::ExecStats;
@@ -154,9 +154,8 @@ impl<'a> Reader<'a> {
 
 // ---- configuration ----
 
-/// WAL knobs, normally read from the environment (`SINEW_WAL`,
-/// `SINEW_WAL_GROUP_COMMIT`, `SINEW_WAL_CHECKPOINT_BYTES`,
-/// `SINEW_WAL_CRASH_AFTER`) but overridable programmatically for tests.
+/// WAL configuration. [`crate::Database::open`] uses the default;
+/// [`crate::Database::open_with_wal`] takes any other.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
     /// Log at all? Off restores the pre-WAL truncate-on-open behaviour.
@@ -178,31 +177,6 @@ impl Default for WalConfig {
             checkpoint_bytes: 8 << 20,
             crash_after: None,
         }
-    }
-}
-
-impl WalConfig {
-    pub fn from_env() -> WalConfig {
-        let mut cfg = WalConfig::default();
-        if let Ok(v) = std::env::var("SINEW_WAL") {
-            cfg.enabled = v != "0";
-        }
-        if let Ok(v) = std::env::var("SINEW_WAL_GROUP_COMMIT") {
-            if let Ok(n) = v.parse::<u64>() {
-                cfg.group_commit = n.max(1);
-            }
-        }
-        if let Ok(v) = std::env::var("SINEW_WAL_CHECKPOINT_BYTES") {
-            if let Ok(n) = v.parse::<u64>() {
-                cfg.checkpoint_bytes = n.max(PAGE_SIZE as u64);
-            }
-        }
-        if let Ok(v) = std::env::var("SINEW_WAL_CRASH_AFTER") {
-            if let Ok(n) = v.parse::<u64>() {
-                cfg.crash_after = Some(n.max(1));
-            }
-        }
-        cfg
     }
 }
 

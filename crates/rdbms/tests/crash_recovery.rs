@@ -3,7 +3,7 @@
 //! The harness runs a deterministic statement workload in a **child
 //! process** (this same test binary, re-executed with `--exact
 //! crash_child`), kills it mid-flight — either at a precise WAL append
-//! via `SINEW_WAL_CRASH_AFTER` fault injection (which half-writes a
+//! via `WalConfig::crash_after` fault injection (which half-writes a
 //! frame, deterministically producing a torn tail) or with a raw
 //! `SIGKILL` at a fuzzed moment — then reopens the database and asserts
 //! the recovered state is identical to the state after some *statement
@@ -141,14 +141,20 @@ fn test_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn forced_wal() -> WalConfig {
-    // Force the WAL on regardless of the SINEW_WAL env the suite runs
-    // under (CI runs the whole suite with SINEW_WAL=0 too).
-    WalConfig { enabled: true, ..WalConfig::from_env() }
+fn reopen(dir: &Path) -> Database {
+    Database::open(&dir.join("t.db"), 32, None).unwrap()
 }
 
-fn reopen(dir: &Path) -> Database {
-    Database::open_with_wal(&dir.join("t.db"), 32, None, forced_wal()).unwrap()
+/// A child's database: the log configured from the variables its parent
+/// set for it.
+fn child_db(dir: &str) -> Database {
+    let var = |name: &str| std::env::var(name).ok().map(|v| v.parse::<u64>().unwrap());
+    let cfg = WalConfig {
+        group_commit: var("SINEW_CRASH_GROUP_COMMIT").unwrap_or(1),
+        crash_after: var("SINEW_CRASH_AFTER"),
+        ..WalConfig::default()
+    };
+    Database::open_with_wal(&Path::new(dir).join("t.db"), 32, None, cfg).unwrap()
 }
 
 // ---- child-process entry point ----
@@ -160,10 +166,7 @@ fn reopen(dir: &Path) -> Database {
 #[test]
 fn crash_child() {
     let Ok(dir) = std::env::var("SINEW_CRASH_DIR") else { return };
-    let mut cfg = WalConfig::from_env();
-    cfg.enabled = true;
-    let db =
-        Database::open_with_wal(&Path::new(&dir).join("t.db"), 32, None, cfg).unwrap();
+    let db = child_db(&dir);
     for stmt in workload() {
         apply(&db, &stmt);
     }
@@ -182,9 +185,6 @@ fn spawn_child_target(
     let mut cmd = Command::new(std::env::current_exe().unwrap());
     cmd.args([target, "--exact", "--nocapture"])
         .env(dir_var, dir)
-        .env_remove("SINEW_WAL")
-        .env_remove("SINEW_WAL_CRASH_AFTER")
-        .env_remove("SINEW_WAL_GROUP_COMMIT")
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null());
     for (k, v) in extra_env {
@@ -224,7 +224,7 @@ fn torn_tail_recovery_lands_on_statement_boundary() {
         let dir = test_dir(&format!("torn-{crash_after}"));
         let status = spawn_child(
             &dir,
-            &[("SINEW_WAL_CRASH_AFTER", crash_after.to_string())],
+            &[("SINEW_CRASH_AFTER", crash_after.to_string())],
         )
         .wait()
         .unwrap();
@@ -260,7 +260,7 @@ fn kill9_fuzz_recovers_to_statement_boundary() {
         // Alternate group-commit windows so some runs have committed-but-
         // unsynced statements in flight when the SIGKILL lands.
         let gc = if i % 2 == 0 { "1" } else { "4" };
-        let mut child = spawn_child(&dir, &[("SINEW_WAL_GROUP_COMMIT", gc.to_string())]);
+        let mut child = spawn_child(&dir, &[("SINEW_CRASH_GROUP_COMMIT", gc.to_string())]);
         // Deterministic but varied kill points across iterations.
         std::thread::sleep(Duration::from_millis(5 + (i * 37) % 120));
         child.kill().ok(); // SIGKILL: no destructors, no flush
@@ -283,10 +283,7 @@ const TXN_ACCTS: i64 = 100;
 #[test]
 fn crash_child_txn() {
     let Ok(dir) = std::env::var("SINEW_TXN_CRASH_DIR") else { return };
-    let mut cfg = WalConfig::from_env();
-    cfg.enabled = true;
-    let db =
-        Database::open_with_wal(&Path::new(&dir).join("t.db"), 32, None, cfg).unwrap();
+    let db = child_db(&dir);
     db.execute("CREATE TABLE acct (id int, bal int)").unwrap();
     let vals: Vec<String> = (0..TXN_ACCTS).map(|i| format!("({i}, 100)")).collect();
     db.execute(&format!("INSERT INTO acct VALUES {}", vals.join(", "))).unwrap();
@@ -310,9 +307,6 @@ fn crash_child_txn() {
 /// even one uncommitted INSERT or UPDATE survives recovery.
 #[test]
 fn kill9_mid_transaction_drops_uncommitted_versions() {
-    if !Database::in_memory().mvcc_enabled() {
-        return; // explicit transactions require MVCC
-    }
     let iters: u64 = std::env::var("SINEW_CRASH_FUZZ_ITERS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -324,7 +318,7 @@ fn kill9_mid_transaction_drops_uncommitted_versions() {
             "crash_child_txn",
             "SINEW_TXN_CRASH_DIR",
             &dir,
-            &[("SINEW_WAL_GROUP_COMMIT", gc.to_string())],
+            &[("SINEW_CRASH_GROUP_COMMIT", gc.to_string())],
         );
         std::thread::sleep(Duration::from_millis(30 + (i * 41) % 150));
         child.kill().ok();
@@ -407,10 +401,10 @@ fn lost_log_next_to_nonempty_data_file_refuses_to_open() {
     assert!(data_len > 0, "checkpoint must have written pages");
     // Log deleted out from under the data file.
     std::fs::remove_file(&wal).unwrap();
-    assert!(Database::open_with_wal(&data, 32, None, forced_wal()).is_err());
+    assert!(Database::open(&data, 32, None).is_err());
     // Log present but holding no valid checkpoint frame.
     std::fs::write(&wal, b"garbage, not a wal").unwrap();
-    assert!(Database::open_with_wal(&data, 32, None, forced_wal()).is_err());
+    assert!(Database::open(&data, 32, None).is_err());
     // Both refusals left the data file untouched.
     assert_eq!(std::fs::metadata(&data).unwrap().len(), data_len);
     std::fs::remove_dir_all(&dir).ok();

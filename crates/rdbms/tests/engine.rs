@@ -2,7 +2,7 @@
 //! aggregation, EXPLAIN, ANALYZE, and the stat/plan interactions the Sinew
 //! paper's Table 2 depends on.
 
-use sinew_rdbms::{ColType, Database, Datum, DbError, PlannerConfig, RowWrite, WalConfig};
+use sinew_rdbms::{ColType, Database, Datum, DbError, PlannerConfig, RowWrite};
 use std::sync::Arc;
 
 fn db_with_people() -> Database {
@@ -424,33 +424,31 @@ fn two_tables(db: &Database) {
 
 #[test]
 fn write_unit_spans_tables_and_mixes_inserts_with_rowid_updates() {
-    for mvcc in [true, false] {
-        let db = Database::in_memory_mvcc(mvcc);
-        two_tables(&db);
-        let body = [vec![Datum::Text("a".into())], vec![Datum::Text("b".into())]];
-        let more = [vec![Datum::Int(7)]];
-        let inserted = db
-            .write_unit(&[
-                RowWrite::Insert { table: "docs", cols: None, rows: &body },
-                RowWrite::Update { table: "meta", rowid: 0, assignments: &[("n", Datum::Int(12))] },
-                RowWrite::Insert { table: "meta", cols: Some(&["k"]), rows: &more },
-            ])
-            .unwrap();
-        assert_eq!(inserted, vec![0, 1, 1], "row ids of the inserted rows, in write order");
-        let r = db.execute("SELECT k, n FROM meta ORDER BY k").unwrap();
-        assert_eq!(
-            r.rows,
-            vec![vec![Datum::Int(1), Datum::Int(12)], vec![Datum::Int(7), Datum::Null]]
-        );
-        assert_eq!(db.row_count("docs").unwrap(), 2);
-        // an unknown table fails the unit before anything is written
-        let err = db.write_unit(&[
+    let db = Database::in_memory();
+    two_tables(&db);
+    let body = [vec![Datum::Text("a".into())], vec![Datum::Text("b".into())]];
+    let more = [vec![Datum::Int(7)]];
+    let inserted = db
+        .write_unit(&[
             RowWrite::Insert { table: "docs", cols: None, rows: &body },
-            RowWrite::Insert { table: "nope", cols: None, rows: &more },
-        ]);
-        assert!(matches!(err, Err(DbError::NotFound(_))));
-        assert_eq!(db.row_count("docs").unwrap(), 2);
-    }
+            RowWrite::Update { table: "meta", rowid: 0, assignments: &[("n", Datum::Int(12))] },
+            RowWrite::Insert { table: "meta", cols: Some(&["k"]), rows: &more },
+        ])
+        .unwrap();
+    assert_eq!(inserted, vec![0, 1, 1], "row ids of the inserted rows, in write order");
+    let r = db.execute("SELECT k, n FROM meta ORDER BY k").unwrap();
+    assert_eq!(
+        r.rows,
+        vec![vec![Datum::Int(1), Datum::Int(12)], vec![Datum::Int(7), Datum::Null]]
+    );
+    assert_eq!(db.row_count("docs").unwrap(), 2);
+    // an unknown table fails the unit before anything is written
+    let err = db.write_unit(&[
+        RowWrite::Insert { table: "docs", cols: None, rows: &body },
+        RowWrite::Insert { table: "nope", cols: None, rows: &more },
+    ]);
+    assert!(matches!(err, Err(DbError::NotFound(_))));
+    assert_eq!(db.row_count("docs").unwrap(), 2);
 }
 
 #[test]
@@ -459,31 +457,29 @@ fn write_unit_failing_in_its_second_table_commits_what_it_applied_as_one_record(
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("unit.db");
-    let cfg = WalConfig { enabled: true, ..WalConfig::from_env() };
-    {
-        let db = Database::open_with_wal(&path, 64, None, cfg.clone()).unwrap();
-        two_tables(&db);
-        let body = [vec![Datum::Text("a".into())], vec![Datum::Text("b".into())]];
-        let meta =
-            [vec![Datum::Int(2), Datum::Int(20)], vec![Datum::Int(3), Datum::Text("bad".into())]];
-        let commits = db.exec_stats().wal_commits;
-        let err = db.write_unit(&[
-            RowWrite::Insert { table: "docs", cols: None, rows: &body },
-            RowWrite::Insert { table: "meta", cols: None, rows: &meta },
-            RowWrite::Update { table: "meta", rowid: 0, assignments: &[("n", Datum::Int(99))] },
-        ]);
-        assert!(matches!(err, Err(DbError::Schema(_))), "text into an int column: {err:?}");
-        assert_eq!(db.exec_stats().wal_commits - commits, 1, "one record for both tables");
-        // a unit that fails before touching anything appends nothing
-        let commits = db.exec_stats().wal_commits;
-        let err =
-            db.write_unit(&[RowWrite::Insert { table: "meta", cols: Some(&["zz"]), rows: &meta }]);
-        assert!(matches!(err, Err(DbError::NotFound(_))));
-        assert_eq!(db.exec_stats().wal_commits, commits);
-    }
+    let db = Database::open(&path, 64, None).unwrap();
+    two_tables(&db);
+    let body = [vec![Datum::Text("a".into())], vec![Datum::Text("b".into())]];
+    let meta =
+        [vec![Datum::Int(2), Datum::Int(20)], vec![Datum::Int(3), Datum::Text("bad".into())]];
+    let commits = db.exec_stats().wal_commits;
+    let err = db.write_unit(&[
+        RowWrite::Insert { table: "docs", cols: None, rows: &body },
+        RowWrite::Insert { table: "meta", cols: None, rows: &meta },
+        RowWrite::Update { table: "meta", rowid: 0, assignments: &[("n", Datum::Int(99))] },
+    ]);
+    assert!(matches!(err, Err(DbError::Schema(_))), "text into an int column: {err:?}");
+    assert_eq!(db.exec_stats().wal_commits - commits, 1, "one record for both tables");
+    // a unit that fails before touching anything appends nothing
+    let commits = db.exec_stats().wal_commits;
+    let err =
+        db.write_unit(&[RowWrite::Insert { table: "meta", cols: Some(&["zz"]), rows: &meta }]);
+    assert!(matches!(err, Err(DbError::NotFound(_))));
+    assert_eq!(db.exec_stats().wal_commits, commits);
+    drop(db);
     // Recovery replays that record: both tables hold what was applied before
     // the failing row, and nothing after it.
-    let db = Database::open_with_wal(&path, 64, None, cfg).unwrap();
+    let db = Database::open(&path, 64, None).unwrap();
     assert_eq!(db.row_count("docs").unwrap(), 2);
     let r = db.execute("SELECT k, n FROM meta ORDER BY k").unwrap();
     assert_eq!(

@@ -24,17 +24,12 @@ fn build_db() -> Database {
     build_db_sized(T_ROWS)
 }
 
-/// Like [`build_db`] but with a chosen `t` row count. The SIMD crossing
+/// Like [`build_db`] but with a chosen `t` row count. The kernel crossing
 /// uses 6 000 rows so `t` spans a *sealed* columnar segment (4 096 slots)
 /// plus an unsealed tail — sealed segments are where the packed/dict/rle
 /// encodings and therefore the batched kernels live.
 fn build_db_sized(t_rows: u64) -> Database {
-    populate(Database::in_memory(), t_rows)
-}
-
-/// Load the seeded workload tables into an already-constructed database
-/// (lets the MVCC differential pick the concurrency path explicitly).
-fn populate(db: Database, t_rows: u64) -> Database {
+    let db = Database::in_memory();
     db.execute("CREATE TABLE t (a int, b int, c text, d float)").unwrap();
     db.execute("CREATE TABLE s (k int, v text)").unwrap();
     let mut stmt = String::new();
@@ -186,49 +181,63 @@ fn streaming_matches_materialize_at_all_block_sizes_and_thread_counts() {
     }
 }
 
-/// The MVCC snapshot engine and the legacy single-writer lock path are
-/// differential oracles for each other: the full 29-query workload must be
-/// byte-identical pre- and post-DML on both, and also when the DML runs as
-/// one explicit transaction instead of autocommit statements.
+/// The three ways DML reaches the heap are differential oracles for each
+/// other: autocommit statements with no snapshot alive (published in place),
+/// autocommit statements under a reader's open snapshot (old versions
+/// retained, then vacuumed), and one explicit transaction. The full 29-query
+/// workload must be byte-identical pre- and post-DML on all three.
 #[test]
-fn mvcc_and_legacy_lock_paths_match_byte_identically() {
-    let run = |mvcc: bool, in_txn: bool| -> Vec<Vec<Vec<Datum>>> {
-        let db = populate(Database::in_memory_mvcc(mvcc), T_ROWS);
+fn autocommit_retained_and_transactional_dml_match_byte_identically() {
+    #[derive(Clone, Copy, Debug)]
+    enum Dml {
+        Autocommit,
+        AutocommitUnderSnapshot,
+        Transaction,
+    }
+    let run = |dml: Dml| -> Vec<Vec<Vec<Datum>>> {
+        let db = build_db();
         let mut out = Vec::new();
         for q in QUERIES {
             out.push(db.execute(q).unwrap_or_else(|e| panic!("{q}: {e}")).rows);
         }
-        if in_txn {
-            let mut s = db.session();
-            s.execute("BEGIN").unwrap();
-            for m in MUTATIONS {
-                s.execute(m).unwrap();
+        match dml {
+            Dml::Autocommit => mutate(&db),
+            Dml::AutocommitUnderSnapshot => {
+                let mut reader = db.session();
+                reader.execute("BEGIN").unwrap();
+                let versions = db.exec_stats().versions_created;
+                mutate(&db);
+                assert!(db.exec_stats().versions_created > versions, "nothing was retained");
+                reader.execute("COMMIT").unwrap();
+                db.vacuum().unwrap();
+                check_derived(&db);
             }
-            s.execute("COMMIT").unwrap();
-            check_derived(&db);
-        } else {
-            mutate(&db);
+            Dml::Transaction => {
+                let mut s = db.session();
+                s.execute("BEGIN").unwrap();
+                for m in MUTATIONS {
+                    s.execute(m).unwrap();
+                }
+                s.execute("COMMIT").unwrap();
+                check_derived(&db);
+            }
         }
         for q in QUERIES {
             out.push(db.execute(q).unwrap_or_else(|e| panic!("{q} (post-DML): {e}")).rows);
         }
         out
     };
-    let legacy = run(false, false);
-    for (label, got) in
-        [("mvcc autocommit", run(true, false)), ("mvcc explicit txn", run(true, true))]
-    {
-        assert_eq!(got.len(), legacy.len());
-        for (i, (g, o)) in got.iter().zip(&legacy).enumerate() {
+    let oracle = run(Dml::Autocommit);
+    for dml in [Dml::AutocommitUnderSnapshot, Dml::Transaction] {
+        let got = run(dml);
+        assert_eq!(got.len(), oracle.len());
+        for (i, (g, o)) in got.iter().zip(&oracle).enumerate() {
             let q = QUERIES[i % QUERIES.len()];
             let phase = if i < QUERIES.len() { "pre" } else { "post" };
-            assert_eq!(g, o, "query {q:?} ({phase}-DML) diverged under {label}");
+            assert_eq!(g, o, "query {q:?} ({phase}-DML) diverged under {dml:?}");
         }
     }
 }
-
-/// Serializes tests that flip the process-global `SINEW_COLUMNAR` knob.
-static COLUMNAR_ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Workload for the columnar differential: same queries and DML as
 /// `run_workload`, but every column of both tables gets a segment store up
@@ -237,13 +246,19 @@ static COLUMNAR_ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 /// from a heap with holes (the rdbms-level analogue of the
 /// demote-then-repromote crossing in the core storage loop). Three phases
 /// of query results: fresh stores, post-DML stores, rebuilt stores.
-fn run_columnar_workload(limits: ExecLimits) -> Vec<Vec<Vec<Datum>>> {
-    let db = build_db();
-    for col in ["a", "b", "c", "d"] {
-        db.build_columnar("t", col).unwrap();
-    }
-    for col in ["k", "v"] {
-        db.build_columnar("s", col).unwrap();
+///
+/// With `stores` false this is the oracle: the twin database that runs the
+/// same statements and never builds a store, so the planner has only the
+/// heap paths to choose from.
+fn run_columnar_workload(t_rows: u64, stores: bool, limits: ExecLimits) -> Vec<Vec<Vec<Datum>>> {
+    let db = build_db_sized(t_rows);
+    if stores {
+        for col in ["a", "b", "c", "d"] {
+            db.build_columnar("t", col).unwrap();
+        }
+        for col in ["k", "v"] {
+            db.build_columnar("s", col).unwrap();
+        }
     }
     db.set_exec_limits(limits);
     let mut out = Vec::new();
@@ -254,10 +269,13 @@ fn run_columnar_workload(limits: ExecLimits) -> Vec<Vec<Vec<Datum>>> {
     for q in QUERIES {
         out.push(db.execute(q).unwrap_or_else(|e| panic!("{q} (post-DML): {e}")).rows);
     }
-    for col in ["b", "c"] {
-        assert!(db.drop_columnar("t", col).unwrap());
-        db.build_columnar("t", col).unwrap();
+    if stores {
+        for col in ["b", "c"] {
+            assert!(db.drop_columnar("t", col).unwrap());
+            db.build_columnar("t", col).unwrap();
+        }
     }
+    assert_eq!(db.exec_stats().columnar_scans > 0, stores, "wrong side of the differential");
     check_derived(&db);
     for q in QUERIES {
         out.push(db.execute(q).unwrap_or_else(|e| panic!("{q} (rebuilt): {e}")).rows);
@@ -267,21 +285,16 @@ fn run_columnar_workload(limits: ExecLimits) -> Vec<Vec<Vec<Datum>>> {
 
 /// The columnar access paths are pure read accelerators: with every column
 /// of the workload stored columnar, every query must return byte-identical
-/// rows to the heap paths (`SINEW_COLUMNAR=0`), across both engines, 1 and
-/// 4 threads, pre- and post-DML, and across a store drop/rebuild crossing.
+/// rows to the heap paths of the store-less twin, across both engines, 1
+/// and 4 threads, pre- and post-DML, and across a store drop/rebuild
+/// crossing.
 #[test]
 fn columnar_paths_match_heap_paths_byte_identically() {
-    let _g = COLUMNAR_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("SINEW_COLUMNAR").ok();
-
-    std::env::set_var("SINEW_COLUMNAR", "0");
-    let oracle = run_columnar_workload(ExecLimits {
-        mode: ExecMode::Materialize,
-        exec_threads: 1,
-        ..ExecLimits::default()
-    });
-
-    std::env::set_var("SINEW_COLUMNAR", "1");
+    let oracle = run_columnar_workload(
+        T_ROWS,
+        false,
+        ExecLimits { mode: ExecMode::Materialize, exec_threads: 1, ..ExecLimits::default() },
+    );
     let mut configs = Vec::new();
     for threads in [1usize, 4] {
         configs.push(ExecLimits {
@@ -299,39 +312,34 @@ fn columnar_paths_match_heap_paths_byte_identically() {
         }
     }
     for limits in configs {
-        let got = run_columnar_workload(limits);
-        assert_eq!(got.len(), oracle.len());
-        for (i, (g, o)) in got.iter().zip(&oracle).enumerate() {
-            let q = QUERIES[i % QUERIES.len()];
-            let phase = ["pre", "post", "rebuilt"][i / QUERIES.len()];
-            assert_eq!(
-                g, o,
-                "query {q:?} ({phase}-DML) diverged under mode={:?} block_rows={} threads={}",
-                limits.mode, limits.block_rows, limits.exec_threads
-            );
-        }
+        assert_matches_heap_twin(&run_columnar_workload(T_ROWS, true, limits), &oracle, limits);
     }
+}
 
-    match prev {
-        Some(v) => std::env::set_var("SINEW_COLUMNAR", v),
-        None => std::env::remove_var("SINEW_COLUMNAR"),
+fn assert_matches_heap_twin(
+    got: &[Vec<Vec<Datum>>],
+    oracle: &[Vec<Vec<Datum>>],
+    limits: ExecLimits,
+) {
+    assert_eq!(got.len(), oracle.len());
+    for (i, (g, o)) in got.iter().zip(oracle).enumerate() {
+        let q = QUERIES[i % QUERIES.len()];
+        let phase = ["pre", "post", "rebuilt"][i / QUERIES.len()];
+        assert_eq!(
+            g, o,
+            "query {q:?} ({phase}-DML) diverged from the heap twin under mode={:?} \
+             block_rows={} threads={}",
+            limits.mode, limits.block_rows, limits.exec_threads
+        );
     }
 }
 
 /// Guard against the differential passing vacuously: with stores present
-/// and the knob on, the planner must actually route eligible queries
-/// through the columnar scan and index-only paths, and zone maps must
-/// prune segments for out-of-range predicates.
+/// the planner must actually route eligible queries through the columnar
+/// scan and index-only paths, and zone maps must prune segments for
+/// out-of-range predicates.
 #[test]
 fn columnar_paths_actually_engage() {
-    let _g = COLUMNAR_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("SINEW_COLUMNAR").ok();
-    let prev_force = std::env::var("SINEW_FORCE_SCAN").ok();
-    // this test asserts the new paths engage, so pin both knobs even when
-    // the suite runs under SINEW_COLUMNAR=0 or SINEW_FORCE_SCAN=1
-    std::env::set_var("SINEW_COLUMNAR", "1");
-    std::env::remove_var("SINEW_FORCE_SCAN");
-
     let db = build_db();
     for col in ["a", "b", "c", "d"] {
         db.build_columnar("t", col).unwrap();
@@ -359,67 +367,23 @@ fn columnar_paths_actually_engage() {
         after.heap_fetches, before.heap_fetches,
         "columnar/index-only queries must not fetch heap rows"
     );
-
-    match prev {
-        Some(v) => std::env::set_var("SINEW_COLUMNAR", v),
-        None => std::env::remove_var("SINEW_COLUMNAR"),
-    }
-    if let Some(v) = prev_force {
-        std::env::set_var("SINEW_FORCE_SCAN", v);
-    }
 }
 
-/// Workload for the SIMD differential: the columnar workload over a table
-/// large enough to hold a sealed segment, so the batched kernels actually
-/// run. Two phases of results: fresh stores, then post-DML stores (holes
-/// in the liveness bitmap exercise the masked kernel paths).
-fn run_kernel_workload(limits: ExecLimits) -> Vec<Vec<Vec<Datum>>> {
-    let db = build_db_sized(6_000);
-    for col in ["a", "b", "c", "d"] {
-        db.build_columnar("t", col).unwrap();
-    }
-    for col in ["k", "v"] {
-        db.build_columnar("s", col).unwrap();
-    }
-    db.set_exec_limits(limits);
-    let mut out = Vec::new();
-    for q in QUERIES {
-        out.push(db.execute(q).unwrap_or_else(|e| panic!("{q}: {e}")).rows);
-    }
-    mutate(&db);
-    for q in QUERIES {
-        out.push(db.execute(q).unwrap_or_else(|e| panic!("{q} (post-DML): {e}")).rows);
-    }
-    out
-}
-
-/// `SINEW_SIMD=0` forces the per-slot scalar kernels, which are the oracle
-/// for the batched word-parallel paths: the whole workload must come back
-/// byte-identical under both knob values, across engines and block sizes.
-/// A vacuity guard then checks the batched counters move only under
-/// `SINEW_SIMD=1`, and the dictionary-code rewrite fires on a text range.
+/// The batched word-parallel kernels run on sealed segments, so this is the
+/// columnar differential over a table large enough to hold one (holes in the
+/// liveness bitmap after the DML exercise the masked kernel paths): the
+/// whole workload must come back byte-identical to the heap twin's, across
+/// engines and block sizes. A vacuity guard then checks the batched counters
+/// move and the dictionary-code rewrite fires on a text range. (The scalar
+/// per-slot loops the kernels replaced are compared slot by slot in the
+/// `columnar.rs` unit differentials.)
 #[test]
-fn batched_kernels_match_scalar_byte_identically() {
-    let _g = COLUMNAR_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev_col = std::env::var("SINEW_COLUMNAR").ok();
-    let prev_simd = std::env::var("SINEW_SIMD").ok();
-    let prev_force = std::env::var("SINEW_FORCE_SCAN").ok();
-    std::env::set_var("SINEW_COLUMNAR", "1");
-    std::env::remove_var("SINEW_FORCE_SCAN");
-
-    std::env::set_var("SINEW_SIMD", "0");
-    let oracle = run_kernel_workload(ExecLimits {
-        mode: ExecMode::Materialize,
-        exec_threads: 1,
-        ..ExecLimits::default()
-    });
-
-    std::env::set_var("SINEW_SIMD", "1");
-    let mut configs = vec![ExecLimits {
-        mode: ExecMode::Materialize,
-        exec_threads: 1,
-        ..ExecLimits::default()
-    }];
+fn batched_kernels_match_heap_twin_byte_identically() {
+    const SEALED: u64 = 6_000;
+    let serial_oracle =
+        ExecLimits { mode: ExecMode::Materialize, exec_threads: 1, ..ExecLimits::default() };
+    let oracle = run_columnar_workload(SEALED, false, serial_oracle);
+    let mut configs = vec![serial_oracle];
     for (threads, block_rows) in [(1usize, 3usize), (1, 1024), (4, 1024)] {
         configs.push(ExecLimits {
             mode: ExecMode::Streaming,
@@ -429,57 +393,30 @@ fn batched_kernels_match_scalar_byte_identically() {
         });
     }
     for limits in configs {
-        let got = run_kernel_workload(limits);
-        assert_eq!(got.len(), oracle.len());
-        for (i, (g, o)) in got.iter().zip(&oracle).enumerate() {
-            let q = QUERIES[i % QUERIES.len()];
-            let phase = if i < QUERIES.len() { "pre" } else { "post" };
-            assert_eq!(
-                g, o,
-                "query {q:?} ({phase}-DML) diverged from the scalar kernels under \
-                 mode={:?} block_rows={} threads={}",
-                limits.mode, limits.block_rows, limits.exec_threads
-            );
-        }
+        assert_matches_heap_twin(&run_columnar_workload(SEALED, true, limits), &oracle, limits);
     }
 
-    // Vacuity guard: batched decode engages only when the knob allows it.
-    // `b` and `c` are unindexed, so their range predicates must take the
-    // columnar scan; `c` is low-cardinality text, so its sealed segment is
-    // dictionary-encoded and the predicate rewrites to a code range.
-    for (mode, expect) in [("0", false), ("1", true)] {
-        std::env::set_var("SINEW_SIMD", mode);
-        let db = build_db_sized(6_000);
-        for col in ["a", "b", "c", "d"] {
-            db.build_columnar("t", col).unwrap();
-        }
-        let before = db.exec_stats();
-        db.execute("SELECT b FROM t WHERE b > 10 AND b < 40").unwrap();
-        db.execute("SELECT c FROM t WHERE c >= 'w1' AND c <= 'w5'").unwrap();
-        let after = db.exec_stats();
-        assert_eq!(
-            after.values_decoded_batched > before.values_decoded_batched,
-            expect,
-            "SINEW_SIMD={mode}: values_decoded_batched moved from {} to {}",
-            before.values_decoded_batched,
-            after.values_decoded_batched
-        );
-        if expect {
-            assert!(
-                after.dict_code_rewrites > before.dict_code_rewrites,
-                "text range over a dict segment never rewrote to a code range"
-            );
-        }
+    // Vacuity guard: `b` and `c` are unindexed, so their range predicates
+    // must take the columnar scan; `c` is low-cardinality text, so its
+    // sealed segment is dictionary-encoded and the predicate rewrites to a
+    // code range.
+    let db = build_db_sized(SEALED);
+    for col in ["a", "b", "c", "d"] {
+        db.build_columnar("t", col).unwrap();
     }
-
-    for (name, prev) in
-        [("SINEW_COLUMNAR", prev_col), ("SINEW_SIMD", prev_simd), ("SINEW_FORCE_SCAN", prev_force)]
-    {
-        match prev {
-            Some(v) => std::env::set_var(name, v),
-            None => std::env::remove_var(name),
-        }
-    }
+    let before = db.exec_stats();
+    db.execute("SELECT b FROM t WHERE b > 10 AND b < 40").unwrap();
+    db.execute("SELECT c FROM t WHERE c >= 'w1' AND c <= 'w5'").unwrap();
+    let after = db.exec_stats();
+    assert!(
+        after.values_decoded_batched > before.values_decoded_batched,
+        "values_decoded_batched stayed at {}",
+        after.values_decoded_batched
+    );
+    assert!(
+        after.dict_code_rewrites > before.dict_code_rewrites,
+        "text range over a dict segment never rewrote to a code range"
+    );
 }
 
 /// LIMIT over a serial scan must stop pulling: the scan visits O(limit)
@@ -513,14 +450,6 @@ fn limit_early_stop_reaches_the_scan() {
 /// the rows the executor would have emitted first.
 #[test]
 fn limit_pushdown_into_index_probe_is_exact() {
-    // Serialized with the columnar tests: they flip SINEW_FORCE_SCAN /
-    // SINEW_COLUMNAR process-wide, and this test's engines-agree assertion
-    // would flake if a knob changed between its two plans of one query.
-    let _g = COLUMNAR_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // this test is specifically about capped index probes, so pin the
-    // force-scan knob off even when the suite runs under SINEW_FORCE_SCAN=1
-    let prev_force = std::env::var("SINEW_FORCE_SCAN").ok();
-    std::env::remove_var("SINEW_FORCE_SCAN");
     let db = build_db();
     let mut index_queries = 0u64;
     for sql in [
@@ -558,15 +487,12 @@ fn limit_pushdown_into_index_probe_is_exact() {
         index_queries >= 2,
         "expected the planner to pick the index for most capped probes, got {index_queries}"
     );
-    if let Some(v) = prev_force {
-        std::env::set_var("SINEW_FORCE_SCAN", v);
-    }
 }
 
 // ---------------------------------------------------------------------------
-// PR 9: morsel-parallel pipeline breakers (partitioned hash join, partitioned
-// hash aggregation, parallel sort) must be byte-identical to the serial
-// operators at every knob setting, thread count, and block size.
+// Morsel-parallel pipeline breakers (partitioned hash join, partitioned hash
+// aggregation, parallel sort) must be byte-identical to the serial
+// operators at every thread count and block size.
 // ---------------------------------------------------------------------------
 
 const U_ROWS: u64 = 1_500;
@@ -650,23 +576,12 @@ fn run_join_workload(limits: ExecLimits) -> Vec<Vec<Vec<Datum>>> {
     out
 }
 
-fn set_knob(name: &str, val: Option<&str>) {
-    match val {
-        Some(v) => std::env::set_var(name, v),
-        None => std::env::remove_var(name),
-    }
-}
-
 /// The crossing: serial oracle (materializing engine, one thread — the
 /// serial breakers) against threads {1,2,4,8} x block_rows {1,1024} on the
 /// streaming engine. Byte-identical everywhere, pre- and post-DML, over
 /// promoted columns.
 #[test]
 fn parallel_breakers_match_serial_byte_identically() {
-    let _g = COLUMNAR_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev_col = std::env::var("SINEW_COLUMNAR").ok();
-    std::env::set_var("SINEW_COLUMNAR", "1");
-
     let oracle = run_join_workload(ExecLimits {
         mode: ExecMode::Materialize,
         exec_threads: 1,
@@ -696,8 +611,6 @@ fn parallel_breakers_match_serial_byte_identically() {
             }
         }
     }
-
-    set_knob("SINEW_COLUMNAR", prev_col.as_deref());
 }
 
 /// Guard against the crossing passing vacuously: with four worker threads
@@ -706,8 +619,6 @@ fn parallel_breakers_match_serial_byte_identically() {
 /// MIN_PARALLEL_ROWS floor); with one thread they must not.
 #[test]
 fn parallel_breakers_actually_engage() {
-    let _g = COLUMNAR_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-
     let db = build_db();
     let limits = |exec_threads| ExecLimits {
         mode: ExecMode::Streaming,

@@ -1,8 +1,9 @@
 //! MVCC snapshot-transaction tests: BEGIN/COMMIT/ROLLBACK semantics,
 //! first-writer-wins conflicts, snapshot-isolated readers racing writers,
-//! and the vacuum horizon. The multi-threaded stress test at the bottom is
-//! the PR's acceptance scenario: a reader completes a consistent scan while
-//! a writer transaction and a columnar rebuild are both in flight.
+//! autocommit writers racing each other, and the vacuum horizon. The
+//! multi-threaded stress test at the bottom is the MVCC acceptance scenario:
+//! a reader completes a consistent scan while a writer transaction and a
+//! columnar rebuild are both in flight.
 
 use sinew_rdbms::{Database, Datum, DbError};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -10,7 +11,7 @@ use std::sync::Arc;
 use std::thread;
 
 fn mvcc_db() -> Database {
-    let db = Database::in_memory_mvcc(true);
+    let db = Database::in_memory();
     db.execute("CREATE TABLE acct (id int, owner text, balance int)").unwrap();
     db.execute(
         "INSERT INTO acct VALUES (1, 'ann', 100), (2, 'bob', 200), (3, 'cal', 300)",
@@ -169,7 +170,7 @@ fn snapshot_reader_sees_pre_delete_rows_and_vacuum_reclaims() {
 /// item must not reclaim a version that a later snapshot still reads.
 #[test]
 fn stale_chain_garbage_does_not_reclaim_a_version_in_use() {
-    let db = Database::in_memory_mvcc(true);
+    let db = Database::in_memory();
     db.execute("CREATE TABLE t (v int)").unwrap();
     db.execute("INSERT INTO t VALUES (10)").unwrap();
     let read = |s: &mut sinew_rdbms::Session<'_>| s.execute("SELECT v FROM t").unwrap().rows;
@@ -203,13 +204,9 @@ fn stale_chain_garbage_does_not_reclaim_a_version_in_use() {
 }
 
 #[test]
-fn txn_requires_session_and_mvcc() {
+fn txn_requires_session() {
     let db = mvcc_db();
     assert!(db.execute("BEGIN").is_err());
-    let legacy = Database::in_memory_mvcc(false);
-    legacy.execute("CREATE TABLE t (a int)").unwrap();
-    let mut s = legacy.session();
-    assert!(s.execute("BEGIN").is_err());
     // DDL inside a transaction is rejected.
     let mut s = db.session();
     s.execute("BEGIN").unwrap();
@@ -240,13 +237,125 @@ fn indexes_and_columnar_consistent_after_txn_commit() {
     assert_eq!(r.rows[0][0], Datum::Int(150 + 200 + 400));
 }
 
+/// In-memory and file-backed (fsync per commit) subjects for the races
+/// between autocommit writers; `run` gets each in turn.
+fn on_both_databases(tag: &str, run: impl Fn(Arc<Database>, u64)) {
+    run(Arc::new(Database::in_memory()), 500);
+    let dir = std::env::temp_dir().join(format!("sinew-mvcc-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    run(Arc::new(Database::open(&dir.join("t.db"), 64, None).unwrap()), 100);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn affected(db: &Database, sql: &str) -> u64 {
+    db.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}")).affected
+}
+
+/// `n = n + 1` reads the row it replaces: between an autocommit UPDATE's
+/// scan and its write no other writer may commit, or an increment is lost.
+#[test]
+fn concurrent_autocommit_increments_all_land() {
+    on_both_databases("incr", |db, per_thread| {
+        db.execute("CREATE TABLE c (id int, n int)").unwrap();
+        db.execute("INSERT INTO c VALUES (1, 0), (2, 0)").unwrap();
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                let db = db.clone();
+                thread::spawn(move || {
+                    for _ in 0..per_thread {
+                        assert_eq!(affected(&db, "UPDATE c SET n = n + 1 WHERE id = 1"), 1);
+                    }
+                })
+            })
+            .collect();
+        threads.into_iter().for_each(|t| t.join().unwrap());
+        let r = db.execute("SELECT n FROM c ORDER BY id").unwrap();
+        assert_eq!(r.rows, vec![vec![Datum::Int(4 * per_thread as i64)], vec![Datum::Int(0)]]);
+        db.check_derived("c").unwrap();
+    });
+}
+
+/// A DELETE may only remove rows that satisfy its predicate when it removes
+/// them: an UPDATE that reported moving a row out of `n < 50` keeps it.
+#[test]
+fn delete_does_not_remove_rows_an_update_moved_out_of_its_predicate() {
+    on_both_databases("del", |db, rounds| {
+        db.execute("CREATE TABLE c (id int, n int)").unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let deleter = {
+            let (db, stop) = (db.clone(), stop.clone());
+            thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    affected(&db, "DELETE FROM c WHERE n < 50");
+                }
+            })
+        };
+        let mut moved = 0;
+        for id in 0..rounds {
+            affected(&db, &format!("INSERT INTO c VALUES ({id}, 0)"));
+            moved += affected(&db, &format!("UPDATE c SET n = 100 WHERE id = {id}"));
+        }
+        stop.store(true, Ordering::Relaxed);
+        deleter.join().unwrap();
+        affected(&db, "DELETE FROM c WHERE n < 50");
+        let r = db.execute("SELECT COUNT(*), MIN(n) FROM c").unwrap();
+        assert_eq!(r.rows[0][0], Datum::Int(moved as i64), "a moved row was deleted");
+        assert!(moved == 0 || r.rows[0][1] == Datum::Int(100));
+        db.check_derived("c").unwrap();
+    });
+}
+
+/// A transaction's COMMIT is a writer like any other: it may not publish
+/// between an autocommit UPDATE's scan and its write either. Conflicts
+/// (the row carries the other side's uncommitted version) are retried.
+#[test]
+fn autocommit_increments_racing_transaction_commits_all_land() {
+    const PER_THREAD: i64 = 300;
+    let db = Arc::new(Database::in_memory());
+    db.execute("CREATE TABLE c (id int, n int)").unwrap();
+    db.execute("INSERT INTO c VALUES (1, 0)").unwrap();
+    let increment = "UPDATE c SET n = n + 1 WHERE id = 1";
+    // Did the statement land? A conflict did not, and is retried.
+    let landed = |res: Result<_, DbError>| match res {
+        Ok(_) => true,
+        Err(DbError::Conflict(_)) => false,
+        Err(e) => panic!("{e}"),
+    };
+    let threads: Vec<_> = (0..4)
+        .map(|k| {
+            let db = db.clone();
+            thread::spawn(move || {
+                for _ in 0..PER_THREAD {
+                    if k % 2 == 0 {
+                        while !landed(db.execute(increment)) {}
+                    } else {
+                        let mut s = db.session();
+                        loop {
+                            s.execute("BEGIN").unwrap();
+                            if landed(s.execute(increment)) {
+                                s.execute("COMMIT").unwrap();
+                                break;
+                            }
+                            s.execute("ROLLBACK").unwrap();
+                        }
+                    }
+                }
+            })
+        })
+        .collect();
+    threads.into_iter().for_each(|t| t.join().unwrap());
+    let r = db.execute("SELECT n FROM c").unwrap();
+    assert_eq!(r.rows, vec![vec![Datum::Int(4 * PER_THREAD)]]);
+}
+
 /// The acceptance scenario: while a writer transaction repeatedly moves
 /// money between accounts (sum-preserving) and a materialization thread
 /// rebuilds a column store, concurrent snapshot readers must always see a
 /// consistent total — never a half-applied transfer.
 #[test]
 fn stress_readers_see_consistent_snapshots_under_write_load() {
-    let db = Arc::new(Database::in_memory_mvcc(true));
+    let db = Arc::new(Database::in_memory());
     db.execute("CREATE TABLE bank (id int, balance int)").unwrap();
     const ACCTS: i64 = 64;
     const TOTAL: i64 = ACCTS * 100;

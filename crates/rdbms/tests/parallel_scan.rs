@@ -29,9 +29,8 @@ fn db_with_big_table() -> Database {
     db
 }
 
-/// Limits for this suite: the streaming engine pinned explicitly — the
-/// morsel-parallel scan lives only there (the materializing oracle is
-/// serial), so the engagement guards must not follow `SINEW_EXEC_MODE`.
+/// Limits for this suite: the streaming engine, where the morsel-parallel
+/// scan lives (the materializing oracle is serial).
 fn limits(threads: usize) -> ExecLimits {
     ExecLimits { exec_threads: threads, mode: ExecMode::Streaming, ..ExecLimits::default() }
 }

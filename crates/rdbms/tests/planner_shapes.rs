@@ -224,9 +224,6 @@ fn eleven_table_join_chain_plans_via_greedy_fallback() {
 /// node type the planner can emit.
 #[test]
 fn explain_analyze_annotates_every_node_type() {
-    let prev_col = std::env::var("SINEW_COLUMNAR").ok();
-    std::env::set_var("SINEW_COLUMNAR", "1");
-
     let db = Database::in_memory();
     db.execute("CREATE TABLE ea (k int, v int, tag text)").unwrap();
     let rows: Vec<Vec<Datum>> = (0..20_000)
@@ -310,11 +307,6 @@ fn explain_analyze_annotates_every_node_type() {
         .and_then(|s| s.parse().ok())
         .unwrap_or_else(|| panic!("unparseable root line: {root}"));
     assert_eq!(actual, 11, "root actuals wrong: {text}");
-
-    match prev_col {
-        Some(v) => std::env::set_var("SINEW_COLUMNAR", v),
-        None => std::env::remove_var("SINEW_COLUMNAR"),
-    }
 }
 
 /// Past the 10-relation DP horizon a beam search orders the join. The

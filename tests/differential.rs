@@ -1,12 +1,36 @@
 //! Differential property tests: Sinew's full pipeline (serialize → catalog
 //! → rewrite → plan → execute, with and without materialization) must agree
 //! with a direct evaluation of the same predicate over the raw JSON
-//! documents.
+//! documents — under whichever executor configuration the case draws.
 
 use proptest::prelude::*;
 use sinew::core::AnalyzerPolicy;
 use sinew::json::Value;
+use sinew::rdbms::{ExecLimits, ExecMode};
 use sinew::Sinew;
+
+/// The executor configurations a case may run under: both engines, block
+/// sizes that put a boundary after every row, after every third, and
+/// nowhere in these collections, serial and four-way parallel.
+fn arb_limits() -> impl Strategy<Value = ExecLimits> {
+    (
+        prop_oneof![Just(ExecMode::Streaming), Just(ExecMode::Materialize)],
+        prop_oneof![Just(1usize), Just(3), Just(1024)],
+        prop_oneof![Just(1usize), Just(4)],
+    )
+        .prop_map(|(mode, block_rows, exec_threads)| ExecLimits {
+            mode,
+            block_rows,
+            exec_threads,
+            ..ExecLimits::default()
+        })
+}
+
+fn sinew_under(limits: ExecLimits) -> Sinew {
+    let sinew = Sinew::in_memory();
+    sinew.db().set_exec_limits(limits);
+    sinew
+}
 
 /// A generated document: a handful of keys from a small universe so that
 /// predicates actually hit.
@@ -105,10 +129,11 @@ proptest! {
         docs in prop::collection::vec(arb_doc(), 1..40),
         pred in arb_pred(),
         materialize in any::<bool>(),
+        limits in arb_limits(),
     ) {
         let expected = docs.iter().filter(|d| pred.eval(d)).count() as i64;
 
-        let sinew = Sinew::in_memory();
+        let sinew = sinew_under(limits);
         sinew.create_collection("t").unwrap();
         sinew.load_docs("t", &docs).unwrap();
         if materialize {
@@ -126,14 +151,18 @@ proptest! {
         prop_assert_eq!(
             r.rows[0][0].clone(),
             sinew::Datum::Int(expected),
-            "query: {}; materialized: {}",
+            "query: {}; materialized: {}; {:?}",
             sql,
-            materialize
+            materialize,
+            limits
         );
     }
 
     #[test]
-    fn select_star_roundtrips_documents(docs in prop::collection::vec(arb_doc(), 1..20)) {
+    fn select_star_roundtrips_documents(
+        docs in prop::collection::vec(arb_doc(), 1..20),
+        limits in arb_limits(),
+    ) {
         // doc_to_json over the reservoir must reproduce each document up to
         // key order (the §4.1 format sorts attributes by dictionary id, so
         // document key order is intentionally not preserved)
@@ -149,7 +178,7 @@ proptest! {
                 other => other.clone(),
             }
         }
-        let sinew = Sinew::in_memory();
+        let sinew = sinew_under(limits);
         sinew.create_collection("t").unwrap();
         sinew.load_docs("t", &docs).unwrap();
         let r = sinew.query("SELECT doc_to_json(data) FROM t").unwrap();
@@ -165,9 +194,10 @@ proptest! {
         docs in prop::collection::vec(arb_doc(), 4..30),
         pred in arb_pred(),
         budget in 1u64..10,
+        limits in arb_limits(),
     ) {
         let expected = docs.iter().filter(|d| pred.eval(d)).count() as i64;
-        let sinew = Sinew::in_memory();
+        let sinew = sinew_under(limits);
         sinew.create_collection("t").unwrap();
         sinew.load_docs("t", &docs).unwrap();
         let policy = AnalyzerPolicy {
@@ -180,7 +210,13 @@ proptest! {
         let sql = format!("SELECT COUNT(*) FROM t WHERE {}", pred.to_sql());
         for _ in 0..200 {
             let r = sinew.query(&sql).unwrap();
-            prop_assert_eq!(r.rows[0][0].clone(), sinew::Datum::Int(expected), "query: {}", sql);
+            prop_assert_eq!(
+                r.rows[0][0].clone(),
+                sinew::Datum::Int(expected),
+                "query: {}; {:?}",
+                sql,
+                limits
+            );
             let report = sinew
                 .materialize_step("t", sinew::core::StepBudget { rows: budget })
                 .unwrap();
