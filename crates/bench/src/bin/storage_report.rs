@@ -105,9 +105,9 @@ fn check_report(report: &StorageReport) -> Result<(), String> {
             }
         }
     }
-    // The analyzer → materializer → warm-query cycle above must have left
+    // The analyzer → materializer → query cycle above must have left
     // its mark on these.
-    for name in ["plan_cache_hit_rate", "materializer_passes_completed", "blocks_emitted"] {
+    for name in ["materializer_passes_completed", "blocks_emitted"] {
         if !positive.contains(&name) {
             return Err(format!("`{name}` is zero after the full cycle"));
         }
@@ -138,14 +138,14 @@ fn main() {
     out.push_str(&sinew.storage_report("events").unwrap().render_text());
 
     sinew.materialize_until_clean("events").unwrap();
-    // repeated extraction queries warm the plan cache for the hit-rate row
+    // extraction queries, so the udf and executor rows are non-zero
     for _ in 0..3 {
         sinew.query("SELECT COUNT(*) FROM events WHERE debug IS NOT NULL").unwrap();
         sinew.query("SELECT COUNT(*) FROM events WHERE tag = 't3'").unwrap();
     }
 
     let report = sinew.storage_report("events").unwrap();
-    out.push_str("\n--- after materialization + warm queries ---\n");
+    out.push_str("\n--- after materialization + queries ---\n");
     out.push_str(&report.render_text());
 
     print!("{out}");

@@ -169,13 +169,6 @@ fn worker(sinew: Arc<Sinew>, table: &str, config: BackgroundConfig, rx: Receiver
             Ok(report) => {
                 sinew.metrics().background_steps.inc();
                 moved += report.values_moved;
-                if report.values_moved > 0 {
-                    // Data movement bumped the catalog epoch; drop extraction
-                    // plans it invalidated. (Correctness never depends on this
-                    // — PlanCache::get revalidates per hit — it just keeps the
-                    // cache from accumulating dead entries.)
-                    sinew.plan_cache().sweep(sinew.catalog());
-                }
                 if report.rows_scanned == 0 {
                     // nothing dirty: idle-poll
                     match rx.recv_timeout(config.idle_poll) {

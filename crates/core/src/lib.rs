@@ -54,13 +54,15 @@ pub use extract::Want;
 pub use loader::{LoadOptions, LoadReport};
 pub use materializer::{MaterializerReport, StepBudget};
 pub use metrics::{ColumnarStoreReport, IndexReport, Metrics, MetricsSnapshot, StorageReport};
-pub use plan::{ExtractionPlan, MultiExtractionPlan, PlanCache, ResolvedPath};
+pub use plan::{ExtractionPlan, MultiExtractionPlan, ResolvedPath};
 pub use types::AttrType;
 
 use parking_lot::{Mutex, RwLock};
 use sinew_index::TextIndex;
 use sinew_json::Value;
 use sinew_rdbms::{ColType, Database, Datum, DbError, DbResult, QueryResult};
+use sinew_sql::Statement;
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
@@ -80,22 +82,20 @@ pub struct LogicalColumn {
 pub struct Sinew {
     db: Arc<Database>,
     catalog: Arc<Catalog>,
-    /// Query-scoped extraction plans, warmed by the rewriter and consumed
-    /// per tuple by the extraction UDFs (see plan.rs).
-    plans: Arc<PlanCache>,
     /// Loader ⟷ materializer mutual exclusion (the catalog latch of
     /// §3.1.4: "The materializer and loader are not allowed to run
     /// concurrently (which we implement via a latch in the catalog)").
     load_latch: Arc<Mutex<()>>,
-    /// Optional per-collection text indexes (§4.3).
-    indexes: RwLock<HashMap<String, Arc<TextIndex>>>,
-    /// Row-id sets produced by rewrite-time text-index searches, consumed
-    /// by the `__sinew_rowid_set` UDF.
-    rowid_sets: Arc<RwLock<HashMap<String, Arc<HashSet<i64>>>>>,
+    /// Optional per-collection text indexes (§4.3), each with the row id
+    /// below which every row is already indexed.
+    indexes: RwLock<HashMap<String, (Arc<TextIndex>, u64)>>,
+    /// Row-id sets produced by rewrite-time text-index searches, shared
+    /// with the `__sinew_rowid_set` UDF, which clones one when it binds.
+    rowid_sets: udfs::RowIdSets,
     /// Resumable materializer cursors per (table, attribute).
     cursors: Mutex<HashMap<(String, AttrId), materializer::MoveCursor>>,
-    /// Lock-free runtime counters, shared with the plan cache, UDFs,
-    /// loader, rewriter, materializer, analyzer and background workers.
+    /// Lock-free runtime counters, shared with the UDFs, loader, rewriter,
+    /// materializer, analyzer and background workers.
     metrics: Arc<Metrics>,
     set_counter: Mutex<u64>,
     /// Array keys mirrored into element side-tables (paper §4.2), with the
@@ -132,17 +132,14 @@ impl Sinew {
         let db = Arc::new(db);
         let metrics = Arc::new(Metrics::default());
         let catalog = Arc::new(Catalog::load(&db, metrics.clone())?);
-        let rowid_sets: Arc<RwLock<HashMap<String, Arc<HashSet<i64>>>>> =
-            Arc::new(RwLock::new(HashMap::new()));
-        let plans = Arc::new(PlanCache::with_metrics(metrics.clone()));
-        udfs::install(&db, &catalog, &plans, &rowid_sets, &metrics);
+        let rowid_sets = udfs::RowIdSets::default();
+        udfs::install(&db, &catalog, &rowid_sets, &metrics);
         // Version reclamation for quiescent periods; holds only a Weak on
         // the database, so it dies with the last strong reference.
         background::spawn_vacuum(&db, &metrics);
         Ok(Sinew {
             db,
             catalog,
-            plans,
             load_latch: Arc::new(Mutex::new(())),
             indexes: RwLock::new(HashMap::new()),
             rowid_sets,
@@ -162,12 +159,6 @@ impl Sinew {
         &self.catalog
     }
 
-    /// The extraction-plan cache (benchmarks, tests, and the background
-    /// worker's stale-plan sweep reach through here).
-    pub fn plan_cache(&self) -> &PlanCache {
-        &self.plans
-    }
-
     /// Runtime metrics for this instance (lock-free; see [`metrics`]).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
@@ -175,7 +166,7 @@ impl Sinew {
 
     /// Structured per-table storage introspection: physical vs virtual
     /// columns with density/cardinality, dirty-column cursors, byte
-    /// footprints, plan-cache and background-worker state.
+    /// footprints and background-worker state.
     pub fn storage_report(&self, table: &str) -> DbResult<StorageReport> {
         metrics::storage_report(self, table)
     }
@@ -303,34 +294,35 @@ impl Sinew {
     // ---- text index (§4.3) ----
 
     /// Enable the inverted text index for a collection; existing rows are
-    /// indexed immediately, subsequent loads incrementally.
+    /// indexed immediately, subsequent loads incrementally. The index holds
+    /// each document as it was loaded: row ids survive an `UPDATE`, so an
+    /// updated document keeps matching its old text and never its new text
+    /// (enabling the index again rebuilds it from the current documents).
     pub fn enable_text_index(&self, table: &str) -> DbResult<()> {
-        let idx = Arc::new(TextIndex::new());
-        self.indexes.write().insert(table.to_string(), idx);
-        self.reindex_all(table)
+        let _latch = self.load_latch.lock();
+        self.indexes.write().insert(table.to_string(), (Arc::new(TextIndex::new()), 0));
+        self.index_new_rows(table)
     }
 
     pub fn text_index(&self, table: &str) -> Option<Arc<TextIndex>> {
-        self.indexes.read().get(table).cloned()
+        self.indexes.read().get(table).map(|(idx, _)| idx.clone())
     }
 
-    fn reindex_all(&self, table: &str) -> DbResult<()> {
-        let Some(idx) = self.text_index(table) else { return Ok(()) };
-        let cat = &self.catalog;
-        self.db.scan_rows(table, &mut |rowid, row| {
-            if let Some(Datum::Bytea(bytes)) = row.first() {
-                index_doc(cat, &idx, rowid as i64 as u64, bytes, "");
-            }
-            Ok(true)
-        })
-    }
-
+    /// Feed the text index the rows it has not seen: those at or above the
+    /// collection's indexed mark, so never a row an `UPDATE` changed since.
+    /// Called under the load latch.
     fn index_new_rows(&self, table: &str) -> DbResult<()> {
-        // Incremental path: re-walk only rows not yet indexed would need a
-        // high-water mark; for simplicity we rebuild when an index exists.
-        // (Loads are batched, so this is amortized; documented limitation.)
-        if self.indexes.read().contains_key(table) {
-            self.reindex_all(table)?;
+        let Some((idx, from)) = self.indexes.read().get(table).cloned() else { return Ok(()) };
+        let high = self.db.high_water(table)?;
+        for rowid in from..high {
+            if let Some(row) = self.db.get_row(table, rowid)? {
+                if let Some(Datum::Bytea(bytes)) = row.first() {
+                    index_doc(&self.catalog, &idx, rowid, bytes, "");
+                }
+            }
+        }
+        if let Some((_, mark)) = self.indexes.write().get_mut(table) {
+            *mark = high;
         }
         Ok(())
     }
@@ -346,32 +338,47 @@ impl Sinew {
 
     // ---- queries ----
 
+    /// Parse `sql`, rewrite it against the catalog and hand the physical
+    /// statement to `run`. The row-id sets the rewrite registered are this
+    /// call's: it removes them when `run` returns, with a result or an error.
+    fn with_rewritten<T>(
+        &self,
+        sql: &str,
+        run: impl FnOnce(Statement) -> DbResult<T>,
+    ) -> DbResult<T> {
+        let stmt =
+            sinew_sql::parse_statement(sql).map_err(|e| DbError::Parse(e.to_string()))?;
+        let sets = RefCell::default();
+        let out = rewriter::rewrite_noting_sets(self, &stmt, &sets).and_then(run);
+        let sets = sets.into_inner();
+        if !sets.is_empty() {
+            let mut registered = self.rowid_sets.write();
+            for handle in &sets {
+                registered.remove(handle);
+            }
+        }
+        out
+    }
+
     /// Execute logical SQL: rewrite against the catalog, then run on the
     /// RDBMS. This is the paper's end-to-end query path.
     pub fn query(&self, sql: &str) -> DbResult<QueryResult> {
-        let stmt =
-            sinew_sql::parse_statement(sql).map_err(|e| DbError::Parse(e.to_string()))?;
-        let rewritten = rewriter::rewrite_statement(self, &stmt)?;
-        self.db.execute_statement(&rewritten)
+        self.with_rewritten(sql, |stmt| self.db.execute_statement(&stmt))
     }
 
     /// Rewrite only — returns the physical SQL text (for inspection, tests,
     /// and the paper's §3.2.2 examples).
     pub fn rewrite(&self, sql: &str) -> DbResult<String> {
-        let stmt =
-            sinew_sql::parse_statement(sql).map_err(|e| DbError::Parse(e.to_string()))?;
-        Ok(rewriter::rewrite_statement(self, &stmt)?.to_string())
+        self.with_rewritten(sql, |stmt| Ok(stmt.to_string()))
     }
 
     /// EXPLAIN the rewritten query.
     pub fn explain(&self, sql: &str) -> DbResult<String> {
-        let stmt =
-            sinew_sql::parse_statement(sql).map_err(|e| DbError::Parse(e.to_string()))?;
-        let rewritten = rewriter::rewrite_statement(self, &stmt)?;
-        let explained =
-            sinew_sql::Statement::Explain { analyze: false, inner: Box::new(rewritten) };
-        let r = self.db.execute_statement(&explained)?;
-        Ok(r.rows.iter().map(|row| row[0].display_text()).collect::<Vec<_>>().join("\n"))
+        self.with_rewritten(sql, |stmt| {
+            let explained = Statement::Explain { analyze: false, inner: Box::new(stmt) };
+            let r = self.db.execute_statement(&explained)?;
+            Ok(r.rows.iter().map(|row| row[0].display_text()).collect::<Vec<_>>().join("\n"))
+        })
     }
 
     // ---- analyzer + materializer ----

@@ -8,17 +8,17 @@
 //! * [`Metrics`] — the Sinew layer's counter table (one row per counter,
 //!   see [`sinew_rdbms::counters`]; the engine's own table is
 //!   `sinew_rdbms::exec::ExecStats`). One instance per [`Sinew`], shared
-//!   with the plan cache, the extraction UDFs, the loader, the rewriter,
-//!   the materializer, the analyzer and the background worker.
+//!   with the extraction UDFs, the loader, the rewriter, the
+//!   materializer, the analyzer and the background worker.
 //!   [`Metrics::snapshot`] captures every counter into a plain
 //!   [`MetricsSnapshot`].
 //! * [`StorageReport`] — a structured per-table report mapping directly to
 //!   the paper's §3.1 components: physical vs virtual columns (the §3.1.1
 //!   hybrid split) with density and sampled cardinality (the §3.1.3
 //!   analyzer inputs), dirty columns with materializer cursor positions
-//!   (§3.1.4 incremental movement), reservoir vs column byte footprints,
-//!   plan-cache and background-worker state. Built by
-//!   [`Sinew::storage_report`], rendered by [`StorageReport::render_text`]
+//!   (§3.1.4 incremental movement), reservoir vs column byte footprints
+//!   and background-worker state. Built by [`Sinew::storage_report`],
+//!   rendered by [`StorageReport::render_text`]
 //!   and [`StorageReport::to_json`], whose counter sections are the two
 //!   tables' walks — neither names a counter.
 
@@ -37,16 +37,21 @@ sinew_rdbms::counter_table! {
     /// A plain-data copy of [`Metrics`] at one point in time.
     snapshot MetricsSnapshot;
 
-    // -- plan cache (plan.rs) --
-    /// `PlanCache::get` returned a cached, epoch-current plan.
+    // -- path resolution (udfs.rs) --
+    // `sinewbench/src/sut.rs` (frozen) reads these three by field name.
+    // Only `plan_cache_misses` still counts; the other two go, and this one
+    // is renamed, with the `sinewbench` v2 item of ROADMAP.md.
+    /// Never incremented: there is no cache to hit since extraction plans
+    /// live in the bound call (DESIGN.md §22).
     plan_cache plan_cache_hits: counter,
-    /// `PlanCache::get` found no plan for `(path, want)` and built one.
+    /// Path resolutions (`ExtractionPlan` / `MultiExtractionPlan` built):
+    /// one per bind of an extraction call site — once per statement over a
+    /// single relation, once per join candidate the planner costs for a
+    /// conjunct that spans relations — and one per *call* on the unbound
+    /// fallback (a non-literal path in raw SQL).
     plan_cache plan_cache_misses: counter,
-    /// `PlanCache::get` found a plan invalidated by a catalog epoch bump
-    /// (schema change) and rebuilt it.
+    /// Never incremented: a bound plan is never revalidated.
     plan_cache plan_cache_stale_rebuilds: counter,
-    /// Stale plans evicted by `PlanCache::sweep`.
-    plan_cache plan_cache_swept: counter,
 
     // -- extraction UDFs (udfs.rs) --
     /// Per-tuple `extract_key_*` invocations (single-key path).
@@ -145,17 +150,6 @@ sinew_rdbms::counter_table! {
 }
 
 impl MetricsSnapshot {
-    /// Hit fraction over all plan-cache probes (0.0 when none happened).
-    pub fn plan_cache_hit_rate(&self) -> f64 {
-        let total =
-            self.plan_cache_hits + self.plan_cache_misses + self.plan_cache_stale_rebuilds;
-        if total == 0 {
-            0.0
-        } else {
-            self.plan_cache_hits as f64 / total as f64
-        }
-    }
-
     /// Loader throughput in documents per second (0.0 before any load).
     pub fn loader_docs_per_sec(&self) -> f64 {
         if self.loader_nanos == 0 {
@@ -165,10 +159,9 @@ impl MetricsSnapshot {
         }
     }
 
-    /// The table walk followed by the two derived rates.
+    /// The table walk followed by the derived rate.
     pub fn walk_with_rates(&self) -> Vec<Entry> {
         let mut out = self.walk();
-        out.push(("plan_cache", "plan_cache_hit_rate", Sample::Float(self.plan_cache_hit_rate())));
         out.push(("loader", "loader_docs_per_sec", Sample::Float(self.loader_docs_per_sec())));
         out
     }
@@ -294,8 +287,6 @@ pub struct StorageReport {
     pub column_bytes: u64,
     /// Rows sampled for the per-column cardinality estimates.
     pub sampled_rows: u64,
-    /// Live `(path, want)` plans currently cached.
-    pub plan_cache_entries: u64,
     /// RDBMS executor counters (morsel-parallel scan pipeline): parallel
     /// vs serial scans, morsels dispatched, worker spawns, rows/morsel
     /// histogram.
@@ -438,7 +429,6 @@ fn storage_report_once(sinew: &Sinew, table: &str) -> DbResult<StorageReport> {
         reservoir_bytes,
         column_bytes,
         sampled_rows,
-        plan_cache_entries: sinew.plan_cache().len() as u64,
         exec: db.exec_stats(),
         metrics: sinew.metrics().snapshot(),
     })
@@ -514,7 +504,6 @@ impl StorageReport {
                 cs.encodings
             );
         }
-        let _ = writeln!(out, "plan cache: {} entries", self.plan_cache_entries);
         // One line per counter group, groups and counters in table order.
         let mut groups: Vec<(&str, String)> = Vec::new();
         let walk = self.metrics.walk_with_rates().into_iter().chain(self.exec.walk());
@@ -619,7 +608,6 @@ impl StorageReport {
             ("reservoir_bytes".to_string(), Value::Int(self.reservoir_bytes as i64)),
             ("column_bytes".to_string(), Value::Int(self.column_bytes as i64)),
             ("sampled_rows".to_string(), Value::Int(self.sampled_rows as i64)),
-            ("plan_cache_entries".to_string(), Value::Int(self.plan_cache_entries as i64)),
             ("exec".to_string(), json_object(self.exec.walk())),
             ("metrics".to_string(), json_object(self.metrics.walk_with_rates())),
         ])
@@ -639,7 +627,6 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.plan_cache_hits, 9);
         assert_eq!(s.plan_cache_misses, 1);
-        assert!((s.plan_cache_hit_rate() - 0.9).abs() < 1e-9);
     }
 
     /// A report over a collection that has been loaded, analyzed,
@@ -673,7 +660,8 @@ mod tests {
 
     /// Every key the hand-written `to_json` of PR 14 emitted under `exec`
     /// and `metrics`. Keys may be added to the report, never renamed or
-    /// dropped.
+    /// dropped — except with what they counted: `plan_cache_swept` and
+    /// `plan_cache_hit_rate` went with the plan cache (PR 20).
     const PR14_EXEC_KEYS: &[&str] = &[
         "parallel_scans", "serial_scans", "morsels_dispatched", "scan_workers",
         "rows_per_morsel_log2", "rows_per_morsel_count", "rows_per_morsel_sum", "index_scans",
@@ -689,8 +677,8 @@ mod tests {
         "versions_vacuumed", "oldest_snapshot_age_ms", "live_snapshots",
     ];
     const PR14_METRICS_KEYS: &[&str] = &[
-        "plan_cache_hits", "plan_cache_misses", "plan_cache_stale_rebuilds", "plan_cache_swept",
-        "plan_cache_hit_rate", "udf_extractions", "udf_fused_extractions", "udf_fused_keys",
+        "plan_cache_hits", "plan_cache_misses", "plan_cache_stale_rebuilds",
+        "udf_extractions", "udf_fused_extractions", "udf_fused_keys",
         "udf_exists_probes", "queries_rewritten", "rewritten_physical_refs",
         "rewritten_virtual_refs", "rewritten_coalesce_refs", "rewritten_fused_bindings",
         "loader_batches", "loader_parallel_batches", "loader_docs", "loader_bytes",
@@ -753,8 +741,8 @@ mod tests {
                 );
             }
         }
-        // The three counters the hand-written text report had lost.
-        for name in ["plan_cache_swept=", "loader_nanos=", "materializer_columnar_built="] {
+        // Two counters the hand-written text report had lost.
+        for name in ["loader_nanos=", "materializer_columnar_built="] {
             assert!(text.contains(name), "{name} missing from\n{text}");
         }
     }

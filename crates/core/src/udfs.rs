@@ -19,36 +19,44 @@
 //! | `remove_key`        | bytea   | reservoir with key removed |
 //! | `doc_to_json`       | text    | whole document back to JSON |
 //! | `__sinew_rowid_set` | bool    | rowid ∈ registered text-index result |
+//!
+//! **Bound calls.** `extract_key_*`, `extract_keys`, `exists_key` and
+//! `__sinew_rowid_set` implement [`ScalarFn::bind`]: when the statement's
+//! binder meets a call site whose path (specs, handle) arguments are
+//! literals — every call the rewriter emits — the function it plants there
+//! holds the resolved [`ExtractionPlan`] / [`MultiExtractionPlan`] / row-id
+//! set, and the per-row `call_ref` is that object's own method plus one
+//! relaxed counter add. Binding has no side effect (the planner may bind a
+//! call site more than once): a plan is built, a set's `Arc` is cloned. A path that is not a literal (raw SQL) or specs
+//! that do not parse leave the registered function in place, which
+//! resolves on every call and reports a malformed argument where it is
+//! evaluated (DESIGN.md §22).
 
 use crate::catalog::Catalog;
 use crate::extract::{self, Want};
 use crate::metrics::Metrics;
-use crate::plan::{MultiExtractionPlan, PlanCache};
+use crate::plan::{ExtractionPlan, MultiExtractionPlan};
 use parking_lot::RwLock;
 use sinew_rdbms::{Database, Datum, DbError, DbResult, ScalarFn};
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Weak};
 
-/// Registry of ephemeral row-id sets produced by rewrite-time text-index
-/// searches.
+/// Row-id sets produced by rewrite-time text-index searches, by handle.
+/// An entry lives from the rewrite that registered it until the caller of
+/// that rewrite has run the statement; a bind only clones the `Arc`.
 pub(crate) type RowIdSets = Arc<RwLock<HashMap<String, Arc<HashSet<i64>>>>>;
 
 pub(crate) fn install(
     db: &Arc<Database>,
     catalog: &Arc<Catalog>,
-    plans: &Arc<PlanCache>,
     rowid_sets: &RowIdSets,
     metrics: &Arc<Metrics>,
 ) {
-    // Extraction goes through the query-scoped plan cache: path
-    // resolution happens once per (path, want, catalog epoch), and the
-    // per-tuple call is a read-locked cache probe plus lock-free,
-    // allocation-free descent (see plan.rs / DESIGN.md "Hot paths").
-    // Both extraction UDFs implement `call_ref` natively, so the executor
-    // hands them the reservoir bytea and the path literals by reference —
-    // no per-row clone of the serialized document. Per-tuple accounting is
-    // one relaxed atomic add — no locks.
+    // The path-taking functions resolve their path when the call site
+    // binds, in `ScalarFn::bind`, and implement `call_ref` natively: per row the
+    // executor hands them the reservoir bytea by reference and they run
+    // the plan they own — no lock, no lookup, no clone of the document,
+    // one relaxed counter add.
     for (name, want) in [
         ("extract_key_b", Want::Bool),
         ("extract_key_i", Want::Int),
@@ -60,15 +68,7 @@ pub(crate) fn install(
         ("extract_key_arr", Want::Array),
     ] {
         // Pure: safe for the planner to memoize per row (CSE).
-        db.register_udf_pure(
-            name,
-            Arc::new(ExtractKeyFn {
-                cat: catalog.clone(),
-                plans: plans.clone(),
-                metrics: metrics.clone(),
-                want,
-            }),
-        );
+        db.register_udf_pure(name, Arc::new(ExtractKeyFn(PathCall::new(catalog, metrics, want))));
     }
 
     // Fused multi-key extraction: `extract_keys(data, k1, t1, k2, t2, ...)`
@@ -79,24 +79,12 @@ pub(crate) fn install(
     // `array_get(extract_keys(...), i)` projections cost one descent total.
     db.register_udf_pure(
         "extract_keys",
-        Arc::new(ExtractKeysFn {
-            cat: catalog.clone(),
-            plans: plans.clone(),
-            metrics: metrics.clone(),
-        }),
+        Arc::new(ExtractKeysFn { cat: catalog.clone(), metrics: metrics.clone(), plan: None }),
     );
 
-    let cat = catalog.clone();
-    let exists_plans = plans.clone();
-    let exists_metrics = metrics.clone();
     db.register_udf_pure(
         "exists_key",
-        Arc::new(move |args: &[Datum]| -> DbResult<Datum> {
-            exists_metrics.udf_exists_probes.inc();
-            let (bytes, path) = two_args(args, "exists_key")?;
-            let Some(bytes) = bytes else { return Ok(Datum::Bool(false)) };
-            Ok(Datum::Bool(exists_plans.get(&cat, path, Want::AnyText).exists(bytes)))
-        }),
+        Arc::new(ExistsKeyFn(PathCall::new(catalog, metrics, Want::AnyText))),
     );
 
     // set_key needs the database to intern new attributes; a Weak pointer
@@ -167,141 +155,123 @@ pub(crate) fn install(
         }),
     );
 
-    let sets = rowid_sets.clone();
     db.register_udf(
         "__sinew_rowid_set",
-        Arc::new(move |args: &[Datum]| -> DbResult<Datum> {
-            let [Datum::Int(rowid), Datum::Text(handle)] = args else {
-                return Err(DbError::Eval("__sinew_rowid_set expects (rowid, handle)".into()));
-            };
-            let set = sets
-                .read()
-                .get(handle)
-                .cloned()
-                .ok_or_else(|| DbError::Eval(format!("unknown rowid set {handle}")))?;
-            Ok(Datum::Bool(set.contains(rowid)))
-        }),
+        Arc::new(RowIdSetFn { sets: rowid_sets.clone(), set: None }),
     );
 }
 
-/// Single-key extraction UDF (`extract_key_*`). A struct rather than a
-/// closure so it can override [`ScalarFn::call_ref`]: the executor passes
-/// the reservoir bytea and path literal by reference, avoiding a clone of
-/// the whole serialized document per row.
-struct ExtractKeyFn {
-    cat: Arc<Catalog>,
-    plans: Arc<PlanCache>,
-    metrics: Arc<Metrics>,
-    want: Want,
+/// `args` borrowed, for a `call` that forwards to its `call_ref`.
+fn by_ref(args: &[Datum]) -> Vec<&Datum> {
+    args.iter().collect()
 }
 
-impl ScalarFn for ExtractKeyFn {
-    fn call(&self, args: &[Datum]) -> DbResult<Datum> {
-        let refs: Vec<&Datum> = args.iter().collect();
-        self.call_ref(&refs)
+/// What `extract_key_*` and `exists_key` share: `(data, path)` arguments
+/// and an [`ExtractionPlan`] for the path — owned when the path was a
+/// literal at bind, resolved per call otherwise (raw SQL only: the
+/// rewriter always emits a literal).
+#[derive(Clone)]
+struct PathCall {
+    cat: Arc<Catalog>,
+    metrics: Arc<Metrics>,
+    want: Want,
+    plan: Option<ExtractionPlan>,
+}
+
+impl PathCall {
+    fn new(cat: &Arc<Catalog>, metrics: &Arc<Metrics>, want: Want) -> PathCall {
+        PathCall { cat: cat.clone(), metrics: metrics.clone(), want, plan: None }
     }
 
-    fn call_ref(&self, args: &[&Datum]) -> DbResult<Datum> {
-        self.metrics.udf_extractions.inc();
+    fn resolve(&self, path: &str) -> ExtractionPlan {
+        self.metrics.plan_cache_misses.inc();
+        ExtractionPlan::build(&self.cat, path, self.want)
+    }
+
+    /// This call with its path resolved, if the path is a text literal.
+    fn bound(&self, consts: &[Option<&Datum>]) -> Option<PathCall> {
+        let [_, Some(Datum::Text(path))] = consts else { return None };
+        Some(PathCall { plan: Some(self.resolve(path)), ..self.clone() })
+    }
+
+    /// Run `f` over the document with the path's plan; `on_null` answers
+    /// for a NULL document.
+    fn run(
+        &self,
+        name: &str,
+        args: &[&Datum],
+        on_null: Datum,
+        f: impl FnOnce(&ExtractionPlan, &[u8]) -> Datum,
+    ) -> DbResult<Datum> {
         match args {
-            [Datum::Bytea(bytes), Datum::Text(path)] => {
-                Ok(self.plans.get(&self.cat, path, self.want).extract(&self.cat, bytes))
-            }
-            [Datum::Null, Datum::Text(_)] => Ok(Datum::Null),
-            _ => Err(DbError::Eval("extract_key expects (data, key_name)".into())),
+            [Datum::Bytea(bytes), Datum::Text(path)] => Ok(match &self.plan {
+                Some(plan) => f(plan, bytes),
+                None => f(&self.resolve(path), bytes),
+            }),
+            [Datum::Null, Datum::Text(_)] => Ok(on_null),
+            _ => Err(DbError::Eval(format!("{name} expects (data, key_name)"))),
         }
     }
 }
 
-/// Fused multi-key extraction UDF (`extract_keys`). Overrides `call_ref`
-/// for the same reason as [`ExtractKeyFn`], and keeps a one-entry
-/// thread-local cache of the resolved [`MultiExtractionPlan`] so the
-/// per-row cost is a spec comparison + epoch check instead of a
-/// read-locked hash probe.
-struct ExtractKeysFn {
-    cat: Arc<Catalog>,
-    plans: Arc<PlanCache>,
-    metrics: Arc<Metrics>,
-}
+/// Single-key extraction UDF (`extract_key_*`).
+struct ExtractKeyFn(PathCall);
 
-/// Cached fused plan: owning catalog, resolved plan, validation generation.
-type CachedMultiPlan = (Arc<Catalog>, Arc<MultiExtractionPlan>, u64);
-
-thread_local! {
-    /// Last fused plan used on this thread, tagged with the catalog it was
-    /// resolved against and the block generation (see [`BLOCK_GEN`]) in
-    /// which it was last epoch-validated. Scans drive the same
-    /// `extract_keys` spec for every row, so this hits ~always within a
-    /// query; `Arc::ptr_eq` on the catalog (held strongly, so the address
-    /// can't be recycled by another instance), `matches()` and
-    /// `is_current()` guard correctness across databases, queries, and
-    /// catalog epoch bumps.
-    static LAST_MULTI: RefCell<Option<CachedMultiPlan>> = const { RefCell::new(None) };
-    /// Current streaming-block generation on this thread: 0 outside any
-    /// block, otherwise the value minted by the latest `begin_block`. The
-    /// catalog epoch cannot move mid-block (DDL and queries serialize on
-    /// the statement boundary), so one `is_current` check per block covers
-    /// every row in it. `end_block` resets to 0, so nothing ever carries a
-    /// skipped validation across statements.
-    static BLOCK_GEN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    /// Monotonic source for block generations on this thread.
-    static NEXT_GEN: std::cell::Cell<u64> = const { std::cell::Cell::new(1) };
-}
-
-impl ExtractKeysFn {
-    fn plan_for(&self, specs: &[(&str, Want)]) -> Arc<MultiExtractionPlan> {
-        let gen = BLOCK_GEN.with(std::cell::Cell::get);
-        LAST_MULTI.with(|slot| {
-            let mut slot = slot.borrow_mut();
-            if let Some((cat, plan, validated_gen)) = slot.as_mut() {
-                if Arc::ptr_eq(cat, &self.cat) && plan.matches(specs) {
-                    // Inside a block, the epoch check amortizes: the first
-                    // row of the block validates and stamps the generation;
-                    // later rows skip it. Outside a block (gen 0) every
-                    // call validates, as before.
-                    if gen != 0 && *validated_gen == gen {
-                        return plan.clone();
-                    }
-                    if plan.is_current(&self.cat) {
-                        *validated_gen = gen;
-                        return plan.clone();
-                    }
-                }
-            }
-            let plan = self.plans.get_multi(&self.cat, specs);
-            *slot = Some((self.cat.clone(), plan.clone(), gen));
-            plan
-        })
-    }
-}
-
-impl ScalarFn for ExtractKeysFn {
+impl ScalarFn for ExtractKeyFn {
     fn call(&self, args: &[Datum]) -> DbResult<Datum> {
-        let refs: Vec<&Datum> = args.iter().collect();
-        self.call_ref(&refs)
-    }
-
-    fn begin_block(&self) {
-        let gen = NEXT_GEN.with(|g| {
-            let v = g.get();
-            g.set(v.wrapping_add(1).max(1));
-            v
-        });
-        BLOCK_GEN.with(|b| b.set(gen));
-    }
-
-    fn end_block(&self) {
-        BLOCK_GEN.with(|b| b.set(0));
+        self.call_ref(&by_ref(args))
     }
 
     fn call_ref(&self, args: &[&Datum]) -> DbResult<Datum> {
-        if args.len() < 3 || args.len().is_multiple_of(2) {
+        self.0.metrics.udf_extractions.inc();
+        self.0.run("extract_key", args, Datum::Null, |plan, bytes| plan.extract(&self.0.cat, bytes))
+    }
+
+    fn bind(&self, consts: &[Option<&Datum>]) -> Option<Arc<dyn ScalarFn>> {
+        Some(Arc::new(ExtractKeyFn(self.0.bound(consts)?)))
+    }
+}
+
+/// `exists_key(data, path)`: is the key present under any type?
+struct ExistsKeyFn(PathCall);
+
+impl ScalarFn for ExistsKeyFn {
+    fn call(&self, args: &[Datum]) -> DbResult<Datum> {
+        self.call_ref(&by_ref(args))
+    }
+
+    fn call_ref(&self, args: &[&Datum]) -> DbResult<Datum> {
+        self.0.metrics.udf_exists_probes.inc();
+        self.0.run("exists_key", args, Datum::Bool(false), |plan, bytes| {
+            Datum::Bool(plan.exists(bytes))
+        })
+    }
+
+    fn bind(&self, consts: &[Option<&Datum>]) -> Option<Arc<dyn ScalarFn>> {
+        Some(Arc::new(ExistsKeyFn(self.0.bound(consts)?)))
+    }
+}
+
+/// Fused multi-key extraction UDF (`extract_keys`). With every key and tag
+/// a literal it owns its [`MultiExtractionPlan`] from bind on; otherwise
+/// (or when the literals are not valid specs) it parses and resolves per
+/// call, so a malformed call errors where it is evaluated.
+struct ExtractKeysFn {
+    cat: Arc<Catalog>,
+    metrics: Arc<Metrics>,
+    plan: Option<MultiExtractionPlan>,
+}
+
+impl ExtractKeysFn {
+    /// `(key, tag)` argument pairs → a resolved plan.
+    fn resolve(&self, pairs: &[&Datum]) -> DbResult<MultiExtractionPlan> {
+        if pairs.is_empty() || !pairs.len().is_multiple_of(2) {
             return Err(DbError::Eval(
                 "extract_keys expects (data, key1, type1, key2, type2, ...)".into(),
             ));
         }
-        let mut specs: Vec<(&str, Want)> = Vec::with_capacity(args.len() / 2);
-        for pair in args[1..].chunks_exact(2) {
+        let mut specs: Vec<(&str, Want)> = Vec::with_capacity(pairs.len() / 2);
+        for pair in pairs.chunks_exact(2) {
             let [Datum::Text(path), Datum::Text(tag)] = pair else {
                 return Err(DbError::Eval(
                     "extract_keys: key names and type tags must be text".into(),
@@ -311,15 +281,41 @@ impl ScalarFn for ExtractKeysFn {
                 .ok_or_else(|| DbError::Eval(format!("extract_keys: unknown type tag {tag:?}")))?;
             specs.push((path.as_str(), want));
         }
-        self.metrics.udf_fused_extractions.inc();
-        self.metrics.udf_fused_keys.add(specs.len() as u64);
-        match args[0] {
-            Datum::Null => Ok(Datum::Array(vec![Datum::Null; specs.len()])),
-            Datum::Bytea(bytes) => {
-                Ok(Datum::Array(self.plan_for(&specs).extract_all(&self.cat, bytes)))
+        self.metrics.plan_cache_misses.inc();
+        Ok(MultiExtractionPlan::build(&self.cat, &specs))
+    }
+}
+
+impl ScalarFn for ExtractKeysFn {
+    fn call(&self, args: &[Datum]) -> DbResult<Datum> {
+        self.call_ref(&by_ref(args))
+    }
+
+    fn call_ref(&self, args: &[&Datum]) -> DbResult<Datum> {
+        let per_call;
+        let plan = match &self.plan {
+            Some(plan) => plan,
+            None => {
+                per_call = self.resolve(args.get(1..).unwrap_or_default())?;
+                &per_call
             }
+        };
+        self.metrics.udf_fused_extractions.inc();
+        self.metrics.udf_fused_keys.add(plan.items.len() as u64);
+        match args[0] {
+            Datum::Null => Ok(Datum::Array(vec![Datum::Null; plan.items.len()])),
+            Datum::Bytea(bytes) => Ok(Datum::Array(plan.extract_all(&self.cat, bytes))),
             other => Err(DbError::Eval(format!("extract_keys over non-bytea {other}"))),
         }
+    }
+
+    fn bind(&self, consts: &[Option<&Datum>]) -> Option<Arc<dyn ScalarFn>> {
+        let pairs: Vec<&Datum> = consts.get(1..)?.iter().copied().collect::<Option<_>>()?;
+        Some(Arc::new(ExtractKeysFn {
+            cat: self.cat.clone(),
+            metrics: self.metrics.clone(),
+            plan: Some(self.resolve(&pairs).ok()?),
+        }))
     }
 }
 
@@ -340,10 +336,144 @@ pub(crate) fn want_from_tag(tag: &str) -> Option<Want> {
     })
 }
 
-fn two_args<'a>(args: &'a [Datum], name: &str) -> DbResult<(Option<&'a [u8]>, &'a str)> {
-    match args {
-        [Datum::Bytea(bytes), Datum::Text(path)] => Ok((Some(bytes.as_slice()), path.as_str())),
-        [Datum::Null, Datum::Text(path)] => Ok((None, path.as_str())),
-        _ => Err(DbError::Eval(format!("{name} expects (data, key_name)"))),
+/// `__sinew_rowid_set(rowid, handle)`: membership in the row-id set the
+/// rewriter registered for one `matches()` call. Binding the handle literal
+/// clones the registry's `Arc`, so a statement may be bound any number of
+/// times and a bound call never returns to the registry; a handle that is
+/// not a literal (raw SQL only) is looked up on every call. The registry
+/// entry itself belongs to whoever rewrote the statement (`Sinew::query`
+/// and friends remove it once the statement has run).
+struct RowIdSetFn {
+    sets: RowIdSets,
+    set: Option<Arc<HashSet<i64>>>,
+}
+
+impl RowIdSetFn {
+    fn registered(&self, handle: &str) -> DbResult<Arc<HashSet<i64>>> {
+        let set = self.sets.read().get(handle).cloned();
+        set.ok_or_else(|| DbError::Eval(format!("unknown rowid set {handle}")))
+    }
+}
+
+impl ScalarFn for RowIdSetFn {
+    fn call(&self, args: &[Datum]) -> DbResult<Datum> {
+        self.call_ref(&by_ref(args))
+    }
+
+    fn call_ref(&self, args: &[&Datum]) -> DbResult<Datum> {
+        let [Datum::Int(rowid), Datum::Text(handle)] = args else {
+            return Err(DbError::Eval("__sinew_rowid_set expects (rowid, handle)".into()));
+        };
+        Ok(Datum::Bool(match &self.set {
+            Some(set) => set.contains(rowid),
+            None => self.registered(handle)?.contains(rowid),
+        }))
+    }
+
+    fn bind(&self, consts: &[Option<&Datum>]) -> Option<Arc<dyn ScalarFn>> {
+        let [_, Some(Datum::Text(handle))] = consts else { return None };
+        let set = self.registered(handle).ok()?;
+        Some(Arc::new(RowIdSetFn { sets: self.sets.clone(), set: Some(set) }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::Sinew;
+    use sinew_rdbms::{Datum, DbError, ExecLimits};
+
+    fn collection(rows: i64) -> Sinew {
+        let s = Sinew::in_memory();
+        s.create_collection("c").unwrap();
+        let docs: String = (0..rows)
+            .map(|i| format!("{{\"n\": {i}, \"s\": \"v{i}\", \"o\": {{\"d\": {}}}}}\n", i % 7))
+            .collect();
+        s.load_jsonl("c", &docs).unwrap();
+        s
+    }
+
+    /// A path that is a column, not a literal, cannot be resolved at bind:
+    /// the call resolves per row and must agree with the bound call.
+    #[test]
+    fn non_literal_path_equals_the_bound_call_row_for_row() {
+        let s = collection(50);
+        s.db().execute("CREATE TABLE paths (p text)").unwrap();
+        s.db().execute("INSERT INTO paths VALUES ('n'), ('o.d'), ('missing')").unwrap();
+        let before = s.metrics().snapshot().plan_cache_misses;
+        let r = s
+            .db()
+            .execute(
+                "SELECT paths.p, extract_key_i(c.data, paths.p), extract_key_i(c.data, 'n'), \
+                        extract_key_i(c.data, 'o.d'), exists_key(c.data, paths.p), \
+                        exists_key(c.data, 'n') \
+                 FROM c, paths",
+            )
+            .unwrap();
+        assert_eq!(r.rows.len(), 150);
+        for row in &r.rows {
+            let (by_column, exists) = (&row[1], &row[4]);
+            match row[0].display_text().as_str() {
+                "n" => assert_eq!((by_column, exists), (&row[2], &row[5])),
+                "o.d" => assert_eq!((by_column, exists), (&row[3], &Datum::Bool(true))),
+                _ => assert_eq!((by_column, exists), (&Datum::Null, &Datum::Bool(false))),
+            }
+            assert!(matches!(row[2], Datum::Int(_)) && matches!(row[3], Datum::Int(_)));
+        }
+        // three bound sites resolved once each, two unbound ones once per row
+        assert_eq!(s.metrics().snapshot().plan_cache_misses - before, 3 + 2 * 150);
+    }
+
+    #[test]
+    fn malformed_fused_specs_error_where_they_are_evaluated() {
+        let s = Sinew::in_memory();
+        s.create_collection("c").unwrap();
+        for sql in [
+            "SELECT extract_keys(data, 'n', 'nope') FROM c",
+            "SELECT extract_keys(data, 'n') FROM c",
+            "SELECT extract_keys(data, 'n', 7) FROM c",
+        ] {
+            // binds, and over no rows never runs
+            assert_eq!(s.db().execute(sql).unwrap().rows.len(), 0, "{sql}");
+        }
+        s.load_jsonl("c", "{\"n\": 1}\n").unwrap();
+        let err = |sql: &str| match s.db().execute(sql) {
+            Err(DbError::Eval(m)) => m,
+            other => panic!("{sql}: {other:?}"),
+        };
+        assert!(err("SELECT extract_keys(data, 'n', 'nope') FROM c").contains("unknown type tag"));
+        assert!(err("SELECT extract_keys(data, 'n') FROM c").contains("expects (data, key1"));
+        assert!(err("SELECT extract_keys(data, 'n', 7) FROM c").contains("must be text"));
+        // the well-formed call, bound or not, still answers
+        let r = s.db().execute("SELECT extract_keys(data, 'n', 'i') FROM c").unwrap();
+        assert_eq!(r.rows, vec![vec![Datum::Array(vec![Datum::Int(1)])]]);
+    }
+
+    /// One resolution per extraction call site per statement, however many
+    /// rows the statement reads and however many threads read them.
+    #[test]
+    fn a_bound_call_site_resolves_once_per_statement() {
+        let s = collection(3000);
+        for threads in [1, 4] {
+            s.db().set_exec_limits(ExecLimits { exec_threads: threads, ..ExecLimits::default() });
+            for sql in [
+                "SELECT COUNT(*) FROM c WHERE n IS NOT NULL",
+                "SELECT n, s FROM c WHERE \"o.d\" >= 0",
+            ] {
+                let sites = s.rewrite(sql).unwrap().matches("extract_key").count() as u64;
+                assert!(sites >= 1, "{sql}");
+                let before = s.metrics().snapshot();
+                let rows = s.query(sql).unwrap().rows.len();
+                let after = s.metrics().snapshot();
+                assert!(rows == 1 || rows == 3000, "{sql}");
+                let calls = (after.udf_extractions + after.udf_fused_extractions)
+                    - (before.udf_extractions + before.udf_fused_extractions);
+                assert!(calls >= 3000, "{sql}: {calls} extraction calls");
+                assert_eq!(
+                    after.plan_cache_misses - before.plan_cache_misses,
+                    sites,
+                    "{sql} at {threads} threads"
+                );
+            }
+        }
     }
 }

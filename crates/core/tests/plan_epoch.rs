@@ -1,13 +1,16 @@
-//! Extraction-plan invalidation under a live background materializer.
+//! Per-statement path resolution under a moving schema.
 //!
-//! The plan cache (core::plan) snapshots catalog state at one epoch; the
-//! background materializer mutates that state mid-workload when it
-//! promotes a column. These tests pin the contract: a held plan goes
-//! stale (never silently wrong), the cache hands back a rebuilt plan, and
-//! queries racing the promotion see every row at every point in time.
+//! An extraction plan is resolved once, when its statement binds, and is
+//! never revalidated (core::plan, DESIGN.md §8). These tests pin what that
+//! has to guarantee: a statement reads exactly its snapshot's rows whatever
+//! a concurrent load interns or a background materializer promotes, the
+//! next statement sees the new schema, and the catalog epoch still moves
+//! on a schema change and only on one.
 
-use sinew_core::{AnalyzerPolicy, BackgroundConfig, BackgroundMaterializer, Sinew, Want};
-use sinew_rdbms::Datum;
+use sinew_core::{
+    rewriter, AnalyzerPolicy, BackgroundConfig, BackgroundMaterializer, ExtractionPlan, Sinew, Want,
+};
+use sinew_rdbms::{Datum, Session};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -22,7 +25,7 @@ fn loaded() -> Arc<Sinew> {
 }
 
 #[test]
-fn promotion_mid_workload_invalidates_plans_and_keeps_queries_correct() {
+fn promotion_mid_workload_keeps_queries_correct() {
     let sinew = loaded();
     let policy = AnalyzerPolicy {
         density_threshold: 0.5,
@@ -30,11 +33,7 @@ fn promotion_mid_workload_invalidates_plans_and_keeps_queries_correct() {
         sample_rows: 5_000,
     };
     sinew.run_analyzer("c", &policy).unwrap();
-
-    // A reader holds a plan across the whole promotion, like an in-flight
-    // query would.
-    let held = sinew.plan_cache().get(sinew.catalog(), "k", Want::Text);
-    assert!(held.is_current(sinew.catalog()));
+    let epoch = sinew.catalog().epoch();
 
     let worker = BackgroundMaterializer::spawn(
         sinew.clone(),
@@ -45,7 +44,7 @@ fn promotion_mid_workload_invalidates_plans_and_keeps_queries_correct() {
 
     // Race the promotion: every query issued while the materializer moves
     // values must still see all N rows (dirty columns rewrite to
-    // COALESCE(col, extract(...)), and stale plans are rebuilt per query).
+    // COALESCE(col, extract(...)), and each query resolves its own plans).
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let r = sinew.query("SELECT COUNT(*) FROM c WHERE k IS NOT NULL").unwrap();
@@ -58,38 +57,25 @@ fn promotion_mid_workload_invalidates_plans_and_keeps_queries_correct() {
     let moved = worker.stop();
     assert_eq!(moved, N as u64);
 
-    // The pre-promotion plan is stale — promotion bumped the epoch — and
-    // the cache hands back a rebuilt, current plan, not the held one.
-    assert!(
-        !held.is_current(sinew.catalog()),
-        "column promotion must bump the catalog epoch"
-    );
-    let fresh = sinew.plan_cache().get(sinew.catalog(), "k", Want::Text);
-    assert!(fresh.is_current(sinew.catalog()));
+    assert!(sinew.catalog().epoch() > epoch, "column promotion must bump the catalog epoch");
 
     let r = sinew.query("SELECT COUNT(*) FROM c WHERE k IS NOT NULL").unwrap();
     assert_eq!(r.rows[0][0], Datum::Int(N));
 }
 
 #[test]
-fn parallel_scan_racing_promotion_stays_correct_and_rebuilds_fused_plans() {
-    use sinew_core::Want;
+fn parallel_scan_racing_promotion_stays_correct() {
     use sinew_rdbms::ExecLimits;
 
     // Two virtual keys → the rewriter fuses extraction; 4 exec threads →
-    // the morsel-parallel pipeline runs it. A background promotion bumps
-    // the catalog epoch mid-scan; every racing query must stay exact and
-    // the fused (multi-key) plan must go stale, not silently wrong.
+    // the morsel-parallel pipeline runs it, every worker through the one
+    // plan its statement bound. A background promotion bumps the catalog
+    // epoch mid-scan; every racing query must stay exact.
     let sinew = Arc::new(Sinew::in_memory());
     sinew.create_collection("c").unwrap();
     let docs: String = (0..N).map(|i| format!("{{\"k\": \"v{i}\", \"n\": {i}}}\n")).collect();
     sinew.load_jsonl("c", &docs).unwrap();
     sinew.db().set_exec_limits(ExecLimits { exec_threads: 4, ..ExecLimits::default() });
-
-    let held = sinew
-        .plan_cache()
-        .get_multi(sinew.catalog(), &[("k", Want::Text), ("n", Want::Num)]);
-    assert!(held.is_current(sinew.catalog()));
 
     let policy = AnalyzerPolicy {
         density_threshold: 0.5,
@@ -97,6 +83,7 @@ fn parallel_scan_racing_promotion_stays_correct_and_rebuilds_fused_plans() {
         sample_rows: 5_000,
     };
     sinew.run_analyzer("c", &policy).unwrap();
+    let epoch = sinew.catalog().epoch();
 
     let worker = BackgroundMaterializer::spawn(
         sinew.clone(),
@@ -118,50 +105,76 @@ fn parallel_scan_racing_promotion_stays_correct_and_rebuilds_fused_plans() {
     }
     worker.stop();
 
-    // Promotion bumped the epoch: the held fused plan is stale and the
-    // cache hands back a rebuilt one that still extracts correctly.
-    assert!(!held.is_current(sinew.catalog()), "promotion must invalidate fused plans");
-    let fresh = sinew
-        .plan_cache()
-        .get_multi(sinew.catalog(), &[("k", Want::Text), ("n", Want::Num)]);
-    assert!(fresh.is_current(sinew.catalog()));
+    assert!(sinew.catalog().epoch() > epoch, "promotion must bump the catalog epoch");
 
     let r = sinew.query("SELECT COUNT(*) FROM c WHERE k IS NOT NULL AND n >= 0").unwrap();
     assert_eq!(r.rows[0][0], Datum::Int(N));
 }
 
 #[test]
-fn plan_built_before_attribute_exists_re_resolves_after_load() {
+fn plan_built_before_attribute_exists_misses_only_rows_loaded_after_it() {
     let sinew = loaded();
     // Plan for a key nobody has loaded yet: resolves to no candidates.
-    let early = sinew.plan_cache().get(sinew.catalog(), "fresh", Want::Int);
+    let early = ExtractionPlan::build(sinew.catalog(), "fresh", Want::Int);
     assert!(early.resolved.leaf.is_empty());
 
     sinew.load_jsonl("c", "{\"k\": \"w\", \"fresh\": 42}\n").unwrap();
 
-    // The load interned "fresh", so the early plan is stale and the cache
-    // rebuilds; the rebuilt plan actually finds the value.
-    assert!(!early.is_current(sinew.catalog()));
-    let rebuilt = sinew.plan_cache().get(sinew.catalog(), "fresh", Want::Int);
-    assert!(rebuilt.is_current(sinew.catalog()));
-    assert!(!rebuilt.resolved.leaf.is_empty());
+    // The load interned "fresh": a plan resolved now finds the value, the
+    // early one does not know the id — which is why a statement must
+    // resolve after it takes its snapshot, never before.
+    let later = ExtractionPlan::build(sinew.catalog(), "fresh", Want::Int);
+    assert!(!later.resolved.leaf.is_empty());
 
     let row = sinew.db().get_row("c", N as u64).unwrap().unwrap();
     let Datum::Bytea(bytes) = &row[0] else { panic!("reservoir row") };
-    assert_eq!(early.extract(sinew.catalog(), bytes), Datum::Null, "stale plan: stale schema");
-    assert_eq!(rebuilt.extract(sinew.catalog(), bytes), Datum::Int(42));
+    assert_eq!(early.extract(sinew.catalog(), bytes), Datum::Null, "early plan: early schema");
+    assert_eq!(later.extract(sinew.catalog(), bytes), Datum::Int(42));
 
     let r = sinew.query("SELECT COUNT(*) FROM c WHERE fresh IS NOT NULL").unwrap();
     assert_eq!(r.rows[0][0], Datum::Int(1));
 }
 
+/// Rewrite `sql` against the catalog as it stands and count through `session`.
+fn count_in(sinew: &Sinew, session: &mut Session, sql: &str) -> Datum {
+    let stmt = sinew_sql::parse_statement(sql).unwrap();
+    let physical = rewriter::rewrite_statement(sinew, &stmt).unwrap();
+    session.execute_statement(&physical).unwrap().rows[0][0].clone()
+}
+
 #[test]
-fn loads_that_change_no_path_resolution_keep_every_plan() {
+fn transaction_older_than_a_new_variant_reads_its_snapshot_and_the_next_statement_sees_it() {
+    let sinew = loaded();
+    let k_rows = "SELECT COUNT(*) FROM c WHERE k IS NOT NULL";
+    let has_fresh = "SELECT COUNT(*) FROM c WHERE exists_key(data, 'fresh')";
+
+    let mut reader = sinew.db().session();
+    reader.execute("BEGIN").unwrap();
+    assert_eq!(count_in(&sinew, &mut reader, k_rows), Datum::Int(N));
+    assert_eq!(count_in(&sinew, &mut reader, has_fresh), Datum::Int(0));
+
+    // One document, two brand-new (key, type) pairs: `k` as an int — a new
+    // variant of a known key — and the key `fresh`.
+    sinew.load_jsonl("c", "{\"k\": 7, \"fresh\": true}\n").unwrap();
+    assert!(sinew.rewrite(k_rows).unwrap().contains("extract_key_txt"), "k is now two-typed");
+
+    // These statements bind after the load, so their plans know the new
+    // ids; the rows they may read are still the snapshot's.
+    assert_eq!(count_in(&sinew, &mut reader, k_rows), Datum::Int(N));
+    assert_eq!(count_in(&sinew, &mut reader, has_fresh), Datum::Int(0));
+    reader.execute("COMMIT").unwrap();
+
+    // A fresh statement sees the new variant through Want::AnyText ...
+    assert_eq!(sinew.query(k_rows).unwrap().rows[0][0], Datum::Int(N + 1));
+    // ... and the new key through exists_key.
+    assert_eq!(sinew.query(has_fresh).unwrap().rows[0][0], Datum::Int(1));
+}
+
+#[test]
+fn loads_that_change_no_path_resolution_leave_the_epoch_alone() {
     let sinew = loaded();
     sinew.query("SELECT COUNT(*) FROM c WHERE k = 'v7'").unwrap();
-    let held = sinew.plan_cache().get(sinew.catalog(), "k", Want::Text);
     let epoch = sinew.catalog().epoch();
-    let stale = sinew.metrics().snapshot().plan_cache_stale_rebuilds;
 
     // 100 one-document loads over a key the collection already has, all
     // virtual (no dirty flag to flip): only counts move.
@@ -171,11 +184,8 @@ fn loads_that_change_no_path_resolution_keep_every_plan() {
         assert_eq!(r.rows[0][0], Datum::Int(1));
     }
     assert_eq!(sinew.catalog().epoch(), epoch, "a count is not a schema change");
-    assert!(held.is_current(sinew.catalog()));
-    assert_eq!(sinew.metrics().snapshot().plan_cache_stale_rebuilds, stale);
 
-    // ... while a load that does bring a new key still invalidates
+    // ... while a load that does bring a new key still moves it
     sinew.load_jsonl("c", "{\"k\": \"w\", \"brand_new\": 1}").unwrap();
     assert!(sinew.catalog().epoch() > epoch);
-    assert!(!held.is_current(sinew.catalog()));
 }

@@ -396,6 +396,36 @@ fn text_index_matches_function() {
     ));
 }
 
+/// A load feeds the text index the rows it brought and reads no older row
+/// again. So the index holds each document as it was loaded: an UPDATE
+/// neither adds the new text nor retires the old.
+#[test]
+fn text_index_reads_each_row_once_however_many_loads_follow() {
+    let sinew = Sinew::in_memory();
+    sinew.create_collection("c").unwrap();
+    sinew.enable_text_index("c").unwrap();
+    sinew
+        .load_jsonl("c", "{\"owner\": \"Ada Early\"}\n{\"owner\": \"Bob Early\", \"n\": 5}\n")
+        .unwrap();
+    sinew.load_jsonl("c", "{\"owner\": \"Cy Late\"}\n").unwrap();
+
+    let owners = |query: &str| -> Vec<String> {
+        let sql = format!("SELECT owner FROM c WHERE matches('*', '{query}')");
+        sinew.query(&sql).unwrap().rows.iter().map(|r| r[0].display_text()).collect()
+    };
+    assert_eq!(owners("early"), ["Ada Early", "Bob Early"]);
+    assert_eq!(owners("late"), ["Cy Late"]);
+
+    sinew.query("UPDATE c SET owner = 'Ada Zed' WHERE owner = 'Ada Early'").unwrap();
+    sinew.load_jsonl("c", "{\"owner\": \"Di Late\", \"n\": 5}\n").unwrap();
+    assert_eq!(owners("late"), ["Cy Late", "Di Late"]);
+    assert_eq!(owners("bob"), ["Bob Early"]);
+    assert_eq!(owners("5"), ["Bob Early", "Di Late"]);
+    // the third load did not re-read row 0
+    assert!(owners("zed").is_empty());
+    assert_eq!(owners("early"), ["Ada Zed", "Bob Early"]);
+}
+
 #[test]
 fn unknown_keys_read_as_null_not_errors() {
     let sinew = webrequests();

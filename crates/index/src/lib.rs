@@ -45,7 +45,7 @@ impl Ord for NumKey {
 
 #[derive(Default)]
 struct FieldIndex {
-    /// term → sorted doc ids (sorted lazily on query).
+    /// term → sorted doc ids, each once.
     terms: HashMap<String, Vec<DocId>>,
     /// numeric facet for range queries.
     numbers: BTreeMap<NumKey, Vec<DocId>>,
@@ -68,7 +68,7 @@ impl TextIndex {
         let mut fields = self.fields.write();
         let fi = fields.entry(field.to_string()).or_default();
         for tok in tokenize(text) {
-            fi.terms.entry(tok).or_default().push(doc);
+            post(fi.terms.entry(tok).or_default(), doc);
         }
     }
 
@@ -76,9 +76,9 @@ impl TextIndex {
     pub fn add_number(&self, field: &str, doc: DocId, value: f64) {
         let mut fields = self.fields.write();
         let fi = fields.entry(field.to_string()).or_default();
-        fi.numbers.entry(NumKey(value)).or_default().push(doc);
+        post(fi.numbers.entry(NumKey(value)).or_default(), doc);
         // numbers are also searchable as terms
-        fi.terms.entry(value.to_string()).or_default().push(doc);
+        post(fi.terms.entry(value.to_string()).or_default(), doc);
     }
 
     /// Tombstone a document (e.g. after UPDATE/DELETE); it stops matching.
@@ -161,6 +161,14 @@ impl TextIndex {
             }
         }
         sort_dedup(out)
+    }
+}
+
+/// Add `doc` to a posting list. A list is a sorted set, so indexing a
+/// document a second time leaves it as it was.
+fn post(list: &mut Vec<DocId>, doc: DocId) {
+    if let Err(at) = list.binary_search(&doc) {
+        list.insert(at, doc);
     }
 }
 
@@ -253,6 +261,20 @@ mod tests {
         let q = Query::Range { lo: 5.0, hi: 30.0 };
         assert_eq!(idx.search(&["hits".to_string()], &q), vec![1, 2]);
         assert_eq!(idx.search(&["hits".to_string()], &parse_query("[5 TO 30]")), vec![1, 2]);
+    }
+
+    #[test]
+    fn indexing_a_document_twice_leaves_one_posting() {
+        let idx = TextIndex::new();
+        for _ in 0..2 {
+            idx.add_text("title", 2, "fox fox");
+            idx.add_text("title", 1, "fox");
+            idx.add_number("hits", 1, 5.0);
+        }
+        let fields = idx.fields.read();
+        assert_eq!(fields["title"].terms["fox"], [1, 2]);
+        assert_eq!(fields["hits"].terms["5"], [1]);
+        assert_eq!(fields["hits"].numbers[&NumKey(5.0)], [1]);
     }
 
     #[test]

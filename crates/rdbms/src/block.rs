@@ -599,10 +599,7 @@ impl BlockOperator for SeqScanOp<'_, '_> {
         {
             let ctx = &mut self.ctx;
             let filter = self.filter;
-            if let Some(f) = filter {
-                f.begin_block();
-            }
-            let res = self.exec.source.scan_table_range(
+            self.exec.source.scan_table_range(
                 self.table,
                 self.needed,
                 self.next_rowid,
@@ -624,11 +621,7 @@ impl BlockOperator for SeqScanOp<'_, '_> {
                     }
                     Ok(out.len() < block_rows)
                 },
-            );
-            if let Some(f) = filter {
-                f.end_block();
-            }
-            res?;
+            )?;
         }
         self.next_rowid = resume;
         if out.len() < block_rows {
@@ -789,10 +782,7 @@ impl AccessOp for IndexScanOp<'_, '_> {
             let window = &rowids[self.pos..end];
             self.pos = end;
             let mut out: Vec<Row> = Vec::with_capacity(window.len());
-            if let Some(f) = filter {
-                f.begin_block();
-            }
-            let res = self.exec.source.fetch_rows(
+            self.exec.source.fetch_rows(
                 &self.path.table,
                 self.path.needed.as_deref(),
                 window,
@@ -802,11 +792,7 @@ impl AccessOp for IndexScanOp<'_, '_> {
                     }
                     Ok(true)
                 },
-            );
-            if let Some(f) = filter {
-                f.end_block();
-            }
-            res?;
+            )?;
             if !out.is_empty() {
                 return Ok(Pull::Block(RowBlock::from_rows(out)));
             }
@@ -1019,15 +1005,12 @@ impl BlockOperator for ProjectOp<'_> {
     fn next_block(&mut self) -> DbResult<Option<RowBlock>> {
         let Some(block) = self.child.next_block()? else { return Ok(None) };
         let mut out: Vec<Row> = Vec::with_capacity(block.len());
-        for e in self.exprs {
-            e.begin_block();
-        }
         // One context reset per *row* across all projections: the k
         // `array_get(extract_keys(...), i)` outputs of a fused extraction
         // share a single document decode per row (same as the oracle).
         let ctx = &mut self.ctx;
         let exprs = self.exprs;
-        let res = block.for_each_row(|row| {
+        block.for_each_row(|row| {
             ctx.reset();
             let mut new_row = Vec::with_capacity(exprs.len());
             for e in exprs {
@@ -1035,11 +1018,7 @@ impl BlockOperator for ProjectOp<'_> {
             }
             out.push(new_row);
             Ok(())
-        });
-        for e in self.exprs {
-            e.end_block();
-        }
-        res?;
+        })?;
         Ok(Some(RowBlock::from_rows(out)))
     }
 
@@ -2298,48 +2277,41 @@ impl<'x, 'a> ParallelScanOp<'x, 'a> {
     fn scan_morsel(&self, start: u64, end: u64) -> DbResult<Vec<Row>> {
         let pipe = self.pipe;
         let max_rows = self.exec.limits.max_intermediate_rows;
-        let exprs = (pipe.scan_filter.into_iter())
-            .chain(pipe.post_filter)
-            .chain(pipe.project.into_iter().flatten());
         let mut ctx = EvalCtx::new();
         let mut rows_seen = 0u64;
         let mut out: Vec<Row> = Vec::new();
-        exprs.clone().for_each(PhysExpr::begin_block);
-        let result =
-            self.exec.source.scan_table_range(pipe.table, pipe.needed, start, end, &mut |row| {
-                rows_seen += 1;
-                ctx.reset();
-                let keep = match pipe.scan_filter {
-                    Some(f) => f.eval_bool_ctx(&row, &mut ctx)?,
-                    None => true,
-                };
-                if !keep {
+        self.exec.source.scan_table_range(pipe.table, pipe.needed, start, end, &mut |row| {
+            rows_seen += 1;
+            ctx.reset();
+            let keep = match pipe.scan_filter {
+                Some(f) => f.eval_bool_ctx(&row, &mut ctx)?,
+                None => true,
+            };
+            if !keep {
+                return Ok(true);
+            }
+            if self.budget.fetch_add(1, Ordering::Relaxed) + 1 > max_rows {
+                return Err(DbError::ResourceExhausted(format!(
+                    "intermediate result exceeded {max_rows} rows"
+                )));
+            }
+            if let Some(p) = pipe.post_filter {
+                if !p.eval_bool_ctx(&row, &mut ctx)? {
                     return Ok(true);
                 }
-                if self.budget.fetch_add(1, Ordering::Relaxed) + 1 > max_rows {
-                    return Err(DbError::ResourceExhausted(format!(
-                        "intermediate result exceeded {max_rows} rows"
-                    )));
-                }
-                if let Some(p) = pipe.post_filter {
-                    if !p.eval_bool_ctx(&row, &mut ctx)? {
-                        return Ok(true);
+            }
+            match pipe.project {
+                Some(exprs) => {
+                    let mut new_row = Vec::with_capacity(exprs.len());
+                    for e in exprs {
+                        new_row.push(e.eval_ctx(&row, &mut ctx)?);
                     }
+                    out.push(new_row);
                 }
-                match pipe.project {
-                    Some(exprs) => {
-                        let mut new_row = Vec::with_capacity(exprs.len());
-                        for e in exprs {
-                            new_row.push(e.eval_ctx(&row, &mut ctx)?);
-                        }
-                        out.push(new_row);
-                    }
-                    None => out.push(row),
-                }
-                Ok(true)
-            });
-        exprs.for_each(PhysExpr::end_block);
-        result?;
+                None => out.push(row),
+            }
+            Ok(true)
+        })?;
         self.exec.stats.rows_per_morsel.record(rows_seen);
         Ok(out)
     }

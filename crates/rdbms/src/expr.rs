@@ -287,122 +287,67 @@ impl PhysExpr {
         }
     }
 
-    /// True when no [`PhysExpr::Column`] occurs — evaluable without a row.
-    pub fn is_constant(&self) -> bool {
+    /// The direct sub-expressions, in evaluation order. The one place that
+    /// knows every variant's shape: each tree walk below, and the planner's
+    /// passes, are folds over it.
+    pub fn children(&self) -> Vec<&PhysExpr> {
         match self {
-            PhysExpr::Column(_) => false,
-            PhysExpr::Literal(_) => true,
-            PhysExpr::Not(e) | PhysExpr::Neg(e) => e.is_constant(),
-            PhysExpr::Binary { left, right, .. } => left.is_constant() && right.is_constant(),
-            PhysExpr::IsNull { expr, .. } => expr.is_constant(),
+            PhysExpr::Column(_) | PhysExpr::Literal(_) => Vec::new(),
+            PhysExpr::Not(e) | PhysExpr::Neg(e) => vec![e.as_ref()],
+            PhysExpr::Binary { left, right, .. } => vec![left.as_ref(), right.as_ref()],
+            PhysExpr::IsNull { expr, .. }
+            | PhysExpr::Cast { expr, .. }
+            | PhysExpr::Memo { expr, .. } => vec![expr.as_ref()],
             PhysExpr::Between { expr, low, high, .. } => {
-                expr.is_constant() && low.is_constant() && high.is_constant()
+                vec![expr.as_ref(), low.as_ref(), high.as_ref()]
             }
             PhysExpr::InList { expr, list, .. } => {
-                expr.is_constant() && list.iter().all(PhysExpr::is_constant)
+                std::iter::once(expr.as_ref()).chain(list).collect()
             }
-            PhysExpr::Like { expr, pattern, .. } => expr.is_constant() && pattern.is_constant(),
-            PhysExpr::Call { args, .. } => args.iter().all(PhysExpr::is_constant),
-            PhysExpr::Coalesce(args) => args.iter().all(PhysExpr::is_constant),
-            PhysExpr::Cast { expr, .. } => expr.is_constant(),
-            PhysExpr::Memo { expr, .. } => expr.is_constant(),
+            PhysExpr::Like { expr, pattern, .. } => vec![expr.as_ref(), pattern.as_ref()],
+            PhysExpr::Call { args, .. } | PhysExpr::Coalesce(args) => args.iter().collect(),
         }
+    }
+
+    /// [`PhysExpr::children`], mutably.
+    pub fn children_mut(&mut self) -> Vec<&mut PhysExpr> {
+        match self {
+            PhysExpr::Column(_) | PhysExpr::Literal(_) => Vec::new(),
+            PhysExpr::Not(e) | PhysExpr::Neg(e) => vec![e.as_mut()],
+            PhysExpr::Binary { left, right, .. } => vec![left.as_mut(), right.as_mut()],
+            PhysExpr::IsNull { expr, .. }
+            | PhysExpr::Cast { expr, .. }
+            | PhysExpr::Memo { expr, .. } => vec![expr.as_mut()],
+            PhysExpr::Between { expr, low, high, .. } => {
+                vec![expr.as_mut(), low.as_mut(), high.as_mut()]
+            }
+            PhysExpr::InList { expr, list, .. } => {
+                std::iter::once(expr.as_mut()).chain(list).collect()
+            }
+            PhysExpr::Like { expr, pattern, .. } => vec![expr.as_mut(), pattern.as_mut()],
+            PhysExpr::Call { args, .. } | PhysExpr::Coalesce(args) => args.iter_mut().collect(),
+        }
+    }
+
+    /// True when no [`PhysExpr::Column`] occurs — evaluable without a row.
+    pub fn is_constant(&self) -> bool {
+        !matches!(self, PhysExpr::Column(_))
+            && self.children().into_iter().all(PhysExpr::is_constant)
     }
 
     /// Collect referenced column indices.
     pub fn column_refs(&self, out: &mut Vec<usize>) {
-        match self {
-            PhysExpr::Column(i) => out.push(*i),
-            PhysExpr::Literal(_) => {}
-            PhysExpr::Not(e) | PhysExpr::Neg(e) => e.column_refs(out),
-            PhysExpr::Binary { left, right, .. } => {
-                left.column_refs(out);
-                right.column_refs(out);
-            }
-            PhysExpr::IsNull { expr, .. } => expr.column_refs(out),
-            PhysExpr::Between { expr, low, high, .. } => {
-                expr.column_refs(out);
-                low.column_refs(out);
-                high.column_refs(out);
-            }
-            PhysExpr::InList { expr, list, .. } => {
-                expr.column_refs(out);
-                for e in list {
-                    e.column_refs(out);
-                }
-            }
-            PhysExpr::Like { expr, pattern, .. } => {
-                expr.column_refs(out);
-                pattern.column_refs(out);
-            }
-            PhysExpr::Call { args, .. } | PhysExpr::Coalesce(args) => {
-                for a in args {
-                    a.column_refs(out);
-                }
-            }
-            PhysExpr::Cast { expr, .. } => expr.column_refs(out),
-            PhysExpr::Memo { expr, .. } => expr.column_refs(out),
+        if let PhysExpr::Column(i) = self {
+            out.push(*i);
         }
-    }
-
-    /// Visit every [`ScalarFn`] referenced by a `Call` node in the tree.
-    fn visit_calls(&self, f: &mut dyn FnMut(&dyn ScalarFn)) {
-        match self {
-            PhysExpr::Column(_) | PhysExpr::Literal(_) => {}
-            PhysExpr::Not(e) | PhysExpr::Neg(e) => e.visit_calls(f),
-            PhysExpr::Binary { left, right, .. } => {
-                left.visit_calls(f);
-                right.visit_calls(f);
-            }
-            PhysExpr::IsNull { expr, .. } => expr.visit_calls(f),
-            PhysExpr::Between { expr, low, high, .. } => {
-                expr.visit_calls(f);
-                low.visit_calls(f);
-                high.visit_calls(f);
-            }
-            PhysExpr::InList { expr, list, .. } => {
-                expr.visit_calls(f);
-                for e in list {
-                    e.visit_calls(f);
-                }
-            }
-            PhysExpr::Like { expr, pattern, .. } => {
-                expr.visit_calls(f);
-                pattern.visit_calls(f);
-            }
-            PhysExpr::Call { func, args, .. } => {
-                f(func.as_ref());
-                for a in args {
-                    a.visit_calls(f);
-                }
-            }
-            PhysExpr::Coalesce(args) => {
-                for a in args {
-                    a.visit_calls(f);
-                }
-            }
-            PhysExpr::Cast { expr, .. } => expr.visit_calls(f),
-            PhysExpr::Memo { expr, .. } => expr.visit_calls(f),
+        for c in self.children() {
+            c.column_refs(out);
         }
-    }
-
-    /// Announce to every scalar function in the tree that a block of rows
-    /// is about to be evaluated (extraction UDFs revalidate their cached
-    /// plans once per block instead of once per row). Always paired with
-    /// [`PhysExpr::end_block`], including when evaluation errors.
-    pub fn begin_block(&self) {
-        self.visit_calls(&mut |f| f.begin_block());
-    }
-
-    /// Close the bracket opened by [`PhysExpr::begin_block`].
-    pub fn end_block(&self) {
-        self.visit_calls(&mut |f| f.end_block());
     }
 
     /// Evaluate over every selected row of a block (`sel` indexes `rows`;
     /// `None` means all rows), appending one value per row to `out`. The
-    /// context resets between rows; plan-cache revalidation inside scalar
-    /// functions is amortized to once per block via the begin/end hooks.
+    /// context resets between rows.
     pub fn eval_block(
         &self,
         rows: &[Row],
@@ -410,26 +355,21 @@ impl PhysExpr {
         ctx: &mut EvalCtx,
         out: &mut Vec<Datum>,
     ) -> DbResult<()> {
-        self.begin_block();
-        let res = (|| {
-            match sel {
-                Some(s) => {
-                    for &i in s {
-                        ctx.reset();
-                        out.push(self.eval_ctx(&rows[i as usize], ctx)?);
-                    }
-                }
-                None => {
-                    for row in rows {
-                        ctx.reset();
-                        out.push(self.eval_ctx(row, ctx)?);
-                    }
+        match sel {
+            Some(s) => {
+                for &i in s {
+                    ctx.reset();
+                    out.push(self.eval_ctx(&rows[i as usize], ctx)?);
                 }
             }
-            Ok(())
-        })();
-        self.end_block();
-        res
+            None => {
+                for row in rows {
+                    ctx.reset();
+                    out.push(self.eval_ctx(row, ctx)?);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Predicate over a block: the selected indices (of `rows`) for which
@@ -441,56 +381,34 @@ impl PhysExpr {
         sel: Option<&[u32]>,
         ctx: &mut EvalCtx,
     ) -> DbResult<Vec<u32>> {
-        self.begin_block();
-        let res = (|| {
-            let mut keep = Vec::new();
-            match sel {
-                Some(s) => {
-                    for &i in s {
-                        ctx.reset();
-                        if self.eval_bool_ctx(&rows[i as usize], ctx)? {
-                            keep.push(i);
-                        }
-                    }
-                }
-                None => {
-                    for (i, row) in rows.iter().enumerate() {
-                        ctx.reset();
-                        if self.eval_bool_ctx(row, ctx)? {
-                            keep.push(i as u32);
-                        }
+        let mut keep = Vec::new();
+        match sel {
+            Some(s) => {
+                for &i in s {
+                    ctx.reset();
+                    if self.eval_bool_ctx(&rows[i as usize], ctx)? {
+                        keep.push(i);
                     }
                 }
             }
-            Ok(keep)
-        })();
-        self.end_block();
-        res
+            None => {
+                for (i, row) in rows.iter().enumerate() {
+                    ctx.reset();
+                    if self.eval_bool_ctx(row, ctx)? {
+                        keep.push(i as u32);
+                    }
+                }
+            }
+        }
+        Ok(keep)
     }
 
     /// True if any function call occurs in the tree. Function calls are
     /// opaque to the optimizer (no statistics), which is what triggers
     /// default selectivity estimates for Sinew's virtual columns.
     pub fn contains_call(&self) -> bool {
-        match self {
-            PhysExpr::Column(_) | PhysExpr::Literal(_) => false,
-            PhysExpr::Not(e) | PhysExpr::Neg(e) => e.contains_call(),
-            PhysExpr::Binary { left, right, .. } => left.contains_call() || right.contains_call(),
-            PhysExpr::IsNull { expr, .. } => expr.contains_call(),
-            PhysExpr::Between { expr, low, high, .. } => {
-                expr.contains_call() || low.contains_call() || high.contains_call()
-            }
-            PhysExpr::InList { expr, list, .. } => {
-                expr.contains_call() || list.iter().any(PhysExpr::contains_call)
-            }
-            PhysExpr::Like { expr, pattern, .. } => {
-                expr.contains_call() || pattern.contains_call()
-            }
-            PhysExpr::Call { .. } => true,
-            PhysExpr::Coalesce(args) => args.iter().any(PhysExpr::contains_call),
-            PhysExpr::Cast { expr, .. } => expr.contains_call(),
-            PhysExpr::Memo { expr, .. } => expr.contains_call(),
-        }
+        matches!(self, PhysExpr::Call { .. })
+            || self.children().into_iter().any(PhysExpr::contains_call)
     }
 }
 
@@ -763,11 +681,20 @@ pub fn bind(expr: &Expr, scope: &Scope, funcs: &FuncRegistry) -> DbResult<PhysEx
             let func = funcs
                 .get(name)
                 .ok_or_else(|| DbError::NotFound(format!("function {name}")))?;
-            PhysExpr::Call {
-                name: name.clone(),
-                func,
-                args: args.iter().map(|e| bind(e, scope, funcs)).collect::<DbResult<_>>()?,
-            }
+            let args: Vec<PhysExpr> =
+                args.iter().map(|e| bind(e, scope, funcs)).collect::<DbResult<_>>()?;
+            // The call site's chance to resolve what its literal
+            // arguments name (ScalarFn::bind); the name stays, so plan
+            // text and the planner's Debug-keyed CSE see the same call.
+            let consts: Vec<Option<&Datum>> = args
+                .iter()
+                .map(|a| match a {
+                    PhysExpr::Literal(d) => Some(d),
+                    _ => None,
+                })
+                .collect();
+            let func = func.bind(&consts).unwrap_or(func);
+            PhysExpr::Call { name: name.clone(), func, args }
         }
         Expr::Cast { expr, ty } => PhysExpr::Cast {
             expr: Box::new(bind(expr, scope, funcs)?),
@@ -896,5 +823,40 @@ mod tests {
         assert!(!plain.contains_call());
         let call = bind(&parse_expr("length(b) > 1").unwrap(), &s, &funcs).unwrap();
         assert!(call.contains_call());
+    }
+
+    /// `probe(x, y)`: unbound it answers "per-call"; bound on a literal
+    /// second argument it answers "bound:<literal>". Counts its binds.
+    struct Probe(Arc<std::sync::atomic::AtomicUsize>);
+
+    impl ScalarFn for Probe {
+        fn call(&self, _: &[Datum]) -> DbResult<Datum> {
+            Ok(Datum::Text("per-call".into()))
+        }
+
+        fn bind(&self, consts: &[Option<&Datum>]) -> Option<Arc<dyn ScalarFn>> {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let [None, Some(Datum::Text(lit))] = consts else { return None };
+            let answer = Datum::Text(format!("bound:{lit}"));
+            Some(Arc::new(move |_: &[Datum]| Ok(answer.clone())))
+        }
+    }
+
+    #[test]
+    fn bind_hook_runs_once_per_call_site_and_sees_the_literals() {
+        let s = scope_ab();
+        let funcs = FuncRegistry::new();
+        let binds = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        funcs.register("probe", Arc::new(Probe(binds.clone())));
+        let bound = bind(&parse_expr("probe(a, 'x')").unwrap(), &s, &funcs).unwrap();
+        let unbound = bind(&parse_expr("probe(a, b)").unwrap(), &s, &funcs).unwrap();
+        let row = [Datum::Int(1), Datum::Text("x".into())];
+        for _ in 0..10 {
+            assert_eq!(bound.eval(&row).unwrap(), Datum::Text("bound:x".into()));
+            assert_eq!(unbound.eval(&row).unwrap(), Datum::Text("per-call".into()));
+        }
+        assert_eq!(binds.load(std::sync::atomic::Ordering::Relaxed), 2, "one bind per call site");
+        // the replacement keeps the call's name: plan text and CSE keys are unchanged
+        assert_eq!(format!("{bound:?}"), "probe([#0, Text(\"x\")])");
     }
 }

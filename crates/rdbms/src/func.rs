@@ -7,6 +7,11 @@
 //! optimizer* — no statistics exist for their outputs — which is the
 //! structural reason virtual columns get default selectivity estimates
 //! (paper §3.1.1, Table 2).
+//!
+//! A function has two entry points per row ([`ScalarFn::call`] and its
+//! borrowed-argument form [`ScalarFn::call_ref`]) and one per call site:
+//! [`ScalarFn::bind`], through which the binder lets a function specialise
+//! itself on its literal arguments before the first row (DESIGN.md §22).
 
 use crate::datum::{ColType, Datum};
 use crate::error::{DbError, DbResult};
@@ -30,16 +35,20 @@ pub trait ScalarFn: Send + Sync {
         self.call(&owned)
     }
 
-    /// Hook called by the streaming executor before a block of rows is
-    /// evaluated. Stateful implementations (extraction UDFs with cached
-    /// `ExtractionPlan`s) use it to revalidate their cache once per block
-    /// instead of once per row; pure functions need not care. Every
-    /// `begin_block` is paired with an [`ScalarFn::end_block`] — including
-    /// on evaluation error — so implementations may rely on bracketing.
-    fn begin_block(&self) {}
-
-    /// Paired with [`ScalarFn::begin_block`] after the block completes.
-    fn end_block(&self) {}
+    /// Bind-time hook, called by [`crate::expr::bind`] each time it binds
+    /// a call site: `consts[i]` is `Some` where argument `i` is a literal.
+    /// A function whose work depends only on its literal arguments (an
+    /// extraction path to resolve, a handle to look up) does that work
+    /// here and returns the function to call per row in its place; `None`
+    /// keeps `self`, which then resolves per call. Must not fail: an
+    /// argument it cannot use is left for `call_ref` to report, at
+    /// evaluation. Must have no side effect: a single-relation statement
+    /// binds each call site once, but the join planner binds a conjunct
+    /// again for every candidate it costs and keeps one of the results, so
+    /// the same literals have to give an equivalent function every time.
+    fn bind(&self, _consts: &[Option<&Datum>]) -> Option<Arc<dyn ScalarFn>> {
+        None
+    }
 }
 
 impl<F> ScalarFn for F

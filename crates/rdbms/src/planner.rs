@@ -1305,7 +1305,7 @@ fn count_pure_calls(e: &PhysExpr, funcs: &FuncRegistry, counts: &mut HashMap<Str
     if matches!(e, PhysExpr::Call { .. }) && all_calls_pure(e, funcs) {
         *counts.entry(format!("{e:?}")).or_insert(0) += 1;
     }
-    for c in expr_children(e) {
+    for c in e.children() {
         count_pure_calls(c, funcs, counts);
     }
 }
@@ -1319,7 +1319,7 @@ fn plant_memos(
     counts: &HashMap<String, usize>,
     slots: &mut HashMap<String, usize>,
 ) {
-    for c in expr_children_mut(e) {
+    for c in e.children_mut() {
         plant_memos(c, funcs, counts, slots);
     }
     if matches!(e, PhysExpr::Call { .. }) && all_calls_pure(e, funcs) {
@@ -1340,49 +1340,7 @@ fn all_calls_pure(e: &PhysExpr, funcs: &FuncRegistry) -> bool {
             return false;
         }
     }
-    expr_children(e).into_iter().all(|c| all_calls_pure(c, funcs))
-}
-
-fn expr_children(e: &PhysExpr) -> Vec<&PhysExpr> {
-    match e {
-        PhysExpr::Column(_) | PhysExpr::Literal(_) => Vec::new(),
-        PhysExpr::Not(x) | PhysExpr::Neg(x) => vec![x.as_ref()],
-        PhysExpr::Binary { left, right, .. } => vec![left.as_ref(), right.as_ref()],
-        PhysExpr::IsNull { expr, .. } => vec![expr.as_ref()],
-        PhysExpr::Between { expr, low, high, .. } => {
-            vec![expr.as_ref(), low.as_ref(), high.as_ref()]
-        }
-        PhysExpr::InList { expr, list, .. } => {
-            let mut v = vec![expr.as_ref()];
-            v.extend(list.iter());
-            v
-        }
-        PhysExpr::Like { expr, pattern, .. } => vec![expr.as_ref(), pattern.as_ref()],
-        PhysExpr::Call { args, .. } | PhysExpr::Coalesce(args) => args.iter().collect(),
-        PhysExpr::Cast { expr, .. } => vec![expr.as_ref()],
-        PhysExpr::Memo { expr, .. } => vec![expr.as_ref()],
-    }
-}
-
-fn expr_children_mut(e: &mut PhysExpr) -> Vec<&mut PhysExpr> {
-    match e {
-        PhysExpr::Column(_) | PhysExpr::Literal(_) => Vec::new(),
-        PhysExpr::Not(x) | PhysExpr::Neg(x) => vec![x.as_mut()],
-        PhysExpr::Binary { left, right, .. } => vec![left.as_mut(), right.as_mut()],
-        PhysExpr::IsNull { expr, .. } => vec![expr.as_mut()],
-        PhysExpr::Between { expr, low, high, .. } => {
-            vec![expr.as_mut(), low.as_mut(), high.as_mut()]
-        }
-        PhysExpr::InList { expr, list, .. } => {
-            let mut v = vec![expr.as_mut()];
-            v.extend(list.iter_mut());
-            v
-        }
-        PhysExpr::Like { expr, pattern, .. } => vec![expr.as_mut(), pattern.as_mut()],
-        PhysExpr::Call { args, .. } | PhysExpr::Coalesce(args) => args.iter_mut().collect(),
-        PhysExpr::Cast { expr, .. } => vec![expr.as_mut()],
-        PhysExpr::Memo { expr, .. } => vec![expr.as_mut()],
-    }
+    e.children().into_iter().all(|c| all_calls_pure(c, funcs))
 }
 
 /// Type class of a bound datum for `exact_bounds` purposes (see
