@@ -72,7 +72,7 @@ fn bench_rewrite_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-/// Cold per-call path resolution vs a reused extraction plan, at 1/3/5
+/// A plan resolved per call vs a reused extraction plan, at 1/3/5
 /// dotted-path levels: the gap is what resolving at bind buys the
 /// per-tuple loop (catalog lookups and prefix allocation drop out
 /// entirely). Beside them the bound `extract_key_i` call as the executor
@@ -80,7 +80,7 @@ fn bench_rewrite_overhead(c: &mut Criterion) {
 /// iteration is one bind, `ROWS` bound calls (argument match, the plan,
 /// one counter) and the scan that feeds them.
 fn bench_plan_vs_cold(c: &mut Criterion) {
-    use sinew_core::{extract, loader, ExtractionPlan, Want};
+    use sinew_core::{loader, ExtractionPlan, Want};
 
     const ROWS: usize = 1_000;
     let sinew = Sinew::in_memory();
@@ -97,7 +97,7 @@ fn bench_plan_vs_cold(c: &mut Criterion) {
     for (depth, path) in [("depth1", "a1"), ("depth3", "b.c.a3"), ("depth5", "d.e.f.g.a5")] {
         let mut g = c.benchmark_group(&format!("extract_{depth}"));
         g.bench_function("cold_resolve_per_call", |b| {
-            b.iter(|| black_box(extract::extract_path(cat, &bytes, path, Want::Int)))
+            b.iter(|| black_box(ExtractionPlan::build(cat, path, Want::Int).extract(cat, &bytes)))
         });
         let plan = ExtractionPlan::build(cat, path, Want::Int);
         g.bench_function("plan_reused", |b| {

@@ -26,9 +26,8 @@
 use crate::metrics::Metrics;
 use crate::types::AttrType;
 use parking_lot::RwLock;
-use sinew_rdbms::{ColType, Database, Datum, DbError, DbResult, RowId, RowWrite};
+use sinew_rdbms::{ColType, Database, Datum, DbError, DbResult, PlanEpoch, RowId, RowWrite};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 pub type AttrId = u32;
@@ -77,12 +76,11 @@ struct Inner {
 /// The catalog.
 pub struct Catalog {
     inner: RwLock<Inner>,
-    /// Schema epoch: bumped on any change that can alter how a dotted path
-    /// resolves (new attribute, flag flip, new table state). Query-scoped
-    /// [`ExtractionPlan`](crate::plan::ExtractionPlan)s snapshot this and
-    /// re-resolve when it moves, so per-tuple extraction never takes the
-    /// catalog lock. A lock-free read; see DESIGN.md "Hot paths".
-    epoch: AtomicU64,
+    /// The database's plan epoch (DESIGN.md §23), bumped after any change
+    /// that can alter how a statement rewrites or a path resolves — a new
+    /// attribute, a new column state, a flag flip, a table registration —
+    /// and before anything depending on it commits. A count alone does not.
+    epoch: PlanEpoch,
     /// Fed `catalog_rows_written`.
     metrics: Arc<Metrics>,
 }
@@ -171,19 +169,15 @@ impl Catalog {
         }
         Ok(Catalog {
             inner: RwLock::new(inner),
-            epoch: AtomicU64::new(0),
+            epoch: db.plan_epoch().clone(),
             metrics,
         })
     }
 
-    /// Current schema epoch. Plans built at epoch `e` stay valid while
-    /// `epoch() == e`; a bump means path resolution may have changed.
+    /// Current plan epoch: a statement prepared at epoch `e` read the
+    /// catalog as it still is while `epoch() == e`.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    fn bump_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::Release);
+        self.epoch.get()
     }
 
     /// Register the per-table mirror for a new collection.
@@ -202,7 +196,7 @@ impl Catalog {
             )?;
         }
         self.inner.write().tables.entry(table.to_string()).or_default();
-        self.bump_epoch();
+        self.epoch.bump();
         Ok(())
     }
 
@@ -226,7 +220,7 @@ impl Catalog {
         inner.by_id.insert(id, (name.to_string(), ty));
         inner.by_name.entry(name.to_string()).or_default().push((id, ty));
         drop(inner);
-        self.bump_epoch();
+        self.epoch.bump();
         id
     }
 
@@ -288,7 +282,7 @@ impl Catalog {
         }
         drop(inner);
         if new_state {
-            self.bump_epoch();
+            self.epoch.bump();
         }
     }
 
@@ -343,7 +337,7 @@ impl Catalog {
         st.dirty = dirty;
         cache.changed.insert(id);
         drop(inner);
-        self.bump_epoch();
+        self.epoch.bump();
         Ok(())
     }
 
@@ -366,7 +360,7 @@ impl Catalog {
             }
         }
         if flipped {
-            self.bump_epoch();
+            self.epoch.bump();
         }
     }
 

@@ -29,8 +29,12 @@ pub enum Want {
     Array,
 }
 
-/// Extract a (possibly dotted) key from a serialized document.
-/// Returns `Datum::Null` for absent keys and type mismatches.
+/// Extract a (possibly dotted) key from a serialized document, resolving
+/// the path through the catalog on this call. Returns `Datum::Null` for
+/// absent keys and type mismatches. The unplanned reference that
+/// [`crate::plan::ExtractionPlan`] is tested against; queries always run a
+/// plan resolved at bind.
+#[cfg(test)]
 pub fn extract_path(cat: &Catalog, bytes: &[u8], path: &str, want: Want) -> Datum {
     match try_extract(cat, bytes, path, want) {
         Ok(d) => d,
@@ -80,6 +84,7 @@ fn descend<'a>(cat: &Catalog, bytes: &'a [u8], path: &str) -> DbResult<Option<&'
     Ok(Some(cur))
 }
 
+#[cfg(test)]
 fn try_extract(cat: &Catalog, bytes: &[u8], path: &str, want: Want) -> DbResult<Datum> {
     let candidates = cat.ids_for_name(path);
     if candidates.is_empty() {
@@ -120,11 +125,14 @@ fn try_extract(cat: &Catalog, bytes: &[u8], path: &str, want: Want) -> DbResult<
     })
 }
 
-/// Does the key exist (under any type)?
+/// Does the key exist (under any type)? The unplanned reference of
+/// [`crate::plan::ExtractionPlan::exists`].
+#[cfg(test)]
 pub fn exists_path(cat: &Catalog, bytes: &[u8], path: &str) -> bool {
     !matches!(try_exists(cat, bytes, path), Ok(false) | Err(_))
 }
 
+#[cfg(test)]
 fn try_exists(cat: &Catalog, bytes: &[u8], path: &str) -> DbResult<bool> {
     let Some(cur) = descend(cat, bytes, path)? else { return Ok(false) };
     for (id, _) in cat.ids_for_name(path) {

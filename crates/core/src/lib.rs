@@ -60,13 +60,18 @@ pub use types::AttrType;
 use parking_lot::{Mutex, RwLock};
 use sinew_index::TextIndex;
 use sinew_json::Value;
-use sinew_rdbms::{ColType, Database, Datum, DbError, DbResult, QueryResult};
+use rewriter::RowIdSetHandles;
+use sinew_rdbms::{ColType, Database, Datum, DbError, DbResult, Derive, Prepared, QueryResult};
 use sinew_sql::Statement;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Statement texts [`Sinew::query`] keeps prepared; the map is emptied when
+/// it reaches this many.
+const PREPARED_CAPACITY: usize = 1024;
 
 /// One logical column of the universal-relation view.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,6 +106,8 @@ pub struct Sinew {
     /// Array keys mirrored into element side-tables (paper §4.2), with the
     /// high-water row id already backfilled.
     element_tables: Mutex<HashMap<(String, String), u64>>,
+    /// Prepared statements by their exact SQL text (DESIGN.md §23).
+    prepared: RwLock<HashMap<String, Arc<Prepared>>>,
 }
 
 impl Sinew {
@@ -147,6 +154,7 @@ impl Sinew {
             metrics,
             set_counter: Mutex::new(0),
             element_tables: Mutex::new(HashMap::new()),
+            prepared: RwLock::new(HashMap::new()),
         })
     }
 
@@ -338,18 +346,58 @@ impl Sinew {
 
     // ---- queries ----
 
-    /// Parse `sql`, rewrite it against the catalog and hand the physical
-    /// statement to `run`. The row-id sets the rewrite registered are this
-    /// call's: it removes them when `run` returns, with a result or an error.
-    fn with_rewritten<T>(
+    /// The prepared form of `sql`: from the statement map when the text is
+    /// there, else parsed, rewritten and prepared now and kept — unless its
+    /// rewrite registered a `matches()` row-id set, whose statement runs once
+    /// (DESIGN.md §23). Handles of registered sets are pushed to `sets`.
+    fn prepare(&self, sql: &str, sets: &RowIdSetHandles) -> DbResult<Arc<Prepared>> {
+        if let Some(p) = self.prepared.read().get(sql) {
+            self.metrics.statement_cache_hits.inc();
+            return Ok(p.clone());
+        }
+        let p = Arc::new(self.db.prepare_with(&|| self.derive(sql, sets))?);
+        self.metrics.statements_prepared.inc();
+        if sets.borrow().is_empty() {
+            let mut map = self.prepared.write();
+            if map.len() >= PREPARED_CAPACITY {
+                map.clear();
+            }
+            map.insert(sql.to_string(), p.clone());
+        }
+        Ok(p)
+    }
+
+    /// The physical statement `sql` stands for under the catalog as it is
+    /// now: parsed and rewritten, each phase timed. The engine calls this
+    /// after reading the plan epoch (DESIGN.md §23).
+    fn derive(&self, sql: &str, sets: &RowIdSetHandles) -> DbResult<Statement> {
+        let m = &self.metrics;
+        let stmt = timed(&m.parse_ns, || {
+            sinew_sql::parse_statement(sql).map_err(|e| DbError::Parse(e.to_string()))
+        })?;
+        timed(&m.rewrite_ns, || rewriter::rewrite_noting_sets(self, &stmt, sets))
+    }
+
+    /// Run `f` over the prepared form of `sql`, handing it the way to derive
+    /// the statement again when a stamp turns out stale. The row-id sets
+    /// that either derivation registered are this call's: it removes them
+    /// when `f` returns, with a result or an error.
+    fn with_prepared<T>(
         &self,
         sql: &str,
-        run: impl FnOnce(Statement) -> DbResult<T>,
+        f: impl FnOnce(&Prepared, Derive<'_>) -> DbResult<T>,
     ) -> DbResult<T> {
-        let stmt =
-            sinew_sql::parse_statement(sql).map_err(|e| DbError::Parse(e.to_string()))?;
         let sets = RefCell::default();
-        let out = rewriter::rewrite_noting_sets(self, &stmt, &sets).and_then(run);
+        let again = || {
+            self.metrics.statements_reprepared.inc();
+            self.derive(sql, &sets)
+        };
+        let out = self.prepare(sql, &sets).and_then(|p| {
+            if p.has_plan() {
+                self.metrics.queries_rewritten.inc();
+            }
+            f(&p, &again)
+        });
         let sets = sets.into_inner();
         if !sets.is_empty() {
             let mut registered = self.rowid_sets.write();
@@ -361,24 +409,26 @@ impl Sinew {
     }
 
     /// Execute logical SQL: rewrite against the catalog, then run on the
-    /// RDBMS. This is the paper's end-to-end query path.
+    /// RDBMS. This is the paper's end-to-end query path; a text run before
+    /// is neither parsed, rewritten nor planned again while what it was
+    /// prepared from stands.
     pub fn query(&self, sql: &str) -> DbResult<QueryResult> {
-        self.with_rewritten(sql, |stmt| self.db.execute_statement(&stmt))
+        self.with_prepared(sql, |p, derive| self.db.run_with(p, derive))
     }
 
     /// Rewrite only — returns the physical SQL text (for inspection, tests,
     /// and the paper's §3.2.2 examples).
     pub fn rewrite(&self, sql: &str) -> DbResult<String> {
-        self.with_rewritten(sql, |stmt| Ok(stmt.to_string()))
+        self.with_prepared(sql, |p, derive| {
+            self.db.refresh(p, derive)?;
+            Ok(p.statement().to_string())
+        })
     }
 
     /// EXPLAIN the rewritten query.
     pub fn explain(&self, sql: &str) -> DbResult<String> {
-        self.with_rewritten(sql, |stmt| {
-            let explained = Statement::Explain { analyze: false, inner: Box::new(stmt) };
-            let r = self.db.execute_statement(&explained)?;
-            Ok(r.rows.iter().map(|row| row[0].display_text()).collect::<Vec<_>>().join("\n"))
-        })
+        let r = self.query(&format!("EXPLAIN {sql}"))?;
+        Ok(r.rows.iter().map(|row| row[0].display_text()).collect::<Vec<_>>().join("\n"))
     }
 
     // ---- analyzer + materializer ----
@@ -406,6 +456,14 @@ impl Sinew {
     pub(crate) fn cursors(&self) -> &Mutex<HashMap<(String, AttrId), materializer::MoveCursor>> {
         &self.cursors
     }
+}
+
+/// `f()`, its duration recorded in `h` in nanoseconds.
+fn timed<T>(h: &metrics::Histogram, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = f();
+    h.record(start.elapsed().as_nanos() as u64);
+    out
 }
 
 /// Feed one document's scalar leaves into the text index, faceted by

@@ -67,7 +67,10 @@ sinew_rdbms::counter_table! {
     udf udf_exists_probes: counter,
 
     // -- rewriter (rewriter.rs) --
-    /// Logical statements rewritten to physical SQL.
+    /// Logical `SELECT`, `UPDATE` and `DELETE` statements (`EXPLAIN` of one
+    /// included) rewritten to physical SQL: one per `Sinew::query`,
+    /// `rewrite` or `explain` call that prepares, whether its text was
+    /// prepared already or not, and one per `rewriter::rewrite_statement`.
     rewriter queries_rewritten: counter,
     /// Column references that passed through as clean physical columns.
     rewriter rewritten_physical_refs: counter,
@@ -78,6 +81,21 @@ sinew_rdbms::counter_table! {
     /// Bindings whose extraction calls were fused into one `extract_keys`
     /// (each covers ≥2 distinct virtual keys of one query).
     rewriter rewritten_fused_bindings: counter,
+
+    // -- prepared statements (lib.rs, DESIGN.md §23) --
+    /// Statement texts parsed, rewritten and planned because the statement
+    /// map did not hold them.
+    statements statements_prepared: counter,
+    /// Lookups that found the text prepared already.
+    statements statement_cache_hits: counter,
+    /// Runs that found a stamp stale — the plan epoch or a table's size
+    /// class had moved since the text was prepared — and prepared it again.
+    statements statements_reprepared: counter,
+    /// Nanoseconds parsing a statement text, per preparation (first or
+    /// again). Planning is the engine's `plan_ns`.
+    statements parse_ns: histogram,
+    /// Nanoseconds rewriting a parsed statement, per preparation.
+    statements rewrite_ns: histogram,
 
     // -- loader (loader.rs) --
     /// Bulk-load batches completed.
@@ -304,7 +322,7 @@ pub(crate) fn storage_report(sinew: &Sinew, table: &str) -> DbResult<StorageRepo
     // The report takes many independent short locks (catalog state, heap
     // scan, index stats, columnar stats); a promotion or demotion landing
     // between two of them would mix pre- and post-movement states in one
-    // report. Pin the catalog epoch instead of the locks: if the schema
+    // report. Pin the plan epoch instead of the locks: if the schema
     // moved while we were collecting, collect again. Bounded retries — a
     // continuously-churning materializer should degrade to a best-effort
     // report, not an unbounded introspection loop.
@@ -696,11 +714,25 @@ mod tests {
     #[test]
     fn json_keeps_every_pr14_key_and_gains_the_drifted_ones() {
         let json = sinew_json::parse(&busy_report().to_json()).unwrap();
-        let gained = ["loader_batch_docs_mean", "materializer_step_rows_mean"];
+        let gained = [
+            "loader_batch_docs_mean",
+            "materializer_step_rows_mean",
+            "statements_prepared",
+            "statement_cache_hits",
+            "statements_reprepared",
+            "parse_ns_log2",
+            "parse_ns_count",
+            "parse_ns_mean",
+            "rewrite_ns_log2",
+            "rewrite_ns_count",
+            "rewrite_ns_mean",
+        ];
+        let gained_exec = ["plan_ns_log2", "plan_ns_count", "plan_ns_mean"];
         for (obj, keys) in [
             ("exec", PR14_EXEC_KEYS),
             ("metrics", PR14_METRICS_KEYS),
             ("metrics", gained.as_slice()),
+            ("exec", gained_exec.as_slice()),
         ] {
             let fields = object(&json, obj);
             for key in keys {

@@ -20,17 +20,19 @@
 //!
 //! **Ownership.** A plan is built by the extraction UDF's bind hook
 //! (`udfs.rs`, `ScalarFn::bind`) when the statement's binder meets the call
-//! site, and lives inside the bound call for that statement: nothing caches
-//! a plan across statements and nothing looks one up per row.
+//! site, and lives inside the bound call, which lives as long as the
+//! prepared statement holding it (DESIGN.md §23): nothing looks a plan up
+//! per row.
 //!
-//! **Why a statement never re-resolves.** A plan reads only the attribute
+//! **Why a kept plan never re-resolves.** A plan reads only the attribute
 //! dictionary — `(name, type) → id`, append-only, ids never reassigned —
 //! so the only way a resolution goes out of date is by *missing an id
-//! interned after it was built*. Every row carrying such an id commits
-//! after the statement's snapshot was taken, and the snapshot is taken
-//! before the statement binds (DESIGN.md §8), so no row the statement can
-//! see holds a key its plans do not know. Materialization flags are the
-//! rewriter's business (column vs `COALESCE` vs extraction), not a plan's.
+//! interned after it was built*. Interning bumps the plan epoch before any
+//! row carrying the id commits, and a run compares its preparation's epoch
+//! with the current one after it has taken its snapshot (DESIGN.md §8), so
+//! a run whose rows may hold a key its plans do not know is prepared again
+//! first. Materialization flags are the rewriter's business (column vs
+//! `COALESCE` vs extraction), not a plan's.
 
 use crate::catalog::{AttrId, Catalog};
 use crate::extract::{self, Want};

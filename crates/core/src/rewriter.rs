@@ -142,30 +142,35 @@ impl<'a> Ctx<'a> {
 /// removes it: [`Sinew::query`], [`Sinew::rewrite`] and [`Sinew::explain`]
 /// are the callers that own, and release, the sets of what they rewrite.
 pub fn rewrite_statement(sinew: &Sinew, stmt: &Statement) -> DbResult<Statement> {
+    if is_query(stmt) {
+        sinew.metrics().queries_rewritten.inc();
+    }
     rewrite_noting_sets(sinew, stmt, &RefCell::default())
+}
+
+/// A `SELECT`, `UPDATE` or `DELETE`, or `EXPLAIN` of one: what
+/// `queries_rewritten` counts.
+fn is_query(stmt: &Statement) -> bool {
+    match stmt {
+        Statement::Select(_) | Statement::Update(_) | Statement::Delete(_) => true,
+        Statement::Explain { inner, .. } => is_query(inner),
+        _ => false,
+    }
 }
 
 /// [`rewrite_statement`] for a caller that owns the row-id sets: the handle
 /// of every set registered on the way, also by a rewrite that then fails,
-/// is pushed to `sets`.
+/// is pushed to `sets`. Counts nothing: its caller counts the statement
+/// once, however often it is derived.
 pub(crate) fn rewrite_noting_sets(
     sinew: &Sinew,
     stmt: &Statement,
     sets: &RowIdSetHandles,
 ) -> DbResult<Statement> {
     match stmt {
-        Statement::Select(sel) => {
-            sinew.metrics().queries_rewritten.inc();
-            Ok(Statement::Select(rewrite_select(sinew, sel, sets)?))
-        }
-        Statement::Update(upd) => {
-            sinew.metrics().queries_rewritten.inc();
-            rewrite_update(sinew, upd, sets)
-        }
-        Statement::Delete(del) => {
-            sinew.metrics().queries_rewritten.inc();
-            rewrite_delete(sinew, del, sets)
-        }
+        Statement::Select(sel) => Ok(Statement::Select(rewrite_select(sinew, sel, sets)?)),
+        Statement::Update(upd) => rewrite_update(sinew, upd, sets),
+        Statement::Delete(del) => rewrite_delete(sinew, del, sets),
         Statement::Explain { analyze, inner } => Ok(Statement::Explain {
             analyze: *analyze,
             inner: Box::new(rewrite_noting_sets(sinew, inner, sets)?),

@@ -12,22 +12,25 @@ use crate::error::{DbError, DbResult};
 use crate::exec::{
     ExecLimits, ExecSnapshot, ExecStats, Executor, IndexOnlyProbe, Row, SegScan,
 };
-use crate::expr::{bind, Scope};
+use crate::expr::{bind, PhysExpr, Scope};
 use crate::func::{FuncRegistry, ScalarFn};
 use crate::heap::{Heap, RowId};
 use crate::pager::{IoSnapshot, Pager};
-use crate::plan::AccessPath;
-use crate::planner::{CatalogView, Planner, PlannerConfig, TableMeta};
+use crate::plan::{AccessPath, Plan};
+use crate::planner::{CatalogView, PlannedQuery, Planner, PlannerConfig, TableMeta};
 use crate::schema::TableSchema;
 use crate::stats::{ColumnCollector, TableStats};
 use crate::tuple;
 use crate::txn::{TxnManager, Vis, WriteMode, WriteTicket, NO_END, TXN_BASE};
 use crate::wal::{self, Wal, WalConfig};
 use parking_lot::{Condvar, Mutex, RwLock};
+use sinew_sql::Statement;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Result of executing one statement.
 #[derive(Debug, Default)]
@@ -301,6 +304,155 @@ pub struct IndexInfo {
     pub bytes: u64,
 }
 
+/// The plan epoch (DESIGN.md §23): one counter over everything a prepared
+/// statement was derived from except row and page counts — schemas, indexes,
+/// column stores, statistics, planner configuration, functions, and above
+/// the engine Sinew's catalog. Whoever changes such state bumps it once the
+/// change is visible, and before anything that depends on the change
+/// commits. Clones share the one counter.
+#[derive(Clone, Default)]
+pub struct PlanEpoch(Arc<AtomicU64>);
+
+impl PlanEpoch {
+    /// Acquire, pairing with the release of [`PlanEpoch::bump`]: a reader
+    /// that sees a bump also sees the change made before it.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Acquire)
+    }
+
+    pub fn bump(&self) {
+        self.0.fetch_add(1, Ordering::AcqRel);
+    }
+}
+
+/// A statement made ready to run many times (DESIGN.md §23): for a
+/// `SELECT`, or `EXPLAIN` of one, its plan and output columns; for an
+/// `UPDATE` or `DELETE` its row-finding scan and bound assignments; for
+/// anything else the statement itself. Running it ([`Database::run`],
+/// [`Session::run`]) first fixes what the statement may see, then checks the
+/// stamps it was built under, and re-prepares it in place if one is stale.
+pub struct Prepared {
+    current: RwLock<Arc<Bound>>,
+}
+
+impl Prepared {
+    /// The statement as currently prepared.
+    pub fn statement(&self) -> Statement {
+        self.current().stmt.clone()
+    }
+
+    /// Whether the statement runs a plan — a `SELECT`, `EXPLAIN`, `UPDATE`
+    /// or `DELETE` — rather than straight from its text.
+    pub fn has_plan(&self) -> bool {
+        !matches!(self.current.read().action, Action::Other)
+    }
+
+    fn current(&self) -> Arc<Bound> {
+        self.current.read().clone()
+    }
+}
+
+/// One preparation of a statement and the stamps it is valid under.
+struct Bound {
+    stmt: Statement,
+    action: Action,
+    /// The plan epoch, read before the statement was derived or planned.
+    epoch: u64,
+    /// Every table the planner sized, with the size it planned for.
+    sizes: Vec<TableSize>,
+}
+
+enum Action {
+    Select(PlannedQuery),
+    Explain {
+        analyze: bool,
+        planned: PlannedQuery,
+    },
+    Update {
+        scan: ModifyScan,
+        assignments: Vec<(String, PhysExpr)>,
+    },
+    Delete(ModifyScan),
+    /// Runs from the statement: DDL, `INSERT`, `ANALYZE`, `BEGIN`/`COMMIT`/`ROLLBACK`.
+    Other,
+}
+
+/// The row-finding half of an `UPDATE` or `DELETE`.
+struct ModifyScan {
+    table: String,
+    plan: Plan,
+    /// Where the scan row carries the rowid.
+    rowid_slot: usize,
+}
+
+impl ModifyScan {
+    fn plan(
+        planner: &Planner<'_>,
+        table: &str,
+        filter: Option<&sinew_sql::Expr>,
+    ) -> DbResult<(ModifyScan, Scope)> {
+        let (plan, scope) = planner.plan_modify_scan(table, filter)?;
+        let scan = ModifyScan { table: table.to_string(), plan, rowid_slot: scope.len() - 1 };
+        Ok((scan, scope))
+    }
+
+    /// The rowid a scan row carries.
+    fn rowid(&self, row: &[Datum]) -> DbResult<RowId> {
+        match row[self.rowid_slot] {
+            Datum::Int(rowid) => Ok(rowid as RowId),
+            _ => Err(DbError::Eval("scan did not produce a rowid".into())),
+        }
+    }
+}
+
+/// How a caller derives the statement it prepares from state above the
+/// engine. Called on every preparation, after the plan epoch is read.
+pub type Derive<'a> = &'a dyn Fn() -> DbResult<Statement>;
+
+/// A table's size class as the planner read it.
+struct TableSize {
+    table: String,
+    class: (u32, u32),
+}
+
+/// The bit length (⌊log₂⌋ + 1, 0 for none) of a table's live rows and of its
+/// pages: a plan is made again when either moves.
+fn size_class(rows: u64, pages: u64) -> (u32, u32) {
+    let bits = |n: u64| u64::BITS - n.leading_zeros();
+    (bits(rows), bits(pages))
+}
+
+/// The planner's view of a database, noting the size class of every table
+/// the planner reads.
+struct Sizing<'a> {
+    db: &'a Database,
+    sizes: RefCell<Vec<TableSize>>,
+}
+
+impl CatalogView for Sizing<'_> {
+    fn table_meta(&self, name: &str) -> DbResult<TableMeta> {
+        let meta = self.db.table_meta(name)?;
+        let mut sizes = self.sizes.borrow_mut();
+        if !sizes.iter().any(|s| s.table == name) {
+            let class = size_class(meta.n_rows as u64, meta.n_pages as u64);
+            sizes.push(TableSize { table: name.to_string(), class });
+        }
+        Ok(meta)
+    }
+
+    fn table_stats(&self, name: &str) -> Option<TableStats> {
+        self.db.table_stats(name)
+    }
+
+    fn indexed_columns(&self, name: &str) -> Vec<String> {
+        self.db.indexed_columns(name)
+    }
+
+    fn columnar_columns(&self, name: &str) -> Vec<String> {
+        self.db.columnar_columns(name)
+    }
+}
+
 /// The embedded relational database.
 pub struct Database {
     pager: Arc<Pager>,
@@ -327,6 +479,7 @@ pub struct Database {
     write_owner_cv: Condvar,
     /// MVCC transaction manager: commit timestamps + snapshot registry.
     manager: TxnManager,
+    plan_epoch: PlanEpoch,
 }
 
 /// Who holds the statement write token.
@@ -425,6 +578,7 @@ impl Database {
             write_owner: Mutex::new(None),
             write_owner_cv: Condvar::new(),
             manager: TxnManager::new(),
+            plan_epoch: PlanEpoch::default(),
         }
     }
 
@@ -836,6 +990,7 @@ impl Database {
 
     pub fn set_planner_config(&self, config: PlannerConfig) {
         *self.planner_config.write() = config;
+        self.plan_epoch.bump();
     }
 
     pub fn planner_config(&self) -> PlannerConfig {
@@ -849,6 +1004,7 @@ impl Database {
     /// Register a user-defined scalar function (paper §5).
     pub fn register_udf(&self, name: &str, f: Arc<dyn ScalarFn>) {
         self.funcs.register(name, f);
+        self.plan_epoch.bump();
     }
 
     /// Register a UDF and declare it *pure* — deterministic and
@@ -856,6 +1012,13 @@ impl Database {
     /// a row (the scan pipeline's common-subexpression elimination).
     pub fn register_udf_pure(&self, name: &str, f: Arc<dyn ScalarFn>) {
         self.funcs.register_pure(name, f);
+        self.plan_epoch.bump();
+    }
+
+    /// The plan epoch every [`Prepared`] of this database is checked
+    /// against; Sinew's catalog bumps it too.
+    pub fn plan_epoch(&self) -> &PlanEpoch {
+        &self.plan_epoch
     }
 
     /// The engine's counter table at this instant, with the overlay rows
@@ -933,6 +1096,7 @@ impl Database {
             tables.insert(name.to_string(), arc.clone());
             arc
         };
+        self.plan_epoch.bump();
         if self.wal_enabled() {
             let (tk, _tg) = self.begin_stmt_write();
             self.wal_commit_table(name, &mut arc.write(), tk.ts)?;
@@ -949,6 +1113,7 @@ impl Database {
             .map(|_| ())
             .ok_or_else(|| DbError::NotFound(format!("table {name}")))?;
         self.stats.write().remove(name);
+        self.plan_epoch.bump();
         let (tk, _tg) = self.begin_stmt_write();
         self.wal_commit_drop(name, tk.ts)?;
         self.wal_maybe_checkpoint()?;
@@ -963,6 +1128,7 @@ impl Database {
         {
             let mut t = t.write();
             t.schema.add_column(name, ty)?;
+            self.plan_epoch.bump();
             let (tk, _tg) = self.begin_stmt_write();
             self.wal_commit_table(table, &mut t, tk.ts)?;
         }
@@ -979,6 +1145,7 @@ impl Database {
             t.schema.drop_column(name)?;
             t.indexes.retain(|ix| ix.column() != name);
             t.columnar.retain(|cs| cs.column() != name);
+            self.plan_epoch.bump();
             let (tk, _tg) = self.begin_stmt_write();
             self.wal_commit_table(table, &mut t, tk.ts)?;
         }
@@ -1008,6 +1175,7 @@ impl Database {
         }
         self.exec_stats.index_build_rows.add(built);
         t.indexes.push(index);
+        self.plan_epoch.bump();
         // Index pages are unlogged (rebuilt on recovery); the commit
         // records the index *definition* so recovery knows to rebuild it.
         let (tk, _tg) = self.begin_stmt_write();
@@ -1035,6 +1203,7 @@ impl Database {
         // older readers fall back to the heap instead of seeing the future.
         store.set_floor(self.manager.current_floor());
         t.columnar.push(store);
+        self.plan_epoch.bump();
         // Columnar stores live in memory (rebuilt on recovery); the
         // commit records which columns have one.
         let (tk, _tg) = self.begin_stmt_write();
@@ -1053,6 +1222,7 @@ impl Database {
         t.columnar.retain(|cs| cs.column() != column);
         let dropped = t.columnar.len() != before;
         if dropped {
+            self.plan_epoch.bump();
             let (tk, _tg) = self.begin_stmt_write();
             self.wal_commit_table(table, &mut t, tk.ts)?;
             drop(t);
@@ -1079,6 +1249,7 @@ impl Database {
         if t.indexes.len() == before {
             return Err(DbError::NotFound(format!("index {name} on {table}")));
         }
+        self.plan_epoch.bump();
         let (tk, _tg) = self.begin_stmt_write();
         self.wal_commit_table(table, &mut t, tk.ts)?;
         drop(t);
@@ -1396,12 +1567,14 @@ impl Database {
         self.stats
             .write()
             .insert(table.to_string(), TableStats { n_rows: n_rows as f64, columns });
+        self.plan_epoch.bump();
         Ok(())
     }
 
     /// Drop statistics (returns the optimizer to default estimates).
     pub fn clear_stats(&self, table: &str) {
         self.stats.write().remove(table);
+        self.plan_epoch.bump();
     }
 
     // ---- SQL entry point ----
@@ -1412,40 +1585,196 @@ impl Database {
         self.execute_statement(&stmt)
     }
 
-    pub fn execute_statement(&self, stmt: &sinew_sql::Statement) -> DbResult<QueryResult> {
-        use sinew_sql::Statement;
-        if matches!(stmt, Statement::Begin | Statement::Commit | Statement::Rollback) {
-            return Err(DbError::Eval(
-                "transactions require a session (Database::session)".into(),
-            ));
-        }
-        self.execute_statement_in(stmt, None)
+    /// Prepare `stmt` and run it once: the one path every statement takes.
+    pub fn execute_statement(&self, stmt: &Statement) -> DbResult<QueryResult> {
+        self.run(&self.prepare(stmt)?)
     }
 
-    /// Execute one statement, optionally inside an open transaction.
-    /// DDL cannot run transactionally (it commits immediately and is not
-    /// versioned — DESIGN.md §16 limitations).
-    fn execute_statement_in(
+    /// Plan a SELECT without running it.
+    pub fn plan(&self, sel: &sinew_sql::Select) -> DbResult<PlannedQuery> {
+        Planner::new(self, &self.funcs).with_config(self.planner_config()).plan_select(sel)
+    }
+
+    /// Make `stmt` ready to run any number of times (DESIGN.md §23): plan
+    /// it, bind what it evaluates, and stamp the result with the plan epoch
+    /// and the size class of every table the planner read.
+    pub fn prepare(&self, stmt: &Statement) -> DbResult<Prepared> {
+        self.prepare_with(&|| Ok(stmt.clone()))
+    }
+
+    /// [`Database::prepare`] for a statement derived from state above the
+    /// engine (Sinew's rewrite of logical SQL reads its catalog): `derive`
+    /// runs after the plan epoch is read. Run the result with the same hook
+    /// ([`Database::run_with`]), which calls it again when a stamp is stale.
+    pub fn prepare_with(&self, derive: Derive<'_>) -> DbResult<Prepared> {
+        Ok(Prepared { current: RwLock::new(Arc::new(self.prepare_bound(derive)?)) })
+    }
+
+    fn prepare_bound(&self, derive: Derive<'_>) -> DbResult<Bound> {
+        // Read before the statement is derived or planned, so that a change
+        // landing while either reads leaves this stamp behind.
+        let epoch = self.plan_epoch.get();
+        let stmt = derive()?;
+        let start = Instant::now();
+        let view = Sizing { db: self, sizes: RefCell::default() };
+        let planner = Planner::new(&view, &self.funcs).with_config(self.planner_config());
+        let action = match &stmt {
+            Statement::Select(sel) => Action::Select(planner.plan_select(sel)?),
+            Statement::Explain { analyze, inner } => match &**inner {
+                Statement::Select(sel) => {
+                    Action::Explain { analyze: *analyze, planned: planner.plan_select(sel)? }
+                }
+                _ => return Err(DbError::Eval("EXPLAIN supports SELECT only".into())),
+            },
+            Statement::Update(upd) => {
+                let (scan, scope) = ModifyScan::plan(&planner, &upd.table, upd.filter.as_ref())?;
+                let assignments = upd
+                    .assignments
+                    .iter()
+                    .map(|(col, e)| Ok((col.clone(), bind(e, &scope, &self.funcs)?)))
+                    .collect::<DbResult<_>>()?;
+                Action::Update { scan, assignments }
+            }
+            Statement::Delete(del) => {
+                Action::Delete(ModifyScan::plan(&planner, &del.table, del.filter.as_ref())?.0)
+            }
+            _ => Action::Other,
+        };
+        if !matches!(action, Action::Other) {
+            self.exec_stats.plan_ns.record(start.elapsed().as_nanos() as u64);
+        }
+        Ok(Bound { stmt, action, epoch, sizes: view.sizes.into_inner() })
+    }
+
+    /// Run a prepared statement as one autocommit unit. What it may see is
+    /// fixed first — a `SELECT` registers its snapshot, an `UPDATE` or
+    /// `DELETE` takes the write token — and only then are its stamps
+    /// checked: a stale one re-prepares it, in place, from its statement.
+    pub fn run(&self, p: &Prepared) -> DbResult<QueryResult> {
+        self.run_with(p, &|| Ok(p.statement()))
+    }
+
+    /// [`Database::run`] for a statement made by [`Database::prepare_with`]:
+    /// a stale stamp prepares what `derive` yields now.
+    pub fn run_with(&self, p: &Prepared, derive: Derive<'_>) -> DbResult<QueryResult> {
+        self.run_in(p, None, derive)
+    }
+
+    /// Prepare `p` again in place, from what `derive` yields, if a stamp is
+    /// stale now.
+    pub fn refresh(&self, p: &Prepared, derive: Derive<'_>) -> DbResult<()> {
+        self.checked(p, p.current(), derive).map(drop)
+    }
+
+    fn run_in(
         &self,
-        stmt: &sinew_sql::Statement,
+        p: &Prepared,
         txn: Option<&mut Txn>,
+        derive: Derive<'_>,
     ) -> DbResult<QueryResult> {
-        use sinew_sql::Statement;
-        if txn.is_some()
-            && matches!(stmt, Statement::CreateTable(_) | Statement::CreateIndex(_))
-        {
-            return Err(DbError::Eval(
-                "DDL is not supported inside a transaction".into(),
-            ));
+        let held = p.current();
+        let reads =
+            matches!(held.action, Action::Select(_) | Action::Explain { analyze: true, .. });
+        let writes = matches!(held.action, Action::Update { .. } | Action::Delete(_));
+        match txn {
+            None if reads => {
+                // A registered snapshot makes concurrent committers retain
+                // (rather than destroy) the versions this query reads:
+                // readers never block writers and vice versa.
+                let read_ts = self.manager.begin_snapshot();
+                let res = self
+                    .checked(p, held, derive)
+                    .and_then(|b| self.run_bound(&b, Vis::snapshot(read_ts), None));
+                if self.manager.release_snapshot(read_ts) {
+                    // We were the horizon; some retained garbage may be ripe.
+                    let _ = self.vacuum();
+                }
+                res
+            }
+            None if writes => {
+                // Held from before the stamps are checked until the rows are
+                // written: no other writer's commit falls between the value
+                // a `SET` expression saw and the value it replaces.
+                let _g = self.write_guard();
+                let b = self.checked(p, held, derive)?;
+                self.run_bound(&b, Vis::LATEST, None)
+            }
+            // An open transaction fixed what it sees at BEGIN; it detects a
+            // concurrent write at the row (first-writer-wins).
+            txn => {
+                let vis = txn.as_deref().map_or(Vis::LATEST, Txn::vis);
+                let b = self.checked(p, held, derive)?;
+                self.run_bound(&b, vis, txn)
+            }
+        }
+    }
+
+    /// `held` while the plan epoch and the size class of every table it
+    /// was planned over are what they were; otherwise its replacement,
+    /// prepared from what `derive` yields, which also takes its place in `p`.
+    fn checked(&self, p: &Prepared, held: Arc<Bound>, derive: Derive<'_>) -> DbResult<Arc<Bound>> {
+        let current = held.epoch == self.plan_epoch.get()
+            && held.sizes.iter().all(|s| self.table_size_class(&s.table) == Some(s.class));
+        if current {
+            return Ok(held);
+        }
+        let fresh = Arc::new(self.prepare_bound(derive)?);
+        *p.current.write() = fresh.clone();
+        Ok(fresh)
+    }
+
+    fn table_size_class(&self, table: &str) -> Option<(u32, u32)> {
+        let t = self.table(table).ok()?;
+        let t = t.read();
+        Some(size_class(t.heap.len(), t.heap.pages_used()))
+    }
+
+    /// Run one preparation at `vis`, inside `txn` when one is open.
+    fn run_bound(&self, b: &Bound, vis: Vis, txn: Option<&mut Txn>) -> DbResult<QueryResult> {
+        match &b.action {
+            Action::Select(planned) => Ok(QueryResult {
+                columns: planned.columns.clone(),
+                rows: self.run_plan(&planned.plan, vis)?,
+                affected: 0,
+            }),
+            Action::Explain { analyze, planned } => self.run_explain(*analyze, &planned.plan, vis),
+            Action::Update { scan, assignments } => self.run_update(scan, assignments, vis, txn),
+            Action::Delete(scan) => self.run_delete(scan, vis, txn),
+            Action::Other => self.run_other(&b.stmt, txn),
+        }
+    }
+
+    fn run_explain(&self, analyze: bool, plan: &Plan, vis: Vis) -> DbResult<QueryResult> {
+        self.exec_stats.explain_runs.inc();
+        let text = if analyze {
+            // EXPLAIN ANALYZE actually runs the query (discarding its rows)
+            // through the streaming engine with per-node instrumentation;
+            // the materializing oracle has no operator tree to instrument,
+            // so the mode knob is overridden.
+            let mut limits = *self.limits.read();
+            limits.mode = crate::exec::ExecMode::Streaming;
+            let src = SnapSource { db: self, vis };
+            let exec = Executor { source: &src, limits, stats: &self.exec_stats };
+            let az = crate::block::AnalyzeCtx::new();
+            crate::block::run_streaming_with(&exec, plan, Some(&az))?;
+            plan.explain_analyze(&az.take_nodes())
+        } else {
+            plan.explain()
+        };
+        Ok(QueryResult {
+            columns: vec!["QUERY PLAN".to_string()],
+            rows: text.lines().map(|l| vec![Datum::Text(l.to_string())]).collect(),
+            affected: 0,
+        })
+    }
+
+    /// The statements that carry no plan. DDL cannot run transactionally (it
+    /// commits immediately and is not versioned — DESIGN.md §16 limitations).
+    fn run_other(&self, stmt: &Statement, txn: Option<&mut Txn>) -> DbResult<QueryResult> {
+        if txn.is_some() && matches!(stmt, Statement::CreateTable(_) | Statement::CreateIndex(_)) {
+            return Err(DbError::Eval("DDL is not supported inside a transaction".into()));
         }
         match stmt {
-            Statement::Begin | Statement::Commit | Statement::Rollback => Err(DbError::Eval(
-                "transaction control cannot nest inside a statement".into(),
-            )),
-            Statement::Select(sel) => match txn {
-                Some(x) => self.run_select_vis(sel, x.vis()),
-                None => self.run_select(sel),
-            },
             Statement::CreateTable(ct) => {
                 let cols: Vec<(String, ColType)> =
                     ct.columns.iter().map(|(n, t)| (n.clone(), (*t).into())).collect();
@@ -1461,76 +1790,17 @@ impl Database {
                 }
             }
             Statement::Insert(ins) => self.run_insert(ins, txn),
-            Statement::Update(upd) => self.run_update(upd, txn),
-            Statement::Delete(del) => self.run_delete(del, txn),
-            Statement::Explain { analyze, inner } => match &**inner {
-                Statement::Select(sel) => {
-                    self.exec_stats.explain_runs.inc();
-                    let planned = self.plan(sel)?;
-                    let text = if *analyze {
-                        // EXPLAIN ANALYZE actually runs the query
-                        // (discarding its rows) through the streaming
-                        // engine with per-node instrumentation; the
-                        // materializing oracle has no operator tree to
-                        // instrument, so the mode knob is overridden.
-                        let mut limits = *self.limits.read();
-                        limits.mode = crate::exec::ExecMode::Streaming;
-                        let src = SnapSource { db: self, vis: Vis::LATEST };
-                        let exec = Executor { source: &src, limits, stats: &self.exec_stats };
-                        let az = crate::block::AnalyzeCtx::new();
-                        crate::block::run_streaming_with(&exec, &planned.plan, Some(&az))?;
-                        planned.plan.explain_analyze(&az.take_nodes())
-                    } else {
-                        planned.plan.explain()
-                    };
-                    Ok(QueryResult {
-                        columns: vec!["QUERY PLAN".to_string()],
-                        rows: text
-                            .lines()
-                            .map(|l| vec![Datum::Text(l.to_string())])
-                            .collect(),
-                        affected: 0,
-                    })
-                }
-                _ => Err(DbError::Eval("EXPLAIN supports SELECT only".into())),
-            },
             Statement::Analyze(table) => {
                 self.analyze(table)?;
                 Ok(QueryResult::default())
             }
+            // A session answers BEGIN / COMMIT / ROLLBACK before they get here.
+            _ => Err(DbError::Eval("transactions require a session (Database::session)".into())),
         }
-    }
-
-    /// Plan a SELECT without running it.
-    pub fn plan(&self, sel: &sinew_sql::Select) -> DbResult<crate::planner::PlannedQuery> {
-        let planner =
-            Planner::new(self, &self.funcs).with_config(self.planner_config.read().clone());
-        planner.plan_select(sel)
-    }
-
-    fn run_select(&self, sel: &sinew_sql::Select) -> DbResult<QueryResult> {
-        // Register a snapshot so concurrent committers retain (rather
-        // than destroy) the versions this query is reading — readers
-        // never block writers and vice versa.
-        let read_ts = self.manager.begin_snapshot();
-        let res = self.run_select_vis(sel, Vis::snapshot(read_ts));
-        if self.manager.release_snapshot(read_ts) {
-            // We were the horizon; some retained garbage may be ripe.
-            let _ = self.vacuum();
-        }
-        res
-    }
-
-    /// Run a SELECT at a fixed visibility (a registered snapshot's, or an
-    /// open transaction's — the latter sees its own uncommitted writes).
-    fn run_select_vis(&self, sel: &sinew_sql::Select, vis: Vis) -> DbResult<QueryResult> {
-        let planned = self.plan(sel)?;
-        let rows = self.run_plan(&planned.plan, vis)?;
-        Ok(QueryResult { columns: planned.columns, rows, affected: 0 })
     }
 
     /// Execute a plan at one visibility under the configured limits.
-    fn run_plan(&self, plan: &crate::plan::Plan, vis: Vis) -> DbResult<Vec<Row>> {
+    fn run_plan(&self, plan: &Plan, vis: Vis) -> DbResult<Vec<Row>> {
         let limits = *self.limits.read();
         let src = SnapSource { db: self, vis };
         Executor { source: &src, limits, stats: &self.exec_stats }.run(plan)
@@ -1582,57 +1852,44 @@ impl Database {
         Ok(QueryResult { affected: n, ..Default::default() })
     }
 
+    /// An `UPDATE`'s rows, found and written at `vis` — an open
+    /// transaction's (it must see its own earlier writes), or latest-committed
+    /// under the write token (`run_in`).
     fn run_update(
         &self,
-        upd: &sinew_sql::Update,
+        scan: &ModifyScan,
+        assignments: &[(String, PhysExpr)],
+        vis: Vis,
         txn: Option<&mut Txn>,
     ) -> DbResult<QueryResult> {
-        // Autocommit: the token is held from before the rows are read until
-        // they are written, so a concurrent writer's commit cannot fall
-        // between the value a `SET` expression saw and the value it replaces.
-        // A transaction instead detects that at the row (first-writer-wins).
-        let _g = txn.is_none().then(|| self.write_guard());
-        let planner =
-            Planner::new(self, &self.funcs).with_config(self.planner_config.read().clone());
-        let (plan, scope) = planner.plan_modify_scan(&upd.table, upd.filter.as_ref())?;
-        let assignments: Vec<(String, crate::expr::PhysExpr)> = upd
-            .assignments
-            .iter()
-            .map(|(col, e)| Ok((col.clone(), bind(e, &scope, &self.funcs)?)))
-            .collect::<DbResult<_>>()?;
-        // Phase 1: evaluate new values against matching rows. A
-        // transaction scans through its own visibility (it must see its
-        // earlier uncommitted writes); autocommit reads latest-committed.
-        let matched = self.run_plan(&plan, txn.as_deref().map_or(Vis::LATEST, Txn::vis))?;
-        let rowid_idx = scope.len() - 1;
+        // Phase 1: evaluate new values against matching rows.
+        let matched = self.run_plan(&scan.plan, vis)?;
         let mut updates: Vec<(RowId, Vec<(String, Datum)>)> = Vec::with_capacity(matched.len());
         for row in &matched {
-            let Datum::Int(rowid) = row[rowid_idx] else {
-                return Err(DbError::Eval("scan did not produce a rowid".into()));
-            };
             let mut vals = Vec::with_capacity(assignments.len());
-            for (col, e) in &assignments {
+            for (col, e) in assignments {
                 vals.push((col.clone(), e.eval(row)?));
             }
-            updates.push((rowid as RowId, vals));
+            updates.push((scan.rowid(row)?, vals));
         }
         let n = updates.len() as u64;
+        let table = scan.table.as_str();
         if let Some(x) = txn {
             // Phase 2 (transactional): version rows under the marker.
             self.txn_wal_enter(x);
-            let t = self.table(&upd.table)?;
+            let t = self.table(table)?;
             let mut t = t.write();
             for (rowid, vals) in updates {
                 let refs: Vec<(&str, Datum)> =
                     vals.iter().map(|(c, d)| (c.as_str(), d.clone())).collect();
-                self.txn_update_row_locked(&mut t, x, &upd.table, rowid, &refs)?;
+                self.txn_update_row_locked(&mut t, x, table, rowid, &refs)?;
             }
             return Ok(QueryResult { affected: n, ..Default::default() });
         }
         // Phase 2 (autocommit): apply row-by-row; the whole statement is
         // one WAL commit unit.
         {
-            let t = self.table(&upd.table)?;
+            let t = self.table(table)?;
             let mut t = t.write();
             let (tk, _tg) = self.begin_stmt_write();
             let publish = Self::publish(tk);
@@ -1640,60 +1897,51 @@ impl Database {
                 for (rowid, vals) in updates {
                     let refs: Vec<(&str, Datum)> =
                         vals.iter().map(|(c, d)| (c.as_str(), d.clone())).collect();
-                    self.update_row_locked(&mut t, rowid, &upd.table, &refs, publish)?;
+                    self.update_row_locked(&mut t, rowid, table, &refs, publish)?;
                 }
                 Ok(())
             })();
-            self.wal_finish_statement(&mut [(&upd.table, &mut t)], res, tk.ts)?;
+            self.wal_finish_statement(&mut [(table, &mut t)], res, tk.ts)?;
         }
         self.wal_maybe_checkpoint()?;
         Ok(QueryResult { affected: n, ..Default::default() })
     }
 
+    /// A `DELETE`'s rows, found at `vis` as in [`Database::run_update`].
     fn run_delete(
         &self,
-        del: &sinew_sql::Delete,
+        scan: &ModifyScan,
+        vis: Vis,
         txn: Option<&mut Txn>,
     ) -> DbResult<QueryResult> {
-        // Held from the scan to the last tombstone, as in `run_update`.
-        let _g = txn.is_none().then(|| self.write_guard());
-        let planner =
-            Planner::new(self, &self.funcs).with_config(self.planner_config.read().clone());
-        let (plan, scope) = planner.plan_modify_scan(&del.table, del.filter.as_ref())?;
-        let matched = self.run_plan(&plan, txn.as_deref().map_or(Vis::LATEST, Txn::vis))?;
-        let rowid_idx = scope.len() - 1;
+        let matched = self.run_plan(&scan.plan, vis)?;
+        let table = scan.table.as_str();
         let mut n = 0;
         if let Some(x) = txn {
             // Transactional: tombstone under the marker; index/columnar
             // maintenance and reclamation wait for COMMIT.
             self.txn_wal_enter(x);
-            let t = self.table(&del.table)?;
+            let t = self.table(table)?;
             let mut t = t.write();
             for row in &matched {
-                let Datum::Int(rowid) = row[rowid_idx] else {
-                    return Err(DbError::Eval("scan did not produce a rowid".into()));
-                };
-                let rowid = rowid as RowId;
+                let rowid = scan.rowid(row)?;
                 self.check_conflict(&t.heap, rowid, x.marker, x.read_ts)?;
                 if t.heap.delete_mark(rowid, x.marker)? {
                     n += 1;
-                    x.log.push((del.table.clone(), rowid, TxnOp::Del));
-                    x.touch(&del.table, rowid).deleted = true;
+                    x.log.push((table.to_string(), rowid, TxnOp::Del));
+                    x.touch(table, rowid).deleted = true;
                 }
             }
             return Ok(QueryResult { affected: n, ..Default::default() });
         }
-        let t = self.table(&del.table)?;
+        let t = self.table(table)?;
         let mut t = t.write();
         let (tk, _tg) = self.begin_stmt_write();
         let publish = Self::publish(tk);
         let wanted = t.derived_slots();
         let res = (|| -> DbResult<()> {
             for row in &matched {
-                let Datum::Int(rowid) = row[rowid_idx] else {
-                    return Err(DbError::Eval("scan did not produce a rowid".into()));
-                };
-                let rowid = rowid as RowId;
+                let rowid = scan.rowid(row)?;
                 if let Publish::Retain(_) = publish {
                     self.check_conflict(&t.heap, rowid, 0, 0)?;
                 }
@@ -1714,7 +1962,7 @@ impl Database {
             }
             Ok(())
         })();
-        self.wal_finish_statement(&mut [(&del.table, &mut t)], res, tk.ts)?;
+        self.wal_finish_statement(&mut [(table, &mut t)], res, tk.ts)?;
         drop(t);
         self.wal_maybe_checkpoint()?;
         Ok(QueryResult { affected: n, ..Default::default() })
@@ -2114,58 +2362,69 @@ impl Session<'_> {
         self.execute_statement(&stmt)
     }
 
-    pub fn execute_statement(&mut self, stmt: &sinew_sql::Statement) -> DbResult<QueryResult> {
-        use sinew_sql::Statement;
-        match stmt {
-            Statement::Begin => {
-                if self.txn.is_some() || self.aborted {
-                    return Err(DbError::Eval("already in a transaction".into()));
-                }
-                self.txn = Some(self.db.begin_txn()?);
-                Ok(QueryResult::default())
-            }
-            Statement::Commit => {
-                if self.aborted {
-                    self.aborted = false;
-                    return Err(DbError::Conflict(
-                        "transaction was aborted by a serialization conflict; \
-                         its writes were rolled back"
-                            .into(),
-                    ));
-                }
-                match self.txn.take() {
-                    Some(txn) => self.db.commit_txn(txn).map(|_| QueryResult::default()),
-                    None => Err(DbError::Eval("no transaction in progress".into())),
-                }
-            }
-            Statement::Rollback => {
-                if self.aborted {
-                    self.aborted = false;
-                    return Ok(QueryResult::default());
-                }
-                match self.txn.take() {
-                    Some(txn) => self.db.rollback_txn(txn).map(|_| QueryResult::default()),
-                    None => Err(DbError::Eval("no transaction in progress".into())),
-                }
-            }
-            other => {
-                if self.aborted {
-                    return Err(DbError::Eval(
-                        "current transaction is aborted, commands ignored \
-                         until end of transaction block"
-                            .into(),
-                    ));
-                }
-                let res = self.db.execute_statement_in(other, self.txn.as_mut());
-                if matches!(res, Err(DbError::Conflict(_))) {
-                    if let Some(txn) = self.txn.take() {
-                        let _ = self.db.rollback_txn(txn);
-                        self.aborted = true;
-                    }
-                }
-                res
+    pub fn execute_statement(&mut self, stmt: &Statement) -> DbResult<QueryResult> {
+        self.run(&self.db.prepare(stmt)?)
+    }
+
+    /// Run a prepared statement in this session: inside its open
+    /// transaction, if any, which fixed what it sees at `BEGIN` — so the
+    /// stamps are checked at once.
+    pub fn run(&mut self, p: &Prepared) -> DbResult<QueryResult> {
+        if let Some(res) = self.control(&p.current().stmt) {
+            return res;
+        }
+        if self.aborted {
+            return Err(DbError::Eval(
+                "current transaction is aborted, commands ignored \
+                 until end of transaction block"
+                    .into(),
+            ));
+        }
+        let db = self.db;
+        let res = db.run_in(p, self.txn.as_mut(), &|| Ok(p.statement()));
+        if matches!(res, Err(DbError::Conflict(_))) {
+            if let Some(txn) = self.txn.take() {
+                let _ = db.rollback_txn(txn);
+                self.aborted = true;
             }
         }
+        res
+    }
+
+    /// `BEGIN`, `COMMIT` and `ROLLBACK`, answered by the session itself.
+    fn control(&mut self, stmt: &Statement) -> Option<DbResult<QueryResult>> {
+        Some(match stmt {
+            Statement::Begin => {
+                if self.txn.is_some() || self.aborted {
+                    return Some(Err(DbError::Eval("already in a transaction".into())));
+                }
+                self.db.begin_txn().map(|txn| {
+                    self.txn = Some(txn);
+                    QueryResult::default()
+                })
+            }
+            Statement::Commit if self.aborted => {
+                self.aborted = false;
+                Err(DbError::Conflict(
+                    "transaction was aborted by a serialization conflict; \
+                     its writes were rolled back"
+                        .into(),
+                ))
+            }
+            Statement::Rollback if self.aborted => {
+                self.aborted = false;
+                Ok(QueryResult::default())
+            }
+            Statement::Commit => match self.txn.take() {
+                Some(txn) => self.db.commit_txn(txn).map(|_| QueryResult::default()),
+                None => Err(DbError::Eval("no transaction in progress".into())),
+            },
+            Statement::Rollback => match self.txn.take() {
+                Some(txn) => self.db.rollback_txn(txn).map(|_| QueryResult::default()),
+                None => Err(DbError::Eval("no transaction in progress".into())),
+            },
+            _ => return None,
+        })
     }
 
     /// Whether a transaction is currently open.

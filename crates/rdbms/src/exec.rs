@@ -181,6 +181,10 @@ crate::counter_table! {
     /// EXPLAIN / EXPLAIN ANALYZE statements executed.
     parallel_breakers explain_runs: counter,
 
+    /// Nanoseconds planning and binding a statement, per preparation of a
+    /// `SELECT`, `EXPLAIN`, `UPDATE` or `DELETE` (DESIGN.md §23).
+    planner plan_ns: histogram,
+
     /// Frames appended to the write-ahead log (page images + commit
     /// markers + checkpoints). The `wal` rows stay zero without a log.
     wal wal_appends: counter,

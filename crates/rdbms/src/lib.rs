@@ -56,7 +56,9 @@ pub mod wal;
 pub use btree::SecondaryIndex;
 pub use columnar::{ColumnStore, ColumnarInfo};
 pub use datum::{ColType, Datum, KeyRange};
-pub use db::{Database, QueryResult, RowWrite, Session, Txn, WriteToken};
+pub use db::{
+    Database, Derive, PlanEpoch, Prepared, QueryResult, RowWrite, Session, Txn, WriteToken,
+};
 pub use error::{DbError, DbResult};
 pub use block::{BlockOperator, RowBlock};
 pub use exec::{ExecLimits, ExecMode, ExecSnapshot};
