@@ -1,9 +1,12 @@
-//! Criterion benchmarks for the morsel-parallel scan pipeline and fused
-//! multi-key extraction (`extract_keys`): serial vs parallel scans at
-//! 1/2/4/8 worker threads, and per-key vs fused extraction at k=1/3/5.
+//! Benchmarks for the morsel-parallel scan pipeline and fused multi-key
+//! extraction (`extract_keys`): in-memory scans at 1/2/4/8 worker
+//! threads, a file-backed collection six times its buffer pool at 1/2/4
+//! threads (its scans read past the pool, DESIGN.md §24), and per-key vs
+//! fused extraction at k=1/3/5.
 //!
-//! The canonical snapshot for these numbers is `results/BENCH_PR3.json`,
-//! written by `cargo run --release -p sinew-bench --bin pr3_scan_fusion`.
+//! `cargo bench -p sinew-bench --bench bench_parallel_scan`. The
+//! end-to-end record for the same paths is `sinewbench`
+//! (`nobench_virtual_spill` for the file-backed scan).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sinew_core::Sinew;
@@ -39,6 +42,31 @@ fn bench_parallel_scan(c: &mut Criterion) {
         });
     }
     g.finish();
+}
+
+/// The `nobench_virtual_spill` regime: 8 192 documents (about 590 heap
+/// pages) behind a 96-page pool, so every scan reads most pages from the
+/// file.
+fn bench_scan_past_the_pool(c: &mut Criterion) {
+    let dir = std::env::temp_dir().join(format!("sinew-bench-spill-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let sinew = Sinew::open(&dir.join("db"), 96, None).unwrap();
+    sinew.create_collection("nobench").unwrap();
+    sinew.load_docs("nobench", &generate(8_192, &NoBenchConfig::default())).unwrap();
+    sinew.db().checkpoint().unwrap();
+    let sql = "SELECT str1, num FROM nobench WHERE num >= 0";
+
+    let mut g = c.benchmark_group("scan_past_the_pool");
+    g.sample_size(10);
+    for threads in [1usize, 2, 4] {
+        g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
+            with_threads(&sinew, t);
+            b.iter(|| black_box(sinew.query(sql).unwrap().rows.len()))
+        });
+    }
+    g.finish();
+    drop(sinew);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Per-key vs fused extraction: both forms are issued as already-rewritten
@@ -83,5 +111,5 @@ fn bench_fused_extraction(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_parallel_scan, bench_fused_extraction);
+criterion_group!(benches, bench_parallel_scan, bench_scan_past_the_pool, bench_fused_extraction);
 criterion_main!(benches);

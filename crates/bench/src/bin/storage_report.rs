@@ -67,7 +67,7 @@ fn check_report(report: &StorageReport) -> Result<(), String> {
         return Err("report JSON is not an object".into());
     };
     let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-    for key in ["table", "rows", "physical_columns", "virtual_columns", "exec", "metrics"] {
+    for key in ["table", "rows", "physical_columns", "virtual_columns", "exec", "io", "metrics"] {
         if get(key).is_none() {
             return Err(format!("report JSON lacks `{key}`"));
         }
@@ -87,8 +87,11 @@ fn check_report(report: &StorageReport) -> Result<(), String> {
     };
     let text = report.render_text();
     let mut positive = Vec::new();
-    for (obj, walk) in [("exec", report.exec.walk()), ("metrics", report.metrics.walk_with_rates())]
-    {
+    for (obj, walk) in [
+        ("exec", report.exec.walk()),
+        ("io", report.io.walk()),
+        ("metrics", report.metrics.walk_with_rates()),
+    ] {
         let Some(Value::Object(counters)) = get(obj) else {
             return Err(format!("`{obj}` is not an object"));
         };

@@ -309,6 +309,9 @@ pub struct StorageReport {
     /// vs serial scans, morsels dispatched, worker spawns, rows/morsel
     /// histogram.
     pub exec: sinew_rdbms::ExecSnapshot,
+    /// Buffer-pool I/O since the database opened (or its last
+    /// `reset_io_stats`), `scan_reads` included.
+    pub io: sinew_rdbms::pager::IoSnapshot,
     /// Instance-wide counters at report time.
     pub metrics: MetricsSnapshot,
 }
@@ -448,6 +451,7 @@ fn storage_report_once(sinew: &Sinew, table: &str) -> DbResult<StorageReport> {
         column_bytes,
         sampled_rows,
         exec: db.exec_stats(),
+        io: db.io_stats(),
         metrics: sinew.metrics().snapshot(),
     })
 }
@@ -524,7 +528,12 @@ impl StorageReport {
         }
         // One line per counter group, groups and counters in table order.
         let mut groups: Vec<(&str, String)> = Vec::new();
-        let walk = self.metrics.walk_with_rates().into_iter().chain(self.exec.walk());
+        let walk = self
+            .metrics
+            .walk_with_rates()
+            .into_iter()
+            .chain(self.exec.walk())
+            .chain(self.io.walk());
         for (group, name, value) in walk {
             let at = groups.iter().position(|(g, _)| *g == group).unwrap_or_else(|| {
                 groups.push((group, String::new()));
@@ -627,6 +636,7 @@ impl StorageReport {
             ("column_bytes".to_string(), Value::Int(self.column_bytes as i64)),
             ("sampled_rows".to_string(), Value::Int(self.sampled_rows as i64)),
             ("exec".to_string(), json_object(self.exec.walk())),
+            ("io".to_string(), json_object(self.io.walk())),
             ("metrics".to_string(), json_object(self.metrics.walk_with_rates())),
         ])
         .to_json()
@@ -756,9 +766,11 @@ mod tests {
         let json = sinew_json::parse(&report.to_json()).unwrap();
         let text = report.render_text();
         let mut names = std::collections::HashSet::new();
-        for (obj, walk) in
-            [("exec", report.exec.walk()), ("metrics", report.metrics.walk_with_rates())]
-        {
+        for (obj, walk) in [
+            ("exec", report.exec.walk()),
+            ("io", report.io.walk()),
+            ("metrics", report.metrics.walk_with_rates()),
+        ] {
             let Value::Object(want) = json_object(walk.clone()) else { unreachable!() };
             assert_eq!(object(&json, obj), want.as_slice(), "{obj} object is the walk, in order");
             for (group, name, value) in walk {

@@ -2234,7 +2234,10 @@ struct ParallelScanOp<'x, 'a> {
     next_morsel: u64,
     wave: usize,
     /// Shared row budget: counts rows that pass the scan filter, exactly
-    /// what the serial scan charges against `max_intermediate_rows`.
+    /// what the serial scan charges against `max_intermediate_rows`. Each
+    /// morsel charges its count once, when it finishes, so workers share
+    /// no write per row; the scan still fails iff more rows pass than
+    /// the cap allows.
     budget: AtomicU64,
     pending: VecDeque<Row>,
 }
@@ -2277,8 +2280,11 @@ impl<'x, 'a> ParallelScanOp<'x, 'a> {
     fn scan_morsel(&self, start: u64, end: u64) -> DbResult<Vec<Row>> {
         let pipe = self.pipe;
         let max_rows = self.exec.limits.max_intermediate_rows;
+        let exceeded =
+            || DbError::ResourceExhausted(format!("intermediate result exceeded {max_rows} rows"));
         let mut ctx = EvalCtx::new();
         let mut rows_seen = 0u64;
+        let mut passed = 0u64;
         let mut out: Vec<Row> = Vec::new();
         self.exec.source.scan_table_range(pipe.table, pipe.needed, start, end, &mut |row| {
             rows_seen += 1;
@@ -2290,10 +2296,9 @@ impl<'x, 'a> ParallelScanOp<'x, 'a> {
             if !keep {
                 return Ok(true);
             }
-            if self.budget.fetch_add(1, Ordering::Relaxed) + 1 > max_rows {
-                return Err(DbError::ResourceExhausted(format!(
-                    "intermediate result exceeded {max_rows} rows"
-                )));
+            passed += 1;
+            if passed > max_rows {
+                return Err(exceeded());
             }
             if let Some(p) = pipe.post_filter {
                 if !p.eval_bool_ctx(&row, &mut ctx)? {
@@ -2313,6 +2318,9 @@ impl<'x, 'a> ParallelScanOp<'x, 'a> {
             Ok(true)
         })?;
         self.exec.stats.rows_per_morsel.record(rows_seen);
+        if self.budget.fetch_add(passed, Ordering::Relaxed) + passed > max_rows {
+            return Err(exceeded());
+        }
         Ok(out)
     }
 

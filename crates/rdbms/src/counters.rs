@@ -5,37 +5,62 @@
 //! print — is generated from that row (DESIGN.md §19).
 //!
 //! Updates stay plain field accesses (`stats.index_scans.inc()` is one
-//! `fetch_add(1, Relaxed)`): no name lookup, no map, no `dyn` on a hot
-//! path. Readers may see a slightly torn cross-counter view, which is fine
-//! for monitoring; each individual counter is always exact.
+//! relaxed `fetch_add` on the calling thread's stripe of the counter): no
+//! name lookup, no map, no `dyn` on a hot path. Readers may see a slightly
+//! torn cross-counter view, which is fine for monitoring; each individual
+//! counter is always exact.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+
+/// Stripes per [`Counter`]: enough that the threads of one statement
+/// (at most a few exec workers) rarely share one.
+const STRIPES: usize = 8;
+
+/// One stripe, alone on its cache line so that threads counting on
+/// different stripes never contend for the line.
+#[derive(Default)]
+#[repr(align(64))]
+struct Stripe(AtomicU64);
+
+/// The calling thread's stripe: threads take stripes round-robin in the
+/// order they first count anything.
+fn stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static STRIPE: usize = NEXT.fetch_add(1, Relaxed) % STRIPES;
+    }
+    STRIPE.with(|s| *s)
+}
 
 /// A monotonically increasing (or, for gauges, inc/dec) event count.
 /// All operations are relaxed atomics: safe from any thread, never a lock.
+/// Each thread adds to its own stripe, so counting once per row from
+/// several workers never bounces one cache line between cores (DESIGN.md
+/// §24); `get` sums the stripes, with wrapping arithmetic so that a gauge
+/// raised on one thread and lowered on another still reads exactly.
 #[derive(Default)]
-pub struct Counter(AtomicU64);
+pub struct Counter([Stripe; STRIPES]);
 
 impl Counter {
     #[inline]
     pub fn inc(&self) {
-        self.0.fetch_add(1, Relaxed);
+        self.add(1);
     }
 
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Relaxed);
+        self.0[stripe()].0.fetch_add(n, Relaxed);
     }
 
     /// Gauge-style decrement (e.g. active worker count).
     #[inline]
     pub fn dec(&self) {
-        self.0.fetch_sub(1, Relaxed);
+        self.0[stripe()].0.fetch_sub(1, Relaxed);
     }
 
     #[inline]
     pub fn get(&self) -> u64 {
-        self.0.load(Relaxed)
+        self.0.iter().fold(0u64, |sum, s| sum.wrapping_add(s.0.load(Relaxed)))
     }
 }
 
@@ -250,6 +275,32 @@ mod tests {
         g.raise_to(7);
         g.raise_to(3);
         assert_eq!(g.get(), 7);
+    }
+
+    /// Threads count on different stripes; the sum is exact, a gauge
+    /// raised on one thread and lowered on another included.
+    #[test]
+    fn striped_counter_sums_exactly_across_threads() {
+        let c = Counter::default();
+        let gauge = Counter::default();
+        std::thread::scope(|s| {
+            for t in 0..2 * STRIPES as u64 {
+                let (c, gauge) = (&c, &gauge);
+                s.spawn(move || {
+                    for _ in 0..1_000 {
+                        c.inc();
+                    }
+                    c.add(t);
+                    gauge.inc();
+                });
+            }
+        });
+        let n = 2 * STRIPES as u64;
+        assert_eq!(c.get(), n * 1_000 + n * (n - 1) / 2);
+        for _ in 0..n {
+            gauge.dec();
+        }
+        assert_eq!(gauge.get(), 0, "inc on worker stripes, dec on this one");
     }
 
     #[test]

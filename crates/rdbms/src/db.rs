@@ -151,7 +151,7 @@ impl Table {
         wanted[slot] = true;
         let mut values = Vec::new();
         self.heap.scan(|rowid, bytes| {
-            let mut full = tuple::decode_tuple_partial(&self.schema, &bytes, &wanted)?;
+            let mut full = tuple::decode_tuple_partial(&self.schema, bytes, &wanted)?;
             values.push((std::mem::replace(&mut full[slot], Datum::Null), rowid));
             Ok(true)
         })?;
@@ -1533,7 +1533,7 @@ impl Database {
         let t = t.read();
         let live: Vec<usize> = t.schema.live_columns().map(|(i, _)| i).collect();
         t.heap.scan(|rowid, bytes| {
-            let full = tuple::decode_tuple(&t.schema, &bytes)?;
+            let full = tuple::decode_tuple(&t.schema, bytes)?;
             let row: Row = live.iter().map(|&i| full[i].clone()).collect();
             f(rowid, row)
         })
@@ -1552,7 +1552,7 @@ impl Database {
             let mut collectors: Vec<ColumnCollector> =
                 names.iter().map(|_| ColumnCollector::new()).collect();
             t.heap.scan(|_, bytes| {
-                let full = tuple::decode_tuple(&t.schema, &bytes)?;
+                let full = tuple::decode_tuple(&t.schema, bytes)?;
                 for (c, &i) in collectors.iter_mut().zip(&live) {
                     c.add(&full[i]);
                 }
@@ -2195,7 +2195,7 @@ impl Database {
         let t = t.read();
         let mut rows: Vec<(RowId, Vec<Datum>)> = Vec::new();
         t.heap.scan(|rowid, bytes| {
-            rows.push((rowid, tuple::decode_tuple(&t.schema, &bytes)?));
+            rows.push((rowid, tuple::decode_tuple(&t.schema, bytes)?));
             Ok(true)
         })?;
         let bad = |what: &str, column: &str, detail: String| {
@@ -2581,7 +2581,7 @@ impl SnapSource<'_> {
         let mut fetched = 0u64;
         let res = t.heap.scan_range_vis(start, end, self.vis, |rowid, bytes| {
             fetched += 1;
-            f(scan_row(tuple::decode_tuple_partial(&t.schema, &bytes, &wanted)?, &live, rowid))
+            f(scan_row(tuple::decode_tuple_partial(&t.schema, bytes, &wanted)?, &live, rowid))
         });
         if fetched > 0 {
             self.db.exec_stats.heap_fetches.add(fetched);

@@ -9,6 +9,13 @@
 //! Tuples larger than a page go to a *jumbo chain* of raw pages (a
 //! bare-bones TOAST): the column reservoir can exceed 8 KiB for documents
 //! with large nested objects.
+//!
+//! A range scan reads pages, not tuples (DESIGN.md §24): it copies each
+//! page once into its own buffer and serves every following row that lives
+//! on that page from the copy, so the pool is consulted once per page. A
+//! heap with more data pages than the pool holds is scanned past the pool
+//! (`Pager::read_for_scan`): the scan neither fills nor flushes it. Point
+//! reads (`get`, index fetches) go through the pool as before.
 
 use crate::error::{DbError, DbResult};
 use crate::page::{self, MAX_INLINE_TUPLE, PAGE_SIZE};
@@ -241,10 +248,9 @@ impl Heap {
 
     fn fetch(&self, loc: &Loc) -> DbResult<Vec<u8>> {
         match loc {
-            Loc::Slot { page, slot, .. } => self
-                .pager
-                .with_page(*page, |pg| page::read(pg, *slot).map(<[u8]>::to_vec))?
-                .ok_or_else(|| DbError::Io("dangling slot".into())),
+            Loc::Slot { page, slot, .. } => {
+                self.pager.with_page(*page, |pg| slot_bytes(pg, *slot).map(<[u8]>::to_vec))?
+            }
             Loc::Jumbo { pages, len } => {
                 let mut out = Vec::with_capacity(*len as usize);
                 let mut remaining = *len as usize;
@@ -321,52 +327,52 @@ impl Heap {
 
     /// Visit every live row in row-id order. The callback returns `false`
     /// to stop early (LIMIT push-down).
-    pub fn scan(&self, f: impl FnMut(RowId, Vec<u8>) -> DbResult<bool>) -> DbResult<()> {
+    pub fn scan(&self, f: impl FnMut(RowId, &[u8]) -> DbResult<bool>) -> DbResult<()> {
         self.scan_range(0, self.high_water(), f)
     }
 
     /// Visit live rows with ids in `start..end`, in row-id order — one
     /// morsel of the parallel scan. `&self` only: concurrent range scans
-    /// over disjoint (or even overlapping) ranges are safe, page reads go
-    /// through the pager's shared lock.
+    /// over disjoint (or even overlapping) ranges are safe; page reads take
+    /// the pool lock shared, or no lock at all past the pool.
     pub fn scan_range(
         &self,
         start: RowId,
         end: RowId,
-        f: impl FnMut(RowId, Vec<u8>) -> DbResult<bool>,
+        f: impl FnMut(RowId, &[u8]) -> DbResult<bool>,
     ) -> DbResult<()> {
         self.scan_range_vis(start, end, Vis::LATEST, f)
     }
 
-    /// Visibility-filtered range scan. With no versions outstanding this is
-    /// the zero-overhead legacy loop; otherwise each row resolves against
-    /// `vis` through its version chain.
+    /// Visibility-filtered range scan: each row's location comes straight
+    /// from the row directory while no version state is outstanding, and
+    /// through its version chain otherwise. Rows that share a page share
+    /// one page read; the copy is private to this call, which the caller's
+    /// table read guard keeps current (no `&mut Heap` can exist meanwhile).
     pub fn scan_range_vis(
         &self,
         start: RowId,
         end: RowId,
         vis: Vis,
-        mut f: impl FnMut(RowId, Vec<u8>) -> DbResult<bool>,
+        mut f: impl FnMut(RowId, &[u8]) -> DbResult<bool>,
     ) -> DbResult<()> {
         let lo = (start as usize).min(self.rows.len());
         let hi = (end as usize).min(self.rows.len());
-        if self.fast_path_ok(vis) {
-            for (off, loc) in self.rows[lo..hi].iter().enumerate() {
-                if let Some(loc) = loc {
-                    let bytes = self.fetch(loc)?;
-                    if !f((lo + off) as RowId, bytes)? {
-                        break;
-                    }
-                }
-            }
-            return Ok(());
-        }
+        let fast = self.fast_path_ok(vis);
+        let mut pages = ScanPage::new(&self.pager, self.pages.len() > self.pager.capacity());
         for rowid in lo..hi {
-            if let Some(loc) = self.resolve_vis(rowid, vis) {
-                let bytes = self.fetch(loc)?;
-                if !f(rowid as RowId, bytes)? {
-                    break;
+            let loc = if fast { self.rows[rowid].as_ref() } else { self.resolve_vis(rowid, vis) };
+            let jumbo;
+            let bytes = match loc {
+                None => continue,
+                Some(Loc::Slot { page, slot, .. }) => slot_bytes(pages.read(*page)?, *slot)?,
+                Some(loc) => {
+                    jumbo = self.fetch(loc)?;
+                    &jumbo
                 }
+            };
+            if !f(rowid as RowId, bytes)? {
+                break;
             }
         }
         Ok(())
@@ -791,6 +797,35 @@ impl Heap {
     }
 }
 
+/// The tuple in `slot` of page image `pg`.
+fn slot_bytes(pg: &[u8], slot: u16) -> DbResult<&[u8]> {
+    page::read(pg, slot).ok_or_else(|| DbError::Io("dangling slot".into()))
+}
+
+/// The page a range scan last read, copied into the scan's own buffer.
+struct ScanPage<'p> {
+    pager: &'p Pager,
+    /// Read pages that are not resident past the pool.
+    past_pool: bool,
+    id: Option<PageId>,
+    buf: Box<[u8]>,
+}
+
+impl<'p> ScanPage<'p> {
+    fn new(pager: &'p Pager, past_pool: bool) -> ScanPage<'p> {
+        ScanPage { pager, past_pool, id: None, buf: vec![0u8; PAGE_SIZE].into_boxed_slice() }
+    }
+
+    /// The image of page `id`, read unless it is the page read last.
+    fn read(&mut self, id: PageId) -> DbResult<&[u8]> {
+        if self.id != Some(id) {
+            self.pager.read_for_scan(id, &mut self.buf, self.past_pool)?;
+            self.id = Some(id);
+        }
+        Ok(&self.buf)
+    }
+}
+
 fn put_loc(out: &mut Vec<u8>, loc: Option<&Loc>) {
     match loc {
         None => out.push(0),
@@ -871,7 +906,7 @@ mod tests {
         assert!(!h.delete(ids[3]).unwrap());
         let mut seen = Vec::new();
         h.scan(|rid, bytes| {
-            seen.push((rid, String::from_utf8(bytes).unwrap()));
+            seen.push((rid, String::from_utf8(bytes.to_vec()).unwrap()));
             Ok(true)
         })
         .unwrap();
@@ -918,6 +953,66 @@ mod tests {
         assert_eq!(h.len(), n);
         assert!(h.pages_used() > 5);
         assert_eq!(h.get(4_999).unwrap(), Some(b"row-number-00004999".to_vec()));
+    }
+
+    /// A file-backed heap of `rows` rows of about 200 bytes behind a pool
+    /// of `pool` frames, all written back.
+    fn file_heap(name: &str, pool: usize, rows: u64) -> (Heap, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("sinew-heap-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut h = Heap::new(Arc::new(Pager::open(&dir.join("t.db"), pool).unwrap()));
+        for i in 0..rows {
+            h.insert(format!("row-{i:06}-{}", "p".repeat(190)).as_bytes()).unwrap();
+        }
+        h.pager.flush().unwrap();
+        (h, dir)
+    }
+
+    fn scan_all(h: &Heap) -> Vec<(RowId, Vec<u8>)> {
+        let mut out = Vec::new();
+        h.scan(|rid, bytes| {
+            out.push((rid, bytes.to_vec()));
+            Ok(true)
+        })
+        .unwrap();
+        out
+    }
+
+    /// A heap with more data pages than the pool is scanned past the pool:
+    /// resident pages are read in place, the others from the file, and the
+    /// pool's resident set is the same before and after.
+    #[test]
+    fn scan_of_a_table_larger_than_the_pool_leaves_the_pool_alone() {
+        let (h, dir) = file_heap("large", 8, 1_500);
+        assert!(h.pages.len() > 4 * h.pager.capacity(), "{} pages", h.pages.len());
+        let resident = h.pager.resident();
+        let absent = h.pages.iter().filter(|p| !resident.contains(p)).count() as u64;
+        h.pager.reset_stats();
+        let rows = scan_all(&h);
+        assert_eq!(rows.len(), 1_500);
+        assert!(rows.iter().all(|(rid, b)| b.starts_with(format!("row-{rid:06}-").as_bytes())));
+        let io = h.pager.stats();
+        assert_eq!((io.disk_reads, io.scan_reads), (absent, absent), "one read per absent page");
+        assert_eq!(io.cache_hits, h.pages.len() as u64 - absent, "one hit per resident page");
+        assert_eq!(h.pager.resident(), resident, "the scan neither filled nor evicted");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A heap that fits the pool is faulted in by its first scan, so the
+    /// second reads nothing from the file.
+    #[test]
+    fn scan_of_a_table_that_fits_the_pool_faults_it_in() {
+        let (h, dir) = file_heap("fits", 64, 500);
+        assert!(h.pages.len() <= h.pager.capacity());
+        h.pager.evict_all().unwrap();
+        h.pager.reset_stats();
+        let first = scan_all(&h);
+        let io = h.pager.stats();
+        assert_eq!((io.disk_reads, io.scan_reads), (h.pages.len() as u64, 0));
+        h.pager.reset_stats();
+        assert_eq!(scan_all(&h), first);
+        assert_eq!(h.pager.stats().disk_reads, 0, "second scan served from the pool");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The incremental live-byte counter must agree with a from-scratch

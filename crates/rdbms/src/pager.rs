@@ -6,19 +6,29 @@
 //! regimes (§6): datasets smaller than the pool are CPU-bound with warm
 //! caches; datasets larger than the pool become I/O-bound.
 //!
+//! All file I/O is positional (`read_exact_at` / `write_all_at`), so the
+//! file lives outside the pool lock. A sequential scan of a table larger
+//! than the pool uses that (DESIGN.md §24): `Pager::read_for_scan` copies
+//! a resident page out under the shared lock, and reads any other page
+//! from the file into the scan's own buffer with no lock held. The scan
+//! neither fills the pool nor evicts from it. This is PostgreSQL's ring
+//! buffer for large sequential scans, with a ring of zero frames. Tables
+//! that fit the pool, and every point access, fault pages in as usual.
+//!
 //! Because modern OS page caches would hide most file latency at our
 //! scaled-down sizes, the pager supports an optional *simulated* per-miss
 //! latency (`io_delay`), calibrated by the harness to the paper's measured
 //! 250–300 MB/s read bandwidth. This substitution is documented in
 //! DESIGN.md; correctness never depends on it, only bench realism.
 
+use crate::counters::{Entry, Sample};
 use crate::error::{DbError, DbResult};
 use crate::page::{self, PAGE_SIZE};
 use crate::wal::Wal;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -32,6 +42,7 @@ pub struct IoStats {
     pub disk_reads: AtomicU64,
     pub disk_writes: AtomicU64,
     pub cache_hits: AtomicU64,
+    pub scan_reads: AtomicU64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,6 +50,25 @@ pub struct IoSnapshot {
     pub disk_reads: u64,
     pub disk_writes: u64,
     pub cache_hits: u64,
+    /// Pages a sequential scan read from the file past the pool, without
+    /// inserting them: a subset of `disk_reads`.
+    pub scan_reads: u64,
+}
+
+impl IoSnapshot {
+    /// Every counter as `(group, name, value)` — the shape of a counter
+    /// table's walk, so reports print both alike.
+    pub fn walk(&self) -> Vec<Entry> {
+        [
+            ("disk_reads", self.disk_reads),
+            ("disk_writes", self.disk_writes),
+            ("cache_hits", self.cache_hits),
+            ("scan_reads", self.scan_reads),
+        ]
+        .into_iter()
+        .map(|(name, v)| ("pager", name, Sample::Int(v)))
+        .collect()
+    }
 }
 
 struct Frame {
@@ -60,12 +90,9 @@ impl Frame {
 }
 
 struct Inner {
-    file: Option<File>,
     /// Frames resident in memory. In memory-mode this holds *all* pages.
     frames: HashMap<PageId, Frame>,
     n_pages: u64,
-    /// Max resident frames in file mode; unlimited in memory mode.
-    capacity: usize,
 }
 
 /// The page manager. Resident-page reads take the pool lock *shared*, so
@@ -73,6 +100,11 @@ struct Inner {
 /// writes, and eviction take it exclusively.
 pub struct Pager {
     inner: RwLock<Inner>,
+    /// The data file; `None` in memory mode. Only positional reads and
+    /// writes touch it, so it needs no lock of its own.
+    file: Option<File>,
+    /// Max resident frames in file mode; unlimited in memory mode.
+    capacity: usize,
     tick: AtomicU64,
     stats: IoStats,
     io_delay: Option<Duration>,
@@ -87,21 +119,22 @@ pub struct Pager {
 }
 
 impl Pager {
-    /// All pages live in memory; no eviction, no I/O.
-    pub fn in_memory() -> Pager {
+    fn new(file: Option<File>, n_pages: u64, capacity: usize) -> Pager {
         Pager {
-            inner: RwLock::new(Inner {
-                file: None,
-                frames: HashMap::new(),
-                n_pages: 0,
-                capacity: usize::MAX,
-            }),
+            inner: RwLock::new(Inner { frames: HashMap::new(), n_pages }),
+            file,
+            capacity,
             tick: AtomicU64::new(0),
             stats: IoStats::default(),
             io_delay: None,
             wal_mode: false,
             wal_hook: OnceLock::new(),
         }
+    }
+
+    /// All pages live in memory; no eviction, no I/O.
+    pub fn in_memory() -> Pager {
+        Pager::new(None, 0, usize::MAX)
     }
 
     /// File-backed pager with an LRU pool of `pool_pages` frames.
@@ -112,19 +145,7 @@ impl Pager {
             .create(true)
             .truncate(true)
             .open(path)?;
-        Ok(Pager {
-            inner: RwLock::new(Inner {
-                file: Some(file),
-                frames: HashMap::new(),
-                n_pages: 0,
-                capacity: pool_pages.max(8),
-            }),
-            tick: AtomicU64::new(0),
-            stats: IoStats::default(),
-            io_delay: None,
-            wal_mode: false,
-            wal_hook: OnceLock::new(),
-        })
+        Ok(Pager::new(Some(file), 0, pool_pages.max(8)))
     }
 
     /// File-backed pager over an **existing** data file (the recovery
@@ -133,19 +154,7 @@ impl Pager {
     pub fn open_existing(path: &Path, pool_pages: usize, n_pages: u64) -> DbResult<Pager> {
         let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
-        Ok(Pager {
-            inner: RwLock::new(Inner {
-                file: Some(file),
-                frames: HashMap::new(),
-                n_pages,
-                capacity: pool_pages.max(8),
-            }),
-            tick: AtomicU64::new(0),
-            stats: IoStats::default(),
-            io_delay: None,
-            wal_mode: false,
-            wal_hook: OnceLock::new(),
-        })
+        Ok(Pager::new(Some(file), n_pages, pool_pages.max(8)))
     }
 
     /// Add a simulated latency per buffer-pool miss (read or write-back).
@@ -166,6 +175,11 @@ impl Pager {
     /// after the WAL is opened; a second call is ignored.
     pub fn set_wal(&self, wal: Arc<Wal>) {
         let _ = self.wal_hook.set(wal);
+    }
+
+    /// Frames the pool holds before it evicts (`usize::MAX` in memory).
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
     }
 
     /// Allocate a fresh, zeroed, page-initialized page.
@@ -193,10 +207,26 @@ impl Pager {
         if init {
             page::init(&mut data);
         }
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        let tick = self.next_tick();
         self.make_room(&mut inner)?;
         inner.frames.insert(id, Frame::new(data, true, uncommitted, tick));
         Ok(id)
+    }
+
+    fn next_tick(&self) -> u64 {
+        self.tick.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// The resident frame of `id`, counted as a hit and touched for LRU,
+    /// or `None` on a miss.
+    fn hit<'i>(&self, inner: &'i Inner, id: PageId) -> DbResult<Option<&'i Frame>> {
+        if id >= inner.n_pages {
+            return Err(DbError::Io(format!("page {id} out of range")));
+        }
+        let Some(frame) = inner.frames.get(&id) else { return Ok(None) };
+        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+        frame.last_used.store(self.next_tick(), Ordering::Relaxed);
+        Ok(Some(frame))
     }
 
     /// Read access to a page. Resident pages are served under the shared
@@ -205,23 +235,48 @@ impl Pager {
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> DbResult<R> {
         {
             let inner = self.inner.read();
-            // Range check first so the error matches the exclusive path.
-            if id >= inner.n_pages {
-                return Err(DbError::Io(format!("page {id} out of range")));
-            }
-            if let Some(frame) = inner.frames.get(&id) {
-                self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-                frame.last_used.store(tick, Ordering::Relaxed);
+            if let Some(frame) = self.hit(&inner, id)? {
                 return Ok(f(&frame.data));
             }
         }
         let mut inner = self.inner.write();
         self.fault_in(&mut inner, id)?;
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        let tick = self.next_tick();
         let frame = inner.frames.get(&id).expect("faulted in");
         frame.last_used.store(tick, Ordering::Relaxed);
         Ok(f(&frame.data))
+    }
+
+    /// Copy page `id` into `buf`, a sequential scan's own page buffer.
+    /// Without `past_pool` this is [`Pager::with_page`]. With it (the
+    /// scanned table has more pages than the pool holds) a resident page
+    /// is copied under the shared lock and any other page is read from
+    /// the file with no lock held, never entering the pool.
+    ///
+    /// The file read is current only because the caller excludes every
+    /// writer of the page (a heap scan holds its table's read guard): a
+    /// frame leaves the pool only after its write-back, and an uncommitted
+    /// frame never leaves it (no-steal), so a page that is not resident
+    /// has its latest image in the file.
+    pub(crate) fn read_for_scan(
+        &self,
+        id: PageId,
+        buf: &mut [u8],
+        past_pool: bool,
+    ) -> DbResult<()> {
+        if !past_pool {
+            return self.with_page(id, |pg| buf.copy_from_slice(pg));
+        }
+        {
+            let inner = self.inner.read();
+            if let Some(frame) = self.hit(&inner, id)? {
+                buf.copy_from_slice(&frame.data);
+                return Ok(());
+            }
+        }
+        self.read_file(id, buf)?;
+        self.stats.scan_reads.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Write access to a page; marks it dirty (and, under WAL discipline,
@@ -248,7 +303,7 @@ impl Pager {
     ) -> DbResult<R> {
         let mut inner = self.inner.write();
         self.fault_in(&mut inner, id)?;
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        let tick = self.next_tick();
         let frame = inner.frames.get_mut(&id).expect("faulted in");
         *frame.last_used.get_mut() = tick;
         frame.dirty = true;
@@ -293,6 +348,7 @@ impl Pager {
             disk_reads: self.stats.disk_reads.load(Ordering::Relaxed),
             disk_writes: self.stats.disk_writes.load(Ordering::Relaxed),
             cache_hits: self.stats.cache_hits.load(Ordering::Relaxed),
+            scan_reads: self.stats.scan_reads.load(Ordering::Relaxed),
         }
     }
 
@@ -300,21 +356,19 @@ impl Pager {
         self.stats.disk_reads.store(0, Ordering::Relaxed);
         self.stats.disk_writes.store(0, Ordering::Relaxed);
         self.stats.cache_hits.store(0, Ordering::Relaxed);
+        self.stats.scan_reads.store(0, Ordering::Relaxed);
     }
 
     /// Write back all dirty frames (no-op in memory mode).
     pub fn flush(&self) -> DbResult<()> {
-        let mut inner = self.inner.write();
-        if inner.file.is_none() {
+        if self.file.is_none() {
             return Ok(());
         }
+        let mut inner = self.inner.write();
         let ids: Vec<PageId> =
             inner.frames.iter().filter(|(_, fr)| fr.dirty).map(|(id, _)| *id).collect();
         for id in ids {
             self.write_back(&mut inner, id)?;
-        }
-        if let Some(f) = &mut inner.file {
-            f.flush()?;
         }
         Ok(())
     }
@@ -323,17 +377,9 @@ impl Pager {
     /// checkpoint barrier: after this returns, the log's history before
     /// the checkpoint is no longer needed.
     pub fn flush_and_sync(&self) -> DbResult<()> {
-        let mut inner = self.inner.write();
-        if inner.file.is_none() {
-            return Ok(());
-        }
-        let ids: Vec<PageId> =
-            inner.frames.iter().filter(|(_, fr)| fr.dirty).map(|(id, _)| *id).collect();
-        for id in ids {
-            self.write_back(&mut inner, id)?;
-        }
-        if let Some(f) = &mut inner.file {
-            f.sync_all()?;
+        self.flush()?;
+        if let Some(file) = &self.file {
+            file.sync_all()?;
         }
         Ok(())
     }
@@ -343,10 +389,10 @@ impl Pager {
     /// no-steal pin holds here too: an image whose statement hasn't
     /// committed must never reach the data file ahead of the WAL.
     pub fn evict_all(&self) -> DbResult<()> {
-        let mut inner = self.inner.write();
-        if inner.file.is_none() {
+        if self.file.is_none() {
             return Ok(()); // memory mode: nothing to evict to
         }
+        let mut inner = self.inner.write();
         let ids: Vec<PageId> = inner
             .frames
             .iter()
@@ -368,32 +414,51 @@ impl Pager {
             self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
-        // miss: read from file
-        let Some(file) = &mut inner.file else {
-            return Err(DbError::Io(format!("page {id} evicted without backing file")));
-        };
         let mut data = vec![0u8; PAGE_SIZE].into_boxed_slice();
-        file.seek(SeekFrom::Start(id * PAGE_SIZE as u64))?;
-        // Pages past EOF (never written back) read as zero, but that cannot
-        // happen: eviction always writes dirty pages and fresh pages are
-        // dirty from birth.
-        file.read_exact(&mut data)?;
-        self.stats.disk_reads.fetch_add(1, Ordering::Relaxed);
-        if let Some(d) = self.io_delay {
-            std::thread::sleep(d);
-        }
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        self.read_file(id, &mut data)?;
+        let tick = self.next_tick();
         self.make_room(inner)?;
         inner.frames.insert(id, Frame::new(data, false, false, tick));
         Ok(())
     }
 
+    /// Read page `id` from the data file, charging one disk read and the
+    /// simulated latency.
+    fn read_file(&self, id: PageId, buf: &mut [u8]) -> DbResult<()> {
+        let Some(file) = &self.file else {
+            return Err(DbError::Io(format!("page {id} evicted without backing file")));
+        };
+        // Pages past EOF (never written back) would fail here, but that
+        // cannot happen: eviction always writes dirty pages and fresh
+        // pages are dirty from birth.
+        file.read_exact_at(buf, id * PAGE_SIZE as u64)?;
+        self.stats.disk_reads.fetch_add(1, Ordering::Relaxed);
+        if let Some(d) = self.io_delay {
+            std::thread::sleep(d);
+        }
+        Ok(())
+    }
+
+    /// Make room for one more frame.
     fn make_room(&self, inner: &mut Inner) -> DbResult<()> {
-        while inner.frames.len() >= inner.capacity {
-            // No-steal: uncommitted frames are pinned (their images must
-            // reach the WAL before the data file may see them). If every
-            // frame is pinned the pool temporarily exceeds capacity; the
-            // statement's commit point unpins them all.
+        self.evict_down_to(inner, self.capacity - 1)
+    }
+
+    /// Evict LRU frames until the pool is back within capacity — the
+    /// counterpart to the no-steal overflow: a statement that dirtied more
+    /// pages than the pool holds calls this right after its WAL commit
+    /// unpins them.
+    pub fn shrink_to_capacity(&self) -> DbResult<()> {
+        self.evict_down_to(&mut self.inner.write(), self.capacity)
+    }
+
+    /// Write back and drop least-recently-used frames until at most `keep`
+    /// remain. No-steal: uncommitted frames are pinned (their images must
+    /// reach the WAL before the data file may see them). If every frame is
+    /// pinned the pool temporarily exceeds capacity; the statement's
+    /// commit point unpins them all.
+    fn evict_down_to(&self, inner: &mut Inner, keep: usize) -> DbResult<()> {
+        while inner.frames.len() > keep {
             let victim = inner
                 .frames
                 .iter()
@@ -407,53 +472,31 @@ impl Pager {
         Ok(())
     }
 
-    /// Evict LRU frames until the pool is back within capacity — the
-    /// counterpart to the no-steal overflow: a statement that dirtied more
-    /// pages than the pool holds calls this right after its WAL commit
-    /// unpins them.
-    pub fn shrink_to_capacity(&self) -> DbResult<()> {
-        let mut inner = self.inner.write();
-        if inner.file.is_none() {
-            return Ok(());
-        }
-        while inner.frames.len() > inner.capacity {
-            let victim = inner
-                .frames
-                .iter()
-                .filter(|(_, fr)| !fr.uncommitted)
-                .min_by_key(|(_, fr)| fr.last_used.load(Ordering::Relaxed))
-                .map(|(id, _)| *id);
-            let Some(victim) = victim else { return Ok(()) };
-            self.write_back(&mut inner, victim)?;
-            inner.frames.remove(&victim);
-        }
-        Ok(())
+    /// Resident page ids, ascending.
+    #[cfg(test)]
+    pub(crate) fn resident(&self) -> Vec<PageId> {
+        let mut ids: Vec<PageId> = self.inner.read().frames.keys().copied().collect();
+        ids.sort_unstable();
+        ids
     }
 
     fn write_back(&self, inner: &mut Inner, id: PageId) -> DbResult<()> {
-        let dirty = inner.frames.get(&id).map(|fr| fr.dirty).unwrap_or(false);
-        if !dirty {
+        let Some(file) = &self.file else { return Ok(()) };
+        let Some(frame) = inner.frames.get_mut(&id).filter(|fr| fr.dirty) else {
             return Ok(());
-        }
+        };
         // WAL-before-data: the commit covering this image may still sit in
         // the group-commit window; force it down before the page goes out.
         // (No-op when nothing is unsynced, so the common case is free.)
         if let Some(w) = self.wal_hook.get() {
             w.sync()?;
         }
-        let data_ptr: Box<[u8]> = inner.frames.get(&id).unwrap().data.clone();
-        let Some(file) = &mut inner.file else {
-            return Ok(());
-        };
-        file.seek(SeekFrom::Start(id * PAGE_SIZE as u64))?;
-        file.write_all(&data_ptr)?;
+        file.write_all_at(&frame.data, id * PAGE_SIZE as u64)?;
         self.stats.disk_writes.fetch_add(1, Ordering::Relaxed);
         if let Some(d) = self.io_delay {
             std::thread::sleep(d);
         }
-        if let Some(fr) = inner.frames.get_mut(&id) {
-            fr.dirty = false;
-        }
+        frame.dirty = false;
         Ok(())
     }
 }

@@ -134,3 +134,83 @@ fn single_thread_forces_serial_path() {
     assert_eq!(after.parallel_scans, before, "threads=1 must stay serial");
     assert!(after.serial_scans > 0);
 }
+
+/// A file-backed table four times its pool is scanned past the pool
+/// (pages not resident are read from the file, never entering it) while
+/// relocating updates, deletes, checkpoints and cache drops land around an
+/// open snapshot — so the scans resolve rows through version chains. At
+/// 1, 2 and 4 threads every scan equals an in-memory twin that ran the
+/// same statements, the snapshot keeps reading what it saw at `BEGIN`,
+/// and both databases' derived structures match their heaps.
+#[test]
+fn scans_past_the_pool_match_an_in_memory_twin() {
+    let dir = std::env::temp_dir().join(format!("sinew-pscan-pool-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    const POOL: usize = 8;
+    let file = Database::open(&dir.join("t.db"), POOL, None).unwrap();
+    let twin = Database::in_memory();
+    let both = |sql: &str| {
+        for db in [&file, &twin] {
+            db.execute(sql).unwrap();
+        }
+    };
+    both("CREATE TABLE t (id int, v int, s text)");
+    for lo in (0..ROWS).step_by(500) {
+        let values: Vec<String> = (lo..lo + 500)
+            .map(|i| format!("({i}, {}, '{}')", lcg(i) % 1000, "s".repeat(80 + (i % 60) as usize)))
+            .collect();
+        both(&format!("INSERT INTO t VALUES {}", values.join(", ")));
+    }
+    for db in [&file, &twin] {
+        db.create_index("t", "t_v", "v", true).unwrap();
+    }
+    let pages = file.table_size_bytes("t").unwrap() / sinew_rdbms::page::PAGE_SIZE as u64;
+    assert!(pages >= 4 * POOL as u64, "{pages} pages against a {POOL}-page pool");
+
+    const SCANS: &[&str] = &[
+        "SELECT * FROM t",
+        "SELECT id, s FROM t WHERE v % 3 = 0",
+        "SELECT COUNT(*), SUM(v), MAX(s) FROM t",
+    ];
+    let check = |phase: &str| {
+        for db in [&file, &twin] {
+            db.check_derived("t").unwrap();
+        }
+        for sql in SCANS {
+            let want = twin.execute(sql).unwrap();
+            for threads in [1, 2, 4] {
+                with_threads(&file, threads);
+                let got = file.execute(sql).unwrap();
+                assert_eq!(got.rows, want.rows, "{phase}: {sql} at {threads} threads");
+            }
+        }
+    };
+    check("loaded");
+
+    let mut reader = file.session();
+    reader.execute("BEGIN").unwrap();
+    let at_begin = reader.execute("SELECT * FROM t").unwrap().rows;
+    both("UPDATE t SET s = s || '-grown-past-its-slot' WHERE id % 5 = 0");
+    check("relocating update");
+    both("DELETE FROM t WHERE id % 7 = 0");
+    check("delete");
+    file.checkpoint().unwrap();
+    check("checkpoint");
+    file.drop_caches().unwrap();
+    check("cold pool");
+    both("UPDATE t SET v = v + 1 WHERE id % 11 = 0");
+    file.drop_caches().unwrap();
+    check("update after a cold pool");
+    assert!(file.exec_stats().versions_created > 0, "writes retained versions for the reader");
+    for threads in [1, 2, 4] {
+        with_threads(&file, threads);
+        let seen = reader.execute("SELECT * FROM t").unwrap().rows;
+        assert_eq!(seen, at_begin, "snapshot at {threads} threads");
+    }
+    reader.execute("COMMIT").unwrap();
+    drop(reader);
+    file.vacuum().unwrap();
+    check("vacuumed");
+    assert!(file.io_stats().scan_reads > 0, "no scan read past the pool");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -4,6 +4,8 @@
 //! those regimes for a file-backed Sinew instance.
 
 use sinew::Sinew;
+use sinew_rdbms::page::PAGE_SIZE;
+use sinew_rdbms::ExecLimits;
 
 #[test]
 fn small_dataset_stays_cached_large_dataset_faults() {
@@ -25,8 +27,12 @@ fn small_dataset_stays_cached_large_dataset_faults() {
     assert_eq!(stats.disk_reads, 0, "small dataset must be fully cached");
     assert!(stats.cache_hits > 0);
 
-    // same pool, 20x the data: scans must fault pages in from disk
+    // Same pool, 20x the data: the table no longer fits, so a scan reads
+    // the pages the pool does not hold from the file, past the pool — it
+    // neither fills the pool nor flushes what is there. One exec thread:
+    // a parallel scan reads a page its morsel boundary cuts once per morsel.
     let large = Sinew::open(&dir.join("large.db"), 64, None).unwrap();
+    large.db().set_exec_limits(ExecLimits { exec_threads: 1, ..ExecLimits::default() });
     large.create_collection("c").unwrap();
     for chunk in 0..20 {
         let docs: String = (0..300)
@@ -39,16 +45,30 @@ fn small_dataset_stays_cached_large_dataset_faults() {
             .collect();
         large.load_jsonl("c", &docs).unwrap();
     }
-    large.query("SELECT COUNT(*) FROM c").unwrap(); // touch everything once
-    large.db().reset_io_stats();
-    let r = large.query("SELECT COUNT(*) FROM c WHERE k = 'key-7-7'").unwrap();
-    assert_eq!(r.rows[0][0], sinew::Datum::Int(1));
-    let stats = large.db().io_stats();
+    let pages = large.db().table_size_bytes("c").unwrap() / PAGE_SIZE as u64;
+    assert!(pages > 64, "table of {pages} pages must exceed the 64-page pool");
+    let query = "SELECT COUNT(*) FROM c WHERE k = 'key-7-7'";
+    let scan = || {
+        large.db().reset_io_stats();
+        let r = large.query(query).unwrap();
+        assert_eq!(r.rows[0][0], sinew::Datum::Int(1));
+        large.db().io_stats()
+    };
+    scan(); // prepares the statement
+    let first = scan();
+    // Exactly the non-resident pages: at least those the pool cannot hold.
     assert!(
-        stats.disk_reads > 100,
-        "large dataset must fault pages (got {} reads)",
-        stats.disk_reads
+        first.disk_reads >= pages - 64 && first.disk_reads <= pages,
+        "read {} of {pages} pages past a 64-page pool",
+        first.disk_reads
     );
+    assert_eq!(first.scan_reads, first.disk_reads, "every read bypassed the pool");
+    assert_eq!(scan(), first, "the scan left the pool as it found it");
+    // Cold: no page is resident, so the scan reads every page exactly once.
+    large.db().drop_caches().unwrap();
+    let cold = scan();
+    assert_eq!((cold.disk_reads, cold.scan_reads, cold.cache_hits), (pages, pages, 0));
+    assert_eq!(scan(), cold);
 
     std::fs::remove_dir_all(&dir).ok();
 }
