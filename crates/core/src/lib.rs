@@ -54,7 +54,7 @@ pub use extract::Want;
 pub use loader::{LoadOptions, LoadReport};
 pub use materializer::{MaterializerReport, StepBudget};
 pub use metrics::{ColumnarStoreReport, IndexReport, Metrics, MetricsSnapshot, StorageReport};
-pub use plan::{ExtractionPlan, MultiExtractionPlan, ResolvedPath};
+pub use plan::{ExtractionPlan, ResolvedPath};
 pub use types::AttrType;
 
 use parking_lot::{Mutex, RwLock};

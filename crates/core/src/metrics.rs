@@ -44,7 +44,7 @@ sinew_rdbms::counter_table! {
     /// Never incremented: there is no cache to hit since extraction plans
     /// live in the bound call (DESIGN.md §22).
     plan_cache plan_cache_hits: counter,
-    /// Path resolutions (`ExtractionPlan` / `MultiExtractionPlan` built):
+    /// Path resolutions (`ExtractionPlan`s built):
     /// one per bind of an extraction call site — once per statement over a
     /// single relation, once per join candidate the planner costs for a
     /// conjunct that spans relations — and one per *call* on the unbound
@@ -54,15 +54,14 @@ sinew_rdbms::counter_table! {
     plan_cache plan_cache_stale_rebuilds: counter,
 
     // -- extraction UDFs (udfs.rs) --
-    /// Per-tuple `extract_key_*` invocations (single-key path).
+    /// Per-tuple `extract_key_*` invocations: values decoded, one per key
+    /// per row that reaches the call.
     udf udf_extractions: counter,
-    /// Per-tuple fused `extract_keys` invocations: each decodes the
-    /// document once for all requested keys (vs one `udf_extractions`
-    /// count per key on the unfused path).
+    /// Never incremented: there is no multi-key extraction call since the
+    /// rewriter stopped fusing (DESIGN.md §25). Kept, reading 0, because
+    /// `sinewbench/src/sut.rs` (frozen) reads it by field name; goes with
+    /// the `sinewbench` v2 item of ROADMAP.md.
     udf udf_fused_extractions: counter,
-    /// Total keys served by fused invocations (`Σ k` over
-    /// `udf_fused_extractions` calls): the single-key calls they replaced.
-    udf udf_fused_keys: counter,
     /// Per-tuple `exists_key` invocations.
     udf udf_exists_probes: counter,
 
@@ -78,8 +77,8 @@ sinew_rdbms::counter_table! {
     rewriter rewritten_virtual_refs: counter,
     /// Column references rewritten to `COALESCE(col, extract…)` (dirty).
     rewriter rewritten_coalesce_refs: counter,
-    /// Bindings whose extraction calls were fused into one `extract_keys`
-    /// (each covers ≥2 distinct virtual keys of one query).
+    /// Never incremented, for the same reason as `udf_fused_extractions`
+    /// and kept for the same reader.
     rewriter rewritten_fused_bindings: counter,
 
     // -- prepared statements (lib.rs, DESIGN.md §23) --
@@ -689,7 +688,8 @@ mod tests {
     /// Every key the hand-written `to_json` of PR 14 emitted under `exec`
     /// and `metrics`. Keys may be added to the report, never renamed or
     /// dropped — except with what they counted: `plan_cache_swept` and
-    /// `plan_cache_hit_rate` went with the plan cache (PR 20).
+    /// `plan_cache_hit_rate` went with the plan cache, `udf_fused_keys`
+    /// with extraction fusion.
     const PR14_EXEC_KEYS: &[&str] = &[
         "parallel_scans", "serial_scans", "morsels_dispatched", "scan_workers",
         "rows_per_morsel_log2", "rows_per_morsel_count", "rows_per_morsel_sum", "index_scans",
@@ -706,7 +706,7 @@ mod tests {
     ];
     const PR14_METRICS_KEYS: &[&str] = &[
         "plan_cache_hits", "plan_cache_misses", "plan_cache_stale_rebuilds",
-        "udf_extractions", "udf_fused_extractions", "udf_fused_keys",
+        "udf_extractions", "udf_fused_extractions",
         "udf_exists_probes", "queries_rewritten", "rewritten_physical_refs",
         "rewritten_virtual_refs", "rewritten_coalesce_refs", "rewritten_fused_bindings",
         "loader_batches", "loader_parallel_batches", "loader_docs", "loader_bytes",

@@ -15,8 +15,7 @@
 //! * [`ExtractionPlan`] — a `ResolvedPath` plus the [`Want`] type.
 //!   Per-tuple execution touches no locks and performs no heap allocation
 //!   for path resolution: one [`RawDoc`] header parse per nesting level,
-//!   binary-search probes, and a typed decode of the leaf value;
-//! * [`MultiExtractionPlan`] — k plans run over one root parse.
+//!   binary-search probes, and a typed decode of the leaf value.
 //!
 //! **Ownership.** A plan is built by the extraction UDF's bind hook
 //! (`udfs.rs`, `ScalarFn::bind`) when the statement's binder meets the call
@@ -102,42 +101,6 @@ impl ResolvedPath {
         }
         Ok(Some(cur))
     }
-
-    /// Descend from an already-parsed root, sharing sub-document parses
-    /// across paths through `cache`: each entry maps a descended `Object`
-    /// attribute id to its parsed child document. The id names a full
-    /// dotted prefix globally, so the mapping is path-independent — the
-    /// per-path direct-hit checks still run against every level.
-    fn descend_from<'a>(
-        &self,
-        root: RawDoc<'a>,
-        cache: &mut Vec<(AttrId, RawDoc<'a>)>,
-    ) -> Result<Option<RawDoc<'a>>, DecodeError> {
-        let mut cur = root;
-        for level in 0..self.depth {
-            if level == self.depth - 1 {
-                // leaf-parent level: the typed pick below probes the leaf
-                // ids itself, so a direct-hit rescan here is pure waste
-                return Ok(Some(cur));
-            }
-            if self.leaf.iter().any(|(id, _)| cur.contains(*id)) {
-                return Ok(Some(cur));
-            }
-            let Some(child) = self.descend[level] else { return Ok(None) };
-            if let Some((_, doc)) = cache.iter().find(|(id, _)| *id == child) {
-                cur = *doc;
-                continue;
-            }
-            match cur.get(child)? {
-                Some(raw) => {
-                    cur = RawDoc::parse(raw)?;
-                    cache.push((child, cur));
-                }
-                None => return Ok(None),
-            }
-        }
-        Ok(Some(cur))
-    }
 }
 
 /// A `(path, want)` extraction resolved against the dictionary as it
@@ -173,24 +136,6 @@ impl ExtractionPlan {
             return Ok(Datum::Null);
         };
         self.pick_from(cat, &cur)
-    }
-
-    /// One item of a fused extraction: descend from the shared parsed root
-    /// (through the shared sub-document cache) and decode the leaf. Errors
-    /// surface as NULL, exactly like a standalone [`Self::extract`].
-    fn extract_from<'a>(
-        &self,
-        cat: &Catalog,
-        root: RawDoc<'a>,
-        cache: &mut Vec<(AttrId, RawDoc<'a>)>,
-    ) -> Datum {
-        if self.resolved.leaf.is_empty() {
-            return Datum::Null;
-        }
-        match self.resolved.descend_from(root, cache) {
-            Ok(Some(cur)) => self.pick_from(cat, &cur).unwrap_or(Datum::Null),
-            _ => Datum::Null,
-        }
     }
 
     /// Typed decode of the leaf out of its (already located) holder doc.
@@ -246,40 +191,6 @@ impl ExtractionPlan {
             Ok(Some(cur)) => self.resolved.leaf.iter().any(|(id, _)| cur.contains(*id)),
             _ => false,
         }
-    }
-}
-
-/// A fused multi-key extraction: k `(path, want)` items executed with
-/// **one** root document parse per tuple and sub-document parses shared
-/// across items with a common dotted prefix (`user.id` and `user.geo.lat`
-/// parse `user` once).
-///
-/// This is the execution half of the rewriter's `extract_keys` fusion: a
-/// query touching k virtual columns performs one descent pass instead of k
-/// independent `extract_key_*` calls.
-#[derive(Debug, Clone)]
-pub struct MultiExtractionPlan {
-    pub items: Vec<ExtractionPlan>,
-}
-
-impl MultiExtractionPlan {
-    /// Resolve every spec now.
-    pub fn build(cat: &Catalog, specs: &[(&str, Want)]) -> MultiExtractionPlan {
-        let items =
-            specs.iter().map(|(path, want)| ExtractionPlan::build(cat, path, *want)).collect();
-        MultiExtractionPlan { items }
-    }
-
-    /// Extract every item in one pass: one root parse, shared prefix
-    /// descent. Per-item failures (corrupt sub-document, type mismatch)
-    /// yield NULL for that item only — element i always equals what the
-    /// standalone plan for `specs[i]` would have produced.
-    pub fn extract_all(&self, cat: &Catalog, bytes: &[u8]) -> Vec<Datum> {
-        let Ok(root) = RawDoc::parse(bytes) else {
-            return vec![Datum::Null; self.items.len()];
-        };
-        let mut cache: Vec<(AttrId, RawDoc<'_>)> = Vec::new();
-        self.items.iter().map(|item| item.extract_from(cat, root, &mut cache)).collect()
     }
 }
 
@@ -378,39 +289,5 @@ mod tests {
         let Datum::Bytea(parent_bytes) = parent else { panic!() };
         let plan = ExtractionPlan::build(&cat, "user.id", Want::Int);
         assert_eq!(plan.extract(&cat, &parent_bytes), Datum::Int(7));
-    }
-
-    #[test]
-    fn fused_extraction_matches_per_item_plans() {
-        let (db, cat) = setup();
-        let bytes = doc(
-            &db,
-            &cat,
-            r#"{"hits": 22, "url": "x.com", "ok": true,
-                "user": {"id": 7, "geo": {"lat": 1.5, "lon": -2.0}},
-                "tags": [1, "x"]}"#,
-        );
-        let specs: &[(&str, Want)] = &[
-            ("hits", Want::Int),
-            ("url", Want::Text),
-            ("user.id", Want::Int),
-            ("user.geo.lat", Want::Float),
-            ("user.geo.lon", Want::Float),
-            ("user.nope", Want::Int),
-            ("missing", Want::Int),
-            ("hits", Want::Text), // type mismatch → NULL for this item only
-            ("tags", Want::Array),
-        ];
-        let fused = MultiExtractionPlan::build(&cat, specs);
-        let got = fused.extract_all(&cat, &bytes);
-        assert_eq!(got.len(), specs.len());
-        for (i, (path, want)) in specs.iter().enumerate() {
-            let single = ExtractionPlan::build(&cat, path, *want);
-            assert_eq!(
-                got[i],
-                single.extract(&cat, &bytes),
-                "item {i}: path={path} want={want:?}"
-            );
-        }
     }
 }

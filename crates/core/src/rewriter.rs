@@ -4,8 +4,9 @@
 //! rewrites them to match the physical schema:
 //!
 //! * references to **physical** columns pass through untouched;
-//! * references to **virtual** columns become extraction-UDF calls —
-//!   `owner` → `extract_key_txt(data, 'owner')`;
+//! * references to **virtual** columns become extraction-UDF calls, one
+//!   per reference — `owner` → `extract_key_txt(data, 'owner')` — so each
+//!   value is decoded where the plan reads it (DESIGN.md §25);
 //! * references to **dirty** columns (partially materialized) become
 //!   `COALESCE(col, extract_key_txt(data, 'owner'))`;
 //! * `SELECT *` expands to the full logical schema (one column per unique
@@ -252,124 +253,7 @@ fn rewrite_select(sinew: &Sinew, sel: &Select, sets: &RowIdSetHandles) -> DbResu
     for o in &mut out.order_by {
         rewrite_expr(&ctx, &mut o.expr, Hint::None)?;
     }
-    fuse_extractions(sinew, &mut out);
     Ok(out)
-}
-
-/// Fuse per-key extraction calls: when the rewritten query touches **two or
-/// more distinct virtual keys** of the same binding's reservoir, every
-/// simple `extract_key_<tag>(b.data, 'key')` site is replaced by
-/// `array_get(extract_keys(b.data, 'k1', 't1', 'k2', 't2', ...), idx)`.
-///
-/// All sites of a binding share one `extract_keys` call text, so the
-/// planner's common-subexpression pass memoizes it per row — one document
-/// decode and one shared-prefix descent per tuple instead of one per key
-/// (the PR 3 fused hot path). Only reservoir-sourced sites fuse; extraction
-/// from a materialized parent object's column keeps its per-key call.
-fn fuse_extractions(sinew: &Sinew, sel: &mut Select) {
-    // binding → ordered distinct (path, tag) specs, first-encounter order.
-    let mut specs: std::collections::HashMap<String, Vec<(String, String)>> =
-        std::collections::HashMap::new();
-    {
-        let mut collect = |e: &Expr| {
-            e.walk(&mut |node| {
-                if let Some((binding, path, tag)) = fusable_site(node) {
-                    let list = specs.entry(binding.to_string()).or_default();
-                    if !list.iter().any(|(p, t)| p == path && t == tag) {
-                        list.push((path.to_string(), tag.to_string()));
-                    }
-                }
-            });
-        };
-        for item in &sel.items {
-            if let SelectItem::Expr { expr, .. } = item {
-                collect(expr);
-            }
-        }
-        for j in &sel.joins {
-            collect(&j.on);
-        }
-        if let Some(f) = &sel.filter {
-            collect(f);
-        }
-        for g in &sel.group_by {
-            collect(g);
-        }
-        if let Some(h) = &sel.having {
-            collect(h);
-        }
-        for o in &sel.order_by {
-            collect(&o.expr);
-        }
-    }
-    specs.retain(|_, list| list.len() >= 2);
-    if specs.is_empty() {
-        return;
-    }
-
-    sinew.metrics().rewritten_fused_bindings.add(specs.len() as u64);
-
-    let fuse = |e: &mut Expr| {
-        e.walk_mut(&mut |node| {
-            let Some((binding, path, tag)) = fusable_site(node)
-                .map(|(b, p, t)| (b.to_string(), p.to_string(), t.to_string()))
-            else {
-                return;
-            };
-            let Some(list) = specs.get(&binding) else { return };
-            let Some(idx) = list.iter().position(|(p, t)| *p == path && *t == tag) else {
-                return;
-            };
-            let mut fused_args = Vec::with_capacity(1 + 2 * list.len());
-            fused_args.push(Expr::qcol(&binding, "data"));
-            for (p, t) in list {
-                fused_args.push(Expr::lit_str(p));
-                fused_args.push(Expr::lit_str(t));
-            }
-            *node = Expr::func(
-                "array_get",
-                vec![Expr::func("extract_keys", fused_args), Expr::lit_int(idx as i64)],
-            );
-        });
-    };
-    for item in &mut sel.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            fuse(expr);
-        }
-    }
-    for j in &mut sel.joins {
-        fuse(&mut j.on);
-    }
-    if let Some(f) = &mut sel.filter {
-        fuse(f);
-    }
-    for g in &mut sel.group_by {
-        fuse(g);
-    }
-    if let Some(h) = &mut sel.having {
-        fuse(h);
-    }
-    for o in &mut sel.order_by {
-        fuse(&mut o.expr);
-    }
-}
-
-/// Is `e` a fusable extraction site — `extract_key_<tag>(<binding>.data,
-/// 'path')` with the reservoir column itself as the source? Returns
-/// `(binding, path, tag)`.
-fn fusable_site(e: &Expr) -> Option<(&str, &str, &str)> {
-    let Expr::Func { name, args, star: false, distinct: false } = e else { return None };
-    let tag = name.strip_prefix("extract_key_")?;
-    crate::udfs::want_from_tag(tag)?;
-    let [Expr::Column { table: Some(binding), column }, Expr::Literal(Literal::Str(path))] =
-        args.as_slice()
-    else {
-        return None;
-    };
-    if column != "data" {
-        return None;
-    }
-    Some((binding, path, tag))
 }
 
 /// Logical column names of a collection: one per unique key name, ordered

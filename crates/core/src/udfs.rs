@@ -13,29 +13,34 @@
 //! | `extract_key_txt`   | text    | any type, downcast to text |
 //! | `extract_key_obj`   | bytea   | nested object (serialized) |
 //! | `extract_key_arr`   | array   | array as the RDBMS array datatype |
-//! | `extract_keys`      | array   | fused: k values in one document pass |
 //! | `exists_key`        | bool    | key present under any type |
 //! | `set_key`           | bytea   | reservoir with key set (UPDATEs) |
 //! | `remove_key`        | bytea   | reservoir with key removed |
 //! | `doc_to_json`       | text    | whole document back to JSON |
 //! | `__sinew_rowid_set` | bool    | rowid ∈ registered text-index result |
 //!
-//! **Bound calls.** `extract_key_*`, `extract_keys`, `exists_key` and
-//! `__sinew_rowid_set` implement [`ScalarFn::bind`]: when the statement's
-//! binder meets a call site whose path (specs, handle) arguments are
-//! literals — every call the rewriter emits — the function it plants there
-//! holds the resolved [`ExtractionPlan`] / [`MultiExtractionPlan`] / row-id
-//! set, and the per-row `call_ref` is that object's own method plus one
-//! relaxed counter add. Binding has no side effect (the planner may bind a
-//! call site more than once): a plan is built, a set's `Arc` is cloned. A path that is not a literal (raw SQL) or specs
-//! that do not parse leave the registered function in place, which
-//! resolves on every call and reports a malformed argument where it is
-//! evaluated (DESIGN.md §22).
+//! **Bound calls.** `extract_key_*`, `exists_key` and `__sinew_rowid_set`
+//! implement [`ScalarFn::bind`]: when the statement's binder meets a call
+//! site whose path (handle) argument is a literal — every call the
+//! rewriter emits — the function it plants there holds the resolved
+//! [`ExtractionPlan`] / row-id set, and the per-row `call_ref` is that
+//! object's own method plus one relaxed counter add. Binding has no side
+//! effect (the planner may bind a call site more than once): a plan is
+//! built, a set's `Arc` is cloned. A path that is not a literal (raw SQL)
+//! leaves the registered function in place, which resolves on every call
+//! and reports a malformed argument where it is evaluated (DESIGN.md §22).
+//!
+//! **One key per call.** The rewriter emits one `extract_key_*` call per
+//! column reference, as the paper's does, and the plan evaluates each
+//! where its value is read: a key named only in the projection is decoded
+//! only for the rows that pass the filter and the join. There is no
+//! multi-key call; a key a scan pipeline names twice is memoized per row
+//! by the planner's CSE (DESIGN.md §25).
 
 use crate::catalog::Catalog;
 use crate::extract::{self, Want};
 use crate::metrics::Metrics;
-use crate::plan::{ExtractionPlan, MultiExtractionPlan};
+use crate::plan::ExtractionPlan;
 use parking_lot::RwLock;
 use sinew_rdbms::{Database, Datum, DbError, DbResult, ScalarFn};
 use std::collections::{HashMap, HashSet};
@@ -70,17 +75,6 @@ pub(crate) fn install(
         // Pure: safe for the planner to memoize per row (CSE).
         db.register_udf_pure(name, Arc::new(ExtractKeyFn(PathCall::new(catalog, metrics, want))));
     }
-
-    // Fused multi-key extraction: `extract_keys(data, k1, t1, k2, t2, ...)`
-    // decodes the reservoir **once** per row and returns an array of the k
-    // requested values (one per (key, type-tag) pair, in argument order).
-    // The rewriter emits it when a query touches ≥2 virtual columns; the
-    // planner's CSE pass memoizes the shared call so the per-output
-    // `array_get(extract_keys(...), i)` projections cost one descent total.
-    db.register_udf_pure(
-        "extract_keys",
-        Arc::new(ExtractKeysFn { cat: catalog.clone(), metrics: metrics.clone(), plan: None }),
-    );
 
     db.register_udf_pure(
         "exists_key",
@@ -252,90 +246,6 @@ impl ScalarFn for ExistsKeyFn {
     }
 }
 
-/// Fused multi-key extraction UDF (`extract_keys`). With every key and tag
-/// a literal it owns its [`MultiExtractionPlan`] from bind on; otherwise
-/// (or when the literals are not valid specs) it parses and resolves per
-/// call, so a malformed call errors where it is evaluated.
-struct ExtractKeysFn {
-    cat: Arc<Catalog>,
-    metrics: Arc<Metrics>,
-    plan: Option<MultiExtractionPlan>,
-}
-
-impl ExtractKeysFn {
-    /// `(key, tag)` argument pairs → a resolved plan.
-    fn resolve(&self, pairs: &[&Datum]) -> DbResult<MultiExtractionPlan> {
-        if pairs.is_empty() || !pairs.len().is_multiple_of(2) {
-            return Err(DbError::Eval(
-                "extract_keys expects (data, key1, type1, key2, type2, ...)".into(),
-            ));
-        }
-        let mut specs: Vec<(&str, Want)> = Vec::with_capacity(pairs.len() / 2);
-        for pair in pairs.chunks_exact(2) {
-            let [Datum::Text(path), Datum::Text(tag)] = pair else {
-                return Err(DbError::Eval(
-                    "extract_keys: key names and type tags must be text".into(),
-                ));
-            };
-            let want = want_from_tag(tag)
-                .ok_or_else(|| DbError::Eval(format!("extract_keys: unknown type tag {tag:?}")))?;
-            specs.push((path.as_str(), want));
-        }
-        self.metrics.plan_cache_misses.inc();
-        Ok(MultiExtractionPlan::build(&self.cat, &specs))
-    }
-}
-
-impl ScalarFn for ExtractKeysFn {
-    fn call(&self, args: &[Datum]) -> DbResult<Datum> {
-        self.call_ref(&by_ref(args))
-    }
-
-    fn call_ref(&self, args: &[&Datum]) -> DbResult<Datum> {
-        let per_call;
-        let plan = match &self.plan {
-            Some(plan) => plan,
-            None => {
-                per_call = self.resolve(args.get(1..).unwrap_or_default())?;
-                &per_call
-            }
-        };
-        self.metrics.udf_fused_extractions.inc();
-        self.metrics.udf_fused_keys.add(plan.items.len() as u64);
-        match args[0] {
-            Datum::Null => Ok(Datum::Array(vec![Datum::Null; plan.items.len()])),
-            Datum::Bytea(bytes) => Ok(Datum::Array(plan.extract_all(&self.cat, bytes))),
-            other => Err(DbError::Eval(format!("extract_keys over non-bytea {other}"))),
-        }
-    }
-
-    fn bind(&self, consts: &[Option<&Datum>]) -> Option<Arc<dyn ScalarFn>> {
-        let pairs: Vec<&Datum> = consts.get(1..)?.iter().copied().collect::<Option<_>>()?;
-        Some(Arc::new(ExtractKeysFn {
-            cat: self.cat.clone(),
-            metrics: self.metrics.clone(),
-            plan: Some(self.resolve(&pairs).ok()?),
-        }))
-    }
-}
-
-/// `extract_keys` type-tag → [`Want`]: the tags are the `extract_key_*`
-/// suffixes, so the rewriter maps a per-key UDF name to its fused tag by
-/// stripping the prefix.
-pub(crate) fn want_from_tag(tag: &str) -> Option<Want> {
-    Some(match tag {
-        "b" => Want::Bool,
-        "i" => Want::Int,
-        "f" => Want::Float,
-        "num" => Want::Num,
-        "t" => Want::Text,
-        "txt" => Want::AnyText,
-        "obj" => Want::Object,
-        "arr" => Want::Array,
-        _ => return None,
-    })
-}
-
 /// `__sinew_rowid_set(rowid, handle)`: membership in the row-id set the
 /// rewriter registered for one `matches()` call. Binding the handle literal
 /// clones the registry's `Arc`, so a statement may be bound any number of
@@ -380,7 +290,7 @@ impl ScalarFn for RowIdSetFn {
 #[cfg(test)]
 mod tests {
     use crate::Sinew;
-    use sinew_rdbms::{Datum, DbError, ExecLimits};
+    use sinew_rdbms::{Datum, ExecLimits};
 
     fn collection(rows: i64) -> Sinew {
         let s = Sinew::in_memory();
@@ -423,31 +333,6 @@ mod tests {
         assert_eq!(s.metrics().snapshot().plan_cache_misses - before, 3 + 2 * 150);
     }
 
-    #[test]
-    fn malformed_fused_specs_error_where_they_are_evaluated() {
-        let s = Sinew::in_memory();
-        s.create_collection("c").unwrap();
-        for sql in [
-            "SELECT extract_keys(data, 'n', 'nope') FROM c",
-            "SELECT extract_keys(data, 'n') FROM c",
-            "SELECT extract_keys(data, 'n', 7) FROM c",
-        ] {
-            // binds, and over no rows never runs
-            assert_eq!(s.db().execute(sql).unwrap().rows.len(), 0, "{sql}");
-        }
-        s.load_jsonl("c", "{\"n\": 1}\n").unwrap();
-        let err = |sql: &str| match s.db().execute(sql) {
-            Err(DbError::Eval(m)) => m,
-            other => panic!("{sql}: {other:?}"),
-        };
-        assert!(err("SELECT extract_keys(data, 'n', 'nope') FROM c").contains("unknown type tag"));
-        assert!(err("SELECT extract_keys(data, 'n') FROM c").contains("expects (data, key1"));
-        assert!(err("SELECT extract_keys(data, 'n', 7) FROM c").contains("must be text"));
-        // the well-formed call, bound or not, still answers
-        let r = s.db().execute("SELECT extract_keys(data, 'n', 'i') FROM c").unwrap();
-        assert_eq!(r.rows, vec![vec![Datum::Array(vec![Datum::Int(1)])]]);
-    }
-
     /// One resolution per extraction call site when a statement is
     /// prepared, however many rows it reads and however many threads read
     /// them; none when the prepared statement runs again.
@@ -464,11 +349,11 @@ mod tests {
                 let rows = s.query(sql).unwrap().rows.len();
                 let after = s.metrics().snapshot();
                 assert!(rows == 1 || rows == 3000, "{sql}");
-                let calls = (after.udf_extractions + after.udf_fused_extractions)
-                    - (before.udf_extractions + before.udf_fused_extractions);
-                assert!(calls >= 3000, "{sql}: {calls} extraction calls");
                 let sites = s.rewrite(sql).unwrap().matches("extract_key").count() as u64;
                 assert!(sites >= 1, "{sql}");
+                // every row passes, so every site decodes once per row
+                let calls = after.udf_extractions - before.udf_extractions;
+                assert_eq!(calls, 3000 * sites, "{sql}: {calls} extraction calls");
                 assert_eq!(
                     after.plan_cache_misses - before.plan_cache_misses,
                     if run == 0 { sites } else { 0 },
@@ -476,5 +361,94 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Rows returned, values decoded (`udf_extractions`), paths resolved
+    /// (`plan_cache_misses`) and whether the scan ran morsel-parallel, for
+    /// one `query` at `threads` exec threads.
+    fn decode_counts(s: &Sinew, sql: &str, threads: usize) -> (usize, u64, u64, bool) {
+        s.db().set_exec_limits(ExecLimits { exec_threads: threads, ..ExecLimits::default() });
+        let (before, scans) = (s.metrics().snapshot(), s.db().exec_stats().parallel_scans);
+        let rows = s.query(sql).unwrap().rows.len();
+        let after = s.metrics().snapshot();
+        (
+            rows,
+            after.udf_extractions - before.udf_extractions,
+            after.plan_cache_misses - before.plan_cache_misses,
+            s.db().exec_stats().parallel_scans > scans,
+        )
+    }
+
+    /// A key named only in the projection is decoded for the rows that
+    /// pass the filter, not for every row the scan reads: serially (scan,
+    /// filter, project) and in the morsel-parallel pipeline. A key named in
+    /// both through the same call is memoized per row where one context
+    /// spans the filter and the projection (the parallel pipeline), and
+    /// decoded again for the rows that pass where it does not (the serial
+    /// operators).
+    #[test]
+    fn projected_keys_decode_only_for_rows_that_pass() {
+        let s = Sinew::in_memory();
+        s.create_collection("c").unwrap();
+        let docs: String = (0..3000)
+            .map(|i| {
+                let k = i % 100;
+                format!("{{\"k\": {k}, \"a\": {i}, \"b\": \"v{i}\", \"c\": {}}}\n", i % 2 == 0)
+            })
+            .collect();
+        s.load_jsonl("c", &docs).unwrap();
+        let sql = "SELECT a, b, c FROM c WHERE k = 7";
+        for threads in [1, 4] {
+            let (rows, decoded, _, parallel) = decode_counts(&s, sql, threads);
+            assert_eq!(rows, 30);
+            assert_eq!(decoded, 3000 + 3 * 30, "at {threads} threads");
+            assert_eq!(parallel, threads > 1);
+        }
+        let rewritten = s.rewrite(sql).unwrap();
+        assert_eq!(rewritten.matches("extract_key_").count(), 4, "{rewritten}");
+        assert!(!rewritten.contains("extract_keys"), "{rewritten}");
+        // 'b' is extract_key_t in both places; one row passes
+        let sql = "SELECT b, a FROM c WHERE b = 'v7'";
+        for threads in [1, 4] {
+            let (rows, decoded, _, _) = decode_counts(&s, sql, threads);
+            let b_again = if threads > 1 { 0 } else { 1 };
+            assert_eq!(decoded, 3000 + 1 + b_again, "at {threads} threads");
+            assert_eq!(rows, 1);
+        }
+    }
+
+    /// `SELECT *` over a collection of more than a thousand keys: one call
+    /// site per key, each resolved once per preparation and decoded once
+    /// per row, in rewritten text that grows linearly with the keys.
+    #[test]
+    fn select_star_is_linear_in_the_number_of_keys() {
+        let s = Sinew::in_memory();
+        let mut text_len = Vec::new();
+        // equal-length table and key names, so only the key count differs
+        for (table, keys) in [("lo", 512u64), ("hi", 1024)] {
+            s.create_collection(table).unwrap();
+            // 600 documents (enough to cut into morsels) of 8 keys each
+            let docs: String = (0..600u64)
+                .map(|i| {
+                    let fields: Vec<String> =
+                        (0..8).map(|j| format!("\"k{:04}\": {i}", (i * 8 + j) % keys)).collect();
+                    format!("{{{}}}\n", fields.join(", "))
+                })
+                .collect();
+            s.load_jsonl(table, &docs).unwrap();
+            let sql = format!("SELECT * FROM {table}");
+            for (run, threads) in [1, 4].into_iter().enumerate() {
+                let (rows, decoded, resolved, parallel) = decode_counts(&s, &sql, threads);
+                assert_eq!(rows, 600);
+                assert_eq!(decoded, 600 * keys, "{table} at {threads} threads");
+                assert_eq!(resolved, if run == 0 { keys } else { 0 }, "{table}");
+                assert_eq!(parallel, threads > 1);
+            }
+            let rewritten = s.rewrite(&sql).unwrap();
+            assert_eq!(rewritten.matches("extract_key_i(").count() as u64, keys);
+            text_len.push(rewritten.len() as f64);
+        }
+        let growth = text_len[1] / text_len[0];
+        assert!((1.95..2.05).contains(&growth), "text grew {growth}x for 2x the keys");
     }
 }

@@ -67,9 +67,9 @@ fn promotion_mid_workload_keeps_queries_correct() {
 fn parallel_scan_racing_promotion_stays_correct() {
     use sinew_rdbms::ExecLimits;
 
-    // Two virtual keys → the rewriter fuses extraction; 4 exec threads →
-    // the morsel-parallel pipeline runs it, every worker through the one
-    // plan its statement bound. A background promotion bumps the catalog
+    // Two virtual keys → two bound extraction calls; 4 exec threads → the
+    // morsel-parallel pipeline runs them, every worker through the plans
+    // its statement bound. A background promotion bumps the catalog
     // epoch mid-scan; every racing query must stay exact.
     let sinew = Arc::new(Sinew::in_memory());
     sinew.create_collection("c").unwrap();

@@ -11,27 +11,32 @@ fn sinew_with(table: &str, jsonl: &str) -> Sinew {
     s
 }
 
+/// The rewritten text, which never holds a multi-key extraction: each
+/// reference gets its own single-key call (DESIGN.md §25).
 fn rewrite(s: &Sinew, sql: &str) -> String {
-    s.rewrite(sql).unwrap()
+    let out = s.rewrite(sql).unwrap();
+    assert!(!out.contains("extract_keys"), "{out}");
+    out
 }
 
 #[test]
 fn string_literal_context_extracts_text() {
-    // two distinct virtual keys → the sites fuse into one extract_keys
-    // call; 'k' keeps its text tag inside the fused spec list
+    // one call per reference: 'k' extracts text, 'n' its one known type
     let s = sinew_with("t", r#"{"k": "v", "n": 5}"#);
     let sql = rewrite(&s, "SELECT n FROM t WHERE k = 'v'");
-    assert!(sql.contains("extract_keys(t.data, 'n', 'i', 'k', 't')"), "{sql}");
-    assert!(sql.contains("= 'v'"), "{sql}");
+    assert!(sql.contains("extract_key_t(t.data, 'k') = 'v'"), "{sql}");
+    assert!(sql.contains("extract_key_i(t.data, 'n')"), "{sql}");
 }
 
 #[test]
 fn numeric_literal_context_extracts_num() {
     let s = sinew_with("t", r#"{"k": "v", "n": 5}"#);
     let sql = rewrite(&s, "SELECT k FROM t WHERE n > 3");
-    assert!(sql.contains("extract_keys(t.data, 'k', 't', 'n', 'num')"), "{sql}");
+    assert!(sql.contains("extract_key_num(t.data, 'n') > 3"), "{sql}");
+    assert!(sql.contains("extract_key_t(t.data, 'k')"), "{sql}");
     let sql = rewrite(&s, "SELECT k FROM t WHERE n BETWEEN 1 AND 9");
-    assert!(sql.contains("extract_keys(t.data, 'k', 't', 'n', 'num')"), "{sql}");
+    assert!(sql.contains("extract_key_num(t.data, 'n') BETWEEN 1 AND 9"), "{sql}");
+    assert!(sql.contains("extract_key_t(t.data, 'k')"), "{sql}");
 }
 
 #[test]
@@ -46,10 +51,13 @@ fn unique_type_rule_for_untyped_contexts() {
     // single registered type → typed extraction even without context
     let s = sinew_with("t", r#"{"i": 5, "f": 1.5, "b": true, "s": "x"}"#);
     let sql = rewrite(&s, "SELECT i, f, b, s FROM t");
-    // four virtual keys fuse; each keeps the tag its context inferred
-    let fused = "extract_keys(t.data, 'i', 'i', 'f', 'f', 'b', 'b', 's', 't')";
-    for idx in 0..4 {
-        assert!(sql.contains(&format!("array_get({fused}, {idx})")), "{sql}");
+    for call in [
+        "extract_key_i(t.data, 'i')",
+        "extract_key_f(t.data, 'f')",
+        "extract_key_b(t.data, 'b')",
+        "extract_key_t(t.data, 's')",
+    ] {
+        assert!(sql.contains(call), "{sql}");
     }
 }
 
@@ -64,11 +72,8 @@ fn multi_typed_untyped_context_downcasts_to_text() {
 fn aggregate_context_extracts_num() {
     let s = sinew_with("t", r#"{"n": 5, "g": "a"}"#);
     let sql = rewrite(&s, "SELECT SUM(n) FROM t GROUP BY g");
-    // 'n' keeps the num tag inside the fused call; SUM wraps the array_get
-    assert!(
-        sql.contains("sum(array_get(extract_keys(t.data, 'n', 'num', 'g', 't'), 0))"),
-        "{sql}"
-    );
+    assert!(sql.contains("sum(extract_key_num(t.data, 'n'))"), "{sql}");
+    assert!(sql.contains("GROUP BY extract_key_t(t.data, 'g')"), "{sql}");
 }
 
 #[test]
@@ -82,7 +87,8 @@ fn array_function_context_extracts_array() {
 fn bare_boolean_predicate_extracts_bool() {
     let s = sinew_with("t", r#"{"flag": true, "n": 1}"#);
     let sql = rewrite(&s, "SELECT n FROM t WHERE flag");
-    assert!(sql.contains("extract_keys(t.data, 'n', 'i', 'flag', 'b')"), "{sql}");
+    assert!(sql.contains("WHERE extract_key_b(t.data, 'flag')"), "{sql}");
+    assert!(sql.contains("extract_key_i(t.data, 'n')"), "{sql}");
     let r = s.query("SELECT n FROM t WHERE flag").unwrap();
     assert_eq!(r.rows.len(), 1);
 }

@@ -53,9 +53,11 @@ fn rewriter_emits_extraction_for_virtual_columns() {
     let sql = sinew
         .rewrite("SELECT url, owner FROM webrequests WHERE ip IS NOT NULL")
         .unwrap();
-    // three virtual columns → one fused extract_keys call per tuple
-    assert!(sql.contains("extract_keys"), "rewritten: {sql}");
-    assert!(sql.contains("'owner'"), "rewritten: {sql}");
+    // three virtual columns → three single-key calls, none fused
+    assert_eq!(sql.matches("extract_key_").count(), 3, "rewritten: {sql}");
+    assert!(!sql.contains("extract_keys"), "rewritten: {sql}");
+    assert!(sql.contains("extract_key_t(webrequests.data, 'owner')"), "rewritten: {sql}");
+    assert!(sql.contains("extract_key_t(webrequests.data, 'ip') IS NOT NULL"), "rewritten: {sql}");
     let r = sinew.query("SELECT url, owner FROM webrequests WHERE ip IS NOT NULL").unwrap();
     assert_eq!(r.rows.len(), 1);
     assert_eq!(r.rows[0][1], Datum::Text("John P. Smith".into()));

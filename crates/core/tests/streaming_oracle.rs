@@ -1,9 +1,9 @@
 //! Streaming-vs-materialize differential oracle at the Sinew layer: the
-//! queries here go through the rewriter, so the streaming engine's block
-//! bracketing of the extraction UDFs (`extract_keys` plan-cache
-//! revalidation once per block) and the fused `array_get(extract_keys(…))`
-//! memo path are exercised end to end. Results must be byte-identical to
-//! the materializing engine at every block size and thread count.
+//! queries here go through the rewriter, so the bound single-key
+//! extraction calls — decoded where the plan reads them, a repeated key
+//! once per row through the planner's memo slots — are exercised end to
+//! end. Results must be byte-identical to the materializing engine at
+//! every block size and thread count.
 
 use sinew_core::{AnalyzerPolicy, Sinew};
 use sinew_rdbms::{Datum, ExecLimits, ExecMode};

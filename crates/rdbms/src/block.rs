@@ -1005,9 +1005,8 @@ impl BlockOperator for ProjectOp<'_> {
     fn next_block(&mut self) -> DbResult<Option<RowBlock>> {
         let Some(block) = self.child.next_block()? else { return Ok(None) };
         let mut out: Vec<Row> = Vec::with_capacity(block.len());
-        // One context reset per *row* across all projections: the k
-        // `array_get(extract_keys(...), i)` outputs of a fused extraction
-        // share a single document decode per row (same as the oracle).
+        // One context reset per *row* across all projections: a call the
+        // projection repeats evaluates once per row (same as the oracle).
         let ctx = &mut self.ctx;
         let exprs = self.exprs;
         block.for_each_row(|row| {

@@ -391,9 +391,8 @@ impl Executor<'_> {
             Plan::Project { input, exprs, .. } => {
                 let rows = self.run_materialize(input)?;
                 let mut out = Vec::with_capacity(rows.len());
-                // One memo context for all projections of a row: the k
-                // `array_get(extract_keys(...), i)` outputs of a fused
-                // extraction share a single document decode per row.
+                // One memo context for all projections of a row: a call
+                // the projection repeats evaluates once per row.
                 let mut ctx = EvalCtx::new();
                 for row in rows {
                     ctx.reset();

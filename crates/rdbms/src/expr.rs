@@ -195,38 +195,6 @@ impl PhysExpr {
                 Ok(Datum::Null)
             }
             PhysExpr::Call { func, args, name } => {
-                // Fused-extraction fast path: `array_get(<memo>, <const i>)`
-                // indexes the memoized array in place, cloning one element
-                // instead of the whole k-value array per output column —
-                // otherwise fusing k extractions would trade k decodes for
-                // k array clones and lose.
-                if name == "array_get" && args.len() == 2 {
-                    if let (
-                        PhysExpr::Memo { slot, expr },
-                        PhysExpr::Literal(Datum::Int(idx)),
-                    ) = (&args[0], &args[1])
-                    {
-                        if let Some(c) = ctx.as_deref_mut() {
-                            if c.get(*slot).is_none() {
-                                let v = expr.eval_with(row, Some(&mut *c))?;
-                                c.put(*slot, v);
-                            }
-                            match c.get(*slot) {
-                                Some(Datum::Null) => return Ok(Datum::Null),
-                                Some(Datum::Array(a)) => {
-                                    return Ok(usize::try_from(*idx)
-                                        .ok()
-                                        .and_then(|i| a.get(i))
-                                        .cloned()
-                                        .unwrap_or(Datum::Null))
-                                }
-                                // non-array memo value: let the generic call
-                                // below produce array_get's usual error
-                                _ => {}
-                            }
-                        }
-                    }
-                }
                 // Borrow Literal/Column arguments in place; only computed
                 // arguments are materialized into scratch. Extraction UDFs
                 // override `call_ref`, so the reservoir bytea and the

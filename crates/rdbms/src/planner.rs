@@ -1225,9 +1225,12 @@ impl<'a> Planner<'a> {
 // After the plan is assembled, repeated *pure* function-call subtrees inside
 // a scan pipeline (scan filter, post-scan filter, projection list) are
 // wrapped in [`PhysExpr::Memo`] nodes so each distinct subtree evaluates at
-// most once per row. This is what makes the rewriter's fused extraction
-// profitable: the k outputs `array_get(extract_keys(data, ...), i)` share
-// one `extract_keys` evaluation — one document decode per row instead of k.
+// most once per row and context: the rewriter emits one extraction call per
+// reference (DESIGN.md §25), and this pass keeps a call it emits twice from
+// decoding twice. The morsel-parallel pipeline evaluates a row's filter and
+// projection with one context, so a call in both decodes once per row; the
+// serial operators keep one context each, so there it decodes once in the
+// filter and once more for the rows that pass.
 //
 // Slot numbers are assigned per pipeline in first-encounter order; the
 // executor resets its `EvalCtx` between rows. Calls not declared pure in

@@ -315,44 +315,18 @@ fn flatten_and<'e>(e: &'e PhysExpr, out: &mut Vec<&'e PhysExpr>) {
     }
 }
 
-/// The reservoir key an extraction expression reads, if `e` is one of the
-/// rewriter's emitted shapes: `extract_key_<tag>(data, 'key')` (key = last
-/// argument), the fused `array_get(extract_keys(data, 'k1','t1', ...), i)`
-/// (key = the i-th key/tag pair), or either wrapped in the dirty-column
-/// `COALESCE(col, extraction)` / a cast / a planner memo.
+/// The reservoir key an extraction expression reads, if `e` is the
+/// rewriter's emitted shape `extract_key_<tag>(data, 'key')` (key = last
+/// argument), possibly wrapped in the dirty-column `COALESCE(col,
+/// extraction)`, a cast or a planner memo.
 fn extraction_key(e: &PhysExpr) -> Option<&str> {
     match e {
         PhysExpr::Memo { expr, .. } | PhysExpr::Cast { expr, .. } => extraction_key(expr),
         PhysExpr::Coalesce(args) => args.iter().find_map(extraction_key),
-        PhysExpr::Call { name, args, .. } => {
-            if name.starts_with("extract_key") && name != "extract_keys" {
-                match args.last() {
-                    Some(PhysExpr::Literal(Datum::Text(k))) => Some(k),
-                    _ => None,
-                }
-            } else if name == "array_get" {
-                let [inner, PhysExpr::Literal(Datum::Int(idx))] = args.as_slice() else {
-                    return None;
-                };
-                let inner = match inner {
-                    PhysExpr::Memo { expr, .. } => expr.as_ref(),
-                    other => other,
-                };
-                let PhysExpr::Call { name: iname, args: iargs, .. } = inner else {
-                    return None;
-                };
-                if iname != "extract_keys" {
-                    return None;
-                }
-                // extract_keys(data, k1, t1, k2, t2, ...): pair i starts
-                // at argument 1 + 2i.
-                let i = usize::try_from(*idx).ok()?;
-                match iargs.get(1 + 2 * i) {
-                    Some(PhysExpr::Literal(Datum::Text(k))) => Some(k),
-                    _ => None,
-                }
-            } else {
-                None
+        PhysExpr::Call { name, args, .. } if name.starts_with("extract_key") => {
+            match args.last() {
+                Some(PhysExpr::Literal(Datum::Text(k))) => Some(k),
+                _ => None,
             }
         }
         _ => None,
@@ -457,31 +431,6 @@ mod tests {
         };
         let s = c.selectivity(&simple);
         assert!((s - 0.001).abs() < 1e-9, "hinted sel {s} should be 1/1000");
-        // fused shape: array_get(extract_keys(data, 'x','t','lang','t'), 1)
-        let fused = PhysExpr::Binary {
-            op: BinaryOp::Eq,
-            left: Box::new(PhysExpr::Call {
-                name: "array_get".into(),
-                func: noop(),
-                args: vec![
-                    PhysExpr::Call {
-                        name: "extract_keys".into(),
-                        func: noop(),
-                        args: vec![
-                            PhysExpr::Column(2),
-                            PhysExpr::Literal(Datum::Text("x".into())),
-                            PhysExpr::Literal(Datum::Text("t".into())),
-                            PhysExpr::Literal(Datum::Text("lang".into())),
-                            PhysExpr::Literal(Datum::Text("t".into())),
-                        ],
-                    },
-                    PhysExpr::Literal(Datum::Int(1)),
-                ],
-            }),
-            right: Box::new(PhysExpr::Literal(Datum::Text("msa".into()))),
-        };
-        let s2 = c.selectivity(&fused);
-        assert!((s2 - 0.001).abs() < 1e-9, "fused hinted sel {s2}");
         // a key with no hint keeps the opaque default
         let unknown = PhysExpr::Binary {
             op: BinaryOp::Eq,
@@ -495,8 +444,8 @@ mod tests {
             }),
             right: Box::new(PhysExpr::Literal(Datum::Text("msa".into()))),
         };
-        let s3 = c.selectivity(&unknown);
-        assert!((s3 - 0.02).abs() < 1e-9, "unhinted sel {s3} stays 200/10000");
+        let s2 = c.selectivity(&unknown);
+        assert!((s2 - 0.02).abs() < 1e-9, "unhinted sel {s2} stays 200/10000");
         // grouping estimate uses the hint too
         let group = PhysExpr::Call {
             name: "extract_key_txt".into(),
