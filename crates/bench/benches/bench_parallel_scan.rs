@@ -1,7 +1,8 @@
 //! Benchmarks for the morsel-parallel scan pipeline and for extraction
 //! where the value is read: in-memory scans at 1/2/4/8 worker threads, a
-//! file-backed collection six times its buffer pool at 1/2/4 threads (its
-//! scans read past the pool, DESIGN.md §24), and a 1 %-selective filter
+//! file-backed collection six times its buffer pool (its scans read past
+//! the pool, DESIGN.md §24) under a projection, `COUNT(*)` and a Q10
+//! `GROUP BY` at one and more threads, and a 1 %-selective filter
 //! projecting k = 1/3/5 virtual keys, which decodes the filter's key for
 //! every row and the projected keys only for the rows that pass
 //! (DESIGN.md §25).
@@ -48,25 +49,38 @@ fn bench_parallel_scan(c: &mut Criterion) {
 
 /// The `nobench_virtual_spill` regime: 8 192 documents (about 590 heap
 /// pages) behind a 96-page pool, so every scan reads most pages from the
-/// file.
-fn bench_scan_past_the_pool(c: &mut Criterion) {
+/// file. Three statement shapes over it: a projection at 1/2/4 threads,
+/// and at 1/2 threads `SELECT COUNT(*)` (a scan feeding the parallel
+/// aggregation) and NoBench Q10's filtered `GROUP BY` (DESIGN.md §26).
+fn bench_past_the_pool(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("sinew-bench-spill-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let sinew = Sinew::open(&dir.join("db"), 96, None).unwrap();
     sinew.create_collection("nobench").unwrap();
     sinew.load_docs("nobench", &generate(8_192, &NoBenchConfig::default())).unwrap();
     sinew.db().checkpoint().unwrap();
-    let sql = "SELECT str1, num FROM nobench WHERE num >= 0";
 
-    let mut g = c.benchmark_group("scan_past_the_pool");
-    g.sample_size(10);
-    for threads in [1usize, 2, 4] {
-        g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            with_threads(&sinew, t);
-            b.iter(|| black_box(sinew.query(sql).unwrap().rows.len()))
-        });
+    let groups: [(&str, &str, &[usize]); 3] = [
+        ("scan_past_the_pool", "SELECT str1, num FROM nobench WHERE num >= 0", &[1, 2, 4]),
+        ("count_star_past_the_pool", "SELECT COUNT(*) FROM nobench", &[1, 2]),
+        (
+            "q10_group_by_past_the_pool",
+            "SELECT thousandth, COUNT(*) FROM nobench WHERE num BETWEEN 2048 AND 4096 \
+             GROUP BY thousandth",
+            &[1, 2],
+        ),
+    ];
+    for (name, sql, threads) in groups {
+        let mut g = c.benchmark_group(name);
+        g.sample_size(10);
+        for &threads in threads {
+            g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
+                with_threads(&sinew, t);
+                b.iter(|| black_box(sinew.query(sql).unwrap().rows.len()))
+            });
+        }
+        g.finish();
     }
-    g.finish();
     drop(sinew);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -90,5 +104,5 @@ fn bench_late_extraction(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_parallel_scan, bench_scan_past_the_pool, bench_late_extraction);
+criterion_group!(benches, bench_parallel_scan, bench_past_the_pool, bench_late_extraction);
 criterion_main!(benches);

@@ -10,13 +10,13 @@
 //! child before emitting. Because everything above a breaker still pulls,
 //! a `LIMIT` propagates an early-stop all the way down: the limit simply
 //! stops calling `next_block`, the scan operator stops its `Heap::scan`
-//! callback mid-page, and the morsel-parallel scan skips the waves it
-//! never reached.
+//! callback mid-page, and the morsel-parallel scan stops its claims, at
+//! most one look-ahead window past the last morsel it stitched.
 //!
 //! Output is byte-identical to the materializing oracle
 //! (`ExecMode::Materialize`, `Executor::run_materialize`) at every
 //! block size and thread count: scans emit rows in row-id order, parallel
-//! waves are stitched in morsel order, float accumulation order equals
+//! morsels are stitched in morsel order, float accumulation order equals
 //! input order, and hash aggregation emits groups in first-occurrence
 //! (input) order — the same order the oracle produces. The equivalence
 //! suite (`tests/exec_equivalence.rs`,
@@ -31,18 +31,21 @@
 //! `AccessOp`s behind one `HeapFallback`, which continues any of them as
 //! the equivalent heap scan when its index or store is gone.
 //!
-//! Since PR 9 the pipeline *breakers* parallelize too (DESIGN.md §15):
-//! the hash-join build side is partitioned over P = next_pow2(threads)
-//! private hash tables and the probe runs wave-parallel over buffered
-//! probe rows; hash aggregation pre-aggregates thread-locally per morsel
-//! and merges partition-wise (falling back, stickily, to the serial fold
-//! the moment a float sum appears, because float addition is not
-//! associative); sort runs per-chunk run sorts plus a k-way merge whose
-//! global-index tiebreak reproduces the serial stable sort exactly.
-//! With `exec_threads = 1` (and below [`MIN_PARALLEL_ROWS`] buffered rows)
-//! the serial operators run; differential tests take that as their
-//! reference. `EXPLAIN ANALYZE` wraps every operator in an
-//! [`AnalyzeOp`] that counts rows/blocks/wall time per plan node.
+//! The pipeline *breakers* parallelize too (DESIGN.md §15): the hash-join
+//! build side is partitioned over P = next_pow2(threads) private hash
+//! tables and the probe runs chunk-parallel over buffered probe rows;
+//! hash aggregation pre-aggregates thread-locally per chunk and merges
+//! partition-wise (falling back, stickily, to the serial fold the moment
+//! a float sum appears, because float addition is not associative); sort
+//! runs per-chunk run sorts plus a k-way merge whose global-index
+//! tiebreak reproduces the serial stable sort exactly. Every parallel
+//! operator of a statement runs on the statement's one crew of threads
+//! (`crate::crew`, DESIGN.md §26), opened here by
+//! [`run_streaming_with`]. With `exec_threads = 1` (and below the row
+//! floor of `Executor::parallel`) the serial operators run; differential
+//! tests take that as their reference. `EXPLAIN ANALYZE` wraps every
+//! operator in an [`AnalyzeOp`] that counts rows/blocks/wall time per
+//! plan node.
 //!
 //! Resource governance: `max_intermediate_rows` is charged wherever rows
 //! actually accumulate — the root accumulator, breaker buffers, join
@@ -50,19 +53,24 @@
 //! charges more than the oracle (and may legitimately succeed where full
 //! materialization would exhaust the cap).
 
+use crate::agg::Accumulator;
+use crate::crew::{Crew, JobQueue, MorselStream, Task};
 use crate::datum::{Datum, GroupKey};
 use crate::error::{DbError, DbResult};
 use crate::exec::{
-    cmp_sort_keys, eval_sort_keys, feed_accs, finish_group, new_acc, panic_message, passes,
-    rows_equal, sort_rows, ExecStats, Executor, Row, SegScan,
+    cmp_sort_keys, eval_sort_keys, feed_accs, finish_group, new_acc, passes, rows_equal,
+    sort_rows, ExecStats, Executor, Row, SegScan,
 };
 use crate::expr::{EvalCtx, PhysExpr};
-use crate::agg::Accumulator;
 use crate::plan::{AccessPath, AggSpec, NodeActuals, Plan, SortKey};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
+
+/// A statement's crew, when it has one (`exec_threads > 1`).
+type CrewRef<'c, 'x> = Option<&'c Crew<'c, 'x>>;
 
 /// A batch of rows flowing between operators. `sel`, when present, lists
 /// the indices of `rows` that are logically in the block (a selection
@@ -168,12 +176,37 @@ pub(crate) fn run_streaming(exec: &Executor<'_>, plan: &Plan) -> DbResult<Vec<Ro
 /// when `az` is set, every plan node's operator is wrapped in an
 /// [`AnalyzeOp`] and `az` collects per-node actual rows/blocks/ns in the
 /// same pre-order the plan renderer walks.
-pub(crate) fn run_streaming_with(
-    exec: &Executor<'_>,
-    plan: &Plan,
-    az: Option<&AnalyzeCtx>,
+///
+/// With more than one exec thread the statement gets its crew here: one
+/// thread scope for the whole statement, whose helpers the first parallel
+/// operator spawns and which all park until the statement ends.
+pub(crate) fn run_streaming_with<'x>(
+    exec: &'x Executor<'_>,
+    plan: &'x Plan,
+    az: Option<&'x AnalyzeCtx>,
 ) -> DbResult<Vec<Row>> {
-    let mut op = build_node(exec, plan, None, az)?;
+    let helpers = exec.limits.exec_threads.max(1) - 1;
+    if helpers == 0 {
+        return drive(exec, plan, az, None);
+    }
+    let queue = JobQueue::default();
+    std::thread::scope(|s| {
+        let spawn = || {
+            s.spawn(|| queue.serve());
+        };
+        let crew = Crew::new(&queue, &spawn, helpers, exec.stats);
+        drive(exec, plan, az, Some(&crew))
+    })
+}
+
+/// Pull the root operator of `plan` dry into the statement's result.
+fn drive<'c, 'x: 'c>(
+    exec: &'x Executor<'_>,
+    plan: &'x Plan,
+    az: Option<&'c AnalyzeCtx>,
+    crew: CrewRef<'c, 'x>,
+) -> DbResult<Vec<Row>> {
+    let mut op = build_node(exec, plan, None, az, crew)?;
     let mut out: Vec<Row> = Vec::new();
     let result = (|| -> DbResult<()> {
         op.open()?;
@@ -201,24 +234,26 @@ pub(crate) fn run_streaming_with(
 /// `Plan::explain_analyze`'s walk) and wraps each operator in an
 /// [`AnalyzeOp`]. Scan-pipeline fusion is disabled under analyze so the
 /// operator tree stays 1:1 with the plan tree.
-pub(crate) fn build_node<'x, 'a: 'x>(
+pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
     exec: &'x Executor<'a>,
     plan: &'x Plan,
     cap: Option<u64>,
-    az: Option<&'x AnalyzeCtx>,
-) -> DbResult<Box<dyn BlockOperator + 'x>> {
+    az: Option<&'c AnalyzeCtx>,
+    crew: CrewRef<'c, 'x>,
+) -> DbResult<Box<dyn BlockOperator + 'c>> {
     // The scan→filter→project prefix goes to the morsel-parallel operator
-    // when the pool and the table are big enough.
-    if az.is_none() && exec.limits.exec_threads.max(1) > 1 {
+    // when the statement has a crew and the table is big enough.
+    if az.is_none() && crew.is_some() {
         if let Some(pipe) = scan_pipeline(plan) {
             let high = exec.source.db.high_water(pipe.table)?;
-            if let Some(op) = ParallelScanOp::try_new(exec, pipe, high) {
+            if let Some(op) = ParallelScanOp::try_new(exec, crew, pipe, high) {
                 return Ok(Box::new(op));
             }
         }
     }
     let node_id = az.map(AnalyzeCtx::register);
-    let op: Box<dyn BlockOperator + 'x> = match plan {
+    let child = |input: &'x Plan, cap: Option<u64>| build_node(exec, input, cap, az, crew);
+    let op: Box<dyn BlockOperator + 'c> = match plan {
         Plan::SeqScan { table, filter, needed, .. } => Box::new(SeqScanOp::new(
             exec,
             table,
@@ -257,46 +292,47 @@ pub(crate) fn build_node<'x, 'a: 'x>(
             path,
             ColumnarScanOp {
                 exec,
+                crew,
                 path,
                 bounds_cover: *bounds_cover_filter,
-                n_segments: 0,
-                next_seg: 0,
-                wave: 1,
+                segments: None,
                 pending: VecDeque::new(),
             },
         ),
         Plan::Filter { input, predicate, .. } => Box::new(FilterOp {
-            child: build_node(exec, input, None, az)?,
+            child: child(input, None)?,
             predicate,
             ctx: EvalCtx::new(),
         }),
         Plan::Project { input, exprs, .. } => Box::new(ProjectOp {
-            child: build_node(exec, input, cap, az)?,
+            child: child(input, cap)?,
             exprs,
             ctx: EvalCtx::new(),
         }),
         Plan::Limit { input, n } => Box::new(LimitOp {
-            child: build_node(exec, input, Some(cap.unwrap_or(u64::MAX).min(*n)), az)?,
+            child: child(input, Some(cap.unwrap_or(u64::MAX).min(*n)))?,
             remaining: *n,
             stats: exec.stats,
         }),
         Plan::Sort { input, keys, .. } => Box::new(SortOp {
             exec,
-            child: build_node(exec, input, None, az)?,
+            crew,
+            child: child(input, None)?,
             keys,
             buf: None,
             pos: 0,
         }),
         Plan::HashAggregate { input, groups, aggs, .. } => Box::new(HashAggOp {
             exec,
-            child: build_node(exec, input, None, az)?,
+            crew,
+            child: child(input, None)?,
             groups,
             aggs,
             out: None,
             pos: 0,
         }),
         Plan::GroupAggregate { input, groups, aggs, .. } => Box::new(GroupAggOp {
-            child: build_node(exec, input, None, az)?,
+            child: child(input, None)?,
             exec,
             groups,
             aggs,
@@ -306,19 +342,20 @@ pub(crate) fn build_node<'x, 'a: 'x>(
             emitted_any: false,
         }),
         Plan::Unique { input, .. } => Box::new(UniqueOp {
-            child: build_node(exec, input, None, az)?,
+            child: child(input, None)?,
             last: None,
         }),
         Plan::HashDistinct { input, .. } => Box::new(HashDistinctOp {
             exec,
-            child: build_node(exec, input, None, az)?,
+            child: child(input, None)?,
             seen: HashSet::new(),
         }),
         Plan::HashJoin { left, right, left_key, right_key, residual, left_outer, .. } => {
             Box::new(HashJoinOp {
                 exec,
-                left: build_node(exec, left, None, az)?,
-                right: build_node(exec, right, None, az)?,
+                crew,
+                left: child(left, None)?,
+                right: child(right, None)?,
                 left_key,
                 right_key,
                 residual: residual.as_ref(),
@@ -333,8 +370,8 @@ pub(crate) fn build_node<'x, 'a: 'x>(
         Plan::MergeJoin { left, right, left_key, right_key, residual, .. } => {
             Box::new(MergeJoinOp {
                 exec,
-                left: build_node(exec, left, None, az)?,
-                right: build_node(exec, right, None, az)?,
+                left: child(left, None)?,
+                right: child(right, None)?,
                 left_key,
                 right_key,
                 residual: residual.as_ref(),
@@ -345,8 +382,8 @@ pub(crate) fn build_node<'x, 'a: 'x>(
         Plan::NestedLoop { left, right, predicate, left_outer, .. } => {
             Box::new(NestedLoopOp {
                 exec,
-                left: build_node(exec, left, None, az)?,
-                right: build_node(exec, right, None, az)?,
+                left: child(left, None)?,
+                right: child(right, None)?,
                 predicate: predicate.as_ref(),
                 left_outer: *left_outer,
                 right_rows: None,
@@ -398,13 +435,9 @@ fn chunk_from(buf: &mut [Row], pos: &mut usize, n: usize) -> Option<RowBlock> {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel-breaker infrastructure (DESIGN.md §15)
+// Parallel-breaker infrastructure (DESIGN.md §15, §26)
 
-/// Below this many buffered rows a breaker stays serial: thread spawn
-/// would cost more than the work saved.
-const MIN_PARALLEL_ROWS: usize = 1024;
-
-/// Per-worker morsel size for the buffered probe/pre-aggregation waves.
+/// Rows per chunk of the buffered probe/pre-aggregation batches.
 const BREAKER_MORSEL: usize = 512;
 
 /// Number of build/merge partitions for `threads` workers.
@@ -417,6 +450,7 @@ fn partition_count(threads: usize) -> usize {
 /// the routing itself need not be stable across operator instances — only
 /// the stitched output order is, and that never depends on which
 /// partition a key landed in.
+#[derive(Clone)]
 struct Partitioner {
     hasher: std::collections::hash_map::RandomState,
     mask: u64,
@@ -434,54 +468,34 @@ impl Partitioner {
     }
 }
 
-/// A boxed unit of parallel work for [`run_tasks`].
-type Task<'env, R> = Box<dyn FnOnce() -> DbResult<R> + Send + 'env>;
-
 /// One sort run entry: the evaluated sort keys plus the row's global
 /// index, the tiebreaker that makes the parallel sort exactly stable.
 type SortRun = Vec<(Vec<Datum>, u64)>;
 
-/// Run one scoped worker per task and return results in task order.
-/// Callers propagate the first error in task order, so a failing parallel
-/// wave reports the same (earliest-input) error the serial path would;
-/// worker panics surface as clean `DbError::Eval`s like the parallel scan.
-fn run_tasks<'env, R: Send + 'env>(tasks: Vec<Task<'env, R>>) -> Vec<DbResult<R>> {
-    let mut results = Vec::with_capacity(tasks.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = tasks
-            .into_iter()
-            .map(|task| {
-                s.spawn(move || {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).unwrap_or_else(
-                        |payload| {
-                            Err(DbError::Eval(format!(
-                                "parallel worker panicked: {}",
-                                panic_message(payload.as_ref())
-                            )))
-                        },
-                    )
-                })
-            })
-            .collect();
-        for h in handles {
-            results.push(match h.join() {
-                Ok(r) => r,
-                Err(payload) => Err(DbError::Eval(format!(
-                    "parallel worker panicked: {}",
-                    panic_message(payload.as_ref())
-                ))),
-            });
+/// Split `rows` into `parts` contiguous chunks of roughly equal size (at
+/// least one row each), moved out so that crew jobs can own them. Chunk
+/// boundaries never affect output — each parallel breaker stitches
+/// per-chunk results back in chunk order.
+fn split_even(rows: Vec<Row>, parts: usize) -> Vec<Vec<Row>> {
+    let per = rows.len().div_ceil(parts.max(1)).max(1);
+    let mut rows = rows.into_iter();
+    let mut chunks = Vec::with_capacity(parts);
+    loop {
+        let chunk: Vec<Row> = rows.by_ref().take(per).collect();
+        if chunk.is_empty() {
+            return chunks;
         }
-    });
-    results
+        chunks.push(chunk);
+    }
 }
 
-/// Split `rows` into `workers` contiguous chunks of roughly equal size
-/// (at least one row each). Chunk boundaries never affect output — each
-/// parallel breaker stitches per-chunk results back in chunk order.
-fn even_chunks(rows: &[Row], workers: usize) -> Vec<&[Row]> {
-    let per = rows.len().div_ceil(workers.max(1)).max(1);
-    rows.chunks(per).collect()
+/// Concatenate chunks back into one buffer, in chunk order.
+fn join_chunks(chunks: Vec<Vec<Row>>) -> Vec<Row> {
+    let mut rows = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
+    for chunk in chunks {
+        rows.extend(chunk);
+    }
+    rows
 }
 
 // ---------------------------------------------------------------------------
@@ -809,96 +823,72 @@ impl AccessOp for IndexScanOp<'_, '_> {
 /// plan carries a sargable bound column) producing a selection vector,
 /// gathers only `needed` columns for the selected slots, then re-applies
 /// the full residual predicate per block unless the bounds are exact.
-/// Segments are dispatched in morsel waves like [`ParallelScanOp`]
-/// (ramping 1, 2, 4, … workers, stitched in segment order), so output is
-/// byte-identical to the heap scan at any thread count and a LIMIT skips
-/// the waves it never reaches.
-struct ColumnarScanOp<'x, 'a> {
+/// Segments are the morsels of a [`MorselStream`] like
+/// [`ParallelScanOp`]'s (claimed by the statement's crew, stitched in
+/// segment order), so output is byte-identical to the heap scan at any
+/// thread count and a LIMIT stops the claims one window past the segment
+/// that satisfied it.
+struct ColumnarScanOp<'c, 'x, 'a> {
     exec: &'x Executor<'a>,
+    crew: CrewRef<'c, 'x>,
     path: &'x AccessPath,
     /// Planner proof that the bound literals cover the whole predicate in
     /// one exactness class; combined with a segment's `exact` flag it
     /// skips the residual filter for that segment.
     bounds_cover: bool,
-    n_segments: usize,
-    next_seg: usize,
-    wave: usize,
+    /// The table's segments, opened with its column store.
+    segments: Option<MorselStream<'c, 'x, Option<SegScan>>>,
     pending: VecDeque<Row>,
 }
 
-impl ColumnarScanOp<'_, '_> {
-    /// Scan one segment and apply the residual filter, returning the
-    /// surviving rows plus the kernel / pruned stats. `None` means the
-    /// column store was demoted mid-scan.
-    fn scan_segment(&self, seg: usize) -> DbResult<Option<SegScan>> {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.exec.source.columnar_scan_segment(self.path, seg)
-        }));
-        let mut scan = match result {
-            Ok(Ok(Some(s))) => s,
-            Ok(other) => return other,
-            Err(payload) => {
-                return Err(DbError::Eval(format!(
-                    "columnar scan worker panicked: {}",
-                    panic_message(payload.as_ref())
-                )))
-            }
-        };
-        if !(self.path.exact_bounds || (self.bounds_cover && scan.exact)) {
-            let rows = std::mem::take(&mut scan.rows);
-            scan.rows = filter_rows(self.path.filter.as_ref(), &mut EvalCtx::new(), rows)?;
-        }
-        Ok(Some(scan))
+/// Scan one segment and apply the residual filter, returning the
+/// surviving rows plus the kernel / pruned stats. `None` means the column
+/// store was demoted mid-scan.
+fn scan_segment(
+    exec: &Executor<'_>,
+    path: &AccessPath,
+    bounds_cover: bool,
+    seg: usize,
+) -> DbResult<Option<SegScan>> {
+    let Some(mut scan) = exec.source.columnar_scan_segment(path, seg)? else {
+        return Ok(None);
+    };
+    if !(path.exact_bounds || (bounds_cover && scan.exact)) {
+        let rows = std::mem::take(&mut scan.rows);
+        scan.rows = filter_rows(path.filter.as_ref(), &mut EvalCtx::new(), rows)?;
     }
-
-    /// Scan the next wave of segments into `pending`; `false` when a store
-    /// was demoted mid-scan.
-    fn run_wave(&mut self) -> DbResult<bool> {
-        let n_workers = self.exec.limits.exec_threads.max(1);
-        let first = self.next_seg;
-        let k = self.wave.min(self.n_segments - first).min(n_workers);
-        let results: Vec<DbResult<Option<SegScan>>> = if k <= 1 {
-            vec![self.scan_segment(first)]
-        } else {
-            let this = &*self;
-            run_tasks(
-                (first..first + k)
-                    .map(|seg| Box::new(move || this.scan_segment(seg)) as Task<'_, Option<SegScan>>)
-                    .collect(),
-            )
-        };
-        // Results are in segment order; the lowest failing segment wins.
-        for r in results {
-            let Some(scan) = r? else { return Ok(false) };
-            self.exec.stats.record_segment(&scan);
-            self.pending.extend(scan.rows);
-            self.exec.check_limit(self.pending.len())?;
-        }
-        self.next_seg += k;
-        self.wave = (self.wave * 2).min(n_workers);
-        Ok(true)
-    }
+    Ok(Some(scan))
 }
 
-impl AccessOp for ColumnarScanOp<'_, '_> {
+impl AccessOp for ColumnarScanOp<'_, '_, '_> {
     fn open(&mut self) -> DbResult<bool> {
         let Some(n_segments) = self.exec.source.columnar_meta(self.path)? else {
             return Ok(false);
         };
         self.exec.stats.columnar_scans.inc();
-        self.n_segments = n_segments;
+        let (exec, path, bounds_cover) = (self.exec, self.path, self.bounds_cover);
+        self.segments = Some(MorselStream::new(self.crew, n_segments as u64, move |seg| {
+            scan_segment(exec, path, bounds_cover, seg as usize)
+        }));
         Ok(true)
     }
 
     fn pull(&mut self) -> DbResult<Pull> {
         let block_rows = self.exec.limits.block_rows.max(1);
-        while self.pending.len() < block_rows && self.next_seg < self.n_segments {
-            if !self.run_wave()? {
+        let segments = self.segments.as_mut().expect("pulled after open");
+        while self.pending.len() < block_rows {
+            let Some(scan) = segments.next() else { break };
+            // Segments arrive in order; the lowest failing segment wins.
+            let Some(scan) = scan? else {
                 // Buffered-but-unemitted rows are simply reproduced by
                 // the heap scan.
+                self.segments = None;
                 self.pending.clear();
                 return Ok(Pull::Gone);
-            }
+            };
+            self.exec.stats.record_segment(&scan);
+            self.pending.extend(scan.rows);
+            self.exec.check_limit(self.pending.len())?;
         }
         if self.pending.is_empty() {
             return Ok(Pull::End);
@@ -1162,28 +1152,28 @@ impl BlockOperator for HashDistinctOp<'_, '_> {
 // Pipeline breakers
 
 /// Sort: drains its child, sorts once, then emits block-sized chunks.
-struct SortOp<'x, 'a> {
+struct SortOp<'c, 'x, 'a> {
     exec: &'x Executor<'a>,
-    child: Box<dyn BlockOperator + 'x>,
+    crew: CrewRef<'c, 'x>,
+    child: Box<dyn BlockOperator + 'c>,
     keys: &'x [SortKey],
     buf: Option<Vec<Row>>,
     pos: usize,
 }
 
-impl SortOp<'_, '_> {
-    /// Sort the drained buffer: serial [`sort_rows`] when small or the
-    /// parallel knob is off; otherwise per-chunk run sorts on scoped
-    /// workers followed by a k-way merge. Runs and merge both compare
-    /// (sort keys, original index) — a total order whose result is
-    /// exactly the serial *stable* sort at any thread count.
+impl<'x> SortOp<'_, 'x, '_> {
+    /// Sort the drained buffer: serial [`sort_rows`] unless the statement
+    /// goes parallel over it; then per-chunk run sorts on the crew followed
+    /// by a k-way merge. Runs and merge both compare (sort keys, original
+    /// index) — a total order whose result is exactly the serial *stable*
+    /// sort at any thread count.
     fn sort_buffer(&self, rows: &mut Vec<Row>) -> DbResult<()> {
-        let threads = self.exec.limits.exec_threads.max(1);
-        if threads <= 1 || rows.len() < MIN_PARALLEL_ROWS {
+        let Some(crew) = self.exec.parallel(self.crew, rows.len()) else {
             return sort_rows(rows, self.keys);
-        }
+        };
         let keys = self.keys;
-        let chunks = even_chunks(rows, threads);
-        let mut tasks: Vec<Task<'_, SortRun>> = Vec::with_capacity(chunks.len());
+        let chunks = split_even(std::mem::take(rows), crew.threads());
+        let mut tasks: Vec<Task<'x, (SortRun, Vec<Row>)>> = Vec::with_capacity(chunks.len());
         let mut base = 0u64;
         for chunk in chunks {
             let start = base;
@@ -1191,18 +1181,22 @@ impl SortOp<'_, '_> {
             tasks.push(Box::new(move || {
                 let mut run = Vec::with_capacity(chunk.len());
                 for (i, row) in chunk.iter().enumerate() {
-                    // Workers eval keys in row order, so a failing wave's
-                    // first-in-chunk-order error is the serial error.
+                    // Keys are evaluated in row order, so a failing
+                    // phase's first-in-chunk-order error is the serial error.
                     run.push((eval_sort_keys(row, keys)?, start + i as u64));
                 }
                 run.sort_by(|(ka, ia), (kb, ib)| cmp_sort_keys(ka, kb, keys).then(ia.cmp(ib)));
-                Ok(run)
+                Ok((run, chunk))
             }));
         }
-        let mut runs = Vec::with_capacity(threads);
-        for r in run_tasks(tasks) {
-            runs.push(r?);
+        let mut runs = Vec::with_capacity(tasks.len());
+        let mut chunks = Vec::with_capacity(tasks.len());
+        for r in crew.run_all(tasks) {
+            let (run, chunk) = r?;
+            runs.push(run);
+            chunks.push(chunk);
         }
+        *rows = join_chunks(chunks);
         self.exec.stats.parallel_sorts.inc();
         // K-way merge: k ≤ threads is small, so a linear scan over the
         // run heads beats a heap.
@@ -1239,7 +1233,7 @@ impl SortOp<'_, '_> {
     }
 }
 
-impl BlockOperator for SortOp<'_, '_> {
+impl BlockOperator for SortOp<'_, '_, '_> {
     fn open(&mut self) -> DbResult<()> {
         self.child.open()
     }
@@ -1338,29 +1332,26 @@ fn collapse_agg_parts(parts: Vec<AggPart>) -> AggTable {
 }
 
 /// Hash aggregation: streams its input (only group state plus at most one
-/// wave of buffered rows is resident), then emits the finished groups in
-/// first-occurrence order. With more than one executor thread, buffered
-/// rows pre-aggregate thread-locally per chunk and merge partition-wise;
-/// the serial fold is byte-identical and handles DISTINCT and float sums
-/// (whose addition order must equal input order).
-struct HashAggOp<'x, 'a> {
+/// batch of buffered rows is resident), then emits the finished groups in
+/// first-occurrence order. With a crew, buffered rows pre-aggregate
+/// thread-locally per chunk and merge partition-wise; the serial fold is
+/// byte-identical and handles DISTINCT and float sums (whose addition
+/// order must equal input order).
+struct HashAggOp<'c, 'x, 'a> {
     exec: &'x Executor<'a>,
-    child: Box<dyn BlockOperator + 'x>,
+    crew: CrewRef<'c, 'x>,
+    child: Box<dyn BlockOperator + 'c>,
     groups: &'x [PhysExpr],
     aggs: &'x [AggSpec],
     out: Option<Vec<Row>>,
     pos: usize,
 }
 
-impl HashAggOp<'_, '_> {
+impl<'c, 'x> HashAggOp<'c, 'x, '_> {
     fn fold_input(&mut self) -> DbResult<Vec<(Row, Vec<Accumulator>)>> {
-        let threads = self.exec.limits.exec_threads.max(1);
-        let can_parallel =
-            threads > 1 && self.aggs.iter().all(|a| !a.distinct);
-        if can_parallel {
-            self.fold_parallel(threads)
-        } else {
-            self.fold_serial_from(AggTable::new(), Vec::new())
+        match self.crew {
+            Some(crew) if self.aggs.iter().all(|a| !a.distinct) => self.fold_parallel(crew),
+            _ => self.fold_serial_from(AggTable::new(), Vec::new()),
         }
     }
 
@@ -1386,14 +1377,16 @@ impl HashAggOp<'_, '_> {
     }
 
     /// Partitioned parallel pre-aggregation (DESIGN.md §15): buffer up to
-    /// one wave of input rows, pre-aggregate the wave's chunks on scoped
-    /// workers, then merge each chunk table into P per-partition global
-    /// tables in parallel (each partition is owned by exactly one merge
-    /// task, so no locks). Exact merging requires associativity — the
-    /// first chunk whose accumulators report inexact (a float SUM/AVG
-    /// appeared) aborts the wave and falls back, stickily, to the serial
-    /// fold seeded with the exact pre-wave state plus the wave's raw rows.
-    fn fold_parallel(&mut self, threads: usize) -> DbResult<Vec<(Row, Vec<Accumulator>)>> {
+    /// `threads × BREAKER_MORSEL` input rows, pre-aggregate the batch's
+    /// chunks on the crew, then merge each chunk table into P
+    /// per-partition global tables on the crew (each partition is owned by
+    /// exactly one merge task, so no locks). Exact merging requires
+    /// associativity — the first chunk whose accumulators report inexact
+    /// (a float SUM/AVG appeared) aborts the batch and falls back,
+    /// stickily, to the serial fold seeded with the exact pre-batch state
+    /// plus the batch's raw rows.
+    fn fold_parallel(&mut self, crew: &'c Crew<'c, 'x>) -> DbResult<Vec<(Row, Vec<Accumulator>)>> {
+        let threads = crew.threads();
         let p = partition_count(threads);
         let partitioner = Partitioner::new(p);
         let groups = self.groups;
@@ -1402,7 +1395,7 @@ impl HashAggOp<'_, '_> {
         let mut groups_held = 0usize;
         let mut buf: Vec<Row> = Vec::new();
         let mut chunk_seq = 0u64;
-        let wave_target = threads * BREAKER_MORSEL;
+        let batch_target = threads * BREAKER_MORSEL;
         let mut input_done = false;
         while !input_done || !buf.is_empty() {
             if !input_done {
@@ -1415,28 +1408,27 @@ impl HashAggOp<'_, '_> {
             self.exec
                 .stats
                 .note_resident((groups_held + buf.len()) as u64 + self.child.resident_rows());
-            if buf.len() < wave_target && !input_done {
+            if buf.len() < batch_target && !input_done {
                 continue;
             }
             if buf.is_empty() {
                 break;
             }
-            if buf.len() < MIN_PARALLEL_ROWS {
-                // Tiny tail: not worth a wave. Finish serially from the
+            if self.exec.parallel(self.crew, buf.len()).is_none() {
+                // Tiny tail: not worth the crew. Finish serially from the
                 // exact merged state.
                 return self.fold_serial_from(collapse_agg_parts(parts), std::mem::take(&mut buf));
             }
 
-            // Phase 1: thread-local pre-aggregation, one chunk per worker.
-            let chunks = even_chunks(&buf, threads);
+            // Phase 1: thread-local pre-aggregation, one chunk per thread.
+            let chunks = split_even(std::mem::take(&mut buf), threads);
             let n_chunks = chunks.len();
-            let partitioner_ref = &partitioner;
-            let mut tasks: Vec<Box<dyn FnOnce() -> DbResult<LocalAgg> + Send + '_>> =
-                Vec::with_capacity(n_chunks);
+            let mut tasks: Vec<Task<'x, (LocalAgg, Vec<Row>)>> = Vec::with_capacity(n_chunks);
             for chunk in chunks {
+                let partitioner = partitioner.clone();
                 tasks.push(Box::new(move || {
                     let mut table = AggTable::new();
-                    for row in chunk {
+                    for row in &chunk {
                         table.feed(groups, aggs, row)?;
                     }
                     let exact = table
@@ -1455,38 +1447,41 @@ impl HashAggOp<'_, '_> {
                         .zip(keys)
                         .map(|((key_vals, accs), key)| {
                             let key = key.expect("every entry is indexed");
-                            (partitioner_ref.of(&key), key, key_vals, accs)
+                            (partitioner.of(&key), key, key_vals, accs)
                         })
                         .collect();
-                    Ok((local, exact))
+                    Ok(((local, exact), chunk))
                 }));
             }
             let mut locals: Vec<LocalAggEntries> = Vec::with_capacity(n_chunks);
+            let mut raw: Vec<Vec<Row>> = Vec::with_capacity(n_chunks);
             let mut all_exact = true;
-            for r in run_tasks(tasks) {
-                let (local, exact) = r?;
+            for r in crew.run_all(tasks) {
+                let ((local, exact), chunk) = r?;
                 all_exact &= exact;
                 locals.push(local);
+                raw.push(chunk);
             }
             if !all_exact {
                 // A float sum appeared: its addition order matters, so
-                // discard the wave's pre-aggregates and refold this
-                // wave's raw rows (and everything after) serially. The
-                // pre-wave partition state is exact, i.e. identical to
+                // discard the batch's pre-aggregates and refold this
+                // batch's raw rows (and everything after) serially. The
+                // pre-batch partition state is exact, i.e. identical to
                 // the serial table over the prior rows.
-                return self.fold_serial_from(collapse_agg_parts(parts), std::mem::take(&mut buf));
+                return self.fold_serial_from(collapse_agg_parts(parts), join_chunks(raw));
             }
+            drop(raw);
 
             // Phase 2: partition-wise merge — task `pi` owns `parts[pi]`
             // and walks the chunk tables in chunk order, so within a
             // group accumulators merge in input order.
-            let locals_ref = &locals;
+            let locals = Arc::new(locals);
             let base_seq = chunk_seq;
-            let mut merge_tasks: Vec<Box<dyn FnOnce() -> DbResult<()> + Send + '_>> =
-                Vec::with_capacity(p);
-            for (pi, part) in parts.iter_mut().enumerate() {
+            let mut merge_tasks: Vec<Task<'x, AggPart>> = Vec::with_capacity(p);
+            for (pi, mut part) in std::mem::take(&mut parts).into_iter().enumerate() {
+                let locals = Arc::clone(&locals);
                 merge_tasks.push(Box::new(move || {
-                    for (ci, local) in locals_ref.iter().enumerate() {
+                    for (ci, local) in locals.iter().enumerate() {
                         for (li, (lp, key, key_vals, accs)) in local.iter().enumerate() {
                             if *lp != pi {
                                 continue;
@@ -1512,23 +1507,22 @@ impl HashAggOp<'_, '_> {
                             }
                         }
                     }
-                    Ok(())
+                    Ok(part)
                 }));
             }
-            for r in run_tasks(merge_tasks) {
-                r?;
+            for r in crew.run_all(merge_tasks) {
+                parts.push(r?);
             }
             self.exec.stats.agg_partition_merges.add(p as u64);
             chunk_seq += n_chunks as u64;
             groups_held = parts.iter().map(|part| part.entries.len()).sum();
-            buf.clear();
             self.exec.check_limit(groups_held)?;
         }
         Ok(collapse_agg_parts(parts).entries)
     }
 }
 
-impl BlockOperator for HashAggOp<'_, '_> {
+impl BlockOperator for HashAggOp<'_, '_, '_> {
     fn open(&mut self) -> DbResult<()> {
         self.child.open()
     }
@@ -1742,41 +1736,55 @@ fn probe_one(
 
 /// Hash join: the build (right) side is a pipeline breaker, the probe
 /// (left) side streams. Join output beyond a block is buffered briefly in
-/// `pending` and emitted in block-sized chunks. With more than one executor
-/// thread the build is partitioned and probe rows are buffered into waves
-/// probed by scoped workers, with per-chunk outputs stitched back in chunk
-/// order — byte-identical to the serial probe.
-struct HashJoinOp<'x, 'a> {
+/// `pending` and emitted in block-sized chunks. With a crew the build is
+/// partitioned and probe rows are buffered into batches probed in chunks
+/// on the crew, with per-chunk outputs stitched back in chunk order —
+/// byte-identical to the serial probe.
+struct HashJoinOp<'c, 'x, 'a> {
     exec: &'x Executor<'a>,
-    left: Box<dyn BlockOperator + 'x>,
-    right: Box<dyn BlockOperator + 'x>,
+    crew: CrewRef<'c, 'x>,
+    left: Box<dyn BlockOperator + 'c>,
+    right: Box<dyn BlockOperator + 'c>,
     left_key: &'x PhysExpr,
     right_key: &'x PhysExpr,
     residual: Option<&'x PhysExpr>,
     left_outer: bool,
-    built: Option<BuiltSide>,
+    /// Shared with the probe jobs.
+    built: Option<Arc<BuiltSide>>,
     /// Cumulative joined rows — charged against the cap exactly like the
     /// oracle's `out.len()`.
     emitted: u64,
     pending: VecDeque<Row>,
-    /// Probe rows buffered for the next parallel wave.
+    /// Probe rows buffered for the next parallel batch.
     pbuf: Vec<Row>,
     left_done: bool,
 }
 
-impl HashJoinOp<'_, '_> {
-    /// Drain the right child and build the hash side. With the parallel
-    /// knob and threads: evaluate build keys chunk-parallel (phase A),
-    /// scatter `(key, row index)` pairs to their partitions serially in
-    /// row order (phase B — preserves per-key index order), then build
-    /// each partition's private map, in parallel when the build side is
-    /// big enough to pay for the spawns (phase C).
+/// One build chunk's keys (`None` for NULL, which never joins), with the
+/// chunk handed back.
+type BuildKeys = (Vec<Option<GroupKey>>, Vec<Row>);
+
+/// One partition's private build table.
+fn build_bucket(bucket: Vec<(GroupKey, usize)>) -> HashMap<GroupKey, Vec<usize>> {
+    let mut table: HashMap<GroupKey, Vec<usize>> = HashMap::new();
+    for (k, i) in bucket {
+        table.entry(k).or_default().push(i);
+    }
+    table
+}
+
+impl<'x> HashJoinOp<'_, 'x, '_> {
+    /// Drain the right child and build the hash side. With a crew:
+    /// evaluate build keys chunk-parallel (phase A), scatter `(key, row
+    /// index)` pairs to their partitions serially in row order (phase B —
+    /// preserves per-key index order), then build each partition's private
+    /// map, in parallel when the build side is big enough to pay for the
+    /// jobs (phase C).
     fn build_side(&mut self) -> DbResult<BuiltSide> {
         let right_rows = drain_child(self.exec, self.right.as_mut())?;
         let width = right_rows.first().map(Vec::len).unwrap_or(0);
         self.exec.stats.join_build_rows.add(right_rows.len() as u64);
-        let threads = self.exec.limits.exec_threads.max(1);
-        if threads <= 1 {
+        let Some(crew) = self.crew else {
             let mut table: HashMap<GroupKey, Vec<usize>> = HashMap::new();
             for (i, row) in right_rows.iter().enumerate() {
                 let k = self.right_key.eval(row)?;
@@ -1786,38 +1794,39 @@ impl HashJoinOp<'_, '_> {
                 table.entry(k.group_key()).or_default().push(i);
             }
             return Ok(BuiltSide::Serial { rows: right_rows, table, width });
-        }
-        let p = partition_count(threads);
+        };
+        let p = partition_count(crew.threads());
         let partitioner = Partitioner::new(p);
-        let parallel_phases = right_rows.len() >= MIN_PARALLEL_ROWS;
+        let parallel = self.exec.parallel(self.crew, right_rows.len());
         // Phase A: build-key evaluation (NULL keys never join → None).
         let right_key = self.right_key;
-        let keys: Vec<Option<GroupKey>> = if parallel_phases {
-            let chunks = even_chunks(&right_rows, threads);
-            let mut tasks: Vec<Task<'_, Vec<Option<GroupKey>>>> = Vec::with_capacity(chunks.len());
-            for chunk in chunks {
-                tasks.push(Box::new(move || {
-                    chunk
-                        .iter()
-                        .map(|row| {
-                            let k = right_key.eval(row)?;
-                            Ok((!k.is_null()).then(|| k.group_key()))
-                        })
-                        .collect()
-                }));
+        let eval_keys = move |rows: &[Row]| -> DbResult<Vec<Option<GroupKey>>> {
+            rows.iter()
+                .map(|row| {
+                    let k = right_key.eval(row)?;
+                    Ok((!k.is_null()).then(|| k.group_key()))
+                })
+                .collect()
+        };
+        let (right_rows, keys) = match parallel {
+            Some(crew) => {
+                let mut tasks: Vec<Task<'x, BuildKeys>> = Vec::new();
+                for chunk in split_even(right_rows, crew.threads()) {
+                    tasks.push(Box::new(move || Ok((eval_keys(&chunk)?, chunk))));
+                }
+                let mut keys = Vec::new();
+                let mut chunks = Vec::with_capacity(tasks.len());
+                for r in crew.run_all(tasks) {
+                    let (chunk_keys, chunk) = r?;
+                    keys.extend(chunk_keys);
+                    chunks.push(chunk);
+                }
+                (join_chunks(chunks), keys)
             }
-            let mut keys = Vec::with_capacity(right_rows.len());
-            for r in run_tasks(tasks) {
-                keys.extend(r?);
+            None => {
+                let keys = eval_keys(&right_rows)?;
+                (right_rows, keys)
             }
-            keys
-        } else {
-            let mut keys = Vec::with_capacity(right_rows.len());
-            for row in &right_rows {
-                let k = right_key.eval(row)?;
-                keys.push((!k.is_null()).then(|| k.group_key()));
-            }
-            keys
         };
         // Phase B: scatter in row order, so each partition's per-key
         // index lists stay ascending like the serial table's.
@@ -1828,70 +1837,67 @@ impl HashJoinOp<'_, '_> {
             }
         }
         // Phase C: private per-partition builds.
-        let build_bucket = |bucket: Vec<(GroupKey, usize)>| {
-            let mut table: HashMap<GroupKey, Vec<usize>> = HashMap::new();
-            for (k, i) in bucket {
-                table.entry(k).or_default().push(i);
+        let tables: Vec<HashMap<GroupKey, Vec<usize>>> = match parallel {
+            Some(crew) => {
+                let tasks: Vec<Task<'x, HashMap<GroupKey, Vec<usize>>>> = buckets
+                    .into_iter()
+                    .map(|bucket| {
+                        Box::new(move || Ok(build_bucket(bucket)))
+                            as Task<'x, HashMap<GroupKey, Vec<usize>>>
+                    })
+                    .collect();
+                crew.run_all(tasks).into_iter().collect::<DbResult<_>>()?
             }
-            table
-        };
-        let tables: Vec<HashMap<GroupKey, Vec<usize>>> = if parallel_phases {
-            let mut tasks: Vec<Task<'_, HashMap<GroupKey, Vec<usize>>>> = Vec::with_capacity(p);
-            for bucket in buckets {
-                tasks.push(Box::new(move || Ok(build_bucket(bucket))));
-            }
-            let mut tables = Vec::with_capacity(p);
-            for r in run_tasks(tasks) {
-                tables.push(r?);
-            }
-            tables
-        } else {
-            buckets.into_iter().map(build_bucket).collect()
+            None => buckets.into_iter().map(build_bucket).collect(),
         };
         self.exec.stats.join_partitions.add(p as u64);
         Ok(BuiltSide::Partitioned { rows: right_rows, partitioner, tables, width })
     }
 
-    /// Probe the buffered wave. Big waves split into per-worker chunks
-    /// whose outputs are stitched back in chunk order; row-cap accounting
-    /// goes through a shared budget like the parallel scan's (the error
-    /// is identical, though *which* worker trips it first is not
-    /// deterministic — only the failure case differs in timing). Tiny
-    /// tails probe serially.
-    fn probe_wave(&mut self) -> DbResult<()> {
+    /// Probe the buffered batch. Big batches split into per-thread chunks
+    /// probed on the crew, whose outputs are stitched back in chunk order;
+    /// row-cap accounting goes through a shared budget like the parallel
+    /// scan's (the error is identical, though *which* chunk trips it first
+    /// is not deterministic — only the failure case differs in timing).
+    /// Tiny tails probe serially.
+    fn probe_batch(&mut self) -> DbResult<()> {
         let buf = std::mem::take(&mut self.pbuf);
-        let built = self.built.as_ref().expect("probe runs after build");
-        let threads = self.exec.limits.exec_threads.max(1);
-        if buf.len() < MIN_PARALLEL_ROWS {
-            let emitted = &mut self.emitted;
-            let pending = &mut self.pending;
+        let built = Arc::clone(self.built.as_ref().expect("probe runs after build"));
+        let Some(crew) = self.exec.parallel(self.crew, buf.len()) else {
             for lrow in &buf {
                 probe_one(
-                    built,
+                    &built,
                     self.left_key,
                     self.residual,
                     self.left_outer,
                     self.exec,
-                    emitted,
-                    pending,
+                    &mut self.emitted,
+                    &mut self.pending,
                     lrow,
                 )?;
             }
             return Ok(());
-        }
-        let chunks = even_chunks(&buf, threads);
-        let budget = AtomicU64::new(self.emitted);
-        let budget_ref = &budget;
+        };
+        let budget = Arc::new(AtomicU64::new(self.emitted));
         let max_rows = self.exec.limits.max_intermediate_rows;
         let left_key = self.left_key;
         let residual = self.residual;
         let left_outer = self.left_outer;
-        let mut tasks: Vec<Box<dyn FnOnce() -> DbResult<Vec<Row>> + Send + '_>> =
-            Vec::with_capacity(chunks.len());
-        for chunk in chunks {
+        let mut tasks: Vec<Task<'x, Vec<Row>>> = Vec::new();
+        for chunk in split_even(buf, crew.threads()) {
+            let built = Arc::clone(&built);
+            let budget = Arc::clone(&budget);
             tasks.push(Box::new(move || {
+                let charge = || {
+                    if budget.fetch_add(1, Ordering::Relaxed) + 1 > max_rows {
+                        return Err(DbError::ResourceExhausted(format!(
+                            "intermediate result exceeded {max_rows} rows"
+                        )));
+                    }
+                    Ok(())
+                };
                 let mut out: Vec<Row> = Vec::new();
-                for lrow in chunk {
+                for lrow in &chunk {
                     let k = left_key.eval(lrow)?;
                     let mut matched = false;
                     if !k.is_null() {
@@ -1905,12 +1911,7 @@ impl HashJoinOp<'_, '_> {
                                 };
                                 if keep {
                                     matched = true;
-                                    if budget_ref.fetch_add(1, Ordering::Relaxed) + 1 > max_rows
-                                    {
-                                        return Err(DbError::ResourceExhausted(format!(
-                                            "intermediate result exceeded {max_rows} rows"
-                                        )));
-                                    }
+                                    charge()?;
                                     out.push(joined);
                                 }
                             }
@@ -1919,21 +1920,16 @@ impl HashJoinOp<'_, '_> {
                     if left_outer && !matched {
                         let mut joined = lrow.clone();
                         joined.extend(std::iter::repeat_n(Datum::Null, built.width()));
-                        if budget_ref.fetch_add(1, Ordering::Relaxed) + 1 > max_rows {
-                            return Err(DbError::ResourceExhausted(format!(
-                                "intermediate result exceeded {max_rows} rows"
-                            )));
-                        }
+                        charge()?;
                         out.push(joined);
                     }
                 }
                 Ok(out)
             }));
         }
-        let results = run_tasks(tasks);
         // Stitch in chunk order; the lowest failing chunk wins, matching
         // the serial path's earliest-row error.
-        for r in results {
+        for r in crew.run_all(tasks) {
             let rows = r?;
             self.emitted += rows.len() as u64;
             self.pending.extend(rows);
@@ -1942,7 +1938,7 @@ impl HashJoinOp<'_, '_> {
     }
 }
 
-impl BlockOperator for HashJoinOp<'_, '_> {
+impl BlockOperator for HashJoinOp<'_, '_, '_> {
     fn open(&mut self) -> DbResult<()> {
         self.left.open()?;
         self.right.open()
@@ -1950,20 +1946,20 @@ impl BlockOperator for HashJoinOp<'_, '_> {
 
     fn next_block(&mut self) -> DbResult<Option<RowBlock>> {
         if self.built.is_none() {
-            self.built = Some(self.build_side()?);
+            self.built = Some(Arc::new(self.build_side()?));
         }
         let block_rows = self.exec.limits.block_rows.max(1);
         let parallel_probe =
-            matches!(self.built, Some(BuiltSide::Partitioned { .. }));
+            matches!(self.built.as_deref(), Some(BuiltSide::Partitioned { .. }));
         if parallel_probe {
-            let wave_target = self.exec.limits.exec_threads.max(1) * BREAKER_MORSEL;
+            let batch_target = self.exec.limits.exec_threads.max(1) * BREAKER_MORSEL;
             while self.pending.len() < block_rows && !self.left_done {
                 match self.left.next_block()? {
                     Some(block) => self.pbuf.extend(block.take_rows()),
                     None => self.left_done = true,
                 }
-                if self.pbuf.len() >= wave_target || (self.left_done && !self.pbuf.is_empty()) {
-                    self.probe_wave()?;
+                if self.pbuf.len() >= batch_target || (self.left_done && !self.pbuf.is_empty()) {
+                    self.probe_batch()?;
                 }
             }
         } else {
@@ -2215,151 +2211,133 @@ fn scan_pipeline(plan: &Plan) -> Option<ScanPipeline<'_>> {
     })
 }
 
-/// The streaming version of the morsel-parallel scan→filter→project
-/// pipeline. Work proceeds in synchronous *waves*: wave `w` dispatches
-/// `min(2^w, workers)` consecutive morsels to scoped threads (morsel `i`
-/// of the wave is deterministically morsel `base + i`), joins them, and
-/// appends their outputs in morsel order — so the stitched stream is
-/// byte-identical to the serial scan at any thread count, and a LIMIT
-/// that stops pulling skips every wave after the one that satisfied it.
-/// The ramp-up keeps tiny LIMITs from paying a full-width wave.
-struct ParallelScanOp<'x, 'a> {
+/// The morsel-parallel scan→filter→project pipeline. Morsels are row-id
+/// ranges; the statement's crew claims them from a [`MorselStream`] — at
+/// most a window of `2 × threads` morsels past the one this operator
+/// waits for — and the operator stitches their outputs in morsel order, so
+/// the stream is byte-identical to the serial scan at any thread count and
+/// a LIMIT that stops pulling stops the claims one window past the morsel
+/// that satisfied it.
+struct ParallelScanOp<'c, 'x, 'a> {
     exec: &'x Executor<'a>,
+    crew: &'c Crew<'c, 'x>,
     pipe: ScanPipeline<'x>,
     high: u64,
     morsel_size: u64,
     n_morsels: u64,
-    n_workers: usize,
-    next_morsel: u64,
-    wave: usize,
-    /// Shared row budget: counts rows that pass the scan filter, exactly
-    /// what the serial scan charges against `max_intermediate_rows`. Each
-    /// morsel charges its count once, when it finishes, so workers share
-    /// no write per row; the scan still fails iff more rows pass than
-    /// the cap allows.
-    budget: AtomicU64,
+    /// The morsels, opened with the operator.
+    morsels: Option<MorselStream<'c, 'x, Vec<Row>>>,
     pending: VecDeque<Row>,
 }
 
-impl<'x, 'a> ParallelScanOp<'x, 'a> {
-    /// Gating: enough threads and a table big enough to cut.
+impl<'c, 'x, 'a> ParallelScanOp<'c, 'x, 'a> {
+    /// Gating: the one parallel rule over the table's row ids.
     fn try_new(
         exec: &'x Executor<'a>,
+        crew: CrewRef<'c, 'x>,
         pipe: ScanPipeline<'x>,
         high: u64,
-    ) -> Option<ParallelScanOp<'x, 'a>> {
+    ) -> Option<ParallelScanOp<'c, 'x, 'a>> {
         const MIN_MORSEL_ROWS: u64 = 256;
         const MORSELS_PER_WORKER: u64 = 8;
-        let threads = exec.limits.exec_threads.max(1);
-        if threads <= 1 || high < MIN_MORSEL_ROWS * 2 {
-            return None;
-        }
-        let target_morsels = threads as u64 * MORSELS_PER_WORKER;
+        let crew = exec.parallel(crew, high as usize)?;
+        let target_morsels = crew.threads() as u64 * MORSELS_PER_WORKER;
         let morsel_size = (high / target_morsels).max(MIN_MORSEL_ROWS);
-        let n_morsels = high.div_ceil(morsel_size);
-        if n_morsels <= 1 {
-            return None;
-        }
         Some(ParallelScanOp {
             exec,
+            crew,
             pipe,
             high,
             morsel_size,
-            n_morsels,
-            n_workers: threads.min(n_morsels as usize),
-            next_morsel: 0,
-            wave: 1,
-            budget: AtomicU64::new(0),
+            n_morsels: high.div_ceil(morsel_size),
+            morsels: None,
             pending: VecDeque::new(),
         })
     }
-
-    /// Run the whole pipeline prefix over the rows with ids in
-    /// `start..end`: scan filter → row budget → post filter → project.
-    fn scan_morsel(&self, start: u64, end: u64) -> DbResult<Vec<Row>> {
-        let pipe = self.pipe;
-        let max_rows = self.exec.limits.max_intermediate_rows;
-        let exceeded =
-            || DbError::ResourceExhausted(format!("intermediate result exceeded {max_rows} rows"));
-        let mut ctx = EvalCtx::new();
-        let mut rows_seen = 0u64;
-        let mut passed = 0u64;
-        let mut out: Vec<Row> = Vec::new();
-        self.exec.source.scan_table_range(pipe.table, pipe.needed, start, end, &mut |row| {
-            rows_seen += 1;
-            ctx.reset();
-            let keep = match pipe.scan_filter {
-                Some(f) => f.eval_bool_ctx(&row, &mut ctx)?,
-                None => true,
-            };
-            if !keep {
-                return Ok(true);
-            }
-            passed += 1;
-            if passed > max_rows {
-                return Err(exceeded());
-            }
-            if let Some(p) = pipe.post_filter {
-                if !p.eval_bool_ctx(&row, &mut ctx)? {
-                    return Ok(true);
-                }
-            }
-            match pipe.project {
-                Some(exprs) => {
-                    let mut new_row = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        new_row.push(e.eval_ctx(&row, &mut ctx)?);
-                    }
-                    out.push(new_row);
-                }
-                None => out.push(row),
-            }
-            Ok(true)
-        })?;
-        self.exec.stats.rows_per_morsel.record(rows_seen);
-        if self.budget.fetch_add(passed, Ordering::Relaxed) + passed > max_rows {
-            return Err(exceeded());
-        }
-        Ok(out)
-    }
-
-    fn run_wave(&mut self) -> DbResult<()> {
-        let remaining = self.n_morsels - self.next_morsel;
-        let k = (self.wave as u64).min(remaining).min(self.n_workers as u64);
-        let this = &*self;
-        // A panicking evaluator surfaces from `run_tasks` as a clean
-        // DbError, not a torn-down pool.
-        let results = run_tasks(
-            (this.next_morsel..this.next_morsel + k)
-                .map(|m| {
-                    let start = m * this.morsel_size;
-                    let end = this.high.min(start + this.morsel_size);
-                    Box::new(move || this.scan_morsel(start, end)) as Task<'_, Vec<Row>>
-                })
-                .collect(),
-        );
-        self.exec.stats.morsels_dispatched.add(k);
-        // Results are in morsel order; the lowest failing morsel wins.
-        for r in results {
-            self.pending.extend(r?);
-        }
-        self.next_morsel += k;
-        self.wave = (self.wave * 2).min(self.n_workers);
-        Ok(())
-    }
 }
 
-impl BlockOperator for ParallelScanOp<'_, '_> {
+/// Run the whole pipeline prefix over the rows with ids in `start..end`:
+/// scan filter → row budget → post filter → project.
+///
+/// `budget` counts rows that pass the scan filter, exactly what the serial
+/// scan charges against `max_intermediate_rows`. Each morsel charges its
+/// count once, when it finishes, so workers share no write per row; the
+/// scan still fails iff more rows pass than the cap allows.
+fn scan_morsel(
+    exec: &Executor<'_>,
+    pipe: ScanPipeline<'_>,
+    budget: &AtomicU64,
+    start: u64,
+    end: u64,
+) -> DbResult<Vec<Row>> {
+    let max_rows = exec.limits.max_intermediate_rows;
+    let exceeded =
+        || DbError::ResourceExhausted(format!("intermediate result exceeded {max_rows} rows"));
+    let mut ctx = EvalCtx::new();
+    let mut rows_seen = 0u64;
+    let mut passed = 0u64;
+    let mut out: Vec<Row> = Vec::new();
+    exec.source.scan_table_range(pipe.table, pipe.needed, start, end, &mut |row| {
+        rows_seen += 1;
+        ctx.reset();
+        let keep = match pipe.scan_filter {
+            Some(f) => f.eval_bool_ctx(&row, &mut ctx)?,
+            None => true,
+        };
+        if !keep {
+            return Ok(true);
+        }
+        passed += 1;
+        if passed > max_rows {
+            return Err(exceeded());
+        }
+        if let Some(p) = pipe.post_filter {
+            if !p.eval_bool_ctx(&row, &mut ctx)? {
+                return Ok(true);
+            }
+        }
+        match pipe.project {
+            Some(exprs) => {
+                let mut new_row = Vec::with_capacity(exprs.len());
+                for e in exprs {
+                    new_row.push(e.eval_ctx(&row, &mut ctx)?);
+                }
+                out.push(new_row);
+            }
+            None => out.push(row),
+        }
+        Ok(true)
+    })?;
+    exec.stats.rows_per_morsel.record(rows_seen);
+    if budget.fetch_add(passed, Ordering::Relaxed) + passed > max_rows {
+        return Err(exceeded());
+    }
+    Ok(out)
+}
+
+impl BlockOperator for ParallelScanOp<'_, '_, '_> {
     fn open(&mut self) -> DbResult<()> {
-        self.exec.stats.parallel_scans.inc();
-        self.exec.stats.scan_workers.add(self.n_workers as u64);
+        let stats = self.exec.stats;
+        stats.parallel_scans.inc();
+        stats.scan_workers.add(self.crew.threads().min(self.n_morsels as usize) as u64);
+        let (exec, pipe, high, size) = (self.exec, self.pipe, self.high, self.morsel_size);
+        let budget = AtomicU64::new(0);
+        self.morsels = Some(MorselStream::new(Some(self.crew), self.n_morsels, move |m| {
+            stats.morsels_dispatched.inc();
+            let start = m * size;
+            scan_morsel(exec, pipe, &budget, start, high.min(start + size))
+        }));
         Ok(())
     }
 
     fn next_block(&mut self) -> DbResult<Option<RowBlock>> {
         let block_rows = self.exec.limits.block_rows.max(1);
-        while self.next_morsel < self.n_morsels && self.pending.len() < block_rows {
-            self.run_wave()?;
+        if let Some(morsels) = self.morsels.as_mut() {
+            while self.pending.len() < block_rows {
+                let Some(rows) = morsels.next() else { break };
+                // Morsels arrive in order; the lowest failing morsel wins.
+                self.pending.extend(rows?);
+            }
         }
         if self.pending.is_empty() {
             return Ok(None);
@@ -2370,6 +2348,8 @@ impl BlockOperator for ParallelScanOp<'_, '_> {
     }
 
     fn close(&mut self) {
+        // Stops the claims and waits for the morsels in flight.
+        self.morsels = None;
         self.pending.clear();
     }
 
@@ -2384,6 +2364,7 @@ mod tests {
     use crate::datum::KeyRange;
     use crate::db::{Database, SnapSource};
     use crate::exec::{ExecLimits, ExecMode, ExecSnapshot};
+    use crate::func::ScalarFn;
     use crate::txn::Vis;
     use sinew_sql::BinaryOp;
 
@@ -2521,7 +2502,7 @@ mod tests {
         let stats = ExecStats::default();
         let source = SnapSource { db: &db, vis: Vis::LATEST };
         let exec = Executor { source: &source, limits: limits(ExecMode::Streaming), stats: &stats };
-        let mut op = build_node(&exec, &plan, None, None).unwrap();
+        let mut op = build_node(&exec, &plan, None, None, None).unwrap();
         op.open().unwrap();
         let mut got = op.next_block().unwrap().expect("first block").take_rows();
         assert_eq!(got.len(), 64);
@@ -2534,5 +2515,61 @@ mod tests {
         assert_eq!(got, want, "no duplicate, no gap");
         let st = stats.snapshot();
         assert_eq!((st.columnar_scans, st.serial_scans), (1, 1));
+    }
+
+    /// Run `plan` at `threads` exec threads on its own thread and fail the
+    /// test if it has not returned after 30 s.
+    fn run_watched(db: &Arc<Database>, plan: Plan, threads: usize) -> DbResult<Vec<Row>> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let db = Arc::clone(db);
+        std::thread::spawn(move || {
+            let stats = ExecStats::default();
+            let source = SnapSource { db: &db, vis: Vis::LATEST };
+            let limits = ExecLimits { exec_threads: threads, ..limits(ExecMode::Streaming) };
+            let _ = tx.send(Executor { source: &source, limits, stats: &stats }.run(&plan));
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(30)).expect("plan ran past 30 s")
+    }
+
+    /// A sort key that panics on one row fails its parallel sort run
+    /// cleanly, whether that run is the statement thread's chunk or a
+    /// helper's; a correct sort follows. (The planner projects SQL sort
+    /// keys below the sort, so only a hand-built plan evaluates a UDF in a
+    /// sort run.)
+    #[test]
+    fn sort_run_panic_surfaces_cleanly() {
+        let db = Arc::new(db());
+        let sort = |key: PhysExpr| Plan::Sort {
+            input: Box::new(Plan::SeqScan {
+                table: "t".into(),
+                binding: "t".into(),
+                filter: None,
+                needed: None,
+                est_rows: ROWS as f64,
+            }),
+            keys: vec![SortKey { expr: key, desc: false }],
+            est_rows: ROWS as f64,
+        };
+        for threads in [2, 4] {
+            // Scan rows are (a, b, rowid): the first and the last chunk.
+            for at in [5, ROWS - 5] {
+                let boom: Arc<dyn ScalarFn> = Arc::new(move |args: &[Datum]| -> DbResult<Datum> {
+                    if args[0] == Datum::Int(at) {
+                        panic!("sort key bug at row {at}");
+                    }
+                    Ok(args[0].clone())
+                });
+                let args = vec![PhysExpr::Column(2)];
+                let key = PhysExpr::Call { name: "boom".into(), func: boom, args };
+                let err = run_watched(&db, sort(key), threads).unwrap_err();
+                assert!(
+                    err.to_string().contains("parallel worker panicked: sort key bug"),
+                    "{threads} threads, row {at}: {err}"
+                );
+                let rows = run_watched(&db, sort(PhysExpr::Column(0)), threads).unwrap();
+                let keys: Vec<Datum> = rows.into_iter().map(|r| r[0].clone()).collect();
+                assert_eq!(keys, (0..ROWS).map(Datum::Int).collect::<Vec<_>>());
+            }
+        }
     }
 }

@@ -5,8 +5,9 @@
 //! [`crate::block::RowBlock`]s of ~[`ExecLimits::block_rows`] rows from their child,
 //! so `LIMIT` propagates an early-stop all the way into `Heap::scan` and
 //! peak memory for scan-heavy plans is O(block), not O(table). It also owns
-//! the morsel-parallel scan→filter→project prefix (`ParallelScanOp`,
-//! sized by [`ExecLimits::exec_threads`]).
+//! the morsel-parallel scan→filter→project prefix (`ParallelScanOp`) and
+//! the parallel pipeline breakers, which run on one crew of
+//! [`ExecLimits::exec_threads`] threads per statement (`crate::crew`).
 //!
 //! The materializing engine below (`run_materialize`, reachable via
 //! [`ExecMode::Materialize`]) keeps the old semantics — every operator
@@ -23,6 +24,7 @@ use crate::datum::{Datum, GroupKey};
 use crate::error::{DbError, DbResult};
 use crate::expr::{EvalCtx, PhysExpr};
 use crate::agg::Accumulator;
+use crate::crew::Crew;
 use crate::db::SnapSource;
 use crate::plan::{AccessPath, AggSpec, Plan, SortKey};
 use std::collections::HashMap;
@@ -92,8 +94,9 @@ pub struct ExecLimits {
     /// at the root, so it never charges *more* than the materializing
     /// engine (and may succeed where full materialization would not).
     pub max_intermediate_rows: u64,
-    /// Worker threads for the parallel scan pipeline; 1 forces the serial
-    /// path. Defaults to the available parallelism.
+    /// Threads per statement: its own plus up to `exec_threads − 1`
+    /// helpers of its crew (DESIGN.md §26); 1 forces the serial path.
+    /// Defaults to the available parallelism.
     pub exec_threads: usize,
     /// Target rows per streaming block (default 1024; clamped to ≥ 1).
     pub block_rows: usize,
@@ -125,10 +128,17 @@ crate::counter_table! {
     executor serial_scans: counter,
     /// Morsels handed to scan workers.
     executor morsels_dispatched: counter,
-    /// Worker threads spawned across all parallel scans.
+    /// Threads (the statement's crew, its own thread included) that could
+    /// claim morsels, summed over parallel scans.
     executor scan_workers: counter,
     /// Live rows visited per finished morsel.
     executor rows_per_morsel: histogram,
+    /// Helper threads spawned for statement crews: at most
+    /// `exec_threads − 1` per statement, none at one thread (DESIGN.md §26).
+    executor exec_helpers_spawned: counter,
+    /// Nanoseconds a statement's own thread slept waiting for a morsel or
+    /// job it could not run itself, one sample per wait.
+    executor crew_wait_ns: histogram,
 
     /// Blocks delivered to the streaming engine's root accumulator.
     streaming blocks_emitted: counter,
@@ -258,7 +268,24 @@ pub(crate) struct Executor<'a> {
     pub(crate) stats: &'a ExecStats,
 }
 
+/// Below this many rows of work an operator stays serial: handing jobs to
+/// the crew would cost more than the work they take off the statement's
+/// thread (measured in DESIGN.md §26).
+const MIN_PARALLEL_ROWS: usize = 512;
+
 impl Executor<'_> {
+    /// The one rule for going parallel (DESIGN.md §26): the statement has
+    /// a crew — it has one exactly when `exec_threads > 1` — and at least
+    /// [`MIN_PARALLEL_ROWS`] rows of work. Scans pass their table's row-id
+    /// high-water mark, pipeline breakers the rows they hold.
+    pub(crate) fn parallel<'c, 'x>(
+        &self,
+        crew: Option<&'c Crew<'c, 'x>>,
+        rows: usize,
+    ) -> Option<&'c Crew<'c, 'x>> {
+        crew.filter(|_| self.limits.exec_threads > 1 && rows >= MIN_PARALLEL_ROWS)
+    }
+
     /// Execute `plan` with the engine selected by `limits.mode`. Both
     /// engines produce byte-identical results (the streaming engine's
     /// equivalence tests enforce this across block sizes and thread

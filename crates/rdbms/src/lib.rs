@@ -34,6 +34,7 @@ pub mod block;
 pub mod btree;
 pub mod columnar;
 pub mod counters;
+mod crew;
 pub mod datum;
 pub mod db;
 pub mod error;

@@ -3,7 +3,7 @@
 //! enforce the intermediate-row limit across workers, and turn worker
 //! panics into clean errors (no partial results, no poisoned state).
 
-use sinew_rdbms::{Database, Datum, DbError, DbResult, ExecLimits, ExecMode};
+use sinew_rdbms::{Database, Datum, DbError, DbResult, ExecLimits, ExecMode, QueryResult};
 use std::sync::Arc;
 
 const ROWS: i64 = 3_000;
@@ -122,6 +122,82 @@ fn worker_panic_surfaces_as_clean_error() {
     with_threads(&db, 1);
     let serial = db.execute("SELECT id, v FROM big WHERE v > 500").unwrap();
     assert_eq!(serial.rows, parallel.rows);
+
+    // Every job site of the statement crew: a UDF that panics on one row,
+    // the row chosen to land in the first chunk (the statement's own
+    // thread runs it) or in a later one (queued for a helper). Each
+    // statement must fail cleanly — not hang, not poison — and be followed
+    // by a correct one.
+    db.register_udf_pure(
+        "boom_at",
+        Arc::new(|args: &[Datum]| -> DbResult<Datum> {
+            if args[0] == args[1] {
+                panic!("synthetic evaluator bug at {:?}", args[0]);
+            }
+            Ok(args[0].clone())
+        }),
+    );
+    let sites: &[(&str, &str, [i64; 2])] = &[
+        ("scan morsel", "SELECT boom_at(id, {at}) FROM big", [5, 1_000]),
+        (
+            "aggregation pre-aggregate",
+            "SELECT grp, SUM(boom_at(id, {at})) FROM big GROUP BY grp",
+            [5, 1_000],
+        ),
+        (
+            "join build key",
+            "SELECT COUNT(*) FROM big a JOIN big b ON a.id = boom_at(b.id, {at})",
+            [5, 2_990],
+        ),
+        (
+            "join probe",
+            "SELECT COUNT(*) FROM big a JOIN big b ON boom_at(a.id, {at}) = b.id",
+            [5, 1_000],
+        ),
+    ];
+    let db = Arc::new(db);
+    with_threads(&db, 1);
+    let want = db.execute("SELECT grp, COUNT(*), SUM(v) FROM big GROUP BY grp").unwrap().rows;
+    for threads in [2, 4] {
+        for (site, template, ats) in sites {
+            for at in ats {
+                with_threads(&db, threads);
+                let sql = template.replace("{at}", &at.to_string());
+                let err = under_watchdog(&db, &sql).unwrap_err();
+                assert!(
+                    format!("{err}").contains("parallel worker panicked"),
+                    "{site} at {threads} threads, row {at}: {err}"
+                );
+                let after =
+                    under_watchdog(&db, "SELECT grp, COUNT(*), SUM(v) FROM big GROUP BY grp");
+                assert_eq!(after.unwrap().rows, want, "{site} at {threads} threads, row {at}");
+            }
+        }
+        // A `max_intermediate_rows` breach mid-stream: in the scan's
+        // shared budget, and in the probe's.
+        for sql in ["SELECT * FROM big", "SELECT a.id FROM big a JOIN big b ON a.grp = b.grp"] {
+            db.set_exec_limits(ExecLimits { max_intermediate_rows: 2_000, ..limits(threads) });
+            let err = under_watchdog(&db, sql).unwrap_err();
+            assert!(matches!(err, DbError::ResourceExhausted(_)), "{sql}: {err:?}");
+            with_threads(&db, threads);
+            let after = under_watchdog(&db, "SELECT grp, COUNT(*), SUM(v) FROM big GROUP BY grp");
+            assert_eq!(after.unwrap().rows, want, "{sql} at {threads} threads");
+        }
+    }
+}
+
+/// Run `sql` on its own thread and fail the test if it has not returned
+/// after 30 s: a crew that lost a wake-up hangs rather than fails.
+fn under_watchdog(db: &Arc<Database>, sql: &str) -> DbResult<QueryResult> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let (db, owned) = (Arc::clone(db), sql.to_string());
+    std::thread::spawn(move || {
+        let _ = tx.send(db.execute(&owned));
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(30)) {
+        Ok(result) => result,
+        Err(e) => panic!("`{sql}` did not finish within 30 s ({e})"),
+    }
 }
 
 #[test]
@@ -213,4 +289,67 @@ fn scans_past_the_pool_match_an_in_memory_twin() {
     check("vacuumed");
     assert!(file.io_stats().scan_reads > 0, "no scan read past the pool");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A table `n (id, v)` of `rows` rows, inserted in one call.
+fn db_with_rows(rows: i64) -> Database {
+    let db = Database::in_memory();
+    db.execute("CREATE TABLE n (id int, v int)").unwrap();
+    let rows: Vec<Vec<Datum>> =
+        (0..rows).map(|i| vec![Datum::Int(i), Datum::Int(lcg(i) % 1000)]).collect();
+    db.insert_rows("n", &rows).unwrap();
+    db
+}
+
+/// How many helper threads `sql` spawned and morsels it dispatched.
+fn crew_use(db: &Database, sql: &str) -> (u64, u64) {
+    let before = db.exec_stats();
+    db.execute(sql).unwrap();
+    let after = db.exec_stats();
+    (
+        after.exec_helpers_spawned - before.exec_helpers_spawned,
+        after.morsels_dispatched - before.morsels_dispatched,
+    )
+}
+
+/// One crew per statement: every parallel operator of a statement shares
+/// the same `exec_threads − 1` helpers, whatever the number of scans,
+/// morsels and breaker phases; one thread spawns none.
+#[test]
+fn a_statement_spawns_its_helpers_once() {
+    let db = db_with_rows(10_240);
+    with_threads(&db, 4);
+    assert_eq!(crew_use(&db, "SELECT id FROM n WHERE v >= 0"), (3, 32), "one scan");
+
+    // Four scans of 32 morsels, three partitioned builds, an aggregate.
+    let join = "SELECT COUNT(*) FROM n a JOIN n b ON a.id = b.id \
+                JOIN n c ON b.id = c.id JOIN n d ON c.id = d.id";
+    let before = db.exec_stats();
+    let (helpers, morsels) = crew_use(&db, join);
+    let after = db.exec_stats();
+    assert_eq!(helpers, 3, "a join of parallel scans with a parallel build");
+    assert!(morsels >= 100, "{morsels} morsels");
+    assert!(after.join_partitions > before.join_partitions, "the build was not partitioned");
+
+    with_threads(&db, 1);
+    for sql in ["SELECT id FROM n WHERE v >= 0", join] {
+        assert_eq!(crew_use(&db, sql), (0, 0), "{sql} at one thread");
+    }
+}
+
+/// A LIMIT stops the claims: over 100 000 rows at four threads only the
+/// look-ahead window — 2 × threads morsels — is ever dispatched.
+#[test]
+fn limit_dispatches_at_most_the_look_ahead_window() {
+    let db = db_with_rows(100_000);
+    with_threads(&db, 1);
+    let want = db.execute("SELECT id, v FROM n LIMIT 10").unwrap().rows;
+    with_threads(&db, 4);
+    let before = db.exec_stats();
+    let got = db.execute("SELECT id, v FROM n LIMIT 10").unwrap().rows;
+    let after = db.exec_stats();
+    assert_eq!(got, want);
+    assert_eq!(after.parallel_scans - before.parallel_scans, 1);
+    let morsels = after.morsels_dispatched - before.morsels_dispatched;
+    assert!((1..=8).contains(&morsels), "{morsels} morsels dispatched for LIMIT 10");
 }
