@@ -1,11 +1,12 @@
 //! Benchmarks for the morsel-parallel scan pipeline and for extraction
 //! where the value is read: in-memory scans at 1/2/4/8 worker threads, a
 //! file-backed collection six times its buffer pool (its scans read past
-//! the pool, DESIGN.md §24) under a projection, `COUNT(*)` and a Q10
-//! `GROUP BY` at one and more threads, and a 1 %-selective filter
-//! projecting k = 1/3/5 virtual keys, which decodes the filter's key for
-//! every row and the projected keys only for the rows that pass
-//! (DESIGN.md §25).
+//! the pool, DESIGN.md §24) under a projection, `COUNT(*)`, a Q10
+//! `GROUP BY` and the Q5 (text `=`) and Q8 (`array_contains`) selections
+//! at one and more threads, and a 1 %-selective filter projecting k =
+//! 1/3/5 virtual keys, which tests the filter's key in place for every row
+//! (DESIGN.md §27) and decodes the projected keys only for the rows that
+//! pass (DESIGN.md §25).
 //!
 //! `cargo bench -p sinew-bench --bench bench_parallel_scan`. The
 //! end-to-end record for the same paths is `sinewbench`
@@ -13,7 +14,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sinew_core::Sinew;
-use sinew_nobench::{generate, NoBenchConfig};
+use sinew_nobench::{generate, NoBenchConfig, QueryParams};
 use sinew_rdbms::ExecLimits;
 use std::hint::black_box;
 
@@ -49,18 +50,24 @@ fn bench_parallel_scan(c: &mut Criterion) {
 
 /// The `nobench_virtual_spill` regime: 8 192 documents (about 590 heap
 /// pages) behind a 96-page pool, so every scan reads most pages from the
-/// file. Three statement shapes over it: a projection at 1/2/4 threads,
+/// file. Five statement shapes over it: a projection at 1/2/4 threads,
 /// and at 1/2 threads `SELECT COUNT(*)` (a scan feeding the parallel
-/// aggregation) and NoBench Q10's filtered `GROUP BY` (DESIGN.md §26).
+/// aggregation), NoBench Q10's filtered `GROUP BY` (DESIGN.md §26), and
+/// NoBench Q5 and Q8, whose filters are value tests (DESIGN.md §27).
 fn bench_past_the_pool(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("sinew-bench-spill-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let sinew = Sinew::open(&dir.join("db"), 96, None).unwrap();
     sinew.create_collection("nobench").unwrap();
-    sinew.load_docs("nobench", &generate(8_192, &NoBenchConfig::default())).unwrap();
+    let docs = generate(8_192, &NoBenchConfig::default());
+    let p = QueryParams::derive(&docs, &NoBenchConfig::default());
+    sinew.load_docs("nobench", &docs).unwrap();
     sinew.db().checkpoint().unwrap();
 
-    let groups: [(&str, &str, &[usize]); 3] = [
+    let select = r#"SELECT str1, num, "nested_obj.str" FROM nobench"#;
+    let q5 = format!("{select} WHERE str1 = '{}'", p.point_str1);
+    let q8 = format!("{select} WHERE array_contains(nested_arr, '{}')", p.arr_elem);
+    let groups: [(&str, &str, &[usize]); 5] = [
         ("scan_past_the_pool", "SELECT str1, num FROM nobench WHERE num >= 0", &[1, 2, 4]),
         ("count_star_past_the_pool", "SELECT COUNT(*) FROM nobench", &[1, 2]),
         (
@@ -69,6 +76,8 @@ fn bench_past_the_pool(c: &mut Criterion) {
              GROUP BY thousandth",
             &[1, 2],
         ),
+        ("q5_text_eq_past_the_pool", &q5, &[1, 2]),
+        ("q8_array_contains_past_the_pool", &q8, &[1, 2]),
     ];
     for (name, sql, threads) in groups {
         let mut g = c.benchmark_group(name);
@@ -87,7 +96,7 @@ fn bench_past_the_pool(c: &mut Criterion) {
 
 /// Late extraction: `thousandth < 10` passes 1 % of the rows, so the
 /// projected keys cost k decodes per passing row on top of the filter's
-/// one per row — growth in k should be small against the scan.
+/// one value test per row — growth in k should be small against the scan.
 fn bench_late_extraction(c: &mut Criterion) {
     let sinew = build();
     with_threads(&sinew, 1); // isolate extraction from scan parallelism

@@ -94,11 +94,12 @@ pub fn run(sinew: &Sinew, table: &str, policy: &AnalyzerPolicy) -> DbResult<Vec<
     // column can then use 1/ndistinct instead of the opaque-UDF default
     // selectivity (paper §3.2.3's fixed 200-row guess).
     let mut pc = db.planner_config();
+    let hints = pc.key_ndistinct.entry(table.to_string()).or_default();
     for id in &dense {
         let Some((name, _)) = cat.attr_info(*id) else { continue };
         let card = cardinality.get(id).copied().unwrap_or(0);
         if card > 0 {
-            pc.key_ndistinct.insert(name, card as f64);
+            hints.insert(name, card as f64);
         }
     }
     db.set_planner_config(pc);

@@ -64,6 +64,11 @@ sinew_rdbms::counter_table! {
     udf udf_fused_extractions: counter,
     /// Per-tuple `exists_key` invocations.
     udf udf_exists_probes: counter,
+    /// Per-tuple value tests: predicates over a bound extraction that the
+    /// planner handed to it, answered from the serialized value without
+    /// decoding it (DESIGN.md §27). A value tested is not counted in
+    /// `udf_extractions`.
+    udf udf_value_tests: counter,
 
     // -- rewriter (rewriter.rs) --
     /// Logical `SELECT`, `UPDATE` and `DELETE` statements (`EXPLAIN` of one

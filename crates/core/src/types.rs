@@ -150,56 +150,75 @@ fn encode_elem(out: &mut Vec<u8>, e: &ArrayElem) {
     }
 }
 
-pub fn decode_array(bytes: &[u8]) -> Option<Vec<ArrayElem>> {
-    let mut pos = 0usize;
-    let n = read_u32(bytes, &mut pos)? as usize;
-    let mut items = Vec::with_capacity(n);
-    for _ in 0..n {
-        items.push(decode_elem(bytes, &mut pos)?);
-    }
-    Some(items)
+/// One element of an encoded array, borrowed from the encoding. A nested
+/// array is its own encoding, not yet read.
+enum ElemRef<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Text(&'a str),
+    Doc(&'a [u8]),
+    Array(&'a [u8]),
 }
 
-fn decode_elem(bytes: &[u8], pos: &mut usize) -> Option<ArrayElem> {
-    let tag = *bytes.get(*pos)?;
-    *pos += 1;
-    Some(match tag {
-        0 => ArrayElem::Null,
-        1 => {
-            let b = *bytes.get(*pos)?;
-            *pos += 1;
-            ArrayElem::Bool(b != 0)
-        }
-        2 => {
-            let raw = bytes.get(*pos..*pos + 8)?;
-            *pos += 8;
-            ArrayElem::Int(i64::from_le_bytes(raw.try_into().ok()?))
-        }
-        3 => {
-            let raw = bytes.get(*pos..*pos + 8)?;
-            *pos += 8;
-            ArrayElem::Float(f64::from_le_bytes(raw.try_into().ok()?))
-        }
-        4 => {
-            let len = read_u32(bytes, pos)? as usize;
-            let raw = bytes.get(*pos..*pos + len)?;
-            *pos += len;
-            ArrayElem::Text(std::str::from_utf8(raw).ok()?.to_string())
-        }
-        5 => {
-            let len = read_u32(bytes, pos)? as usize;
-            let raw = bytes.get(*pos..*pos + len)?;
-            *pos += len;
-            ArrayElem::Doc(raw.to_vec())
-        }
-        6 => {
-            let len = read_u32(bytes, pos)? as usize;
-            let raw = bytes.get(*pos..*pos + len)?;
-            *pos += len;
-            ArrayElem::Array(decode_array(raw)?)
-        }
-        _ => return None,
-    })
+/// Read an encoded array's elements in order, handing each to `f`. `None`
+/// on a truncated element, an unknown tag or text that is not UTF-8, or
+/// when `f` returns `None` — which is how a reader that reads a nested
+/// array reports it corrupt (every reader below reads them, so all three
+/// fail on the same bytes). Bytes after the last element are not read.
+fn for_each_elem<'a>(bytes: &'a [u8], mut f: impl FnMut(ElemRef<'a>) -> Option<()>) -> Option<()> {
+    let mut pos = 0usize;
+    let n = read_u32(bytes, &mut pos)?;
+    for _ in 0..n {
+        let tag = *bytes.get(pos)?;
+        pos += 1;
+        let mut take = |len: usize| -> Option<&'a [u8]> {
+            let raw = bytes.get(pos..pos.checked_add(len)?)?;
+            pos += len;
+            Some(raw)
+        };
+        f(match tag {
+            0 => ElemRef::Null,
+            1 => ElemRef::Bool(take(1)?[0] != 0),
+            2 => ElemRef::Int(i64::from_le_bytes(take(8)?.try_into().ok()?)),
+            3 => ElemRef::Float(f64::from_le_bytes(take(8)?.try_into().ok()?)),
+            4..=6 => {
+                let len = u32::from_le_bytes(take(4)?.try_into().ok()?) as usize;
+                let raw = take(len)?;
+                match tag {
+                    4 => ElemRef::Text(std::str::from_utf8(raw).ok()?),
+                    5 => ElemRef::Doc(raw),
+                    _ => ElemRef::Array(raw),
+                }
+            }
+            _ => return None,
+        })?;
+    }
+    Some(())
+}
+
+/// The count a well-formed encoding could hold: every element takes at
+/// least one byte, so a corrupt count cannot reserve more than that.
+fn capacity(bytes: &[u8]) -> usize {
+    read_u32(bytes, &mut 0).map_or(0, |n| (n as usize).min(bytes.len()))
+}
+
+pub fn decode_array(bytes: &[u8]) -> Option<Vec<ArrayElem>> {
+    let mut items = Vec::with_capacity(capacity(bytes));
+    for_each_elem(bytes, |e| {
+        items.push(match e {
+            ElemRef::Null => ArrayElem::Null,
+            ElemRef::Bool(b) => ArrayElem::Bool(b),
+            ElemRef::Int(i) => ArrayElem::Int(i),
+            ElemRef::Float(f) => ArrayElem::Float(f),
+            ElemRef::Text(s) => ArrayElem::Text(s.to_string()),
+            ElemRef::Doc(b) => ArrayElem::Doc(b.to_vec()),
+            ElemRef::Array(raw) => ArrayElem::Array(decode_array(raw)?),
+        });
+        Some(())
+    })?;
+    Some(items)
 }
 
 fn read_u32(bytes: &[u8], pos: &mut usize) -> Option<u32> {
@@ -209,20 +228,48 @@ fn read_u32(bytes: &[u8], pos: &mut usize) -> Option<u32> {
 }
 
 /// Array bytes → the RDBMS array datum (scalars only; nested docs surface
-/// as bytea elements).
+/// as bytea elements), decoded straight into `Datum`s: one allocation per
+/// text or document element.
 pub fn array_to_datum(bytes: &[u8]) -> Option<Datum> {
-    fn conv(e: &ArrayElem) -> Datum {
-        match e {
-            ArrayElem::Null => Datum::Null,
-            ArrayElem::Bool(b) => Datum::Bool(*b),
-            ArrayElem::Int(i) => Datum::Int(*i),
-            ArrayElem::Float(f) => Datum::Float(*f),
-            ArrayElem::Text(s) => Datum::Text(s.clone()),
-            ArrayElem::Doc(b) => Datum::Bytea(b.clone()),
-            ArrayElem::Array(items) => Datum::Array(items.iter().map(conv).collect()),
-        }
-    }
-    Some(Datum::Array(decode_array(bytes)?.iter().map(conv).collect()))
+    let mut items = Vec::with_capacity(capacity(bytes));
+    for_each_elem(bytes, |e| {
+        items.push(match e {
+            ElemRef::Null => Datum::Null,
+            ElemRef::Bool(b) => Datum::Bool(b),
+            ElemRef::Int(i) => Datum::Int(i),
+            ElemRef::Float(f) => Datum::Float(f),
+            ElemRef::Text(s) => Datum::Text(s.to_string()),
+            ElemRef::Doc(b) => Datum::Bytea(b.to_vec()),
+            ElemRef::Array(raw) => array_to_datum(raw)?,
+        });
+        Some(())
+    })?;
+    Some(Datum::Array(items))
+}
+
+/// `array_contains` over the encoded array, without decoding it: whether
+/// an element is [`Datum::sql_eq`] to `needle`, as over
+/// [`array_to_datum`]'s result, and `None` where that returns `None` — the
+/// whole array is read, nested arrays included, before answering.
+pub(crate) fn array_contains(bytes: &[u8], needle: &Datum) -> Option<bool> {
+    let mut found = false;
+    for_each_elem(bytes, |e| {
+        found |= match e {
+            ElemRef::Null => false,
+            ElemRef::Bool(b) => Datum::Bool(b).sql_eq(needle) == Some(true),
+            ElemRef::Int(i) => Datum::Int(i).sql_eq(needle) == Some(true),
+            ElemRef::Float(f) => Datum::Float(f).sql_eq(needle) == Some(true),
+            ElemRef::Text(s) => matches!(needle, Datum::Text(n) if n == s),
+            ElemRef::Doc(b) => matches!(needle, Datum::Bytea(n) if n == b),
+            ElemRef::Array(raw) => match needle {
+                Datum::Array(_) => array_to_datum(raw)?.sql_eq(needle) == Some(true),
+                // equal to nothing else, but it has to be well formed
+                _ => array_contains(raw, needle).map(|_| false)?,
+            },
+        };
+        Some(())
+    })?;
+    Some(found)
 }
 
 /// Datum (from a materialized array column) → reservoir array bytes.

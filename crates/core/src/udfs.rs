@@ -14,6 +14,7 @@
 //! | `extract_key_obj`   | bytea   | nested object (serialized) |
 //! | `extract_key_arr`   | array   | array as the RDBMS array datatype |
 //! | `exists_key`        | bool    | key present under any type |
+//! | `test[extract_key_* …]` | bool | planted by the planner, not callable: a value test |
 //! | `set_key`           | bytea   | reservoir with key set (UPDATEs) |
 //! | `remove_key`        | bytea   | reservoir with key removed |
 //! | `doc_to_json`       | text    | whole document back to JSON |
@@ -30,6 +31,15 @@
 //! leaves the registered function in place, which resolves on every call
 //! and reports a malformed argument where it is evaluated (DESIGN.md §22).
 //!
+//! **Tests, not decodes.** After costing, the planner offers a bound
+//! `extract_key_*` call the predicate it sits in, through
+//! [`ScalarFn::bind_test`]: `= 'lit'` and the other comparisons, `BETWEEN`,
+//! `array_contains(…, lit)` and `IS [NOT] NULL`. For every want but
+//! `txt` and `obj` the call takes it and becomes a [`ValueTestFn`] — the
+//! same arguments, the same descent and variant pick, the value compared
+//! where it lies in the document ([`ExtractionPlan::test`]) and counted in
+//! `udf_value_tests` instead of `udf_extractions` (DESIGN.md §27).
+//!
 //! **One key per call.** The rewriter emits one `extract_key_*` call per
 //! column reference, as the paper's does, and the plan evaluates each
 //! where its value is read: a key named only in the projection is decoded
@@ -42,7 +52,7 @@ use crate::extract::{self, Want};
 use crate::metrics::Metrics;
 use crate::plan::ExtractionPlan;
 use parking_lot::RwLock;
-use sinew_rdbms::{Database, Datum, DbError, DbResult, ScalarFn};
+use sinew_rdbms::{Database, Datum, DbError, DbResult, ScalarFn, ValueTest};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Weak};
 
@@ -224,6 +234,33 @@ impl ScalarFn for ExtractKeyFn {
     fn bind(&self, consts: &[Option<&Datum>]) -> Option<Arc<dyn ScalarFn>> {
         Some(Arc::new(ExtractKeyFn(self.0.bound(consts)?)))
     }
+
+    fn bind_test(&self, test: &ValueTest) -> Option<Arc<dyn ScalarFn>> {
+        let plan = self.0.plan.as_ref()?;
+        plan.can_test(test)
+            .then(|| Arc::new(ValueTestFn { call: self.0.clone(), test: test.clone() }) as _)
+    }
+}
+
+/// A predicate over a bound `extract_key_*` call, evaluated on the
+/// serialized value in place; called with the extraction's own arguments.
+struct ValueTestFn {
+    call: PathCall,
+    test: ValueTest,
+}
+
+impl ScalarFn for ValueTestFn {
+    fn call(&self, args: &[Datum]) -> DbResult<Datum> {
+        self.call_ref(&by_ref(args))
+    }
+
+    fn call_ref(&self, args: &[&Datum]) -> DbResult<Datum> {
+        let c = &self.call;
+        c.metrics.udf_value_tests.inc();
+        c.run("extract_key", args, self.test.on_null(), |plan, bytes| {
+            plan.test(&c.cat, bytes, &self.test)
+        })
+    }
 }
 
 /// `exists_key(data, path)`: is the key present under any type?
@@ -351,9 +388,12 @@ mod tests {
                 assert!(rows == 1 || rows == 3000, "{sql}");
                 let sites = s.rewrite(sql).unwrap().matches("extract_key").count() as u64;
                 assert!(sites >= 1, "{sql}");
-                // every row passes, so every site decodes once per row
-                let calls = after.udf_extractions - before.udf_extractions;
-                assert_eq!(calls, 3000 * sites, "{sql}: {calls} extraction calls");
+                // every row passes, so every site reads once per row: the
+                // filter's site as a value test, the projected ones decoded
+                let tests = after.udf_value_tests - before.udf_value_tests;
+                let decodes = after.udf_extractions - before.udf_extractions;
+                assert_eq!(tests, 3000, "{sql}: {tests} value tests");
+                assert_eq!(decodes, 3000 * (sites - 1), "{sql}: {decodes} values decoded");
                 assert_eq!(
                     after.plan_cache_misses - before.plan_cache_misses,
                     if run == 0 { sites } else { 0 },
@@ -363,29 +403,39 @@ mod tests {
         }
     }
 
-    /// Rows returned, values decoded (`udf_extractions`), paths resolved
-    /// (`plan_cache_misses`) and whether the scan ran morsel-parallel, for
-    /// one `query` at `threads` exec threads.
-    fn decode_counts(s: &Sinew, sql: &str, threads: usize) -> (usize, u64, u64, bool) {
+    /// What one `query` at `threads` exec threads did.
+    struct Counts {
+        rows: usize,
+        /// values decoded (`udf_extractions`)
+        decoded: u64,
+        /// values tested in place (`udf_value_tests`)
+        tested: u64,
+        /// paths resolved (`plan_cache_misses`)
+        resolved: u64,
+        /// whether the scan ran morsel-parallel
+        parallel: bool,
+    }
+
+    fn decode_counts(s: &Sinew, sql: &str, threads: usize) -> Counts {
         s.db().set_exec_limits(ExecLimits { exec_threads: threads, ..ExecLimits::default() });
         let (before, scans) = (s.metrics().snapshot(), s.db().exec_stats().parallel_scans);
         let rows = s.query(sql).unwrap().rows.len();
         let after = s.metrics().snapshot();
-        (
+        Counts {
             rows,
-            after.udf_extractions - before.udf_extractions,
-            after.plan_cache_misses - before.plan_cache_misses,
-            s.db().exec_stats().parallel_scans > scans,
-        )
+            decoded: after.udf_extractions - before.udf_extractions,
+            tested: after.udf_value_tests - before.udf_value_tests,
+            resolved: after.plan_cache_misses - before.plan_cache_misses,
+            parallel: s.db().exec_stats().parallel_scans > scans,
+        }
     }
 
     /// A key named only in the projection is decoded for the rows that
     /// pass the filter, not for every row the scan reads: serially (scan,
-    /// filter, project) and in the morsel-parallel pipeline. A key named in
-    /// both through the same call is memoized per row where one context
-    /// spans the filter and the projection (the parallel pipeline), and
-    /// decoded again for the rows that pass where it does not (the serial
-    /// operators).
+    /// filter, project) and in the morsel-parallel pipeline. The filter's
+    /// key is tested in place for every row and decodes nothing, so a key
+    /// named in both is decoded only for the rows that pass, at any thread
+    /// count.
     #[test]
     fn projected_keys_decode_only_for_rows_that_pass() {
         let s = Sinew::in_memory();
@@ -399,10 +449,10 @@ mod tests {
         s.load_jsonl("c", &docs).unwrap();
         let sql = "SELECT a, b, c FROM c WHERE k = 7";
         for threads in [1, 4] {
-            let (rows, decoded, _, parallel) = decode_counts(&s, sql, threads);
-            assert_eq!(rows, 30);
-            assert_eq!(decoded, 3000 + 3 * 30, "at {threads} threads");
-            assert_eq!(parallel, threads > 1);
+            let c = decode_counts(&s, sql, threads);
+            assert_eq!(c.rows, 30);
+            assert_eq!((c.tested, c.decoded), (3000, 3 * 30), "at {threads} threads");
+            assert_eq!(c.parallel, threads > 1);
         }
         let rewritten = s.rewrite(sql).unwrap();
         assert_eq!(rewritten.matches("extract_key_").count(), 4, "{rewritten}");
@@ -410,10 +460,9 @@ mod tests {
         // 'b' is extract_key_t in both places; one row passes
         let sql = "SELECT b, a FROM c WHERE b = 'v7'";
         for threads in [1, 4] {
-            let (rows, decoded, _, _) = decode_counts(&s, sql, threads);
-            let b_again = if threads > 1 { 0 } else { 1 };
-            assert_eq!(decoded, 3000 + 1 + b_again, "at {threads} threads");
-            assert_eq!(rows, 1);
+            let c = decode_counts(&s, sql, threads);
+            assert_eq!((c.tested, c.decoded), (3000, 2), "at {threads} threads");
+            assert_eq!(c.rows, 1);
         }
     }
 
@@ -438,11 +487,11 @@ mod tests {
             s.load_jsonl(table, &docs).unwrap();
             let sql = format!("SELECT * FROM {table}");
             for (run, threads) in [1, 4].into_iter().enumerate() {
-                let (rows, decoded, resolved, parallel) = decode_counts(&s, &sql, threads);
-                assert_eq!(rows, 600);
-                assert_eq!(decoded, 600 * keys, "{table} at {threads} threads");
-                assert_eq!(resolved, if run == 0 { keys } else { 0 }, "{table}");
-                assert_eq!(parallel, threads > 1);
+                let c = decode_counts(&s, &sql, threads);
+                assert_eq!(c.rows, 600);
+                assert_eq!(c.decoded, 600 * keys, "{table} at {threads} threads");
+                assert_eq!(c.resolved, if run == 0 { keys } else { 0 }, "{table}");
+                assert_eq!(c.parallel, threads > 1);
             }
             let rewritten = s.rewrite(&sql).unwrap();
             assert_eq!(rewritten.matches("extract_key_i(").count() as u64, keys);

@@ -235,7 +235,7 @@ fn promotion_creates_secondary_index_and_demotion_drops_it() {
 
     // the analyzer also fed sampled cardinality to the planner as an
     // extraction-selectivity hint
-    let hinted = sinew.db().planner_config().key_ndistinct.get("k").copied();
+    let hinted = sinew.db().planner_config().key_ndistinct["c"].get("k").copied();
     assert!(hinted.unwrap_or(0.0) >= 400.0, "missing ndistinct hint: {hinted:?}");
 
     // logical point queries on the promoted column are covered by the

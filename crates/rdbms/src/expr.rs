@@ -7,8 +7,9 @@
 use crate::datum::{ColType, Datum};
 use crate::error::{DbError, DbResult};
 use crate::exec::Row;
-use crate::func::{FuncRegistry, ScalarFn};
+use crate::func::{FuncRegistry, ScalarFn, ValueTest};
 use sinew_sql::{BinaryOp, Expr, Literal, UnaryOp};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// A fully bound, executable expression.
@@ -136,20 +137,7 @@ impl PhysExpr {
                 let v = expr.eval_with(row, ctx.as_deref_mut())?;
                 let lo = low.eval_with(row, ctx.as_deref_mut())?;
                 let hi = high.eval_with(row, ctx)?;
-                // Postgres rewrites BETWEEN as two comparisons without
-                // memoizing the operand (paper §6.4 contrasts this with
-                // MongoDB's precompute) — semantics are unchanged here since
-                // evaluation is pure; the *cost* difference is modeled where
-                // extraction happens (two extract calls for virtual columns).
-                let ge = match v.sql_cmp(&lo) {
-                    None => return Ok(Datum::Null),
-                    Some(o) => o != std::cmp::Ordering::Less,
-                };
-                let le = match v.sql_cmp(&hi) {
-                    None => return Ok(Datum::Null),
-                    Some(o) => o != std::cmp::Ordering::Greater,
-                };
-                Ok(Datum::Bool((ge && le) != *negated))
+                Ok(between(v.sql_cmp(&lo), v.sql_cmp(&hi), *negated))
             }
             PhysExpr::InList { expr, list, negated } => {
                 let v = expr.eval_with(row, ctx.as_deref_mut())?;
@@ -371,6 +359,23 @@ impl PhysExpr {
         Ok(keep)
     }
 
+    /// Offer each predicate over a call in this tree to the call's
+    /// function ([`ScalarFn::bind_test`]); a predicate the function takes
+    /// becomes a call of the returned test over the call's own arguments,
+    /// named `test[<call> <test>]` so plan text shows it. Run by the
+    /// planner over scan filters after costing (DESIGN.md §27).
+    pub fn offer_value_tests(&mut self) {
+        let taken = value_test(self).and_then(|(call, test)| {
+            let PhysExpr::Call { name, func, args } = call else { return None };
+            let func = func.bind_test(&test)?;
+            Some(PhysExpr::Call { name: format!("test[{name} {test}]"), func, args: args.clone() })
+        });
+        match taken {
+            Some(e) => *self = e,
+            None => self.children_mut().into_iter().for_each(PhysExpr::offer_value_tests),
+        }
+    }
+
     /// True if any function call occurs in the tree. Function calls are
     /// opaque to the optimizer (no statistics), which is what triggers
     /// default selectivity estimates for Sinew's virtual columns.
@@ -418,19 +423,7 @@ fn eval_binary(
     let l = left.eval_with(row, ctx.as_deref_mut())?;
     let r = right.eval_with(row, ctx)?;
     if op.is_comparison() {
-        let cmp = l.sql_cmp(&r);
-        return Ok(match cmp {
-            None => Datum::Null,
-            Some(o) => Datum::Bool(match op {
-                Eq => o == std::cmp::Ordering::Equal,
-                NotEq => o != std::cmp::Ordering::Equal,
-                Lt => o == std::cmp::Ordering::Less,
-                LtEq => o != std::cmp::Ordering::Greater,
-                Gt => o == std::cmp::Ordering::Greater,
-                GtEq => o != std::cmp::Ordering::Less,
-                _ => unreachable!(),
-            }),
-        });
+        return Ok(l.sql_cmp(&r).map_or(Datum::Null, |o| Datum::Bool(cmp_holds(op, o))));
     }
     if l.is_null() || r.is_null() {
         return Ok(Datum::Null);
@@ -440,6 +433,85 @@ fn eval_binary(
         Add | Sub | Mul | Div | Mod => numeric_op(op, &l, &r),
         _ => unreachable!(),
     }
+}
+
+/// Does a value that compares as `o` satisfy comparison `op`?
+pub(crate) fn cmp_holds(op: BinaryOp, o: Ordering) -> bool {
+    match op {
+        BinaryOp::Eq => o == Ordering::Equal,
+        BinaryOp::NotEq => o != Ordering::Equal,
+        BinaryOp::Lt => o == Ordering::Less,
+        BinaryOp::LtEq => o != Ordering::Greater,
+        BinaryOp::Gt => o == Ordering::Greater,
+        BinaryOp::GtEq => o != Ordering::Less,
+        other => unreachable!("{other} is not a comparison"),
+    }
+}
+
+/// `v [NOT] BETWEEN lo AND hi` for a `v` that compares with the bounds as
+/// `lo` and `hi` (`None`: not comparable, so NULL).
+///
+/// Postgres rewrites BETWEEN as two comparisons without memoizing the
+/// operand (paper §6.4 contrasts this with MongoDB's precompute) —
+/// semantics are unchanged here since evaluation is pure; the *cost*
+/// difference is modeled where extraction happens (two extract calls for
+/// virtual columns).
+pub(crate) fn between(lo: Option<Ordering>, hi: Option<Ordering>, negated: bool) -> Datum {
+    match (lo, hi) {
+        (Some(lo), Some(hi)) => {
+            Datum::Bool((lo != Ordering::Less && hi != Ordering::Greater) != negated)
+        }
+        _ => Datum::Null,
+    }
+}
+
+/// Flip a comparison for `lit op e` → `e op' lit`.
+pub(crate) fn flip(op: BinaryOp) -> BinaryOp {
+    match op {
+        BinaryOp::Lt => BinaryOp::Gt,
+        BinaryOp::LtEq => BinaryOp::GtEq,
+        BinaryOp::Gt => BinaryOp::Lt,
+        BinaryOp::GtEq => BinaryOp::LtEq,
+        other => other,
+    }
+}
+
+/// The call and the test if `e` is one of the predicate shapes
+/// [`PhysExpr::offer_value_tests`] offers: `call op lit`, `lit op call`,
+/// `call [NOT] BETWEEN lit AND lit`, `array_contains(call, lit)` and
+/// `call IS [NOT] NULL`.
+fn value_test(e: &PhysExpr) -> Option<(&PhysExpr, ValueTest)> {
+    use PhysExpr::{Call, Literal};
+    Some(match e {
+        PhysExpr::Binary { op, left, right } if op.is_comparison() => {
+            match (left.as_ref(), right.as_ref()) {
+                (call @ Call { .. }, Literal(lit)) => (call, ValueTest::Cmp(*op, lit.clone())),
+                (Literal(lit), call @ Call { .. }) => {
+                    (call, ValueTest::Cmp(flip(*op), lit.clone()))
+                }
+                _ => return None,
+            }
+        }
+        PhysExpr::Between { expr, low, high, negated } => match (&**expr, &**low, &**high) {
+            (call @ Call { .. }, Literal(lo), Literal(hi)) => {
+                (call, ValueTest::Between { lo: lo.clone(), hi: hi.clone(), negated: *negated })
+            }
+            _ => return None,
+        },
+        Call { name, args, .. } if name.eq_ignore_ascii_case("array_contains") => {
+            match args.as_slice() {
+                [call @ Call { .. }, Literal(needle)] => {
+                    (call, ValueTest::Contains(needle.clone()))
+                }
+                _ => return None,
+            }
+        }
+        PhysExpr::IsNull { expr, negated } => match &**expr {
+            call @ Call { .. } => (call, ValueTest::IsNull { negated: *negated }),
+            _ => return None,
+        },
+        _ => return None,
+    })
 }
 
 fn numeric_op(op: BinaryOp, l: &Datum, r: &Datum) -> DbResult<Datum> {

@@ -12,11 +12,19 @@
 //! borrowed-argument form [`ScalarFn::call_ref`]) and one per call site:
 //! [`ScalarFn::bind`], through which the binder lets a function specialise
 //! itself on its literal arguments before the first row (DESIGN.md §22).
+//! After costing, the planner offers a bound call the predicate it sits in
+//! ([`ScalarFn::bind_test`], [`ValueTest`]): a function that can answer the
+//! predicate from its input without producing its value takes it over
+//! (DESIGN.md §27).
 
 use crate::datum::{ColType, Datum};
 use crate::error::{DbError, DbResult};
+use crate::expr::{between, cmp_holds};
 use parking_lot::RwLock;
+use sinew_sql::BinaryOp;
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::sync::Arc;
 
 /// A scalar function implementation.
@@ -48,6 +56,79 @@ pub trait ScalarFn: Send + Sync {
     /// the same literals have to give an equivalent function every time.
     fn bind(&self, _consts: &[Option<&Datum>]) -> Option<Arc<dyn ScalarFn>> {
         None
+    }
+
+    /// Predicate hook, called by the planner after costing for a call site
+    /// that is the operand of `test` in a scan's filter. A function that
+    /// can evaluate the test on its arguments without building its result
+    /// returns the function to call in place of the whole predicate, over
+    /// the same arguments; that function must return exactly what the
+    /// predicate returns over this function's result, NULL included.
+    /// `None` (the default) keeps the predicate as it is. The same rules as
+    /// [`ScalarFn::bind`]: no failure, no side effect.
+    fn bind_test(&self, _test: &ValueTest) -> Option<Arc<dyn ScalarFn>> {
+        None
+    }
+}
+
+/// A predicate over one call's result whose other operands are literals:
+/// the shapes the planner offers through [`ScalarFn::bind_test`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum ValueTest {
+    /// `f(..) op lit`, `op` a comparison (`lit op f(..)` arrives flipped).
+    Cmp(BinaryOp, Datum),
+    /// `f(..) [NOT] BETWEEN lo AND hi`.
+    Between { lo: Datum, hi: Datum, negated: bool },
+    /// `array_contains(f(..), lit)`.
+    Contains(Datum),
+    /// `f(..) IS [NOT] NULL`.
+    IsNull { negated: bool },
+}
+
+impl ValueTest {
+    /// The predicate's result when the call returns NULL.
+    pub fn on_null(&self) -> Datum {
+        match self {
+            ValueTest::IsNull { negated } => Datum::Bool(!negated),
+            _ => Datum::Null,
+        }
+    }
+
+    /// The predicate's result when the call returns a value that is not
+    /// NULL: `cmp(d)` is the value's [`Datum::sql_cmp`] with `d`, and
+    /// `contains(d)` is whether an element of the (array) value is
+    /// [`Datum::sql_eq`] to `d`, asked only of `Contains`.
+    pub fn on_value(
+        &self,
+        cmp: impl Fn(&Datum) -> Option<Ordering>,
+        contains: impl FnOnce(&Datum) -> bool,
+    ) -> Datum {
+        match self {
+            ValueTest::Cmp(op, lit) => {
+                cmp(lit).map_or(Datum::Null, |o| Datum::Bool(cmp_holds(*op, o)))
+            }
+            ValueTest::Between { lo, hi, negated } => between(cmp(lo), cmp(hi), *negated),
+            ValueTest::Contains(needle) => Datum::Bool(contains(needle)),
+            ValueTest::IsNull { negated } => Datum::Bool(*negated),
+        }
+    }
+}
+
+/// The predicate with its call left out, for plan text: `= Text("x")`,
+/// `NOT BETWEEN Int(1) AND Int(5)`, `CONTAINS Text("x")`, `IS NULL`.
+impl fmt::Display for ValueTest {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ValueTest::Cmp(op, lit) => write!(f, "{op} {lit:?}"),
+            ValueTest::Between { lo, hi, negated } => {
+                let not = if *negated { "NOT " } else { "" };
+                write!(f, "{not}BETWEEN {lo:?} AND {hi:?}")
+            }
+            ValueTest::Contains(needle) => write!(f, "CONTAINS {needle:?}"),
+            ValueTest::IsNull { negated } => {
+                write!(f, "IS {}NULL", if *negated { "NOT " } else { "" })
+            }
+        }
     }
 }
 
@@ -176,7 +257,7 @@ fn array_length(args: &[Datum]) -> DbResult<Datum> {
 }
 
 /// `array_contains(arr, elem)` — the array-containment predicate NoBench
-/// Q9 needs (paper §6.4); the PG-JSON baseline cannot express this natively
+/// Q8 needs (paper §6.4); the PG-JSON baseline cannot express this natively
 /// (paper §6.7) and falls back to LIKE over the text form.
 fn array_contains(args: &[Datum]) -> DbResult<Datum> {
     match args {

@@ -63,7 +63,7 @@ pub use db::{
 pub use error::{DbError, DbResult};
 pub use block::{BlockOperator, RowBlock};
 pub use exec::{ExecLimits, ExecMode, ExecSnapshot};
-pub use func::ScalarFn;
+pub use func::{ScalarFn, ValueTest};
 pub use heap::RowId;
 pub use kernels::KernelStats;
 pub use planner::PlannerConfig;

@@ -69,10 +69,11 @@ pub struct PlannerConfig {
     /// Memory budget for hash tables and sorts, bytes (Postgres work_mem).
     pub work_mem: usize,
     pub defaults: Defaults,
-    /// Sampled distinct-value counts per reservoir key, from the Sinew
-    /// analyzer: gives `extract_key(data, k) = const` predicates a real
-    /// equality selectivity instead of the opaque-UDF default.
-    pub key_ndistinct: HashMap<String, f64>,
+    /// Sampled distinct-value counts per table, then per reservoir key,
+    /// from the Sinew analyzer: gives `extract_key(data, k) = const`
+    /// predicates over that table a real equality selectivity instead of
+    /// the opaque-UDF default.
+    pub key_ndistinct: HashMap<String, HashMap<String, f64>>,
     /// Partial join orders kept per round when ordering joins wider than
     /// the 10-relation DP horizon. Width 1 degenerates to the purely
     /// greedy fallback; wider beams trade `O(width · n²)` planning work
@@ -444,7 +445,7 @@ impl<'a> Planner<'a> {
             col_names: col_names.clone(),
             input_rows: meta.n_rows,
             defaults: self.config.defaults,
-            key_ndistinct: Some(&self.config.key_ndistinct),
+            key_ndistinct: self.config.key_ndistinct.get(table),
         };
         let filter = conjoin_phys(bound.clone());
         // estimate over the whole conjunction at once: same-column range
@@ -1220,9 +1221,17 @@ impl<'a> Planner<'a> {
     }
 }
 
-// ---- Scan-pipeline common-subexpression elimination ----
+// ---- Scan-pipeline value tests and common-subexpression elimination ----
 //
-// After the plan is assembled, repeated *pure* function-call subtrees inside
+// After the plan is assembled and costed, each predicate over a call in a
+// scan pipeline's filters (scan filter, post-scan filter) is offered to the
+// call's function (`PhysExpr::offer_value_tests`, DESIGN.md §27): an
+// extraction bound to a literal path answers `extract_key_t(data, 'k') =
+// 'v'` from the serialized value in place instead of decoding it. Row
+// estimates, join order and access paths were fixed before, so they do not
+// change.
+//
+// Then repeated *pure* function-call subtrees inside
 // a scan pipeline (scan filter, post-scan filter, projection list) are
 // wrapped in [`PhysExpr::Memo`] nodes so each distinct subtree evaluates at
 // most once per row and context: the rewriter emits one extraction call per
@@ -1237,7 +1246,8 @@ impl<'a> Planner<'a> {
 // the [`FuncRegistry`] are never memoized.
 
 fn memoize_scan_pipelines(plan: &mut Plan, funcs: &FuncRegistry) {
-    if let Some(mut exprs) = pipeline_exprs_mut(plan) {
+    if let Some((mut exprs, filters)) = pipeline_exprs_mut(plan) {
+        exprs.iter_mut().take(filters).for_each(|e| e.offer_value_tests());
         apply_cse(&mut exprs, funcs);
         return; // the pipeline bottoms out at its SeqScan
     }
@@ -1265,10 +1275,11 @@ fn memoize_scan_pipelines(plan: &mut Plan, funcs: &FuncRegistry) {
 }
 
 /// Mutable references to every expression of the scan pipeline rooted at
-/// `plan`, or `None` if `plan` does not root one. The recognized shapes
-/// are those of the executor's parallel-pipeline detection, over any scan
-/// kind: `Scan`, `Filter(Scan)`, `Project(Scan)`, `Project(Filter(Scan))`.
-fn pipeline_exprs_mut(plan: &mut Plan) -> Option<Vec<&mut PhysExpr>> {
+/// `plan`, filters first, and how many of them are filters; `None` if
+/// `plan` does not root one. The recognized shapes are those of the
+/// executor's parallel-pipeline detection, over any scan kind: `Scan`,
+/// `Filter(Scan)`, `Project(Scan)`, `Project(Filter(Scan))`.
+fn pipeline_exprs_mut(plan: &mut Plan) -> Option<(Vec<&mut PhysExpr>, usize)> {
     let (input, exprs) = match plan {
         Plan::Project { input, exprs, .. } => (input.as_mut(), exprs.as_mut_slice()),
         other => (other, Default::default()),
@@ -1286,8 +1297,9 @@ fn pipeline_exprs_mut(plan: &mut Plan) -> Option<Vec<&mut PhysExpr>> {
     };
     let mut v: Vec<&mut PhysExpr> = filter.iter_mut().collect();
     v.extend(predicate);
+    let filters = v.len();
     v.extend(exprs);
-    Some(v)
+    Some((v, filters))
 }
 
 fn apply_cse(exprs: &mut [&mut PhysExpr], funcs: &FuncRegistry) {

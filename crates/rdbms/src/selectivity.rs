@@ -13,7 +13,7 @@
 //!   grouping on one.
 
 use crate::datum::Datum;
-use crate::expr::PhysExpr;
+use crate::expr::{flip, PhysExpr};
 use crate::stats::TableStats;
 use sinew_sql::BinaryOp;
 use std::collections::HashMap;
@@ -61,9 +61,10 @@ pub struct SelContext<'a> {
     pub col_names: Vec<Option<String>>,
     pub input_rows: f64,
     pub defaults: Defaults,
-    /// Sampled distinct-value counts per reservoir key (from the Sinew
-    /// analyzer). Lets `extract_key(data, 'k') = const` estimate like a
-    /// column equality instead of falling to the opaque default.
+    /// Sampled distinct-value counts per reservoir key of this relation's
+    /// table (from the Sinew analyzer). Lets `extract_key(data, 'k') =
+    /// const` estimate like a column equality instead of falling to the
+    /// opaque default.
     pub key_ndistinct: Option<&'a HashMap<String, f64>>,
 }
 
@@ -330,16 +331,6 @@ fn extraction_key(e: &PhysExpr) -> Option<&str> {
             }
         }
         _ => None,
-    }
-}
-
-fn flip(op: BinaryOp) -> BinaryOp {
-    match op {
-        BinaryOp::Lt => BinaryOp::Gt,
-        BinaryOp::LtEq => BinaryOp::GtEq,
-        BinaryOp::Gt => BinaryOp::Lt,
-        BinaryOp::GtEq => BinaryOp::LtEq,
-        other => other,
     }
 }
 
