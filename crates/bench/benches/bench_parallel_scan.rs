@@ -6,14 +6,17 @@
 //! at one and more threads, and a 1 %-selective filter projecting k =
 //! 1/3/5 virtual keys, which tests the filter's key in place for every row
 //! (DESIGN.md §27) and decodes the projected keys only for the rows that
-//! pass (DESIGN.md §25).
+//! pass (DESIGN.md §25). Two groups run over materialized columns, where a
+//! scan tests its filter before it builds the rest of a row (DESIGN.md
+//! §28): Q8 over a physical array column with one survivor, and the §6.6
+//! `UPDATE` at one and two threads.
 //!
 //! `cargo bench -p sinew-bench --bench bench_parallel_scan`. The
 //! end-to-end record for the same paths is `sinewbench`
 //! (`nobench_virtual_spill` for the file-backed scan).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sinew_core::Sinew;
+use sinew_core::{AnalyzerPolicy, Sinew};
 use sinew_nobench::{generate, NoBenchConfig, QueryParams};
 use sinew_rdbms::ExecLimits;
 use std::hint::black_box;
@@ -113,5 +116,71 @@ fn bench_late_extraction(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_parallel_scan, bench_past_the_pool, bench_late_extraction);
+/// The `nobench_hybrid` shape: 1 536 documents under the paper's §6.1
+/// policy, so the dense keys are physical columns with segment stores. Q8
+/// reads `nested_arr` in place and gathers its projected columns for the
+/// one row that passes; the §6.6 `UPDATE` scans whole rows and decodes a
+/// row's other columns only where the filter passes.
+fn bench_late_materialization(c: &mut Criterion) {
+    let cfg = NoBenchConfig::default();
+    let docs = generate(1_536, &cfg);
+    let p = QueryParams::derive(&docs, &cfg);
+    let sinew = Sinew::in_memory();
+    sinew.create_collection("nobench").unwrap();
+    sinew.load_docs("nobench", &docs).unwrap();
+    sinew.run_analyzer("nobench", &AnalyzerPolicy::default()).unwrap();
+    sinew.materialize_until_clean("nobench").unwrap();
+    sinew.db().analyze("nobench").unwrap();
+
+    // An element of exactly one document's `nested_arr`: one survivor.
+    let elems = |d: &sinew_json::Value| -> Vec<String> {
+        let arr = d.get("nested_arr").and_then(|a| a.as_array()).unwrap_or(&[]);
+        arr.iter().filter_map(|e| e.as_str().map(str::to_string)).collect()
+    };
+    let mut counts = std::collections::HashMap::new();
+    for d in &docs {
+        let mut mine = elems(d);
+        mine.sort();
+        mine.dedup();
+        for e in mine {
+            *counts.entry(e).or_insert(0) += 1;
+        }
+    }
+    let unique = docs.iter().flat_map(elems).find(|e| counts[e] == 1).unwrap();
+    let select = r#"SELECT str1, num, "nested_obj.str" FROM nobench"#;
+    let q8 = format!("{select} WHERE array_contains(nested_arr, '{unique}')");
+    // Q8 reads the column stores and builds one row; Q1 filters nothing.
+    let before = sinew.db().exec_stats();
+    assert_eq!(sinew.query(&q8).unwrap().rows.len(), 1);
+    let after = sinew.db().exec_stats();
+    assert_eq!(after.columnar_scans, before.columnar_scans + 1, "Q8 left the column stores");
+    assert_eq!(after.scan_rows_rejected_early - before.scan_rows_rejected_early, 1_535);
+    sinew.query("SELECT str1, num FROM nobench").unwrap();
+    assert_eq!(sinew.db().exec_stats().scan_rows_rejected_early, after.scan_rows_rejected_early);
+    let update = format!(
+        "UPDATE nobench SET {} = 'DUMMY' WHERE {} = '{}'",
+        p.update_set_key, p.update_where_key, p.update_where_val
+    );
+    let groups: [(&str, &str, &[usize]); 2] =
+        [("q8_physical_array", &q8, &[1]), ("update_scan_materialized", &update, &[1, 2])];
+    for (name, sql, threads) in groups {
+        let mut g = c.benchmark_group(name);
+        g.sample_size(10);
+        for &threads in threads {
+            g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
+                with_threads(&sinew, t);
+                b.iter(|| black_box(sinew.query(sql).unwrap().rows.len()))
+            });
+        }
+        g.finish();
+    }
+}
+
+criterion_group!(
+    benches,
+    bench_parallel_scan,
+    bench_past_the_pool,
+    bench_late_extraction,
+    bench_late_materialization
+);
 criterion_main!(benches);

@@ -610,33 +610,24 @@ impl BlockOperator for SeqScanOp<'_, '_> {
         let block_rows = self.exec.limits.block_rows.max(1);
         let mut out: Vec<Row> = Vec::with_capacity(block_rows);
         let mut resume = self.next_rowid;
-        {
-            let ctx = &mut self.ctx;
-            let filter = self.filter;
-            self.exec.source.scan_table_range(
-                self.table,
-                self.needed,
-                self.next_rowid,
-                u64::MAX,
-                &mut |row| {
-                    // Scan rows end with their rowid; remember where to
-                    // resume the next block.
-                    let rid = match row.last() {
-                        Some(Datum::Int(r)) => *r as u64,
-                        _ => {
-                            return Err(DbError::Eval(
-                                "scan row missing trailing rowid".into(),
-                            ))
-                        }
-                    };
-                    resume = rid + 1;
-                    if passes(filter, ctx, &row)? {
-                        out.push(row);
-                    }
-                    Ok(out.len() < block_rows)
-                },
-            )?;
-        }
+        self.exec.source.scan_table_range(
+            self.table,
+            self.needed,
+            self.filter,
+            self.next_rowid..u64::MAX,
+            &mut self.ctx,
+            &mut |row, _| {
+                // Scan rows end with their rowid. A block ends at a row
+                // that passed, so the next one resumes after it.
+                let rid = match row.last() {
+                    Some(Datum::Int(r)) => *r as u64,
+                    _ => return Err(DbError::Eval("scan row missing trailing rowid".into())),
+                };
+                resume = rid + 1;
+                out.push(row);
+                Ok(out.len() < block_rows)
+            },
+        )?;
         self.next_rowid = resume;
         if out.len() < block_rows {
             // The callback never asked to stop, so the scan is exhausted.
@@ -821,13 +812,13 @@ impl AccessOp for IndexScanOp<'_, '_> {
 /// Columnar segment scan: fills blocks column-at-a-time from the table's
 /// column stores. Each segment runs the vectorized bound kernel (when the
 /// plan carries a sargable bound column) producing a selection vector,
-/// gathers only `needed` columns for the selected slots, then re-applies
-/// the full residual predicate per block unless the bounds are exact.
-/// Segments are the morsels of a [`MorselStream`] like
-/// [`ParallelScanOp`]'s (claimed by the statement's crew, stitched in
-/// segment order), so output is byte-identical to the heap scan at any
-/// thread count and a LIMIT stops the claims one window past the segment
-/// that satisfied it.
+/// tests the full residual predicate on the selected slots in place
+/// unless the bounds are exact, and gathers only `needed` columns for the
+/// slots that pass (`SnapSource::columnar_scan_segment`). Segments are
+/// the morsels of a [`MorselStream`] like [`ParallelScanOp`]'s (claimed
+/// by the statement's crew, stitched in segment order), so output is
+/// byte-identical to the heap scan at any thread count and a LIMIT stops
+/// the claims one window past the segment that satisfied it.
 struct ColumnarScanOp<'c, 'x, 'a> {
     exec: &'x Executor<'a>,
     crew: CrewRef<'c, 'x>,
@@ -841,25 +832,6 @@ struct ColumnarScanOp<'c, 'x, 'a> {
     pending: VecDeque<Row>,
 }
 
-/// Scan one segment and apply the residual filter, returning the
-/// surviving rows plus the kernel / pruned stats. `None` means the column
-/// store was demoted mid-scan.
-fn scan_segment(
-    exec: &Executor<'_>,
-    path: &AccessPath,
-    bounds_cover: bool,
-    seg: usize,
-) -> DbResult<Option<SegScan>> {
-    let Some(mut scan) = exec.source.columnar_scan_segment(path, seg)? else {
-        return Ok(None);
-    };
-    if !(path.exact_bounds || (bounds_cover && scan.exact)) {
-        let rows = std::mem::take(&mut scan.rows);
-        scan.rows = filter_rows(path.filter.as_ref(), &mut EvalCtx::new(), rows)?;
-    }
-    Ok(Some(scan))
-}
-
 impl AccessOp for ColumnarScanOp<'_, '_, '_> {
     fn open(&mut self) -> DbResult<bool> {
         let Some(n_segments) = self.exec.source.columnar_meta(self.path)? else {
@@ -868,7 +840,7 @@ impl AccessOp for ColumnarScanOp<'_, '_, '_> {
         self.exec.stats.columnar_scans.inc();
         let (exec, path, bounds_cover) = (self.exec, self.path, self.bounds_cover);
         self.segments = Some(MorselStream::new(self.crew, n_segments as u64, move |seg| {
-            scan_segment(exec, path, bounds_cover, seg as usize)
+            exec.source.columnar_scan_segment(path, bounds_cover, seg as usize)
         }));
         Ok(true)
     }
@@ -2274,40 +2246,39 @@ fn scan_morsel(
     let exceeded =
         || DbError::ResourceExhausted(format!("intermediate result exceeded {max_rows} rows"));
     let mut ctx = EvalCtx::new();
-    let mut rows_seen = 0u64;
     let mut passed = 0u64;
     let mut out: Vec<Row> = Vec::new();
-    exec.source.scan_table_range(pipe.table, pipe.needed, start, end, &mut |row| {
-        rows_seen += 1;
-        ctx.reset();
-        let keep = match pipe.scan_filter {
-            Some(f) => f.eval_bool_ctx(&row, &mut ctx)?,
-            None => true,
-        };
-        if !keep {
-            return Ok(true);
-        }
-        passed += 1;
-        if passed > max_rows {
-            return Err(exceeded());
-        }
-        if let Some(p) = pipe.post_filter {
-            if !p.eval_bool_ctx(&row, &mut ctx)? {
-                return Ok(true);
+    // The scan resets the context before its filter and not after, so the
+    // post filter and the projection reuse what the filter memoized.
+    let rows_seen = exec.source.scan_table_range(
+        pipe.table,
+        pipe.needed,
+        pipe.scan_filter,
+        start..end,
+        &mut ctx,
+        &mut |row, ctx| {
+            passed += 1;
+            if passed > max_rows {
+                return Err(exceeded());
             }
-        }
-        match pipe.project {
-            Some(exprs) => {
-                let mut new_row = Vec::with_capacity(exprs.len());
-                for e in exprs {
-                    new_row.push(e.eval_ctx(&row, &mut ctx)?);
+            if let Some(p) = pipe.post_filter {
+                if !p.eval_bool_ctx(&row, ctx)? {
+                    return Ok(true);
                 }
-                out.push(new_row);
             }
-            None => out.push(row),
-        }
-        Ok(true)
-    })?;
+            match pipe.project {
+                Some(exprs) => {
+                    let mut new_row = Vec::with_capacity(exprs.len());
+                    for e in exprs {
+                        new_row.push(e.eval_ctx(&row, ctx)?);
+                    }
+                    out.push(new_row);
+                }
+                None => out.push(row),
+            }
+            Ok(true)
+        },
+    )?;
     exec.stats.rows_per_morsel.record(rows_seen);
     if budget.fetch_add(passed, Ordering::Relaxed) + passed > max_rows {
         return Err(exceeded());
@@ -2426,8 +2397,12 @@ mod tests {
     }
 
     fn run(db: &Database, plan: &Plan, mode: ExecMode) -> (Vec<Row>, ExecSnapshot) {
+        run_at(db, plan, mode, Vis::LATEST)
+    }
+
+    fn run_at(db: &Database, plan: &Plan, mode: ExecMode, vis: Vis) -> (Vec<Row>, ExecSnapshot) {
         let stats = ExecStats::default();
-        let source = SnapSource { db, vis: Vis::LATEST };
+        let source = SnapSource { db, vis };
         let rows = Executor { source: &source, limits: limits(mode), stats: &stats }
             .run(plan)
             .unwrap();
@@ -2515,6 +2490,41 @@ mod tests {
         assert_eq!(got, want, "no duplicate, no gap");
         let st = stats.snapshot();
         assert_eq!((st.columnar_scans, st.serial_scans), (1, 1));
+    }
+
+    /// A columnar scan under a snapshot older than pending sets and tagged
+    /// inserts filters, in place, the values that snapshot sees, and
+    /// gathers only the slots that pass: the rows of the heap scan at the
+    /// same snapshot, in both engines.
+    #[test]
+    fn columnar_scan_under_an_old_snapshot_filters_what_it_sees() {
+        let db = db();
+        for col in ["a", "b"] {
+            db.build_columnar("t", col).unwrap();
+        }
+        let read_ts = db.txn_manager().begin_snapshot();
+        db.execute("UPDATE t SET a = a + 5000, b = 'moved' WHERE a < 3000").unwrap();
+        db.execute("INSERT INTO t VALUES (500, 'late')").unwrap();
+        let mut path = path(&["a", "b"]);
+        // Not a bound the kernel takes: the whole filter runs in the segment.
+        path.filter = Some(PhysExpr::Binary {
+            op: BinaryOp::Lt,
+            left: Box::new(PhysExpr::Column(0)),
+            right: Box::new(PhysExpr::Literal(Datum::Int(2000))),
+        });
+        path.column = None;
+        path.range = KeyRange::default();
+        let plan = Plan::ColumnarScan { path: path.clone(), bounds_cover_filter: false };
+        let vis = Vis::snapshot(read_ts);
+        let (want, _) = run_at(&db, &seq_scan_of(&path), ExecMode::Materialize, vis);
+        assert!(!want.is_empty() && want.iter().all(|r| r[1] != Datum::Text("moved".into())));
+        for mode in [ExecMode::Streaming, ExecMode::Materialize] {
+            let (rows, st) = run_at(&db, &plan, mode, vis);
+            assert_eq!(rows, want, "{mode:?}");
+            assert_eq!(st.columnar_scans, 1, "{mode:?}: the old snapshot may read the stores");
+            assert_eq!(st.scan_rows_rejected_early, ROWS as u64 - want.len() as u64);
+        }
+        db.txn_manager().release_snapshot(read_ts);
     }
 
     /// Run `plan` at `threads` exec threads on its own thread and fail the

@@ -27,7 +27,7 @@
 //! scalar per-slot loops kept here are the reference this module's unit
 //! differentials compare the kernels against.
 
-use crate::datum::{Datum, KeyRange};
+use crate::datum::{Datum, KeyRange, NULL};
 use crate::heap::RowId;
 use crate::kernels::{self, pack_get, pack_mask, pack_push, KernelStats, LANES};
 use std::cmp::Ordering;
@@ -691,6 +691,32 @@ impl Segment {
     }
 }
 
+/// One segment column at a scan's offsets, from [`ColumnStore::view`].
+pub(crate) enum SegColumn<'s> {
+    /// A plain segment's values by slot, with its valid bitmap.
+    Plain { vals: &'s [Datum], valid: &'s [u64] },
+    /// The values at the offsets, in offset order.
+    Gathered(Vec<Datum>),
+}
+
+impl SegColumn<'_> {
+    /// The value at the `k`th offset, which is slot `slot`; a slot whose
+    /// valid bit is clear reads as NULL, as [`ColumnStore::gather`] gives it.
+    pub(crate) fn get(&self, k: usize, slot: u32) -> &Datum {
+        match self {
+            SegColumn::Plain { vals, valid } => {
+                let i = slot as usize;
+                if bm_get(valid, i) {
+                    &vals[i]
+                } else {
+                    &NULL
+                }
+            }
+            SegColumn::Gathered(vals) => &vals[k],
+        }
+    }
+}
+
 /// Per-column segment store. Rowid `r` lives in segment `r / SEG_ROWS`
 /// at slot `r % SEG_ROWS`; heap rowids are dense and append-only, so the
 /// tail segment is the only mutable one in the common case.
@@ -1003,6 +1029,26 @@ impl ColumnStore {
     /// Materialize this column's values at the given segment offsets.
     pub fn gather(&self, seg: u64, offsets: &[u32], out: &mut Vec<Datum>, stats: &mut KernelStats) {
         self.segments[seg as usize].gather(offsets, out, stats, true);
+    }
+
+    /// This column's values at the given segment offsets as a scan's
+    /// filter reads them: a plain segment in place, any other encoding
+    /// gathered once (DESIGN.md §28).
+    pub(crate) fn view(
+        &self,
+        seg: u64,
+        offsets: &[u32],
+        stats: &mut KernelStats,
+    ) -> SegColumn<'_> {
+        let s = &self.segments[seg as usize];
+        match &s.enc {
+            Enc::Plain(vals) => SegColumn::Plain { vals, valid: &s.valid },
+            _ => {
+                let mut out = Vec::with_capacity(offsets.len());
+                s.gather(offsets, &mut out, stats, true);
+                SegColumn::Gathered(out)
+            }
+        }
     }
 
     /// Exactness class shared by every live non-NULL value of one segment,

@@ -56,6 +56,9 @@ pub enum Datum {
     Array(Vec<Datum>),
 }
 
+/// A NULL to lend out where a value is read by reference and absent.
+pub(crate) static NULL: Datum = Datum::Null;
+
 impl Datum {
     pub fn is_null(&self) -> bool {
         matches!(self, Datum::Null)

@@ -6,15 +6,16 @@
 //! honouring the paper's "no changes to the RDBMS code" constraint (§3).
 
 use crate::btree::SecondaryIndex;
-use crate::columnar::{ColumnStore, ColumnarInfo, SEG_ROWS};
-use crate::datum::{ColType, Datum, KeyRange};
+use crate::columnar::{ColumnStore, ColumnarInfo, SegColumn, SEG_ROWS};
+use crate::datum::{ColType, Datum, KeyRange, NULL};
 use crate::error::{DbError, DbResult};
 use crate::exec::{
     ExecLimits, ExecSnapshot, ExecStats, Executor, IndexOnlyProbe, Row, SegScan,
 };
-use crate::expr::{bind, PhysExpr, Scope};
+use crate::expr::{bind, ColumnSource, EvalCtx, PhysExpr, Scope};
 use crate::func::{FuncRegistry, ScalarFn};
 use crate::heap::{Heap, RowId};
+use crate::kernels::KernelStats;
 use crate::pager::{IoSnapshot, Pager};
 use crate::plan::{AccessPath, Plan};
 use crate::planner::{CatalogView, PlannedQuery, Planner, PlannerConfig, TableMeta};
@@ -27,6 +28,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use sinew_sql::Statement;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -2562,31 +2564,167 @@ struct ScanStores<'t> {
     bound: Option<&'t ColumnStore>,
 }
 
+/// The physical slots a heap scan decodes before its filter (`first`) and
+/// after it (`rest`), when the filter reads only some of the `needed`
+/// columns; `None` when it reads them all and one decode serves.
+fn late_slots(
+    filter: &PhysExpr,
+    live: &[usize],
+    wanted: &[bool],
+) -> Option<(Vec<bool>, Vec<bool>)> {
+    let mut refs = Vec::new();
+    filter.column_refs(&mut refs);
+    let mut first = vec![false; wanted.len()];
+    for i in refs {
+        if let Some(&slot) = live.get(i) {
+            first[slot] = wanted[slot];
+        }
+    }
+    let rest: Vec<bool> = wanted.iter().zip(&first).map(|(&w, &f)| w && !f).collect();
+    rest.contains(&true).then_some((first, rest))
+}
+
+/// A decoded tuple (one `Datum` per physical slot) read as the scan row it
+/// will become: live columns in live order, then the rowid.
+struct SlotRow<'r> {
+    full: &'r [Datum],
+    live: &'r [usize],
+    rowid: &'r Datum,
+}
+
+impl ColumnSource for SlotRow<'_> {
+    fn col(&self, i: usize) -> Option<&Datum> {
+        match self.live.get(i) {
+            Some(&slot) => self.full.get(slot),
+            None => (i == self.live.len()).then_some(self.rowid),
+        }
+    }
+}
+
+/// Row `k` (slot `slot`) of a segment scan, read in place as the scan row
+/// it will become: `cols` views each filter column by live index.
+struct SegRow<'r, 's> {
+    cols: &'r [Option<SegColumn<'s>>],
+    k: usize,
+    slot: u32,
+    rowid: &'r Datum,
+}
+
+impl ColumnSource for SegRow<'_, '_> {
+    fn col(&self, i: usize) -> Option<&Datum> {
+        match self.cols.get(i) {
+            Some(Some(c)) => Some(c.get(self.k, self.slot)),
+            Some(None) => Some(&NULL),
+            None => (i == self.cols.len()).then_some(self.rowid),
+        }
+    }
+}
+
+/// Keep the `offsets` of segment `seg` whose row passes `filter`, read in
+/// place: each store the filter reads is viewed once
+/// ([`ColumnStore::view`], charged to `kernel` like a gather), a column
+/// without one reads NULL as it would in the gathered row, and the rowid
+/// is served at index `stores.len()`.
+fn filter_segment(
+    filter: &PhysExpr,
+    stores: &[Option<&ColumnStore>],
+    seg: u64,
+    base: usize,
+    offsets: &mut Vec<u32>,
+    kernel: &mut KernelStats,
+) -> DbResult<()> {
+    let mut refs = Vec::new();
+    filter.column_refs(&mut refs);
+    let mut cols: Vec<Option<SegColumn<'_>>> = stores.iter().map(|_| None).collect();
+    for i in refs {
+        if let (Some(Some(st)), Some(None)) = (stores.get(i), cols.get(i)) {
+            cols[i] = Some(st.view(seg, offsets, kernel));
+            kernel.decoded += offsets.len() as u64;
+        }
+    }
+    let mut ctx = EvalCtx::new();
+    let mut kept = 0;
+    for k in 0..offsets.len() {
+        let slot = offsets[k];
+        let rowid = Datum::Int((base + slot as usize) as i64);
+        ctx.reset();
+        if filter.eval_bool_over(&SegRow { cols: &cols, k, slot, rowid: &rowid }, &mut ctx)? {
+            offsets[kept] = slot;
+            kept += 1;
+        }
+    }
+    offsets.truncate(kept);
+    Ok(())
+}
+
 impl SnapSource<'_> {
-    /// Stream live rows with row ids in `start..end` (one morsel, or
-    /// `0..u64::MAX` for the whole table) in rowid order. The callback
-    /// returns `false` to stop the scan early.
+    /// Stream the live rows with row ids in `ids` (one morsel, or
+    /// `0..u64::MAX` for the whole table) that pass `filter`, in rowid
+    /// order. `ctx` is reset once per row, before the filter, and handed to
+    /// `f` with the passing row, so memo slots the filter filled still hold
+    /// for the caller's post filter and projection. When the filter reads
+    /// only some of the `needed` columns, those are decoded first and the
+    /// rest only for a row that passes (DESIGN.md §28). The callback
+    /// returns `false` to stop the scan early. Returns the tuples visited.
     pub(crate) fn scan_table_range(
         &self,
         table: &str,
         needed: Option<&[String]>,
-        start: u64,
-        end: u64,
-        f: &mut dyn FnMut(Row) -> DbResult<bool>,
-    ) -> DbResult<()> {
+        filter: Option<&PhysExpr>,
+        ids: Range<u64>,
+        ctx: &mut EvalCtx,
+        f: &mut dyn FnMut(Row, &mut EvalCtx) -> DbResult<bool>,
+    ) -> DbResult<u64> {
         let t = self.db.table(table)?;
         let t = t.read();
-        let live: Vec<usize> = t.schema.live_columns().map(|(i, _)| i).collect();
-        let wanted = wanted_slots(&t.schema, needed);
+        let schema = &t.schema;
+        let live: Vec<usize> = schema.live_columns().map(|(i, _)| i).collect();
+        let wanted = wanted_slots(schema, needed);
+        let late = filter.and_then(|fl| Some((fl, late_slots(fl, &live, &wanted)?)));
         let mut fetched = 0u64;
-        let res = t.heap.scan_range_vis(start, end, self.vis, |rowid, bytes| {
-            fetched += 1;
-            f(scan_row(tuple::decode_tuple_partial(&t.schema, bytes, &wanted)?, &live, rowid))
-        });
+        let mut rejected = 0u64;
+        let res = match late {
+            None => t.heap.scan_range_vis(ids.start, ids.end, self.vis, |rowid, bytes| {
+                fetched += 1;
+                let full = tuple::decode_tuple_partial(schema, bytes, &wanted)?;
+                let row = scan_row(full, &live, rowid);
+                ctx.reset();
+                if let Some(fl) = filter {
+                    if !fl.eval_bool_ctx(&row, ctx)? {
+                        return Ok(true);
+                    }
+                }
+                f(row, ctx)
+            }),
+            Some((fl, (first, rest))) => {
+                t.heap.scan_range_vis(ids.start, ids.end, self.vis, |rowid, bytes| {
+                    fetched += 1;
+                    let mut full = tuple::decode_tuple_partial(schema, bytes, &first)?;
+                    let id = Datum::Int(rowid as i64);
+                    let view = SlotRow { full: &full, live: &live, rowid: &id };
+                    ctx.reset();
+                    if !fl.eval_bool_over(&view, ctx)? {
+                        rejected += 1;
+                        return Ok(true);
+                    }
+                    let more = tuple::decode_tuple_partial(schema, bytes, &rest)?;
+                    for ((v, m), &r) in full.iter_mut().zip(more).zip(&rest) {
+                        if r {
+                            *v = m;
+                        }
+                    }
+                    f(scan_row(full, &live, rowid), ctx)
+                })
+            }
+        };
+        let stats = &self.db.exec_stats;
         if fetched > 0 {
-            self.db.exec_stats.heap_fetches.add(fetched);
+            stats.heap_fetches.add(fetched);
         }
-        res
+        if rejected > 0 {
+            stats.scan_rows_rejected_early.add(rejected);
+        }
+        res.map(|()| fetched)
     }
 
     /// The secondary index on `path.column`, if this reader may trust it.
@@ -2687,10 +2825,15 @@ impl SnapSource<'_> {
 
     /// Scan one segment of `path.table`'s column stores: scan-shaped rows
     /// in rowid order, restricted to live slots whose `path.column` value
-    /// falls in `path.range`.
+    /// falls in `path.range` and that pass `path.filter`. The filter is
+    /// skipped where the bounds prove it (`path.exact_bounds`, or
+    /// `bounds_cover` on a segment whose zone map makes the kernel exact);
+    /// otherwise it reads its columns in place, and only the slots it
+    /// keeps are gathered (DESIGN.md §28).
     pub(crate) fn columnar_scan_segment(
         &self,
         path: &AccessPath,
+        bounds_cover: bool,
         segment: usize,
     ) -> DbResult<Option<SegScan>> {
         let t = self.db.table(&path.table)?;
@@ -2736,11 +2879,17 @@ impl SnapSource<'_> {
         // Drop rows born after this reader's snapshot (tags are mirrored
         // across a table's stores, so any one store can filter).
         any_store.filter_visible(seg, self.vis.read_ts, &mut offsets);
+        let base = segment * SEG_ROWS;
+        let skip_filter = path.exact_bounds || (bounds_cover && scan.exact);
+        if let Some(filter) = path.filter.as_ref().filter(|_| !skip_filter) {
+            let before = offsets.len();
+            filter_segment(filter, &stores, seg, base, &mut offsets, &mut scan.kernel)?;
+            scan.rejected = (before - offsets.len()) as u64;
+        }
         if offsets.is_empty() {
             return Ok(Some(scan));
         }
         let n_live = stores.len();
-        let base = segment * SEG_ROWS;
         let mut rows: Vec<Row> = offsets
             .iter()
             .map(|&o| {

@@ -39,6 +39,9 @@ pub struct SegScan {
     /// Kernel engagement for this segment (decodes, batched decodes,
     /// fastpath words, dictionary rewrites, RLE run skips).
     pub kernel: crate::kernels::KernelStats,
+    /// Candidate slots the residual filter rejected before their row was
+    /// gathered.
+    pub rejected: u64,
     /// True when the bound column's zone map excluded the whole segment.
     pub pruned: bool,
     /// True when the segment's zone map proves every live value shares the
@@ -133,6 +136,10 @@ crate::counter_table! {
     executor scan_workers: counter,
     /// Live rows visited per finished morsel.
     executor rows_per_morsel: histogram,
+    /// Rows a heap or columnar scan's filter rejected before the rest of
+    /// the row was decoded or gathered (DESIGN.md §28). A heap scan whose
+    /// filter reads every needed column decodes once and counts nothing.
+    executor scan_rows_rejected_early: counter,
     /// Helper threads spawned for statement crews: at most
     /// `exec_threads − 1` per statement, none at one thread (DESIGN.md §26).
     executor exec_helpers_spawned: counter,
@@ -251,6 +258,7 @@ impl ExecStats {
             return;
         }
         let k = &scan.kernel;
+        self.scan_rows_rejected_early.add(scan.rejected);
         self.decoded_per_block.record(k.decoded);
         self.values_decoded_batched.add(k.batched);
         self.dict_code_rewrites.add(k.dict_rewrites);
@@ -330,11 +338,13 @@ impl Executor<'_> {
     ) -> DbResult<Vec<Row>> {
         self.stats.serial_scans.inc();
         let mut out = Vec::new();
+        // The reference builds every row whole and filters it after.
         let mut ctx = EvalCtx::new();
-        self.source.scan_table_range(table, needed, 0, u64::MAX, &mut |row| {
-            self.admit(filter, &mut ctx, &mut out, row)?;
+        let mut admit = |row, ctx: &mut EvalCtx| {
+            self.admit(filter, ctx, &mut out, row)?;
             Ok(true)
-        })?;
+        };
+        self.source.scan_table_range(table, needed, None, 0..u64::MAX, &mut ctx, &mut admit)?;
         Ok(out)
     }
 
@@ -376,15 +386,15 @@ impl Executor<'_> {
                 let mut out = Vec::new();
                 let mut ctx = EvalCtx::new();
                 for seg in 0..n_segments {
-                    let Some(scan) = self.source.columnar_scan_segment(path, seg)? else {
+                    // The segment applies the residual filter itself.
+                    let Some(scan) =
+                        self.source.columnar_scan_segment(path, *bounds_cover_filter, seg)?
+                    else {
                         return self.heap_fallback(path);
                     };
                     self.stats.record_segment(&scan);
-                    let skip_residual =
-                        path.exact_bounds || (*bounds_cover_filter && scan.exact);
-                    let filter = path.filter.as_ref().filter(|_| !skip_residual);
                     for row in scan.rows {
-                        self.admit(filter, &mut ctx, &mut out, row)?;
+                        self.admit(None, &mut ctx, &mut out, row)?;
                     }
                 }
                 Ok(out)

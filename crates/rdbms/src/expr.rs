@@ -73,6 +73,24 @@ impl EvalCtx {
     }
 }
 
+/// Where an evaluated row's columns come from: column `i` by reference,
+/// `None` past the row's end. A `[Datum]` row is one; a scan that tests
+/// its filter before building the row supplies another (DESIGN.md §28).
+pub trait ColumnSource {
+    fn col(&self, i: usize) -> Option<&Datum>;
+}
+
+impl ColumnSource for [Datum] {
+    #[inline]
+    fn col(&self, i: usize) -> Option<&Datum> {
+        self.get(i)
+    }
+}
+
+fn column<R: ColumnSource + ?Sized>(row: &R, i: usize) -> DbResult<&Datum> {
+    row.col(i).ok_or_else(|| DbError::Eval(format!("column index {i} out of range")))
+}
+
 impl std::fmt::Debug for PhysExpr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -110,12 +128,16 @@ impl PhysExpr {
         self.eval_with(row, Some(ctx))
     }
 
-    fn eval_with(&self, row: &[Datum], mut ctx: Option<&mut EvalCtx>) -> DbResult<Datum> {
+    /// The one evaluator, generic over where a row's columns live: a
+    /// `[Datum]` row, or a scan's in-place view of a row it has not built
+    /// yet (DESIGN.md §28).
+    fn eval_with<R: ColumnSource + ?Sized>(
+        &self,
+        row: &R,
+        mut ctx: Option<&mut EvalCtx>,
+    ) -> DbResult<Datum> {
         match self {
-            PhysExpr::Column(i) => Ok(row
-                .get(*i)
-                .cloned()
-                .ok_or_else(|| DbError::Eval(format!("column index {i} out of range")))?),
+            PhysExpr::Column(i) => Ok(column(row, *i)?.clone()),
             PhysExpr::Literal(d) => Ok(d.clone()),
             PhysExpr::Not(e) => match e.eval_with(row, ctx)? {
                 Datum::Null => Ok(Datum::Null),
@@ -199,9 +221,7 @@ impl PhysExpr {
                 for a in args {
                     refs.push(match a {
                         PhysExpr::Literal(d) => d,
-                        PhysExpr::Column(i) => row.get(*i).ok_or_else(|| {
-                            DbError::Eval(format!("column index {i} out of range"))
-                        })?,
+                        PhysExpr::Column(i) => column(row, *i)?,
                         _ => computed.next().expect("scratch covers computed args"),
                     });
                 }
@@ -236,6 +256,16 @@ impl PhysExpr {
 
     /// Predicate evaluation with a memoization context.
     pub fn eval_bool_ctx(&self, row: &[Datum], ctx: &mut EvalCtx) -> DbResult<bool> {
+        self.eval_bool_over(row, ctx)
+    }
+
+    /// [`PhysExpr::eval_bool_ctx`] over any [`ColumnSource`]: how a scan
+    /// tests a row it has not built yet (DESIGN.md §28).
+    pub(crate) fn eval_bool_over<R: ColumnSource + ?Sized>(
+        &self,
+        row: &R,
+        ctx: &mut EvalCtx,
+    ) -> DbResult<bool> {
         match self.eval_with(row, Some(ctx))? {
             Datum::Bool(b) => Ok(b),
             Datum::Null => Ok(false),
@@ -385,11 +415,11 @@ impl PhysExpr {
     }
 }
 
-fn eval_binary(
+fn eval_binary<R: ColumnSource + ?Sized>(
     op: BinaryOp,
     left: &PhysExpr,
     right: &PhysExpr,
-    row: &[Datum],
+    row: &R,
     mut ctx: Option<&mut EvalCtx>,
 ) -> DbResult<Datum> {
     use BinaryOp::*;

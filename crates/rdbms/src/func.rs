@@ -31,13 +31,15 @@ use std::sync::Arc;
 pub trait ScalarFn: Send + Sync {
     fn call(&self, args: &[Datum]) -> DbResult<Datum>;
 
-    /// Borrowed-argument entry point, used by the executor's expression
-    /// evaluator: Literal and Column arguments are passed by reference so
-    /// hot functions need not pay a clone per row (for extraction UDFs the
-    /// first argument is the whole serialized document — cloning it per
-    /// call is the single largest avoidable cost of a scan). The default
-    /// materializes owned values and delegates to [`ScalarFn::call`];
-    /// implementations that only read their arguments should override.
+    /// Borrowed-argument entry point, the one the executor's expression
+    /// evaluator calls: Literal and Column arguments are passed by
+    /// reference so a function that only reads them pays no clone per row
+    /// (an extraction UDF's first argument is the whole serialized
+    /// document, `array_contains`'s a whole array). The default clones
+    /// every argument into an owned slice and delegates to
+    /// [`ScalarFn::call`]; that is what a plain `Fn(&[Datum])` closure
+    /// gets. A function that only reads its arguments overrides it, as the
+    /// extraction UDFs and every builtin do.
     fn call_ref(&self, args: &[&Datum]) -> DbResult<Datum> {
         let owned: Vec<Datum> = args.iter().map(|d| (*d).clone()).collect();
         self.call(&owned)
@@ -187,31 +189,57 @@ impl FuncRegistry {
     }
 
     fn install_builtins(&self) {
-        self.register_pure("coalesce", Arc::new(coalesce));
-        self.register_pure("lower", Arc::new(lower));
-        self.register_pure("upper", Arc::new(upper));
-        self.register_pure("length", Arc::new(length));
-        self.register_pure("abs", Arc::new(abs));
-        self.register_pure("round", Arc::new(round));
-        self.register_pure("array_length", Arc::new(array_length));
-        self.register_pure("array_contains", Arc::new(array_contains));
-        self.register_pure("array_get", Arc::new(array_get));
+        for &(name, f) in BUILTINS {
+            self.register_pure(name, Arc::new(Builtin(f)));
+        }
     }
 }
 
-fn coalesce(args: &[Datum]) -> DbResult<Datum> {
-    Ok(args.iter().find(|d| !d.is_null()).cloned().unwrap_or(Datum::Null))
+type BuiltinFn = fn(&[&Datum]) -> DbResult<Datum>;
+
+/// The builtins. Each only reads its arguments, so it is written over
+/// borrowed ones.
+const BUILTINS: &[(&str, BuiltinFn)] = &[
+    ("coalesce", coalesce),
+    ("lower", lower),
+    ("upper", upper),
+    ("length", length),
+    ("abs", abs),
+    ("round", round),
+    ("array_length", array_length),
+    ("array_contains", array_contains),
+    ("array_get", array_get),
+];
+
+/// A builtin as a [`ScalarFn`]: `call_ref` runs it on the borrowed
+/// arguments and `call` borrows its owned ones to get there, so neither
+/// clones an argument.
+struct Builtin(BuiltinFn);
+
+impl ScalarFn for Builtin {
+    fn call(&self, args: &[Datum]) -> DbResult<Datum> {
+        let refs: Vec<&Datum> = args.iter().collect();
+        (self.0)(&refs)
+    }
+
+    fn call_ref(&self, args: &[&Datum]) -> DbResult<Datum> {
+        (self.0)(args)
+    }
 }
 
-fn lower(args: &[Datum]) -> DbResult<Datum> {
+fn coalesce(args: &[&Datum]) -> DbResult<Datum> {
+    Ok(args.iter().find(|d| !d.is_null()).map_or(Datum::Null, |&d| d.clone()))
+}
+
+fn lower(args: &[&Datum]) -> DbResult<Datum> {
     unary_text(args, "lower", |s| s.to_lowercase())
 }
 
-fn upper(args: &[Datum]) -> DbResult<Datum> {
+fn upper(args: &[&Datum]) -> DbResult<Datum> {
     unary_text(args, "upper", |s| s.to_uppercase())
 }
 
-fn unary_text(args: &[Datum], name: &str, f: impl Fn(&str) -> String) -> DbResult<Datum> {
+fn unary_text(args: &[&Datum], name: &str, f: impl Fn(&str) -> String) -> DbResult<Datum> {
     match args {
         [Datum::Null] => Ok(Datum::Null),
         [Datum::Text(s)] => Ok(Datum::Text(f(s))),
@@ -220,7 +248,7 @@ fn unary_text(args: &[Datum], name: &str, f: impl Fn(&str) -> String) -> DbResul
     }
 }
 
-fn length(args: &[Datum]) -> DbResult<Datum> {
+fn length(args: &[&Datum]) -> DbResult<Datum> {
     match args {
         [Datum::Null] => Ok(Datum::Null),
         [Datum::Text(s)] => Ok(Datum::Int(s.chars().count() as i64)),
@@ -230,7 +258,7 @@ fn length(args: &[Datum]) -> DbResult<Datum> {
     }
 }
 
-fn abs(args: &[Datum]) -> DbResult<Datum> {
+fn abs(args: &[&Datum]) -> DbResult<Datum> {
     match args {
         [Datum::Null] => Ok(Datum::Null),
         [Datum::Int(i)] => Ok(Datum::Int(i.abs())),
@@ -239,7 +267,7 @@ fn abs(args: &[Datum]) -> DbResult<Datum> {
     }
 }
 
-fn round(args: &[Datum]) -> DbResult<Datum> {
+fn round(args: &[&Datum]) -> DbResult<Datum> {
     match args {
         [Datum::Null] => Ok(Datum::Null),
         [Datum::Int(i)] => Ok(Datum::Int(*i)),
@@ -248,7 +276,7 @@ fn round(args: &[Datum]) -> DbResult<Datum> {
     }
 }
 
-fn array_length(args: &[Datum]) -> DbResult<Datum> {
+fn array_length(args: &[&Datum]) -> DbResult<Datum> {
     match args {
         [Datum::Null] => Ok(Datum::Null),
         [Datum::Array(a)] => Ok(Datum::Int(a.len() as i64)),
@@ -259,7 +287,7 @@ fn array_length(args: &[Datum]) -> DbResult<Datum> {
 /// `array_contains(arr, elem)` — the array-containment predicate NoBench
 /// Q8 needs (paper §6.4); the PG-JSON baseline cannot express this natively
 /// (paper §6.7) and falls back to LIKE over the text form.
-fn array_contains(args: &[Datum]) -> DbResult<Datum> {
+fn array_contains(args: &[&Datum]) -> DbResult<Datum> {
     match args {
         [Datum::Null, _] => Ok(Datum::Null),
         [Datum::Array(a), needle] => Ok(Datum::Bool(
@@ -270,7 +298,7 @@ fn array_contains(args: &[Datum]) -> DbResult<Datum> {
 }
 
 /// `array_get(arr, idx)` — zero-based element access; NULL out of bounds.
-fn array_get(args: &[Datum]) -> DbResult<Datum> {
+fn array_get(args: &[&Datum]) -> DbResult<Datum> {
     match args {
         [Datum::Null, _] => Ok(Datum::Null),
         [Datum::Array(a), Datum::Int(i)] => {
@@ -329,6 +357,72 @@ mod tests {
             r.get("array_get").unwrap().call(&[arr, Datum::Int(5)]).unwrap(),
             Datum::Null
         );
+    }
+
+    /// Every builtin answers the same through `call` and `call_ref`, on
+    /// NULL, mismatched, empty-array and ordinary arguments alike.
+    #[test]
+    fn call_and_call_ref_agree_for_every_builtin() {
+        use Datum::{Array, Bool, Float, Int, Null, Text};
+        let arr = Array(vec![Int(1), Text("x".into()), Null]);
+        let empty = Array(Vec::new());
+        let cases: Vec<(&str, Vec<Datum>)> = vec![
+            ("coalesce", vec![Null, Int(2), Int(3)]),
+            ("coalesce", vec![Null, Null]),
+            ("coalesce", vec![]),
+            ("coalesce", vec![arr.clone(), Null]),
+            ("lower", vec![Text("AbC".into())]),
+            ("lower", vec![Null]),
+            ("lower", vec![Int(7)]),
+            ("lower", vec![]),
+            ("upper", vec![Text("AbC".into())]),
+            ("upper", vec![Null]),
+            ("upper", vec![Bool(true)]),
+            ("length", vec![Text("héllo".into())]),
+            ("length", vec![Datum::Bytea(vec![1, 2])]),
+            ("length", vec![arr.clone()]),
+            ("length", vec![empty.clone()]),
+            ("length", vec![Null]),
+            ("length", vec![Int(3)]),
+            ("abs", vec![Int(-3)]),
+            ("abs", vec![Float(-2.5)]),
+            ("abs", vec![Null]),
+            ("abs", vec![Text("x".into())]),
+            ("round", vec![Float(2.5)]),
+            ("round", vec![Int(2)]),
+            ("round", vec![Null]),
+            ("round", vec![empty.clone()]),
+            ("array_length", vec![arr.clone()]),
+            ("array_length", vec![empty.clone()]),
+            ("array_length", vec![Null]),
+            ("array_length", vec![Text("x".into())]),
+            ("array_contains", vec![arr.clone(), Text("x".into())]),
+            ("array_contains", vec![arr.clone(), Int(9)]),
+            ("array_contains", vec![arr.clone(), Null]),
+            ("array_contains", vec![empty.clone(), Int(1)]),
+            ("array_contains", vec![Null, Int(1)]),
+            ("array_contains", vec![Int(1), Int(1)]),
+            ("array_contains", vec![arr.clone()]),
+            ("array_get", vec![arr.clone(), Int(1)]),
+            ("array_get", vec![arr.clone(), Int(-1)]),
+            ("array_get", vec![empty.clone(), Int(0)]),
+            ("array_get", vec![Null, Int(0)]),
+            ("array_get", vec![arr, Text("0".into())]),
+        ];
+        let r = FuncRegistry::new();
+        let text = |res: DbResult<Datum>| match res {
+            Ok(d) => format!("{d:?}"),
+            Err(e) => format!("error: {e}"),
+        };
+        let mut seen = HashSet::new();
+        for (name, args) in &cases {
+            let f = r.get(name).unwrap();
+            let refs: Vec<&Datum> = args.iter().collect();
+            let (owned, borrowed) = (text(f.call(args)), text(f.call_ref(&refs)));
+            assert_eq!(owned, borrowed, "{name}{args:?}");
+            seen.insert(*name);
+        }
+        assert_eq!(seen.len(), BUILTINS.len(), "a builtin has no case");
     }
 
     #[test]
