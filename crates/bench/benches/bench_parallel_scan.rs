@@ -53,10 +53,12 @@ fn bench_parallel_scan(c: &mut Criterion) {
 
 /// The `nobench_virtual_spill` regime: 8 192 documents (about 590 heap
 /// pages) behind a 96-page pool, so every scan reads most pages from the
-/// file. Five statement shapes over it: a projection at 1/2/4 threads,
-/// and at 1/2 threads `SELECT COUNT(*)` (a scan feeding the parallel
-/// aggregation), NoBench Q10's filtered `GROUP BY` (DESIGN.md §26), and
-/// NoBench Q5 and Q8, whose filters are value tests (DESIGN.md §27).
+/// file. Six statement shapes over it: a projection at 1/2/4 threads,
+/// at 1/2 threads `SELECT COUNT(*)` and NoBench Q10's filtered `GROUP BY`
+/// (both fold inside the scan's morsels, DESIGN.md §29), a full-table
+/// `GROUP BY thousandth` (1 000 groups, so every morsel table is large)
+/// at 1/2/4 threads, and NoBench Q5 and Q8, whose filters are value tests
+/// (DESIGN.md §27).
 fn bench_past_the_pool(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("sinew-bench-spill-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -70,7 +72,7 @@ fn bench_past_the_pool(c: &mut Criterion) {
     let select = r#"SELECT str1, num, "nested_obj.str" FROM nobench"#;
     let q5 = format!("{select} WHERE str1 = '{}'", p.point_str1);
     let q8 = format!("{select} WHERE array_contains(nested_arr, '{}')", p.arr_elem);
-    let groups: [(&str, &str, &[usize]); 5] = [
+    let groups: [(&str, &str, &[usize]); 6] = [
         ("scan_past_the_pool", "SELECT str1, num FROM nobench WHERE num >= 0", &[1, 2, 4]),
         ("count_star_past_the_pool", "SELECT COUNT(*) FROM nobench", &[1, 2]),
         (
@@ -78,6 +80,11 @@ fn bench_past_the_pool(c: &mut Criterion) {
             "SELECT thousandth, COUNT(*) FROM nobench WHERE num BETWEEN 2048 AND 4096 \
              GROUP BY thousandth",
             &[1, 2],
+        ),
+        (
+            "group_by_1000_groups_past_the_pool",
+            "SELECT thousandth, COUNT(*) FROM nobench GROUP BY thousandth",
+            &[1, 2, 4],
         ),
         ("q5_text_eq_past_the_pool", &q5, &[1, 2]),
         ("q8_array_contains_past_the_pool", &q8, &[1, 2]),

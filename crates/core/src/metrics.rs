@@ -742,8 +742,13 @@ mod tests {
             "rewrite_ns_count",
             "rewrite_ns_mean",
         ];
-        let gained_exec =
-            ["plan_ns_log2", "plan_ns_count", "plan_ns_mean", "scan_rows_rejected_early"];
+        let gained_exec = [
+            "plan_ns_log2",
+            "plan_ns_count",
+            "plan_ns_mean",
+            "scan_rows_rejected_early",
+            "agg_serial_fallbacks",
+        ];
         for (obj, keys) in [
             ("exec", PR14_EXEC_KEYS),
             ("metrics", PR14_METRICS_KEYS),

@@ -448,6 +448,29 @@ fn a_change_between_rewrite_and_plan_leaves_the_stamp_stale() {
     assert!(p.statement().to_string().contains("extract_key_txt"));
 }
 
+/// A statement derived again at run time reads a snapshot taken after the
+/// new derivation: a rewrite can read catalog state (a column's clean
+/// flag) that rests on commits (the materializer's last moves) an earlier
+/// snapshot misses. Here the derive hook commits a load itself.
+#[test]
+fn a_statement_derived_again_reads_a_snapshot_taken_after_it() {
+    let s = collection((0..100).map(|i| format!("{{\"k\": {i}}}")));
+    let sql = "SELECT COUNT(*) FROM c WHERE k IS NOT NULL";
+    let rewrite = || rewriter::rewrite_statement(&s, &sinew_sql::parse_statement(sql).unwrap());
+    let p = s.db().prepare_with(&rewrite).unwrap();
+    s.db().plan_epoch().bump();
+    let loaded = Cell::new(false);
+    let derive = || {
+        if !loaded.replace(true) {
+            s.load_jsonl("c", &["{\"k\": 7}"; 5].join("\n"))?;
+        }
+        rewrite()
+    };
+    let got = s.db().run_with(&p, &derive).unwrap();
+    assert!(loaded.get(), "the stale stamp was not derived again");
+    assert_eq!(count(&got), 105);
+}
+
 /// (h) One kept text run from four threads while loads that intern new
 /// variants and a background materializer race it: every count is the
 /// count at the statement's snapshot, a whole number of loads.

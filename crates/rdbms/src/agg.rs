@@ -87,26 +87,18 @@ impl Accumulator {
             AggKind::CountStar | AggKind::Count => self.count += 1,
             AggKind::Sum | AggKind::Avg => {
                 self.count += 1;
+                // An i64 overflow promotes the sum to float, as a float does.
                 match value {
-                    Datum::Int(i) => {
-                        if self.float_mode {
-                            self.sum_f += *i as f64;
-                        } else {
-                            match self.sum_i.checked_add(*i) {
-                                Some(s) => self.sum_i = s,
-                                None => {
-                                    self.float_mode = true;
-                                    self.sum_f = self.sum_i as f64 + *i as f64;
-                                }
-                            }
-                        }
-                    }
-                    Datum::Float(f) => {
-                        if !self.float_mode {
+                    Datum::Int(i) => match self.sum_i.checked_add(*i).filter(|_| !self.float_mode) {
+                        Some(s) => self.sum_i = s,
+                        None => {
+                            self.sum_f = self.sum_as_f64() + *i as f64;
                             self.float_mode = true;
-                            self.sum_f = self.sum_i as f64;
                         }
-                        self.sum_f += f;
+                    },
+                    Datum::Float(f) => {
+                        self.sum_f = self.sum_as_f64() + f;
+                        self.float_mode = true;
                     }
                     other => {
                         return Err(DbError::Eval(format!(
@@ -133,23 +125,32 @@ impl Accumulator {
         Ok(())
     }
 
-    /// Can this accumulator be folded into another with [`merge`] without
-    /// changing the result vs feeding the rows serially? True for counts
-    /// and min/max always, and for SUM/AVG while the sum stayed integral
-    /// (integer addition is associative; float addition is not, so a
-    /// float-mode partial sum must fall back to serial accumulation).
-    /// DISTINCT accumulators never merge: `seen` holds canonical keys, and
-    /// cross-partial dedup order would be lost.
-    pub fn merge_is_exact(&self) -> bool {
-        self.seen.is_none()
-            && (!matches!(self.kind, AggKind::Sum | AggKind::Avg) || !self.float_mode)
+    /// Would [`merge`]-ing `later` into `self` equal feeding `later`'s rows
+    /// serially after `self`'s? Counts and MIN/MAX always do. SUM/AVG do
+    /// while both sums are integral and their total fits an i64: integer
+    /// addition is associative, float addition is not, and serial
+    /// accumulation would have gone float at some row inside `later`'s
+    /// range, not at its end. DISTINCT accumulators never merge: `seen`
+    /// holds canonical keys, and cross-partial dedup order would be lost.
+    pub fn merges_exactly(&self, later: &Accumulator) -> bool {
+        let exact = |a: &Accumulator| a.seen.is_none() && !a.float_mode;
+        exact(self) && exact(later) && self.sum_i.checked_add(later.sum_i).is_some()
+    }
+
+    /// The running sum as a float, whichever mode holds it.
+    fn sum_as_f64(&self) -> f64 {
+        if self.float_mode {
+            self.sum_f
+        } else {
+            self.sum_i as f64
+        }
     }
 
     /// Fold a partial accumulator for a *later* input range into `self`.
-    /// Exact (identical to serial `update` over the concatenated input)
-    /// whenever both sides report [`merge_is_exact`]; the only inexact
-    /// escape is i64 sum overflow at merge time, which promotes to float
-    /// exactly like serial overflow does.
+    /// Identical to serial `update` over the concatenated input whenever
+    /// [`merges_exactly`] holds. Otherwise the sum is carried as a float
+    /// from both partials, never dropping either, but float addition in
+    /// another order may differ from the serial fold's in the last bits.
     pub fn merge(&mut self, later: &Accumulator) {
         debug_assert_eq!(self.kind, later.kind);
         debug_assert!(self.seen.is_none() && later.seen.is_none());
@@ -157,11 +158,12 @@ impl Accumulator {
             AggKind::CountStar | AggKind::Count => self.count += later.count,
             AggKind::Sum | AggKind::Avg => {
                 self.count += later.count;
-                match self.sum_i.checked_add(later.sum_i) {
+                let ints = !self.float_mode && !later.float_mode;
+                match self.sum_i.checked_add(later.sum_i).filter(|_| ints) {
                     Some(s) => self.sum_i = s,
                     None => {
+                        self.sum_f = self.sum_as_f64() + later.sum_as_f64();
                         self.float_mode = true;
-                        self.sum_f = self.sum_i as f64 + later.sum_i as f64;
                     }
                 }
             }
@@ -204,8 +206,7 @@ impl Accumulator {
                 if self.count == 0 {
                     Datum::Null
                 } else {
-                    let total = if self.float_mode { self.sum_f } else { self.sum_i as f64 };
-                    Datum::Float(total / self.count as f64)
+                    Datum::Float(self.sum_as_f64() / self.count as f64)
                 }
             }
             AggKind::Min | AggKind::Max => self.extreme.clone().unwrap_or(Datum::Null),
@@ -217,12 +218,16 @@ impl Accumulator {
 mod tests {
     use super::*;
 
-    fn run(kind: AggKind, distinct: bool, vals: &[Datum]) -> Datum {
+    fn fed(kind: AggKind, distinct: bool, vals: &[Datum]) -> Accumulator {
         let mut acc = Accumulator::new(kind, distinct);
         for v in vals {
             acc.update(v).unwrap();
         }
-        acc.finish()
+        acc
+    }
+
+    fn run(kind: AggKind, distinct: bool, vals: &[Datum]) -> Datum {
+        fed(kind, distinct, vals).finish()
     }
 
     #[test]
@@ -284,25 +289,42 @@ mod tests {
         let vals: Vec<Datum> = (0..100).map(|i| Datum::Int(i * 7 - 50)).collect();
         for kind in [AggKind::Count, AggKind::Sum, AggKind::Avg, AggKind::Min, AggKind::Max] {
             let serial = run(kind, false, &vals);
-            let mut left = Accumulator::new(kind, false);
-            let mut right = Accumulator::new(kind, false);
-            for v in &vals[..37] {
-                left.update(v).unwrap();
-            }
-            for v in &vals[37..] {
-                right.update(v).unwrap();
-            }
-            assert!(left.merge_is_exact() && right.merge_is_exact());
+            let (mut left, right) = (fed(kind, false, &vals[..37]), fed(kind, false, &vals[37..]));
+            assert!(left.merges_exactly(&right));
             left.merge(&right);
             assert_eq!(left.finish(), serial, "{kind:?}");
         }
         // float partials refuse exact merge
-        let mut f = Accumulator::new(AggKind::Sum, false);
-        f.update(&Datum::Float(1.5)).unwrap();
-        assert!(!f.merge_is_exact());
+        let f = fed(AggKind::Sum, false, &[Datum::Float(1.5)]);
+        assert!(!f.merges_exactly(&Accumulator::new(AggKind::Sum, false)));
         // distinct partials refuse merge
         let d = Accumulator::new(AggKind::Count, true);
-        assert!(!d.merge_is_exact());
+        assert!(!d.merges_exactly(&d));
+    }
+
+    /// 4 096 × 9·10^15 in partials of 512: the merges overflow i64 and
+    /// must carry every partial into the float sum, and the operator's
+    /// exactness check must see the overflow coming.
+    #[test]
+    fn merge_overflow_keeps_every_partial_sum() {
+        let big = |n| vec![Datum::Int(9_000_000_000_000_000); n];
+        let part = fed(AggKind::Sum, false, &big(512));
+        let mut merged = part.clone();
+        let mut refused = 0;
+        for _ in 1..8 {
+            refused += usize::from(!merged.merges_exactly(&part));
+            merged.merge(&part);
+        }
+        assert_eq!(refused, 6, "an overflowing merge was reported exact");
+        assert_eq!(run(AggKind::Sum, false, &big(4_096)), Datum::Float(3.6864e19));
+        assert_eq!(merged.finish(), Datum::Float(3.6864e19));
+        // A float partial on either side carries over too.
+        let mut i = fed(AggKind::Avg, false, &[Datum::Int(2)]);
+        let mut f = fed(AggKind::Avg, false, &[Datum::Float(0.5)]);
+        assert!(!i.merges_exactly(&f) && !f.merges_exactly(&i));
+        i.merge(&f);
+        f.merge(&fed(AggKind::Avg, false, &[Datum::Int(3)]));
+        assert_eq!((i.finish(), f.finish()), (Datum::Float(1.25), Datum::Float(1.75)));
     }
 
     #[test]

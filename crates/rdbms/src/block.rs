@@ -34,9 +34,10 @@
 //! The pipeline *breakers* parallelize too (DESIGN.md §15): the hash-join
 //! build side is partitioned over P = next_pow2(threads) private hash
 //! tables and the probe runs chunk-parallel over buffered probe rows;
-//! hash aggregation pre-aggregates thread-locally per chunk and merges
-//! partition-wise (falling back, stickily, to the serial fold the moment
-//! a float sum appears, because float addition is not associative); sort
+//! hash aggregation folds each morsel of a parallel scan (or each chunk of
+//! any other input) into its own group table and merges the tables in
+//! input order (falling back, stickily, to the serial fold at the first
+//! table that would not merge exactly, DESIGN.md §29); sort
 //! runs per-chunk run sorts plus a k-way merge whose global-index
 //! tiebreak reproduces the serial stable sort exactly. Every parallel
 //! operator of a statement runs on the statement's one crew of threads
@@ -54,7 +55,7 @@
 //! materialization would exhaust the cap).
 
 use crate::agg::Accumulator;
-use crate::crew::{Crew, JobQueue, MorselStream, Task};
+use crate::crew::{caught, Crew, JobQueue, MorselStream, Task};
 use crate::datum::{Datum, GroupKey};
 use crate::error::{DbError, DbResult};
 use crate::exec::{
@@ -65,6 +66,8 @@ use crate::expr::{EvalCtx, PhysExpr};
 use crate::plan::{AccessPath, AggSpec, NodeActuals, Plan, SortKey};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::iter::zip;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -243,12 +246,9 @@ pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
 ) -> DbResult<Box<dyn BlockOperator + 'c>> {
     // The scan→filter→project prefix goes to the morsel-parallel operator
     // when the statement has a crew and the table is big enough.
-    if az.is_none() && crew.is_some() {
-        if let Some(pipe) = scan_pipeline(plan) {
-            let high = exec.source.db.high_water(pipe.table)?;
-            if let Some(op) = ParallelScanOp::try_new(exec, crew, pipe, high) {
-                return Ok(Box::new(op));
-            }
+    if az.is_none() {
+        if let Some(op) = ParallelScanOp::try_new(exec, plan, crew)? {
+            return Ok(Box::new(op));
         }
     }
     let node_id = az.map(AnalyzeCtx::register);
@@ -322,15 +322,15 @@ pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
             buf: None,
             pos: 0,
         }),
-        Plan::HashAggregate { input, groups, aggs, .. } => Box::new(HashAggOp {
-            exec,
-            crew,
-            child: child(input, None)?,
-            groups,
-            aggs,
-            out: None,
-            pos: 0,
-        }),
+        Plan::HashAggregate { input, groups, aggs, .. } => {
+            // Exact aggregates over a parallel scan fold inside its morsels.
+            let exact = az.is_none() && aggs.iter().all(|a| !a.distinct);
+            let input = match ParallelScanOp::try_new(exec, input, crew.filter(|_| exact))? {
+                Some(scan) => AggInput::Morsels(scan),
+                None => AggInput::Child(child(input, None)?),
+            };
+            Box::new(HashAggOp { exec, crew, input, groups, aggs, out: None, pos: 0 })
+        }
         Plan::GroupAggregate { input, groups, aggs, .. } => Box::new(GroupAggOp {
             child: child(input, None)?,
             exec,
@@ -1236,283 +1236,285 @@ impl BlockOperator for SortOp<'_, '_, '_> {
     }
 }
 
-/// First-occurrence-ordered aggregation table: groups are emitted in the
-/// order their first input row arrived — the same deterministic order the
-/// materializing oracle and the parallel pre-aggregation path produce.
-struct AggTable {
-    index: HashMap<Vec<GroupKey>, usize>,
-    entries: Vec<(Row, Vec<Accumulator>)>,
+/// The one group table (DESIGN.md §29): the serial fold, each morsel's
+/// fold and each buffered chunk's fold all build one. Groups sit flat, in
+/// first-occurrence order — `groups.len()` values and `aggs.len()`
+/// accumulators per group — so the table is emitted as it stands. A
+/// group's key is its column's `GroupKey` itself, or a `GroupKey::Array`
+/// of the columns' keys for several (every key of one table has the same
+/// shape, so none collide); a scalar aggregate's one group is slot 0.
+#[derive(Default)]
+struct GroupTable<'p> {
+    groups: &'p [PhysExpr],
+    aggs: &'p [AggSpec],
+    index: HashMap<GroupKey, usize>,
+    vals: Vec<Datum>,
+    accs: Vec<Accumulator>,
+    /// One row's group values, until the row is known to open a group.
+    pending: Vec<Datum>,
 }
 
-impl AggTable {
-    fn new() -> AggTable {
-        AggTable { index: HashMap::new(), entries: Vec::new() }
+impl<'p> GroupTable<'p> {
+    fn new(groups: &'p [PhysExpr], aggs: &'p [AggSpec]) -> GroupTable<'p> {
+        let mut table = GroupTable { groups, aggs, ..GroupTable::default() };
+        if groups.is_empty() {
+            // A scalar aggregate has its one group, even over empty input.
+            table.open(GroupKey::Null);
+        }
+        table
     }
 
-    fn feed(&mut self, groups: &[PhysExpr], aggs: &[AggSpec], row: &Row) -> DbResult<()> {
-        let mut key_vals = Vec::with_capacity(groups.len());
-        for g in groups {
-            key_vals.push(g.eval(row)?);
+    /// The slot of `key`'s group, opened with `pending`'s values if new.
+    fn open(&mut self, key: GroupKey) -> usize {
+        let n = self.len();
+        let slot = *self.index.entry(key).or_insert(n);
+        if slot == n {
+            self.vals.append(&mut self.pending);
+            self.accs.extend(self.aggs.iter().map(new_acc));
         }
-        let key: Vec<GroupKey> = key_vals.iter().map(Datum::group_key).collect();
-        let index = &mut self.index;
-        let entries = &mut self.entries;
-        let slot = *index.entry(key).or_insert_with(|| {
-            entries.push((key_vals.clone(), aggs.iter().map(new_acc).collect()));
-            entries.len() - 1
-        });
-        feed_accs(&mut self.entries[slot].1, aggs, row)
+        slot
     }
 
     fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
+    }
+
+    /// Fold one row in. `ctx` is the row's: group expressions and
+    /// aggregate arguments share the memo slots its scan filled.
+    fn feed(&mut self, row: &[Datum], ctx: &mut EvalCtx) -> DbResult<()> {
+        self.pending.clear();
+        for g in self.groups {
+            self.pending.push(g.eval_ctx(row, ctx)?);
+        }
+        let key = match self.pending.as_slice() {
+            [] => None,
+            [v] => Some(v.group_key()),
+            vs => Some(GroupKey::Array(vs.iter().map(Datum::group_key).collect())),
+        };
+        let slot = key.map_or(0, |key| self.open(key));
+        let width = self.aggs.len();
+        for (acc, spec) in self.accs[slot * width..].iter_mut().zip(self.aggs) {
+            match &spec.arg {
+                Some(e) => acc.update(&e.eval_ctx(row, ctx)?)?,
+                None => acc.update(&Datum::Bool(true))?,
+            }
+        }
+        Ok(())
+    }
+
+    /// Fold rows already built, resetting `ctx` for each.
+    fn feed_rows(&mut self, rows: &[Row], ctx: &mut EvalCtx) -> DbResult<()> {
+        rows.iter().try_for_each(|row| {
+            ctx.reset();
+            self.feed(row, ctx)
+        })
+    }
+
+    /// Merge `later`, the table of the input that follows this one's: its
+    /// groups that are new here are appended in its first-occurrence
+    /// order, so merging tables in input order yields exactly the serial
+    /// fold's table. Returns `false`, with `self` untouched, when the merge
+    /// would differ from the serial fold: a group on both sides with a
+    /// float sum or a DISTINCT aggregate, or an integer sum that would
+    /// overflow.
+    fn merge(&mut self, later: GroupTable<'p>) -> bool {
+        let width = self.aggs.len();
+        // `later`'s keys in its first-occurrence order, each with the slot
+        // of its group here if there is one.
+        let mut found: Vec<(Option<usize>, Option<GroupKey>)> = vec![(None, None); later.len()];
+        for (key, slot) in later.index {
+            found[slot] = (self.index.get(&key).copied(), Some(key));
+        }
+        // A group new here is exactly `later`'s; one already here must merge.
+        let exact = found.iter().enumerate().all(|(i, (here, _))| {
+            let accs = &later.accs[i * width..(i + 1) * width];
+            here.is_none_or(|s| {
+                zip(&self.accs[s * width..], accs).all(|(a, b)| a.merges_exactly(b))
+            })
+        });
+        if !exact {
+            return false;
+        }
+        let ngroups = self.groups.len();
+        for (i, (here, key)) in found.into_iter().enumerate() {
+            let accs = &later.accs[i * width..(i + 1) * width];
+            match here {
+                Some(s) => zip(&mut self.accs[s * width..], accs).for_each(|(a, b)| a.merge(b)),
+                None => {
+                    self.index.insert(key.expect("every slot is keyed"), self.index.len());
+                    self.vals.extend_from_slice(&later.vals[i * ngroups..(i + 1) * ngroups]);
+                    self.accs.extend_from_slice(accs);
+                }
+            }
+        }
+        true
+    }
+
+    /// The finished groups, in first-occurrence order.
+    fn finish(self) -> Vec<Row> {
+        let (n, ngroups, width) = (self.len(), self.groups.len(), self.aggs.len());
+        let mut vals = self.vals.into_iter();
+        (0..n)
+            .map(|i| {
+                let accs = &self.accs[i * width..(i + 1) * width];
+                finish_group(vals.by_ref().take(ngroups).collect(), accs)
+            })
+            .collect()
     }
 }
 
-/// One partition of the parallel aggregation's global state. Entries keep
-/// the `(chunk_seq << 32) | local_idx` rank of the group's first
-/// occurrence, so concatenating all partitions and sorting by rank
-/// recovers global first-occurrence order regardless of which partition
-/// a key hashed into.
-#[derive(Default)]
-struct AggPart {
-    index: HashMap<Vec<GroupKey>, usize>,
-    entries: Vec<(u64, Vec<GroupKey>, Row, Vec<Accumulator>)>,
+/// Where a hash aggregation's rows come from.
+enum AggInput<'c, 'x, 'a> {
+    Child(Box<dyn BlockOperator + 'c>),
+    /// A scan pipeline whose morsels the aggregation folds where they are
+    /// read (DESIGN.md §29).
+    Morsels(ParallelScanOp<'c, 'x, 'a>),
 }
 
-/// One chunk's pre-aggregated output: `(partition, key, key values,
-/// accumulators)` in chunk-first-occurrence order, plus whether every
-/// accumulator may be merged exactly (no float sums, no DISTINCT).
-type LocalAggEntries = Vec<(usize, Vec<GroupKey>, Row, Vec<Accumulator>)>;
-type LocalAgg = (LocalAggEntries, bool);
-
-/// Collapse partitioned state back into one first-occurrence-ordered
-/// table (used both when the input is exhausted and when a float sum
-/// forces the sticky serial fallback).
-fn collapse_agg_parts(parts: Vec<AggPart>) -> AggTable {
-    let mut all: Vec<(u64, Vec<GroupKey>, Row, Vec<Accumulator>)> = Vec::new();
-    for part in parts {
-        all.extend(part.entries);
-    }
-    all.sort_by_key(|e| e.0);
-    let mut table = AggTable::new();
-    for (_, key, key_vals, accs) in all {
-        table.index.insert(key, table.entries.len());
-        table.entries.push((key_vals, accs));
-    }
-    table
-}
-
-/// Hash aggregation: streams its input (only group state plus at most one
-/// batch of buffered rows is resident), then emits the finished groups in
-/// first-occurrence order. With a crew, buffered rows pre-aggregate
-/// thread-locally per chunk and merge partition-wise; the serial fold is
-/// byte-identical and handles DISTINCT and float sums (whose addition
-/// order must equal input order).
+/// Hash aggregation: folds its input into a [`GroupTable`], then emits the
+/// finished groups in first-occurrence order. Over a morsel-parallel scan
+/// each morsel folds into its own table on the crew and the statement's
+/// thread merges them in morsel order; over any other input with a crew,
+/// buffered chunks do the same. A table that would not merge exactly (a
+/// float sum in a group the merged table holds, an integer overflow) sends
+/// the rest of the input, from that morsel or chunk on, to the serial
+/// fold, as a DISTINCT aggregate sends all of it.
 struct HashAggOp<'c, 'x, 'a> {
     exec: &'x Executor<'a>,
     crew: CrewRef<'c, 'x>,
-    child: Box<dyn BlockOperator + 'c>,
+    input: AggInput<'c, 'x, 'a>,
     groups: &'x [PhysExpr],
     aggs: &'x [AggSpec],
     out: Option<Vec<Row>>,
     pos: usize,
 }
 
-impl<'c, 'x> HashAggOp<'c, 'x, '_> {
-    fn fold_input(&mut self) -> DbResult<Vec<(Row, Vec<Accumulator>)>> {
-        match self.crew {
-            Some(crew) if self.aggs.iter().all(|a| !a.distinct) => self.fold_parallel(crew),
-            _ => self.fold_serial_from(AggTable::new(), Vec::new()),
+impl<'x> HashAggOp<'_, 'x, '_> {
+    fn fold_input(&mut self) -> DbResult<GroupTable<'x>> {
+        let table = GroupTable::new(self.groups, self.aggs);
+        let child = match &mut self.input {
+            AggInput::Morsels(scan) => return fold_morsels(scan, table),
+            AggInput::Child(child) => child.as_mut(),
+        };
+        let mut crew = self.crew;
+        if crew.is_some() && self.aggs.iter().any(|a| a.distinct) {
+            self.exec.stats.agg_serial_fallbacks.inc();
+            crew = None;
         }
+        fold_child(self.exec, crew, child, table)
     }
+}
 
-    /// The serial fold: feed `pending` rows (already pulled from the
-    /// child by a parallel attempt), then drain the rest of the child.
-    fn fold_serial_from(
-        &mut self,
-        mut table: AggTable,
-        pending: Vec<Row>,
-    ) -> DbResult<Vec<(Row, Vec<Accumulator>)>> {
-        let groups = self.groups;
-        let aggs = self.aggs;
-        for row in &pending {
-            table.feed(groups, aggs, row)?;
-        }
-        while let Some(block) = self.child.next_block()? {
-            let table_ref = &mut table;
-            block.for_each_row(|row| table_ref.feed(groups, aggs, row))?;
-            self.exec.check_limit(table.len())?;
-            self.exec.stats.note_resident(table.len() as u64 + self.child.resident_rows());
-        }
-        Ok(table.entries)
-    }
-
-    /// Partitioned parallel pre-aggregation (DESIGN.md §15): buffer up to
-    /// `threads × BREAKER_MORSEL` input rows, pre-aggregate the batch's
-    /// chunks on the crew, then merge each chunk table into P
-    /// per-partition global tables on the crew (each partition is owned by
-    /// exactly one merge task, so no locks). Exact merging requires
-    /// associativity — the first chunk whose accumulators report inexact
-    /// (a float SUM/AVG appeared) aborts the batch and falls back,
-    /// stickily, to the serial fold seeded with the exact pre-batch state
-    /// plus the batch's raw rows.
-    fn fold_parallel(&mut self, crew: &'c Crew<'c, 'x>) -> DbResult<Vec<(Row, Vec<Accumulator>)>> {
-        let threads = crew.threads();
-        let p = partition_count(threads);
-        let partitioner = Partitioner::new(p);
-        let groups = self.groups;
-        let aggs = self.aggs;
-        let mut parts: Vec<AggPart> = (0..p).map(|_| AggPart::default()).collect();
-        let mut groups_held = 0usize;
+/// Fold `child` into `merged`. With a crew, batches of `threads ×
+/// BREAKER_MORSEL` rows split into one chunk per thread, each chunk folds
+/// into its own table on the crew, and this thread merges the tables in
+/// chunk order (DESIGN.md §15). Without one, or below the parallel floor,
+/// the rows fold here, a block at a time.
+fn fold_child<'c, 'x>(
+    exec: &Executor<'_>,
+    crew: CrewRef<'c, 'x>,
+    child: &mut (dyn BlockOperator + '_),
+    mut merged: GroupTable<'x>,
+) -> DbResult<GroupTable<'x>> {
+    let batch = crew.map_or(1, |c| c.threads() * BREAKER_MORSEL);
+    let (groups, aggs) = (merged.groups, merged.aggs);
+    let mut ctx = EvalCtx::new();
+    let mut input_done = false;
+    while !input_done {
         let mut buf: Vec<Row> = Vec::new();
-        let mut chunk_seq = 0u64;
-        let batch_target = threads * BREAKER_MORSEL;
-        let mut input_done = false;
-        while !input_done || !buf.is_empty() {
-            if !input_done {
-                match self.child.next_block()? {
-                    Some(block) => buf.extend(block.take_rows()),
-                    None => input_done = true,
-                }
-            }
-            self.exec.check_limit(groups_held + buf.len())?;
-            self.exec
-                .stats
-                .note_resident((groups_held + buf.len()) as u64 + self.child.resident_rows());
-            if buf.len() < batch_target && !input_done {
-                continue;
-            }
-            if buf.is_empty() {
+        while buf.len() < batch {
+            let Some(block) = child.next_block()? else {
+                input_done = true;
                 break;
-            }
-            if self.exec.parallel(self.crew, buf.len()).is_none() {
-                // Tiny tail: not worth the crew. Finish serially from the
-                // exact merged state.
-                return self.fold_serial_from(collapse_agg_parts(parts), std::mem::take(&mut buf));
-            }
-
-            // Phase 1: thread-local pre-aggregation, one chunk per thread.
-            let chunks = split_even(std::mem::take(&mut buf), threads);
-            let n_chunks = chunks.len();
-            let mut tasks: Vec<Task<'x, (LocalAgg, Vec<Row>)>> = Vec::with_capacity(n_chunks);
-            for chunk in chunks {
-                let partitioner = partitioner.clone();
-                tasks.push(Box::new(move || {
-                    let mut table = AggTable::new();
-                    for row in &chunk {
-                        table.feed(groups, aggs, row)?;
-                    }
-                    let exact = table
-                        .entries
-                        .iter()
-                        .all(|(_, accs)| accs.iter().all(Accumulator::merge_is_exact));
-                    // Re-key entries with their partition; `index` keys
-                    // are recovered positionally via drain.
-                    let mut keys: Vec<Option<Vec<GroupKey>>> = vec![None; table.entries.len()];
-                    for (key, slot) in table.index.drain() {
-                        keys[slot] = Some(key);
-                    }
-                    let local = table
-                        .entries
-                        .into_iter()
-                        .zip(keys)
-                        .map(|((key_vals, accs), key)| {
-                            let key = key.expect("every entry is indexed");
-                            (partitioner.of(&key), key, key_vals, accs)
-                        })
-                        .collect();
-                    Ok(((local, exact), chunk))
-                }));
-            }
-            let mut locals: Vec<LocalAggEntries> = Vec::with_capacity(n_chunks);
-            let mut raw: Vec<Vec<Row>> = Vec::with_capacity(n_chunks);
-            let mut all_exact = true;
-            for r in crew.run_all(tasks) {
-                let ((local, exact), chunk) = r?;
-                all_exact &= exact;
-                locals.push(local);
-                raw.push(chunk);
-            }
-            if !all_exact {
-                // A float sum appeared: its addition order matters, so
-                // discard the batch's pre-aggregates and refold this
-                // batch's raw rows (and everything after) serially. The
-                // pre-batch partition state is exact, i.e. identical to
-                // the serial table over the prior rows.
-                return self.fold_serial_from(collapse_agg_parts(parts), join_chunks(raw));
-            }
-            drop(raw);
-
-            // Phase 2: partition-wise merge — task `pi` owns `parts[pi]`
-            // and walks the chunk tables in chunk order, so within a
-            // group accumulators merge in input order.
-            let locals = Arc::new(locals);
-            let base_seq = chunk_seq;
-            let mut merge_tasks: Vec<Task<'x, AggPart>> = Vec::with_capacity(p);
-            for (pi, mut part) in std::mem::take(&mut parts).into_iter().enumerate() {
-                let locals = Arc::clone(&locals);
-                merge_tasks.push(Box::new(move || {
-                    for (ci, local) in locals.iter().enumerate() {
-                        for (li, (lp, key, key_vals, accs)) in local.iter().enumerate() {
-                            if *lp != pi {
-                                continue;
-                            }
-                            match part.index.get(key) {
-                                Some(&slot) => {
-                                    for (dst, src) in
-                                        part.entries[slot].3.iter_mut().zip(accs)
-                                    {
-                                        dst.merge(src);
-                                    }
-                                }
-                                None => {
-                                    let rank = ((base_seq + ci as u64) << 32) | li as u64;
-                                    part.index.insert(key.clone(), part.entries.len());
-                                    part.entries.push((
-                                        rank,
-                                        key.clone(),
-                                        key_vals.clone(),
-                                        accs.clone(),
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                    Ok(part)
-                }));
-            }
-            for r in crew.run_all(merge_tasks) {
-                parts.push(r?);
-            }
-            self.exec.stats.agg_partition_merges.add(p as u64);
-            chunk_seq += n_chunks as u64;
-            groups_held = parts.iter().map(|part| part.entries.len()).sum();
-            self.exec.check_limit(groups_held)?;
+            };
+            buf.extend(block.take_rows());
+            exec.check_limit(merged.len() + buf.len())?;
+            exec.stats.note_resident((merged.len() + buf.len()) as u64 + child.resident_rows());
         }
-        Ok(collapse_agg_parts(parts).entries)
+        let Some(crew) = exec.parallel(crew, buf.len()) else {
+            merged.feed_rows(&buf, &mut ctx)?;
+            continue;
+        };
+        let tasks: Vec<Task<'x, (GroupTable<'x>, Vec<Row>)>> = split_even(buf, crew.threads())
+            .into_iter()
+            .map(|chunk| -> Task<'x, _> {
+                Box::new(move || {
+                    let mut table = GroupTable::new(groups, aggs);
+                    table.feed_rows(&chunk, &mut EvalCtx::new())?;
+                    Ok((table, chunk))
+                })
+            })
+            .collect();
+        let mut results = crew.run_all(tasks).into_iter();
+        while let Some(r) = results.next() {
+            let (table, chunk) = r?;
+            if !merged.merge(table) {
+                // Fold this chunk, the rest of the batch and the rest of
+                // the input here, from the exact state merged so far.
+                exec.stats.agg_serial_fallbacks.inc();
+                merged.feed_rows(&chunk, &mut ctx)?;
+                for r in results {
+                    merged.feed_rows(&r?.1, &mut ctx)?;
+                }
+                return fold_child(exec, None, child, merged);
+            }
+            exec.stats.agg_partition_merges.inc();
+        }
     }
+    Ok(merged)
+}
+
+/// Fold a scan pipeline inside its morsels (DESIGN.md §29): each morsel
+/// job folds the rows `scan_morsel` hands over into a morsel-local table,
+/// so no row leaves its worker, and the statement's thread merges the
+/// tables in morsel order. The first table that would not merge exactly
+/// stops the stream; that morsel and every later one are read again, on
+/// this thread under the statement's snapshot, into the merged state.
+fn fold_morsels<'x>(
+    scan: &ParallelScanOp<'_, 'x, '_>,
+    mut merged: GroupTable<'x>,
+) -> DbResult<GroupTable<'x>> {
+    let (exec, pipe) = (scan.exec, scan.pipe);
+    let (groups, aggs) = (merged.groups, merged.aggs);
+    let mut morsels = scan.stream(move |ids, budget| {
+        let mut table = GroupTable::new(groups, aggs);
+        let passed = scan_morsel(exec, pipe, budget, ids, &mut |row, ctx| table.feed(&row, ctx))?;
+        Ok((table, passed))
+    });
+    // Rows that passed the scan filter in the morsels merged so far.
+    let mut charged = 0;
+    for m in 0.. {
+        let Some(r) = morsels.next() else { break };
+        let (table, passed) = r?;
+        if !merged.merge(table) {
+            drop(morsels);
+            exec.stats.agg_serial_fallbacks.inc();
+            let budget = AtomicU64::new(charged);
+            let rest = m * scan.morsel_size..scan.high;
+            let sink = &mut |row: Row, ctx: &mut EvalCtx| merged.feed(&row, ctx);
+            caught(|| scan_morsel(exec, pipe, &budget, rest, sink))?;
+            exec.check_limit(merged.len())?;
+            return Ok(merged);
+        }
+        exec.stats.agg_partition_merges.inc();
+        charged += passed;
+        exec.check_limit(merged.len())?;
+        exec.stats.note_resident(merged.len() as u64);
+    }
+    Ok(merged)
 }
 
 impl BlockOperator for HashAggOp<'_, '_, '_> {
     fn open(&mut self) -> DbResult<()> {
-        self.child.open()
+        match &mut self.input {
+            AggInput::Child(child) => child.open(),
+            AggInput::Morsels(_) => Ok(()),
+        }
     }
 
     fn next_block(&mut self) -> DbResult<Option<RowBlock>> {
         if self.out.is_none() {
-            let entries = self.fold_input()?;
-            let mut out: Vec<Row> = Vec::with_capacity(entries.len());
-            if self.groups.is_empty() && entries.is_empty() {
-                // Scalar aggregate over empty input still yields one row.
-                let accs: Vec<Accumulator> = self.aggs.iter().map(new_acc).collect();
-                out.push(finish_group(Vec::new(), &accs));
-            } else {
-                for (key_vals, accs) in entries {
-                    out.push(finish_group(key_vals, &accs));
-                }
-            }
-            self.out = Some(out);
+            self.out = Some(self.fold_input()?.finish());
             self.pos = 0;
         }
         let block_rows = self.exec.limits.block_rows;
@@ -1520,7 +1522,9 @@ impl BlockOperator for HashAggOp<'_, '_, '_> {
     }
 
     fn close(&mut self) {
-        self.child.close();
+        if let AggInput::Child(child) = &mut self.input {
+            child.close();
+        }
         self.out = None;
     }
 
@@ -1530,7 +1534,11 @@ impl BlockOperator for HashAggOp<'_, '_, '_> {
             .as_ref()
             .map(|b| (b.len() - self.pos) as u64)
             .unwrap_or(0);
-        buffered + self.child.resident_rows()
+        let child = match &self.input {
+            AggInput::Child(child) => child.resident_rows(),
+            AggInput::Morsels(_) => 0,
+        };
+        buffered + child
     }
 }
 
@@ -2203,19 +2211,21 @@ struct ParallelScanOp<'c, 'x, 'a> {
 }
 
 impl<'c, 'x, 'a> ParallelScanOp<'c, 'x, 'a> {
-    /// Gating: the one parallel rule over the table's row ids.
+    /// The operator for `plan`, if it is a scan pipeline and the one
+    /// parallel rule holds over its table's row ids.
     fn try_new(
         exec: &'x Executor<'a>,
+        plan: &'x Plan,
         crew: CrewRef<'c, 'x>,
-        pipe: ScanPipeline<'x>,
-        high: u64,
-    ) -> Option<ParallelScanOp<'c, 'x, 'a>> {
+    ) -> DbResult<Option<ParallelScanOp<'c, 'x, 'a>>> {
         const MIN_MORSEL_ROWS: u64 = 256;
         const MORSELS_PER_WORKER: u64 = 8;
-        let crew = exec.parallel(crew, high as usize)?;
+        let Some(pipe) = scan_pipeline(plan).filter(|_| crew.is_some()) else { return Ok(None) };
+        let high = exec.source.db.high_water(pipe.table)?;
+        let Some(crew) = exec.parallel(crew, high as usize) else { return Ok(None) };
         let target_morsels = crew.threads() as u64 * MORSELS_PER_WORKER;
         let morsel_size = (high / target_morsels).max(MIN_MORSEL_ROWS);
-        Some(ParallelScanOp {
+        Ok(Some(ParallelScanOp {
             exec,
             crew,
             pipe,
@@ -2224,12 +2234,32 @@ impl<'c, 'x, 'a> ParallelScanOp<'c, 'x, 'a> {
             n_morsels: high.div_ceil(morsel_size),
             morsels: None,
             pending: VecDeque::new(),
+        }))
+    }
+
+    /// Count the scan and run `work` over its morsels on the crew, results
+    /// in morsel order. `work` gets a morsel's row ids and the scan's
+    /// shared row budget.
+    fn stream<T: Send + 'x>(
+        &self,
+        work: impl Fn(Range<u64>, &AtomicU64) -> DbResult<T> + Send + Sync + 'x,
+    ) -> MorselStream<'c, 'x, T> {
+        let stats = self.exec.stats;
+        stats.parallel_scans.inc();
+        stats.scan_workers.add(self.crew.threads().min(self.n_morsels as usize) as u64);
+        let (high, size) = (self.high, self.morsel_size);
+        let budget = AtomicU64::new(0);
+        MorselStream::new(Some(self.crew), self.n_morsels, move |m| {
+            stats.morsels_dispatched.inc();
+            let start = m * size;
+            work(start..high.min(start + size), &budget)
         })
     }
 }
 
-/// Run the whole pipeline prefix over the rows with ids in `start..end`:
-/// scan filter → row budget → post filter → project.
+/// Run the whole pipeline prefix over the rows with ids in `ids`: scan
+/// filter → row budget → post filter → project → `sink`. Returns the rows
+/// that passed the scan filter.
 ///
 /// `budget` counts rows that pass the scan filter, exactly what the serial
 /// scan charges against `max_intermediate_rows`. Each morsel charges its
@@ -2239,22 +2269,21 @@ fn scan_morsel(
     exec: &Executor<'_>,
     pipe: ScanPipeline<'_>,
     budget: &AtomicU64,
-    start: u64,
-    end: u64,
-) -> DbResult<Vec<Row>> {
+    ids: Range<u64>,
+    sink: &mut dyn FnMut(Row, &mut EvalCtx) -> DbResult<()>,
+) -> DbResult<u64> {
     let max_rows = exec.limits.max_intermediate_rows;
     let exceeded =
         || DbError::ResourceExhausted(format!("intermediate result exceeded {max_rows} rows"));
     let mut ctx = EvalCtx::new();
     let mut passed = 0u64;
-    let mut out: Vec<Row> = Vec::new();
     // The scan resets the context before its filter and not after, so the
-    // post filter and the projection reuse what the filter memoized.
+    // post filter, the projection and the sink reuse what it memoized.
     let rows_seen = exec.source.scan_table_range(
         pipe.table,
         pipe.needed,
         pipe.scan_filter,
-        start..end,
+        ids,
         &mut ctx,
         &mut |row, ctx| {
             passed += 1;
@@ -2272,9 +2301,9 @@ fn scan_morsel(
                     for e in exprs {
                         new_row.push(e.eval_ctx(&row, ctx)?);
                     }
-                    out.push(new_row);
+                    sink(new_row, ctx)?;
                 }
-                None => out.push(row),
+                None => sink(row, ctx)?,
             }
             Ok(true)
         },
@@ -2283,20 +2312,19 @@ fn scan_morsel(
     if budget.fetch_add(passed, Ordering::Relaxed) + passed > max_rows {
         return Err(exceeded());
     }
-    Ok(out)
+    Ok(passed)
 }
 
 impl BlockOperator for ParallelScanOp<'_, '_, '_> {
     fn open(&mut self) -> DbResult<()> {
-        let stats = self.exec.stats;
-        stats.parallel_scans.inc();
-        stats.scan_workers.add(self.crew.threads().min(self.n_morsels as usize) as u64);
-        let (exec, pipe, high, size) = (self.exec, self.pipe, self.high, self.morsel_size);
-        let budget = AtomicU64::new(0);
-        self.morsels = Some(MorselStream::new(Some(self.crew), self.n_morsels, move |m| {
-            stats.morsels_dispatched.inc();
-            let start = m * size;
-            scan_morsel(exec, pipe, &budget, start, high.min(start + size))
+        let (exec, pipe) = (self.exec, self.pipe);
+        self.morsels = Some(self.stream(move |ids, budget| {
+            let mut out: Vec<Row> = Vec::new();
+            scan_morsel(exec, pipe, budget, ids, &mut |row, _| {
+                out.push(row);
+                Ok(())
+            })?;
+            Ok(out)
         }));
         Ok(())
     }

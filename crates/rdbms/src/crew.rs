@@ -48,7 +48,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Run `f`, turning a panic into the parallel-worker error.
-fn caught<R>(f: impl FnOnce() -> DbResult<R>) -> DbResult<R> {
+pub(crate) fn caught<R>(f: impl FnOnce() -> DbResult<R>) -> DbResult<R> {
     catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
         Err(DbError::Eval(format!("parallel worker panicked: {}", panic_message(payload.as_ref()))))
     })

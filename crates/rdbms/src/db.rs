@@ -1682,16 +1682,32 @@ impl Database {
             None if reads => {
                 // A registered snapshot makes concurrent committers retain
                 // (rather than destroy) the versions this query reads:
-                // readers never block writers and vice versa.
-                let read_ts = self.manager.begin_snapshot();
-                let res = self
-                    .checked(p, held, derive)
-                    .and_then(|b| self.run_bound(&b, Vis::snapshot(read_ts), None));
-                if self.manager.release_snapshot(read_ts) {
-                    // We were the horizon; some retained garbage may be ripe.
-                    let _ = self.vacuum();
+                // readers never block writers and vice versa. The plan run
+                // is current after its snapshot is taken: one prepared
+                // again here can rest on commits the snapshot misses (the
+                // materializer's last moves before the clean flag a new
+                // rewrite reads), so it gets a new snapshot.
+                let mut held = held;
+                loop {
+                    let read_ts = self.manager.begin_snapshot();
+                    let res = match self.checked(p, held.clone(), derive) {
+                        Ok(b) if Arc::ptr_eq(&b, &held) => {
+                            Some(self.run_bound(&b, Vis::snapshot(read_ts), None))
+                        }
+                        Ok(b) => {
+                            held = b;
+                            None
+                        }
+                        Err(e) => Some(Err(e)),
+                    };
+                    if self.manager.release_snapshot(read_ts) {
+                        // We were the horizon; some retained garbage may be ripe.
+                        let _ = self.vacuum();
+                    }
+                    if let Some(res) = res {
+                        return res;
+                    }
                 }
-                res
             }
             None if writes => {
                 // Held from before the stamps are checked until the rows are

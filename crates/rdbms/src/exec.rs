@@ -191,8 +191,13 @@ crate::counter_table! {
     parallel_breakers join_build_rows: counter,
     /// Partitions created across partitioned hash-join builds.
     parallel_breakers join_partitions: counter,
-    /// Partition-merge tasks run by parallel hash aggregation.
+    /// Pre-aggregated morsel or chunk tables merged by parallel hash
+    /// aggregation (DESIGN.md §29).
     parallel_breakers agg_partition_merges: counter,
+    /// Aggregations with a crew that folded all or part of their input
+    /// serially: a DISTINCT aggregate, or a table that would not merge
+    /// exactly (a float sum, an integer sum overflowing).
+    parallel_breakers agg_serial_fallbacks: counter,
     /// Sorts executed through the parallel run-sort + k-way-merge path.
     parallel_breakers parallel_sorts: counter,
     /// EXPLAIN / EXPLAIN ANALYZE statements executed.
@@ -686,9 +691,9 @@ impl Executor<'_> {
     ) -> DbResult<Vec<Row>> {
         let rows = self.run_materialize(input)?;
         // Groups are emitted in first-occurrence (input) order — not the
-        // hash map's per-instance iteration order — so the serial, the
-        // parallel-partitioned, and the streaming aggregate all produce
-        // one deterministic order at any thread count (DESIGN.md §15).
+        // hash map's per-instance iteration order — so this oracle and the
+        // streaming aggregate, serial or merged from morsel tables, produce
+        // one deterministic order at any thread count (DESIGN.md §29).
         let mut index: HashMap<Vec<GroupKey>, usize> = HashMap::new();
         let mut entries: Vec<(Row, Vec<Accumulator>)> = Vec::new();
         for row in &rows {

@@ -743,3 +743,40 @@ fn int_float_join_and_group_keys_are_exact() {
         }
     }
 }
+
+/// An integer `SUM` whose partial sums overflow i64 only when merged:
+/// 4 096 rows of about 9·10^15 in one group, 3.6864·10^19 in all. Every
+/// thread count must return the serial fold's float, which promotes to
+/// float at one row and rounds every later addition; a merge that
+/// dropped a partial sum once returned 1.3824·10^19 at two and four
+/// threads, and one that promoted at a morsel boundary rounds otherwise.
+#[test]
+fn integer_sum_overflowing_in_a_merge_matches_materialize() {
+    let db = Database::in_memory();
+    db.execute("CREATE TABLE huge (g int, v int)").unwrap();
+    for chunk in 0..8u64 {
+        let values: Vec<String> = (chunk * 512..(chunk + 1) * 512)
+            .map(|i| format!("(1, {})", 9_000_000_000_000_000 + i * 7_919 % 2_000))
+            .collect();
+        db.execute(&format!("INSERT INTO huge VALUES {}", values.join(", "))).unwrap();
+    }
+    let queries = [
+        "SELECT g, SUM(v), AVG(v), COUNT(*) FROM huge GROUP BY g",
+        "SELECT SUM(v), AVG(v) FROM huge",
+    ];
+    for sql in queries {
+        let run = |mode, exec_threads| {
+            db.set_exec_limits(ExecLimits { mode, exec_threads, ..ExecLimits::default() });
+            db.execute(sql).unwrap().rows
+        };
+        let oracle = run(ExecMode::Materialize, 1);
+        let sum = oracle[0].iter().find_map(|d| match d {
+            Datum::Float(f) if *f > 3.68e19 => Some(*f),
+            _ => None,
+        });
+        assert!(sum.is_some_and(|f| f < 3.69e19), "{sql}: {oracle:?}");
+        for threads in [1, 2, 4] {
+            assert_eq!(run(ExecMode::Streaming, threads), oracle, "{sql} at {threads} threads");
+        }
+    }
+}
