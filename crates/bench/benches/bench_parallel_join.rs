@@ -1,12 +1,12 @@
-//! Criterion benchmarks for the morsel-parallel pipeline breakers
-//! (DESIGN.md §15): the partitioned hash join and the parallel
-//! pre-aggregation at 2/4/8 worker threads against their serial operators
-//! (one thread).
+//! Benchmarks for the parallel pipeline breakers over an in-memory
+//! 200 000-row fact table `f` and a 20 000-row dimension `d`, at one
+//! thread (`serial`) and at 2/4/8 worker threads: a hash join, which
+//! builds `d` on the statement's thread and probes inside `f`'s scan
+//! morsels (DESIGN.md §30), and a 5 000-group hash aggregation, which
+//! folds inside the morsels (DESIGN.md §29).
 //!
-//! The canonical snapshot for these numbers is `results/BENCH_PR9.json`,
-//! written by `cargo run --release -p sinew-bench --bin pr9_parallel_join`
-//! at the full 1M-row scale; this bench runs at 200k rows so criterion's
-//! sampling stays tractable.
+//! `cargo bench -p sinew-bench --bench bench_parallel_join`. The
+//! end-to-end record for joins and aggregates is `sinewbench`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sinew_rdbms::{Database, Datum, ExecLimits, ExecMode};

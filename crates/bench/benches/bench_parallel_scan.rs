@@ -6,7 +6,8 @@
 //! at one and more threads, and a 1 %-selective filter projecting k =
 //! 1/3/5 virtual keys, which tests the filter's key in place for every row
 //! (DESIGN.md §27) and decodes the projected keys only for the rows that
-//! pass (DESIGN.md §25). Two groups run over materialized columns, where a
+//! pass (DESIGN.md §25), and the Q11 self-join in both `FROM` orders
+//! (DESIGN.md §30). Two groups run over materialized columns, where a
 //! scan tests its filter before it builds the rest of a row (DESIGN.md
 //! §28): Q8 over a physical array column with one survivor, and the §6.6
 //! `UPDATE` at one and two threads.
@@ -58,7 +59,9 @@ fn bench_parallel_scan(c: &mut Criterion) {
 /// (both fold inside the scan's morsels, DESIGN.md §29), a full-table
 /// `GROUP BY thousandth` (1 000 groups, so every morsel table is large)
 /// at 1/2/4 threads, and NoBench Q5 and Q8, whose filters are value tests
-/// (DESIGN.md §27).
+/// (DESIGN.md §27). Then NoBench Q11 at 1/2 threads in both `FROM`
+/// orders: the hash join builds the filtered side either way and probes
+/// inside the other side's scan morsels (DESIGN.md §30).
 fn bench_past_the_pool(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("sinew-bench-spill-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -100,6 +103,24 @@ fn bench_past_the_pool(c: &mut Criterion) {
         }
         g.finish();
     }
+    let mut g = c.benchmark_group("q11_join_past_the_pool");
+    g.sample_size(10);
+    for from in ["nobench l, nobench r", "nobench r, nobench l"] {
+        let q11 = format!(
+            "SELECT l.str1, r.num FROM {from} WHERE l.\"nested_obj.str\" = r.str1 \
+             AND l.num BETWEEN {} AND {}",
+            p.join_lo,
+            p.join_lo + p.join_width
+        );
+        for threads in [1usize, 2] {
+            let id = BenchmarkId::new(from.replace("nobench ", "").replace(", ", "_"), threads);
+            g.bench_with_input(id, &threads, |b, &t| {
+                with_threads(&sinew, t);
+                b.iter(|| black_box(sinew.query(&q11).unwrap().rows.len()))
+            });
+        }
+    }
+    g.finish();
     drop(sinew);
     std::fs::remove_dir_all(&dir).ok();
 }

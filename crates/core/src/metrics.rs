@@ -694,7 +694,8 @@ mod tests {
     /// and `metrics`. Keys may be added to the report, never renamed or
     /// dropped — except with what they counted: `plan_cache_swept` and
     /// `plan_cache_hit_rate` went with the plan cache, `udf_fused_keys`
-    /// with extraction fusion.
+    /// with extraction fusion, `join_partitions` with the partitioned
+    /// hash-join build.
     const PR14_EXEC_KEYS: &[&str] = &[
         "parallel_scans", "serial_scans", "morsels_dispatched", "scan_workers",
         "rows_per_morsel_log2", "rows_per_morsel_count", "rows_per_morsel_sum", "index_scans",
@@ -703,7 +704,7 @@ mod tests {
         "rows_per_block_sum", "columnar_scans", "segments_pruned", "index_only_scans",
         "heap_fetches", "decoded_per_block_log2", "decoded_per_block_count",
         "decoded_per_block_sum", "values_decoded_batched", "dict_code_rewrites",
-        "rle_runs_skipped", "selection_fastpath_hits", "join_build_rows", "join_partitions",
+        "rle_runs_skipped", "selection_fastpath_hits", "join_build_rows",
         "agg_partition_merges", "parallel_sorts", "explain_runs", "wal_appends", "wal_commits",
         "wal_fsyncs", "wal_checkpoints", "wal_recoveries", "wal_recovered_pages", "wal_bytes",
         "txns_begun", "txns_committed", "txns_aborted", "write_conflicts", "versions_created",
@@ -748,6 +749,7 @@ mod tests {
             "plan_ns_mean",
             "scan_rows_rejected_early",
             "agg_serial_fallbacks",
+            "join_probe_morsels",
         ];
         for (obj, keys) in [
             ("exec", PR14_EXEC_KEYS),

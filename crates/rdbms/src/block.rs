@@ -31,15 +31,16 @@
 //! `AccessOp`s behind one `HeapFallback`, which continues any of them as
 //! the equivalent heap scan when its index or store is gone.
 //!
-//! The pipeline *breakers* parallelize too (DESIGN.md §15): the hash-join
-//! build side is partitioned over P = next_pow2(threads) private hash
-//! tables and the probe runs chunk-parallel over buffered probe rows;
-//! hash aggregation folds each morsel of a parallel scan (or each chunk of
-//! any other input) into its own group table and merges the tables in
-//! input order (falling back, stickily, to the serial fold at the first
-//! table that would not merge exactly, DESIGN.md §29); sort
-//! runs per-chunk run sorts plus a k-way merge whose global-index
-//! tiebreak reproduces the serial stable sort exactly. Every parallel
+//! The pipeline *breakers* parallelize too (DESIGN.md §15): the hash join
+//! builds one table on the statement's thread and, when its probe input
+//! is a parallel scan pipeline, probes inside that scan's morsels,
+//! stitched in morsel order (DESIGN.md §30); hash aggregation folds each
+//! morsel of a parallel scan (or each chunk of any other input) into its
+//! own group table and merges the tables in input order (falling back,
+//! stickily, to the serial fold at the first table that would not merge
+//! exactly, DESIGN.md §29); sort runs per-chunk run sorts plus a k-way
+//! merge whose global-index tiebreak reproduces the serial stable sort
+//! exactly. Every parallel
 //! operator of a statement runs on the statement's one crew of threads
 //! (`crate::crew`, DESIGN.md §26), opened here by
 //! [`run_streaming_with`]. With `exec_threads = 1` (and below the row
@@ -253,6 +254,15 @@ pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
     }
     let node_id = az.map(AnalyzeCtx::register);
     let child = |input: &'x Plan, cap: Option<u64>| build_node(exec, input, cap, az, crew);
+    // A breaker over a scan pipeline may take the scan's morsels where
+    // they are read (DESIGN.md §29, §30).
+    let fused = |input: &'x Plan, fuse: bool| -> DbResult<BreakerInput<'c, 'x, 'a>> {
+        let crew = crew.filter(|_| fuse && az.is_none());
+        Ok(match ParallelScanOp::try_new(exec, input, crew)? {
+            Some(scan) => BreakerInput::Morsels(scan),
+            None => BreakerInput::Child(child(input, None)?),
+        })
+    };
     let op: Box<dyn BlockOperator + 'c> = match plan {
         Plan::SeqScan { table, filter, needed, .. } => Box::new(SeqScanOp::new(
             exec,
@@ -324,11 +334,7 @@ pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
         }),
         Plan::HashAggregate { input, groups, aggs, .. } => {
             // Exact aggregates over a parallel scan fold inside its morsels.
-            let exact = az.is_none() && aggs.iter().all(|a| !a.distinct);
-            let input = match ParallelScanOp::try_new(exec, input, crew.filter(|_| exact))? {
-                Some(scan) => AggInput::Morsels(scan),
-                None => AggInput::Child(child(input, None)?),
-            };
+            let input = fused(input, aggs.iter().all(|a| !a.distinct))?;
             Box::new(HashAggOp { exec, crew, input, groups, aggs, out: None, pos: 0 })
         }
         Plan::GroupAggregate { input, groups, aggs, .. } => Box::new(GroupAggOp {
@@ -350,20 +356,23 @@ pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
             child: child(input, None)?,
             seen: HashSet::new(),
         }),
-        Plan::HashJoin { left, right, left_key, right_key, residual, left_outer, .. } => {
+        Plan::HashJoin {
+            left, right, left_key, right_key, residual, left_outer, right_width, ..
+        } => {
             Box::new(HashJoinOp {
                 exec,
                 crew,
-                left: child(left, None)?,
+                left: fused(left, true)?,
                 right: child(right, None)?,
-                left_key,
                 right_key,
-                residual: residual.as_ref(),
-                left_outer: *left_outer,
+                probe: Probe {
+                    left_key,
+                    residual: residual.as_ref(),
+                    pad: left_outer.then_some(*right_width),
+                },
                 built: None,
                 emitted: 0,
                 pending: VecDeque::new(),
-                pbuf: Vec::new(),
                 left_done: false,
             })
         }
@@ -379,13 +388,13 @@ pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
                 pos: 0,
             })
         }
-        Plan::NestedLoop { left, right, predicate, left_outer, .. } => {
+        Plan::NestedLoop { left, right, predicate, left_outer, right_width, .. } => {
             Box::new(NestedLoopOp {
                 exec,
                 left: child(left, None)?,
                 right: child(right, None)?,
                 predicate: predicate.as_ref(),
-                left_outer: *left_outer,
+                pad: left_outer.then_some(*right_width),
                 right_rows: None,
                 emitted: 0,
                 pending: VecDeque::new(),
@@ -437,36 +446,8 @@ fn chunk_from(buf: &mut [Row], pos: &mut usize, n: usize) -> Option<RowBlock> {
 // ---------------------------------------------------------------------------
 // Parallel-breaker infrastructure (DESIGN.md §15, §26)
 
-/// Rows per chunk of the buffered probe/pre-aggregation batches.
+/// Rows per chunk of the buffered pre-aggregation batches.
 const BREAKER_MORSEL: usize = 512;
-
-/// Number of build/merge partitions for `threads` workers.
-fn partition_count(threads: usize) -> usize {
-    threads.max(1).next_power_of_two().min(64)
-}
-
-/// Deterministic key → partition routing. One instance per operator: the
-/// build and probe phases of the same join must agree on the routing, but
-/// the routing itself need not be stable across operator instances — only
-/// the stitched output order is, and that never depends on which
-/// partition a key landed in.
-#[derive(Clone)]
-struct Partitioner {
-    hasher: std::collections::hash_map::RandomState,
-    mask: u64,
-}
-
-impl Partitioner {
-    fn new(partitions: usize) -> Partitioner {
-        debug_assert!(partitions.is_power_of_two());
-        Partitioner { hasher: Default::default(), mask: partitions as u64 - 1 }
-    }
-
-    fn of<K: std::hash::Hash + ?Sized>(&self, key: &K) -> usize {
-        use std::hash::BuildHasher;
-        (self.hasher.hash_one(key) & self.mask) as usize
-    }
-}
 
 /// One sort run entry: the evaluated sort keys plus the row's global
 /// index, the tiebreaker that makes the parallel sort exactly stable.
@@ -1363,12 +1344,37 @@ impl<'p> GroupTable<'p> {
     }
 }
 
-/// Where a hash aggregation's rows come from.
-enum AggInput<'c, 'x, 'a> {
+/// Where a hash aggregation's or a hash join probe's rows come from.
+enum BreakerInput<'c, 'x, 'a> {
     Child(Box<dyn BlockOperator + 'c>),
-    /// A scan pipeline whose morsels the aggregation folds where they are
-    /// read (DESIGN.md §29).
+    /// A scan pipeline whose morsels the breaker consumes where they are
+    /// read: an aggregation folds them (DESIGN.md §29), a join probes them
+    /// (DESIGN.md §30).
     Morsels(ParallelScanOp<'c, 'x, 'a>),
+}
+
+impl BreakerInput<'_, '_, '_> {
+    /// Open a child; the morsel stream opens when the breaker starts it.
+    fn open(&mut self) -> DbResult<()> {
+        match self {
+            BreakerInput::Child(child) => child.open(),
+            BreakerInput::Morsels(_) => Ok(()),
+        }
+    }
+
+    fn close(&mut self) {
+        match self {
+            BreakerInput::Child(child) => child.close(),
+            BreakerInput::Morsels(scan) => scan.close(),
+        }
+    }
+
+    fn resident_rows(&self) -> u64 {
+        match self {
+            BreakerInput::Child(child) => child.resident_rows(),
+            BreakerInput::Morsels(scan) => scan.resident_rows(),
+        }
+    }
 }
 
 /// Hash aggregation: folds its input into a [`GroupTable`], then emits the
@@ -1382,7 +1388,7 @@ enum AggInput<'c, 'x, 'a> {
 struct HashAggOp<'c, 'x, 'a> {
     exec: &'x Executor<'a>,
     crew: CrewRef<'c, 'x>,
-    input: AggInput<'c, 'x, 'a>,
+    input: BreakerInput<'c, 'x, 'a>,
     groups: &'x [PhysExpr],
     aggs: &'x [AggSpec],
     out: Option<Vec<Row>>,
@@ -1393,8 +1399,8 @@ impl<'x> HashAggOp<'_, 'x, '_> {
     fn fold_input(&mut self) -> DbResult<GroupTable<'x>> {
         let table = GroupTable::new(self.groups, self.aggs);
         let child = match &mut self.input {
-            AggInput::Morsels(scan) => return fold_morsels(scan, table),
-            AggInput::Child(child) => child.as_mut(),
+            BreakerInput::Morsels(scan) => return fold_morsels(scan, table),
+            BreakerInput::Child(child) => child.as_mut(),
         };
         let mut crew = self.crew;
         if crew.is_some() && self.aggs.iter().any(|a| a.distinct) {
@@ -1506,10 +1512,7 @@ fn fold_morsels<'x>(
 
 impl BlockOperator for HashAggOp<'_, '_, '_> {
     fn open(&mut self) -> DbResult<()> {
-        match &mut self.input {
-            AggInput::Child(child) => child.open(),
-            AggInput::Morsels(_) => Ok(()),
-        }
+        self.input.open()
     }
 
     fn next_block(&mut self) -> DbResult<Option<RowBlock>> {
@@ -1522,9 +1525,7 @@ impl BlockOperator for HashAggOp<'_, '_, '_> {
     }
 
     fn close(&mut self) {
-        if let AggInput::Child(child) = &mut self.input {
-            child.close();
-        }
+        self.input.close();
         self.out = None;
     }
 
@@ -1534,10 +1535,7 @@ impl BlockOperator for HashAggOp<'_, '_, '_> {
             .as_ref()
             .map(|b| (b.len() - self.pos) as u64)
             .unwrap_or(0);
-        let child = match &self.input {
-            AggInput::Child(child) => child.resident_rows(),
-            AggInput::Morsels(_) => 0,
-        };
+        let child = self.input.resident_rows();
         buffered + child
     }
 }
@@ -1628,294 +1626,128 @@ impl BlockOperator for GroupAggOp<'_, '_> {
 // ---------------------------------------------------------------------------
 // Joins
 
-/// Drained build side of a hash join. `Serial` is the single-map oracle
-/// structure; `Partitioned` splits the key → row-index map across P
-/// private per-partition tables (DESIGN.md §15). Lookups are equivalent:
-/// every key lives in exactly one partition and per-key index lists are
-/// in build-row order under both layouts.
-enum BuiltSide {
-    Serial {
-        rows: Vec<Row>,
-        table: HashMap<GroupKey, Vec<usize>>,
-        width: usize,
-    },
-    Partitioned {
-        rows: Vec<Row>,
-        partitioner: Partitioner,
-        tables: Vec<HashMap<GroupKey, Vec<usize>>>,
-        width: usize,
-    },
+/// A hash join's drained build (right) input and its one table: each key
+/// maps to the indices of the rows that hold it, in build-row order. A
+/// NULL key never joins, so it is not in the table.
+struct BuiltSide {
+    rows: Vec<Row>,
+    table: HashMap<GroupKey, Vec<usize>>,
 }
 
-impl BuiltSide {
-    fn rows(&self) -> &[Row] {
-        match self {
-            BuiltSide::Serial { rows, .. } | BuiltSide::Partitioned { rows, .. } => rows,
-        }
-    }
+/// What a hash join does with one probe (left) row. It is `Copy`, so each
+/// morsel job takes its own.
+#[derive(Clone, Copy)]
+struct Probe<'x> {
+    left_key: &'x PhysExpr,
+    residual: Option<&'x PhysExpr>,
+    /// The NULLs a left-outer row without a match is padded with; `None`
+    /// for an inner join.
+    pad: Option<usize>,
+}
 
-    fn width(&self) -> usize {
-        match self {
-            BuiltSide::Serial { width, .. } | BuiltSide::Partitioned { width, .. } => *width,
-        }
-    }
-
-    fn get(&self, k: &GroupKey) -> Option<&[usize]> {
-        match self {
-            BuiltSide::Serial { table, .. } => table.get(k).map(Vec::as_slice),
-            BuiltSide::Partitioned { partitioner, tables, .. } => {
-                tables[partitioner.of(k)].get(k).map(Vec::as_slice)
+impl Probe<'_> {
+    /// The one probe routine: join `lrow` with the build rows that hold its
+    /// key, in build-row order, and `emit` each joined row the residual
+    /// passes; a left-outer row with none is emitted padded with NULLs.
+    fn row(
+        &self,
+        built: &BuiltSide,
+        lrow: &Row,
+        emit: &mut impl FnMut(Row) -> DbResult<()>,
+    ) -> DbResult<()> {
+        let k = self.left_key.eval(lrow)?;
+        let idxs = if k.is_null() { None } else { built.table.get(&k.group_key()) };
+        let mut matched = false;
+        for &i in idxs.into_iter().flatten() {
+            let mut joined = lrow.clone();
+            joined.extend(built.rows[i].iter().cloned());
+            if self.residual.map_or(Ok(true), |r| r.eval_bool(&joined))? {
+                matched = true;
+                emit(joined)?;
             }
         }
-    }
-}
-
-/// Probe one left row against the built side, appending matches (and the
-/// left-outer pad) to `pending` in build-row order — the shared inner
-/// loop of the serial probe path and the parallel path's tiny-tail flush.
-#[allow(clippy::too_many_arguments)]
-fn probe_one(
-    built: &BuiltSide,
-    left_key: &PhysExpr,
-    residual: Option<&PhysExpr>,
-    left_outer: bool,
-    exec: &Executor<'_>,
-    emitted: &mut u64,
-    pending: &mut VecDeque<Row>,
-    lrow: &Row,
-) -> DbResult<()> {
-    let k = left_key.eval(lrow)?;
-    let mut matched = false;
-    if !k.is_null() {
-        if let Some(idxs) = built.get(&k.group_key()) {
-            for &i in idxs {
+        match self.pad {
+            Some(width) if !matched => {
                 let mut joined = lrow.clone();
-                joined.extend(built.rows()[i].iter().cloned());
-                let keep = match residual {
-                    Some(r) => r.eval_bool(&joined)?,
-                    None => true,
-                };
-                if keep {
-                    matched = true;
-                    pending.push_back(joined);
-                    *emitted += 1;
-                    exec.check_limit(*emitted as usize)?;
-                }
+                joined.extend(std::iter::repeat_n(Datum::Null, width));
+                emit(joined)
             }
+            _ => Ok(()),
         }
     }
-    if left_outer && !matched {
-        let mut joined = lrow.clone();
-        joined.extend(std::iter::repeat_n(Datum::Null, built.width()));
-        pending.push_back(joined);
-        *emitted += 1;
-        exec.check_limit(*emitted as usize)?;
-    }
-    Ok(())
 }
 
-/// Hash join: the build (right) side is a pipeline breaker, the probe
-/// (left) side streams. Join output beyond a block is buffered briefly in
-/// `pending` and emitted in block-sized chunks. With a crew the build is
-/// partitioned and probe rows are buffered into batches probed in chunks
-/// on the crew, with per-chunk outputs stitched back in chunk order —
-/// byte-identical to the serial probe.
+/// Hash join: drains its right input into one [`BuiltSide`] on the
+/// statement's thread, then streams its left input through [`Probe::row`]
+/// — inside the morsels of a parallel scan pipeline, stitched in morsel
+/// order, or block by block. Either way joined rows come out in probe
+/// order, each probe row's matches in build-row order: the oracle's order.
 struct HashJoinOp<'c, 'x, 'a> {
     exec: &'x Executor<'a>,
     crew: CrewRef<'c, 'x>,
-    left: Box<dyn BlockOperator + 'c>,
+    /// Probed block by block on the statement's thread, or, a scan
+    /// pipeline, inside its morsels: its stream opens once the build is
+    /// done, and its blocks are joined rows.
+    left: BreakerInput<'c, 'x, 'a>,
     right: Box<dyn BlockOperator + 'c>,
-    left_key: &'x PhysExpr,
     right_key: &'x PhysExpr,
-    residual: Option<&'x PhysExpr>,
-    left_outer: bool,
-    /// Shared with the probe jobs.
+    probe: Probe<'x>,
+    /// Shared with the morsel jobs.
     built: Option<Arc<BuiltSide>>,
-    /// Cumulative joined rows — charged against the cap exactly like the
-    /// oracle's `out.len()`.
+    /// Joined rows of the block-by-block probe so far, charged against the
+    /// cap like the oracle's `out.len()`.
     emitted: u64,
     pending: VecDeque<Row>,
-    /// Probe rows buffered for the next parallel batch.
-    pbuf: Vec<Row>,
     left_done: bool,
 }
 
-/// One build chunk's keys (`None` for NULL, which never joins), with the
-/// chunk handed back.
-type BuildKeys = (Vec<Option<GroupKey>>, Vec<Row>);
-
-/// One partition's private build table.
-fn build_bucket(bucket: Vec<(GroupKey, usize)>) -> HashMap<GroupKey, Vec<usize>> {
-    let mut table: HashMap<GroupKey, Vec<usize>> = HashMap::new();
-    for (k, i) in bucket {
-        table.entry(k).or_default().push(i);
+impl HashJoinOp<'_, '_, '_> {
+    /// Drain the right input and hash it. With a crew the hashing runs
+    /// under [`caught`], so a build key that panics is the statement's
+    /// parallel-worker error, as a panic in any of its jobs is.
+    fn build(&mut self) -> DbResult<BuiltSide> {
+        let rows = drain_child(self.exec, self.right.as_mut())?;
+        self.exec.stats.join_build_rows.add(rows.len() as u64);
+        let right_key = self.right_key;
+        let hash = || {
+            let mut table: HashMap<GroupKey, Vec<usize>> = HashMap::new();
+            for (i, row) in rows.iter().enumerate() {
+                let k = right_key.eval(row)?;
+                if !k.is_null() {
+                    table.entry(k.group_key()).or_default().push(i);
+                }
+            }
+            Ok(table)
+        };
+        let table = if self.crew.is_some() { caught(hash)? } else { hash()? };
+        Ok(BuiltSide { rows, table })
     }
-    table
 }
 
-impl<'x> HashJoinOp<'_, 'x, '_> {
-    /// Drain the right child and build the hash side. With a crew:
-    /// evaluate build keys chunk-parallel (phase A), scatter `(key, row
-    /// index)` pairs to their partitions serially in row order (phase B —
-    /// preserves per-key index order), then build each partition's private
-    /// map, in parallel when the build side is big enough to pay for the
-    /// jobs (phase C).
-    fn build_side(&mut self) -> DbResult<BuiltSide> {
-        let right_rows = drain_child(self.exec, self.right.as_mut())?;
-        let width = right_rows.first().map(Vec::len).unwrap_or(0);
-        self.exec.stats.join_build_rows.add(right_rows.len() as u64);
-        let Some(crew) = self.crew else {
-            let mut table: HashMap<GroupKey, Vec<usize>> = HashMap::new();
-            for (i, row) in right_rows.iter().enumerate() {
-                let k = self.right_key.eval(row)?;
-                if k.is_null() {
-                    continue; // NULL never joins
-                }
-                table.entry(k.group_key()).or_default().push(i);
-            }
-            return Ok(BuiltSide::Serial { rows: right_rows, table, width });
-        };
-        let p = partition_count(crew.threads());
-        let partitioner = Partitioner::new(p);
-        let parallel = self.exec.parallel(self.crew, right_rows.len());
-        // Phase A: build-key evaluation (NULL keys never join → None).
-        let right_key = self.right_key;
-        let eval_keys = move |rows: &[Row]| -> DbResult<Vec<Option<GroupKey>>> {
-            rows.iter()
-                .map(|row| {
-                    let k = right_key.eval(row)?;
-                    Ok((!k.is_null()).then(|| k.group_key()))
-                })
-                .collect()
-        };
-        let (right_rows, keys) = match parallel {
-            Some(crew) => {
-                let mut tasks: Vec<Task<'x, BuildKeys>> = Vec::new();
-                for chunk in split_even(right_rows, crew.threads()) {
-                    tasks.push(Box::new(move || Ok((eval_keys(&chunk)?, chunk))));
-                }
-                let mut keys = Vec::new();
-                let mut chunks = Vec::with_capacity(tasks.len());
-                for r in crew.run_all(tasks) {
-                    let (chunk_keys, chunk) = r?;
-                    keys.extend(chunk_keys);
-                    chunks.push(chunk);
-                }
-                (join_chunks(chunks), keys)
-            }
-            None => {
-                let keys = eval_keys(&right_rows)?;
-                (right_rows, keys)
-            }
-        };
-        // Phase B: scatter in row order, so each partition's per-key
-        // index lists stay ascending like the serial table's.
-        let mut buckets: Vec<Vec<(GroupKey, usize)>> = (0..p).map(|_| Vec::new()).collect();
-        for (i, k) in keys.into_iter().enumerate() {
-            if let Some(k) = k {
-                buckets[partitioner.of(&k)].push((k, i));
-            }
-        }
-        // Phase C: private per-partition builds.
-        let tables: Vec<HashMap<GroupKey, Vec<usize>>> = match parallel {
-            Some(crew) => {
-                let tasks: Vec<Task<'x, HashMap<GroupKey, Vec<usize>>>> = buckets
-                    .into_iter()
-                    .map(|bucket| {
-                        Box::new(move || Ok(build_bucket(bucket)))
-                            as Task<'x, HashMap<GroupKey, Vec<usize>>>
-                    })
-                    .collect();
-                crew.run_all(tasks).into_iter().collect::<DbResult<_>>()?
-            }
-            None => buckets.into_iter().map(build_bucket).collect(),
-        };
-        self.exec.stats.join_partitions.add(p as u64);
-        Ok(BuiltSide::Partitioned { rows: right_rows, partitioner, tables, width })
-    }
-
-    /// Probe the buffered batch. Big batches split into per-thread chunks
-    /// probed on the crew, whose outputs are stitched back in chunk order;
-    /// row-cap accounting goes through a shared budget like the parallel
-    /// scan's (the error is identical, though *which* chunk trips it first
-    /// is not deterministic — only the failure case differs in timing).
-    /// Tiny tails probe serially.
-    fn probe_batch(&mut self) -> DbResult<()> {
-        let buf = std::mem::take(&mut self.pbuf);
-        let built = Arc::clone(self.built.as_ref().expect("probe runs after build"));
-        let Some(crew) = self.exec.parallel(self.crew, buf.len()) else {
-            for lrow in &buf {
-                probe_one(
-                    &built,
-                    self.left_key,
-                    self.residual,
-                    self.left_outer,
-                    self.exec,
-                    &mut self.emitted,
-                    &mut self.pending,
-                    lrow,
-                )?;
-            }
-            return Ok(());
-        };
-        let budget = Arc::new(AtomicU64::new(self.emitted));
-        let max_rows = self.exec.limits.max_intermediate_rows;
-        let left_key = self.left_key;
-        let residual = self.residual;
-        let left_outer = self.left_outer;
-        let mut tasks: Vec<Task<'x, Vec<Row>>> = Vec::new();
-        for chunk in split_even(buf, crew.threads()) {
-            let built = Arc::clone(&built);
-            let budget = Arc::clone(&budget);
-            tasks.push(Box::new(move || {
-                let charge = || {
-                    if budget.fetch_add(1, Ordering::Relaxed) + 1 > max_rows {
-                        return Err(DbError::ResourceExhausted(format!(
-                            "intermediate result exceeded {max_rows} rows"
-                        )));
-                    }
-                    Ok(())
-                };
-                let mut out: Vec<Row> = Vec::new();
-                for lrow in &chunk {
-                    let k = left_key.eval(lrow)?;
-                    let mut matched = false;
-                    if !k.is_null() {
-                        if let Some(idxs) = built.get(&k.group_key()) {
-                            for &i in idxs {
-                                let mut joined = lrow.clone();
-                                joined.extend(built.rows()[i].iter().cloned());
-                                let keep = match residual {
-                                    Some(r) => r.eval_bool(&joined)?,
-                                    None => true,
-                                };
-                                if keep {
-                                    matched = true;
-                                    charge()?;
-                                    out.push(joined);
-                                }
-                            }
-                        }
-                    }
-                    if left_outer && !matched {
-                        let mut joined = lrow.clone();
-                        joined.extend(std::iter::repeat_n(Datum::Null, built.width()));
-                        charge()?;
-                        out.push(joined);
-                    }
-                }
-                Ok(out)
-            }));
-        }
-        // Stitch in chunk order; the lowest failing chunk wins, matching
-        // the serial path's earliest-row error.
-        for r in crew.run_all(tasks) {
-            let rows = r?;
-            self.emitted += rows.len() as u64;
-            self.pending.extend(rows);
-        }
-        Ok(())
-    }
+/// Open `scan`'s morsel stream with a job that probes each row the
+/// pipeline hands over, so probe rows never leave their worker. Every
+/// joined row is charged, as it is made, against one budget the morsels
+/// share: a fan-out past `max_intermediate_rows` fails inside the morsel
+/// that crosses it.
+fn probe_morsels<'x>(
+    scan: &mut ParallelScanOp<'_, 'x, '_>,
+    probe: Probe<'x>,
+    built: Arc<BuiltSide>,
+) {
+    let (exec, pipe) = (scan.exec, scan.pipe);
+    let joined = AtomicU64::new(0);
+    scan.morsels = Some(scan.stream(move |ids, budget| {
+        exec.stats.join_probe_morsels.inc();
+        let mut out = Vec::new();
+        scan_morsel(exec, pipe, budget, ids, &mut |lrow, _| {
+            probe.row(&built, &lrow, &mut |row| {
+                exec.check_limit(joined.fetch_add(1, Ordering::Relaxed) as usize + 1)?;
+                out.push(row);
+                Ok(())
+            })
+        })?;
+        Ok(out)
+    }));
 }
 
 impl BlockOperator for HashJoinOp<'_, '_, '_> {
@@ -1926,48 +1758,49 @@ impl BlockOperator for HashJoinOp<'_, '_, '_> {
 
     fn next_block(&mut self) -> DbResult<Option<RowBlock>> {
         if self.built.is_none() {
-            self.built = Some(Arc::new(self.build_side()?));
-        }
-        let block_rows = self.exec.limits.block_rows.max(1);
-        let parallel_probe =
-            matches!(self.built.as_deref(), Some(BuiltSide::Partitioned { .. }));
-        if parallel_probe {
-            let batch_target = self.exec.limits.exec_threads.max(1) * BREAKER_MORSEL;
-            while self.pending.len() < block_rows && !self.left_done {
-                match self.left.next_block()? {
-                    Some(block) => self.pbuf.extend(block.take_rows()),
-                    None => self.left_done = true,
-                }
-                if self.pbuf.len() >= batch_target || (self.left_done && !self.pbuf.is_empty()) {
-                    self.probe_batch()?;
-                }
+            let built = Arc::new(self.build()?);
+            if let BreakerInput::Morsels(scan) = &mut self.left {
+                probe_morsels(scan, self.probe, Arc::clone(&built));
             }
-        } else {
-            while self.pending.len() < block_rows && !self.left_done {
-                let Some(block) = self.left.next_block()? else {
-                    self.left_done = true;
+            self.built = Some(built);
+        }
+        let left = match &mut self.left {
+            BreakerInput::Morsels(scan) => return scan.next_block(),
+            BreakerInput::Child(left) => left,
+        };
+        let block_rows = self.exec.limits.block_rows.max(1);
+        let (exec, probe, built) = (self.exec, self.probe, self.built.as_deref().unwrap());
+        let (emitted, pending) = (&mut self.emitted, &mut self.pending);
+        let left_done = &mut self.left_done;
+        let mut fill = || {
+            while pending.len() < block_rows && !*left_done {
+                let Some(block) = left.next_block()? else {
+                    *left_done = true;
                     break;
                 };
-                let built = self.built.as_ref().unwrap();
-                let left_key = self.left_key;
-                let residual = self.residual;
-                let left_outer = self.left_outer;
-                let exec = self.exec;
-                let emitted = &mut self.emitted;
-                let pending = &mut self.pending;
                 block.for_each_row(|lrow| {
-                    probe_one(
-                        built, left_key, residual, left_outer, exec, emitted, pending, lrow,
-                    )
+                    probe.row(built, lrow, &mut |row| {
+                        pending.push_back(row);
+                        *emitted += 1;
+                        exec.check_limit(*emitted as usize)
+                    })
                 })?;
             }
+            Ok(())
+        };
+        // As for the build: with a crew, a probe that panics is the
+        // statement's parallel-worker error.
+        if self.crew.is_some() {
+            caught(fill)?;
+        } else {
+            fill()?;
         }
-        if self.pending.is_empty() {
+        let pending = &mut self.pending;
+        if pending.is_empty() {
             return Ok(None);
         }
-        let n = self.pending.len().min(block_rows);
-        let out: Vec<Row> = self.pending.drain(..n).collect();
-        Ok(Some(RowBlock::from_rows(out)))
+        let n = pending.len().min(block_rows);
+        Ok(Some(RowBlock::from_rows(pending.drain(..n).collect())))
     }
 
     fn close(&mut self) {
@@ -1975,14 +1808,12 @@ impl BlockOperator for HashJoinOp<'_, '_, '_> {
         self.right.close();
         self.built = None;
         self.pending.clear();
-        self.pbuf.clear();
     }
 
     fn resident_rows(&self) -> u64 {
-        let built = self.built.as_ref().map(|b| b.rows().len() as u64).unwrap_or(0);
+        let built = self.built.as_ref().map(|b| b.rows.len() as u64).unwrap_or(0);
         built
             + self.pending.len() as u64
-            + self.pbuf.len() as u64
             + self.left.resident_rows()
             + self.right.resident_rows()
     }
@@ -2048,7 +1879,8 @@ struct NestedLoopOp<'x, 'a> {
     left: Box<dyn BlockOperator + 'x>,
     right: Box<dyn BlockOperator + 'x>,
     predicate: Option<&'x PhysExpr>,
-    left_outer: bool,
+    /// As [`Probe::pad`].
+    pad: Option<usize>,
     right_rows: Option<Vec<Row>>,
     emitted: u64,
     pending: VecDeque<Row>,
@@ -2072,9 +1904,8 @@ impl BlockOperator for NestedLoopOp<'_, '_> {
                 break;
             };
             let right_rows = self.right_rows.as_ref().unwrap();
-            let right_width = right_rows.first().map(Vec::len).unwrap_or(0);
             let predicate = self.predicate;
-            let left_outer = self.left_outer;
+            let pad = self.pad;
             let exec = self.exec;
             let emitted = &mut self.emitted;
             let pending = &mut self.pending;
@@ -2094,9 +1925,9 @@ impl BlockOperator for NestedLoopOp<'_, '_> {
                         exec.check_limit(*emitted as usize)?;
                     }
                 }
-                if left_outer && !matched {
+                if let (Some(width), false) = (pad, matched) {
                     let mut joined = lrow.clone();
-                    joined.extend(std::iter::repeat_n(Datum::Null, right_width));
+                    joined.extend(std::iter::repeat_n(Datum::Null, width));
                     pending.push_back(joined);
                     // The oracle does not charge the outer pad row; match it.
                     *emitted += 1;

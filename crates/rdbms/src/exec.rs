@@ -187,10 +187,11 @@ crate::counter_table! {
     /// (all-dead skip, all-match emit) without per-slot work.
     kernels selection_fastpath_hits: counter,
 
-    /// Rows hashed into partitioned hash-join build tables.
+    /// Rows hashed into hash-join build tables.
     parallel_breakers join_build_rows: counter,
-    /// Partitions created across partitioned hash-join builds.
-    parallel_breakers join_partitions: counter,
+    /// Morsels of a parallel scan probed in place by a hash join
+    /// (DESIGN.md §30).
+    parallel_breakers join_probe_morsels: counter,
     /// Pre-aggregated morsel or chunk tables merged by parallel hash
     /// aggregation (DESIGN.md §29).
     parallel_breakers agg_partition_merges: counter,
@@ -446,14 +447,17 @@ impl Executor<'_> {
                 }
                 Ok(out)
             }
-            Plan::HashJoin { left, right, left_key, right_key, residual, left_outer, .. } => {
-                self.hash_join(left, right, left_key, right_key, residual.as_ref(), *left_outer)
+            Plan::HashJoin {
+                left, right, left_key, right_key, residual, left_outer, right_width, ..
+            } => {
+                let pad = left_outer.then_some(*right_width);
+                self.hash_join(left, right, left_key, right_key, residual.as_ref(), pad)
             }
             Plan::MergeJoin { left, right, left_key, right_key, residual, .. } => {
                 self.merge_join(left, right, left_key, right_key, residual.as_ref())
             }
-            Plan::NestedLoop { left, right, predicate, left_outer, .. } => {
-                self.nested_loop(left, right, predicate.as_ref(), *left_outer)
+            Plan::NestedLoop { left, right, predicate, left_outer, right_width, .. } => {
+                self.nested_loop(left, right, predicate.as_ref(), left_outer.then_some(*right_width))
             }
             Plan::Sort { input, keys, .. } => {
                 let mut rows = self.run_materialize(input)?;
@@ -519,11 +523,10 @@ impl Executor<'_> {
         left_key: &PhysExpr,
         right_key: &PhysExpr,
         residual: Option<&PhysExpr>,
-        left_outer: bool,
+        pad: Option<usize>,
     ) -> DbResult<Vec<Row>> {
         let left_rows = self.run_materialize(left)?;
         let right_rows = self.run_materialize(right)?;
-        let right_width = right_rows.first().map(Vec::len).unwrap_or(0);
         // build on the right input
         let mut table: HashMap<GroupKey, Vec<usize>> = HashMap::new();
         for (i, row) in right_rows.iter().enumerate() {
@@ -554,9 +557,9 @@ impl Executor<'_> {
                     }
                 }
             }
-            if left_outer && !matched {
+            if let (Some(width), false) = (pad, matched) {
                 let mut joined = lrow.clone();
-                joined.extend(std::iter::repeat_n(Datum::Null, right_width));
+                joined.extend(std::iter::repeat_n(Datum::Null, width));
                 out.push(joined);
                 self.check_limit(out.len())?;
             }
@@ -653,11 +656,10 @@ impl Executor<'_> {
         left: &Plan,
         right: &Plan,
         predicate: Option<&PhysExpr>,
-        left_outer: bool,
+        pad: Option<usize>,
     ) -> DbResult<Vec<Row>> {
         let left_rows = self.run_materialize(left)?;
         let right_rows = self.run_materialize(right)?;
-        let right_width = right_rows.first().map(Vec::len).unwrap_or(0);
         let mut out = Vec::new();
         for lrow in &left_rows {
             let mut matched = false;
@@ -674,9 +676,9 @@ impl Executor<'_> {
                     self.check_limit(out.len())?;
                 }
             }
-            if left_outer && !matched {
+            if let (Some(width), false) = (pad, matched) {
                 let mut joined = lrow.clone();
-                joined.extend(std::iter::repeat_n(Datum::Null, right_width));
+                joined.extend(std::iter::repeat_n(Datum::Null, width));
                 out.push(joined);
             }
         }

@@ -113,6 +113,9 @@ pub enum Plan {
         residual: Option<PhysExpr>,
         /// LEFT OUTER join when true.
         left_outer: bool,
+        /// Columns of a right input row: the NULLs a left-outer row
+        /// without a match is padded with.
+        right_width: usize,
         est_rows: f64,
     },
     /// Requires both inputs sorted on their key (the planner inserts Sort
@@ -130,6 +133,8 @@ pub enum Plan {
         right: Box<Plan>,
         predicate: Option<PhysExpr>,
         left_outer: bool,
+        /// As for `HashJoin`.
+        right_width: usize,
         est_rows: f64,
     },
     Sort {

@@ -354,6 +354,7 @@ impl<'a> Planner<'a> {
                     right_key: rk,
                     residual: conjoin_phys(residual),
                     left_outer: true,
+                    right_width: right.scope.cols.len(),
                     est_rows: rows,
                 },
                 None => Plan::NestedLoop {
@@ -361,6 +362,7 @@ impl<'a> Planner<'a> {
                     right: Box::new(right.plan),
                     predicate: conjoin_phys(residual),
                     left_outer: true,
+                    right_width: right.scope.cols.len(),
                     est_rows: rows,
                 },
             };
@@ -860,20 +862,16 @@ impl<'a> Planner<'a> {
                 // residual predicates: generic 0.5 each
                 rows = (rows * 0.5f64.powi(residual.len() as i32)).max(1.0);
 
-                // hash join: build on the smaller input
-                let (build, probe) = if right.rows <= left.rows {
-                    (right, left)
-                } else {
-                    (left, right)
-                };
-                let build_bytes = build.rows * (self.width_of(build, &rk).max(8.0) + HASH_OVERHEAD);
+                // hash join, costed as it runs: build the right input,
+                // probe with the left (the join order tries both)
+                let build_bytes = right.rows * (self.width_of(right, &rk).max(8.0) + HASH_OVERHEAD);
                 let batches = (build_bytes / self.config.work_mem as f64).max(1.0).ceil();
                 let hash_cost = left.cost
                     + right.cost
-                    + build.rows * (CPU_OPERATOR_COST * 2.0 + CPU_TUPLE_COST)
-                    + probe.rows * CPU_OPERATOR_COST * 2.0
+                    + right.rows * (CPU_OPERATOR_COST * 2.0 + CPU_TUPLE_COST)
+                    + left.rows * CPU_OPERATOR_COST * 2.0
                     + rows * CPU_TUPLE_COST
-                    + (batches - 1.0) * (build.rows + probe.rows) * CPU_TUPLE_COST * 2.0;
+                    + (batches - 1.0) * (right.rows + left.rows) * CPU_TUPLE_COST * 2.0;
 
                 // merge join: sort both inputs then merge
                 let merge_cost = left.cost
@@ -892,6 +890,7 @@ impl<'a> Planner<'a> {
                             right_key: rk,
                             residual: conjoin_phys(residual),
                             left_outer: false,
+                            right_width: right.scope.cols.len(),
                             est_rows: rows,
                         },
                         scope: joined_scope,
@@ -941,6 +940,7 @@ impl<'a> Planner<'a> {
                         right: Box::new(right.plan.clone()),
                         predicate: conjoin_phys(residual),
                         left_outer: false,
+                        right_width: right.scope.cols.len(),
                         est_rows: rows,
                     },
                     scope: joined_scope,
@@ -964,15 +964,18 @@ impl<'a> Planner<'a> {
         for item in &sel.items {
             match item {
                 SelectItem::Wildcard => {
-                    for (i, (q, name)) in cand.scope.cols.iter().enumerate() {
-                        if name == "_rowid" {
-                            continue;
+                    // FROM order, not the join tree's: the join order may
+                    // put any relation first.
+                    let tables = sel.from.iter().chain(sel.joins.iter().map(|j| &j.table));
+                    for binding in tables.map(|t| t.binding()) {
+                        for (q, name) in &cand.scope.cols {
+                            if q.as_deref() == Some(binding) && name != "_rowid" {
+                                items.push((
+                                    Expr::Column { table: q.clone(), column: name.clone() },
+                                    Some(name.clone()),
+                                ));
+                            }
                         }
-                        let _ = i;
-                        items.push((
-                            Expr::Column { table: q.clone(), column: name.clone() },
-                            Some(name.clone()),
-                        ));
                     }
                 }
                 SelectItem::Expr { expr, alias } => {

@@ -1,7 +1,7 @@
 //! Executor edge cases: NULL join semantics, duplicate-key joins, empty
 //! inputs, and NULL ordering.
 
-use sinew_rdbms::{Database, Datum, PlannerConfig};
+use sinew_rdbms::{Database, Datum, ExecLimits, ExecMode, PlannerConfig};
 
 fn db2(l: &[(Option<i64>, &str)], r: &[(Option<i64>, &str)]) -> Database {
     let db = Database::in_memory();
@@ -62,6 +62,20 @@ fn joins_with_empty_sides() {
         db.execute("SELECT COUNT(*) FROM l LEFT JOIN r ON l.k = r.k").unwrap().scalar(),
         Some(&Datum::Int(1))
     );
+    // A right input that an ON conjunct pushed into its scan leaves empty:
+    // the outer row is still padded to the right side's width, by the hash
+    // join and by the nested loop, in both engines.
+    db.insert_rows("r", &[vec![Datum::Int(1), Datum::Text("x".into())]]).unwrap();
+    for mode in [ExecMode::Streaming, ExecMode::Materialize] {
+        db.set_exec_limits(ExecLimits { mode, ..ExecLimits::default() });
+        for (on, shape) in [("l.k = r.k", "Hash Join"), ("l.k <> r.k", "Nested Loop")] {
+            let sql = format!("SELECT l.v, r.w FROM l LEFT JOIN r ON {on} AND r.w = 'none'");
+            let plan = db.execute(&format!("EXPLAIN {sql}")).unwrap();
+            assert!(plan.rows.iter().any(|r| r[0].display_text().contains(shape)), "{sql}");
+            let rows = db.execute(&sql).unwrap_or_else(|e| panic!("{sql} ({mode:?}): {e}")).rows;
+            assert_eq!(rows, vec![vec![Datum::Text("a".into()), Datum::Null]], "{sql} ({mode:?})");
+        }
+    }
 }
 
 #[test]

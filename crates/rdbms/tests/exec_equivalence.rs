@@ -490,17 +490,22 @@ fn limit_pushdown_into_index_probe_is_exact() {
 }
 
 // ---------------------------------------------------------------------------
-// Morsel-parallel pipeline breakers (partitioned hash join, partitioned hash
-// aggregation, parallel sort) must be byte-identical to the serial
-// operators at every thread count and block size.
+// Morsel-parallel pipeline breakers (hash join probed inside the probe
+// scan's morsels, hash aggregation folded inside them, parallel sort) must
+// be byte-identical to the serial operators at every thread count and
+// block size.
 // ---------------------------------------------------------------------------
 
 const U_ROWS: u64 = 1_500;
+/// Rows of `p`, the heap-only probe table: 16 morsels at two threads.
+const P_ROWS: u64 = 4_096;
 
 /// Three-table join workload db: the `t`/`s` pair from [`build_db`] plus a
 /// `u` fact table keyed into `t.a`, with every join/group column promoted to
 /// a columnar segment store (the rdbms-level notion of a promoted column) so
-/// the parallel breakers sit downstream of columnar scans too.
+/// the parallel breakers sit downstream of columnar scans too, and `p`, a
+/// heap table whose scan a hash join probes inside its morsels: `p.k` is
+/// NULL or misses `s.k` in some rows, and `p.m` matches about five `s` rows.
 fn build_join_db() -> Database {
     let db = build_db();
     db.execute("CREATE TABLE u (g int, w float, tag text)").unwrap();
@@ -534,14 +539,27 @@ fn build_join_db() -> Database {
     for col in ["g", "w", "tag"] {
         db.build_columnar("u", col).unwrap();
     }
+    db.execute("CREATE TABLE p (id int, k int, m int, x text)").unwrap();
+    let p: Vec<Vec<Datum>> = (0..P_ROWS)
+        .map(|i| {
+            let h = mix(i ^ 0x9b0b);
+            let k = if h.is_multiple_of(9) { Datum::Null } else { Datum::Int(((h >> 4) % 70) as i64) };
+            let m = Datum::Int(((h >> 12) % 60) as i64);
+            vec![Datum::Int(i as i64), k, m, Datum::Text(format!("v{}", h % 7))]
+        })
+        .collect();
+    db.insert_rows("p", &p).unwrap();
+    db.execute("ANALYZE p").unwrap();
     db
 }
 
 /// Inner joins, left joins with residual ON conjuncts, GROUP BY + HAVING
 /// over join results, three-way joins, join-fed sorts, DISTINCT aggregates
-/// (which must *not* engage the parallel pre-aggregation), and joins whose
-/// inputs are promoted (columnar) columns. Join output order is morsel
-/// order, which the parallel probe stitches back exactly, so only the
+/// (which must *not* engage the parallel pre-aggregation), joins whose
+/// inputs are promoted (columnar) columns, and probes of `p`'s scan inside
+/// its morsels: a many-to-many key, a LIMIT that stops the claims, and a
+/// left-outer probe with a residual and NULL keys. Join output order is
+/// morsel order, which the morsel probe stitches back exactly, so only the
 /// aggregate/sort queries pin order with ORDER BY.
 const JOIN_AGG_QUERIES: &[&str] = &[
     "SELECT t.a, t.c, s.v FROM t JOIN s ON t.b = s.k WHERE t.a < 200",
@@ -558,6 +576,9 @@ const JOIN_AGG_QUERIES: &[&str] = &[
     "SELECT t.a, t.d FROM t JOIN u ON u.g = t.a ORDER BY t.d DESC, t.a LIMIT 40",
     "SELECT c, COUNT(DISTINCT b) FROM t GROUP BY c ORDER BY c",
     "SELECT COUNT(*), SUM(u.w), MIN(t.a) FROM t JOIN u ON u.g = t.a WHERE t.c LIKE 'w1%'",
+    "SELECT p.id, s.v FROM p JOIN s ON p.m = s.k",
+    "SELECT p.id, p.x, s.v FROM p JOIN s ON p.m = s.k LIMIT 2500",
+    "SELECT p.id, s.k, s.v FROM p LEFT JOIN s ON p.k = s.k AND s.v <> p.x",
 ];
 
 fn run_join_workload(limits: ExecLimits) -> Vec<Vec<Vec<Datum>>> {
@@ -589,7 +610,6 @@ fn parallel_breakers_match_serial_byte_identically() {
     });
     assert!(oracle.iter().any(|r| !r.is_empty()), "join workload returned nothing");
 
-    // 2 and 8 threads cover odd partition counts and thread > partition.
     for threads in [1usize, 2, 4, 8] {
         for block_rows in [1usize, 1024] {
             let limits = ExecLimits {
@@ -614,7 +634,7 @@ fn parallel_breakers_match_serial_byte_identically() {
 }
 
 /// Guard against the crossing passing vacuously: with four worker threads
-/// the partitioned build, the parallel pre-aggregation merge, and the
+/// the morsel probe, the parallel pre-aggregation merge, and the
 /// parallel sort must all actually run (the workload tables clear the
 /// MIN_PARALLEL_ROWS floor); with one thread they must not.
 #[test]
@@ -640,7 +660,7 @@ fn parallel_breakers_actually_engage() {
     assert!(text.contains("(actual rows="), "EXPLAIN ANALYZE carried no actuals: {text}");
     let after = db.exec_stats();
     assert!(after.join_build_rows > before.join_build_rows, "join build never counted");
-    assert!(after.join_partitions > before.join_partitions, "partitioned build never engaged");
+    assert!(after.join_probe_morsels > before.join_probe_morsels, "morsel probe never engaged");
     assert!(
         after.agg_partition_merges > before.agg_partition_merges,
         "parallel pre-aggregation never engaged"
@@ -656,12 +676,32 @@ fn parallel_breakers_actually_engage() {
     db.execute("SELECT a, b, c FROM t ORDER BY c, a DESC, d").unwrap();
     let after = db.exec_stats();
     assert!(after.join_build_rows > before.join_build_rows, "serial build still counts rows");
-    assert_eq!(after.join_partitions, before.join_partitions, "one thread still partitioned");
+    assert_eq!(after.join_probe_morsels, before.join_probe_morsels, "one thread probed morsels");
     assert_eq!(
         after.agg_partition_merges, before.agg_partition_merges,
         "one thread still pre-aggregated in parallel"
     );
     assert_eq!(after.parallel_sorts, before.parallel_sorts, "one thread still sorted in parallel");
+}
+
+/// Guard against the crossing's `p` probes passing vacuously: with a crew
+/// each probes inside `p`'s morsels; with one thread none does.
+#[test]
+fn probe_queries_run_inside_the_morsels() {
+    let db = build_join_db();
+    for (threads, fused) in [(1, false), (2, true)] {
+        db.set_exec_limits(ExecLimits {
+            mode: ExecMode::Streaming,
+            exec_threads: threads,
+            ..ExecLimits::default()
+        });
+        for q in JOIN_AGG_QUERIES.iter().filter(|q| q.contains("FROM p ")) {
+            let before = db.exec_stats().join_probe_morsels;
+            db.execute(q).unwrap();
+            let probed = db.exec_stats().join_probe_morsels - before;
+            assert_eq!(probed > 0, fused, "{q} at {threads} threads: {probed} morsels probed");
+        }
+    }
 }
 
 /// Equi-join and group keys must use exact Int/Float comparison: 2^53 + 1

@@ -4,6 +4,7 @@
 //! panics into clean errors (no partial results, no poisoned state).
 
 use sinew_rdbms::{Database, Datum, DbError, DbResult, ExecLimits, ExecMode, QueryResult};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const ROWS: i64 = 3_000;
@@ -186,6 +187,81 @@ fn worker_panic_surfaces_as_clean_error() {
     }
 }
 
+/// A probe that runs block by block on the statement's thread — its input
+/// is another join, not a scan — turns a panic into the statement's
+/// parallel-worker error too, as a probe inside the morsels does.
+#[test]
+fn a_panicking_probe_over_a_join_surfaces_as_clean_error() {
+    let db = db_with_big_table();
+    db.register_udf_pure(
+        "boom_at",
+        Arc::new(|args: &[Datum]| -> DbResult<Datum> {
+            if args[0] == args[1] {
+                panic!("synthetic evaluator bug at {:?}", args[0]);
+            }
+            Ok(args[0].clone())
+        }),
+    );
+    let db = Arc::new(db);
+    for sql in [
+        "SELECT COUNT(*) FROM big a JOIN big b ON a.id = b.id \
+         JOIN big c ON boom_at(b.id, {at}) = c.id",
+        "SELECT COUNT(*) FROM big a LEFT JOIN big b ON a.id = b.id \
+         LEFT JOIN big c ON boom_at(b.id, {at}) = c.id",
+    ] {
+        for threads in [2, 4] {
+            for at in [5, 2_990] {
+                with_threads(&db, threads);
+                let sql = sql.replace("{at}", &at.to_string());
+                // The upper join's probe (first) input is the lower join.
+                let plan = under_watchdog(&db, &format!("EXPLAIN {sql}")).unwrap();
+                let lines: Vec<String> = plan.rows.iter().map(|r| r[0].display_text()).collect();
+                let upper = lines.iter().position(|l| l.contains("boom_at")).unwrap();
+                assert!(lines[upper + 1].contains("Hash Join"), "{lines:#?}");
+                let err = under_watchdog(&db, &sql).unwrap_err();
+                assert!(
+                    format!("{err}").contains("parallel worker panicked"),
+                    "{sql} at {threads} threads: {err}"
+                );
+                let after = under_watchdog(&db, "SELECT COUNT(*) FROM big").unwrap();
+                assert_eq!(after.rows[0][0], Datum::Int(ROWS), "{sql} at {threads} threads");
+            }
+        }
+    }
+}
+
+/// A probe that fans out past `max_intermediate_rows` fails inside the
+/// morsel that crosses the cap: every joined row is charged as it is made,
+/// so the statement stops after about the cap's worth of joined rows rather
+/// than after each morsel in flight has built its whole output (here a
+/// 256-row morsel joins to some 110 000 rows). A UDF in the residual counts
+/// the joined rows made.
+#[test]
+fn a_fanned_out_probe_stops_at_the_row_cap() {
+    let db = db_with_big_table();
+    let made = Arc::new(AtomicU64::new(0));
+    let counter = Arc::clone(&made);
+    db.register_udf_pure(
+        "tick",
+        Arc::new(move |args: &[Datum]| -> DbResult<Datum> {
+            counter.fetch_add(1, Ordering::Relaxed);
+            Ok(args[0].clone())
+        }),
+    );
+    let sql = "SELECT a.id FROM big a JOIN big b ON a.grp = b.grp AND tick(a.id + b.id) >= 0";
+    for threads in [1, 2, 4] {
+        db.set_exec_limits(ExecLimits { max_intermediate_rows: 5_000, ..limits(threads) });
+        made.store(0, Ordering::Relaxed);
+        let before = db.exec_stats().join_probe_morsels;
+        let err = db.execute(sql).unwrap_err();
+        assert!(matches!(err, DbError::ResourceExhausted(_)), "{threads} threads: {err:?}");
+        let made = made.load(Ordering::Relaxed);
+        assert!((5_000..20_000).contains(&made), "{threads} threads made {made} joined rows");
+        let probed = db.exec_stats().join_probe_morsels > before;
+        assert_eq!(probed, threads > 1, "{threads} threads");
+    }
+}
+
 /// Run `sql` on its own thread and fail the test if it has not returned
 /// after 30 s: a crew that lost a wake-up hangs rather than fails.
 fn under_watchdog(db: &Arc<Database>, sql: &str) -> DbResult<QueryResult> {
@@ -321,7 +397,8 @@ fn a_statement_spawns_its_helpers_once() {
     with_threads(&db, 4);
     assert_eq!(crew_use(&db, "SELECT id FROM n WHERE v >= 0"), (3, 32), "one scan");
 
-    // Four scans of 32 morsels, three partitioned builds, an aggregate.
+    // Four scans of 32 morsels, three builds, a probe inside the first
+    // scan's morsels, an aggregate.
     let join = "SELECT COUNT(*) FROM n a JOIN n b ON a.id = b.id \
                 JOIN n c ON b.id = c.id JOIN n d ON c.id = d.id";
     let before = db.exec_stats();
@@ -329,7 +406,7 @@ fn a_statement_spawns_its_helpers_once() {
     let after = db.exec_stats();
     assert_eq!(helpers, 3, "a join of parallel scans with a parallel build");
     assert!(morsels >= 100, "{morsels} morsels");
-    assert!(after.join_partitions > before.join_partitions, "the build was not partitioned");
+    assert!(after.join_probe_morsels > before.join_probe_morsels, "no probe ran in a morsel");
 
     with_threads(&db, 1);
     for sql in ["SELECT id FROM n WHERE v >= 0", join] {

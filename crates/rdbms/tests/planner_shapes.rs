@@ -2,7 +2,7 @@
 //! statistics the way the Sinew paper's Table 2 depends on.
 
 use sinew_rdbms::plan::Plan;
-use sinew_rdbms::{Database, Datum, PlannerConfig};
+use sinew_rdbms::{Database, Datum, ExecLimits, ExecMode, PlannerConfig};
 
 fn explain(db: &Database, sql: &str) -> String {
     let r = db.execute(&format!("EXPLAIN {sql}")).unwrap();
@@ -51,6 +51,71 @@ fn selective_filter_moves_table_first_in_join_order() {
         .execute("SELECT COUNT(*) FROM big, small WHERE big.k = small.k AND small.tag = 'rare'")
         .unwrap();
     assert_eq!(r.scalar(), Some(&Datum::Int(40)));
+}
+
+/// 20 000 `big` rows over 500 keys, and 500 `small` rows of which one,
+/// key 7, is tagged `'rare'`; both analyzed.
+fn big_small_db() -> Database {
+    let db = Database::in_memory();
+    db.execute("CREATE TABLE big (k int, v int)").unwrap();
+    db.execute("CREATE TABLE small (k int, tag text)").unwrap();
+    let big: Vec<Vec<Datum>> =
+        (0..20_000).map(|i| vec![Datum::Int(i % 500), Datum::Int(i)]).collect();
+    db.insert_rows("big", &big).unwrap();
+    let small: Vec<Vec<Datum>> = (0..500)
+        .map(|i| vec![Datum::Int(i), Datum::Text(if i == 7 { "rare" } else { "common" }.into())])
+        .collect();
+    db.insert_rows("small", &small).unwrap();
+    db.execute("ANALYZE big").unwrap();
+    db.execute("ANALYZE small").unwrap();
+    db
+}
+
+/// The hash join builds the input the planner costed as the build — its
+/// right one — so a selective filter on one side makes that side the
+/// build in either `FROM` order: one row is hashed, not 20 000.
+#[test]
+fn hash_join_builds_the_filtered_side_in_either_from_order() {
+    let db = big_small_db();
+    for from in ["big, small", "small, big"] {
+        let sql = format!("SELECT COUNT(*) FROM {from} WHERE big.k = small.k AND small.tag = 'rare'");
+        let plan = explain(&db, &sql);
+        assert!(plan.contains("Hash Join"), "{plan}");
+        let before = db.exec_stats().join_build_rows;
+        assert_eq!(db.execute(&sql).unwrap().scalar(), Some(&Datum::Int(40)), "{sql}");
+        let built = db.exec_stats().join_build_rows - before;
+        assert_eq!(built, 1, "FROM {from} built {built} rows:\n{plan}");
+    }
+}
+
+/// `SELECT *` lists columns in `FROM` order whichever side the join
+/// builds or the join order puts first, in both engines and at one and
+/// two threads.
+#[test]
+fn select_star_over_a_join_keeps_from_order() {
+    let db = big_small_db();
+    let tag = Datum::Text("rare".into());
+    for (from, columns, tag_at) in
+        [("big, small", ["k", "v", "k", "tag"], 3), ("small, big", ["k", "tag", "k", "v"], 1)]
+    {
+        let sql = format!("SELECT * FROM {from} WHERE big.k = small.k AND small.tag = 'rare'");
+        for (mode, exec_threads) in [
+            (ExecMode::Materialize, 1),
+            (ExecMode::Materialize, 2),
+            (ExecMode::Streaming, 1),
+            (ExecMode::Streaming, 2),
+        ] {
+            db.set_exec_limits(ExecLimits { mode, exec_threads, ..ExecLimits::default() });
+            let r = db.execute(&sql).unwrap();
+            let ctx = format!("{sql} ({mode:?}, {exec_threads} threads)\n{}", explain(&db, &sql));
+            assert_eq!(r.columns, columns, "{ctx}");
+            assert_eq!(r.rows.len(), 40, "{ctx}");
+            for row in &r.rows {
+                let got = (&row[0], &row[2], &row[tag_at]);
+                assert_eq!(got, (&Datum::Int(7), &Datum::Int(7), &tag), "{ctx}");
+            }
+        }
+    }
 }
 
 #[test]
