@@ -9,7 +9,7 @@
 //! end-to-end record for joins and aggregates is `sinewbench`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sinew_rdbms::{Database, Datum, ExecLimits, ExecMode};
+use sinew_rdbms::{Database, Datum, ExecLimits};
 use std::hint::black_box;
 
 /// splitmix64 — deterministic data without depending on a rand crate.
@@ -52,11 +52,7 @@ fn build() -> Database {
 }
 
 fn with_threads(db: &Database, threads: usize) {
-    db.set_exec_limits(ExecLimits {
-        mode: ExecMode::Streaming,
-        exec_threads: threads,
-        ..ExecLimits::default()
-    });
+    db.set_exec_limits(ExecLimits { exec_threads: threads, ..ExecLimits::default() });
 }
 
 fn bench_breaker(c: &mut Criterion, name: &str, sql: &str) {

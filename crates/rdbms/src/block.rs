@@ -13,23 +13,23 @@
 //! callback mid-page, and the morsel-parallel scan stops its claims, at
 //! most one look-ahead window past the last morsel it stitched.
 //!
-//! Output is byte-identical to the materializing oracle
-//! (`ExecMode::Materialize`, `Executor::run_materialize`) at every
-//! block size and thread count: scans emit rows in row-id order, parallel
+//! The contract: one plan gives the same rows in the same order at every
+//! block size and thread count. Scans emit rows in row-id order, parallel
 //! morsels are stitched in morsel order, float accumulation order equals
 //! input order, and hash aggregation emits groups in first-occurrence
-//! (input) order — the same order the oracle produces. The equivalence
-//! suite (`tests/exec_equivalence.rs`,
-//! `crates/core/tests/streaming_oracle.rs`) enforces this over a seeded
-//! random workload.
+//! (input) order. The equivalence suites (`tests/exec_equivalence.rs`,
+//! `crates/core/tests/streaming_oracle.rs`) and the generated queries of
+//! `tests/generated_queries.rs` check every configuration byte for byte
+//! against the serial run (`exec_threads = 1`), and the rows against the
+//! plan-free reference evaluator (`crates/reference`, DESIGN.md §31).
 //!
 //! Scans (DESIGN.md §18): every leaf reads through the executor's one
 //! table source. The heap scan is `SeqScanOp`, or the morsel-parallel
 //! `ParallelScanOp` when the scan→filter→project prefix, the pool and
-//! the table allow — the only parallel scan implementation there is (the
-//! oracle scans serially). The index, index-only and columnar paths are
-//! `AccessOp`s behind one `HeapFallback`, which continues any of them as
-//! the equivalent heap scan when its index or store is gone.
+//! the table allow — the only parallel scan implementation there is. The
+//! index, index-only and columnar paths are `AccessOp`s behind one
+//! `HeapFallback`, which continues any of them as the equivalent heap scan
+//! when its index or store is gone.
 //!
 //! The pipeline *breakers* parallelize too (DESIGN.md §15): the hash join
 //! builds one table on the statement's thread and, when its probe input
@@ -51,9 +51,9 @@
 //!
 //! Resource governance: `max_intermediate_rows` is charged wherever rows
 //! actually accumulate — the root accumulator, breaker buffers, join
-//! output counts, distinct/group state — so the streaming engine never
-//! charges more than the oracle (and may legitimately succeed where full
-//! materialization would exhaust the cap).
+//! output counts (outer pad rows included, by the hash join and the nested
+//! loop alike), distinct/group state — so a statement that streams may
+//! succeed where one that must hold its rows exhausts the cap.
 
 use crate::agg::Accumulator;
 use crate::crew::{caught, Crew, JobQueue, MorselStream, Task};
@@ -949,7 +949,7 @@ impl BlockOperator for ProjectOp<'_> {
         let Some(block) = self.child.next_block()? else { return Ok(None) };
         let mut out: Vec<Row> = Vec::with_capacity(block.len());
         // One context reset per *row* across all projections: a call the
-        // projection repeats evaluates once per row (same as the oracle).
+        // projection repeats evaluates once per row.
         let ctx = &mut self.ctx;
         let exprs = self.exprs;
         block.for_each_row(|row| {
@@ -1681,7 +1681,7 @@ impl Probe<'_> {
 /// statement's thread, then streams its left input through [`Probe::row`]
 /// — inside the morsels of a parallel scan pipeline, stitched in morsel
 /// order, or block by block. Either way joined rows come out in probe
-/// order, each probe row's matches in build-row order: the oracle's order.
+/// order, each probe row's matches in build-row order, at any thread count.
 struct HashJoinOp<'c, 'x, 'a> {
     exec: &'x Executor<'a>,
     crew: CrewRef<'c, 'x>,
@@ -1695,7 +1695,7 @@ struct HashJoinOp<'c, 'x, 'a> {
     /// Shared with the morsel jobs.
     built: Option<Arc<BuiltSide>>,
     /// Joined rows of the block-by-block probe so far, charged against the
-    /// cap like the oracle's `out.len()`.
+    /// cap.
     emitted: u64,
     pending: VecDeque<Row>,
     left_done: bool,
@@ -1820,7 +1820,7 @@ impl BlockOperator for HashJoinOp<'_, '_, '_> {
 }
 
 /// Merge join: both (sorted) sides are pipeline breakers — they drain,
-/// then the oracle's merge logic runs once and the result streams out.
+/// then the merge runs once and the result streams out.
 struct MergeJoinOp<'x, 'a> {
     exec: &'x Executor<'a>,
     left: Box<dyn BlockOperator + 'x>,
@@ -1929,8 +1929,8 @@ impl BlockOperator for NestedLoopOp<'_, '_> {
                     let mut joined = lrow.clone();
                     joined.extend(std::iter::repeat_n(Datum::Null, width));
                     pending.push_back(joined);
-                    // The oracle does not charge the outer pad row; match it.
                     *emitted += 1;
+                    exec.check_limit(*emitted as usize)?;
                 }
                 Ok(())
             })?;
@@ -2193,7 +2193,7 @@ mod tests {
     use super::*;
     use crate::datum::KeyRange;
     use crate::db::{Database, SnapSource};
-    use crate::exec::{ExecLimits, ExecMode, ExecSnapshot};
+    use crate::exec::{ExecLimits, ExecSnapshot};
     use crate::func::ScalarFn;
     use crate::txn::Vis;
     use sinew_sql::BinaryOp;
@@ -2251,26 +2251,27 @@ mod tests {
         }
     }
 
-    fn limits(mode: ExecMode) -> ExecLimits {
-        ExecLimits { mode, exec_threads: 1, block_rows: 64, ..ExecLimits::default() }
+    /// One thread, blocks of 64 rows.
+    fn limits() -> ExecLimits {
+        ExecLimits { exec_threads: 1, block_rows: 64, ..ExecLimits::default() }
     }
 
-    fn run(db: &Database, plan: &Plan, mode: ExecMode) -> (Vec<Row>, ExecSnapshot) {
-        run_at(db, plan, mode, Vis::LATEST)
+    fn run(db: &Database, plan: &Plan) -> (Vec<Row>, ExecSnapshot) {
+        run_at(db, plan, Vis::LATEST)
     }
 
-    fn run_at(db: &Database, plan: &Plan, mode: ExecMode, vis: Vis) -> (Vec<Row>, ExecSnapshot) {
+    fn run_at(db: &Database, plan: &Plan, vis: Vis) -> (Vec<Row>, ExecSnapshot) {
         let stats = ExecStats::default();
         let source = SnapSource { db, vis };
-        let rows = Executor { source: &source, limits: limits(mode), stats: &stats }
-            .run(plan)
-            .unwrap();
+        let exec = Executor { source: &source, limits: limits(), stats: &stats };
+        let rows = run_streaming(&exec, plan).unwrap();
         (rows, stats.snapshot())
     }
 
     /// Run `plan` with its index/store present, lose it via `lose`, run the
-    /// now-stale plan again: in both engines, both times, the rows are the
-    /// equivalent seq scan's, and the second run is counted as a heap scan.
+    /// now-stale plan again: both times the rows are the heap scan's (the
+    /// serial run of the equivalent `SeqScan`), and the second run is
+    /// counted as a heap scan.
     fn check_stale_plan(
         db: &Database,
         plan: &Plan,
@@ -2278,19 +2279,15 @@ mod tests {
         engaged: fn(&ExecSnapshot) -> u64,
         lose: impl FnOnce(&Database),
     ) {
-        let want = run(db, &seq_scan_of(path), ExecMode::Materialize).0;
+        let want = run(db, &seq_scan_of(path)).0;
         assert!(!want.is_empty() && want.len() < ROWS as usize);
-        for mode in [ExecMode::Streaming, ExecMode::Materialize] {
-            let (rows, st) = run(db, plan, mode);
-            assert_eq!(rows, want, "{} fresh, {mode:?}", plan.node_name());
-            assert_eq!((engaged(&st), st.serial_scans), (1, 0), "{mode:?}");
-        }
+        let (rows, st) = run(db, plan);
+        assert_eq!(rows, want, "{} fresh", plan.node_name());
+        assert_eq!((engaged(&st), st.serial_scans), (1, 0));
         lose(db);
-        for mode in [ExecMode::Streaming, ExecMode::Materialize] {
-            let (rows, st) = run(db, plan, mode);
-            assert_eq!(rows, want, "{} stale, {mode:?}", plan.node_name());
-            assert_eq!((engaged(&st), st.serial_scans), (0, 1), "{mode:?}");
-        }
+        let (rows, st) = run(db, plan);
+        assert_eq!(rows, want, "{} stale", plan.node_name());
+        assert_eq!((engaged(&st), st.serial_scans), (0, 1));
     }
 
     #[test]
@@ -2330,12 +2327,12 @@ mod tests {
         let db = db();
         db.build_columnar("t", "a").unwrap();
         let path = path(&["a"]);
-        let want = run(&db, &seq_scan_of(&path), ExecMode::Materialize).0;
+        let want = run(&db, &seq_scan_of(&path)).0;
         let plan = Plan::ColumnarScan { path, bounds_cover_filter: false };
 
         let stats = ExecStats::default();
         let source = SnapSource { db: &db, vis: Vis::LATEST };
-        let exec = Executor { source: &source, limits: limits(ExecMode::Streaming), stats: &stats };
+        let exec = Executor { source: &source, limits: limits(), stats: &stats };
         let mut op = build_node(&exec, &plan, None, None, None).unwrap();
         op.open().unwrap();
         let mut got = op.next_block().unwrap().expect("first block").take_rows();
@@ -2354,7 +2351,7 @@ mod tests {
     /// A columnar scan under a snapshot older than pending sets and tagged
     /// inserts filters, in place, the values that snapshot sees, and
     /// gathers only the slots that pass: the rows of the heap scan at the
-    /// same snapshot, in both engines.
+    /// same snapshot.
     #[test]
     fn columnar_scan_under_an_old_snapshot_filters_what_it_sees() {
         let db = db();
@@ -2375,14 +2372,12 @@ mod tests {
         path.range = KeyRange::default();
         let plan = Plan::ColumnarScan { path: path.clone(), bounds_cover_filter: false };
         let vis = Vis::snapshot(read_ts);
-        let (want, _) = run_at(&db, &seq_scan_of(&path), ExecMode::Materialize, vis);
+        let (want, _) = run_at(&db, &seq_scan_of(&path), vis);
         assert!(!want.is_empty() && want.iter().all(|r| r[1] != Datum::Text("moved".into())));
-        for mode in [ExecMode::Streaming, ExecMode::Materialize] {
-            let (rows, st) = run_at(&db, &plan, mode, vis);
-            assert_eq!(rows, want, "{mode:?}");
-            assert_eq!(st.columnar_scans, 1, "{mode:?}: the old snapshot may read the stores");
-            assert_eq!(st.scan_rows_rejected_early, ROWS as u64 - want.len() as u64);
-        }
+        let (rows, st) = run_at(&db, &plan, vis);
+        assert_eq!(rows, want);
+        assert_eq!(st.columnar_scans, 1, "the old snapshot may read the stores");
+        assert_eq!(st.scan_rows_rejected_early, ROWS as u64 - want.len() as u64);
         db.txn_manager().release_snapshot(read_ts);
     }
 
@@ -2394,8 +2389,8 @@ mod tests {
         std::thread::spawn(move || {
             let stats = ExecStats::default();
             let source = SnapSource { db: &db, vis: Vis::LATEST };
-            let limits = ExecLimits { exec_threads: threads, ..limits(ExecMode::Streaming) };
-            let _ = tx.send(Executor { source: &source, limits, stats: &stats }.run(&plan));
+            let limits = ExecLimits { exec_threads: threads, ..limits() };
+            let _ = tx.send(run_streaming(&Executor { source: &source, limits, stats: &stats }, &plan));
         });
         rx.recv_timeout(std::time::Duration::from_secs(30)).expect("plan ran past 30 s")
     }

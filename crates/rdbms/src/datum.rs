@@ -215,6 +215,71 @@ impl Datum {
         }
     }
 
+    /// `self op other` for `+ - * / %` over two non-NULL operands: checked
+    /// integer arithmetic for two Ints, float arithmetic once either side
+    /// is a Float. The one definition of SQL arithmetic.
+    pub fn numeric_op(&self, op: sinew_sql::BinaryOp, other: &Datum) -> DbResult<Datum> {
+        use sinew_sql::BinaryOp::*;
+        match (self, other) {
+            (Datum::Int(a), Datum::Int(b)) => {
+                // Checked throughout, like SUM's promotion in agg.rs: silent
+                // wrapping would return a well-typed wrong answer. checked_div
+                // and checked_rem also cover the i64::MIN / -1 overflow.
+                let overflow =
+                    || DbError::Eval(format!("integer overflow in {self} {op:?} {other}"));
+                Ok(match op {
+                    Add => Datum::Int(a.checked_add(*b).ok_or_else(overflow)?),
+                    Sub => Datum::Int(a.checked_sub(*b).ok_or_else(overflow)?),
+                    Mul => Datum::Int(a.checked_mul(*b).ok_or_else(overflow)?),
+                    Div => {
+                        if *b == 0 {
+                            return Err(DbError::Eval("division by zero".into()));
+                        }
+                        Datum::Int(a.checked_div(*b).ok_or_else(overflow)?)
+                    }
+                    Mod => {
+                        if *b == 0 {
+                            return Err(DbError::Eval("division by zero".into()));
+                        }
+                        Datum::Int(a.checked_rem(*b).ok_or_else(overflow)?)
+                    }
+                    _ => unreachable!("{op} is not arithmetic"),
+                })
+            }
+            _ => {
+                let (a, b) = match (self.as_f64(), other.as_f64()) {
+                    (Some(a), Some(b)) => (a, b),
+                    _ => {
+                        return Err(DbError::Eval(format!(
+                            "arithmetic on non-numeric operands {self} and {other}"
+                        )))
+                    }
+                };
+                Ok(match op {
+                    Add => Datum::Float(a + b),
+                    Sub => Datum::Float(a - b),
+                    Mul => Datum::Float(a * b),
+                    Div => {
+                        if b == 0.0 {
+                            return Err(DbError::Eval("division by zero".into()));
+                        }
+                        Datum::Float(a / b)
+                    }
+                    Mod => Datum::Float(a % b),
+                    _ => unreachable!("{op} is not arithmetic"),
+                })
+            }
+        }
+    }
+
+    fn as_f64(&self) -> Option<f64> {
+        match self {
+            Datum::Int(i) => Some(*i as f64),
+            Datum::Float(f) => Some(*f),
+            _ => None,
+        }
+    }
+
     /// Cast to a target type, Postgres-style: failures are hard errors
     /// (`CastError`), not NULLs. Sinew's extraction functions deliberately do
     /// NOT go through this path — they return NULL on type mismatch.

@@ -1766,11 +1766,8 @@ impl Database {
         self.exec_stats.explain_runs.inc();
         let text = if analyze {
             // EXPLAIN ANALYZE actually runs the query (discarding its rows)
-            // through the streaming engine with per-node instrumentation;
-            // the materializing oracle has no operator tree to instrument,
-            // so the mode knob is overridden.
-            let mut limits = *self.limits.read();
-            limits.mode = crate::exec::ExecMode::Streaming;
+            // with per-node instrumentation.
+            let limits = *self.limits.read();
             let src = SnapSource { db: self, vis };
             let exec = Executor { source: &src, limits, stats: &self.exec_stats };
             let az = crate::block::AnalyzeCtx::new();
@@ -1821,7 +1818,7 @@ impl Database {
     fn run_plan(&self, plan: &Plan, vis: Vis) -> DbResult<Vec<Row>> {
         let limits = *self.limits.read();
         let src = SnapSource { db: self, vis };
-        Executor { source: &src, limits, stats: &self.exec_stats }.run(plan)
+        crate::block::run_streaming(&Executor { source: &src, limits, stats: &self.exec_stats }, plan)
     }
 
     fn run_insert(

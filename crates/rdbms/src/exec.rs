@@ -1,33 +1,24 @@
-//! Plan execution: a pull-based streaming block engine (default) plus the
-//! original materializing operator-at-a-time engine as differential oracle.
+//! Plan execution: the limits and counters every statement runs under,
+//! and the helpers the operators share.
 //!
-//! The streaming engine lives in [`crate::block`]: operators pull
-//! [`crate::block::RowBlock`]s of ~[`ExecLimits::block_rows`] rows from their child,
-//! so `LIMIT` propagates an early-stop all the way into `Heap::scan` and
-//! peak memory for scan-heavy plans is O(block), not O(table). It also owns
-//! the morsel-parallel scan→filter→project prefix (`ParallelScanOp`) and
-//! the parallel pipeline breakers, which run on one crew of
+//! The executor is the pull-based streaming block engine in
+//! [`crate::block`]: operators pull [`crate::block::RowBlock`]s of
+//! ~[`ExecLimits::block_rows`] rows from their child, so `LIMIT` propagates
+//! an early-stop all the way into `Heap::scan` and peak memory for
+//! scan-heavy plans is O(block), not O(table). It also owns the
+//! morsel-parallel scan→filter→project prefix (`ParallelScanOp`) and the
+//! parallel pipeline breakers, which run on one crew of
 //! [`ExecLimits::exec_threads`] threads per statement (`crate::crew`).
-//!
-//! The materializing engine below (`run_materialize`, reachable via
-//! [`ExecMode::Materialize`]) keeps the old semantics — every operator
-//! consumes fully materialized child output — and the two must produce
-//! byte-identical results. It is the reference the equivalence suites
-//! compare against, so it is deliberately *serial* at any thread count: a
-//! reference with its own parallel implementation would be a second
-//! implementation to keep right (DESIGN.md §18). Its scans still stream
-//! pages through the buffer pool (so I/O behaviour is real), and the CPU
-//! cost of tuple decoding and UDF extraction — the quantities Sinew's
-//! design targets — is paid per row exactly where Postgres would pay it.
+//! There is one executor: the tests check it against a plan-free
+//! reference evaluator and against its own serial run (DESIGN.md §31).
 
-use crate::datum::{Datum, GroupKey};
-use crate::error::{DbError, DbResult};
-use crate::expr::{EvalCtx, PhysExpr};
 use crate::agg::Accumulator;
 use crate::crew::Crew;
+use crate::datum::Datum;
 use crate::db::SnapSource;
-use crate::plan::{AccessPath, AggSpec, Plan, SortKey};
-use std::collections::HashMap;
+use crate::error::{DbError, DbResult};
+use crate::expr::{EvalCtx, PhysExpr};
+use crate::plan::{AggSpec, SortKey};
 
 pub type Row = Vec<Datum>;
 
@@ -76,26 +67,16 @@ impl IndexOnlyProbe {
     }
 }
 
-/// Which execution engine `Executor::run` drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Pull-based block pipeline (`crate::block`): the default.
-    #[default]
-    Streaming,
-    /// Original operator-at-a-time engine; kept as differential oracle.
-    Materialize,
-}
-
 /// Execution limits: a crude statement-level resource governor. The EAV
 /// baseline's self-joins exhaust intermediate space exactly like the paper's
 /// runs that "ran out of disk space" (§6.4–6.5); this cap reproduces that
 /// failure mode deterministically.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecLimits {
-    /// Max rows any single operator may materialize. The streaming engine
-    /// charges this per block as rows accumulate in pipeline breakers and
-    /// at the root, so it never charges *more* than the materializing
-    /// engine (and may succeed where full materialization would not).
+    /// Max rows any single operator may hold or emit: charged per block
+    /// as rows accumulate in pipeline breakers and at the root, and per
+    /// joined row (outer pad rows included) by every join, whichever join
+    /// the planner picked.
     pub max_intermediate_rows: u64,
     /// Threads per statement: its own plus up to `exec_threads − 1`
     /// helpers of its crew (DESIGN.md §26); 1 forces the serial path.
@@ -103,8 +84,6 @@ pub struct ExecLimits {
     pub exec_threads: usize,
     /// Target rows per streaming block (default 1024; clamped to ≥ 1).
     pub block_rows: usize,
-    /// Engine selection (default streaming).
-    pub mode: ExecMode,
 }
 
 impl Default for ExecLimits {
@@ -113,7 +92,6 @@ impl Default for ExecLimits {
             max_intermediate_rows: 50_000_000,
             exec_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             block_rows: 1024,
-            mode: ExecMode::Streaming,
         }
     }
 }
@@ -151,9 +129,11 @@ crate::counter_table! {
     streaming blocks_emitted: counter,
     /// Streams terminated before the child was exhausted (LIMIT satisfied).
     streaming early_stops: counter,
-    /// High-water mark of rows resident in one statement's pipeline
-    /// (root accumulator + operator buffers) — O(block) for streaming
-    /// scans, O(table) for the materializing oracle.
+    /// High-water mark of rows one statement holds: the result accumulated
+    /// at the root plus what its operators buffer, sampled at every root
+    /// block, every block a pipeline breaker drains and every aggregate
+    /// merge. O(block) for a scan under a LIMIT; a sort, a join build or
+    /// the result itself holds O(rows).
     streaming peak_resident_rows: max,
     /// Rows per block reaching the streaming root.
     streaming rows_per_block: histogram,
@@ -300,212 +280,6 @@ impl Executor<'_> {
         crew.filter(|_| self.limits.exec_threads > 1 && rows >= MIN_PARALLEL_ROWS)
     }
 
-    /// Execute `plan` with the engine selected by `limits.mode`. Both
-    /// engines produce byte-identical results (the streaming engine's
-    /// equivalence tests enforce this across block sizes and thread
-    /// counts); they differ in peak memory and early-stop behaviour.
-    pub(crate) fn run(&self, plan: &Plan) -> DbResult<Vec<Row>> {
-        match self.limits.mode {
-            ExecMode::Streaming => crate::block::run_streaming(self, plan),
-            ExecMode::Materialize => self.run_materialize(plan),
-        }
-    }
-
-    /// Operator-at-a-time oracle: every operator fully materializes its
-    /// child's output. Records each intermediate's size so the
-    /// peak-resident metric is comparable with the streaming engine.
-    pub(crate) fn run_materialize(&self, plan: &Plan) -> DbResult<Vec<Row>> {
-        let rows = self.run_materialize_inner(plan)?;
-        self.stats.note_resident(rows.len() as u64);
-        Ok(rows)
-    }
-
-    /// Append `row` to `out` if it passes `filter`, charging the
-    /// intermediate-row cap — the tail every scan arm shares.
-    fn admit(
-        &self,
-        filter: Option<&PhysExpr>,
-        ctx: &mut EvalCtx,
-        out: &mut Vec<Row>,
-        row: Row,
-    ) -> DbResult<()> {
-        if passes(filter, ctx, &row)? {
-            out.push(row);
-            self.check_limit(out.len())?;
-        }
-        Ok(())
-    }
-
-    fn seq_scan(
-        &self,
-        table: &str,
-        filter: Option<&PhysExpr>,
-        needed: Option<&[String]>,
-    ) -> DbResult<Vec<Row>> {
-        self.stats.serial_scans.inc();
-        let mut out = Vec::new();
-        // The reference builds every row whole and filters it after.
-        let mut ctx = EvalCtx::new();
-        let mut admit = |row, ctx: &mut EvalCtx| {
-            self.admit(filter, ctx, &mut out, row)?;
-            Ok(true)
-        };
-        self.source.scan_table_range(table, needed, None, 0..u64::MAX, &mut ctx, &mut admit)?;
-        Ok(out)
-    }
-
-    /// The index or column store behind `path` is gone (dropped or demoted
-    /// since planning, or unusable at this visibility): run the equivalent
-    /// sequential scan — same filter, same projection, same output. Also
-    /// correct mid-scan, because nothing has escaped a materializing
-    /// operator before it returns.
-    fn heap_fallback(&self, path: &AccessPath) -> DbResult<Vec<Row>> {
-        self.seq_scan(&path.table, path.filter.as_ref(), path.needed.as_deref())
-    }
-
-    fn run_materialize_inner(&self, plan: &Plan) -> DbResult<Vec<Row>> {
-        match plan {
-            Plan::SeqScan { table, filter, needed, .. } => {
-                self.seq_scan(table, filter.as_ref(), needed.as_deref())
-            }
-            Plan::IndexScan(path) => {
-                // The materializing engine never pushes LIMIT down.
-                let Some(mut rowids) = self.source.index_lookup(path, None)? else {
-                    return self.heap_fallback(path);
-                };
-                self.stats.index_scans.inc();
-                // Heap scans emit rows in rowid order; match it exactly.
-                rowids.sort_unstable();
-                let mut out = Vec::new();
-                let mut ctx = EvalCtx::new();
-                self.source.fetch_rows(&path.table, path.needed.as_deref(), &rowids, &mut |row| {
-                    self.admit(path.filter.as_ref(), &mut ctx, &mut out, row)?;
-                    Ok(true)
-                })?;
-                Ok(out)
-            }
-            Plan::ColumnarScan { path, bounds_cover_filter } => {
-                let Some(n_segments) = self.source.columnar_meta(path)? else {
-                    return self.heap_fallback(path);
-                };
-                self.stats.columnar_scans.inc();
-                let mut out = Vec::new();
-                let mut ctx = EvalCtx::new();
-                for seg in 0..n_segments {
-                    // The segment applies the residual filter itself.
-                    let Some(scan) =
-                        self.source.columnar_scan_segment(path, *bounds_cover_filter, seg)?
-                    else {
-                        return self.heap_fallback(path);
-                    };
-                    self.stats.record_segment(&scan);
-                    for row in scan.rows {
-                        self.admit(None, &mut ctx, &mut out, row)?;
-                    }
-                }
-                Ok(out)
-            }
-            Plan::IndexOnlyScan(path) => {
-                // The materializing engine never pushes LIMIT down.
-                let Some(probe) = self.source.index_only_probe(path, None)? else {
-                    return self.heap_fallback(path);
-                };
-                self.stats.index_only_scans.inc();
-                let filter = path.filter.as_ref().filter(|_| !path.exact_bounds);
-                let mut out = Vec::new();
-                let mut ctx = EvalCtx::new();
-                for row in probe.into_rows() {
-                    self.admit(filter, &mut ctx, &mut out, row)?;
-                }
-                Ok(out)
-            }
-            Plan::Filter { input, predicate, .. } => {
-                let rows = self.run_materialize(input)?;
-                let mut out = Vec::with_capacity(rows.len() / 2);
-                let mut ctx = EvalCtx::new();
-                for row in rows {
-                    ctx.reset();
-                    if predicate.eval_bool_ctx(&row, &mut ctx)? {
-                        out.push(row);
-                    }
-                }
-                Ok(out)
-            }
-            Plan::Project { input, exprs, .. } => {
-                let rows = self.run_materialize(input)?;
-                let mut out = Vec::with_capacity(rows.len());
-                // One memo context for all projections of a row: a call
-                // the projection repeats evaluates once per row.
-                let mut ctx = EvalCtx::new();
-                for row in rows {
-                    ctx.reset();
-                    let mut new_row = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        new_row.push(e.eval_ctx(&row, &mut ctx)?);
-                    }
-                    out.push(new_row);
-                }
-                Ok(out)
-            }
-            Plan::HashJoin {
-                left, right, left_key, right_key, residual, left_outer, right_width, ..
-            } => {
-                let pad = left_outer.then_some(*right_width);
-                self.hash_join(left, right, left_key, right_key, residual.as_ref(), pad)
-            }
-            Plan::MergeJoin { left, right, left_key, right_key, residual, .. } => {
-                self.merge_join(left, right, left_key, right_key, residual.as_ref())
-            }
-            Plan::NestedLoop { left, right, predicate, left_outer, right_width, .. } => {
-                self.nested_loop(left, right, predicate.as_ref(), left_outer.then_some(*right_width))
-            }
-            Plan::Sort { input, keys, .. } => {
-                let mut rows = self.run_materialize(input)?;
-                sort_rows(&mut rows, keys)?;
-                Ok(rows)
-            }
-            Plan::HashAggregate { input, groups, aggs, .. } => {
-                self.hash_aggregate(input, groups, aggs)
-            }
-            Plan::GroupAggregate { input, groups, aggs, .. } => {
-                self.group_aggregate(input, groups, aggs)
-            }
-            Plan::Unique { input, .. } => {
-                let rows = self.run_materialize(input)?;
-                let mut out: Vec<Row> = Vec::new();
-                for row in rows {
-                    if out.last().map(|prev| rows_equal(prev, &row)) != Some(true) {
-                        out.push(row);
-                    }
-                }
-                Ok(out)
-            }
-            Plan::HashDistinct { input, .. } => {
-                let rows = self.run_materialize(input)?;
-                let mut seen = std::collections::HashSet::new();
-                let mut out = Vec::new();
-                for row in rows {
-                    let key: Vec<GroupKey> = row.iter().map(Datum::group_key).collect();
-                    if seen.insert(key) {
-                        out.push(row);
-                    }
-                }
-                Ok(out)
-            }
-            Plan::Limit { input, n } => {
-                let mut rows = self.run_materialize(input)?;
-                rows.truncate(*n as usize);
-                Ok(rows)
-            }
-            Plan::Values { rows } => {
-                let empty: Row = Vec::new();
-                rows.iter()
-                    .map(|exprs| exprs.iter().map(|e| e.eval(&empty)).collect())
-                    .collect()
-            }
-        }
-    }
-
     pub(crate) fn check_limit(&self, n: usize) -> DbResult<()> {
         if n as u64 > self.limits.max_intermediate_rows {
             return Err(DbError::ResourceExhausted(format!(
@@ -516,73 +290,8 @@ impl Executor<'_> {
         Ok(())
     }
 
-    fn hash_join(
-        &self,
-        left: &Plan,
-        right: &Plan,
-        left_key: &PhysExpr,
-        right_key: &PhysExpr,
-        residual: Option<&PhysExpr>,
-        pad: Option<usize>,
-    ) -> DbResult<Vec<Row>> {
-        let left_rows = self.run_materialize(left)?;
-        let right_rows = self.run_materialize(right)?;
-        // build on the right input
-        let mut table: HashMap<GroupKey, Vec<usize>> = HashMap::new();
-        for (i, row) in right_rows.iter().enumerate() {
-            let k = right_key.eval(row)?;
-            if k.is_null() {
-                continue; // NULL never joins
-            }
-            table.entry(k.group_key()).or_default().push(i);
-        }
-        let mut out = Vec::new();
-        for lrow in &left_rows {
-            let k = left_key.eval(lrow)?;
-            let mut matched = false;
-            if !k.is_null() {
-                if let Some(idxs) = table.get(&k.group_key()) {
-                    for &i in idxs {
-                        let mut joined = lrow.clone();
-                        joined.extend(right_rows[i].iter().cloned());
-                        let keep = match residual {
-                            Some(r) => r.eval_bool(&joined)?,
-                            None => true,
-                        };
-                        if keep {
-                            matched = true;
-                            out.push(joined);
-                            self.check_limit(out.len())?;
-                        }
-                    }
-                }
-            }
-            if let (Some(width), false) = (pad, matched) {
-                let mut joined = lrow.clone();
-                joined.extend(std::iter::repeat_n(Datum::Null, width));
-                out.push(joined);
-                self.check_limit(out.len())?;
-            }
-        }
-        Ok(out)
-    }
-
-    fn merge_join(
-        &self,
-        left: &Plan,
-        right: &Plan,
-        left_key: &PhysExpr,
-        right_key: &PhysExpr,
-        residual: Option<&PhysExpr>,
-    ) -> DbResult<Vec<Row>> {
-        // Inputs arrive sorted on their keys (the planner inserts Sorts).
-        let left_rows = self.run_materialize(left)?;
-        let right_rows = self.run_materialize(right)?;
-        self.merge_join_rows(&left_rows, &right_rows, left_key, right_key, residual)
-    }
-
-    /// Merge-join fully materialized (sorted) sides — shared by both
-    /// engines, since a merge join drains both children either way.
+    /// Merge-join two drained (sorted) sides: a merge join holds both
+    /// children whole before it emits.
     pub(crate) fn merge_join_rows(
         &self,
         left_rows: &[Row],
@@ -618,26 +327,16 @@ impl Executor<'_> {
                 std::cmp::Ordering::Less => li += 1,
                 std::cmp::Ordering::Greater => ri += 1,
                 std::cmp::Ordering::Equal => {
-                    // group of equal keys on both sides
-                    let le = (li..left_rows.len())
-                        .take_while(|&i| lkeys[i].key_cmp(lk) == std::cmp::Ordering::Equal)
-                        .last()
-                        .unwrap()
-                        + 1;
-                    let re = (ri..right_rows.len())
-                        .take_while(|&i| rkeys[i].key_cmp(rk) == std::cmp::Ordering::Equal)
-                        .last()
-                        .unwrap()
-                        + 1;
+                    // The run of keys equal to `k` from `at` on.
+                    let run = |keys: &[Datum], at: usize, k: &Datum| {
+                        at + keys[at..].iter().take_while(|x| x.key_cmp(k).is_eq()).count()
+                    };
+                    let (le, re) = (run(&lkeys, li, lk), run(&rkeys, ri, rk));
                     for lrow in &left_rows[li..le] {
                         for rrow in &right_rows[ri..re] {
                             let mut joined = lrow.clone();
                             joined.extend(rrow.iter().cloned());
-                            let keep = match residual {
-                                Some(p) => p.eval_bool(&joined)?,
-                                None => true,
-                            };
-                            if keep {
+                            if residual.map_or(Ok(true), |p| p.eval_bool(&joined))? {
                                 out.push(joined);
                                 self.check_limit(out.len())?;
                             }
@@ -647,116 +346,6 @@ impl Executor<'_> {
                     ri = re;
                 }
             }
-        }
-        Ok(out)
-    }
-
-    fn nested_loop(
-        &self,
-        left: &Plan,
-        right: &Plan,
-        predicate: Option<&PhysExpr>,
-        pad: Option<usize>,
-    ) -> DbResult<Vec<Row>> {
-        let left_rows = self.run_materialize(left)?;
-        let right_rows = self.run_materialize(right)?;
-        let mut out = Vec::new();
-        for lrow in &left_rows {
-            let mut matched = false;
-            for rrow in &right_rows {
-                let mut joined = lrow.clone();
-                joined.extend(rrow.iter().cloned());
-                let keep = match predicate {
-                    Some(p) => p.eval_bool(&joined)?,
-                    None => true,
-                };
-                if keep {
-                    matched = true;
-                    out.push(joined);
-                    self.check_limit(out.len())?;
-                }
-            }
-            if let (Some(width), false) = (pad, matched) {
-                let mut joined = lrow.clone();
-                joined.extend(std::iter::repeat_n(Datum::Null, width));
-                out.push(joined);
-            }
-        }
-        Ok(out)
-    }
-
-    fn hash_aggregate(
-        &self,
-        input: &Plan,
-        groups: &[PhysExpr],
-        aggs: &[AggSpec],
-    ) -> DbResult<Vec<Row>> {
-        let rows = self.run_materialize(input)?;
-        // Groups are emitted in first-occurrence (input) order — not the
-        // hash map's per-instance iteration order — so this oracle and the
-        // streaming aggregate, serial or merged from morsel tables, produce
-        // one deterministic order at any thread count (DESIGN.md §29).
-        let mut index: HashMap<Vec<GroupKey>, usize> = HashMap::new();
-        let mut entries: Vec<(Row, Vec<Accumulator>)> = Vec::new();
-        for row in &rows {
-            let mut key_vals = Vec::with_capacity(groups.len());
-            for g in groups {
-                key_vals.push(g.eval(row)?);
-            }
-            let key: Vec<GroupKey> = key_vals.iter().map(Datum::group_key).collect();
-            let slot = *index.entry(key).or_insert_with(|| {
-                entries.push((key_vals.clone(), aggs.iter().map(new_acc).collect()));
-                entries.len() - 1
-            });
-            feed_accs(&mut entries[slot].1, aggs, row)?;
-        }
-        // Scalar aggregate over empty input still yields one row.
-        if groups.is_empty() && entries.is_empty() {
-            let accs: Vec<Accumulator> = aggs.iter().map(new_acc).collect();
-            return Ok(vec![finish_group(Vec::new(), &accs)]);
-        }
-        let mut out = Vec::with_capacity(entries.len());
-        for (key_vals, accs) in entries {
-            out.push(finish_group(key_vals, &accs));
-        }
-        Ok(out)
-    }
-
-    fn group_aggregate(
-        &self,
-        input: &Plan,
-        groups: &[PhysExpr],
-        aggs: &[AggSpec],
-    ) -> DbResult<Vec<Row>> {
-        let rows = self.run_materialize(input)?;
-        let mut out = Vec::new();
-        let mut current: Option<(Vec<Datum>, Vec<Accumulator>)> = None;
-        for row in &rows {
-            let mut key_vals = Vec::with_capacity(groups.len());
-            for g in groups {
-                key_vals.push(g.eval(row)?);
-            }
-            // Group keys compare with the exact Int↔Float semantics so a
-            // GroupAggregate plan groups `1` with `1.0` exactly like the
-            // hash aggregate's canonical `group_key` does.
-            let same = current.as_ref().is_some_and(|(k, _)| {
-                k.iter().zip(&key_vals).all(|(a, b)| a.key_cmp(b) == std::cmp::Ordering::Equal)
-            });
-            if !same {
-                if let Some((k, accs)) = current.take() {
-                    out.push(finish_group(k, &accs));
-                }
-                current = Some((key_vals, aggs.iter().map(new_acc).collect()));
-            }
-            if let Some((_, accs)) = &mut current {
-                feed_accs(accs, aggs, row)?;
-            }
-        }
-        if let Some((k, accs)) = current {
-            out.push(finish_group(k, &accs));
-        } else if groups.is_empty() {
-            let accs: Vec<Accumulator> = aggs.iter().map(new_acc).collect();
-            out.push(finish_group(Vec::new(), &accs));
         }
         Ok(out)
     }

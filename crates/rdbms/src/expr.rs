@@ -460,7 +460,7 @@ fn eval_binary<R: ColumnSource + ?Sized>(
     }
     match op {
         Concat => Ok(Datum::Text(format!("{}{}", l.display_text(), r.display_text()))),
-        Add | Sub | Mul | Div | Mod => numeric_op(op, &l, &r),
+        Add | Sub | Mul | Div | Mod => l.numeric_op(op, &r),
         _ => unreachable!(),
     }
 }
@@ -542,70 +542,6 @@ fn value_test(e: &PhysExpr) -> Option<(&PhysExpr, ValueTest)> {
         },
         _ => return None,
     })
-}
-
-fn numeric_op(op: BinaryOp, l: &Datum, r: &Datum) -> DbResult<Datum> {
-    use BinaryOp::*;
-    match (l, r) {
-        (Datum::Int(a), Datum::Int(b)) => {
-            // Checked throughout, like SUM's promotion in agg.rs: silent
-            // wrapping would return a well-typed wrong answer. checked_div
-            // and checked_rem also cover the i64::MIN / -1 overflow.
-            let overflow =
-                || DbError::Eval(format!("integer overflow in {} {op:?} {}", l, r));
-            Ok(match op {
-                Add => Datum::Int(a.checked_add(*b).ok_or_else(overflow)?),
-                Sub => Datum::Int(a.checked_sub(*b).ok_or_else(overflow)?),
-                Mul => Datum::Int(a.checked_mul(*b).ok_or_else(overflow)?),
-                Div => {
-                    if *b == 0 {
-                        return Err(DbError::Eval("division by zero".into()));
-                    }
-                    Datum::Int(a.checked_div(*b).ok_or_else(overflow)?)
-                }
-                Mod => {
-                    if *b == 0 {
-                        return Err(DbError::Eval("division by zero".into()));
-                    }
-                    Datum::Int(a.checked_rem(*b).ok_or_else(overflow)?)
-                }
-                _ => unreachable!(),
-            })
-        }
-        _ => {
-            let (a, b) = match (l.as_f64(), r.as_f64()) {
-                (Some(a), Some(b)) => (a, b),
-                _ => {
-                    return Err(DbError::Eval(format!(
-                        "arithmetic on non-numeric operands {l} and {r}"
-                    )))
-                }
-            };
-            Ok(match op {
-                Add => Datum::Float(a + b),
-                Sub => Datum::Float(a - b),
-                Mul => Datum::Float(a * b),
-                Div => {
-                    if b == 0.0 {
-                        return Err(DbError::Eval("division by zero".into()));
-                    }
-                    Datum::Float(a / b)
-                }
-                Mod => Datum::Float(a % b),
-                _ => unreachable!(),
-            })
-        }
-    }
-}
-
-impl Datum {
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Datum::Int(i) => Some(*i as f64),
-            Datum::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
 }
 
 /// SQL LIKE matcher: `%` any run, `_` any single char; backslash escapes.

@@ -62,7 +62,7 @@ pub use db::{
 };
 pub use error::{DbError, DbResult};
 pub use block::{BlockOperator, RowBlock};
-pub use exec::{ExecLimits, ExecMode, ExecSnapshot};
+pub use exec::{ExecLimits, ExecSnapshot};
 pub use func::{ScalarFn, ValueTest};
 pub use heap::RowId;
 pub use kernels::KernelStats;

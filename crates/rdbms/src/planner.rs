@@ -287,9 +287,10 @@ impl<'a> Planner<'a> {
         Ok(PlannedQuery { plan, columns: names, cost: 0.0 })
     }
 
-    /// Simplified path for LEFT JOIN queries: FROM order is kept, hash
-    /// left-outer joins, no reordering (Postgres also constrains outer-join
-    /// reordering heavily).
+    /// Simplified path for a join chain with a LEFT JOIN in it: FROM order
+    /// is kept, each join is a hash or nested-loop join (left-outer where
+    /// the chain says LEFT), no reordering (Postgres also constrains
+    /// outer-join reordering heavily).
     fn plan_left_join(&self, sel: &Select) -> DbResult<PlannedQuery> {
         if sel.from.len() != 1 {
             return Err(DbError::Eval(
@@ -346,6 +347,8 @@ impl<'a> Planner<'a> {
                 residual.push(bind(&part, &joined_scope, self.funcs)?);
             }
             let rows = cand.rows.max(right.rows);
+            // An inner join in the chain stays inner.
+            let outer = j.kind == sinew_sql::JoinKind::Left;
             let plan = match key {
                 Some((lk, rk)) => Plan::HashJoin {
                     left: Box::new(cand.plan),
@@ -353,7 +356,7 @@ impl<'a> Planner<'a> {
                     left_key: lk,
                     right_key: rk,
                     residual: conjoin_phys(residual),
-                    left_outer: true,
+                    left_outer: outer,
                     right_width: right.scope.cols.len(),
                     est_rows: rows,
                 },
@@ -361,7 +364,7 @@ impl<'a> Planner<'a> {
                     left: Box::new(cand.plan),
                     right: Box::new(right.plan),
                     predicate: conjoin_phys(residual),
-                    left_outer: true,
+                    left_outer: outer,
                     right_width: right.scope.cols.len(),
                     est_rows: rows,
                 },

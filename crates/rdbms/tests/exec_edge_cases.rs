@@ -1,7 +1,16 @@
 //! Executor edge cases: NULL join semantics, duplicate-key joins, empty
-//! inputs, and NULL ordering.
+//! inputs, join chains, row caps, and NULL ordering.
 
-use sinew_rdbms::{Database, Datum, ExecLimits, ExecMode, PlannerConfig};
+use sinew_rdbms::{Database, Datum, DbError, ExecLimits, PlannerConfig};
+
+/// Run `sql` and check its outcome against the plan-free reference.
+fn checked(db: &Database, sql: &str) -> Vec<Vec<Datum>> {
+    let got = db.execute(sql).map(|r| r.rows);
+    if let Err(e) = sinew_reference::agree(&got, &sinew_reference::query(db, sql)) {
+        panic!("{sql} disagrees with the reference: {e}");
+    }
+    got.unwrap()
+}
 
 fn db2(l: &[(Option<i64>, &str)], r: &[(Option<i64>, &str)]) -> Database {
     let db = Database::in_memory();
@@ -64,17 +73,65 @@ fn joins_with_empty_sides() {
     );
     // A right input that an ON conjunct pushed into its scan leaves empty:
     // the outer row is still padded to the right side's width, by the hash
-    // join and by the nested loop, in both engines.
+    // join and by the nested loop, at one and two threads, as the
+    // reference pads it.
     db.insert_rows("r", &[vec![Datum::Int(1), Datum::Text("x".into())]]).unwrap();
-    for mode in [ExecMode::Streaming, ExecMode::Materialize] {
-        db.set_exec_limits(ExecLimits { mode, ..ExecLimits::default() });
+    for exec_threads in [1, 2] {
+        db.set_exec_limits(ExecLimits { exec_threads, ..ExecLimits::default() });
         for (on, shape) in [("l.k = r.k", "Hash Join"), ("l.k <> r.k", "Nested Loop")] {
             let sql = format!("SELECT l.v, r.w FROM l LEFT JOIN r ON {on} AND r.w = 'none'");
             let plan = db.execute(&format!("EXPLAIN {sql}")).unwrap();
             assert!(plan.rows.iter().any(|r| r[0].display_text().contains(shape)), "{sql}");
-            let rows = db.execute(&sql).unwrap_or_else(|e| panic!("{sql} ({mode:?}): {e}")).rows;
-            assert_eq!(rows, vec![vec![Datum::Text("a".into()), Datum::Null]], "{sql} ({mode:?})");
+            let rows = checked(&db, &sql);
+            let ctx = format!("{sql} ({exec_threads} threads)");
+            assert_eq!(rows, vec![vec![Datum::Text("a".into()), Datum::Null]], "{ctx}");
         }
+    }
+}
+
+/// A `LEFT JOIN`'s row cap does not depend on the join the planner picked:
+/// the hash join and the nested loop both charge every row they emit,
+/// padded ones included. Under the LIMIT the root holds no more rows than
+/// the cap, so only the join's own charge can fail the statement.
+#[test]
+fn left_join_pad_rows_count_against_the_cap() {
+    let l: Vec<(Option<i64>, &str)> = (0..10).map(|k| (Some(k), "a")).collect();
+    let db = db2(&l, &[(Some(1), "x")]);
+    db.set_exec_limits(ExecLimits { max_intermediate_rows: 5, ..ExecLimits::default() });
+    for (on, shape) in [("l.k = r.k", "Hash Join"), ("l.k <> r.k", "Nested Loop")] {
+        let sql = format!("SELECT l.v FROM l LEFT JOIN r ON {on} AND r.w = 'none' LIMIT 5");
+        let plan = db.execute(&format!("EXPLAIN {sql}")).unwrap();
+        assert!(plan.rows.iter().any(|r| r[0].display_text().contains(shape)), "{sql}");
+        let got = db.execute(&sql);
+        assert!(matches!(got, Err(DbError::ResourceExhausted(_))), "{sql}: {got:?}");
+    }
+}
+
+/// A join chain that starts with a `LEFT JOIN` keeps a later inner join
+/// inner: a left row whose right match has no partner in the third table
+/// is dropped, not padded.
+#[test]
+fn an_inner_join_after_a_left_join_stays_inner() {
+    let db = db2(&[(Some(1), "a"), (Some(2), "b"), (Some(3), "c")], &[(Some(1), "x"), (Some(2), "y")]);
+    db.execute("CREATE TABLE q (k int)").unwrap();
+    db.execute("INSERT INTO q VALUES (1)").unwrap();
+    for exec_threads in [1, 2] {
+        db.set_exec_limits(ExecLimits { exec_threads, ..ExecLimits::default() });
+        let rows =
+            checked(&db, "SELECT l.v, r.w FROM l LEFT JOIN r ON l.k = r.k JOIN q ON q.k = r.k");
+        let want = vec![vec![Datum::Text("a".into()), Datum::Text("x".into())]];
+        assert_eq!(rows, want, "{exec_threads} threads");
+        let rows = checked(
+            &db,
+            "SELECT l.v, q.k FROM l LEFT JOIN r ON l.k = r.k LEFT JOIN q ON q.k = r.k ORDER BY l.v",
+        );
+        let text = |s: &str| Datum::Text(s.into());
+        let want = vec![
+            vec![text("a"), Datum::Int(1)],
+            vec![text("b"), Datum::Null],
+            vec![text("c"), Datum::Null],
+        ];
+        assert_eq!(rows, want, "{exec_threads} threads");
     }
 }
 

@@ -1,13 +1,12 @@
-//! Differential oracle for the streaming block engine: every query in a
-//! seeded workload must return *byte-identical* rows under the
-//! materializing engine (`ExecMode::Materialize`) and the streaming engine
-//! at every block size and thread count — including pathological blocks of
-//! 1 and 3 rows, blocks larger than any intermediate, and the
-//! morsel-parallel scan path. Aggregation/DISTINCT queries carry ORDER BY
-//! so their output order is defined (HashAggregate iteration order is
-//! per-instance hash order, in both engines).
+//! Differential oracles for the executor: every query in a seeded
+//! workload must return *byte-identical* rows at every block size and
+//! thread count — including pathological blocks of 1 and 3 rows, blocks
+//! larger than any intermediate, and the morsel-parallel scan path — to
+//! the serial run (`exec_threads = 1`, `block_rows = 1024`), and the
+//! serial run's rows must agree with the plan-free reference evaluator
+//! (`sinew_reference`, DESIGN.md §31).
 
-use sinew_rdbms::{Database, Datum, ExecLimits, ExecMode, PlannerConfig};
+use sinew_rdbms::{Database, Datum, DbResult, ExecLimits, PlannerConfig};
 
 /// splitmix64 — deterministic data without depending on a rand crate.
 fn mix(mut x: u64) -> u64 {
@@ -77,8 +76,8 @@ fn build_db_sized(t_rows: u64) -> Database {
 }
 
 /// Filters, extraction-free projections, sorts, aggregates, joins, limits
-/// — every operator of both engines, with order pinned where the engine
-/// itself does not pin it.
+/// — every operator, with order pinned where the engine itself does not
+/// pin it.
 const QUERIES: &[&str] = &[
     "SELECT * FROM t",
     "SELECT a, c FROM t WHERE a > 900",
@@ -134,49 +133,59 @@ fn mutate(db: &Database) {
     check_derived(db);
 }
 
-fn run_workload(limits: ExecLimits) -> Vec<Vec<Vec<Datum>>> {
+/// The serial configuration every other one is compared with.
+fn serial() -> ExecLimits {
+    ExecLimits { exec_threads: 1, block_rows: 1024, ..ExecLimits::default() }
+}
+
+/// Run `sql` on `db`; with `reference`, its rows must agree with the
+/// plan-free reference's answer over the same tables.
+fn run_query(db: &Database, sql: &str, reference: bool) -> DbResult<Vec<Vec<Datum>>> {
+    let got = db.execute(sql).map(|r| r.rows);
+    if reference {
+        if let Err(e) = sinew_reference::agree(&got, &sinew_reference::query(db, sql)) {
+            panic!("{sql} disagrees with the reference: {e}");
+        }
+    }
+    got
+}
+
+/// The workload before and after DML; with `reference`, every answer is
+/// checked against the reference.
+fn run_workload(limits: ExecLimits, reference: bool) -> Vec<Vec<Vec<Datum>>> {
     let db = build_db();
     db.set_exec_limits(limits);
     let mut out = Vec::new();
     for q in QUERIES {
-        out.push(db.execute(q).unwrap_or_else(|e| panic!("{q}: {e}")).rows);
+        out.push(run_query(&db, q, reference).unwrap_or_else(|e| panic!("{q}: {e}")));
     }
     mutate(&db);
     for q in QUERIES {
-        out.push(db.execute(q).unwrap_or_else(|e| panic!("{q} (post-DML): {e}")).rows);
+        out.push(run_query(&db, q, reference).unwrap_or_else(|e| panic!("{q} (post-DML): {e}")));
     }
     out
 }
 
 #[test]
-fn streaming_matches_materialize_at_all_block_sizes_and_thread_counts() {
-    let oracle = run_workload(ExecLimits {
-        mode: ExecMode::Materialize,
-        exec_threads: 1,
-        ..ExecLimits::default()
-    });
-    let mut configs = Vec::new();
+fn every_config_matches_the_serial_run_and_the_reference() {
+    let oracle = run_workload(serial(), true);
     for threads in [1usize, 4] {
         for block_rows in [1usize, 3, 1024, 65_536] {
-            configs.push(ExecLimits {
-                mode: ExecMode::Streaming,
-                exec_threads: threads,
-                block_rows,
-                ..ExecLimits::default()
-            });
-        }
-    }
-    for limits in configs {
-        let got = run_workload(limits);
-        assert_eq!(got.len(), oracle.len());
-        for (i, (g, o)) in got.iter().zip(&oracle).enumerate() {
-            let q = QUERIES[i % QUERIES.len()];
-            let phase = if i < QUERIES.len() { "pre" } else { "post" };
-            assert_eq!(
-                g, o,
-                "query {q:?} ({phase}-DML) diverged under mode={:?} block_rows={} threads={}",
-                limits.mode, limits.block_rows, limits.exec_threads
-            );
+            let limits = ExecLimits { exec_threads: threads, block_rows, ..ExecLimits::default() };
+            if (threads, block_rows) == (1, 1024) {
+                continue;
+            }
+            let got = run_workload(limits, false);
+            assert_eq!(got.len(), oracle.len());
+            for (i, (g, o)) in got.iter().zip(&oracle).enumerate() {
+                let q = QUERIES[i % QUERIES.len()];
+                let phase = if i < QUERIES.len() { "pre" } else { "post" };
+                assert_eq!(
+                    g, o,
+                    "query {q:?} ({phase}-DML) diverged under block_rows={block_rows} \
+                     threads={threads}"
+                );
+            }
         }
     }
 }
@@ -249,8 +258,14 @@ fn autocommit_retained_and_transactional_dml_match_byte_identically() {
 ///
 /// With `stores` false this is the oracle: the twin database that runs the
 /// same statements and never builds a store, so the planner has only the
-/// heap paths to choose from.
-fn run_columnar_workload(t_rows: u64, stores: bool, limits: ExecLimits) -> Vec<Vec<Vec<Datum>>> {
+/// heap paths to choose from. With `reference`, every answer is checked
+/// against the reference.
+fn run_columnar_workload(
+    t_rows: u64,
+    stores: bool,
+    limits: ExecLimits,
+    reference: bool,
+) -> Vec<Vec<Vec<Datum>>> {
     let db = build_db_sized(t_rows);
     if stores {
         for col in ["a", "b", "c", "d"] {
@@ -263,11 +278,11 @@ fn run_columnar_workload(t_rows: u64, stores: bool, limits: ExecLimits) -> Vec<V
     db.set_exec_limits(limits);
     let mut out = Vec::new();
     for q in QUERIES {
-        out.push(db.execute(q).unwrap_or_else(|e| panic!("{q}: {e}")).rows);
+        out.push(run_query(&db, q, reference).unwrap_or_else(|e| panic!("{q}: {e}")));
     }
     mutate(&db);
     for q in QUERIES {
-        out.push(db.execute(q).unwrap_or_else(|e| panic!("{q} (post-DML): {e}")).rows);
+        out.push(run_query(&db, q, reference).unwrap_or_else(|e| panic!("{q} (post-DML): {e}")));
     }
     if stores {
         for col in ["b", "c"] {
@@ -278,41 +293,25 @@ fn run_columnar_workload(t_rows: u64, stores: bool, limits: ExecLimits) -> Vec<V
     assert_eq!(db.exec_stats().columnar_scans > 0, stores, "wrong side of the differential");
     check_derived(&db);
     for q in QUERIES {
-        out.push(db.execute(q).unwrap_or_else(|e| panic!("{q} (rebuilt): {e}")).rows);
+        out.push(run_query(&db, q, reference).unwrap_or_else(|e| panic!("{q} (rebuilt): {e}")));
     }
     out
 }
 
 /// The columnar access paths are pure read accelerators: with every column
 /// of the workload stored columnar, every query must return byte-identical
-/// rows to the heap paths of the store-less twin, across both engines, 1
-/// and 4 threads, pre- and post-DML, and across a store drop/rebuild
-/// crossing.
+/// rows to the heap paths of the store-less twin's serial run (whose rows
+/// agree with the reference), at 1 and 4 threads and blocks of 3 and 1024
+/// rows, pre- and post-DML, and across a store drop/rebuild crossing.
 #[test]
 fn columnar_paths_match_heap_paths_byte_identically() {
-    let oracle = run_columnar_workload(
-        T_ROWS,
-        false,
-        ExecLimits { mode: ExecMode::Materialize, exec_threads: 1, ..ExecLimits::default() },
-    );
-    let mut configs = Vec::new();
+    let oracle = run_columnar_workload(T_ROWS, false, serial(), true);
     for threads in [1usize, 4] {
-        configs.push(ExecLimits {
-            mode: ExecMode::Materialize,
-            exec_threads: threads,
-            ..ExecLimits::default()
-        });
         for block_rows in [3usize, 1024] {
-            configs.push(ExecLimits {
-                mode: ExecMode::Streaming,
-                exec_threads: threads,
-                block_rows,
-                ..ExecLimits::default()
-            });
+            let limits = ExecLimits { exec_threads: threads, block_rows, ..ExecLimits::default() };
+            let got = run_columnar_workload(T_ROWS, true, limits, false);
+            assert_matches_heap_twin(&got, &oracle, limits);
         }
-    }
-    for limits in configs {
-        assert_matches_heap_twin(&run_columnar_workload(T_ROWS, true, limits), &oracle, limits);
     }
 }
 
@@ -327,9 +326,9 @@ fn assert_matches_heap_twin(
         let phase = ["pre", "post", "rebuilt"][i / QUERIES.len()];
         assert_eq!(
             g, o,
-            "query {q:?} ({phase}-DML) diverged from the heap twin under mode={:?} \
-             block_rows={} threads={}",
-            limits.mode, limits.block_rows, limits.exec_threads
+            "query {q:?} ({phase}-DML) diverged from the heap twin under block_rows={} \
+             threads={}",
+            limits.block_rows, limits.exec_threads
         );
     }
 }
@@ -372,28 +371,19 @@ fn columnar_paths_actually_engage() {
 /// The batched word-parallel kernels run on sealed segments, so this is the
 /// columnar differential over a table large enough to hold one (holes in the
 /// liveness bitmap after the DML exercise the masked kernel paths): the
-/// whole workload must come back byte-identical to the heap twin's, across
-/// engines and block sizes. A vacuity guard then checks the batched counters
+/// whole workload must come back byte-identical to the heap twin's serial
+/// run, across thread counts and block sizes. (The twin's rows at 2 000 rows
+/// are checked against the reference above.) A vacuity guard then checks the batched counters
 /// move and the dictionary-code rewrite fires on a text range. (The scalar
 /// per-slot loops the kernels replaced are compared slot by slot in the
 /// `columnar.rs` unit differentials.)
 #[test]
 fn batched_kernels_match_heap_twin_byte_identically() {
     const SEALED: u64 = 6_000;
-    let serial_oracle =
-        ExecLimits { mode: ExecMode::Materialize, exec_threads: 1, ..ExecLimits::default() };
-    let oracle = run_columnar_workload(SEALED, false, serial_oracle);
-    let mut configs = vec![serial_oracle];
+    let oracle = run_columnar_workload(SEALED, false, serial(), false);
     for (threads, block_rows) in [(1usize, 3usize), (1, 1024), (4, 1024)] {
-        configs.push(ExecLimits {
-            mode: ExecMode::Streaming,
-            exec_threads: threads,
-            block_rows,
-            ..ExecLimits::default()
-        });
-    }
-    for limits in configs {
-        assert_matches_heap_twin(&run_columnar_workload(SEALED, true, limits), &oracle, limits);
+        let limits = ExecLimits { exec_threads: threads, block_rows, ..ExecLimits::default() };
+        assert_matches_heap_twin(&run_columnar_workload(SEALED, true, limits, false), &oracle, limits);
     }
 
     // Vacuity guard: `b` and `c` are unindexed, so their range predicates
@@ -424,12 +414,7 @@ fn batched_kernels_match_heap_twin_byte_identically() {
 #[test]
 fn limit_early_stop_reaches_the_scan() {
     let db = build_db();
-    db.set_exec_limits(ExecLimits {
-        mode: ExecMode::Streaming,
-        block_rows: 64,
-        exec_threads: 1,
-        ..ExecLimits::default()
-    });
+    db.set_exec_limits(ExecLimits { block_rows: 64, exec_threads: 1, ..ExecLimits::default() });
     let before = db.exec_stats();
     let r = db.execute("SELECT a FROM t LIMIT 10").unwrap();
     assert_eq!(r.rows.len(), 10);
@@ -446,42 +431,36 @@ fn limit_early_stop_reaches_the_scan() {
 }
 
 /// A capped index probe (exact bounds + LIMIT) returns the same rows as
-/// the uncapped plan: the cap keeps the smallest rowids, which are exactly
-/// the rows the executor would have emitted first.
+/// the uncapped plan — the same statement without its LIMIT, cut after
+/// its first rows: the cap keeps the smallest rowids, which are exactly
+/// the rows the executor would have emitted first. The capped rows also
+/// agree with the reference.
 #[test]
 fn limit_pushdown_into_index_probe_is_exact() {
     let db = build_db();
+    db.set_exec_limits(ExecLimits { block_rows: 2, exec_threads: 1, ..ExecLimits::default() });
     let mut index_queries = 0u64;
-    for sql in [
-        "SELECT a, b, c, d FROM t WHERE a = 77 LIMIT 1",
-        "SELECT a, c FROM t WHERE a = 77 LIMIT 2",
-        "SELECT a, c FROM t WHERE a BETWEEN 40 AND 45 LIMIT 3",
-        "SELECT a, c FROM t WHERE a > 990 AND a < 995 LIMIT 4",
+    for (sql, n) in [
+        ("SELECT a, b, c, d FROM t WHERE a = 77", 1),
+        ("SELECT a, c FROM t WHERE a = 77", 2),
+        ("SELECT a, c FROM t WHERE a BETWEEN 40 AND 45", 3),
+        ("SELECT a, c FROM t WHERE a > 990 AND a < 995", 4),
     ] {
-        db.set_exec_limits(ExecLimits {
-            mode: ExecMode::Materialize,
-            exec_threads: 1,
-            ..ExecLimits::default()
-        });
         let base = db.exec_stats().index_scans;
-        let want = db.execute(sql).unwrap().rows;
-        let mat_used_index = db.exec_stats().index_scans - base;
-        db.set_exec_limits(ExecLimits {
-            mode: ExecMode::Streaming,
-            block_rows: 2,
-            exec_threads: 1,
-            ..ExecLimits::default()
-        });
+        let mut want = db.execute(sql).unwrap().rows;
+        want.truncate(n);
+        let uncapped_used_index = db.exec_stats().index_scans - base;
+        let capped = format!("{sql} LIMIT {n}");
         let before = db.exec_stats().index_scans;
-        let got = db.execute(sql).unwrap().rows;
-        assert_eq!(got, want, "{sql}");
-        // Both engines share the planner, so access-path choice must agree.
+        let got = run_query(&db, &capped, true).unwrap();
+        assert_eq!(got, want, "{capped}");
+        // The planner costs access paths before LIMIT, so both agree.
         assert_eq!(
             db.exec_stats().index_scans - before,
-            mat_used_index,
-            "{sql}: engines chose different access paths"
+            uncapped_used_index,
+            "{capped}: the LIMIT changed the access path"
         );
-        index_queries += mat_used_index;
+        index_queries += uncapped_used_index;
     }
     assert!(
         index_queries >= 2,
@@ -581,44 +560,38 @@ const JOIN_AGG_QUERIES: &[&str] = &[
     "SELECT p.id, s.k, s.v FROM p LEFT JOIN s ON p.k = s.k AND s.v <> p.x",
 ];
 
-fn run_join_workload(limits: ExecLimits) -> Vec<Vec<Vec<Datum>>> {
+fn run_join_workload(limits: ExecLimits, reference: bool) -> Vec<Vec<Vec<Datum>>> {
     let db = build_join_db();
     db.set_exec_limits(limits);
     let mut out = Vec::new();
     for q in JOIN_AGG_QUERIES {
-        out.push(db.execute(q).unwrap_or_else(|e| panic!("{q}: {e}")).rows);
+        out.push(run_query(&db, q, reference).unwrap_or_else(|e| panic!("{q}: {e}")));
     }
     mutate(&db);
     db.execute("DELETE FROM u WHERE g % 13 = 3").unwrap();
     check_derived(&db);
     for q in JOIN_AGG_QUERIES {
-        out.push(db.execute(q).unwrap_or_else(|e| panic!("{q} (post-DML): {e}")).rows);
+        out.push(run_query(&db, q, reference).unwrap_or_else(|e| panic!("{q} (post-DML): {e}")));
     }
     out
 }
 
-/// The crossing: serial oracle (materializing engine, one thread — the
-/// serial breakers) against threads {1,2,4,8} x block_rows {1,1024} on the
-/// streaming engine. Byte-identical everywhere, pre- and post-DML, over
-/// promoted columns.
+/// The crossing: the serial run (one thread — the serial breakers), whose
+/// rows agree with the reference, against threads {1,2,4,8} x block_rows
+/// {1,1024}. Byte-identical everywhere, pre- and post-DML, over promoted
+/// columns.
 #[test]
 fn parallel_breakers_match_serial_byte_identically() {
-    let oracle = run_join_workload(ExecLimits {
-        mode: ExecMode::Materialize,
-        exec_threads: 1,
-        ..ExecLimits::default()
-    });
+    let oracle = run_join_workload(serial(), true);
     assert!(oracle.iter().any(|r| !r.is_empty()), "join workload returned nothing");
 
     for threads in [1usize, 2, 4, 8] {
         for block_rows in [1usize, 1024] {
-            let limits = ExecLimits {
-                mode: ExecMode::Streaming,
-                exec_threads: threads,
-                block_rows,
-                ..ExecLimits::default()
-            };
-            let got = run_join_workload(limits);
+            if (threads, block_rows) == (1, 1024) {
+                continue;
+            }
+            let limits = ExecLimits { exec_threads: threads, block_rows, ..ExecLimits::default() };
+            let got = run_join_workload(limits, false);
             assert_eq!(got.len(), oracle.len());
             for (i, (g, o)) in got.iter().zip(&oracle).enumerate() {
                 let q = JOIN_AGG_QUERIES[i % JOIN_AGG_QUERIES.len()];
@@ -640,12 +613,7 @@ fn parallel_breakers_match_serial_byte_identically() {
 #[test]
 fn parallel_breakers_actually_engage() {
     let db = build_db();
-    let limits = |exec_threads| ExecLimits {
-        mode: ExecMode::Streaming,
-        exec_threads,
-        block_rows: 1024,
-        ..ExecLimits::default()
-    };
+    let limits = |exec_threads| ExecLimits { exec_threads, block_rows: 1024, ..ExecLimits::default() };
     db.set_exec_limits(limits(4));
 
     let before = db.exec_stats();
@@ -690,11 +658,7 @@ fn parallel_breakers_actually_engage() {
 fn probe_queries_run_inside_the_morsels() {
     let db = build_join_db();
     for (threads, fused) in [(1, false), (2, true)] {
-        db.set_exec_limits(ExecLimits {
-            mode: ExecMode::Streaming,
-            exec_threads: threads,
-            ..ExecLimits::default()
-        });
+        db.set_exec_limits(ExecLimits { exec_threads: threads, ..ExecLimits::default() });
         for q in JOIN_AGG_QUERIES.iter().filter(|q| q.contains("FROM p ")) {
             let before = db.exec_stats().join_probe_morsels;
             db.execute(q).unwrap();
@@ -707,7 +671,8 @@ fn probe_queries_run_inside_the_morsels() {
 /// Equi-join and group keys must use exact Int/Float comparison: 2^53 + 1
 /// is not representable as f64, so it must not match 2^53.0 even though
 /// casting it to f64 yields exactly that value. Runs over both join
-/// algorithms (hash, and merge via a starved work_mem) and both engines.
+/// algorithms (hash, and merge via a starved work_mem) at one and four
+/// threads, and agrees with the reference.
 #[test]
 fn int_float_join_and_group_keys_are_exact() {
     let db = Database::in_memory();
@@ -733,22 +698,18 @@ fn int_float_join_and_group_keys_are_exact() {
             // starve the hash build so the planner switches to merge join
             db.set_planner_config(PlannerConfig { work_mem: wm, ..Default::default() });
         }
-        for mode in [ExecMode::Materialize, ExecMode::Streaming] {
-            for threads in [1usize, 4] {
-                db.set_exec_limits(ExecLimits {
-                    mode,
-                    exec_threads: threads,
-                    block_rows: 2,
-                    ..ExecLimits::default()
-                });
-                let r = db
-                    .execute("SELECT bi.x FROM bi JOIN bf ON bi.x = bf.y ORDER BY bi.x")
-                    .unwrap();
-                assert_eq!(
-                    r.rows, expect,
-                    "inexact join keys under work_mem={work_mem:?} mode={mode:?} threads={threads}"
-                );
-            }
+        for threads in [1usize, 4] {
+            db.set_exec_limits(ExecLimits {
+                exec_threads: threads,
+                block_rows: 2,
+                ..ExecLimits::default()
+            });
+            let sql = "SELECT bi.x FROM bi JOIN bf ON bi.x = bf.y ORDER BY bi.x";
+            let rows = run_query(&db, sql, true).unwrap();
+            assert_eq!(
+                rows, expect,
+                "inexact join keys under work_mem={work_mem:?} threads={threads}"
+            );
         }
     }
 
@@ -762,36 +723,26 @@ fn int_float_join_and_group_keys_are_exact() {
          (9007199254740992, 0.0), (NULL, 1.0), (1, 0.0)",
     )
     .unwrap();
-    for mode in [ExecMode::Materialize, ExecMode::Streaming] {
-        for threads in [1usize, 4] {
-            db.set_exec_limits(ExecLimits {
-                mode,
-                exec_threads: threads,
-                block_rows: 2,
-                ..ExecLimits::default()
-            });
-            let r = db
-                .execute(
-                    "SELECT COUNT(*) FROM m GROUP BY COALESCE(x, y) ORDER BY COALESCE(x, y)",
-                )
-                .unwrap();
-            assert_eq!(
-                r.rows,
-                vec![vec![Datum::Int(2)], vec![Datum::Int(2)], vec![Datum::Int(1)]],
-                "inexact group keys under mode={mode:?} threads={threads}"
-            );
-        }
+    for threads in [1usize, 4] {
+        db.set_exec_limits(ExecLimits { exec_threads: threads, block_rows: 2, ..ExecLimits::default() });
+        let sql = "SELECT COUNT(*) FROM m GROUP BY COALESCE(x, y) ORDER BY COALESCE(x, y)";
+        assert_eq!(
+            run_query(&db, sql, true).unwrap(),
+            vec![vec![Datum::Int(2)], vec![Datum::Int(2)], vec![Datum::Int(1)]],
+            "inexact group keys under threads={threads}"
+        );
     }
 }
 
 /// An integer `SUM` whose partial sums overflow i64 only when merged:
 /// 4 096 rows of about 9·10^15 in one group, 3.6864·10^19 in all. Every
-/// thread count must return the serial fold's float, which promotes to
-/// float at one row and rounds every later addition; a merge that
-/// dropped a partial sum once returned 1.3824·10^19 at two and four
-/// threads, and one that promoted at a morsel boundary rounds otherwise.
+/// thread count must return the serial fold's float (one thread's, which
+/// agrees with the reference's fold), which promotes to float at one row
+/// and rounds every later addition; a merge that dropped a partial sum
+/// once returned 1.3824·10^19 at two and four threads, and one that
+/// promoted at a morsel boundary rounds otherwise.
 #[test]
-fn integer_sum_overflowing_in_a_merge_matches_materialize() {
+fn integer_sum_overflowing_in_a_merge_matches_the_serial_fold() {
     let db = Database::in_memory();
     db.execute("CREATE TABLE huge (g int, v int)").unwrap();
     for chunk in 0..8u64 {
@@ -805,18 +756,18 @@ fn integer_sum_overflowing_in_a_merge_matches_materialize() {
         "SELECT SUM(v), AVG(v) FROM huge",
     ];
     for sql in queries {
-        let run = |mode, exec_threads| {
-            db.set_exec_limits(ExecLimits { mode, exec_threads, ..ExecLimits::default() });
-            db.execute(sql).unwrap().rows
+        let run = |exec_threads, reference| {
+            db.set_exec_limits(ExecLimits { exec_threads, ..ExecLimits::default() });
+            run_query(&db, sql, reference).unwrap()
         };
-        let oracle = run(ExecMode::Materialize, 1);
+        let oracle = run(1, true);
         let sum = oracle[0].iter().find_map(|d| match d {
             Datum::Float(f) if *f > 3.68e19 => Some(*f),
             _ => None,
         });
         assert!(sum.is_some_and(|f| f < 3.69e19), "{sql}: {oracle:?}");
-        for threads in [1, 2, 4] {
-            assert_eq!(run(ExecMode::Streaming, threads), oracle, "{sql} at {threads} threads");
+        for threads in [2, 4] {
+            assert_eq!(run(threads, false), oracle, "{sql} at {threads} threads");
         }
     }
 }

@@ -2,11 +2,13 @@
 //! morsel-parallel scan folds each morsel into its own group table and
 //! merges the tables in morsel order; over any other input, buffered
 //! chunks do the same. Every statement here must return the rows — or the
-//! error text — of the materializing oracle and of one exec thread, at
-//! 2, 4 and 8 threads and at blocks of 1 and 1 024 rows, and the serial
-//! fallback must engage exactly where a table would not merge exactly.
+//! error text — of one exec thread at 2, 4 and 8 threads and at blocks of
+//! 1 and 1 024 rows, one thread's answer must agree with the plan-free
+//! reference's, and the serial fallback must engage exactly where a table
+//! would not merge exactly.
 
-use sinew_rdbms::{Database, Datum, DbError, DbResult, ExecLimits, ExecMode};
+use sinew_rdbms::{Database, Datum, DbError, DbResult, ExecLimits};
+use sinew_reference::Answer;
 use std::sync::Arc;
 
 /// splitmix64 — seeded data without a rand crate.
@@ -120,37 +122,40 @@ const QUERIES: &[(&str, u64)] = &[
     ("SELECT c, SUM(f), SUM(fail_at(id, 3500)) FROM t GROUP BY c", 1),
 ];
 
-fn limits(mode: ExecMode, exec_threads: usize, block_rows: usize) -> ExecLimits {
-    ExecLimits {
-        mode,
-        exec_threads,
-        block_rows,
-        ..ExecLimits::default()
-    }
+fn limits(exec_threads: usize, block_rows: usize) -> ExecLimits {
+    ExecLimits { exec_threads, block_rows, ..ExecLimits::default() }
 }
 
 /// Rows, or the error's text.
 type Outcome = Result<Vec<Vec<Datum>>, String>;
 
-/// Every statement at every crossing against the oracle and one thread;
-/// returns the oracle's outcomes.
+/// The reference's answer to every statement, over `db`'s rows now.
+fn reference(db: &Database) -> Vec<DbResult<Answer>> {
+    QUERIES.iter().map(|(sql, _)| sinew_reference::query(db, sql)).collect()
+}
+
+/// Every statement at every crossing against one thread, whose outcome
+/// must agree with `want`, the reference's answers over the rows the
+/// statements see; returns one thread's outcomes.
 fn check_crossings(
     db: &Database,
     mut exec: impl FnMut(&str) -> DbResult<Vec<Vec<Datum>>>,
+    want: &[DbResult<Answer>],
     what: &str,
 ) -> Vec<Outcome> {
-    let mut run = |sql: &str| -> Outcome { exec(sql).map_err(|e| e.to_string()) };
     let mut oracles = Vec::new();
-    for &(sql, fallbacks) in QUERIES {
-        db.set_exec_limits(limits(ExecMode::Materialize, 1, 1024));
-        let oracle = run(sql);
-        db.set_exec_limits(limits(ExecMode::Streaming, 1, 1024));
-        assert_eq!(run(sql), oracle, "{what}: one thread, {sql}");
+    for (&(sql, fallbacks), want) in QUERIES.iter().zip(want) {
+        db.set_exec_limits(limits(1, 1024));
+        let serial = exec(sql);
+        if let Err(e) = sinew_reference::agree(&serial, want) {
+            panic!("{what}: {sql} disagrees with the reference: {e}");
+        }
+        let oracle = serial.map_err(|e| e.to_string());
         for threads in [2, 4, 8] {
             for block_rows in [1, 1024] {
-                db.set_exec_limits(limits(ExecMode::Streaming, threads, block_rows));
+                db.set_exec_limits(limits(threads, block_rows));
                 let before = db.exec_stats();
-                let got = run(sql);
+                let got = exec(sql).map_err(|e| e.to_string());
                 let after = db.exec_stats();
                 let at = format!("{what}: {threads} threads, blocks of {block_rows}, {sql}");
                 assert_eq!(got, oracle, "{at}");
@@ -174,6 +179,7 @@ fn morsel_aggregation_matches_the_oracle_at_every_crossing() {
         let oracles = check_crossings(
             &db,
             |sql| db.execute(sql).map(|r| r.rows),
+            &reference(&db),
             &format!("seed {seed}"),
         );
         assert!(
@@ -187,7 +193,7 @@ fn morsel_aggregation_matches_the_oracle_at_every_crossing() {
 fn the_first_occurrence_of_a_group_key_is_emitted() {
     let db = build_db(7);
     for threads in [1, 2, 4, 8] {
-        db.set_exec_limits(limits(ExecMode::Streaming, threads, 1024));
+        db.set_exec_limits(limits(threads, 1024));
         let rows = db
             .execute("SELECT COALESCE(k, kf), COUNT(*) FROM t GROUP BY COALESCE(k, kf)")
             .unwrap()
@@ -205,7 +211,7 @@ fn the_first_occurrence_of_a_group_key_is_emitted() {
 fn fallback_and_merge_counts_with_a_crew() {
     let db = build_db(7);
     let counts = |sql: &str, threads| {
-        db.set_exec_limits(limits(ExecMode::Streaming, threads, 1024));
+        db.set_exec_limits(limits(threads, 1024));
         let before = db.exec_stats();
         db.execute(sql).unwrap();
         let after = db.exec_stats();
@@ -230,11 +236,13 @@ fn fallback_and_merge_counts_with_a_crew() {
 
 /// A reader's snapshot, taken before concurrent inserts and deletes,
 /// fixes what every crossing sees — the serial fallback's second read of
-/// its morsels included.
+/// its morsels included — and what it sees agrees with the reference's
+/// answers over the rows before the writes.
 #[test]
 fn a_snapshot_taken_before_concurrent_writes_holds() {
     let db = build_db(99);
-    db.set_exec_limits(limits(ExecMode::Materialize, 1, 1024));
+    db.set_exec_limits(limits(1, 1024));
+    let answers = reference(&db);
     let want: Vec<Outcome> = QUERIES
         .iter()
         .map(|(sql, _)| db.execute(sql).map(|r| r.rows).map_err(|e| e.to_string()))
@@ -255,7 +263,8 @@ fn a_snapshot_taken_before_concurrent_writes_holds() {
     db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", ")))
         .unwrap();
     db.execute("DELETE FROM t WHERE a % 5 = 0").unwrap();
-    let seen = check_crossings(&db, |sql| reader.execute(sql).map(|r| r.rows), "snapshot");
+    let seen =
+        check_crossings(&db, |sql| reader.execute(sql).map(|r| r.rows), &answers, "snapshot");
     assert_eq!(seen, want, "the snapshot saw the concurrent writes");
     reader.execute("COMMIT").unwrap();
     // And the writes are there for a new statement.

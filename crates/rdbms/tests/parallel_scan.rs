@@ -3,7 +3,7 @@
 //! enforce the intermediate-row limit across workers, and turn worker
 //! panics into clean errors (no partial results, no poisoned state).
 
-use sinew_rdbms::{Database, Datum, DbError, DbResult, ExecLimits, ExecMode, QueryResult};
+use sinew_rdbms::{Database, Datum, DbError, DbResult, ExecLimits, QueryResult};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -30,10 +30,9 @@ fn db_with_big_table() -> Database {
     db
 }
 
-/// Limits for this suite: the streaming engine, where the morsel-parallel
-/// scan lives (the materializing oracle is serial).
+/// Limits for this suite: `threads` exec threads.
 fn limits(threads: usize) -> ExecLimits {
-    ExecLimits { exec_threads: threads, mode: ExecMode::Streaming, ..ExecLimits::default() }
+    ExecLimits { exec_threads: threads, ..ExecLimits::default() }
 }
 
 fn with_threads(db: &Database, threads: usize) {

@@ -1,25 +1,21 @@
 //! Differential property tests: Sinew's full pipeline (serialize → catalog
 //! → rewrite → plan → execute, with and without materialization) must agree
 //! with a direct evaluation of the same predicate over the raw JSON
-//! documents — under whichever executor configuration the case draws.
+//! documents — under whichever executor configuration the case draws — and
+//! with the plan-free reference evaluating the rewritten statement.
 
 use proptest::prelude::*;
 use sinew::core::AnalyzerPolicy;
 use sinew::json::Value;
-use sinew::rdbms::{ExecLimits, ExecMode};
+use sinew::rdbms::ExecLimits;
 use sinew::Sinew;
 
-/// The executor configurations a case may run under: both engines, block
-/// sizes that put a boundary after every row, after every third, and
-/// nowhere in these collections, serial and four-way parallel.
+/// The executor configurations a case may run under: block sizes that put
+/// a boundary after every row, after every third, and nowhere in these
+/// collections, serial and four-way parallel.
 fn arb_limits() -> impl Strategy<Value = ExecLimits> {
-    (
-        prop_oneof![Just(ExecMode::Streaming), Just(ExecMode::Materialize)],
-        prop_oneof![Just(1usize), Just(3), Just(1024)],
-        prop_oneof![Just(1usize), Just(4)],
-    )
-        .prop_map(|(mode, block_rows, exec_threads)| ExecLimits {
-            mode,
+    (prop_oneof![Just(1usize), Just(3), Just(1024)], prop_oneof![Just(1usize), Just(4)])
+        .prop_map(|(block_rows, exec_threads)| ExecLimits {
             block_rows,
             exec_threads,
             ..ExecLimits::default()
@@ -30,6 +26,18 @@ fn sinew_under(limits: ExecLimits) -> Sinew {
     let sinew = Sinew::in_memory();
     sinew.db().set_exec_limits(limits);
     sinew
+}
+
+/// `sql`'s rows, which must agree with the reference's answer to the
+/// statement the rewriter made of it.
+fn query_checked(sinew: &Sinew, sql: &str) -> Vec<Vec<sinew::Datum>> {
+    let got = sinew.query(sql).map(|r| r.rows);
+    let physical = sinew.rewrite(sql).unwrap();
+    let want = sinew_reference::query(sinew.db(), &physical);
+    if let Err(e) = sinew_reference::agree(&got, &want) {
+        panic!("{sql} (rewritten: {physical}) disagrees with the reference: {e}");
+    }
+    got.unwrap()
 }
 
 /// A generated document: a handful of keys from a small universe so that
@@ -147,9 +155,9 @@ proptest! {
             sinew.materialize_until_clean("t").unwrap();
         }
         let sql = format!("SELECT COUNT(*) FROM t WHERE {}", pred.to_sql());
-        let r = sinew.query(&sql).unwrap();
+        let rows = query_checked(&sinew, &sql);
         prop_assert_eq!(
-            r.rows[0][0].clone(),
+            rows[0][0].clone(),
             sinew::Datum::Int(expected),
             "query: {}; materialized: {}; {:?}",
             sql,
@@ -209,9 +217,9 @@ proptest! {
         // run the materializer in bounded steps, checking after every step
         let sql = format!("SELECT COUNT(*) FROM t WHERE {}", pred.to_sql());
         for _ in 0..200 {
-            let r = sinew.query(&sql).unwrap();
+            let rows = query_checked(&sinew, &sql);
             prop_assert_eq!(
-                r.rows[0][0].clone(),
+                rows[0][0].clone(),
                 sinew::Datum::Int(expected),
                 "query: {}; {:?}",
                 sql,
