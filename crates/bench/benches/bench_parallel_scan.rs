@@ -6,8 +6,9 @@
 //! at one and more threads, and a 1 %-selective filter projecting k =
 //! 1/3/5 virtual keys, which tests the filter's key in place for every row
 //! (DESIGN.md §27) and decodes the projected keys only for the rows that
-//! pass (DESIGN.md §25), and the Q11 self-join in both `FROM` orders
-//! (DESIGN.md §30). Two groups run over materialized columns, where a
+//! pass (DESIGN.md §25), the Q11 self-join in both `FROM` orders
+//! (DESIGN.md §30), and Q9 and the §6.6 `UPDATE`, whose filters on a
+//! sparse key read only the pages that hold it (DESIGN.md §32). Two groups run over materialized columns, where a
 //! scan tests its filter before it builds the rest of a row (DESIGN.md
 //! §28): Q8 over a physical array column with one survivor, and the §6.6
 //! `UPDATE` at one and two threads.
@@ -61,7 +62,10 @@ fn bench_parallel_scan(c: &mut Criterion) {
 /// at 1/2/4 threads, and NoBench Q5 and Q8, whose filters are value tests
 /// (DESIGN.md §27). Then NoBench Q11 at 1/2 threads in both `FROM`
 /// orders: the hash join builds the filtered side either way and probes
-/// inside the other side's scan morsels (DESIGN.md §30).
+/// inside the other side's scan morsels (DESIGN.md §30). Last, NoBench Q9
+/// and the §6.6 `UPDATE` at 1/2 threads: each filters on a sparse key
+/// that about one page in seven holds, so the page synopsis keeps each
+/// statement to at most `MAX_SPARSE_READS` file reads (DESIGN.md §32).
 fn bench_past_the_pool(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("sinew-bench-spill-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -121,9 +125,39 @@ fn bench_past_the_pool(c: &mut Criterion) {
         }
     }
     g.finish();
+
+    let q9 = format!("{select} WHERE {} = '{}'", p.sparse_pred_key, p.sparse_pred_val);
+    let update = format!(
+        "UPDATE nobench SET {} = 'DUMMY' WHERE {} = '{}'",
+        p.update_set_key, p.update_where_key, p.update_where_val
+    );
+    for (name, sql) in [("q9_sparse_past_the_pool", &q9), ("update_sparse_past_the_pool", &update)] {
+        for threads in [1usize, 2] {
+            with_threads(&sinew, threads);
+            sinew.query(sql).unwrap();
+            sinew.db().reset_io_stats();
+            sinew.query(sql).unwrap();
+            let reads = sinew.db().io_stats().disk_reads;
+            assert!(reads <= MAX_SPARSE_READS, "{name} at {threads} threads: {reads} file reads");
+        }
+        let mut g = c.benchmark_group(name);
+        g.sample_size(10);
+        for threads in [1usize, 2] {
+            g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
+                with_threads(&sinew, t);
+                b.iter(|| black_box(sinew.query(sql).unwrap().rows.len()))
+            });
+        }
+        g.finish();
+    }
     drop(sinew);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// File reads one sparse-key statement may make on the spill shape: about
+/// 500 without pruning (every data page the pool does not hold), about 70
+/// with it.
+const MAX_SPARSE_READS: u64 = 110;
 
 /// Late extraction: `thousandth < 10` passes 1 % of the rows, so the
 /// projected keys cost k decodes per passing row on top of the filter's

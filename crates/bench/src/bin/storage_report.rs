@@ -75,6 +75,9 @@ fn check_report(report: &StorageReport) -> Result<(), String> {
     if report.physical_columns.is_empty() {
         return Err("no column materialized after the analyzer cycle".into());
     }
+    if report.synopsis_bytes == 0 || get("synopsis_bytes") != Some(&Value::Int(report.synopsis_bytes as i64)) {
+        return Err("the collection's heap keeps no page synopsis".into());
+    }
     // Every counter of both tables must come back out of the JSON under
     // its own name with its own value, and show up in the text report.
     let same = |json: &Value, sample: &Sample| match (json, sample) {

@@ -140,7 +140,7 @@ impl Sinew {
         let metrics = Arc::new(Metrics::default());
         let catalog = Arc::new(Catalog::load(&db, metrics.clone())?);
         let rowid_sets = udfs::RowIdSets::default();
-        udfs::install(&db, &catalog, &rowid_sets, &metrics);
+        udfs::install(&db, &catalog, &rowid_sets, &metrics)?;
         // Version reclamation for quiescent periods; holds only a Weak on
         // the database, so it dies with the last strong reference.
         background::spawn_vacuum(&db, &metrics);

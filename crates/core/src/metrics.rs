@@ -307,6 +307,10 @@ pub struct StorageReport {
     pub reservoir_bytes: u64,
     /// Bytes held in materialized physical columns.
     pub column_bytes: u64,
+    /// Bytes the table's heap page synopsis holds in memory (DESIGN.md
+    /// §32): 128 per data page that has held a tuple. Not stored; rebuilt
+    /// on open.
+    pub synopsis_bytes: u64,
     /// Rows sampled for the per-column cardinality estimates.
     pub sampled_rows: u64,
     /// RDBMS executor counters (morsel-parallel scan pipeline): parallel
@@ -453,6 +457,7 @@ fn storage_report_once(sinew: &Sinew, table: &str) -> DbResult<StorageReport> {
         columnar,
         reservoir_bytes,
         column_bytes,
+        synopsis_bytes: db.table_synopsis_bytes(table)?,
         sampled_rows,
         exec: db.exec_stats(),
         io: db.io_stats(),
@@ -469,8 +474,8 @@ impl StorageReport {
         let _ = writeln!(out, "== storage report: {} ==", self.table);
         let _ = writeln!(
             out,
-            "rows: {}   reservoir: {} B   physical columns: {} B",
-            self.rows, self.reservoir_bytes, self.column_bytes
+            "rows: {}   reservoir: {} B   physical columns: {} B   page synopsis: {} B",
+            self.rows, self.reservoir_bytes, self.column_bytes, self.synopsis_bytes
         );
         let render_cols = |out: &mut String, label: &str, cols: &[ColumnReport]| {
             let _ = writeln!(out, "{label} ({}):", cols.len());
@@ -638,6 +643,7 @@ impl StorageReport {
             ),
             ("reservoir_bytes".to_string(), Value::Int(self.reservoir_bytes as i64)),
             ("column_bytes".to_string(), Value::Int(self.column_bytes as i64)),
+            ("synopsis_bytes".to_string(), Value::Int(self.synopsis_bytes as i64)),
             ("sampled_rows".to_string(), Value::Int(self.sampled_rows as i64)),
             ("exec".to_string(), json_object(self.exec.walk())),
             ("io".to_string(), json_object(self.io.walk())),
@@ -750,6 +756,9 @@ mod tests {
             "scan_rows_rejected_early",
             "agg_serial_fallbacks",
             "join_probe_morsels",
+            "scan_pages_skipped",
+            "synopsis_bytes",
+            "heap_rowid_fetches",
         ];
         for (obj, keys) in [
             ("exec", PR14_EXEC_KEYS),

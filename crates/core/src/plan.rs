@@ -78,6 +78,15 @@ impl ResolvedPath {
         }
     }
 
+    /// The ids a document's top level must hold for this path to reach a
+    /// value in it: every leaf variant (a direct hit) and, below the top,
+    /// the first descent prefix's object. Empty when the path resolved to
+    /// nothing.
+    pub fn top_level_ids(&self) -> Vec<AttrId> {
+        let descend = self.descend.first().copied().flatten();
+        self.leaf.iter().map(|(id, _)| *id).chain(descend).collect()
+    }
+
     /// Walk `bytes` to the document level holding the path's leaf,
     /// *direct-first* like [`extract`]'s descent: any level that carries a
     /// full-dotted leaf variant is the holder (materialized ancestor

@@ -46,6 +46,12 @@
 //! only for the rows that pass the filter and the join. There is no
 //! multi-key call; a key a scan pipeline names twice is memoized per row
 //! by the planner's CSE (DESIGN.md §25).
+//!
+//! **Tags for page pruning.** `install` also registers the reservoir
+//! column's tagger: a document's tags are its header's attribute ids, read
+//! without decoding a value. A value test states the ids its path needs at
+//! the top level ([`ScalarFn::required_tags`]), so a heap scan skips pages
+//! that hold none of them (DESIGN.md §32).
 
 use crate::catalog::Catalog;
 use crate::extract::{self, Want};
@@ -53,6 +59,7 @@ use crate::metrics::Metrics;
 use crate::plan::ExtractionPlan;
 use parking_lot::RwLock;
 use sinew_rdbms::{Database, Datum, DbError, DbResult, ScalarFn, ValueTest};
+use sinew_serial::sinew::RawDoc;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Weak};
 
@@ -66,7 +73,7 @@ pub(crate) fn install(
     catalog: &Arc<Catalog>,
     rowid_sets: &RowIdSets,
     metrics: &Arc<Metrics>,
-) {
+) -> DbResult<()> {
     // The path-taking functions resolve their path when the call site
     // binds, in `ScalarFn::bind`, and implement `call_ref` natively: per row the
     // executor hands them the reservoir bytea by reference and they run
@@ -163,6 +170,18 @@ pub(crate) fn install(
         "__sinew_rowid_set",
         Arc::new(RowIdSetFn { sets: rowid_sets.clone(), set: None }),
     );
+
+    // A reservoir's tags are its top-level attribute ids.
+    db.register_tagger(
+        "data",
+        Arc::new(|doc: &[u8], tag: &mut dyn FnMut(u32)| match RawDoc::parse(doc) {
+            Ok(doc) => {
+                doc.ids().for_each(tag);
+                true
+            }
+            Err(_) => false,
+        }),
+    )
 }
 
 /// `args` borrowed, for a `call` that forwards to its `call_ref`.
@@ -260,6 +279,17 @@ impl ScalarFn for ValueTestFn {
         c.run("extract_key", args, self.test.on_null(), |plan, bytes| {
             plan.test(&c.cat, bytes, &self.test)
         })
+    }
+
+    /// A document lacking every top-level id of the path answers
+    /// `on_null`, so unless that is true (`IS NULL`) the test needs one of
+    /// them. No claim for a path that resolved to nothing.
+    fn required_tags(&self) -> Option<Vec<u32>> {
+        if self.test.on_null() == Datum::Bool(true) {
+            return None;
+        }
+        let ids = self.call.plan.as_ref()?.resolved.top_level_ids();
+        (!ids.is_empty()).then_some(ids)
     }
 }
 

@@ -55,7 +55,13 @@ impl Counter {
     /// Gauge-style decrement (e.g. active worker count).
     #[inline]
     pub fn dec(&self) {
-        self.0[stripe()].0.fetch_sub(1, Relaxed);
+        self.sub(1);
+    }
+
+    /// Gauge-style decrement by `n` (e.g. resident bytes released).
+    #[inline]
+    pub fn sub(&self, n: u64) {
+        self.0[stripe()].0.fetch_sub(n, Relaxed);
     }
 
     #[inline]

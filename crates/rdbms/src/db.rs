@@ -14,7 +14,7 @@ use crate::exec::{
 };
 use crate::expr::{bind, ColumnSource, EvalCtx, PhysExpr, Scope};
 use crate::func::{FuncRegistry, ScalarFn};
-use crate::heap::{Heap, RowId};
+use crate::heap::{Heap, PageTags, RowId, Tagger};
 use crate::kernels::KernelStats;
 use crate::pager::{IoSnapshot, Pager};
 use crate::plan::{AccessPath, Plan};
@@ -83,6 +83,9 @@ struct Table {
     /// garbage (or version chain) exists, index probes are distrusted and
     /// readers fall back to visibility-checked scans.
     garbage: Vec<GarbageItem>,
+    /// Physical slot of the column the heap's page synopsis tags, if the
+    /// table has the database's tagged column (DESIGN.md §32).
+    tagged: Option<usize>,
 }
 
 struct GarbageItem {
@@ -111,6 +114,50 @@ enum Publish {
 }
 
 impl Table {
+    fn new(schema: TableSchema, heap: Heap) -> Table {
+        Table {
+            schema,
+            heap,
+            indexes: Vec::new(),
+            columnar: Vec::new(),
+            garbage: Vec::new(),
+            tagged: None,
+        }
+    }
+
+    /// Point the heap's page synopsis at the database's tagged column, a
+    /// live `bytea` column of that name: rebuilt when the column's slot
+    /// changed since the last call, or always with `rebuild`; dropped when
+    /// the table has no such column.
+    fn attach_tagger(
+        &mut self,
+        tagger: Option<&(String, Tagger)>,
+        stats: &Arc<ExecStats>,
+        rebuild: bool,
+    ) -> DbResult<()> {
+        let slot = tagger.and_then(|(column, _)| {
+            let slot = self.schema.index_of(column)?;
+            (self.schema.columns[slot].ty == ColType::Bytea).then_some(slot)
+        });
+        if slot == self.tagged && !rebuild {
+            return Ok(());
+        }
+        self.tagged = slot;
+        let tuple_tagger = tagger.zip(slot).map(|((_, tag), slot)| {
+            let tag = tag.clone();
+            // Appended columns never move a slot, so these types stay right.
+            let types: Vec<ColType> = self.schema.columns[..=slot].iter().map(|c| c.ty).collect();
+            Arc::new(move |tuple: &[u8], sink: &mut dyn FnMut(u32)| {
+                match tuple::raw_column(&types, tuple, slot) {
+                    Ok(Some(value)) => tag(value, sink),
+                    Ok(None) => true,
+                    Err(_) => false,
+                }
+            }) as Tagger
+        });
+        self.heap.set_tagger(tuple_tagger, stats)
+    }
+
     /// Physical slots a row given over `cols` fills (`None` = every live
     /// column, in live order).
     fn slots_of(&self, cols: Option<&[&str]>) -> DbResult<Vec<usize>> {
@@ -482,6 +529,8 @@ pub struct Database {
     /// MVCC transaction manager: commit timestamps + snapshot registry.
     manager: TxnManager,
     plan_epoch: PlanEpoch,
+    /// The tagged column's name and its tagger (DESIGN.md §32).
+    tagger: RwLock<Option<(String, Tagger)>>,
 }
 
 /// Who holds the statement write token.
@@ -581,6 +630,7 @@ impl Database {
             write_owner_cv: Condvar::new(),
             manager: TxnManager::new(),
             plan_epoch: PlanEpoch::default(),
+            tagger: RwLock::new(None),
         }
     }
 
@@ -717,13 +767,7 @@ impl Database {
             heap.set_wal_track(true);
             db.tables.write().insert(
                 name.clone(),
-                Arc::new(RwLock::new(Table {
-                    schema: rec.schema,
-                    heap,
-                    indexes: Vec::new(),
-                    columnar: Vec::new(),
-                    garbage: Vec::new(),
-                })),
+                Arc::new(RwLock::new(Table::new(rec.schema, heap))),
             );
             rebuilds.push((name, rec.index_defs, rec.columnar_cols));
         }
@@ -1009,6 +1053,30 @@ impl Database {
         self.plan_epoch.bump();
     }
 
+    /// Tag the values of every table's `column` (a `bytea` column of that
+    /// name) with `tagger`, replacing any tagger registered before: each
+    /// such table's heap rebuilds its page synopsis from its pages now and
+    /// keeps it as rows are placed, so a scan whose filter states the tags
+    /// it requires ([`ScalarFn::required_tags`]) skips pages that hold none
+    /// of them (DESIGN.md §32). Nothing is logged; a reopened database has
+    /// no tagger until one is registered again.
+    pub fn register_tagger(&self, column: &str, tagger: Tagger) -> DbResult<()> {
+        let _g = self.write_guard();
+        let tagger = Some((column.to_string(), tagger));
+        *self.tagger.write() = tagger.clone();
+        let tables: Vec<_> = self.tables.read().values().cloned().collect();
+        for t in tables {
+            t.write().attach_tagger(tagger.as_ref(), &self.exec_stats, true)?;
+        }
+        Ok(())
+    }
+
+    /// Bytes `table`'s page synopsis holds in memory (0 without a tagged
+    /// column).
+    pub fn table_synopsis_bytes(&self, table: &str) -> DbResult<u64> {
+        Ok(self.table(table)?.read().heap.synopsis_bytes())
+    }
+
     /// Register a UDF and declare it *pure* — deterministic and
     /// side-effect free, so the planner may memoize repeated calls within
     /// a row (the scan pipeline's common-subexpression elimination).
@@ -1088,13 +1156,9 @@ impl Database {
             }
             let mut heap = Heap::new(self.pager.clone());
             heap.set_wal_track(self.wal_enabled());
-            let arc = Arc::new(RwLock::new(Table {
-                schema: TableSchema::new(cols),
-                heap,
-                indexes: Vec::new(),
-                columnar: Vec::new(),
-                garbage: Vec::new(),
-            }));
+            let mut table = Table::new(TableSchema::new(cols), heap);
+            table.attach_tagger(self.tagger.read().as_ref(), &self.exec_stats, false)?;
+            let arc = Arc::new(RwLock::new(table));
             tables.insert(name.to_string(), arc.clone());
             arc
         };
@@ -1130,6 +1194,7 @@ impl Database {
         {
             let mut t = t.write();
             t.schema.add_column(name, ty)?;
+            t.attach_tagger(self.tagger.read().as_ref(), &self.exec_stats, false)?;
             self.plan_epoch.bump();
             let (tk, _tg) = self.begin_stmt_write();
             self.wal_commit_table(table, &mut t, tk.ts)?;
@@ -1147,6 +1212,7 @@ impl Database {
             t.schema.drop_column(name)?;
             t.indexes.retain(|ix| ix.column() != name);
             t.columnar.retain(|cs| cs.column() != name);
+            t.attach_tagger(self.tagger.read().as_ref(), &self.exec_stats, false)?;
             self.plan_epoch.bump();
             let (tk, _tg) = self.begin_stmt_write();
             self.wal_commit_table(table, &mut t, tk.ts)?;
@@ -1381,6 +1447,7 @@ impl Database {
         let t = self.table(table)?;
         let t = t.read();
         let Some(bytes) = t.heap.get(rowid)? else { return Ok(None) };
+        self.exec_stats.heap_rowid_fetches.inc();
         let full = tuple::decode_tuple(&t.schema, &bytes)?;
         Ok(Some(t.schema.live_columns().map(|(i, _)| full[i].clone()).collect()))
     }
@@ -1498,6 +1565,7 @@ impl Database {
         let t = self.table(table)?;
         let t = t.read();
         let Some(bytes) = t.heap.get_vis(rowid, txn.vis())? else { return Ok(None) };
+        self.exec_stats.heap_rowid_fetches.inc();
         let full = tuple::decode_tuple(&t.schema, &bytes)?;
         Ok(Some(t.schema.live_columns().map(|(i, _)| full[i].clone()).collect()))
     }
@@ -2204,10 +2272,15 @@ impl Database {
     /// Consistency audit (tests call it after every phase): each index and
     /// each columnar store of `table` must equal the projection of the
     /// latest-committed heap, with queued index removals and pending
-    /// columnar ops taken as applied.
+    /// columnar ops taken as applied, and every tag of every tuple on a
+    /// heap page, chained versions included, must be in that page's
+    /// synopsis.
     pub fn check_derived(&self, table: &str) -> DbResult<()> {
         let t = self.table(table)?;
         let t = t.read();
+        t.heap
+            .check_synopsis()
+            .map_err(|e| DbError::Eval(format!("check_derived({table}): {e}")))?;
         let mut rows: Vec<(RowId, Vec<Datum>)> = Vec::new();
         t.heap.scan(|rowid, bytes| {
             rows.push((rowid, tuple::decode_tuple(&t.schema, bytes)?));
@@ -2577,6 +2650,21 @@ struct ScanStores<'t> {
     bound: Option<&'t ColumnStore>,
 }
 
+/// Per top-level conjunct of `filter` that is a call over the tagged
+/// column (physical slot `tagged`), the tags one of which that column's
+/// value must carry for the conjunct to hold ([`ScalarFn::required_tags`]).
+fn required_tags(
+    filter: Option<&PhysExpr>,
+    tagged: Option<usize>,
+    live: &[usize],
+) -> Vec<PageTags> {
+    let (Some(filter), Some(slot)) = (filter, tagged) else { return Vec::new() };
+    let Some(col) = live.iter().position(|&s| s == slot) else { return Vec::new() };
+    let mut need = Vec::new();
+    filter.required_tags(col, &mut need);
+    need.into_iter().map(PageTags::of).collect()
+}
+
 /// The physical slots a heap scan decodes before its filter (`first`) and
 /// after it (`rest`), when the filter reads only some of the `needed`
 /// columns; `None` when it reads them all and one decode serves.
@@ -2677,8 +2765,10 @@ impl SnapSource<'_> {
     /// `f` with the passing row, so memo slots the filter filled still hold
     /// for the caller's post filter and projection. When the filter reads
     /// only some of the `needed` columns, those are decoded first and the
-    /// rest only for a row that passes (DESIGN.md §28). The callback
-    /// returns `false` to stop the scan early. Returns the tuples visited.
+    /// rest only for a row that passes (DESIGN.md §28). Pages whose tag
+    /// synopsis rules out a filter conjunct are not read (DESIGN.md §32).
+    /// The callback returns `false` to stop the scan early. Returns the
+    /// tuples visited.
     pub(crate) fn scan_table_range(
         &self,
         table: &str,
@@ -2694,10 +2784,11 @@ impl SnapSource<'_> {
         let live: Vec<usize> = schema.live_columns().map(|(i, _)| i).collect();
         let wanted = wanted_slots(schema, needed);
         let late = filter.and_then(|fl| Some((fl, late_slots(fl, &live, &wanted)?)));
+        let need = required_tags(filter, t.tagged, &live);
         let mut fetched = 0u64;
         let mut rejected = 0u64;
         let res = match late {
-            None => t.heap.scan_range_vis(ids.start, ids.end, self.vis, |rowid, bytes| {
+            None => t.heap.scan_range_vis(ids.start, ids.end, self.vis, &need, |rowid, bytes| {
                 fetched += 1;
                 let full = tuple::decode_tuple_partial(schema, bytes, &wanted)?;
                 let row = scan_row(full, &live, rowid);
@@ -2710,7 +2801,7 @@ impl SnapSource<'_> {
                 f(row, ctx)
             }),
             Some((fl, (first, rest))) => {
-                t.heap.scan_range_vis(ids.start, ids.end, self.vis, |rowid, bytes| {
+                t.heap.scan_range_vis(ids.start, ids.end, self.vis, &need, |rowid, bytes| {
                     fetched += 1;
                     let mut full = tuple::decode_tuple_partial(schema, bytes, &first)?;
                     let id = Datum::Int(rowid as i64);
@@ -2737,7 +2828,11 @@ impl SnapSource<'_> {
         if rejected > 0 {
             stats.scan_rows_rejected_early.add(rejected);
         }
-        res.map(|()| fetched)
+        let skipped = res?;
+        if skipped > 0 {
+            stats.scan_pages_skipped.add(skipped);
+        }
+        Ok(fetched)
     }
 
     /// The secondary index on `path.column`, if this reader may trust it.
@@ -2794,7 +2889,7 @@ impl SnapSource<'_> {
             }
         }
         if fetched > 0 {
-            self.db.exec_stats.heap_fetches.add(fetched);
+            self.db.exec_stats.heap_rowid_fetches.add(fetched);
         }
         Ok(())
     }

@@ -118,6 +118,14 @@ crate::counter_table! {
     /// the row was decoded or gathered (DESIGN.md §28). A heap scan whose
     /// filter reads every needed column decodes once and counts nothing.
     executor scan_rows_rejected_early: counter,
+    /// Heap pages a scan skipped unread because their tag synopsis lacks
+    /// every tag a filter conjunct requires (DESIGN.md §32), counted once
+    /// per page change within a scan range.
+    executor scan_pages_skipped: counter,
+    /// Bytes the heaps' page synopses hold in memory, over every table: a
+    /// gauge, 128 per data page that has held a tuple of a table with a
+    /// tagged column.
+    executor synopsis_bytes: counter,
     /// Helper threads spawned for statement crews: at most
     /// `exec_threads − 1` per statement, none at one thread (DESIGN.md §26).
     executor exec_helpers_spawned: counter,
@@ -151,9 +159,13 @@ crate::counter_table! {
     columnar_access segments_pruned: counter,
     /// Covering index-only scan executions (zero heap page reads).
     columnar_access index_only_scans: counter,
-    /// Rows materialized from heap pages (scans + rowid fetches) — the
-    /// quantity a covering scan avoids; benches assert it stays flat.
+    /// Tuples a heap scan read — the quantity a covering scan avoids and
+    /// a skipped page saves; benches assert it stays flat. Fetches by row
+    /// id count in `heap_rowid_fetches`.
     columnar_access heap_fetches: counter,
+    /// Tuples read by row id: index-scan fetches and `get_row` /
+    /// `txn_get_row`.
+    columnar_access heap_rowid_fetches: counter,
     /// Value-level decodes/compares charged per scanned segment.
     columnar_access decoded_per_block: histogram,
 

@@ -406,6 +406,29 @@ impl PhysExpr {
         }
     }
 
+    /// For each top-level `AND` conjunct that is a call whose first
+    /// argument is column `col`, the tags the call requires of that
+    /// column's value, where the call states them
+    /// ([`ScalarFn::required_tags`]): a row whose value carries none of a
+    /// conjunct's tags cannot pass this filter (DESIGN.md §32).
+    pub fn required_tags(&self, col: usize, out: &mut Vec<Vec<u32>>) {
+        match self {
+            PhysExpr::Binary { op: BinaryOp::And, left, right } => {
+                left.required_tags(col, out);
+                right.required_tags(col, out);
+            }
+            PhysExpr::Memo { expr, .. } => expr.required_tags(col, out),
+            PhysExpr::Call { func, args, .. } => {
+                if let Some(PhysExpr::Column(c)) = args.first() {
+                    if *c == col {
+                        out.extend(func.required_tags());
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+
     /// True if any function call occurs in the tree. Function calls are
     /// opaque to the optimizer (no statistics), which is what triggers
     /// default selectivity estimates for Sinew's virtual columns.

@@ -15,7 +15,9 @@
 //! After costing, the planner offers a bound call the predicate it sits in
 //! ([`ScalarFn::bind_test`], [`ValueTest`]): a function that can answer the
 //! predicate from its input without producing its value takes it over
-//! (DESIGN.md §27).
+//! (DESIGN.md §27). A call that is a filter conjunct may state the tags
+//! its first argument must carry to pass ([`ScalarFn::required_tags`]),
+//! so a heap scan can skip pages that hold none (DESIGN.md §32).
 
 use crate::datum::{ColType, Datum};
 use crate::error::{DbError, DbResult};
@@ -69,6 +71,17 @@ pub trait ScalarFn: Send + Sync {
     /// `None` (the default) keeps the predicate as it is. The same rules as
     /// [`ScalarFn::bind`]: no failure, no side effect.
     fn bind_test(&self, _test: &ValueTest) -> Option<Arc<dyn ScalarFn>> {
+        None
+    }
+
+    /// Tag hook, asked by a heap scan for a call that is a whole top-level
+    /// conjunct of its filter and whose first argument is the table's
+    /// tagged column ([`crate::Database::register_tagger`]): tags at least
+    /// one of which that argument must carry for the call to return true.
+    /// The scan skips a heap page whose synopsis holds none of them
+    /// (DESIGN.md §32), so a function may claim only what holds for every
+    /// value, NULL included. `None` (the default) claims nothing.
+    fn required_tags(&self) -> Option<Vec<u32>> {
         None
     }
 }

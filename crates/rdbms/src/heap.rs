@@ -16,8 +16,15 @@
 //! heap with more data pages than the pool holds is scanned past the pool
 //! (`Pager::read_for_scan`): the scan neither fills nor flushes it. Point
 //! reads (`get`, index fetches) go through the pool as before.
+//!
+//! A heap with a tagged column keeps a page synopsis (DESIGN.md §32): per
+//! data page, a superset of the tags of every tuple version ever placed
+//! on it, set where a tuple is placed and rebuilt from the pages, never
+//! logged. A scan that states the tags its filter requires skips a page
+//! that holds none of them without reading it.
 
 use crate::error::{DbError, DbResult};
+use crate::exec::ExecStats;
 use crate::page::{self, MAX_INLINE_TUPLE, PAGE_SIZE};
 use crate::pager::{PageId, Pager};
 use crate::txn::{Vis, NO_END, TXN_BASE};
@@ -26,6 +33,93 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 pub type RowId = u64;
+
+/// Maps stored bytes to the tags they carry: calls its sink once per tag,
+/// and returns `false` when it cannot read the bytes (whatever holds them
+/// then counts as holding every tag). A database registers one for a
+/// column's values ([`crate::Database::register_tagger`]); a heap holds
+/// one over whole tuples.
+pub type Tagger = Arc<dyn Fn(&[u8], &mut dyn FnMut(u32)) -> bool + Send + Sync>;
+
+/// Bits in a page's tag set: a tag folds into it modulo this.
+pub const PAGE_TAG_BITS: usize = 1024;
+
+/// A set of tags folded into [`PAGE_TAG_BITS`] bits: a page's synopsis, or
+/// the tags one filter conjunct requires.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PageTags([u64; PAGE_TAG_BITS / 64]);
+
+impl PageTags {
+    /// Resident bytes of one page's set.
+    pub const BYTES: u64 = (PAGE_TAG_BITS / 8) as u64;
+    /// The set of a page holding a tuple its tagger could not read.
+    pub const ALL: PageTags = PageTags([u64::MAX; PAGE_TAG_BITS / 64]);
+
+    pub fn of(tags: impl IntoIterator<Item = u32>) -> PageTags {
+        let mut set = PageTags::default();
+        tags.into_iter().for_each(|t| set.insert(t));
+        set
+    }
+
+    pub fn insert(&mut self, tag: u32) {
+        let bit = tag as usize % PAGE_TAG_BITS;
+        self.0[bit / 64] |= 1 << (bit % 64);
+    }
+
+    pub fn intersects(&self, other: &PageTags) -> bool {
+        self.0.iter().zip(&other.0).any(|(a, b)| a & b != 0)
+    }
+
+    pub fn contains_all(&self, other: &PageTags) -> bool {
+        self.0.iter().zip(&other.0).all(|(a, b)| a & b == *b)
+    }
+
+    /// The tags `tagger` reads from `bytes`, or [`PageTags::ALL`].
+    fn read(tagger: &Tagger, bytes: &[u8]) -> PageTags {
+        let mut set = PageTags::default();
+        if tagger(bytes, &mut |t| set.insert(t)) {
+            set
+        } else {
+            PageTags::ALL
+        }
+    }
+}
+
+/// A heap's page synopsis: per data page, a superset of the tags of every
+/// tuple version placed on it since the last rebuild. Jumbo tuples live
+/// off the data pages and are never skipped.
+struct Synopsis {
+    /// Tags of a whole tuple.
+    tagger: Tagger,
+    pages: HashMap<PageId, PageTags>,
+    /// Holds the `synopsis_bytes` gauge.
+    stats: Arc<ExecStats>,
+}
+
+impl Synopsis {
+    fn note(&mut self, page: PageId, tuple: &[u8]) {
+        let Synopsis { tagger, pages, stats } = self;
+        let set = pages.entry(page).or_insert_with(|| {
+            stats.synopsis_bytes.add(PageTags::BYTES);
+            PageTags::default()
+        });
+        if !tagger(tuple, &mut |t| set.insert(t)) {
+            *set = PageTags::ALL;
+        }
+    }
+
+    /// May `page` hold a tuple with a tag of every set in `need`? A page
+    /// the synopsis has never seen may hold anything.
+    fn may_hold(&self, page: PageId, need: &[PageTags]) -> bool {
+        self.pages.get(&page).is_none_or(|set| need.iter().all(|n| set.intersects(n)))
+    }
+}
+
+impl Drop for Synopsis {
+    fn drop(&mut self) {
+        self.stats.synopsis_bytes.sub(self.pages.len() as u64 * PageTags::BYTES);
+    }
+}
 
 #[derive(Debug, Clone)]
 enum Loc {
@@ -81,6 +175,8 @@ pub struct Heap {
     wal_track: bool,
     wal_touched: Vec<RowId>,
     wal_new_pages: Vec<PageId>,
+    /// Tags per data page, when the table has a tagged column.
+    synopsis: Option<Synopsis>,
 }
 
 impl Heap {
@@ -101,6 +197,7 @@ impl Heap {
             wal_track: false,
             wal_touched: Vec::new(),
             wal_new_pages: Vec::new(),
+            synopsis: None,
         }
     }
 
@@ -170,7 +267,17 @@ impl Heap {
         Ok(rowid)
     }
 
+    /// Store a tuple version somewhere: the one placement point, so the
+    /// page synopsis learns every tuple any write path places.
     fn place(&mut self, bytes: &[u8]) -> DbResult<Loc> {
+        let loc = self.place_bytes(bytes)?;
+        if let (Loc::Slot { page, .. }, Some(syn)) = (&loc, &mut self.synopsis) {
+            syn.note(*page, bytes);
+        }
+        Ok(loc)
+    }
+
+    fn place_bytes(&mut self, bytes: &[u8]) -> DbResult<Loc> {
         let len = bytes.len() as u32;
         self.live += len as u64;
         if bytes.len() > MAX_INLINE_TUPLE {
@@ -277,6 +384,10 @@ impl Heap {
                     .pager
                     .with_page_mut(*page, |pg| page::overwrite(pg, *slot, bytes))?;
                 if done {
+                    // Same length, perhaps not the same tags.
+                    if let Some(syn) = &mut self.synopsis {
+                        syn.note(*page, bytes);
+                    }
                     return Ok(());
                 }
             }
@@ -341,7 +452,7 @@ impl Heap {
         end: RowId,
         f: impl FnMut(RowId, &[u8]) -> DbResult<bool>,
     ) -> DbResult<()> {
-        self.scan_range_vis(start, end, Vis::LATEST, f)
+        self.scan_range_vis(start, end, Vis::LATEST, &[], f).map(|_| ())
     }
 
     /// Visibility-filtered range scan: each row's location comes straight
@@ -349,23 +460,50 @@ impl Heap {
     /// through its version chain otherwise. Rows that share a page share
     /// one page read; the copy is private to this call, which the caller's
     /// table read guard keeps current (no `&mut Heap` can exist meanwhile).
+    ///
+    /// `need` holds, per filter conjunct, the tags one of which a tuple
+    /// must carry to pass it. With a synopsis, the rows of a page that
+    /// lacks every tag of some set are skipped without reading the page,
+    /// decided once per page change as the page read is. Returns the
+    /// pages so skipped.
     pub fn scan_range_vis(
         &self,
         start: RowId,
         end: RowId,
         vis: Vis,
+        need: &[PageTags],
         mut f: impl FnMut(RowId, &[u8]) -> DbResult<bool>,
-    ) -> DbResult<()> {
+    ) -> DbResult<u64> {
         let lo = (start as usize).min(self.rows.len());
         let hi = (end as usize).min(self.rows.len());
         let fast = self.fast_path_ok(vis);
         let mut pages = ScanPage::new(&self.pager, self.pages.len() > self.pager.capacity());
+        let prune = self.synopsis.as_ref().filter(|_| !need.is_empty());
+        // The page decided last, and whether its rows are skipped.
+        let mut decided: Option<(PageId, bool)> = None;
+        let mut skipped = 0u64;
         for rowid in lo..hi {
             let loc = if fast { self.rows[rowid].as_ref() } else { self.resolve_vis(rowid, vis) };
             let jumbo;
             let bytes = match loc {
                 None => continue,
-                Some(Loc::Slot { page, slot, .. }) => slot_bytes(pages.read(*page)?, *slot)?,
+                Some(Loc::Slot { page, slot, .. }) => {
+                    if let Some(syn) = prune {
+                        let skip = match decided {
+                            Some((p, skip)) if p == *page => skip,
+                            _ => {
+                                let skip = !syn.may_hold(*page, need);
+                                skipped += skip as u64;
+                                decided = Some((*page, skip));
+                                skip
+                            }
+                        };
+                        if skip {
+                            continue;
+                        }
+                    }
+                    slot_bytes(pages.read(*page)?, *slot)?
+                }
                 Some(loc) => {
                     jumbo = self.fetch(loc)?;
                     &jumbo
@@ -374,6 +512,56 @@ impl Heap {
             if !f(rowid as RowId, bytes)? {
                 break;
             }
+        }
+        Ok(skipped)
+    }
+
+    // ---- page synopsis ----
+
+    /// Tag every tuple this heap places with `tagger`, or stop keeping a
+    /// synopsis (`None`). Either way the old synopsis goes; a new one is
+    /// built from every live slot of every data page, chained versions
+    /// included. `stats` holds the resident-bytes gauge.
+    pub fn set_tagger(&mut self, tagger: Option<Tagger>, stats: &Arc<ExecStats>) -> DbResult<()> {
+        self.synopsis = None;
+        let Some(tagger) = tagger else { return Ok(()) };
+        let mut syn = Synopsis { tagger, pages: HashMap::new(), stats: stats.clone() };
+        let mut pages = ScanPage::new(&self.pager, self.pages.len() > self.pager.capacity());
+        for &id in &self.pages {
+            let pg = pages.read(id)?;
+            for slot in 0..page::nslots(pg) as u16 {
+                if let Some(tuple) = page::read(pg, slot) {
+                    syn.note(id, tuple);
+                }
+            }
+        }
+        self.synopsis = Some(syn);
+        Ok(())
+    }
+
+    /// Bytes the page synopsis holds in memory (0 without one).
+    pub fn synopsis_bytes(&self) -> u64 {
+        self.synopsis.as_ref().map_or(0, |s| s.pages.len() as u64 * PageTags::BYTES)
+    }
+
+    /// Audit: every tag of every live tuple on every data page, chained
+    /// versions included, is in that page's set. `Ok` without a synopsis.
+    pub fn check_synopsis(&self) -> DbResult<()> {
+        let Some(syn) = &self.synopsis else { return Ok(()) };
+        for &id in &self.pages {
+            let set = syn.pages.get(&id).copied().unwrap_or_default();
+            self.pager.with_page(id, |pg| {
+                for slot in 0..page::nslots(pg) as u16 {
+                    let Some(tuple) = page::read(pg, slot) else { continue };
+                    let tags = PageTags::read(&syn.tagger, tuple);
+                    if !set.contains_all(&tags) {
+                        return Err(DbError::Eval(format!(
+                            "page synopsis: page {id} slot {slot} carries tags its page lacks"
+                        )));
+                    }
+                }
+                Ok(())
+            })??;
         }
         Ok(())
     }
@@ -1013,6 +1201,48 @@ mod tests {
         assert_eq!(scan_all(&h), first);
         assert_eq!(h.pager.stats().disk_reads, 0, "second scan served from the pool");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// With a tagger whose tags are a tuple's first byte, a scan that needs
+    /// a tag skips the pages that never held it, and the audit holds after
+    /// inserts, in-place overwrites, relocations and versioned updates.
+    #[test]
+    fn synopsis_skips_pages_without_the_tag() {
+        let mut h = heap();
+        for i in 0..2_000u64 {
+            let tag = if i % 500 == 0 { b'x' } else { b'a' };
+            h.insert(&[&[tag][..], &[b'.'; 99][..]].concat()).unwrap();
+        }
+        let stats = Arc::new(ExecStats::default());
+        let first_byte: Tagger = Arc::new(|t: &[u8], sink: &mut dyn FnMut(u32)| {
+            t.first().map(|&b| sink(b as u32)).is_some()
+        });
+        h.set_tagger(Some(first_byte), &stats).unwrap();
+        assert_eq!(stats.snapshot().synopsis_bytes, h.pages.len() as u64 * PageTags::BYTES);
+        let need = [PageTags::of([b'x' as u32])];
+        let scan = |h: &Heap| {
+            let mut found = Vec::new();
+            let skipped = h
+                .scan_range_vis(0, u64::MAX, Vis::LATEST, &need, |rid, t| {
+                    if t[0] == b'x' {
+                        found.push(rid);
+                    }
+                    Ok(true)
+                })
+                .unwrap();
+            (found, skipped)
+        };
+        let (found, skipped) = scan(&h);
+        assert_eq!(found, [0, 500, 1000, 1500]);
+        assert_eq!(skipped, h.pages.len() as u64 - 4);
+        // in place (same length), relocated (longer), and a new version
+        h.update(100, &[&[b'x'][..], &[b','; 99][..]].concat()).unwrap();
+        h.update(900, &[b'x'; 150]).unwrap();
+        h.update_versioned(1_300, &[b'x'; 120], 5).unwrap();
+        h.check_synopsis().unwrap();
+        assert_eq!(scan(&h).0, [0, 100, 500, 900, 1000, 1300, 1500]);
+        drop(h);
+        assert_eq!(stats.snapshot().synopsis_bytes, 0, "the gauge returns what it held");
     }
 
     /// The incremental live-byte counter must agree with a from-scratch

@@ -64,7 +64,7 @@ pub use error::{DbError, DbResult};
 pub use block::{BlockOperator, RowBlock};
 pub use exec::{ExecLimits, ExecSnapshot};
 pub use func::{ScalarFn, ValueTest};
-pub use heap::RowId;
+pub use heap::{RowId, Tagger};
 pub use kernels::KernelStats;
 pub use planner::PlannerConfig;
 pub use selectivity::Defaults;

@@ -219,6 +219,37 @@ pub fn decode_column(schema: &TableSchema, bytes: &[u8], col: usize) -> DbResult
     unreachable!()
 }
 
+/// The stored bytes of the `Text` or `Bytea` value in slot `col`,
+/// borrowed from the tuple, every value before it skipped undecoded;
+/// `None` when it is NULL. `types` are the column types of slots
+/// `0..=col`, the only ones read.
+pub fn raw_column<'t>(
+    types: &[ColType],
+    bytes: &'t [u8],
+    col: usize,
+) -> DbResult<Option<&'t [u8]>> {
+    let mut cursor = Cursor { bytes, pos: 0 };
+    let n = cursor.u16()? as usize;
+    let bitmap_start = cursor.pos;
+    cursor.skip(n.div_ceil(8))?;
+    if col >= n {
+        return Ok(None);
+    }
+    for (i, &ty) in types.iter().enumerate().take(col + 1) {
+        if bytes[bitmap_start + i / 8] & (1 << (i % 8)) == 0 {
+            if i == col {
+                return Ok(None);
+            }
+        } else if i == col {
+            let len = cursor.u32()? as usize;
+            return cursor.take(len).map(Some);
+        } else {
+            skip_value(&mut cursor, ty)?;
+        }
+    }
+    Err(DbError::Io(format!("no type for column {col}")))
+}
+
 fn decode_value(cursor: &mut Cursor<'_>, ty: ColType) -> DbResult<Datum> {
     Ok(match ty {
         ColType::Bool => Datum::Bool(cursor.u8()? != 0),

@@ -275,6 +275,12 @@ impl<'a> RawDoc<'a> {
         Ok(Some(&self.bytes[data_base + start..data_base + end]))
     }
 
+    /// The attribute ids, ascending: the header's id array, no offset or
+    /// value read.
+    pub fn ids(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.n).map(move |i| self.read_u32(U32 + i * U32))
+    }
+
     /// Iterate `(attr_id, raw value)` pairs, borrowed from the document.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &'a [u8])> + '_ {
         let offs_base = U32 + self.n * U32;

@@ -53,6 +53,7 @@ fn background_materializer_with_concurrent_queries() {
     assert!(schema.iter().all(|c| !c.dirty));
     let r = sinew.query("SELECT COUNT(*) FROM c WHERE k IS NOT NULL").unwrap();
     assert_eq!(r.rows[0][0], Datum::Int(3_000));
+    sinew.db().check_derived("c").unwrap();
 }
 
 #[test]
@@ -92,6 +93,7 @@ fn loader_and_materializer_latch() {
     // every value is found exactly once
     let r = sinew.query("SELECT COUNT(DISTINCT k) FROM c").unwrap();
     assert_eq!(r.rows[0][0], Datum::Int(1 + 20 * 50));
+    sinew.db().check_derived("c").unwrap();
 }
 
 #[test]
