@@ -55,7 +55,9 @@ sinew_rdbms::counter_table! {
 
     // -- extraction UDFs (udfs.rs) --
     /// Per-tuple `extract_key_*` invocations: values decoded, one per key
-    /// per row that reaches the call.
+    /// per row that reaches the call. A row a scan served unread reaches
+    /// it with a NULL reservoir and counts too (DESIGN.md §33), though
+    /// nothing is decoded.
     udf udf_extractions: counter,
     /// Never incremented: there is no multi-key extraction call since the
     /// rewriter stopped fusing (DESIGN.md §25). Kept, reading 0, because
@@ -757,6 +759,7 @@ mod tests {
             "agg_serial_fallbacks",
             "join_probe_morsels",
             "scan_pages_skipped",
+            "scan_pages_served",
             "synopsis_bytes",
             "heap_rowid_fetches",
         ];

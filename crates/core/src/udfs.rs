@@ -49,9 +49,15 @@
 //!
 //! **Tags for page pruning.** `install` also registers the reservoir
 //! column's tagger: a document's tags are its header's attribute ids, read
-//! without decoding a value. A value test states the ids its path needs at
-//! the top level ([`ScalarFn::required_tags`]), so a heap scan skips pages
-//! that hold none of them (DESIGN.md §32).
+//! without decoding a value. A bound `extract_key_*`, `exists_key` or
+//! value-test call states its path's top-level ids
+//! ([`ScalarFn::null_tags`]): a document that holds none of them answers
+//! the call as a NULL reservoir does. So a heap scan skips a page that
+//! holds none of a filter conjunct's ids when that conjunct fails over
+//! NULL (DESIGN.md §32), and serves the rows of a page that holds none of
+//! the ids its statement reads with a NULL reservoir, unread (DESIGN.md
+//! §33). Whether a test holds on a document without the key is the scan's
+//! to compute, not the function's to claim.
 
 use crate::catalog::Catalog;
 use crate::extract::{self, Want};
@@ -211,6 +217,15 @@ impl PathCall {
         ExtractionPlan::build(&self.cat, path, self.want)
     }
 
+    /// The path's top-level ids: a document that holds none of them
+    /// answers as a NULL document does, since the path's descent starts
+    /// at one of them. No claim for an unresolved path or one that
+    /// resolved to nothing.
+    fn null_tags(&self) -> Option<Vec<u32>> {
+        let ids = self.plan.as_ref()?.resolved.top_level_ids();
+        (!ids.is_empty()).then_some(ids)
+    }
+
     /// This call with its path resolved, if the path is a text literal.
     fn bound(&self, consts: &[Option<&Datum>]) -> Option<PathCall> {
         let [_, Some(Datum::Text(path))] = consts else { return None };
@@ -254,6 +269,10 @@ impl ScalarFn for ExtractKeyFn {
         Some(Arc::new(ExtractKeyFn(self.0.bound(consts)?)))
     }
 
+    fn null_tags(&self) -> Option<Vec<u32>> {
+        self.0.null_tags()
+    }
+
     fn bind_test(&self, test: &ValueTest) -> Option<Arc<dyn ScalarFn>> {
         let plan = self.0.plan.as_ref()?;
         plan.can_test(test)
@@ -281,15 +300,8 @@ impl ScalarFn for ValueTestFn {
         })
     }
 
-    /// A document lacking every top-level id of the path answers
-    /// `on_null`, so unless that is true (`IS NULL`) the test needs one of
-    /// them. No claim for a path that resolved to nothing.
-    fn required_tags(&self) -> Option<Vec<u32>> {
-        if self.test.on_null() == Datum::Bool(true) {
-            return None;
-        }
-        let ids = self.call.plan.as_ref()?.resolved.top_level_ids();
-        (!ids.is_empty()).then_some(ids)
+    fn null_tags(&self) -> Option<Vec<u32>> {
+        self.call.null_tags()
     }
 }
 
@@ -310,6 +322,10 @@ impl ScalarFn for ExistsKeyFn {
 
     fn bind(&self, consts: &[Option<&Datum>]) -> Option<Arc<dyn ScalarFn>> {
         Some(Arc::new(ExistsKeyFn(self.0.bound(consts)?)))
+    }
+
+    fn null_tags(&self) -> Option<Vec<u32>> {
+        self.0.null_tags()
     }
 }
 

@@ -1,7 +1,8 @@
-//! Page pruning for virtual keys (DESIGN.md §32): each heap page keeps a
-//! superset of the attribute ids of every document version placed on it,
-//! and a scan whose filter holds a value test over a key skips the pages
-//! that lack every id the test can find.
+//! Page pruning for virtual keys (DESIGN.md §32, §33): each heap page
+//! keeps a superset of the attribute ids of every document version placed
+//! on it. A scan skips the pages that lack every id of a filter conjunct
+//! that fails over a NULL reservoir, and serves the rows of a page that
+//! lacks every id its statement reads with a NULL reservoir, unread.
 //!
 //! Every case runs against a twin collection holding the same documents in
 //! a database whose tagger tags no column — so its heap keeps no synopsis
@@ -10,7 +11,7 @@
 //! case kills a writer mid-log (`WalConfig::crash_after`) and checks that
 //! `Sinew::open` rebuilds the synopsis from the recovered pages.
 
-use sinew_core::Sinew;
+use sinew_core::{AnalyzerPolicy, Sinew};
 use sinew_json::Value;
 use sinew_nobench::gen::{generate, NoBenchConfig};
 use sinew_nobench::queries::QueryParams;
@@ -68,6 +69,10 @@ fn skipped(sinew: &Sinew) -> u64 {
     sinew.db().exec_stats().scan_pages_skipped
 }
 
+fn served(sinew: &Sinew) -> u64 {
+    sinew.db().exec_stats().scan_pages_served
+}
+
 fn rows(r: DbResult<sinew_rdbms::QueryResult>, sql: &str) -> Vec<Vec<Datum>> {
     r.unwrap_or_else(|e| panic!("{sql}: {e}")).rows
 }
@@ -76,22 +81,32 @@ fn rows(r: DbResult<sinew_rdbms::QueryResult>, sql: &str) -> Vec<Vec<Datum>> {
 /// twin's, and the reference's answer to the rewritten statement. Returns
 /// the pages the tagged collection skipped at each limit.
 fn check_select(tagged: &Sinew, twin: &Sinew, sql: &str) -> Vec<u64> {
+    check_counting(tagged, twin, sql, skipped)
+}
+
+/// [`check_select`], returning the pages the tagged collection served.
+fn check_served(tagged: &Sinew, twin: &Sinew, sql: &str) -> Vec<u64> {
+    check_counting(tagged, twin, sql, served)
+}
+
+/// [`check_select`], counting pages with `pages`.
+fn check_counting(tagged: &Sinew, twin: &Sinew, sql: &str, pages: fn(&Sinew) -> u64) -> Vec<u64> {
     let physical = tagged.rewrite(sql).unwrap();
     let want = sinew_reference::query(tagged.db(), &physical);
-    let twin_before = skipped(twin);
+    let twin_before = pages(twin);
     let mut per_limit = Vec::new();
     for limits in LIMITS {
         set_limits(tagged, limits);
         set_limits(twin, limits);
-        let before = skipped(tagged);
+        let before = pages(tagged);
         let got = rows(tagged.query(sql), sql);
-        per_limit.push(skipped(tagged) - before);
+        per_limit.push(pages(tagged) - before);
         assert_eq!(got, rows(twin.query(sql), sql), "{sql} at {limits:?}: the twin differs");
         if let Err(e) = sinew_reference::agree(&Ok(got), &want) {
             panic!("{sql} at {limits:?} (rewritten: {physical}) disagrees with the reference: {e}");
         }
     }
-    assert_eq!(skipped(twin), twin_before, "{sql}: the untagged twin skipped pages");
+    assert_eq!(pages(twin), twin_before, "{sql}: the untagged twin left pages unread");
     per_limit
 }
 
@@ -148,9 +163,10 @@ fn q9_and_the_update_skip_pages_without_the_key() {
     assert!(fresh.iter().all(|&n| n > 0), "{fresh:?}");
 }
 
-/// Only a test that is false or NULL on a document without the key prunes:
-/// `IS NOT NULL` does; `IS NULL`, `NOT (k = v)` and `OR` do not, and each
-/// still answers as the twin does.
+/// Only a conjunct that is false or NULL over a document without its keys
+/// prunes: `IS NOT NULL`, `NOT (k = v)` and an `OR` of such tests do;
+/// `IS NULL` and `NOT (k IS NOT NULL)` do not, and each still answers as
+/// the twin does.
 #[test]
 fn only_tests_that_fail_without_the_key_prune() {
     let docs = docs(DOCS);
@@ -161,19 +177,155 @@ fn only_tests_that_fail_without_the_key_prune() {
         format!("SELECT str1 FROM nobench WHERE {k} IS NOT NULL"),
         format!("SELECT COUNT(*) FROM nobench WHERE {k} = '{v}' AND num >= 0"),
         format!("SELECT COUNT(*) FROM nobench WHERE num >= 0 AND {k} IS NOT NULL"),
+        format!("SELECT str1 FROM nobench WHERE NOT ({k} = '{v}')"),
+        format!("SELECT str1 FROM nobench WHERE {k} = '{v}' OR sparse_220 IS NOT NULL"),
     ];
     for sql in &prunes {
         assert!(check_select(&tagged, &twin, sql).iter().all(|&n| n > 0), "{sql}");
     }
     let keeps = [
         format!("SELECT COUNT(*) FROM nobench WHERE {k} IS NULL"),
-        format!("SELECT str1 FROM nobench WHERE NOT ({k} = '{v}')"),
-        format!("SELECT str1 FROM nobench WHERE {k} = '{v}' OR sparse_220 IS NOT NULL"),
         format!("SELECT COUNT(*) FROM nobench WHERE {k} IS NULL AND num >= 0"),
+        format!("SELECT COUNT(*) FROM nobench WHERE NOT ({k} IS NOT NULL)"),
     ];
     for sql in &keeps {
         assert_eq!(check_select(&tagged, &twin, sql), [0; 4], "{sql}");
     }
+}
+
+/// NoBench Q3 and Q4 project sparse keys that about one document in a
+/// hundred holds: the pages that hold none of them are served, every row
+/// with the keys NULL, at every limit.
+#[test]
+fn q3_and_q4_serve_pages_without_their_keys() {
+    let docs = docs(DOCS);
+    let (tagged, twin) = pair(&docs);
+    let pages = data_pages(&tagged);
+    for sql in
+        ["SELECT sparse_110, sparse_119 FROM nobench", "SELECT sparse_110, sparse_220 FROM nobench"]
+    {
+        let n = check_served(&tagged, &twin, sql);
+        assert!(n.iter().all(|&n| n * 2 >= pages), "{sql}: served {n:?} of {pages} pages");
+        let found = rows(tagged.query(sql), sql);
+        assert_eq!(found.len() as u64, DOCS);
+        assert!(found.iter().any(|row| !row[0].is_null()), "{sql}: no value found");
+    }
+}
+
+/// A nested path is read through its own id or its first prefix's object,
+/// and `exists_key` is false over a NULL reservoir as over a document
+/// without the key: the pages that hold neither are served.
+#[test]
+fn nested_and_exists_key_projections_serve_pages() {
+    let docs = docs(DOCS);
+    let (tagged, twin) = pair(&docs);
+    let exists = "SELECT exists_key(data, 'mixed'), _rowid FROM nobench";
+    for sql in [r#"SELECT "rare.x" FROM nobench"#, exists] {
+        assert!(check_served(&tagged, &twin, sql).iter().all(|&n| n > 0), "{sql}");
+    }
+    let sql = "SELECT exists_key(data, 'mixed') FROM nobench";
+    let present = rows(tagged.query(sql), sql).into_iter().filter(|r| r[0] == Datum::Bool(true));
+    assert_eq!(present.count() as u64, DOCS.div_ceil(250));
+}
+
+/// A NULL reservoir carries no tags, so a page that holds it and no
+/// document with the key is served: the row comes out with the key NULL.
+#[test]
+fn a_null_reservoir_on_a_served_page() {
+    let docs = docs(DOCS);
+    let (tagged, twin) = pair(&docs);
+    let sql = r#"SELECT _rowid, "rare.x" FROM nobench"#;
+    set_limits(&tagged, (1, 1024));
+    let (pages, before) = (data_pages(&tagged), served(&tagged));
+    rows(tagged.query(sql), sql);
+    let served_before = served(&tagged) - before;
+    for s in [&tagged, &twin] {
+        s.db().execute("INSERT INTO nobench VALUES (NULL)").unwrap();
+    }
+    // the last documents hold no `rare`; the NULL goes beside them or on a
+    // page of its own
+    let grown = data_pages(&tagged) - pages;
+    let n = check_served(&tagged, &twin, sql);
+    assert_eq!(n[1], served_before + grown, "at (1, 1024) the NULL reservoir's page is served");
+    let got = rows(tagged.query(sql), sql);
+    assert_eq!(got.last(), Some(&vec![Datum::Int(DOCS as i64), Datum::Null]));
+}
+
+/// A snapshot taken before an update that moves documents and drops their
+/// key reads the old versions on the pages they were placed on, which hold
+/// the key; the pages without it are served to it and to a new reader.
+#[test]
+fn an_old_snapshot_reads_relocated_versions_through_served_pages() {
+    let docs = docs(DOCS);
+    let p = QueryParams::derive(&docs, &NoBenchConfig::default());
+    let (tagged, twin) = pair(&docs);
+    let (k, v) = (&p.sparse_pred_key, &p.sparse_pred_val);
+    let has_v = |row: &Vec<Datum>| row[1] == Datum::Text(v.to_string());
+    let q = format!("SELECT _rowid, {k} FROM nobench");
+    let physical = tagged.rewrite(&q).unwrap();
+    let expected = rows(tagged.query(&q), &q);
+    assert!(expected.iter().any(has_v));
+    for limits in LIMITS {
+        let mut seen = Vec::new();
+        for s in [&tagged, &twin] {
+            set_limits(s, limits);
+            let mut old = s.db().session();
+            old.execute("BEGIN").unwrap();
+            assert_eq!(rows(old.execute(&physical), &q), expected);
+            // relocates every matching document without the key, and back
+            let moves = format!("UPDATE nobench SET {k} = NULL, moved = 1 WHERE {k} = '{v}'");
+            s.query(&moves).unwrap();
+            let before = served(s);
+            seen.push(rows(old.execute(&physical), &q));
+            if std::ptr::eq(s, &tagged) {
+                assert!(served(s) > before, "{limits:?}: the old snapshot served nothing");
+            }
+            let now = rows(s.query(&q), &q);
+            assert_eq!(now.len(), expected.len());
+            assert!(!now.iter().any(has_v), "{limits:?}: a new reader");
+            s.db().check_derived(T).unwrap();
+            old.execute("COMMIT").unwrap();
+            let restore = format!("UPDATE nobench SET {k} = '{v}', moved = NULL WHERE moved = 1");
+            s.query(&restore).unwrap();
+        }
+        assert_eq!(seen, [expected.clone(), expected.clone()], "{limits:?}");
+        assert_same_tables(&tagged, &twin, "after restoring");
+    }
+}
+
+/// A projection that reads a dense key beside a sparse one, or the
+/// reservoir itself, reads every page: nothing is served.
+#[test]
+fn projections_that_read_every_page_serve_nothing() {
+    let docs = docs(DOCS);
+    let (tagged, twin) = pair(&docs);
+    for sql in [
+        "SELECT sparse_110, str1 FROM nobench",
+        "SELECT sparse_110, doc_to_json(data) FROM nobench",
+        "SELECT data FROM nobench",
+    ] {
+        assert_eq!(check_served(&tagged, &twin, sql), [0; 4], "{sql}");
+    }
+}
+
+/// Once the analyzer has moved the dense keys into columns of their own, a
+/// projection of one beside a sparse key decodes that column as well as
+/// the reservoir: every page is read, although the reservoirs no longer
+/// hold the dense key.
+#[test]
+fn a_materialized_column_beside_a_sparse_key_is_read() {
+    let docs = docs(DOCS);
+    let (tagged, twin) = pair(&docs);
+    for s in [&tagged, &twin] {
+        s.run_analyzer(T, &AnalyzerPolicy::default()).unwrap();
+        s.materialize_until_clean(T).unwrap();
+    }
+    let sql = "SELECT sparse_110, str1 FROM nobench";
+    let physical = tagged.rewrite(sql).unwrap();
+    assert!(!physical.contains("'str1'"), "str1 is not a column: {physical}");
+    assert_eq!(check_served(&tagged, &twin, sql), [0; 4]);
+    let q3 = "SELECT sparse_110, sparse_119 FROM nobench";
+    assert!(check_served(&tagged, &twin, q3).iter().all(|&n| n > 0), "{q3}");
 }
 
 /// A nested path needs its own id or its first prefix's object at the top

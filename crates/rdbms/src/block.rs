@@ -58,6 +58,7 @@
 use crate::agg::Accumulator;
 use crate::crew::{caught, Crew, JobQueue, MorselStream, Task};
 use crate::datum::{Datum, GroupKey};
+use crate::db::ScanConsumer;
 use crate::error::{DbError, DbResult};
 use crate::exec::{
     cmp_sort_keys, eval_sort_keys, feed_accs, finish_group, new_acc, passes, rows_equal,
@@ -210,7 +211,7 @@ fn drive<'c, 'x: 'c>(
     az: Option<&'c AnalyzeCtx>,
     crew: CrewRef<'c, 'x>,
 ) -> DbResult<Vec<Row>> {
-    let mut op = build_node(exec, plan, None, az, crew)?;
+    let mut op = build_node(exec, plan, None, None, az, crew)?;
     let mut out: Vec<Row> = Vec::new();
     let result = (|| -> DbResult<()> {
         op.open()?;
@@ -233,6 +234,9 @@ fn drive<'c, 'x: 'c>(
 /// through row-preserving operators (Project) down to index scans, which
 /// may bound their B-tree probe when the plan's bounds are exact.
 ///
+/// `consumer` is what a `Project(Filter?(SeqScan))` evaluates over its
+/// scan's rows, handed down to that scan; every other node gets `None`.
+///
 /// `az`, when present, registers one [`NodeActuals`] slot per plan node
 /// (pre-order: node, then left child, then right — matching
 /// `Plan::explain_analyze`'s walk) and wraps each operator in an
@@ -242,6 +246,7 @@ pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
     exec: &'x Executor<'a>,
     plan: &'x Plan,
     cap: Option<u64>,
+    consumer: Option<ScanConsumer<'x>>,
     az: Option<&'c AnalyzeCtx>,
     crew: CrewRef<'c, 'x>,
 ) -> DbResult<Box<dyn BlockOperator + 'c>> {
@@ -253,7 +258,7 @@ pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
         }
     }
     let node_id = az.map(AnalyzeCtx::register);
-    let child = |input: &'x Plan, cap: Option<u64>| build_node(exec, input, cap, az, crew);
+    let child = |input: &'x Plan, cap: Option<u64>| build_node(exec, input, cap, None, az, crew);
     // A breaker over a scan pipeline may take the scan's morsels where
     // they are read (DESIGN.md §29, §30).
     let fused = |input: &'x Plan, fuse: bool| -> DbResult<BreakerInput<'c, 'x, 'a>> {
@@ -269,6 +274,7 @@ pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
             table,
             filter.as_ref(),
             needed.as_deref(),
+            consumer,
         )),
         // A probe cap is only sound when the bounds *are* the whole
         // predicate: then every row the index surfaces is an output row,
@@ -310,12 +316,19 @@ pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
             },
         ),
         Plan::Filter { input, predicate, .. } => Box::new(FilterOp {
-            child: child(input, None)?,
+            child: build_node(exec, input, None, consumer, az, crew)?,
             predicate,
             ctx: EvalCtx::new(),
         }),
         Plan::Project { input, exprs, .. } => Box::new(ProjectOp {
-            child: child(input, cap)?,
+            child: build_node(
+                exec,
+                input,
+                cap,
+                scan_pipeline(plan).and_then(|p| p.consumer()),
+                az,
+                crew,
+            )?,
             exprs,
             ctx: EvalCtx::new(),
         }),
@@ -562,6 +575,11 @@ struct SeqScanOp<'x, 'a> {
     table: &'x str,
     filter: Option<&'x PhysExpr>,
     needed: Option<&'x [String]>,
+    /// What the operators above evaluate over the scan rows, when this is
+    /// the scan of a `Project(Filter?(SeqScan))`: the same expressions the
+    /// parallel prefix hands its scan, so the pages read do not depend on
+    /// the thread count (DESIGN.md §33).
+    consumer: Option<ScanConsumer<'x>>,
     ctx: EvalCtx,
     next_rowid: u64,
     done: bool,
@@ -573,8 +591,18 @@ impl<'x, 'a> SeqScanOp<'x, 'a> {
         table: &'x str,
         filter: Option<&'x PhysExpr>,
         needed: Option<&'x [String]>,
+        consumer: Option<ScanConsumer<'x>>,
     ) -> SeqScanOp<'x, 'a> {
-        SeqScanOp { exec, table, filter, needed, ctx: EvalCtx::new(), next_rowid: 0, done: false }
+        SeqScanOp {
+            exec,
+            table,
+            filter,
+            needed,
+            consumer,
+            ctx: EvalCtx::new(),
+            next_rowid: 0,
+            done: false,
+        }
     }
 }
 
@@ -595,6 +623,7 @@ impl BlockOperator for SeqScanOp<'_, '_> {
             self.table,
             self.needed,
             self.filter,
+            self.consumer,
             self.next_rowid..u64::MAX,
             &mut self.ctx,
             &mut |row, _| {
@@ -674,7 +703,7 @@ impl<'x, 'a> HeapFallback<'x, 'a> {
         let AccessPath { table, filter, needed, .. } = path;
         Box::new(HeapFallback {
             primary: Box::new(primary),
-            heap: SeqScanOp::new(exec, table, filter.as_ref(), needed.as_deref()),
+            heap: SeqScanOp::new(exec, table, filter.as_ref(), needed.as_deref(), None),
             on_heap: false,
             skip: 0,
         })
@@ -2001,6 +2030,13 @@ struct ScanPipeline<'p> {
     project: Option<&'p [PhysExpr]>,
 }
 
+impl<'p> ScanPipeline<'p> {
+    /// What the prefix evaluates over its scan rows, when it projects.
+    fn consumer(&self) -> Option<ScanConsumer<'p>> {
+        self.project.map(|project| ScanConsumer { filter: self.post_filter, project })
+    }
+}
+
 /// Decompose `SeqScan`, `Filter(SeqScan)`, `Project(SeqScan)` or
 /// `Project(Filter(SeqScan))`.
 fn scan_pipeline(plan: &Plan) -> Option<ScanPipeline<'_>> {
@@ -2114,6 +2150,7 @@ fn scan_morsel(
         pipe.table,
         pipe.needed,
         pipe.scan_filter,
+        pipe.consumer(),
         ids,
         &mut ctx,
         &mut |row, ctx| {
@@ -2333,7 +2370,7 @@ mod tests {
         let stats = ExecStats::default();
         let source = SnapSource { db: &db, vis: Vis::LATEST };
         let exec = Executor { source: &source, limits: limits(), stats: &stats };
-        let mut op = build_node(&exec, &plan, None, None, None).unwrap();
+        let mut op = build_node(&exec, &plan, None, None, None, None).unwrap();
         op.open().unwrap();
         let mut got = op.next_block().unwrap().expect("first block").take_rows();
         assert_eq!(got.len(), 64);

@@ -14,7 +14,7 @@ use crate::exec::{
 };
 use crate::expr::{bind, ColumnSource, EvalCtx, PhysExpr, Scope};
 use crate::func::{FuncRegistry, ScalarFn};
-use crate::heap::{Heap, PageTags, RowId, Tagger};
+use crate::heap::{Heap, PageTags, PageUse, RowId, Tagger};
 use crate::kernels::KernelStats;
 use crate::pager::{IoSnapshot, Pager};
 use crate::plan::{AccessPath, Plan};
@@ -1056,10 +1056,11 @@ impl Database {
     /// Tag the values of every table's `column` (a `bytea` column of that
     /// name) with `tagger`, replacing any tagger registered before: each
     /// such table's heap rebuilds its page synopsis from its pages now and
-    /// keeps it as rows are placed, so a scan whose filter states the tags
-    /// it requires ([`ScalarFn::required_tags`]) skips pages that hold none
-    /// of them (DESIGN.md §32). Nothing is logged; a reopened database has
-    /// no tagger until one is registered again.
+    /// keeps it as rows are placed, so a scan whose expressions claim tags
+    /// of that column ([`ScalarFn::null_tags`]) answers the pages that hold
+    /// none of them without reading them (DESIGN.md §32, §33). Nothing is
+    /// logged; a reopened database has no tagger until one is registered
+    /// again.
     pub fn register_tagger(&self, column: &str, tagger: Tagger) -> DbResult<()> {
         let _g = self.write_guard();
         let tagger = Some((column.to_string(), tagger));
@@ -2650,19 +2651,87 @@ struct ScanStores<'t> {
     bound: Option<&'t ColumnStore>,
 }
 
-/// Per top-level conjunct of `filter` that is a call over the tagged
-/// column (physical slot `tagged`), the tags one of which that column's
-/// value must carry for the conjunct to hold ([`ScalarFn::required_tags`]).
-fn required_tags(
-    filter: Option<&PhysExpr>,
-    tagged: Option<usize>,
-    live: &[usize],
-) -> Vec<PageTags> {
-    let (Some(filter), Some(slot)) = (filter, tagged) else { return Vec::new() };
-    let Some(col) = live.iter().position(|&s| s == slot) else { return Vec::new() };
-    let mut need = Vec::new();
-    filter.required_tags(col, &mut need);
-    need.into_iter().map(PageTags::of).collect()
+/// What a scan's consumer evaluates over every row the scan hands it: the
+/// post filter and the projection of a scan→filter→project prefix. A scan
+/// that knows them may serve a page's rows without reading it
+/// (DESIGN.md §33); one whose consumer is unknown is given none.
+#[derive(Clone, Copy)]
+pub(crate) struct ScanConsumer<'e> {
+    pub(crate) filter: Option<&'e PhysExpr>,
+    pub(crate) project: &'e [PhysExpr],
+}
+
+/// How a heap scan judges a page from its tag synopsis alone, from the
+/// NULL-equivalence tags its expressions claim over the tagged column
+/// ([`ScalarFn::null_tags`], DESIGN.md §33).
+struct PageJudge<'e> {
+    /// Per scan-filter conjunct that reads no column but the tagged one,
+    /// and that one only through claiming calls: its tags, the conjunct,
+    /// and, once evaluated over an all-NULL stand-in row, whether a page
+    /// without its tags fails it.
+    prune: Vec<(PageTags, &'e PhysExpr, Option<bool>)>,
+    /// When the scan decodes no column but the tagged one and it, the
+    /// filter and the consumer read that one only through claiming calls:
+    /// their tags. A page holding none of them is served.
+    serve: Option<PageTags>,
+    /// Columns of a scan row, the rowid included.
+    width: usize,
+}
+
+impl<'e> PageJudge<'e> {
+    /// The judge for a scan of `t`, or `None` when no page can be
+    /// answered unread.
+    fn new(
+        t: &Table,
+        live: &[usize],
+        wanted: &[bool],
+        filter: Option<&'e PhysExpr>,
+        consumer: Option<ScanConsumer<'e>>,
+    ) -> Option<PageJudge<'e>> {
+        let slot = t.tagged?;
+        let col = live.iter().position(|&s| s == slot)?;
+        let mut prune = Vec::new();
+        for conjunct in filter.map(PhysExpr::conjuncts).unwrap_or_default() {
+            let (mut tags, mut refs) = (Vec::new(), Vec::new());
+            conjunct.column_refs(&mut refs);
+            let only_claimed = conjunct.null_tags(col, &mut tags) && refs.iter().all(|&r| r == col);
+            if only_claimed && !tags.is_empty() {
+                prune.push((PageTags::of(tags), conjunct, None));
+            }
+        }
+        let serve = consumer.and_then(|c| {
+            let decodes_other = wanted.iter().enumerate().any(|(i, &w)| w && i != slot);
+            let mut tags = Vec::new();
+            let mut reads = filter.into_iter().chain(c.filter).chain(c.project);
+            (!decodes_other && reads.all(|e| e.null_tags(col, &mut tags)))
+                .then(|| PageTags::of(tags))
+        });
+        (!prune.is_empty() || serve.is_some())
+            .then_some(PageJudge { prune, serve, width: live.len() + 1 })
+    }
+
+    /// Skip a page that lacks a conjunct's tags when that conjunct fails
+    /// over NULL; serve one that lacks every tag the rows are read
+    /// through; read the rest.
+    fn judge(&mut self, set: &PageTags) -> PageUse {
+        let width = self.width;
+        for (tags, conjunct, fails) in &mut self.prune {
+            if !set.intersects(tags) && *fails.get_or_insert_with(|| fails_on_null(conjunct, width))
+            {
+                return PageUse::Skip;
+            }
+        }
+        match &self.serve {
+            Some(tags) if !set.intersects(tags) => PageUse::Serve,
+            _ => PageUse::Read,
+        }
+    }
+}
+
+/// Is `conjunct` FALSE or NULL over a `width`-column row of NULLs? An
+/// evaluation error claims nothing.
+fn fails_on_null(conjunct: &PhysExpr, width: usize) -> bool {
+    matches!(conjunct.eval(&vec![Datum::Null; width]), Ok(Datum::Null | Datum::Bool(false)))
 }
 
 /// The physical slots a heap scan decodes before its filter (`first`) and
@@ -2765,15 +2834,19 @@ impl SnapSource<'_> {
     /// `f` with the passing row, so memo slots the filter filled still hold
     /// for the caller's post filter and projection. When the filter reads
     /// only some of the `needed` columns, those are decoded first and the
-    /// rest only for a row that passes (DESIGN.md §28). Pages whose tag
-    /// synopsis rules out a filter conjunct are not read (DESIGN.md §32).
-    /// The callback returns `false` to stop the scan early. Returns the
-    /// tuples visited.
+    /// rest only for a row that passes (DESIGN.md §28). A page whose tag
+    /// synopsis rules out a filter conjunct is not read (DESIGN.md §32);
+    /// nor is one that lacks every key the filter and the `consumer` read,
+    /// whose visible rows are served with the tagged column NULL
+    /// (DESIGN.md §33). The callback returns `false` to stop the scan
+    /// early. Returns the rows visited, read or served.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn scan_table_range(
         &self,
         table: &str,
         needed: Option<&[String]>,
         filter: Option<&PhysExpr>,
+        consumer: Option<ScanConsumer<'_>>,
         ids: Range<u64>,
         ctx: &mut EvalCtx,
         f: &mut dyn FnMut(Row, &mut EvalCtx) -> DbResult<bool>,
@@ -2784,14 +2857,46 @@ impl SnapSource<'_> {
         let live: Vec<usize> = schema.live_columns().map(|(i, _)| i).collect();
         let wanted = wanted_slots(schema, needed);
         let late = filter.and_then(|fl| Some((fl, late_slots(fl, &live, &wanted)?)));
-        let need = required_tags(filter, t.tagged, &live);
-        let mut fetched = 0u64;
-        let mut rejected = 0u64;
-        let res = match late {
-            None => t.heap.scan_range_vis(ids.start, ids.end, self.vis, &need, |rowid, bytes| {
-                fetched += 1;
-                let full = tuple::decode_tuple_partial(schema, bytes, &wanted)?;
-                let row = scan_row(full, &live, rowid);
+        let mut judge = PageJudge::new(&t, &live, &wanted, filter, consumer);
+        let mut judge_page =
+            |set: &PageTags| judge.as_mut().map_or(PageUse::Read, |j| j.judge(set));
+        let (mut fetched, mut served, mut rejected) = (0u64, 0u64, 0u64);
+        let res = t.heap.scan_range_vis(
+            ids.start,
+            ids.end,
+            self.vis,
+            Some(&mut judge_page),
+            |rowid, bytes| {
+                let row = match (bytes, &late) {
+                    (None, _) => {
+                        served += 1;
+                        let mut row = vec![Datum::Null; live.len() + 1];
+                        row[live.len()] = Datum::Int(rowid as i64);
+                        row
+                    }
+                    (Some(bytes), None) => {
+                        fetched += 1;
+                        scan_row(tuple::decode_tuple_partial(schema, bytes, &wanted)?, &live, rowid)
+                    }
+                    (Some(bytes), Some((fl, (first, rest)))) => {
+                        fetched += 1;
+                        let mut full = tuple::decode_tuple_partial(schema, bytes, first)?;
+                        let id = Datum::Int(rowid as i64);
+                        let view = SlotRow { full: &full, live: &live, rowid: &id };
+                        ctx.reset();
+                        if !fl.eval_bool_over(&view, ctx)? {
+                            rejected += 1;
+                            return Ok(true);
+                        }
+                        let more = tuple::decode_tuple_partial(schema, bytes, rest)?;
+                        for ((v, m), &r) in full.iter_mut().zip(more).zip(rest) {
+                            if r {
+                                *v = m;
+                            }
+                        }
+                        return f(scan_row(full, &live, rowid), ctx);
+                    }
+                };
                 ctx.reset();
                 if let Some(fl) = filter {
                     if !fl.eval_bool_ctx(&row, ctx)? {
@@ -2799,28 +2904,8 @@ impl SnapSource<'_> {
                     }
                 }
                 f(row, ctx)
-            }),
-            Some((fl, (first, rest))) => {
-                t.heap.scan_range_vis(ids.start, ids.end, self.vis, &need, |rowid, bytes| {
-                    fetched += 1;
-                    let mut full = tuple::decode_tuple_partial(schema, bytes, &first)?;
-                    let id = Datum::Int(rowid as i64);
-                    let view = SlotRow { full: &full, live: &live, rowid: &id };
-                    ctx.reset();
-                    if !fl.eval_bool_over(&view, ctx)? {
-                        rejected += 1;
-                        return Ok(true);
-                    }
-                    let more = tuple::decode_tuple_partial(schema, bytes, &rest)?;
-                    for ((v, m), &r) in full.iter_mut().zip(more).zip(&rest) {
-                        if r {
-                            *v = m;
-                        }
-                    }
-                    f(scan_row(full, &live, rowid), ctx)
-                })
-            }
-        };
+            },
+        );
         let stats = &self.db.exec_stats;
         if fetched > 0 {
             stats.heap_fetches.add(fetched);
@@ -2828,11 +2913,14 @@ impl SnapSource<'_> {
         if rejected > 0 {
             stats.scan_rows_rejected_early.add(rejected);
         }
-        let skipped = res?;
-        if skipped > 0 {
-            stats.scan_pages_skipped.add(skipped);
+        let unread = res?;
+        if unread.skipped > 0 {
+            stats.scan_pages_skipped.add(unread.skipped);
         }
-        Ok(fetched)
+        if unread.served > 0 {
+            stats.scan_pages_served.add(unread.served);
+        }
+        Ok(fetched + served)
     }
 
     /// The secondary index on `path.column`, if this reader may trust it.

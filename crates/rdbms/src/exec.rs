@@ -119,9 +119,15 @@ crate::counter_table! {
     /// filter reads every needed column decodes once and counts nothing.
     executor scan_rows_rejected_early: counter,
     /// Heap pages a scan skipped unread because their tag synopsis lacks
-    /// every tag a filter conjunct requires (DESIGN.md §32), counted once
-    /// per page change within a scan range.
+    /// every tag of a filter conjunct that fails over NULL (DESIGN.md §32,
+    /// §33), counted once per page change within a scan range.
     executor scan_pages_skipped: counter,
+    /// Heap pages whose visible rows a scan produced without reading the
+    /// page, because their tag synopsis lacks every key the scan, its
+    /// filter and its consumer read (DESIGN.md §33): each row came with
+    /// the tagged column NULL. Counted once per page change within a scan
+    /// range. `heap_fetches` still counts only tuples read.
+    executor scan_pages_served: counter,
     /// Bytes the heaps' page synopses hold in memory, over every table: a
     /// gauge, 128 per data page that has held a tuple of a table with a
     /// tagged column.
@@ -160,8 +166,9 @@ crate::counter_table! {
     /// Covering index-only scan executions (zero heap page reads).
     columnar_access index_only_scans: counter,
     /// Tuples a heap scan read — the quantity a covering scan avoids and
-    /// a skipped page saves; benches assert it stays flat. Fetches by row
-    /// id count in `heap_rowid_fetches`.
+    /// a skipped or served page saves; benches assert it stays flat. A
+    /// row served without its page is not counted. Fetches by row id count
+    /// in `heap_rowid_fetches`.
     columnar_access heap_fetches: counter,
     /// Tuples read by row id: index-scan fetches and `get_row` /
     /// `txn_get_row`.

@@ -406,26 +406,36 @@ impl PhysExpr {
         }
     }
 
-    /// For each top-level `AND` conjunct that is a call whose first
-    /// argument is column `col`, the tags the call requires of that
-    /// column's value, where the call states them
-    /// ([`ScalarFn::required_tags`]): a row whose value carries none of a
-    /// conjunct's tags cannot pass this filter (DESIGN.md §32).
-    pub fn required_tags(&self, col: usize, out: &mut Vec<Vec<u32>>) {
+    /// The top-level `AND` conjuncts of this predicate, looking through
+    /// memo points.
+    pub fn conjuncts(&self) -> Vec<&PhysExpr> {
         match self {
             PhysExpr::Binary { op: BinaryOp::And, left, right } => {
-                left.required_tags(col, out);
-                right.required_tags(col, out);
+                let mut out = left.conjuncts();
+                out.extend(right.conjuncts());
+                out
             }
-            PhysExpr::Memo { expr, .. } => expr.required_tags(col, out),
-            PhysExpr::Call { func, args, .. } => {
-                if let Some(PhysExpr::Column(c)) = args.first() {
-                    if *c == col {
-                        out.extend(func.required_tags());
-                    }
-                }
+            PhysExpr::Memo { expr, .. } => expr.conjuncts(),
+            other => vec![other],
+        }
+    }
+
+    /// Whether this tree reads column `col` only as the first argument of
+    /// calls that claim NULL-equivalence tags ([`ScalarFn::null_tags`]),
+    /// adding their tags to `tags`. If so, a row whose `col` value carries
+    /// none of `tags` evaluates this tree as if that value were NULL
+    /// (DESIGN.md §33).
+    pub fn null_tags(&self, col: usize, tags: &mut Vec<u32>) -> bool {
+        match self {
+            PhysExpr::Column(c) => *c != col,
+            PhysExpr::Call { func, args, .. }
+                if matches!(args.first(), Some(PhysExpr::Column(c)) if *c == col) =>
+            {
+                let Some(claimed) = func.null_tags() else { return false };
+                tags.extend(claimed);
+                args[1..].iter().all(|a| a.null_tags(col, tags))
             }
-            _ => {}
+            other => other.children().into_iter().all(|c| c.null_tags(col, tags)),
         }
     }
 

@@ -15,9 +15,10 @@
 //! After costing, the planner offers a bound call the predicate it sits in
 //! ([`ScalarFn::bind_test`], [`ValueTest`]): a function that can answer the
 //! predicate from its input without producing its value takes it over
-//! (DESIGN.md §27). A call that is a filter conjunct may state the tags
-//! its first argument must carry to pass ([`ScalarFn::required_tags`]),
-//! so a heap scan can skip pages that hold none (DESIGN.md §32).
+//! (DESIGN.md §27). A call may state tags without which its first
+//! argument answers as NULL does ([`ScalarFn::null_tags`]), so a heap
+//! scan can judge a page that holds none of them without reading it
+//! (DESIGN.md §32, §33).
 
 use crate::datum::{ColType, Datum};
 use crate::error::{DbError, DbResult};
@@ -74,14 +75,16 @@ pub trait ScalarFn: Send + Sync {
         None
     }
 
-    /// Tag hook, asked by a heap scan for a call that is a whole top-level
-    /// conjunct of its filter and whose first argument is the table's
-    /// tagged column ([`crate::Database::register_tagger`]): tags at least
-    /// one of which that argument must carry for the call to return true.
-    /// The scan skips a heap page whose synopsis holds none of them
-    /// (DESIGN.md §32), so a function may claim only what holds for every
-    /// value, NULL included. `None` (the default) claims nothing.
-    fn required_tags(&self) -> Option<Vec<u32>> {
+    /// Tag hook, asked by a heap scan for a call whose first argument is
+    /// the table's tagged column ([`crate::Database::register_tagger`]):
+    /// tags such that a first argument carrying none of them gives this
+    /// call the same result as a NULL first argument, the other arguments
+    /// being equal. The scan then evaluates the call over NULL for the rows
+    /// of a page whose synopsis holds none of them, or skips the page when
+    /// that makes its filter fail (DESIGN.md §33), so a function may claim
+    /// only what holds for every value. `None` (the default) claims
+    /// nothing.
+    fn null_tags(&self) -> Option<Vec<u32>> {
         None
     }
 }

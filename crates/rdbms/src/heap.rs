@@ -20,8 +20,9 @@
 //! A heap with a tagged column keeps a page synopsis (DESIGN.md §32): per
 //! data page, a superset of the tags of every tuple version ever placed
 //! on it, set where a tuple is placed and rebuilt from the pages, never
-//! logged. A scan that states the tags its filter requires skips a page
-//! that holds none of them without reading it.
+//! logged. A scan judges each page from its set alone (DESIGN.md §33): it
+//! reads the page, skips its rows, or serves its visible rows without
+//! their bytes.
 
 use crate::error::{DbError, DbResult};
 use crate::exec::ExecStats;
@@ -45,7 +46,7 @@ pub type Tagger = Arc<dyn Fn(&[u8], &mut dyn FnMut(u32)) -> bool + Send + Sync>;
 pub const PAGE_TAG_BITS: usize = 1024;
 
 /// A set of tags folded into [`PAGE_TAG_BITS`] bits: a page's synopsis, or
-/// the tags one filter conjunct requires.
+/// the tags a scan's expressions read a value through.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PageTags([u64; PAGE_TAG_BITS / 64]);
 
@@ -87,7 +88,7 @@ impl PageTags {
 
 /// A heap's page synopsis: per data page, a superset of the tags of every
 /// tuple version placed on it since the last rebuild. Jumbo tuples live
-/// off the data pages and are never skipped.
+/// off the data pages and are always read.
 struct Synopsis {
     /// Tags of a whole tuple.
     tagger: Tagger,
@@ -107,18 +108,32 @@ impl Synopsis {
             *set = PageTags::ALL;
         }
     }
-
-    /// May `page` hold a tuple with a tag of every set in `need`? A page
-    /// the synopsis has never seen may hold anything.
-    fn may_hold(&self, page: PageId, need: &[PageTags]) -> bool {
-        self.pages.get(&page).is_none_or(|set| need.iter().all(|n| set.intersects(n)))
-    }
 }
 
 impl Drop for Synopsis {
     fn drop(&mut self) {
         self.stats.synopsis_bytes.sub(self.pages.len() as u64 * PageTags::BYTES);
     }
+}
+
+/// What a scan does with the rows of one page, judged from the page's
+/// synopsis alone (DESIGN.md §33).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PageUse {
+    /// Read the page and hand each visible row its bytes.
+    Read,
+    /// Pass over the page's rows.
+    Skip,
+    /// Hand each visible row to the scan without bytes; the page is not
+    /// read.
+    Serve,
+}
+
+/// The pages a range scan did not read.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PagesUnread {
+    pub skipped: u64,
+    pub served: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -450,9 +465,13 @@ impl Heap {
         &self,
         start: RowId,
         end: RowId,
-        f: impl FnMut(RowId, &[u8]) -> DbResult<bool>,
+        mut f: impl FnMut(RowId, &[u8]) -> DbResult<bool>,
     ) -> DbResult<()> {
-        self.scan_range_vis(start, end, Vis::LATEST, &[], f).map(|_| ())
+        let read = |rowid, bytes: Option<&[u8]>| match bytes {
+            Some(bytes) => f(rowid, bytes),
+            None => unreachable!("a scan without a judge reads every page"),
+        };
+        self.scan_range_vis(start, end, Vis::LATEST, None, read).map(|_| ())
     }
 
     /// Visibility-filtered range scan: each row's location comes straight
@@ -461,59 +480,61 @@ impl Heap {
     /// one page read; the copy is private to this call, which the caller's
     /// table read guard keeps current (no `&mut Heap` can exist meanwhile).
     ///
-    /// `need` holds, per filter conjunct, the tags one of which a tuple
-    /// must carry to pass it. With a synopsis, the rows of a page that
-    /// lacks every tag of some set are skipped without reading the page,
-    /// decided once per page change as the page read is. Returns the
-    /// pages so skipped.
+    /// With a synopsis, `judge` decides from a page's tag set what the
+    /// scan does with its rows ([`PageUse`]), once per page change, as the
+    /// page read is: a skipped page's rows are passed over and a served
+    /// page's visible rows reach `f` without bytes, neither page being
+    /// read, in the pool or past it. A page the synopsis has never seen,
+    /// and a jumbo tuple, are read. Returns the pages not read.
     pub fn scan_range_vis(
         &self,
         start: RowId,
         end: RowId,
         vis: Vis,
-        need: &[PageTags],
-        mut f: impl FnMut(RowId, &[u8]) -> DbResult<bool>,
-    ) -> DbResult<u64> {
+        mut judge: Option<&mut dyn FnMut(&PageTags) -> PageUse>,
+        mut f: impl FnMut(RowId, Option<&[u8]>) -> DbResult<bool>,
+    ) -> DbResult<PagesUnread> {
         let lo = (start as usize).min(self.rows.len());
         let hi = (end as usize).min(self.rows.len());
         let fast = self.fast_path_ok(vis);
         let mut pages = ScanPage::new(&self.pager, self.pages.len() > self.pager.capacity());
-        let prune = self.synopsis.as_ref().filter(|_| !need.is_empty());
-        // The page decided last, and whether its rows are skipped.
-        let mut decided: Option<(PageId, bool)> = None;
-        let mut skipped = 0u64;
+        let sets = self.synopsis.as_ref().map(|syn| &syn.pages).filter(|_| judge.is_some());
+        // The page decided last, and what its rows get.
+        let mut decided: Option<(PageId, PageUse)> = None;
+        let mut unread = PagesUnread::default();
         for rowid in lo..hi {
             let loc = if fast { self.rows[rowid].as_ref() } else { self.resolve_vis(rowid, vis) };
             let jumbo;
             let bytes = match loc {
                 None => continue,
                 Some(Loc::Slot { page, slot, .. }) => {
-                    if let Some(syn) = prune {
-                        let skip = match decided {
-                            Some((p, skip)) if p == *page => skip,
-                            _ => {
-                                let skip = !syn.may_hold(*page, need);
-                                skipped += skip as u64;
-                                decided = Some((*page, skip));
-                                skip
-                            }
-                        };
-                        if skip {
-                            continue;
+                    let usage = match (decided, sets, judge.as_mut()) {
+                        (Some((p, usage)), ..) if p == *page => usage,
+                        (_, Some(sets), Some(judge)) => {
+                            let usage = sets.get(page).map_or(PageUse::Read, judge);
+                            unread.skipped += (usage == PageUse::Skip) as u64;
+                            unread.served += (usage == PageUse::Serve) as u64;
+                            decided = Some((*page, usage));
+                            usage
                         }
+                        _ => PageUse::Read,
+                    };
+                    match usage {
+                        PageUse::Read => Some(slot_bytes(pages.read(*page)?, *slot)?),
+                        PageUse::Skip => continue,
+                        PageUse::Serve => None,
                     }
-                    slot_bytes(pages.read(*page)?, *slot)?
                 }
                 Some(loc) => {
                     jumbo = self.fetch(loc)?;
-                    &jumbo
+                    Some(jumbo.as_slice())
                 }
             };
             if !f(rowid as RowId, bytes)? {
                 break;
             }
         }
-        Ok(skipped)
+        Ok(unread)
     }
 
     // ---- page synopsis ----
@@ -1059,6 +1080,7 @@ fn read_loc(r: &mut wal::Reader) -> DbResult<Option<Loc>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn heap() -> Heap {
         Heap::new(Arc::new(Pager::in_memory()))
@@ -1219,18 +1241,21 @@ mod tests {
         });
         h.set_tagger(Some(first_byte), &stats).unwrap();
         assert_eq!(stats.snapshot().synopsis_bytes, h.pages.len() as u64 * PageTags::BYTES);
-        let need = [PageTags::of([b'x' as u32])];
+        let need = PageTags::of([b'x' as u32]);
         let scan = |h: &Heap| {
             let mut found = Vec::new();
-            let skipped = h
-                .scan_range_vis(0, u64::MAX, Vis::LATEST, &need, |rid, t| {
-                    if t[0] == b'x' {
+            let mut judge =
+                |set: &PageTags| if set.intersects(&need) { PageUse::Read } else { PageUse::Skip };
+            let unread = h
+                .scan_range_vis(0, u64::MAX, Vis::LATEST, Some(&mut judge), |rid, t| {
+                    if t.expect("no page is served")[0] == b'x' {
                         found.push(rid);
                     }
                     Ok(true)
                 })
                 .unwrap();
-            (found, skipped)
+            assert_eq!(unread.served, 0);
+            (found, unread.skipped)
         };
         let (found, skipped) = scan(&h);
         assert_eq!(found, [0, 500, 1000, 1500]);
@@ -1243,6 +1268,57 @@ mod tests {
         assert_eq!(scan(&h).0, [0, 100, 500, 900, 1000, 1300, 1500]);
         drop(h);
         assert_eq!(stats.snapshot().synopsis_bytes, 0, "the gauge returns what it held");
+    }
+
+    /// A served scan past the pool: the rows of pages that lack the tag
+    /// reach the callback without bytes, and only the pages that hold it
+    /// are read from the file.
+    #[test]
+    fn a_served_page_is_not_read_past_the_pool() {
+        let dir = std::env::temp_dir().join(format!("sinew-heap-served-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut h = Heap::new(Arc::new(Pager::open(&dir.join("t.db"), 8).unwrap()));
+        for i in 0..2_000u64 {
+            let tag = if i % 500 == 0 { b'x' } else { b'a' };
+            h.insert(&[&[tag][..], &[b'.'; 199][..]].concat()).unwrap();
+        }
+        let first_byte: Tagger = Arc::new(|t: &[u8], sink: &mut dyn FnMut(u32)| {
+            t.first().map(|&b| sink(b as u32)).is_some()
+        });
+        h.set_tagger(Some(first_byte), &Arc::new(ExecStats::default())).unwrap();
+        h.pager.flush().unwrap();
+        assert!(h.pages.len() > 4 * h.pager.capacity(), "{} pages", h.pages.len());
+        let page_of = |rid: usize| match &h.rows[rid] {
+            Some(Loc::Slot { page, .. }) => *page,
+            other => panic!("row {rid}: {other:?}"),
+        };
+        let tagged: HashSet<PageId> = [0, 500, 1_000, 1_500].map(page_of).into();
+        let resident = h.pager.resident();
+        let absent = tagged.iter().filter(|p| !resident.contains(p)).count() as u64;
+        let need = PageTags::of([b'x' as u32]);
+        let mut judge =
+            |set: &PageTags| if set.intersects(&need) { PageUse::Read } else { PageUse::Serve };
+        let (mut read, mut served) = (Vec::new(), Vec::new());
+        h.pager.reset_stats();
+        let unread = h
+            .scan_range_vis(0, u64::MAX, Vis::LATEST, Some(&mut judge), |rid, t| {
+                match t {
+                    Some(t) => read.push((rid, t[0])),
+                    None => served.push(rid),
+                }
+                Ok(true)
+            })
+            .unwrap();
+        assert_eq!(read.len() + served.len(), 2_000);
+        assert!(read.iter().all(|&(rid, _)| tagged.contains(&page_of(rid as usize))));
+        assert!(served.iter().all(|&rid| !tagged.contains(&page_of(rid as usize))));
+        let found: Vec<RowId> = read.iter().filter(|r| r.1 == b'x').map(|r| r.0).collect();
+        assert_eq!(found, [0, 500, 1_000, 1_500]);
+        assert_eq!(unread, PagesUnread { skipped: 0, served: h.pages.len() as u64 - 4 });
+        let io = h.pager.stats();
+        assert_eq!(io.disk_reads, absent, "only the pages holding the tag are read");
+        assert_eq!(io.cache_hits, tagged.len() as u64 - absent);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The incremental live-byte counter must agree with a from-scratch
