@@ -78,6 +78,24 @@ fn check_report(report: &StorageReport) -> Result<(), String> {
     if report.synopsis_bytes == 0 || get("synopsis_bytes") != Some(&Value::Int(report.synopsis_bytes as i64)) {
         return Err("the collection's heap keeps no page synopsis".into());
     }
+    for (key, value) in [
+        ("heap_pages", report.heap_pages),
+        ("heap_free_pages", report.heap_free_pages),
+        ("heap_live_bytes", report.heap_live_bytes),
+    ] {
+        if get(key) != Some(&Value::Int(value as i64)) {
+            return Err(format!("report JSON `{key}` is not {value}"));
+        }
+    }
+    // Materialization relocates every row once per promoted column; the
+    // pages vacuum empties must be refilled, not appended to (DESIGN.md §34).
+    let live_pages = report.heap_live_bytes.div_ceil(sinew_rdbms::page::PAGE_SIZE as u64);
+    if report.heap_pages > 3 * live_pages {
+        return Err(format!(
+            "the heap holds {} pages for {live_pages} pages of live tuples",
+            report.heap_pages
+        ));
+    }
     // Every counter of both tables must come back out of the JSON under
     // its own name with its own value, and show up in the text report.
     let same = |json: &Value, sample: &Sample| match (json, sample) {

@@ -313,6 +313,15 @@ pub struct StorageReport {
     /// §32): 128 per data page that has held a tuple. Not stored; rebuilt
     /// on open.
     pub synopsis_bytes: u64,
+    /// Data pages of the table's heap, those on its free list included
+    /// (DESIGN.md §34).
+    pub heap_pages: u64,
+    /// Heap data pages on the free list: no version is left on them, and
+    /// the next placements re-initialise them before a page is allocated.
+    pub heap_free_pages: u64,
+    /// Live tuple payload bytes of the heap: what its pages would hold
+    /// with no dead version and no slack.
+    pub heap_live_bytes: u64,
     /// Rows sampled for the per-column cardinality estimates.
     pub sampled_rows: u64,
     /// RDBMS executor counters (morsel-parallel scan pipeline): parallel
@@ -450,6 +459,7 @@ fn storage_report_once(sinew: &Sinew, table: &str) -> DbResult<StorageReport> {
         })
         .collect();
 
+    let (heap_pages, heap_free_pages) = db.table_data_pages(table)?;
     Ok(StorageReport {
         table: table.to_string(),
         rows,
@@ -460,6 +470,9 @@ fn storage_report_once(sinew: &Sinew, table: &str) -> DbResult<StorageReport> {
         reservoir_bytes,
         column_bytes,
         synopsis_bytes: db.table_synopsis_bytes(table)?,
+        heap_pages,
+        heap_free_pages,
+        heap_live_bytes: db.table_live_bytes(table)?,
         sampled_rows,
         exec: db.exec_stats(),
         io: db.io_stats(),
@@ -476,8 +489,15 @@ impl StorageReport {
         let _ = writeln!(out, "== storage report: {} ==", self.table);
         let _ = writeln!(
             out,
-            "rows: {}   reservoir: {} B   physical columns: {} B   page synopsis: {} B",
-            self.rows, self.reservoir_bytes, self.column_bytes, self.synopsis_bytes
+            "rows: {}   reservoir: {} B   physical columns: {} B   page synopsis: {} B   \
+             heap: {} pages, {} free, {} B live",
+            self.rows,
+            self.reservoir_bytes,
+            self.column_bytes,
+            self.synopsis_bytes,
+            self.heap_pages,
+            self.heap_free_pages,
+            self.heap_live_bytes
         );
         let render_cols = |out: &mut String, label: &str, cols: &[ColumnReport]| {
             let _ = writeln!(out, "{label} ({}):", cols.len());
@@ -646,6 +666,9 @@ impl StorageReport {
             ("reservoir_bytes".to_string(), Value::Int(self.reservoir_bytes as i64)),
             ("column_bytes".to_string(), Value::Int(self.column_bytes as i64)),
             ("synopsis_bytes".to_string(), Value::Int(self.synopsis_bytes as i64)),
+            ("heap_pages".to_string(), Value::Int(self.heap_pages as i64)),
+            ("heap_free_pages".to_string(), Value::Int(self.heap_free_pages as i64)),
+            ("heap_live_bytes".to_string(), Value::Int(self.heap_live_bytes as i64)),
             ("sampled_rows".to_string(), Value::Int(self.sampled_rows as i64)),
             ("exec".to_string(), json_object(self.exec.walk())),
             ("io".to_string(), json_object(self.io.walk())),
@@ -762,6 +785,7 @@ mod tests {
             "scan_pages_served",
             "synopsis_bytes",
             "heap_rowid_fetches",
+            "heap_pages_recycled",
         ];
         for (obj, keys) in [
             ("exec", PR14_EXEC_KEYS),

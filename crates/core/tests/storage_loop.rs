@@ -316,3 +316,88 @@ fn promotion_until_clean_crosses_a_sealed_segment() {
     // machine, two orders of magnitude below the quadratic pass.
     assert!(took.as_secs() < 60, "materialize_until_clean took {took:?}");
 }
+
+/// Each promotion pass relocates every row, and vacuum then empties the
+/// pages of the old versions: the next pass refills those pages instead
+/// of appending a copy of the table (DESIGN.md §34). Seven passes over
+/// 1 536 NoBench documents leave the heap within 3× the pages its live
+/// tuples fill.
+#[test]
+fn promotion_passes_recycle_the_pages_they_empty() {
+    use sinew_nobench::{generate, NoBenchConfig};
+    let docs = generate(1_536, &NoBenchConfig::default());
+    let sinew = Sinew::in_memory();
+    sinew.create_collection("nobench").unwrap();
+    sinew.load_docs("nobench", &docs).unwrap();
+    let loaded = sinew.storage_report("nobench").unwrap();
+    assert_eq!(loaded.heap_free_pages, 0);
+    sinew.run_analyzer("nobench", &AnalyzerPolicy::default()).unwrap();
+    let done = sinew.materialize_until_clean("nobench").unwrap();
+    assert!(done.columns_cleaned.len() >= 5, "promoted only {:?}", done.columns_cleaned);
+    sinew.db().check_derived("nobench").unwrap();
+    let after = sinew.storage_report("nobench").unwrap();
+    let page = sinew_rdbms::page::PAGE_SIZE as u64;
+    let live = after.heap_live_bytes.div_ceil(page);
+    assert!(
+        after.heap_pages <= 3 * live,
+        "{} heap pages ({} free) for {live} pages of live tuples (loaded: {} pages)",
+        after.heap_pages,
+        after.heap_free_pages,
+        loaded.heap_pages
+    );
+    assert!(after.exec.heap_pages_recycled > 0);
+    let heap_bytes = sinew.db().table_size_bytes("nobench").unwrap();
+    assert_eq!(heap_bytes, after.heap_pages * page, "a document went to a jumbo chain");
+    assert!(after.render_text().contains(&format!(
+        "heap: {} pages, {} free, {} B live",
+        after.heap_pages, after.heap_free_pages, after.heap_live_bytes
+    )));
+}
+
+/// A snapshot held across promotion passes reads the documents as they
+/// were before the passes, from the pages of the versions it can still
+/// see. Once it ends, vacuum lists those pages, and a load refills them
+/// without growing the database.
+#[test]
+fn an_old_snapshot_keeps_its_pages_until_it_ends() {
+    use sinew_nobench::{generate, NoBenchConfig};
+    let docs = generate(1_280, &NoBenchConfig::default());
+    let sinew = Sinew::in_memory();
+    sinew.create_collection("nobench").unwrap();
+    sinew.load_docs("nobench", &docs[..1_024]).unwrap();
+    sinew.run_analyzer("nobench", &AnalyzerPolicy::default()).unwrap();
+    let q = r#"SELECT _rowid, str1, num, thousandth, "nested_obj.str", sparse_110 FROM nobench"#;
+    let physical = sinew.rewrite(q).unwrap();
+    let want = sinew_reference::query(sinew.db(), &physical);
+
+    let mut old = sinew.db().session();
+    old.execute("BEGIN").unwrap();
+    let done = sinew.materialize_until_clean("nobench").unwrap();
+    assert!(done.columns_cleaned.len() >= 5, "promoted only {:?}", done.columns_cleaned);
+    sinew.db().check_derived("nobench").unwrap();
+    let held = sinew.storage_report("nobench").unwrap();
+    let got = old.execute(&physical).map(|r| r.rows);
+    if let Err(e) = sinew_reference::agree(&got, &want) {
+        panic!("the old snapshot disagrees with the rows before the passes: {e}");
+    }
+    old.execute("COMMIT").unwrap();
+
+    sinew.db().vacuum().unwrap();
+    sinew.db().check_derived("nobench").unwrap();
+    let freed = sinew.storage_report("nobench").unwrap();
+    assert_eq!(freed.heap_pages, held.heap_pages);
+    assert!(
+        freed.heap_free_pages > held.heap_free_pages + held.heap_pages / 2,
+        "vacuum listed {} of {} pages (held: {})",
+        freed.heap_free_pages,
+        freed.heap_pages,
+        held.heap_free_pages
+    );
+    let size = sinew.db().size_bytes();
+    sinew.load_docs("nobench", &docs[1_024..]).unwrap();
+    sinew.db().check_derived("nobench").unwrap();
+    let reloaded = sinew.storage_report("nobench").unwrap();
+    assert_eq!(sinew.db().size_bytes(), size, "the load allocated a page");
+    assert!(reloaded.exec.heap_pages_recycled > freed.exec.heap_pages_recycled);
+    assert_eq!(reloaded.rows, 1_280);
+}

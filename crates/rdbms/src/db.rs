@@ -129,12 +129,7 @@ impl Table {
     /// live `bytea` column of that name: rebuilt when the column's slot
     /// changed since the last call, or always with `rebuild`; dropped when
     /// the table has no such column.
-    fn attach_tagger(
-        &mut self,
-        tagger: Option<&(String, Tagger)>,
-        stats: &Arc<ExecStats>,
-        rebuild: bool,
-    ) -> DbResult<()> {
+    fn attach_tagger(&mut self, tagger: Option<&(String, Tagger)>, rebuild: bool) -> DbResult<()> {
         let slot = tagger.and_then(|(column, _)| {
             let slot = self.schema.index_of(column)?;
             (self.schema.columns[slot].ty == ColType::Bytea).then_some(slot)
@@ -155,7 +150,7 @@ impl Table {
                 }
             }) as Tagger
         });
-        self.heap.set_tagger(tuple_tagger, stats)
+        self.heap.set_tagger(tuple_tagger)
     }
 
     /// Physical slots a row given over `cols` fills (`None` = every live
@@ -756,7 +751,7 @@ impl Database {
         type Rebuild = (String, Vec<(String, String)>, Vec<String>);
         let mut rebuilds: Vec<Rebuild> = Vec::new();
         for (name, rec) in tables {
-            let mut heap = Heap::new(db.pager.clone());
+            let mut heap = Heap::new(db.pager.clone(), db.exec_stats.clone());
             for chunk in &rec.heap_chunks {
                 heap.wal_apply(&mut wal::Reader::new(chunk))?;
             }
@@ -1067,7 +1062,7 @@ impl Database {
         *self.tagger.write() = tagger.clone();
         let tables: Vec<_> = self.tables.read().values().cloned().collect();
         for t in tables {
-            t.write().attach_tagger(tagger.as_ref(), &self.exec_stats, true)?;
+            t.write().attach_tagger(tagger.as_ref(), true)?;
         }
         Ok(())
     }
@@ -1129,6 +1124,12 @@ impl Database {
         Ok(t.heap.bytes_used())
     }
 
+    /// `table`'s heap data pages, and how many of them are on its free
+    /// list (DESIGN.md §34).
+    pub fn table_data_pages(&self, table: &str) -> DbResult<(u64, u64)> {
+        Ok(self.table(table)?.read().heap.data_pages())
+    }
+
     /// Live tuple payload bytes of one table — page and dead-tuple
     /// overhead excluded (the post-VACUUM figure used for cross-system
     /// size comparisons).
@@ -1155,10 +1156,10 @@ impl Database {
                     }
                 }
             }
-            let mut heap = Heap::new(self.pager.clone());
+            let mut heap = Heap::new(self.pager.clone(), self.exec_stats.clone());
             heap.set_wal_track(self.wal_enabled());
             let mut table = Table::new(TableSchema::new(cols), heap);
-            table.attach_tagger(self.tagger.read().as_ref(), &self.exec_stats, false)?;
+            table.attach_tagger(self.tagger.read().as_ref(), false)?;
             let arc = Arc::new(RwLock::new(table));
             tables.insert(name.to_string(), arc.clone());
             arc
@@ -1195,7 +1196,7 @@ impl Database {
         {
             let mut t = t.write();
             t.schema.add_column(name, ty)?;
-            t.attach_tagger(self.tagger.read().as_ref(), &self.exec_stats, false)?;
+            t.attach_tagger(self.tagger.read().as_ref(), false)?;
             self.plan_epoch.bump();
             let (tk, _tg) = self.begin_stmt_write();
             self.wal_commit_table(table, &mut t, tk.ts)?;
@@ -1213,7 +1214,7 @@ impl Database {
             t.schema.drop_column(name)?;
             t.indexes.retain(|ix| ix.column() != name);
             t.columnar.retain(|cs| cs.column() != name);
-            t.attach_tagger(self.tagger.read().as_ref(), &self.exec_stats, false)?;
+            t.attach_tagger(self.tagger.read().as_ref(), false)?;
             self.plan_epoch.bump();
             let (tk, _tg) = self.begin_stmt_write();
             self.wal_commit_table(table, &mut t, tk.ts)?;
@@ -2273,14 +2274,15 @@ impl Database {
     /// Consistency audit (tests call it after every phase): each index and
     /// each columnar store of `table` must equal the projection of the
     /// latest-committed heap, with queued index removals and pending
-    /// columnar ops taken as applied, and every tag of every tuple on a
-    /// heap page, chained versions included, must be in that page's
-    /// synopsis.
+    /// columnar ops taken as applied; every tag of every tuple on a heap
+    /// page, chained versions included, must be in that page's synopsis;
+    /// and the heap's free list must hold only pages no version is on.
     pub fn check_derived(&self, table: &str) -> DbResult<()> {
         let t = self.table(table)?;
         let t = t.read();
         t.heap
             .check_synopsis()
+            .and_then(|()| t.heap.check_free_list())
             .map_err(|e| DbError::Eval(format!("check_derived({table}): {e}")))?;
         let mut rows: Vec<(RowId, Vec<Datum>)> = Vec::new();
         t.heap.scan(|rowid, bytes| {

@@ -132,6 +132,9 @@ crate::counter_table! {
     /// gauge, 128 per data page that has held a tuple of a table with a
     /// tagged column.
     executor synopsis_bytes: counter,
+    /// Heap data pages that placement re-initialised from a free list
+    /// instead of allocating a page (DESIGN.md §34).
+    executor heap_pages_recycled: counter,
     /// Helper threads spawned for statement crews: at most
     /// `exec_threads − 1` per statement, none at one thread (DESIGN.md §26).
     executor exec_helpers_spawned: counter,

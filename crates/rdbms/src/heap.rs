@@ -10,6 +10,14 @@
 //! bare-bones TOAST): the column reservoir can exceed 8 KiB for documents
 //! with large nested objects.
 //!
+//! Free space is reused a whole page at a time (DESIGN.md §34). Tuples
+//! are placed on the *tail* page until it is full. A data page that the
+//! release of a version (vacuum, rollback, an eager update or delete)
+//! leaves with no live slot joins the heap's free list, and when the tail
+//! is full placement re-initialises a listed page and makes it the tail;
+//! it allocates a page only when the list is empty. A dead slot's bytes
+//! are never reused while its page holds a live one.
+//!
 //! A range scan reads pages, not tuples (DESIGN.md §24): it copies each
 //! page once into its own buffer and serves every following row that lives
 //! on that page from the copy, so the pool is consulted once per page. A
@@ -30,7 +38,7 @@ use crate::page::{self, MAX_INLINE_TUPLE, PAGE_SIZE};
 use crate::pager::{PageId, Pager};
 use crate::txn::{Vis, NO_END, TXN_BASE};
 use crate::wal;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 pub type RowId = u64;
@@ -87,8 +95,9 @@ impl PageTags {
 }
 
 /// A heap's page synopsis: per data page, a superset of the tags of every
-/// tuple version placed on it since the last rebuild. Jumbo tuples live
-/// off the data pages and are always read.
+/// tuple version placed on it since it was last re-initialised or the
+/// synopsis rebuilt. Jumbo tuples live off the data pages and are always
+/// read.
 struct Synopsis {
     /// Tags of a whole tuple.
     tagger: Tagger,
@@ -106,6 +115,14 @@ impl Synopsis {
         });
         if !tagger(tuple, &mut |t| set.insert(t)) {
             *set = PageTags::ALL;
+        }
+    }
+
+    /// Forget the tags of a page being re-initialised: no version is left
+    /// on it.
+    fn clear(&mut self, page: PageId) {
+        if let Some(set) = self.pages.get_mut(&page) {
+            *set = PageTags::default();
         }
     }
 }
@@ -170,15 +187,17 @@ pub struct Heap {
     /// `read_ts >= max_begin` and no chains/markers/retained deletes can
     /// skip all per-row visibility checks (the serial fast path).
     max_begin: u64,
-    /// Data pages in allocation order (jumbo pages excluded).
+    /// Data pages in allocation order (jumbo pages excluded), listed ones
+    /// included.
     pages: Vec<PageId>,
+    /// The data page placements try first. Never on `free`.
+    tail: Option<PageId>,
+    /// Data pages that hold no live slot, most recently emptied last:
+    /// placement re-initialises one before it allocates a page.
+    free: Vec<PageId>,
     live_rows: u64,
     /// Pages consumed by jumbo chains, for size accounting.
     jumbo_pages: u64,
-    /// Pages where tuples were deleted — candidates for space reuse
-    /// (a minimal free-space map, so update-heavy phases like column
-    /// materialization don't bloat the table).
-    free_hints: Vec<PageId>,
     /// Live tuple payload bytes, maintained incrementally on
     /// insert/update/delete so [`Heap::live_bytes`] is O(1) instead of a
     /// walk over every page. In-place overwrites need no adjustment:
@@ -190,12 +209,17 @@ pub struct Heap {
     wal_track: bool,
     wal_touched: Vec<RowId>,
     wal_new_pages: Vec<PageId>,
+    /// The free list or the tail changed since the last delta record, so
+    /// the next one carries them.
+    wal_free_dirty: bool,
     /// Tags per data page, when the table has a tagged column.
     synopsis: Option<Synopsis>,
+    /// Counts recycled pages and holds the synopsis gauge.
+    stats: Arc<ExecStats>,
 }
 
 impl Heap {
-    pub fn new(pager: Arc<Pager>) -> Heap {
+    pub fn new(pager: Arc<Pager>, stats: Arc<ExecStats>) -> Heap {
         Heap {
             pager,
             rows: Vec::new(),
@@ -205,14 +229,17 @@ impl Heap {
             n_ended: 0,
             max_begin: 0,
             pages: Vec::new(),
+            tail: None,
+            free: Vec::new(),
             live_rows: 0,
             jumbo_pages: 0,
-            free_hints: Vec::new(),
             live: 0,
             wal_track: false,
             wal_touched: Vec::new(),
             wal_new_pages: Vec::new(),
+            wal_free_dirty: false,
             synopsis: None,
+            stats,
         }
     }
 
@@ -238,6 +265,11 @@ impl Heap {
     /// Pages owned by this table (data + jumbo).
     pub fn pages_used(&self) -> u64 {
         self.pages.len() as u64 + self.jumbo_pages
+    }
+
+    /// Data pages, and how many of them are on the free list.
+    pub fn data_pages(&self) -> (u64, u64) {
+        (self.pages.len() as u64, self.free.len() as u64)
     }
 
     pub fn bytes_used(&self) -> u64 {
@@ -298,27 +330,48 @@ impl Heap {
         if bytes.len() > MAX_INLINE_TUPLE {
             return self.place_jumbo(bytes);
         }
-        // Try the newest page first; heaps fill append-only and updates
-        // relocate to the tail, so this is almost always a hit.
-        if let Some(&last) = self.pages.last() {
-            let slot = self
-                .pager
-                .with_page_mut(last, |pg| page::insert(pg, bytes))?;
-            if let Some(slot) = slot {
-                return Ok(Loc::Slot { page: last, slot, len });
+        // Inserts and relocations all go to the tail, so this is almost
+        // always a hit.
+        if let Some(tail) = self.tail {
+            let placed = self.pager.with_page_mut(tail, |pg| {
+                page::insert(pg, bytes).ok_or_else(|| page::is_empty(pg))
+            })?;
+            match placed {
+                Ok(slot) => return Ok(Loc::Slot { page: tail, slot, len }),
+                // A tail that emptied is listed as placement moves off it.
+                Err(true) => self.free.push(tail),
+                Err(false) => {}
             }
         }
-        // Then pages with reclaimed space (bounded probes).
-        for _ in 0..4 {
-            let Some(&candidate) = self.free_hints.last() else { break };
-            let slot = self
-                .pager
-                .with_page_mut(candidate, |pg| page::insert(pg, bytes))?;
-            match slot {
-                Some(slot) => return Ok(Loc::Slot { page: candidate, slot, len }),
-                None => {
-                    self.free_hints.pop();
+        let id = self.new_tail()?;
+        let slot = self
+            .pager
+            .with_page_mut(id, |pg| page::insert(pg, bytes))?
+            .expect("fresh page fits any inline tuple");
+        Ok(Loc::Slot { page: id, slot, len })
+    }
+
+    /// Make a fresh page the tail: a listed page re-initialised, or a new
+    /// one. A listed page that holds a live slot is dropped from the list,
+    /// never wiped.
+    fn new_tail(&mut self) -> DbResult<PageId> {
+        self.wal_free_dirty = true;
+        while let Some(id) = self.free.pop() {
+            let empty = self.pager.with_page_mut(id, |pg| {
+                let empty = page::is_empty(pg);
+                if empty {
+                    page::init(pg);
                 }
+                empty
+            })?;
+            if empty {
+                // Exact: no version is left on the page.
+                if let Some(syn) = &mut self.synopsis {
+                    syn.clear(id);
+                }
+                self.stats.heap_pages_recycled.inc();
+                self.tail = Some(id);
+                return Ok(id);
             }
         }
         let id = self.pager.alloc()?;
@@ -326,11 +379,8 @@ impl Heap {
         if self.wal_track {
             self.wal_new_pages.push(id);
         }
-        let slot = self
-            .pager
-            .with_page_mut(id, |pg| page::insert(pg, bytes))?
-            .expect("fresh page fits any inline tuple");
-        Ok(Loc::Slot { page: id, slot, len })
+        self.tail = Some(id);
+        Ok(id)
     }
 
     fn place_jumbo(&mut self, bytes: &[u8]) -> DbResult<Loc> {
@@ -434,10 +484,13 @@ impl Heap {
     fn release(&mut self, loc: &Loc) -> DbResult<()> {
         match loc {
             Loc::Slot { page, slot, len } => {
-                self.pager.with_page_mut(*page, |pg| page::delete(pg, *slot))?;
+                let emptied = self
+                    .pager
+                    .with_page_mut(*page, |pg| page::delete(pg, *slot) && page::is_empty(pg))?;
                 self.live -= *len as u64;
-                if self.free_hints.last() != Some(page) && self.free_hints.len() < 64 {
-                    self.free_hints.push(*page);
+                if emptied && self.tail != Some(*page) {
+                    self.free.push(*page);
+                    self.wal_free_dirty = true;
                 }
             }
             Loc::Jumbo { pages, len } => {
@@ -542,11 +595,11 @@ impl Heap {
     /// Tag every tuple this heap places with `tagger`, or stop keeping a
     /// synopsis (`None`). Either way the old synopsis goes; a new one is
     /// built from every live slot of every data page, chained versions
-    /// included. `stats` holds the resident-bytes gauge.
-    pub fn set_tagger(&mut self, tagger: Option<Tagger>, stats: &Arc<ExecStats>) -> DbResult<()> {
+    /// included.
+    pub fn set_tagger(&mut self, tagger: Option<Tagger>) -> DbResult<()> {
         self.synopsis = None;
         let Some(tagger) = tagger else { return Ok(()) };
-        let mut syn = Synopsis { tagger, pages: HashMap::new(), stats: stats.clone() };
+        let mut syn = Synopsis { tagger, pages: HashMap::new(), stats: self.stats.clone() };
         let mut pages = ScanPage::new(&self.pager, self.pages.len() > self.pager.capacity());
         for &id in &self.pages {
             let pg = pages.read(id)?;
@@ -583,6 +636,38 @@ impl Heap {
                 }
                 Ok(())
             })??;
+        }
+        Ok(())
+    }
+
+    /// Audit of the free list (DESIGN.md §34): each listed page is a data
+    /// page, listed once, holding no live slot, and named by no location
+    /// in the row directory or in any version chain; the tail is a data
+    /// page and is not listed.
+    pub fn check_free_list(&self) -> DbResult<()> {
+        let bad = |what: String| Err(DbError::Eval(format!("free list: {what}")));
+        let data: HashSet<PageId> = self.pages.iter().copied().collect();
+        let mut listed = HashSet::new();
+        for &id in &self.free {
+            if !data.contains(&id) || !listed.insert(id) {
+                return bad(format!("page {id} is listed twice or is not a data page"));
+            }
+            if !self.pager.with_page(id, page::is_empty)? {
+                return bad(format!("listed page {id} holds a live slot"));
+            }
+        }
+        if let Some(tail) = self.tail {
+            if listed.contains(&tail) || !data.contains(&tail) {
+                return bad(format!("tail page {tail} is listed or is not a data page"));
+            }
+        }
+        let chained = self.chains.values().flatten().map(|v| &v.loc);
+        for loc in self.rows.iter().flatten().chain(chained) {
+            if let Loc::Slot { page, slot, .. } = loc {
+                if listed.contains(page) {
+                    return bad(format!("listed page {page} holds slot {slot} of a version"));
+                }
+            }
         }
         Ok(())
     }
@@ -891,8 +976,8 @@ impl Heap {
     // ---- WAL metadata codecs ----
     //
     // The WAL logs page *images*; what a page image cannot restore is the
-    // in-memory row directory (rowid → Loc), page list, and free-space
-    // hints. These codecs serialize exactly that: a full snapshot for
+    // in-memory row directory (rowid → Loc), page list, free list and
+    // tail. These codecs serialize exactly that: a full snapshot for
     // checkpoint records (tag 0) and a per-statement delta for commit
     // records (tag 1). Kept inside heap.rs so `Loc` stays private.
 
@@ -911,7 +996,7 @@ impl Heap {
         for &p in &self.pages {
             wal::put_u64(out, p);
         }
-        self.encode_tail(out);
+        self.encode_tail(out, true);
     }
 
     /// Whether mutations were recorded since the last drain — an errored
@@ -944,17 +1029,26 @@ impl Heap {
         for p in new_pages {
             wal::put_u64(out, p);
         }
-        self.encode_tail(out);
+        let with_free = std::mem::take(&mut self.wal_free_dirty);
+        self.encode_tail(out, with_free);
     }
 
-    /// Shared trailer: free hints + absolute scalars. Scalars are logged
-    /// absolutely (24 bytes) rather than re-derived on replay — in
-    /// particular `jumbo_pages` counts abandoned chains, which the final
-    /// Locs alone cannot reconstruct.
-    fn encode_tail(&self, out: &mut Vec<u8>) {
-        wal::put_u32(out, self.free_hints.len() as u32);
-        for &p in &self.free_hints {
-            wal::put_u64(out, p);
+    /// Shared trailer: the free list and the tail when `with_free` (a
+    /// checkpoint always, a delta when they changed since the last
+    /// delta), then absolute scalars. Recovery keeps the list and tail of
+    /// the last record that carries them; DESIGN.md §34 shows that each
+    /// listed page's recovered image then holds no live slot. Scalars are
+    /// logged absolutely rather than re-derived on replay — in particular
+    /// `jumbo_pages` counts abandoned chains, which the final Locs alone
+    /// cannot reconstruct.
+    fn encode_tail(&self, out: &mut Vec<u8>, with_free: bool) {
+        out.push(with_free as u8);
+        if with_free {
+            wal::put_u32(out, self.free.len() as u32);
+            for &p in &self.free {
+                wal::put_u64(out, p);
+            }
+            wal::put_u64(out, self.tail.unwrap_or(NO_TAIL));
         }
         wal::put_u64(out, self.live_rows);
         wal::put_u64(out, self.live);
@@ -994,10 +1088,13 @@ impl Heap {
             }
             t => return Err(DbError::Io(format!("wal: unknown heap record tag {t}"))),
         }
-        let nh = r.u32()? as usize;
-        self.free_hints = Vec::with_capacity(nh);
-        for _ in 0..nh {
-            self.free_hints.push(r.u64()?);
+        if r.u8()? != 0 {
+            let nf = r.u32()? as usize;
+            self.free = Vec::with_capacity(nf);
+            for _ in 0..nf {
+                self.free.push(r.u64()?);
+            }
+            self.tail = Some(r.u64()?).filter(|&p| p != NO_TAIL);
         }
         self.live_rows = r.u64()?;
         self.live = r.u64()?;
@@ -1005,6 +1102,9 @@ impl Heap {
         Ok(())
     }
 }
+
+/// The logged tail of a heap that has none.
+const NO_TAIL: u64 = u64::MAX;
 
 /// The tuple in `slot` of page image `pg`.
 fn slot_bytes(pg: &[u8], slot: u16) -> DbResult<&[u8]> {
@@ -1080,10 +1180,9 @@ fn read_loc(r: &mut wal::Reader) -> DbResult<Option<Loc>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     fn heap() -> Heap {
-        Heap::new(Arc::new(Pager::in_memory()))
+        Heap::new(Arc::new(Pager::in_memory()), Arc::new(ExecStats::default()))
     }
 
     #[test]
@@ -1170,7 +1269,8 @@ mod tests {
     fn file_heap(name: &str, pool: usize, rows: u64) -> (Heap, std::path::PathBuf) {
         let dir = std::env::temp_dir().join(format!("sinew-heap-{name}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let mut h = Heap::new(Arc::new(Pager::open(&dir.join("t.db"), pool).unwrap()));
+        let pager = Arc::new(Pager::open(&dir.join("t.db"), pool).unwrap());
+        let mut h = Heap::new(pager, Arc::new(ExecStats::default()));
         for i in 0..rows {
             h.insert(format!("row-{i:06}-{}", "p".repeat(190)).as_bytes()).unwrap();
         }
@@ -1235,11 +1335,11 @@ mod tests {
             let tag = if i % 500 == 0 { b'x' } else { b'a' };
             h.insert(&[&[tag][..], &[b'.'; 99][..]].concat()).unwrap();
         }
-        let stats = Arc::new(ExecStats::default());
+        let stats = h.stats.clone();
         let first_byte: Tagger = Arc::new(|t: &[u8], sink: &mut dyn FnMut(u32)| {
             t.first().map(|&b| sink(b as u32)).is_some()
         });
-        h.set_tagger(Some(first_byte), &stats).unwrap();
+        h.set_tagger(Some(first_byte)).unwrap();
         assert_eq!(stats.snapshot().synopsis_bytes, h.pages.len() as u64 * PageTags::BYTES);
         let need = PageTags::of([b'x' as u32]);
         let scan = |h: &Heap| {
@@ -1277,7 +1377,8 @@ mod tests {
     fn a_served_page_is_not_read_past_the_pool() {
         let dir = std::env::temp_dir().join(format!("sinew-heap-served-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let mut h = Heap::new(Arc::new(Pager::open(&dir.join("t.db"), 8).unwrap()));
+        let pager = Arc::new(Pager::open(&dir.join("t.db"), 8).unwrap());
+        let mut h = Heap::new(pager, Arc::new(ExecStats::default()));
         for i in 0..2_000u64 {
             let tag = if i % 500 == 0 { b'x' } else { b'a' };
             h.insert(&[&[tag][..], &[b'.'; 199][..]].concat()).unwrap();
@@ -1285,7 +1386,7 @@ mod tests {
         let first_byte: Tagger = Arc::new(|t: &[u8], sink: &mut dyn FnMut(u32)| {
             t.first().map(|&b| sink(b as u32)).is_some()
         });
-        h.set_tagger(Some(first_byte), &Arc::new(ExecStats::default())).unwrap();
+        h.set_tagger(Some(first_byte)).unwrap();
         h.pager.flush().unwrap();
         assert!(h.pages.len() > 4 * h.pager.capacity(), "{} pages", h.pages.len());
         let page_of = |rid: usize| match &h.rows[rid] {
@@ -1319,6 +1420,258 @@ mod tests {
         assert_eq!(io.disk_reads, absent, "only the pages holding the tag are read");
         assert_eq!(io.cache_hits, tagged.len() as u64 - absent);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A 100-byte tuple whose first byte is `tag`, distinct per `(i, round)`.
+    fn tuple(tag: u8, i: u64, round: u64) -> Vec<u8> {
+        let mut t = format!("{}{i:06}-{round:03}", tag as char).into_bytes();
+        t.resize(100, b'.');
+        t
+    }
+
+    fn page_of(h: &Heap, rid: RowId) -> PageId {
+        match &h.rows[rid as usize] {
+            Some(Loc::Slot { page, .. }) => *page,
+            other => panic!("row {rid}: {other:?}"),
+        }
+    }
+
+    fn recycled(h: &Heap) -> u64 {
+        h.stats.snapshot().heap_pages_recycled
+    }
+
+    /// Each round relocates every row to a new version and vacuums the old
+    /// ones, as a materializer pass does: from the second round on, the
+    /// new versions fill the pages the last round emptied, so the heap
+    /// stops growing. The free list and tail survive a directory record.
+    #[test]
+    fn versioned_rounds_with_vacuum_keep_the_heap_flat() {
+        let mut h = heap();
+        for i in 0..1_000 {
+            h.insert(&tuple(b'a', i, 0)).unwrap();
+        }
+        let mut used = Vec::new();
+        for round in 1..=5u64 {
+            for rid in 0..1_000 {
+                h.update_versioned(rid, &tuple(b'a', rid, round), round).unwrap();
+            }
+            h.check_free_list().unwrap();
+            for rid in 0..1_000 {
+                assert!(h.vacuum_chain_tail(rid, round).unwrap());
+            }
+            h.check_free_list().unwrap();
+            used.push(h.pages_used());
+        }
+        assert!(used[1..].iter().all(|&u| u == used[1]), "pages per round: {used:?}");
+        assert!(used[1] <= used[0] + 1, "pages per round: {used:?}");
+        assert!(recycled(&h) >= 4 * (used[0] / 2 - 1), "{} pages recycled", recycled(&h));
+        assert_eq!(h.live_bytes().unwrap(), h.live_bytes_walk().unwrap());
+        let rows = scan_all(&h);
+        assert!(rows.iter().all(|(rid, t)| *t == tuple(b'a', *rid, 5)));
+
+        let mut record = Vec::new();
+        h.wal_encode_full(&mut record);
+        let mut back = Heap::new(h.pager.clone(), h.stats.clone());
+        back.wal_apply(&mut wal::Reader::new(&record)).unwrap();
+        assert_eq!((&back.free, back.tail), (&h.free, h.tail));
+        back.check_free_list().unwrap();
+        assert_eq!(scan_all(&back), rows);
+    }
+
+    /// Pages whose old versions a snapshot can still read are not
+    /// recycled; the pages vacuum emptied are, and they alone.
+    #[test]
+    fn a_page_a_snapshot_can_read_is_not_recycled() {
+        let mut h = heap();
+        for i in 0..600 {
+            h.insert(&tuple(b'a', i, 0)).unwrap();
+        }
+        let old_pages: Vec<PageId> = h.pages.clone();
+        for rid in 0..600 {
+            h.update_versioned(rid, &tuple(b'a', rid, 1), 5).unwrap();
+        }
+        // The snapshot at 4 reads the rows of the pages past the first
+        // half; vacuum frees only the old versions of the others.
+        let kept: HashSet<PageId> = old_pages[old_pages.len() / 2..].iter().copied().collect();
+        let mut held = Vec::new();
+        for rid in 0..600 {
+            let Loc::Slot { page, .. } = h.chains[&rid][0].loc else { unreachable!() };
+            if kept.contains(&page) {
+                held.push(rid);
+            } else {
+                assert!(h.vacuum_chain_tail(rid, 5).unwrap());
+            }
+        }
+        assert!(!held.is_empty() && held.len() < 600);
+        let listed: HashSet<PageId> = h.free.iter().copied().collect();
+        assert!(listed.is_disjoint(&kept));
+        assert_eq!(listed.len(), old_pages.len() / 2, "every emptied page is listed");
+        for i in 600..2_400 {
+            h.insert(&tuple(b'b', i, 0)).unwrap();
+        }
+        h.check_free_list().unwrap();
+        assert!(h.free.is_empty());
+        assert_eq!(recycled(&h), listed.len() as u64);
+        assert!((600..2_400).all(|rid| !kept.contains(&page_of(&h, rid))));
+        for rid in held {
+            assert_eq!(h.get_vis(rid, Vis::snapshot(4)).unwrap(), Some(tuple(b'a', rid, 0)));
+        }
+        assert!((0..600).all(|rid| h.get(rid).unwrap() == Some(tuple(b'a', rid, 1))));
+    }
+
+    /// A recycled page's tag set starts empty: once it holds one new
+    /// tuple, its set is that tuple's tags alone, and a scan for the tag
+    /// the page held before skips it.
+    #[test]
+    fn a_recycled_page_forgets_its_tags() {
+        let mut h = heap();
+        let first_byte: Tagger = Arc::new(|t: &[u8], sink: &mut dyn FnMut(u32)| {
+            t.first().map(|&b| sink(b as u32)).is_some()
+        });
+        h.set_tagger(Some(first_byte)).unwrap();
+        for i in 0..200 {
+            h.insert(&tuple(b'x', i, 0)).unwrap();
+        }
+        let first = page_of(&h, 0);
+        assert_ne!(h.tail, Some(first));
+        let on_first: Vec<RowId> = (0..200).filter(|&rid| page_of(&h, rid) == first).collect();
+        for rid in on_first {
+            assert!(h.delete(rid).unwrap());
+        }
+        assert_eq!(h.free, [first]);
+        // Fill the tail, then one more tuple recycles the listed page.
+        let mut i = 200;
+        while h.tail != Some(first) {
+            h.insert(&tuple(b'a', i, 0)).unwrap();
+            i += 1;
+        }
+        assert_eq!(recycled(&h), 1);
+        let syn = h.synopsis.as_ref().unwrap();
+        assert_eq!(syn.pages[&first], PageTags::of([b'a' as u32]));
+        h.check_synopsis().unwrap();
+        let need = PageTags::of([b'x' as u32]);
+        let mut judge = |set: &PageTags| if set.intersects(&need) { PageUse::Read } else { PageUse::Skip };
+        let unread = h.scan_range_vis(0, u64::MAX, Vis::LATEST, Some(&mut judge), |_, _| Ok(true)).unwrap();
+        assert_eq!(unread.skipped, 1, "only the recycled page lacks `x`");
+    }
+
+    /// A tail whose every tuple is deleted stays the tail and is not
+    /// listed; it is listed, and recycled in place, only when a tuple no
+    /// longer fits on it.
+    #[test]
+    fn an_emptied_tail_is_recycled_only_when_placement_moves_off_it() {
+        let mut h = heap();
+        for i in 0..60 {
+            h.insert(&tuple(b'a', i, 0)).unwrap();
+        }
+        assert_eq!(h.pages.len(), 1);
+        let tail = h.tail.unwrap();
+        for rid in 0..60 {
+            h.delete(rid).unwrap();
+        }
+        assert!(h.free.is_empty(), "the tail is not listed while it is the tail");
+        h.check_free_list().unwrap();
+        // Still room for a small tuple: it goes on the emptied tail.
+        let small = h.insert(b"small").unwrap();
+        assert_eq!((page_of(&h, small), recycled(&h)), (tail, 0));
+        h.delete(small).unwrap();
+        // A tuple that no longer fits moves placement off the empty tail,
+        // which is listed and at once re-initialised as the new tail.
+        let big = h.insert(&[b'b'; 4_000]).unwrap();
+        assert_eq!((page_of(&h, big), h.pages.len(), recycled(&h)), (tail, 1, 1));
+        assert!(h.free.is_empty());
+        h.check_free_list().unwrap();
+    }
+
+    /// A delta record carries the free list and the tail only when they
+    /// changed since the last delta; replaying the deltas in order
+    /// restores both either way.
+    #[test]
+    fn a_delta_carries_the_free_list_only_when_it_changed() {
+        let mut h = heap();
+        h.set_wal_track(true);
+        let mut back = Heap::new(h.pager.clone(), h.stats.clone());
+        // Replays the next delta and says whether it carried the list: a
+        // marker appended to the replica's list survives only a record
+        // that does not.
+        let replay = |h: &mut Heap, back: &mut Heap| {
+            let mut record = Vec::new();
+            h.wal_drain_delta(&mut record);
+            back.free.push(PageId::MAX);
+            back.wal_apply(&mut wal::Reader::new(&record)).unwrap();
+            let carried = back.free.last() != Some(&PageId::MAX);
+            if !carried {
+                back.free.pop();
+            }
+            assert_eq!((&back.free, back.tail), (&h.free, h.tail));
+            carried
+        };
+        for i in 0..300 {
+            h.insert(&tuple(b'a', i, 0)).unwrap();
+        }
+        assert!(replay(&mut h, &mut back), "new pages move the tail");
+        let first = page_of(&h, 0);
+        let on_first: Vec<RowId> = (0..300).filter(|&rid| page_of(&h, rid) == first).collect();
+        for rid in on_first {
+            h.delete(rid).unwrap();
+        }
+        assert!(replay(&mut h, &mut back), "an emptied page is listed");
+        assert_eq!(back.free, [first]);
+        h.delete(299).unwrap();
+        assert!(!replay(&mut h, &mut back), "a delete that empties no page");
+        h.insert(&tuple(b'a', 300, 0)).unwrap();
+        assert!(!replay(&mut h, &mut back), "an insert that fits the tail");
+        while h.free == [first] {
+            h.insert(&tuple(b'a', 300, 0)).unwrap();
+        }
+        assert!(replay(&mut h, &mut back), "the listed page became the tail");
+        assert_eq!((back.tail, back.free.len()), (Some(first), 0));
+    }
+
+    /// Rolling back inserts and updates releases the transaction's
+    /// versions: a page they alone filled is listed, unless it is the tail.
+    #[test]
+    fn undo_that_empties_a_page_lists_it() {
+        let marker = TXN_BASE + 1;
+        for undo_updates in [false, true] {
+            let mut h = heap();
+            for i in 0..300 {
+                h.insert(&tuple(b'a', i, 0)).unwrap();
+            }
+            let committed: HashSet<PageId> = h.pages.iter().copied().collect();
+            let txn_rows: Vec<RowId> = if undo_updates {
+                for rid in 0..300 {
+                    h.update_versioned(rid, &tuple(b'a', rid, 1), marker).unwrap();
+                }
+                (0..300).collect()
+            } else {
+                (300..500)
+                    .map(|i| {
+                        let rid = h.insert(&tuple(b'a', i, 0)).unwrap();
+                        h.mark_begin(rid, marker);
+                        rid
+                    })
+                    .collect()
+            };
+            let txn_pages: Vec<PageId> =
+                h.pages.iter().copied().filter(|p| !committed.contains(p)).collect();
+            assert!(txn_pages.len() >= 2, "{txn_pages:?}");
+            for &rid in txn_rows.iter().rev() {
+                if undo_updates {
+                    h.undo_update(rid).unwrap();
+                } else {
+                    h.undo_insert(rid).unwrap();
+                }
+            }
+            let tail = h.tail.unwrap();
+            let mut want: Vec<PageId> = txn_pages.iter().copied().filter(|&p| p != tail).collect();
+            let mut got = h.free.clone();
+            want.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, want, "undo_updates: {undo_updates}");
+            h.check_free_list().unwrap();
+            assert_eq!(h.live_bytes().unwrap(), h.live_bytes_walk().unwrap());
+        }
     }
 
     /// The incremental live-byte counter must agree with a from-scratch
@@ -1358,7 +1711,7 @@ mod tests {
         check(&h);
         assert!(h.delete(j).unwrap());
         check(&h);
-        // Reuse reclaimed space (free hints) and re-verify.
+        // Refill and re-verify.
         for i in 0..150u64 {
             h.insert(format!("refill-{i:04}").as_bytes()).unwrap();
         }

@@ -81,7 +81,8 @@ pub fn read(page: &[u8], slot: u16) -> Option<&[u8]> {
     Some(&page[off..off + len])
 }
 
-/// Mark a slot dead. The space is reclaimed only by `compact`.
+/// Mark a slot dead. Its bytes stay taken until the page holds no live
+/// slot and the heap re-initialises it (DESIGN.md §34).
 pub fn delete(page: &mut [u8], slot: u16) -> bool {
     if (slot as usize) >= nslots(page) {
         return false;
@@ -108,6 +109,11 @@ pub fn overwrite(page: &mut [u8], slot: u16, data: &[u8]) -> bool {
     }
     page[off..off + len].copy_from_slice(data);
     true
+}
+
+/// Does the page hold no live slot? A zeroed page holds none.
+pub fn is_empty(page: &[u8]) -> bool {
+    (0..nslots(page)).all(|s| get_u16(page, HEADER + s * SLOT + 2) == 0)
 }
 
 /// Live payload bytes (for fill-factor accounting).
@@ -186,5 +192,21 @@ mod tests {
         assert_eq!(live_bytes(&p), 6);
         delete(&mut p, s);
         assert_eq!(live_bytes(&p), 4);
+    }
+
+    #[test]
+    fn empty_once_every_slot_is_dead() {
+        let mut p = fresh();
+        assert!(is_empty(&p));
+        assert!(is_empty(&[0u8; PAGE_SIZE]), "a zeroed page");
+        let a = insert(&mut p, b"aaaa").unwrap();
+        let b = insert(&mut p, b"bb").unwrap();
+        delete(&mut p, b);
+        assert!(!is_empty(&p));
+        delete(&mut p, a);
+        assert!(is_empty(&p));
+        assert!(free_space(&p) < MAX_INLINE_TUPLE, "dead bytes stay taken");
+        init(&mut p);
+        assert_eq!((nslots(&p), free_space(&p)), (0, MAX_INLINE_TUPLE));
     }
 }

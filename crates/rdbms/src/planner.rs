@@ -22,6 +22,7 @@ use crate::error::{DbError, DbResult};
 use crate::expr::{bind, PhysExpr, Scope};
 use crate::func::FuncRegistry;
 use crate::agg::AggKind;
+use crate::columnar::SEG_ROWS;
 use crate::plan::{AccessPath, AggSpec, Plan, SortKey};
 use crate::schema::TableSchema;
 use crate::selectivity::{Defaults, SelContext};
@@ -630,8 +631,12 @@ impl<'a> Planner<'a> {
                 let frac = (nv.len() as f64 / n_live).clamp(1.0 / n_live, 1.0);
                 let best = best_for(&|n| stored.iter().any(|c| c == n));
                 // zone-map pruning discounts the page term by the bound
-                // selectivity, floored so a scan never looks free
-                let prune = best.map(|(_, _, s, _, _)| s.max(0.1)).unwrap_or(1.0);
+                // selectivity. A zone map skips whole segments and a scan
+                // decodes at least one, so the discount is floored at one
+                // segment's share of the rows (nothing below `SEG_ROWS`
+                // rows), and at 0.1 so a scan never looks free.
+                let one_segment = (SEG_ROWS as f64 / meta.n_rows.max(1.0)).clamp(0.1, 1.0);
+                let prune = best.map(|(_, _, s, _, _)| s.max(one_segment)).unwrap_or(1.0);
                 let col_cost = meta.n_pages * SEQ_PAGE_COST * frac * 0.25 * prune
                     + meta.n_rows * CPU_TUPLE_COST * 0.25
                     + rows * CPU_TUPLE_COST

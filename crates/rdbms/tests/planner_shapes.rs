@@ -287,6 +287,31 @@ fn eleven_table_join_chain_plans_via_greedy_fallback() {
 /// EXPLAIN ANALYZE must annotate *every* plan node with its observed
 /// actuals — rows, blocks, wall time — next to the estimates, across every
 /// node type the planner can emit.
+/// A zone map skips whole segments, and a table below one segment's rows
+/// has one: a columnar scan then decodes every value of its columns, so
+/// a point lookup on a column with both a B-tree and a store takes the
+/// B-tree, however small the heap, while a wide range still takes the
+/// store.
+#[test]
+fn point_lookup_below_one_segment_takes_the_index() {
+    let db = Database::in_memory();
+    db.execute("CREATE TABLE t (k int, v int, pad text)").unwrap();
+    let rows: Vec<Vec<Datum>> = (0..500)
+        .map(|i| vec![Datum::Int(i), Datum::Int(i % 7), Datum::Text("p".repeat(800))])
+        .collect();
+    db.insert_rows("t", &rows).unwrap();
+    db.execute("CREATE INDEX t_k ON t (k)").unwrap();
+    db.build_columnar("t", "k").unwrap();
+    db.build_columnar("t", "v").unwrap();
+    db.execute("ANALYZE t").unwrap();
+    let point = explain(&db, "SELECT k, v FROM t WHERE k = 123");
+    assert!(point.contains("Index Scan using t_k"), "{point}");
+    let range = explain(&db, "SELECT k, v FROM t WHERE k BETWEEN 0 AND 399");
+    assert!(range.contains("Columnar Scan"), "{range}");
+    let r = db.execute("SELECT k, v FROM t WHERE k = 123").unwrap();
+    assert_eq!(r.rows, vec![vec![Datum::Int(123), Datum::Int(123 % 7)]]);
+}
+
 #[test]
 fn explain_analyze_annotates_every_node_type() {
     let db = Database::in_memory();
