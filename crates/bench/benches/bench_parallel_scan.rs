@@ -71,7 +71,8 @@ fn bench_parallel_scan(c: &mut Criterion) {
 /// and NoBench Q3 and Q4 at 1/2 threads, which project sparse keys of one
 /// and two key groups: the pages that hold none of them are served
 /// unread, so each reads at most `MAX_SPARSE_READS` per key group
-/// (DESIGN.md §33).
+/// (DESIGN.md §33). Last, a projection group: Q3 and one of every
+/// top-level key, each at 1/2 threads (DESIGN.md §35).
 fn bench_past_the_pool(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("sinew-bench-spill-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -163,6 +164,23 @@ fn bench_past_the_pool(c: &mut Criterion) {
         }
         g.finish();
     }
+
+    // Every scan row is decoded into one buffer the scan reuses (DESIGN.md
+    // §35): Q3's projection, whose pages are served unread, and one that
+    // decodes every top-level key of every row.
+    let full = r#"SELECT str1, str2, num, bool, dyn1, dyn2, thousandth, nested_obj, nested_arr
+                  FROM nobench"#;
+    let mut g = c.benchmark_group("projection_past_the_pool");
+    g.sample_size(10);
+    for (id, sql) in [("served", q3.as_str()), ("full", full)] {
+        for threads in [1usize, 2] {
+            g.bench_with_input(BenchmarkId::new(id, threads), &threads, |b, &t| {
+                with_threads(&sinew, t);
+                b.iter(|| black_box(sinew.query(sql).unwrap().rows.len()))
+            });
+        }
+    }
+    g.finish();
     drop(sinew);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -182,13 +182,18 @@ impl Sinew {
     // ---- collections ----
 
     /// Create a collection: one RDBMS table holding only the column
-    /// reservoir, plus its catalog mirror.
+    /// reservoir, plus its catalog mirror. The mirror commits first, so a
+    /// crash between the two commits recovers a mirror without its table,
+    /// and a retry of this call completes the collection.
     pub fn create_collection(&self, name: &str) -> DbResult<()> {
         if name.starts_with("_sinew") {
             return Err(DbError::Schema("collection names starting with _sinew are reserved".into()));
         }
-        self.db.create_table(name, vec![("data".into(), ColType::Bytea)])?;
-        self.catalog.register_table(&self.db, name)
+        if self.db.table_names().iter().any(|t| t == name) {
+            return Err(DbError::Schema(format!("table {name} already exists")));
+        }
+        self.catalog.register_table(&self.db, name)?;
+        self.db.create_table(name, vec![("data".into(), ColType::Bytea)])
     }
 
     /// Registered Sinew collections (raw RDBMS tables are excluded — the

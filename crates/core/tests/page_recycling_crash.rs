@@ -4,13 +4,15 @@
 //! crash_child`) loads NoBench documents, promotes columns with
 //! `materialize_until_clean` (whose passes empty the pages of the old
 //! versions, which the next pass re-initialises), and loads again. For
-//! every frame append of that run the child is started again with
+//! every frame append of that run, from the first commit of
+//! `create_collection` on, the child is started again with
 //! `WalConfig::crash_after` set to it, which half-writes that frame and
-//! aborts the process. After each kill the database is reopened and must
-//! hold the documents of a prefix of the load statements, pass
-//! `Database::check_derived` (whose free-list audit covers the recovered
-//! free list and tail), and take a further load without overwriting a
-//! recovered row.
+//! aborts the process. After each kill the database is reopened, where a
+//! `create_collection` the kill cut short is retried and must complete;
+//! it must then hold the documents of a prefix of the load statements,
+//! pass `Database::check_derived` (whose free-list audit covers the
+//! recovered free list and tail), and take a further load without
+//! overwriting a recovered row.
 
 use sinew_core::{AnalyzerPolicy, Sinew};
 use sinew_json::Value;
@@ -42,14 +44,14 @@ fn test_dir(tag: &str) -> PathBuf {
 }
 
 /// The child's run: create, load, promote, load. Without `crash_after`,
-/// writes to `marks` the frame appends once the collection exists and at
-/// the end, and the pages recycled.
+/// writes to `marks` the frame appends before the collection is created
+/// and at the end, and the pages recycled.
 fn run(dir: &Path, crash_after: Option<u64>, marks: Option<&Path>) {
     let cfg = WalConfig { crash_after, checkpoint_bytes: CHECKPOINT_BYTES, ..WalConfig::default() };
     let sinew = Sinew::with_db(Database::open_with_wal(&dir.join("db"), POOL, None, cfg).unwrap());
     let docs = docs();
+    let opened = sinew.db().exec_stats().wal_appends;
     sinew.create_collection(T).unwrap();
-    let created = sinew.db().exec_stats().wal_appends;
     sinew.load_docs(T, &docs[..LOADS[0]]).unwrap();
     // The paper's density bar, with a cardinality bar this few documents
     // can clear.
@@ -59,7 +61,7 @@ fn run(dir: &Path, crash_after: Option<u64>, marks: Option<&Path>) {
     sinew.load_docs(T, &docs[LOADS[0]..LOADS[0] + LOADS[1]]).unwrap();
     if let Some(marks) = marks {
         let stats = sinew.db().exec_stats();
-        let marks_text = format!("{created} {} {}", stats.wal_appends, stats.heap_pages_recycled);
+        let marks_text = format!("{opened} {} {}", stats.wal_appends, stats.heap_pages_recycled);
         std::fs::write(marks, marks_text).unwrap();
     }
 }
@@ -110,7 +112,7 @@ fn a_kill_at_every_frame_recovers_a_load_prefix_and_a_sound_free_list() {
     let marks = clean.join("marks");
     assert!(run_child(&clean, &[("SINEW_RECYCLE_MARKS", marks.display().to_string())]));
     let marks = std::fs::read_to_string(&marks).unwrap();
-    let [created, frames, recycled]: [u64; 3] =
+    let [opened, frames, recycled]: [u64; 3] =
         marks.split(' ').map(|n| n.parse().unwrap()).collect::<Vec<_>>().try_into().unwrap();
     assert!(recycled > 0, "the run recycled no page");
 
@@ -119,13 +121,16 @@ fn a_kill_at_every_frame_recovers_a_load_prefix_and_a_sound_free_list() {
     let wants: Vec<_> = prefixes.iter().map(|&n| oracle(&docs[..n])).collect();
     let after = &docs[LOADS[0] + LOADS[1]..];
     let want_after = oracle(after);
-    // Every frame once the collection exists.
-    for crash_after in created + 1..=frames {
+    // Every frame from the first commit of `create_collection` on.
+    for crash_after in opened + 1..=frames {
         let at = format!("crash_after={crash_after} of {frames}");
         let dir = test_dir(&format!("k{crash_after}"));
         let killed = !run_child(&dir, &[("SINEW_RECYCLE_CRASH_AFTER", crash_after.to_string())]);
         assert!(killed, "{at}: the child outlived its crash point");
         let sinew = Sinew::open(&dir.join("db"), POOL, None).unwrap();
+        if !sinew.collections().iter().any(|c| c == T) {
+            sinew.create_collection(T).unwrap_or_else(|e| panic!("{at}: create again: {e}"));
+        }
         sinew.db().check_derived(T).unwrap_or_else(|e| panic!("{at}: {e}"));
         let recovered = rows(&sinew);
         let got = without_rowid(&recovered);

@@ -634,7 +634,7 @@ impl BlockOperator for SeqScanOp<'_, '_> {
                     _ => return Err(DbError::Eval("scan row missing trailing rowid".into())),
                 };
                 resume = rid + 1;
-                out.push(row);
+                out.push(std::mem::take(row));
                 Ok(out.len() < block_rows)
             },
         )?;
@@ -1513,7 +1513,7 @@ fn fold_morsels<'x>(
     let (groups, aggs) = (merged.groups, merged.aggs);
     let mut morsels = scan.stream(move |ids, budget| {
         let mut table = GroupTable::new(groups, aggs);
-        let passed = scan_morsel(exec, pipe, budget, ids, &mut |row, ctx| table.feed(&row, ctx))?;
+        let passed = scan_morsel(exec, pipe, budget, ids, &mut |row, ctx| table.feed(row, ctx))?;
         Ok((table, passed))
     });
     // Rows that passed the scan filter in the morsels merged so far.
@@ -1526,7 +1526,7 @@ fn fold_morsels<'x>(
             exec.stats.agg_serial_fallbacks.inc();
             let budget = AtomicU64::new(charged);
             let rest = m * scan.morsel_size..scan.high;
-            let sink = &mut |row: Row, ctx: &mut EvalCtx| merged.feed(&row, ctx);
+            let sink = &mut |row: &mut Row, ctx: &mut EvalCtx| merged.feed(row, ctx);
             caught(|| scan_morsel(exec, pipe, &budget, rest, sink))?;
             exec.check_limit(merged.len())?;
             return Ok(merged);
@@ -1769,7 +1769,7 @@ fn probe_morsels<'x>(
         exec.stats.join_probe_morsels.inc();
         let mut out = Vec::new();
         scan_morsel(exec, pipe, budget, ids, &mut |lrow, _| {
-            probe.row(&built, &lrow, &mut |row| {
+            probe.row(&built, lrow, &mut |row| {
                 exec.check_limit(joined.fetch_add(1, Ordering::Relaxed) as usize + 1)?;
                 out.push(row);
                 Ok(())
@@ -2126,7 +2126,8 @@ impl<'c, 'x, 'a> ParallelScanOp<'c, 'x, 'a> {
 
 /// Run the whole pipeline prefix over the rows with ids in `ids`: scan
 /// filter → row budget → post filter → project → `sink`. Returns the rows
-/// that passed the scan filter.
+/// that passed the scan filter. `sink` is lent each row, as the scan lends
+/// its rows (DESIGN.md §35): it reads it, or takes it whole.
 ///
 /// `budget` counts rows that pass the scan filter, exactly what the serial
 /// scan charges against `max_intermediate_rows`. Each morsel charges its
@@ -2137,13 +2138,14 @@ fn scan_morsel(
     pipe: ScanPipeline<'_>,
     budget: &AtomicU64,
     ids: Range<u64>,
-    sink: &mut dyn FnMut(Row, &mut EvalCtx) -> DbResult<()>,
+    sink: &mut dyn FnMut(&mut Row, &mut EvalCtx) -> DbResult<()>,
 ) -> DbResult<u64> {
     let max_rows = exec.limits.max_intermediate_rows;
     let exceeded =
         || DbError::ResourceExhausted(format!("intermediate result exceeded {max_rows} rows"));
     let mut ctx = EvalCtx::new();
     let mut passed = 0u64;
+    let mut projected: Row = Vec::new();
     // The scan resets the context before its filter and not after, so the
     // post filter, the projection and the sink reuse what it memoized.
     let rows_seen = exec.source.scan_table_range(
@@ -2159,17 +2161,18 @@ fn scan_morsel(
                 return Err(exceeded());
             }
             if let Some(p) = pipe.post_filter {
-                if !p.eval_bool_ctx(&row, ctx)? {
+                if !p.eval_bool_ctx(row, ctx)? {
                     return Ok(true);
                 }
             }
             match pipe.project {
                 Some(exprs) => {
-                    let mut new_row = Vec::with_capacity(exprs.len());
+                    projected.clear();
+                    projected.reserve(exprs.len());
                     for e in exprs {
-                        new_row.push(e.eval_ctx(&row, ctx)?);
+                        projected.push(e.eval_ctx(row, ctx)?);
                     }
-                    sink(new_row, ctx)?;
+                    sink(&mut projected, ctx)?;
                 }
                 None => sink(row, ctx)?,
             }
@@ -2189,7 +2192,7 @@ impl BlockOperator for ParallelScanOp<'_, '_, '_> {
         self.morsels = Some(self.stream(move |ids, budget| {
             let mut out: Vec<Row> = Vec::new();
             scan_morsel(exec, pipe, budget, ids, &mut |row, _| {
-                out.push(row);
+                out.push(std::mem::take(row));
                 Ok(())
             })?;
             Ok(out)

@@ -169,17 +169,18 @@ impl Table {
         }
     }
 
-    /// Physical-slot bitmap of the columns some index or columnar store is
-    /// built over: all of a row image that [`Table::apply_change`] reads.
-    fn derived_slots(&self) -> Vec<bool> {
-        let mut wanted = vec![false; self.schema.arity()];
+    /// The slots of the columns some index or columnar store is built
+    /// over, each decoded in place: all of a physical row image that
+    /// [`Table::apply_change`] reads.
+    fn derived_slots(&self) -> SlotMap {
+        let mut at = vec![None; self.schema.arity()];
         let columns = self.indexes.iter().map(|ix| ix.column());
         for column in columns.chain(self.columnar.iter().map(|cs| cs.column())) {
             if let Some(slot) = self.schema.index_of(column) {
-                wanted[slot] = true;
+                at[slot] = Some(slot);
             }
         }
-        wanted
+        at
     }
 
     /// One live column's latest-committed values with their rowids, in
@@ -191,12 +192,13 @@ impl Table {
             .find(|(_, c)| c.name == column)
             .map(|(i, _)| i)
             .ok_or_else(|| DbError::NotFound(format!("column {column} in {table}")))?;
-        let mut wanted = vec![false; self.schema.arity()];
-        wanted[slot] = true;
+        let mut at = vec![None; slot + 1];
+        at[slot] = Some(0);
         let mut values = Vec::new();
+        let mut value = [Datum::Null];
         self.heap.scan(|rowid, bytes| {
-            let mut full = tuple::decode_tuple_partial(&self.schema, bytes, &wanted)?;
-            values.push((std::mem::replace(&mut full[slot], Datum::Null), rowid));
+            tuple::decode_into(&self.schema, bytes, &at, &mut value)?;
+            values.push((std::mem::replace(&mut value[0], Datum::Null), rowid));
             Ok(true)
         })?;
         Ok(values)
@@ -758,7 +760,7 @@ impl Database {
             // The log encodes only the committed view: every recovered row
             // is committed, uncommitted versions are gone. Reset version
             // state accordingly (all rows committed at timestamp 0).
-            heap.reset_versions();
+            heap.reset_versions()?;
             heap.set_wal_track(true);
             db.tables.write().insert(
                 name.clone(),
@@ -1594,8 +1596,8 @@ impl Database {
         Ok(rows.len() as u64)
     }
 
-    /// Stream all rows (live columns + trailing rowid). Used by ANALYZE,
-    /// scans, and the Sinew materializer.
+    /// Stream all latest-committed rows (live columns in live order) with
+    /// their rowids. Used by the Sinew catalog, analyzer and metrics.
     pub fn scan_rows(
         &self,
         table: &str,
@@ -1604,9 +1606,10 @@ impl Database {
         let t = self.table(table)?;
         let t = t.read();
         let live: Vec<usize> = t.schema.live_columns().map(|(i, _)| i).collect();
+        let at = live_at(&live, t.schema.arity(), |_| true);
         t.heap.scan(|rowid, bytes| {
-            let full = tuple::decode_tuple(&t.schema, bytes)?;
-            let row: Row = live.iter().map(|&i| full[i].clone()).collect();
+            let mut row = vec![Datum::Null; live.len()];
+            tuple::decode_into(&t.schema, bytes, &at, &mut row)?;
             f(rowid, row)
         })
     }
@@ -1621,12 +1624,14 @@ impl Database {
             let names: Vec<String> =
                 t.schema.live_columns().map(|(_, c)| c.name.clone()).collect();
             let live: Vec<usize> = t.schema.live_columns().map(|(i, _)| i).collect();
+            let at = live_at(&live, t.schema.arity(), |_| true);
             let mut collectors: Vec<ColumnCollector> =
                 names.iter().map(|_| ColumnCollector::new()).collect();
+            let mut row = vec![Datum::Null; live.len()];
             t.heap.scan(|_, bytes| {
-                let full = tuple::decode_tuple(&t.schema, bytes)?;
-                for (c, &i) in collectors.iter_mut().zip(&live) {
-                    c.add(&full[i]);
+                tuple::decode_into(&t.schema, bytes, &at, &mut row)?;
+                for (c, d) in collectors.iter_mut().zip(&row) {
+                    c.add(d);
                 }
                 Ok(true)
             })?;
@@ -2023,7 +2028,8 @@ impl Database {
         let mut t = t.write();
         let (tk, _tg) = self.begin_stmt_write();
         let publish = Self::publish(tk);
-        let wanted = t.derived_slots();
+        let at = t.derived_slots();
+        let mut old = vec![Datum::Null; t.schema.arity()];
         let res = (|| -> DbResult<()> {
             for row in &matched {
                 let rowid = scan.rowid(row)?;
@@ -2031,9 +2037,9 @@ impl Database {
                     self.check_conflict(&t.heap, rowid, 0, 0)?;
                 }
                 // The image being deleted; only the slots that an index or
-                // a store is built over are decoded.
+                // a store is built over are decoded, into one buffer.
                 let Some(bytes) = t.heap.get(rowid)? else { continue };
-                let old = tuple::decode_tuple_partial(&t.schema, &bytes, &wanted)?;
+                tuple::decode_into(&t.schema, &bytes, &at, &mut old)?;
                 let deleted = match publish {
                     // Tombstone at ts; the bytes stay readable for older
                     // snapshots until vacuum.
@@ -2619,31 +2625,33 @@ pub(crate) struct SnapSource<'a> {
     pub(crate) vis: Vis,
 }
 
-/// Physical-slot bitmap of the columns a scan must actually decode.
-fn wanted_slots(schema: &TableSchema, needed: Option<&[String]>) -> Vec<bool> {
-    match needed {
-        None => vec![true; schema.arity()],
-        Some(names) => {
-            let mut w = vec![false; schema.arity()];
-            for n in names {
-                if let Some(i) = schema.index_of(n) {
-                    w[i] = true;
-                }
-            }
-            w
-        }
+/// Per physical slot, the position of the row a decode puts it at, if any
+/// (`tuple::decode_into`).
+type SlotMap = Vec<Option<usize>>;
+
+/// Where a scan decodes each physical slot it reads (DESIGN.md §35): the
+/// `needed` columns (every live one when `None`) at their positions in
+/// the scan row, live columns in live order.
+fn scan_at(schema: &TableSchema, live: &[usize], needed: Option<&[String]>) -> SlotMap {
+    let mut wanted = vec![needed.is_none(); schema.arity()];
+    for slot in needed.unwrap_or_default().iter().filter_map(|n| schema.index_of(n)) {
+        wanted[slot] = true;
     }
+    live_at(live, schema.arity(), |slot| wanted[slot])
 }
 
-/// The row shape every scan emits: live columns in live order, then the
-/// rowid.
-fn scan_row(mut full: Vec<Datum>, live: &[usize], rowid: RowId) -> Row {
-    let mut row: Row = Vec::with_capacity(live.len() + 1);
-    for &i in live {
-        row.push(std::mem::replace(&mut full[i], Datum::Null));
+/// Live column `j` (physical slot `live[j]`) at position `j` when `keep`
+/// holds for its slot, cut after the last slot kept, so a decode stops
+/// there.
+fn live_at(live: &[usize], arity: usize, keep: impl Fn(usize) -> bool) -> SlotMap {
+    let mut at = vec![None; arity];
+    for (pos, &slot) in live.iter().enumerate() {
+        if keep(slot) {
+            at[slot] = Some(pos);
+        }
     }
-    row.push(Datum::Int(rowid as i64));
-    row
+    at.truncate(at.iter().rposition(Option::is_some).map_or(0, |i| i + 1));
+    at
 }
 
 /// Per live column, the store a columnar scan gathers from (`needed`
@@ -2686,7 +2694,7 @@ impl<'e> PageJudge<'e> {
     fn new(
         t: &Table,
         live: &[usize],
-        wanted: &[bool],
+        at: &[Option<usize>],
         filter: Option<&'e PhysExpr>,
         consumer: Option<ScanConsumer<'e>>,
     ) -> Option<PageJudge<'e>> {
@@ -2702,7 +2710,7 @@ impl<'e> PageJudge<'e> {
             }
         }
         let serve = consumer.and_then(|c| {
-            let decodes_other = wanted.iter().enumerate().any(|(i, &w)| w && i != slot);
+            let decodes_other = at.iter().enumerate().any(|(i, p)| p.is_some() && i != slot);
             let mut tags = Vec::new();
             let mut reads = filter.into_iter().chain(c.filter).chain(c.project);
             (!decodes_other && reads.all(|e| e.null_tags(col, &mut tags)))
@@ -2736,41 +2744,20 @@ fn fails_on_null(conjunct: &PhysExpr, width: usize) -> bool {
     matches!(conjunct.eval(&vec![Datum::Null; width]), Ok(Datum::Null | Datum::Bool(false)))
 }
 
-/// The physical slots a heap scan decodes before its filter (`first`) and
-/// after it (`rest`), when the filter reads only some of the `needed`
-/// columns; `None` when it reads them all and one decode serves.
+/// The slots a heap scan decodes before its filter (`first`) and after it
+/// (`rest`), when the filter reads only some of the columns in `at`;
+/// `None` when it reads them all and one decode serves.
 fn late_slots(
     filter: &PhysExpr,
     live: &[usize],
-    wanted: &[bool],
-) -> Option<(Vec<bool>, Vec<bool>)> {
+    at: &[Option<usize>],
+) -> Option<(SlotMap, SlotMap)> {
     let mut refs = Vec::new();
     filter.column_refs(&mut refs);
-    let mut first = vec![false; wanted.len()];
-    for i in refs {
-        if let Some(&slot) = live.get(i) {
-            first[slot] = wanted[slot];
-        }
-    }
-    let rest: Vec<bool> = wanted.iter().zip(&first).map(|(&w, &f)| w && !f).collect();
-    rest.contains(&true).then_some((first, rest))
-}
-
-/// A decoded tuple (one `Datum` per physical slot) read as the scan row it
-/// will become: live columns in live order, then the rowid.
-struct SlotRow<'r> {
-    full: &'r [Datum],
-    live: &'r [usize],
-    rowid: &'r Datum,
-}
-
-impl ColumnSource for SlotRow<'_> {
-    fn col(&self, i: usize) -> Option<&Datum> {
-        match self.live.get(i) {
-            Some(&slot) => self.full.get(slot),
-            None => (i == self.live.len()).then_some(self.rowid),
-        }
-    }
+    let pos = |slot: usize| at.get(slot).copied().flatten();
+    let first = live_at(live, at.len(), |slot| pos(slot).is_some_and(|p| refs.contains(&p)));
+    let rest = live_at(live, at.len(), |slot| pos(slot).is_some_and(|p| !refs.contains(&p)));
+    (!rest.is_empty()).then_some((first, rest))
 }
 
 /// Row `k` (slot `slot`) of a segment scan, read in place as the scan row
@@ -2834,9 +2821,11 @@ impl SnapSource<'_> {
     /// `0..u64::MAX` for the whole table) that pass `filter`, in rowid
     /// order. `ctx` is reset once per row, before the filter, and handed to
     /// `f` with the passing row, so memo slots the filter filled still hold
-    /// for the caller's post filter and projection. When the filter reads
-    /// only some of the `needed` columns, those are decoded first and the
-    /// rest only for a row that passes (DESIGN.md §28). A page whose tag
+    /// for the caller's post filter and projection. Every row is decoded
+    /// into one buffer the call keeps, which `f` is lent: it may read the
+    /// row, or take it whole (DESIGN.md §35). When the filter reads only
+    /// some of the `needed` columns, those are decoded first and the rest
+    /// only for a row that passes (DESIGN.md §28). A page whose tag
     /// synopsis rules out a filter conjunct is not read (DESIGN.md §32);
     /// nor is one that lacks every key the filter and the `consumer` read,
     /// whose visible rows are served with the tagged column NULL
@@ -2851,61 +2840,62 @@ impl SnapSource<'_> {
         consumer: Option<ScanConsumer<'_>>,
         ids: Range<u64>,
         ctx: &mut EvalCtx,
-        f: &mut dyn FnMut(Row, &mut EvalCtx) -> DbResult<bool>,
+        f: &mut dyn FnMut(&mut Row, &mut EvalCtx) -> DbResult<bool>,
     ) -> DbResult<u64> {
         let t = self.db.table(table)?;
         let t = t.read();
         let schema = &t.schema;
         let live: Vec<usize> = schema.live_columns().map(|(i, _)| i).collect();
-        let wanted = wanted_slots(schema, needed);
-        let late = filter.and_then(|fl| Some((fl, late_slots(fl, &live, &wanted)?)));
-        let mut judge = PageJudge::new(&t, &live, &wanted, filter, consumer);
+        let at = scan_at(schema, &live, needed);
+        let late = filter.and_then(|fl| Some((fl, late_slots(fl, &live, &at)?)));
+        let mut judge = PageJudge::new(&t, &live, &at, filter, consumer);
         let mut judge_page =
             |set: &PageTags| judge.as_mut().map_or(PageUse::Read, |j| j.judge(set));
         let (mut fetched, mut served, mut rejected) = (0u64, 0u64, 0u64);
+        let mut row: Row = Vec::new();
         let res = t.heap.scan_range_vis(
             ids.start,
             ids.end,
             self.vis,
             Some(&mut judge_page),
             |rowid, bytes| {
-                let row = match (bytes, &late) {
+                // A position no decode writes is NULL from here on; one
+                // the decode writes is written for every row.
+                if row.len() != live.len() + 1 {
+                    row.clear();
+                    row.resize(live.len() + 1, Datum::Null);
+                }
+                row[live.len()] = Datum::Int(rowid as i64);
+                match (bytes, &late) {
                     (None, _) => {
                         served += 1;
-                        let mut row = vec![Datum::Null; live.len() + 1];
-                        row[live.len()] = Datum::Int(rowid as i64);
-                        row
+                        at.iter().flatten().for_each(|&p| row[p] = Datum::Null);
                     }
                     (Some(bytes), None) => {
                         fetched += 1;
-                        scan_row(tuple::decode_tuple_partial(schema, bytes, &wanted)?, &live, rowid)
+                        tuple::decode_into(schema, bytes, &at, &mut row)?;
                     }
                     (Some(bytes), Some((fl, (first, rest)))) => {
                         fetched += 1;
-                        let mut full = tuple::decode_tuple_partial(schema, bytes, first)?;
-                        let id = Datum::Int(rowid as i64);
-                        let view = SlotRow { full: &full, live: &live, rowid: &id };
+                        // The `rest` positions still hold an earlier row's
+                        // values, which the filter does not read.
+                        tuple::decode_into(schema, bytes, first, &mut row)?;
                         ctx.reset();
-                        if !fl.eval_bool_over(&view, ctx)? {
+                        if !fl.eval_bool_ctx(&row, ctx)? {
                             rejected += 1;
                             return Ok(true);
                         }
-                        let more = tuple::decode_tuple_partial(schema, bytes, rest)?;
-                        for ((v, m), &r) in full.iter_mut().zip(more).zip(rest) {
-                            if r {
-                                *v = m;
-                            }
-                        }
-                        return f(scan_row(full, &live, rowid), ctx);
+                        tuple::decode_into(schema, bytes, rest, &mut row)?;
+                        return f(&mut row, ctx);
                     }
-                };
+                }
                 ctx.reset();
                 if let Some(fl) = filter {
                     if !fl.eval_bool_ctx(&row, ctx)? {
                         return Ok(true);
                     }
                 }
-                f(row, ctx)
+                f(&mut row, ctx)
             },
         );
         let stats = &self.db.exec_stats;
@@ -2968,13 +2958,15 @@ impl SnapSource<'_> {
         let t = self.db.table(table)?;
         let t = t.read();
         let live: Vec<usize> = t.schema.live_columns().map(|(i, _)| i).collect();
-        let wanted = wanted_slots(&t.schema, needed);
+        let at = scan_at(&t.schema, &live, needed);
         let mut fetched = 0u64;
         for &rowid in rowids {
             let Some(bytes) = t.heap.get_vis(rowid, self.vis)? else { continue };
             fetched += 1;
-            let full = tuple::decode_tuple_partial(&t.schema, &bytes, &wanted)?;
-            if !f(scan_row(full, &live, rowid))? {
+            let mut row = vec![Datum::Null; live.len() + 1];
+            row[live.len()] = Datum::Int(rowid as i64);
+            tuple::decode_into(&t.schema, &bytes, &at, &mut row)?;
+            if !f(row)? {
                 break;
             }
         }

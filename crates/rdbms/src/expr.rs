@@ -4,7 +4,7 @@
 //! of columns flowing through an operator — producing [`PhysExpr`] trees
 //! that evaluate directly against row slices with SQL three-valued logic.
 
-use crate::datum::{ColType, Datum};
+use crate::datum::{ColType, Datum, NULL};
 use crate::error::{DbError, DbResult};
 use crate::exec::Row;
 use crate::func::{FuncRegistry, ScalarFn, ValueTest};
@@ -208,7 +208,8 @@ impl PhysExpr {
                 // Borrow Literal/Column arguments in place; only computed
                 // arguments are materialized into scratch. Extraction UDFs
                 // override `call_ref`, so the reservoir bytea and the
-                // path/tag literals are never cloned per row.
+                // path/tag literals are never cloned per row. The argument
+                // list sits on the stack when it fits (DESIGN.md §35).
                 let mut scratch: Vec<Datum> = Vec::new();
                 for a in args {
                     match a {
@@ -217,15 +218,19 @@ impl PhysExpr {
                     }
                 }
                 let mut computed = scratch.iter();
-                let mut refs: Vec<&Datum> = Vec::with_capacity(args.len());
-                for a in args {
-                    refs.push(match a {
+                let (mut stack, mut spilled) = ([&NULL; 4], None);
+                let refs: &mut [&Datum] = match stack.get_mut(..args.len()) {
+                    Some(refs) => refs,
+                    None => spilled.insert(vec![&NULL; args.len()]).as_mut_slice(),
+                };
+                for (r, a) in refs.iter_mut().zip(args) {
+                    *r = match a {
                         PhysExpr::Literal(d) => d,
                         PhysExpr::Column(i) => column(row, *i)?,
                         _ => computed.next().expect("scratch covers computed args"),
-                    });
+                    };
                 }
-                func.call_ref(&refs).map_err(|e| match e {
+                func.call_ref(refs).map_err(|e| match e {
                     DbError::Eval(m) => DbError::Eval(format!("{name}: {m}")),
                     other => other,
                 })

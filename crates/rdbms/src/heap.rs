@@ -504,27 +504,14 @@ impl Heap {
         Ok(())
     }
 
-    /// Visit every live row in row-id order. The callback returns `false`
-    /// to stop early (LIMIT push-down).
-    pub fn scan(&self, f: impl FnMut(RowId, &[u8]) -> DbResult<bool>) -> DbResult<()> {
-        self.scan_range(0, self.high_water(), f)
-    }
-
-    /// Visit live rows with ids in `start..end`, in row-id order — one
-    /// morsel of the parallel scan. `&self` only: concurrent range scans
-    /// over disjoint (or even overlapping) ranges are safe; page reads take
-    /// the pool lock shared, or no lock at all past the pool.
-    pub fn scan_range(
-        &self,
-        start: RowId,
-        end: RowId,
-        mut f: impl FnMut(RowId, &[u8]) -> DbResult<bool>,
-    ) -> DbResult<()> {
+    /// Visit every latest-committed row in row-id order. The callback
+    /// returns `false` to stop early (LIMIT push-down).
+    pub fn scan(&self, mut f: impl FnMut(RowId, &[u8]) -> DbResult<bool>) -> DbResult<()> {
         let read = |rowid, bytes: Option<&[u8]>| match bytes {
             Some(bytes) => f(rowid, bytes),
             None => unreachable!("a scan without a judge reads every page"),
         };
-        self.scan_range_vis(start, end, Vis::LATEST, None, read).map(|_| ())
+        self.scan_range_vis(0, self.high_water(), Vis::LATEST, None, read).map(|_| ())
     }
 
     /// Visibility-filtered range scan: each row's location comes straight
@@ -643,7 +630,8 @@ impl Heap {
     /// Audit of the free list (DESIGN.md §34): each listed page is a data
     /// page, listed once, holding no live slot, and named by no location
     /// in the row directory or in any version chain; the tail is a data
-    /// page and is not listed.
+    /// page and is not listed; and every live slot on a data page is named
+    /// by some location, so no page keeps a version nothing can release.
     pub fn check_free_list(&self) -> DbResult<()> {
         let bad = |what: String| Err(DbError::Eval(format!("free list: {what}")));
         let data: HashSet<PageId> = self.pages.iter().copied().collect();
@@ -662,11 +650,16 @@ impl Heap {
             }
         }
         let chained = self.chains.values().flatten().map(|v| &v.loc);
-        for loc in self.rows.iter().flatten().chain(chained) {
-            if let Loc::Slot { page, slot, .. } = loc {
-                if listed.contains(page) {
-                    return bad(format!("listed page {page} holds slot {slot} of a version"));
-                }
+        let locs = self.rows.iter().flatten().chain(chained);
+        let named: HashSet<(PageId, u16)> = locs.filter_map(slot_of).collect();
+        if let Some((page, slot)) = named.iter().find(|(page, _)| listed.contains(page)) {
+            return bad(format!("listed page {page} holds slot {slot} of a version"));
+        }
+        for &id in &self.pages {
+            let unnamed =
+                |pg: &[u8]| (0..page::nslots(pg) as u16).find(|&s| live_unnamed(pg, id, s, &named));
+            if let Some(slot) = self.pager.with_page(id, unnamed)? {
+                return bad(format!("page {id} slot {slot} is live but no location names it"));
             }
         }
         Ok(())
@@ -681,14 +674,44 @@ impl Heap {
     // coexists with an eager statement). Only Retain-mode statements and
     // explicit transactions stamp timestamps and chain versions.
 
-    /// Drop all version state, treating every present row as committed at
-    /// timestamp 0 (recovery replays only committed images).
-    pub fn reset_versions(&mut self) {
+    /// Recovery: drop all version state, treating every present row as
+    /// committed at timestamp 0 (the log holds only the committed view).
+    /// The versions that were chained or delete-marked at the crash are
+    /// then named by no location, but their slots are still live on the
+    /// recovered pages: release them, list each data page that leaves
+    /// empty, and recount the live bytes from the directory. The pages are
+    /// changed outside the log; the next recovery releases the same slots
+    /// again until a logged image carries the change.
+    pub fn reset_versions(&mut self) -> DbResult<()> {
         self.vmeta = vec![(0, NO_END); self.rows.len()];
         self.chains.clear();
         self.n_marker = 0;
         self.n_ended = 0;
         self.max_begin = 0;
+        let named_bytes = self.rows.iter().flatten().map(|loc| match loc {
+            Loc::Slot { len, .. } | Loc::Jumbo { len, .. } => *len as u64,
+        });
+        let named_bytes = named_bytes.sum();
+        if std::mem::replace(&mut self.live, named_bytes) == named_bytes {
+            return Ok(()); // no unnamed slot holds a byte
+        }
+        let named: HashSet<(PageId, u16)> = self.rows.iter().flatten().filter_map(slot_of).collect();
+        for &id in &self.pages {
+            let emptied = self.pager.with_page_mut_unlogged(id, |pg| {
+                let mut released = false;
+                for slot in 0..page::nslots(pg) as u16 {
+                    if live_unnamed(pg, id, slot, &named) {
+                        released |= page::delete(pg, slot);
+                    }
+                }
+                released && page::is_empty(pg)
+            })?;
+            // A page that held a live slot was not listed.
+            if emptied && self.tail != Some(id) {
+                self.free.push(id);
+            }
+        }
+        Ok(())
     }
 
     /// Any state a plain latest-committed scan cannot ignore?
@@ -716,11 +739,6 @@ impl Heap {
     /// version activity sends readers back to visibility-checked scans.
     pub fn vis_quiet(&self, vis: Vis) -> bool {
         self.fast_path_ok(vis)
-    }
-
-    /// Retained (superseded) versions currently chained under `rowid`.
-    pub fn chain_len(&self, rowid: RowId) -> usize {
-        self.chains.get(&rowid).map_or(0, |c| c.len())
     }
 
     /// Did the commit at `ts` supersede a version of `rowid` that is still
@@ -1105,6 +1123,19 @@ impl Heap {
 
 /// The logged tail of a heap that has none.
 const NO_TAIL: u64 = u64::MAX;
+
+/// The `(page, slot)` a location names on a data page.
+fn slot_of(loc: &Loc) -> Option<(PageId, u16)> {
+    match loc {
+        Loc::Slot { page, slot, .. } => Some((*page, *slot)),
+        Loc::Jumbo { .. } => None,
+    }
+}
+
+/// Is `slot` of page `id` (image `pg`) live, yet not among `named`?
+fn live_unnamed(pg: &[u8], id: PageId, slot: u16, named: &HashSet<(PageId, u16)>) -> bool {
+    page::read(pg, slot).is_some() && !named.contains(&(id, slot))
+}
 
 /// The tuple in `slot` of page image `pg`.
 fn slot_bytes(pg: &[u8], slot: u16) -> DbResult<&[u8]> {

@@ -121,60 +121,66 @@ fn encode_tagged(buf: &mut Vec<u8>, d: &Datum) -> DbResult<()> {
 
 /// Decode a full row padded/truncated to the *current* schema arity.
 pub fn decode_tuple(schema: &TableSchema, bytes: &[u8]) -> DbResult<Vec<Datum>> {
-    let mut cursor = Cursor { bytes, pos: 0 };
-    let n = cursor.u16()? as usize;
-    let bitmap_len = n.div_ceil(8);
-    let bitmap_start = cursor.pos;
-    cursor.skip(bitmap_len)?;
-    let mut row = Vec::with_capacity(schema.arity());
-    for i in 0..n.min(schema.arity()) {
-        let present = bytes[bitmap_start + i / 8] & (1 << (i % 8)) != 0;
-        if !present {
-            row.push(Datum::Null);
-            continue;
-        }
-        row.push(decode_value(&mut cursor, schema.columns[i].ty)?);
-    }
-    // Columns added after this tuple was written decode as NULL.
-    while row.len() < schema.arity() {
-        row.push(Datum::Null);
-    }
+    let mut row = vec![Datum::Null; schema.arity()];
+    let every: Vec<Option<usize>> = (0..schema.arity()).map(Some).collect();
+    decode_into(schema, bytes, &every, &mut row)?;
     Ok(row)
 }
 
-/// Decode a row but materialize only the columns marked in `wanted`
-/// (indexed by physical slot); others read as NULL. Unwanted values are
-/// *skipped* without decoding — length prefixes make every value
-/// skippable — which is what keeps scans cheap when a query touches two
-/// columns of a twenty-column tuple (Postgres's lazy tuple deforming).
-pub fn decode_tuple_partial(
+/// Decode the slots `at` names straight into a caller's row: slot `i`
+/// lands at `out[p]` for `at[i] == Some(p)`, as its value, or as NULL when
+/// the tuple holds none there (a NULL, or a tuple written before the
+/// column was added). Every other value is *skipped* without decoding —
+/// length prefixes make every value skippable, which is what keeps a scan
+/// cheap when a query touches two columns of a twenty-column tuple
+/// (Postgres's lazy tuple deforming) — and every position `at` names no
+/// slot for is left as it is. A `Text` or `Bytea` value refills the
+/// buffer already at its position, so a row decoded tuple after tuple
+/// allocates only when a value outgrows the one before (DESIGN.md §35).
+pub fn decode_into(
     schema: &TableSchema,
     bytes: &[u8],
-    wanted: &[bool],
-) -> DbResult<Vec<Datum>> {
+    at: &[Option<usize>],
+    out: &mut [Datum],
+) -> DbResult<()> {
     let mut cursor = Cursor { bytes, pos: 0 };
     let n = cursor.u16()? as usize;
-    let bitmap_len = n.div_ceil(8);
     let bitmap_start = cursor.pos;
-    cursor.skip(bitmap_len)?;
-    let mut row = Vec::with_capacity(schema.arity());
-    for i in 0..n.min(schema.arity()) {
-        let present = bytes[bitmap_start + i / 8] & (1 << (i % 8)) != 0;
-        if !present {
-            row.push(Datum::Null);
-            continue;
-        }
-        if wanted.get(i).copied().unwrap_or(false) {
-            row.push(decode_value(&mut cursor, schema.columns[i].ty)?);
-        } else {
-            skip_value(&mut cursor, schema.columns[i].ty)?;
-            row.push(Datum::Null);
+    cursor.skip(n.div_ceil(8))?;
+    for (i, (&pos, col)) in at.iter().zip(&schema.columns).enumerate() {
+        let present = i < n && bytes[bitmap_start + i / 8] & (1 << (i % 8)) != 0;
+        match pos {
+            Some(p) if present => decode_value_into(&mut cursor, col.ty, &mut out[p])?,
+            Some(p) => out[p] = Datum::Null,
+            None if present => skip_value(&mut cursor, col.ty)?,
+            None => {}
         }
     }
-    while row.len() < schema.arity() {
-        row.push(Datum::Null);
+    Ok(())
+}
+
+/// [`decode_value`] into `slot`, refilling the string or byte vector of a
+/// `Text` or `Bytea` already there.
+fn decode_value_into(cursor: &mut Cursor<'_>, ty: ColType, slot: &mut Datum) -> DbResult<()> {
+    match (ty, &mut *slot) {
+        (ColType::Text, Datum::Text(s)) => {
+            let len = cursor.u32()? as usize;
+            let text = utf8(cursor.take(len)?, "tuple")?;
+            s.clear();
+            s.push_str(text);
+        }
+        (ColType::Bytea, Datum::Bytea(b)) => {
+            let len = cursor.u32()? as usize;
+            b.clear();
+            b.extend_from_slice(cursor.take(len)?);
+        }
+        _ => *slot = decode_value(cursor, ty)?,
     }
-    Ok(row)
+    Ok(())
+}
+
+fn utf8<'t>(raw: &'t [u8], within: &str) -> DbResult<&'t str> {
+    std::str::from_utf8(raw).map_err(|_| DbError::Io(format!("corrupt utf-8 in {within}")))
 }
 
 fn skip_value(cursor: &mut Cursor<'_>, ty: ColType) -> DbResult<()> {
@@ -190,33 +196,6 @@ fn skip_value(cursor: &mut Cursor<'_>, ty: ColType) -> DbResult<()> {
             cursor.skip(4 + byte_len) // element count + tagged payload
         }
     }
-}
-
-/// Decode only the given column (by physical index); cheaper than a full
-/// decode for projections. Returns NULL when the tuple predates the column.
-pub fn decode_column(schema: &TableSchema, bytes: &[u8], col: usize) -> DbResult<Datum> {
-    let mut cursor = Cursor { bytes, pos: 0 };
-    let n = cursor.u16()? as usize;
-    let bitmap_len = n.div_ceil(8);
-    let bitmap_start = cursor.pos;
-    cursor.skip(bitmap_len)?;
-    if col >= n {
-        return Ok(Datum::Null);
-    }
-    for i in 0..=col {
-        let present = bytes[bitmap_start + i / 8] & (1 << (i % 8)) != 0;
-        if !present {
-            if i == col {
-                return Ok(Datum::Null);
-            }
-            continue;
-        }
-        let d = decode_value(&mut cursor, schema.columns[i].ty)?;
-        if i == col {
-            return Ok(d);
-        }
-    }
-    unreachable!()
 }
 
 /// The stored bytes of the `Text` or `Bytea` value in slot `col`,
@@ -257,12 +236,7 @@ fn decode_value(cursor: &mut Cursor<'_>, ty: ColType) -> DbResult<Datum> {
         ColType::Float => Datum::Float(f64::from_le_bytes(cursor.array()?)),
         ColType::Text => {
             let len = cursor.u32()? as usize;
-            let raw = cursor.take(len)?;
-            Datum::Text(
-                std::str::from_utf8(raw)
-                    .map_err(|_| DbError::Io("corrupt utf-8 in tuple".into()))?
-                    .to_string(),
-            )
+            Datum::Text(utf8(cursor.take(len)?, "tuple")?.to_string())
         }
         ColType::Bytea => {
             let len = cursor.u32()? as usize;
@@ -288,12 +262,7 @@ fn decode_tagged(cursor: &mut Cursor<'_>) -> DbResult<Datum> {
         3 => Datum::Float(f64::from_le_bytes(cursor.array()?)),
         4 => {
             let len = cursor.u32()? as usize;
-            let raw = cursor.take(len)?;
-            Datum::Text(
-                std::str::from_utf8(raw)
-                    .map_err(|_| DbError::Io("corrupt utf-8 in array".into()))?
-                    .to_string(),
-            )
+            Datum::Text(utf8(cursor.take(len)?, "array")?.to_string())
         }
         5 => {
             let len = cursor.u32()? as usize;
@@ -385,38 +354,122 @@ mod tests {
         assert_eq!(decode_tuple(&s, &bytes).unwrap(), row());
     }
 
+    /// Slot `i` at position `i` for each `i` in `slots`.
+    fn at(slots: &[usize]) -> Vec<Option<usize>> {
+        let mut at = vec![None; slots.iter().max().map_or(0, |m| m + 1)];
+        for &i in slots {
+            at[i] = Some(i);
+        }
+        at
+    }
+
     #[test]
     fn partial_decode_skips_unwanted() {
         let s = schema();
         let bytes = encode_tuple(&s, &row()).unwrap();
         // want only a (0) and d (3)
-        let wanted = [true, false, false, true, false, false];
-        let partial = decode_tuple_partial(&s, &bytes, &wanted).unwrap();
+        let wanted = at(&[0, 3]);
+        let mut partial = vec![Datum::Null; 6];
+        decode_into(&s, &bytes, &wanted, &mut partial).unwrap();
         assert_eq!(partial[0], Datum::Int(-5));
-        assert_eq!(partial[1], Datum::Null, "unwanted text reads NULL");
+        assert_eq!(partial[1], Datum::Null, "unwanted text is not written");
         assert_eq!(partial[3], Datum::Float(2.5));
-        assert_eq!(partial[5], Datum::Null, "unwanted array reads NULL");
+        assert_eq!(partial[5], Datum::Null, "unwanted array is not written");
         // wanting everything equals the full decode
-        let all = [true; 6];
-        assert_eq!(decode_tuple_partial(&s, &bytes, &all).unwrap(), row());
+        let mut all = vec![Datum::Null; 6];
+        decode_into(&s, &bytes, &at(&[0, 1, 2, 3, 4, 5]), &mut all).unwrap();
+        assert_eq!(all, row());
         // "Skipped" means never decoded: corrupt the text payload of `b`
         // in place (same length, invalid UTF-8) and the same partial
         // decode still succeeds — only asking for `b` trips over it.
         let mut bytes = bytes;
-        let at = bytes.windows(6).position(|w| w == "héllo".as_bytes()).unwrap();
-        bytes[at..at + 6].fill(0xff);
+        let at_b = bytes.windows(6).position(|w| w == "héllo".as_bytes()).unwrap();
+        bytes[at_b..at_b + 6].fill(0xff);
         assert!(decode_tuple(&s, &bytes).is_err());
-        assert_eq!(decode_tuple_partial(&s, &bytes, &wanted).unwrap(), partial);
-        assert!(decode_tuple_partial(&s, &bytes, &[false, true]).is_err());
+        let mut again = vec![Datum::Null; 6];
+        decode_into(&s, &bytes, &wanted, &mut again).unwrap();
+        assert_eq!(again, partial);
+        assert!(decode_into(&s, &bytes, &at(&[1]), &mut again).is_err());
+    }
+
+    /// One buffer decoded tuple after tuple keeps no value of the tuple
+    /// before: a slot NULL in the next tuple reads NULL.
+    #[test]
+    fn reused_row_reads_null_where_the_next_tuple_has_none() {
+        let s = schema();
+        let mut next = row();
+        next[0] = Datum::Null;
+        next[1] = Datum::Null;
+        next[4] = Datum::Null;
+        let mut buf = vec![Datum::Null; 6];
+        let every = at(&[0, 1, 2, 3, 4, 5]);
+        decode_into(&s, &encode_tuple(&s, &row()).unwrap(), &every, &mut buf).unwrap();
+        decode_into(&s, &encode_tuple(&s, &next).unwrap(), &every, &mut buf).unwrap();
+        assert_eq!(buf, next);
+    }
+
+    /// A tuple written before `ADD COLUMN` reads NULL in the new column,
+    /// even where the buffer held the previous tuple's value.
+    #[test]
+    fn reused_row_reads_null_past_a_short_tuple() {
+        let mut s = TableSchema::new(vec![("a".into(), ColType::Int)]);
+        let short = encode_tuple(&s, &[Datum::Int(1)]).unwrap();
+        s.add_column("b", ColType::Bytea).unwrap();
+        let long = encode_tuple(&s, &[Datum::Int(2), Datum::Bytea(vec![7; 9])]).unwrap();
+        let mut buf = vec![Datum::Null; 2];
+        decode_into(&s, &long, &at(&[0, 1]), &mut buf).unwrap();
+        assert_eq!(buf, vec![Datum::Int(2), Datum::Bytea(vec![7; 9])]);
+        decode_into(&s, &short, &at(&[0, 1]), &mut buf).unwrap();
+        assert_eq!(buf, vec![Datum::Int(1), Datum::Null]);
+    }
+
+    /// Live-order positions skip a dropped slot: the columns after it land
+    /// one position left, and the dropped value is never decoded.
+    #[test]
+    fn reused_row_skips_a_dropped_column() {
+        let mut s = schema();
+        let bytes = encode_tuple(&s, &row()).unwrap();
+        s.drop_column("b").unwrap();
+        // Live slots 0, 2, 3, 4, 5 at positions 0..5.
+        let live_at = vec![Some(0), None, Some(1), Some(2), Some(3), Some(4)];
+        let mut buf = vec![Datum::Text("stale".into()); 5];
+        decode_into(&s, &bytes, &live_at, &mut buf).unwrap();
+        let mut want = row();
+        want.remove(1);
+        assert_eq!(buf, want);
+    }
+
+    /// A `Bytea` or `Text` refilled with a shorter value holds exactly the
+    /// new one, in the buffer it already had.
+    #[test]
+    fn reused_row_refills_a_buffer_shorter() {
+        let s = TableSchema::new(vec![("t".into(), ColType::Text), ("e".into(), ColType::Bytea)]);
+        let long = [Datum::Text("a longer text".into()), Datum::Bytea(vec![9; 64])];
+        let short = [Datum::Text("ab".into()), Datum::Bytea(vec![1, 2])];
+        let mut buf = vec![Datum::Null; 2];
+        decode_into(&s, &encode_tuple(&s, &long).unwrap(), &at(&[0, 1]), &mut buf).unwrap();
+        let Datum::Bytea(b) = &buf[1] else { panic!("bytea") };
+        let held = b.as_ptr();
+        decode_into(&s, &encode_tuple(&s, &short).unwrap(), &at(&[0, 1]), &mut buf).unwrap();
+        assert_eq!(buf, short);
+        let Datum::Bytea(b) = &buf[1] else { panic!("bytea") };
+        assert_eq!(b.as_ptr(), held, "refilled in place");
     }
 
     #[test]
     fn decode_single_column() {
         let s = schema();
         let bytes = encode_tuple(&s, &row()).unwrap();
-        assert_eq!(decode_column(&s, &bytes, 0).unwrap(), Datum::Int(-5));
-        assert_eq!(decode_column(&s, &bytes, 2).unwrap(), Datum::Null);
-        assert_eq!(decode_column(&s, &bytes, 3).unwrap(), Datum::Float(2.5));
+        let one = |slot: usize| {
+            let mut at = vec![None; slot + 1];
+            at[slot] = Some(0);
+            let mut out = [Datum::Text("stale".into())];
+            decode_into(&s, &bytes, &at, &mut out).unwrap();
+            out[0].clone()
+        };
+        assert_eq!(one(0), Datum::Int(-5));
+        assert_eq!(one(2), Datum::Null);
+        assert_eq!(one(3), Datum::Float(2.5));
     }
 
     #[test]
@@ -437,7 +490,6 @@ mod tests {
         s.add_column("b", ColType::Text).unwrap();
         let decoded = decode_tuple(&s, &bytes).unwrap();
         assert_eq!(decoded, vec![Datum::Int(7), Datum::Null]);
-        assert_eq!(decode_column(&s, &bytes, 1).unwrap(), Datum::Null);
     }
 
     #[test]

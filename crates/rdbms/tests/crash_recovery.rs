@@ -461,3 +461,34 @@ fn checkpoint_then_crash_recovers_post_checkpoint_commits() {
     assert_eq!(fingerprint(&db), *oracle_prefixes().last().unwrap());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Versions chained at a crash are named by no location once recovery has
+/// replayed the committed view: their slots are released at reopen, so
+/// deleting every row and vacuuming empties every data page and leaves no
+/// live byte.
+#[test]
+fn versions_chained_at_a_crash_are_released_at_reopen() {
+    let dir = test_dir("chained");
+    {
+        let db = reopen(&dir);
+        db.execute("CREATE TABLE t (a int, b text)").unwrap();
+        let vals: Vec<String> = (0..400).map(|i| format!("({i}, 'row-{i:03}')")).collect();
+        db.execute(&format!("INSERT INTO t (a, b) VALUES {}", vals.join(", "))).unwrap();
+        // An open snapshot makes the update chain each old version.
+        let snapshot = db.begin_txn().unwrap();
+        db.execute("UPDATE t SET b = 'updated, and longer than before'").unwrap();
+        std::mem::forget(snapshot);
+    }
+    let db = reopen(&dir);
+    db.check_derived("t").unwrap();
+    assert_eq!(db.execute("DELETE FROM t").unwrap().affected, 400);
+    db.vacuum().unwrap();
+    db.check_derived("t").unwrap();
+    let (pages, listed) = db.table_data_pages("t").unwrap();
+    assert!(pages > 1, "{pages} data pages");
+    // The tail, emptied while it is the tail, is listed once placement
+    // moves off it (DESIGN.md §34).
+    assert_eq!(listed, pages - 1, "{listed} of {pages} data pages listed");
+    assert_eq!(db.table_live_bytes("t").unwrap(), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}

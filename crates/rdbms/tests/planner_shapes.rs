@@ -203,7 +203,7 @@ fn distinct_operator_tracks_cardinality_estimates() {
 fn projection_pushdown_skips_unreferenced_columns() {
     // A fat unreferenced column must not slow a narrow scan: the planned
     // scan asks the heap for exactly the columns the query touches, and
-    // `tuple::decode_tuple_partial` (unit-tested there) skips the rest
+    // `tuple::decode_into` (unit-tested there) skips the rest
     // without decoding them.
     let db = Database::in_memory();
     db.execute("CREATE TABLE t (a int, fat text)").unwrap();
