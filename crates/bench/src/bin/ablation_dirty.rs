@@ -51,7 +51,8 @@ fn main() {
     // 50% materialized (dirty: rewriter emits COALESCE)
     let half = build(n);
     half.run_analyzer("nobench", &policy).unwrap();
-    // materialize str1 halfway; it is the first dirty attribute by id
+    // one step over half the rows moves every promoted column (str1 among
+    // them) on those rows and leaves each of them dirty
     half.materialize_step("nobench", StepBudget { rows: n / 2 }).unwrap();
     assert!(
         half.logical_schema("nobench").iter().any(|c| c.name == "str1" && c.dirty),

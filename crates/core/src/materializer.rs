@@ -7,15 +7,16 @@
 //!   rows, so the materializer "can stop when other queries are running and
 //!   pick up where it left off" (per-attribute cursors survive between
 //!   steps);
-//! * **row-atomic** — each row's move is one atomic `update_row` (physical
-//!   column set and reservoir slot cleared together); the column stays
-//!   *dirty* until a full pass completes, and the rewriter keeps emitting
-//!   `COALESCE` for it;
+//! * **one version per row** — a step writes each row once, moving every
+//!   dirty attribute whose cursor has not passed it (column set and
+//!   reservoir slot cleared together); a column stays *dirty* until its
+//!   full pass completes, and the rewriter keeps emitting `COALESCE` for it;
 //! * **latched against the loader** — a step and a bulk load never
 //!   interleave (the paper's catalog latch).
 
-use crate::catalog::AttrId;
+use crate::catalog::{AttrId, Catalog};
 use crate::extract;
+use crate::types::AttrType;
 use crate::Sinew;
 use sinew_rdbms::{Datum, DbError, DbResult, Txn};
 use std::collections::HashSet;
@@ -48,7 +49,7 @@ pub(crate) struct MoveCursor {
 pub struct MaterializerReport {
     /// Row values moved (reservoir → column or back).
     pub values_moved: u64,
-    /// Rows examined.
+    /// Rows examined, each once however many attributes moved on it.
     pub rows_scanned: u64,
     /// Columns whose dirty bit was cleared during this invocation.
     pub columns_cleaned: Vec<String>,
@@ -61,7 +62,7 @@ pub struct MaterializerReport {
     pub values_stranded: u64,
 }
 
-/// One bounded step: picks the lowest-id dirty attribute and advances it.
+/// One bounded step: advances every dirty attribute over the same rows.
 pub fn run_step(sinew: &Sinew, table: &str, budget: StepBudget) -> DbResult<MaterializerReport> {
     let _latch = sinew.load_latch().lock();
     let mut deferred = HashSet::new();
@@ -90,9 +91,64 @@ pub fn run_until_clean(sinew: &Sinew, table: &str) -> DbResult<MaterializerRepor
     }
 }
 
-/// Advance the lowest-id dirty attribute not in `deferred`; a pass that
-/// must be deferred adds its attribute to the set so the driving loop can
-/// move on.
+/// One dirty attribute's part in a step; `col`, `parent` and `data` are schema slots.
+struct Mover {
+    attr: AttrId,
+    name: String,
+    materializing: bool,
+    col: usize,
+    parent: Option<usize>,
+    data: usize,
+    skip: usize,
+    cursor: MoveCursor,
+}
+
+impl Mover {
+    /// Move this attribute's value within one row image, between its
+    /// column and its owner document: the parent's column when it holds a
+    /// value for this row, else the reservoir (`data`). Returns whether a
+    /// value moved; one with no document to go back to counts as stranded.
+    fn apply(&self, cat: &Catalog, row: &mut [Datum], stranded: &mut u64) -> DbResult<bool> {
+        let (owner, skip) = match self.parent {
+            Some(i) if !row[i].is_null() => (i, self.skip),
+            _ => (self.data, 0),
+        };
+        let doc = if let Datum::Bytea(b) = &row[owner] { Some(b) } else { None };
+        if self.materializing {
+            // owner document → physical column
+            let Some(bytes) = doc else { return Ok(false) };
+            let Some(value) = extract::extract_attr(cat, bytes, &self.name, self.attr)? else {
+                return Ok(false);
+            };
+            let cleaned = extract::remove_attr(cat, bytes, &self.name, skip, self.attr)?;
+            // A column already set (e.g. by an UPDATE that ran while dirty)
+            // makes the owner's copy stale: drop that copy only.
+            if row[self.col].is_null() {
+                row[self.col] = value;
+            }
+            row[owner] = Datum::Bytea(cleaned);
+        } else {
+            // physical column → owner document (dematerialization)
+            if row[self.col].is_null() {
+                return Ok(false);
+            }
+            let Some(bytes) = doc else {
+                // dropping the column now would destroy this value
+                *stranded += 1;
+                return Ok(false);
+            };
+            let value = &row[self.col];
+            let restored = extract::set_attr(cat, bytes, &self.name, skip, self.attr, value)?;
+            row[self.col] = Datum::Null;
+            row[owner] = Datum::Bytea(restored);
+        }
+        Ok(true)
+    }
+}
+
+/// Advance every dirty attribute not in `deferred` over one budgeted run of
+/// rows; a pass that must be deferred adds its attribute to the set so the
+/// driving loop can move on.
 fn step_locked(
     sinew: &Sinew,
     table: &str,
@@ -104,138 +160,77 @@ fn step_locked(
     let m = sinew.metrics();
     let mut report = MaterializerReport::default();
 
-    let dirty = cat.dirty_attrs(table);
-    let Some(&attr) = dirty.iter().find(|a| !deferred.contains(a)) else {
-        return Ok(report);
-    };
-    let st = cat.column_state(table, attr).ok_or_else(|| {
-        DbError::Schema(format!("dirty attribute id {attr} has no catalog state for {table}"))
-    })?;
-    let (name, _ty) = cat
-        .attr_info(attr)
-        .ok_or_else(|| DbError::NotFound(format!("attribute id {attr} in catalog")))?;
-    let materializing = st.materialized;
-
     let schema = db.schema(table)?;
-    let live_names: Vec<String> = schema.live_columns().map(|(_, c)| c.name.clone()).collect();
-    let data_idx = live_names
-        .iter()
-        .position(|n| n == "data")
+    let data = schema
+        .index_of("data")
         .ok_or_else(|| DbError::Schema(format!("collection {table} lacks a data column")))?;
-    let col_idx = live_names.iter().position(|n| *n == st.column_name);
-    // Dotted attributes may live inside a materialized parent object's
-    // column rather than the reservoir.
-    let source = extract::attr_source(|prefix| cat.states_for_name(table, prefix), &name);
-    let parent_idx = source
-        .parent_column
-        .as_ref()
-        .and_then(|c| live_names.iter().position(|n| n == c));
-
-    let key = (table.to_string(), attr);
-    let high_water = db.high_water(table)?;
-    let MoveCursor { pos: start_pos, stranded: start_stranded } =
-        sinew.cursors().lock().get(&key).copied().unwrap_or_default();
-
-    // One budgeted batch of row moves. Through `txn` (MVCC) every move in
-    // the batch becomes visible atomically at COMMIT, so a snapshot reader
-    // sees each value on exactly one side of the COALESCE — never a
-    // half-applied step. Without MVCC each move is its own atomic
-    // `update_row`, as before.
-    struct Batch {
-        cursor: u64,
-        stranded: u64,
-        examined: u64,
-        materialized: u64,
-        dematerialized: u64,
-    }
-    let run_batch = |txn: &mut Txn| -> DbResult<Batch> {
-        let mut b = Batch {
-            cursor: start_pos,
-            stranded: start_stranded,
-            examined: 0,
-            materialized: 0,
-            dematerialized: 0,
+    let saved = sinew.cursors().lock().clone();
+    let mut movers = Vec::new();
+    for attr in cat.dirty_attrs(table).into_iter().filter(|a| !deferred.contains(a)) {
+        let Some((st, (name, _))) = cat.column_state(table, attr).zip(cat.attr_info(attr)) else {
+            return Err(DbError::Schema(format!("no catalog state for attribute {attr}")));
         };
-        while b.cursor < high_water && b.examined < budget.rows {
-            let rowid = b.cursor;
-            b.cursor += 1;
-            b.examined += 1;
-            let Some(row) = db.txn_get_row(txn, table, rowid)? else { continue };
-            // Owner document: the materialized parent's column when it
-            // holds a value for this row, else the reservoir. `None` when
-            // neither side holds usable document bytes.
-            let owner: Option<(&str, usize, &Vec<u8>)> = match parent_idx {
-                Some(i) if !row[i].is_null() => match &row[i] {
-                    Datum::Bytea(b) => {
-                        Some((source.parent_column.as_deref().unwrap_or("data"), source.skip, b))
+        // Dotted attributes may live inside a materialized parent object's
+        // column rather than the reservoir.
+        let source = extract::attr_source(|prefix| cat.states_for_name(table, prefix), &name);
+        movers.push(Mover {
+            attr,
+            col: schema
+                .index_of(&st.column_name)
+                .ok_or_else(|| DbError::NotFound(format!("column {}", st.column_name)))?,
+            parent: source.parent_column.and_then(|c| schema.index_of(&c)),
+            data,
+            skip: source.skip,
+            materializing: st.materialized,
+            cursor: saved.get(&(table.to_string(), attr)).copied().unwrap_or_default(),
+            name,
+        });
+    }
+    // Parents before children: a promoted parent object moves before the
+    // children that read from its column, and a demoted one reaches the
+    // reservoir before they are restored into it (it would overwrite them).
+    movers.sort_by_key(|mv| (mv.name.split('.').count(), mv.attr));
+    // One budgeted run of rows from the lowest cursor. An attribute moves
+    // only on rows its cursor has not passed, so a column that turned dirty
+    // in mid-pass starts at row 0 while the others go on.
+    let Some(start) = movers.iter().map(|mv| mv.cursor.pos).min() else { return Ok(report) };
+    let high_water = db.high_water(table)?;
+    let end = high_water.min(start.saturating_add(budget.rows)).max(start);
+
+    // Through `txn` (MVCC) every move in the batch becomes visible
+    // atomically at COMMIT, so a snapshot reader sees each value on exactly
+    // one side of the COALESCE — never a half-applied step.
+    let run_batch = |txn: &mut Txn| -> DbResult<([u64; 2], Vec<u64>)> {
+        let mut moved = [0; 2]; // [dematerialized, materialized]
+        let mut stranded: Vec<u64> = movers.iter().map(|mv| mv.cursor.stranded).collect();
+        let mut row = Vec::new();
+        for rowid in start..end {
+            db.txn_rewrite_row(txn, table, rowid, &mut row, |row| {
+                let mut changed = false;
+                for (mv, stranded) in movers.iter().zip(&mut stranded) {
+                    if mv.cursor.pos <= rowid && mv.apply(cat, row, stranded)? {
+                        changed = true;
+                        moved[mv.materializing as usize] += 1;
                     }
-                    _ => None,
-                },
-                _ => match &row[data_idx] {
-                    Datum::Bytea(b) => Some(("data", 0usize, b)),
-                    _ => None,
-                },
-            };
-            if materializing {
-                // owner document → physical column; no document, nothing
-                // to move
-                let Some((owner_name, owner_skip, bytes)) = owner else { continue };
-                let Some(value) = extract::extract_attr(cat, bytes, &name, attr)? else {
-                    continue;
-                };
-                let cleaned = extract::remove_attr(cat, bytes, &name, owner_skip, attr)?;
-                let col_is_null = col_idx.map(|i| row[i].is_null()).unwrap_or(true);
-                let assigns: Vec<(&str, Datum)> = if col_is_null {
-                    vec![(st.column_name.as_str(), value), (owner_name, Datum::Bytea(cleaned))]
-                } else {
-                    // the column was already set (e.g. by an UPDATE that
-                    // ran while dirty): the owner's copy is stale — drop
-                    // it only
-                    vec![(owner_name, Datum::Bytea(cleaned))]
-                };
-                db.txn_update_row(txn, table, rowid, &assigns)?;
-                b.materialized += 1;
-            } else {
-                // physical column → owner document (dematerialization)
-                let Some(i) = col_idx else { continue };
-                if row[i].is_null() {
-                    continue;
                 }
-                let Some((owner_name, owner_skip, bytes)) = owner else {
-                    // the value exists only in the column and there is no
-                    // document to restore it into: dropping the column now
-                    // would destroy it — count it and keep going
-                    b.stranded += 1;
-                    continue;
-                };
-                let restored = extract::set_attr(cat, bytes, &name, owner_skip, attr, &row[i])?;
-                let assigns: Vec<(&str, Datum)> = vec![
-                    (st.column_name.as_str(), Datum::Null),
-                    (owner_name, Datum::Bytea(restored)),
-                ];
-                db.txn_update_row(txn, table, rowid, &assigns)?;
-                b.dematerialized += 1;
-            }
+                Ok(changed)
+            })?;
         }
-        Ok(b)
+        Ok((moved, stranded))
     };
 
-    // The step is an ordinary transaction racing foreground
-    // writers under first-writer-wins: a conflict aborts *us*, never the
-    // foreground statement. Roll back, keep the saved cursor (it only
-    // advances after COMMIT), and retry the same batch — bounded here so a
-    // hot row hands the step back to the caller instead of spinning under
-    // the load latch.
+    // The step is an ordinary transaction racing foreground writers under
+    // first-writer-wins: a conflict aborts *us*, never the foreground
+    // statement. Roll back, keep the saved cursors (they only advance after
+    // COMMIT), and retry the same batch — bounded, so a hot row hands the
+    // step back to the caller instead of spinning under the load latch.
     const CONFLICT_RETRIES: usize = 4;
     let mut attempts = 0;
-    let b = loop {
+    let (moved, stranded) = loop {
         let mut txn = db.begin_txn()?;
         let out = match run_batch(&mut txn) {
             Ok(b) => db.commit_txn(txn).map(|()| b),
-            Err(e) => {
-                let _ = db.rollback_txn(txn);
-                Err(e)
-            }
+            Err(e) => db.rollback_txn(txn).and(Err(e)),
         };
         match out {
             Ok(b) => break b,
@@ -250,57 +245,63 @@ fn step_locked(
             Err(e) => return Err(e),
         }
     };
-    let (cursor, stranded) = (b.cursor, b.stranded);
-    let examined = b.examined;
-    report.values_moved = b.materialized + b.dematerialized;
-    report.rows_scanned = examined;
-    m.materializer_values_materialized.add(b.materialized);
-    m.materializer_values_dematerialized.add(b.dematerialized);
+    report.values_moved = moved[0] + moved[1];
+    report.rows_scanned = end - start;
+    m.materializer_values_materialized.add(moved[1]);
+    m.materializer_values_dematerialized.add(moved[0]);
     m.materializer_steps.inc();
-    m.materializer_rows_scanned.add(examined);
-    m.materializer_step_rows.record(examined);
+    m.materializer_rows_scanned.add(report.rows_scanned);
+    m.materializer_step_rows.record(report.rows_scanned);
 
-    if cursor >= high_water {
-        if !materializing && stranded > 0 {
+    let mut completed = Vec::new();
+    for (mv, stranded) in movers.into_iter().zip(stranded) {
+        let key = (table.to_string(), mv.attr);
+        if end < high_water {
+            let pos = mv.cursor.pos.max(end);
+            sinew.cursors().lock().insert(key, MoveCursor { pos, stranded });
+            continue;
+        }
+        sinew.cursors().lock().remove(&key);
+        if !mv.materializing && stranded > 0 {
             // Refuse to complete: `drop_column` here would strand values
             // that never made it back to a document. Keep the column (and
             // its dirty flag) and surface the condition; the cursor resets
             // so a later drive rescans from the top.
-            sinew.cursors().lock().remove(&key);
-            deferred.insert(attr);
+            deferred.insert(mv.attr);
             m.materializer_passes_deferred.inc();
             m.materializer_rows_stranded.add(stranded);
-            report.columns_deferred.push(name);
+            report.columns_deferred.push(mv.name);
             report.values_stranded += stranded;
         } else {
             // Full pass complete: the column is clean. (The latch
             // guarantees no load slipped new rows in during this step.)
-            cat.set_flags(table, attr, materializing, false)?;
-            // The clean flag is committed after the last move and before
-            // the column goes: a crash between two of the three leaves a
-            // dirty column whose pass reruns, or a virtual attribute beside
-            // an all-NULL column — never a clean flag over unmoved values.
-            cat.commit_with(db, table, &[])?;
-            if !materializing {
-                // dematerialized columns disappear from the physical schema
-                // (dropping the column also drops any secondary index on it)
-                db.drop_column(table, &st.column_name)?;
-            }
-            sinew.cursors().lock().remove(&key);
-            m.materializer_passes_completed.inc();
-            if materializing {
-                maybe_create_auto_index(sinew, table, attr, &st.column_name)?;
-                // Columnar segment store over the freshly promoted column:
-                // built by one heap scan here, maintained incrementally by
-                // every DML path after. Dematerialization drops it for free
-                // (`drop_column` removes stores on the column).
-                db.build_columnar(table, &st.column_name)?;
-                m.materializer_columnar_built.inc();
-            }
-            report.columns_cleaned.push(name);
+            cat.set_flags(table, mv.attr, mv.materializing, false)?;
+            completed.push(mv);
         }
-    } else {
-        sinew.cursors().lock().insert(key, MoveCursor { pos: cursor, stranded });
+    }
+    if completed.is_empty() {
+        return Ok(report);
+    }
+    // Every clean flag is committed, in one unit, after the last move and
+    // before any column goes: a crash between two of the three leaves a
+    // dirty column whose pass reruns, or a virtual attribute beside an
+    // all-NULL column — never a clean flag over unmoved values.
+    cat.commit_with(db, table, &[])?;
+    for mv in completed {
+        let column = &schema.columns[mv.col].name;
+        m.materializer_passes_completed.inc();
+        if mv.materializing {
+            maybe_create_auto_index(sinew, table, mv.attr, column)?;
+            // A columnar store over the promoted column, built by one heap
+            // scan and maintained by every DML path after.
+            db.build_columnar(table, column)?;
+            m.materializer_columnar_built.inc();
+        } else {
+            // a dematerialized column leaves the physical schema, and its
+            // index and columnar store go with it
+            db.drop_column(table, column)?;
+        }
+        report.columns_cleaned.push(mv.name);
     }
     Ok(report)
 }
@@ -313,17 +314,16 @@ const AUTO_INDEX_SAMPLE_ROWS: u64 = 10_000;
 /// a secondary index: the paper's materialization cardinality threshold.
 const INDEX_MIN_CARDINALITY: u64 = 200;
 
-/// The promotion payoff loop: once a column is fully materialized, give it
-/// a secondary B-tree index when its sampled cardinality clears the bar —
-/// low-cardinality columns gain little from an index and would pay
-/// maintenance on every write. Dematerialization drops the index for free
-/// (`drop_column` removes indexes on the column).
-fn maybe_create_auto_index(
-    sinew: &Sinew,
-    table: &str,
-    attr: AttrId,
-    column: &str,
-) -> DbResult<()> {
+/// The promotion payoff loop: once a scalar column is fully materialized,
+/// give it a secondary B-tree index when its sampled cardinality clears the
+/// bar — low-cardinality columns gain little from an index and would pay
+/// maintenance on every write. Object and array columns get none: the
+/// planner matches an index only to `column op constant` on the column
+/// itself, which no predicate over a nested key or an element is.
+fn maybe_create_auto_index(sinew: &Sinew, table: &str, attr: AttrId, column: &str) -> DbResult<()> {
+    if let Some((_, AttrType::Object | AttrType::Array)) = sinew.catalog().attr_info(attr) {
+        return Ok(());
+    }
     let (card, _) =
         crate::analyzer::estimate_cardinality(sinew, table, &[attr], AUTO_INDEX_SAMPLE_ROWS)?;
     if card.get(&attr).copied().unwrap_or(0) < INDEX_MIN_CARDINALITY {

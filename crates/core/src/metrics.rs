@@ -124,7 +124,8 @@ sinew_rdbms::counter_table! {
     // -- materializer (materializer.rs) --
     /// Bounded steps executed.
     materializer materializer_steps: counter,
-    /// Rows examined across all steps.
+    /// Rows examined across all steps, each once per step however many
+    /// attributes moved on it.
     materializer materializer_rows_scanned: counter,
     /// Values moved reservoir → physical column.
     materializer materializer_values_materialized: counter,
@@ -140,7 +141,7 @@ sinew_rdbms::counter_table! {
     /// dematerialize passes (each deferral adds its stranded-row count).
     materializer materializer_rows_stranded: counter,
     /// Secondary indexes auto-created when a promotion pass completed on a
-    /// column whose sampled cardinality cleared the auto-index bar.
+    /// scalar column whose sampled cardinality cleared the auto-index bar.
     materializer materializer_indexes_created: counter,
     /// Columnar segment stores built when a promotion pass completed
     /// (dematerialization drops them together with the column).

@@ -57,7 +57,12 @@ pub struct SecondaryIndex {
 }
 
 fn cmp_entry(a: &(Datum, RowId), b: &(Datum, RowId)) -> Ordering {
-    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+    cmp_key(a, &b.0, b.1)
+}
+
+/// [`cmp_entry`] against a borrowed `(key, rowid)`.
+fn cmp_key(a: &(Datum, RowId), key: &Datum, rowid: RowId) -> Ordering {
+    a.0.total_cmp(key).then(a.1.cmp(&rowid))
 }
 
 /// A [`KeyRange`] translated to the tree's `total_cmp` entry order.
@@ -180,15 +185,16 @@ impl SecondaryIndex {
         }
         let li = self.target_leaf(key, rowid);
         let mut entries = read_leaf(&self.pager, self.leaves[li].page)?;
-        let entry = (key.clone(), rowid);
-        let pos = match entries.binary_search_by(|e| cmp_entry(e, &entry)) {
+        let pos = match entries.binary_search_by(|e| cmp_key(e, key, rowid)) {
             Ok(_) => return Ok(false), // (key, rowid) already present
             Err(pos) => pos,
         };
-        entries.insert(pos, entry);
+        entries.insert(pos, (key.clone(), rowid));
         self.entry_count += 1;
-        if encoded_len(&entries) <= LEAF_CAP {
-            write_leaf(&self.pager, self.leaves[li].page, &entries)?;
+        // Each entry is encoded once: the image that fits is the one written.
+        let image = encode_leaf(&entries);
+        if image.len() <= PAGE_SIZE {
+            write_page(&self.pager, self.leaves[li].page, &image)?;
             self.refresh_meta(li, &entries);
             return Ok(true);
         }
@@ -225,8 +231,7 @@ impl SecondaryIndex {
         if key.is_null() {
             return Ok(false);
         }
-        let entry = (key.clone(), rowid);
-        if let Ok(pos) = self.overflow.binary_search_by(|e| cmp_entry(e, &entry)) {
+        if let Ok(pos) = self.overflow.binary_search_by(|e| cmp_key(e, key, rowid)) {
             self.overflow.remove(pos);
             self.entry_count -= 1;
             return Ok(true);
@@ -236,7 +241,7 @@ impl SecondaryIndex {
         }
         let li = self.target_leaf(key, rowid);
         let mut entries = read_leaf(&self.pager, self.leaves[li].page)?;
-        let Ok(pos) = entries.binary_search_by(|e| cmp_entry(e, &entry)) else {
+        let Ok(pos) = entries.binary_search_by(|e| cmp_key(e, key, rowid)) else {
             return Ok(false);
         };
         entries.remove(pos);
@@ -411,9 +416,8 @@ impl SecondaryIndex {
     /// Index of the leaf that owns `(key, rowid)`: the last leaf whose low
     /// bound is ≤ the entry (entries below every leaf belong to the first).
     fn target_leaf(&self, key: &Datum, rowid: RowId) -> usize {
-        let probe = (key.clone(), rowid);
         let i = self.leaves.partition_point(|leaf| {
-            cmp_entry(&(leaf.lo_key.clone(), leaf.lo_rowid), &probe) != Ordering::Greater
+            leaf.lo_key.total_cmp(key).then(leaf.lo_rowid.cmp(&rowid)) != Ordering::Greater
         });
         i.saturating_sub(1)
     }
@@ -432,32 +436,32 @@ fn entry_len(klen: usize) -> usize {
     2 + klen + 8
 }
 
-fn encoded_len(entries: &[(Datum, RowId)]) -> usize {
-    let mut total = 0;
-    let mut buf = Vec::new();
-    for (k, _) in entries {
-        buf.clear();
+/// A leaf's page image: the entry count, then per entry its key length,
+/// key and row id. Each key is encoded straight into the image.
+fn encode_leaf(entries: &[(Datum, RowId)]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(PAGE_SIZE);
+    buf.extend_from_slice(&(entries.len() as u16).to_le_bytes());
+    for (k, rowid) in entries {
+        let at = buf.len();
+        buf.extend_from_slice(&[0, 0]);
         encode_key(k, &mut buf);
-        total += entry_len(buf.len());
+        let klen = (buf.len() - at - 2) as u16;
+        buf[at..at + 2].copy_from_slice(&klen.to_le_bytes());
+        buf.extend_from_slice(&rowid.to_le_bytes());
     }
-    total
+    buf
 }
 
 fn write_leaf(pager: &Pager, page: PageId, entries: &[(Datum, RowId)]) -> DbResult<()> {
-    let mut buf = Vec::with_capacity(LEAF_CAP);
-    buf.extend_from_slice(&(entries.len() as u16).to_le_bytes());
-    for (k, rowid) in entries {
-        let mut kbytes = Vec::new();
-        encode_key(k, &mut kbytes);
-        buf.extend_from_slice(&(kbytes.len() as u16).to_le_bytes());
-        buf.extend_from_slice(&kbytes);
-        buf.extend_from_slice(&rowid.to_le_bytes());
-    }
-    debug_assert!(buf.len() <= PAGE_SIZE);
+    write_page(pager, page, &encode_leaf(entries))
+}
+
+fn write_page(pager: &Pager, page: PageId, image: &[u8]) -> DbResult<()> {
+    debug_assert!(image.len() <= PAGE_SIZE);
     // Unlogged: index leaves are derived state, rebuilt from the heap by
     // recovery instead of replayed from the WAL.
     pager.with_page_mut_unlogged(page, |pg| {
-        pg[..buf.len()].copy_from_slice(&buf);
+        pg[..image.len()].copy_from_slice(image);
     })
 }
 

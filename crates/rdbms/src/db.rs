@@ -1511,7 +1511,8 @@ impl Database {
             return Err(DbError::NotFound(format!("row {rowid} in {table}")));
         };
         let old = tuple::decode_tuple(&t.schema, &bytes)?;
-        let new = assign(&t.schema, old.clone(), assignments)?;
+        let mut new = old.clone();
+        assign(&t.schema, &mut new, assignments)?;
         let new_bytes = tuple::encode_tuple(&t.schema, &new)?;
         match publish {
             Publish::Retain(ts) => {
@@ -1535,43 +1536,64 @@ impl Database {
         rowid: RowId,
         assignments: &[(&str, Datum)],
     ) -> DbResult<()> {
-        self.check_conflict(&t.heap, rowid, txn.marker, txn.read_ts)?;
-        let Some(bytes) = t.heap.get_vis(rowid, txn.vis())? else {
-            return Err(DbError::NotFound(format!("row {rowid} in {table}")));
+        let edit = |schema: &TableSchema, row: &mut [Datum]| {
+            assign(schema, row, assignments).map(|()| true)
         };
-        let full = assign(&t.schema, tuple::decode_tuple(&t.schema, &bytes)?, assignments)?;
-        let new_bytes = tuple::encode_tuple(&t.schema, &full)?;
-        t.heap.update_versioned(rowid, &new_bytes, txn.marker)?;
-        txn.log.push((table.to_string(), rowid, TxnOp::Upd));
-        txn.touch(table, rowid);
-        self.exec_stats.versions_created.inc();
+        if !self.txn_rewrite_locked(t, txn, table, rowid, &mut Vec::new(), edit)? {
+            return Err(DbError::NotFound(format!("row {rowid} in {table}")));
+        }
         Ok(())
     }
 
-    /// Update one row inside an open transaction (the materializer's
-    /// data-movement primitive when it runs its steps transactionally).
-    pub fn txn_update_row(
+    /// Rewrite one row inside an open transaction, decoding it once and
+    /// encoding it once — the materializer's data-movement primitive.
+    /// `edit` gets every slot of the row as the transaction sees it (its
+    /// own uncommitted writes included), indexed as in the table's schema,
+    /// decoded into `row`, a buffer the caller reuses from row to row. When
+    /// `edit` returns `true` the edited image is versioned under the
+    /// transaction's marker as an `UPDATE` inside a transaction is,
+    /// first-writer-wins included; `false` writes nothing. Returns whether
+    /// the row was written (`false` too when the transaction cannot see it).
+    pub fn txn_rewrite_row(
         &self,
         txn: &mut Txn,
         table: &str,
         rowid: RowId,
-        assignments: &[(&str, Datum)],
-    ) -> DbResult<()> {
+        row: &mut Vec<Datum>,
+        edit: impl FnOnce(&mut [Datum]) -> DbResult<bool>,
+    ) -> DbResult<bool> {
         self.txn_wal_enter(txn);
         let t = self.table(table)?;
         let mut t = t.write();
-        self.txn_update_row_locked(&mut t, txn, table, rowid, assignments)
+        self.txn_rewrite_locked(&mut t, txn, table, rowid, row, |_, r| {
+            self.exec_stats.heap_rowid_fetches.inc();
+            edit(r)
+        })
     }
 
-    /// Read one row (live columns) as the transaction sees it — its own
-    /// uncommitted writes included.
-    pub fn txn_get_row(&self, txn: &Txn, table: &str, rowid: RowId) -> DbResult<Option<Row>> {
-        let t = self.table(table)?;
-        let t = t.read();
-        let Some(bytes) = t.heap.get_vis(rowid, txn.vis())? else { return Ok(None) };
-        self.exec_stats.heap_rowid_fetches.inc();
-        let full = tuple::decode_tuple(&t.schema, &bytes)?;
-        Ok(Some(t.schema.live_columns().map(|(i, _)| full[i].clone()).collect()))
+    fn txn_rewrite_locked(
+        &self,
+        t: &mut Table,
+        txn: &mut Txn,
+        table: &str,
+        rowid: RowId,
+        row: &mut Vec<Datum>,
+        edit: impl FnOnce(&TableSchema, &mut [Datum]) -> DbResult<bool>,
+    ) -> DbResult<bool> {
+        let Some(bytes) = t.heap.get_vis(rowid, txn.vis())? else { return Ok(false) };
+        let every: Vec<Option<usize>> = (0..t.schema.arity()).map(Some).collect();
+        row.resize(t.schema.arity(), Datum::Null);
+        tuple::decode_into(&t.schema, &bytes, &every, row)?;
+        if !edit(&t.schema, row)? {
+            return Ok(false);
+        }
+        self.check_conflict(&t.heap, rowid, txn.marker, txn.read_ts)?;
+        let new_bytes = tuple::encode_tuple(&t.schema, row)?;
+        t.heap.update_versioned(rowid, &new_bytes, txn.marker)?;
+        txn.log.push((table.to_string(), rowid, TxnOp::Upd));
+        txn.touch(table, rowid);
+        self.exec_stats.versions_created.inc();
+        Ok(true)
     }
 
     /// Insert rows inside an open transaction: rows land in the heap
@@ -2551,18 +2573,14 @@ fn wal_path_for(path: &Path) -> PathBuf {
 
 /// Apply named assignments (coerced to their column types) to a row's full
 /// physical image.
-fn assign(
-    schema: &TableSchema,
-    mut full: Vec<Datum>,
-    assignments: &[(&str, Datum)],
-) -> DbResult<Vec<Datum>> {
+fn assign(schema: &TableSchema, full: &mut [Datum], assignments: &[(&str, Datum)]) -> DbResult<()> {
     for (name, value) in assignments {
         let idx = schema
             .index_of(name)
             .ok_or_else(|| DbError::NotFound(format!("column {name}")))?;
         full[idx] = coerce_for_column(value, schema.columns[idx].ty)?;
     }
-    Ok(full)
+    Ok(())
 }
 
 /// Coerce a datum for storage into a column of the given type; only safe,

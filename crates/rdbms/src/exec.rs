@@ -173,8 +173,8 @@ crate::counter_table! {
     /// row served without its page is not counted. Fetches by row id count
     /// in `heap_rowid_fetches`.
     columnar_access heap_fetches: counter,
-    /// Tuples read by row id: index-scan fetches and `get_row` /
-    /// `txn_get_row`.
+    /// Tuples read by row id: index-scan fetches, `get_row` and the
+    /// materializer's `txn_rewrite_row`.
     columnar_access heap_rowid_fetches: counter,
     /// Value-level decodes/compares charged per scanned segment.
     columnar_access decoded_per_block: histogram,
