@@ -24,10 +24,11 @@
 //! plan-free reference evaluator (`crates/reference`, DESIGN.md §31).
 //!
 //! Scans (DESIGN.md §18): every leaf reads through the executor's one
-//! table source. The heap scan is `SeqScanOp`, or the morsel-parallel
-//! `ParallelScanOp` when the scan→filter→project prefix, the pool and
-//! the table allow — the only parallel scan implementation there is. The
-//! index, index-only and columnar paths are `AccessOp`s behind one
+//! table source. Every heap scan is `ScanOp`, which runs the
+//! scan→filter→project prefix above it as one pipeline (DESIGN.md §37):
+//! as morsels when the statement has a crew and the table is big enough,
+//! else as one cursor that lends each row to what reads it. The index,
+//! index-only and columnar paths are `AccessOp`s behind one
 //! `HeapFallback`, which continues any of them as the equivalent heap scan
 //! when its index or store is gone.
 //!
@@ -44,10 +45,11 @@
 //! operator of a statement runs on the statement's one crew of threads
 //! (`crate::crew`, DESIGN.md §26), opened here by
 //! [`run_streaming_with`]. With `exec_threads = 1` (and below the row
-//! floor of `Executor::parallel`) the serial operators run; differential
-//! tests take that as their reference. `EXPLAIN ANALYZE` wraps every
-//! operator in an [`AnalyzeOp`] that counts rows/blocks/wall time per
-//! plan node.
+//! floor of `Executor::parallel`) the serial operators run, and a breaker
+//! over a scan pipeline folds or probes inside the scan's one cursor;
+//! differential tests take that as their reference. `EXPLAIN ANALYZE`
+//! wraps every operator in an [`AnalyzeOp`] that counts rows/blocks/wall
+//! time per plan node.
 //!
 //! Resource governance: `max_intermediate_rows` is charged wherever rows
 //! actually accumulate — the root accumulator, breaker buffers, join
@@ -58,7 +60,7 @@
 use crate::agg::Accumulator;
 use crate::crew::{caught, Crew, JobQueue, MorselStream, Task};
 use crate::datum::{Datum, GroupKey};
-use crate::db::ScanConsumer;
+use crate::db::{ScanConsumer, TableScan};
 use crate::error::{DbError, DbResult};
 use crate::exec::{
     cmp_sort_keys, eval_sort_keys, feed_accs, finish_group, new_acc, passes, rows_equal,
@@ -250,32 +252,33 @@ pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
     az: Option<&'c AnalyzeCtx>,
     crew: CrewRef<'c, 'x>,
 ) -> DbResult<Box<dyn BlockOperator + 'c>> {
-    // The scan→filter→project prefix goes to the morsel-parallel operator
-    // when the statement has a crew and the table is big enough.
+    // A scan→filter→project prefix is one scan pipeline (DESIGN.md §37).
     if az.is_none() {
-        if let Some(op) = ParallelScanOp::try_new(exec, plan, crew)? {
+        if let Some(op) = ScanOp::try_new(exec, plan, crew)? {
             return Ok(Box::new(op));
         }
     }
     let node_id = az.map(AnalyzeCtx::register);
     let child = |input: &'x Plan, cap: Option<u64>| build_node(exec, input, cap, None, az, crew);
-    // A breaker over a scan pipeline may take the scan's morsels where
-    // they are read (DESIGN.md §29, §30).
+    // A breaker over a scan pipeline takes the scan's rows where they are
+    // read (DESIGN.md §29, §30): in its morsels, or in its one cursor. A
+    // morsel fold that could not merge exactly takes the scan's blocks.
     let fused = |input: &'x Plan, fuse: bool| -> DbResult<BreakerInput<'c, 'x, 'a>> {
-        let crew = crew.filter(|_| fuse && az.is_none());
-        Ok(match ParallelScanOp::try_new(exec, input, crew)? {
-            Some(scan) => BreakerInput::Morsels(scan),
+        let scan = if az.is_none() { ScanOp::try_new(exec, input, crew)? } else { None };
+        Ok(match scan {
+            Some(scan) if fuse || scan.on_cursor() => BreakerInput::Scan(scan),
+            Some(scan) => BreakerInput::Child(Box::new(scan)),
             None => BreakerInput::Child(child(input, None)?),
         })
     };
     let op: Box<dyn BlockOperator + 'c> = match plan {
-        Plan::SeqScan { table, filter, needed, .. } => Box::new(SeqScanOp::new(
-            exec,
-            table,
-            filter.as_ref(),
-            needed.as_deref(),
-            consumer,
-        )),
+        // Reached under EXPLAIN ANALYZE only: the scan leaf, its cursor
+        // read through what its parents evaluate.
+        Plan::SeqScan { table, filter, needed, .. } => {
+            let (needed, scan_filter) = (needed.as_deref(), filter.as_ref());
+            let pipe = ScanPipeline { table, needed, scan_filter, consumer, ..Default::default() };
+            Box::new(ScanOp::new(exec, pipe, None)?)
+        }
         // A probe cap is only sound when the bounds *are* the whole
         // predicate: then every row the index surfaces is an output row,
         // and the `cap` smallest rowids are exactly the rows an uncapped
@@ -291,7 +294,7 @@ pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
                 rowids: None,
                 pos: 0,
             },
-        ),
+        )?,
         Plan::IndexOnlyScan(path) => HeapFallback::boxed(
             exec,
             path,
@@ -302,7 +305,7 @@ pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
                 ctx: EvalCtx::new(),
                 rows: None,
             },
-        ),
+        )?,
         Plan::ColumnarScan { path, bounds_cover_filter } => HeapFallback::boxed(
             exec,
             path,
@@ -314,7 +317,7 @@ pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
                 segments: None,
                 pending: VecDeque::new(),
             },
-        ),
+        )?,
         Plan::Filter { input, predicate, .. } => Box::new(FilterOp {
             child: build_node(exec, input, None, consumer, az, crew)?,
             predicate,
@@ -325,7 +328,7 @@ pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
                 exec,
                 input,
                 cap,
-                scan_pipeline(plan).and_then(|p| p.consumer()),
+                scan_pipeline(plan).and_then(|p| p.consumer),
                 az,
                 crew,
             )?,
@@ -567,90 +570,6 @@ impl BlockOperator for AnalyzeOp<'_> {
 // ---------------------------------------------------------------------------
 // Scans
 
-/// Serial heap scan with an embedded filter. Each block resumes at the row
-/// id after the last one emitted, and the scan callback stops (early-stop
-/// into `Heap::scan`) the moment the block is full.
-struct SeqScanOp<'x, 'a> {
-    exec: &'x Executor<'a>,
-    table: &'x str,
-    filter: Option<&'x PhysExpr>,
-    needed: Option<&'x [String]>,
-    /// What the operators above evaluate over the scan rows, when this is
-    /// the scan of a `Project(Filter?(SeqScan))`: the same expressions the
-    /// parallel prefix hands its scan, so the pages read do not depend on
-    /// the thread count (DESIGN.md §33).
-    consumer: Option<ScanConsumer<'x>>,
-    ctx: EvalCtx,
-    next_rowid: u64,
-    done: bool,
-}
-
-impl<'x, 'a> SeqScanOp<'x, 'a> {
-    fn new(
-        exec: &'x Executor<'a>,
-        table: &'x str,
-        filter: Option<&'x PhysExpr>,
-        needed: Option<&'x [String]>,
-        consumer: Option<ScanConsumer<'x>>,
-    ) -> SeqScanOp<'x, 'a> {
-        SeqScanOp {
-            exec,
-            table,
-            filter,
-            needed,
-            consumer,
-            ctx: EvalCtx::new(),
-            next_rowid: 0,
-            done: false,
-        }
-    }
-}
-
-impl BlockOperator for SeqScanOp<'_, '_> {
-    fn open(&mut self) -> DbResult<()> {
-        self.exec.stats.serial_scans.inc();
-        Ok(())
-    }
-
-    fn next_block(&mut self) -> DbResult<Option<RowBlock>> {
-        if self.done {
-            return Ok(None);
-        }
-        let block_rows = self.exec.limits.block_rows.max(1);
-        let mut out: Vec<Row> = Vec::with_capacity(block_rows);
-        let mut resume = self.next_rowid;
-        self.exec.source.scan_table_range(
-            self.table,
-            self.needed,
-            self.filter,
-            self.consumer,
-            self.next_rowid..u64::MAX,
-            &mut self.ctx,
-            &mut |row, _| {
-                // Scan rows end with their rowid. A block ends at a row
-                // that passed, so the next one resumes after it.
-                let rid = match row.last() {
-                    Some(Datum::Int(r)) => *r as u64,
-                    _ => return Err(DbError::Eval("scan row missing trailing rowid".into())),
-                };
-                resume = rid + 1;
-                out.push(std::mem::take(row));
-                Ok(out.len() < block_rows)
-            },
-        )?;
-        self.next_rowid = resume;
-        if out.len() < block_rows {
-            // The callback never asked to stop, so the scan is exhausted.
-            self.done = true;
-        }
-        if out.is_empty() {
-            self.done = true;
-            return Ok(None);
-        }
-        Ok(Some(RowBlock::from_rows(out)))
-    }
-}
-
 /// What an access path hands [`HeapFallback`] per pull.
 enum Pull {
     Block(RowBlock),
@@ -686,8 +605,8 @@ trait AccessOp {
 /// store after emitting; the index paths resolve on their first pull.)
 struct HeapFallback<'x, 'a> {
     primary: Box<dyn AccessOp + 'x>,
-    /// The equivalent heap scan, opened only if `primary` is lost.
-    heap: SeqScanOp<'x, 'a>,
+    /// The equivalent heap scan, a cursor opened only if `primary` is lost.
+    heap: ScanOp<'x, 'x, 'a>,
     on_heap: bool,
     /// Rows `primary` has handed downstream: what the heap scan must drop
     /// before producing output, should it take over.
@@ -699,14 +618,16 @@ impl<'x, 'a> HeapFallback<'x, 'a> {
         exec: &'x Executor<'a>,
         path: &'x AccessPath,
         primary: impl AccessOp + 'x,
-    ) -> Box<dyn BlockOperator + 'x> {
+    ) -> DbResult<Box<dyn BlockOperator + 'x>> {
         let AccessPath { table, filter, needed, .. } = path;
-        Box::new(HeapFallback {
+        let (needed, scan_filter) = (needed.as_deref(), filter.as_ref());
+        let pipe = ScanPipeline { table, needed, scan_filter, ..Default::default() };
+        Ok(Box::new(HeapFallback {
             primary: Box::new(primary),
-            heap: SeqScanOp::new(exec, table, filter.as_ref(), needed.as_deref(), None),
+            heap: ScanOp::new(exec, pipe, None)?,
             on_heap: false,
             skip: 0,
-        })
+        }))
     }
 
     fn fall_back(&mut self) -> DbResult<()> {
@@ -825,7 +746,7 @@ impl AccessOp for IndexScanOp<'_, '_> {
 /// tests the full residual predicate on the selected slots in place
 /// unless the bounds are exact, and gathers only `needed` columns for the
 /// slots that pass (`SnapSource::columnar_scan_segment`). Segments are
-/// the morsels of a [`MorselStream`] like [`ParallelScanOp`]'s (claimed
+/// the morsels of a [`MorselStream`] like [`ScanOp`]'s (claimed
 /// by the statement's crew, stitched in segment order), so output is
 /// byte-identical to the heap scan at any thread count and a LIMIT stops
 /// the claims one window past the segment that satisfied it.
@@ -1376,44 +1297,46 @@ impl<'p> GroupTable<'p> {
 /// Where a hash aggregation's or a hash join probe's rows come from.
 enum BreakerInput<'c, 'x, 'a> {
     Child(Box<dyn BlockOperator + 'c>),
-    /// A scan pipeline whose morsels the breaker consumes where they are
-    /// read: an aggregation folds them (DESIGN.md §29), a join probes them
-    /// (DESIGN.md §30).
-    Morsels(ParallelScanOp<'c, 'x, 'a>),
+    /// A scan pipeline whose rows the breaker consumes where they are
+    /// read, in the crew's morsels or in the one cursor: an aggregation
+    /// folds them (DESIGN.md §29), a join probes them (DESIGN.md §30).
+    Scan(ScanOp<'c, 'x, 'a>),
 }
 
 impl BreakerInput<'_, '_, '_> {
-    /// Open a child; the morsel stream opens when the breaker starts it.
+    /// Open a child, or a scan's cursor; a morsel stream opens when the
+    /// breaker starts it.
     fn open(&mut self) -> DbResult<()> {
         match self {
             BreakerInput::Child(child) => child.open(),
-            BreakerInput::Morsels(_) => Ok(()),
+            BreakerInput::Scan(scan) => scan.open_cursor(),
         }
     }
 
     fn close(&mut self) {
         match self {
             BreakerInput::Child(child) => child.close(),
-            BreakerInput::Morsels(scan) => scan.close(),
+            BreakerInput::Scan(scan) => scan.close(),
         }
     }
 
     fn resident_rows(&self) -> u64 {
         match self {
             BreakerInput::Child(child) => child.resident_rows(),
-            BreakerInput::Morsels(scan) => scan.resident_rows(),
+            BreakerInput::Scan(scan) => scan.resident_rows(),
         }
     }
 }
 
 /// Hash aggregation: folds its input into a [`GroupTable`], then emits the
-/// finished groups in first-occurrence order. Over a morsel-parallel scan
-/// each morsel folds into its own table on the crew and the statement's
-/// thread merges them in morsel order; over any other input with a crew,
-/// buffered chunks do the same. A table that would not merge exactly (a
-/// float sum in a group the merged table holds, an integer overflow) sends
-/// the rest of the input, from that morsel or chunk on, to the serial
-/// fold, as a DISTINCT aggregate sends all of it.
+/// finished groups in first-occurrence order. Over a scan pipeline's
+/// cursor the rows fold into the one table where they are read; over its
+/// morsels each morsel folds into its own table on the crew and the
+/// statement's thread merges them in morsel order; over any other input
+/// with a crew, buffered chunks do the same. A table that would not merge
+/// exactly (a float sum in a group the merged table holds, an integer
+/// overflow) sends the rest of the input, from that morsel or chunk on, to
+/// the serial fold, as a DISTINCT aggregate sends all of it.
 struct HashAggOp<'c, 'x, 'a> {
     exec: &'x Executor<'a>,
     crew: CrewRef<'c, 'x>,
@@ -1427,16 +1350,15 @@ struct HashAggOp<'c, 'x, 'a> {
 impl<'x> HashAggOp<'_, 'x, '_> {
     fn fold_input(&mut self) -> DbResult<GroupTable<'x>> {
         let table = GroupTable::new(self.groups, self.aggs);
-        let child = match &mut self.input {
-            BreakerInput::Morsels(scan) => return fold_morsels(scan, table),
-            BreakerInput::Child(child) => child.as_mut(),
-        };
         let mut crew = self.crew;
         if crew.is_some() && self.aggs.iter().any(|a| a.distinct) {
             self.exec.stats.agg_serial_fallbacks.inc();
             crew = None;
         }
-        fold_child(self.exec, crew, child, table)
+        match &mut self.input {
+            BreakerInput::Scan(scan) => scan.fold(table),
+            BreakerInput::Child(child) => fold_child(self.exec, crew, child.as_mut(), table),
+        }
     }
 }
 
@@ -1506,12 +1428,13 @@ fn fold_child<'c, 'x>(
 /// stops the stream; that morsel and every later one are read again, on
 /// this thread under the statement's snapshot, into the merged state.
 fn fold_morsels<'x>(
-    scan: &ParallelScanOp<'_, 'x, '_>,
+    exec: &'x Executor<'_>,
+    pipe: ScanPipeline<'x>,
+    scan: &Morsels<'_, 'x>,
     mut merged: GroupTable<'x>,
 ) -> DbResult<GroupTable<'x>> {
-    let (exec, pipe) = (scan.exec, scan.pipe);
     let (groups, aggs) = (merged.groups, merged.aggs);
-    let mut morsels = scan.stream(move |ids, budget| {
+    let mut morsels = scan.stream(exec, move |ids, budget| {
         let mut table = GroupTable::new(groups, aggs);
         let passed = scan_morsel(exec, pipe, budget, ids, &mut |row, ctx| table.feed(row, ctx))?;
         Ok((table, passed))
@@ -1525,7 +1448,7 @@ fn fold_morsels<'x>(
             drop(morsels);
             exec.stats.agg_serial_fallbacks.inc();
             let budget = AtomicU64::new(charged);
-            let rest = m * scan.morsel_size..scan.high;
+            let rest = m * scan.size..scan.high;
             let sink = &mut |row: &mut Row, ctx: &mut EvalCtx| merged.feed(row, ctx);
             caught(|| scan_morsel(exec, pipe, &budget, rest, sink))?;
             exec.check_limit(merged.len())?;
@@ -1688,8 +1611,9 @@ impl Probe<'_> {
         let idxs = if k.is_null() { None } else { built.table.get(&k.group_key()) };
         let mut matched = false;
         for &i in idxs.into_iter().flatten() {
-            let mut joined = lrow.clone();
-            joined.extend(built.rows[i].iter().cloned());
+            let rrow = &built.rows[i];
+            let mut joined = Vec::with_capacity(lrow.len() + rrow.len());
+            joined.extend(lrow.iter().chain(rrow).cloned());
             if self.residual.map_or(Ok(true), |r| r.eval_bool(&joined))? {
                 matched = true;
                 emit(joined)?;
@@ -1709,14 +1633,16 @@ impl Probe<'_> {
 /// Hash join: drains its right input into one [`BuiltSide`] on the
 /// statement's thread, then streams its left input through [`Probe::row`]
 /// — inside the morsels of a parallel scan pipeline, stitched in morsel
-/// order, or block by block. Either way joined rows come out in probe
-/// order, each probe row's matches in build-row order, at any thread count.
+/// order, inside a serial scan's cursor, or block by block. Either way
+/// joined rows come out in probe order, each probe row's matches in
+/// build-row order, at any thread count.
 struct HashJoinOp<'c, 'x, 'a> {
     exec: &'x Executor<'a>,
     crew: CrewRef<'c, 'x>,
-    /// Probed block by block on the statement's thread, or, a scan
-    /// pipeline, inside its morsels: its stream opens once the build is
-    /// done, and its blocks are joined rows.
+    /// Probed on the statement's thread, block by block or in its scan's
+    /// cursor, or, a scan pipeline with morsels, inside them: their
+    /// stream opens once the build is done, and its blocks are joined
+    /// rows.
     left: BreakerInput<'c, 'x, 'a>,
     right: Box<dyn BlockOperator + 'c>,
     right_key: &'x PhysExpr,
@@ -1759,13 +1685,14 @@ impl HashJoinOp<'_, '_, '_> {
 /// share: a fan-out past `max_intermediate_rows` fails inside the morsel
 /// that crosses it.
 fn probe_morsels<'x>(
-    scan: &mut ParallelScanOp<'_, 'x, '_>,
+    exec: &'x Executor<'_>,
+    pipe: ScanPipeline<'x>,
+    scan: &mut Morsels<'_, 'x>,
     probe: Probe<'x>,
     built: Arc<BuiltSide>,
 ) {
-    let (exec, pipe) = (scan.exec, scan.pipe);
     let joined = AtomicU64::new(0);
-    scan.morsels = Some(scan.stream(move |ids, budget| {
+    scan.out = Some(scan.stream(exec, move |ids, budget| {
         exec.stats.join_probe_morsels.inc();
         let mut out = Vec::new();
         scan_morsel(exec, pipe, budget, ids, &mut |lrow, _| {
@@ -1788,32 +1715,39 @@ impl BlockOperator for HashJoinOp<'_, '_, '_> {
     fn next_block(&mut self) -> DbResult<Option<RowBlock>> {
         if self.built.is_none() {
             let built = Arc::new(self.build()?);
-            if let BreakerInput::Morsels(scan) = &mut self.left {
-                probe_morsels(scan, self.probe, Arc::clone(&built));
+            if let BreakerInput::Scan(ScanOp { exec, pipe, rows: ScanRows::Morsels(scan) }) =
+                &mut self.left
+            {
+                probe_morsels(exec, *pipe, scan, self.probe, Arc::clone(&built));
             }
             self.built = Some(built);
         }
-        let left = match &mut self.left {
-            BreakerInput::Morsels(scan) => return scan.next_block(),
-            BreakerInput::Child(left) => left,
-        };
+        if let BreakerInput::Scan(scan) = &mut self.left {
+            if !scan.on_cursor() {
+                return scan.next_block();
+            }
+        }
         let block_rows = self.exec.limits.block_rows.max(1);
         let (exec, probe, built) = (self.exec, self.probe, self.built.as_deref().unwrap());
         let (emitted, pending) = (&mut self.emitted, &mut self.pending);
-        let left_done = &mut self.left_done;
+        let (left, left_done) = (&mut self.left, &mut self.left_done);
         let mut fill = || {
             while pending.len() < block_rows && !*left_done {
-                let Some(block) = left.next_block()? else {
-                    *left_done = true;
-                    break;
-                };
-                block.for_each_row(|lrow| {
+                let mut join = |lrow: &Row| {
                     probe.row(built, lrow, &mut |row| {
                         pending.push_back(row);
                         *emitted += 1;
                         exec.check_limit(*emitted as usize)
                     })
-                })?;
+                };
+                match left {
+                    // The cursor lends each probe row.
+                    BreakerInput::Scan(scan) => *left_done = !scan.pull(&mut |lrow, _| join(lrow))?,
+                    BreakerInput::Child(child) => match child.next_block()? {
+                        Some(block) => block.for_each_row(join)?,
+                        None => *left_done = true,
+                    },
+                }
             }
             Ok(())
         };
@@ -2016,25 +1950,24 @@ impl BlockOperator for ValuesOp<'_, '_> {
 }
 
 // ---------------------------------------------------------------------------
-// Morsel-parallel scan
+// The scan pipeline (DESIGN.md §37)
 
-/// A scan→filter→project plan prefix, the shape the parallel pipeline
-/// accepts. All expressions in the prefix bind against the same
-/// scan-output scope, so one [`EvalCtx`] serves the whole row.
-#[derive(Clone, Copy)]
+/// A scan→filter→project plan prefix, the shape a scan runs whole. All
+/// expressions in the prefix bind against the same scan-output scope, so
+/// one [`EvalCtx`] serves the whole row. `Default` leaves out what a
+/// bare scan leaf does not have.
+#[derive(Clone, Copy, Default)]
 struct ScanPipeline<'p> {
     table: &'p str,
     needed: Option<&'p [String]>,
     scan_filter: Option<&'p PhysExpr>,
     post_filter: Option<&'p PhysExpr>,
     project: Option<&'p [PhysExpr]>,
-}
-
-impl<'p> ScanPipeline<'p> {
-    /// What the prefix evaluates over its scan rows, when it projects.
-    fn consumer(&self) -> Option<ScanConsumer<'p>> {
-        self.project.map(|project| ScanConsumer { filter: self.post_filter, project })
-    }
+    /// What the scan's rows are evaluated through, which may let it serve
+    /// a page unread (DESIGN.md §33): the prefix's own post filter and
+    /// projection, or, for the bare scan leaf of `EXPLAIN ANALYZE`, the
+    /// operators above it.
+    consumer: Option<ScanConsumer<'p>>,
 }
 
 /// Decompose `SeqScan`, `Filter(SeqScan)`, `Project(SeqScan)` or
@@ -2055,110 +1988,205 @@ fn scan_pipeline(plan: &Plan) -> Option<ScanPipeline<'_>> {
         scan_filter: filter.as_ref(),
         post_filter,
         project,
+        consumer: project.map(|project| ScanConsumer { filter: post_filter, project }),
     })
 }
 
-/// The morsel-parallel scan→filter→project pipeline. Morsels are row-id
-/// ranges; the statement's crew claims them from a [`MorselStream`] — at
-/// most a window of `2 × threads` morsels past the one this operator
-/// waits for — and the operator stitches their outputs in morsel order, so
-/// the stream is byte-identical to the serial scan at any thread count and
-/// a LIMIT that stops pulling stops the claims one window past the morsel
-/// that satisfied it.
-struct ParallelScanOp<'c, 'x, 'a> {
+/// The one heap scan operator: a [`ScanPipeline`] run over its table's
+/// row ids, as the morsels of the statement's crew or as one cursor on
+/// the statement's thread. Either way rows come out in row-id order, so
+/// the stream is byte-identical at any thread count.
+struct ScanOp<'c, 'x, 'a> {
     exec: &'x Executor<'a>,
-    crew: &'c Crew<'c, 'x>,
     pipe: ScanPipeline<'x>,
-    high: u64,
-    morsel_size: u64,
-    n_morsels: u64,
-    /// The morsels, opened with the operator.
-    morsels: Option<MorselStream<'c, 'x, Vec<Row>>>,
-    pending: VecDeque<Row>,
+    rows: ScanRows<'c, 'x>,
 }
 
-impl<'c, 'x, 'a> ParallelScanOp<'c, 'x, 'a> {
-    /// The operator for `plan`, if it is a scan pipeline and the one
-    /// parallel rule holds over its table's row ids.
+/// Where a [`ScanOp`] runs.
+enum ScanRows<'c, 'x> {
+    /// One cursor, opened with the operator: at one exec thread, below the
+    /// parallel floor, and as `HeapFallback`'s continuation.
+    Cursor(Option<Box<Cursor<'x>>>),
+    Morsels(Morsels<'c, 'x>),
+}
+
+impl<'c, 'x, 'a> ScanOp<'c, 'x, 'a> {
+    /// The operator for `plan`, if it is a scan pipeline.
     fn try_new(
         exec: &'x Executor<'a>,
         plan: &'x Plan,
         crew: CrewRef<'c, 'x>,
-    ) -> DbResult<Option<ParallelScanOp<'c, 'x, 'a>>> {
-        const MIN_MORSEL_ROWS: u64 = 256;
-        const MORSELS_PER_WORKER: u64 = 8;
-        let Some(pipe) = scan_pipeline(plan).filter(|_| crew.is_some()) else { return Ok(None) };
-        let high = exec.source.db.high_water(pipe.table)?;
-        let Some(crew) = exec.parallel(crew, high as usize) else { return Ok(None) };
-        let target_morsels = crew.threads() as u64 * MORSELS_PER_WORKER;
-        let morsel_size = (high / target_morsels).max(MIN_MORSEL_ROWS);
-        Ok(Some(ParallelScanOp {
-            exec,
-            crew,
-            pipe,
-            high,
-            morsel_size,
-            n_morsels: high.div_ceil(morsel_size),
-            morsels: None,
-            pending: VecDeque::new(),
-        }))
+    ) -> DbResult<Option<ScanOp<'c, 'x, 'a>>> {
+        scan_pipeline(plan).map(|pipe| ScanOp::new(exec, pipe, crew)).transpose()
     }
 
-    /// Count the scan and run `work` over its morsels on the crew, results
-    /// in morsel order. `work` gets a morsel's row ids and the scan's
-    /// shared row budget.
-    fn stream<T: Send + 'x>(
-        &self,
-        work: impl Fn(Range<u64>, &AtomicU64) -> DbResult<T> + Send + Sync + 'x,
-    ) -> MorselStream<'c, 'x, T> {
-        let stats = self.exec.stats;
-        stats.parallel_scans.inc();
-        stats.scan_workers.add(self.crew.threads().min(self.n_morsels as usize) as u64);
-        let (high, size) = (self.high, self.morsel_size);
-        let budget = AtomicU64::new(0);
-        MorselStream::new(Some(self.crew), self.n_morsels, move |m| {
-            stats.morsels_dispatched.inc();
-            let start = m * size;
-            work(start..high.min(start + size), &budget)
-        })
+    /// Morsels when the one parallel rule holds over the table's row ids,
+    /// else a cursor.
+    fn new(
+        exec: &'x Executor<'a>,
+        pipe: ScanPipeline<'x>,
+        crew: CrewRef<'c, 'x>,
+    ) -> DbResult<ScanOp<'c, 'x, 'a>> {
+        const MIN_MORSEL_ROWS: u64 = 256;
+        const MORSELS_PER_WORKER: u64 = 8;
+        let mut rows = ScanRows::Cursor(None);
+        if crew.is_some() {
+            let high = exec.source.db.high_water(pipe.table)?;
+            if let Some(crew) = exec.parallel(crew, high as usize) {
+                let target = crew.threads() as u64 * MORSELS_PER_WORKER;
+                let size = (high / target).max(MIN_MORSEL_ROWS);
+                let n = high.div_ceil(size);
+                let pending = VecDeque::new();
+                rows = ScanRows::Morsels(Morsels { crew, high, size, n, out: None, pending });
+            }
+        }
+        Ok(ScanOp { exec, pipe, rows })
+    }
+
+    fn on_cursor(&self) -> bool {
+        matches!(self.rows, ScanRows::Cursor(_))
+    }
+
+    /// Open the cursor and count the scan, if it runs on one; morsels are
+    /// counted when their stream opens.
+    fn open_cursor(&mut self) -> DbResult<()> {
+        if let ScanRows::Cursor(cursor) = &mut self.rows {
+            self.exec.stats.serial_scans.inc();
+            *cursor = Some(Box::new(Cursor::open(self.exec, self.pipe, 0..u64::MAX)?));
+        }
+        Ok(())
+    }
+
+    /// Run the cursor until `sink` has been lent a block of rows or the
+    /// rows run out, under one hold of the table's read guard. Returns
+    /// whether rows may remain.
+    fn pull(
+        &mut self,
+        sink: &mut dyn FnMut(&mut Row, &mut EvalCtx) -> DbResult<()>,
+    ) -> DbResult<bool> {
+        let ScanRows::Cursor(Some(cursor)) = &mut self.rows else {
+            unreachable!("pulled a scan without an open cursor")
+        };
+        if cursor.scan.done() {
+            return Ok(false);
+        }
+        let block_rows = self.exec.limits.block_rows.max(1);
+        let mut n = 0;
+        cursor.run(self.pipe, u64::MAX, &mut |row, ctx| {
+            sink(row, ctx)?;
+            n += 1;
+            Ok(n < block_rows)
+        })?;
+        Ok(!cursor.scan.done())
+    }
+
+    /// Fold the pipeline's rows into `merged` where they are read: in the
+    /// one cursor, or in the morsels (DESIGN.md §29).
+    fn fold(&mut self, mut merged: GroupTable<'x>) -> DbResult<GroupTable<'x>> {
+        if let ScanRows::Morsels(scan) = &self.rows {
+            return fold_morsels(self.exec, self.pipe, scan, merged);
+        }
+        while self.pull(&mut |row, ctx| merged.feed(row, ctx))? {
+            self.exec.check_limit(merged.len())?;
+            self.exec.stats.note_resident(merged.len() as u64);
+        }
+        self.exec.check_limit(merged.len())?;
+        Ok(merged)
     }
 }
 
-/// Run the whole pipeline prefix over the rows with ids in `ids`: scan
-/// filter → row budget → post filter → project → `sink`. Returns the rows
-/// that passed the scan filter. `sink` is lent each row, as the scan lends
-/// its rows (DESIGN.md §35): it reads it, or takes it whole.
-///
-/// `budget` counts rows that pass the scan filter, exactly what the serial
-/// scan charges against `max_intermediate_rows`. Each morsel charges its
-/// count once, when it finishes, so workers share no write per row; the
-/// scan still fails iff more rows pass than the cap allows.
-fn scan_morsel(
-    exec: &Executor<'_>,
-    pipe: ScanPipeline<'_>,
-    budget: &AtomicU64,
-    ids: Range<u64>,
-    sink: &mut dyn FnMut(&mut Row, &mut EvalCtx) -> DbResult<()>,
-) -> DbResult<u64> {
-    let max_rows = exec.limits.max_intermediate_rows;
-    let exceeded =
-        || DbError::ResourceExhausted(format!("intermediate result exceeded {max_rows} rows"));
-    let mut ctx = EvalCtx::new();
-    let mut passed = 0u64;
-    let mut projected: Row = Vec::new();
-    // The scan resets the context before its filter and not after, so the
-    // post filter, the projection and the sink reuse what it memoized.
-    let rows_seen = exec.source.scan_table_range(
-        pipe.table,
-        pipe.needed,
-        pipe.scan_filter,
-        pipe.consumer(),
-        ids,
-        &mut ctx,
-        &mut |row, ctx| {
+impl BlockOperator for ScanOp<'_, '_, '_> {
+    fn open(&mut self) -> DbResult<()> {
+        self.open_cursor()?;
+        let (exec, pipe) = (self.exec, self.pipe);
+        if let ScanRows::Morsels(scan) = &mut self.rows {
+            scan.out = Some(scan.stream(exec, move |ids, budget| {
+                let mut out: Vec<Row> = Vec::new();
+                scan_morsel(exec, pipe, budget, ids, &mut |row, _| {
+                    out.push(std::mem::take(row));
+                    Ok(())
+                })?;
+                Ok(out)
+            }));
+        }
+        Ok(())
+    }
+
+    fn next_block(&mut self) -> DbResult<Option<RowBlock>> {
+        let block_rows = self.exec.limits.block_rows.max(1);
+        if let ScanRows::Morsels(scan) = &mut self.rows {
+            return scan.next_block(block_rows);
+        }
+        // A block is the rows the cursor's sink takes whole.
+        let mut out: Vec<Row> = Vec::with_capacity(block_rows);
+        self.pull(&mut |row, _| {
+            out.push(std::mem::take(row));
+            Ok(())
+        })?;
+        Ok((!out.is_empty()).then(|| RowBlock::from_rows(out)))
+    }
+
+    fn close(&mut self) {
+        match &mut self.rows {
+            ScanRows::Cursor(cursor) => *cursor = None,
+            // Stops the claims and waits for the morsels in flight.
+            ScanRows::Morsels(scan) => {
+                scan.out = None;
+                scan.pending.clear();
+            }
+        }
+    }
+
+    fn resident_rows(&self) -> u64 {
+        match &self.rows {
+            ScanRows::Cursor(_) => 0,
+            ScanRows::Morsels(scan) => scan.pending.len() as u64,
+        }
+    }
+}
+
+/// A scan pipeline's cursor: the table's [`TableScan`], the row context
+/// and the projected row, kept for every run. A serial scan runs its one
+/// cursor a block at a time; a morsel runs a cursor of its own once.
+struct Cursor<'x> {
+    scan: TableScan<'x>,
+    ctx: EvalCtx,
+    projected: Row,
+}
+
+impl<'x> Cursor<'x> {
+    fn open(
+        exec: &'x Executor<'_>,
+        pipe: ScanPipeline<'x>,
+        ids: Range<u64>,
+    ) -> DbResult<Cursor<'x>> {
+        let ScanPipeline { table, needed, scan_filter, consumer, .. } = pipe;
+        let scan = exec.source.open_scan(table, needed, scan_filter, consumer, ids)?;
+        Ok(Cursor { scan, ctx: EvalCtx::new(), projected: Vec::new() })
+    }
+
+    /// Run the whole pipeline prefix from where the cursor stands: scan
+    /// filter → post filter → project → `sink`, until `sink` returns
+    /// `false` or the rows run out. `sink` is lent each row, as the scan
+    /// lends its rows (DESIGN.md §35): it reads it, or takes it whole.
+    /// Returns the rows visited and the rows that passed the scan filter;
+    /// more of these than `cap` fail the run.
+    fn run(
+        &mut self,
+        pipe: ScanPipeline<'_>,
+        cap: u64,
+        sink: &mut dyn FnMut(&mut Row, &mut EvalCtx) -> DbResult<bool>,
+    ) -> DbResult<(u64, u64)> {
+        let mut passed = 0u64;
+        let projected = &mut self.projected;
+        // The scan resets the context before its filter and not after, so
+        // the post filter, the projection and the sink reuse what it
+        // memoized.
+        let visited = self.scan.run(&mut self.ctx, &mut |row, ctx| {
             passed += 1;
-            if passed > max_rows {
-                return Err(exceeded());
+            if passed > cap {
+                let e = format!("intermediate result exceeded {cap} rows");
+                return Err(DbError::ResourceExhausted(e));
             }
             if let Some(p) = pipe.post_filter {
                 if !p.eval_bool_ctx(row, ctx)? {
@@ -2172,40 +2200,58 @@ fn scan_morsel(
                     for e in exprs {
                         projected.push(e.eval_ctx(row, ctx)?);
                     }
-                    sink(&mut projected, ctx)?;
+                    sink(projected, ctx)
                 }
-                None => sink(row, ctx)?,
+                None => sink(row, ctx),
             }
-            Ok(true)
-        },
-    )?;
-    exec.stats.rows_per_morsel.record(rows_seen);
-    if budget.fetch_add(passed, Ordering::Relaxed) + passed > max_rows {
-        return Err(exceeded());
+        })?;
+        Ok((visited, passed))
     }
-    Ok(passed)
 }
 
-impl BlockOperator for ParallelScanOp<'_, '_, '_> {
-    fn open(&mut self) -> DbResult<()> {
-        let (exec, pipe) = (self.exec, self.pipe);
-        self.morsels = Some(self.stream(move |ids, budget| {
-            let mut out: Vec<Row> = Vec::new();
-            scan_morsel(exec, pipe, budget, ids, &mut |row, _| {
-                out.push(std::mem::take(row));
-                Ok(())
-            })?;
-            Ok(out)
-        }));
-        Ok(())
+/// A scan's morsels: row-id ranges the statement's crew claims from a
+/// [`MorselStream`] — at most a window of `2 × threads` morsels past the
+/// one the consumer waits for — and the consumer stitches in morsel order,
+/// so a LIMIT that stops pulling stops the claims one window past the
+/// morsel that satisfied it.
+struct Morsels<'c, 'x> {
+    crew: &'c Crew<'c, 'x>,
+    high: u64,
+    size: u64,
+    n: u64,
+    /// The stream of the bare scan, opened with the operator, or of a
+    /// probing join, opened once its build is done.
+    out: Option<MorselStream<'c, 'x, Vec<Row>>>,
+    pending: VecDeque<Row>,
+}
+
+impl<'c, 'x> Morsels<'c, 'x> {
+    /// Count the scan and run `work` over its morsels on the crew, results
+    /// in morsel order. `work` gets a morsel's row ids and the scan's
+    /// shared row budget.
+    fn stream<T: Send + 'x>(
+        &self,
+        exec: &'x Executor<'_>,
+        work: impl Fn(Range<u64>, &AtomicU64) -> DbResult<T> + Send + Sync + 'x,
+    ) -> MorselStream<'c, 'x, T> {
+        let stats = exec.stats;
+        stats.parallel_scans.inc();
+        stats.scan_workers.add(self.crew.threads().min(self.n as usize) as u64);
+        let (high, size) = (self.high, self.size);
+        let budget = AtomicU64::new(0);
+        MorselStream::new(Some(self.crew), self.n, move |m| {
+            stats.morsels_dispatched.inc();
+            let start = m * size;
+            work(start..high.min(start + size), &budget)
+        })
     }
 
-    fn next_block(&mut self) -> DbResult<Option<RowBlock>> {
-        let block_rows = self.exec.limits.block_rows.max(1);
-        if let Some(morsels) = self.morsels.as_mut() {
+    /// Stitch the next block from the morsels, in morsel order; the lowest
+    /// failing morsel wins.
+    fn next_block(&mut self, block_rows: usize) -> DbResult<Option<RowBlock>> {
+        if let Some(morsels) = self.out.as_mut() {
             while self.pending.len() < block_rows {
                 let Some(rows) = morsels.next() else { break };
-                // Morsels arrive in order; the lowest failing morsel wins.
                 self.pending.extend(rows?);
             }
         }
@@ -2213,19 +2259,32 @@ impl BlockOperator for ParallelScanOp<'_, '_, '_> {
             return Ok(None);
         }
         let n = self.pending.len().min(block_rows);
-        let out: Vec<Row> = self.pending.drain(..n).collect();
-        Ok(Some(RowBlock::from_rows(out)))
+        Ok(Some(RowBlock::from_rows(self.pending.drain(..n).collect())))
     }
+}
 
-    fn close(&mut self) {
-        // Stops the claims and waits for the morsels in flight.
-        self.morsels = None;
-        self.pending.clear();
-    }
-
-    fn resident_rows(&self) -> u64 {
-        self.pending.len() as u64
-    }
+/// Run the whole pipeline prefix over the rows with ids in `ids`, one
+/// morsel, through a cursor of its own (`Cursor::run`). Returns the rows
+/// that passed the scan filter.
+///
+/// `budget` counts rows that pass the scan filter. Each morsel charges its
+/// count once, when it finishes, so workers share no write per row; the
+/// scan still fails iff more rows pass than `max_intermediate_rows`
+/// allows.
+fn scan_morsel<'x>(
+    exec: &'x Executor<'_>,
+    pipe: ScanPipeline<'x>,
+    budget: &AtomicU64,
+    ids: Range<u64>,
+    sink: &mut dyn FnMut(&mut Row, &mut EvalCtx) -> DbResult<()>,
+) -> DbResult<u64> {
+    let max_rows = exec.limits.max_intermediate_rows;
+    let mut cursor = Cursor::open(exec, pipe, ids)?;
+    let (visited, passed) =
+        cursor.run(pipe, max_rows, &mut |row, ctx| sink(row, ctx).map(|()| true))?;
+    exec.stats.rows_per_morsel.record(visited);
+    exec.check_limit((budget.fetch_add(passed, Ordering::Relaxed) + passed) as usize)?;
+    Ok(passed)
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@ use crate::expr::{bind, ColumnSource, EvalCtx, PhysExpr, Scope};
 use crate::func::{FuncRegistry, ScalarFn};
 use crate::heap::{Heap, PageTags, PageUse, RowId, Tagger};
 use crate::kernels::KernelStats;
+use crate::page::PAGE_SIZE;
 use crate::pager::{IoSnapshot, Pager};
 use crate::plan::{AccessPath, Plan};
 use crate::planner::{CatalogView, PlannedQuery, Planner, PlannerConfig, TableMeta};
@@ -2834,89 +2835,157 @@ fn filter_segment(
     Ok(())
 }
 
-impl SnapSource<'_> {
-    /// Stream the live rows with row ids in `ids` (one morsel, or
-    /// `0..u64::MAX` for the whole table) that pass `filter`, in rowid
-    /// order. `ctx` is reset once per row, before the filter, and handed to
-    /// `f` with the passing row, so memo slots the filter filled still hold
-    /// for the caller's post filter and projection. Every row is decoded
-    /// into one buffer the call keeps, which `f` is lent: it may read the
-    /// row, or take it whole (DESIGN.md §35). When the filter reads only
-    /// some of the `needed` columns, those are decoded first and the rest
-    /// only for a row that passes (DESIGN.md §28). A page whose tag
-    /// synopsis rules out a filter conjunct is not read (DESIGN.md §32);
-    /// nor is one that lacks every key the filter and the `consumer` read,
-    /// whose visible rows are served with the tagged column NULL
-    /// (DESIGN.md §33). The callback returns `false` to stop the scan
-    /// early. Returns the rows visited, read or served.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn scan_table_range(
+/// A heap scan's cursor (DESIGN.md §37): what a scan sets up once and
+/// keeps for every run — slot maps, late-filter split, page judge (made
+/// for the `tagged` slot), page buffer and scan row — and the row ids it
+/// has yet to visit. Each run takes the table's read guard again.
+pub(crate) struct TableScan<'e> {
+    db: &'e Database,
+    vis: Vis,
+    table: Arc<RwLock<Table>>,
+    filter: Option<&'e PhysExpr>,
+    /// Live columns; the scan row holds them, then the rowid.
+    width: usize,
+    at: SlotMap,
+    late: Option<(&'e PhysExpr, (SlotMap, SlotMap))>,
+    judge: Option<PageJudge<'e>>,
+    tagged: Option<usize>,
+    row: Row,
+    page: Box<[u8]>,
+    ids: Range<u64>,
+}
+
+impl<'e> SnapSource<'e> {
+    /// A cursor over the live rows with row ids in `ids` (one morsel, or
+    /// `0..u64::MAX` for the whole table) that pass `filter`. Its column
+    /// maps are fixed here: a column added or dropped while the scan runs
+    /// does not change the shape of its rows.
+    pub(crate) fn open_scan(
         &self,
         table: &str,
         needed: Option<&[String]>,
-        filter: Option<&PhysExpr>,
-        consumer: Option<ScanConsumer<'_>>,
+        filter: Option<&'e PhysExpr>,
+        consumer: Option<ScanConsumer<'e>>,
         ids: Range<u64>,
+    ) -> DbResult<TableScan<'e>> {
+        let handle = self.db.table(table)?;
+        let t = handle.read();
+        let live: Vec<usize> = t.schema.live_columns().map(|(i, _)| i).collect();
+        let at = scan_at(&t.schema, &live, needed);
+        let late = filter.and_then(|fl| Some((fl, late_slots(fl, &live, &at)?)));
+        let judge = PageJudge::new(&t, &live, &at, filter, consumer);
+        let tagged = t.tagged;
+        drop(t);
+        Ok(TableScan {
+            db: self.db,
+            vis: self.vis,
+            table: handle,
+            filter,
+            width: live.len(),
+            at,
+            late,
+            judge,
+            tagged,
+            row: Vec::new(),
+            page: vec![0u8; PAGE_SIZE].into_boxed_slice(),
+            ids,
+        })
+    }
+}
+
+impl TableScan<'_> {
+    /// Whether the cursor has visited its last row.
+    pub(crate) fn done(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Stream the cursor's rows that pass its filter, in rowid order,
+    /// from where the last run stopped. `ctx` is reset once per row,
+    /// before the filter, and handed to `f` with the passing row, so memo
+    /// slots the filter filled still hold for the caller's post filter and
+    /// projection. Every row is decoded into the one scan row the cursor
+    /// keeps, which `f` is lent: it may read the row, or take it whole
+    /// (DESIGN.md §35). When the filter reads only some of the `needed`
+    /// columns, those are decoded first and the rest only for a row that
+    /// passes (DESIGN.md §28). A page whose tag synopsis rules out a filter
+    /// conjunct is not read (DESIGN.md §32); nor is one that lacks every
+    /// key the filter and the consumer read, whose visible rows are served
+    /// with the tagged column NULL (DESIGN.md §33). `f` returns `false` to
+    /// stop the run after its row; the next run resumes after it. Returns
+    /// the rows visited, read or served.
+    pub(crate) fn run(
+        &mut self,
         ctx: &mut EvalCtx,
         f: &mut dyn FnMut(&mut Row, &mut EvalCtx) -> DbResult<bool>,
     ) -> DbResult<u64> {
-        let t = self.db.table(table)?;
-        let t = t.read();
+        let TableScan { db, vis, table, filter, width, at, late, judge, tagged, row, page, ids } =
+            self;
+        let t = table.read();
+        if t.tagged != *tagged {
+            // The synopsis now tags another column than the judge's.
+            *judge = None;
+        }
         let schema = &t.schema;
-        let live: Vec<usize> = schema.live_columns().map(|(i, _)| i).collect();
-        let at = scan_at(schema, &live, needed);
-        let late = filter.and_then(|fl| Some((fl, late_slots(fl, &live, &at)?)));
-        let mut judge = PageJudge::new(&t, &live, &at, filter, consumer);
+        let (filter, width) = (*filter, *width);
         let mut judge_page =
             |set: &PageTags| judge.as_mut().map_or(PageUse::Read, |j| j.judge(set));
         let (mut fetched, mut served, mut rejected) = (0u64, 0u64, 0u64);
-        let mut row: Row = Vec::new();
+        let mut stop = None;
         let res = t.heap.scan_range_vis(
             ids.start,
             ids.end,
-            self.vis,
+            *vis,
+            page,
             Some(&mut judge_page),
             |rowid, bytes| {
                 // A position no decode writes is NULL from here on; one
                 // the decode writes is written for every row.
-                if row.len() != live.len() + 1 {
+                if row.len() != width + 1 {
                     row.clear();
-                    row.resize(live.len() + 1, Datum::Null);
+                    row.resize(width + 1, Datum::Null);
                 }
-                row[live.len()] = Datum::Int(rowid as i64);
-                match (bytes, &late) {
+                row[width] = Datum::Int(rowid as i64);
+                let mut tested = false;
+                match (bytes, &*late) {
                     (None, _) => {
                         served += 1;
                         at.iter().flatten().for_each(|&p| row[p] = Datum::Null);
                     }
                     (Some(bytes), None) => {
                         fetched += 1;
-                        tuple::decode_into(schema, bytes, &at, &mut row)?;
+                        tuple::decode_into(schema, bytes, at, row)?;
                     }
                     (Some(bytes), Some((fl, (first, rest)))) => {
                         fetched += 1;
                         // The `rest` positions still hold an earlier row's
                         // values, which the filter does not read.
-                        tuple::decode_into(schema, bytes, first, &mut row)?;
+                        tuple::decode_into(schema, bytes, first, row)?;
                         ctx.reset();
-                        if !fl.eval_bool_ctx(&row, ctx)? {
+                        if !fl.eval_bool_ctx(row, ctx)? {
                             rejected += 1;
                             return Ok(true);
                         }
-                        tuple::decode_into(schema, bytes, rest, &mut row)?;
-                        return f(&mut row, ctx);
+                        tuple::decode_into(schema, bytes, rest, row)?;
+                        tested = true;
                     }
                 }
-                ctx.reset();
-                if let Some(fl) = filter {
-                    if !fl.eval_bool_ctx(&row, ctx)? {
-                        return Ok(true);
+                if !tested {
+                    ctx.reset();
+                    if let Some(fl) = filter {
+                        if !fl.eval_bool_ctx(row, ctx)? {
+                            return Ok(true);
+                        }
                     }
                 }
-                f(&mut row, ctx)
+                let go = f(row, ctx)?;
+                if !go {
+                    stop = Some(rowid + 1);
+                }
+                Ok(go)
             },
         );
-        let stats = &self.db.exec_stats;
+        ids.start = stop.unwrap_or(ids.end);
+        let stats = &db.exec_stats;
         if fetched > 0 {
             stats.heap_fetches.add(fetched);
         }
@@ -2932,7 +3001,9 @@ impl SnapSource<'_> {
         }
         Ok(fetched + served)
     }
+}
 
+impl SnapSource<'_> {
     /// The secondary index on `path.column`, if this reader may trust it.
     /// Indexes cover only latest-committed rows and may still carry
     /// queued-for-vacuum keys, so any version activity (or garbage) sends

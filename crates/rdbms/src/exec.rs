@@ -5,10 +5,10 @@
 //! [`crate::block`]: operators pull [`crate::block::RowBlock`]s of
 //! ~[`ExecLimits::block_rows`] rows from their child, so `LIMIT` propagates
 //! an early-stop all the way into `Heap::scan` and peak memory for
-//! scan-heavy plans is O(block), not O(table). It also owns the
-//! morsel-parallel scan→filter→project prefix (`ParallelScanOp`) and the
-//! parallel pipeline breakers, which run on one crew of
-//! [`ExecLimits::exec_threads`] threads per statement (`crate::crew`).
+//! scan-heavy plans is O(block), not O(table). It also owns the one scan
+//! pipeline (`ScanOp`: a scan→filter→project prefix run as one cursor, or
+//! as morsels) and the parallel pipeline breakers, which run on one crew
+//! of [`ExecLimits::exec_threads`] threads per statement (`crate::crew`).
 //! There is one executor: the tests check it against a plan-free
 //! reference evaluator and against its own serial run (DESIGN.md §31).
 

@@ -511,14 +511,17 @@ impl Heap {
             Some(bytes) => f(rowid, bytes),
             None => unreachable!("a scan without a judge reads every page"),
         };
-        self.scan_range_vis(0, self.high_water(), Vis::LATEST, None, read).map(|_| ())
+        let mut page = vec![0u8; PAGE_SIZE];
+        self.scan_range_vis(0, self.high_water(), Vis::LATEST, &mut page, None, read).map(|_| ())
     }
 
     /// Visibility-filtered range scan: each row's location comes straight
     /// from the row directory while no version state is outstanding, and
     /// through its version chain otherwise. Rows that share a page share
-    /// one page read; the copy is private to this call, which the caller's
-    /// table read guard keeps current (no `&mut Heap` can exist meanwhile).
+    /// one page read into `page`, the caller's `PAGE_SIZE` buffer. The
+    /// copy is trusted for this call only, which the caller's table read
+    /// guard keeps current (no `&mut Heap` can exist meanwhile): a call
+    /// reads its first page again, whatever `page` holds.
     ///
     /// With a synopsis, `judge` decides from a page's tag set what the
     /// scan does with its rows ([`PageUse`]), once per page change, as the
@@ -531,13 +534,14 @@ impl Heap {
         start: RowId,
         end: RowId,
         vis: Vis,
+        page: &mut [u8],
         mut judge: Option<&mut dyn FnMut(&PageTags) -> PageUse>,
         mut f: impl FnMut(RowId, Option<&[u8]>) -> DbResult<bool>,
     ) -> DbResult<PagesUnread> {
         let lo = (start as usize).min(self.rows.len());
         let hi = (end as usize).min(self.rows.len());
         let fast = self.fast_path_ok(vis);
-        let mut pages = ScanPage::new(&self.pager, self.pages.len() > self.pager.capacity());
+        let mut pages = ScanPage::new(&self.pager, self.pages.len() > self.pager.capacity(), page);
         let sets = self.synopsis.as_ref().map(|syn| &syn.pages).filter(|_| judge.is_some());
         // The page decided last, and what its rows get.
         let mut decided: Option<(PageId, PageUse)> = None;
@@ -587,7 +591,9 @@ impl Heap {
         self.synopsis = None;
         let Some(tagger) = tagger else { return Ok(()) };
         let mut syn = Synopsis { tagger, pages: HashMap::new(), stats: self.stats.clone() };
-        let mut pages = ScanPage::new(&self.pager, self.pages.len() > self.pager.capacity());
+        let mut buf = vec![0u8; PAGE_SIZE];
+        let past_pool = self.pages.len() > self.pager.capacity();
+        let mut pages = ScanPage::new(&self.pager, past_pool, &mut buf);
         for &id in &self.pages {
             let pg = pages.read(id)?;
             for slot in 0..page::nslots(pg) as u16 {
@@ -1142,27 +1148,28 @@ fn slot_bytes(pg: &[u8], slot: u16) -> DbResult<&[u8]> {
     page::read(pg, slot).ok_or_else(|| DbError::Io("dangling slot".into()))
 }
 
-/// The page a range scan last read, copied into the scan's own buffer.
+/// The page a range scan last read, copied into the scan's buffer.
 struct ScanPage<'p> {
     pager: &'p Pager,
     /// Read pages that are not resident past the pool.
     past_pool: bool,
+    /// The page `buf` holds; none yet, whatever the buffer holds.
     id: Option<PageId>,
-    buf: Box<[u8]>,
+    buf: &'p mut [u8],
 }
 
 impl<'p> ScanPage<'p> {
-    fn new(pager: &'p Pager, past_pool: bool) -> ScanPage<'p> {
-        ScanPage { pager, past_pool, id: None, buf: vec![0u8; PAGE_SIZE].into_boxed_slice() }
+    fn new(pager: &'p Pager, past_pool: bool, buf: &'p mut [u8]) -> ScanPage<'p> {
+        ScanPage { pager, past_pool, id: None, buf }
     }
 
     /// The image of page `id`, read unless it is the page read last.
     fn read(&mut self, id: PageId) -> DbResult<&[u8]> {
         if self.id != Some(id) {
-            self.pager.read_for_scan(id, &mut self.buf, self.past_pool)?;
+            self.pager.read_for_scan(id, self.buf, self.past_pool)?;
             self.id = Some(id);
         }
-        Ok(&self.buf)
+        Ok(&*self.buf)
     }
 }
 
@@ -1374,11 +1381,11 @@ mod tests {
         assert_eq!(stats.snapshot().synopsis_bytes, h.pages.len() as u64 * PageTags::BYTES);
         let need = PageTags::of([b'x' as u32]);
         let scan = |h: &Heap| {
-            let mut found = Vec::new();
+            let (mut found, mut page) = (Vec::new(), [0; PAGE_SIZE]);
             let mut judge =
                 |set: &PageTags| if set.intersects(&need) { PageUse::Read } else { PageUse::Skip };
             let unread = h
-                .scan_range_vis(0, u64::MAX, Vis::LATEST, Some(&mut judge), |rid, t| {
+                .scan_range_vis(0, u64::MAX, Vis::LATEST, &mut page, Some(&mut judge), |rid, t| {
                     if t.expect("no page is served")[0] == b'x' {
                         found.push(rid);
                     }
@@ -1430,10 +1437,10 @@ mod tests {
         let need = PageTags::of([b'x' as u32]);
         let mut judge =
             |set: &PageTags| if set.intersects(&need) { PageUse::Read } else { PageUse::Serve };
-        let (mut read, mut served) = (Vec::new(), Vec::new());
+        let (mut read, mut served, mut page) = (Vec::new(), Vec::new(), [0; PAGE_SIZE]);
         h.pager.reset_stats();
         let unread = h
-            .scan_range_vis(0, u64::MAX, Vis::LATEST, Some(&mut judge), |rid, t| {
+            .scan_range_vis(0, u64::MAX, Vis::LATEST, &mut page, Some(&mut judge), |rid, t| {
                 match t {
                     Some(t) => read.push((rid, t[0])),
                     None => served.push(rid),
@@ -1582,7 +1589,10 @@ mod tests {
         h.check_synopsis().unwrap();
         let need = PageTags::of([b'x' as u32]);
         let mut judge = |set: &PageTags| if set.intersects(&need) { PageUse::Read } else { PageUse::Skip };
-        let unread = h.scan_range_vis(0, u64::MAX, Vis::LATEST, Some(&mut judge), |_, _| Ok(true)).unwrap();
+        let mut page = [0; PAGE_SIZE];
+        let read = |_, _: Option<&[u8]>| Ok(true);
+        let unread =
+            h.scan_range_vis(0, u64::MAX, Vis::LATEST, &mut page, Some(&mut judge), read).unwrap();
         assert_eq!(unread.skipped, 1, "only the recycled page lacks `x`");
     }
 

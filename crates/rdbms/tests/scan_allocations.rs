@@ -1,0 +1,148 @@
+//! At one exec thread a heap scan is one cursor that lends each row to
+//! whatever reads it (DESIGN.md §37): the filter, an aggregation's fold and
+//! a hash join's probe read the row where the scan decoded it, and a
+//! projection builds only the rows it outputs. A counting global allocator
+//! pins this over 4 000 rows with a text column that every statement reads:
+//! a scan that built each row afresh would pay at least one allocation per
+//! row it reads.
+
+use sinew_rdbms::{ColType, Database, Datum, ExecLimits, ExecSnapshot, Prepared};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Counts the allocations (and reallocations) of the calling thread.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const ROWS: i64 = 4_000;
+/// Rows of the join's build side; each joins one row of `t`.
+const BUILD_ROWS: i64 = 100;
+/// Allocations a statement may make besides its output, groups and build
+/// rows: its operators and one buffer per block (4 blocks of 1 024 rows
+/// here). Far below the one per scanned row that a scan taking each row
+/// pays.
+const PER_STATEMENT: u64 = ROWS as u64 / 10;
+/// A build row is drained from its scan, indexed under its key and joined
+/// once: a few allocations each.
+const PER_BUILD_ROW: u64 = 5;
+
+/// `t (k, tag, n)`, 4 000 rows whose `tag` is a text of one length, and
+/// `u (k, v)`, 100 rows that join every 40th row of `t`.
+fn build() -> Database {
+    let db = Database::in_memory();
+    let cols = [("k", ColType::Int), ("tag", ColType::Text), ("n", ColType::Int)];
+    db.create_table("t", cols.iter().map(|(c, ty)| (c.to_string(), *ty)).collect()).unwrap();
+    let rows: Vec<Vec<Datum>> = (0..ROWS)
+        .map(|k| vec![Datum::Int(k), Datum::Text(format!("tag-{k:06}")), Datum::Int(k * 3)])
+        .collect();
+    db.insert_rows("t", &rows).unwrap();
+    db.create_table("u", vec![("k".into(), ColType::Int), ("v".into(), ColType::Int)]).unwrap();
+    let u: Vec<Vec<Datum>> =
+        (0..BUILD_ROWS).map(|i| vec![Datum::Int(i * 40), Datum::Int(i)]).collect();
+    db.insert_rows("u", &u).unwrap();
+    db.execute("ANALYZE t").unwrap();
+    db.execute("ANALYZE u").unwrap();
+    db.set_exec_limits(ExecLimits { exec_threads: 1, ..ExecLimits::default() });
+    db
+}
+
+fn prepare(db: &Database, sql: &str) -> Prepared {
+    db.prepare(&sinew_sql::parse_statement(sql).unwrap()).unwrap()
+}
+
+/// The rows of one run of `p`, the allocations the run made, and the
+/// executor counters before and after it.
+fn run_counted(db: &Database, p: &Prepared) -> (Vec<Vec<Datum>>, u64, [ExecSnapshot; 2]) {
+    // A first run warms whatever the statement caches.
+    db.run(p).unwrap();
+    let stats = db.exec_stats();
+    let before = ALLOCS.with(Cell::get);
+    let rows = db.run(p).unwrap().rows;
+    let allocs = ALLOCS.with(Cell::get) - before;
+    (rows, allocs, [stats, db.exec_stats()])
+}
+
+#[test]
+fn a_fold_a_filter_and_a_probe_allocate_per_statement_not_per_row() {
+    let db = build();
+    // Each statement: its rows, its allocations, and its heap scans.
+    let cases = [
+        (
+            "SELECT COUNT(*) FROM t WHERE length(tag) = 10 AND k % 2 = 0",
+            vec![vec![Datum::Int(ROWS / 2)]],
+            PER_STATEMENT,
+            1,
+        ),
+        (
+            "SELECT k % 4, COUNT(*), SUM(length(tag)) FROM t GROUP BY k % 4",
+            (0..4)
+                .map(|g| vec![Datum::Int(g), Datum::Int(ROWS / 4), Datum::Int(ROWS / 4 * 10)])
+                .collect(),
+            PER_STATEMENT,
+            1,
+        ),
+        (
+            "SELECT COUNT(*), SUM(u.v) FROM t JOIN u ON t.k = u.k WHERE length(t.tag) = 10",
+            vec![vec![Datum::Int(BUILD_ROWS), Datum::Int(BUILD_ROWS * (BUILD_ROWS - 1) / 2)]],
+            PER_STATEMENT + PER_BUILD_ROW * BUILD_ROWS as u64,
+            2,
+        ),
+    ];
+    for (sql, want, allowed, scans) in cases {
+        let (rows, allocs, [before, after]) = run_counted(&db, &prepare(&db, sql));
+        assert_eq!(rows, want, "{sql}");
+        assert!(allocs < allowed, "{sql}: {allocs} allocations over {ROWS} rows");
+        // A cursor counts once per scan, whatever its blocks; a fold or a
+        // probe inside it is neither a partition merge nor a morsel probe.
+        assert_eq!(after.serial_scans - before.serial_scans, scans, "{sql}");
+        assert_eq!(after.parallel_scans, before.parallel_scans, "{sql}");
+        assert_eq!(after.agg_partition_merges, before.agg_partition_merges, "{sql}");
+        assert_eq!(after.join_probe_morsels, before.join_probe_morsels, "{sql}");
+    }
+    let plan = db.execute("EXPLAIN SELECT COUNT(*) FROM t JOIN u ON t.k = u.k").unwrap();
+    let plan: Vec<String> = plan.rows.iter().map(|r| r[0].display_text()).collect();
+    assert!(plan.iter().any(|l| l.contains("Hash Join")), "{plan:#?}");
+}
+
+#[test]
+fn a_projection_allocates_its_output_rows_only() {
+    let db = build();
+    let sql = "SELECT k, n FROM t WHERE length(tag) = 10 AND k % 2 = 0";
+    let (rows, allocs, _) = run_counted(&db, &prepare(&db, sql));
+    let want: Vec<Vec<Datum>> =
+        (0..ROWS).step_by(2).map(|k| vec![Datum::Int(k), Datum::Int(k * 3)]).collect();
+    assert_eq!(rows, want);
+    let out = rows.len() as u64;
+    assert!(allocs < out + PER_STATEMENT, "{allocs} allocations for {out} output rows");
+}
