@@ -24,13 +24,14 @@
 //! plan-free reference evaluator (`crates/reference`, DESIGN.md §31).
 //!
 //! Scans (DESIGN.md §18): every leaf reads through the executor's one
-//! table source. Every heap scan is `ScanOp`, which runs the
-//! scan→filter→project prefix above it as one pipeline (DESIGN.md §37):
-//! as morsels when the statement has a crew and the table is big enough,
-//! else as one cursor that lends each row to what reads it. The index,
-//! index-only and columnar paths are `AccessOp`s behind one
-//! `HeapFallback`, which continues any of them as the equivalent heap scan
-//! when its index or store is gone.
+//! table source. Every heap or columnar scan is `ScanOp`, which runs the
+//! scan→filter→project prefix above it as one pipeline (DESIGN.md §37,
+//! §38): as morsels when the statement has a crew and the table is big
+//! enough, else as one cursor that lends each row to what reads it. A
+//! columnar cursor that loses its store goes on as the heap scan from the
+//! row after the last one it lent. The index and index-only paths are
+//! `AccessOp`s behind one `HeapFallback`, which runs the equivalent heap
+//! scan when the index is gone.
 //!
 //! The pipeline *breakers* parallelize too (DESIGN.md §15): the hash join
 //! builds one table on the statement's thread and, when its probe input
@@ -60,11 +61,12 @@
 use crate::agg::Accumulator;
 use crate::crew::{caught, Crew, JobQueue, MorselStream, Task};
 use crate::datum::{Datum, GroupKey};
-use crate::db::{ScanConsumer, TableScan};
+use crate::columnar::SEG_ROWS;
+use crate::db::{ScanConsumer, StoreLeaf, TableScan};
 use crate::error::{DbError, DbResult};
 use crate::exec::{
     cmp_sort_keys, eval_sort_keys, feed_accs, finish_group, new_acc, passes, rows_equal,
-    sort_rows, ExecStats, Executor, Row, SegScan,
+    sort_rows, ExecStats, Executor, Row,
 };
 use crate::expr::{EvalCtx, PhysExpr};
 use crate::plan::{AccessPath, AggSpec, NodeActuals, Plan, SortKey};
@@ -236,7 +238,7 @@ fn drive<'c, 'x: 'c>(
 /// through row-preserving operators (Project) down to index scans, which
 /// may bound their B-tree probe when the plan's bounds are exact.
 ///
-/// `consumer` is what a `Project(Filter?(SeqScan))` evaluates over its
+/// `consumer` is what a `Project(Filter?(leaf))` evaluates over its
 /// scan's rows, handed down to that scan; every other node gets `None`.
 ///
 /// `az`, when present, registers one [`NodeActuals`] slot per plan node
@@ -254,7 +256,7 @@ pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
 ) -> DbResult<Box<dyn BlockOperator + 'c>> {
     // A scan→filter→project prefix is one scan pipeline (DESIGN.md §37).
     if az.is_none() {
-        if let Some(op) = ScanOp::try_new(exec, plan, crew)? {
+        if let Some(op) = ScanOp::try_new(exec, plan, cap, crew)? {
             return Ok(Box::new(op));
         }
     }
@@ -264,7 +266,7 @@ pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
     // read (DESIGN.md §29, §30): in its morsels, or in its one cursor. A
     // morsel fold that could not merge exactly takes the scan's blocks.
     let fused = |input: &'x Plan, fuse: bool| -> DbResult<BreakerInput<'c, 'x, 'a>> {
-        let scan = if az.is_none() { ScanOp::try_new(exec, input, crew)? } else { None };
+        let scan = if az.is_none() { ScanOp::try_new(exec, input, None, crew)? } else { None };
         Ok(match scan {
             Some(scan) if fuse || scan.on_cursor() => BreakerInput::Scan(scan),
             Some(scan) => BreakerInput::Child(Box::new(scan)),
@@ -274,10 +276,9 @@ pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
     let op: Box<dyn BlockOperator + 'c> = match plan {
         // Reached under EXPLAIN ANALYZE only: the scan leaf, its cursor
         // read through what its parents evaluate.
-        Plan::SeqScan { table, filter, needed, .. } => {
-            let (needed, scan_filter) = (needed.as_deref(), filter.as_ref());
-            let pipe = ScanPipeline { table, needed, scan_filter, consumer, ..Default::default() };
-            Box::new(ScanOp::new(exec, pipe, None)?)
+        Plan::SeqScan { .. } | Plan::ColumnarScan { .. } => {
+            let pipe = scan_pipeline(plan).expect("a scan leaf is a scan pipeline");
+            Box::new(ScanOp::new(exec, ScanPipeline { consumer, ..pipe }, None, None)?)
         }
         // A probe cap is only sound when the bounds *are* the whole
         // predicate: then every row the index surfaces is an output row,
@@ -304,18 +305,6 @@ pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
                 cap: cap.filter(|_| path.exact_bounds),
                 ctx: EvalCtx::new(),
                 rows: None,
-            },
-        )?,
-        Plan::ColumnarScan { path, bounds_cover_filter } => HeapFallback::boxed(
-            exec,
-            path,
-            ColumnarScanOp {
-                exec,
-                crew,
-                path,
-                bounds_cover: *bounds_cover_filter,
-                segments: None,
-                pending: VecDeque::new(),
             },
         )?,
         Plan::Filter { input, predicate, .. } => Box::new(FilterOp {
@@ -574,43 +563,29 @@ impl BlockOperator for AnalyzeOp<'_> {
 enum Pull {
     Block(RowBlock),
     End,
-    /// The index or column store is gone (dropped or demoted since
-    /// planning, or not trustworthy at this reader's visibility).
+    /// The index is gone (dropped since planning, or not trustworthy at
+    /// this reader's visibility).
     Gone,
 }
 
-/// A non-heap access path: everything an index / index-only / columnar
-/// scan does *except* surviving the loss of its index or store, which is
-/// [`HeapFallback`]'s one job.
+/// An index access path: everything an index or index-only scan does
+/// *except* surviving the loss of its index, which is [`HeapFallback`]'s
+/// one job.
 trait AccessOp {
-    /// Resolve the path at operator-open time; `false` means [`Pull::Gone`]
-    /// before the first pull.
-    fn open(&mut self) -> DbResult<bool> {
-        Ok(true)
-    }
-
     fn pull(&mut self) -> DbResult<Pull>;
-
-    fn resident_rows(&self) -> u64 {
-        0
-    }
 }
 
-/// The single heap-fallback rule (DESIGN.md §18): run `primary`; the
-/// moment it reports its index or store gone, continue as the sequential
-/// scan with the same filter and projection. The heap is authoritative and
-/// every access path emits the heap scan's exact row sequence, so the
-/// restart only has to drop the rows that already left this operator —
-/// no duplicate, no gap. (Only the columnar scan can lose its
-/// store after emitting; the index paths resolve on their first pull.)
+/// The index paths' heap-fallback rule (DESIGN.md §18): run `primary`;
+/// if it reports its index gone, run the sequential scan with the same
+/// filter and projection instead. An index path resolves on its first
+/// pull, so it is lost before it has emitted a row. (A columnar scan that
+/// loses its store goes on as the heap scan inside its own cursor,
+/// DESIGN.md §38.)
 struct HeapFallback<'x, 'a> {
     primary: Box<dyn AccessOp + 'x>,
     /// The equivalent heap scan, a cursor opened only if `primary` is lost.
     heap: ScanOp<'x, 'x, 'a>,
     on_heap: bool,
-    /// Rows `primary` has handed downstream: what the heap scan must drop
-    /// before producing output, should it take over.
-    skip: u64,
 }
 
 impl<'x, 'a> HeapFallback<'x, 'a> {
@@ -624,52 +599,25 @@ impl<'x, 'a> HeapFallback<'x, 'a> {
         let pipe = ScanPipeline { table, needed, scan_filter, ..Default::default() };
         Ok(Box::new(HeapFallback {
             primary: Box::new(primary),
-            heap: ScanOp::new(exec, pipe, None)?,
+            heap: ScanOp::new(exec, pipe, None, None)?,
             on_heap: false,
-            skip: 0,
         }))
-    }
-
-    fn fall_back(&mut self) -> DbResult<()> {
-        self.on_heap = true;
-        self.heap.open()
     }
 }
 
 impl BlockOperator for HeapFallback<'_, '_> {
-    fn open(&mut self) -> DbResult<()> {
-        if !self.primary.open()? {
-            self.fall_back()?;
-        }
-        Ok(())
-    }
-
     fn next_block(&mut self) -> DbResult<Option<RowBlock>> {
         if !self.on_heap {
             match self.primary.pull()? {
-                Pull::Block(block) => {
-                    self.skip += block.len() as u64;
-                    return Ok(Some(block));
-                }
+                Pull::Block(block) => return Ok(Some(block)),
                 Pull::End => return Ok(None),
-                Pull::Gone => self.fall_back()?,
+                Pull::Gone => {
+                    self.on_heap = true;
+                    self.heap.open()?;
+                }
             }
         }
-        while let Some(block) = self.heap.next_block()? {
-            let n = block.len() as u64;
-            if self.skip >= n {
-                self.skip -= n;
-                continue;
-            }
-            let mut rows = block.take_rows();
-            rows.drain(..std::mem::take(&mut self.skip) as usize);
-            return Ok(Some(RowBlock::from_rows(rows)));
-        }
-        Ok(None)
-    }
-
-    fn resident_rows(&self) -> u64 {
-        self.primary.resident_rows()
+        self.heap.next_block()
     }
 }
 
@@ -734,74 +682,6 @@ impl AccessOp for IndexScanOp<'_, '_> {
             }
         }
         Ok(Pull::End)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Columnar scan
-
-/// Columnar segment scan: fills blocks column-at-a-time from the table's
-/// column stores. Each segment runs the vectorized bound kernel (when the
-/// plan carries a sargable bound column) producing a selection vector,
-/// tests the full residual predicate on the selected slots in place
-/// unless the bounds are exact, and gathers only `needed` columns for the
-/// slots that pass (`SnapSource::columnar_scan_segment`). Segments are
-/// the morsels of a [`MorselStream`] like [`ScanOp`]'s (claimed
-/// by the statement's crew, stitched in segment order), so output is
-/// byte-identical to the heap scan at any thread count and a LIMIT stops
-/// the claims one window past the segment that satisfied it.
-struct ColumnarScanOp<'c, 'x, 'a> {
-    exec: &'x Executor<'a>,
-    crew: CrewRef<'c, 'x>,
-    path: &'x AccessPath,
-    /// Planner proof that the bound literals cover the whole predicate in
-    /// one exactness class; combined with a segment's `exact` flag it
-    /// skips the residual filter for that segment.
-    bounds_cover: bool,
-    /// The table's segments, opened with its column store.
-    segments: Option<MorselStream<'c, 'x, Option<SegScan>>>,
-    pending: VecDeque<Row>,
-}
-
-impl AccessOp for ColumnarScanOp<'_, '_, '_> {
-    fn open(&mut self) -> DbResult<bool> {
-        let Some(n_segments) = self.exec.source.columnar_meta(self.path)? else {
-            return Ok(false);
-        };
-        self.exec.stats.columnar_scans.inc();
-        let (exec, path, bounds_cover) = (self.exec, self.path, self.bounds_cover);
-        self.segments = Some(MorselStream::new(self.crew, n_segments as u64, move |seg| {
-            exec.source.columnar_scan_segment(path, bounds_cover, seg as usize)
-        }));
-        Ok(true)
-    }
-
-    fn pull(&mut self) -> DbResult<Pull> {
-        let block_rows = self.exec.limits.block_rows.max(1);
-        let segments = self.segments.as_mut().expect("pulled after open");
-        while self.pending.len() < block_rows {
-            let Some(scan) = segments.next() else { break };
-            // Segments arrive in order; the lowest failing segment wins.
-            let Some(scan) = scan? else {
-                // Buffered-but-unemitted rows are simply reproduced by
-                // the heap scan.
-                self.segments = None;
-                self.pending.clear();
-                return Ok(Pull::Gone);
-            };
-            self.exec.stats.record_segment(&scan);
-            self.pending.extend(scan.rows);
-            self.exec.check_limit(self.pending.len())?;
-        }
-        if self.pending.is_empty() {
-            return Ok(Pull::End);
-        }
-        let n = self.pending.len().min(block_rows);
-        Ok(Pull::Block(RowBlock::from_rows(self.pending.drain(..n).collect())))
-    }
-
-    fn resident_rows(&self) -> u64 {
-        self.pending.len() as u64
     }
 }
 
@@ -1434,7 +1314,7 @@ fn fold_morsels<'x>(
     mut merged: GroupTable<'x>,
 ) -> DbResult<GroupTable<'x>> {
     let (groups, aggs) = (merged.groups, merged.aggs);
-    let mut morsels = scan.stream(exec, move |ids, budget| {
+    let mut morsels = scan.stream(exec, pipe, move |ids, budget| {
         let mut table = GroupTable::new(groups, aggs);
         let passed = scan_morsel(exec, pipe, budget, ids, &mut |row, ctx| table.feed(row, ctx))?;
         Ok((table, passed))
@@ -1692,7 +1572,7 @@ fn probe_morsels<'x>(
     built: Arc<BuiltSide>,
 ) {
     let joined = AtomicU64::new(0);
-    scan.out = Some(scan.stream(exec, move |ids, budget| {
+    scan.out = Some(scan.stream(exec, pipe, move |ids, budget| {
         exec.stats.join_probe_morsels.inc();
         let mut out = Vec::new();
         scan_morsel(exec, pipe, budget, ids, &mut |lrow, _| {
@@ -1715,7 +1595,7 @@ impl BlockOperator for HashJoinOp<'_, '_, '_> {
     fn next_block(&mut self) -> DbResult<Option<RowBlock>> {
         if self.built.is_none() {
             let built = Arc::new(self.build()?);
-            if let BreakerInput::Scan(ScanOp { exec, pipe, rows: ScanRows::Morsels(scan) }) =
+            if let BreakerInput::Scan(ScanOp { exec, pipe, rows: ScanRows::Morsels(scan), .. }) =
                 &mut self.left
             {
                 probe_morsels(exec, *pipe, scan, self.probe, Arc::clone(&built));
@@ -1968,10 +1848,13 @@ struct ScanPipeline<'p> {
     /// projection, or, for the bare scan leaf of `EXPLAIN ANALYZE`, the
     /// operators above it.
     consumer: Option<ScanConsumer<'p>>,
+    /// A columnar leaf's path and `bounds_cover_filter` (DESIGN.md §38).
+    store: Option<(&'p AccessPath, bool)>,
 }
 
-/// Decompose `SeqScan`, `Filter(SeqScan)`, `Project(SeqScan)` or
-/// `Project(Filter(SeqScan))`.
+/// Decompose a leaf, `Filter(leaf)`, `Project(leaf)` or
+/// `Project(Filter(leaf))`, where the leaf is a `SeqScan` or a
+/// `ColumnarScan`.
 fn scan_pipeline(plan: &Plan) -> Option<ScanPipeline<'_>> {
     let (input, project) = match plan {
         Plan::Project { input, exprs, .. } => (input.as_ref(), Some(exprs.as_slice())),
@@ -1981,7 +1864,13 @@ fn scan_pipeline(plan: &Plan) -> Option<ScanPipeline<'_>> {
         Plan::Filter { input, predicate, .. } => (input.as_ref(), Some(predicate)),
         other => (other, None),
     };
-    let Plan::SeqScan { table, filter, needed, .. } = scan else { return None };
+    let (table, needed, filter, store) = match scan {
+        Plan::SeqScan { table, filter, needed, .. } => (table, needed, filter, None),
+        Plan::ColumnarScan { path, bounds_cover_filter } => {
+            (&path.table, &path.needed, &path.filter, Some((path, *bounds_cover_filter)))
+        }
+        _ => return None,
+    };
     Some(ScanPipeline {
         table,
         needed: needed.as_deref(),
@@ -1989,17 +1878,22 @@ fn scan_pipeline(plan: &Plan) -> Option<ScanPipeline<'_>> {
         post_filter,
         project,
         consumer: project.map(|project| ScanConsumer { filter: post_filter, project }),
+        store,
     })
 }
 
-/// The one heap scan operator: a [`ScanPipeline`] run over its table's
-/// row ids, as the morsels of the statement's crew or as one cursor on
-/// the statement's thread. Either way rows come out in row-id order, so
-/// the stream is byte-identical at any thread count.
+/// The one scan operator: a [`ScanPipeline`] run over its table's row
+/// ids, as the morsels of the statement's crew or as one cursor on the
+/// statement's thread, over the heap or the column stores. Either way
+/// rows come out in row-id order, so the stream is byte-identical at any
+/// thread count.
 struct ScanOp<'c, 'x, 'a> {
     exec: &'x Executor<'a>,
     pipe: ScanPipeline<'x>,
     rows: ScanRows<'c, 'x>,
+    /// Rows per block: `block_rows`, or fewer when the parent consumes
+    /// fewer (a `LIMIT`).
+    block: usize,
 }
 
 /// Where a [`ScanOp`] runs.
@@ -2011,20 +1905,23 @@ enum ScanRows<'c, 'x> {
 }
 
 impl<'c, 'x, 'a> ScanOp<'c, 'x, 'a> {
-    /// The operator for `plan`, if it is a scan pipeline.
+    /// The operator for `plan`, if it is a scan pipeline; `cap` bounds
+    /// the rows its parent consumes.
     fn try_new(
         exec: &'x Executor<'a>,
         plan: &'x Plan,
+        cap: Option<u64>,
         crew: CrewRef<'c, 'x>,
     ) -> DbResult<Option<ScanOp<'c, 'x, 'a>>> {
-        scan_pipeline(plan).map(|pipe| ScanOp::new(exec, pipe, crew)).transpose()
+        scan_pipeline(plan).map(|pipe| ScanOp::new(exec, pipe, cap, crew)).transpose()
     }
 
     /// Morsels when the one parallel rule holds over the table's row ids,
-    /// else a cursor.
+    /// else a cursor. A columnar scan's morsels are its segments.
     fn new(
         exec: &'x Executor<'a>,
         pipe: ScanPipeline<'x>,
+        cap: Option<u64>,
         crew: CrewRef<'c, 'x>,
     ) -> DbResult<ScanOp<'c, 'x, 'a>> {
         const MIN_MORSEL_ROWS: u64 = 256;
@@ -2034,32 +1931,50 @@ impl<'c, 'x, 'a> ScanOp<'c, 'x, 'a> {
             let high = exec.source.db.high_water(pipe.table)?;
             if let Some(crew) = exec.parallel(crew, high as usize) {
                 let target = crew.threads() as u64 * MORSELS_PER_WORKER;
-                let size = (high / target).max(MIN_MORSEL_ROWS);
+                let size = match pipe.store {
+                    Some(_) => SEG_ROWS as u64,
+                    None => (high / target).max(MIN_MORSEL_ROWS),
+                };
                 let n = high.div_ceil(size);
                 let pending = VecDeque::new();
                 rows = ScanRows::Morsels(Morsels { crew, high, size, n, out: None, pending });
             }
         }
-        Ok(ScanOp { exec, pipe, rows })
+        let block = exec.limits.block_rows.max(1).min(cap.unwrap_or(u64::MAX) as usize);
+        Ok(ScanOp { exec, pipe, rows, block })
     }
 
     fn on_cursor(&self) -> bool {
         matches!(self.rows, ScanRows::Cursor(_))
     }
 
-    /// Open the cursor and count the scan, if it runs on one; morsels are
-    /// counted when their stream opens.
+    /// Open the cursor, if the scan runs on one, and count the scan: as a
+    /// columnar scan if it reads the column stores, else as a serial scan.
+    /// Morsels read the stores if they serve this reader now, and a heap
+    /// scan's morsels are counted when their stream opens.
     fn open_cursor(&mut self) -> DbResult<()> {
-        if let ScanRows::Cursor(cursor) = &mut self.rows {
-            self.exec.stats.serial_scans.inc();
-            *cursor = Some(Box::new(Cursor::open(self.exec, self.pipe, 0..u64::MAX)?));
+        let stats = self.exec.stats;
+        match &mut self.rows {
+            ScanRows::Cursor(cursor) => {
+                let c = cursor.insert(Box::new(Cursor::open(self.exec, self.pipe, 0..u64::MAX)?));
+                let store = c.scan.on_store();
+                if store { &stats.columnar_scans } else { &stats.serial_scans }.inc();
+            }
+            ScanRows::Morsels(_) => {
+                if let Some((path, _)) = self.pipe.store {
+                    if self.exec.source.columnar_serves(path)? {
+                        stats.columnar_scans.inc();
+                    } else {
+                        self.pipe.store = None;
+                    }
+                }
+            }
         }
         Ok(())
     }
 
     /// Run the cursor until `sink` has been lent a block of rows or the
-    /// rows run out, under one hold of the table's read guard. Returns
-    /// whether rows may remain.
+    /// rows run out. Returns whether rows may remain.
     fn pull(
         &mut self,
         sink: &mut dyn FnMut(&mut Row, &mut EvalCtx) -> DbResult<()>,
@@ -2070,12 +1985,11 @@ impl<'c, 'x, 'a> ScanOp<'c, 'x, 'a> {
         if cursor.scan.done() {
             return Ok(false);
         }
-        let block_rows = self.exec.limits.block_rows.max(1);
-        let mut n = 0;
+        let (block, mut n) = (self.block, 0);
         cursor.run(self.pipe, u64::MAX, &mut |row, ctx| {
             sink(row, ctx)?;
             n += 1;
-            Ok(n < block_rows)
+            Ok(n < block)
         })?;
         Ok(!cursor.scan.done())
     }
@@ -2100,7 +2014,7 @@ impl BlockOperator for ScanOp<'_, '_, '_> {
         self.open_cursor()?;
         let (exec, pipe) = (self.exec, self.pipe);
         if let ScanRows::Morsels(scan) = &mut self.rows {
-            scan.out = Some(scan.stream(exec, move |ids, budget| {
+            scan.out = Some(scan.stream(exec, pipe, move |ids, budget| {
                 let mut out: Vec<Row> = Vec::new();
                 scan_morsel(exec, pipe, budget, ids, &mut |row, _| {
                     out.push(std::mem::take(row));
@@ -2113,12 +2027,11 @@ impl BlockOperator for ScanOp<'_, '_, '_> {
     }
 
     fn next_block(&mut self) -> DbResult<Option<RowBlock>> {
-        let block_rows = self.exec.limits.block_rows.max(1);
         if let ScanRows::Morsels(scan) = &mut self.rows {
-            return scan.next_block(block_rows);
+            return scan.next_block(self.block);
         }
         // A block is the rows the cursor's sink takes whole.
-        let mut out: Vec<Row> = Vec::with_capacity(block_rows);
+        let mut out: Vec<Row> = Vec::with_capacity(self.block);
         self.pull(&mut |row, _| {
             out.push(std::mem::take(row));
             Ok(())
@@ -2152,6 +2065,9 @@ struct Cursor<'x> {
     scan: TableScan<'x>,
     ctx: EvalCtx,
     projected: Row,
+    /// Per projected expression, the scan-row column it moves out of the
+    /// lent row: a bare column that no other expression reads.
+    moves: Vec<Option<usize>>,
 }
 
 impl<'x> Cursor<'x> {
@@ -2160,17 +2076,27 @@ impl<'x> Cursor<'x> {
         pipe: ScanPipeline<'x>,
         ids: Range<u64>,
     ) -> DbResult<Cursor<'x>> {
-        let ScanPipeline { table, needed, scan_filter, consumer, .. } = pipe;
-        let scan = exec.source.open_scan(table, needed, scan_filter, consumer, ids)?;
-        Ok(Cursor { scan, ctx: EvalCtx::new(), projected: Vec::new() })
+        let ScanPipeline { table, needed, scan_filter, consumer, store, project, .. } = pipe;
+        let stats = exec.stats;
+        let store = store.map(|(path, bounds_cover)| StoreLeaf { path, bounds_cover, stats });
+        let scan = exec.source.open_scan(table, needed, scan_filter, consumer, store, ids)?;
+        let mut refs = Vec::new();
+        project.into_iter().flatten().for_each(|e| e.column_refs(&mut refs));
+        let moves = project.into_iter().flatten().map(|e| match e {
+            PhysExpr::Column(i) if refs.iter().filter(|&r| r == i).count() == 1 => Some(*i),
+            _ => None,
+        });
+        Ok(Cursor { scan, ctx: EvalCtx::new(), projected: Vec::new(), moves: moves.collect() })
     }
 
     /// Run the whole pipeline prefix from where the cursor stands: scan
     /// filter → post filter → project → `sink`, until `sink` returns
     /// `false` or the rows run out. `sink` is lent each row, as the scan
-    /// lends its rows (DESIGN.md §35): it reads it, or takes it whole.
-    /// Returns the rows visited and the rows that passed the scan filter;
-    /// more of these than `cap` fail the run.
+    /// lends its rows (DESIGN.md §35): it reads it, or takes it whole. The
+    /// projection moves a column it alone reads out of the scan row, which
+    /// nothing reads after it (DESIGN.md §38). Returns the rows visited and
+    /// the rows that passed the scan filter; more of these than `cap` fail
+    /// the run.
     fn run(
         &mut self,
         pipe: ScanPipeline<'_>,
@@ -2178,7 +2104,7 @@ impl<'x> Cursor<'x> {
         sink: &mut dyn FnMut(&mut Row, &mut EvalCtx) -> DbResult<bool>,
     ) -> DbResult<(u64, u64)> {
         let mut passed = 0u64;
-        let projected = &mut self.projected;
+        let (projected, moves) = (&mut self.projected, &self.moves);
         // The scan resets the context before its filter and not after, so
         // the post filter, the projection and the sink reuse what it
         // memoized.
@@ -2197,8 +2123,11 @@ impl<'x> Cursor<'x> {
                 Some(exprs) => {
                     projected.clear();
                     projected.reserve(exprs.len());
-                    for e in exprs {
-                        projected.push(e.eval_ctx(row, ctx)?);
+                    for (e, &mv) in zip(exprs, moves) {
+                        projected.push(match mv.and_then(|i| row.get_mut(i)) {
+                            Some(v) => std::mem::replace(v, Datum::Null),
+                            None => e.eval_ctx(row, ctx)?,
+                        });
                     }
                     sink(projected, ctx)
                 }
@@ -2226,21 +2155,27 @@ struct Morsels<'c, 'x> {
 }
 
 impl<'c, 'x> Morsels<'c, 'x> {
-    /// Count the scan and run `work` over its morsels on the crew, results
-    /// in morsel order. `work` gets a morsel's row ids and the scan's
-    /// shared row budget.
+    /// Count a heap scan and run `work` over its morsels on the crew,
+    /// results in morsel order. `work` gets a morsel's row ids and the
+    /// scan's shared row budget. A columnar scan was counted when it
+    /// opened, and its morsels count in no parallel-scan counter.
     fn stream<T: Send + 'x>(
         &self,
         exec: &'x Executor<'_>,
+        pipe: ScanPipeline<'x>,
         work: impl Fn(Range<u64>, &AtomicU64) -> DbResult<T> + Send + Sync + 'x,
     ) -> MorselStream<'c, 'x, T> {
-        let stats = exec.stats;
-        stats.parallel_scans.inc();
-        stats.scan_workers.add(self.crew.threads().min(self.n as usize) as u64);
+        let (stats, heap) = (exec.stats, pipe.store.is_none());
+        if heap {
+            stats.parallel_scans.inc();
+            stats.scan_workers.add(self.crew.threads().min(self.n as usize) as u64);
+        }
         let (high, size) = (self.high, self.size);
         let budget = AtomicU64::new(0);
         MorselStream::new(Some(self.crew), self.n, move |m| {
-            stats.morsels_dispatched.inc();
+            if heap {
+                stats.morsels_dispatched.inc();
+            }
             let start = m * size;
             work(start..high.min(start + size), &budget)
         })
@@ -2282,7 +2217,9 @@ fn scan_morsel<'x>(
     let mut cursor = Cursor::open(exec, pipe, ids)?;
     let (visited, passed) =
         cursor.run(pipe, max_rows, &mut |row, ctx| sink(row, ctx).map(|()| true))?;
-    exec.stats.rows_per_morsel.record(visited);
+    if pipe.store.is_none() {
+        exec.stats.rows_per_morsel.record(visited);
+    }
     exec.check_limit((budget.fetch_add(passed, Ordering::Relaxed) + passed) as usize)?;
     Ok(passed)
 }

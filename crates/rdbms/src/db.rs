@@ -2635,10 +2635,10 @@ impl CatalogView for Database {
 /// latest-committed reads. This wrapper is how SELECTs become non-blocking
 /// readers. Every scan row it emits has one shape: live columns in live
 /// order (columns outside `needed` may come back NULL, undecoded), then
-/// the rowid. The index and columnar entry points answer `None` when the
-/// path cannot serve this reader — index or store dropped since planning,
-/// or untrustworthy at this visibility — and the executor then reruns the
-/// access path as a heap scan.
+/// the rowid. The index entry points answer `None` when the path cannot
+/// serve this reader — index dropped since planning, or untrustworthy at
+/// this visibility — and the executor then runs the heap scan instead; a
+/// columnar cursor whose stores cannot serve it goes on as that heap scan.
 pub(crate) struct SnapSource<'a> {
     pub(crate) db: &'a Database,
     pub(crate) vis: Vis,
@@ -2838,7 +2838,9 @@ fn filter_segment(
 /// A heap scan's cursor (DESIGN.md §37): what a scan sets up once and
 /// keeps for every run — slot maps, late-filter split, page judge (made
 /// for the `tagged` slot), page buffer and scan row — and the row ids it
-/// has yet to visit. Each run takes the table's read guard again.
+/// has yet to visit. Each run takes the table's read guard again. A
+/// columnar scan's cursor reads its column stores first (`store`,
+/// DESIGN.md §38) and goes on as this heap scan if it loses them.
 pub(crate) struct TableScan<'e> {
     db: &'e Database,
     vis: Vis,
@@ -2853,19 +2855,46 @@ pub(crate) struct TableScan<'e> {
     row: Row,
     page: Box<[u8]>,
     ids: Range<u64>,
+    store: Option<StoreScan<'e>>,
+}
+
+/// A scan pipeline's columnar leaf: its path, its `bounds_cover_filter`,
+/// and the counters a segment feeds.
+#[derive(Clone, Copy)]
+pub(crate) struct StoreLeaf<'e> {
+    pub(crate) path: &'e AccessPath,
+    pub(crate) bounds_cover: bool,
+    pub(crate) stats: &'e ExecStats,
+}
+
+/// What a columnar scan's cursor keeps across runs (DESIGN.md §38): the
+/// segments it has yet to select and, of the current one (whose slot 0 is
+/// row id `base`), the kept slots, the next to lend, and per `needed`
+/// column its scan-row position and its values at those slots, in
+/// vectors reused for every segment.
+struct StoreScan<'e> {
+    leaf: StoreLeaf<'e>,
+    width: usize,
+    segs: Range<u64>,
+    cols: Vec<(usize, Vec<Datum>)>,
+    offsets: Vec<u32>,
+    base: u64,
+    next: usize,
 }
 
 impl<'e> SnapSource<'e> {
     /// A cursor over the live rows with row ids in `ids` (one morsel, or
-    /// `0..u64::MAX` for the whole table) that pass `filter`. Its column
-    /// maps are fixed here: a column added or dropped while the scan runs
-    /// does not change the shape of its rows.
+    /// `0..u64::MAX` for the whole table) that pass `filter`, read from the
+    /// column stores of `store` when this reader may (a morsel's `ids` are
+    /// then whole segments). Its column maps are fixed here: a column added
+    /// or dropped while the scan runs does not change the shape of its rows.
     pub(crate) fn open_scan(
         &self,
         table: &str,
         needed: Option<&[String]>,
         filter: Option<&'e PhysExpr>,
         consumer: Option<ScanConsumer<'e>>,
+        store: Option<StoreLeaf<'e>>,
         ids: Range<u64>,
     ) -> DbResult<TableScan<'e>> {
         let handle = self.db.table(table)?;
@@ -2875,6 +2904,23 @@ impl<'e> SnapSource<'e> {
         let late = filter.and_then(|fl| Some((fl, late_slots(fl, &live, &at)?)));
         let judge = PageJudge::new(&t, &live, &at, filter, consumer);
         let tagged = t.tagged;
+        let store = store.and_then(|leaf| {
+            let gather = self.columnar_stores(&t, leaf.path)?.gather;
+            let cols = gather.iter().enumerate().filter(|(_, st)| st.is_some());
+            // Stores advance in lockstep with the heap, so any one's
+            // segment count covers every live rowid.
+            let n = t.columnar.iter().map(ColumnStore::n_segments).max()?;
+            let seg = SEG_ROWS as u64;
+            Some(StoreScan {
+                leaf,
+                width: live.len(),
+                segs: ids.start / seg..n.min(ids.end.div_ceil(seg)),
+                cols: cols.map(|(pos, _)| (pos, Vec::new())).collect(),
+                offsets: Vec::new(),
+                base: 0,
+                next: 0,
+            })
+        });
         drop(t);
         Ok(TableScan {
             db: self.db,
@@ -2889,6 +2935,7 @@ impl<'e> SnapSource<'e> {
             row: Vec::new(),
             page: vec![0u8; PAGE_SIZE].into_boxed_slice(),
             ids,
+            store,
         })
     }
 }
@@ -2897,6 +2944,11 @@ impl TableScan<'_> {
     /// Whether the cursor has visited its last row.
     pub(crate) fn done(&self) -> bool {
         self.ids.is_empty()
+    }
+
+    /// Whether the cursor reads column stores.
+    pub(crate) fn on_store(&self) -> bool {
+        self.store.is_some()
     }
 
     /// Stream the cursor's rows that pass its filter, in rowid order,
@@ -2912,14 +2964,26 @@ impl TableScan<'_> {
     /// key the filter and the consumer read, whose visible rows are served
     /// with the tagged column NULL (DESIGN.md §33). `f` returns `false` to
     /// stop the run after its row; the next run resumes after it. Returns
-    /// the rows visited, read or served.
+    /// the rows visited, read or served. A cursor on its column stores
+    /// lends their kept rows instead (DESIGN.md §38); if the stores are
+    /// lost it goes on, in the same run, as the heap scan from the row id
+    /// after the last row it lent.
     pub(crate) fn run(
         &mut self,
         ctx: &mut EvalCtx,
         f: &mut dyn FnMut(&mut Row, &mut EvalCtx) -> DbResult<bool>,
     ) -> DbResult<u64> {
-        let TableScan { db, vis, table, filter, width, at, late, judge, tagged, row, page, ids } =
-            self;
+        let TableScan {
+            db, vis, table, filter, width, at, late, judge, tagged, row, page, ids, store,
+        } = self;
+        if let Some(st) = store {
+            if let Some(lent) = st.run(&SnapSource { db, vis: *vis }, table, row, ids, ctx, f)? {
+                return Ok(lent);
+            }
+            // The stores are lost: the cursor goes on as a heap scan.
+            st.leaf.stats.serial_scans.inc();
+            *store = None;
+        }
         let t = table.read();
         if t.tagged != *tagged {
             // The synopsis now tags another column than the judge's.
@@ -3090,105 +3154,12 @@ impl SnapSource<'_> {
         Some(ScanStores { gather, bound })
     }
 
-    /// How many segments a columnar scan of `path` must visit.
-    pub(crate) fn columnar_meta(&self, path: &AccessPath) -> DbResult<Option<usize>> {
+    /// Whether the column stores can answer a columnar scan of `path`
+    /// for this reader now.
+    pub(crate) fn columnar_serves(&self, path: &AccessPath) -> DbResult<bool> {
         let t = self.db.table(&path.table)?;
         let t = t.read();
-        if self.columnar_stores(&t, path).is_none() {
-            return Ok(None);
-        }
-        // Stores advance in lockstep with the heap, so any one's segment
-        // count covers every live rowid.
-        Ok(t.columnar.iter().map(|cs| cs.n_segments() as usize).max())
-    }
-
-    /// Scan one segment of `path.table`'s column stores: scan-shaped rows
-    /// in rowid order, restricted to live slots whose `path.column` value
-    /// falls in `path.range` and that pass `path.filter`. The filter is
-    /// skipped where the bounds prove it (`path.exact_bounds`, or
-    /// `bounds_cover` on a segment whose zone map makes the kernel exact);
-    /// otherwise it reads its columns in place, and only the slots it
-    /// keeps are gathered (DESIGN.md §28).
-    pub(crate) fn columnar_scan_segment(
-        &self,
-        path: &AccessPath,
-        bounds_cover: bool,
-        segment: usize,
-    ) -> DbResult<Option<SegScan>> {
-        let t = self.db.table(&path.table)?;
-        let t = t.read();
-        let Some(ScanStores { gather: stores, bound: bound_store }) =
-            self.columnar_stores(&t, path)
-        else {
-            return Ok(None);
-        };
-        let seg = segment as u64;
-        // Liveness authority: every store carries the same live bitmap.
-        let Some(any_store) = bound_store.or_else(|| t.columnar.first()) else {
-            return Ok(None);
-        };
-        let mut scan = SegScan::default();
-        if seg >= any_store.n_segments() {
-            return Ok(Some(scan));
-        }
-        let range = &path.range;
-        let mut offsets: Vec<u32> = Vec::new();
-        match bound_store.filter(|_| !range.is_unbounded()) {
-            Some(bs) => {
-                if bs.zone_prunes(seg, range) {
-                    scan.pruned = true;
-                    return Ok(Some(scan));
-                }
-                scan.kernel.merge(&bs.select_segment(seg, range, &mut offsets));
-                // Per-segment exactness: the zone map proves every live
-                // value shares the class of every present bound, so kernel
-                // emission equals the SQL match set for this segment and
-                // the executor may skip the residual filter when the plan
-                // says the bounds cover the whole predicate.
-                scan.exact = match bs.segment_value_class(seg) {
-                    Some(cls) => [&range.lo, &range.hi]
-                        .into_iter()
-                        .flatten()
-                        .all(|d| d.exactness_class() == Some(cls)),
-                    None => false,
-                };
-            }
-            None => any_store.live_slots(seg, &mut offsets),
-        }
-        // Drop rows born after this reader's snapshot (tags are mirrored
-        // across a table's stores, so any one store can filter).
-        any_store.filter_visible(seg, self.vis.read_ts, &mut offsets);
-        let base = segment * SEG_ROWS;
-        let skip_filter = path.exact_bounds || (bounds_cover && scan.exact);
-        if let Some(filter) = path.filter.as_ref().filter(|_| !skip_filter) {
-            let before = offsets.len();
-            filter_segment(filter, &stores, seg, base, &mut offsets, &mut scan.kernel)?;
-            scan.rejected = (before - offsets.len()) as u64;
-        }
-        if offsets.is_empty() {
-            return Ok(Some(scan));
-        }
-        let n_live = stores.len();
-        let mut rows: Vec<Row> = offsets
-            .iter()
-            .map(|&o| {
-                let mut r: Row = vec![Datum::Null; n_live + 1];
-                r[n_live] = Datum::Int((base + o as usize) as i64);
-                r
-            })
-            .collect();
-        let mut colbuf: Vec<Datum> = Vec::new();
-        for (li, st) in stores.iter().enumerate() {
-            let Some(st) = st else { continue };
-            colbuf.clear();
-            st.gather(seg, &offsets, &mut colbuf, &mut scan.kernel);
-            scan.kernel.decoded += offsets.len() as u64;
-            for (r, v) in rows.iter_mut().zip(colbuf.drain(..)) {
-                r[li] = v;
-            }
-        }
-        scan.rows = rows;
-        Ok(Some(scan))
+        Ok(self.columnar_stores(&t, path).is_some())
     }
 
     /// Probe the secondary index on `path.column` and return the matching
@@ -3217,5 +3188,116 @@ impl SnapSource<'_> {
             return Ok(None);
         };
         Ok(Some(IndexOnlyProbe { entries, n_live_cols: live.len(), key_slot }))
+    }
+}
+
+impl StoreScan<'_> {
+    /// Lend the kept rows from where the last run stopped, selecting the
+    /// next segment whenever the current one is used up: a selection holds
+    /// the table's read guard, a lend none (DESIGN.md §38). A kept slot's
+    /// gathered values move into the one scan `row`, the row id after
+    /// them, and `ids.start` follows the last row lent. Returns the rows
+    /// lent, or `None` if the stores were lost: the caller then goes on as
+    /// the heap scan from `ids.start`.
+    fn run(
+        &mut self,
+        src: &SnapSource<'_>,
+        table: &RwLock<Table>,
+        row: &mut Row,
+        ids: &mut Range<u64>,
+        ctx: &mut EvalCtx,
+        f: &mut dyn FnMut(&mut Row, &mut EvalCtx) -> DbResult<bool>,
+    ) -> DbResult<Option<u64>> {
+        let (width, mut lent) = (self.width, 0);
+        loop {
+            while let Some(&slot) = self.offsets.get(self.next) {
+                // Positions no column fills are NULL from here on; the
+                // gathered ones are written for every row.
+                if row.len() != width + 1 {
+                    row.clear();
+                    row.resize(width + 1, Datum::Null);
+                }
+                let rowid = self.base + slot as u64;
+                row[width] = Datum::Int(rowid as i64);
+                for (pos, vals) in &mut self.cols {
+                    row[*pos] = std::mem::replace(&mut vals[self.next], Datum::Null);
+                }
+                (self.next, ids.start, lent) = (self.next + 1, rowid + 1, lent + 1);
+                // The filter ran in the segment: the consumer's memo starts
+                // clean.
+                ctx.reset();
+                if !f(row, ctx)? {
+                    return Ok(Some(lent));
+                }
+            }
+            let Some(seg) = self.segs.next() else {
+                ids.start = ids.end;
+                return Ok(Some(lent));
+            };
+            let Some(scan) = self.select(src, &table.read(), seg)? else { return Ok(None) };
+            self.leaf.stats.record_segment(&scan);
+        }
+    }
+
+    /// Select segment `seg` under the read guard of its table `t`: keep
+    /// the live slots whose bound column value falls in `path.range`, that
+    /// this reader sees and that pass `path.filter`, and gather the
+    /// `needed` columns at them. The filter is skipped where the bounds
+    /// prove it (`path.exact_bounds`, or `bounds_cover` on a segment whose
+    /// zone map makes the kernel exact); otherwise it reads its columns in
+    /// place (DESIGN.md §28). `None` when the stores cannot serve this
+    /// reader now, or the table's columns moved since the scan opened.
+    fn select(&mut self, src: &SnapSource<'_>, t: &Table, seg: u64) -> DbResult<Option<SegScan>> {
+        let StoreLeaf { path, bounds_cover, .. } = self.leaf;
+        let Some(ScanStores { gather: stores, bound }) = src.columnar_stores(t, path) else {
+            return Ok(None);
+        };
+        let gathered = stores.iter().enumerate().filter_map(|(pos, st)| st.map(|_| pos));
+        // Liveness authority: every store carries the same live bitmap.
+        let any_store = bound.or_else(|| t.columnar.first());
+        let (Some(any_store), true) =
+            (any_store, stores.len() == self.width && gathered.eq(self.cols.iter().map(|c| c.0)))
+        else {
+            return Ok(None);
+        };
+        let (offsets, range) = (&mut self.offsets, &path.range);
+        (self.base, self.next) = (seg * SEG_ROWS as u64, 0);
+        offsets.clear();
+        let (mut scan, mut exact) = (SegScan::default(), false);
+        if seg >= any_store.n_segments() {
+            return Ok(Some(scan));
+        }
+        match bound.filter(|_| !range.is_unbounded()) {
+            Some(bs) if bs.zone_prunes(seg, range) => {
+                scan.pruned = true;
+                return Ok(Some(scan));
+            }
+            Some(bs) => {
+                scan.kernel.merge(&bs.select_segment(seg, range, offsets));
+                // Per-segment exactness: the zone map proves every live
+                // value shares the class of every present bound, so kernel
+                // emission equals the SQL match set for this segment.
+                let class = bs.segment_value_class(seg);
+                let mut bounds = [&range.lo, &range.hi].into_iter().flatten();
+                exact = class.is_some() && bounds.all(|d| d.exactness_class() == class);
+            }
+            None => any_store.live_slots(seg, offsets),
+        }
+        // Drop rows born after this reader's snapshot (tags are mirrored
+        // across a table's stores, so any one store can filter).
+        any_store.filter_visible(seg, src.vis.read_ts, offsets);
+        let skip_filter = path.exact_bounds || (bounds_cover && exact);
+        if let Some(filter) = path.filter.as_ref().filter(|_| !skip_filter) {
+            let before = offsets.len();
+            filter_segment(filter, &stores, seg, self.base as usize, offsets, &mut scan.kernel)?;
+            scan.rejected = (before - offsets.len()) as u64;
+        }
+        for (pos, vals) in &mut self.cols {
+            let st = stores[*pos].expect("a gathered column has a store");
+            vals.clear();
+            st.gather(seg, offsets, vals, &mut scan.kernel);
+            scan.kernel.decoded += offsets.len() as u64;
+        }
+        Ok(Some(scan))
     }
 }

@@ -22,11 +22,11 @@ use crate::plan::{AggSpec, SortKey};
 
 pub type Row = Vec<Datum>;
 
-/// One segment's worth of columnar scan output.
+/// What selecting one column-store segment cost a columnar scan, which
+/// [`ExecStats::record_segment`] folds into the counters. The kept rows
+/// themselves stay in the scan's cursor (DESIGN.md §38).
 #[derive(Debug, Default)]
 pub struct SegScan {
-    /// Candidate rows in rowid order, heap-scan shaped.
-    pub rows: Vec<Row>,
     /// Kernel engagement for this segment (decodes, batched decodes,
     /// fastpath words, dictionary rewrites, RLE run skips).
     pub kernel: crate::kernels::KernelStats,
@@ -35,11 +35,6 @@ pub struct SegScan {
     pub rejected: u64,
     /// True when the bound column's zone map excluded the whole segment.
     pub pruned: bool,
-    /// True when the segment's zone map proves every live value shares the
-    /// exactness class of all present bounds, so kernel emission equals
-    /// the SQL match set and the residual filter may be skipped whenever
-    /// the planner marked the plan `bounds_cover_filter`.
-    pub exact: bool,
 }
 
 /// Answer from `SnapSource::index_only_probe`.

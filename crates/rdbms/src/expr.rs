@@ -336,33 +336,6 @@ impl PhysExpr {
         }
     }
 
-    /// Evaluate over every selected row of a block (`sel` indexes `rows`;
-    /// `None` means all rows), appending one value per row to `out`. The
-    /// context resets between rows.
-    pub fn eval_block(
-        &self,
-        rows: &[Row],
-        sel: Option<&[u32]>,
-        ctx: &mut EvalCtx,
-        out: &mut Vec<Datum>,
-    ) -> DbResult<()> {
-        match sel {
-            Some(s) => {
-                for &i in s {
-                    ctx.reset();
-                    out.push(self.eval_ctx(&rows[i as usize], ctx)?);
-                }
-            }
-            None => {
-                for row in rows {
-                    ctx.reset();
-                    out.push(self.eval_ctx(row, ctx)?);
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Predicate over a block: the selected indices (of `rows`) for which
     /// this expression evaluates true, in input order. NULL ⇒ not selected
     /// (SQL WHERE semantics), matching [`PhysExpr::eval_bool_ctx`].

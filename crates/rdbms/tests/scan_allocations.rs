@@ -146,3 +146,91 @@ fn a_projection_allocates_its_output_rows_only() {
     let out = rows.len() as u64;
     assert!(allocs < out + PER_STATEMENT, "{allocs} allocations for {out} output rows");
 }
+
+/// Rows of `c`: two column-store segments.
+const STORED_ROWS: i64 = 6_000;
+
+/// `c (k, tag, n, pad)` with column stores on `k`, `tag` and `n`, whose
+/// wide `pad` makes the planner read the stores, and `u` as above.
+fn build_stored() -> Database {
+    let db = build();
+    let cols = [("k", ColType::Int), ("tag", ColType::Text), ("n", ColType::Int), ("pad", ColType::Text)];
+    db.create_table("c", cols.iter().map(|(c, ty)| (c.to_string(), *ty)).collect()).unwrap();
+    let rows: Vec<Vec<Datum>> = (0..STORED_ROWS)
+        .map(|k| {
+            let tag = Datum::Text(format!("tag-{k:06}"));
+            vec![Datum::Int(k), tag, Datum::Int(k * 3), Datum::Text(format!("{k:0>160}"))]
+        })
+        .collect();
+    db.insert_rows("c", &rows).unwrap();
+    for col in ["k", "tag", "n"] {
+        db.build_columnar("c", col).unwrap();
+    }
+    db.execute("ANALYZE c").unwrap();
+    db
+}
+
+/// A columnar scan at one thread is a cursor too (DESIGN.md §38): it
+/// gathers a segment's needed columns into vectors it reuses, moves each
+/// kept row's values into the one scan row it lends, and a projection
+/// moves a column it alone reads on into its output row. So a projection
+/// allocates its output rows and their text, and a fold, a probe and an
+/// early stop allocate per segment, not per row. (A text value gathered
+/// out of a store is a copy, one allocation, so the fold and the probe
+/// read int columns.)
+#[test]
+fn a_columnar_scan_allocates_its_output_rows_only() {
+    let db = build_stored();
+    // Per segment: its selection, its gather and the store lookups.
+    let per_segment = 40;
+    let segments = (STORED_ROWS as u64).div_ceil(4096);
+    let fixed = PER_STATEMENT / 4 + per_segment * segments;
+    let cases = [
+        (
+            "SELECT k, tag FROM c WHERE k % 3 = 0",
+            (0..STORED_ROWS)
+                .step_by(3)
+                .map(|k| vec![Datum::Int(k), Datum::Text(format!("tag-{k:06}"))])
+                .collect::<Vec<_>>(),
+            // An output row and its text each.
+            2,
+        ),
+        (
+            "SELECT k % 4, COUNT(*), SUM(n) FROM c GROUP BY k % 4",
+            (0..4)
+                .map(|g| {
+                    let sum: i64 = (g..STORED_ROWS).step_by(4).map(|k| k * 3).sum();
+                    vec![Datum::Int(g), Datum::Int(STORED_ROWS / 4), Datum::Int(sum)]
+                })
+                .collect(),
+            0,
+        ),
+        (
+            "SELECT COUNT(*), SUM(u.v) FROM c JOIN u ON c.k = u.k",
+            vec![vec![Datum::Int(BUILD_ROWS), Datum::Int(BUILD_ROWS * (BUILD_ROWS - 1) / 2)]],
+            0,
+        ),
+        ("SELECT 1 FROM c LIMIT 1", vec![vec![Datum::Int(1)]], 0),
+    ];
+    for (sql, want, per_output_row) in cases {
+        let plan = db.execute(&format!("EXPLAIN {sql}")).unwrap();
+        let plan: Vec<String> = plan.rows.iter().map(|r| r[0].display_text()).collect();
+        assert!(plan.iter().any(|l| l.contains("Columnar Scan on c")), "{sql}: {plan:#?}");
+        let (rows, allocs, [before, after]) = run_counted(&db, &prepare(&db, sql));
+        assert_eq!(rows, want, "{sql}");
+        let mut allowed = per_output_row * rows.len() as u64 + fixed;
+        if sql.contains("JOIN") {
+            allowed += PER_BUILD_ROW * BUILD_ROWS as u64;
+        }
+        if sql.contains("LIMIT") {
+            allowed = PER_STATEMENT / 4;
+        }
+        assert!(allocs < allowed, "{sql}: {allocs} allocations over {STORED_ROWS} rows");
+        // One columnar scan; a heap scan only for the build side.
+        let join = sql.contains("JOIN");
+        assert_eq!(after.columnar_scans - before.columnar_scans, 1, "{sql}");
+        assert_eq!(after.serial_scans - before.serial_scans, u64::from(join), "{sql}");
+        let build_reads = if join { BUILD_ROWS as u64 } else { 0 };
+        assert_eq!(after.heap_fetches - before.heap_fetches, build_reads, "{sql}");
+    }
+}
