@@ -24,14 +24,14 @@
 //! plan-free reference evaluator (`crates/reference`, DESIGN.md §31).
 //!
 //! Scans (DESIGN.md §18): every leaf reads through the executor's one
-//! table source. Every heap or columnar scan is `ScanOp`, which runs the
-//! scan→filter→project prefix above it as one pipeline (DESIGN.md §37,
-//! §38): as morsels when the statement has a crew and the table is big
-//! enough, else as one cursor that lends each row to what reads it. A
-//! columnar cursor that loses its store goes on as the heap scan from the
-//! row after the last one it lent. The index and index-only paths are
-//! `AccessOp`s behind one `HeapFallback`, which runs the equivalent heap
-//! scan when the index is gone.
+//! table source. Every table leaf — heap, columnar or index — is `ScanOp`,
+//! which runs the scan→filter→project prefix above it as one pipeline
+//! (DESIGN.md §37–§39): as morsels when the statement has a crew, the
+//! leaf is not an index and the table is big enough, else as one cursor
+//! that lends each row to what reads it. A columnar or index cursor that
+//! loses its stores or its B-tree goes on as the heap scan from the row
+//! after the last one it lent (row id 0 for an index, whose probe runs
+//! before it lends a row).
 //!
 //! The pipeline *breakers* parallelize too (DESIGN.md §15): the hash join
 //! builds one table on the statement's thread and, when its probe input
@@ -62,14 +62,14 @@ use crate::agg::Accumulator;
 use crate::crew::{caught, Crew, JobQueue, MorselStream, Task};
 use crate::datum::{Datum, GroupKey};
 use crate::columnar::SEG_ROWS;
-use crate::db::{ScanConsumer, StoreLeaf, TableScan};
+use crate::db::{ScanConsumer, ScanLeaf, TableScan};
 use crate::error::{DbError, DbResult};
 use crate::exec::{
-    cmp_sort_keys, eval_sort_keys, feed_accs, finish_group, new_acc, passes, rows_equal,
-    sort_rows, ExecStats, Executor, Row,
+    cmp_sort_keys, eval_sort_keys, feed_accs, finish_group, new_acc, rows_equal, sort_rows,
+    ExecStats, Executor, Row,
 };
 use crate::expr::{EvalCtx, PhysExpr};
-use crate::plan::{AccessPath, AggSpec, NodeActuals, Plan, SortKey};
+use crate::plan::{AggSpec, NodeActuals, Plan, SortKey};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::iter::zip;
@@ -235,8 +235,9 @@ fn drive<'c, 'x: 'c>(
 
 /// Build the operator tree for `plan`. `cap`, when present, is an upper
 /// bound on the rows the parent will consume (LIMIT pushdown); it flows
-/// through row-preserving operators (Project) down to index scans, which
-/// may bound their B-tree probe when the plan's bounds are exact.
+/// through row-preserving operators (Project) down to the scan, whose
+/// blocks it bounds, and to an index scan's B-tree probe when every row
+/// the probe finds is an output row.
 ///
 /// `consumer` is what a `Project(Filter?(leaf))` evaluates over its
 /// scan's rows, handed down to that scan; every other node gets `None`.
@@ -268,7 +269,7 @@ pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
     let fused = |input: &'x Plan, fuse: bool| -> DbResult<BreakerInput<'c, 'x, 'a>> {
         let scan = if az.is_none() { ScanOp::try_new(exec, input, None, crew)? } else { None };
         Ok(match scan {
-            Some(scan) if fuse || scan.on_cursor() => BreakerInput::Scan(scan),
+            Some(scan) if fuse || scan.on_cursor() => BreakerInput::Scan(Box::new(scan)),
             Some(scan) => BreakerInput::Child(Box::new(scan)),
             None => BreakerInput::Child(child(input, None)?),
         })
@@ -276,37 +277,10 @@ pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
     let op: Box<dyn BlockOperator + 'c> = match plan {
         // Reached under EXPLAIN ANALYZE only: the scan leaf, its cursor
         // read through what its parents evaluate.
-        Plan::SeqScan { .. } | Plan::ColumnarScan { .. } => {
+        Plan::SeqScan { .. } | Plan::ColumnarScan { .. } | Plan::IndexScan(_) => {
             let pipe = scan_pipeline(plan).expect("a scan leaf is a scan pipeline");
-            Box::new(ScanOp::new(exec, ScanPipeline { consumer, ..pipe }, None, None)?)
+            Box::new(ScanOp::new(exec, ScanPipeline { consumer, ..pipe }, cap, None)?)
         }
-        // A probe cap is only sound when the bounds *are* the whole
-        // predicate: then every row the index surfaces is an output row,
-        // and the `cap` smallest rowids are exactly the rows an uncapped
-        // scan would have produced first.
-        Plan::IndexScan(path) => HeapFallback::boxed(
-            exec,
-            path,
-            IndexScanOp {
-                exec,
-                path,
-                cap: cap.filter(|_| path.exact_bounds),
-                ctx: EvalCtx::new(),
-                rowids: None,
-                pos: 0,
-            },
-        )?,
-        Plan::IndexOnlyScan(path) => HeapFallback::boxed(
-            exec,
-            path,
-            IndexOnlyScanOp {
-                exec,
-                path,
-                cap: cap.filter(|_| path.exact_bounds),
-                ctx: EvalCtx::new(),
-                rows: None,
-            },
-        )?,
         Plan::Filter { input, predicate, .. } => Box::new(FilterOp {
             child: build_node(exec, input, None, consumer, az, crew)?,
             predicate,
@@ -558,173 +532,6 @@ impl BlockOperator for AnalyzeOp<'_> {
 
 // ---------------------------------------------------------------------------
 // Scans
-
-/// What an access path hands [`HeapFallback`] per pull.
-enum Pull {
-    Block(RowBlock),
-    End,
-    /// The index is gone (dropped since planning, or not trustworthy at
-    /// this reader's visibility).
-    Gone,
-}
-
-/// An index access path: everything an index or index-only scan does
-/// *except* surviving the loss of its index, which is [`HeapFallback`]'s
-/// one job.
-trait AccessOp {
-    fn pull(&mut self) -> DbResult<Pull>;
-}
-
-/// The index paths' heap-fallback rule (DESIGN.md §18): run `primary`;
-/// if it reports its index gone, run the sequential scan with the same
-/// filter and projection instead. An index path resolves on its first
-/// pull, so it is lost before it has emitted a row. (A columnar scan that
-/// loses its store goes on as the heap scan inside its own cursor,
-/// DESIGN.md §38.)
-struct HeapFallback<'x, 'a> {
-    primary: Box<dyn AccessOp + 'x>,
-    /// The equivalent heap scan, a cursor opened only if `primary` is lost.
-    heap: ScanOp<'x, 'x, 'a>,
-    on_heap: bool,
-}
-
-impl<'x, 'a> HeapFallback<'x, 'a> {
-    fn boxed(
-        exec: &'x Executor<'a>,
-        path: &'x AccessPath,
-        primary: impl AccessOp + 'x,
-    ) -> DbResult<Box<dyn BlockOperator + 'x>> {
-        let AccessPath { table, filter, needed, .. } = path;
-        let (needed, scan_filter) = (needed.as_deref(), filter.as_ref());
-        let pipe = ScanPipeline { table, needed, scan_filter, ..Default::default() };
-        Ok(Box::new(HeapFallback {
-            primary: Box::new(primary),
-            heap: ScanOp::new(exec, pipe, None, None)?,
-            on_heap: false,
-        }))
-    }
-}
-
-impl BlockOperator for HeapFallback<'_, '_> {
-    fn next_block(&mut self) -> DbResult<Option<RowBlock>> {
-        if !self.on_heap {
-            match self.primary.pull()? {
-                Pull::Block(block) => return Ok(Some(block)),
-                Pull::End => return Ok(None),
-                Pull::Gone => {
-                    self.on_heap = true;
-                    self.heap.open()?;
-                }
-            }
-        }
-        self.heap.next_block()
-    }
-}
-
-/// Keep the rows of `rows` that pass `filter` (all of them without one),
-/// bracketing the evaluation as one block.
-fn filter_rows(
-    filter: Option<&PhysExpr>,
-    ctx: &mut EvalCtx,
-    mut rows: Vec<Row>,
-) -> DbResult<Vec<Row>> {
-    let Some(f) = filter else { return Ok(rows) };
-    let keep = f.filter_block(&rows, None, ctx)?;
-    Ok(keep.iter().map(|&i| std::mem::take(&mut rows[i as usize])).collect())
-}
-
-/// Secondary-index access: probe once (optionally capped), sort rowids so
-/// output matches heap-scan order, then fetch in block-sized windows —
-/// rowids past an early-stop are never fetched.
-struct IndexScanOp<'x, 'a> {
-    exec: &'x Executor<'a>,
-    path: &'x AccessPath,
-    cap: Option<u64>,
-    ctx: EvalCtx,
-    /// Probe result, resolved on the first pull.
-    rowids: Option<Vec<u64>>,
-    pos: usize,
-}
-
-impl AccessOp for IndexScanOp<'_, '_> {
-    fn pull(&mut self) -> DbResult<Pull> {
-        if self.rowids.is_none() {
-            let Some(mut rowids) = self.exec.source.index_lookup(self.path, self.cap)? else {
-                return Ok(Pull::Gone);
-            };
-            self.exec.stats.index_scans.inc();
-            // Heap scans emit rows in rowid order; match it exactly.
-            rowids.sort_unstable();
-            self.rowids = Some(rowids);
-        }
-        let rowids = self.rowids.as_deref().expect("probe resolved above");
-        let block_rows = self.exec.limits.block_rows.max(1);
-        let ctx = &mut self.ctx;
-        let filter = self.path.filter.as_ref();
-        while self.pos < rowids.len() {
-            let end = (self.pos + block_rows).min(rowids.len());
-            let window = &rowids[self.pos..end];
-            self.pos = end;
-            let mut out: Vec<Row> = Vec::with_capacity(window.len());
-            self.exec.source.fetch_rows(
-                &self.path.table,
-                self.path.needed.as_deref(),
-                window,
-                &mut |row| {
-                    if passes(filter, ctx, &row)? {
-                        out.push(row);
-                    }
-                    Ok(true)
-                },
-            )?;
-            if !out.is_empty() {
-                return Ok(Pull::Block(RowBlock::from_rows(out)));
-            }
-        }
-        Ok(Pull::End)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Covering index-only scan
-
-/// Covering index access: one B-tree probe yields the (key, rowid)
-/// entries themselves — the scan output is synthesized from them with
-/// zero heap page reads. Entries arrive sorted by rowid, so output order
-/// matches the heap scan exactly.
-struct IndexOnlyScanOp<'x, 'a> {
-    exec: &'x Executor<'a>,
-    path: &'x AccessPath,
-    cap: Option<u64>,
-    ctx: EvalCtx,
-    /// The probe's entries as scan-shaped rows, resolved on the first pull.
-    rows: Option<Box<dyn Iterator<Item = Row> + 'x>>,
-}
-
-impl AccessOp for IndexOnlyScanOp<'_, '_> {
-    fn pull(&mut self) -> DbResult<Pull> {
-        if self.rows.is_none() {
-            let Some(probe) = self.exec.source.index_only_probe(self.path, self.cap)? else {
-                return Ok(Pull::Gone);
-            };
-            self.exec.stats.index_only_scans.inc();
-            self.rows = Some(Box::new(probe.into_rows()));
-        }
-        let rows = self.rows.as_mut().expect("probe resolved above");
-        let block_rows = self.exec.limits.block_rows.max(1);
-        let filter = self.path.filter.as_ref().filter(|_| !self.path.exact_bounds);
-        loop {
-            let block: Vec<Row> = rows.by_ref().take(block_rows).collect();
-            if block.is_empty() {
-                return Ok(Pull::End);
-            }
-            let out = filter_rows(filter, &mut self.ctx, block)?;
-            if !out.is_empty() {
-                return Ok(Pull::Block(RowBlock::from_rows(out)));
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Row-at-a-time streaming operators
@@ -1180,7 +987,7 @@ enum BreakerInput<'c, 'x, 'a> {
     /// A scan pipeline whose rows the breaker consumes where they are
     /// read, in the crew's morsels or in the one cursor: an aggregation
     /// folds them (DESIGN.md §29), a join probes them (DESIGN.md §30).
-    Scan(ScanOp<'c, 'x, 'a>),
+    Scan(Box<ScanOp<'c, 'x, 'a>>),
 }
 
 impl BreakerInput<'_, '_, '_> {
@@ -1595,10 +1402,10 @@ impl BlockOperator for HashJoinOp<'_, '_, '_> {
     fn next_block(&mut self) -> DbResult<Option<RowBlock>> {
         if self.built.is_none() {
             let built = Arc::new(self.build()?);
-            if let BreakerInput::Scan(ScanOp { exec, pipe, rows: ScanRows::Morsels(scan), .. }) =
-                &mut self.left
-            {
-                probe_morsels(exec, *pipe, scan, self.probe, Arc::clone(&built));
+            if let BreakerInput::Scan(op) = &mut self.left {
+                if let ScanOp { exec, pipe, rows: ScanRows::Morsels(scan), .. } = op.as_mut() {
+                    probe_morsels(exec, *pipe, scan, self.probe, Arc::clone(&built));
+                }
             }
             self.built = Some(built);
         }
@@ -1835,7 +1642,7 @@ impl BlockOperator for ValuesOp<'_, '_> {
 /// A scan→filter→project plan prefix, the shape a scan runs whole. All
 /// expressions in the prefix bind against the same scan-output scope, so
 /// one [`EvalCtx`] serves the whole row. `Default` leaves out what a
-/// bare scan leaf does not have.
+/// bare heap scan leaf does not have.
 #[derive(Clone, Copy, Default)]
 struct ScanPipeline<'p> {
     table: &'p str,
@@ -1848,13 +1655,15 @@ struct ScanPipeline<'p> {
     /// projection, or, for the bare scan leaf of `EXPLAIN ANALYZE`, the
     /// operators above it.
     consumer: Option<ScanConsumer<'p>>,
-    /// A columnar leaf's path and `bounds_cover_filter` (DESIGN.md §38).
-    store: Option<(&'p AccessPath, bool)>,
+    /// What the scan reads before the heap: a columnar path's stores
+    /// (DESIGN.md §38) or an index path's B-tree (DESIGN.md §39).
+    leaf: ScanLeaf<'p>,
 }
 
 /// Decompose a leaf, `Filter(leaf)`, `Project(leaf)` or
-/// `Project(Filter(leaf))`, where the leaf is a `SeqScan` or a
-/// `ColumnarScan`.
+/// `Project(Filter(leaf))`, where the leaf is a `SeqScan`, a
+/// `ColumnarScan` or an `IndexScan`. An index leaf's probe cap is set
+/// when the scan is built.
 fn scan_pipeline(plan: &Plan) -> Option<ScanPipeline<'_>> {
     let (input, project) = match plan {
         Plan::Project { input, exprs, .. } => (input.as_ref(), Some(exprs.as_slice())),
@@ -1864,10 +1673,13 @@ fn scan_pipeline(plan: &Plan) -> Option<ScanPipeline<'_>> {
         Plan::Filter { input, predicate, .. } => (input.as_ref(), Some(predicate)),
         other => (other, None),
     };
-    let (table, needed, filter, store) = match scan {
-        Plan::SeqScan { table, filter, needed, .. } => (table, needed, filter, None),
+    let (table, needed, filter, leaf) = match scan {
+        Plan::SeqScan { table, filter, needed, .. } => (table, needed, filter, ScanLeaf::Heap),
         Plan::ColumnarScan { path, bounds_cover_filter } => {
-            (&path.table, &path.needed, &path.filter, Some((path, *bounds_cover_filter)))
+            (&path.table, &path.needed, &path.filter, ScanLeaf::Store(path, *bounds_cover_filter))
+        }
+        Plan::IndexScan(path) => {
+            (&path.table, &path.needed, &path.filter, ScanLeaf::Index(path, None))
         }
         _ => return None,
     };
@@ -1878,15 +1690,15 @@ fn scan_pipeline(plan: &Plan) -> Option<ScanPipeline<'_>> {
         post_filter,
         project,
         consumer: project.map(|project| ScanConsumer { filter: post_filter, project }),
-        store,
+        leaf,
     })
 }
 
 /// The one scan operator: a [`ScanPipeline`] run over its table's row
 /// ids, as the morsels of the statement's crew or as one cursor on the
-/// statement's thread, over the heap or the column stores. Either way
-/// rows come out in row-id order, so the stream is byte-identical at any
-/// thread count.
+/// statement's thread, over the heap, the column stores or a B-tree.
+/// Either way rows come out in row-id order, so the stream is
+/// byte-identical at any thread count.
 struct ScanOp<'c, 'x, 'a> {
     exec: &'x Executor<'a>,
     pipe: ScanPipeline<'x>,
@@ -1899,7 +1711,7 @@ struct ScanOp<'c, 'x, 'a> {
 /// Where a [`ScanOp`] runs.
 enum ScanRows<'c, 'x> {
     /// One cursor, opened with the operator: at one exec thread, below the
-    /// parallel floor, and as `HeapFallback`'s continuation.
+    /// parallel floor, and over an index.
     Cursor(Option<Box<Cursor<'x>>>),
     Morsels(Morsels<'c, 'x>),
 }
@@ -1917,23 +1729,30 @@ impl<'c, 'x, 'a> ScanOp<'c, 'x, 'a> {
     }
 
     /// Morsels when the one parallel rule holds over the table's row ids,
-    /// else a cursor. A columnar scan's morsels are its segments.
+    /// else a cursor; an index scan always runs as a cursor. A columnar
+    /// scan's morsels are its segments.
     fn new(
         exec: &'x Executor<'a>,
-        pipe: ScanPipeline<'x>,
+        mut pipe: ScanPipeline<'x>,
         cap: Option<u64>,
         crew: CrewRef<'c, 'x>,
     ) -> DbResult<ScanOp<'c, 'x, 'a>> {
         const MIN_MORSEL_ROWS: u64 = 256;
         const MORSELS_PER_WORKER: u64 = 8;
         let mut rows = ScanRows::Cursor(None);
-        if crew.is_some() {
+        if let ScanLeaf::Index(path, probe_cap) = &mut pipe.leaf {
+            // A probe cap is only sound when the bounds *are* the whole
+            // predicate and no post filter drops a row: then every row the
+            // index surfaces is an output row, and the `cap` smallest
+            // rowids are exactly the rows an uncapped scan would lend first.
+            *probe_cap = cap.filter(|_| path.exact_bounds && pipe.post_filter.is_none());
+        } else if crew.is_some() {
             let high = exec.source.db.high_water(pipe.table)?;
             if let Some(crew) = exec.parallel(crew, high as usize) {
                 let target = crew.threads() as u64 * MORSELS_PER_WORKER;
-                let size = match pipe.store {
-                    Some(_) => SEG_ROWS as u64,
-                    None => (high / target).max(MIN_MORSEL_ROWS),
+                let size = match pipe.leaf {
+                    ScanLeaf::Store(..) => SEG_ROWS as u64,
+                    _ => (high / target).max(MIN_MORSEL_ROWS),
                 };
                 let n = high.div_ceil(size);
                 let pending = VecDeque::new();
@@ -1948,24 +1767,22 @@ impl<'c, 'x, 'a> ScanOp<'c, 'x, 'a> {
         matches!(self.rows, ScanRows::Cursor(_))
     }
 
-    /// Open the cursor, if the scan runs on one, and count the scan: as a
-    /// columnar scan if it reads the column stores, else as a serial scan.
-    /// Morsels read the stores if they serve this reader now, and a heap
-    /// scan's morsels are counted when their stream opens.
+    /// Open the cursor, if the scan runs on one, and count the scan
+    /// (`TableScan::count_open`). Morsels read the stores if they serve
+    /// this reader now, and a heap scan's morsels are counted when their
+    /// stream opens.
     fn open_cursor(&mut self) -> DbResult<()> {
-        let stats = self.exec.stats;
         match &mut self.rows {
             ScanRows::Cursor(cursor) => {
                 let c = cursor.insert(Box::new(Cursor::open(self.exec, self.pipe, 0..u64::MAX)?));
-                let store = c.scan.on_store();
-                if store { &stats.columnar_scans } else { &stats.serial_scans }.inc();
+                c.scan.count_open();
             }
             ScanRows::Morsels(_) => {
-                if let Some((path, _)) = self.pipe.store {
+                if let ScanLeaf::Store(path, _) = self.pipe.leaf {
                     if self.exec.source.columnar_serves(path)? {
-                        stats.columnar_scans.inc();
+                        self.exec.stats.columnar_scans.inc();
                     } else {
-                        self.pipe.store = None;
+                        self.pipe.leaf = ScanLeaf::Heap;
                     }
                 }
             }
@@ -2076,10 +1893,8 @@ impl<'x> Cursor<'x> {
         pipe: ScanPipeline<'x>,
         ids: Range<u64>,
     ) -> DbResult<Cursor<'x>> {
-        let ScanPipeline { table, needed, scan_filter, consumer, store, project, .. } = pipe;
-        let stats = exec.stats;
-        let store = store.map(|(path, bounds_cover)| StoreLeaf { path, bounds_cover, stats });
-        let scan = exec.source.open_scan(table, needed, scan_filter, consumer, store, ids)?;
+        let ScanPipeline { table, needed, scan_filter, consumer, leaf, project, .. } = pipe;
+        let scan = TableScan::open(exec, table, needed, scan_filter, consumer, leaf, ids)?;
         let mut refs = Vec::new();
         project.into_iter().flatten().for_each(|e| e.column_refs(&mut refs));
         let moves = project.into_iter().flatten().map(|e| match e {
@@ -2165,7 +1980,7 @@ impl<'c, 'x> Morsels<'c, 'x> {
         pipe: ScanPipeline<'x>,
         work: impl Fn(Range<u64>, &AtomicU64) -> DbResult<T> + Send + Sync + 'x,
     ) -> MorselStream<'c, 'x, T> {
-        let (stats, heap) = (exec.stats, pipe.store.is_none());
+        let (stats, heap) = (exec.stats, matches!(pipe.leaf, ScanLeaf::Heap));
         if heap {
             stats.parallel_scans.inc();
             stats.scan_workers.add(self.crew.threads().min(self.n as usize) as u64);
@@ -2217,7 +2032,7 @@ fn scan_morsel<'x>(
     let mut cursor = Cursor::open(exec, pipe, ids)?;
     let (visited, passed) =
         cursor.run(pipe, max_rows, &mut |row, ctx| sink(row, ctx).map(|()| true))?;
-    if pipe.store.is_none() {
+    if matches!(pipe.leaf, ScanLeaf::Heap) {
         exec.stats.rows_per_morsel.record(visited);
     }
     exec.check_limit((budget.fetch_add(passed, Ordering::Relaxed) + passed) as usize)?;
@@ -2231,6 +2046,7 @@ mod tests {
     use crate::db::{Database, SnapSource};
     use crate::exec::{ExecLimits, ExecSnapshot};
     use crate::func::ScalarFn;
+    use crate::plan::AccessPath;
     use crate::txn::Vis;
     use sinew_sql::BinaryOp;
 
@@ -2332,17 +2148,6 @@ mod tests {
         db.create_index("t", "t_a", "a", true).unwrap();
         let path = path(&["a", "b"]);
         check_stale_plan(&db, &Plan::IndexScan(path.clone()), &path, |s| s.index_scans, |db| {
-            db.drop_index("t", "t_a").unwrap()
-        });
-    }
-
-    #[test]
-    fn stale_index_only_scan_reruns_as_heap_scan() {
-        let db = db();
-        db.create_index("t", "t_a", "a", true).unwrap();
-        let path = path(&["a"]);
-        let plan = Plan::IndexOnlyScan(path.clone());
-        check_stale_plan(&db, &plan, &path, |s| s.index_only_scans, |db| {
             db.drop_index("t", "t_a").unwrap()
         });
     }

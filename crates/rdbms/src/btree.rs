@@ -372,44 +372,14 @@ impl SecondaryIndex {
         Ok(out)
     }
 
-    /// Like [`lookup_range`](Self::lookup_range) but keeps the keys:
-    /// `(key, rowid)` pairs for every in-range entry, the covering probe
-    /// behind index-only scans — the caller synthesizes output rows from
-    /// the pairs and never touches the heap. `cap` bounds the result to
-    /// the entries with the `cap` smallest row ids (LIMIT pushdown under
-    /// exact bounds; emission is in ascending rowid order).
-    pub fn lookup_range_entries(
-        &self,
-        range: &KeyRange,
-        cap: Option<usize>,
-    ) -> DbResult<Vec<(Datum, RowId)>> {
-        let probe = Probe::new(range);
-        let mut out: Vec<(Datum, RowId)> = Vec::new();
-        for leaf in &self.leaves[probe.first_leaf(&self.leaves)..] {
-            if !probe.below_lo(&leaf.lo_key) && probe.above_hi(&leaf.lo_key) {
-                break;
-            }
-            for (k, rowid) in read_leaf(&self.pager, leaf.page)? {
-                if probe.below_lo(&k) {
-                    continue;
-                }
-                if probe.above_hi(&k) {
-                    break;
-                }
-                out.push((k, rowid));
-            }
+    /// Every `(key, rowid)` entry: the leaves' in order, then the
+    /// overflow's.
+    pub fn entries(&self) -> DbResult<Vec<(Datum, RowId)>> {
+        let mut out = Vec::new();
+        for leaf in &self.leaves {
+            out.extend(read_leaf(&self.pager, leaf.page)?);
         }
-        for (k, rowid) in &self.overflow {
-            if !probe.below_lo(k) && !probe.above_hi(k) {
-                out.push((k.clone(), *rowid));
-            }
-        }
-        if let Some(cap) = cap {
-            if out.len() > cap {
-                out.select_nth_unstable_by_key(cap, |(_, r)| *r);
-                out.truncate(cap);
-            }
-        }
+        out.extend(self.overflow.iter().cloned());
         Ok(out)
     }
 

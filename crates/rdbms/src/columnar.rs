@@ -203,23 +203,19 @@ impl Segment {
         };
         debug_assert_eq!(plain.len(), self.n_slots);
         self.reseal_at = self.live_count() / 2;
-        // Count runs (dead slots participate as their stored Null). Two
+        // Count runs (slots without a valid value participate as the Null
+        // gather reads there, whatever value a dead slot still holds). Two
         // values merge into one run only when gather would resurrect the
         // same variant and bits from either.
         let same = Datum::identical;
-        let mut runs = 1usize;
-        for w in plain.windows(2) {
-            if !same(&w[0], &w[1]) {
-                runs += 1;
-            }
-        }
+        let norm = |i: usize| if bm_get(&self.valid, i) { &plain[i] } else { &NULL };
+        let runs = 1 + (1..plain.len()).filter(|&i| !same(norm(i - 1), norm(i))).count();
         if runs * 8 <= self.n_slots {
             let mut rle: Vec<(Datum, u32)> = Vec::with_capacity(runs);
-            for (i, d) in plain.iter().enumerate() {
-                let norm = if bm_get(&self.valid, i) { d.clone() } else { Datum::Null };
+            for i in 0..plain.len() {
                 match rle.last_mut() {
-                    Some((last, n)) if same(last, &norm) => *n += 1,
-                    _ => rle.push((norm, 1)),
+                    Some((last, n)) if same(last, norm(i)) => *n += 1,
+                    _ => rle.push((norm(i).clone(), 1)),
                 }
             }
             self.enc = Enc::Rle { runs: rle };
@@ -838,7 +834,10 @@ impl ColumnStore {
 
     /// Apply deferred mutations whose timestamp has passed the snapshot
     /// horizon (`None` = no live snapshot, everything applies) and drop
-    /// tags nobody can still be below. Returns the ops applied.
+    /// tags nobody can still be below. Returns the ops applied. The ops
+    /// land in commit order; a sealed segment they write is decoded once
+    /// and re-sealed once, after the last of them, into what re-sealing it
+    /// after each op would have left.
     pub fn vacuum(&mut self, horizon: Option<u64>) -> u64 {
         let ready = |ts: u64| horizon.is_none_or(|h| ts <= h);
         let mut applied = 0u64;
@@ -856,11 +855,17 @@ impl ColumnStore {
             // Same-row ops must land in commit order.
             apply.sort_by_key(|p| p.ts);
             applied = apply.len() as u64;
+            let mut touched = Vec::new();
             for p in apply {
                 match p.op {
-                    PendingKind::Set(v) => self.put(p.rowid, v),
-                    PendingKind::Delete => self.kill(p.rowid),
+                    PendingKind::Set(v) => self.put(p.rowid, v, Some(&mut touched)),
+                    PendingKind::Delete => self.kill(p.rowid, Some(&mut touched)),
                 }
+            }
+            touched.sort_unstable();
+            touched.dedup();
+            for seg in touched {
+                self.segments[seg].seal();
             }
         }
         if !self.tags.is_empty() && horizon.is_none_or(|h| h >= self.max_tag_ts) {
@@ -926,7 +931,7 @@ impl ColumnStore {
         } else {
             // Re-insert into an already covered rowid (a store built while
             // the row's transaction was still open): treat as update.
-            self.put(rowid, value);
+            self.put(rowid, value, None);
         }
     }
 
@@ -935,23 +940,25 @@ impl ColumnStore {
     /// and commit order stays the only order.
     pub fn set(&mut self, rowid: RowId, value: Datum) {
         self.vacuum(None);
-        self.put(rowid, value);
+        self.put(rowid, value, None);
     }
 
     /// Eager delete; drains the pending ops like [`ColumnStore::set`].
     pub fn delete(&mut self, rowid: RowId) {
         self.vacuum(None);
-        self.kill(rowid);
+        self.kill(rowid, None);
     }
 
     /// Write one slot. An unchanged slot costs one lookup; the plain tail is
-    /// patched in place; an encoded segment is decoded and re-sealed once.
-    fn put(&mut self, rowid: RowId, value: Datum) {
+    /// patched in place; an encoded segment is decoded and re-sealed
+    /// (`reseal`).
+    fn put(&mut self, rowid: RowId, value: Datum, touched: Option<&mut Vec<usize>>) {
         if rowid >= self.coverage() {
             self.append(rowid, value);
             return;
         }
-        let seg = &mut self.segments[rowid as usize / SEG_ROWS];
+        let seg_no = rowid as usize / SEG_ROWS;
+        let seg = &mut self.segments[seg_no];
         let slot = rowid as usize % SEG_ROWS;
         let mut cur = Vec::with_capacity(1);
         seg.gather(&[slot as u32], &mut cur, &mut KernelStats::default(), true);
@@ -979,8 +986,21 @@ impl ColumnStore {
         }
         seg.enc = Enc::Plain(plain);
         if seg.sealed {
-            seg.sealed = false;
-            seg.seal();
+            self.reseal(seg_no, touched);
+        }
+    }
+
+    /// Re-seal the written segment `seg_no`: now, or, with `touched`, once
+    /// the vacuum pass that collects it is done. Until then it stays
+    /// plain, and its kill threshold moves as re-sealing it would.
+    fn reseal(&mut self, seg_no: usize, touched: Option<&mut Vec<usize>>) {
+        let seg = &mut self.segments[seg_no];
+        match touched {
+            Some(touched) => {
+                seg.reseal_at = seg.live_count() / 2;
+                touched.push(seg_no);
+            }
+            None => seg.seal(),
         }
     }
 
@@ -989,7 +1009,7 @@ impl ColumnStore {
     /// halves, at which point the segment re-seals: the zone map is
     /// recomputed over the survivors (deletes only shrink the value set,
     /// so stale zones prune poorly) and the encoding re-picked.
-    fn kill(&mut self, rowid: RowId) {
+    fn kill(&mut self, rowid: RowId, touched: Option<&mut Vec<usize>>) {
         if rowid >= self.coverage() {
             return;
         }
@@ -1002,8 +1022,7 @@ impl ColumnStore {
             let plain = seg.to_plain();
             seg.recompute_zone(&plain);
             seg.enc = Enc::Plain(plain);
-            seg.sealed = false;
-            seg.seal();
+            self.reseal(seg_no, touched);
         }
     }
 
@@ -1301,6 +1320,69 @@ mod tests {
         let mut live2 = Vec::new();
         store2.live_slots(0, &mut live2);
         assert_eq!(live2, vec![5]);
+    }
+
+    /// One vacuum pass over `sets` pending sets, `new(i)` at row
+    /// `mix(i)`, leaves exactly the store the same sets make applied one at
+    /// a time, over two sealed segments of `value(rowid)` with dead slots:
+    /// every gathered value, the live and valid bits, the zone maps, the
+    /// encodings.
+    fn check_vacuum(value: fn(u64) -> Datum, new: fn(u64) -> Datum, sets: u64) {
+        let rows = 2 * SEG_ROWS as u64 + 300;
+        let build = || {
+            let mut store = ColumnStore::build("c", (0..rows).map(|r| (value(r), r)).collect());
+            for r in (7..rows).step_by(613) {
+                store.delete(r);
+            }
+            store
+        };
+        let (mut eager, mut deferred) = (build(), build());
+        let encoded = eager.segments.iter().filter(|s| !matches!(s.enc, Enc::Plain(_))).count();
+        assert_eq!(encoded, 2, "both sealed segments are encoded");
+        for i in 0..sets {
+            let rowid = mix(i) % (2 * SEG_ROWS as u64);
+            eager.set(rowid, new(i));
+            deferred.pending_set(rowid, new(i), i + 1);
+        }
+        assert_eq!(deferred.vacuum(Some(sets)), sets);
+        assert!(deferred.mvcc_clean());
+        assert_eq!(eager.segments.len(), deferred.segments.len());
+        for (seg, (e, d)) in eager.segments.iter().zip(&deferred.segments).enumerate() {
+            let at = format!("segment {seg}");
+            assert_eq!(e.enc.name(), d.enc.name(), "{at}");
+            assert_eq!((&e.live, &e.valid), (&d.live, &d.valid), "{at}");
+            assert_eq!((&e.min, &e.max), (&d.min, &d.max), "{at}");
+            let shape = |s: &Segment| (s.n_slots, s.sealed, s.reseal_at);
+            assert_eq!(shape(e), shape(d), "{at}");
+            let mut slots = Vec::new();
+            eager.live_slots(seg as u64, &mut slots);
+            let gathered = |st: &ColumnStore| {
+                let mut vals = Vec::new();
+                st.gather(seg as u64, &slots, &mut vals, &mut KernelStats::default());
+                vals
+            };
+            assert_eq!(gathered(&eager), gathered(&deferred), "{at}");
+        }
+    }
+
+    /// One vacuum pass decodes each sealed segment it writes once and
+    /// re-seals it once: thousands of packed-int sets that move the zone's
+    /// edges and write NULLs, and fewer dictionary sets, whose eager
+    /// decodes clone every text.
+    #[test]
+    fn one_vacuum_pass_equals_the_eager_sets() {
+        let int_set = |i: u64| match i % 7 {
+            0 => Datum::Null,
+            // Past the zone's upper edge, then back inside it.
+            1 => Datum::Int(900 + (i % 3) as i64),
+            _ => Datum::Int((mix(i) % 450) as i64),
+        };
+        check_vacuum(|r| Datum::Int((r % 500) as i64), int_set, 2_000);
+        let text_set = |i: u64| match i % 5 {
+            0 => Datum::Null,
+            _ => Datum::Text(format!("v{}", mix(i) % 60)),
+        };
+        check_vacuum(|r| Datum::Text(format!("v{}", r % 40)), text_set, 300);
     }
 
     #[test]

@@ -7,10 +7,10 @@
 
 use crate::btree::SecondaryIndex;
 use crate::columnar::{ColumnStore, ColumnarInfo, SegColumn, SEG_ROWS};
-use crate::datum::{ColType, Datum, KeyRange, NULL};
+use crate::datum::{ColType, Datum, NULL};
 use crate::error::{DbError, DbResult};
 use crate::exec::{
-    ExecLimits, ExecSnapshot, ExecStats, Executor, IndexOnlyProbe, Row, SegScan,
+    ExecLimits, ExecSnapshot, ExecStats, Executor, Row, SegScan,
 };
 use crate::expr::{bind, ColumnSource, EvalCtx, PhysExpr, Scope};
 use crate::func::{FuncRegistry, ScalarFn};
@@ -2329,7 +2329,7 @@ impl Database {
                 .map(|(rowid, full)| (full[slot].clone(), *rowid))
                 .collect();
             want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let mut have = ix.lookup_range_entries(&KeyRange::default(), None)?;
+            let mut have = ix.entries()?;
             have.retain(|(k, r)| {
                 !t.garbage.iter().any(|item| match &item.g {
                     Garbage::IndexEntry { column, key, rowid } => {
@@ -2635,10 +2635,10 @@ impl CatalogView for Database {
 /// latest-committed reads. This wrapper is how SELECTs become non-blocking
 /// readers. Every scan row it emits has one shape: live columns in live
 /// order (columns outside `needed` may come back NULL, undecoded), then
-/// the rowid. The index entry points answer `None` when the path cannot
-/// serve this reader — index dropped since planning, or untrustworthy at
-/// this visibility — and the executor then runs the heap scan instead; a
-/// columnar cursor whose stores cannot serve it goes on as that heap scan.
+/// the rowid, whatever the leaf: a columnar or index cursor whose stores
+/// or B-tree cannot serve this reader — dropped since planning, or
+/// untrustworthy at this visibility — goes on as the heap scan
+/// ([`TableScan`]).
 pub(crate) struct SnapSource<'a> {
     pub(crate) db: &'a Database,
     pub(crate) vis: Vis,
@@ -2835,15 +2835,18 @@ fn filter_segment(
     Ok(())
 }
 
-/// A heap scan's cursor (DESIGN.md §37): what a scan sets up once and
+/// A table scan's cursor (DESIGN.md §37): what a scan sets up once and
 /// keeps for every run — slot maps, late-filter split, page judge (made
 /// for the `tagged` slot), page buffer and scan row — and the row ids it
 /// has yet to visit. Each run takes the table's read guard again. A
-/// columnar scan's cursor reads its column stores first (`store`,
-/// DESIGN.md §38) and goes on as this heap scan if it loses them.
+/// columnar or index cursor reads its column stores or its B-tree first
+/// (`access`, DESIGN.md §38, §39) and goes on as this heap scan if it
+/// loses them.
 pub(crate) struct TableScan<'e> {
     db: &'e Database,
     vis: Vis,
+    /// The executor's counters, which count the scan kind a cursor runs as.
+    stats: &'e ExecStats,
     table: Arc<RwLock<Table>>,
     filter: Option<&'e PhysExpr>,
     /// Live columns; the scan row holds them, then the rowid.
@@ -2855,16 +2858,28 @@ pub(crate) struct TableScan<'e> {
     row: Row,
     page: Box<[u8]>,
     ids: Range<u64>,
-    store: Option<StoreScan<'e>>,
+    access: Option<Access<'e>>,
 }
 
-/// A scan pipeline's columnar leaf: its path, its `bounds_cover_filter`,
-/// and the counters a segment feeds.
-#[derive(Clone, Copy)]
-pub(crate) struct StoreLeaf<'e> {
-    pub(crate) path: &'e AccessPath,
-    pub(crate) bounds_cover: bool,
-    pub(crate) stats: &'e ExecStats,
+/// A scan pipeline's leaf (DESIGN.md §37–§39): the heap, the column
+/// stores of a columnar path, or the B-tree of an index path. A cursor on
+/// stores or a B-tree that cannot serve its reader goes on as the heap
+/// scan.
+#[derive(Clone, Copy, Default)]
+pub(crate) enum ScanLeaf<'e> {
+    #[default]
+    Heap,
+    /// A columnar path and its `bounds_cover_filter`.
+    Store(&'e AccessPath, bool),
+    /// An index path and the row cap its probe may take (a `LIMIT`'s,
+    /// when every row the probe finds is an output row).
+    Index(&'e AccessPath, Option<u64>),
+}
+
+/// What a cursor reads before, or instead of, the heap.
+enum Access<'e> {
+    Store(StoreScan<'e>),
+    Index(IndexFetch<'e>),
 }
 
 /// What a columnar scan's cursor keeps across runs (DESIGN.md §38): the
@@ -2873,7 +2888,9 @@ pub(crate) struct StoreLeaf<'e> {
 /// column its scan-row position and its values at those slots, in
 /// vectors reused for every segment.
 struct StoreScan<'e> {
-    leaf: StoreLeaf<'e>,
+    path: &'e AccessPath,
+    bounds_cover: bool,
+    stats: &'e ExecStats,
     width: usize,
     segs: Range<u64>,
     cols: Vec<(usize, Vec<Datum>)>,
@@ -2882,49 +2899,72 @@ struct StoreScan<'e> {
     next: usize,
 }
 
-impl<'e> SnapSource<'e> {
-    /// A cursor over the live rows with row ids in `ids` (one morsel, or
-    /// `0..u64::MAX` for the whole table) that pass `filter`, read from the
-    /// column stores of `store` when this reader may (a morsel's `ids` are
-    /// then whole segments). Its column maps are fixed here: a column added
-    /// or dropped while the scan runs does not change the shape of its rows.
-    pub(crate) fn open_scan(
-        &self,
+/// What an index scan's cursor keeps across runs (DESIGN.md §39): its
+/// path and probe cap, the row ids the first run's probe found, in row-id
+/// order, the next to fetch, and the buffer each fetched tuple is copied
+/// into.
+struct IndexFetch<'e> {
+    path: &'e AccessPath,
+    cap: Option<u64>,
+    rowids: Option<Vec<u64>>,
+    next: usize,
+    bytes: Vec<u8>,
+}
+
+impl<'e> TableScan<'e> {
+    /// A cursor over the live rows of `table` with row ids in `ids` (one
+    /// morsel, or `0..u64::MAX` for the whole table) that pass `filter`,
+    /// read from `leaf`'s stores or B-tree when they serve this reader (a
+    /// columnar morsel's `ids` are then whole segments). Its column maps
+    /// are fixed here: a column added or dropped while the scan runs does
+    /// not change the shape of its rows.
+    pub(crate) fn open(
+        exec: &'e Executor<'_>,
         table: &str,
         needed: Option<&[String]>,
         filter: Option<&'e PhysExpr>,
         consumer: Option<ScanConsumer<'e>>,
-        store: Option<StoreLeaf<'e>>,
+        leaf: ScanLeaf<'e>,
         ids: Range<u64>,
     ) -> DbResult<TableScan<'e>> {
-        let handle = self.db.table(table)?;
+        let (src, stats) = (exec.source, exec.stats);
+        let handle = src.db.table(table)?;
         let t = handle.read();
         let live: Vec<usize> = t.schema.live_columns().map(|(i, _)| i).collect();
         let at = scan_at(&t.schema, &live, needed);
         let late = filter.and_then(|fl| Some((fl, late_slots(fl, &live, &at)?)));
         let judge = PageJudge::new(&t, &live, &at, filter, consumer);
         let tagged = t.tagged;
-        let store = store.and_then(|leaf| {
-            let gather = self.columnar_stores(&t, leaf.path)?.gather;
-            let cols = gather.iter().enumerate().filter(|(_, st)| st.is_some());
-            // Stores advance in lockstep with the heap, so any one's
-            // segment count covers every live rowid.
-            let n = t.columnar.iter().map(ColumnStore::n_segments).max()?;
-            let seg = SEG_ROWS as u64;
-            Some(StoreScan {
-                leaf,
-                width: live.len(),
-                segs: ids.start / seg..n.min(ids.end.div_ceil(seg)),
-                cols: cols.map(|(pos, _)| (pos, Vec::new())).collect(),
-                offsets: Vec::new(),
-                base: 0,
-                next: 0,
-            })
-        });
+        let access = match leaf {
+            ScanLeaf::Heap => None,
+            ScanLeaf::Store(path, bounds_cover) => src.columnar_stores(&t, path).and_then(|st| {
+                let cols = st.gather.iter().enumerate().filter(|(_, st)| st.is_some());
+                // Stores advance in lockstep with the heap, so any one's
+                // segment count covers every live rowid.
+                let n = t.columnar.iter().map(ColumnStore::n_segments).max()?;
+                let seg = SEG_ROWS as u64;
+                Some(Access::Store(StoreScan {
+                    path,
+                    bounds_cover,
+                    stats,
+                    width: live.len(),
+                    segs: ids.start / seg..n.min(ids.end.div_ceil(seg)),
+                    cols: cols.map(|(pos, _)| (pos, Vec::new())).collect(),
+                    offsets: Vec::new(),
+                    base: 0,
+                    next: 0,
+                }))
+            }),
+            ScanLeaf::Index(path, cap) => {
+                let (rowids, next, bytes) = (None, 0, Vec::new());
+                Some(Access::Index(IndexFetch { path, cap, rowids, next, bytes }))
+            }
+        };
         drop(t);
         Ok(TableScan {
-            db: self.db,
-            vis: self.vis,
+            db: src.db,
+            vis: src.vis,
+            stats,
             table: handle,
             filter,
             width: live.len(),
@@ -2935,20 +2975,24 @@ impl<'e> SnapSource<'e> {
             row: Vec::new(),
             page: vec![0u8; PAGE_SIZE].into_boxed_slice(),
             ids,
-            store,
+            access,
         })
     }
-}
 
-impl TableScan<'_> {
     /// Whether the cursor has visited its last row.
     pub(crate) fn done(&self) -> bool {
         self.ids.is_empty()
     }
 
-    /// Whether the cursor reads column stores.
-    pub(crate) fn on_store(&self) -> bool {
-        self.store.is_some()
+    /// Count a whole-table cursor as the scan it opened as: columnar when
+    /// it reads column stores, serial when it reads the heap. An index
+    /// cursor counts when its probe runs.
+    pub(crate) fn count_open(&self) {
+        match self.access {
+            Some(Access::Store(_)) => self.stats.columnar_scans.inc(),
+            Some(Access::Index(_)) => {}
+            None => self.stats.serial_scans.inc(),
+        }
     }
 
     /// Stream the cursor's rows that pass its filter, in rowid order,
@@ -2957,33 +3001,48 @@ impl TableScan<'_> {
     /// slots the filter filled still hold for the caller's post filter and
     /// projection. Every row is decoded into the one scan row the cursor
     /// keeps, which `f` is lent: it may read the row, or take it whole
-    /// (DESIGN.md §35). When the filter reads only some of the `needed`
-    /// columns, those are decoded first and the rest only for a row that
-    /// passes (DESIGN.md §28). A page whose tag synopsis rules out a filter
-    /// conjunct is not read (DESIGN.md §32); nor is one that lacks every
-    /// key the filter and the consumer read, whose visible rows are served
-    /// with the tagged column NULL (DESIGN.md §33). `f` returns `false` to
-    /// stop the run after its row; the next run resumes after it. Returns
-    /// the rows visited, read or served. A cursor on its column stores
-    /// lends their kept rows instead (DESIGN.md §38); if the stores are
-    /// lost it goes on, in the same run, as the heap scan from the row id
-    /// after the last row it lent.
+    /// (DESIGN.md §35). `f` returns `false` to stop the run after its row;
+    /// the next run resumes after it. Returns the rows visited. A cursor on
+    /// its column stores or its B-tree lends their rows (DESIGN.md §38,
+    /// §39); if it loses them it goes on, in the same run, as the heap
+    /// scan from the row id after the last row it lent.
     pub(crate) fn run(
         &mut self,
         ctx: &mut EvalCtx,
         f: &mut dyn FnMut(&mut Row, &mut EvalCtx) -> DbResult<bool>,
     ) -> DbResult<u64> {
-        let TableScan {
-            db, vis, table, filter, width, at, late, judge, tagged, row, page, ids, store,
-        } = self;
-        if let Some(st) = store {
-            if let Some(lent) = st.run(&SnapSource { db, vis: *vis }, table, row, ids, ctx, f)? {
-                return Ok(lent);
+        let lent = match &mut self.access {
+            None => return self.run_heap(ctx, f),
+            Some(Access::Store(st)) => {
+                let src = SnapSource { db: self.db, vis: self.vis };
+                st.run(&src, &self.table, &mut self.row, &mut self.ids, ctx, f)?
             }
-            // The stores are lost: the cursor goes on as a heap scan.
-            st.leaf.stats.serial_scans.inc();
-            *store = None;
+            Some(Access::Index(_)) => self.run_index(ctx, f)?,
+        };
+        if let Some(lent) = lent {
+            return Ok(lent);
         }
+        // The stores or the index are lost: the cursor goes on as a heap scan.
+        self.stats.serial_scans.inc();
+        self.access = None;
+        self.run_heap(ctx, f)
+    }
+
+    /// The heap scan. When the filter reads only some of the `needed`
+    /// columns, those are decoded first and the rest only for a row that
+    /// passes (DESIGN.md §28). A page whose tag synopsis rules out a filter
+    /// conjunct is not read (DESIGN.md §32); nor is one that lacks every
+    /// key the filter and the consumer read, whose visible rows are served
+    /// with the tagged column NULL (DESIGN.md §33). The table's read guard
+    /// is held while `f` reads each row.
+    fn run_heap(
+        &mut self,
+        ctx: &mut EvalCtx,
+        f: &mut dyn FnMut(&mut Row, &mut EvalCtx) -> DbResult<bool>,
+    ) -> DbResult<u64> {
+        let TableScan {
+            db, vis, table, filter, width, at, late, judge, tagged, row, page, ids, ..
+        } = self;
         let t = table.read();
         if t.tagged != *tagged {
             // The synopsis now tags another column than the judge's.
@@ -3002,13 +3061,7 @@ impl TableScan<'_> {
             page,
             Some(&mut judge_page),
             |rowid, bytes| {
-                // A position no decode writes is NULL from here on; one
-                // the decode writes is written for every row.
-                if row.len() != width + 1 {
-                    row.clear();
-                    row.resize(width + 1, Datum::Null);
-                }
-                row[width] = Datum::Int(rowid as i64);
+                shape_row(row, width, rowid);
                 let mut tested = false;
                 match (bytes, &*late) {
                     (None, _) => {
@@ -3065,6 +3118,71 @@ impl TableScan<'_> {
         }
         Ok(fetched + served)
     }
+
+    /// The index scan (DESIGN.md §39). The first run probes the B-tree
+    /// under the table's read guard, if this reader may trust it, and
+    /// keeps the row ids in range, sorted; every run then fetches the
+    /// listed rows this reader sees from where the last one stopped. Each
+    /// row is fetched and decoded under the read guard, and tested against
+    /// the filter and lent outside it. Returns the rows fetched, or `None`
+    /// if the index cannot serve this reader: that is known before any row
+    /// is lent, so the heap scan goes on from row id 0.
+    fn run_index(
+        &mut self,
+        ctx: &mut EvalCtx,
+        f: &mut dyn FnMut(&mut Row, &mut EvalCtx) -> DbResult<bool>,
+    ) -> DbResult<Option<u64>> {
+        let TableScan { db, vis, stats, table, filter, width, at, row, ids, access, .. } = self;
+        let Some(Access::Index(ix)) = access else { unreachable!("an index cursor") };
+        let rowids = match &mut ix.rowids {
+            Some(rowids) => rowids,
+            None => {
+                let t = table.read();
+                let src = SnapSource { db, vis: *vis };
+                let Some(index) = src.trusted_index(&t, ix.path) else { return Ok(None) };
+                let mut found = index.lookup_range(&ix.path.range, ix.cap.map(|c| c as usize))?;
+                // Heap scans emit rows in rowid order; match it exactly.
+                found.sort_unstable();
+                stats.index_scans.inc();
+                ix.rowids.insert(found)
+            }
+        };
+        let mut fetched = 0u64;
+        while let Some(&rowid) = rowids.get(ix.next) {
+            ix.next += 1;
+            {
+                let t = table.read();
+                if !t.heap.get_vis_into(rowid, *vis, &mut ix.bytes)? {
+                    continue;
+                }
+                fetched += 1;
+                shape_row(row, *width, rowid);
+                tuple::decode_into(&t.schema, &ix.bytes, at, row)?;
+            }
+            ctx.reset();
+            if filter.map_or(Ok(true), |fl| fl.eval_bool_ctx(row, ctx))? && !f(row, ctx)? {
+                break;
+            }
+        }
+        if ix.next == rowids.len() {
+            ids.start = ids.end;
+        }
+        if fetched > 0 {
+            db.exec_stats.heap_rowid_fetches.add(fetched);
+        }
+        Ok(Some(fetched))
+    }
+}
+
+/// Give `row` the scan-row shape, `width` columns then the rowid: a
+/// position no decode writes is NULL from here on, and one the decode
+/// writes is written for every row.
+fn shape_row(row: &mut Row, width: usize, rowid: u64) {
+    if row.len() != width + 1 {
+        row.clear();
+        row.resize(width + 1, Datum::Null);
+    }
+    row[width] = Datum::Int(rowid as i64);
 }
 
 impl SnapSource<'_> {
@@ -3077,56 +3195,6 @@ impl SnapSource<'_> {
             return None;
         }
         t.indexes.iter().find(|ix| Some(ix.column()) == path.column.as_deref())
-    }
-
-    /// Probe the secondary index on `path.column` for rowids whose key
-    /// falls in `path.range`.
-    ///
-    /// `cap`, when given, bounds the probe to the `cap` *smallest* rowids
-    /// in range (LIMIT pushdown): the executor fetches rowids in ascending
-    /// order, so the smallest `cap` reproduce exactly what an uncapped
-    /// probe would have surfaced first. Callers may only pass `Some` when
-    /// every matching row is known to survive the residual filter
-    /// (`path.exact_bounds`).
-    pub(crate) fn index_lookup(
-        &self,
-        path: &AccessPath,
-        cap: Option<u64>,
-    ) -> DbResult<Option<Vec<u64>>> {
-        let t = self.db.table(&path.table)?;
-        let t = t.read();
-        let Some(ix) = self.trusted_index(&t, path) else { return Ok(None) };
-        ix.lookup_range(&path.range, cap.map(|c| c as usize)).map(Some)
-    }
-
-    /// Fetch specific live rows by rowid, in the order given. Rowids that
-    /// are no longer live are skipped.
-    pub(crate) fn fetch_rows(
-        &self,
-        table: &str,
-        needed: Option<&[String]>,
-        rowids: &[u64],
-        f: &mut dyn FnMut(Row) -> DbResult<bool>,
-    ) -> DbResult<()> {
-        let t = self.db.table(table)?;
-        let t = t.read();
-        let live: Vec<usize> = t.schema.live_columns().map(|(i, _)| i).collect();
-        let at = scan_at(&t.schema, &live, needed);
-        let mut fetched = 0u64;
-        for &rowid in rowids {
-            let Some(bytes) = t.heap.get_vis(rowid, self.vis)? else { continue };
-            fetched += 1;
-            let mut row = vec![Datum::Null; live.len() + 1];
-            row[live.len()] = Datum::Int(rowid as i64);
-            tuple::decode_into(&t.schema, &bytes, &at, &mut row)?;
-            if !f(row)? {
-                break;
-            }
-        }
-        if fetched > 0 {
-            self.db.exec_stats.heap_rowid_fetches.add(fetched);
-        }
-        Ok(())
     }
 
     /// The stores a columnar scan of `path` reads, or `None` when the table
@@ -3161,34 +3229,6 @@ impl SnapSource<'_> {
         let t = t.read();
         Ok(self.columnar_stores(&t, path).is_some())
     }
-
-    /// Probe the secondary index on `path.column` and return the matching
-    /// (key, rowid) entries themselves — a covering probe that needs no
-    /// heap fetch. Entries are sorted by rowid (heap scan order). `cap`
-    /// has [`SnapSource::index_lookup`] semantics: only legal under
-    /// `exact_bounds`, keeps the entries of the `cap` smallest rowids.
-    pub(crate) fn index_only_probe(
-        &self,
-        path: &AccessPath,
-        cap: Option<u64>,
-    ) -> DbResult<Option<IndexOnlyProbe>> {
-        // An unbounded probe would miss NULL-key rows (never indexed);
-        // the planner only emits bounded probes, but stay defensive.
-        if path.range.is_unbounded() {
-            return Ok(None);
-        }
-        let t = self.db.table(&path.table)?;
-        let t = t.read();
-        let Some(ix) = self.trusted_index(&t, path) else { return Ok(None) };
-        let mut entries = ix.lookup_range_entries(&path.range, cap.map(|c| c as usize))?;
-        // Heap scans emit in ascending rowid order; match it.
-        entries.sort_unstable_by_key(|(_, r)| *r);
-        let live: Vec<&str> = t.schema.live_columns().map(|(_, c)| c.name.as_str()).collect();
-        let Some(key_slot) = live.iter().position(|n| Some(*n) == path.column.as_deref()) else {
-            return Ok(None);
-        };
-        Ok(Some(IndexOnlyProbe { entries, n_live_cols: live.len(), key_slot }))
-    }
 }
 
 impl StoreScan<'_> {
@@ -3211,14 +3251,8 @@ impl StoreScan<'_> {
         let (width, mut lent) = (self.width, 0);
         loop {
             while let Some(&slot) = self.offsets.get(self.next) {
-                // Positions no column fills are NULL from here on; the
-                // gathered ones are written for every row.
-                if row.len() != width + 1 {
-                    row.clear();
-                    row.resize(width + 1, Datum::Null);
-                }
                 let rowid = self.base + slot as u64;
-                row[width] = Datum::Int(rowid as i64);
+                shape_row(row, width, rowid);
                 for (pos, vals) in &mut self.cols {
                     row[*pos] = std::mem::replace(&mut vals[self.next], Datum::Null);
                 }
@@ -3235,7 +3269,7 @@ impl StoreScan<'_> {
                 return Ok(Some(lent));
             };
             let Some(scan) = self.select(src, &table.read(), seg)? else { return Ok(None) };
-            self.leaf.stats.record_segment(&scan);
+            self.stats.record_segment(&scan);
         }
     }
 
@@ -3248,7 +3282,7 @@ impl StoreScan<'_> {
     /// place (DESIGN.md §28). `None` when the stores cannot serve this
     /// reader now, or the table's columns moved since the scan opened.
     fn select(&mut self, src: &SnapSource<'_>, t: &Table, seg: u64) -> DbResult<Option<SegScan>> {
-        let StoreLeaf { path, bounds_cover, .. } = self.leaf;
+        let (path, bounds_cover) = (self.path, self.bounds_cover);
         let Some(ScanStores { gather: stores, bound }) = src.columnar_stores(t, path) else {
             return Ok(None);
         };

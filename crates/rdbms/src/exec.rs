@@ -17,7 +17,7 @@ use crate::crew::Crew;
 use crate::datum::Datum;
 use crate::db::SnapSource;
 use crate::error::{DbError, DbResult};
-use crate::expr::{EvalCtx, PhysExpr};
+use crate::expr::PhysExpr;
 use crate::plan::{AggSpec, SortKey};
 
 pub type Row = Vec<Datum>;
@@ -35,31 +35,6 @@ pub struct SegScan {
     pub rejected: u64,
     /// True when the bound column's zone map excluded the whole segment.
     pub pruned: bool,
-}
-
-/// Answer from `SnapSource::index_only_probe`.
-#[derive(Debug)]
-pub struct IndexOnlyProbe {
-    /// Matching (key, rowid) pairs, sorted by rowid.
-    pub entries: Vec<(Datum, u64)>,
-    /// Width of the table's live-column prefix in scan-row shape.
-    pub n_live_cols: usize,
-    /// Scan-row slot of the indexed column.
-    pub key_slot: usize,
-}
-
-impl IndexOnlyProbe {
-    /// The entries as scan-shaped rows: NULL everywhere but the key's slot
-    /// and the trailing rowid.
-    pub(crate) fn into_rows(self) -> impl Iterator<Item = Row> {
-        let IndexOnlyProbe { entries, n_live_cols, key_slot } = self;
-        entries.into_iter().map(move |(key, rowid)| {
-            let mut row: Row = vec![Datum::Null; n_live_cols + 1];
-            row[key_slot] = key;
-            row[n_live_cols] = Datum::Int(rowid as i64);
-            row
-        })
-    }
 }
 
 /// Execution limits: a crude statement-level resource governor. The EAV
@@ -161,9 +136,10 @@ crate::counter_table! {
     columnar_access columnar_scans: counter,
     /// Segments skipped outright because their zone map excluded the bounds.
     columnar_access segments_pruned: counter,
-    /// Covering index-only scan executions (zero heap page reads).
+    /// Always 0: the covering index-only scan it counted is deleted
+    /// (DESIGN.md §39). Kept because `sinewbench` reads it.
     columnar_access index_only_scans: counter,
-    /// Tuples a heap scan read — the quantity a covering scan avoids and
+    /// Tuples a heap scan read — the quantity a columnar scan avoids and
     /// a skipped or served page saves; benches assert it stays flat. A
     /// row served without its page is not counted. Fetches by row id count
     /// in `heap_rowid_fetches`.
@@ -365,18 +341,6 @@ impl Executor<'_> {
             }
         }
         Ok(out)
-    }
-}
-
-/// Whether `row` passes a scan's pushed-down filter (no filter passes
-/// everything), on a freshly reset per-row context.
-pub(crate) fn passes(filter: Option<&PhysExpr>, ctx: &mut EvalCtx, row: &Row) -> DbResult<bool> {
-    match filter {
-        Some(f) => {
-            ctx.reset();
-            f.eval_bool_ctx(row, ctx)
-        }
-        None => Ok(true),
     }
 }
 

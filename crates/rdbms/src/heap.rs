@@ -406,32 +406,45 @@ impl Heap {
     /// Fetch the version of `rowid` visible to `vis` (resolving through the
     /// chain when the newest version is too young or marker-stamped).
     pub fn get_vis(&self, rowid: RowId, vis: Vis) -> DbResult<Option<Vec<u8>>> {
-        if self.fast_path_ok(vis) {
-            let Some(Some(loc)) = self.rows.get(rowid as usize) else {
-                return Ok(None);
-            };
-            return Ok(Some(self.fetch(loc)?));
-        }
-        match self.resolve_vis(rowid as usize, vis) {
-            Some(loc) => Ok(Some(self.fetch(loc)?)),
-            None => Ok(None),
-        }
+        let mut out = Vec::new();
+        Ok(self.get_vis_into(rowid, vis, &mut out)?.then_some(out))
+    }
+
+    /// [`Heap::get_vis`] into `out`, which a caller fetching many rows
+    /// reuses: whether `vis` sees a version of `rowid`.
+    pub fn get_vis_into(&self, rowid: RowId, vis: Vis, out: &mut Vec<u8>) -> DbResult<bool> {
+        let loc = if self.fast_path_ok(vis) {
+            self.rows.get(rowid as usize).and_then(Option::as_ref)
+        } else {
+            self.resolve_vis(rowid as usize, vis)
+        };
+        let Some(loc) = loc else { return Ok(false) };
+        out.clear();
+        self.fetch_into(loc, out)?;
+        Ok(true)
     }
 
     fn fetch(&self, loc: &Loc) -> DbResult<Vec<u8>> {
+        let mut out = Vec::new();
+        self.fetch_into(loc, &mut out)?;
+        Ok(out)
+    }
+
+    /// Append the tuple at `loc` to `out`.
+    fn fetch_into(&self, loc: &Loc, out: &mut Vec<u8>) -> DbResult<()> {
         match loc {
-            Loc::Slot { page, slot, .. } => {
-                self.pager.with_page(*page, |pg| slot_bytes(pg, *slot).map(<[u8]>::to_vec))?
-            }
+            Loc::Slot { page, slot, .. } => self
+                .pager
+                .with_page(*page, |pg| slot_bytes(pg, *slot).map(|b| out.extend_from_slice(b)))?,
             Loc::Jumbo { pages, len } => {
-                let mut out = Vec::with_capacity(*len as usize);
+                out.reserve(*len as usize);
                 let mut remaining = *len as usize;
                 for id in pages {
                     let chunk = remaining.min(PAGE_SIZE);
                     self.pager.with_page(*id, |pg| out.extend_from_slice(&pg[..chunk]))?;
                     remaining -= chunk;
                 }
-                Ok(out)
+                Ok(())
             }
         }
     }

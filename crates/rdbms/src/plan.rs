@@ -27,9 +27,9 @@ pub struct SortKey {
     pub desc: bool,
 }
 
-/// What the three non-heap access paths (`IndexScan`, `IndexOnlyScan`,
-/// `ColumnarScan`) share: where to look, which keys, and what the
-/// equivalent `SeqScan` would do. `filter` carries the FULL original
+/// What the two non-heap access paths (`IndexScan`, `ColumnarScan`)
+/// share: where to look, which keys, and what the equivalent `SeqScan`
+/// would do. `filter` carries the FULL original
 /// predicate — including the conjuncts consumed into `range` — re-checked
 /// per surfaced row unless `exact_bounds`, so every path returns exactly
 /// the heap scan's rows, and the executor can rerun any of them as a heap
@@ -38,7 +38,7 @@ pub struct SortKey {
 pub struct AccessPath {
     pub table: String,
     pub binding: String,
-    /// The indexed / bound column. Always `Some` on the two index paths.
+    /// The indexed / bound column. Always `Some` on an index path.
     pub column: Option<String>,
     /// Key range on `column` (a superset of the SQL matches, see
     /// [`KeyRange`]).
@@ -89,10 +89,6 @@ pub enum Plan {
         /// skip the residual filter per segment.
         bounds_cover_filter: bool,
     },
-    /// Covering index-only scan: the query touches only the indexed column
-    /// (plus `_rowid`), so the B-tree probe alone answers it with zero heap
-    /// page reads.
-    IndexOnlyScan(AccessPath),
     Filter {
         input: Box<Plan>,
         predicate: PhysExpr,
@@ -189,9 +185,7 @@ pub struct NodeActuals {
 impl Plan {
     pub fn est_rows(&self) -> f64 {
         match self {
-            Plan::IndexScan(path)
-            | Plan::IndexOnlyScan(path)
-            | Plan::ColumnarScan { path, .. } => path.est_rows,
+            Plan::IndexScan(path) | Plan::ColumnarScan { path, .. } => path.est_rows,
             Plan::SeqScan { est_rows, .. }
             | Plan::Filter { est_rows, .. }
             | Plan::Project { est_rows, .. }
@@ -214,7 +208,6 @@ impl Plan {
             Plan::SeqScan { .. } => "Seq Scan",
             Plan::IndexScan(_) => "Index Scan",
             Plan::ColumnarScan { .. } => "Columnar Scan",
-            Plan::IndexOnlyScan(_) => "Index Only Scan",
             Plan::Filter { .. } => "Filter",
             Plan::Project { .. } => "Project",
             Plan::HashJoin { .. } => "Hash Join",
@@ -273,7 +266,7 @@ impl Plan {
                     let _ = writeln!(out, "{pad}      Filter: {f:?}");
                 }
             }
-            Plan::IndexScan(path) | Plan::IndexOnlyScan(path) | Plan::ColumnarScan { path, .. } => {
+            Plan::IndexScan(path) | Plan::ColumnarScan { path, .. } => {
                 let AccessPath { table, binding, column, range, filter, est_rows, .. } = path;
                 let alias = if binding != table { format!(" {binding}") } else { String::new() };
                 let columnar = matches!(self, Plan::ColumnarScan { .. });
@@ -404,7 +397,6 @@ impl Plan {
             Plan::SeqScan { .. }
             | Plan::IndexScan(_)
             | Plan::ColumnarScan { .. }
-            | Plan::IndexOnlyScan(_)
             | Plan::Values { .. } => {}
         }
     }

@@ -486,8 +486,8 @@ impl<'a> Planner<'a> {
             needed: needed_vec.clone(),
             est_rows: rows,
         };
-        // Sargable bounds per stored column, shared by the index-scan,
-        // index-only, and columnar access paths below. Alongside the
+        // Sargable bounds per stored column, shared by the index-scan and
+        // columnar access paths below. Alongside the
         // intersected bound we track whether every contributing clause's
         // literals sit in one exactness class (`uniform`): a clause whose
         // literal is class-less (NaN) or of a different class than the
@@ -584,37 +584,6 @@ impl<'a> Planner<'a> {
                     exact_for(b, *n_clauses, *uniform),
                 ));
                 plan_cost = index_cost;
-            }
-        }
-
-        // ---- covering index-only scan: the B-tree's (key, rowid) entries
-        // answer the query without any heap page fetch. Requires a sargable
-        // bound on the key: index entries omit NULL keys, and the bound
-        // rejects those same rows on the heap path, keeping both paths
-        // row-identical.
-        if let Some(nv) = &needed_vec {
-            for (slot, b, bound_sel, n_clauses, uniform) in &col_bounds {
-                let Some(Some(name)) = col_names.get(*slot) else { continue };
-                if !indexed.iter().any(|c| c == name)
-                    || !nv.iter().all(|n| n == name || n == "_rowid")
-                    || b.is_unbounded()
-                {
-                    continue;
-                }
-                let matched = (meta.n_rows * bound_sel).max(1.0);
-                // no RANDOM_PAGE_COST term: the probe never leaves the
-                // B-tree
-                let io_cost = meta.n_rows.max(2.0).log2() * CPU_OPERATOR_COST
-                    + matched * CPU_TUPLE_COST
-                    + matched * bound.len() as f64 * CPU_OPERATOR_COST;
-                if io_cost < plan_cost {
-                    plan = Plan::IndexOnlyScan(access(
-                        Some(name.clone()),
-                        b.clone(),
-                        exact_for(b, *n_clauses, *uniform),
-                    ));
-                    plan_cost = io_cost;
-                }
             }
         }
 
@@ -1280,7 +1249,6 @@ fn memoize_scan_pipelines(plan: &mut Plan, funcs: &FuncRegistry) {
         Plan::SeqScan { .. }
         | Plan::IndexScan(_)
         | Plan::ColumnarScan { .. }
-        | Plan::IndexOnlyScan(_)
         | Plan::Values { .. } => {}
     }
 }
@@ -1301,9 +1269,7 @@ fn pipeline_exprs_mut(plan: &mut Plan) -> Option<(Vec<&mut PhysExpr>, usize)> {
     };
     let filter = match scan {
         Plan::SeqScan { filter, .. } => filter,
-        Plan::IndexScan(path) | Plan::IndexOnlyScan(path) | Plan::ColumnarScan { path, .. } => {
-            &mut path.filter
-        }
+        Plan::IndexScan(path) | Plan::ColumnarScan { path, .. } => &mut path.filter,
         _ => return None,
     };
     let mut v: Vec<&mut PhysExpr> = filter.iter_mut().collect();

@@ -1,14 +1,17 @@
 //! A columnar scan is a scan pipeline (DESIGN.md §38): per segment it
 //! selects and gathers its needed columns under the table's read guard,
 //! then lends each kept row to the post filter, the projection and the
-//! sink. Whatever runs above it — a projection, a residual filter, a
-//! hash aggregation's fold, a hash join's probe, a `LIMIT` — every
+//! sink. So is an index scan (DESIGN.md §39): it probes its B-tree once,
+//! then fetches each listed row under the read guard and lends it outside
+//! it. Whatever runs above either leaf — a projection, a residual filter,
+//! a hash aggregation's fold, a hash join's probe, a `LIMIT` — every
 //! statement returns exactly the rows, in order, of the same statement
-//! over a twin table without column stores, at every thread count and
-//! block size. So does a scan that loses a store part-way, and one whose
-//! snapshot is older than writes made while it runs.
+//! over a twin table with neither stores nor index, at every thread count
+//! and block size. So does a columnar scan that loses a store part-way,
+//! and a scan of either leaf whose snapshot is older than writes made
+//! while it runs.
 
-use sinew_rdbms::{ColType, Database, DbResult, Datum, ExecLimits, ScalarFn};
+use sinew_rdbms::{ColType, Database, DbResult, Datum, ExecLimits, ExecSnapshot, ScalarFn};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
@@ -42,9 +45,31 @@ enum Hook {
 /// lent rows before and selects segments after.
 const TRIGGER: i64 = 1_000;
 
-/// `t` and `u`, with column stores on every column of `t` when `stores`,
-/// and a `hook(k)` UDF that returns `k` and, at `TRIGGER`, does `hook`.
-fn build(stores: bool, hook: Hook) -> Arc<Database> {
+/// What `t` carries beside its heap.
+#[derive(Clone, Copy, PartialEq)]
+enum Derived {
+    Nothing,
+    /// A column store on every column.
+    Stores,
+    /// A B-tree on `k`.
+    Index,
+}
+
+impl Derived {
+    /// The leaf a statement over `t` reads through, as EXPLAIN names it,
+    /// and the counter of its scans.
+    fn leaf(self) -> (&'static str, fn(&ExecSnapshot) -> u64) {
+        match self {
+            Derived::Stores => ("Columnar Scan on t", |s| s.columnar_scans),
+            Derived::Index => ("Index Scan using t_k on t", |s| s.index_scans),
+            Derived::Nothing => unreachable!("the twin reads the heap"),
+        }
+    }
+}
+
+/// `t` and `u`, with `derived` on `t`, and a `hook(k)` UDF that returns
+/// `k` and, at `TRIGGER`, does `hook`.
+fn build(derived: Derived, hook: Hook) -> Arc<Database> {
     let db = Arc::new(Database::in_memory());
     let cols = [("k", ColType::Int), ("tag", ColType::Text), ("n", ColType::Int), ("pad", ColType::Text)];
     db.create_table("t", cols.iter().map(|(c, ty)| (c.to_string(), *ty)).collect()).unwrap();
@@ -53,10 +78,10 @@ fn build(stores: bool, hook: Hook) -> Arc<Database> {
     let u: Vec<Vec<Datum>> =
         (0..BUILD_ROWS).map(|i| vec![Datum::Int(i * 149), Datum::Text(format!("v{i}"))]).collect();
     db.insert_rows("u", &u).unwrap();
-    if stores {
-        for (c, _) in cols {
-            db.build_columnar("t", c).unwrap();
-        }
+    match derived {
+        Derived::Stores => cols.iter().for_each(|(c, _)| db.build_columnar("t", c).unwrap()),
+        Derived::Index => db.create_index("t", "t_k", "k", true).unwrap(),
+        Derived::Nothing => {}
     }
     db.execute("ANALYZE t").unwrap();
     db.execute("ANALYZE u").unwrap();
@@ -103,13 +128,30 @@ const STATEMENTS: [&str; 8] = [
     "SELECT hook(k), tag, n FROM t",
 ];
 
+/// The same shapes over an index scan of `k`: bounds narrow enough that
+/// the B-tree beats the heap.
+const INDEX_STATEMENTS: [&str; 6] = [
+    "SELECT tag, n, k FROM t WHERE k >= 1000 AND k < 1030",
+    "SELECT k, tag FROM t WHERE k >= 980 AND k < 1020 AND (n IS NULL OR length(tag) > 3)",
+    "SELECT n % 7, COUNT(*), SUM(k), COUNT(tag) FROM t WHERE k >= 1000 AND k < 1040 GROUP BY n % 7",
+    // Row 1043 joins; the probe side is the index scan of `t`.
+    "SELECT t.k, t.tag, u.v FROM t JOIN u ON t.k = u.k WHERE t.k >= 1030 AND t.k < 1060",
+    // Exact bounds: the `LIMIT` caps the probe.
+    "SELECT k, n FROM t WHERE k >= 995 AND k < 1015 LIMIT 7",
+    // Row 1011 is among the rows the hook updates.
+    "SELECT hook(k), tag, n FROM t WHERE k >= 995 AND k < 1015",
+];
+
 /// The statement's plan, scan names and segment bounds aside.
 fn shape(db: &Database, sql: &str) -> Vec<String> {
     let plan = db.execute(&format!("EXPLAIN {sql}")).unwrap();
     plan.rows
         .iter()
-        .map(|r| r[0].display_text().replace("Columnar Scan", "Seq Scan"))
-        .filter(|l| !l.contains("Segment Cond"))
+        .map(|r| {
+            let line = r[0].display_text().replace("Columnar Scan", "Seq Scan");
+            line.replace("Index Scan using t_k", "Seq Scan")
+        })
+        .filter(|l| !l.contains("Segment Cond") && !l.contains("Index Cond"))
         .map(|l| l.split("  (").next().unwrap().to_string())
         .collect()
 }
@@ -124,26 +166,28 @@ fn configs() -> Vec<ExecLimits> {
     configs
 }
 
-/// Run each of `sqls` over `t` with stores under `hook`, at every
-/// configuration, and compare it with the serial run over the store-less
-/// twin. A hook that writes gets a fresh table for every run.
-fn check(sqls: &[&str], hook: Hook) {
-    let twin = build(false, Hook::Off);
+/// Run each of `sqls` over `t` with `derived` under `hook`, at every
+/// configuration, and compare it with the serial run over the twin that
+/// has nothing but its heap. A hook that writes gets a fresh table for
+/// every run.
+fn check(sqls: &[&str], derived: Derived, hook: Hook) {
+    let twin = build(Derived::Nothing, Hook::Off);
     twin.set_exec_limits(configs()[0]);
-    let mut db = build(true, hook);
+    let (leaf, scans_of) = derived.leaf();
+    let mut db = build(derived, hook);
     for (sql, limits) in sqls.iter().flat_map(|sql| configs().into_iter().map(move |l| (sql, l))) {
         if hook != Hook::Off {
-            db = build(true, hook);
+            db = build(derived, hook);
         }
         let want = twin.execute(sql).unwrap().rows;
         assert!(!want.is_empty(), "{sql}");
         let plan = shape(&db, sql);
         assert_eq!(plan, shape(&twin, sql), "{sql}: the twins plan alike");
         // A hook that wrote under a heap scan's read guard would wait for it.
-        let columnar = db.execute(&format!("EXPLAIN {sql}")).unwrap().rows.iter().any(|r| {
-            r[0].display_text().contains("Columnar Scan on t")
+        let on_leaf = db.execute(&format!("EXPLAIN {sql}")).unwrap().rows.iter().any(|r| {
+            r[0].display_text().contains(leaf)
         });
-        assert_eq!(columnar, !sql.starts_with("SELECT *"), "{sql}: {plan:#?}");
+        assert_eq!(on_leaf, !sql.starts_with("SELECT *"), "{sql}: {plan:#?}");
         db.set_exec_limits(limits);
         let before = db.exec_stats();
         let got = db.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}")).rows;
@@ -151,8 +195,8 @@ fn check(sqls: &[&str], hook: Hook) {
         assert_eq!(got.len(), want.len(), "{sql} at {at}");
         assert!(got == want, "{sql} at {at}: the rows differ from the heap scan's");
         let after = db.exec_stats();
-        let scans = after.columnar_scans - before.columnar_scans;
-        assert_eq!(scans, u64::from(columnar), "{sql} at {at}: columnar scans");
+        let scans = scans_of(&after) - scans_of(&before);
+        assert_eq!(scans, u64::from(on_leaf), "{sql} at {at}: scans of {leaf}");
         match hook {
             // One cursor went on as the heap scan.
             Hook::DropStore if limits.exec_threads == 1 => {
@@ -168,15 +212,28 @@ fn check(sqls: &[&str], hook: Hook) {
 
 #[test]
 fn every_pipeline_over_a_column_store_returns_the_heap_scans_rows() {
-    check(&STATEMENTS, Hook::Off);
+    check(&STATEMENTS, Derived::Stores, Hook::Off);
 }
 
 #[test]
 fn a_scan_that_loses_its_store_part_way_goes_on_from_the_heap() {
-    check(&STATEMENTS[7..], Hook::DropStore);
+    check(&STATEMENTS[7..], Derived::Stores, Hook::DropStore);
 }
 
 #[test]
 fn a_scan_older_than_writes_made_while_it_runs_sees_none_of_them() {
-    check(&STATEMENTS[7..], Hook::Write);
+    check(&STATEMENTS[7..], Derived::Stores, Hook::Write);
+}
+
+#[test]
+fn every_pipeline_over_an_index_returns_the_heap_scans_rows() {
+    check(&INDEX_STATEMENTS, Derived::Index, Hook::Off);
+}
+
+/// The probe runs before the first row is lent, so the index is trusted
+/// at the statement's snapshot; the rows fetched after the hook's update
+/// are the versions that snapshot sees.
+#[test]
+fn an_index_scan_older_than_writes_made_while_it_runs_sees_none_of_them() {
+    check(&INDEX_STATEMENTS[5..], Derived::Index, Hook::Write);
 }

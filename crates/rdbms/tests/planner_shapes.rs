@@ -217,9 +217,7 @@ fn projection_pushdown_skips_unreferenced_columns() {
         fn scan_needed(plan: &Plan) -> Option<Vec<String>> {
             match plan {
                 Plan::SeqScan { needed, .. } => needed.clone(),
-                Plan::IndexScan(path)
-                | Plan::IndexOnlyScan(path)
-                | Plan::ColumnarScan { path, .. } => path.needed.clone(),
+                Plan::IndexScan(path) | Plan::ColumnarScan { path, .. } => path.needed.clone(),
                 Plan::Filter { input, .. }
                 | Plan::Project { input, .. }
                 | Plan::HashAggregate { input, .. }
@@ -327,8 +325,8 @@ fn explain_analyze_annotates_every_node_type() {
     db.execute("CREATE INDEX idx_ea_k ON ea (k)").unwrap();
     db.execute("ANALYZE ea").unwrap();
     db.execute("ANALYZE dim").unwrap();
-    // v columnar (k stays heap + index so the range probe picks Index Scan
-    // and the covered point probe picks Index Only Scan)
+    // v columnar (k stays heap + index so the range and point probes pick
+    // Index Scan)
     db.build_columnar("ea", "v").unwrap();
 
     let analyze = |sql: &str| -> String {
@@ -379,7 +377,7 @@ fn explain_analyze_annotates_every_node_type() {
         plans.push('\n');
     }
     for node in [
-        "Seq Scan", "Index Scan", "Index Only Scan", "Columnar Scan", "Sort",
+        "Seq Scan", "Index Scan", "Columnar Scan", "Sort",
         "HashAggregate", "GroupAggregate", "Unique", "Hash Join", "Merge Join",
         "Nested Loop", "Limit", "Values",
     ] {

@@ -147,6 +147,29 @@ fn a_projection_allocates_its_output_rows_only() {
     assert!(allocs < out + PER_STATEMENT, "{allocs} allocations for {out} output rows");
 }
 
+/// An index scan is a cursor too (DESIGN.md §39): it probes once, then
+/// fetches each listed row into one reused tuple buffer, decodes it into
+/// the one scan row and lends it, so a projection allocates its output
+/// rows and a constant, not a row or a tuple per fetch.
+#[test]
+fn an_index_scan_allocates_its_output_rows_only() {
+    let db = build();
+    db.create_index("t", "t_k", "k", true).unwrap();
+    db.execute("ANALYZE t").unwrap();
+    let sql = "SELECT k, n FROM t WHERE k >= 1000 AND k < 1150";
+    let plan = db.execute(&format!("EXPLAIN {sql}")).unwrap();
+    let plan: Vec<String> = plan.rows.iter().map(|r| r[0].display_text()).collect();
+    assert!(plan.iter().any(|l| l.contains("Index Scan using t_k on t")), "{plan:#?}");
+    let (rows, allocs, [before, after]) = run_counted(&db, &prepare(&db, sql));
+    let want: Vec<Vec<Datum>> =
+        (1000..1150).map(|k| vec![Datum::Int(k), Datum::Int(k * 3)]).collect();
+    assert_eq!(rows, want);
+    let out = rows.len() as u64;
+    assert!(allocs < out + PER_STATEMENT / 4, "{allocs} allocations for {out} output rows");
+    assert_eq!(after.index_scans - before.index_scans, 1);
+    assert_eq!(after.heap_rowid_fetches - before.heap_rowid_fetches, out);
+}
+
 /// Rows of `c`: two column-store segments.
 const STORED_ROWS: i64 = 6_000;
 
