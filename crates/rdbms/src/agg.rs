@@ -1,8 +1,8 @@
 //! Aggregate functions and accumulators.
 
-use crate::datum::{Datum, GroupKey};
+use crate::datum::Datum;
 use crate::error::{DbError, DbResult};
-use std::collections::HashSet;
+use crate::keys::KeyTable;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggKind {
@@ -50,7 +50,8 @@ pub fn is_aggregate_name(name: &str) -> bool {
 #[derive(Debug, Clone)]
 pub struct Accumulator {
     kind: AggKind,
-    seen: Option<HashSet<GroupKey>>,
+    /// A DISTINCT aggregate's values so far.
+    seen: Option<KeyTable>,
     count: i64,
     sum_i: i64,
     sum_f: f64,
@@ -62,7 +63,7 @@ impl Accumulator {
     pub fn new(kind: AggKind, distinct: bool) -> Accumulator {
         Accumulator {
             kind,
-            seen: if distinct { Some(HashSet::new()) } else { None },
+            seen: distinct.then(|| KeyTable::new(1)),
             count: 0,
             sum_i: 0,
             sum_f: 0.0,
@@ -78,7 +79,7 @@ impl Accumulator {
                 return Ok(()); // aggregates skip NULLs
             }
             if let Some(seen) = &mut self.seen {
-                if !seen.insert(value.group_key()) {
+                if !seen.intern(&[value][..]).1 {
                     return Ok(());
                 }
             }

@@ -36,11 +36,12 @@
 //! The pipeline *breakers* parallelize too (DESIGN.md §15): the hash join
 //! builds one table on the statement's thread and, when its probe input
 //! is a parallel scan pipeline, probes inside that scan's morsels,
-//! stitched in morsel order (DESIGN.md §30); hash aggregation folds each
-//! morsel of a parallel scan (or each chunk of any other input) into its
-//! own group table and merges the tables in input order (falling back,
-//! stickily, to the serial fold at the first table that would not merge
-//! exactly, DESIGN.md §29); sort runs per-chunk run sorts plus a k-way
+//! stitched in morsel order (DESIGN.md §30), and an inner join first
+//! filters a probe scan by the build's keys (DESIGN.md §40); hash
+//! aggregation folds each morsel of a parallel scan (or each chunk of any
+//! other input) into its own group table and merges the tables in input
+//! order (falling back, stickily, to the serial fold at the first table
+//! that would not merge exactly, DESIGN.md §29); sort runs per-chunk run sorts plus a k-way
 //! merge whose global-index tiebreak reproduces the serial stable sort
 //! exactly. Every parallel
 //! operator of a statement runs on the statement's one crew of threads
@@ -60,7 +61,7 @@
 
 use crate::agg::Accumulator;
 use crate::crew::{caught, Crew, JobQueue, MorselStream, Task};
-use crate::datum::{Datum, GroupKey};
+use crate::datum::{Datum, NULL};
 use crate::columnar::SEG_ROWS;
 use crate::db::{ScanConsumer, ScanLeaf, TableScan};
 use crate::error::{DbError, DbResult};
@@ -68,10 +69,11 @@ use crate::exec::{
     cmp_sort_keys, eval_sort_keys, feed_accs, finish_group, new_acc, rows_equal, sort_rows,
     ExecStats, Executor, Row,
 };
-use crate::expr::{EvalCtx, PhysExpr};
+use crate::expr::{EvalCtx, Lent, PhysExpr};
+use crate::keys::{BuiltSide, Key, KeyFilter, KeyTable};
 use crate::plan::{AggSpec, NodeActuals, Plan, SortKey};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::iter::zip;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -313,7 +315,10 @@ pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
         }),
         Plan::HashAggregate { input, groups, aggs, .. } => {
             // Exact aggregates over a parallel scan fold inside its morsels.
-            let input = fused(input, aggs.iter().all(|a| !a.distinct))?;
+            let mut input = fused(input, aggs.iter().all(|a| !a.distinct))?;
+            if let BreakerInput::Scan(scan) = &mut input {
+                scan.pipe.fold = Some((groups, aggs));
+            }
             Box::new(HashAggOp { exec, crew, input, groups, aggs, out: None, pos: 0 })
         }
         Plan::GroupAggregate { input, groups, aggs, .. } => Box::new(GroupAggOp {
@@ -333,7 +338,7 @@ pub(crate) fn build_node<'c, 'x: 'c, 'a: 'x>(
         Plan::HashDistinct { input, .. } => Box::new(HashDistinctOp {
             exec,
             child: child(input, None)?,
-            seen: HashSet::new(),
+            seen: None,
         }),
         Plan::HashJoin {
             left, right, left_key, right_key, residual, left_outer, right_width, ..
@@ -698,7 +703,8 @@ impl BlockOperator for UniqueOp<'_> {
 struct HashDistinctOp<'x, 'a> {
     exec: &'x Executor<'a>,
     child: Box<dyn BlockOperator + 'x>,
-    seen: HashSet<Vec<GroupKey>>,
+    /// The distinct rows so far, keyed whole; made at the first row.
+    seen: Option<KeyTable>,
 }
 
 impl BlockOperator for HashDistinctOp<'_, '_> {
@@ -716,12 +722,12 @@ impl BlockOperator for HashDistinctOp<'_, '_> {
             };
             for i in idxs {
                 let row = &block.rows[i as usize];
-                let key: Vec<GroupKey> = row.iter().map(Datum::group_key).collect();
-                if self.seen.insert(key) {
+                let seen = self.seen.get_or_insert_with(|| KeyTable::new(row.len()));
+                if seen.intern(row.as_slice()).1 {
                     keep.push(i);
                 }
             }
-            self.exec.check_limit(self.seen.len())?;
+            self.exec.check_limit(self.seen.as_ref().map_or(0, KeyTable::len))?;
             if !keep.is_empty() {
                 block.sel = Some(keep);
                 return Ok(Some(block));
@@ -734,7 +740,7 @@ impl BlockOperator for HashDistinctOp<'_, '_> {
     }
 
     fn resident_rows(&self) -> u64 {
-        self.seen.len() as u64 + self.child.resident_rows()
+        self.seen.as_ref().map_or(0, KeyTable::len) as u64 + self.child.resident_rows()
     }
 }
 
@@ -856,60 +862,47 @@ impl BlockOperator for SortOp<'_, '_, '_> {
 
 /// The one group table (DESIGN.md §29): the serial fold, each morsel's
 /// fold and each buffered chunk's fold all build one. Groups sit flat, in
-/// first-occurrence order — `groups.len()` values and `aggs.len()`
-/// accumulators per group — so the table is emitted as it stands. A
-/// group's key is its column's `GroupKey` itself, or a `GroupKey::Array`
-/// of the columns' keys for several (every key of one table has the same
-/// shape, so none collide); a scalar aggregate's one group is slot 0.
-#[derive(Default)]
+/// first-occurrence order — their values in the key table (DESIGN.md §40),
+/// `aggs.len()` accumulators each here — so the table is emitted as it
+/// stands. A scalar aggregate's one group is slot 0, keyed by no values.
 struct GroupTable<'p> {
     groups: &'p [PhysExpr],
     aggs: &'p [AggSpec],
-    index: HashMap<GroupKey, usize>,
-    vals: Vec<Datum>,
+    keys: KeyTable,
     accs: Vec<Accumulator>,
-    /// One row's group values, until the row is known to open a group.
-    pending: Vec<Datum>,
 }
 
 impl<'p> GroupTable<'p> {
     fn new(groups: &'p [PhysExpr], aggs: &'p [AggSpec]) -> GroupTable<'p> {
-        let mut table = GroupTable { groups, aggs, ..GroupTable::default() };
+        let (keys, accs) = (KeyTable::new(groups.len()), Vec::new());
+        let mut table = GroupTable { groups, aggs, keys, accs };
         if groups.is_empty() {
             // A scalar aggregate has its one group, even over empty input.
-            table.open(GroupKey::Null);
+            table.open(&[][..] as &[Datum]);
         }
         table
     }
 
-    /// The slot of `key`'s group, opened with `pending`'s values if new.
-    fn open(&mut self, key: GroupKey) -> usize {
-        let n = self.len();
-        let slot = *self.index.entry(key).or_insert(n);
-        if slot == n {
-            self.vals.append(&mut self.pending);
+    /// The slot of `key`'s group, opened with a copy of `key` if new.
+    fn open<K: Key + ?Sized>(&mut self, key: &K) -> usize {
+        let (slot, new) = self.keys.intern(key);
+        if new {
             self.accs.extend(self.aggs.iter().map(new_acc));
         }
         slot
     }
 
     fn len(&self) -> usize {
-        self.index.len()
+        self.keys.len()
     }
 
     /// Fold one row in. `ctx` is the row's: group expressions and
-    /// aggregate arguments share the memo slots its scan filled.
+    /// aggregate arguments share the memo slots its scan filled. The group
+    /// values are looked up by reference and copied only into a new group.
     fn feed(&mut self, row: &[Datum], ctx: &mut EvalCtx) -> DbResult<()> {
-        self.pending.clear();
-        for g in self.groups {
-            self.pending.push(g.eval_ctx(row, ctx)?);
-        }
-        let key = match self.pending.as_slice() {
-            [] => None,
-            [v] => Some(v.group_key()),
-            vs => Some(GroupKey::Array(vs.iter().map(Datum::group_key).collect())),
-        };
-        let slot = key.map_or(0, |key| self.open(key));
+        // A scalar aggregate's one group is slot 0: looking its empty key
+        // up per row made a scalar fold 15–56 % slower (DESIGN.md §40).
+        let slot = if self.groups.is_empty() { 0 } else { self.group_of(row, ctx)? };
         let width = self.aggs.len();
         for (acc, spec) in self.accs[slot * width..].iter_mut().zip(self.aggs) {
             match &spec.arg {
@@ -918,6 +911,31 @@ impl<'p> GroupTable<'p> {
             }
         }
         Ok(())
+    }
+
+    /// The slot of the row's group, opened if new. The group values are
+    /// lent, on the stack when they fit, as a call's arguments are
+    /// (DESIGN.md §35).
+    fn group_of(&mut self, row: &[Datum], ctx: &mut EvalCtx) -> DbResult<usize> {
+        let groups = self.groups;
+        let mut stack: [Lent<'_>; 4] = std::array::from_fn(|_| Lent::Ref(&NULL));
+        let mut spilled = None;
+        let lent: &mut [Lent<'_>] = match stack.get_mut(..groups.len()) {
+            Some(lent) => lent,
+            None => spilled.insert(groups.iter().map(|_| Lent::Ref(&NULL)).collect::<Vec<_>>()),
+        };
+        for (l, g) in lent.iter_mut().zip(groups) {
+            *l = g.lend_over(row, ctx)?;
+        }
+        let (mut stack, mut spilled) = ([&NULL; 4], None);
+        let vals: &mut [&Datum] = match stack.get_mut(..groups.len()) {
+            Some(vals) => vals,
+            None => spilled.insert(vec![&NULL; groups.len()]),
+        };
+        for (v, l) in vals.iter_mut().zip(&*lent) {
+            *v = l.value(Some(ctx));
+        }
+        Ok(self.open(&*vals))
     }
 
     /// Fold rows already built, resetting `ctx` for each.
@@ -937,14 +955,12 @@ impl<'p> GroupTable<'p> {
     /// overflow.
     fn merge(&mut self, later: GroupTable<'p>) -> bool {
         let width = self.aggs.len();
-        // `later`'s keys in its first-occurrence order, each with the slot
-        // of its group here if there is one.
-        let mut found: Vec<(Option<usize>, Option<GroupKey>)> = vec![(None, None); later.len()];
-        for (key, slot) in later.index {
-            found[slot] = (self.index.get(&key).copied(), Some(key));
-        }
+        // Per group of `later`, in its first-occurrence order, the slot of
+        // its group here if there is one.
+        let found: Vec<Option<usize>> =
+            (0..later.len()).map(|i| self.keys.find(later.keys.key(i))).collect();
         // A group new here is exactly `later`'s; one already here must merge.
-        let exact = found.iter().enumerate().all(|(i, (here, _))| {
+        let exact = found.iter().enumerate().all(|(i, here)| {
             let accs = &later.accs[i * width..(i + 1) * width];
             here.is_none_or(|s| {
                 zip(&self.accs[s * width..], accs).all(|(a, b)| a.merges_exactly(b))
@@ -953,14 +969,12 @@ impl<'p> GroupTable<'p> {
         if !exact {
             return false;
         }
-        let ngroups = self.groups.len();
-        for (i, (here, key)) in found.into_iter().enumerate() {
+        for (i, here) in found.into_iter().enumerate() {
             let accs = &later.accs[i * width..(i + 1) * width];
             match here {
                 Some(s) => zip(&mut self.accs[s * width..], accs).for_each(|(a, b)| a.merge(b)),
                 None => {
-                    self.index.insert(key.expect("every slot is keyed"), self.index.len());
-                    self.vals.extend_from_slice(&later.vals[i * ngroups..(i + 1) * ngroups]);
+                    self.keys.intern(later.keys.key(i));
                     self.accs.extend_from_slice(accs);
                 }
             }
@@ -971,7 +985,7 @@ impl<'p> GroupTable<'p> {
     /// The finished groups, in first-occurrence order.
     fn finish(self) -> Vec<Row> {
         let (n, ngroups, width) = (self.len(), self.groups.len(), self.aggs.len());
-        let mut vals = self.vals.into_iter();
+        let mut vals = self.keys.into_keys().into_iter();
         (0..n)
             .map(|i| {
                 let accs = &self.accs[i * width..(i + 1) * width];
@@ -1123,7 +1137,8 @@ fn fold_morsels<'x>(
     let (groups, aggs) = (merged.groups, merged.aggs);
     let mut morsels = scan.stream(exec, pipe, move |ids, budget| {
         let mut table = GroupTable::new(groups, aggs);
-        let passed = scan_morsel(exec, pipe, budget, ids, &mut |row, ctx| table.feed(row, ctx))?;
+        let passed =
+            scan_morsel(exec, (pipe, None), budget, ids, &mut |row, ctx| table.feed(row, ctx))?;
         Ok((table, passed))
     });
     // Rows that passed the scan filter in the morsels merged so far.
@@ -1137,7 +1152,7 @@ fn fold_morsels<'x>(
             let budget = AtomicU64::new(charged);
             let rest = m * scan.size..scan.high;
             let sink = &mut |row: &mut Row, ctx: &mut EvalCtx| merged.feed(row, ctx);
-            caught(|| scan_morsel(exec, pipe, &budget, rest, sink))?;
+            caught(|| scan_morsel(exec, (pipe, None), &budget, rest, sink))?;
             exec.check_limit(merged.len())?;
             return Ok(merged);
         }
@@ -1265,14 +1280,6 @@ impl BlockOperator for GroupAggOp<'_, '_> {
 // ---------------------------------------------------------------------------
 // Joins
 
-/// A hash join's drained build (right) input and its one table: each key
-/// maps to the indices of the rows that hold it, in build-row order. A
-/// NULL key never joins, so it is not in the table.
-struct BuiltSide {
-    rows: Vec<Row>,
-    table: HashMap<GroupKey, Vec<usize>>,
-}
-
 /// What a hash join does with one probe (left) row. It is `Copy`, so each
 /// morsel job takes its own.
 #[derive(Clone, Copy)]
@@ -1288,16 +1295,20 @@ impl Probe<'_> {
     /// The one probe routine: join `lrow` with the build rows that hold its
     /// key, in build-row order, and `emit` each joined row the residual
     /// passes; a left-outer row with none is emitted padded with NULLs.
+    /// `found` is the number of the row's build key when the probe filter
+    /// already looked it up (DESIGN.md §40).
     fn row(
         &self,
         built: &BuiltSide,
-        lrow: &Row,
+        (lrow, found): (&Row, Option<usize>),
         emit: &mut impl FnMut(Row) -> DbResult<()>,
     ) -> DbResult<()> {
-        let k = self.left_key.eval(lrow)?;
-        let idxs = if k.is_null() { None } else { built.table.get(&k.group_key()) };
+        let idxs = match found {
+            Some(id) => built.rows_of(id),
+            None => built.matches(self.left_key.lend(lrow)?.value(None)),
+        };
         let mut matched = false;
-        for &i in idxs.into_iter().flatten() {
+        for &i in idxs {
             let rrow = &built.rows[i];
             let mut joined = Vec::with_capacity(lrow.len() + rrow.len());
             joined.extend(lrow.iter().chain(rrow).cloned());
@@ -1350,40 +1361,34 @@ impl HashJoinOp<'_, '_, '_> {
     fn build(&mut self) -> DbResult<BuiltSide> {
         let rows = drain_child(self.exec, self.right.as_mut())?;
         self.exec.stats.join_build_rows.add(rows.len() as u64);
-        let right_key = self.right_key;
-        let hash = || {
-            let mut table: HashMap<GroupKey, Vec<usize>> = HashMap::new();
-            for (i, row) in rows.iter().enumerate() {
-                let k = right_key.eval(row)?;
-                if !k.is_null() {
-                    table.entry(k.group_key()).or_default().push(i);
-                }
-            }
-            Ok(table)
-        };
-        let table = if self.crew.is_some() { caught(hash)? } else { hash()? };
-        Ok(BuiltSide { rows, table })
+        let hash = || BuiltSide::new(rows, self.right_key);
+        if self.crew.is_some() {
+            caught(hash)
+        } else {
+            hash()
+        }
     }
 }
 
 /// Open `scan`'s morsel stream with a job that probes each row the
-/// pipeline hands over, so probe rows never leave their worker. Every
-/// joined row is charged, as it is made, against one budget the morsels
-/// share: a fan-out past `max_intermediate_rows` fails inside the morsel
-/// that crosses it.
+/// pipeline hands over, so probe rows never leave their worker; each
+/// morsel's cursor drops the rows `keys` rejects first. Every joined row
+/// is charged, as it is made, against one budget the morsels share: a
+/// fan-out past `max_intermediate_rows` fails inside the morsel that
+/// crosses it.
 fn probe_morsels<'x>(
     exec: &'x Executor<'_>,
     pipe: ScanPipeline<'x>,
     scan: &mut Morsels<'_, 'x>,
-    probe: Probe<'x>,
+    (probe, keys): (Probe<'x>, Option<Arc<KeyFilter>>),
     built: Arc<BuiltSide>,
 ) {
     let joined = AtomicU64::new(0);
     scan.out = Some(scan.stream(exec, pipe, move |ids, budget| {
         exec.stats.join_probe_morsels.inc();
         let mut out = Vec::new();
-        scan_morsel(exec, pipe, budget, ids, &mut |lrow, _| {
-            probe.row(&built, lrow, &mut |row| {
+        scan_morsel(exec, (pipe, keys.as_ref()), budget, ids, &mut |lrow, ctx| {
+            probe.row(&built, (lrow, ctx.found_key), &mut |row| {
                 exec.check_limit(joined.fetch_add(1, Ordering::Relaxed) as usize + 1)?;
                 out.push(row);
                 Ok(())
@@ -1403,9 +1408,7 @@ impl BlockOperator for HashJoinOp<'_, '_, '_> {
         if self.built.is_none() {
             let built = Arc::new(self.build()?);
             if let BreakerInput::Scan(op) = &mut self.left {
-                if let ScanOp { exec, pipe, rows: ScanRows::Morsels(scan), .. } = op.as_mut() {
-                    probe_morsels(exec, *pipe, scan, self.probe, Arc::clone(&built));
-                }
+                op.start_probe(self.probe, &built);
             }
             self.built = Some(built);
         }
@@ -1420,8 +1423,8 @@ impl BlockOperator for HashJoinOp<'_, '_, '_> {
         let (left, left_done) = (&mut self.left, &mut self.left_done);
         let mut fill = || {
             while pending.len() < block_rows && !*left_done {
-                let mut join = |lrow: &Row| {
-                    probe.row(built, lrow, &mut |row| {
+                let mut join = |lrow: &Row, found: Option<usize>| {
+                    probe.row(built, (lrow, found), &mut |row| {
                         pending.push_back(row);
                         *emitted += 1;
                         exec.check_limit(*emitted as usize)
@@ -1429,9 +1432,11 @@ impl BlockOperator for HashJoinOp<'_, '_, '_> {
                 };
                 match left {
                     // The cursor lends each probe row.
-                    BreakerInput::Scan(scan) => *left_done = !scan.pull(&mut |lrow, _| join(lrow))?,
+                    BreakerInput::Scan(scan) => {
+                        *left_done = !scan.pull(&mut |lrow, ctx| join(lrow, ctx.found_key))?;
+                    }
                     BreakerInput::Child(child) => match child.next_block()? {
-                        Some(block) => block.for_each_row(join)?,
+                        Some(block) => block.for_each_row(|lrow| join(lrow, None))?,
                         None => *left_done = true,
                     },
                 }
@@ -1658,6 +1663,28 @@ struct ScanPipeline<'p> {
     /// What the scan reads before the heap: a columnar path's stores
     /// (DESIGN.md §38) or an index path's B-tree (DESIGN.md §39).
     leaf: ScanLeaf<'p>,
+    /// The groups and aggregates of a hash aggregation that folds the
+    /// scan's rows where they are read (DESIGN.md §29).
+    fold: Option<(&'p [PhysExpr], &'p [AggSpec])>,
+}
+
+impl ScanPipeline<'_> {
+    /// The scan-row positions read after the scan's filters — by the
+    /// consumer, or by the post filter and a fold without one — or `None`
+    /// when the rows go on whole (DESIGN.md §40).
+    fn reads(&self) -> Option<Vec<usize>> {
+        let mut refs = Vec::new();
+        let mut read = |e: &PhysExpr| e.column_refs(&mut refs);
+        match (self.consumer, self.fold) {
+            (Some(c), _) => c.filter.into_iter().chain(c.project).for_each(&mut read),
+            (None, Some((groups, aggs))) => {
+                let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+                self.post_filter.into_iter().chain(groups).chain(args).for_each(&mut read)
+            }
+            (None, None) => return None,
+        }
+        Some(refs)
+    }
 }
 
 /// Decompose a leaf, `Filter(leaf)`, `Project(leaf)` or
@@ -1691,6 +1718,7 @@ fn scan_pipeline(plan: &Plan) -> Option<ScanPipeline<'_>> {
         project,
         consumer: project.map(|project| ScanConsumer { filter: post_filter, project }),
         leaf,
+        fold: None,
     })
 }
 
@@ -1811,6 +1839,30 @@ impl<'c, 'x, 'a> ScanOp<'c, 'x, 'a> {
         Ok(!cursor.scan.done())
     }
 
+    /// Make the scan a hash join's probe input, once the join's build is
+    /// done (DESIGN.md §30, §40). An inner join whose key the scan reads in
+    /// place filters the scan by the build's keys, so a row without a match
+    /// is dropped before it is gathered, decoded past its key or lent. (The
+    /// planner projects above its joins, so a probe scan's rows are its
+    /// output rows; a projected one is probed unfiltered.) Over morsels,
+    /// open the stream that probes inside them.
+    fn start_probe(&mut self, probe: Probe<'x>, built: &Arc<BuiltSide>) {
+        let keys = match (probe.pad, self.pipe.project) {
+            (None, None) => KeyFilter::over_scan(probe.left_key, Arc::clone(built)),
+            _ => None,
+        };
+        let keys = keys.map(Arc::new);
+        match &mut self.rows {
+            ScanRows::Cursor(cursor) => {
+                let cursor = cursor.as_mut().expect("a probe scan's cursor opens with its join");
+                keys.into_iter().for_each(|keys| cursor.scan.filter_keys(keys));
+            }
+            ScanRows::Morsels(scan) => {
+                probe_morsels(self.exec, self.pipe, scan, (probe, keys), Arc::clone(built));
+            }
+        }
+    }
+
     /// Fold the pipeline's rows into `merged` where they are read: in the
     /// one cursor, or in the morsels (DESIGN.md §29).
     fn fold(&mut self, mut merged: GroupTable<'x>) -> DbResult<GroupTable<'x>> {
@@ -1833,7 +1885,7 @@ impl BlockOperator for ScanOp<'_, '_, '_> {
         if let ScanRows::Morsels(scan) = &mut self.rows {
             scan.out = Some(scan.stream(exec, pipe, move |ids, budget| {
                 let mut out: Vec<Row> = Vec::new();
-                scan_morsel(exec, pipe, budget, ids, &mut |row, _| {
+                scan_morsel(exec, (pipe, None), budget, ids, &mut |row, _| {
                     out.push(std::mem::take(row));
                     Ok(())
                 })?;
@@ -1894,7 +1946,12 @@ impl<'x> Cursor<'x> {
         ids: Range<u64>,
     ) -> DbResult<Cursor<'x>> {
         let ScanPipeline { table, needed, scan_filter, consumer, leaf, project, .. } = pipe;
-        let scan = TableScan::open(exec, table, needed, scan_filter, consumer, leaf, ids)?;
+        let mut scan = TableScan::open(exec, table, needed, scan_filter, consumer, leaf, ids)?;
+        // A store gathers what is read after the filters; a heap decodes
+        // every needed column anyway.
+        if let Some(reads) = matches!(leaf, ScanLeaf::Store(..)).then(|| pipe.reads()).flatten() {
+            scan.gather_only(&reads);
+        }
         let mut refs = Vec::new();
         project.into_iter().flatten().for_each(|e| e.column_refs(&mut refs));
         let moves = project.into_iter().flatten().map(|e| match e {
@@ -2014,8 +2071,9 @@ impl<'c, 'x> Morsels<'c, 'x> {
 }
 
 /// Run the whole pipeline prefix over the rows with ids in `ids`, one
-/// morsel, through a cursor of its own (`Cursor::run`). Returns the rows
-/// that passed the scan filter.
+/// morsel, through a cursor of its own (`Cursor::run`), filtered by a
+/// probing join's keys if it has them. Returns the rows that passed the
+/// scan's filters.
 ///
 /// `budget` counts rows that pass the scan filter. Each morsel charges its
 /// count once, when it finishes, so workers share no write per row; the
@@ -2023,13 +2081,14 @@ impl<'c, 'x> Morsels<'c, 'x> {
 /// allows.
 fn scan_morsel<'x>(
     exec: &'x Executor<'_>,
-    pipe: ScanPipeline<'x>,
+    (pipe, keys): (ScanPipeline<'x>, Option<&Arc<KeyFilter>>),
     budget: &AtomicU64,
     ids: Range<u64>,
     sink: &mut dyn FnMut(&mut Row, &mut EvalCtx) -> DbResult<()>,
 ) -> DbResult<u64> {
     let max_rows = exec.limits.max_intermediate_rows;
     let mut cursor = Cursor::open(exec, pipe, ids)?;
+    keys.into_iter().for_each(|keys| cursor.scan.filter_keys(Arc::clone(keys)));
     let (visited, passed) =
         cursor.run(pipe, max_rows, &mut |row, ctx| sink(row, ctx).map(|()| true))?;
     if matches!(pipe.leaf, ScanLeaf::Heap) {

@@ -195,20 +195,10 @@ impl Datum {
             Datum::Null => GroupKey::Null,
             Datum::Bool(b) => GroupKey::Bool(*b),
             Datum::Int(i) => GroupKey::Int(*i),
-            Datum::Float(f) => {
-                // Strict upper bound: 2^63 itself is representable as f64
-                // but not as i64, and `as` would saturate it to i64::MAX —
-                // making Float(2^63) group (and disagree with the exact
-                // comparison) with Int(i64::MAX).
-                if f.fract() == 0.0
-                    && *f >= i64::MIN as f64
-                    && *f < 9_223_372_036_854_775_808.0
-                {
-                    GroupKey::Int(*f as i64)
-                } else {
-                    GroupKey::Float((f + 0.0).to_bits())
-                }
-            }
+            Datum::Float(f) => match float_key(*f) {
+                Ok(i) => GroupKey::Int(i),
+                Err(bits) => GroupKey::Float(bits),
+            },
             Datum::Text(s) => GroupKey::Text(s.clone()),
             Datum::Bytea(b) => GroupKey::Bytes(b.clone()),
             Datum::Array(a) => GroupKey::Array(a.iter().map(Datum::group_key).collect()),
@@ -338,6 +328,19 @@ impl Datum {
                 format!("{{{}}}", inner.join(","))
             }
         }
+    }
+}
+
+/// A float's grouping key: the integer it equals when it is integral and
+/// in `i64`'s range, else its bits with `-0.0` folded onto `0.0`. The
+/// upper bound is strict: 2^63 itself is representable as f64 but not as
+/// i64, and `as` would saturate it to i64::MAX — making Float(2^63) group
+/// (and disagree with the exact comparison) with Int(i64::MAX).
+pub(crate) fn float_key(f: f64) -> Result<i64, u64> {
+    if f.fract() == 0.0 && f >= i64::MIN as f64 && f < 9_223_372_036_854_775_808.0 {
+        Ok(f as i64)
+    } else {
+        Err((f + 0.0).to_bits())
     }
 }
 

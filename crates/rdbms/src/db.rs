@@ -15,7 +15,7 @@ use crate::exec::{
 use crate::expr::{bind, ColumnSource, EvalCtx, PhysExpr, Scope};
 use crate::func::{FuncRegistry, ScalarFn};
 use crate::heap::{Heap, PageTags, PageUse, RowId, Tagger};
-use crate::kernels::KernelStats;
+use crate::keys::KeyFilter;
 use crate::page::PAGE_SIZE;
 use crate::pager::{IoSnapshot, Pager};
 use crate::plan::{AccessPath, Plan};
@@ -2763,16 +2763,15 @@ fn fails_on_null(conjunct: &PhysExpr, width: usize) -> bool {
     matches!(conjunct.eval(&vec![Datum::Null; width]), Ok(Datum::Null | Datum::Bool(false)))
 }
 
-/// The slots a heap scan decodes before its filter (`first`) and after it
-/// (`rest`), when the filter reads only some of the columns in `at`;
-/// `None` when it reads them all and one decode serves.
+/// The slots a heap scan decodes before its filter and its probe filter
+/// (`first`) and after them (`rest`), when those read only some of the
+/// columns in `at` (scan-row positions `refs`); `None` when they read them
+/// all and one decode serves.
 fn late_slots(
-    filter: &PhysExpr,
+    refs: &[usize],
     live: &[usize],
     at: &[Option<usize>],
 ) -> Option<(SlotMap, SlotMap)> {
-    let mut refs = Vec::new();
-    filter.column_refs(&mut refs);
     let pos = |slot: usize| at.get(slot).copied().flatten();
     let first = live_at(live, at.len(), |slot| pos(slot).is_some_and(|p| refs.contains(&p)));
     let rest = live_at(live, at.len(), |slot| pos(slot).is_some_and(|p| !refs.contains(&p)));
@@ -2798,21 +2797,25 @@ impl ColumnSource for SegRow<'_, '_> {
     }
 }
 
-/// Keep the `offsets` of segment `seg` whose row passes `filter`, read in
-/// place: each store the filter reads is viewed once
-/// ([`ColumnStore::view`], charged to `kernel` like a gather), a column
-/// without one reads NULL as it would in the gathered row, and the rowid
-/// is served at index `stores.len()`.
+/// Keep the `offsets` of segment `seg` whose row passes `filter` and
+/// then, if it finds a build row, `keys` (DESIGN.md §40), read in place:
+/// each store they read is viewed once ([`ColumnStore::view`], charged to
+/// `kernel` like a gather), a column without one reads NULL as it would in
+/// the gathered row, and the rowid is served at index `stores.len()`.
+/// Each kept slot's build key number goes into `found`, and the slots
+/// each filter dropped are counted into `scan`.
 fn filter_segment(
-    filter: &PhysExpr,
+    (filter, keys): (Option<&PhysExpr>, Option<&KeyFilter>),
     stores: &[Option<&ColumnStore>],
-    seg: u64,
-    base: usize,
+    (seg, base): (u64, usize),
     offsets: &mut Vec<u32>,
-    kernel: &mut KernelStats,
+    found: &mut Vec<u32>,
+    scan: &mut SegScan,
 ) -> DbResult<()> {
     let mut refs = Vec::new();
-    filter.column_refs(&mut refs);
+    filter.inspect(|f| f.column_refs(&mut refs));
+    keys.inspect(|k| k.column_refs(&mut refs));
+    let kernel = &mut scan.kernel;
     let mut cols: Vec<Option<SegColumn<'_>>> = stores.iter().map(|_| None).collect();
     for i in refs {
         if let (Some(Some(st)), Some(None)) = (stores.get(i), cols.get(i)) {
@@ -2825,11 +2828,23 @@ fn filter_segment(
     for k in 0..offsets.len() {
         let slot = offsets[k];
         let rowid = Datum::Int((base + slot as usize) as i64);
+        let row = SegRow { cols: &cols, k, slot, rowid: &rowid };
         ctx.reset();
-        if filter.eval_bool_over(&SegRow { cols: &cols, k, slot, rowid: &rowid }, &mut ctx)? {
-            offsets[kept] = slot;
-            kept += 1;
+        if !filter.map_or(Ok(true), |f| f.eval_bool_over(&row, &mut ctx))? {
+            scan.rejected += 1;
+            continue;
         }
+        if let Some(keys) = keys {
+            match keys.find(&row, &mut ctx)? {
+                Some(id) => found.push(id as u32),
+                None => {
+                    scan.unmatched += 1;
+                    continue;
+                }
+            }
+        }
+        offsets[kept] = slot;
+        kept += 1;
     }
     offsets.truncate(kept);
     Ok(())
@@ -2849,10 +2864,17 @@ pub(crate) struct TableScan<'e> {
     stats: &'e ExecStats,
     table: Arc<RwLock<Table>>,
     filter: Option<&'e PhysExpr>,
-    /// Live columns; the scan row holds them, then the rowid.
+    /// Live columns by physical slot; the scan row holds them, then the
+    /// rowid.
+    live: Vec<usize>,
     width: usize,
     at: SlotMap,
-    late: Option<(&'e PhysExpr, (SlotMap, SlotMap))>,
+    /// The late-decode split of `at` (DESIGN.md §28), when the filter and
+    /// the probe filter read only some of its columns.
+    late: Option<(SlotMap, SlotMap)>,
+    /// An inner hash join's probe filter, once its build is done
+    /// (DESIGN.md §40).
+    keys: Option<Arc<KeyFilter>>,
     judge: Option<PageJudge<'e>>,
     tagged: Option<usize>,
     row: Row,
@@ -2884,17 +2906,25 @@ enum Access<'e> {
 
 /// What a columnar scan's cursor keeps across runs (DESIGN.md §38): the
 /// segments it has yet to select and, of the current one (whose slot 0 is
-/// row id `base`), the kept slots, the next to lend, and per `needed`
+/// row id `base`), the kept slots, the next to lend, and per gathered
 /// column its scan-row position and its values at those slots, in
-/// vectors reused for every segment.
+/// vectors reused for every segment. It gathers the `needed` columns the
+/// scan's consumer reads (all of them unless told, DESIGN.md §40); a
+/// column that only the filter or the probe filter reads is read in place.
 struct StoreScan<'e> {
     path: &'e AccessPath,
     bounds_cover: bool,
     stats: &'e ExecStats,
     width: usize,
     segs: Range<u64>,
+    /// The scan-row positions of the `needed` columns, each with a store.
+    stored: Vec<usize>,
+    /// The cursor's probe filter, tested in the segment.
+    keys: Option<Arc<KeyFilter>>,
     cols: Vec<(usize, Vec<Datum>)>,
     offsets: Vec<u32>,
+    /// Per kept slot, the build key the probe filter found, if it ran.
+    found: Vec<u32>,
     base: u64,
     next: usize,
 }
@@ -2932,13 +2962,13 @@ impl<'e> TableScan<'e> {
         let t = handle.read();
         let live: Vec<usize> = t.schema.live_columns().map(|(i, _)| i).collect();
         let at = scan_at(&t.schema, &live, needed);
-        let late = filter.and_then(|fl| Some((fl, late_slots(fl, &live, &at)?)));
         let judge = PageJudge::new(&t, &live, &at, filter, consumer);
         let tagged = t.tagged;
         let access = match leaf {
             ScanLeaf::Heap => None,
             ScanLeaf::Store(path, bounds_cover) => src.columnar_stores(&t, path).and_then(|st| {
-                let cols = st.gather.iter().enumerate().filter(|(_, st)| st.is_some());
+                let stored: Vec<usize> =
+                    st.gather.iter().enumerate().filter_map(|(pos, st)| st.map(|_| pos)).collect();
                 // Stores advance in lockstep with the heap, so any one's
                 // segment count covers every live rowid.
                 let n = t.columnar.iter().map(ColumnStore::n_segments).max()?;
@@ -2949,8 +2979,11 @@ impl<'e> TableScan<'e> {
                     stats,
                     width: live.len(),
                     segs: ids.start / seg..n.min(ids.end.div_ceil(seg)),
-                    cols: cols.map(|(pos, _)| (pos, Vec::new())).collect(),
+                    cols: stored.iter().map(|&pos| (pos, Vec::new())).collect(),
+                    stored,
+                    keys: None,
                     offsets: Vec::new(),
+                    found: Vec::new(),
                     base: 0,
                     next: 0,
                 }))
@@ -2961,22 +2994,57 @@ impl<'e> TableScan<'e> {
             }
         };
         drop(t);
-        Ok(TableScan {
+        let mut scan = TableScan {
             db: src.db,
             vis: src.vis,
             stats,
             table: handle,
             filter,
             width: live.len(),
+            live,
             at,
-            late,
+            late: None,
+            keys: None,
             judge,
             tagged,
             row: Vec::new(),
             page: vec![0u8; PAGE_SIZE].into_boxed_slice(),
             ids,
             access,
-        })
+        };
+        scan.split_late();
+        Ok(scan)
+    }
+
+    /// Filter the cursor's rows by an inner hash join's build keys from
+    /// its next run on (DESIGN.md §40): after the scan filter, and before
+    /// the rest of a heap row is decoded or a stored row is gathered. The
+    /// key's columns join the filter's among those a heap scan decodes
+    /// first.
+    pub(crate) fn filter_keys(&mut self, keys: Arc<KeyFilter>) {
+        if let Some(Access::Store(st)) = &mut self.access {
+            st.keys = Some(Arc::clone(&keys));
+        }
+        self.keys = Some(keys);
+        self.split_late();
+    }
+
+    /// Split the heap decode at what the filter and the probe filter read
+    /// (DESIGN.md §28, §40).
+    fn split_late(&mut self) {
+        let mut refs = Vec::new();
+        self.filter.inspect(|fl| fl.column_refs(&mut refs));
+        self.keys.as_deref().inspect(|k| k.column_refs(&mut refs));
+        let tested = self.filter.is_some() || self.keys.is_some();
+        self.late = tested.then(|| late_slots(&refs, &self.live, &self.at)).flatten();
+    }
+
+    /// Gather only the scan-row positions in `reads` from the column
+    /// stores: the rest of the row is read by no one after the filters.
+    pub(crate) fn gather_only(&mut self, reads: &[usize]) {
+        if let Some(Access::Store(st)) = &mut self.access {
+            st.cols.retain(|(pos, _)| reads.contains(pos));
+        }
     }
 
     /// Whether the cursor has visited its last row.
@@ -3028,20 +3096,21 @@ impl<'e> TableScan<'e> {
         self.run_heap(ctx, f)
     }
 
-    /// The heap scan. When the filter reads only some of the `needed`
-    /// columns, those are decoded first and the rest only for a row that
-    /// passes (DESIGN.md §28). A page whose tag synopsis rules out a filter
-    /// conjunct is not read (DESIGN.md §32); nor is one that lacks every
-    /// key the filter and the consumer read, whose visible rows are served
-    /// with the tagged column NULL (DESIGN.md §33). The table's read guard
-    /// is held while `f` reads each row.
+    /// The heap scan. When the filter and the probe filter read only some
+    /// of the `needed` columns, those are decoded first and the rest only
+    /// for a row that passes both (DESIGN.md §28, §40). A page whose tag
+    /// synopsis rules out a filter conjunct is not read (DESIGN.md §32);
+    /// nor is one that lacks every key the filter and the consumer read,
+    /// whose visible rows are served with the tagged column NULL
+    /// (DESIGN.md §33). The table's read guard is held while `f` reads
+    /// each row.
     fn run_heap(
         &mut self,
         ctx: &mut EvalCtx,
         f: &mut dyn FnMut(&mut Row, &mut EvalCtx) -> DbResult<bool>,
     ) -> DbResult<u64> {
         let TableScan {
-            db, vis, table, filter, width, at, late, judge, tagged, row, page, ids, ..
+            db, vis, table, filter, width, at, late, keys, judge, tagged, row, page, ids, ..
         } = self;
         let t = table.read();
         if t.tagged != *tagged {
@@ -3049,10 +3118,10 @@ impl<'e> TableScan<'e> {
             *judge = None;
         }
         let schema = &t.schema;
-        let (filter, width) = (*filter, *width);
+        let (filter, width, keys) = (*filter, *width, keys.as_deref());
         let mut judge_page =
             |set: &PageTags| judge.as_mut().map_or(PageUse::Read, |j| j.judge(set));
-        let (mut fetched, mut served, mut rejected) = (0u64, 0u64, 0u64);
+        let (mut fetched, mut served, mut rejected, mut unmatched) = (0u64, 0u64, 0u64, 0u64);
         let mut stop = None;
         let res = t.heap.scan_range_vis(
             ids.start,
@@ -3062,37 +3131,42 @@ impl<'e> TableScan<'e> {
             Some(&mut judge_page),
             |rowid, bytes| {
                 shape_row(row, width, rowid);
-                let mut tested = false;
-                match (bytes, &*late) {
+                // The bytes still to decode after the filters, and where.
+                let rest = match (bytes, &*late) {
                     (None, _) => {
                         served += 1;
                         at.iter().flatten().for_each(|&p| row[p] = Datum::Null);
+                        None
                     }
                     (Some(bytes), None) => {
                         fetched += 1;
                         tuple::decode_into(schema, bytes, at, row)?;
+                        None
                     }
-                    (Some(bytes), Some((fl, (first, rest)))) => {
+                    (Some(bytes), Some((first, rest))) => {
                         fetched += 1;
                         // The `rest` positions still hold an earlier row's
-                        // values, which the filter does not read.
+                        // values, which the filters do not read.
                         tuple::decode_into(schema, bytes, first, row)?;
-                        ctx.reset();
-                        if !fl.eval_bool_ctx(row, ctx)? {
-                            rejected += 1;
-                            return Ok(true);
-                        }
-                        tuple::decode_into(schema, bytes, rest, row)?;
-                        tested = true;
+                        Some((bytes, rest))
+                    }
+                };
+                ctx.reset();
+                if let Some(fl) = filter {
+                    if !fl.eval_bool_ctx(row, ctx)? {
+                        rejected += u64::from(rest.is_some());
+                        return Ok(true);
                     }
                 }
-                if !tested {
-                    ctx.reset();
-                    if let Some(fl) = filter {
-                        if !fl.eval_bool_ctx(row, ctx)? {
-                            return Ok(true);
-                        }
+                if let Some(keys) = keys {
+                    ctx.found_key = keys.find(row.as_slice(), ctx)?;
+                    if ctx.found_key.is_none() {
+                        unmatched += 1;
+                        return Ok(true);
                     }
+                }
+                if let Some((bytes, rest)) = rest {
+                    tuple::decode_into(schema, bytes, rest, row)?;
                 }
                 let go = f(row, ctx)?;
                 if !go {
@@ -3108,6 +3182,9 @@ impl<'e> TableScan<'e> {
         }
         if rejected > 0 {
             stats.scan_rows_rejected_early.add(rejected);
+        }
+        if unmatched > 0 {
+            stats.join_probe_rows_rejected.add(unmatched);
         }
         let unread = res?;
         if unread.skipped > 0 {
@@ -3132,7 +3209,8 @@ impl<'e> TableScan<'e> {
         ctx: &mut EvalCtx,
         f: &mut dyn FnMut(&mut Row, &mut EvalCtx) -> DbResult<bool>,
     ) -> DbResult<Option<u64>> {
-        let TableScan { db, vis, stats, table, filter, width, at, row, ids, access, .. } = self;
+        let TableScan { db, vis, stats, table, filter, keys, width, at, row, ids, access, .. } =
+            self;
         let Some(Access::Index(ix)) = access else { unreachable!("an index cursor") };
         let rowids = match &mut ix.rowids {
             Some(rowids) => rowids,
@@ -3147,7 +3225,7 @@ impl<'e> TableScan<'e> {
                 ix.rowids.insert(found)
             }
         };
-        let mut fetched = 0u64;
+        let (mut fetched, mut unmatched) = (0u64, 0u64);
         while let Some(&rowid) = rowids.get(ix.next) {
             ix.next += 1;
             {
@@ -3160,7 +3238,17 @@ impl<'e> TableScan<'e> {
                 tuple::decode_into(&t.schema, &ix.bytes, at, row)?;
             }
             ctx.reset();
-            if filter.map_or(Ok(true), |fl| fl.eval_bool_ctx(row, ctx))? && !f(row, ctx)? {
+            if !filter.map_or(Ok(true), |fl| fl.eval_bool_ctx(row, ctx))? {
+                continue;
+            }
+            if let Some(keys) = keys {
+                ctx.found_key = keys.find(row.as_slice(), ctx)?;
+                if ctx.found_key.is_none() {
+                    unmatched += 1;
+                    continue;
+                }
+            }
+            if !f(row, ctx)? {
                 break;
             }
         }
@@ -3169,6 +3257,9 @@ impl<'e> TableScan<'e> {
         }
         if fetched > 0 {
             db.exec_stats.heap_rowid_fetches.add(fetched);
+        }
+        if unmatched > 0 {
+            db.exec_stats.join_probe_rows_rejected.add(unmatched);
         }
         Ok(Some(fetched))
     }
@@ -3256,10 +3347,11 @@ impl StoreScan<'_> {
                 for (pos, vals) in &mut self.cols {
                     row[*pos] = std::mem::replace(&mut vals[self.next], Datum::Null);
                 }
-                (self.next, ids.start, lent) = (self.next + 1, rowid + 1, lent + 1);
-                // The filter ran in the segment: the consumer's memo starts
-                // clean.
+                // The filters ran in the segment: the consumer's memo
+                // starts clean, with the build key the probe filter found.
                 ctx.reset();
+                ctx.found_key = self.found.get(self.next).map(|&id| id as usize);
+                (self.next, ids.start, lent) = (self.next + 1, rowid + 1, lent + 1);
                 if !f(row, ctx)? {
                     return Ok(Some(lent));
                 }
@@ -3275,12 +3367,14 @@ impl StoreScan<'_> {
 
     /// Select segment `seg` under the read guard of its table `t`: keep
     /// the live slots whose bound column value falls in `path.range`, that
-    /// this reader sees and that pass `path.filter`, and gather the
-    /// `needed` columns at them. The filter is skipped where the bounds
+    /// this reader sees, that pass `path.filter` and whose key finds a row
+    /// of the join the scan probes (DESIGN.md §40), and gather the columns
+    /// the consumer reads at them. The filter is skipped where the bounds
     /// prove it (`path.exact_bounds`, or `bounds_cover` on a segment whose
-    /// zone map makes the kernel exact); otherwise it reads its columns in
-    /// place (DESIGN.md §28). `None` when the stores cannot serve this
-    /// reader now, or the table's columns moved since the scan opened.
+    /// zone map makes the kernel exact); otherwise it and the probe filter
+    /// read their columns in place (DESIGN.md §28). `None` when the stores
+    /// cannot serve this reader now, or the table's columns moved since
+    /// the scan opened.
     fn select(&mut self, src: &SnapSource<'_>, t: &Table, seg: u64) -> DbResult<Option<SegScan>> {
         let (path, bounds_cover) = (self.path, self.bounds_cover);
         let Some(ScanStores { gather: stores, bound }) = src.columnar_stores(t, path) else {
@@ -3290,7 +3384,7 @@ impl StoreScan<'_> {
         // Liveness authority: every store carries the same live bitmap.
         let any_store = bound.or_else(|| t.columnar.first());
         let (Some(any_store), true) =
-            (any_store, stores.len() == self.width && gathered.eq(self.cols.iter().map(|c| c.0)))
+            (any_store, stores.len() == self.width && gathered.eq(self.stored.iter().copied()))
         else {
             return Ok(None);
         };
@@ -3321,10 +3415,12 @@ impl StoreScan<'_> {
         // across a table's stores, so any one store can filter).
         any_store.filter_visible(seg, src.vis.read_ts, offsets);
         let skip_filter = path.exact_bounds || (bounds_cover && exact);
-        if let Some(filter) = path.filter.as_ref().filter(|_| !skip_filter) {
-            let before = offsets.len();
-            filter_segment(filter, &stores, seg, self.base as usize, offsets, &mut scan.kernel)?;
-            scan.rejected = (before - offsets.len()) as u64;
+        let filter = path.filter.as_ref().filter(|_| !skip_filter);
+        let keys = self.keys.as_deref();
+        self.found.clear();
+        if filter.is_some() || keys.is_some() {
+            let at = (seg, self.base as usize);
+            filter_segment((filter, keys), &stores, at, offsets, &mut self.found, &mut scan)?;
         }
         for (pos, vals) in &mut self.cols {
             let st = stores[*pos].expect("a gathered column has a store");

@@ -33,6 +33,10 @@ pub struct SegScan {
     /// Candidate slots the residual filter rejected before their row was
     /// gathered.
     pub rejected: u64,
+    /// Candidate slots that passed the filter but whose key found no row
+    /// of the hash join probing the scan (DESIGN.md §40), dropped before
+    /// their row was gathered.
+    pub unmatched: u64,
     /// True when the bound column's zone map excluded the whole segment.
     pub pruned: bool,
 }
@@ -165,6 +169,10 @@ crate::counter_table! {
     /// Morsels of a parallel scan probed in place by a hash join
     /// (DESIGN.md §30).
     parallel_breakers join_probe_morsels: counter,
+    /// Rows an inner hash join's probe scan dropped because their key
+    /// found no build row: tested after the scan filter and before the
+    /// rest of the row was gathered, decoded or lent (DESIGN.md §40).
+    parallel_breakers join_probe_rows_rejected: counter,
     /// Pre-aggregated morsel or chunk tables merged by parallel hash
     /// aggregation (DESIGN.md §29).
     parallel_breakers agg_partition_merges: counter,
@@ -238,6 +246,7 @@ impl ExecStats {
         }
         let k = &scan.kernel;
         self.scan_rows_rejected_early.add(scan.rejected);
+        self.join_probe_rows_rejected.add(scan.unmatched);
         self.decoded_per_block.record(k.decoded);
         self.values_decoded_batched.add(k.batched);
         self.dict_code_rewrites.add(k.dict_rewrites);

@@ -47,6 +47,10 @@ pub enum PhysExpr {
 #[derive(Debug, Default)]
 pub struct EvalCtx {
     slots: Vec<Option<Datum>>,
+    /// The number of the build key a hash join's probe filter found for
+    /// the row (DESIGN.md §40), which the join reads in place of its own
+    /// lookup.
+    pub(crate) found_key: Option<usize>,
 }
 
 impl EvalCtx {
@@ -59,6 +63,7 @@ impl EvalCtx {
         for s in &mut self.slots {
             *s = None;
         }
+        self.found_key = None;
     }
 
     fn get(&self, slot: usize) -> Option<&Datum> {
@@ -70,6 +75,29 @@ impl EvalCtx {
             self.slots.resize(slot + 1, None);
         }
         self.slots[slot] = Some(value);
+    }
+}
+
+/// A value evaluated by reference (DESIGN.md §40): a column of the row or
+/// a literal of the plan, lent where it lies; a computed value, owned; or
+/// the value in one of the row's memo slots, which is written once per row
+/// and cleared by [`EvalCtx::reset`]. The slot is named, not borrowed, so
+/// the context stays free for the next operand; [`Lent::value`] reads it.
+pub enum Lent<'r> {
+    Ref(&'r Datum),
+    Own(Datum),
+    Memo(usize),
+}
+
+impl Lent<'_> {
+    /// The value. `ctx` is the context it was evaluated with: a memo slot
+    /// is only lent when there was one.
+    pub fn value<'s>(&'s self, ctx: Option<&'s EvalCtx>) -> &'s Datum {
+        match self {
+            Lent::Ref(d) => d,
+            Lent::Own(d) => d,
+            Lent::Memo(slot) => ctx.and_then(|c| c.get(*slot)).expect("a filled memo slot"),
+        }
     }
 }
 
@@ -128,6 +156,58 @@ impl PhysExpr {
         self.eval_with(row, Some(ctx))
     }
 
+    /// Evaluate by reference: a column or a literal is lent, not cloned
+    /// (DESIGN.md §40).
+    pub fn lend<'r>(&'r self, row: &'r [Datum]) -> DbResult<Lent<'r>> {
+        self.lend_with(row, None)
+    }
+
+    /// [`PhysExpr::lend`] with the row's memoization context, over any
+    /// [`ColumnSource`]: a memo slot is lent too.
+    pub(crate) fn lend_over<'r, R: ColumnSource + ?Sized>(
+        &'r self,
+        row: &'r R,
+        ctx: &mut EvalCtx,
+    ) -> DbResult<Lent<'r>> {
+        self.lend_with(row, Some(ctx))
+    }
+
+    /// The by-reference evaluator: columns, literals, `COALESCE` and memo
+    /// slots lend their value; every other expression evaluates owned.
+    fn lend_with<'r, R: ColumnSource + ?Sized>(
+        &'r self,
+        row: &'r R,
+        mut ctx: Option<&mut EvalCtx>,
+    ) -> DbResult<Lent<'r>> {
+        Ok(match self {
+            PhysExpr::Column(i) => Lent::Ref(column(row, *i)?),
+            PhysExpr::Literal(d) => Lent::Ref(d),
+            PhysExpr::Coalesce(args) => {
+                for a in args {
+                    let v = a.lend_with(row, ctx.as_deref_mut())?;
+                    if !v.value(ctx.as_deref()).is_null() {
+                        return Ok(v);
+                    }
+                }
+                Lent::Ref(&NULL)
+            }
+            PhysExpr::Memo { slot, expr } => match ctx {
+                None => expr.lend_with(row, None)?,
+                Some(c) => {
+                    if c.get(*slot).is_none() {
+                        let v = match expr.lend_with(row, Some(c))? {
+                            Lent::Own(v) => v,
+                            other => other.value(Some(c)).clone(),
+                        };
+                        c.put(*slot, v);
+                    }
+                    Lent::Memo(*slot)
+                }
+            },
+            other => Lent::Own(other.eval_with(row, ctx)?),
+        })
+    }
+
     /// The one evaluator, generic over where a row's columns live: a
     /// `[Datum]` row, or a scan's in-place view of a row it has not built
     /// yet (DESIGN.md §28).
@@ -151,24 +231,28 @@ impl PhysExpr {
                 other => Err(DbError::Eval(format!("cannot negate {other}"))),
             },
             PhysExpr::Binary { op, left, right } => eval_binary(*op, left, right, row, ctx),
+            // Comparisons and tests read their operands by reference.
             PhysExpr::IsNull { expr, negated } => {
-                let v = expr.eval_with(row, ctx)?;
-                Ok(Datum::Bool(v.is_null() != *negated))
+                let v = expr.lend_with(row, ctx.as_deref_mut())?;
+                Ok(Datum::Bool(v.value(ctx.as_deref()).is_null() != *negated))
             }
             PhysExpr::Between { expr, low, high, negated } => {
-                let v = expr.eval_with(row, ctx.as_deref_mut())?;
-                let lo = low.eval_with(row, ctx.as_deref_mut())?;
-                let hi = high.eval_with(row, ctx)?;
-                Ok(between(v.sql_cmp(&lo), v.sql_cmp(&hi), *negated))
+                let v = expr.lend_with(row, ctx.as_deref_mut())?;
+                let lo = low.lend_with(row, ctx.as_deref_mut())?;
+                let hi = high.lend_with(row, ctx.as_deref_mut())?;
+                let (c, v) = (ctx.as_deref(), v.value(ctx.as_deref()));
+                Ok(between(v.sql_cmp(lo.value(c)), v.sql_cmp(hi.value(c)), *negated))
             }
             PhysExpr::InList { expr, list, negated } => {
-                let v = expr.eval_with(row, ctx.as_deref_mut())?;
-                if v.is_null() {
+                let v = expr.lend_with(row, ctx.as_deref_mut())?;
+                if v.value(ctx.as_deref()).is_null() {
                     return Ok(Datum::Null);
                 }
                 let mut saw_null = false;
                 for item in list {
-                    match v.sql_eq(&item.eval_with(row, ctx.as_deref_mut())?) {
+                    let item = item.lend_with(row, ctx.as_deref_mut())?;
+                    let c = ctx.as_deref();
+                    match v.value(c).sql_eq(item.value(c)) {
                         Some(true) => return Ok(Datum::Bool(!*negated)),
                         Some(false) => {}
                         None => saw_null = true,
@@ -181,16 +265,16 @@ impl PhysExpr {
                 }
             }
             PhysExpr::Like { expr, pattern, negated } => {
-                let v = expr.eval_with(row, ctx.as_deref_mut())?;
-                let p = pattern.eval_with(row, ctx)?;
-                match (v, p) {
+                let v = expr.lend_with(row, ctx.as_deref_mut())?;
+                let p = pattern.lend_with(row, ctx.as_deref_mut())?;
+                let c = ctx.as_deref();
+                match (v.value(c), p.value(c)) {
                     (Datum::Null, _) | (_, Datum::Null) => Ok(Datum::Null),
+                    (Datum::Text(s), Datum::Text(p)) => {
+                        Ok(Datum::Bool(like_match(s, p) != *negated))
+                    }
                     (v, Datum::Text(p)) => {
-                        let s = match v {
-                            Datum::Text(s) => s,
-                            other => other.display_text(),
-                        };
-                        Ok(Datum::Bool(like_match(&s, &p) != *negated))
+                        Ok(Datum::Bool(like_match(&v.display_text(), p) != *negated))
                     }
                     (_, other) => Err(DbError::Eval(format!("LIKE pattern must be text, got {other}"))),
                 }
@@ -461,11 +545,17 @@ fn eval_binary<R: ColumnSource + ?Sized>(
             _ => Datum::Null,
         });
     }
+    if op.is_comparison() {
+        // Operands by reference: a column compared with a literal clones
+        // neither (DESIGN.md §40).
+        let l = left.lend_with(row, ctx.as_deref_mut())?;
+        let r = right.lend_with(row, ctx.as_deref_mut())?;
+        let c = ctx.as_deref();
+        let o = l.value(c).sql_cmp(r.value(c));
+        return Ok(o.map_or(Datum::Null, |o| Datum::Bool(cmp_holds(op, o))));
+    }
     let l = left.eval_with(row, ctx.as_deref_mut())?;
     let r = right.eval_with(row, ctx)?;
-    if op.is_comparison() {
-        return Ok(l.sql_cmp(&r).map_or(Datum::Null, |o| Datum::Bool(cmp_holds(op, o))));
-    }
     if l.is_null() || r.is_null() {
         return Ok(Datum::Null);
     }

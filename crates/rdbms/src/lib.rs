@@ -42,6 +42,7 @@ pub mod exec;
 pub mod expr;
 pub mod func;
 pub mod heap;
+mod keys;
 pub mod kernels;
 pub mod page;
 pub mod pager;

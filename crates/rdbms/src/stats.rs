@@ -8,6 +8,7 @@
 //! optimizer is concerned, virtual columns do not exist."
 
 use crate::datum::{Datum, GroupKey};
+use crate::keys::KeyTable;
 use std::collections::HashMap;
 
 /// Number of most-common values retained.
@@ -40,7 +41,9 @@ pub struct TableStats {
 pub struct ColumnCollector {
     rows: u64,
     nulls: u64,
-    counts: HashMap<GroupKey, (Datum, u64)>,
+    /// The distinct values seen (DESIGN.md §40), and each one's count.
+    values: KeyTable,
+    counts: Vec<u64>,
     width_sum: u64,
     /// Distinct tracking stops (and falls back to an extrapolation) past
     /// this cardinality to bound memory.
@@ -60,7 +63,8 @@ impl ColumnCollector {
         ColumnCollector {
             rows: 0,
             nulls: 0,
-            counts: HashMap::new(),
+            values: KeyTable::new(1),
+            counts: Vec::new(),
             width_sum: 0,
             overflowed: false,
         }
@@ -73,14 +77,18 @@ impl ColumnCollector {
             return;
         }
         self.width_sum += d.width() as u64;
-        if self.counts.len() >= MAX_TRACKED && !self.counts.contains_key(&d.group_key()) {
-            self.overflowed = true;
-            return;
-        }
-        self.counts
-            .entry(d.group_key())
-            .or_insert_with(|| (d.clone(), 0))
-            .1 += 1;
+        let i = match self.values.find(&[d][..]) {
+            Some(i) => i,
+            None if self.values.len() >= MAX_TRACKED => {
+                self.overflowed = true;
+                return;
+            }
+            None => {
+                self.counts.push(0);
+                self.values.intern(&[d][..]).0
+            }
+        };
+        self.counts[i] += 1;
     }
 
     pub fn finish(self) -> ColumnStats {
@@ -89,12 +97,12 @@ impl ColumnCollector {
         let tracked_distinct = self.counts.len() as f64;
         // If tracking overflowed, extrapolate: assume the tail is all
         // distinct (a conservative, Postgres-like under/over-estimate).
-        let tracked_rows: u64 = self.counts.values().map(|(_, c)| c).sum();
+        let tracked_rows: u64 = self.counts.iter().sum();
         let untracked = (self.rows - self.nulls).saturating_sub(tracked_rows) as f64;
         let n_distinct = if self.overflowed { tracked_distinct + untracked } else { tracked_distinct };
 
         let mut by_freq: Vec<(Datum, u64)> =
-            self.counts.into_values().collect();
+            self.values.into_keys().into_iter().zip(self.counts).collect();
         by_freq.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.total_cmp(&b.0)));
         // MCVs: only values that actually repeat are interesting.
         let mcv: Vec<(Datum, f64)> = by_freq

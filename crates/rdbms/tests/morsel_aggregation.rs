@@ -98,6 +98,12 @@ const QUERIES: &[(&str, u64)] = &[
     ("SELECT c, b, COUNT(*), MAX(id) FROM t WHERE a < 500 GROUP BY c, b", 0),
     ("SELECT pair(a % 4, c), COUNT(*), MIN(id) FROM t GROUP BY pair(a % 4, c)", 0),
     ("SELECT a % 7 FROM t GROUP BY a % 7", 0),
+    // More group columns than a fold lends on the stack.
+    (
+        "SELECT c, b, a % 3, COALESCE(k, kf), f IS NULL, COUNT(*), MIN(id) FROM t \
+         GROUP BY c, b, a % 3, COALESCE(k, kf), f IS NULL",
+        0,
+    ),
     // Scalar aggregates over empty and non-empty input.
     ("SELECT COUNT(*), SUM(a), MIN(c), AVG(f) FROM t WHERE a < 0", 0),
     ("SELECT COUNT(*), SUM(a), MAX(c), MIN(b) FROM t", 0),

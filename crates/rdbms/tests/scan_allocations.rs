@@ -57,8 +57,18 @@ const PER_STATEMENT: u64 = ROWS as u64 / 10;
 /// once: a few allocations each.
 const PER_BUILD_ROW: u64 = 5;
 
-/// `t (k, tag, n)`, 4 000 rows whose `tag` is a text of one length, and
-/// `u (k, v)`, 100 rows that join every 40th row of `t`.
+/// Groups of the text column `grp`.
+const GROUPS: i64 = 4;
+
+/// Row `k`'s text group.
+fn grp(k: i64) -> Datum {
+    Datum::Text(format!("group-{}", k % GROUPS))
+}
+
+/// `t (k, tag, n)`, 4 000 rows whose `tag` is a text of one length;
+/// `g (k, grp)`, 4 000 rows whose `grp` is one of four texts; `u (k, v)`,
+/// 100 rows that join every 40th row of `t`, and `w (tag, v)`, the same
+/// rows keyed by `tag`.
 fn build() -> Database {
     let db = Database::in_memory();
     let cols = [("k", ColType::Int), ("tag", ColType::Text), ("n", ColType::Int)];
@@ -67,12 +77,21 @@ fn build() -> Database {
         .map(|k| vec![Datum::Int(k), Datum::Text(format!("tag-{k:06}")), Datum::Int(k * 3)])
         .collect();
     db.insert_rows("t", &rows).unwrap();
+    db.create_table("g", vec![("k".into(), ColType::Int), ("grp".into(), ColType::Text)]).unwrap();
+    let g: Vec<Vec<Datum>> = (0..ROWS).map(|k| vec![Datum::Int(k), grp(k)]).collect();
+    db.insert_rows("g", &g).unwrap();
     db.create_table("u", vec![("k".into(), ColType::Int), ("v".into(), ColType::Int)]).unwrap();
     let u: Vec<Vec<Datum>> =
         (0..BUILD_ROWS).map(|i| vec![Datum::Int(i * 40), Datum::Int(i)]).collect();
     db.insert_rows("u", &u).unwrap();
-    db.execute("ANALYZE t").unwrap();
-    db.execute("ANALYZE u").unwrap();
+    db.create_table("w", vec![("tag".into(), ColType::Text), ("v".into(), ColType::Int)]).unwrap();
+    let w: Vec<Vec<Datum>> = (0..BUILD_ROWS)
+        .map(|i| vec![Datum::Text(format!("tag-{:06}", i * 40)), Datum::Int(i)])
+        .collect();
+    db.insert_rows("w", &w).unwrap();
+    for table in ["t", "g", "u", "w"] {
+        db.execute(&format!("ANALYZE {table}")).unwrap();
+    }
     db.set_exec_limits(ExecLimits { exec_threads: 1, ..ExecLimits::default() });
     db
 }
@@ -173,8 +192,10 @@ fn an_index_scan_allocates_its_output_rows_only() {
 /// Rows of `c`: two column-store segments.
 const STORED_ROWS: i64 = 6_000;
 
-/// `c (k, tag, n, pad)` with column stores on `k`, `tag` and `n`, whose
-/// wide `pad` makes the planner read the stores, and `u` as above.
+/// `c (k, tag, n, pad)` with column stores on `k`, `tag` and `n`, and
+/// `h (pad, grp)` of as many rows with a column store on `grp`, whose
+/// wide `pad`s make the planner read the stores, and the tables of
+/// [`build`].
 fn build_stored() -> Database {
     let db = build();
     let cols = [("k", ColType::Int), ("tag", ColType::Text), ("n", ColType::Int), ("pad", ColType::Text)];
@@ -189,7 +210,13 @@ fn build_stored() -> Database {
     for col in ["k", "tag", "n"] {
         db.build_columnar("c", col).unwrap();
     }
+    db.create_table("h", vec![("pad".into(), ColType::Text), ("grp".into(), ColType::Text)]).unwrap();
+    let h: Vec<Vec<Datum>> =
+        (0..STORED_ROWS).map(|k| vec![Datum::Text(format!("{k:0>160}")), grp(k)]).collect();
+    db.insert_rows("h", &h).unwrap();
+    db.build_columnar("h", "grp").unwrap();
     db.execute("ANALYZE c").unwrap();
+    db.execute("ANALYZE h").unwrap();
     db
 }
 
@@ -256,4 +283,63 @@ fn a_columnar_scan_allocates_its_output_rows_only() {
         let build_reads = if join { BUILD_ROWS as u64 } else { 0 };
         assert_eq!(after.heap_fetches - before.heap_fetches, build_reads, "{sql}");
     }
+}
+
+/// Keys are read where they lie (DESIGN.md §40). A text-keyed hash join
+/// looks each probe key up by reference, and its probe scan drops a row
+/// whose key finds no build row before the row is projected (heap) or
+/// gathered (stores); a text `GROUP BY` looks each row's group up by
+/// reference and copies a key only into a new group. So a probe costs
+/// its statement and its build rows, over 4 000 heap rows and 6 000
+/// stored rows alike, and a fold its statement and its groups. The one
+/// copy per row left is the store's: a text value gathered out of a store
+/// for a fold that reads it is a copy (DESIGN.md §38).
+#[test]
+fn text_keys_are_looked_up_by_reference() {
+    let db = build_stored();
+    let per_group = 4;
+    let sum = BUILD_ROWS * (BUILD_ROWS - 1) / 2;
+    let joined = vec![vec![Datum::Int(BUILD_ROWS), Datum::Int(sum)]];
+    let groups = |rows: i64| -> Vec<Vec<Datum>> {
+        (0..GROUPS).map(|g| vec![grp(g), Datum::Int(rows / GROUPS)]).collect()
+    };
+    let cases = [
+        ("SELECT COUNT(*), SUM(w.v) FROM t JOIN w ON t.tag = w.tag", "Seq Scan on t", &joined),
+        ("SELECT COUNT(*), SUM(w.v) FROM c JOIN w ON c.tag = w.tag", "Columnar Scan on c", &joined),
+        ("SELECT grp, COUNT(*) FROM g GROUP BY grp", "Seq Scan on g", &groups(ROWS)),
+        ("SELECT grp, COUNT(*) FROM h GROUP BY grp", "Columnar Scan on h", &groups(STORED_ROWS)),
+    ];
+    for (sql, leaf, want) in cases {
+        let plan = db.execute(&format!("EXPLAIN {sql}")).unwrap();
+        let plan: Vec<String> = plan.rows.iter().map(|r| r[0].display_text()).collect();
+        assert!(plan.iter().any(|l| l.contains(leaf)), "{sql}: {plan:#?}");
+        let (rows, allocs, _) = run_counted(&db, &prepare(&db, sql));
+        assert_eq!(&rows, want, "{sql}");
+        let allowed = if sql.contains("JOIN") {
+            PER_STATEMENT + PER_BUILD_ROW * BUILD_ROWS as u64
+        } else if leaf.contains("Columnar") {
+            PER_STATEMENT + per_group * GROUPS as u64 + rows.len() as u64 + STORED_ROWS as u64
+        } else {
+            PER_STATEMENT + per_group * GROUPS as u64 + rows.len() as u64
+        };
+        assert!(allocs < allowed, "{sql}: {allocs} allocations");
+    }
+}
+
+/// A columnar scan gathers only the columns read after its filter
+/// (DESIGN.md §40): a text column that only the filter reads is read in
+/// place and never copied, so counting the rows it keeps costs the
+/// segments, not the rows.
+#[test]
+fn a_filter_only_column_is_not_gathered() {
+    let db = build_stored();
+    let sql = "SELECT COUNT(*) FROM c WHERE tag <> 'none'";
+    let plan = db.execute(&format!("EXPLAIN {sql}")).unwrap();
+    let plan: Vec<String> = plan.rows.iter().map(|r| r[0].display_text()).collect();
+    assert!(plan.iter().any(|l| l.contains("Columnar Scan on c")), "{plan:#?}");
+    let (rows, allocs, _) = run_counted(&db, &prepare(&db, sql));
+    assert_eq!(rows, vec![vec![Datum::Int(STORED_ROWS)]]);
+    let segments = (STORED_ROWS as u64).div_ceil(4096);
+    let allowed = PER_STATEMENT / 4 + 40 * segments;
+    assert!(allocs < allowed, "{allocs} allocations over {STORED_ROWS} rows");
 }
